@@ -189,6 +189,19 @@ def _per_worker_hit_rates(stats: dict[str, Any]) -> dict[str, float]:
     }
 
 
+def _reply_encodings(stats: dict[str, Any]) -> dict[str, int]:
+    """How the shards' answers came back: through reply slots or pickled."""
+    return {
+        name: int(stats[name])
+        for name in (
+            "replies_slot",
+            "replies_inline",
+            "reply_slots_free",
+            "reply_slots_total",
+        )
+    }
+
+
 def _run_process_comparison(args: argparse.Namespace, sizes) -> int:
     """``--workers N``: thread mode vs N shard processes, three gates."""
     scale, edges, requests, sources = sizes
@@ -223,6 +236,7 @@ def _run_process_comparison(args: argparse.Namespace, sizes) -> int:
     process_qps = process_report.served.throughput_qps
     process_speedup = process_qps / thread_qps if thread_qps else 0.0
     hit_rates = _per_worker_hit_rates(process_report.server_stats)
+    replies = _reply_encodings(process_report.server_stats)
     leaks = leaked_segments()
     cores = _effective_cores(args.workers)
 
@@ -233,6 +247,7 @@ def _run_process_comparison(args: argparse.Namespace, sizes) -> int:
         "effective_cores": cores,
         "process_speedup": process_speedup,
         "per_worker_hit_rate": hit_rates,
+        "reply_encodings": replies,
         "leaked_segments": leaks,
     }
     out = Path(args.out)
@@ -247,6 +262,12 @@ def _run_process_comparison(args: argparse.Namespace, sizes) -> int:
     print(
         "per-worker cache hit rates: "
         + ", ".join(f"w{k}={v:.1%}" for k, v in sorted(hit_rates.items()))
+    )
+    print(
+        f"reply encodings: {replies['replies_slot']} through slots, "
+        f"{replies['replies_inline']} inline; "
+        f"{replies['reply_slots_free']} of {replies['reply_slots_total']} "
+        "slots free at the end"
     )
 
     failed = False

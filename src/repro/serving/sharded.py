@@ -31,11 +31,28 @@ cannot change *what* it answers: process-mode responses are
 byte-identical to the single-process path, which is exactly how the
 tests check this module.
 
-Request/response framing is plain picklable tuples over per-worker
-``multiprocessing`` queues; per-worker FIFO ordering is what makes the
-update barrier correct (queries enqueued before the barrier are
-answered at the old version, the barrier message follows them, and new
-queries wait on the writer lock).
+Request/response framing: requests and control messages are small
+picklable tuples over per-worker ``multiprocessing`` queues; per-worker
+FIFO ordering is what makes the update barrier correct (queries
+enqueued before the barrier are answered at the old version, the
+barrier message follows them, and new queries wait on the writer
+lock).  An *answer* is dense — ``estimate`` and ``residue`` for all n
+nodes — so it does not go through the pipe: each shard has a
+parent-owned :class:`~repro.serving.shm.ReplyArena` of fixed-size
+slots, the reply buffer is caller-provided (``submit`` takes a free
+slot and names it in the query message), the worker copies the two
+vectors into that slot and queues only a header (the
+:class:`ServedResult` with its arrays stripped), and the collector
+copies them out into private arrays before the slot returns to a LIFO
+free list.  A slot belongs to exactly one pending request from submit
+until copy-out (or until its worker is declared dead); the worker
+writes replies from one thread in FIFO order, so no reader sees a
+half-written or reused slot, and a slot whose tag is not the expected
+request id (before or after the copy-out) is treated as a lost reply
+and retried.  Replies that
+cannot use a slot — none free, an answer that is not two float64
+vectors of length n, errors, stats, barrier acks, heartbeats — are
+pickled inline as before; the choice is made per reply.
 
 Self-healing (PR 9): the dispatcher runs a supervisor thread that
 notices worker death (``process.is_alive()``, surfaced promptly by the
@@ -65,12 +82,15 @@ import queue
 import signal
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from types import FrameType
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
+
+import numpy as np
 
 from repro.api.engine import PPREngine
 from repro.errors import (
@@ -86,7 +106,12 @@ from repro.serving.faults import FaultInjector, FaultSpec, WorkerFaultPlan
 from repro.serving.locks import RWLock
 from repro.serving.scheduler import ServedResult
 from repro.serving.server import EngineServer
-from repro.serving.shm import SharedGraphHandle, SharedGraphImage
+from repro.serving.shm import (
+    ReplyArena,
+    ReplyArenaHandle,
+    SharedGraphHandle,
+    SharedGraphImage,
+)
 from repro.serving.supervisor import CircuitBreaker, RestartPolicy, RetryPolicy
 
 __all__ = ["ShardedDispatcher", "WorkerConfig"]
@@ -95,6 +120,13 @@ __all__ = ["ShardedDispatcher", "WorkerConfig"]
 #: dispatcher is a timed wait at this granularity so worker death is
 #: noticed promptly and no future can hang forever.
 _POLL = 0.05
+
+#: Byte cap of one shard's reply arena.  The arena has ``max_batch``
+#: slots (the deepest burst a worker drains at once) or as many as fit
+#: under this cap, whichever is fewer; deeper bursts overflow to inline
+#: replies.  Slots are reused LIFO and their pages touched on first
+#: use, so resident memory follows the in-flight depth, not the cap.
+_ARENA_MAX_BYTES = 32 << 20
 
 #: Default per-worker vnode count on the hash ring.  Enough that each
 #: worker's share of sources stays within a few percent of uniform and
@@ -131,6 +163,7 @@ def _raise_exit(signum: int, frame: FrameType | None) -> None:
 def _worker_main(
     worker_id: int,
     handle: SharedGraphHandle,
+    arena_handle: ReplyArenaHandle,
     config: WorkerConfig,
     requests: Any,
     responses: Any,
@@ -140,11 +173,16 @@ def _worker_main(
     Runs in a child process (module-level so the spawn start method can
     pickle it).  Messages in, messages out:
 
-    * ``("query", req_id, source, method, params, fresh, deadline)`` ->
-      ``("result", req_id, ServedResult)`` or
-      ``("error", req_id, exc)`` — ``deadline`` is a
-      ``time.monotonic()`` timestamp, meaningful across the process
-      boundary because ``CLOCK_MONOTONIC`` is system-wide
+    * ``("query", req_id, source, method, params, fresh, deadline,
+      slot)`` -> ``("slot-result", req_id, header)`` when the answer
+      was copied into reply slot ``slot`` (``header`` is the
+      :class:`ServedResult` with its two vectors stripped; the slot
+      header carries ``req_id``), ``("result", req_id, ServedResult)``
+      when it had to be pickled inline (``slot`` was ``None`` or the
+      answer does not fit a slot), or ``("error", req_id, exc)`` —
+      ``deadline`` is a ``time.monotonic()`` timestamp, meaningful
+      across the process boundary because ``CLOCK_MONOTONIC`` is
+      system-wide
     * ``("update", barrier_id, updates)`` ->
       ``("updated", barrier_id, version)`` or
       ``("update-error", barrier_id, exc)``
@@ -153,23 +191,24 @@ def _worker_main(
 
     The worker also emits unsolicited
     ``("heartbeat", graph_version, cache_size, monotonic_ts)``
-    messages — once at startup and once per idle second — which the
-    dispatcher uses for health visibility and for asserting that a
-    respawned worker starts at the journal-replayed graph version with
-    an empty result cache (stale memoised answers must not survive a
-    respawn).
+    messages — once at startup and then every ``_HEARTBEAT_INTERVAL``
+    seconds, busy or idle — which the dispatcher uses for health
+    visibility and for asserting that a respawned worker starts at the
+    journal-replayed graph version with an empty result cache (stale
+    memoised answers must not survive a respawn).
 
     The request queue is drained in bursts: everything immediately
     available is submitted to the local server *before* blocking on
     results, so the per-worker micro-batch window sees real company
     and coalesced windows still become one multi-source block solve.
-    A worker never owns the shared segment — teardown only closes its
-    own mapping, so a SIGKILLed worker cannot leak ``/dev/shm``
-    entries (satisfying the ``shm-discipline`` contract from the
-    child side).
+    A worker never owns a shared segment — teardown only closes its
+    own mappings of the graph image and the reply arena, so a
+    SIGKILLed worker cannot leak ``/dev/shm`` entries (satisfying the
+    ``shm-discipline`` contract from the child side).
     """
     signal.signal(signal.SIGTERM, _raise_exit)
     image = SharedGraphImage.attach(handle)
+    arena = ReplyArena.attach(arena_handle)
     try:
         engine = PPREngine.from_shared_graph(
             image,
@@ -191,12 +230,14 @@ def _worker_main(
             _serve_messages(
                 worker_id,
                 server,
+                arena,
                 requests,
                 responses,
                 config.max_batch,
                 WorkerFaultPlan(config.faults),
             )
     finally:
+        arena.close()
         image.close()
 
 
@@ -219,6 +260,7 @@ def _heartbeat(server: EngineServer, responses: Any) -> None:
 def _serve_messages(
     worker_id: int,
     server: EngineServer,
+    arena: ReplyArena,
     requests: Any,
     responses: Any,
     max_burst: int,
@@ -244,11 +286,13 @@ def _serve_messages(
                 burst.append(requests.get_nowait())
             except queue.Empty:
                 break
-        pending: list[tuple[int, Future]] = []
+        pending: list[tuple[int, int | None, Future]] = []
         for message in burst:
             kind = message[0]
             if kind == "query":
-                _, req_id, source, method, params, fresh, deadline = message
+                _, req_id, source, method, params, fresh, deadline, slot = (
+                    message
+                )
                 try:
                     future = server.submit(
                         source,
@@ -260,11 +304,11 @@ def _serve_messages(
                 except Exception as exc:  # noqa: BLE001 - forwarded
                     _put_reply(responses, plan, ("error", req_id, exc))
                     continue
-                pending.append((req_id, future))
+                pending.append((req_id, slot, future))
                 continue
             # Control messages order against queries: everything
             # submitted before them must resolve first.
-            _flush(worker_id, pending, responses, plan)
+            _flush(worker_id, pending, arena, responses, plan)
             pending = []
             if kind == "stop":
                 return
@@ -284,7 +328,7 @@ def _serve_messages(
                     responses.put(("updated", barrier_id, version))
             elif kind == "stats":
                 responses.put(("stats", message[1], server.stats()))
-        _flush(worker_id, pending, responses, plan)
+        _flush(worker_id, pending, arena, responses, plan)
         # Time-based, not idle-based: a worker saturated with traffic
         # (or a parent polling stats) must still report its version
         # and cache freshness.
@@ -308,24 +352,39 @@ def _put_reply(
     responses.put(message)
 
 
+#: Stands in for ``estimate`` in the header of a slot reply.
+_NO_VECTOR = np.empty(0)
+
+
 def _flush(
     worker_id: int,
-    pending: list[tuple[int, Future]],
+    pending: list[tuple[int, int | None, Future]],
+    arena: ReplyArena,
     responses: Any,
     plan: WorkerFaultPlan,
 ) -> None:
-    """Resolve a burst of submitted futures back to the dispatcher."""
-    for req_id, future in pending:
+    """Resolve a burst of submitted futures back to the dispatcher.
+
+    The only writer of this shard's reply slots, one reply at a time
+    in submission order — which is what lets the dispatcher reuse a
+    slot as soon as it has copied a reply out of it.
+    """
+    for req_id, slot, future in pending:
         try:
             served: ServedResult = future.result()
         except Exception as exc:  # noqa: BLE001 - forwarded
             _put_reply(responses, plan, ("error", req_id, exc))
+            continue
+        result = served.result
+        if slot is not None and arena.store(
+            slot, req_id, result.estimate, result.residue
+        ):
+            kind = "slot-result"
+            result = replace(result, estimate=_NO_VECTOR, residue=None)
         else:
-            _put_reply(
-                responses,
-                plan,
-                ("result", req_id, replace(served, worker=worker_id)),
-            )
+            kind = "result"
+        reply = replace(served, worker=worker_id, result=result)
+        _put_reply(responses, plan, (kind, req_id, reply))
 
 
 def _ring_point(token: str) -> int:
@@ -419,6 +478,34 @@ class _PendingRequest:
     attempts: int = 0
     #: ``time.monotonic()`` of the latest enqueue, for timeout scans.
     enqueued_at: float = 0.0
+    #: Reply slot held on the current target shard (``None``: the
+    #: arena was exhausted and the reply will arrive inline).
+    slot: int | None = None
+
+
+@dataclass
+class _ReplySlots:
+    """Parent-side ownership of one shard's reply arena.
+
+    Lives as long as the worker *id*, not one incarnation of it: a
+    respawned worker attaches the same arena.  ``free`` is a LIFO (the
+    slot released last has the warmest pages) and, like the counters,
+    is only touched under the dispatcher mutex.
+    """
+
+    arena: ReplyArena
+    free: list[int]
+    #: Replies read out of a slot / unpickled from the pipe.
+    replies_slot: int = 0
+    replies_inline: int = 0
+
+    def snapshot(self) -> dict[str, int]:
+        return {
+            "replies_slot": self.replies_slot,
+            "replies_inline": self.replies_inline,
+            "reply_slots_free": len(self.free),
+            "reply_slots_total": self.arena.slots,
+        }
 
 
 @dataclass
@@ -429,6 +516,7 @@ class _WorkerState:
     process: Any
     requests: Any
     responses: Any
+    replies: _ReplySlots
     collector: threading.Thread | None = None
     pending: dict[int, _PendingRequest] = field(default_factory=dict)
     alive: bool = True
@@ -497,7 +585,9 @@ class ShardedDispatcher:
         Per-worker engine construction (identical in every shard —
         answers must not depend on placement).
     cache_capacity, cache_ttl, window, max_batch:
-        Per-worker :class:`EngineServer` knobs.
+        Per-worker :class:`EngineServer` knobs.  ``max_batch``, the
+        deepest burst a worker drains at once, is also how many reply
+        slots its arena gets (fewer when they would exceed 32 MiB).
     start_method:
         ``multiprocessing`` start method; default ``"fork"`` where
         available (inherits the warmed import state), else the
@@ -691,6 +781,9 @@ class ShardedDispatcher:
         self._rerouted = 0
         self._worker_failures = 0
         self._barriers: dict[int, _Barrier] = {}
+        #: worker_id -> its reply arena and free list; created before
+        #: the first fork, unlinked in close(), never by a worker
+        self._reply_slots: dict[int, _ReplySlots] = {}
         #: every successfully barriered update since boot, in order —
         #: the journal a respawned worker replays to reach the current
         #: version (``initial_version + len(self._update_log) ==
@@ -719,6 +812,14 @@ class ShardedDispatcher:
         self._context = get_context(start_method)
         try:
             for worker_id in range(workers):
+                arena = ReplyArena.create(
+                    self._image.handle.num_nodes,
+                    max_slots=max_batch,
+                    max_bytes=_ARENA_MAX_BYTES,
+                )
+                self._reply_slots[worker_id] = _ReplySlots(
+                    arena, free=list(range(arena.slots))
+                )
                 state = self._spawn_state(worker_id)
                 self._states[worker_id] = state
                 self._ring.add(worker_id)
@@ -751,9 +852,17 @@ class ShardedDispatcher:
                 config = replace(config, faults=worker_faults)
         req_q = self._context.Queue()
         resp_q = self._context.Queue()
+        replies = self._reply_slots[worker_id]
         process = self._context.Process(
             target=_worker_main,
-            args=(worker_id, self._image.handle, config, req_q, resp_q),
+            args=(
+                worker_id,
+                self._image.handle,
+                replies.arena.handle,
+                config,
+                req_q,
+                resp_q,
+            ),
             name=f"repro-shard-{worker_id}.{generation}",
             daemon=True,
         )
@@ -763,6 +872,7 @@ class ShardedDispatcher:
             process=process,
             requests=req_q,
             responses=resp_q,
+            replies=replies,
             generation=generation,
             restarts=restarts,
             breaker=CircuitBreaker(
@@ -876,37 +986,55 @@ class ShardedDispatcher:
                 if self._closed:
                     raise RuntimeError("dispatcher is closed")
                 state = self._route_healthy(source)
-                req_id = self._next_id
-                self._next_id += 1
                 self._submitted += 1
                 submit_count = self._submitted
+                # ``merged``, not the caller's raw params: the worker
+                # is sent the canonical method name, so the overrides
+                # an alias implies (``fora+`` => ``use_index=True``)
+                # must travel with it.
                 pending = _PendingRequest(
                     future=Future(),
                     source=source,
                     method=canonical,
-                    params=dict(params),
+                    params=merged,
                     fresh=fresh,
                     deadline=deadline,
-                    enqueued_at=time.monotonic(),
                 )
-                state.pending[req_id] = pending
+                message = self._enqueue(state, pending)
             # Enqueued under the read lock: a writer that acquires
             # after us sees this request ahead of its barrier message
             # in the worker's FIFO, so it is answered pre-update.
-            state.requests.put(
-                (
-                    "query",
-                    req_id,
-                    source,
-                    canonical,
-                    dict(params),
-                    fresh,
-                    deadline,
-                )
-            )
+            state.requests.put(message)
         if self._faults is not None:
             self._inject_parent_faults(submit_count)
         return pending.future
+
+    def _enqueue(self, state: _WorkerState, request: _PendingRequest) -> tuple:
+        """Register ``request`` as pending on ``state``; its query message.
+
+        Called under ``_mutex``.  Takes the reply slot the answer
+        should come back through — from here until the collector has
+        copied the reply out (or the request is timed out, or the
+        worker declared dead) the slot belongs to this request alone.
+        With the arena exhausted the request carries no slot and its
+        reply arrives inline.
+        """
+        req_id = self._next_id
+        self._next_id += 1
+        free = state.replies.free
+        request.slot = free.pop() if free else None
+        request.enqueued_at = time.monotonic()
+        state.pending[req_id] = request
+        return (
+            "query",
+            req_id,
+            request.source,
+            request.method,
+            request.params,
+            request.fresh,
+            request.deadline,
+            request.slot,
+        )
 
     def _route_healthy(self, source: int) -> _WorkerState:
         """Route by ring order, skipping shards whose breaker is open.
@@ -914,19 +1042,21 @@ class ShardedDispatcher:
         Called under ``_mutex``.  The primary owner (what
         :meth:`route` reports) wins whenever its breaker admits
         traffic — including the single half-open probe after a
-        cooldown; otherwise the walk continues clockwise.  With every
-        breaker open the primary gets the request anyway: failing it
-        here would turn a slow cluster into a hard outage.
+        cooldown — and only when it refuses is the ring walked
+        clockwise for a fallback.  With every breaker open the primary
+        gets the request anyway: failing it here would turn a slow
+        cluster into a hard outage.
         """
-        order = self._ring.route_order(source)
+        primary = self._states[self._ring.route(source)]
         now = time.monotonic()
-        for position, worker_id in enumerate(order):
+        if primary.breaker.allows(now):
+            return primary
+        for worker_id in self._ring.route_order(source)[1:]:
             state = self._states[worker_id]
             if state.breaker.allows(now):
-                if position:
-                    self._breaker_skips += 1
+                self._breaker_skips += 1
                 return state
-        return self._states[order[0]]
+        return primary
 
     def _inject_parent_faults(self, submit_count: int) -> None:
         """Fire any process-level scheduled faults due at this submit."""
@@ -1093,17 +1223,20 @@ class ShardedDispatcher:
                     self._on_worker_death(state)
                 return
             kind = message[0]
-            if kind == "result":
+            if kind == "slot-result":
+                self._on_slot_result(state, message[1], message[2])
+            elif kind == "result":
                 _, req_id, served = message
                 with self._mutex:
-                    pending = state.pending.pop(req_id, None)
+                    pending = self._pop_pending(state, req_id)
                     state.breaker.record_success()
+                    state.replies.replies_inline += 1
                 if pending is not None:
                     self._resolve(pending.future, served)
             elif kind == "error":
                 _, req_id, exc = message
                 with self._mutex:
-                    pending = state.pending.pop(req_id, None)
+                    pending = self._pop_pending(state, req_id)
                 if pending is not None:
                     self._fail(pending.future, exc)
             elif kind == "heartbeat":
@@ -1133,6 +1266,67 @@ class ShardedDispatcher:
                     pending = state.pending.pop(req_id, None)
                 if pending is not None:
                     self._resolve(pending.future, stats)
+
+    @staticmethod
+    def _pop_pending(
+        state: _WorkerState, req_id: int
+    ) -> _PendingRequest | None:
+        """Take ``req_id`` off ``state`` and free its reply slot.
+
+        Called under ``_mutex`` by whoever settles the request's stay
+        on this shard without reading its slot: an inline or error
+        reply, a timeout.  ``None`` when someone else already did (a
+        late reply to a request that was timed out and retried).
+        """
+        request = state.pending.pop(req_id, None)
+        if request is not None and request.slot is not None:
+            state.replies.free.append(request.slot)
+            request.slot = None
+        return request
+
+    def _on_slot_result(
+        self, state: _WorkerState, req_id: int, header: ServedResult
+    ) -> None:
+        """Rebuild a reply whose vectors came back through a slot.
+
+        The request leaves ``pending`` first, so nobody else can free
+        the slot while it is read; it returns to the free list only
+        after the copy-out.  A late reply to a request that was
+        already timed out finds no pending entry and must not touch
+        the slot — it may belong to a newer request by now.
+        """
+        with self._mutex:
+            request = state.pending.pop(req_id, None)
+            state.breaker.record_success()
+        if request is None:
+            return
+        slot = request.slot
+        assert slot is not None, "slot reply for a request sent without one"
+        vectors = state.replies.arena.load(slot, req_id)
+        with self._mutex:
+            state.replies.free.append(slot)
+            request.slot = None
+            if vectors is not None:
+                state.replies.replies_slot += 1
+        if vectors is None:
+            self._retry_request(
+                request,
+                reason=(
+                    f"reply slot {slot} of worker {state.worker_id} "
+                    f"does not carry request {req_id}"
+                ),
+            )
+            return
+        estimate, residue = vectors
+        self._resolve(
+            request.future,
+            replace(
+                header,
+                result=replace(
+                    header.result, estimate=estimate, residue=residue
+                ),
+            ),
+        )
 
     @staticmethod
     def _resolve(future: Future, value: Any) -> None:
@@ -1169,7 +1363,10 @@ class ShardedDispatcher:
             self._worker_failures += 1
             self._ring.remove(state.worker_id)
             orphaned = list(state.pending.values())
-            state.pending.clear()
+            for req_id in list(state.pending):
+                # The dead worker writes no more: every slot it held
+                # goes back for its next incarnation to use.
+                self._pop_pending(state, req_id)
             for barrier in self._barriers.values():
                 barrier.expected.discard(state.worker_id)
                 barrier.settle_if_complete()
@@ -1251,6 +1448,20 @@ class ShardedDispatcher:
 
     def _resubmit(self, request: _PendingRequest) -> None:
         """Re-enqueue one retried request on a (breaker-aware) shard."""
+        if (
+            request.deadline is not None
+            and time.monotonic() >= request.deadline
+        ):
+            # The backoff was paced to end before the deadline, but the
+            # supervisor tick that fires it can run late.
+            self._fail(
+                request.future,
+                DeadlineExceeded(
+                    f"source {request.source}: deadline passed while "
+                    f"waiting to be retried"
+                ),
+            )
+            return
         with self._mutex:
             if self._closed:
                 self._fail(
@@ -1262,12 +1473,9 @@ class ShardedDispatcher:
             except RuntimeError:
                 target = None
             if target is not None:
-                req_id = self._next_id
-                self._next_id += 1
                 self._rerouted += 1
                 self._retries += 1
-                request.enqueued_at = time.monotonic()
-                target.pending[req_id] = request
+                message = self._enqueue(target, request)
             respawn_pending = bool(self._respawn_due) or bool(
                 self._respawning
             )
@@ -1288,17 +1496,7 @@ class ShardedDispatcher:
                     ),
                 )
             return
-        target.requests.put(
-            (
-                "query",
-                req_id,
-                request.source,
-                request.method,
-                dict(request.params),
-                request.fresh,
-                request.deadline,
-            )
-        )
+        target.requests.put(message)
 
     # -- supervision ------------------------------------------------------
     def _supervise(self) -> None:
@@ -1344,9 +1542,9 @@ class ShardedDispatcher:
                             > self._request_timeout
                         ]
                         for req_id in expired:
-                            timed_out.append(
-                                (state, state.pending.pop(req_id))
-                            )
+                            request = self._pop_pending(state, req_id)
+                            assert request is not None
+                            timed_out.append((state, request))
                             state.breaker.record_failure(now)
                             self._request_timeouts += 1
             for state, request in timed_out:
@@ -1517,7 +1715,11 @@ class ShardedDispatcher:
         matters (top-level ``"cache"`` with ``hit_rate``,
         ``"scheduler"`` with ``batching_factor``), with per-worker
         breakdowns under ``"per_worker"`` and dispatcher counters
-        (``rerouted``, ``worker_failures``) alongside.
+        (``rerouted``, ``worker_failures``) alongside.  ``replies_slot``
+        / ``replies_inline`` count the answers that came back through a
+        reply slot / pickled through the pipe, ``reply_slots_free`` /
+        ``reply_slots_total`` the arena occupancy — summed here, per
+        worker id under ``"per_worker_replies"``.
         """
         futures: dict[int, Future] = {}
         probes: list[tuple[_WorkerState, int]] = []
@@ -1638,6 +1840,13 @@ class ShardedDispatcher:
                 for state in self._states.values()
                 if state.alive
             }
+            replies = {
+                str(worker_id): slots.snapshot()
+                for worker_id, slots in self._reply_slots.items()
+            }
+            reply_totals: Counter[str] = Counter()
+            for snapshot in replies.values():
+                reply_totals.update(snapshot)
             return {
                 "requests": self._submitted,
                 "graph_version": self._version,
@@ -1645,6 +1854,8 @@ class ShardedDispatcher:
                 "configured_workers": self._workers,
                 "rerouted": self._rerouted,
                 "worker_failures": self._worker_failures,
+                **reply_totals,
+                "per_worker_replies": replies,
                 "cache": cache,
                 "scheduler": scheduler,
                 "per_worker": per_worker,
@@ -1654,15 +1865,16 @@ class ShardedDispatcher:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Stop every shard and release the shared segment (idempotent).
+        """Stop every shard and release the shared segments (idempotent).
 
         Stop messages first, then a bounded join, escalating to
         ``terminate`` (workers convert SIGTERM to a clean exit that
-        closes their mapping) and finally ``kill``.  Leftover futures
-        fail rather than hang.  The segment is closed here in the
-        parent and — when the dispatcher exported it — unlinked
-        exactly once, so a completed run leaves nothing in
-        ``/dev/shm``.
+        closes their mappings) and finally ``kill``.  Leftover futures
+        fail rather than hang.  The reply arenas are unlinked here, by
+        the parent that created them, once no worker can write to them
+        any more; the graph image is closed and — when the dispatcher
+        exported it — unlinked exactly once, so a completed run leaves
+        nothing in ``/dev/shm``.
         """
         with self._mutex:
             if self._closed:
@@ -1735,6 +1947,8 @@ class ShardedDispatcher:
                     q.close()
                 except (ValueError, OSError):
                     pass
+        for replies in self._reply_slots.values():
+            replies.arena.cleanup()
         if self._own_image:
             self._image.cleanup()
         else:

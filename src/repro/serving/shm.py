@@ -1,4 +1,4 @@
-"""Shared-memory CSR graph images: one graph, N processes, zero copies.
+"""Shared-memory segments for sharded serving: graph images and reply arenas.
 
 The sharded serving tier (:mod:`repro.serving.sharded`) runs one
 :class:`~repro.serving.server.EngineServer` per *process* so numpy
@@ -14,15 +14,22 @@ zero-copy views, with the expensive push caches pre-attached via
 :meth:`~repro.graph.digraph.DiGraph.adopt_push_caches` so no worker
 ever rebuilds ``P^T``.
 
-Lifecycle discipline (enforced by the ``shm-discipline`` lint rule):
+Answers travel the other way through a :class:`ReplyArena`: a
+parent-owned segment of fixed-size slots, one arena per shard, that a
+worker fills with an answer's two dense vectors so only a small header
+has to be pickled through the response pipe.
 
-* the **owner** (the process that called :meth:`export_graph`) must
-  :meth:`unlink` the segment **exactly once** — ``unlink`` is
+Lifecycle discipline (enforced by the ``shm-discipline`` lint rule and
+implemented once, in :class:`SharedSegment`, for both kinds):
+
+* the **owner** (the process that created the segment) must
+  :meth:`~SharedSegment.unlink` it **exactly once** — ``unlink`` is
   idempotent, guarded by the owning pid so a forked child that
   inherited the object can never unlink the parent's segment;
-* **every** process that mapped the segment calls :meth:`close`
-  (idempotent, best-effort: outstanding numpy views make the unmap
-  fail benignly and the OS reclaims the mapping at process exit);
+* **every** process that mapped the segment calls
+  :meth:`~SharedSegment.close` (idempotent, best-effort: outstanding
+  numpy views make the unmap fail benignly and the OS reclaims the
+  mapping at process exit);
 * an :mod:`atexit` fallback cleans owned segments even when the owner
   forgets, and the interpreter's ``resource_tracker`` backstops a
   SIGKILLed owner — a killed worker leaks nothing because workers
@@ -40,9 +47,10 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
+import struct
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 import numpy as np
 
@@ -51,20 +59,31 @@ from repro.graph.digraph import DiGraph
 
 __all__ = [
     "ArraySpec",
+    "ReplyArena",
+    "ReplyArenaHandle",
     "SharedGraphHandle",
     "SharedGraphImage",
+    "SharedSegment",
     "SEGMENT_PREFIX",
     "live_segments",
 ]
+
+_S = TypeVar("_S", bound="SharedSegment")
 
 #: Prefix of every segment this module creates; the serving benchmark
 #: scans ``/dev/shm`` for it to assert nothing leaked.  Kept short:
 #: POSIX shm names are limited to 31 bytes on some platforms.
 SEGMENT_PREFIX = "rppr"
 
-#: Byte alignment of each array within the segment (cache-line sized,
+#: Byte alignment of each array within a segment (cache-line sized,
 #: and a multiple of every dtype's itemsize we store).
 _ALIGN = 64
+
+
+def _aligned(size: int) -> int:
+    """``size`` rounded up to a multiple of ``_ALIGN``."""
+    return -(-size // _ALIGN) * _ALIGN
+
 
 #: The graph arrays one image carries, in layout order.
 _FIELDS = (
@@ -109,6 +128,15 @@ class SharedGraphHandle:
     arrays: Mapping[str, ArraySpec]
 
 
+@dataclass(frozen=True)
+class ReplyArenaHandle:
+    """Picklable descriptor a worker needs to attach its reply arena."""
+
+    segment: str
+    num_nodes: int
+    slots: int
+
+
 def _segment_name() -> str:
     """A short, unique POSIX shm name (pid + random token)."""
     return f"{SEGMENT_PREFIX}_{os.getpid():x}_{secrets.token_hex(3)}"
@@ -137,21 +165,21 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         return segment
 
 
-#: Images with cleanup still pending, keyed by id — the atexit hook
+#: Segments with cleanup still pending, keyed by id — the atexit hook
 #: walks this so an owner that never called unlink (crash path, test
 #: abort) still removes its segments from /dev/shm.
-_LIVE_IMAGES: dict[int, "SharedGraphImage"] = {}
+_LIVE_SEGMENTS: dict[int, "SharedSegment"] = {}
 _ATEXIT_INSTALLED = False
 
 
 def _cleanup_at_exit() -> None:
-    for image in list(_LIVE_IMAGES.values()):
-        image.cleanup()
+    for segment in list(_LIVE_SEGMENTS.values()):
+        segment.cleanup()
 
 
-def _register_live(image: "SharedGraphImage") -> None:
+def _register_live(segment: "SharedSegment") -> None:
     global _ATEXIT_INSTALLED
-    _LIVE_IMAGES[id(image)] = image
+    _LIVE_SEGMENTS[id(segment)] = segment
     if not _ATEXIT_INSTALLED:
         atexit.register(_cleanup_at_exit)
         _ATEXIT_INSTALLED = True
@@ -160,11 +188,135 @@ def _register_live(image: "SharedGraphImage") -> None:
 def live_segments() -> list[str]:
     """Segment names this process still has cleanup pending for."""
     return sorted(
-        image.segment_name for image in _LIVE_IMAGES.values()
+        segment.segment_name for segment in _LIVE_SEGMENTS.values()
     )
 
 
-class SharedGraphImage:
+class SharedSegment:
+    """One mapped shared-memory segment and its teardown discipline.
+
+    The base of :class:`SharedGraphImage` and :class:`ReplyArena`:
+    owner-only, exactly-once, pid-guarded :meth:`unlink`; idempotent
+    :meth:`close`; :meth:`cleanup` as the one-call teardown; the
+    context manager; and registration with the atexit fallback that
+    :func:`live_segments` reports.  Subclasses add a layout and
+    construct through their own ``create``/``attach`` classmethods.
+    """
+
+    def __init__(
+        self, segment: shared_memory.SharedMemory, *, owner: bool
+    ) -> None:
+        self._segment: shared_memory.SharedMemory | None = segment
+        self._name = segment.name
+        self._owner = owner
+        #: pid that may unlink: a forked child inherits this object but
+        #: must never destroy the parent's segment.
+        self._owner_pid = os.getpid() if owner else -1
+        self._unlinked = False
+        _register_live(self)
+
+    @staticmethod
+    def _create(size: int) -> shared_memory.SharedMemory:
+        """A fresh, uniquely named segment of at least ``size`` bytes.
+
+        The caller wraps it in a subclass instance owning it (whose
+        :meth:`unlink` removes it) and unlinks it itself when building
+        that instance fails.
+        """
+        return shared_memory.SharedMemory(
+            name=_segment_name(), create=True, size=max(size, 1)
+        )
+
+    # -- accessors -------------------------------------------------------
+    @property
+    def segment_name(self) -> str:
+        return self._name
+
+    @property
+    def owner(self) -> bool:
+        """Whether this process created (and must unlink) the segment."""
+        return self._owner
+
+    @property
+    def closed(self) -> bool:
+        return self._segment is None
+
+    def _buffer(self) -> memoryview:
+        if self._segment is None:
+            raise ParameterError(
+                f"shared segment {self.segment_name!r} is closed"
+            )
+        return self._segment.buf
+
+    # -- lifecycle -------------------------------------------------------
+    def close(self) -> None:
+        """Release this process's mapping (idempotent, best-effort).
+
+        Numpy views into the buffer keep it exported; if any are still
+        alive the unmap raises ``BufferError`` internally, which is
+        swallowed — the mapping is then reclaimed at process exit,
+        which is safe because only :meth:`unlink` affects other
+        processes.
+        """
+        segment = self._segment
+        if segment is None:
+            return
+        self._segment = None
+        try:
+            segment.close()
+        except BufferError:
+            # Live views (graph/engine still referenced) pin the mmap;
+            # the OS releases it with the process.  Deliberately not an
+            # error: close() must be callable from teardown paths that
+            # cannot prove every view is dead.
+            pass
+        if not self._owner:
+            _LIVE_SEGMENTS.pop(id(self), None)
+
+    def unlink(self) -> None:
+        """Remove the segment from the system (owner only, exactly once).
+
+        Idempotent; raises :class:`~repro.errors.ParameterError` when
+        called on a non-owning attachment, and silently refuses in a
+        forked child of the owner (the pid guard) so an inherited
+        object can never destroy the parent's live segment.
+        """
+        if not self._owner:
+            raise ParameterError(
+                f"segment {self.segment_name!r} is attached, not owned; "
+                f"only the process that created (exported) it may "
+                f"unlink it"
+            )
+        if self._unlinked or os.getpid() != self._owner_pid:
+            return
+        self._unlinked = True
+        _LIVE_SEGMENTS.pop(id(self), None)
+        try:
+            shared_memory.SharedMemory(name=self._name).unlink()
+        except FileNotFoundError:
+            # Already gone (resource-tracker backstop beat us to it).
+            pass
+
+    def cleanup(self) -> None:
+        """Close, and unlink when owned: the one-call teardown.
+
+        Safe from ``atexit`` and ``finally`` blocks in any process —
+        non-owners only drop their mapping.
+        """
+        try:
+            self.close()
+        finally:
+            if self._owner and os.getpid() == self._owner_pid:
+                self.unlink()
+
+    def __enter__(self: _S) -> _S:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.cleanup()
+
+
+class SharedGraphImage(SharedSegment):
     """One graph's hot arrays in a shared-memory segment.
 
     Construct through :meth:`export_graph` (owner side) or
@@ -178,14 +330,8 @@ class SharedGraphImage:
         *,
         owner: bool,
     ) -> None:
-        self._segment: shared_memory.SharedMemory | None = segment
+        super().__init__(segment, owner=owner)
         self._handle = handle
-        self._owner = owner
-        #: pid that may unlink: a forked child inherits this object but
-        #: must never destroy the parent's segment.
-        self._owner_pid = os.getpid() if owner else -1
-        self._unlinked = False
-        _register_live(self)
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -212,16 +358,14 @@ class SharedGraphImage:
         total = 0
         for field in _FIELDS:
             array = arrays[field]
-            offset = -(-total // _ALIGN) * _ALIGN
+            offset = _aligned(total)
             specs[field] = ArraySpec(
                 offset=offset,
                 dtype=str(array.dtype),
                 shape=tuple(array.shape),
             )
             total = offset + array.nbytes
-        segment = shared_memory.SharedMemory(
-            name=_segment_name(), create=True, size=max(total, 1)
-        )
+        segment = cls._create(total)
         try:
             for field in _FIELDS:
                 spec = specs[field]
@@ -264,29 +408,12 @@ class SharedGraphImage:
         """The picklable descriptor workers attach through."""
         return self._handle
 
-    @property
-    def segment_name(self) -> str:
-        return self._handle.segment
-
-    @property
-    def owner(self) -> bool:
-        """Whether this process created (and must unlink) the segment."""
-        return self._owner
-
-    @property
-    def closed(self) -> bool:
-        return self._segment is None
-
     def _array(self, field: str) -> np.ndarray:
-        if self._segment is None:
-            raise ParameterError(
-                f"shared graph image {self.segment_name!r} is closed"
-            )
         spec = self._handle.arrays[field]
         view: np.ndarray = np.ndarray(
             spec.shape,
             dtype=spec.dtype,
-            buffer=self._segment.buf,
+            buffer=self._buffer(),
             offset=spec.offset,
         )
         view.flags.writeable = False
@@ -316,72 +443,6 @@ class SharedGraphImage:
         )
         return graph
 
-    # -- lifecycle -------------------------------------------------------
-    def close(self) -> None:
-        """Release this process's mapping (idempotent, best-effort).
-
-        Numpy views handed out by :meth:`graph` keep the buffer
-        exported; if any are still alive the unmap raises
-        ``BufferError`` internally, which is swallowed — the mapping
-        is then reclaimed at process exit, which is safe because only
-        :meth:`unlink` affects other processes.
-        """
-        segment = self._segment
-        if segment is None:
-            return
-        self._segment = None
-        try:
-            segment.close()
-        except BufferError:
-            # Live views (graph/engine still referenced) pin the mmap;
-            # the OS releases it with the process.  Deliberately not an
-            # error: close() must be callable from teardown paths that
-            # cannot prove every view is dead.
-            pass
-        if not self._owner:
-            _LIVE_IMAGES.pop(id(self), None)
-
-    def unlink(self) -> None:
-        """Remove the segment from the system (owner only, exactly once).
-
-        Idempotent; raises :class:`~repro.errors.ParameterError` when
-        called on a non-owning attachment, and silently refuses in a
-        forked child of the owner (the pid guard) so an inherited
-        image object can never destroy the parent's live segment.
-        """
-        if not self._owner:
-            raise ParameterError(
-                f"segment {self.segment_name!r} is attached, not owned; "
-                f"only the exporting process may unlink it"
-            )
-        if self._unlinked or os.getpid() != self._owner_pid:
-            return
-        self._unlinked = True
-        _LIVE_IMAGES.pop(id(self), None)
-        try:
-            shared_memory.SharedMemory(name=self._handle.segment).unlink()
-        except FileNotFoundError:
-            # Already gone (resource-tracker backstop beat us to it).
-            pass
-
-    def cleanup(self) -> None:
-        """Close, and unlink when owned: the one-call teardown.
-
-        Safe from ``atexit`` and ``finally`` blocks in any process —
-        non-owners only drop their mapping.
-        """
-        try:
-            self.close()
-        finally:
-            if self._owner and os.getpid() == self._owner_pid:
-                self.unlink()
-
-    def __enter__(self) -> "SharedGraphImage":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.cleanup()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else "open"
         role = "owner" if self._owner else "attached"
@@ -389,4 +450,154 @@ class SharedGraphImage:
             f"SharedGraphImage({self.segment_name!r}, "
             f"n={self._handle.num_nodes}, m={self._handle.num_edges}, "
             f"{role}, {state})"
+        )
+
+
+#: The slot header: the id of the request whose answer the slot holds.
+_TAG = struct.Struct("q")
+#: Tag of a slot that is being written (request ids are never negative).
+_NO_TAG = -1
+
+
+def _slot_bytes(num_nodes: int) -> int:
+    """Header plus two float64 vectors, rounded up to ``_ALIGN``."""
+    vectors = 2 * num_nodes * np.dtype(np.float64).itemsize
+    return _aligned(_ALIGN + vectors)
+
+
+class ReplyArena(SharedSegment):
+    """Fixed-size answer slots one shard writes and the parent reads.
+
+    A slot holds one answer's two dense vectors — ``estimate`` then
+    ``residue``, ``num_nodes`` float64 each — behind an ``_ALIGN``-byte
+    header carrying the id of the request the answer belongs to.  The
+    arena only lays the memory out and moves bytes; *which* slot a
+    request may use is the dispatcher's business (a slot belongs to
+    exactly one pending request from submit until copy-out), so
+    nothing here locks.
+
+    Construct through :meth:`create` (parent, owner) or :meth:`attach`
+    (worker); a worker never owns an arena, so a SIGKILLed worker
+    cannot leak one.
+    """
+
+    def __init__(
+        self,
+        segment: shared_memory.SharedMemory,
+        handle: ReplyArenaHandle,
+        *,
+        owner: bool,
+    ) -> None:
+        super().__init__(segment, owner=owner)
+        self._handle = handle
+        self._slot_bytes = _slot_bytes(handle.num_nodes)
+
+    # -- construction ----------------------------------------------------
+    @classmethod
+    def create(
+        cls, num_nodes: int, *, max_slots: int, max_bytes: int
+    ) -> "ReplyArena":
+        """A fresh arena of as many slots as fit in ``max_bytes``.
+
+        At most ``max_slots``; none when a single answer is larger
+        than ``max_bytes`` (every reply then travels inline).  Pages
+        are touched only when a slot is first written, so an unused
+        slot costs address space, not memory.
+        """
+        slot_bytes = _slot_bytes(num_nodes)
+        slots = max(0, min(max_slots, max_bytes // slot_bytes))
+        segment = cls._create(slots * slot_bytes)
+        handle = ReplyArenaHandle(
+            segment=segment.name, num_nodes=num_nodes, slots=slots
+        )
+        return cls(segment, handle, owner=True)
+
+    @classmethod
+    def attach(cls, handle: ReplyArenaHandle) -> "ReplyArena":
+        """Map a created arena in this process (untracked, never owned)."""
+        return cls(_attach_untracked(handle.segment), handle, owner=False)
+
+    # -- accessors -------------------------------------------------------
+    @property
+    def handle(self) -> ReplyArenaHandle:
+        """The picklable descriptor the worker attaches through."""
+        return self._handle
+
+    @property
+    def slots(self) -> int:
+        return self._handle.slots
+
+    def _offset(self, slot: int) -> int:
+        if not 0 <= slot < self._handle.slots:
+            raise ParameterError(
+                f"reply slot {slot} is outside [0, {self._handle.slots})"
+            )
+        return slot * self._slot_bytes
+
+    def _vectors(self, offset: int) -> np.ndarray:
+        """The ``(2, num_nodes)`` payload of the slot at ``offset``, in place."""
+        return np.ndarray(
+            (2, self._handle.num_nodes),
+            dtype=np.float64,
+            buffer=self._buffer(),
+            offset=offset + _ALIGN,
+        )
+
+    # -- the two copies --------------------------------------------------
+    def store(
+        self,
+        slot: int,
+        tag: int,
+        estimate: np.ndarray,
+        residue: np.ndarray | None,
+    ) -> bool:
+        """Worker side: copy an answer into ``slot`` and tag it.
+
+        Returns ``False`` — writing nothing — when the answer is not
+        two float64 vectors of length ``num_nodes`` (Monte-Carlo
+        answers carry no residue), so the caller can fall back to
+        pickling it.  The tag is cleared first and set last, so a
+        reader that finds it before and after its copy (:meth:`load`)
+        copied complete vectors of that request.
+        """
+        shape = (self._handle.num_nodes,)
+        if residue is None or not all(
+            vector.dtype == np.float64 and vector.shape == shape
+            for vector in (estimate, residue)
+        ):
+            return False
+        offset = self._offset(slot)
+        buffer = self._buffer()
+        _TAG.pack_into(buffer, offset, _NO_TAG)
+        vectors = self._vectors(offset)
+        vectors[0] = estimate
+        vectors[1] = residue
+        _TAG.pack_into(buffer, offset, tag)
+        return True
+
+    def load(
+        self, slot: int, tag: int
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Parent side: private copies of ``slot``'s vectors.
+
+        ``None`` when the slot is not tagged ``tag`` — before or after
+        the copy — so it does not hold, or stopped holding, the answer
+        the caller was told it holds.
+        """
+        offset = self._offset(slot)
+        buffer = self._buffer()
+        if _TAG.unpack_from(buffer, offset)[0] != tag:
+            return None
+        vectors = self._vectors(offset)
+        estimate, residue = vectors[0].copy(), vectors[1].copy()
+        if _TAG.unpack_from(buffer, offset)[0] != tag:
+            return None
+        return estimate, residue
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = "closed" if self.closed else "open"
+        role = "owner" if self._owner else "attached"
+        return (
+            f"ReplyArena({self.segment_name!r}, slots={self.slots}, "
+            f"n={self._handle.num_nodes}, {role}, {state})"
         )

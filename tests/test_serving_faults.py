@@ -4,8 +4,8 @@ The schedule layer is pure bookkeeping, so most of this file needs no
 processes: spec validation, seed-deterministic schedule generation,
 fire-once parent dispatch, and the worker-local trigger ordinals.  One
 end-to-end test drives a real :class:`ShardedDispatcher` through a
-dropped reply to show the request-timeout + bounded-retry path recovers
-the answer byte-identically.
+dropped and a late reply to show the request-timeout + bounded-retry
+path recovers the answer byte-identically and strands no reply slot.
 """
 
 import numpy as np
@@ -153,12 +153,22 @@ class TestWorkerFaultPlan:
         assert plan.on_update_applied() is False
 
 
-class TestDropReplyEndToEnd:
-    def test_dropped_reply_recovers_via_retry_byte_identical(self):
+class TestLostReplyEndToEnd:
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"kind": "drop_reply"},
+            # Later than the timeout: the retry's answer and then the
+            # late original both come back, the original to nobody.
+            {"kind": "delay_reply", "delay": 1.0},
+        ],
+        ids=lambda fault: fault["kind"],
+    )
+    def test_lost_reply_recovers_via_retry_byte_identical(self, fault):
         rng = np.random.default_rng(13)
         graph = rmat_digraph(8, 1200, rng=rng, name="faults-e2e")
         injector = FaultInjector(
-            [FaultSpec("drop_reply", w, at=0) for w in (0, 1)]
+            [FaultSpec(worker=w, at=0, **fault) for w in (0, 1)]
         )
         with ShardedDispatcher(
             graph,
@@ -166,7 +176,7 @@ class TestDropReplyEndToEnd:
             alpha=0.2,
             seed=7,
             fault_injector=injector,
-            request_timeout=2.0,
+            request_timeout=0.5,
         ) as disp:
             sources = list(range(10))
             served = {
@@ -174,6 +184,12 @@ class TestDropReplyEndToEnd:
             }
             stats = disp.stats()
             assert stats["supervisor"]["retries"] >= 1
+            # The timed-out request gave its reply slot back, and the
+            # late or missing reply did not take another one with it.
+            assert stats["reply_slots_free"] == stats["reply_slots_total"]
+            assert stats["replies_slot"] + stats["replies_inline"] == len(
+                sources
+            )
         engine = PPREngine(graph, alpha=0.2, seed=7)
         for s in sources:
             expected = engine.query(s, "powerpush", **PARAMS)

@@ -25,7 +25,7 @@ from repro.errors import (
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph
 from repro.serving import EngineServer, ShardedDispatcher
-from repro.serving.shm import SEGMENT_PREFIX
+from repro.serving.shm import SEGMENT_PREFIX, live_segments
 
 PARAMS = {"l1_threshold": 1e-6}
 
@@ -51,6 +51,27 @@ def our_shm_files() -> set[str]:
     return {
         p.name for p in shm_dir.iterdir()
         if p.name.startswith(SEGMENT_PREFIX)
+    }
+
+
+def assert_same_bytes(served, expected):
+    """A served answer equals the serial engine's, vector for vector."""
+    assert served.result.estimate.tobytes() == expected.estimate.tobytes()
+    if expected.residue is None:
+        assert served.result.residue is None
+    else:
+        assert served.result.residue.tobytes() == expected.residue.tobytes()
+
+
+def reply_counters(stats):
+    return {
+        name: stats[name]
+        for name in (
+            "replies_slot",
+            "replies_inline",
+            "reply_slots_free",
+            "reply_slots_total",
+        )
     }
 
 
@@ -97,12 +118,207 @@ class TestByteIdentity:
             assert answer.result.estimate.tobytes() == serial.estimate.tobytes()
 
 
+    @pytest.mark.parametrize(
+        "alias", ["fora+", "fora-index", "speedppr-index"]
+    )
+    def test_variant_aliases_keep_their_implied_parameters(
+        self, base, dispatcher, alias
+    ):
+        # Regression: the dispatcher sent the canonical method name with
+        # the caller's raw params, so "fora+" reached the shard as plain
+        # index-free "fora".
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        for source in (3, 17):
+            served = dispatcher.query(source, alias, epsilon=0.5, seed=3)
+            assert_same_bytes(
+                served, engine.query(source, alias, epsilon=0.5, seed=3)
+            )
+
+
+class TestReplyEncodings:
+    """Answers come back through a reply slot when one can be used and
+    pickled inline when not; neither may change a byte."""
+
+    def test_golden_trace_through_slots(self, base):
+        rng = np.random.default_rng(5)
+        trace = [int(s) for s in rng.integers(0, base.num_nodes, size=24)]
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            for source in trace:
+                served = disp.query(source, "powerpush", **PARAMS)
+                assert_same_bytes(
+                    served, engine.query(source, "powerpush", **PARAMS)
+                )
+            stats = disp.stats()
+            counters = reply_counters(stats)
+            assert counters["replies_slot"] == len(trace)
+            assert counters["replies_inline"] == 0
+            assert counters["reply_slots_total"] > 0
+            assert counters["reply_slots_free"] == counters["reply_slots_total"]
+            per_worker = stats["per_worker_replies"]
+            assert set(per_worker) == {"0", "1"}
+            for name, total in counters.items():
+                assert sum(w[name] for w in per_worker.values()) == total
+
+    def test_burst_deeper_than_the_arena_overflows_inline(self, base):
+        # max_batch=2 gives each shard two slots; 24 requests at once
+        # find them taken and must come back inline.
+        sources = list(range(24))
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(
+            base, workers=2, alpha=0.2, seed=7, max_batch=2
+        ) as disp:
+            futures = [disp.submit(s, "powerpush", **PARAMS) for s in sources]
+            for source, future in zip(sources, futures):
+                assert_same_bytes(
+                    future.result(timeout=60),
+                    engine.query(source, "powerpush", **PARAMS),
+                )
+            counters = reply_counters(disp.stats())
+            assert counters["reply_slots_total"] == 4
+            assert counters["replies_slot"] >= 4
+            assert counters["replies_inline"] >= 1
+            assert (
+                counters["replies_slot"] + counters["replies_inline"]
+                == len(sources)
+            )
+            assert counters["reply_slots_free"] == 4
+
+    def test_answer_larger_than_the_arena_cap_travels_inline(
+        self, base, monkeypatch
+    ):
+        from repro.serving import sharded
+
+        monkeypatch.setattr(sharded, "_ARENA_MAX_BYTES", 1024)
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            assert_same_bytes(
+                disp.query(5, "powerpush", **PARAMS),
+                engine.query(5, "powerpush", **PARAMS),
+            )
+            counters = reply_counters(disp.stats())
+        assert counters == {
+            "replies_slot": 0,
+            "replies_inline": 1,
+            "reply_slots_free": 0,
+            "reply_slots_total": 0,
+        }
+
+    def test_answer_without_residue_travels_inline(self, base, dispatcher):
+        before = reply_counters(dispatcher.stats())
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        served = dispatcher.query(4, "montecarlo", num_walks=2000, seed=3)
+        expected = engine.query(4, "montecarlo", num_walks=2000, seed=3)
+        assert expected.residue is None
+        assert_same_bytes(served, expected)
+        after = reply_counters(dispatcher.stats())
+        assert after["replies_inline"] == before["replies_inline"] + 1
+        assert after["replies_slot"] == before["replies_slot"]
+        # The slot the request held was released unused.
+        assert after["reply_slots_free"] == after["reply_slots_total"]
+
+    def test_returned_arrays_are_private(self, base, dispatcher):
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        expected = engine.query(6, "powerpush", **PARAMS)
+        first = dispatcher.query(6, "powerpush", **PARAMS)
+        kept = first.result.estimate.tobytes()
+        # Slots are reused LIFO: the next replies land where the first
+        # one did.  What the caller holds must not move.
+        again = dispatcher.query(6, "powerpush", **PARAMS)
+        for other in (7, 8, 9):
+            dispatcher.query(other, "powerpush", **PARAMS)
+        assert first.result.estimate.tobytes() == kept
+        for vector in (first.result.estimate, first.result.residue):
+            assert vector.flags.writeable
+        assert not np.shares_memory(
+            first.result.estimate, again.result.estimate
+        )
+        # ...and scribbling on it reaches neither the shard's cache nor
+        # a later reply.
+        first.result.estimate[:] = -1.0
+        first.result.residue[:] = -1.0
+        assert_same_bytes(again, expected)
+        assert_same_bytes(dispatcher.query(6, "powerpush", **PARAMS), expected)
+
+    def test_contended_slots_never_cross_answers(self, base):
+        # More client threads than cores over two slots per shard: slots
+        # are taken, overflowed and reused as fast as the collectors
+        # free them.  An answer read from a slot another request was
+        # writing would differ from the serial bytes.
+        sources = list(range(12))
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        expected = {
+            s: engine.query(s, "powerpush", **PARAMS) for s in sources
+        }
+        clients, rounds = 8, 40
+        failures: list[BaseException] = []
+        with ShardedDispatcher(
+            base, workers=2, alpha=0.2, seed=7, max_batch=2
+        ) as disp:
+
+            def client(offset: int) -> None:
+                try:
+                    for i in range(rounds):
+                        source = sources[(offset + i) % len(sources)]
+                        served = disp.query(
+                            source, "powerpush", timeout=60, **PARAMS
+                        )
+                        assert_same_bytes(served, expected[source])
+                except BaseException as exc:  # noqa: BLE001 - surfaced below
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=client, args=(k,), daemon=True)
+                for k in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert not failures, failures[0]
+            counters = reply_counters(disp.stats())
+        assert (
+            counters["replies_slot"] + counters["replies_inline"]
+            == clients * rounds
+        )
+        assert counters["replies_slot"] > 0 and counters["replies_inline"] > 0
+        assert counters["reply_slots_free"] == counters["reply_slots_total"]
+
+    def test_spawned_workers_attach_the_arena_by_name(self, base):
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(
+            base, workers=2, alpha=0.2, seed=7, start_method="spawn"
+        ) as disp:
+            for source in (0, 1, 2, 3):
+                assert_same_bytes(
+                    disp.query(source, "powerpush", timeout=120, **PARAMS),
+                    engine.query(source, "powerpush", **PARAMS),
+                )
+            counters = reply_counters(disp.stats())
+            assert counters["replies_slot"] == 4
+            assert counters["replies_inline"] == 0
+
+
 class TestRoutingAndStats:
     def test_route_is_stable_and_covers_all_workers(self, dispatcher, base):
         first = [dispatcher.route(s) for s in range(base.num_nodes)]
         second = [dispatcher.route(s) for s in range(base.num_nodes)]
         assert first == second
         assert set(first) == {0, 1}
+
+    def test_open_breaker_sends_traffic_clockwise_and_counts_it(self, base):
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            source = next(s for s in range(base.num_nodes) if disp.route(s) == 0)
+            assert disp.query(source, "powerpush", **PARAMS).worker == 0
+            assert disp.stats()["supervisor"]["breaker_skips"] == 0
+            disp._states[0].breaker.trip(time.monotonic())
+            assert disp.query(source, "powerpush", **PARAMS).worker == 1
+            assert disp.stats()["supervisor"]["breaker_skips"] == 1
+            # With every breaker open the primary is asked anyway.
+            disp._states[1].breaker.trip(time.monotonic())
+            assert disp.query(source, "powerpush", **PARAMS).worker == 0
+            assert disp.stats()["supervisor"]["breaker_skips"] == 1
 
     def test_repeat_query_hits_same_workers_cache(self, dispatcher):
         source = 9
@@ -324,13 +540,24 @@ class TestCrashRecovery:
 
 class TestTeardown:
     def test_close_idempotent_and_zero_leaked_segments(self, base):
-        before = our_shm_files()
+        before, live_before = our_shm_files(), live_segments()
         disp = ShardedDispatcher(base, workers=2, alpha=0.2, seed=7)
+        # The graph image and one reply arena per shard.
+        assert len(our_shm_files() - before) == 3
+        assert our_shm_files() - before == set(live_segments()) - set(live_before)
         disp.query(0, "powerpush", **PARAMS)
         disp.close()
         disp.close()
         assert disp.closed
         assert our_shm_files() == before
+        assert live_segments() == live_before
+
+    def test_context_manager_exit_leaves_no_segments(self, base):
+        before, live_before = our_shm_files(), live_segments()
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            disp.query(0, "powerpush", **PARAMS)
+        assert our_shm_files() == before
+        assert live_segments() == live_before
 
     def test_submit_after_close_raises(self, base):
         disp = ShardedDispatcher(base, workers=2, alpha=0.2, seed=7)

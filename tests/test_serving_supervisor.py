@@ -261,6 +261,51 @@ class TestRespawnEndToEnd:
                 )
             assert disp.num_workers == 2
 
+    def test_sigkill_mid_burst_returns_every_slot_and_reuses_the_arena(
+        self, base
+    ):
+        policy = RestartPolicy(max_restarts=3, **FAST_RESTARTS)
+        with ShardedDispatcher(
+            base, workers=2, alpha=0.2, seed=7, restart_policy=policy
+        ) as disp:
+            victim = 0
+            arena = disp._states[victim].replies.arena
+            sources = [
+                s for s in range(base.num_nodes) if disp.route(s) == victim
+            ][:12]
+            # Stopped, the victim answers nothing: the burst sits in its
+            # queue holding one reply slot per request when it is killed.
+            pid = disp._states[victim].process.pid
+            os.kill(pid, signal.SIGSTOP)
+            futures = [disp.submit(s, "powerpush", **PARAMS) for s in sources]
+            # (short timeout: the stopped victim's own stats never come)
+            held = disp.stats(timeout=0.2)["per_worker_replies"][str(victim)]
+            assert held["reply_slots_free"] == (
+                held["reply_slots_total"] - len(sources)
+            )
+            os.kill(pid, signal.SIGKILL)
+
+            engine = PPREngine(base, alpha=0.2, seed=7)
+            for source, future in zip(sources, futures):
+                served = future.result(timeout=60)  # none may hang
+                expected = engine.query(source, "powerpush", **PARAMS)
+                assert (
+                    served.result.estimate.tobytes()
+                    == expected.estimate.tobytes()
+                )
+            stats = disp.stats()
+            assert stats["reply_slots_free"] == stats["reply_slots_total"]
+
+            # The next incarnation writes into the arena the dead one left.
+            state = wait_respawn(disp, victim)
+            assert state.replies.arena is arena
+            before = disp.stats()["per_worker_replies"][str(victim)]
+            served = disp.query(sources[0], "powerpush", **PARAMS)
+            assert served.worker == victim
+            after = disp.stats()["per_worker_replies"][str(victim)]
+            assert after["replies_slot"] == before["replies_slot"] + 1
+            assert after["reply_slots_free"] == after["reply_slots_total"]
+
     def test_budget_exhaustion_degrades_without_hung_futures(self, base):
         policy = RestartPolicy(max_restarts=1, **FAST_RESTARTS)
         with ShardedDispatcher(
