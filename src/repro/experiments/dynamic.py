@@ -18,6 +18,7 @@ between the two answers (bounded by the sum of the two certificates).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,10 @@ class DynamicRow:
     scratch_updates: int
     incremental_seconds: float
     scratch_seconds: float
+    #: the first ``DynamicGraph.snapshot()`` at this batch's version —
+    #: the CSR materialisation both refresh routes need before they
+    #: push anything, and which neither ``*_seconds`` field includes
+    snapshot_seconds: float
     l1_gap: float
     certified_bound: float
 
@@ -95,7 +100,7 @@ class DynamicResult:
             (
                 f"{'batch':>5} {'m':>8} {'inc updates':>12} "
                 f"{'scratch updates':>16} {'ratio':>6} {'l1 gap':>9} "
-                f"{'bound':>9}"
+                f"{'bound':>9} {'snapshot ms':>12}"
             ),
         ]
         for row in self.rows:
@@ -103,7 +108,8 @@ class DynamicResult:
                 f"{row.batch:>5d} {row.num_edges:>8d} "
                 f"{row.incremental_updates:>12d} {row.scratch_updates:>16d} "
                 f"{row.update_ratio:>6.3f} {row.l1_gap:>9.2e} "
-                f"{row.certified_bound:>9.2e}"
+                f"{row.certified_bound:>9.2e} "
+                f"{row.snapshot_seconds * 1e3:>12.3f}"
             )
         lines.append("")
         lines.append(
@@ -156,8 +162,10 @@ def run_dynamic_updates(
         for _ in range(batch_size):
             engine.apply_updates([sample_edge_update(dynamic, rng)])
 
-        incremental = engine.query(source, method="incremental")
+        started = time.perf_counter()
         snapshot = dynamic.snapshot()
+        snapshot_seconds = time.perf_counter() - started
+        incremental = engine.query(source, method="incremental")
         scratch = power_push(
             snapshot, source, alpha=alpha, l1_threshold=l1_threshold
         )
@@ -171,6 +179,7 @@ def run_dynamic_updates(
                 scratch_updates=scratch.counters.residue_updates,
                 incremental_seconds=incremental.seconds,
                 scratch_seconds=scratch.seconds,
+                snapshot_seconds=snapshot_seconds,
                 l1_gap=float(
                     np.abs(incremental.estimate - scratch.estimate).sum()
                 ),

@@ -125,13 +125,17 @@ def from_edge_arrays(
     degree = np.bincount(sources, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(degree, out=indptr[1:])
-    return DiGraph(
+    graph = DiGraph(
         indptr,
         targets.astype(np.int32),
         name=name,
         undirected_origin=undirected_origin,
         validate=False,
     )
+    if dedup:
+        # Sorted and deduplicated: spare DynamicGraph the order scan.
+        graph._canonical_order = True
+    return graph
 
 
 def from_adjacency(

@@ -68,6 +68,7 @@ class DiGraph:
         "_dead_ends",
         "_pt_matrix",
         "_edge_sources",
+        "_canonical_order",
     )
 
     def __init__(
@@ -98,6 +99,7 @@ class DiGraph:
         self._dead_ends: np.ndarray | None = None
         self._pt_matrix = None
         self._edge_sources: np.ndarray | None = None
+        self._canonical_order: bool | None = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -184,6 +186,28 @@ class DiGraph:
     def has_dead_ends(self) -> bool:
         """True when at least one node has no out-neighbours."""
         return self.dead_ends.shape[0] > 0
+
+    @property
+    def has_canonical_order(self) -> bool:
+        """True when edges are in strictly increasing ``(source, target)`` order.
+
+        That is: every adjacency list is sorted and holds no parallel
+        edge, so the CSR arrays are a function of the edge *set* alone.
+        :class:`~repro.graph.dynamic.DynamicGraph` relies on it to
+        merge an overlay into the arrays instead of re-sorting them.
+        The deduplicating builders of :mod:`repro.graph.build` and the
+        merge itself record the answer at construction; any other
+        graph (hand-assembled, loaded, shared-memory attached) is
+        scanned once, ``O(m)``, on first use.
+        """
+        if self._canonical_order is None:
+            rising = np.diff(self._out_indices) > 0
+            # Between two rows the targets may step down.
+            starts = self._out_indptr[1:-1]
+            starts = starts[(starts > 0) & (starts < self._m)]
+            rising[starts - 1] = True
+            self._canonical_order = bool(rising.all())
+        return self._canonical_order
 
     # ------------------------------------------------------------------
     # Access

@@ -11,7 +11,7 @@ snapshot:
   :class:`~repro.api.engine.PPREngine`),
 * :meth:`snapshot` materialises the current logical graph as a fresh
   immutable :class:`DiGraph` (cached per version, so repeated reads at
-  the same version are free),
+  the same version are free; the cost of the first is below),
 * :meth:`compact` merges the deltas into the base snapshot, resetting
   the overlay without changing the logical graph or its version,
 * an append-only **journal** records ``(version, op, u, v,
@@ -25,6 +25,30 @@ snapshot:
 The node set is fixed at construction (dense ids ``0..n-1``), matching
 the rest of the library; self-loops and parallel edges are rejected,
 matching the cleaning conventions of :mod:`repro.graph.build`.
+
+Snapshot cost model
+-------------------
+With ``m`` base edges and an overlay of ``k`` edges, a new version's
+snapshot is a **merge**: ``O(k log m)`` to binary-search the overlay
+into the base plus ``O(m)`` of memcpy to copy the adjacency array
+around the deleted and inserted positions, and one ``O(n)`` cumsum for
+the row pointers.  Nothing is sorted over ``m``, and nothing is carried
+from one version to the next — it is always base + overlay, so a
+snapshot does not depend on which versions were materialised before.
+
+The merge equals a from-scratch build because of one contract,
+**canonical order**: edge keys ``u * n + v`` strictly increasing, i.e.
+every row sorted and free of parallel edges
+(:attr:`DiGraph.has_canonical_order
+<repro.graph.digraph.DiGraph.has_canonical_order>`).  In that order the
+CSR arrays are a function of the edge *set* alone, so splicing an edge
+in at its one position gives byte for byte what
+:func:`~repro.graph.build.from_edge_arrays` returns for the new set.
+Every deduplicating builder and every merged snapshot is canonical by
+construction; a base of unknown origin (loaded, shared-memory attached,
+hand-assembled) is scanned once.  Only a base that fails the scan —
+unsorted rows or parallel edges, which :class:`DiGraph` permits — is
+rebuilt by sorting all ``m + k`` edges, ``O((m + k) log (m + k))``.
 """
 
 from __future__ import annotations
@@ -149,17 +173,16 @@ class DynamicGraph:
     def has_dead_ends(self) -> bool:
         """True when some node of the current logical graph has no out-edges.
 
-        Base dead ends are checked against the overlay, and nodes whose
-        last out-edge was deleted are found by scanning the touched
-        sources — no snapshot materialisation needed.
+        Decided from the overlay alone, without materialising a
+        snapshot or walking the base's dead ends: a base dead end stays
+        dead unless it has inserts (it has no edge to delete), and a
+        live base node can only die by deletes.
         """
-        for v in self._base.dead_ends.tolist():
-            if self.out_degree_of(v) == 0:
-                return True
-        for v in self._deletes:
-            if self.out_degree_of(v) == 0:
-                return True
-        return False
+        base_degree = self._base.out_degree
+        revived = sum(1 for v in self._inserts if base_degree[v] == 0)
+        if self._base.dead_ends.shape[0] > revived:
+            return True
+        return any(self.out_degree_of(v) == 0 for v in self._deletes)
 
     # ------------------------------------------------------------------
     # Reads
@@ -338,7 +361,11 @@ class DynamicGraph:
         """The current logical graph as an immutable CSR :class:`DiGraph`.
 
         Cached per version; with an empty overlay the base snapshot is
-        returned as-is.
+        returned as-is.  Otherwise the result owns fresh arrays (it
+        never aliases the base, which may live in shared memory) and is
+        byte-for-byte what :func:`~repro.graph.build.from_edge_arrays`
+        builds from the current edge set.  See the module docstring for
+        the cost model.
         """
         if self.pending_updates == 0:
             return self._base
@@ -347,41 +374,85 @@ class DynamicGraph:
             and self._snapshot_cache[0] == self._version
         ):
             return self._snapshot_cache[1]
-        sources, targets = self._base.edge_array()
-        if self._num_deletes:
-            n = self.num_nodes
-            keys = sources.astype(np.int64) * n + targets.astype(np.int64)
-            dropped = np.fromiter(
-                (u * n + v for u, vs in self._deletes.items() for v in vs),
-                dtype=np.int64,
-                count=self._num_deletes,
-            )
-            keep = ~np.isin(keys, dropped)
-            sources, targets = sources[keep], targets[keep]
-        if self._num_inserts:
-            extra_sources = np.fromiter(
-                (u for u, vs in self._inserts.items() for _ in vs),
-                dtype=np.int64,
-                count=self._num_inserts,
-            )
-            extra_targets = np.fromiter(
-                (v for vs in self._inserts.values() for v in vs),
-                dtype=np.int64,
-                count=self._num_inserts,
-            )
-            sources = np.concatenate([sources.astype(np.int64), extra_sources])
-            targets = np.concatenate([targets.astype(np.int64), extra_targets])
-        snap = from_edge_arrays(
-            sources,
-            targets,
-            num_nodes=self.num_nodes,
+        deleted = self._overlay_keys(self._deletes, self._num_deletes)
+        inserted = self._overlay_keys(self._inserts, self._num_inserts)
+        if self._base.has_canonical_order:
+            snap = self._merge_overlay(deleted, inserted)
+        else:
+            snap = self._resort_with_overlay(deleted, inserted)
+        self._snapshot_cache = (self._version, snap)
+        return snap
+
+    def _overlay_keys(
+        self, overlay: dict[int, set[int]], count: int
+    ) -> np.ndarray:
+        """The overlay's edges as ``u * n + v`` keys (unordered)."""
+        n = self.num_nodes
+        return np.fromiter(
+            (u * n + v for u, vs in overlay.items() for v in vs),
+            dtype=np.int64,
+            count=count,
+        )
+
+    def _merge_overlay(
+        self, deleted: np.ndarray, inserted: np.ndarray
+    ) -> DiGraph:
+        """Splice the overlay into a canonical base: no sort over ``m``.
+
+        In canonical order the base's edge keys are strictly
+        increasing, so every overlay edge has exactly one position,
+        found by binary search; the adjacency array is then copied
+        with the deletes dropped and the inserts (sorted, so several
+        landing at one position stay in order) spliced in.
+        """
+        base = self._base
+        n = base.num_nodes
+        indices = base.out_indices
+        degree = base.out_degree
+        keys = base.edge_sources.astype(np.int64) * n + indices
+        if deleted.shape[0]:
+            deleted_at = np.sort(np.searchsorted(keys, deleted))
+            indices = np.delete(indices, deleted_at)
+            degree = degree - np.bincount(deleted // n, minlength=n)
+        if inserted.shape[0]:
+            inserted = np.sort(inserted)
+            inserted_at = np.searchsorted(keys, inserted)
+            if deleted.shape[0]:
+                # np.insert positions refer to the array after deletion.
+                inserted_at -= np.searchsorted(deleted_at, inserted_at)
+            indices = np.insert(indices, inserted_at, inserted % n)
+            degree = degree + np.bincount(inserted // n, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        snap = DiGraph(
+            indptr,
+            indices,
+            name=self._name,
+            undirected_origin=base.undirected_origin,
+            validate=False,
+        )
+        snap._canonical_order = True
+        return snap
+
+    def _resort_with_overlay(
+        self, deleted: np.ndarray, inserted: np.ndarray
+    ) -> DiGraph:
+        """Rebuild by sorting all edges: the path for a base whose rows
+        are unsorted or hold parallel edges, where positions are not
+        unique and a merge would not reproduce the builder's order."""
+        base = self._base
+        n = base.num_nodes
+        keys = base.edge_sources.astype(np.int64) * n + base.out_indices
+        keys = np.concatenate([keys[~np.isin(keys, deleted)], inserted])
+        return from_edge_arrays(
+            keys // n,
+            keys % n,
+            num_nodes=n,
             name=self._name,
             dedup=False,
             drop_self_loops=False,
-            undirected_origin=self._base.undirected_origin,
+            undirected_origin=base.undirected_origin,
         )
-        self._snapshot_cache = (self._version, snap)
-        return snap
 
     def compact(self) -> DiGraph:
         """Merge the overlay into a fresh base snapshot and return it.

@@ -15,6 +15,7 @@ from repro.experiments.ablations import (
     run_scheduling_ablation,
 )
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.dynamic import run_dynamic_updates
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
@@ -154,6 +155,18 @@ class TestAblations:
         assert set(pushes) == {"fifo", "lifo", "max-residue"}
         assert all(v > 0 for v in pushes.values())
         assert "fifo" in result.render()
+
+
+class TestDynamicUpdates:
+    def test_rows_report_the_snapshot_cost(self):
+        result = run_dynamic_updates(
+            scale=8, num_edges=1_500, num_batches=2, batch_size=5, seed=3,
+            l1_threshold=1e-6,
+        )
+        assert [row.version for row in result.rows] == [5, 10]
+        assert all(row.snapshot_seconds > 0.0 for row in result.rows)
+        header = result.render().splitlines()[3]
+        assert header.split()[-2:] == ["snapshot", "ms"]
 
 
 class TestRunnerRegistry:

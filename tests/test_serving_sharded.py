@@ -23,7 +23,8 @@ from repro.errors import (
     UnknownMethodError,
 )
 from repro.generators.rmat import rmat_digraph
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.build import from_edge_arrays
+from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.serving import EngineServer, ShardedDispatcher
 from repro.serving.shm import SEGMENT_PREFIX, live_segments
 
@@ -395,6 +396,49 @@ class TestUpdates:
                 assert (
                     served.result.estimate.tobytes()
                     == expected.estimate.tobytes()
+                )
+
+    @pytest.mark.parametrize("tier", ["thread", "process"])
+    def test_burst_of_updates_matches_a_cold_engine_on_the_plain_edge_set(
+        self, base, tier
+    ):
+        """The reference shares no code with ``DynamicGraph.snapshot``:
+        the edge set is kept as a Python set and built from scratch."""
+        rng = np.random.default_rng(41)
+        scratch = DynamicGraph(base)  # only to sample legal updates
+        edges = set(base.iter_edges())
+        updates = []
+        for _ in range(40):
+            op, u, v = sample_edge_update(scratch, rng)
+            scratch.apply_updates([(op, u, v)])
+            (edges.add if op == "+" else edges.remove)((u, v))
+            updates.append((op, u, v))
+        pairs = sorted(edges)
+        rebuilt = from_edge_arrays(
+            [u for u, _ in pairs],
+            [v for _, v in pairs],
+            num_nodes=base.num_nodes,
+            name=base.name,
+        )
+        cold = PPREngine(rebuilt, alpha=0.2, seed=7)
+
+        if tier == "thread":
+            server = EngineServer(DynamicGraph(base), alpha=0.2, seed=7)
+        else:
+            server = ShardedDispatcher(
+                DynamicGraph(base), workers=2, alpha=0.2, seed=7
+            )
+        with server:
+            for start in range(0, len(updates), 8):
+                server.apply_updates(updates[start:start + 8])
+                # Read between bursts, so later snapshots are taken
+                # with a warm per-version cache behind them.
+                server.query(updates[start][1], "powerpush", **PARAMS)
+            for source in (0, 1, 5, 19, updates[-1][1], updates[-1][2]):
+                served = server.query(source, "powerpush", **PARAMS)
+                assert served.version == len(updates)
+                assert_same_bytes(
+                    served, cold.query(source, "powerpush", **PARAMS)
                 )
 
     def test_barrier_settles_when_a_shard_is_killed_mid_broadcast(
