@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import (
+    async_sweep,
     block_global_sweep,
     frontier_push,
     global_sweep,
@@ -59,8 +60,7 @@ def kernel_graph(request):
     from repro.generators.datasets import load_dataset
 
     graph = load_dataset(bench_config().datasets[-1])
-    graph.transition_matrix_transpose()
-    return graph
+    return graph.warm_push_caches()
 
 
 def test_global_sweep(benchmark, kernel_graph):
@@ -69,6 +69,18 @@ def test_global_sweep(benchmark, kernel_graph):
     def run():
         state = PushState(kernel_graph, 0)
         global_sweep(state)
+        return state
+
+    state = benchmark(run)
+    assert state.r_sum < 1.0
+
+
+def test_async_sweep(benchmark, kernel_graph):
+    """One chunked asynchronous sweep (a PowerPush scan pass)."""
+
+    def run():
+        state = PushState(kernel_graph, 0)
+        async_sweep(state)
         return state
 
     state = benchmark(run)

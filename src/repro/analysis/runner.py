@@ -18,6 +18,7 @@ from repro.analysis import (  # noqa: F401  (imported for registration)
     checks_backends,
     checks_determinism,
     checks_durability,
+    checks_imports,
     checks_serving,
     reporters,
 )

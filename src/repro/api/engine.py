@@ -282,8 +282,13 @@ class PPREngine:
         seeded answers remain a pure function of ``(seed, source)``.
         Only static graphs can be reordered (a
         :class:`DynamicGraph`'s labels must stay stable under
-        updates); answers match the unreordered engine's to float
-        re-association (~1e-12), not byte-for-byte.
+        updates).  Answers are not byte-for-byte the unreordered
+        engine's: the sweep-based solvers push in node-id order with
+        the freshest residues, so a relabelling changes which valid
+        answer comes out — two PowerPush answers each within
+        ``l1_threshold`` of the exact vector, hence within twice that
+        of each other; solvers without such an order agree to float
+        re-association (~1e-12).
     """
 
     def __init__(

@@ -6,7 +6,8 @@ that used to be hard-coded as the NumPy bodies of
 :mod:`repro.core.kernels`:
 
 * :meth:`KernelBackend.global_sweep` / :meth:`KernelBackend.frontier_push`
-  / :meth:`KernelBackend.sweep_active` — the single-source kernels that
+  / :meth:`KernelBackend.async_sweep` / :meth:`KernelBackend.sweep_active`
+  — the single-source kernels that
   :func:`~repro.core.powerpush.power_push`, FIFO-FwdPush, SimFwdPush and
   the refinement loop are built from, and
 * their ``block_*`` variants operating on a
@@ -16,8 +17,9 @@ that used to be hard-coded as the NumPy bodies of
 Backends mutate the passed state exactly like the reference kernels:
 reserve/residue updated in place, counters billed, ``r_sum`` kept
 incrementally correct.  The **semantic** contract is strict — every
-backend must compute the same pushes from the same residues-at-entry —
-but the **bitwise** contract is graded:
+backend must compute the same pushes from the same residues (those at
+entry; for the asynchronous sweeps, those at each chunk boundary of
+``graph.sweep_plan()``) — but the **bitwise** contract is graded:
 
 * the ``numpy`` backend *is* the reference (it delegates to the
   :mod:`repro.core.kernels` bodies), so golden traces stay
@@ -82,6 +84,12 @@ class KernelBackend:
         """Simultaneously push exactly ``nodes`` (local gather/scatter)."""
         raise NotImplementedError
 
+    def async_sweep(
+        self, state: PushState, *, workspace: Workspace | None = None
+    ) -> None:
+        """Push every residue holder once, chunk by chunk, freshest residues."""
+        raise NotImplementedError
+
     def sweep_active(
         self,
         state: PushState,
@@ -115,6 +123,16 @@ class KernelBackend:
         workspace: Workspace | None = None,
     ) -> None:
         """Push each row's own frontier in one shared pass."""
+        raise NotImplementedError
+
+    def block_async_sweep(
+        self,
+        state: BlockPushState,
+        rows: np.ndarray,
+        *,
+        workspace: Workspace | None = None,
+    ) -> None:
+        """One asynchronous chunked sweep for every row in ``rows``."""
         raise NotImplementedError
 
     def block_sweep_active(

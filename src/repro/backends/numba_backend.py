@@ -9,6 +9,10 @@ arrays touches every edge exactly once, keeps the share arithmetic in
 registers, and needs a single scratch vector for the entry residues —
 "Accelerating Personalized PageRank Vector Computation" (PAPERS.md)
 reports order-of-magnitude wins from exactly this transformation.
+The asynchronous scan sweep is compiled with the reference's chunk
+schedule (``graph.sweep_plan()``): asynchronous between chunks,
+simultaneous within one, so both backends push the same residues and
+the equivalence tolerance below covers it too.
 
 Everything here is gated on ``numba`` being importable, and the import
 itself is **lazy**: this module only probes for the package
@@ -171,6 +175,54 @@ def _build_kernels() -> SimpleNamespace:
         return holders, holder_degree
 
     @njit(cache=True)
+    def async_sweep_loop(
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        bounds: np.ndarray,
+        residue: np.ndarray,
+        pushed: np.ndarray,
+        alpha: float,
+    ) -> None:
+        """Chunked asynchronous sweep over one residue vector.
+
+        The reference's schedule (``repro.core.kernels.
+        async_propagate``) as one loop: per chunk, snapshot and clear
+        the chunk's residues, then scatter their shares into the live
+        vector, so later chunks see them.  Targets receive their adds
+        in ascending-source order, as in the reference.
+        """
+        scale = 1.0 - alpha
+        for c in range(bounds.shape[0] - 1):
+            lo = bounds[c]
+            hi = bounds[c + 1]
+            for v in range(lo, hi):
+                pushed[v] = residue[v]
+                residue[v] = 0.0
+            for v in range(lo, hi):
+                begin = indptr[v]
+                end = indptr[v + 1]
+                if end > begin:
+                    share = scale * pushed[v] / (end - begin)
+                    for e in range(begin, end):
+                        residue[indices[e]] += share
+
+    @njit(cache=True, parallel=True)
+    def block_async_sweep_loop(
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        bounds: np.ndarray,
+        residue: np.ndarray,
+        rows: np.ndarray,
+        pushed: np.ndarray,
+        alpha: float,
+    ) -> None:
+        """:func:`async_sweep_loop` per row, rows in parallel (``prange``)."""
+        for k in prange(rows.shape[0]):
+            async_sweep_loop(
+                indptr, indices, bounds, residue[rows[k]], pushed[k], alpha
+            )
+
+    @njit(cache=True)
     def collect_active_loop(
         residue: np.ndarray,
         threshold_vec: np.ndarray,
@@ -293,6 +345,8 @@ def _build_kernels() -> SimpleNamespace:
     return SimpleNamespace(
         frontier_push=frontier_push_loop,
         global_sweep=global_sweep_loop,
+        async_sweep=async_sweep_loop,
+        block_async_sweep=block_async_sweep_loop,
         collect_active=collect_active_loop,
         block_global_sweep=block_global_sweep_loop,
         block_frontier_push=block_frontier_push_loop,
@@ -377,6 +431,23 @@ class NumbaBackend(KernelBackend):
         _apply_dead_end_mass(state, float(dead_mass))
         state.note_r_sum_delta(-state.alpha * float(pushed_mass))
 
+    def async_sweep(
+        self, state: PushState, *, workspace: Workspace | None = None
+    ) -> None:
+        from repro.core.kernels import _settle_async_sweep
+
+        graph = state.graph
+        pushed = _scratch(workspace, "nb_sweep_pushed", graph.num_nodes)
+        self._kernels.async_sweep(
+            graph.out_indptr,
+            graph.out_indices,
+            np.asarray(graph.sweep_plan().bounds, dtype=np.int64),
+            state.residue,
+            pushed,
+            state.alpha,
+        )
+        _settle_async_sweep(state, pushed)
+
     def sweep_active(
         self,
         state: PushState,
@@ -400,7 +471,7 @@ class NumbaBackend(KernelBackend):
         if count <= dense_fraction * graph.num_nodes:
             self.frontier_push(state, active[:count], workspace=workspace)
         else:
-            self.global_sweep(state, count_all_edges=False)
+            self.async_sweep(state, workspace=workspace)
         return count
 
     # -- block (multi-source) kernels ----------------------------------
@@ -503,6 +574,34 @@ class NumbaBackend(KernelBackend):
         self._route_block_dead_mass(state, rows, dead_masses)
         state.note_r_sum_deltas(rows, -state.alpha * pushed_masses)
 
+    def block_async_sweep(
+        self,
+        state: BlockPushState,
+        rows: np.ndarray,
+        *,
+        workspace: Workspace | None = None,
+    ) -> None:
+        from repro.core.kernels import _settle_block_async_sweep
+
+        graph = state.graph
+        num_rows = rows.shape[0]
+        if num_rows == 0:
+            return
+        n = graph.num_nodes
+        pushed = _scratch(
+            workspace, "nb_block_sweep_pushed", num_rows * n
+        ).reshape(num_rows, n)
+        self._kernels.block_async_sweep(
+            graph.out_indptr,
+            graph.out_indices,
+            np.asarray(graph.sweep_plan().bounds, dtype=np.int64),
+            state.residue,
+            np.ascontiguousarray(rows, dtype=np.int64),
+            pushed,
+            state.alpha,
+        )
+        _settle_block_async_sweep(state, rows, pushed)
+
     def block_sweep_active(
         self,
         state: BlockPushState,
@@ -523,12 +622,7 @@ class NumbaBackend(KernelBackend):
                 state, rows[local], masks[local], workspace=workspace
             )
         if dense.any():
-            self.block_global_sweep(
-                state,
-                rows[dense],
-                count_all_edges=False,
-                workspace=workspace,
-            )
+            self.block_async_sweep(state, rows[dense], workspace=workspace)
         return num_active
 
     @staticmethod

@@ -23,7 +23,7 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(KernelBackend):
-    """Reference kernels: vectorised NumPy gather/scatter + scipy mat-vec."""
+    """Reference kernels: vectorised NumPy gather/scatter + scipy sparse kernels."""
 
     name = "numpy"
     compiled = False
@@ -45,6 +45,13 @@ class NumpyBackend(KernelBackend):
         from repro.core import kernels
 
         kernels.frontier_push(state, nodes, workspace=workspace)
+
+    def async_sweep(
+        self, state: PushState, *, workspace: Workspace | None = None
+    ) -> None:
+        from repro.core import kernels
+
+        kernels.async_sweep(state, workspace=workspace)
 
     def sweep_active(
         self,
@@ -90,6 +97,17 @@ class NumpyBackend(KernelBackend):
         from repro.core import kernels
 
         kernels.block_frontier_push(state, rows, masks, workspace=workspace)
+
+    def block_async_sweep(
+        self,
+        state: BlockPushState,
+        rows: np.ndarray,
+        *,
+        workspace: Workspace | None = None,
+    ) -> None:
+        from repro.core import kernels
+
+        kernels.block_async_sweep(state, rows, workspace=workspace)
 
     def block_sweep_active(
         self,

@@ -47,10 +47,15 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import DENSE_SWEEP_FRACTION, frontier_edge_targets
+from repro.core.kernels import (
+    DENSE_SWEEP_FRACTION,
+    async_propagate,
+    frontier_edge_targets,
+)
 from repro.core.powerpush import PowerPushConfig, power_push
 from repro.core.result import PPRResult
 from repro.core.validation import check_alpha, check_l1_threshold, check_source
+from repro.core.workspace import Workspace
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
@@ -108,6 +113,8 @@ class IncrementalPPR:
         self.source = int(source)
         self._require_no_dead_ends(snapshot)
         self._needs_rebuild = False
+        # Scan-sweep scratch, requested only once a refresh goes dense.
+        self._workspace = Workspace()
         self.total_counters = PushCounters()
         self._version = graph.version
         self._solve_from_scratch(snapshot, self.total_counters)
@@ -283,21 +290,30 @@ class IncrementalPPR:
                     break
                 # Same frontier-vs-scan switch as the push kernels: a
                 # narrow frontier pays only its own degrees via gather/
-                # scatter, a wide one pays one contiguous O(m) mat-vec.
+                # scatter, a wide one pays one asynchronous scan of the
+                # edge array, in which only nodes still above their
+                # threshold when their chunk is reached push.
                 if num_active <= DENSE_SWEEP_FRACTION * n:
                     self._frontier_sweep(
                         snapshot, np.flatnonzero(active), counters
                     )
                 else:
-                    mass = np.where(active, self._r, 0.0)
-                    self._p += self.alpha * mass
-                    self._r -= mass
-                    self._r += (1.0 - self.alpha) * (
-                        snapshot.transition_matrix_transpose() @ mass
+                    pushed = self._workspace.buffer("sweep_pushed", n)
+                    async_propagate(
+                        snapshot,
+                        self._r,
+                        pushed,
+                        self.alpha,
+                        threshold_vec=threshold,
+                        workspace=self._workspace,
                     )
+                    holders = pushed != 0.0
                     counters.count_bulk_pushes(
-                        num_active, int(degree[active].sum())
+                        int(np.count_nonzero(holders)),
+                        int(np.dot(snapshot.out_degree, holders)),
                     )
+                    pushed *= self.alpha
+                    self._p += pushed
                 counters.iterations += 1
                 sweeps += 1
                 if sweeps > _MAX_SWEEPS:

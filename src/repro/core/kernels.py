@@ -1,24 +1,67 @@
 """Vectorised push kernels shared by the algorithm implementations.
 
-Every push-family algorithm in the paper reduces to two bulk moves:
+Every push-family algorithm in the paper reduces to three bulk moves:
 
 * a **global sweep** — push *every* node simultaneously; this is one
   Power-Iteration step and costs ``O(m)`` regardless of how much
   residue exists (implemented as one sparse mat-vec with the cached
-  ``P^T``), and
-* a **frontier push** — push only a given set of nodes; this costs
-  ``O(sum of frontier degrees)`` (implemented as a gather of the
-  frontier's adjacency ranges followed by one ``bincount`` scatter).
+  ``P^T``).  PowItr and SimFwdPush, synchronous by definition, are
+  built on it;
+* a **frontier push** — push only a given set of nodes, simultaneously;
+  this costs ``O(sum of frontier degrees)`` (implemented as a gather
+  of the frontier's adjacency ranges followed by one ``bincount``
+  scatter); and
+* an **asynchronous sweep** — push every node holding residue, chunk
+  of the node range by chunk, each chunk seeing what the chunks before
+  it pushed (the scan phase of PowerPush, FIFO-FwdPush and the
+  refinement loop; cost model below).
 
-The switch between them is exactly the paper's "global sequential scan
-vs. local random access" trade-off (Section 5): for small frontiers the
-gather/scatter wins; once the frontier covers a sizeable fraction of
-the graph the contiguous mat-vec is faster.  :func:`sweep_active`
-chooses automatically using the same kind of threshold PowerPush uses.
+The switch between the local and the global moves is exactly the
+paper's "global sequential scan vs. local random access" trade-off
+(Section 5): for small frontiers the gather/scatter wins; once the
+frontier covers a sizeable fraction of the graph the contiguous scan
+is faster.  :func:`sweep_active` chooses automatically using the same
+kind of threshold PowerPush uses.
 
-All kernels perform *simultaneous* pushes: contributions are computed
-from the residues at entry.  They mutate the :class:`PushState` in
-place and keep its incremental ``r_sum`` and counters up to date.
+Within one kernel call — within one chunk, for the asynchronous sweep —
+pushes are *simultaneous*: contributions are computed from the residues
+at entry.  The kernels mutate the :class:`PushState` in place and keep
+its incremental ``r_sum`` and counters up to date.
+
+The asynchronous sweep and its cost model
+-----------------------------------------
+:func:`async_sweep` follows ``graph.sweep_plan()``: ``SWEEP_CHUNKS``
+contiguous node ranges of roughly equal edge count, cached on the
+graph.  Per chunk it makes a handful of chunk-local ``O(chunk nodes)``
+passes (copy the residues out, zero them, scale, divide by the degree)
+and one scatter over the chunk's out-edges; per sweep, one ``O(n)``
+settle (billing, reserves, ``r_sum``).  The scatter is scipy's
+``csc_matvec`` run on the *forward* CSR — the chunk's rows of
+``out_indptr``/``out_indices`` read as the columns of a sparse matrix
+with all-one weights — which adds each share into the live residue
+vector in place.  So a sweep reads neither ``P^T`` nor any per-edge
+weight array (the transposed matrix's ``data`` is 8 bytes per edge the
+mat-vec has to stream), and costs about the mat-vec's time per edge
+(``repro-ppr bench-kernels`` prints both) while needing little more
+than half as many sweeps to reach the same ``r_sum``.
+
+Summation order, and why results are bitwise-stable: the scatter walks
+a chunk's nodes in ascending id and each node's edges in CSR order, so
+a target accumulates its shares in ascending-source order, one IEEE add
+at a time, chunks in ascending order — a fixed sequence that depends on
+the graph alone, not on the block width, the workspace, or the thread
+running it.  The all-one weight makes ``weight * share`` exact.  The
+block kernel runs ``csc_matvecs`` over residues stored column-wise;
+its inner ``axpy`` applies the same add to each column, so every
+column sees the sequence of the single-source sweep.  What *does*
+depend on node order is the answer itself: relabelling the graph
+changes which residues are fresh when, hence which of the valid
+answers (all within ``r_sum`` of the exact vector) comes out.
+
+Non-goal: ``P^T`` is still built by ``warm_push_caches`` and exported
+in the shared-memory image although the PowerPush family no longer
+reads it.  Making it lazy would cut ``graph.warm_caches_ms`` and is
+left for a follow-up.
 
 Block (multi-source) kernels and their cost model
 -------------------------------------------------
@@ -33,6 +76,10 @@ constants, not the asymptotics:
   nonzero touched streams ``B`` contiguous residue values, so the cost
   is ``O(m + m·B)`` flops behind a single ``O(m)`` index scan instead
   of ``B`` separate scans.
+* :func:`block_async_sweep` shares the scan the same way: the rows'
+  residues are transposed into an ``(n, B)`` scratch matrix for the
+  sweep, each edge of a chunk is read once and adds ``B`` contiguous
+  shares, and the result is transposed back.
 * :func:`block_frontier_push` gathers the adjacency ranges of the
   **union** frontier once (``O(sum of union degrees)``) and scatters
   all rows through one flat 2-D ``bincount`` over ``row * n + target``
@@ -41,9 +88,10 @@ constants, not the asymptotics:
   row bitwise-identical to an independent single-source push while the
   index arithmetic is shared.
 * :func:`block_sweep_active` applies the global/local switch *per
-  row*: hot rows (wide frontiers) join the mat-mat scan while cold
-  rows (narrow frontiers) join the union gather — the paper's density
-  trade-off, decided independently for every source in the block.
+  row*: hot rows (wide frontiers) join the asynchronous scan while
+  cold rows (narrow frontiers) join the union gather — the paper's
+  density trade-off, decided independently for every source in the
+  block.
 
 Scratch buffers: the frontier kernels accept an optional
 :class:`~repro.core.workspace.Workspace`; callers that push in a loop
@@ -73,6 +121,9 @@ the cost model above, not its asymptotics:
   and no per-call NumPy dispatch overhead;
 * the global sweep's scipy mat-vec dispatch and the separate ``O(n)``
   reserve/billing passes fuse into one loop over ``P^T``;
+* the asynchronous sweep's per-chunk NumPy passes and scipy dispatch
+  become one loop over the forward CSR with the reference's chunk
+  schedule, so both backends push the same residues;
 * the block kernels drop the union-frontier staging entirely — the
   ``(B x total)`` share/weight matrices the 2-D ``bincount`` scatter
   needs (zero-filled even where a row is inactive) are replaced by
@@ -91,8 +142,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
+from scipy.sparse._sparsetools import csc_matvecs as _csc_matvecs
+
 from repro.core.residues import BlockPushState, PushState
 from repro.core.workspace import Workspace
+from repro.errors import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     # Runtime import would be circular: repro.backends pulls in
@@ -109,9 +164,12 @@ __all__ = [
     "frontier_edge_targets",
     "global_sweep",
     "frontier_push",
+    "async_propagate",
+    "async_sweep",
     "sweep_active",
     "block_global_sweep",
     "block_frontier_push",
+    "block_async_sweep",
     "block_sweep_active",
 ]
 
@@ -304,13 +362,12 @@ def sweep_active(
 
     Chooses between the local gather/scatter path and the global path
     depending on the frontier size — the vectorised analog of
-    PowerPush's queue-vs-sequential-scan switch.  The global path
-    pushes *every* residue-holding node (not only the active ones):
-    a full sweep costs exactly one mat-vec, whereas masking costs the
-    same mat-vec plus several ``O(n)`` passes, so once the frontier is
-    wide the unmasked sweep strictly dominates.  Pushing an inactive
-    node is always legal (it only converts more residue), so the
-    l1-error guarantee is unaffected.
+    PowerPush's queue-vs-sequential-scan switch.  The global path is
+    one :func:`async_sweep`, which pushes *every* residue-holding node
+    (not only the active ones): the scan walks the whole edge array
+    either way, and masking would add several ``O(n)`` passes to it.
+    Pushing an inactive node is always legal (it only converts more
+    residue), so the l1-error guarantee is unaffected.
 
     Parameters
     ----------
@@ -339,8 +396,126 @@ def sweep_active(
     if num_active <= dense_fraction * graph.num_nodes:
         frontier_push(state, np.flatnonzero(active), workspace=workspace)
     else:
-        global_sweep(state, count_all_edges=False)
+        async_sweep(state, workspace=workspace)
     return num_active
+
+
+def async_propagate(
+    graph,
+    residue: np.ndarray,
+    pushed: np.ndarray,
+    alpha: float,
+    *,
+    threshold_vec: np.ndarray | None = None,
+    workspace: Workspace | None = None,
+) -> None:
+    """One chunked asynchronous sweep over raw residue arrays.
+
+    For each chunk of ``graph.sweep_plan()`` in node-id order: record
+    the chunk's current residues into ``pushed``, take them off
+    ``residue``, and scatter ``(1 - alpha) * pushed / out_degree`` along
+    the chunk's out-edges straight into the live ``residue`` — so a
+    later chunk pushes mass that reached it during this very sweep.
+    Afterwards ``pushed[v]`` is what node ``v`` pushed; settling
+    ``alpha * pushed`` into a reserve, billing, and the mass dead ends
+    pushed (which has no edge to travel on) are the caller's.
+
+    ``residue`` and ``pushed`` are C-contiguous float64 of shape
+    ``(n,)`` — or ``(n, R)`` for ``R`` independent residue vectors
+    stored column-wise, whose columns then go through the same
+    operations in the same order as ``R`` separate calls.  Residues may
+    be negative (:mod:`repro.core.incremental`).  With ``threshold_vec``
+    (1-D arrays only) only nodes whose live ``|residue|`` exceeds their
+    threshold push; the rest keep their residue and record 0.
+    """
+    if not (residue.flags.c_contiguous and pushed.flags.c_contiguous):
+        raise ParameterError(
+            "async_propagate scatters in place and needs C-contiguous arrays"
+        )
+    plan = graph.sweep_plan()
+    n = graph.num_nodes
+    single = residue.ndim == 1
+    vecs = 1 if single else residue.shape[1]
+    degree = plan.degree if single else plan.degree[:, None]
+    if threshold_vec is not None and not single:
+        raise ParameterError(
+            "async_propagate applies threshold_vec to one residue vector only"
+        )
+    flat = residue.reshape(-1)
+    scale = 1.0 - alpha
+    for c in range(len(plan.bounds) - 1):
+        lo, hi = plan.bounds[c], plan.bounds[c + 1]
+        if lo == hi:
+            continue
+        live, snapshot = residue[lo:hi], pushed[lo:hi]
+        shares = _scratch(
+            workspace, "sweep_shares", (hi - lo) * vecs, np.float64
+        ).reshape(live.shape)
+        if threshold_vec is None:
+            snapshot[...] = live
+            live[...] = 0.0
+        else:
+            np.abs(live, out=shares)
+            np.multiply(live, shares > threshold_vec[lo:hi], out=snapshot)
+            live -= snapshot
+        np.multiply(snapshot, scale, out=shares)
+        shares /= degree[lo:hi]
+        indptr, indices, ones = plan.columns(c)
+        if single:
+            _csc_matvec(n, hi - lo, indptr, indices, ones, shares, flat)
+        else:
+            _csc_matvecs(
+                n, hi - lo, vecs, indptr, indices, ones,
+                shares.reshape(-1), flat,
+            )
+
+
+def async_sweep(
+    state: PushState,
+    *,
+    workspace: Workspace | None = None,
+    backend: "KernelBackend | None" = None,
+) -> None:
+    """Push every residue-holding node once, with the freshest residues.
+
+    The scan-phase sweep of PowerPush (Algorithm 3): unlike
+    :func:`global_sweep` it is *asynchronous* — see
+    :func:`async_propagate` — so one sweep does the work of nearly two
+    synchronous ones.  Billed like ``global_sweep(count_all_edges=
+    False)``: one push per node that held residue when its chunk was
+    reached, one residue update per out-edge of those nodes.
+    """
+    if backend is not None:
+        backend.async_sweep(state, workspace=workspace)
+        return
+    pushed = _scratch(
+        workspace, "sweep_pushed", state.graph.num_nodes, np.float64
+    )
+    async_propagate(
+        state.graph, state.residue, pushed, state.alpha, workspace=workspace
+    )
+    _settle_async_sweep(state, pushed)
+
+
+def _settle_async_sweep(state: PushState, pushed: np.ndarray) -> None:
+    """Bill, route dead-end mass and settle reserves after a propagation.
+
+    Shared by every backend's :func:`async_sweep`; consumes ``pushed``.
+    """
+    graph = state.graph
+    holders = pushed != 0.0
+    state.counters.count_bulk_pushes(
+        int(np.count_nonzero(holders)),
+        int(np.dot(graph.out_degree, holders)),
+    )
+    dead = graph.dead_ends
+    if dead.shape[0]:
+        _apply_dead_end_mass(
+            state, (1.0 - state.alpha) * float(pushed[dead].sum())
+        )
+    pushed *= state.alpha
+    state.reserve += pushed
+    state.refresh_r_sum()
 
 
 def _apply_dead_end_mass(state: PushState, dead_mass: float) -> None:
@@ -467,17 +642,7 @@ def block_global_sweep(
     # each row lands bitwise where its own mat-vec would.
     moved = _block_propagate(graph, scaled, workspace)
 
-    dead = graph.dead_ends
-    dead_masses = None
-    if dead.shape[0]:
-        # C-contiguous (R, D) compact gather (np.take; the plain
-        # ``[:, dead]`` fancy index yields a transposed buffer whose
-        # strided rows reduce *sequentially*, not pairwise): each row
-        # of the row-wise reduction is then the same pairwise sum over
-        # the same 1-D values the single-source kernel reduces.
-        dead_masses = (1.0 - alpha) * np.take(r_block, dead, axis=1).sum(
-            axis=1
-        )
+    dead_masses = _block_dead_masses(state, r_block)
 
     if count_all_edges:
         state.count_bulk_pushes(rows, graph.num_nodes, graph.num_edges)
@@ -495,17 +660,44 @@ def block_global_sweep(
         state.residue[:] = moved.T
     else:
         state.residue[rows] = moved.T
+    _finish_block_sweep(state, rows, whole_block, dead_masses)
+
+
+def _block_dead_masses(
+    state: BlockPushState, pushed: np.ndarray
+) -> np.ndarray | None:
+    """``(1 - alpha) *`` what each row of ``pushed`` (``(R, n)``) had on dead ends.
+
+    Reduced over a C-contiguous ``(R, D)`` compact gather (np.take; the
+    plain ``[:, dead]`` fancy index yields a transposed buffer whose
+    strided rows reduce *sequentially*, not pairwise): each row of the
+    row-wise reduction is then the same pairwise sum over the same 1-D
+    values the single-source kernel reduces.
+    """
+    dead = state.graph.dead_ends
+    if not dead.shape[0]:
+        return None
+    gathered = np.ascontiguousarray(np.take(pushed, dead, axis=1))
+    return (1.0 - state.alpha) * gathered.sum(axis=1)
+
+
+def _finish_block_sweep(
+    state: BlockPushState,
+    rows: np.ndarray,
+    whole_block: bool,
+    dead_masses: np.ndarray | None,
+) -> None:
+    """Route each row's dead-end mass, then refresh the rows' ``r_sum``."""
     if dead_masses is not None:
         policy = state.dead_end_policy
         if policy == "redirect-to-source":
             state.residue[rows, state.sources[rows]] += dead_masses
         elif policy == "uniform-teleport":
+            spread = (dead_masses / state.graph.num_nodes)[:, None]
             if whole_block:
-                state.residue += (dead_masses / graph.num_nodes)[:, None]
+                state.residue += spread
             else:
-                state.residue[rows] += (
-                    dead_masses / graph.num_nodes
-                )[:, None]
+                state.residue[rows] += spread
         elif np.any(dead_masses != 0.0):
             # self-loop handled structurally; mass cannot appear here
             raise AssertionError(
@@ -517,6 +709,66 @@ def block_global_sweep(
         state.r_sum[:] = state.residue.sum(axis=1)
     else:
         state.r_sum[rows] = state.residue[rows].sum(axis=1)
+
+
+def block_async_sweep(
+    state: BlockPushState,
+    rows: np.ndarray,
+    *,
+    workspace: Workspace | None = None,
+    backend: "KernelBackend | None" = None,
+) -> None:
+    """One :func:`async_sweep` for every row in ``rows`` at once.
+
+    The rows' residues are laid out column-wise for the sweep, so each
+    edge of a chunk is read once and scatters ``len(rows)`` contiguous
+    shares; every row goes through :func:`async_propagate`'s operations
+    in the order its own single-source sweep applies them, which keeps
+    it bitwise-identical to that sweep.
+    """
+    if rows.shape[0] == 0:
+        return
+    if backend is not None:
+        backend.block_async_sweep(state, rows, workspace=workspace)
+        return
+    n = state.graph.num_nodes
+    num_rows = rows.shape[0]
+    whole_block = _is_identity(rows, state.num_rows)
+    live = _scratch(workspace, "sweep_live", n * num_rows, np.float64)
+    live = live.reshape(n, num_rows)
+    live[:] = (state.residue if whole_block else state.residue[rows]).T
+    pushed = _scratch(workspace, "sweep_pushed", n * num_rows, np.float64)
+    pushed = pushed.reshape(n, num_rows)
+    async_propagate(state.graph, live, pushed, state.alpha, workspace=workspace)
+    if whole_block:
+        state.residue[:] = live.T
+    else:
+        state.residue[rows] = live.T
+    _settle_block_async_sweep(state, rows, pushed.T)
+
+
+def _settle_block_async_sweep(
+    state: BlockPushState, rows: np.ndarray, pushed: np.ndarray
+) -> None:
+    """Block form of :func:`_settle_async_sweep`; ``pushed`` is ``(R, n)``.
+
+    Shared by every backend's :func:`block_async_sweep`; consumes
+    ``pushed``.
+    """
+    whole_block = _is_identity(rows, state.num_rows)
+    holders = pushed != 0.0
+    state.count_bulk_pushes(
+        rows,
+        np.count_nonzero(holders, axis=1),
+        holders @ state.graph.out_degree,
+    )
+    dead_masses = _block_dead_masses(state, pushed)
+    pushed *= state.alpha
+    if whole_block:
+        state.reserve += pushed
+    else:
+        state.reserve[rows] += pushed
+    _finish_block_sweep(state, rows, whole_block, dead_masses)
 
 
 def block_frontier_push(
@@ -673,8 +925,8 @@ def block_sweep_active(
 
     ``masks`` holds each row's activity mask (callers compute it
     against the row's current threshold).  Rows whose frontier exceeds
-    ``dense_fraction * n`` join one block mat-mat scan; the rest join
-    one union gather/scatter — hot rows scan while cold rows push.
+    ``dense_fraction * n`` join one :func:`block_async_sweep`; the rest
+    join one union gather/scatter — hot rows scan while cold rows push.
     Returns the per-row active counts (0 marks a row that did not
     push).
     """
@@ -695,9 +947,7 @@ def block_sweep_active(
             state, rows[local], masks[local], workspace=workspace
         )
     if dense.any():
-        block_global_sweep(
-            state, rows[dense], count_all_edges=False, workspace=workspace
-        )
+        block_async_sweep(state, rows[dense], workspace=workspace)
     return num_active
 
 

@@ -18,10 +18,19 @@ scans once the frontier is wide).  Three ingredients (Section 5):
    before being pushed and cutting the total number of residue updates.
 
 Like the other algorithms, PowerPush has a *faithful* scalar mode
-matching Algorithm 3 line for line, and a *vectorised* mode where each
-scan pass is a simultaneous masked sweep (the asynchronous-within-scan
-refinement is then approximated by running passes to the epoch target;
-the epoch structure and queue phase are identical).
+matching Algorithm 3 line for line, and a *vectorised* mode with the
+same queue phase and epoch structure whose scan pass is a chunked
+asynchronous sweep (:func:`repro.core.kernels.async_sweep`): the node
+range is walked in a fixed number of contiguous chunks, each chunk's
+pushes are simultaneous, and every chunk pushes the residues as the
+chunks before it left them.  That is ingredient 1 at chunk rather than
+node granularity — a push uses mass that arrived earlier in the same
+pass — and it is what brings a query from 0.92x of PowItr's residue
+updates (synchronous sweeps; ``lj-s`` x10, lambda = 1e-8) down to
+0.52x, the "roughly half" of the paper's Figure 6.
+The scalar mode pushes only active nodes in a scan; a vectorised sweep
+pushes every node holding residue, which is always legal and saves the
+masking passes.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ import numpy as np
 from repro.backends import KernelBackend, active_backend
 from repro.core.kernels import (
     DENSE_SWEEP_FRACTION,
+    block_async_sweep,
     block_frontier_push,
-    block_global_sweep,
     frontier_push,
     sweep_active,
 )
@@ -320,7 +329,8 @@ def power_push_block(
     residue rows: per round, every unfinished row evaluates its own
     phase (queue / scan epoch) against its own ``r_sum`` and frontier,
     then all rows wanting a local push share one union gather/scatter
-    and all rows wanting a global sweep share one sparse mat-mat.
+    and all rows wanting a global sweep share one block asynchronous
+    sweep (one scan of the edge array for all of them).
     Finished rows retire from the active block, so a batch of mixed
     difficulty never pays for its slowest member on every round.
 
@@ -558,8 +568,8 @@ def _run_block(
                 workspace=workspace, backend=backend,
             )
         if push_global.any():
-            block_global_sweep(
-                state, live[push_global], count_all_edges=False,
+            block_async_sweep(
+                state, live[push_global],
                 workspace=workspace, backend=backend,
             )
 

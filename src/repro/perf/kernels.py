@@ -32,15 +32,25 @@ requested but not importable (numba without the optional extra) are
 recorded in ``skipped_backends`` rather than silently measured as
 numpy-in-disguise.
 
+Sweep kernels
+-------------
+One more section times the two whole-graph kernels side by side on the
+reference backend: the synchronous :func:`~repro.core.kernels.global_sweep`
+(what PowItr is built on, and what ``benchmarks/e2e/layers.py`` probes)
+and the chunked :func:`~repro.core.kernels.async_sweep` of PowerPush's
+scan phase — nanoseconds per edge of one call on a dense state, how
+many calls of each alone bring ``r_sum`` from 1 to ``l1_threshold``,
+and the resulting PowerPush/PowItr residue-update ratio (exact counts;
+the paper's Figure 6 has it at roughly one half).
+
 Consumed by ``benchmarks/bench_kernels.py --smoke`` (the CI artifact
 ``results/BENCH_kernels.json``) and ``repro-ppr bench-kernels``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -52,7 +62,10 @@ from repro.backends import (
     get_backend,
     registered_backends,
 )
+from repro.core.kernels import async_sweep, global_sweep
+from repro.core.power_iteration import power_iteration
 from repro.core.powerpush import power_push, power_push_block
+from repro.core.residues import PushState
 from repro.core.workspace import Workspace
 from repro.durability.atomic import atomic_write_json
 from repro.errors import ParameterError
@@ -63,6 +76,7 @@ __all__ = [
     "BackendMetrics",
     "KernelBatchMetrics",
     "KernelBenchReport",
+    "SweepMetrics",
     "run_kernel_bench",
 ]
 
@@ -136,6 +150,30 @@ class BackendMetrics:
 
 
 @dataclass
+class SweepMetrics:
+    """``global_sweep`` beside ``async_sweep`` (reference backend)."""
+
+    ns_per_edge_global: float
+    ns_per_edge_async: float
+    #: calls of the kernel alone from ``e_s`` until ``r_sum <= l1_threshold``
+    sweeps_to_l1_global: int
+    sweeps_to_l1_async: int
+    powerpush_residue_updates: int
+    powitr_residue_updates: int
+
+    @property
+    def update_ratio(self) -> float:
+        """PowerPush residue updates over PowItr's (Figure 6: ~0.5)."""
+        return self.powerpush_residue_updates / self.powitr_residue_updates
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            **asdict(self),
+            "powerpush_over_powitr_updates": self.update_ratio,
+        }
+
+
+@dataclass
 class KernelBenchReport:
     """Everything one kernel bench run measured."""
 
@@ -148,6 +186,7 @@ class KernelBenchReport:
     batches: list[KernelBatchMetrics] = field(default_factory=list)
     backends: list[BackendMetrics] = field(default_factory=list)
     skipped_backends: list[str] = field(default_factory=list)
+    sweeps: SweepMetrics | None = None
 
     @property
     def identical(self) -> bool:
@@ -223,6 +262,7 @@ class KernelBenchReport:
             "backends": [metrics.as_dict() for metrics in self.backends],
             "backend_speedups": self._backend_speedups(),
             "skipped_backends": list(self.skipped_backends),
+            "sweeps": self.sweeps.as_dict() if self.sweeps else None,
         }
 
     def write_json(self, path: str | Path) -> Path:
@@ -309,6 +349,17 @@ class KernelBenchReport:
             )
         for name in self.skipped_backends:
             lines.append(f"  backend {name:<6s} skipped (not installed)")
+        if self.sweeps is not None:
+            sweeps = self.sweeps
+            lines.append(
+                f"  sweeps  global {sweeps.ns_per_edge_global:6.2f} ns/edge, "
+                f"{sweeps.sweeps_to_l1_global} to l1   "
+                f"async {sweeps.ns_per_edge_async:6.2f} ns/edge, "
+                f"{sweeps.sweeps_to_l1_async} to l1   "
+                f"PowerPush/PowItr residue updates "
+                f"{sweeps.powerpush_residue_updates}/"
+                f"{sweeps.powitr_residue_updates} = {sweeps.update_ratio:.2f}"
+            )
         return "\n".join(lines)
 
 
@@ -432,7 +483,48 @@ def run_kernel_bench(
         repeats=repeats,
         backends=backends,
     )
+    report.sweeps = _measure_sweeps(
+        graph, pool[0], l1_threshold=l1_threshold, alpha=alpha, repeats=repeats
+    )
     return report
+
+
+def _measure_sweeps(
+    graph, source: int, *, l1_threshold: float, alpha: float, repeats: int
+) -> SweepMetrics:
+    """Time and count the two whole-graph sweeps (see the module docstring)."""
+    kernels = (
+        lambda state: global_sweep(state, count_all_edges=False),
+        async_sweep,
+    )
+    ns_per_edge, sweeps_to_l1 = [], []
+    for sweep in kernels:
+        state = PushState(graph, source, alpha)
+        count = 0
+        while state.r_sum > l1_threshold:
+            sweep(state)
+            count += 1
+        sweeps_to_l1.append(count)
+        # A dense state to time on: every node reachable holds residue.
+        state = PushState(graph, source, alpha)
+        for _ in range(6):
+            sweep(state)
+        best = min(_timed(sweep, state)[1] for _ in range(repeats))
+        ns_per_edge.append(best * 1e9 / max(graph.num_edges, 1))
+    solved = {
+        solver: solver(
+            graph, source, alpha=alpha, l1_threshold=l1_threshold
+        ).counters.residue_updates
+        for solver in (power_push, power_iteration)
+    }
+    return SweepMetrics(
+        ns_per_edge_global=ns_per_edge[0],
+        ns_per_edge_async=ns_per_edge[1],
+        sweeps_to_l1_global=sweeps_to_l1[0],
+        sweeps_to_l1_async=sweeps_to_l1[1],
+        powerpush_residue_updates=solved[power_push],
+        powitr_residue_updates=solved[power_iteration],
+    )
 
 
 def _parse_backends(

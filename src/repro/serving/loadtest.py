@@ -38,7 +38,6 @@ what a served answer is.
 from __future__ import annotations
 
 import asyncio
-import json
 import queue
 import threading
 import time

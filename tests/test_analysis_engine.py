@@ -22,6 +22,7 @@ EXPECTED_RULES = {
     "lock-discipline",
     "workspace-discipline",
     "no-mutable-default",
+    "unused-import",
     "suppression-hygiene",
 }
 

@@ -824,6 +824,103 @@ class TestWorkspaceDiscipline:
 
 
 # ---------------------------------------------------------------------------
+# unused-import
+# ---------------------------------------------------------------------------
+
+class TestUnusedImport:
+    def test_flags_each_unused_binding(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/core/tidy.py": """\
+                import json
+                import os.path
+                import numpy as np
+                from dataclasses import dataclass, field as fld
+
+                def f():
+                    from math import sqrt, floor
+                    return floor(np.pi)
+                """
+            },
+            select=["unused-import"],
+        )
+        assert sorted((f.line, f.message.split("'")[3]) for f in findings) == [
+            (1, "json"),
+            (2, "os"),
+            (4, "dataclass"),
+            (4, "fld"),
+            (7, "sqrt"),
+        ]
+
+    def test_annotations_all_and_probes_count_as_use(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/core/tidy.py": """\
+                from __future__ import annotations
+
+                from typing import TYPE_CHECKING, Iterable
+
+                from repro.core.helpers import exported_helper
+                from repro.core.shapes import Shape
+
+                if TYPE_CHECKING:
+                    from repro.backends.base import KernelBackend
+                    from repro.core.workspace import Workspace
+
+                try:
+                    from scipy.sparse import csr_matrix as _csr
+                except ImportError:
+                    _csr = None
+
+                __all__ = ["exported_helper", "run"]
+
+                def run(items: Iterable[int], backend: "KernelBackend | None"):
+                    scratch: "Workspace" = None
+                    shape: Shape = None
+                    return _csr, scratch, shape
+                """
+            },
+            select=["unused-import"],
+        )
+        assert findings == []
+
+    def test_init_files_and_noqa_are_exempt(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/core/__init__.py": """\
+                from repro.core.tidy import run
+                """,
+                "repro/core/plugins.py": """\
+                from repro.core import (  # noqa: F401  (imported to register)
+                    tidy,
+                )
+                import json  # noqa
+                import os  # noqa: E402
+                """,
+            },
+            select=["unused-import"],
+        )
+        assert [(f.path.rsplit("/", 1)[-1], f.line) for f in findings] == [
+            ("plugins.py", 5)
+        ]
+
+    def test_reasoned_allow_comment_suppresses(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/core/tidy.py": """\
+                import readline  # repro: allow[unused-import] -- imported for its side effect on input()
+                """
+            },
+            select=["unused-import"],
+        )
+        assert findings == []
+
+
+# ---------------------------------------------------------------------------
 # no-mutable-default
 # ---------------------------------------------------------------------------
 

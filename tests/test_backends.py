@@ -320,6 +320,52 @@ needs_numba = pytest.mark.skipif(
 EQUIV_TOL = 1e-12
 
 
+def _assert_async_sweeps_agree(backend):
+    """``async_sweep``/``block_async_sweep`` on ``backend`` vs the reference.
+
+    Same chunk schedule, so residues, reserves and billing must agree
+    after every sweep — on graphs whose plans have empty and edgeless
+    chunks, with dead ends under both dynamic policies, and for whole,
+    subset and permuted block rows.
+    """
+    graphs = [
+        rmat_digraph(6, 400, rng=np.random.default_rng(3)),
+        star_graph(5, bidirectional=False),
+        from_edges([(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)]),
+    ]
+    for graph in graphs:
+        for policy in ("redirect-to-source", "uniform-teleport"):
+            reference = PushState(graph, 0, dead_end_policy=policy)
+            compiled = PushState(graph, 0, dead_end_policy=policy)
+            workspace = Workspace()
+            for _ in range(4):
+                kernels.async_sweep(reference)
+                kernels.async_sweep(
+                    compiled, workspace=workspace, backend=backend
+                )
+                for ours, ref in (
+                    (compiled.residue, reference.residue),
+                    (compiled.reserve, reference.reserve),
+                ):
+                    assert float(np.abs(ours - ref).sum()) <= EQUIV_TOL
+                assert abs(compiled.r_sum - reference.r_sum) <= EQUIV_TOL
+                assert compiled.counters.as_dict() == reference.counters.as_dict()
+    graph = graphs[0]
+    for rows in ([0, 1, 2], [1], [2, 0, 1]):
+        rows = np.asarray(rows)
+        reference = BlockPushState(graph, [0, 1, 5])
+        compiled = BlockPushState(graph, [0, 1, 5])
+        for _ in range(3):
+            kernels.block_async_sweep(reference, rows)
+            kernels.block_async_sweep(compiled, rows, backend=backend)
+        assert float(np.abs(compiled.residue - reference.residue).sum()) <= EQUIV_TOL
+        assert float(np.abs(compiled.reserve - reference.reserve).sum()) <= EQUIV_TOL
+        np.testing.assert_array_equal(compiled.pushes, reference.pushes)
+        np.testing.assert_array_equal(
+            compiled.residue_updates, reference.residue_updates
+        )
+
+
 @needs_numba
 class TestNumbaEquivalence:
     """Compiled answers agree with the reference within 1e-12 L1."""
@@ -382,6 +428,9 @@ class TestNumbaEquivalence:
                 np.abs(reference.estimate - compiled.estimate).sum()
             )
             assert deviation <= EQUIV_TOL
+
+    def test_async_sweeps_match(self):
+        _assert_async_sweeps_agree(get_backend("numba"))
 
     def test_workspace_reuse_stays_flat(self):
         graph = rmat_digraph(8, 2000, rng=np.random.default_rng(5))
@@ -523,6 +572,9 @@ class TestNumbaLogicViaStub:
                 np.abs(reference.estimate - compiled.estimate).sum()
             )
             assert deviation <= EQUIV_TOL
+
+    def test_async_sweeps_match_reference(self, stub_backend):
+        _assert_async_sweeps_agree(stub_backend)
 
     def test_block_sweep_active_per_row_switch(self, stub_backend):
         graph = rmat_digraph(6, 400, rng=np.random.default_rng(6))

@@ -119,6 +119,38 @@ class TestFig6:
         assert "Figure 6" in result.render()
 
 
+class TestFig6PaperShape:
+    """Figure 6's ordering in numbers: with asynchronous scan sweeps
+    PowerPush reaches lambda in roughly half PowItr's residue updates
+    (0.55-0.57x here; the synchronous sweeps it replaced gave 0.95x)."""
+
+    @staticmethod
+    def _graphs():
+        from test_golden_traces import load_golden_graph
+
+        from repro.generators.rmat import rmat_digraph
+
+        yield "golden-200", load_golden_graph()
+        # bench_serving.py --smoke's graph
+        yield "smoke-rmat", rmat_digraph(
+            9, 4_000, rng=np.random.default_rng(2021), name="smoke-rmat"
+        )
+
+    def test_powerpush_under_0_7_of_powitr_and_fifo_below_powitr(self):
+        for name, graph in self._graphs():
+            # One source, so fig5.reference_source has no timing to rank.
+            workspace = Workspace(
+                ExperimentConfig(datasets=(name,), num_sources=1, seed=7)
+            )
+            workspace._graphs[name] = graph
+            result = run_fig6(workspace)
+            reach = result.updates_to_reach(
+                name, workspace.config.l1_threshold(graph)
+            )
+            assert reach["PowerPush"] < 0.7 * reach["PowItr"], (name, reach)
+            assert reach["FIFO-FwdPush"] < reach["PowItr"], (name, reach)
+
+
 class TestFig7:
     def test_methods_and_monotonicity(self, tiny_workspace):
         result = run_fig7(tiny_workspace)

@@ -14,13 +14,18 @@ solvers likewise because their seeded RNG stream is pinned, and BePI
 gets 1e-8 of slack for the scipy sparse factorisation.
 
 Regenerate after an *intentional* numeric change (then justify the
-diff in review)::
+diff in review), naming the solvers the change is meant to move — the
+other vectors are then kept byte for byte, and ``UNMOVED_SHA256`` below
+says so in the diff::
 
-    PYTHONPATH=src python tests/test_golden_traces.py --regenerate
+    PYTHONPATH=src python tests/test_golden_traces.py --regenerate powerpush fora
+
+Without names, the graph fixture and every vector are rewritten.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -71,33 +76,65 @@ def compute_vector(graph, method: str, source: int) -> np.ndarray:
     return solve(graph, source, method, **CASES[method]).estimate
 
 
-def regenerate() -> None:
-    """Write the graph fixture and all golden vectors (maintainer tool)."""
+#: The solvers built on the scan-phase sweep (``sweep_active``): the
+#: ones a change to that kernel is allowed to move.
+SWEEP_SOLVERS = frozenset({"powerpush", "fifo-fwdpush", "speedppr", "fora"})
+
+#: Digest of every other solver's committed vectors (sorted by key),
+#: unchanged since before the sweep went asynchronous.
+UNMOVED_SHA256 = (
+    "3f86ef2faee6a3c9780b0cdc18cf0ecc"
+    "d34b35425323b1562f00196b486aab64"
+)
+
+
+def unmoved_digest(archive) -> str:
+    digest = hashlib.sha256()
+    for key in sorted(archive.files):
+        if key.split("__")[0] not in SWEEP_SOLVERS:
+            digest.update(archive[key].tobytes())
+    return digest.hexdigest()
+
+
+def regenerate(methods: tuple[str, ...] = ()) -> None:
+    """Write the golden vectors of ``methods`` (maintainer tool).
+
+    With no ``methods``: the graph fixture and every solver's vectors.
+    """
     from repro.generators.chung_lu import power_law_digraph
 
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    graph = power_law_digraph(
-        NUM_NODES, 1400, rng=np.random.default_rng(2021), name="golden-200"
-    )
-    sources_arr, targets_arr = graph.edge_array()
-    np.savetxt(
-        GRAPH_FILE,
-        np.column_stack([sources_arr, targets_arr]),
-        fmt="%d",
-        header="golden 200-node scale-free graph (u v per line)",
-    )
+    unknown = set(methods) - set(CASES)
+    if unknown:
+        sys.exit(f"no golden case for {sorted(unknown)}")
+    if methods:
+        with np.load(VECTORS_FILE) as archive:
+            vectors = {key: archive[key] for key in archive.files}
+    else:
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        graph = power_law_digraph(
+            NUM_NODES, 1400, rng=np.random.default_rng(2021), name="golden-200"
+        )
+        sources_arr, targets_arr = graph.edge_array()
+        np.savetxt(
+            GRAPH_FILE,
+            np.column_stack([sources_arr, targets_arr]),
+            fmt="%d",
+            header="golden 200-node scale-free graph (u v per line)",
+        )
+        vectors = {}
     graph = load_golden_graph()  # round-trip, exactly what tests will see
-    vectors = {}
-    for method in CASES:
+    for method in methods or CASES:
         for source in SOURCES:
             vectors[f"{method}__{source}"] = compute_vector(
                 graph, method, source
             )
     np.savez_compressed(VECTORS_FILE, **vectors)
-    print(
-        f"wrote {GRAPH_FILE.name} ({graph.num_edges} edges) and "
-        f"{VECTORS_FILE.name} ({len(vectors)} vectors)"
-    )
+    with np.load(VECTORS_FILE) as archive:
+        print(
+            f"wrote {VECTORS_FILE.name}: {len(methods or CASES)} solvers "
+            f"recomputed, {len(vectors)} vectors, "
+            f"UNMOVED_SHA256 = {unmoved_digest(archive)}"
+        )
 
 
 class TestFixtures:
@@ -111,6 +148,13 @@ class TestFixtures:
             f"solvers without golden traces: {sorted(missing)} — add a "
             f"CASES entry and regenerate the fixture"
         )
+
+    def test_solvers_off_the_sweep_kernel_did_not_move(self):
+        with np.load(VECTORS_FILE) as archive:
+            assert unmoved_digest(archive) == UNMOVED_SHA256, (
+                "a committed vector of a solver outside SWEEP_SOLVERS "
+                "changed; regenerate only the solvers meant to move"
+            )
 
     def test_graph_shape_is_stable(self):
         graph = load_golden_graph()
@@ -181,7 +225,7 @@ def test_solver_matches_golden_trace(method, source):
 
 if __name__ == "__main__":
     if "--regenerate" in sys.argv:
-        regenerate()
+        regenerate(tuple(sys.argv[sys.argv.index("--regenerate") + 1 :]))
     else:
         print(__doc__)
         sys.exit(1)

@@ -182,24 +182,81 @@ class TestEngineReorder:
             graph, seed=5, reorder=strategy
         )
 
+    @staticmethod
+    def _invariant_gap(graph, result, alpha=0.2):
+        """``||estimate + (what the residues still owe) - pi_s||_1`` in
+        the ids of ``graph`` (dead ends redirect to the source)."""
+        from repro.metrics.ground_truth import exact_ppr_dense
+
+        n = graph.num_nodes
+        transition = np.zeros((n, n))
+        for v in range(n):
+            neighbors = graph.out_neighbors(v)
+            if neighbors.shape[0]:
+                np.add.at(transition[v], neighbors, 1.0 / neighbors.shape[0])
+            else:
+                transition[v, result.source] = 1.0
+        owed = np.linalg.solve(
+            np.eye(n) - (1.0 - alpha) * transition.T, alpha * result.residue
+        )
+        exact = exact_ppr_dense(graph, result.source, alpha=alpha)
+        return float(np.abs(result.estimate + owed - exact).sum())
+
     @pytest.mark.parametrize("strategy", ["degree", "slashburn"])
     def test_query_matches_plain_engine(self, strategy):
+        # PowItr's sweeps are synchronous, so a relabelling only
+        # re-associates its sums.
         _, plain, reordered = self._engines(strategy)
         for source in (0, 17, 63):
-            a = plain.query(source, "powerpush", l1_threshold=1e-8)
-            b = reordered.query(source, "powerpush", l1_threshold=1e-8)
+            a = plain.query(source, "powitr", l1_threshold=1e-8)
+            b = reordered.query(source, "powitr", l1_threshold=1e-8)
             assert b.source == source
             assert np.abs(a.estimate - b.estimate).sum() < 1e-12
             assert np.abs(a.residue - b.residue).sum() < 1e-12
 
+    @pytest.mark.parametrize("strategy", ["degree", "slashburn"])
+    def test_powerpush_query_maps_back_to_original_ids(self, strategy):
+        # PowerPush's asynchronous sweep pushes in node-id order, so the
+        # reordered engine must equal a solve on the relabelled graph
+        # (mapped back), and only sits within 2*lambda of the plain one.
+        from repro.api import PPREngine
+
+        graph, plain, reordered = self._engines(strategy)
+        relabel = reordered.reordering
+        inner = PPREngine(relabel.graph, seed=5)
+        for source in (0, 17, 63):
+            a = plain.query(source, "powerpush", l1_threshold=1e-8)
+            b = reordered.query(source, "powerpush", l1_threshold=1e-8)
+            c = inner.query(
+                relabel.to_internal(source), "powerpush", l1_threshold=1e-8
+            )
+            assert b.source == source
+            np.testing.assert_array_equal(
+                b.estimate, relabel.restore_vector(c.estimate)
+            )
+            np.testing.assert_array_equal(
+                b.residue, relabel.restore_vector(c.residue)
+            )
+            assert self._invariant_gap(graph, b) < 1e-12
+            assert b.r_sum <= 1e-8
+            gap = np.abs(a.estimate - b.estimate).sum()
+            assert gap <= a.r_sum + b.r_sum + 1e-12
+
     def test_block_batch_matches_plain_engine(self):
-        _, plain, reordered = self._engines("degree")
+        graph, plain, reordered = self._engines("degree")
         a = plain.batch_query([2, 9, 33, 41], "powerpush")
         b = reordered.batch_query([2, 9, 33, 41], "powerpush")
         assert reordered.block_batches == 1
         for x, y in zip(a, b):
             assert x.source == y.source
-            assert np.abs(x.estimate - y.estimate).sum() < 1e-12
+            # Block rows are the single-source answers, already in
+            # original ids; against the plain engine only 2*lambda holds.
+            single = reordered.query(y.source, "powerpush")
+            np.testing.assert_array_equal(y.estimate, single.estimate)
+            np.testing.assert_array_equal(y.residue, single.residue)
+            assert self._invariant_gap(graph, y) < 1e-12
+            gap = np.abs(x.estimate - y.estimate).sum()
+            assert gap <= x.r_sum + y.r_sum + 1e-12
 
     def test_top_k_reports_original_ids(self):
         _, plain, reordered = self._engines("degree")
