@@ -22,7 +22,6 @@ from repro.analysis.rules import Rule, dotted_name, register_rule
 _PERSISTENCE_PACKAGES = (
     "repro.api",
     "repro.serving",
-    "repro.perf",
     "repro.durability",
 )
 
@@ -42,7 +41,7 @@ class DurabilityDisciplineRule(Rule):
         "WAL appends fsync before returning"
     )
     invariant = (
-        "Modules in repro.api / repro.serving / repro.perf / "
+        "Modules in repro.api / repro.serving / "
         "repro.durability never call path.write_text, "
         "path.write_bytes, or json.dump directly — a crash mid-write "
         "leaves a torn artefact that atomic_write_* is designed to "

@@ -374,7 +374,7 @@ class PPREngine:
         :class:`~repro.serving.shm.SharedGraphImage` or a picklable
         :class:`~repro.serving.shm.SharedGraphHandle` received from the
         exporting process (it is attached here).  The engine's CSR
-        arrays and push caches alias the shared segment — construction
+        arrays and ``edge_sources`` alias the shared segment — construction
         copies nothing, so N worker processes serve one physical graph
         image.
 

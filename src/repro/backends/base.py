@@ -60,8 +60,8 @@ class KernelBackend:
         Registry key (``"numpy"``, ``"numba"`` …).
     compiled:
         Whether the kernels run as ahead-of-time/JIT compiled loops
-        (used by benchmarks to schedule an untimed warm-up call so JIT
-        compilation never lands inside a timed region).
+        (whoever times them makes an untimed warm-up call first, so
+        JIT compilation never lands inside a timed region).
     """
 
     name: str = ""
@@ -95,7 +95,6 @@ class KernelBackend:
         state: PushState,
         r_max: float,
         *,
-        dense_fraction: float,
         threshold_vec: np.ndarray | None = None,
         workspace: Workspace | None = None,
     ) -> int:
@@ -133,18 +132,6 @@ class KernelBackend:
         workspace: Workspace | None = None,
     ) -> None:
         """One asynchronous chunked sweep for every row in ``rows``."""
-        raise NotImplementedError
-
-    def block_sweep_active(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        masks: np.ndarray,
-        *,
-        dense_fraction: float,
-        workspace: Workspace | None = None,
-    ) -> np.ndarray:
-        """Sweep each row once, switching global/local per row."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

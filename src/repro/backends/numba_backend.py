@@ -453,10 +453,11 @@ class NumbaBackend(KernelBackend):
         state: PushState,
         r_max: float,
         *,
-        dense_fraction: float,
         threshold_vec: np.ndarray | None = None,
         workspace: Workspace | None = None,
     ) -> int:
+        from repro.core.kernels import DENSE_SWEEP_FRACTION
+
         graph = state.graph
         if threshold_vec is None:
             threshold_vec = state.threshold_vector(r_max)
@@ -468,7 +469,7 @@ class NumbaBackend(KernelBackend):
         )
         if count == 0:
             return 0
-        if count <= dense_fraction * graph.num_nodes:
+        if count <= DENSE_SWEEP_FRACTION * graph.num_nodes:
             self.frontier_push(state, active[:count], workspace=workspace)
         else:
             self.async_sweep(state, workspace=workspace)
@@ -601,29 +602,6 @@ class NumbaBackend(KernelBackend):
             state.alpha,
         )
         _settle_block_async_sweep(state, rows, pushed)
-
-    def block_sweep_active(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        masks: np.ndarray,
-        *,
-        dense_fraction: float,
-        workspace: Workspace | None = None,
-    ) -> np.ndarray:
-        graph = state.graph
-        num_active = np.count_nonzero(masks, axis=1)
-        local = (num_active > 0) & (
-            num_active <= dense_fraction * graph.num_nodes
-        )
-        dense = num_active > dense_fraction * graph.num_nodes
-        if local.any():
-            self.block_frontier_push(
-                state, rows[local], masks[local], workspace=workspace
-            )
-        if dense.any():
-            self.block_async_sweep(state, rows[dense], workspace=workspace)
-        return num_active
 
     @staticmethod
     def _route_block_dead_mass(

@@ -58,7 +58,6 @@ class NumpyBackend(KernelBackend):
         state: PushState,
         r_max: float,
         *,
-        dense_fraction: float,
         threshold_vec: np.ndarray | None = None,
         workspace: Workspace | None = None,
     ) -> int:
@@ -67,7 +66,6 @@ class NumpyBackend(KernelBackend):
         return kernels.sweep_active(
             state,
             r_max,
-            dense_fraction=dense_fraction,
             threshold_vec=threshold_vec,
             workspace=workspace,
         )
@@ -108,22 +106,3 @@ class NumpyBackend(KernelBackend):
         from repro.core import kernels
 
         kernels.block_async_sweep(state, rows, workspace=workspace)
-
-    def block_sweep_active(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        masks: np.ndarray,
-        *,
-        dense_fraction: float,
-        workspace: Workspace | None = None,
-    ) -> np.ndarray:
-        from repro.core import kernels
-
-        return kernels.block_sweep_active(
-            state,
-            rows,
-            masks,
-            dense_fraction=dense_fraction,
-            workspace=workspace,
-        )

@@ -39,12 +39,6 @@ compare with the serial one-query-at-a-time baseline::
 
     repro-ppr loadtest --requests 400 --concurrency 8 --out bench.json
 
-Benchmark the multi-source block kernels — one batched PowerPush solve
-vs the per-source loop, with element-wise identity checked — the same
-smoke run CI gates on (writes ``results/BENCH_kernels.json``)::
-
-    repro-ppr bench-kernels --batch-sizes 8,32
-
 Run the project-invariant static checker (determinism, backend parity,
 lock discipline — the same gate CI runs; see CONTRIBUTING.md)::
 
@@ -164,44 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compact the delta overlay after every batch",
     )
     bench.add_argument("--out", type=Path, help="also write the report here")
-
-    kernels = sub.add_parser(
-        "bench-kernels",
-        help=(
-            "benchmark block (multi-source) PowerPush vs the per-source "
-            "loop; writes BENCH_kernels.json"
-        ),
-    )
-    kernels.add_argument(
-        "--scale", type=int, default=8, help="log2 of the R-MAT id space"
-    )
-    kernels.add_argument("--edges", type=int, default=2_000)
-    kernels.add_argument(
-        "--batch-sizes",
-        default="8,32",
-        help="comma-separated batch sizes (default 8,32)",
-    )
-    kernels.add_argument("--l1-threshold", type=float, default=1e-8)
-    kernels.add_argument("--alpha", type=float, default=0.2)
-    kernels.add_argument("--seed", type=int, default=2021)
-    kernels.add_argument(
-        "--repeats", type=int, default=3, help="timing runs (best is kept)"
-    )
-    kernels.add_argument(
-        "--backends",
-        default="auto",
-        metavar="LIST",
-        help=(
-            "comma-separated kernel backends to compare (default 'auto': "
-            "numpy plus numba when importable)"
-        ),
-    )
-    kernels.add_argument(
-        "--out",
-        type=Path,
-        default=Path("results") / "BENCH_kernels.json",
-        help="metrics JSON path (default results/BENCH_kernels.json)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -441,8 +397,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_query(args)
         if args.command == "update-bench":
             return _cmd_update_bench(args)
-        if args.command == "bench-kernels":
-            return _cmd_bench_kernels(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "loadtest":
@@ -523,33 +477,6 @@ def _cmd_update_bench(args: argparse.Namespace) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(report + "\n")
     return 0
-
-
-def _cmd_bench_kernels(args: argparse.Namespace) -> int:
-    """Block vs per-source batch solve; exit 1 on answer divergence."""
-    from repro.perf import run_kernel_bench
-
-    batch_sizes = tuple(
-        int(token) for token in args.batch_sizes.split(",") if token.strip()
-    )
-    if not batch_sizes:
-        raise ReproError("--batch-sizes needs at least one integer")
-    report = run_kernel_bench(
-        scale=args.scale,
-        edges=args.edges,
-        batch_sizes=batch_sizes,
-        l1_threshold=args.l1_threshold,
-        alpha=args.alpha,
-        seed=args.seed,
-        repeats=args.repeats,
-        backends=args.backends,
-    )
-    print(report.render())
-    path = report.write_json(args.out)
-    print(f"metrics written to {path}")
-    verdict = report.assessment(target_speedup=3.0)
-    print(verdict)
-    return 1 if verdict.startswith("FAIL") else 0
 
 
 def _parse_request_value(text: str):

@@ -16,7 +16,6 @@ from repro.core.incremental import IncrementalPPR
 from repro.core.kernels import (
     block_frontier_push,
     block_global_sweep,
-    block_sweep_active,
     frontier_push,
     global_sweep,
     sweep_active,
@@ -51,7 +50,6 @@ __all__ = [
     "Workspace",
     "block_global_sweep",
     "block_frontier_push",
-    "block_sweep_active",
     "IncrementalPPR",
     "refine_to_r_max",
     "speed_ppr",

@@ -42,8 +42,10 @@ with all-one weights — which adds each share into the live residue
 vector in place.  So a sweep reads neither ``P^T`` nor any per-edge
 weight array (the transposed matrix's ``data`` is 8 bytes per edge the
 mat-vec has to stream), and costs about the mat-vec's time per edge
-(``repro-ppr bench-kernels`` prints both) while needing little more
-than half as many sweeps to reach the same ``r_sum``.
+(``kernels.global_sweep_ns_per_edge`` beside
+``powerpush.ns_per_residue_update`` in a ``benchmarks/e2e`` traced
+run) while needing little more than half as many sweeps to reach the
+same ``r_sum``.
 
 Summation order, and why results are bitwise-stable: the scatter walks
 a chunk's nodes in ascending id and each node's edges in CSR order, so
@@ -58,10 +60,9 @@ depend on node order is the answer itself: relabelling the graph
 changes which residues are fresh when, hence which of the valid
 answers (all within ``r_sum`` of the exact vector) comes out.
 
-Non-goal: ``P^T`` is still built by ``warm_push_caches`` and exported
-in the shared-memory image although the PowerPush family no longer
-reads it.  Making it lazy would cut ``graph.warm_caches_ms`` and is
-left for a follow-up.
+``P^T`` is still built by ``warm_push_caches`` (PowItr, SimFwdPush and
+BePI read it) but is no longer part of the shared-memory image: a
+shard that needs it builds it lazily.
 
 Block (multi-source) kernels and their cost model
 -------------------------------------------------
@@ -87,11 +88,11 @@ constants, not the asymptotics:
   active in no row contribute exact ``+0.0`` terms, which keeps every
   row bitwise-identical to an independent single-source push while the
   index arithmetic is shared.
-* :func:`block_sweep_active` applies the global/local switch *per
-  row*: hot rows (wide frontiers) join the asynchronous scan while
-  cold rows (narrow frontiers) join the union gather — the paper's
-  density trade-off, decided independently for every source in the
-  block.
+* the global/local switch is applied *per row* by the solver
+  (:func:`~repro.core.powerpush.power_push_block`): hot rows (wide
+  frontiers) join the asynchronous scan while cold rows (narrow
+  frontiers) join the union gather — the paper's density trade-off,
+  decided independently for every source in the block.
 
 Scratch buffers: the frontier kernels accept an optional
 :class:`~repro.core.workspace.Workspace`; callers that push in a loop
@@ -170,7 +171,6 @@ __all__ = [
     "block_global_sweep",
     "block_frontier_push",
     "block_async_sweep",
-    "block_sweep_active",
 ]
 
 # Fraction of all nodes above which `sweep_active` abandons the
@@ -353,7 +353,6 @@ def sweep_active(
     state: PushState,
     r_max: float,
     *,
-    dense_fraction: float = DENSE_SWEEP_FRACTION,
     threshold_vec: np.ndarray | None = None,
     workspace: Workspace | None = None,
     backend: "KernelBackend | None" = None,
@@ -361,7 +360,8 @@ def sweep_active(
     """Push all currently-active nodes once; return how many were pushed.
 
     Chooses between the local gather/scatter path and the global path
-    depending on the frontier size — the vectorised analog of
+    depending on the frontier size (more than ``DENSE_SWEEP_FRACTION``
+    of the nodes active means global) — the vectorised analog of
     PowerPush's queue-vs-sequential-scan switch.  The global path is
     one :func:`async_sweep`, which pushes *every* residue-holding node
     (not only the active ones): the scan walks the whole edge array
@@ -380,7 +380,6 @@ def sweep_active(
         return backend.sweep_active(
             state,
             r_max,
-            dense_fraction=dense_fraction,
             threshold_vec=threshold_vec,
             workspace=workspace,
         )
@@ -393,7 +392,7 @@ def sweep_active(
     if num_active == 0:
         return 0
 
-    if num_active <= dense_fraction * graph.num_nodes:
+    if num_active <= DENSE_SWEEP_FRACTION * graph.num_nodes:
         frontier_push(state, np.flatnonzero(active), workspace=workspace)
     else:
         async_sweep(state, workspace=workspace)
@@ -910,45 +909,6 @@ def block_frontier_push(
             dead_mass = (1.0 - alpha) * float(row_r[row_dead].sum())
             _apply_block_dead_end_mass(state, row, dead_mass)
         state.note_r_sum_delta(row, -alpha * pushed_mass)
-
-
-def block_sweep_active(
-    state: BlockPushState,
-    rows: np.ndarray,
-    masks: np.ndarray,
-    *,
-    dense_fraction: float = DENSE_SWEEP_FRACTION,
-    workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
-) -> np.ndarray:
-    """Sweep each row once, switching global/local **per row**.
-
-    ``masks`` holds each row's activity mask (callers compute it
-    against the row's current threshold).  Rows whose frontier exceeds
-    ``dense_fraction * n`` join one :func:`block_async_sweep`; the rest
-    join one union gather/scatter — hot rows scan while cold rows push.
-    Returns the per-row active counts (0 marks a row that did not
-    push).
-    """
-    if backend is not None:
-        return backend.block_sweep_active(
-            state,
-            rows,
-            masks,
-            dense_fraction=dense_fraction,
-            workspace=workspace,
-        )
-    graph = state.graph
-    num_active = np.count_nonzero(masks, axis=1)
-    local = (num_active > 0) & (num_active <= dense_fraction * graph.num_nodes)
-    dense = num_active > dense_fraction * graph.num_nodes
-    if local.any():
-        block_frontier_push(
-            state, rows[local], masks[local], workspace=workspace
-        )
-    if dense.any():
-        block_async_sweep(state, rows[dense], workspace=workspace)
-    return num_active
 
 
 def _apply_block_dead_end_mass(

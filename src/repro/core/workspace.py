@@ -16,8 +16,8 @@ workspace per solve (or per solver thread) and thread it through the
 kernel calls — see :func:`repro.core.powerpush.power_push_block`.
 
 ``requests``/``allocations`` counters make reuse observable: the
-kernel benchmark reports them in ``BENCH_kernels.json`` so allocation
-regressions show up next to the timing numbers.
+kernel tests assert that a second solve through the same workspace
+allocates nothing, so allocation regressions fail tier 1.
 """
 
 from __future__ import annotations
@@ -77,14 +77,6 @@ class Workspace:
     def reused(self) -> int:
         """Requests served without allocating."""
         return self.requests - self.allocations
-
-    def stats(self) -> dict[str, int]:
-        """Counters for benchmark reports."""
-        return {
-            "requests": self.requests,
-            "allocations": self.allocations,
-            "reused": self.reused,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         held = sum(buf.nbytes for buf in self._buffers.values())

@@ -435,11 +435,10 @@ class DiGraph:
         :attr:`edge_sources` gather index, the asynchronous-sweep
         chunk plan, and the transposed transition matrix (still built
         eagerly although the PowerPush family no longer reads it:
-        PowItr, SimFwdPush and the shared-memory image do), so a
-        serving engine (or a benchmark that
-        wants construction out of its timed region) pays them once up
-        front instead of lazily inside the first query.  Returns
-        ``self`` for chaining.
+        PowItr, SimFwdPush and BePI do), so a serving engine (or a
+        benchmark that wants construction out of its timed region)
+        pays them once up front instead of lazily inside the first
+        query.  Returns ``self`` for chaining.
         """
         self.out_degree
         self.dead_ends
@@ -448,52 +447,29 @@ class DiGraph:
         self.transition_matrix_transpose()
         return self
 
-    def adopt_push_caches(
-        self,
-        *,
-        pt_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        edge_sources: np.ndarray | None = None,
-    ) -> "DiGraph":
-        """Install pre-built push caches instead of computing them.
+    def adopt_push_caches(self, *, edge_sources: np.ndarray) -> "DiGraph":
+        """Install a pre-built :attr:`edge_sources` instead of computing it.
 
-        The shared-memory serving path
-        (:mod:`repro.serving.shm`) exports one process's warmed caches
-        — the ``P^T`` CSR arrays and the flattened
-        :attr:`edge_sources` gather index — and re-attaches them in
-        worker processes as zero-copy views over the shared segment.
-        This installs those views where the lazy properties would have
-        cached freshly computed (and byte-identical) arrays, so no
-        attacher pays the ``O(m)`` rebuild.
+        The shared-memory serving path (:mod:`repro.serving.shm`)
+        exports one process's flattened gather index and re-attaches
+        it in worker processes as a zero-copy view over the shared
+        segment.  This installs that view where the lazy property
+        would have cached a freshly computed (and byte-identical)
+        array, so no attacher pays the ``O(m)`` rebuild or holds a
+        private copy.  ``P^T`` is not shared this way: only PowItr,
+        SimFwdPush, BePI and the numba sweep read it, and each process
+        builds it lazily on first use.
 
-        Arrays are adopted as given (no copy); shapes are validated
-        against the graph, and callers should pass read-only views.
+        The array is adopted as given (no copy); its shape is validated
+        against the graph, and callers should pass a read-only view.
         Returns ``self`` for chaining.
         """
-        if pt_arrays is not None:
-            indptr, indices, data = pt_arrays
-            if indptr.shape != (self._n + 1,):
-                raise GraphConstructionError(
-                    f"P^T indptr has shape {indptr.shape}, "
-                    f"expected ({self._n + 1},)"
-                )
-            if indices.shape != data.shape:
-                raise GraphConstructionError(
-                    f"P^T indices/data shapes differ: "
-                    f"{indices.shape} vs {data.shape}"
-                )
-            from scipy.sparse import csr_matrix
-
-            # No-copy when dtypes already match what scipy expects.
-            self._pt_matrix = csr_matrix(
-                (data, indices, indptr), shape=(self._n, self._n)
+        if edge_sources.shape != (self._m,):
+            raise GraphConstructionError(
+                f"edge_sources has shape {edge_sources.shape}, "
+                f"expected ({self._m},)"
             )
-        if edge_sources is not None:
-            if edge_sources.shape != (self._m,):
-                raise GraphConstructionError(
-                    f"edge_sources has shape {edge_sources.shape}, "
-                    f"expected ({self._m},)"
-                )
-            self._edge_sources = edge_sources
+        self._edge_sources = edge_sources
         return self
 
     # ------------------------------------------------------------------

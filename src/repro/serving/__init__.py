@@ -16,8 +16,7 @@ this package makes it a *service*:
   the consistency guarantee rests on.
 * :class:`~repro.serving.workload.WorkloadGenerator` /
   :func:`~repro.serving.loadtest.run_loadtest` — synthetic Zipfian
-  traffic and the load/soak harness behind ``repro-ppr loadtest`` and
-  ``benchmarks/bench_serving.py``.
+  traffic and the load/soak harness behind ``repro-ppr loadtest``.
 * :class:`~repro.serving.sharded.ShardedDispatcher` /
   :class:`~repro.serving.shm.SharedGraphImage` — the process-parallel
   tier: N worker processes each run an :class:`EngineServer` over one
@@ -52,7 +51,6 @@ from repro.serving.frontdoor import AsyncFrontDoor, FrontDoorStats
 from repro.serving.loadtest import (
     LoadtestReport,
     LoadtestStats,
-    RunMetrics,
     run_loadtest,
 )
 from repro.serving.locks import RWLock
@@ -89,6 +87,5 @@ __all__ = [
     "Operation",
     "LoadtestReport",
     "LoadtestStats",
-    "RunMetrics",
     "run_loadtest",
 ]

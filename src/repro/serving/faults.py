@@ -8,8 +8,9 @@ submitted", "drop worker 0's 3rd reply") and both sides of the process
 boundary trigger them off deterministic counters — the dispatcher's
 submit count for process-level faults, the worker's own reply/barrier
 ordinals for in-worker faults.  :meth:`FaultInjector.random_schedule`
-builds a randomized schedule from a seed, so ``--chaos-seed`` in the
-bench reproduces the whole run bit for bit.
+builds a randomized schedule from a seed, so a chaos test (or
+``repro-ppr loadtest --chaos --chaos-seed``) replays its faults
+exactly.
 
 Fault kinds
 -----------

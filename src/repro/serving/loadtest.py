@@ -12,7 +12,7 @@ call to :func:`run_loadtest`
 3. cross-checks the answers (byte-identical for deterministic methods
    on read-only workloads) and emits a :class:`LoadtestReport` with
    throughput, p50/p99 latency, cache hit rate, batching factor, and
-   the speedup — the payload of ``BENCH_serving.json``.
+   the speedup.
 
 Both runs build their graph from the same factory and draw edge
 updates from the same stream, so a read/write soak mutates the two
@@ -64,7 +64,7 @@ from repro.serving.scheduler import ServedResult
 from repro.serving.sharded import ShardedDispatcher
 from repro.serving.workload import Operation, Workload
 
-__all__ = ["LoadtestReport", "LoadtestStats", "RunMetrics", "run_loadtest"]
+__all__ = ["LoadtestReport", "LoadtestStats", "run_loadtest"]
 
 
 @dataclass
@@ -84,21 +84,14 @@ class LoadtestStats:
     updates: int
     p50_ms: float
     p99_ms: float
-    completed: int = -1
+    completed: int
+    #: completions inside the SLO (== ``completed`` when none was set)
+    within_slo: int
     degraded: int = 0
     shed: int = 0
     deadline_expired: int = 0
     failed: int = 0
     slo_ms: float | None = None
-    within_slo: int = -1
-
-    def __post_init__(self) -> None:
-        # Legacy construction sites predate outcome accounting: a run
-        # that reports no outcomes completed everything it was asked.
-        if self.completed < 0:
-            self.completed = self.queries
-        if self.within_slo < 0:
-            self.within_slo = self.completed
 
     @property
     def accounted(self) -> int:
@@ -152,11 +145,6 @@ class LoadtestStats:
             doc["slo_ms"] = self.slo_ms
             doc["within_slo"] = self.within_slo
         return doc
-
-
-#: Backwards-compatible alias — earlier releases exported the summary
-#: as ``RunMetrics`` (no outcome accounting).
-RunMetrics = LoadtestStats
 
 
 @dataclass
@@ -317,6 +305,8 @@ def _run_serial(
             updates=workload.num_updates,
             p50_ms=p50,
             p99_ms=p99,
+            completed=len(latencies),
+            within_slo=len(latencies),
         ),
         estimates,
     )

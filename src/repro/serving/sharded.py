@@ -128,10 +128,15 @@ _POLL = 0.05
 #: use, so resident memory follows the in-flight depth, not the cap.
 _ARENA_MAX_BYTES = 32 << 20
 
-#: Default per-worker vnode count on the hash ring.  Enough that each
-#: worker's share of sources stays within a few percent of uniform and
-#: a removed worker's arc scatters evenly over the survivors.
-_DEFAULT_VNODES = 48
+#: Per-worker vnode count on the hash ring.  Enough that each worker's
+#: share of sources stays within a few percent of uniform and a removed
+#: worker's arc scatters evenly over the survivors.
+_VNODES = 48
+
+#: Seconds :meth:`ShardedDispatcher.apply_updates` (and a respawn's
+#: journal replay) waits for barrier acks before declaring the cluster
+#: wedged.
+_UPDATE_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
@@ -396,19 +401,18 @@ def _ring_point(token: str) -> int:
 class _HashRing:
     """Consistent hashing of source ids onto worker ids.
 
-    Each worker contributes ``vnodes`` points; a source routes to the
+    Each worker contributes ``_VNODES`` points; a source routes to the
     first point clockwise from its own hash.  Removing a worker moves
     only the sources on its arcs — every other source keeps its worker
     (and therefore its warm cache).
     """
 
-    def __init__(self, vnodes: int) -> None:
-        self._vnodes = vnodes
+    def __init__(self) -> None:
         self._points: list[int] = []
         self._owners: dict[int, int] = {}
 
     def add(self, worker_id: int) -> None:
-        for v in range(self._vnodes):
+        for v in range(_VNODES):
             point = _ring_point(f"{worker_id}:{v}")
             # blake2b collisions across our tiny point sets are
             # vanishingly unlikely; first owner keeps the point.
@@ -593,11 +597,6 @@ class ShardedDispatcher:
         available (inherits the warmed import state), else the
         platform default.  Workers attach the image by handle either
         way, so spawn works identically, just slower to start.
-    vnodes:
-        Hash-ring points per worker.
-    update_timeout:
-        Seconds to wait for every worker's barrier ack in
-        :meth:`apply_updates` before declaring the cluster wedged.
     restart_policy:
         :class:`~repro.serving.supervisor.RestartPolicy` for crashed
         shards (default: jittered exponential backoff, budget of 3
@@ -605,18 +604,11 @@ class ShardedDispatcher:
         overrides just the budget; ``max_restarts=0`` disables
         respawning (a dead worker is removed permanently, the
         pre-supervision behaviour).
-    retry_policy:
-        :class:`~repro.serving.supervisor.RetryPolicy` bounding read
-        re-submissions (reroutes off dead shards, timeout retries).
-        Retried answers are byte-identical by construction.
     request_timeout:
         Seconds a routed request may sit unanswered before the
         supervisor counts a shard failure and retries it elsewhere.
         ``None`` (default) disables the scan — death detection alone
         reroutes; set it for chaos runs where replies can be dropped.
-    breaker_threshold, breaker_reset:
-        Per-shard circuit breaker: consecutive failures to trip open,
-        and seconds before the half-open probe.
     fault_injector:
         Deterministic chaos schedule
         (:class:`~repro.serving.faults.FaultInjector`); ``None`` in
@@ -656,14 +648,9 @@ class ShardedDispatcher:
         window: float = 0.002,
         max_batch: int = 64,
         start_method: str | None = None,
-        vnodes: int = _DEFAULT_VNODES,
-        update_timeout: float = 30.0,
         restart_policy: RestartPolicy | None = None,
         max_restarts: int | None = None,
-        retry_policy: RetryPolicy | None = None,
         request_timeout: float | None = None,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 1.0,
         fault_injector: FaultInjector | None = None,
         wal_dir: str | Path | None = None,
         wal_fsync: bool = True,
@@ -671,8 +658,6 @@ class ShardedDispatcher:
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        if vnodes < 1:
-            raise ParameterError(f"vnodes must be >= 1, got {vnodes}")
         self._durability = None
         self._mirror: DynamicGraph | None = None
         initial_version = 0
@@ -741,7 +726,6 @@ class ShardedDispatcher:
             backend=backend,
             initial_version=initial_version,
         )
-        self._update_timeout = float(update_timeout)
         if restart_policy is None:
             restart_policy = RestartPolicy(seed=seed)
         if max_restarts is not None:
@@ -753,24 +737,16 @@ class ShardedDispatcher:
                 restart_policy, max_restarts=max_restarts
             )
         self._restart_policy = restart_policy
-        self._retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy(seed=seed)
-        )
+        self._retry_policy = RetryPolicy(seed=seed)
         self._request_timeout = (
             float(request_timeout) if request_timeout is not None else None
         )
-        if breaker_threshold < 1:
-            raise ParameterError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
-        self._breaker_threshold = breaker_threshold
-        self._breaker_reset = float(breaker_reset)
         self._faults = fault_injector
         self._rwlock = RWLock()
         #: guards ring/worker-state/counter mutations (never held while
         #: blocking; collector threads take it too)
         self._mutex = threading.Lock()
-        self._ring = _HashRing(vnodes)
+        self._ring = _HashRing()
         self._states: dict[int, _WorkerState] = {}
         self._workers = workers
         self._next_id = 0
@@ -875,10 +851,6 @@ class ShardedDispatcher:
             replies=replies,
             generation=generation,
             restarts=restarts,
-            breaker=CircuitBreaker(
-                failure_threshold=self._breaker_threshold,
-                reset_timeout=self._breaker_reset,
-            ),
         )
 
     def _start_collector(self, state: _WorkerState) -> None:
@@ -1144,13 +1116,13 @@ class ShardedDispatcher:
                 self._barriers[barrier_id] = barrier
             for state in live:
                 state.requests.put(("update", barrier_id, batch))
-            deadline = time.monotonic() + self._update_timeout
+            deadline = time.monotonic() + _UPDATE_TIMEOUT
             try:
                 while not barrier.done.wait(_POLL):
                     if time.monotonic() > deadline:
                         raise TimeoutError(
                             f"update barrier {barrier_id} timed out "
-                            f"after {self._update_timeout:.0f}s; acks "
+                            f"after {_UPDATE_TIMEOUT:.0f}s; acks "
                             f"from {sorted(barrier.versions)} of "
                             f"{sorted(barrier.expected)}"
                         )
@@ -1188,6 +1160,10 @@ class ShardedDispatcher:
                     )
                 assert self._durability is not None
                 self._durability.flush()
+                # The manager took these entries through on_commit and
+                # nothing else replays the mirror's journal: reclaim it,
+                # or the parent grows by one entry per update for life.
+                self._mirror.trim_journal(agreed)
             with self._mutex:
                 self._version = agreed
                 # Journal for respawn catch-up: a worker respawned
@@ -1650,7 +1626,7 @@ class ShardedDispatcher:
         if not batch:
             return acked
         state.requests.put(("update", barrier_id, batch))
-        deadline = time.monotonic() + self._update_timeout
+        deadline = time.monotonic() + _UPDATE_TIMEOUT
         while True:
             with self._mutex:
                 if self._stopping:

@@ -3,16 +3,17 @@
 The sharded serving tier (:mod:`repro.serving.sharded`) runs one
 :class:`~repro.serving.server.EngineServer` per *process* so numpy
 solves stop contending on the GIL.  Replicating a multi-GB CSR per
-worker would defeat the point, so the graph's hot arrays — the out-CSR
-(``indptr``/``indices``), the cached ``P^T`` CSR
-(``indptr``/``indices``/``data``) and the flattened ``edge_sources``
+worker would defeat the point, so the arrays every shard reads — the
+out-CSR (``indptr``/``indices``) and the flattened ``edge_sources``
 gather index — are placed once in a single
 :mod:`multiprocessing.shared_memory` segment and every worker maps the
 same physical pages read-only.  :meth:`SharedGraphImage.graph`
 reconstructs a :class:`~repro.graph.digraph.DiGraph` over those
-zero-copy views, with the expensive push caches pre-attached via
-:meth:`~repro.graph.digraph.DiGraph.adopt_push_caches` so no worker
-ever rebuilds ``P^T``.
+zero-copy views, with ``edge_sources`` pre-attached via
+:meth:`~repro.graph.digraph.DiGraph.adopt_push_caches`.  ``P^T`` is
+not in the image: no PowerPush-family solver reads it, it would be
+more than half the segment, and the solvers that do (PowItr, BePI)
+build it lazily, per process, on first use.
 
 Answers travel the other way through a :class:`ReplyArena`: a
 parent-owned segment of fixed-size slots, one arena per shard, that a
@@ -83,17 +84,6 @@ _ALIGN = 64
 def _aligned(size: int) -> int:
     """``size`` rounded up to a multiple of ``_ALIGN``."""
     return -(-size // _ALIGN) * _ALIGN
-
-
-#: The graph arrays one image carries, in layout order.
-_FIELDS = (
-    "out_indptr",
-    "out_indices",
-    "edge_sources",
-    "pt_indptr",
-    "pt_indices",
-    "pt_data",
-)
 
 
 @dataclass(frozen=True)
@@ -338,26 +328,20 @@ class SharedGraphImage(SharedSegment):
     def export_graph(cls, graph: DiGraph) -> "SharedGraphImage":
         """Copy ``graph``'s hot arrays into a fresh shared segment.
 
-        Materialises the push caches first (``P^T``, ``edge_sources``)
-        so attachers inherit them instead of rebuilding.  The calling
-        process owns the segment and must :meth:`unlink` it exactly
-        once when every worker is done (or rely on the atexit
-        fallback).
+        Materialises ``edge_sources`` first so attachers inherit it
+        instead of rebuilding.  The calling process owns the segment
+        and must :meth:`unlink` it exactly once when every worker is
+        done (or rely on the atexit fallback).
         """
-        graph.warm_push_caches()
-        pt_indptr, pt_indices, pt_data = graph.pt_csr_arrays()
+        # The arrays one image carries, in layout order.
         arrays: dict[str, np.ndarray] = {
             "out_indptr": graph.out_indptr,
             "out_indices": graph.out_indices,
             "edge_sources": graph.edge_sources,
-            "pt_indptr": pt_indptr,
-            "pt_indices": pt_indices,
-            "pt_data": pt_data,
         }
         specs: dict[str, ArraySpec] = {}
         total = 0
-        for field in _FIELDS:
-            array = arrays[field]
+        for field, array in arrays.items():
             offset = _aligned(total)
             specs[field] = ArraySpec(
                 offset=offset,
@@ -367,8 +351,7 @@ class SharedGraphImage(SharedSegment):
             total = offset + array.nbytes
         segment = cls._create(total)
         try:
-            for field in _FIELDS:
-                spec = specs[field]
+            for field, spec in specs.items():
                 view: np.ndarray = np.ndarray(
                     spec.shape,
                     dtype=spec.dtype,
@@ -422,10 +405,10 @@ class SharedGraphImage(SharedSegment):
     def graph(self) -> DiGraph:
         """The shared graph as a :class:`DiGraph` over zero-copy views.
 
-        The returned graph's CSR arrays, ``edge_sources`` and ``P^T``
-        all alias the shared segment — construction is O(1) in the
-        graph size.  Keep the image open for as long as the graph (or
-        any engine built on it) is in use.
+        The returned graph's CSR arrays and ``edge_sources`` alias the
+        shared segment — construction is O(1) in the graph size.  Keep
+        the image open for as long as the graph (or any engine built
+        on it) is in use.
         """
         graph = DiGraph(
             self._array("out_indptr"),
@@ -433,15 +416,9 @@ class SharedGraphImage(SharedSegment):
             name=self._handle.graph_name,
             validate=False,
         )
-        graph.adopt_push_caches(
-            pt_arrays=(
-                self._array("pt_indptr"),
-                self._array("pt_indices"),
-                self._array("pt_data"),
-            ),
-            edge_sources=self._array("edge_sources"),
+        return graph.adopt_push_caches(
+            edge_sources=self._array("edge_sources")
         )
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else "open"

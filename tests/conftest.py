@@ -7,6 +7,8 @@ integration tests.  Everything is seeded — a failing test reproduces.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.graph.build import (
     paper_example_graph,
     star_graph,
 )
+from repro.serving.shm import SEGMENT_PREFIX, live_segments
 
 
 @pytest.fixture
@@ -75,6 +78,21 @@ def small_random_graphs():
             )
         )
     return graphs
+
+
+@pytest.fixture
+def no_leaked_segments():
+    """Fail the test if it leaves one of our shared-memory segments
+    behind — in this process's cleanup registry or in ``/dev/shm``."""
+
+    def snapshot():
+        shm_dir = Path("/dev/shm")
+        on_disk = sorted(shm_dir.glob(SEGMENT_PREFIX + "*")) if shm_dir.is_dir() else []
+        return live_segments(), on_disk
+
+    before = snapshot()
+    yield
+    assert snapshot() == before
 
 
 def assert_close(a, b, atol=1e-10, msg=""):

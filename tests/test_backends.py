@@ -576,35 +576,6 @@ class TestNumbaLogicViaStub:
     def test_async_sweeps_match_reference(self, stub_backend):
         _assert_async_sweeps_agree(stub_backend)
 
-    def test_block_sweep_active_per_row_switch(self, stub_backend):
-        graph = rmat_digraph(6, 400, rng=np.random.default_rng(6))
-        n = graph.num_nodes
-        reference_state = BlockPushState(graph, [0, 1])
-        stub_state = BlockPushState(graph, [0, 1])
-        # Row 0 dense (everything active), row 1 sparse: exercises both
-        # branches of the per-row global/local switch in one call.
-        for state in (reference_state, stub_state):
-            state.residue[0, :] = 1.0 / n
-            state.refresh_r_sum(0)
-        masks = np.zeros((2, n), dtype=bool)
-        masks[0, :] = True
-        masks[1, [0, 1]] = True
-        rows = np.arange(2)
-        kernels.block_sweep_active(reference_state, rows, masks.copy())
-        kernels.block_sweep_active(
-            stub_state, rows, masks.copy(), backend=stub_backend
-        )
-        for row in range(2):
-            deviation = float(
-                np.abs(
-                    reference_state.residue[row] - stub_state.residue[row]
-                ).sum()
-            )
-            assert deviation <= EQUIV_TOL
-            np.testing.assert_equal(
-                stub_state.pushes[row], reference_state.pushes[row]
-            )
-
 
 class TestCLI:
     def test_list_shows_backends(self, capsys):
@@ -623,11 +594,3 @@ class TestCLI:
         )
         assert args.backend == "numba"
         assert args.reorder == "degree"
-
-    def test_bench_kernels_parses_backends(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["bench-kernels", "--backends", "numpy,numba"]
-        )
-        assert args.backends == "numpy,numba"

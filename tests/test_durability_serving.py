@@ -175,6 +175,23 @@ class TestShardedDurability:
             ).estimate
             assert np.array_equal(answer.result.estimate, direct)
 
+    def test_parent_mirror_journal_is_trimmed_at_every_barrier(
+        self, tmp_path
+    ):
+        """The durable mirror's in-memory journal has no reader (the
+        WAL is its durable form), so it must not grow with the update
+        count: after each barrier its floor is the agreed version."""
+        base = _base(scale=8, edges=1000)
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, wal_dir=tmp_path / "cluster"
+        ) as dispatcher:
+            mirror = dispatcher.durability.graph
+            for update in _updates(base, 12):
+                version = dispatcher.apply_updates([update])
+                assert mirror.journal_floor == version
+                assert mirror.updates_since(version) == []
+            assert mirror.journal_floor == dispatcher.graph_version == 12
+
     def test_wal_dir_rejects_static_graph(self, tmp_path):
         with pytest.raises(ParameterError, match="dynamic"):
             ShardedDispatcher(

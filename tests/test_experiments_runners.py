@@ -131,7 +131,7 @@ class TestFig6PaperShape:
         from repro.generators.rmat import rmat_digraph
 
         yield "golden-200", load_golden_graph()
-        # bench_serving.py --smoke's graph
+        # a second shape: R-MAT skew, n = 512, average degree ~8
         yield "smoke-rmat", rmat_digraph(
             9, 4_000, rng=np.random.default_rng(2021), name="smoke-rmat"
         )

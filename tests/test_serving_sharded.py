@@ -118,6 +118,17 @@ class TestByteIdentity:
             serial = engine.query(source, "powerpush", **PARAMS)
             assert answer.result.estimate.tobytes() == serial.estimate.tobytes()
 
+    @pytest.mark.parametrize("method", ["powitr", "bepi"])
+    def test_pt_readers_build_it_themselves(self, base, dispatcher, method):
+        # The image carries no P^T (test_serving_shm.py): a shard asked
+        # for a solver that reads it builds its own, and the answer
+        # must not show it.
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        for source in (0, 3, 17, 101):
+            assert_same_bytes(
+                dispatcher.query(source, method, **PARAMS),
+                engine.query(source, method, **PARAMS),
+            )
 
     @pytest.mark.parametrize(
         "alias", ["fora+", "fora-index", "speedppr-index"]

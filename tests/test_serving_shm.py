@@ -99,6 +99,28 @@ class TestExportAttach:
             finally:
                 attached.close()
 
+    def test_image_carries_only_what_shards_read(self, base):
+        """Forward CSR and ``edge_sources`` are aliased from the
+        segment; ``P^T`` is not exported — the attached graph builds an
+        equal one lazily when a solver asks for it."""
+        with SharedGraphImage.export_graph(base) as image:
+            assert list(image.handle.arrays) == [
+                "out_indptr",
+                "out_indices",
+                "edge_sources",
+            ]
+            g = image.graph()
+            for shared, private in (
+                (g.out_indptr, base.out_indptr),
+                (g.out_indices, base.out_indices),
+                (g.edge_sources, base.edge_sources),
+            ):
+                assert not shared.flags.owndata
+                assert not shared.flags.writeable
+                np.testing.assert_array_equal(shared, private)
+            for ours, theirs in zip(g.pt_csr_arrays(), base.pt_csr_arrays()):
+                np.testing.assert_array_equal(ours, theirs)
+
     def test_engine_from_shared_graph_handle(self, base):
         with SharedGraphImage.export_graph(base) as image:
             engine = PPREngine.from_shared_graph(

@@ -20,7 +20,7 @@ from repro.api import PPREngine
 from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph
-from repro.serving import ShardedDispatcher
+from repro.serving import FaultInjector, FaultSpec, ShardedDispatcher
 from repro.serving.supervisor import (
     CLOSED,
     HALF_OPEN,
@@ -382,3 +382,55 @@ class TestRespawnEndToEnd:
                     == expected.estimate.tobytes()
                 )
             assert disp.num_workers == 2
+
+    def test_crash_mid_update_barrier_settles_and_heals(
+        self, base, no_leaked_segments
+    ):
+        """Worker 0 applies the first update broadcast and dies before
+        acking it — the worst spot for the barrier.  ``apply_updates``
+        must return the survivor's version instead of hanging, the
+        respawn must replay the journal past the batch it died inside,
+        and both shards must then answer byte-identically to a serial
+        engine at that version.  With ``max_restarts=0`` the respawn
+        never happens and this test fails."""
+        updates = pick_updates(base)
+        policy = RestartPolicy(max_restarts=3, **FAST_RESTARTS)
+        victim = 0
+        injector = FaultInjector(
+            [FaultSpec("crash_update", worker=victim, at=0)]
+        )
+        with ShardedDispatcher(
+            DynamicGraph(base),
+            workers=2,
+            alpha=0.2,
+            seed=7,
+            restart_policy=policy,
+            fault_injector=injector,
+        ) as disp:
+            version = disp.apply_updates(updates)
+            assert version == len(updates)
+
+            wait_respawn(disp, victim)
+            beat = wait_heartbeat(disp, victim, version=version)
+            assert beat["cache_size"] == 0
+            supervisor = disp.stats()["supervisor"]
+            assert supervisor["respawns"] == 1
+            assert supervisor["removed"] == []
+            assert supervisor["degraded_capacity"] is False
+            assert disp.num_workers == 2
+
+            reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
+            reference.apply_updates(updates)
+            sources = [
+                [s for s in range(base.num_nodes) if disp.route(s) == w][:3]
+                for w in (victim, 1)
+            ]
+            for source in sources[0] + sources[1]:
+                served = disp.query(source, "powerpush", **PARAMS)
+                expected = reference.query(source, "powerpush", **PARAMS)
+                assert served.version == version
+                assert served.worker == disp.route(source)
+                assert (
+                    served.result.estimate.tobytes()
+                    == expected.estimate.tobytes()
+                )

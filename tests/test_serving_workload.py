@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph
-from repro.serving import WorkloadGenerator, run_loadtest
+from repro.serving import FaultInjector, WorkloadGenerator, run_loadtest
 
 
 def make_static():
@@ -130,7 +130,8 @@ class TestRunLoadtest:
         assert report.serial.queries == 60
         assert report.served.throughput_qps > 0
         assert report.speedup > 0
-        assert 0.0 <= report.cache_hit_rate <= 1.0
+        # 60 Zipfian reads over 12 hot sources must hit the cache
+        assert 0.0 < report.cache_hit_rate <= 1.0
         assert report.batching_factor >= 1.0
         payload = report.to_dict()
         assert payload["identical"] is True
@@ -268,6 +269,9 @@ class TestRunLoadtest:
         assert served.accounted == served.queries == 60
         assert served.failed == 0
         assert served.completed >= 1
+        # 60 arrivals in ~15 ms against 8 in-flight slots: admission
+        # control must have acted, or this is not an overload test.
+        assert served.shed + served.degraded + served.deadline_expired > 0
         assert served.within_slo <= served.completed
         assert served.goodput_qps >= 0.0
         assert 0.0 <= served.shed_rate <= 1.0
@@ -307,6 +311,82 @@ class TestRunLoadtest:
                 workload,
                 degrade_params={"l1_threshold": 1e-3},
             )
+
+    def test_sharded_run_is_identical_and_leaves_no_segments(
+        self, no_leaked_segments
+    ):
+        """``workers=2``: the same replay through two shard processes
+        over one shared-memory image — placement must not change a
+        byte, and teardown must unlink every segment."""
+        workload = WorkloadGenerator(
+            make_static().num_nodes, num_sources=24, zipf_exponent=1.2, seed=16
+        ).generate(120)
+        report = run_loadtest(
+            make_static,
+            workload,
+            method="powerpush",
+            params={"l1_threshold": 1e-6},
+            concurrency=4,
+            window=0.001,
+            seed=16,
+            workers=2,
+        )
+        assert report.identical is True
+        assert report.workers == 2
+        assert report.served.accounted == report.served.queries == 120
+        assert report.served.failed == 0
+        assert report.server_stats["workers"] == 2
+        assert report.server_stats["requests"] == 120
+
+    def test_chaos_run_recovers_every_request(self, no_leaked_segments):
+        """A seeded fault schedule — one SIGKILLed shard, one dropped
+        and one delayed reply — must cost nothing observable: every
+        request accounted and answered, byte-identical to the serial
+        baseline, the killed shard respawned, full capacity restored.
+        With respawning disabled (``max_restarts=0``) this test fails:
+        the victim is removed and the run ends degraded."""
+        requests = 160
+        chaos = FaultInjector.random_schedule(
+            workers=2, requests=requests, kills=1, drops=1, delays=1, seed=17
+        )
+        workload = WorkloadGenerator(
+            make_static().num_nodes, num_sources=24, zipf_exponent=1.2, seed=17
+        ).generate(requests)
+        report = run_loadtest(
+            make_static,
+            workload,
+            method="powerpush",
+            params={"l1_threshold": 1e-6},
+            concurrency=4,
+            window=0.001,
+            seed=17,
+            workers=2,
+            chaos=chaos,
+            request_timeout=1.0,
+            max_restarts=3,
+        )
+        served = report.served
+        assert served.accounted == served.queries == requests
+        assert served.failed == 0
+        assert report.identical is True
+        assert report.chaos["scheduled"] == {
+            "kill": 1,
+            "drop_reply": 1,
+            "delay_reply": 1,
+        }
+        kills_fired = sum(
+            spec["kind"] == "kill" for spec in report.chaos["fired"]
+        )
+        assert kills_fired == 1
+        supervisor = report.chaos["supervisor"]
+        assert supervisor["respawns"] >= kills_fired
+        assert supervisor["removed"] == []
+        assert supervisor["degraded_capacity"] is False
+        # The dropped reply is only ever recovered by the hang detector.
+        assert supervisor["request_timeouts"] >= 1
+        assert supervisor["retries"] >= 1
+        stats = report.server_stats
+        assert stats["workers"] == stats["configured_workers"] == 2
 
     def test_json_roundtrip(self, tmp_path):
         workload = WorkloadGenerator(
