@@ -326,6 +326,8 @@ class PPREngine:
         else:
             self._dynamic = None
             self._static_graph = graph
+        #: version of ``_static_graph``; moved only by replace_graph
+        self._static_version = 0
         self.alpha = alpha
         self.seed = seed
         self.dead_end_policy = dead_end_policy
@@ -363,9 +365,6 @@ class PPREngine:
     def from_shared_graph(
         cls,
         image_or_handle: "SharedGraphImage | SharedGraphHandle",
-        *,
-        dynamic: bool = False,
-        initial_version: int = 0,
         **engine_kwargs: Any,
     ) -> "PPREngine":
         """Build an engine over a shared-memory graph image.
@@ -376,14 +375,8 @@ class PPREngine:
         exporting process (it is attached here).  The engine's CSR
         arrays and ``edge_sources`` alias the shared segment — construction
         copies nothing, so N worker processes serve one physical graph
-        image.
-
-        ``dynamic=True`` wraps the shared base in a
-        :class:`DynamicGraph` so the engine accepts ``apply_updates``;
-        updates overlay copy-on-write in this process only (the shared
-        base stays immutable), which is exactly what the sharded
-        update barrier needs: every worker applies the same batches
-        and converges to the same versioned logical graph.
+        image.  A newer version arrives as a newer image
+        (:meth:`replace_graph`), never as updates applied here.
 
         The image backing the engine is exposed as
         :attr:`shared_image` and must stay open (and be closed by its
@@ -407,19 +400,7 @@ class PPREngine:
                 "from_shared_graph needs a SharedGraphImage or "
                 f"SharedGraphHandle; got {type(image_or_handle).__name__}"
             )
-        graph: DiGraph | DynamicGraph = image.graph()
-        if dynamic:
-            # A nonzero initial_version means the shared base is a
-            # recovered snapshot: version numbering (and therefore
-            # cache invalidation and update-barrier agreement) must
-            # continue from where the durable state left off.
-            graph = DynamicGraph(graph, initial_version=initial_version)
-        elif initial_version:
-            raise ParameterError(
-                "initial_version requires dynamic=True (a static shared "
-                "graph has no version counter to restore)"
-            )
-        engine = cls(graph, **engine_kwargs)
+        engine = cls(image.graph(), **engine_kwargs)
         engine._shared_image = image
         return engine
 
@@ -446,8 +427,34 @@ class PPREngine:
 
     @property
     def graph_version(self) -> int:
-        """Version of the served graph (always 0 for a static graph)."""
-        return self._dynamic.version if self._dynamic is not None else 0
+        """Version of the served graph (static: see :meth:`replace_graph`)."""
+        if self._dynamic is not None:
+            return self._dynamic.version
+        return self._static_version
+
+    def replace_graph(self, graph: DiGraph, version: int) -> None:
+        """Serve ``graph`` as version ``version`` from now on.
+
+        A static engine's :meth:`apply_updates`, for versions that are
+        materialised elsewhere (a sharded worker is handed each as a
+        shared-memory image).  Artefacts built at another version are
+        dropped now, so nothing keeps the replaced arrays alive; the
+        caller excludes concurrent queries (the server's write lock).
+        """
+        if self._static_graph is None or self._reorder is not None:
+            raise ParameterError(
+                "replace_graph needs a plain DiGraph engine: a DynamicGraph "
+                "moves through apply_updates, a reordering fits one graph"
+            )
+        if graph.num_nodes != self._static_graph.num_nodes:
+            raise ParameterError(
+                f"the node set is fixed at {self._static_graph.num_nodes} "
+                f"nodes; got a graph of {graph.num_nodes}"
+            )
+        with self._lock:
+            self._static_graph = graph
+            self._static_version = int(version)
+            self._sync_caches()
 
     @property
     def dynamic_graph(self) -> DynamicGraph | None:
@@ -468,6 +475,10 @@ class PPREngine:
         same graph stays correct but may lose its incremental
         advantage (trimmed entries force it to resync from a
         snapshot) — route trackers through :meth:`track` instead.
+
+        Not atomic, like :meth:`DynamicGraph.apply_updates` — but the
+        valid prefix of a batch that raises is made durable before the
+        exception propagates: no reader sees a version the WAL lacks.
         """
         if self._dynamic is None:
             raise ParameterError(
@@ -475,15 +486,20 @@ class PPREngine:
                 "repro.graph.DynamicGraph to apply updates"
             )
         with self._lock:
-            version = self._dynamic.apply_updates(updates)
-            if self._durability is not None:
-                # fsync-before-ack: the batch must be durable in the
-                # WAL before any caller sees its version.
-                self._durability.flush()
-            if not self._trackers:
-                # No tracker will ever replay these entries (a future
-                # track() starts from the then-current version).
-                self._dynamic.trim_journal(version)
+            try:
+                self._dynamic.apply_updates(updates)
+            finally:
+                # Also when the batch raised after a valid prefix: the
+                # prefix moved the version every reader sees.
+                version = self._dynamic.version
+                if self._durability is not None:
+                    # fsync-before-ack: the batch must be durable in the
+                    # WAL before any caller sees its version.
+                    self._durability.flush()
+                if not self._trackers:
+                    # No tracker will ever replay these entries (a future
+                    # track() starts from the then-current version).
+                    self._dynamic.trim_journal(version)
             return version
 
     def attach_durability(self, manager: Any) -> None:

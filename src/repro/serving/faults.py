@@ -18,7 +18,7 @@ Fault kinds
 Parent-side (triggered by the dispatcher at submit count ``at``):
 
 * ``kill``  — SIGKILL worker ``worker`` (hard crash; supervision must
-  respawn it and replay the update journal).
+  respawn it on the current graph generation).
 * ``stop``  — SIGSTOP worker ``worker`` (a stalled-but-alive shard:
   supervision must *not* respawn it, but timeouts/breakers must route
   around it).
@@ -32,17 +32,18 @@ reordering deterministically):
   number ``at`` (0-based count of result/error replies).
 * ``drop_reply``  — swallow reply number ``at`` entirely (the
   dispatcher's request timeout + bounded retry must recover it).
-* ``crash_update`` — ``os._exit`` mid-barrier, *after* applying
-  update broadcast number ``at`` but *before* acking it (the barrier
-  must settle on the survivors and the respawn must catch up past the
-  batch it died inside).
+* ``crash_update`` — ``os._exit`` mid-hand-over, *after* attaching
+  the graph generation of update number ``at`` but *before* acking it
+  (the hand-over must settle on the survivors, the generation before
+  it must still be retired, and the respawn must be handed the new
+  one).  The hand-over that boots a worker is not an update and is
+  not counted.
 
 Worker-side plans arm a worker's *first* incarnation only: the
-trigger ordinals are worker-local, so re-arming them on a respawn
-would re-fire the same faults during journal replay (a
-``crash_update`` would crash-loop the respawn straight through its
-restart budget, which is the opposite of what a recovery test wants
-to measure).
+trigger ordinals are worker-local, so a respawn would count from zero
+and re-fire the same faults (a ``crash_update`` would kill every
+incarnation at its first update, straight through the restart budget,
+which is the opposite of what a recovery test wants to measure).
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class WorkerFaultPlan:
     """Worker-local trigger state built from that worker's specs.
 
     Lives inside the worker process; consulted on every reply and
-    every update broadcast with monotonically increasing local
+    every update hand-over with monotonically increasing local
     ordinals, so the same schedule always fires at the same points.
     """
 
@@ -246,7 +247,7 @@ class WorkerFaultPlan:
         return None
 
     def on_update_applied(self) -> bool:
-        """Whether to crash after applying this update broadcast."""
+        """Whether to crash after attaching this update's generation."""
         ordinal = self._updates
         self._updates += 1
         return ordinal in self._crash_updates

@@ -315,13 +315,28 @@ class EngineServer:
         Waits for in-flight reads to finish (new reads queue behind the
         writer), bumps the graph version through the engine, and drops
         every cached result stamped with an older version — after this
-        returns, all answers are post-update.
+        returns, all answers are post-update (also when the batch
+        raised after a valid prefix: that moved the version too).
         """
         with self._rwlock.write():
-            version = self._engine.apply_updates(updates)
+            try:
+                return self._engine.apply_updates(updates)
+            finally:
+                if self._cache is not None:
+                    self._cache.invalidate(self._engine.graph_version)
+
+    def replace_graph(self, graph: DiGraph, version: int) -> None:
+        """Swap in ``graph`` as version ``version``, exclusively.
+
+        :meth:`apply_updates` for a server that is handed its versions
+        (a sharded worker re-attaching the next shared image): reads
+        in flight finish on the old snapshot, and afterwards nothing
+        in the server — cache included — references it.
+        """
+        with self._rwlock.write():
+            self._engine.replace_graph(graph, version)
             if self._cache is not None:
                 self._cache.invalidate(version)
-            return version
 
     # -- scheduler executor ---------------------------------------------
     def _execute_group(

@@ -18,12 +18,18 @@ semantics of PR 3 kept intact *per worker*:
   source always land on the same worker — its cache keeps hitting and
   its micro-batches stay coherent — and removing a crashed worker
   re-routes only that worker's arc of the ring;
-* ``apply_updates`` broadcasts as a **versioned barrier** under the
-  dispatcher's writer lock: every worker applies the same batch to its
-  copy-on-write :class:`~repro.graph.dynamic.DynamicGraph` overlay
-  (the shared base stays immutable) and acks with its new version;
-  the dispatcher verifies the versions agree before letting reads
-  resume, so no request is ever answered from a pre-update vector.
+* the parent is the **only writer**: the dispatcher holds the one
+  :class:`~repro.graph.dynamic.DynamicGraph` of the cluster (WAL
+  hooked to it when durable).  ``apply_updates`` applies the batch
+  there, makes it durable, merges the new snapshot once and exports it
+  as the next *generation* of the shared image — all before any reader
+  is blocked — then takes the writer lock for the **hand-over**: every
+  shard is told "attach this handle at version V", swaps the new
+  generation in under its server's write lock, unmaps the old one and
+  acks; when every live shard has acked or died the previous
+  generation is unlinked.  A shard never applies an update or holds a
+  private copy of the adjacency arrays, and no request is ever
+  answered from a pre-update vector.
 
 Because every seeded answer is a pure function of ``(seed, source)``
 (:func:`repro.api.engine.per_source_rng`), *where* a request runs
@@ -51,17 +57,17 @@ half-written or reused slot, and a slot whose tag is not the expected
 request id (before or after the copy-out) is treated as a lost reply
 and retried.  Replies that
 cannot use a slot — none free, an answer that is not two float64
-vectors of length n, errors, stats, barrier acks, heartbeats — are
+vectors of length n, errors, stats, hand-over acks, heartbeats — are
 pickled inline as before; the choice is made per reply.
 
 Self-healing (PR 9): the dispatcher runs a supervisor thread that
 notices worker death (``process.is_alive()``, surfaced promptly by the
-timed collector waits), respawns the shard over the *same* shared
-image after a jittered exponential backoff
-(:class:`~repro.serving.supervisor.RestartPolicy`), replays the
-dispatcher's update journal so the fresh worker reaches the current
-graph version, and only then restores its arc on the ring.  A restart
-budget turns a crash-looping shard into a permanent removal with a
+timed collector waits), respawns the shard after a jittered
+exponential backoff (:class:`~repro.serving.supervisor.RestartPolicy`),
+hands it the current generation — the hand-over that also boots a
+shard and moves it across an update, so recovery is one attach however
+many updates there were — and only then restores its arc on the ring.
+A restart budget turns a crash-looping shard into a permanent removal with a
 ``degraded_capacity`` stats flag instead of an outage.  Reads get a
 deadline-aware bounded retry (:class:`RetryPolicy`) and per-shard
 circuit breakers (:class:`CircuitBreaker`) — all safe because answers
@@ -69,7 +75,7 @@ are pure functions of ``(seed, source)``, so a retried or rerouted
 request cannot change bytes.  A seeded
 :class:`~repro.serving.faults.FaultInjector` threads deterministic
 fault schedules through ``submit`` (process signals) and the worker
-loop (reply drops/delays, mid-barrier crashes) so chaos runs replay
+loop (reply drops/delays, mid-hand-over crashes) so chaos runs replay
 exactly.
 """
 
@@ -111,6 +117,7 @@ from repro.serving.shm import (
     ReplyArenaHandle,
     SharedGraphHandle,
     SharedGraphImage,
+    close_inherited_segments,
 )
 from repro.serving.supervisor import CircuitBreaker, RestartPolicy, RetryPolicy
 
@@ -133,9 +140,8 @@ _ARENA_MAX_BYTES = 32 << 20
 #: worker's arc scatters evenly over the survivors.
 _VNODES = 48
 
-#: Seconds :meth:`ShardedDispatcher.apply_updates` (and a respawn's
-#: journal replay) waits for barrier acks before declaring the cluster
-#: wedged.
+#: Seconds a hand-over (boot, ``apply_updates``, respawn) waits for a
+#: shard to ack or die before declaring it wedged.
 _UPDATE_TIMEOUT = 30.0
 
 
@@ -146,7 +152,6 @@ class WorkerConfig:
     alpha: float = 0.2
     seed: int = 0
     dead_end_policy: str = "redirect-to-source"
-    dynamic: bool = False
     cache_capacity: int = 4096
     cache_ttl: float | None = None
     window: float = 0.002
@@ -154,10 +159,6 @@ class WorkerConfig:
     backend: str | None = None
     #: Worker-side fault schedule (chaos runs only; empty in production).
     faults: tuple[FaultSpec, ...] = ()
-    #: Version the worker's DynamicGraph overlay starts at.  Nonzero
-    #: after cold-restart recovery: the shared base is the recovered
-    #: snapshot and version numbering continues from the durable state.
-    initial_version: int = 0
 
 
 def _raise_exit(signum: int, frame: FrameType | None) -> None:
@@ -165,19 +166,86 @@ def _raise_exit(signum: int, frame: FrameType | None) -> None:
     raise SystemExit(0)
 
 
+class _Shard:
+    """Worker-side state: one server and the generation under it.
+
+    The first hand-over builds the :class:`EngineServer`; every later
+    one swaps the graph under that same server.
+    """
+
+    #: unset before the first hand-over (the dispatcher routes nothing
+    #: to a shard that has not acked it)
+    server: EngineServer
+
+    def __init__(self, config: WorkerConfig) -> None:
+        self._config = config
+        self._image: SharedGraphImage | None = None
+
+    def attach(self, handle: SharedGraphHandle, version: int) -> bool:
+        """Map the generation behind ``handle``; serve it as ``version``.
+
+        Returns whether it replaced one (not so at boot).  A failure is
+        not reported: it kills the worker, and the respawn is handed
+        whatever generation is current by then.
+        """
+        config = self._config
+        image = SharedGraphImage.attach(handle)
+        graph = image.graph()
+        retired, self._image = self._image, image
+        if retired is None:
+            self.server = EngineServer(
+                PPREngine(
+                    graph,
+                    alpha=config.alpha,
+                    seed=config.seed,
+                    dead_end_policy=config.dead_end_policy,
+                    backend=config.backend,
+                ),
+                cache_capacity=config.cache_capacity,
+                cache_ttl=config.cache_ttl,
+                window=config.window,
+                max_batch=config.max_batch,
+            )
+        self.server.replace_graph(graph, version)
+        if retired is not None:
+            # The swap left no view of its arrays, so this unmaps them.
+            retired.close()
+        return retired is not None
+
+    def heartbeat(self, responses: Any) -> None:
+        """One unsolicited version/cache report (none before boot)."""
+        if self._image is not None:
+            responses.put(
+                (
+                    "heartbeat",
+                    self.server.graph_version,
+                    self.server.cache_size,
+                    time.monotonic(),
+                )
+            )
+
+    def close(self) -> None:
+        if self._image is not None:
+            self.server.close()
+            self._image.close()
+
+
 def _worker_main(
     worker_id: int,
-    handle: SharedGraphHandle,
     arena_handle: ReplyArenaHandle,
     config: WorkerConfig,
     requests: Any,
     responses: Any,
 ) -> None:
-    """One shard: attach the shared image, serve until told to stop.
+    """One shard: serve whatever generation it is handed, until stopped.
 
     Runs in a child process (module-level so the spawn start method can
     pickle it).  Messages in, messages out:
 
+    * ``("attach", barrier_id, handle, version)`` ->
+      ``("attached", barrier_id)`` once this process serves the image
+      behind ``handle`` as ``version`` and has unmapped the one before;
+      always a worker's first message, then one per update
     * ``("query", req_id, source, method, params, fresh, deadline,
       slot)`` -> ``("slot-result", req_id, header)`` when the answer
       was copied into reply slot ``slot`` (``header`` is the
@@ -188,19 +256,16 @@ def _worker_main(
       ``deadline`` is a ``time.monotonic()`` timestamp, meaningful
       across the process boundary because ``CLOCK_MONOTONIC`` is
       system-wide
-    * ``("update", barrier_id, updates)`` ->
-      ``("updated", barrier_id, version)`` or
-      ``("update-error", barrier_id, exc)``
     * ``("stats", req_id)`` -> ``("stats", req_id, dict)``
     * ``("stop",)`` -> clean exit.
 
     The worker also emits unsolicited
     ``("heartbeat", graph_version, cache_size, monotonic_ts)``
-    messages — once at startup and then every ``_HEARTBEAT_INTERVAL``
-    seconds, busy or idle — which the dispatcher uses for health
-    visibility and for asserting that a respawned worker starts at the
-    journal-replayed graph version with an empty result cache (stale
-    memoised answers must not survive a respawn).
+    messages — ahead of every hand-over ack and then every
+    ``_HEARTBEAT_INTERVAL`` seconds, busy or idle — which the
+    dispatcher uses for health visibility and for asserting that a
+    respawned worker starts at the current graph version with an empty
+    result cache (stale memoised answers must not survive a respawn).
 
     The request queue is drained in bursts: everything immediately
     available is submitted to the local server *before* blocking on
@@ -209,62 +274,35 @@ def _worker_main(
     A worker never owns a shared segment — teardown only closes its
     own mappings of the graph image and the reply arena, so a
     SIGKILLed worker cannot leak ``/dev/shm`` entries (satisfying the
-    ``shm-discipline`` contract from the child side).
+    ``shm-discipline`` contract from the child side) — and keeps no
+    mapping a fork handed it, which would pin a retired generation.
     """
     signal.signal(signal.SIGTERM, _raise_exit)
-    image = SharedGraphImage.attach(handle)
+    close_inherited_segments()
     arena = ReplyArena.attach(arena_handle)
+    shard = _Shard(config)
     try:
-        engine = PPREngine.from_shared_graph(
-            image,
-            dynamic=config.dynamic,
-            initial_version=config.initial_version,
-            alpha=config.alpha,
-            seed=config.seed,
-            dead_end_policy=config.dead_end_policy,
-            backend=config.backend,
+        _serve_messages(
+            worker_id,
+            shard,
+            arena,
+            requests,
+            responses,
+            config.max_batch,
+            WorkerFaultPlan(config.faults),
         )
-        server = EngineServer(
-            engine,
-            cache_capacity=config.cache_capacity,
-            cache_ttl=config.cache_ttl,
-            window=config.window,
-            max_batch=config.max_batch,
-        )
-        with server:
-            _serve_messages(
-                worker_id,
-                server,
-                arena,
-                requests,
-                responses,
-                config.max_batch,
-                WorkerFaultPlan(config.faults),
-            )
     finally:
+        shard.close()
         arena.close()
-        image.close()
 
 
 #: Seconds between unsolicited worker heartbeats, busy or idle.
 _HEARTBEAT_INTERVAL = 1.0
 
 
-def _heartbeat(server: EngineServer, responses: Any) -> None:
-    """Emit one unsolicited health/version/cache report."""
-    responses.put(
-        (
-            "heartbeat",
-            server.graph_version,
-            server.cache_size,
-            time.monotonic(),
-        )
-    )
-
-
 def _serve_messages(
     worker_id: int,
-    server: EngineServer,
+    shard: _Shard,
     arena: ReplyArena,
     requests: Any,
     responses: Any,
@@ -272,7 +310,6 @@ def _serve_messages(
     plan: WorkerFaultPlan,
 ) -> None:
     """The worker's receive loop; returns on ``("stop",)`` / orphaning."""
-    _heartbeat(server, responses)
     last_beat = time.monotonic()
     while True:
         try:
@@ -282,7 +319,7 @@ def _serve_messages(
                 # Re-parented to init: the dispatcher died without a
                 # stop message; exit rather than serve nobody.
                 return
-            _heartbeat(server, responses)
+            shard.heartbeat(responses)
             last_beat = time.monotonic()
             continue
         burst = [message]
@@ -299,7 +336,7 @@ def _serve_messages(
                     message
                 )
                 try:
-                    future = server.submit(
+                    future = shard.server.submit(
                         source,
                         method,
                         fresh=fresh,
@@ -317,29 +354,27 @@ def _serve_messages(
             pending = []
             if kind == "stop":
                 return
-            if kind == "update":
-                _, barrier_id, updates = message
-                try:
-                    version = server.apply_updates(updates)
-                except Exception as exc:  # noqa: BLE001 - forwarded
-                    responses.put(("update-error", barrier_id, exc))
-                else:
-                    if plan and plan.on_update_applied():
-                        # Scheduled chaos: die *after* applying the
-                        # batch, *before* acking — the worst spot for
-                        # the barrier.  ``os._exit`` skips ``finally``
-                        # blocks, like a real SIGKILL would.
-                        os._exit(17)
-                    responses.put(("updated", barrier_id, version))
+            if kind == "attach":
+                _, barrier_id, handle, version = message
+                # (fault ordinals count updates, not the boot hand-over)
+                update = shard.attach(handle, version)
+                if update and plan and plan.on_update_applied():
+                    # Scheduled chaos: die *after* attaching the new
+                    # generation, *before* acking — the worst spot.
+                    # ``os._exit`` skips ``finally``, like a SIGKILL.
+                    os._exit(17)
+                shard.heartbeat(responses)
+                last_beat = time.monotonic()
+                responses.put(("attached", barrier_id))
             elif kind == "stats":
-                responses.put(("stats", message[1], server.stats()))
+                responses.put(("stats", message[1], shard.server.stats()))
         _flush(worker_id, pending, arena, responses, plan)
         # Time-based, not idle-based: a worker saturated with traffic
         # (or a parent polling stats) must still report its version
         # and cache freshness.
         now = time.monotonic()
         if now - last_beat >= _HEARTBEAT_INTERVAL:
-            _heartbeat(server, responses)
+            shard.heartbeat(responses)
             last_beat = now
 
 
@@ -541,28 +576,17 @@ class _WorkerState:
 
 @dataclass
 class _Barrier:
-    """One in-flight ``apply_updates`` broadcast."""
+    """One in-flight hand-over: which shards must still ack it."""
 
     expected: set[int]
-    versions: dict[int, int] = field(default_factory=dict)
-    errors: list[BaseException] = field(default_factory=list)
-    #: Workers whose outcome is an error (keyed, so a worker that acks
-    #: and then dies cannot stand in for one that never answered).
-    failed: set[int] = field(default_factory=set)
+    acked: set[int] = field(default_factory=set)
     done: threading.Event = field(default_factory=threading.Event)
 
     def settle_if_complete(self) -> None:
-        """Settle once every *still-expected* worker has an outcome.
-
-        Set-based on purpose: a worker that dies mid-barrier is
-        discarded from ``expected`` and the barrier settles on the
-        survivors' version agreement.  The old count-based check
-        (``len(versions) + len(errors) >= len(expected)``) could
-        settle early when an acked worker later died — its stale ack
-        counted against a shrunken ``expected`` that still contained a
-        worker with no outcome at all.
-        """
-        if self.expected <= (set(self.versions) | self.failed):
+        """Settle once every *still-expected* shard has acked (a dead
+        one is discarded from ``expected``; sets, so its stale ack
+        cannot stand in for a shard that never answered)."""
+        if self.expected <= self.acked:
             self.done.set()
 
 
@@ -577,13 +601,13 @@ class ShardedDispatcher:
         on close), or an already-exported
         :class:`~repro.serving.shm.SharedGraphImage` whose lifecycle
         the caller keeps.  A :class:`DynamicGraph` is snapshotted —
-        its current logical graph becomes the shared base — and
-        implies ``dynamic=True``.
+        the cluster starts from its current logical graph and never
+        touches the object again — and implies ``dynamic=True``.
     workers:
         Number of shard processes (>= 1).
     dynamic:
-        Whether workers wrap the shared base in a per-process
-        :class:`DynamicGraph` overlay so :meth:`apply_updates` works.
+        Whether the dispatcher keeps a :class:`DynamicGraph` of its
+        own over that snapshot so :meth:`apply_updates` works.
         Default: inferred from the graph argument.
     alpha, seed, dead_end_policy, backend:
         Per-worker engine construction (identical in every shard —
@@ -614,14 +638,12 @@ class ShardedDispatcher:
         (:class:`~repro.serving.faults.FaultInjector`); ``None`` in
         production.
     wal_dir, wal_fsync, checkpoint_every:
-        ``wal_dir`` makes the cluster durable: the parent keeps a
-        mirror :class:`DynamicGraph` of the barriered update stream,
-        logs every agreed batch to a write-ahead log (fsynced before
-        the version ack unless ``wal_fsync=False``, checkpointed
-        every ``checkpoint_every`` updates), and a restart on the
-        same directory recovers the pre-crash graph — the recovered
-        snapshot becomes the shared base and every worker's version
-        counter continues from the recovered version.
+        ``wal_dir`` makes the cluster durable: the dispatcher's graph
+        logs every applied batch to a write-ahead log (fsynced before
+        the new generation is published unless ``wal_fsync=False``,
+        checkpointed every ``checkpoint_every`` updates), and a
+        restart on the same directory recovers the pre-crash graph —
+        its snapshot is the first generation, at the recovered version.
         ``graph_or_image`` then only seeds a virgin directory (a
         pre-exported :class:`SharedGraphImage` cannot be combined
         with ``wal_dir``: recovery must be free to export a different
@@ -658,73 +680,67 @@ class ShardedDispatcher:
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        self._durability = None
-        self._mirror: DynamicGraph | None = None
-        initial_version = 0
         if wal_dir is not None:
             if isinstance(graph_or_image, SharedGraphImage):
                 raise ParameterError(
                     "wal_dir cannot be combined with a pre-exported "
                     "SharedGraphImage: recovery must be free to export "
-                    "the recovered snapshot as the shared base"
+                    "the recovered snapshot as the first generation"
                 )
             if dynamic is False:
                 raise ParameterError(
                     "wal_dir implies dynamic=True (a static cluster has "
                     "no update stream to make durable)"
                 )
-            from repro.durability.manager import open_durable_graph
-
-            seed_graph = None
-            if isinstance(graph_or_image, (DiGraph, DynamicGraph)):
-                # The mirror starts at version 0 over the *snapshot*,
-                # matching the version numbering workers boot with.
-                base_snap = (
-                    graph_or_image.snapshot()
-                    if isinstance(graph_or_image, DynamicGraph)
-                    else graph_or_image
-                )
-                seed_graph = DynamicGraph(base_snap)
-            self._durability, self._mirror = open_durable_graph(
-                wal_dir,
-                seed_graph,
-                fsync=wal_fsync,
-                checkpoint_every=checkpoint_every,
-            )
-            initial_version = self._mirror.version
             dynamic = True
-            graph_or_image = self._mirror.snapshot()
         if isinstance(graph_or_image, SharedGraphImage):
-            self._image = graph_or_image
-            self._own_image = False
+            base = graph_or_image.graph()
+        elif isinstance(graph_or_image, DynamicGraph):
+            base = graph_or_image.snapshot()
             if dynamic is None:
-                dynamic = False
-        elif isinstance(graph_or_image, (DiGraph, DynamicGraph)):
-            base = (
-                graph_or_image.snapshot()
-                if isinstance(graph_or_image, DynamicGraph)
-                else graph_or_image
-            )
-            if dynamic is None:
-                dynamic = isinstance(graph_or_image, DynamicGraph)
-            self._image = SharedGraphImage.export_graph(base)
-            self._own_image = True
+                dynamic = True
+        elif isinstance(graph_or_image, DiGraph):
+            base = graph_or_image
         else:
             raise ParameterError(
                 "ShardedDispatcher needs a DiGraph, DynamicGraph, or "
                 f"SharedGraphImage; got {type(graph_or_image).__name__}"
             )
+        #: the cluster's one writable graph (None: static); every
+        #: version the shards serve is a snapshot of it
+        self._graph: DynamicGraph | None = None
+        self._durability = None
+        if dynamic:
+            self._graph = DynamicGraph(base)
+            if wal_dir is not None:
+                from repro.durability.manager import open_durable_graph
+
+                # Seeds a virgin directory; recovered state wins.
+                self._durability, self._graph = open_durable_graph(
+                    wal_dir,
+                    self._graph,
+                    fsync=wal_fsync,
+                    checkpoint_every=checkpoint_every,
+                )
+                base = self._graph.snapshot()
+        #: the generation the shards serve.  The dispatcher exported —
+        #: so ``cleanup()`` unlinks — every one but a caller's
+        #: pre-exported first, of which it holds an attachment
+        self._image = (
+            SharedGraphImage.attach(graph_or_image.handle)
+            if isinstance(graph_or_image, SharedGraphImage)
+            else SharedGraphImage.export_graph(base)
+        )
+        self._num_nodes = self._image.handle.num_nodes
         self._config = WorkerConfig(
             alpha=alpha,
             seed=seed,
             dead_end_policy=dead_end_policy,
-            dynamic=bool(dynamic),
             cache_capacity=cache_capacity,
             cache_ttl=cache_ttl,
             window=window,
             max_batch=max_batch,
             backend=backend,
-            initial_version=initial_version,
         )
         if restart_policy is None:
             restart_policy = RestartPolicy(seed=seed)
@@ -742,6 +758,11 @@ class ShardedDispatcher:
             float(request_timeout) if request_timeout is not None else None
         )
         self._faults = fault_injector
+        #: writers only — ``apply_updates`` from apply to retire, a
+        #: respawn while its shard attaches — so no generation is
+        #: retired under a shard attaching it, and an update's slow
+        #: half (fsync, merge, export) blocks no reader
+        self._write_mutex = threading.Lock()
         self._rwlock = RWLock()
         #: guards ring/worker-state/counter mutations (never held while
         #: blocking; collector threads take it too)
@@ -752,7 +773,9 @@ class ShardedDispatcher:
         self._next_id = 0
         self._closed = False
         self._stopping = False
-        self._version = initial_version
+        #: version of ``_image``: what every answer is stamped with
+        self._version = self._graph.version if self._graph is not None else 0
+        self._recovered_version = self._version
         self._submitted = 0
         self._rerouted = 0
         self._worker_failures = 0
@@ -760,16 +783,10 @@ class ShardedDispatcher:
         #: worker_id -> its reply arena and free list; created before
         #: the first fork, unlinked in close(), never by a worker
         self._reply_slots: dict[int, _ReplySlots] = {}
-        #: every successfully barriered update since boot, in order —
-        #: the journal a respawned worker replays to reach the current
-        #: version (``initial_version + len(self._update_log) ==
-        #: self._version`` at all times; the offset is nonzero after
-        #: durable recovery)
-        self._update_log: list[tuple[str, int, int]] = []
         #: worker_id -> monotonic time its next respawn attempt is due
         self._respawn_due: dict[int, float] = {}
         #: worker_ids with a respawn currently in flight (spawned
-        #: process not yet registered in ``_states``; close() tears
+        #: process not yet in ``_states`` or on the ring; close() tears
         #: these down if it races a respawn)
         self._respawning: dict[int, _WorkerState] = {}
         #: (due monotonic time, request) backoff queue for read retries
@@ -789,7 +806,7 @@ class ShardedDispatcher:
         try:
             for worker_id in range(workers):
                 arena = ReplyArena.create(
-                    self._image.handle.num_nodes,
+                    self._num_nodes,
                     max_slots=max_batch,
                     max_bytes=_ARENA_MAX_BYTES,
                 )
@@ -808,6 +825,7 @@ class ShardedDispatcher:
             )
             self._supervisor = supervisor
             supervisor.start()
+            self._hand_over(list(self._states.values()))
         except BaseException:
             self.close()
             raise
@@ -815,14 +833,14 @@ class ShardedDispatcher:
     def _spawn_state(
         self, worker_id: int, *, generation: int = 0, restarts: int = 0
     ) -> _WorkerState:
-        """Fork one shard process and its parent-side bookkeeping."""
+        """Fork one shard process (graph-less until :meth:`_hand_over`)
+        and its parent-side bookkeeping."""
         config = self._config
         if self._faults is not None and generation == 0:
             # Worker-side faults arm the first incarnation only: the
-            # trigger ordinals are worker-local and would re-fire on
-            # the respawn's journal replay (a crash_update would
-            # otherwise crash-loop every respawn straight through the
-            # restart budget).
+            # ordinals are worker-local, a respawn would count from
+            # zero and re-fire them (crash_update: straight through
+            # the restart budget).
             worker_faults = self._faults.worker_plan(worker_id)
             if worker_faults:
                 config = replace(config, faults=worker_faults)
@@ -833,7 +851,6 @@ class ShardedDispatcher:
             target=_worker_main,
             args=(
                 worker_id,
-                self._image.handle,
                 replies.arena.handle,
                 config,
                 req_q,
@@ -881,7 +898,7 @@ class ShardedDispatcher:
 
     @property
     def graph_version(self) -> int:
-        """Version confirmed by the last update barrier (0 initially)."""
+        """Version of the generation the shards serve (0 initially)."""
         with self._mutex:
             return self._version
 
@@ -892,13 +909,8 @@ class ShardedDispatcher:
 
     @property
     def image(self) -> SharedGraphImage:
-        """The shared graph image the shards serve from."""
+        """The image generation the shards serve from right now."""
         return self._image
-
-    @property
-    def dynamic(self) -> bool:
-        """Whether the shards accept :meth:`apply_updates`."""
-        return self._config.dynamic
 
     @property
     def durability(self) -> Any | None:
@@ -909,7 +921,7 @@ class ShardedDispatcher:
     def recovered_version(self) -> int:
         """Graph version the cluster booted at (0 unless durable
         state was recovered from ``wal_dir``)."""
-        return self._config.initial_version
+        return self._recovered_version
 
     def route(self, source: int) -> int:
         """The worker id ``source`` currently routes to (for tests)."""
@@ -948,10 +960,9 @@ class ShardedDispatcher:
                 "objects (rng, trace, indexes) cannot cross the "
                 "process boundary"
             )
-        num_nodes = self._image.handle.num_nodes
-        if not 0 <= source < num_nodes:
+        if not 0 <= source < self._num_nodes:
             raise NodeNotFoundError(
-                f"source {source} is outside [0, {num_nodes})"
+                f"source {source} is outside [0, {self._num_nodes})"
             )
         with self._rwlock.read():
             with self._mutex:
@@ -974,7 +985,7 @@ class ShardedDispatcher:
                 )
                 message = self._enqueue(state, pending)
             # Enqueued under the read lock: a writer that acquires
-            # after us sees this request ahead of its barrier message
+            # after us sees this request ahead of its hand-over message
             # in the worker's FIFO, so it is answered pre-update.
             state.requests.put(message)
         if self._faults is not None:
@@ -1079,98 +1090,113 @@ class ShardedDispatcher:
 
     # -- write path ------------------------------------------------------
     def apply_updates(self, updates: Iterable[tuple[str, int, int]]) -> int:
-        """Broadcast edge updates to every shard as a versioned barrier.
+        """Apply edge updates and move every shard to the new version.
 
-        Takes the exclusive side of the dispatcher lock (new submits
-        queue behind it; per-worker FIFOs order the barrier after all
-        in-flight requests), sends the same batch to every live
-        worker, and waits — in timed slices, so a crashing worker is
-        noticed, not hung on — until each survivor acks with its new
-        graph version.  The versions must agree (every worker applied
-        the same update stream to the same base); the agreed version
-        is returned and all post-barrier answers carry it.
+        The batch is applied — and validated — in one place, the
+        dispatcher's own :class:`DynamicGraph`, then published
+        (:meth:`_publish`); the new version is returned and all later
+        answers carry it.  Not atomic, like
+        :meth:`DynamicGraph.apply_updates` and the thread tier: a bad
+        update raises after the ones before it were applied, and that
+        prefix is durable and published before the exception
+        propagates.  ``graph_version`` is the dispatcher graph's
+        version after every outcome but a failed export (``/dev/shm``
+        full): the shards then keep serving the old version, this call
+        raises, and the next successful one publishes everything
+        applied so far.
         """
-        if not self._config.dynamic:
+        if self._graph is None:
             raise ParameterError(
                 "this dispatcher serves a static graph; construct it "
                 "with dynamic=True (or from a DynamicGraph) to accept "
                 "updates"
             )
-        batch = [
-            (str(op), int(u), int(v)) for op, u, v in updates
-        ]
-        with self._rwlock.write():
+        with self._write_mutex:
             with self._mutex:
                 if self._closed:
                     raise RuntimeError("dispatcher is closed")
-                live = [s for s in self._states.values() if s.alive]
-                if not live:
-                    raise RuntimeError(
-                        "no live workers to broadcast updates to"
-                    )
-                barrier_id = self._next_id
-                self._next_id += 1
-                barrier = _Barrier(
-                    expected={s.worker_id for s in live}
-                )
-                self._barriers[barrier_id] = barrier
-            for state in live:
-                state.requests.put(("update", barrier_id, batch))
-            deadline = time.monotonic() + _UPDATE_TIMEOUT
             try:
-                while not barrier.done.wait(_POLL):
-                    if time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"update barrier {barrier_id} timed out "
-                            f"after {_UPDATE_TIMEOUT:.0f}s; acks "
-                            f"from {sorted(barrier.versions)} of "
-                            f"{sorted(barrier.expected)}"
-                        )
+                self._graph.apply_updates(updates)
             finally:
-                with self._mutex:
-                    self._barriers.pop(barrier_id, None)
-            if barrier.errors:
-                raise barrier.errors[0]
-            versions = set(barrier.versions.values())
-            if len(versions) > 1:
-                raise RuntimeError(
-                    "shards diverged after update barrier: versions "
-                    f"{sorted(barrier.versions.items())}"
-                )
-            if not versions:
-                # Every expected worker died mid-barrier.  Returning
-                # the stale version here (the old behaviour) would
-                # report success for an update nobody applied.
-                raise RuntimeError(
-                    "every worker died during the update barrier; "
-                    "the batch was not applied"
-                )
-            agreed = versions.pop()
-            if self._mirror is not None:
-                # Mirror the agreed batch and make it durable *before*
-                # the ack: still under the write lock, so no reader
-                # observes the new version until the WAL record is
-                # fsynced (fsync-before-ack).
-                self._mirror.apply_updates(batch)
-                if self._mirror.version != agreed:
-                    raise RuntimeError(
-                        "durable mirror diverged from the worker "
-                        f"barrier: mirror at {self._mirror.version}, "
-                        f"workers agreed on {agreed}"
-                    )
-                assert self._durability is not None
-                self._durability.flush()
-                # The manager took these entries through on_commit and
-                # nothing else replays the mirror's journal: reclaim it,
-                # or the parent grows by one entry per update for life.
-                self._mirror.trim_journal(agreed)
+                if self._graph.version != self._version:
+                    self._publish()
+            return self._version
+
+    def _publish(self) -> None:
+        """Put every live shard on the dispatcher graph's current version.
+
+        Called under ``_write_mutex``.  What takes time — WAL fsync,
+        O(m) merge, copy into a fresh segment — happens before the
+        write side of ``_rwlock`` is taken, so reads stall only for the
+        hand-over (new submits queue behind it; per-worker FIFOs order
+        it after all in-flight requests).
+        """
+        graph = self._graph
+        assert graph is not None
+        version = graph.version
+        if self._durability is not None:
+            # fsync-before-ack: durable before any shard can serve it.
+            self._durability.flush()
+        # Nothing replays the in-memory journal (the WAL is its
+        # durable form): reclaim it, or it grows for life.
+        graph.trim_journal(version)
+        image = SharedGraphImage.export_graph(graph.snapshot())
+        with self._rwlock.write():
             with self._mutex:
-                self._version = agreed
-                # Journal for respawn catch-up: a worker respawned
-                # after this barrier replays the log and must land on
-                # exactly this version (one version bump per update).
-                self._update_log.extend(batch)
-                return self._version
+                retired, self._image = self._image, image
+                self._version = version
+                states = list(self._states.values())
+            try:
+                self._hand_over(states)
+            finally:
+                # Also after a failed hand-over: unlinking takes only
+                # the name away — a hung shard keeps its mapping — and
+                # no shard is ever handed a retired name.
+                retired.cleanup()
+
+    def _hand_over(self, states: list[_WorkerState]) -> set[int]:
+        """Put ``states`` on the current generation at the current version.
+
+        The one way a shard gets a graph — at boot, across an update,
+        after a respawn: send every live one "attach this handle at
+        version V" and wait, in timed slices so a crash is noticed,
+        until each has acked or died.  Returns the ids that acked (the
+        rest are dead: the supervisor's business).  The caller keeps
+        the generation from being retired meanwhile (``_write_mutex``).
+        """
+        with self._mutex:
+            # Liveness is read where the barrier is registered: a
+            # later death finds the barrier and is discarded from it.
+            states = [s for s in states if s.alive]
+            barrier_id = self._next_id
+            self._next_id += 1
+            barrier = _Barrier(expected={s.worker_id for s in states})
+            barrier.settle_if_complete()
+            self._barriers[barrier_id] = barrier
+            version = self._version
+            message = ("attach", barrier_id, self._image.handle, version)
+        for state in states:
+            state.requests.put(message)
+        deadline = time.monotonic() + _UPDATE_TIMEOUT
+        try:
+            while not barrier.done.wait(_POLL):
+                with self._mutex:
+                    stopping = self._stopping
+                if stopping:
+                    raise RuntimeError(
+                        "dispatcher closed during a graph hand-over"
+                    )
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"hand-over of version {version} timed out after "
+                        f"{_UPDATE_TIMEOUT:.0f}s; acks from "
+                        f"{sorted(barrier.acked)} of "
+                        f"{sorted(barrier.expected)}"
+                    )
+        finally:
+            with self._mutex:
+                self._barriers.pop(barrier_id, None)
+        return barrier.acked
 
     # -- collector / failure handling ------------------------------------
     def _collect(self, state: _WorkerState) -> None:
@@ -1221,20 +1247,11 @@ class ShardedDispatcher:
                     state.last_heartbeat = float(ts)
                     state.reported_version = int(version)
                     state.reported_cache_size = int(cache_size)
-            elif kind == "updated":
-                _, barrier_id, version = message
+            elif kind == "attached":
                 with self._mutex:
-                    barrier = self._barriers.get(barrier_id)
+                    barrier = self._barriers.get(message[1])
                     if barrier is not None:
-                        barrier.versions[state.worker_id] = int(version)
-                        barrier.settle_if_complete()
-            elif kind == "update-error":
-                _, barrier_id, exc = message
-                with self._mutex:
-                    barrier = self._barriers.get(barrier_id)
-                    if barrier is not None:
-                        barrier.errors.append(exc)
-                        barrier.failed.add(state.worker_id)
+                        barrier.acked.add(state.worker_id)
                         barrier.settle_if_complete()
             elif kind == "stats":
                 _, req_id, stats = message
@@ -1323,17 +1340,24 @@ class ShardedDispatcher:
         Every request the dead worker had not answered is resubmitted
         through the bounded retry path (routing no longer includes the
         dead worker); with no survivors the futures fail instead of
-        hanging.  Barriers waiting on the dead worker stop expecting
-        its ack and settle on the survivors.  When the restart policy
-        has budget left, a respawn is scheduled after the jittered
-        backoff; otherwise the worker is removed permanently and the
-        dispatcher reports degraded capacity.
+        hanging.  A hand-over waiting on the dead worker stops
+        expecting its ack and settles on the survivors.  When the
+        restart policy has budget left, a respawn is scheduled after
+        the jittered backoff; otherwise the worker is removed
+        permanently and the dispatcher reports degraded capacity.
         """
         now = time.monotonic()
         with self._mutex:
             if not state.alive:
                 return
             state.alive = False
+            for barrier in self._barriers.values():
+                barrier.expected.discard(state.worker_id)
+                barrier.settle_if_complete()
+            if self._states.get(state.worker_id) is not state:
+                # A respawn that died before joining the ring: nothing
+                # to reroute; ``_respawn`` spends the restart budget.
+                return
             state.died_at = now
             state.breaker.trip(now)
             self._worker_failures += 1
@@ -1343,20 +1367,9 @@ class ShardedDispatcher:
                 # The dead worker writes no more: every slot it held
                 # goes back for its next incarnation to use.
                 self._pop_pending(state, req_id)
-            for barrier in self._barriers.values():
-                barrier.expected.discard(state.worker_id)
-                barrier.settle_if_complete()
             stopping = self._stopping
             if not stopping:
-                attempt = state.restarts
-                if self._restart_policy.allows(attempt):
-                    delay = self._restart_policy.delay(
-                        state.worker_id, attempt
-                    )
-                    self._respawn_due[state.worker_id] = now + delay
-                else:
-                    state.removed = True
-                    self._permanent_failures += 1
+                self._spend_restart(state, now)
         if stopping:
             for request in orphaned:
                 self._fail(
@@ -1537,14 +1550,15 @@ class ShardedDispatcher:
                 self._respawn(worker_id)
 
     def _respawn(self, worker_id: int) -> None:
-        """Bring one dead shard back over the same shared image.
+        """Bring one dead shard back, on the current generation.
 
-        Spawn a fresh process (zero-copy re-attach of the segment),
-        replay the update journal so its engine reaches the current
-        graph version, verify the acked version under the write lock
-        (serialising with concurrent ``apply_updates``), and only then
-        restore the worker's arc on the ring.  Any failure along the
-        way consumes another unit of restart budget.
+        Spawn a fresh process, hand it the current generation like any
+        other shard (:meth:`_hand_over`: one attach, however many
+        updates there were) and restore its arc on the ring once it
+        has acked.  ``_write_mutex`` keeps ``apply_updates`` from
+        retiring that generation in between, so a respawn racing an
+        update joins at whichever version is current; readers are not
+        blocked.  Any failure consumes a unit of restart budget.
         """
         with self._mutex:
             if self._stopping or self._closed:
@@ -1563,119 +1577,79 @@ class ShardedDispatcher:
             return
         with self._mutex:
             self._respawning[worker_id] = state
+        self._start_collector(state)
         try:
-            acked = self._catch_up(state, acked=0)
-            if acked is None:
-                self._teardown_state(state)
-                self._respawn_failed(worker_id, restarts)
-                return
-            # Final delta under the write lock: no apply_updates can
-            # run concurrently, so after this the journal cannot grow
-            # before the worker is back on the ring.
-            with self._rwlock.write():
-                acked = self._catch_up(state, acked=acked)
-                with self._mutex:
-                    expected = self._version - self._config.initial_version
-                    stopping = self._stopping
-                if stopping or acked is None or acked != expected:
-                    self._teardown_state(state)
-                    if not stopping:
-                        self._respawn_failed(worker_id, restarts)
-                    return
+            with self._write_mutex:
+                try:
+                    acked = self._hand_over([state])
+                except (RuntimeError, TimeoutError):
+                    acked = set()
                 now = time.monotonic()
                 with self._mutex:
-                    self._states[worker_id] = state
-                    state.alive = True
-                    # The catch-up ack doubles as the first health
-                    # report (the worker's startup heartbeat was
-                    # drained during replay): fresh cache, journal
-                    # version, seen just now.
-                    state.last_heartbeat = now
-                    state.reported_version = (
-                        self._config.initial_version + acked
+                    # ``alive``: it may have acked and died since.
+                    joined = (
+                        worker_id in acked
+                        and state.alive
+                        and not self._stopping
                     )
-                    state.reported_cache_size = 0
-                    self._ring.add(worker_id)
-                    self._respawns += 1
-                    recovery = now - old.died_at
-                    self._recovery_last = recovery
-                    self._recovery_max = max(self._recovery_max, recovery)
-                self._start_collector(state)
+                    if joined:
+                        self._states[worker_id] = state
+                        self._ring.add(worker_id)
+                        self._respawns += 1
+                        recovery = now - old.died_at
+                        self._recovery_last = recovery
+                        self._recovery_max = max(self._recovery_max, recovery)
         finally:
             with self._mutex:
                 self._respawning.pop(worker_id, None)
-
-    def _catch_up(
-        self, state: _WorkerState, *, acked: int
-    ) -> int | None:
-        """Replay journal entries past ``acked`` to a respawning worker.
-
-        The worker is not on the ring and its collector is not running
-        yet, so its response queue is read directly here (timed waits
-        only).  Returns the journal length the worker has confirmed —
-        its graph version minus the boot version (one bump per update;
-        the boot version is nonzero after durable recovery) — or
-        ``None`` on death, timeout, error, or dispatcher shutdown.
-        """
-        base = self._config.initial_version
-        with self._mutex:
-            batch = list(self._update_log[acked:])
-            target = len(self._update_log)
-            barrier_id = self._next_id
-            self._next_id += 1
-        if not batch:
-            return acked
-        state.requests.put(("update", barrier_id, batch))
-        deadline = time.monotonic() + _UPDATE_TIMEOUT
-        while True:
-            with self._mutex:
-                if self._stopping:
-                    return None
-            try:
-                message = state.responses.get(timeout=_POLL)
-            except queue.Empty:
-                if not state.process.is_alive():
-                    return None
-                if time.monotonic() > deadline:
-                    return None
-                continue
-            except (EOFError, OSError):
-                return None
-            kind = message[0]
-            if kind == "updated" and message[1] == barrier_id:
-                version = int(message[2])
-                return (version - base) if version - base == target else None
-            if kind == "update-error":
-                return None
-            # Heartbeats (and any stale replies) are ignored here;
-            # the collector takes over once the worker is registered.
+        if not joined:
+            self._stop_state(state, time.monotonic() + 1.0)
+            self._respawn_failed(worker_id, restarts)
 
     def _respawn_failed(self, worker_id: int, restarts: int) -> None:
         """A respawn attempt died; spend budget on another or give up."""
-        now = time.monotonic()
         with self._mutex:
             old = self._states.get(worker_id)
             if old is None or self._stopping:
                 return
             old.restarts = restarts
-            if self._restart_policy.allows(restarts):
-                delay = self._restart_policy.delay(worker_id, restarts)
-                self._respawn_due[worker_id] = now + delay
-            else:
-                old.removed = True
-                self._permanent_failures += 1
+            self._spend_restart(old, time.monotonic())
         self._supervisor_wake.set()
 
-    def _teardown_state(self, state: _WorkerState) -> None:
-        """Dispose of a worker that never made it onto the ring."""
+    def _spend_restart(self, state: _WorkerState, now: float) -> None:
+        """Under ``_mutex``: schedule the next respawn of ``state``'s
+        worker after the policy's backoff, or remove it for good."""
+        if self._restart_policy.allows(state.restarts):
+            delay = self._restart_policy.delay(state.worker_id, state.restarts)
+            self._respawn_due[state.worker_id] = now + delay
+        else:
+            state.removed = True
+            self._permanent_failures += 1
+
+    @staticmethod
+    def _stop_state(state: _WorkerState, deadline: float) -> None:
+        """Stop one shard process and everything attached to it.
+
+        A stop message, a join bounded by ``deadline``, then
+        ``terminate`` (workers turn SIGTERM into a clean exit that
+        closes their mappings) and finally ``kill``; the collector goes
+        before the queues it reads.
+        """
         try:
             state.requests.put(("stop",))
         except (ValueError, OSError):
+            # Queue already torn down by a dead worker's feeder.
             pass
-        state.process.join(timeout=1.0)
+        state.process.join(timeout=max(0.0, deadline - time.monotonic()))
+        if state.process.is_alive():
+            state.process.terminate()
+            state.process.join(timeout=1.0)
         if state.process.is_alive():
             state.process.kill()
             state.process.join(timeout=1.0)
+        if state.collector is not None:
+            state.collector.join(timeout=2.0)
+            state.collector = None
         for q in (state.requests, state.responses):
             try:
                 q.cancel_join_thread()
@@ -1843,13 +1817,13 @@ class ShardedDispatcher:
     def close(self) -> None:
         """Stop every shard and release the shared segments (idempotent).
 
-        Stop messages first, then a bounded join, escalating to
-        ``terminate`` (workers convert SIGTERM to a clean exit that
-        closes their mappings) and finally ``kill``.  Leftover futures
-        fail rather than hang.  The reply arenas are unlinked here, by
+        Every shard — a respawn caught in flight included — is stopped
+        under one shared deadline (:meth:`_stop_state`).  Leftover
+        futures fail rather than hang.  The reply arenas are unlinked here, by
         the parent that created them, once no worker can write to them
-        any more; the graph image is closed and — when the dispatcher
-        exported it — unlinked exactly once, so a completed run leaves
+        any more; the graph image's current generation (earlier ones
+        went when they were replaced) is closed and — unless it is the
+        caller's own — unlinked exactly once, so a completed run leaves
         nothing in ``/dev/shm``.
         """
         with self._mutex:
@@ -1857,18 +1831,11 @@ class ShardedDispatcher:
                 return
             self._closed = True
             self._stopping = True
-            states = list(self._states.values())
-            respawning = list(self._respawning.values())
+            states = [*self._states.values(), *self._respawning.values()]
             self._respawning.clear()
             self._respawn_due.clear()
             waiting_retries = [request for _, request in self._retry_due]
             self._retry_due = []
-            for barrier in self._barriers.values():
-                barrier.errors.append(
-                    RuntimeError("dispatcher closed during update barrier")
-                )
-                barrier.done.set()
-            self._barriers.clear()
         self._supervisor_wake.set()
         if (
             self._supervisor is not None
@@ -1880,29 +1847,9 @@ class ShardedDispatcher:
             self._fail(
                 request.future, RuntimeError("dispatcher is closed")
             )
-        for state in respawning:
-            self._teardown_state(state)
-        for state in states:
-            if state.alive:
-                try:
-                    state.requests.put(("stop",))
-                except (ValueError, OSError):
-                    # Queue already torn down by a dead worker's
-                    # feeder — nothing left to stop.
-                    pass
         deadline = time.monotonic() + 5.0
         for state in states:
-            state.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if state.process.is_alive():
-                state.process.terminate()
-                state.process.join(timeout=1.0)
-            if state.process.is_alive():
-                state.process.kill()
-                state.process.join(timeout=1.0)
-        for state in states:
-            if state.collector is not None:
-                state.collector.join(timeout=2.0)
-                state.collector = None
+            self._stop_state(state, deadline)
         with self._mutex:
             leftovers = [
                 request
@@ -1916,21 +1863,14 @@ class ShardedDispatcher:
             self._fail(
                 request.future, RuntimeError("dispatcher is closed")
             )
-        for state in states:
-            for q in (state.requests, state.responses):
-                try:
-                    q.cancel_join_thread()
-                    q.close()
-                except (ValueError, OSError):
-                    pass
         for replies in self._reply_slots.values():
             replies.arena.cleanup()
-        if self._own_image:
+        # (an apply_updates caught mid-flight saw ``_stopping`` and is
+        # done: whatever it published last is current)
+        with self._write_mutex:
             self._image.cleanup()
-        else:
-            self._image.close()
-        if self._durability is not None:
-            self._durability.close()
+            if self._durability is not None:
+                self._durability.close()
 
     def __enter__(self) -> "ShardedDispatcher":
         return self

@@ -15,6 +15,11 @@ not in the image: no PowerPush-family solver reads it, it would be
 more than half the segment, and the solvers that do (PowItr, BePI)
 build it lazily, per process, on first use.
 
+An image is immutable, so an evolving graph is a sequence of them:
+each version is a fresh segment (a *generation*), exported once by the
+parent and attached by every shard in place of the one before, which
+the parent then unlinks — one exists at a time, and a shard maps one.
+
 Answers travel the other way through a :class:`ReplyArena`: a
 parent-owned segment of fixed-size slots, one arena per shard, that a
 worker fills with an answer's two dense vectors so only a small header
@@ -34,7 +39,10 @@ implemented once, in :class:`SharedSegment`, for both kinds):
 * an :mod:`atexit` fallback cleans owned segments even when the owner
   forgets, and the interpreter's ``resource_tracker`` backstops a
   SIGKILLed owner — a killed worker leaks nothing because workers
-  never own segments.
+  never own segments;
+* a forked worker first drops every mapping it inherited
+  (:func:`close_inherited_segments`): an unlinked segment's pages live
+  until the last mapping goes, so one would pin a retired generation.
 
 Attachments are *untracked*: a non-owner registering with the resource
 tracker would have the tracker unlink the segment when that process
@@ -50,7 +58,7 @@ import os
 import secrets
 import struct
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import parent_process, shared_memory
 from typing import Mapping, TypeVar
 
 import numpy as np
@@ -66,6 +74,7 @@ __all__ = [
     "SharedGraphImage",
     "SharedSegment",
     "SEGMENT_PREFIX",
+    "close_inherited_segments",
     "live_segments",
 ]
 
@@ -143,6 +152,12 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no track= parameter
         segment = shared_memory.SharedMemory(name=name)
+        if parent_process() is not None:
+            # A multiprocessing child shares its parent's tracker:
+            # this registration is the owner's own (names are a set),
+            # and unregistering would race the (register, unregister)
+            # pairs of siblings attaching the same segment just now.
+            return segment
         try:
             from multiprocessing import resource_tracker
 
@@ -180,6 +195,15 @@ def live_segments() -> list[str]:
     return sorted(
         segment.segment_name for segment in _LIVE_SEGMENTS.values()
     )
+
+
+def close_inherited_segments() -> None:
+    """Drop the mappings (and registry entries) a forked child got
+    from its parent; call first thing in a worker, which then maps only
+    what it attaches.  A no-op under spawn, which inherits nothing."""
+    for segment in list(_LIVE_SEGMENTS.values()):
+        segment.close()
+    _LIVE_SEGMENTS.clear()
 
 
 class SharedSegment:

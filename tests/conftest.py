@@ -7,6 +7,8 @@ integration tests.  Everything is seeded — a failing test reproduces.
 
 from __future__ import annotations
 
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -80,19 +82,75 @@ def small_random_graphs():
     return graphs
 
 
+def _shm_files() -> set[str]:
+    """Names of the shared-memory segments in ``/dev/shm`` that this
+    process created (the pid is in the name; another test run on the
+    same machine has its own)."""
+    shm_dir = Path("/dev/shm")
+    if not shm_dir.is_dir():
+        return set()
+    mine = f"{SEGMENT_PREFIX}_{os.getpid():x}_*"
+    return {path.name for path in shm_dir.glob(mine)}
+
+
+@pytest.fixture
+def shm_files():
+    """The function listing our segments in ``/dev/shm`` right now."""
+    return _shm_files
+
+
+def _mapped_segments(pid: int) -> set[str]:
+    """Names of our segments in the address space of process ``pid``
+    (Linux), unlinked ones included."""
+    names = set()
+    for line in Path(f"/proc/{pid}/maps").read_text().splitlines():
+        path = line.split(None, 5)[-1]
+        if path.startswith("/dev/shm/" + SEGMENT_PREFIX):
+            names.add(path.removeprefix("/dev/shm/").removesuffix(" (deleted)"))
+    return names
+
+
+@pytest.fixture
+def mapped_segments():
+    """The function listing the segments a process maps; skips the
+    test where ``/proc/<pid>/maps`` does not exist."""
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("needs /proc/<pid>/maps")
+    return _mapped_segments
+
+
+@pytest.fixture
+def wait_for():
+    """``wait_for(condition, what)``: poll until ``condition()`` holds;
+    fail the test, naming ``what``, after ``timeout`` seconds."""
+
+    def wait(condition, what, timeout=30.0):
+        deadline = time.monotonic() + timeout
+        while not condition():
+            assert time.monotonic() < deadline, f"timed out waiting for {what}"
+            time.sleep(0.02)
+
+    return wait
+
+
 @pytest.fixture
 def no_leaked_segments():
     """Fail the test if it leaves one of our shared-memory segments
     behind — in this process's cleanup registry or in ``/dev/shm``."""
-
-    def snapshot():
-        shm_dir = Path("/dev/shm")
-        on_disk = sorted(shm_dir.glob(SEGMENT_PREFIX + "*")) if shm_dir.is_dir() else []
-        return live_segments(), on_disk
-
-    before = snapshot()
+    before = live_segments(), _shm_files()
     yield
-    assert snapshot() == before
+    assert (live_segments(), _shm_files()) == before
+
+
+@pytest.fixture(autouse=True)
+def _guard_segments(request):
+    """Every serving and durability test runs under
+    ``no_leaked_segments``: each graph update creates and retires a
+    segment, so any test that builds a dispatcher can leak one.
+    Function-scoped, so the baseline is taken after the module- and
+    session-scoped fixtures (which may own segments) are set up."""
+    if request.module.__name__.startswith(("test_serving", "test_durability")):
+        request.getfixturevalue("no_leaked_segments")
 
 
 def assert_close(a, b, atol=1e-10, msg=""):

@@ -23,7 +23,13 @@ from repro.durability import (
     run_crash_harness,
     torn_tail_sweep,
 )
-from repro.errors import CheckpointError, ParameterError, RecoveryError
+from repro.api.engine import PPREngine
+from repro.errors import (
+    CheckpointError,
+    GraphConstructionError,
+    ParameterError,
+    RecoveryError,
+)
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 
@@ -160,6 +166,32 @@ class TestManagerLifecycle:
         manager2, recovered = open_durable_graph(tmp_path)
         assert recovered.version == 2
         manager2.close()
+
+    def test_engine_flushes_the_valid_prefix_of_a_failing_batch(
+        self, tmp_path
+    ):
+        """fsync-before-ack on the error path: a batch that raises
+        after a valid prefix has moved the version readers see, so the
+        prefix must be in the WAL before the exception gets out."""
+        base = _graph()
+        manager, graph = open_durable_graph(tmp_path, base)
+        engine = PPREngine(graph, alpha=0.2, seed=7)
+        engine.attach_durability(manager)
+        try:
+            with pytest.raises(GraphConstructionError):
+                engine.apply_updates(
+                    [_updates(base, 1)[0], ("+", *next(base.iter_edges()))]
+                )
+            assert engine.graph_version == 1
+            assert manager.pending_updates == 0
+            assert graph.journal_floor == 1
+            # What a crash right now would come back to: the first
+            # manager is still open and has flushed nothing on close.
+            manager2, recovered = open_durable_graph(tmp_path, None)
+            manager2.close()
+            assert recovered.version == engine.graph_version
+        finally:
+            manager.close()
 
     def test_one_hook_per_graph(self, tmp_path):
         base = _graph()

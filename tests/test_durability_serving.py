@@ -8,11 +8,15 @@ equality exact), at exactly the version it acknowledged before dying.
 
 from __future__ import annotations
 
+import os
+import signal
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.api.engine import PPREngine
-from repro.errors import ParameterError
+from repro.errors import GraphConstructionError, ParameterError
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.serving.server import EngineServer
@@ -34,6 +38,32 @@ def _updates(base, count, seed=23):
         scratch.apply_updates([update])
         out.append(update)
     return out
+
+
+def _wal_state(wal_dir):
+    """Every file under ``wal_dir`` with its size: what is on disk."""
+    return {
+        str(path.relative_to(wal_dir)): path.stat().st_size
+        for path in sorted(Path(wal_dir).rglob("*"))
+        if path.is_file()
+    }
+
+
+def _respawned(dispatcher):
+    return lambda: dispatcher.stats()["supervisor"]["respawns"] == 1
+
+
+def _assert_serves(dispatcher, engine, version, sources=(0, 3, 5, 11)):
+    """Every source is answered at ``version`` with ``engine``'s bytes."""
+    workers = set()
+    for source in sources:
+        served = dispatcher.query(source, "powerpush", l1_threshold=1e-6)
+        direct = engine.query(source, "powerpush", l1_threshold=1e-6)
+        assert served.version == version
+        assert served.result.estimate.tobytes() == direct.estimate.tobytes()
+        assert served.result.residue.tobytes() == direct.residue.tobytes()
+        workers.add(served.worker)
+    assert workers == set(range(dispatcher.configured_workers))
 
 
 class TestEngineServerDurability:
@@ -191,6 +221,112 @@ class TestShardedDurability:
                 assert mirror.journal_floor == version
                 assert mirror.updates_since(version) == []
             assert mirror.journal_floor == dispatcher.graph_version == 12
+
+    def test_failing_batch_keeps_wal_shards_and_version_in_step(
+        self, tmp_path, wait_for
+    ):
+        """``[valid, insert of an existing edge]`` raises after the
+        valid prefix: that prefix is what the WAL holds, what every
+        shard serves and what ``graph_version`` says — through the next
+        update, a shard's death and a cold restart."""
+        base = _base(scale=8, edges=1000)
+        first, second = _updates(base, 2)
+        batch = [first, ("+", *next(base.iter_edges()))]
+        wal_dir = tmp_path / "cluster"
+        reference = DynamicGraph(base)
+        with pytest.raises(GraphConstructionError):
+            reference.apply_updates(batch)
+        engine = PPREngine(reference, alpha=0.2, seed=0)
+
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, wal_dir=wal_dir, max_restarts=2
+        ) as dispatcher:
+            with pytest.raises(GraphConstructionError):
+                dispatcher.apply_updates(batch)
+            assert dispatcher.graph_version == 1
+            assert dispatcher.durability.pending_updates == 0
+            _assert_serves(dispatcher, engine, 1)
+
+            reference.apply_updates([second])
+            assert dispatcher.apply_updates([second]) == 2
+
+            os.kill(dispatcher._states[0].process.pid, signal.SIGKILL)
+            wait_for(_respawned(dispatcher), "the killed shard to respawn")
+            supervisor = dispatcher.stats()["supervisor"]
+            assert supervisor["removed"] == []
+            assert supervisor["degraded_capacity"] is False
+            _assert_serves(dispatcher, engine, 2)
+
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, wal_dir=wal_dir
+        ) as dispatcher:
+            assert dispatcher.recovered_version == 2
+            _assert_serves(dispatcher, engine, 2)
+
+    def test_invalid_first_update_touches_nothing(self, tmp_path, shm_files):
+        base = _base(scale=8, edges=1000)
+        wal_dir = tmp_path / "cluster"
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, wal_dir=wal_dir
+        ) as dispatcher:
+            segments, on_disk = shm_files(), _wal_state(wal_dir)
+            with pytest.raises(GraphConstructionError):
+                dispatcher.apply_updates(
+                    [("+", *next(base.iter_edges())), _updates(base, 1)[0]]
+                )
+            assert dispatcher.graph_version == 0
+            assert shm_files() == segments
+            assert _wal_state(wal_dir) == on_disk
+
+    @pytest.mark.slow
+    def test_soak_a_thousand_barriers_and_a_kill_grow_nothing(
+        self, tmp_path, shm_files, wait_for
+    ):
+        """Neither ``/dev/shm`` nor any container the dispatcher holds
+        may grow with the number of updates the cluster has seen."""
+        base = _base(scale=8, edges=1000)
+        scratch = DynamicGraph(base)
+        rng = np.random.default_rng(11)
+
+        def sizes(dispatcher):
+            return {
+                name: len(value)
+                for name, value in vars(dispatcher).items()
+                if hasattr(value, "__len__")
+            }
+
+        with ShardedDispatcher(
+            DynamicGraph(base),
+            workers=2,
+            wal_dir=tmp_path / "cluster",
+            checkpoint_every=200,
+        ) as dispatcher:
+            mirror = dispatcher.durability.graph
+            segments = len(shm_files())
+            for count in range(1, 1001):
+                update = sample_edge_update(scratch, rng)
+                scratch.apply_updates([update])
+                assert dispatcher.apply_updates([update]) == count
+                assert mirror.journal_floor == dispatcher.graph_version
+                assert len(shm_files()) == segments
+                if count == 250:
+                    early = sizes(dispatcher)
+                if count == 500:
+                    os.kill(
+                        dispatcher._states[0].process.pid, signal.SIGKILL
+                    )
+                    # (a writer that never pauses can keep the respawn
+                    # waiting for its turn: let it in)
+                    wait_for(_respawned(dispatcher), "the respawn")
+            late = sizes(dispatcher)
+            assert early and all(
+                late[name] <= size for name, size in early.items()
+            ), (early, late)
+            assert dispatcher.stats()["supervisor"]["respawns"] == 1
+            assert dispatcher.num_workers == 2
+            _assert_serves(
+                dispatcher, PPREngine(scratch, alpha=0.2, seed=0), 1000
+            )
 
     def test_wal_dir_rejects_static_graph(self, tmp_path):
         with pytest.raises(ParameterError, match="dynamic"):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import PPREngine
 from repro.errors import (
+    GraphConstructionError,
     NodeNotFoundError,
     ParameterError,
     UnknownMethodError,
@@ -26,7 +27,8 @@ from repro.generators.rmat import rmat_digraph
 from repro.graph.build import from_edge_arrays
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.serving import EngineServer, ShardedDispatcher
-from repro.serving.shm import SEGMENT_PREFIX, live_segments
+from repro.serving.shm import SEGMENT_PREFIX, SharedGraphImage, live_segments
+from repro.serving.supervisor import RestartPolicy
 
 PARAMS = {"l1_threshold": 1e-6}
 
@@ -87,6 +89,18 @@ def pick_updates(graph):
         )
         updates.append(("add", u, v))
     return updates
+
+
+def failing_batch(graph):
+    """A valid insert followed by the insert of an edge that exists."""
+    return [pick_updates(graph)[0], ("add", *next(graph.iter_edges()))]
+
+
+def one_source_per_shard(disp, graph):
+    return [
+        next(s for s in range(graph.num_nodes) if disp.route(s) == worker)
+        for worker in range(disp.configured_workers)
+    ]
 
 
 class TestByteIdentity:
@@ -550,6 +564,169 @@ class TestUpdates:
                     ).estimate.tobytes()
                 assert served.result.estimate.tobytes() == expected[key]
             assert version in seen_versions, "no reader saw the new version"
+
+
+class TestFailingBatch:
+    """A batch is validated where it is applied, in the dispatcher's
+    own graph — whose version is the cluster's, whatever the outcome."""
+
+    def test_valid_prefix_is_published_and_the_cluster_heals(
+        self, base, wait_for
+    ):
+        batch = failing_batch(base)
+        reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
+        with pytest.raises(GraphConstructionError):
+            reference.apply_updates(batch)
+        policy = RestartPolicy(
+            max_restarts=3, base_delay=0.01, jitter=0.0, seed=7
+        )
+        with ShardedDispatcher(
+            DynamicGraph(base),
+            workers=2,
+            alpha=0.2,
+            seed=7,
+            restart_policy=policy,
+        ) as disp:
+            with pytest.raises(GraphConstructionError):
+                disp.apply_updates(batch)
+            assert disp.graph_version == 1
+            sources = one_source_per_shard(disp, base)
+            for source in sources:
+                served = disp.query(source, "powerpush", **PARAMS)
+                assert served.version == 1
+                assert_same_bytes(
+                    served, reference.query(source, "powerpush", **PARAMS)
+                )
+
+            more = [pick_updates(base)[1]]
+            reference.apply_updates(more)
+            assert disp.apply_updates(more) == 2
+
+            os.kill(disp._states[0].process.pid, signal.SIGKILL)
+            wait_for(
+                lambda: disp.stats()["supervisor"]["respawns"] == 1,
+                "the killed shard to respawn",
+            )
+            supervisor = disp.stats()["supervisor"]
+            assert supervisor["removed"] == []
+            assert supervisor["degraded_capacity"] is False
+            for source in sources:
+                served = disp.query(source, "powerpush", **PARAMS)
+                assert served.version == 2
+                assert served.worker == disp.route(source)
+                assert_same_bytes(
+                    served, reference.query(source, "powerpush", **PARAMS)
+                )
+
+    def test_invalid_first_update_changes_nothing(self, base):
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, alpha=0.2, seed=7
+        ) as disp:
+            segments = our_shm_files()
+            with pytest.raises(GraphConstructionError):
+                disp.apply_updates(failing_batch(base)[::-1])
+            assert disp.graph_version == 0
+            assert our_shm_files() == segments
+            assert disp.query(3, "powerpush", **PARAMS).version == 0
+
+
+class TestGenerations:
+    """Every update exports one new image generation and retires the
+    one before: the cluster holds one, and so does every shard."""
+
+    def test_one_generation_between_barriers(self, base):
+        before, live_before = our_shm_files(), set(live_segments())
+        rng = np.random.default_rng(3)
+        scratch = DynamicGraph(base)
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, alpha=0.2, seed=7
+        ) as disp:
+            seen = set()
+            for _ in range(50):
+                update = sample_edge_update(scratch, rng)
+                scratch.apply_updates([update])
+                disp.apply_updates([update])
+                arenas = {
+                    slots.arena.segment_name
+                    for slots in disp._reply_slots.values()
+                }
+                # One image and one reply arena per shard, nothing else.
+                ours = our_shm_files() - before
+                assert ours == arenas | {disp.image.segment_name}
+                assert set(live_segments()) - live_before == ours
+                seen.add(disp.image.segment_name)
+            assert len(seen) == 50
+            assert disp.graph_version == 50
+        assert our_shm_files() == before
+        assert set(live_segments()) == live_before
+
+    def test_a_shard_maps_one_generation_and_its_arena(
+        self, base, mapped_segments
+    ):
+        # SharedSegment.close() swallows BufferError: a view left on an
+        # old generation would keep it mapped, one more per update, and
+        # nothing else would notice.  Nor may a forked shard keep what
+        # its parent had mapped.
+        rng = np.random.default_rng(3)
+        scratch = DynamicGraph(base)
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, alpha=0.2, seed=7
+        ) as disp:
+            for _ in range(50):
+                update = sample_edge_update(scratch, rng)
+                scratch.apply_updates([update])
+                disp.apply_updates([update])
+                disp.query(update[1], "powerpush", **PARAMS)
+            for worker, state in disp._states.items():
+                assert mapped_segments(state.process.pid) == {
+                    disp.image.segment_name,
+                    disp._reply_slots[worker].arena.segment_name,
+                }
+
+    def test_failed_export_leaves_the_old_version_served(
+        self, base, monkeypatch
+    ):
+        first, second = pick_updates(base)
+        reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
+        export = SharedGraphImage.export_graph
+        failures = [OSError(28, "No space left on device")]
+
+        def export_or_fail(graph):
+            if failures:
+                raise failures.pop()
+            return export(graph)
+
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, alpha=0.2, seed=7
+        ) as disp:
+            segments = our_shm_files()
+            sources = one_source_per_shard(disp, base)
+            monkeypatch.setattr(
+                SharedGraphImage, "export_graph", export_or_fail
+            )
+            with pytest.raises(OSError, match="No space"):
+                disp.apply_updates([first])
+            # The one outcome that leaves the dispatcher's graph ahead
+            # of the shards — until the next write.
+            assert disp.graph_version == 0
+            assert our_shm_files() == segments
+            for source in sources:
+                served = disp.query(source, "powerpush", **PARAMS)
+                assert served.version == 0
+                assert_same_bytes(
+                    served, reference.query(source, "powerpush", **PARAMS)
+                )
+
+            reference.apply_updates([first, second])
+            assert disp.apply_updates([second]) == 2
+            assert disp.graph_version == 2
+            assert len(our_shm_files()) == len(segments)
+            for source in sources:
+                served = disp.query(source, "powerpush", **PARAMS)
+                assert served.version == 2
+                assert_same_bytes(
+                    served, reference.query(source, "powerpush", **PARAMS)
+                )
 
 
 class TestCrashRecovery:

@@ -4,9 +4,9 @@ Policy units first (:class:`RestartPolicy`, :class:`RetryPolicy`,
 :class:`CircuitBreaker` are pure state machines — deterministic under
 a seed, no processes involved), then end-to-end supervision through a
 real :class:`ShardedDispatcher`: a SIGKILLed shard is detected,
-respawned over the same shared-memory graph image, caught up through
-the update journal, and serves byte-identical answers; an exhausted
-restart budget degrades capacity without hanging a single future.
+respawned, handed the current generation of the shared-memory graph
+image, and serves byte-identical answers; an exhausted restart budget
+degrades capacity without hanging a single future.
 """
 
 import os
@@ -19,8 +19,10 @@ import pytest
 from repro.api import PPREngine
 from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
-from repro.graph.dynamic import DynamicGraph
+from repro.graph.build import from_edge_arrays
+from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.serving import FaultInjector, FaultSpec, ShardedDispatcher
+from repro.serving.shm import SharedGraphImage
 from repro.serving.supervisor import (
     CLOSED,
     HALF_OPEN,
@@ -434,3 +436,127 @@ class TestRespawnEndToEnd:
                     served.result.estimate.tobytes()
                     == expected.estimate.tobytes()
                 )
+
+
+class TestRespawnAcrossGenerations:
+    """A respawn is handed the current generation like any other shard:
+    whatever it raced, it ends on the newest one, and none is left."""
+
+    @staticmethod
+    def assert_both_shards_match(disp, base, reference, version):
+        for worker in range(disp.configured_workers):
+            routed = [s for s in range(base.num_nodes) if disp.route(s) == worker]
+            for source in routed[:3]:
+                served = disp.query(source, "powerpush", **PARAMS)
+                expected = reference.query(source, "powerpush", **PARAMS)
+                assert served.version == version
+                assert served.worker == worker
+                assert served.result.estimate.tobytes() == expected.estimate.tobytes()
+                assert served.result.residue.tobytes() == expected.residue.tobytes()
+
+    def test_crash_mid_hand_over_retires_the_old_generation(
+        self, base, shm_files, mapped_segments
+    ):
+        # Dies after attaching the new generation, before acking it.
+        updates = pick_updates(base)
+        injector = FaultInjector([FaultSpec("crash_update", worker=0, at=0)])
+        with ShardedDispatcher(
+            DynamicGraph(base),
+            workers=2,
+            alpha=0.2,
+            seed=7,
+            restart_policy=RestartPolicy(max_restarts=3, **FAST_RESTARTS),
+            fault_injector=injector,
+        ) as disp:
+            old = disp.image.segment_name
+            assert disp.apply_updates(updates) == len(updates)
+            new = disp.image.segment_name
+            assert old not in shm_files() and new in shm_files()
+            state = wait_respawn(disp, 0)
+            assert mapped_segments(state.process.pid) == {
+                new,
+                state.replies.arena.segment_name,
+            }
+
+    def test_kill_while_an_update_is_prepared_respawns_on_the_new_generation(
+        self, base, shm_files, mapped_segments, monkeypatch
+    ):
+        """The shard dies — and its respawn is forked — while
+        ``apply_updates`` is between applying the batch and handing
+        the new generation over.  The generation current at the fork
+        is retired before the respawn attaches anything: it must be
+        handed the new one."""
+        updates = pick_updates(base)
+        export = SharedGraphImage.export_graph
+        with ShardedDispatcher(
+            DynamicGraph(base),
+            workers=2,
+            alpha=0.2,
+            seed=7,
+            restart_policy=RestartPolicy(max_restarts=3, **FAST_RESTARTS),
+        ) as disp:
+            disp.batch(list(range(8)), "powerpush", **PARAMS)
+            old = disp.image.segment_name
+
+            def kill_then_export(graph):
+                os.kill(disp._states[0].process.pid, signal.SIGKILL)
+                deadline = time.monotonic() + 30.0
+                while not disp._respawning:
+                    assert time.monotonic() < deadline, "no respawn started"
+                    time.sleep(0.01)
+                return export(graph)
+
+            monkeypatch.setattr(
+                SharedGraphImage, "export_graph", kill_then_export
+            )
+            version = disp.apply_updates(updates)
+            monkeypatch.undo()
+            assert version == len(updates)
+            assert old not in shm_files()
+
+            state = wait_respawn(disp, 0)
+            beat = wait_heartbeat(disp, 0, version=version)
+            assert beat["cache_size"] == 0
+            assert mapped_segments(state.process.pid) == {
+                disp.image.segment_name,
+                state.replies.arena.segment_name,
+            }
+            assert disp.stats()["supervisor"]["respawns"] == 1
+            reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
+            reference.apply_updates(updates)
+            self.assert_both_shards_match(disp, base, reference, version)
+
+    def test_forty_updates_and_a_kill_match_a_cold_engine(self, base):
+        """Recovery does not depend on the update history: the respawn
+        attaches the image of version 40.  The reference shares no code
+        with ``DynamicGraph.snapshot``: the edge set is kept as a
+        Python set and built from scratch."""
+        rng = np.random.default_rng(43)
+        scratch = DynamicGraph(base)  # only to sample legal updates
+        edges = set(base.iter_edges())
+        with ShardedDispatcher(
+            DynamicGraph(base),
+            workers=2,
+            alpha=0.2,
+            seed=7,
+            restart_policy=RestartPolicy(max_restarts=3, **FAST_RESTARTS),
+        ) as disp:
+            for _ in range(40):
+                op, u, v = sample_edge_update(scratch, rng)
+                scratch.apply_updates([(op, u, v)])
+                (edges.add if op == "+" else edges.remove)((u, v))
+                disp.apply_updates([(op, u, v)])
+            os.kill(disp._states[0].process.pid, signal.SIGKILL)
+            wait_respawn(disp, 0)
+            pairs = sorted(edges)
+            cold = PPREngine(
+                from_edge_arrays(
+                    [u for u, _ in pairs],
+                    [v for _, v in pairs],
+                    num_nodes=base.num_nodes,
+                    name=base.name,
+                ),
+                alpha=0.2,
+                seed=7,
+            )
+            self.assert_both_shards_match(disp, base, cold, 40)
