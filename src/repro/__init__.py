@@ -50,6 +50,7 @@ available for library use.
 """
 
 from repro.api import (
+    ArtefactSpec,
     PPREngine,
     SolverSpec,
     UnknownMethodError,
@@ -144,6 +145,7 @@ __all__ = [
     # unified query API
     "PPREngine",
     "SolverSpec",
+    "ArtefactSpec",
     "register_solver",
     "get_solver",
     "solver_names",

@@ -188,7 +188,7 @@ class RegistrySignatureSyncRule(Rule):
     id = "registry-signature-sync"
     summary = (
         "every SolverSpec's declared params are accepted by the "
-        "wrapped solver function's actual signature"
+        "wrapped solver (and block) function's actual signature"
     )
     invariant = (
         "The registry's unified parameter schema never drifts from the "
@@ -237,37 +237,39 @@ class RegistrySignatureSyncRule(Rule):
             else "<unknown>"
         )
         declared = _resolve_params(keywords.get("params"), constants)
-        fn_node = keywords.get("fn")
-        if declared is None or fn_node is None:
+        if declared is None:
             return
-        resolved = self._resolve_fn(
-            fn_node, corpus, imports, local_defs
-        )
-        if resolved is None:
-            return
-        accepted, accepts_anything, target_name = resolved
-        if accepts_anything:
-            return
-        for param in declared:
-            if param in _MACHINERY_PARAMS:
-                if "rng" in accepted:
-                    continue
-                yield self.finding(
-                    registry,
-                    spec_call,
-                    f"solver {method!r} declares 'seed' but "
-                    f"{target_name}() accepts no 'rng' parameter to "
-                    f"receive the derived generator",
-                )
+        # The block adapter is handed the same validated parameters.
+        for role in ("fn", "block_fn"):
+            fn_node = keywords.get(role)
+            if fn_node is None:
                 continue
-            if param not in accepted:
-                yield self.finding(
-                    registry,
-                    spec_call,
-                    f"solver {method!r} declares parameter {param!r} "
-                    f"that {target_name}() does not accept; sync the "
-                    f"SolverSpec params with the function signature",
-                )
+            resolved = self._resolve_fn(fn_node, corpus, imports, local_defs)
+            if resolved is None:
+                continue
+            accepted, accepts_anything, target_name = resolved
+            if accepts_anything:
+                continue
+            for param in declared:
+                if param in _MACHINERY_PARAMS:
+                    if "rng" in accepted:
+                        continue
+                    yield self.finding(
+                        registry,
+                        spec_call,
+                        f"solver {method!r} declares 'seed' but "
+                        f"{target_name}() accepts no 'rng' parameter to "
+                        f"receive the derived generator",
+                    )
+                    continue
+                if param not in accepted:
+                    yield self.finding(
+                        registry,
+                        spec_call,
+                        f"solver {method!r} declares parameter {param!r} "
+                        f"that {target_name}() does not accept; sync the "
+                        f"SolverSpec params with the function signature",
+                    )
 
     def _resolve_fn(
         self,

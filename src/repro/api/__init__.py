@@ -4,11 +4,13 @@ Two layers:
 
 * :mod:`repro.api.registry` — every SSPPR algorithm registered behind
   one ``solve(graph, source, *, params) -> PPRResult`` protocol, with
-  canonical names, aliases, kinds and capability flags.
+  canonical names, aliases, kinds and the declarations (cacheable
+  artefact, block adapter and rule, tracked source) an engine serves
+  them by.
 * :mod:`repro.api.engine` — :class:`PPREngine`, the per-graph serving
-  facade that caches walk/BePI indexes across queries and exposes
+  facade that caches the declared artefacts across queries and exposes
   ``query`` / ``batch_query`` / ``top_k`` plus aggregated
-  instrumentation.
+  instrumentation.  It names no method.
 
 The CLI, the experiment harness and the examples all dispatch through
 this package; user code should too.
@@ -21,6 +23,7 @@ from repro.api.engine import (
     per_source_rng,
 )
 from repro.api.registry import (
+    ArtefactSpec,
     ParamSpec,
     SolverSpec,
     build_fora_index,
@@ -42,6 +45,7 @@ __all__ = [
     "MethodStats",
     "per_source_rng",
     "ParamSpec",
+    "ArtefactSpec",
     "SolverSpec",
     "register_solver",
     "get_solver",

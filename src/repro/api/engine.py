@@ -3,21 +3,28 @@
 The ROADMAP's production framing — heavy query traffic against one
 graph — means the expensive per-graph artefacts must outlive a single
 query: SpeedPPR's eps-independent walk index, FORA+'s per-eps indexes,
-and BePI's block-elimination factorisation.  ``PPREngine`` owns those
-caches and lazily builds each one the first time a query needs it::
+and BePI's block-elimination factorisation.  ``PPREngine`` owns one
+versioned cache of them and lazily builds each the first time a query
+needs it::
 
     >>> engine = PPREngine(graph, alpha=0.2, seed=7)
     >>> engine.query(0, method="powerpush", l1_threshold=1e-8)
     >>> engine.query(0, method="speedppr", epsilon=0.3)   # builds index
     >>> engine.query(1, method="speedppr", epsilon=0.1)   # reuses it
 
-Every method name accepted by the solver registry works, including
-aliases; ``engine.batch_query`` answers many sources with shared
-indexes (and a genuinely multi-source vectorised path for
-Monte-Carlo); ``engine.top_k`` adds certified top-k answers; and
-``engine.stats`` aggregates instrumentation across the engine's
-lifetime.  ``index_builds`` counts how often each index kind was
-constructed, so tests (and operators) can assert reuse.
+The engine names no method.  Every request — ``query``, each member or
+block of a ``batch_query``, a ``top_k`` with a method — runs one
+pipeline: resolve the name through the solver registry, fold the engine
+defaults in, claim a query number, bind the generator, inject what the
+resolved :class:`~repro.api.registry.SolverSpec` *declares* it can use
+(a cached artefact, the tracker of an incrementally maintained source),
+run the spec's adapter — or its block adapter, when the spec's own rule
+says the request may ride it — map node ids back, record stats.  A
+solver registered tomorrow is served with its artefact cached and
+invalidated like the built-in ones without an edit here.
+``index_builds`` counts how often each artefact kind was constructed,
+so tests (and operators) can assert reuse; ``engine.stats`` aggregates
+instrumentation across the engine's lifetime.
 
 Evolving graphs
 ---------------
@@ -47,13 +54,14 @@ Concurrent *queries* against one engine are safe: an internal re-entrant
 lock serialises every mutation of engine state (cache invalidation,
 stats, the query counter) while the solver bodies — pure functions of
 the graph snapshot and the injected artefacts — run outside it, and
-lazy index builds are double-checked so even a multi-second
+lazy artefact builds are double-checked so even a multi-second
 construction never blocks queries of other methods: readers genuinely
-overlap.  The exception is ``method="incremental"``, whose tracker
-repair mutates shared state and therefore holds the lock for the whole
-refresh — incremental refreshes serialise against everything.  Mixing
-queries with ``apply_updates`` from different threads additionally
-needs the *graph* transition serialised against in-flight reads; use
+overlap.  The exception is a method that refreshes a tracked source:
+the repair mutates the tracker and the shared update journal and
+therefore holds the lock for the whole request — incremental refreshes
+serialise against everything.  Mixing queries with ``apply_updates``
+from different threads additionally needs the *graph* transition
+serialised against in-flight reads; use
 :class:`repro.serving.EngineServer`, which wraps the engine in a
 readers-writer lock (plus a versioned result cache and a micro-batching
 scheduler), instead of hand-rolling that.
@@ -61,45 +69,39 @@ scheduler), instead of hand-rolling that.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
-import time
-from dataclasses import dataclass, field
+from collections import Counter
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.shm import SharedGraphHandle, SharedGraphImage
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.api.registry import (
+    BEPI_INDEX,
+    FORA_INDEX,
+    WALK_INDEX,
+    ArtefactSpec,
     SolverSpec,
-    _normalize,
-    build_fora_index,
-    build_speedppr_index,
+    declared_artefacts,
     per_source_rng,
     resolve_method,
 )
 from repro.backends import KernelBackend, resolve_backend
-from repro.bepi.blockelim import BePIIndex, build_bepi_index
+from repro.bepi.blockelim import BePIIndex
 from repro.core.incremental import IncrementalPPR
 from repro.core.result import PPRResult
 from repro.core.topk import TopKResult, top_k_ppr
 from repro.core.validation import check_source
 from repro.durability.atomic import atomic_write_json
+from repro.durability.checkpoint import graph_fingerprint, sha256_file
 from repro.errors import IndexMismatchError, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.transforms import ReorderResult, reorder_for_locality
 from repro.instrumentation.counters import PushCounters
-from repro.montecarlo.chernoff import (
-    chernoff_walk_count,
-    default_failure_probability,
-    default_mu,
-)
-from repro.walks.engine import simulate_walk_stops
 from repro.walks.index import WalkIndex
 from repro.walks.storage import load_walk_index, save_walk_index
 
@@ -107,56 +109,8 @@ __all__ = [
     "PPREngine",
     "EngineStats",
     "MethodStats",
-    "INCREMENTAL_METHOD_NAMES",
-    "INCREMENTAL_METHOD_PARAMS",
-    "is_incremental_method",
-    "validate_incremental_params",
     "per_source_rng",
 ]
-
-#: Accepted spellings of the engine-level incremental method (not in
-#: the solver registry — it needs per-engine tracker state).  Canonical
-#: name first; the CLI's ``methods`` listing derives its aliases from
-#: this tuple, so there is exactly one place to extend.
-INCREMENTAL_METHOD_NAMES: tuple[str, ...] = (
-    "incremental",
-    "tracked",
-    "incremental-ppr",
-)
-_INCREMENTAL_NAMES = frozenset(
-    _normalize(name) for name in INCREMENTAL_METHOD_NAMES
-)
-
-#: Parameters the incremental method accepts (the CLI listing prints
-#: these, so keep them in one place like the names above).
-INCREMENTAL_METHOD_PARAMS: tuple[str, ...] = ("l1_threshold", "trace")
-
-
-def is_incremental_method(name: str) -> bool:
-    """Whether ``name`` spells the engine-level incremental method.
-
-    Uses the registry's normalisation, so every separator variant the
-    registry accepts (``incremental-ppr``, ``incremental ppr`` …) is
-    recognised here too.
-    """
-    return _normalize(name) in _INCREMENTAL_NAMES
-
-
-def validate_incremental_params(params: Mapping[str, Any]) -> None:
-    """Reject parameters outside :data:`INCREMENTAL_METHOD_PARAMS`.
-
-    The single validation point for the engine-level incremental
-    method — the engine's query path and the serving layer's submit
-    path both call it, so the accepted set (and the error message)
-    cannot drift apart.
-    """
-    unknown = sorted(set(params) - set(INCREMENTAL_METHOD_PARAMS))
-    if unknown:
-        raise ParameterError(
-            f"method 'incremental' does not accept parameter(s) "
-            f"{', '.join(unknown)}; accepted: "
-            f"{', '.join(sorted(INCREMENTAL_METHOD_PARAMS))}"
-        )
 
 #: File name of the index-persistence manifest written by save_indexes.
 _MANIFEST_NAME = "manifest.json"
@@ -164,37 +118,10 @@ _MANIFEST_NAME = "manifest.json"
 # truncated or bit-rotted index files instead of trusting stamps).
 _MANIFEST_FORMAT = 2
 
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _graph_fingerprint(graph: DiGraph) -> str:
-    """Content hash of a CSR snapshot — the staleness stamp for indexes.
-
-    Hashing the actual adjacency arrays (not a session-local version
-    counter) means a server restarted on the same persisted graph can
-    warm-start, while an index saved for *any* other graph — including
-    a same-shaped one — is refused.
-    """
-    digest = hashlib.sha256()
-    digest.update(np.int64(graph.num_nodes).tobytes())
-    digest.update(np.ascontiguousarray(graph.out_indptr).tobytes())
-    digest.update(np.ascontiguousarray(graph.out_indices).tobytes())
-    return digest.hexdigest()
-
-#: rng-stream salts; chosen to match the historical Workspace streams so
-#: experiment artefacts are bit-identical across the refactor.
-_WALK_INDEX_SALT = 1
-_FORA_INDEX_SALT = 2
+#: rng-stream salt base of the per-query generators; chosen to match the
+#: historical Workspace streams so experiment artefacts are
+#: bit-identical across the refactor.
 _QUERY_SALT_BASE = 10_000
-
-#: peak walks materialised at once by the vectorised Monte-Carlo batch
-_BATCH_WALK_BUDGET = 1 << 24
 
 
 @dataclass
@@ -331,83 +258,30 @@ class PPREngine:
         self.alpha = alpha
         self.seed = seed
         self.dead_end_policy = dead_end_policy
-        self._walk_index = walk_index
-        self._bepi_index = bepi_index
-        #: (walk budget W, index, graph version built at), insertion order
-        self._fora_indexes: list[tuple[int, WalkIndex, int]] = []
-        #: graph version each singleton artefact was built/adopted at
-        self._artefact_versions = {
-            "walk": self.graph_version,
-            "bepi": self.graph_version,
-        }
-        #: how many times each index kind was built (tests assert reuse)
-        self.index_builds: dict[str, int] = {"walk": 0, "bepi": 0, "fora": 0}
+        #: the one artefact cache: (kind, key) -> (artefact, graph
+        #: version it was built or adopted at), in insertion order
+        self._artefacts: dict[tuple[str, Hashable], tuple[Any, int]] = {}
+        for decl, adopted in ((WALK_INDEX, walk_index), (BEPI_INDEX, bepi_index)):
+            if adopted is not None:
+                self._artefacts[(decl.kind, None)] = (adopted, self.graph_version)
+        #: how many times each artefact kind was built (tests assert reuse)
+        self.index_builds: dict[str, int] = Counter(
+            dict.fromkeys(declared_artefacts(), 0)
+        )
         #: stale artefacts dropped after graph-version changes
-        self.index_invalidations: dict[str, int] = {
-            "walk": 0,
-            "bepi": 0,
-            "fora": 0,
-        }
+        self.index_invalidations: dict[str, int] = Counter(self.index_builds)
         self._trackers: dict[int, IncrementalPPR] = {}
         self.stats = EngineStats()
         #: batches answered by a multi-source block solve (tests and
         #: the serving layer assert coalesced windows land here)
         self.block_batches = 0
         self._query_counter = 0
-        #: serialises every mutation of engine state (index caches,
+        #: serialises every mutation of engine state (artefact cache,
         #: trackers, stats, counter) so concurrent queries are safe;
-        #: re-entrant because index accessors nest under query().
+        #: re-entrant because artefact accessors nest under query().
         self._lock = threading.RLock()
         #: optional DurabilityManager flushed before apply_updates acks
         self._durability: Any | None = None
-
-    @classmethod
-    def from_shared_graph(
-        cls,
-        image_or_handle: "SharedGraphImage | SharedGraphHandle",
-        **engine_kwargs: Any,
-    ) -> "PPREngine":
-        """Build an engine over a shared-memory graph image.
-
-        ``image_or_handle`` is either an already-attached
-        :class:`~repro.serving.shm.SharedGraphImage` or a picklable
-        :class:`~repro.serving.shm.SharedGraphHandle` received from the
-        exporting process (it is attached here).  The engine's CSR
-        arrays and ``edge_sources`` alias the shared segment — construction
-        copies nothing, so N worker processes serve one physical graph
-        image.  A newer version arrives as a newer image
-        (:meth:`replace_graph`), never as updates applied here.
-
-        The image backing the engine is exposed as
-        :attr:`shared_image` and must stay open (and be closed by its
-        owner) for the engine's lifetime; ``reorder=`` is rejected
-        because relabelling would copy the graph and break the
-        cross-process placement-independence contract.
-        """
-        from repro.serving.shm import SharedGraphHandle, SharedGraphImage
-
-        if engine_kwargs.get("reorder") is not None:
-            raise ParameterError(
-                "reorder= cannot be combined with a shared graph image: "
-                "relabelling copies the CSR, defeating zero-copy sharing"
-            )
-        if isinstance(image_or_handle, SharedGraphHandle):
-            image = SharedGraphImage.attach(image_or_handle)
-        elif isinstance(image_or_handle, SharedGraphImage):
-            image = image_or_handle
-        else:
-            raise ParameterError(
-                "from_shared_graph needs a SharedGraphImage or "
-                f"SharedGraphHandle; got {type(image_or_handle).__name__}"
-            )
-        engine = cls(image.graph(), **engine_kwargs)
-        engine._shared_image = image
-        return engine
-
-    @property
-    def shared_image(self) -> "SharedGraphImage | None":
-        """The shared-memory image this engine serves from, if any."""
-        return getattr(self, "_shared_image", None)
 
     # -- graph versioning ----------------------------------------------
     @property
@@ -609,85 +483,74 @@ class PPREngine:
         result.source = int(source)
         return result
 
-    def _sync_caches(self) -> None:
-        """Drop artefacts built at a graph version older than current."""
-        version = self.graph_version
-        if (
-            self._walk_index is not None
-            and self._artefact_versions["walk"] != version
-        ):
-            self._walk_index = None
-            self.index_invalidations["walk"] += 1
-        if (
-            self._bepi_index is not None
-            and self._artefact_versions["bepi"] != version
-        ):
-            self._bepi_index = None
-            self.index_invalidations["bepi"] += 1
-        if self._fora_indexes:
-            fresh = [e for e in self._fora_indexes if e[2] == version]
-            self.index_invalidations["fora"] += len(self._fora_indexes) - len(
-                fresh
-            )
-            self._fora_indexes = fresh
-
-    # -- cached per-graph artefacts ------------------------------------
+    # -- the one versioned artefact cache --------------------------------
     def rng(self, salt: int = 0) -> np.random.Generator:
         """Deterministic generator derived from the engine seed."""
         return np.random.default_rng(self.seed * 1_000_003 + salt)
 
-    def walk_index(self) -> WalkIndex:
-        """SpeedPPR's eps-independent walk index (built once, cached).
+    def _sync_caches(self) -> None:
+        """Drop artefacts built at a graph version older than current."""
+        version = self.graph_version
+        stale = [
+            slot
+            for slot, (_, built_at) in self._artefacts.items()
+            if built_at != version
+        ]
+        for slot in stale:
+            del self._artefacts[slot]
+            self.index_invalidations[slot[0]] += 1
 
-        The build itself runs *outside* the engine lock (double-checked
-        on re-entry), so a multi-second index construction never stalls
-        concurrent queries of other methods.  Duplicate concurrent
-        builds are harmless: both consume the same deterministic stream
-        (``rng(_WALK_INDEX_SALT)``), so whichever lands is identical.
+    def _artefact(
+        self,
+        decl: ArtefactSpec,
+        params: Mapping[str, Any],
+        *,
+        exact: bool = False,
+    ) -> Any:
+        """The artefact ``decl`` declares for ``params``: cached, or built.
+
+        Among the cached keys that serve the request the smallest wins;
+        ``exact=True`` only reuses one built for exactly the wanted
+        key.  The build itself runs *outside* the engine lock
+        (double-checked on re-entry), so a multi-second construction
+        never stalls concurrent queries of other methods.  Duplicate
+        concurrent builds are harmless: both consume the same
+        deterministic stream (``rng(decl.salt)``), so whichever lands
+        is identical.
         """
+        built, built_at = None, None
         while True:
             with self._lock:
                 self._sync_caches()
-                if self._walk_index is not None:
-                    return self._walk_index
                 version = self.graph_version
                 graph = self.graph
-            built = build_speedppr_index(
-                graph, alpha=self.alpha, rng=self.rng(_WALK_INDEX_SALT)
+                wanted = decl.key(graph, params)
+                serving = [
+                    (key, artefact)
+                    for (kind, key), (artefact, _) in self._artefacts.items()
+                    if kind == decl.kind
+                    and (key == wanted if exact else decl.serves(key, wanted))
+                ]
+                if serving:
+                    return min(serving, key=lambda entry: entry[0])[1]
+                if built_at == version:
+                    self._artefacts[(decl.kind, wanted)] = (built, version)
+                    self.index_builds[decl.kind] += 1
+                    return built
+            # First pass, or the graph moved mid-build: build for the
+            # version just seen and re-check on re-entry.
+            built = decl.build(
+                graph, params, alpha=self.alpha, rng=self.rng(decl.salt)
             )
-            with self._lock:
-                self._sync_caches()
-                if self.graph_version != version:
-                    continue  # graph moved mid-build; rebuild fresh
-                if self._walk_index is None:
-                    self._walk_index = built
-                    self._artefact_versions["walk"] = version
-                    self.index_builds["walk"] += 1
-                return self._walk_index
+            built_at = version
+
+    def walk_index(self) -> WalkIndex:
+        """SpeedPPR's eps-independent walk index (built once, cached)."""
+        return self._artefact(WALK_INDEX, {})
 
     def bepi_index(self) -> BePIIndex:
-        """BePI's block-elimination preprocessing (built once, cached).
-
-        Built outside the engine lock like :meth:`walk_index` (the
-        factorisation is the single most expensive artefact).
-        """
-        while True:
-            with self._lock:
-                self._sync_caches()
-                if self._bepi_index is not None:
-                    return self._bepi_index
-                version = self.graph_version
-                graph = self.graph
-            built = build_bepi_index(graph, alpha=self.alpha)
-            with self._lock:
-                self._sync_caches()
-                if self.graph_version != version:
-                    continue
-                if self._bepi_index is None:
-                    self._bepi_index = built
-                    self._artefact_versions["bepi"] = version
-                    self.index_builds["bepi"] += 1
-                return self._bepi_index
+        """BePI's block-elimination preprocessing (built once, cached)."""
+        return self._artefact(BEPI_INDEX, {})
 
     def fora_index(
         self,
@@ -699,66 +562,14 @@ class PPREngine:
     ) -> WalkIndex:
         """FORA+'s contract-dependent index (cached by walk budget W).
 
-        The index an ``(epsilon, mu, p_fail)`` contract needs is fully
-        determined by its Chernoff walk budget ``W``, and an index
-        built for ``W1 >= W2`` also serves ``W2`` (per-node counts are
-        monotone in ``W``).  The cache therefore keys on ``W``: a query
-        reuses the smallest sufficient index already built — so the
-        paper's protocol of building at the smallest eps and reusing
-        for larger ones falls out, and a tighter ``mu``/``p_fail``
-        correctly triggers a fresh, larger build instead of being
-        handed an undersized index.
-
-        ``exact=True`` only reuses an index built for exactly this
-        budget — for measurements (Table 2) that must report the size
-        of *this* contract's index, not a larger one that happens to
-        serve it.
+        A query reuses the smallest sufficient index already built (see
+        :data:`~repro.api.registry.FORA_INDEX`).  ``exact=True`` only
+        reuses an index built for exactly this budget — for
+        measurements (Table 2) that must report the size of *this*
+        contract's index, not a larger one that happens to serve it.
         """
-        # The node count is fixed for an engine's lifetime, so the
-        # contract arithmetic needs no lock.
-        if mu is None:
-            mu = default_mu(self.graph.num_nodes)
-        if p_fail is None:
-            p_fail = default_failure_probability(self.graph.num_nodes)
-        needed_w = chernoff_walk_count(epsilon, mu, p_fail=p_fail)
-
-        def _scan() -> WalkIndex | None:
-            best: tuple[int, WalkIndex] | None = None
-            for built_w, index, _version in self._fora_indexes:
-                sufficient = (
-                    built_w == needed_w if exact else built_w >= needed_w
-                )
-                if sufficient and (best is None or built_w < best[0]):
-                    best = (built_w, index)
-            return None if best is None else best[1]
-
-        # Build outside the lock, double-checked, like walk_index().
-        while True:
-            with self._lock:
-                self._sync_caches()
-                cached = _scan()
-                if cached is not None:
-                    return cached
-                version = self.graph_version
-                graph = self.graph
-            index = build_fora_index(
-                graph,
-                epsilon,
-                alpha=self.alpha,
-                mu=mu,
-                p_fail=p_fail,
-                rng=self.rng(_FORA_INDEX_SALT),
-            )
-            with self._lock:
-                self._sync_caches()
-                if self.graph_version != version:
-                    continue
-                concurrent = _scan()
-                if concurrent is not None:
-                    return concurrent  # identical stream, identical index
-                self._fora_indexes.append((needed_w, index, version))
-                self.index_builds["fora"] += 1
-                return index
+        contract = {"epsilon": epsilon, "mu": mu, "p_fail": p_fail}
+        return self._artefact(FORA_INDEX, contract, exact=exact)
 
     # -- query front door ----------------------------------------------
     def query(
@@ -776,65 +587,35 @@ class PPREngine:
           of any seeded batch (otherwise a fresh deterministic stream
           per query is derived from the engine seed);
         * ``use_index=False`` forces index-capable methods to run
-          index-free; methods flagged ``index_by_default`` (SpeedPPR)
-          are served from the cached walk index automatically.
+          index-free; SpeedPPR is served from the cached walk index
+          automatically (its declaration wants it by default).
 
-        ``method="incremental"`` (engine-level, not in the registry)
-        serves a tracked source from its maintained ``(p, r)`` pair,
-        repairing it first when graph updates are pending; the source
-        is tracked automatically on first use.
+        ``method="incremental"`` serves a tracked source from its
+        maintained ``(p, r)`` pair, repairing it first when graph
+        updates are pending; the source is tracked automatically on
+        first use.
         """
-        if is_incremental_method(method):
-            return self._query_incremental(source, params)
-        spec, merged = resolve_method(method)
-        merged.update(params)
-        # Fail on typo'd names before _prepare builds (and caches) any
-        # expensive index on their behalf.
-        spec.validate_params(merged)
-        # Only the counter bump and cache sync hold the lock; parameter
-        # preparation (which may trigger a lazy index build — itself
-        # double-checked, built unlocked) and the solve run outside it,
-        # so concurrent readers genuinely overlap.
-        internal_source = self._internal_source(source)
-        with self._lock:
-            self._sync_caches()
-            self._query_counter += 1
-            counter = self._query_counter
-        # Engine defaults (and seeded RNG streams) key on the caller's
-        # source id; only the solve itself runs in internal ids.
-        self._prepare(spec, merged, counter, source)
-        result = spec.solve(self.graph, internal_source, params=merged)
-        result = self._externalize_result(result, source)
-        with self._lock:
-            self.stats.record(result)
-        return result
+        spec, merged = self._resolve(method, params)
+        return self._solve(spec, merged, [int(source)])[0]
 
     def batch_query(
         self,
         sources: Iterable[int],
         method: str = "powerpush",
-        *,
-        block: bool | None = None,
         **params: Any,
     ) -> list[PPRResult]:
         """Answer one query per source, in order, with shared state.
 
         Results align with ``sources`` (``results[i].source ==
-        sources[i]``).  Any required index is built once up front and
-        shared.  Genuinely multi-source paths are picked automatically:
-        methods with a registered block kernel (PowerPush) answer two
-        or more sources in **one block solve** — a single adjacency
-        scan amortised over the whole batch, with every row
+        sources[i]``).  Any required artefact is built once and shared.
+        Two or more sources of a method that registered a block adapter
+        are answered by **one block solve** whenever the method's own
+        rule admits the request: PowerPush's block kernel — a single
+        adjacency scan amortised over the whole batch, every row
         element-wise identical to its independent solve — and plain
-        Monte-Carlo runs all sources' walks through one vectorised
-        simulation when the graph allows it.  Everything else loops.
-
-        ``block`` overrides the block auto-selection: ``False`` forces
-        the per-source loop (benchmarks use this as the baseline),
-        ``True`` insists on the block path and raises
-        :class:`~repro.errors.ParameterError` when the method has no
-        block kernel or the parameters (faithful mode, traces) cannot
-        be batched.
+        Monte-Carlo's cross-source walk simulation.  Everything else
+        (faithful or traced PowerPush, seeded Monte-Carlo, every other
+        method) loops.
 
         A single ``seed`` must not replay the same walk stream for
         every source, so seeded batches give each source the stream
@@ -850,94 +631,123 @@ class PPREngine:
         independent samples.)
         """
         sources = [int(s) for s in sources]
-        if is_incremental_method(method):
-            if block:
-                raise ParameterError(
-                    "method 'incremental' repairs per-engine tracker state "
-                    "and has no block solver"
-                )
-            return [
-                self.query(source, method, **params) for source in sources
-            ]
+        spec, merged = self._resolve(method, params)
+        if len(sources) >= 2 and spec.batchable(self.graph, merged):
+            return self._solve(spec, merged, sources, block=True)
+        return [self._solve(spec, dict(merged), [s])[0] for s in sources]
+
+    def _fold_defaults(
+        self,
+        params: dict[str, Any],
+        accepts: Callable[[str], bool] = lambda name: True,
+    ) -> None:
+        """Fill the engine-level defaults a request left open."""
+        for name in ("alpha", "dead_end_policy", "backend"):
+            value = getattr(self, name)
+            if value is not None and accepts(name):
+                params.setdefault(name, value)
+
+    def _resolve(
+        self, method: str, params: Mapping[str, Any]
+    ) -> tuple[SolverSpec, dict[str, Any]]:
+        """Resolve and validate one request, engine defaults folded in.
+
+        Runs once per request (a batch is one request) and before
+        anything is built, so a typo'd name never costs an index.
+        """
         spec, merged = resolve_method(method)
         merged.update(params)
         spec.validate_params(merged)
-        # Monte-Carlo's vectorised multi-source simulation is its block
-        # path in spirit: block=False forces the per-source loop here
-        # too, and block=True falls through to the supports_block check
-        # below (montecarlo registers no block kernel), so the override
-        # behaves identically regardless of batch composition.
-        if (
-            block is None
-            and spec.name == "montecarlo"
-            and not self.graph.has_dead_ends
-            and merged.get("rng") is None
-            and len(sources) > 1
-        ):
-            return self._batch_monte_carlo(sources, merged)
-        batchable = self._block_batchable(merged)
-        if block is None:
-            block = (
-                spec.supports_block and len(sources) >= 2 and batchable
-            )
-        elif block:
-            if not spec.supports_block:
-                raise ParameterError(
-                    f"method {spec.name!r} has no block solver; drop "
-                    f"block=True to loop per source"
-                )
-            if not batchable:
-                raise ParameterError(
-                    "these parameters cannot be batched (the block solver "
-                    "is vectorised-only and does not record traces); drop "
-                    "block=True to loop per source"
-                )
-        if block:
-            return self._batch_block(sources, spec, merged)
-        # query() itself resolves an explicit seed through
-        # per_source_rng, so looping preserves the per-source streams.
-        return [self.query(source, method, **merged) for source in sources]
+        self._fold_defaults(merged, spec.accepts)
+        return spec, merged
 
-    @staticmethod
-    def _block_batchable(merged: Mapping[str, Any]) -> bool:
-        """Whether a request's parameters can ride a block solve.
-
-        The block kernels are the vectorised implementation and carry
-        no per-solve trace state, so faithful-mode and traced requests
-        must loop.
-        """
-        return (
-            merged.get("mode", "auto") in ("auto", "vectorized")
-            and merged.get("trace") is None
-        )
-
-    def _batch_block(
+    def _solve(
         self,
-        sources: Sequence[int],
         spec: SolverSpec,
         merged: dict[str, Any],
+        sources: Sequence[int],
+        *,
+        block: bool = False,
     ) -> list[PPRResult]:
-        """Answer a whole batch through the method's block kernel."""
-        if spec.accepts("alpha"):
-            merged.setdefault("alpha", self.alpha)
-        if spec.accepts("dead_end_policy"):
-            merged.setdefault("dead_end_policy", self.dead_end_policy)
-        if spec.accepts("backend") and self.backend is not None:
-            merged.setdefault("backend", self.backend)
+        """The one request pipeline: one solve of a resolved request.
+
+        ``sources`` is the single source of a query, or the whole batch
+        of a block solve.  Only the counter claim, the cache sweep and
+        the stats record hold the lock; artefact injection (which may
+        trigger a build — double-checked, built unlocked) and the solve
+        run outside it, so concurrent readers genuinely overlap.  A
+        tracker refresh mutates the tracker's ``(p, r)`` pair and the
+        shared journal, so a tracked request holds the (re-entrant)
+        lock throughout.  The query number is claimed under the lock so
+        the per-query stream derived from it is stable; streams and
+        engine defaults key on the caller's source ids, only the solve
+        itself runs in internal ids.
+        """
         internal = [self._internal_source(s) for s in sources]
-        with self._lock:
-            self._sync_caches()
-            self._query_counter += 1
-            self.block_batches += 1
-        results = spec.solve_block(self.graph, internal, params=merged)
-        results = [
-            self._externalize_result(result, source)
-            for result, source in zip(results, sources)
-        ]
-        with self._lock:
-            for result in results:
-                self.stats.record(result)
+        with self._lock if spec.tracked else nullcontext():
+            if spec.tracked:
+                tracker = self._trackers.get(sources[0])
+                if tracker is None:
+                    # Tracked on first use; track() refuses a static graph.
+                    tracker = self.track(
+                        sources[0],
+                        l1_threshold=merged.get("l1_threshold", 1e-8),
+                    )
+                merged["tracker"] = tracker
+            with self._lock:
+                self._sync_caches()
+                self._query_counter += 1
+                counter = self._query_counter
+                if block:
+                    self.block_batches += 1
+            spec.bind_rng(
+                merged,
+                None if block else sources[0],
+                lambda: self.rng(_QUERY_SALT_BASE + counter),
+            )
+            self._inject(spec.artefact, merged)
+            if block:
+                results = spec.block_fn(self.graph, internal, **merged)
+            else:
+                results = [spec.fn(self.graph, internal[0], **merged)]
+            results = [
+                self._externalize_result(result, source)
+                for result, source in zip(results, sources)
+            ]
+            with self._lock:
+                for result in results:
+                    self.stats.record(result)
+                if spec.tracked:
+                    # Every tracker at or past this version has replayed
+                    # the prefix; reclaim it so journal memory tracks
+                    # pending work, not lifetime updates.  (Trackers
+                    # owned elsewhere that fell behind the floor resync
+                    # from a snapshot — see IncrementalPPR.refresh.)
+                    assert self._dynamic is not None
+                    self._dynamic.trim_journal(
+                        min(t.version for t in self._trackers.values())
+                    )
         return results
+
+    def _inject(
+        self, decl: ArtefactSpec | None, merged: dict[str, Any]
+    ) -> None:
+        """Serve the request from the declared artefact, if it wants it.
+
+        The cache is built at the engine's alpha; a query that
+        overrides alpha must not be served from it (the solver would
+        reject the mismatch — or worse, BePI would silently answer at
+        the wrong alpha).  Such queries fall back to the artefact-free
+        path, or build ad hoc via the registry adapter when the caller
+        explicitly asked for an index.
+        """
+        if (
+            decl is not None
+            and merged.get("alpha", self.alpha) == self.alpha
+            and merged.get(decl.param) is None
+            and decl.wanted(self.graph, merged)
+        ):
+            merged[decl.param] = self._artefact(decl, merged)
 
     def top_k(
         self,
@@ -957,50 +767,38 @@ class PPREngine:
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
         if method is None:
-            params.setdefault("alpha", self.alpha)
-            params.setdefault("dead_end_policy", self.dead_end_policy)
-            if self.backend is not None:
-                params.setdefault("backend", self.backend)
+            self._fold_defaults(params)
             answer = top_k_ppr(
                 self.graph, self._internal_source(source), k, **params
             )
             if self._reorder is not None:
                 # Rankings come out in internal ids; translate them (and
                 # the underlying full-vector result) back.
-                result = self._externalize_result(answer.result, source)
-                answer = TopKResult(
+                answer = replace(
+                    answer,
                     ranking=[
                         (self._reorder.to_external(node), value)
                         for node, value in answer.ranking
                     ],
-                    certified=answer.certified,
-                    gap=answer.gap,
-                    l1_threshold=answer.l1_threshold,
-                    result=result,
+                    result=self._externalize_result(answer.result, source),
                 )
             with self._lock:
                 self._query_counter += 1
                 self.stats.record(answer.result)
             return answer
-        if is_incremental_method(method):
-            # A repaired pair's estimate is within sum(|r|) of pi in
-            # every coordinate, so separation by more than that bound
-            # certifies the set (signed residues rule out the tighter
-            # pure-underestimate argument).
-            return self._rank_result(self.query(source, method, **params), k)
-        spec, _ = resolve_method(method)
-        # The separation certificate relies on the estimate being a
-        # pure push underestimate; the Monte-Carlo phase of approximate
-        # methods can overestimate nodes, so their rankings are never
-        # certified.
+        spec, merged = self._resolve(method, params)
+        # The separation certificate relies on the estimate being
+        # within the residue bound of pi in every coordinate; the
+        # Monte-Carlo phase of approximate methods can overestimate
+        # nodes, so their rankings are never certified.
         return self._rank_result(
-            self.query(source, method, **params),
+            self._solve(spec, merged, [int(source)])[0],
             k,
             certifiable=spec.kind == "exact",
         )
 
     def _rank_result(
-        self, result: PPRResult, k: int, *, certifiable: bool = True
+        self, result: PPRResult, k: int, *, certifiable: bool
     ) -> TopKResult:
         """Rank one query's estimate, certifying on residue separation."""
         ranked = result.top_k(min(k + 1, self.graph.num_nodes))
@@ -1031,47 +829,38 @@ class PPREngine:
     def save_indexes(self, directory: str | Path) -> Path:
         """Persist the cached walk-based indexes for a warm start.
 
-        Writes each cached :class:`WalkIndex` (SpeedPPR's and any
-        FORA+ budgets) through :mod:`repro.walks.storage` plus a
-        ``manifest.json`` stamping the graph's shape and version, and
-        returns the manifest path.  BePI's factorisation holds live
-        scipy solver objects and is rebuilt lazily instead of
-        persisted.
+        Writes each cached artefact whose declaration is ``stored``
+        (SpeedPPR's :class:`WalkIndex` and any FORA+ budgets) through
+        :mod:`repro.walks.storage` plus a ``manifest.json`` stamping
+        the graph's shape and version, and returns the manifest path.
+        BePI's factorisation holds live scipy solver objects and is
+        rebuilt lazily instead of persisted.
         """
-        # Snapshot the (immutable once built) index references under
+        # Snapshot the (immutable once built) artefact references under
         # the lock; the multi-MB disk writes happen outside it so
         # concurrent queries never stall on a checkpoint.
         with self._lock:
             self._sync_caches()
-            walk_index = self._walk_index
-            fora_indexes = list(self._fora_indexes)
+            cached = list(self._artefacts.items())
             graph = self.graph
             version = self.graph_version
+        declared = declared_artefacts()
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         indexes: list[dict[str, Any]] = []
-        if walk_index is not None:
-            save_walk_index(walk_index, directory / "walk.npz")
-            indexes.append(
-                {
-                    "kind": "walk",
-                    "file": "walk.npz",
-                    "sha256": _sha256_file(directory / "walk.npz"),
-                    "bytes": (directory / "walk.npz").stat().st_size,
-                }
-            )
-        for built_w, index, _version in fora_indexes:
-            file_name = f"fora_w{built_w}.npz"
-            save_walk_index(index, directory / file_name)
-            indexes.append(
-                {
-                    "kind": "fora",
-                    "file": file_name,
-                    "walk_budget": built_w,
-                    "sha256": _sha256_file(directory / file_name),
-                    "bytes": (directory / file_name).stat().st_size,
-                }
-            )
+        for (kind, key), (artefact, _) in cached:
+            if kind not in declared or not declared[kind].stored:
+                continue
+            entry: dict[str, Any] = {"kind": kind}
+            if key is None:
+                entry["file"] = f"{kind}.npz"
+            else:
+                entry["file"] = f"{kind}_w{key}.npz"
+                entry["walk_budget"] = key
+            save_walk_index(artefact, directory / entry["file"])
+            entry["sha256"] = sha256_file(directory / entry["file"])
+            entry["bytes"] = (directory / entry["file"]).stat().st_size
+            indexes.append(entry)
         manifest = {
             "format": _MANIFEST_FORMAT,
             "alpha": self.alpha,
@@ -1081,7 +870,7 @@ class PPREngine:
                 "num_edges": graph.num_edges,
                 # Informational; staleness is judged by the fingerprint.
                 "version": version,
-                "fingerprint": _graph_fingerprint(graph),
+                "fingerprint": graph_fingerprint(graph),
             },
             "indexes": indexes,
         }
@@ -1122,10 +911,11 @@ class PPREngine:
                 f"indexes saved at alpha={manifest['alpha']}, engine runs "
                 f"alpha={self.alpha}"
             )
+        declared = declared_artefacts()
         with self._lock:
             graph = self.graph
             stamp = manifest["graph"]
-            if stamp["fingerprint"] != _graph_fingerprint(graph):
+            if stamp["fingerprint"] != graph_fingerprint(graph):
                 raise IndexMismatchError(
                     f"stale indexes: saved for n={stamp['num_nodes']}, "
                     f"m={stamp['num_edges']} at graph version "
@@ -1134,29 +924,21 @@ class PPREngine:
                     f"version={self.graph_version}) has different content"
                 )
             self._sync_caches()
-            cached_budgets = {built_w for built_w, _, _ in self._fora_indexes}
             loaded = 0
             for entry in manifest["indexes"]:
                 self._verify_index_artifact(directory, entry)
-                if entry["kind"] == "walk":
-                    index = load_walk_index(directory / entry["file"])
-                    index.check_graph(graph)
-                    self._walk_index = index
-                    self._artefact_versions["walk"] = self.graph_version
-                elif entry["kind"] == "fora":
-                    budget = int(entry["walk_budget"])
-                    if budget in cached_budgets:
-                        continue  # re-loading must not duplicate entries
-                    index = load_walk_index(directory / entry["file"])
-                    index.check_graph(graph)
-                    self._fora_indexes.append(
-                        (budget, index, self.graph_version)
-                    )
-                    cached_budgets.add(budget)
-                else:
+                kind = entry["kind"]
+                if kind not in declared or not declared[kind].stored:
                     raise IndexMismatchError(
-                        f"unknown index kind {entry['kind']!r} in manifest"
+                        f"unknown index kind {kind!r} in manifest"
                     )
+                key = entry.get("walk_budget")
+                slot = (kind, None if key is None else int(key))
+                if key is not None and slot in self._artefacts:
+                    continue  # re-loading must not duplicate entries
+                index = load_walk_index(directory / entry["file"])
+                index.check_graph(graph)
+                self._artefacts[slot] = (index, self.graph_version)
                 loaded += 1
             return loaded
 
@@ -1187,241 +969,10 @@ class PPREngine:
             )
         expected_sha = entry.get("sha256")
         if expected_sha is not None:
-            actual = _sha256_file(path)
+            actual = sha256_file(path)
             if actual != expected_sha:
                 raise IndexMismatchError(
                     f"index artefact {entry['file']!r} failed its SHA-256 "
                     f"check (manifest {expected_sha[:12]}…, file "
                     f"{actual[:12]}…) — refusing corrupt index data"
                 )
-
-    # -- internals -------------------------------------------------------
-    def _query_incremental(
-        self, source: int, params: dict[str, Any]
-    ) -> PPRResult:
-        """Serve (and first repair) a tracked source's maintained pair."""
-        validate_incremental_params(params)
-        # Fully locked: tracker repair mutates the tracker's (p, r)
-        # pair and the shared journal, so concurrent refreshes of the
-        # same source must serialise.
-        with self._lock:
-            tracker = self._trackers.get(int(source))
-            if tracker is None:
-                tracker = self.track(
-                    source, l1_threshold=params.get("l1_threshold", 1e-8)
-                )
-            elif (
-                "l1_threshold" in params
-                and params["l1_threshold"] != tracker.l1_threshold
-            ):
-                raise ParameterError(
-                    f"source {source} is tracked at "
-                    f"l1_threshold={tracker.l1_threshold}; untrack() and "
-                    f"re-track to change it"
-                )
-            self._query_counter += 1
-            result = tracker.refresh(trace=params.get("trace"))
-            self.stats.record(result)
-            # Every tracker at or past this version has replayed the
-            # prefix; reclaim it so journal memory tracks pending work,
-            # not lifetime updates.  (Trackers owned elsewhere that
-            # fell behind the floor resync from a snapshot — see
-            # IncrementalPPR.refresh.)
-            assert self._dynamic is not None
-            self._dynamic.trim_journal(
-                min(t.version for t in self._trackers.values())
-            )
-            return result
-
-    def _prepare(
-        self,
-        spec: SolverSpec,
-        merged: dict[str, Any],
-        counter: int,
-        source: int,
-    ) -> None:
-        """Fill engine defaults and inject cached artefacts in place.
-
-        ``counter`` is the caller's reserved query number (claimed
-        under the lock) so the derived per-query stream is stable even
-        when preparation itself runs unlocked.  An explicit ``seed``
-        resolves through :func:`per_source_rng` — one derivation for
-        single queries, batches, and the serving layer alike.
-        """
-        if spec.accepts("alpha"):
-            merged.setdefault("alpha", self.alpha)
-        if spec.accepts("dead_end_policy"):
-            merged.setdefault("dead_end_policy", self.dead_end_policy)
-        if spec.accepts("backend") and self.backend is not None:
-            merged.setdefault("backend", self.backend)
-        if spec.needs_rng and merged.get("rng") is None:
-            seed = merged.pop("seed", None)
-            if seed is not None:
-                merged["rng"] = per_source_rng(seed, source)
-            else:
-                merged["rng"] = self.rng(_QUERY_SALT_BASE + counter)
-        # The cached indexes are built at the engine's alpha; a query
-        # that overrides alpha must not be served from them (the solver
-        # would reject the mismatch — or worse, BePI would silently
-        # answer at the wrong alpha).  Such queries fall back to the
-        # index-free path, or build an ad-hoc index via the registry
-        # adapter when the caller explicitly asked for one.
-        cacheable = merged.get("alpha", self.alpha) == self.alpha
-        if spec.needs_walk_index:
-            use_index = merged.get("use_index")
-            if use_index is None:
-                use_index = (
-                    cacheable
-                    and spec.index_by_default
-                    and not self.graph.has_dead_ends
-                )
-                merged["use_index"] = use_index
-            if use_index and cacheable and merged.get("walk_index") is None:
-                if spec.name == "speedppr":
-                    merged["walk_index"] = self.walk_index()
-                else:
-                    merged["walk_index"] = self.fora_index(
-                        merged.get("epsilon", 0.5),
-                        mu=merged.get("mu"),
-                        p_fail=merged.get("p_fail"),
-                    )
-        if (
-            spec.needs_precomputation
-            and cacheable
-            and merged.get("bepi_index") is None
-        ):
-            merged["bepi_index"] = self.bepi_index()
-
-    def _batch_monte_carlo(
-        self, sources: Sequence[int], merged: dict[str, Any]
-    ) -> list[PPRResult]:
-        """All sources' walks in one vectorised multi-source simulation."""
-        graph = self.graph
-        for source in sources:
-            check_source(graph, source)
-        # Walks start (and dead-end-redirect) in internal ids when the
-        # engine serves a reordered graph; the histograms are permuted
-        # back below, and seeded streams stay keyed on external ids.
-        internal_sources = [self._internal_source(s) for s in sources]
-        alpha = merged.get("alpha", self.alpha)
-        num_walks = merged.get("num_walks")
-        if num_walks is None:
-            epsilon = merged.get("epsilon", 0.5)
-            mu = merged.get("mu")
-            if mu is None:
-                mu = default_mu(graph.num_nodes)
-            p_fail = merged.get("p_fail")
-            if p_fail is None:
-                p_fail = default_failure_probability(graph.num_nodes)
-            num_walks = chernoff_walk_count(epsilon, mu, p_fail=p_fail)
-        if num_walks <= 0:
-            raise ParameterError(f"num_walks must be positive, got {num_walks}")
-
-        seed = merged.pop("seed", None)
-        with self._lock:
-            self._query_counter += 1
-            counter = self._query_counter
-        if seed is not None:
-            return self._batch_monte_carlo_seeded(
-                graph, sources, internal_sources, alpha, int(num_walks), seed
-            )
-        rng = self.rng(_QUERY_SALT_BASE + counter)
-        # Simulate in source groups and reduce each group's stops to
-        # per-source histograms immediately, so peak memory stays
-        # bounded by _BATCH_WALK_BUDGET walks (plus the n-length count
-        # vectors the caller gets anyway), not len(sources) * num_walks.
-        group_size = max(1, _BATCH_WALK_BUDGET // int(num_walks))
-        started = time.perf_counter()
-        per_source_counts: list[np.ndarray] = []
-        steps = 0
-        for begin in range(0, len(sources), group_size):
-            group = np.asarray(
-                internal_sources[begin : begin + group_size], dtype=np.int64
-            )
-            group_stops, group_steps = simulate_walk_stops(
-                graph, np.repeat(group, num_walks), alpha=alpha, rng=rng
-            )
-            steps += group_steps
-            for position in range(group.shape[0]):
-                segment = group_stops[
-                    position * num_walks : (position + 1) * num_walks
-                ]
-                counts = np.bincount(segment, minlength=graph.num_nodes)
-                if self._reorder is not None:
-                    counts = self._reorder.restore_vector(counts)
-                per_source_counts.append(counts)
-        elapsed = time.perf_counter() - started
-
-        results: list[PPRResult] = []
-        share = elapsed / len(sources)
-        # Wall time and walk steps are measured for the batch as a
-        # whole; apportion them evenly (steps keep an exact total by
-        # spreading the remainder) — the vectorised simulation has no
-        # per-source measurement.
-        steps_base, steps_extra = divmod(steps, len(sources))
-        for position, source in enumerate(sources):
-            result = PPRResult(
-                estimate=per_source_counts[position].astype(np.float64)
-                / num_walks,
-                residue=None,
-                source=int(source),
-                alpha=alpha,
-                counters=PushCounters(
-                    random_walks=int(num_walks),
-                    walk_steps=steps_base + (1 if position < steps_extra else 0),
-                ),
-                seconds=share,
-                method="MonteCarlo",
-            )
-            with self._lock:
-                self.stats.record(result)
-            results.append(result)
-        return results
-
-    def _batch_monte_carlo_seeded(
-        self,
-        graph: DiGraph,
-        sources: Sequence[int],
-        internal_sources: Sequence[int],
-        alpha: float,
-        num_walks: int,
-        seed: int,
-    ) -> list[PPRResult]:
-        """Seeded Monte-Carlo batch: one per-source stream, one sim each.
-
-        Each source's walks come from its own :func:`per_source_rng`
-        stream — exactly the stream ``monte_carlo_ppr`` would consume —
-        so the batch answer is order-independent and byte-identical to
-        a sequential ``query(s, seed=seed)``, at the cost of one (still
-        walk-vectorised) simulation per source instead of cross-source
-        grouping.  Streams key on the caller-facing source id even
-        when the walks themselves run on a reordered graph.
-        """
-        results: list[PPRResult] = []
-        for source, internal in zip(sources, internal_sources):
-            started = time.perf_counter()
-            stops, steps = simulate_walk_stops(
-                graph,
-                np.full(num_walks, internal, dtype=np.int64),
-                alpha=alpha,
-                source=int(internal),
-                rng=per_source_rng(seed, source),
-            )
-            counts = np.bincount(stops, minlength=graph.num_nodes)
-            if self._reorder is not None:
-                counts = self._reorder.restore_vector(counts)
-            result = PPRResult(
-                estimate=counts.astype(np.float64) / num_walks,
-                residue=None,
-                source=int(source),
-                alpha=alpha,
-                counters=PushCounters(
-                    random_walks=num_walks, walk_steps=steps
-                ),
-                seconds=time.perf_counter() - started,
-                method="MonteCarlo",
-            )
-            with self._lock:
-                self.stats.record(result)
-            results.append(result)
-        return results

@@ -1,19 +1,25 @@
 """Solver registry: every SSPPR algorithm behind one ``solve`` protocol.
 
 The paper's thesis is that one framework unifies the global and local
-approaches to PPR — this module is that thesis as an API.  Every
-algorithm in the library registers a :class:`SolverSpec` carrying
+approaches to PPR — this module is that thesis as an API, and the only
+module that knows a method.  Every algorithm in the library registers a
+:class:`SolverSpec` carrying
 
 * a canonical **name** plus **aliases** (``repro-ppr query --method
   fwdpush`` and ``--method fifo-fwdpush`` hit the same solver), all
   resolved case- and separator-insensitively;
-* its **kind** (``"exact"`` high-precision vs ``"approx"``) and
-  capability flags (``needs_rng``, ``needs_walk_index``,
-  ``needs_precomputation``) that the :class:`~repro.api.engine.PPREngine`
-  uses to decide which cached artefacts to inject;
-* a unified **parameter schema** drawn from one shared namespace
+* its **kind** (``"exact"`` high-precision vs ``"approx"``) and a
+  unified **parameter schema** drawn from one shared namespace
   (``alpha``, ``l1_threshold``, ``epsilon``, ``seed`` …), so callers
-  never need to know per-function signatures.
+  never need to know per-function signatures;
+* what a :class:`~repro.api.engine.PPREngine` may do on its behalf,
+  *declared* rather than known by name: the per-graph **artefact** to
+  build once, cache and inject (:class:`ArtefactSpec` — which kind,
+  under which parameter, how it is keyed and built, which built key
+  serves a request), the **block** adapter and the rule deciding which
+  requests may ride it, and whether the method refreshes a **tracked**
+  source's maintained pair.  The engine reads these declarations and
+  contains no ``if method == …``.
 
 Dispatch is uniform::
 
@@ -32,8 +38,9 @@ treats FORA+ as FORA with a pre-computed walk index.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Hashable, Mapping
 
 import numpy as np
 
@@ -55,7 +62,7 @@ from repro.montecarlo.chernoff import (
     default_failure_probability,
     default_mu,
 )
-from repro.montecarlo.mc import monte_carlo_ppr
+from repro.montecarlo.mc import monte_carlo_ppr, monte_carlo_ppr_block
 from repro.walks.index import (
     WalkIndex,
     build_walk_index,
@@ -65,6 +72,7 @@ from repro.walks.index import (
 
 __all__ = [
     "ParamSpec",
+    "ArtefactSpec",
     "SolverSpec",
     "per_source_rng",
     "register_solver",
@@ -73,10 +81,14 @@ __all__ = [
     "canonical_method_name",
     "solver_names",
     "solver_specs",
+    "declared_artefacts",
     "solve",
     "solve_block",
     "build_speedppr_index",
     "build_fora_index",
+    "WALK_INDEX",
+    "FORA_INDEX",
+    "BEPI_INDEX",
 ]
 
 
@@ -155,6 +167,51 @@ PARAMS: dict[str, ParamSpec] = {
 # Solver specification
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class ArtefactSpec:
+    """A per-graph artefact a :class:`~repro.api.engine.PPREngine` may
+    build once, cache by graph version, and inject into requests.
+
+    Attributes
+    ----------
+    kind:
+        Cache namespace, and the key of the engine's ``index_builds`` /
+        ``index_invalidations`` counters.  Specs that share a
+        declaration (FORA and ResAcc) share the cached artefacts.
+    param:
+        Parameter name the artefact is injected under.
+    build:
+        ``build(graph, params, *, alpha, rng) -> artefact``; ``rng`` is
+        the engine-seed stream number ``salt``.
+    key:
+        ``key(graph, params)``: the cache key a request needs (default:
+        one artefact per graph version).
+    serves:
+        ``serves(built_key, wanted_key)``: whether an already-built key
+        answers a request wanting ``wanted_key`` (default: equality).
+        The smallest serving key wins.
+    wanted:
+        ``wanted(graph, params)``: whether this request is to be served
+        from the artefact at all (default: always).
+    stored:
+        The artefact is a :class:`~repro.walks.index.WalkIndex` that
+        ``save_indexes`` / ``load_indexes`` persist.
+    """
+
+    kind: str
+    param: str
+    build: Callable[..., Any]
+    key: Callable[[DiGraph, Mapping[str, Any]], Hashable] = (
+        lambda graph, params: None
+    )
+    serves: Callable[[Any, Any], bool] = operator.eq
+    wanted: Callable[[DiGraph, Mapping[str, Any]], bool] = (
+        lambda graph, params: True
+    )
+    salt: int = 0
+    stored: bool = False
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """One registered SSPPR algorithm behind the common protocol.
@@ -178,23 +235,28 @@ class SolverSpec:
     needs_rng:
         The solver consumes randomness; ``seed`` is translated to a
         ``numpy`` Generator when no ``rng`` is passed.
-    needs_walk_index:
-        The solver can exploit a pre-computed :class:`WalkIndex`.
-    needs_precomputation:
-        The solver requires per-graph preprocessing (BePI's block
-        elimination) before it can answer queries.
-    index_by_default:
-        The :class:`~repro.api.engine.PPREngine` should serve this
-        method from its cached walk index unless told otherwise
-        (SpeedPPR's eps-independent index makes this free).
+    artefact:
+        The per-graph artefact an engine may cache and inject on this
+        solver's behalf (SpeedPPR's eps-independent walk index, FORA+'s
+        per-budget indexes, BePI's factorisation), or ``None``.
+        Registry-direct calls build it ad hoc in the adapter instead.
     block_fn:
         Optional multi-source adapter
         ``block_fn(graph, sources, **params) -> list[PPRResult]`` that
-        answers a whole batch in one block solve (one adjacency scan
-        amortised over all sources).  Solvers that register one promise
-        the block answers are element-wise identical to per-source
-        ``fn`` calls; :meth:`solve_block` falls back to a per-source
-        loop when absent.
+        answers a whole batch in one block solve (one adjacency scan,
+        or one walk simulation, amortised over all sources).
+        Deterministic solvers that register one promise the block
+        answers are element-wise identical to per-source ``fn`` calls;
+        :meth:`solve_block` falls back to a per-source loop when absent.
+    block_rule:
+        ``block_rule(graph, params) -> bool``: which requests may ride
+        ``block_fn`` (default: all).  The engine's ``batch_query``
+        loops per source when it declines.
+    tracked:
+        The adapter refreshes the :class:`~repro.core.incremental.
+        IncrementalPPR` an engine maintains for the source: the engine
+        injects it as ``tracker=`` and runs the adapter under its lock
+        (a refresh mutates state shared with the update journal).
     """
 
     name: str
@@ -204,12 +266,14 @@ class SolverSpec:
     params: tuple[str, ...]
     fn: Callable[..., PPRResult] = field(repr=False, compare=False, default=None)
     needs_rng: bool = False
-    needs_walk_index: bool = False
-    needs_precomputation: bool = False
-    index_by_default: bool = False
+    artefact: ArtefactSpec | None = None
     block_fn: Callable[..., list] | None = field(
         repr=False, compare=False, default=None
     )
+    block_rule: Callable[[DiGraph, Mapping[str, Any]], bool] | None = field(
+        repr=False, compare=False, default=None
+    )
+    tracked: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "approx"):
@@ -240,6 +304,36 @@ class SolverSpec:
                 f"{', '.join(unknown)}; accepted: {', '.join(self.params)}"
             )
 
+    def bind_rng(
+        self,
+        params: dict[str, Any],
+        source: int | None,
+        unseeded: Callable[[], np.random.Generator] = np.random.default_rng,
+    ) -> None:
+        """Resolve ``seed`` / ``rng`` in place for one solve.
+
+        The one place a request's generator is chosen.  An explicit
+        ``rng`` wins; an explicit ``seed`` resolves through
+        :func:`per_source_rng`, so registry-direct, engine and served
+        answers match byte for byte; otherwise ``unseeded()`` supplies
+        the stream (the engine passes its per-query derivation).
+        ``source=None`` binds a block solve, which has one stream for
+        the whole batch and therefore cannot be seeded per source.
+        """
+        seed = params.pop("seed", None)
+        if not self.needs_rng or params.get("rng") is not None:
+            return
+        if seed is None:
+            params["rng"] = unseeded()
+        elif source is None:
+            raise ParameterError(
+                f"a seeded {self.name!r} batch draws one stream per "
+                f"source and cannot share a block solve; solve per source "
+                f"(PPREngine.batch_query does)"
+            )
+        else:
+            params["rng"] = per_source_rng(seed, source)
+
     def solve(
         self,
         graph: DiGraph,
@@ -253,33 +347,25 @@ class SolverSpec:
         Parameters may be passed as a mapping, as keywords, or both
         (keywords win).  Unknown parameters raise
         :class:`~repro.errors.ParameterError`; a ``seed`` is converted
-        to a fresh ``numpy`` Generator for stochastic solvers.
+        to a ``numpy`` Generator for stochastic solvers
+        (:meth:`bind_rng`).
         """
         merged: dict[str, Any] = dict(params or {})
         merged.update(kwargs)
         self.validate_params(merged)
-        seed = merged.pop("seed", None)
-        if self.needs_rng and merged.get("rng") is None:
-            # With a pre-computed walk index the solver has no live
-            # stochastic phase to seed (the index adapter drops the
-            # generator before the solver sees it); skip the implicit
-            # injection so a seeded ad-hoc index build stays the only
-            # consumer.
-            if merged.get("walk_index") is None:
-                # Explicit seeds resolve through the per-source
-                # derivation so registry-direct answers match the
-                # engine's and the serving layer's byte-for-byte.
-                merged["rng"] = (
-                    per_source_rng(seed, source)
-                    if seed is not None
-                    else np.random.default_rng()
-                )
+        self.bind_rng(merged, source)
         return self.fn(graph, source, **merged)
 
     @property
     def supports_block(self) -> bool:
         """Whether a genuinely multi-source ``block_fn`` is registered."""
         return self.block_fn is not None
+
+    def batchable(self, graph: DiGraph, params: Mapping[str, Any]) -> bool:
+        """Whether this request may ride the block path."""
+        return self.block_fn is not None and (
+            self.block_rule is None or self.block_rule(graph, params)
+        )
 
     def solve_block(
         self,
@@ -292,10 +378,13 @@ class SolverSpec:
         """Answer one query per source, through the block path if any.
 
         Results align with ``sources``.  With a registered ``block_fn``
-        the whole batch is one block solve; otherwise each source is
-        answered by an independent :meth:`solve` — either way the
-        answers are element-wise what per-source calls produce, so
-        callers can batch opportunistically.
+        the whole batch is one block solve (a request the block adapter
+        cannot take raises — callers that want the automatic fallback
+        use :meth:`PPREngine.batch_query`, which consults
+        :meth:`batchable`); otherwise each source is answered by an
+        independent :meth:`solve`.  For deterministic solvers the
+        answers are element-wise what per-source calls produce either
+        way.
         """
         merged: dict[str, Any] = dict(params or {})
         merged.update(kwargs)
@@ -303,6 +392,7 @@ class SolverSpec:
         sources = [int(s) for s in sources]
         if self.block_fn is None:
             return [self.solve(graph, s, params=merged) for s in sources]
+        self.bind_rng(merged, None)
         return self.block_fn(graph, sources, **merged)
 
 
@@ -402,6 +492,15 @@ def solver_specs() -> list[SolverSpec]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
+def declared_artefacts() -> dict[str, ArtefactSpec]:
+    """Every artefact declaration a registered spec carries, by kind."""
+    return {
+        spec.artefact.kind: spec.artefact
+        for spec in solver_specs()
+        if spec.artefact is not None
+    }
+
+
 def solve(
     graph: DiGraph, source: int, method: str = "powerpush", **params: Any
 ) -> PPRResult:
@@ -423,9 +522,10 @@ def solve_block(
 ) -> list[PPRResult]:
     """One-shot multi-source dispatch (see :meth:`SolverSpec.solve_block`).
 
-    Methods with a registered block kernel (PowerPush) answer the whole
-    batch in one block solve; the rest loop — results are element-wise
-    identical either way.  Engine users get this automatically through
+    Methods with a registered block adapter (PowerPush's block kernel,
+    Monte-Carlo's cross-source walk simulation) answer the whole batch
+    in one block solve; the rest loop.  Engine users get this
+    automatically through
     :meth:`~repro.api.engine.PPREngine.batch_query`.
     """
     spec, implied = resolve_method(method)
@@ -434,7 +534,7 @@ def solve_block(
 
 
 # ---------------------------------------------------------------------------
-# Index builders shared by the registry adapters and the engine
+# Per-graph artefacts: builders, and what an engine may cache of them
 # ---------------------------------------------------------------------------
 
 def build_speedppr_index(
@@ -453,6 +553,17 @@ def build_speedppr_index(
     )
 
 
+def _fora_walk_budget(graph: DiGraph, params: Mapping[str, Any]) -> int:
+    """The Chernoff walk budget ``W`` a FORA+ contract needs."""
+    mu = params.get("mu")
+    if mu is None:
+        mu = default_mu(graph.num_nodes)
+    p_fail = params.get("p_fail")
+    if p_fail is None:
+        p_fail = default_failure_probability(graph.num_nodes)
+    return chernoff_walk_count(params.get("epsilon", 0.5), mu, p_fail=p_fail)
+
+
 def build_fora_index(
     graph: DiGraph,
     epsilon: float,
@@ -463,11 +574,9 @@ def build_fora_index(
     rng: np.random.Generator,
 ) -> WalkIndex:
     """FORA+'s eps-dependent walk index, sized for ``epsilon``."""
-    if mu is None:
-        mu = default_mu(graph.num_nodes)
-    if p_fail is None:
-        p_fail = default_failure_probability(graph.num_nodes)
-    num_walks_w = chernoff_walk_count(epsilon, mu, p_fail=p_fail)
+    num_walks_w = _fora_walk_budget(
+        graph, {"epsilon": epsilon, "mu": mu, "p_fail": p_fail}
+    )
     return build_walk_index(
         graph,
         fora_plus_walk_counts(graph, num_walks_w),
@@ -475,6 +584,68 @@ def build_fora_index(
         policy="fora+",
         rng=rng,
     )
+
+
+def _index_wanted(by_default: bool) -> Callable[..., bool]:
+    """``wanted`` rule of the walk indexes: an explicit ``use_index``
+    decides; otherwise ``by_default`` does, on graphs whose walks never
+    need the dead-end redirect an index cannot replay."""
+
+    def wanted(graph: DiGraph, params: Mapping[str, Any]) -> bool:
+        use_index = params.get("use_index")
+        if use_index is None:
+            return by_default and not graph.has_dead_ends
+        return bool(use_index)
+
+    return wanted
+
+
+#: rng-stream salts of the two walk indexes match the historical
+#: Workspace streams, so experiment artefacts stay bit-identical.
+WALK_INDEX = ArtefactSpec(
+    kind="walk",
+    param="walk_index",
+    build=lambda graph, params, *, alpha, rng: build_speedppr_index(
+        graph, alpha=alpha, rng=rng
+    ),
+    # eps-independent, so serving from it by default is free.
+    wanted=_index_wanted(True),
+    salt=1,
+    stored=True,
+)
+
+#: FORA+'s index is fully determined by its contract's walk budget
+#: ``W``, and one built for ``W1 >= W2`` also serves ``W2`` (per-node
+#: counts are monotone in ``W``): building at the smallest eps and
+#: reusing for larger ones — the paper's protocol — falls out, and a
+#: tighter ``mu`` / ``p_fail`` gets a fresh, larger build.
+FORA_INDEX = ArtefactSpec(
+    kind="fora",
+    param="walk_index",
+    build=lambda graph, params, *, alpha, rng: build_fora_index(
+        graph,
+        params.get("epsilon", 0.5),
+        alpha=alpha,
+        mu=params.get("mu"),
+        p_fail=params.get("p_fail"),
+        rng=rng,
+    ),
+    key=_fora_walk_budget,
+    serves=operator.ge,
+    wanted=_index_wanted(False),
+    salt=2,
+    stored=True,
+)
+
+#: BePI's factorisation holds live scipy solver objects: cached, never
+#: persisted.
+BEPI_INDEX = ArtefactSpec(
+    kind="bepi",
+    param="bepi_index",
+    build=lambda graph, params, *, alpha, rng: build_bepi_index(
+        graph, alpha=alpha
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +699,7 @@ def _solve_sim_fwdpush(graph: DiGraph, source: int, **params) -> PPRResult:
 
 def _with_optional_index(
     solver: Callable[..., PPRResult],
-    index_builder: Callable[..., WalkIndex],
+    artefact: ArtefactSpec,
 ) -> Callable[..., PPRResult]:
     """Wrap an approx solver so ``use_index=True`` builds a missing index.
 
@@ -546,7 +717,12 @@ def _with_optional_index(
         **params,
     ) -> PPRResult:
         if use_index and walk_index is None:
-            walk_index = index_builder(graph, params)
+            walk_index = artefact.build(
+                graph,
+                params,
+                alpha=params.get("alpha", 0.2),
+                rng=params.get("rng") or np.random.default_rng(0),
+            )
         if walk_index is not None:
             # The index replaces the live walk phase.  A generator left
             # in the call would arm the solvers' m >= W Monte-Carlo
@@ -558,20 +734,23 @@ def _with_optional_index(
     return adapter
 
 
-def _speedppr_index_for(graph: DiGraph, params: dict) -> WalkIndex:
-    rng = params.get("rng") or np.random.default_rng(0)
-    return build_speedppr_index(graph, alpha=params.get("alpha", 0.2), rng=rng)
+def _powerpush_batchable(graph: DiGraph, params: Mapping[str, Any]) -> bool:
+    """The block kernels are the vectorised implementation and carry no
+    per-solve trace state: faithful-mode and traced requests loop."""
+    return (
+        params.get("mode", "auto") in ("auto", "vectorized")
+        and params.get("trace") is None
+    )
 
 
-def _fora_index_for(graph: DiGraph, params: dict) -> WalkIndex:
-    rng = params.get("rng") or np.random.default_rng(0)
-    return build_fora_index(
-        graph,
-        params.get("epsilon", 0.5),
-        alpha=params.get("alpha", 0.2),
-        mu=params.get("mu"),
-        p_fail=params.get("p_fail"),
-        rng=rng,
+def _montecarlo_batchable(graph: DiGraph, params: Mapping[str, Any]) -> bool:
+    """One simulation shares one stream and has no single redirect
+    source: a seeded batch (a stream per source), a caller's own
+    generator, and graphs with dead ends loop."""
+    return (
+        params.get("seed") is None
+        and params.get("rng") is None
+        and not graph.has_dead_ends
     )
 
 
@@ -585,21 +764,15 @@ def _solve_powerpush_block(
 ) -> list[PPRResult]:
     """Block adapter for PowerPush: unified schema -> block signature.
 
-    The block kernels are the vectorised implementation, so the
-    faithful scalar mode cannot be batched; traces are per-solve state
-    and are likewise unsupported — callers wanting either fall back to
+    Callers wanting the faithful mode or a trace fall back to
     per-source solves (the engine's ``batch_query`` does this
-    automatically).
+    automatically, from the same rule).
     """
-    if mode not in ("auto", "vectorized"):
+    if not _powerpush_batchable(graph, {"mode": mode, "trace": trace}):
         raise ParameterError(
-            f"power_push_block is vectorised-only; mode {mode!r} is not "
+            f"power_push_block is vectorised-only and records no "
+            f"convergence traces; mode {mode!r} / a traced request is not "
             f"batchable (run per-source solves instead)"
-        )
-    if trace is not None:
-        raise ParameterError(
-            "power_push_block does not support convergence traces; run "
-            "per-source solves to trace"
         )
     return power_push_block(graph, sources, **params)
 
@@ -633,6 +806,31 @@ def _solve_bepi(
     )
 
 
+def _solve_incremental(
+    graph: DiGraph,
+    source: int,
+    *,
+    tracker=None,
+    l1_threshold: float | None = None,
+    trace=None,
+) -> PPRResult:
+    """Serve a tracked source's maintained ``(p, r)`` pair, repairing it
+    first when graph updates are pending."""
+    if tracker is None:
+        raise ParameterError(
+            "method 'incremental' repairs the pair a PPREngine maintains "
+            "for a tracked source; query it through an engine built on a "
+            "repro.graph.DynamicGraph"
+        )
+    if l1_threshold is not None and l1_threshold != tracker.l1_threshold:
+        raise ParameterError(
+            f"source {source} is tracked at "
+            f"l1_threshold={tracker.l1_threshold}; untrack() and "
+            f"re-track to change it"
+        )
+    return tracker.refresh(trace=trace)
+
+
 # ---------------------------------------------------------------------------
 # Built-in registrations
 # ---------------------------------------------------------------------------
@@ -658,6 +856,7 @@ def _register_builtin_solvers() -> None:
             params=(*_EXACT_COMMON, *_BACKEND_PARAM, "config", "mode"),
             fn=power_push,
             block_fn=_solve_powerpush_block,
+            block_rule=_powerpush_batchable,
         )
     )
     register_solver(
@@ -714,7 +913,7 @@ def _register_builtin_solvers() -> None:
                 "max_inner_iterations",
             ),
             fn=_solve_bepi,
-            needs_precomputation=True,
+            artefact=BEPI_INDEX,
         )
     )
     register_solver(
@@ -731,10 +930,9 @@ def _register_builtin_solvers() -> None:
                 "config",
                 "allow_monte_carlo_shortcut",
             ),
-            fn=_with_optional_index(speed_ppr, _speedppr_index_for),
+            fn=_with_optional_index(speed_ppr, WALK_INDEX),
             needs_rng=True,
-            needs_walk_index=True,
-            index_by_default=True,
+            artefact=WALK_INDEX,
         ),
         variants={"speedppr-index": {"use_index": True}},
     )
@@ -751,9 +949,9 @@ def _register_builtin_solvers() -> None:
                 "push_mode",
                 "allow_monte_carlo_shortcut",
             ),
-            fn=_with_optional_index(fora, _fora_index_for),
+            fn=_with_optional_index(fora, FORA_INDEX),
             needs_rng=True,
-            needs_walk_index=True,
+            artefact=FORA_INDEX,
         ),
         variants={
             "fora+": {"use_index": True},
@@ -767,9 +965,9 @@ def _register_builtin_solvers() -> None:
             kind="approx",
             summary="ResAcc: FORA with source-residue accumulation",
             params=(*_APPROX_COMMON, "walk_index", "use_index", "max_sweeps"),
-            fn=_with_optional_index(resacc, _fora_index_for),
+            fn=_with_optional_index(resacc, FORA_INDEX),
             needs_rng=True,
-            needs_walk_index=True,
+            artefact=FORA_INDEX,
         ),
     )
     register_solver(
@@ -781,6 +979,19 @@ def _register_builtin_solvers() -> None:
             params=("alpha", "epsilon", "mu", "p_fail", "num_walks", "seed", "rng"),
             fn=monte_carlo_ppr,
             needs_rng=True,
+            block_fn=monte_carlo_ppr_block,
+            block_rule=_montecarlo_batchable,
+        )
+    )
+    register_solver(
+        SolverSpec(
+            name="incremental",
+            aliases=("tracked", "incremental-ppr"),
+            kind="exact",
+            summary="Incremental PPR: a tracked source's pair repaired across graph updates",
+            params=("l1_threshold", "trace"),
+            fn=_solve_incremental,
+            tracked=True,
         )
     )
 

@@ -54,11 +54,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.api import PPREngine, resolve_method, solver_specs
-from repro.api.engine import (
-    INCREMENTAL_METHOD_NAMES,
-    INCREMENTAL_METHOD_PARAMS,
-    is_incremental_method,
-)
 from repro.errors import ReproError
 from repro.experiments.config import bench_config, full_config
 from repro.experiments.dynamic import run_dynamic_updates
@@ -170,7 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=float,
         default=0.002,
-        help="micro-batch window in seconds",
+        help=(
+            "micro-batch window in seconds (thread mode; a shard "
+            "process dispatches each drained burst inline)"
+        ),
     )
     serve.add_argument("--max-batch", type=int, default=64)
     serve.add_argument(
@@ -272,7 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate", type=float, default=500.0, help="open-loop arrivals/second"
     )
     loadtest.add_argument("--concurrency", type=int, default=8)
-    loadtest.add_argument("--window", type=float, default=0.002)
+    loadtest.add_argument(
+        "--window",
+        type=float,
+        default=0.002,
+        help="micro-batch window in seconds (thread mode only)",
+    )
     loadtest.add_argument("--max-batch", type=int, default=64)
     loadtest.add_argument("--cache-capacity", type=int, default=4096)
     loadtest.add_argument("--method", default="powerpush")
@@ -437,26 +440,17 @@ def _cmd_methods() -> int:
         print(f"  {spec.summary}")
         if spec.aliases:
             print(f"  aliases : {', '.join(spec.aliases)}")
-        flags = [
-            label
-            for label, enabled in (
-                ("needs-rng", spec.needs_rng),
-                ("walk-index", spec.needs_walk_index),
-                ("precomputation", spec.needs_precomputation),
-                ("index-by-default", spec.index_by_default),
-            )
-            if enabled
-        ]
+        flags = []
+        if spec.needs_rng:
+            flags.append("needs-rng")
+        if spec.artefact is not None:
+            flags.append(f"artefact:{spec.artefact.kind}")
+        if spec.supports_block:
+            flags.append("block")
+        if spec.tracked:
+            flags.append("tracked")
         print(f"  flags   : {', '.join(flags) if flags else '-'}")
         print(f"  params  : {', '.join(spec.params)}")
-    canonical, *aliases = INCREMENTAL_METHOD_NAMES
-    print(f"{canonical} [engine]")
-    print(
-        "  Tracked-source maintenance on a DynamicGraph (engine-level, "
-        "resolved by PPREngine rather than the registry)"
-    )
-    print(f"  aliases : {', '.join(aliases)}")
-    print(f"  params  : {', '.join(INCREMENTAL_METHOD_PARAMS)}")
     return 0
 
 
@@ -522,7 +516,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             alpha=args.alpha,
             seed=args.seed,
-            window=args.window,
             max_batch=args.max_batch,
             cache_capacity=args.cache_capacity,
             cache_ttl=args.cache_ttl,
@@ -794,29 +787,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    if is_incremental_method(args.method):
-        # Engine-level method: wrap the dataset so the engine can track
-        # (a one-shot CLI query just pays the initial solve).
-        from repro.graph.dynamic import DynamicGraph
-
-        dynamic = DynamicGraph(load_dataset(args.dataset))
-        # reorder= is rejected by the engine for dynamic graphs; pass it
-        # through so the user gets the real error, not a silent drop.
-        engine = PPREngine(
-            dynamic,
-            alpha=args.alpha,
-            seed=args.seed,
-            backend=args.backend,
-            reorder=args.reorder,
-        )
-        result = engine.query(
-            args.source,
-            method="incremental",
-            l1_threshold=args.l1_threshold,
-        )
-        return _print_query_result(args, dynamic.base, result)
     spec, implied = resolve_method(args.method)  # fail fast, pre dataset load
     graph = load_dataset(args.dataset)
+    if spec.tracked:
+        # A tracked source lives on an evolving graph (a one-shot CLI
+        # query just pays the initial solve).  reorder= is rejected by
+        # the engine for dynamic graphs; it is passed through so the
+        # user gets the real error, not a silent drop.
+        from repro.graph.dynamic import DynamicGraph
+
+        graph = DynamicGraph(graph)
     engine = PPREngine(
         graph,
         alpha=args.alpha,
@@ -831,12 +811,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     params = {k: v for k, v in candidates.items() if spec.accepts(k)}
-    if spec.needs_walk_index and "use_index" not in implied:
+    if spec.accepts("use_index") and "use_index" not in implied:
         # One query per process: building a full walk index costs more
         # than it saves.  Index variants (speedppr-index, fora+) opt in.
         params["use_index"] = False
     result = engine.query(args.source, method=args.method, **params)
-    return _print_query_result(args, graph, result)
+    return _print_query_result(args, engine.graph, result)
 
 
 def _print_query_result(args: argparse.Namespace, graph, result) -> int:

@@ -41,7 +41,7 @@ from ..graph.io import load_npz, save_npz
 from .atomic import atomic_write_json, fsync_dir
 from .wal import CrashHook, WalPosition
 
-__all__ = ["CheckpointInfo", "CheckpointStore", "graph_fingerprint"]
+__all__ = ["CheckpointInfo", "CheckpointStore", "graph_fingerprint", "sha256_file"]
 
 _POINTER_NAME = "CHECKPOINT"
 _MANIFEST_NAME = "manifest.json"
@@ -51,10 +51,14 @@ _FORMAT = 1
 
 
 def graph_fingerprint(graph: DiGraph) -> str:
-    """Content hash of a CSR snapshot (node count + adjacency arrays).
+    """Content hash of a CSR snapshot — the staleness stamp for indexes.
 
-    Matches the stamp :meth:`~repro.api.engine.PPREngine.save_indexes`
-    writes, so a recovered snapshot can adopt a checkpoint's saved
+    Hashing the actual adjacency arrays (not a session-local version
+    counter) means a server restarted on the same persisted graph can
+    warm-start, while an index saved for *any* other graph — including
+    a same-shaped one — is refused.  The one definition: checkpoints
+    and :meth:`~repro.api.engine.PPREngine.save_indexes` both stamp
+    with it, so a recovered snapshot can adopt a checkpoint's saved
     indexes when (and only when) the WAL suffix was empty.
     """
     digest = hashlib.sha256()
@@ -64,7 +68,8 @@ def graph_fingerprint(graph: DiGraph) -> str:
     return digest.hexdigest()
 
 
-def _sha256_file(path: Path) -> str:
+def sha256_file(path: Path) -> str:
+    """Streaming SHA-256 of a file, as recorded in every manifest."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
@@ -180,7 +185,7 @@ class CheckpointStore:
                 raise CheckpointError(
                     f"checkpoint {info.name}: artefact {rel!r} is missing"
                 )
-            actual = _sha256_file(artefact)
+            actual = sha256_file(artefact)
             if actual != expected:
                 raise CheckpointError(
                     f"checkpoint {info.name}: artefact {rel!r} failed its "
@@ -227,7 +232,7 @@ class CheckpointStore:
         try:
             snap = graph.snapshot()
             save_npz(snap, tmp / _GRAPH_NAME)
-            checksums = {_GRAPH_NAME: _sha256_file(tmp / _GRAPH_NAME)}
+            checksums = {_GRAPH_NAME: sha256_file(tmp / _GRAPH_NAME)}
             if engine is not None:
                 index_dir = tmp / _INDEX_DIR
                 index_dir.mkdir()
@@ -235,7 +240,7 @@ class CheckpointStore:
                 for artefact in sorted(index_dir.iterdir()):
                     if artefact.is_file():
                         rel = f"{_INDEX_DIR}/{artefact.name}"
-                        checksums[rel] = _sha256_file(artefact)
+                        checksums[rel] = sha256_file(artefact)
             manifest = {
                 "format": _FORMAT,
                 "version": version,

@@ -9,10 +9,11 @@ and a :class:`~repro.durability.checkpoint.CheckpointStore` to one
 * :meth:`flush` drains the buffer into one fsynced WAL record — the
   serving tier calls it *before* acknowledging a version
   (fsync-before-ack);
-* every ``checkpoint_every`` logged updates (or on demand, or on
-  :meth:`~repro.graph.dynamic.DynamicGraph.compact`) it writes an
-  atomic checkpoint, rotates the WAL, and prunes segments the
-  checkpoint covers;
+* at bootstrap, every ``checkpoint_every`` logged updates, and on
+  demand it writes an atomic checkpoint, rotates the WAL, and prunes
+  segments the checkpoint covers — not on
+  :meth:`~repro.graph.dynamic.DynamicGraph.compact`, which changes the
+  in-memory representation only;
 * :meth:`recover` rebuilds the graph on a cold restart — load the
   latest checkpoint, replay the WAL suffix, and verify the result
   matches the log head version exactly.
@@ -50,7 +51,7 @@ class DurabilityManager:
     checkpoint_every:
         Write a checkpoint automatically once this many updates have
         been logged since the last one; None disables the automatic
-        trigger (checkpoints still happen on demand and on compact).
+        trigger (checkpoints still happen at bootstrap and on demand).
     crash_hook:
         Fault-injection hook threaded through to the WAL and the
         checkpoint store (see :mod:`repro.durability.crash`).
@@ -83,7 +84,6 @@ class DurabilityManager:
         self._pending: list[tuple[str, int, int]] = []
         self._updates_since_checkpoint = 0
         self._last_checkpoint_version: int | None = None
-        self._in_checkpoint = False
         self._replayed_records = 0
         self._closed = False
 
@@ -224,13 +224,14 @@ class DurabilityManager:
         self._pending.append((entry.op, entry.source, entry.target))
 
     def on_compact(self, graph: DynamicGraph) -> None:
-        """Cover a CSR rebase with a checkpoint (unless one already
-        covers this exact version)."""
-        if self._in_checkpoint:
-            return
+        """Flush the pending WAL tail when the CSR is rebased.
+
+        A rebase needs no checkpoint: :meth:`recover` rebuilds from the
+        checkpoint's *logical* snapshot plus logical ``(op, u, v)``
+        records, and neither depends on which CSR the overlay is
+        layered on in memory.
+        """
         self._flush_records()
-        if self._last_checkpoint_version != graph.version:
-            self.checkpoint()
 
     # ------------------------------------------------------------------
     # durability operations
@@ -247,7 +248,6 @@ class DurabilityManager:
         if (
             self._checkpoint_every is not None
             and self._updates_since_checkpoint >= self._checkpoint_every
-            and not self._in_checkpoint
         ):
             self.checkpoint()
         return position
@@ -273,20 +273,16 @@ class DurabilityManager:
         """
         if self._graph is None:
             raise RecoveryError("no graph attached to this DurabilityManager")
-        self._in_checkpoint = True
-        try:
-            self._flush_records()
-            self._wal.rotate()
-            position = WalPosition(self._wal.segments[-1], 0)
-            self._store.write(self._graph, position, engine=self._engine)
-            # Pointer is durable: history before the new segment is
-            # covered and can go.
-            self._wal.prune_upto(position.segment)
-            self._store.cleanup()
-            self._updates_since_checkpoint = 0
-            self._last_checkpoint_version = self._graph.version
-        finally:
-            self._in_checkpoint = False
+        self._flush_records()
+        self._wal.rotate()
+        position = WalPosition(self._wal.segments[-1], 0)
+        self._store.write(self._graph, position, engine=self._engine)
+        # Pointer is durable: history before the new segment is
+        # covered and can go.
+        self._wal.prune_upto(position.segment)
+        self._store.cleanup()
+        self._updates_since_checkpoint = 0
+        self._last_checkpoint_version = self._graph.version
         return position
 
 

@@ -469,9 +469,8 @@ class DynamicGraph:
         self._num_deletes = 0
         self._snapshot_cache = None
         if self._wal_hook is not None:
-            # Compaction rebases the CSR; an attached durability layer
-            # must cover the rebase with a checkpoint so recovery never
-            # replays journal entries against the wrong base (see
+            # Compaction rebases the CSR in memory only; an attached
+            # durability layer just flushes its pending WAL tail (see
             # DurabilityManager.on_compact).
             self._wal_hook.on_compact(self)  # type: ignore[attr-defined]
         return snap

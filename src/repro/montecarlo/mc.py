@@ -14,6 +14,7 @@ that FORA improves by a ``1/eps`` factor and SpeedPPR by a further
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +28,12 @@ from repro.montecarlo.chernoff import (
     default_failure_probability,
     default_mu,
 )
-from repro.walks.engine import walk_stop_counts
+from repro.walks.engine import simulate_walk_stops
 
-__all__ = ["monte_carlo_ppr"]
+__all__ = ["monte_carlo_ppr", "monte_carlo_ppr_block"]
+
+#: peak walks materialised at once by the multi-source simulation
+_BATCH_WALK_BUDGET = 1 << 24
 
 
 def monte_carlo_ppr(
@@ -53,30 +57,92 @@ def monte_carlo_ppr(
     num_walks:
         Explicit override of ``W`` (used by tests and ablations).
     """
+    return monte_carlo_ppr_block(
+        graph,
+        [source],
+        alpha=alpha,
+        epsilon=epsilon,
+        mu=mu,
+        p_fail=p_fail,
+        num_walks=num_walks,
+        rng=rng,
+    )[0]
+
+
+def monte_carlo_ppr_block(
+    graph: DiGraph,
+    sources: Sequence[int],
+    *,
+    alpha: float = 0.2,
+    epsilon: float = 0.5,
+    mu: float | None = None,
+    p_fail: float | None = None,
+    num_walks: int | None = None,
+    rng: np.random.Generator,
+) -> list[PPRResult]:
+    """One query per source, all walks through one vectorised simulation.
+
+    Every source's ``W`` walks advance in lock-step from the one stream
+    ``rng`` — same contract and estimator as :func:`monte_carlo_ppr`,
+    which is the one-source case.  Two or more sources need a graph
+    without dead ends: their shared simulation has no single query
+    source to redirect to.
+    """
+    if not sources:
+        return []
     check_alpha(alpha)
-    check_source(graph, source)
+    for source in sources:
+        check_source(graph, source)
     if graph.num_nodes == 0:
         raise ParameterError("cannot query an empty graph")
-    if mu is None:
-        mu = default_mu(graph.num_nodes)
-    if p_fail is None:
-        p_fail = default_failure_probability(graph.num_nodes)
     if num_walks is None:
+        if mu is None:
+            mu = default_mu(graph.num_nodes)
+        if p_fail is None:
+            p_fail = default_failure_probability(graph.num_nodes)
         num_walks = chernoff_walk_count(epsilon, mu, p_fail=p_fail)
     if num_walks <= 0:
         raise ParameterError(f"num_walks must be positive, got {num_walks}")
+    redirect = sources[0] if len(sources) == 1 else None
 
+    # Simulate in source groups and reduce each group's stops to
+    # per-source histograms immediately, so peak memory stays bounded
+    # by _BATCH_WALK_BUDGET walks (plus the n-length count vectors the
+    # caller gets anyway), not len(sources) * num_walks.
+    group_size = max(1, _BATCH_WALK_BUDGET // num_walks)
     started = time.perf_counter()
-    counts, steps = walk_stop_counts(
-        graph, source, num_walks, alpha=alpha, source=source, rng=rng
-    )
-    counters = PushCounters(random_walks=num_walks, walk_steps=steps)
-    return PPRResult(
-        estimate=counts / num_walks,
-        residue=None,
-        source=source,
-        alpha=alpha,
-        counters=counters,
-        seconds=time.perf_counter() - started,
-        method="MonteCarlo",
-    )
+    estimates: list[np.ndarray] = []
+    steps = 0
+    for begin in range(0, len(sources), group_size):
+        group = np.asarray(sources[begin : begin + group_size], dtype=np.int64)
+        stops, group_steps = simulate_walk_stops(
+            graph,
+            np.repeat(group, num_walks),
+            alpha=alpha,
+            source=redirect,
+            rng=rng,
+        )
+        steps += group_steps
+        for segment in stops.reshape(group.shape[0], num_walks):
+            counts = np.bincount(segment, minlength=graph.num_nodes)
+            estimates.append(counts.astype(np.float64) / num_walks)
+    # Wall time and walk steps are measured for the batch as a whole;
+    # apportion them evenly (steps keep an exact total by spreading the
+    # remainder) — the simulation has no per-source measurement.
+    share = (time.perf_counter() - started) / len(sources)
+    steps_base, steps_extra = divmod(steps, len(sources))
+    return [
+        PPRResult(
+            estimate=estimate,
+            residue=None,
+            source=int(source),
+            alpha=alpha,
+            counters=PushCounters(
+                random_walks=int(num_walks),
+                walk_steps=steps_base + (1 if position < steps_extra else 0),
+            ),
+            seconds=share,
+            method="MonteCarlo",
+        )
+        for position, (source, estimate) in enumerate(zip(sources, estimates))
+    ]

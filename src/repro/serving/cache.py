@@ -30,10 +30,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.api.engine import (
-    is_incremental_method,
-    validate_incremental_params,
-)
 from repro.api.registry import resolve_method
 from repro.core.result import PPRResult
 from repro.errors import ParameterError
@@ -77,18 +73,13 @@ def resolve_request(
     out a default explicitly gets the same key — and therefore the
     same cache entry and batch slot — as one that omits it.
     """
-    if is_incremental_method(method):
-        canonical = "incremental"
-        merged: dict[str, Any] = dict(params)
-        validate_incremental_params(merged)
-    else:
-        spec, merged = resolve_method(method)
-        merged.update(params)
-        spec.validate_params(merged)
-        for name, value in (defaults or {}).items():
-            if spec.accepts(name):
-                merged.setdefault(name, value)
-        canonical = spec.name
+    spec, merged = resolve_method(method)
+    merged.update(params)
+    spec.validate_params(merged)
+    for name, value in (defaults or {}).items():
+        if spec.accepts(name):
+            merged.setdefault(name, value)
+    canonical = spec.name
     for value in merged.values():
         if not isinstance(value, _HASHABLE_SCALARS):
             return canonical, merged, None

@@ -468,7 +468,6 @@ def _run_served(
             workers=workers,
             alpha=alpha,
             seed=seed,
-            window=window,
             max_batch=max_batch,
             cache_capacity=cache_capacity,
             cache_ttl=cache_ttl,
@@ -733,7 +732,8 @@ def run_loadtest(
     many worker processes mapping one shared-memory graph image
     (answers stay byte-identical either way — placement never changes
     a seeded answer).  ``concurrency`` then counts the closed-loop
-    client threads driving the dispatcher.
+    client threads driving the dispatcher, and ``window`` is unused: a
+    shard has no micro-batch window, it dispatches each burst inline.
 
     ``slo_ms``/``deadline_ms`` switch the served run to the SLO-aware
     async front door (open arrival, read-only workloads only): every

@@ -11,12 +11,14 @@ semantics of PR 3 kept intact *per worker*:
 * the graph's hot arrays live once in a
   :class:`~repro.serving.shm.SharedGraphImage`; every worker process
   maps the same physical pages zero-copy and runs a full
-  :class:`EngineServer` (micro-batch scheduler + version-stamped
-  :class:`~repro.serving.cache.ResultCache`) over them;
+  :class:`EngineServer` (request coalescing + version-stamped
+  :class:`~repro.serving.cache.ResultCache`) over them — without the
+  scheduler thread and its micro-batch window: a worker's receive loop
+  is the only submitter, so it dispatches each drained burst inline;
 * the :class:`ShardedDispatcher` in the parent routes each request by
   **consistent hashing on the source id**, so repeat queries for a hot
   source always land on the same worker — its cache keeps hitting and
-  its micro-batches stay coherent — and removing a crashed worker
+  its bursts stay coherent — and removing a crashed worker
   re-routes only that worker's arc of the ring;
 * the parent is the **only writer**: the dispatcher holds the one
   :class:`~repro.graph.dynamic.DynamicGraph` of the cluster (WAL
@@ -154,7 +156,6 @@ class WorkerConfig:
     dead_end_policy: str = "redirect-to-source"
     cache_capacity: int = 4096
     cache_ttl: float | None = None
-    window: float = 0.002
     max_batch: int = 64
     backend: str | None = None
     #: Worker-side fault schedule (chaos runs only; empty in production).
@@ -203,8 +204,10 @@ class _Shard:
                 ),
                 cache_capacity=config.cache_capacity,
                 cache_ttl=config.cache_ttl,
-                window=config.window,
                 max_batch=config.max_batch,
+                # No scheduler thread, no window: the worker loop is the
+                # only submitter, so it dispatches its burst itself.
+                start=False,
             )
         self.server.replace_graph(graph, version)
         if retired is not None:
@@ -268,9 +271,11 @@ def _worker_main(
     result cache (stale memoised answers must not survive a respawn).
 
     The request queue is drained in bursts: everything immediately
-    available is submitted to the local server *before* blocking on
-    results, so the per-worker micro-batch window sees real company
-    and coalesced windows still become one multi-source block solve.
+    available is submitted to the local server, whose scheduler the
+    loop then drains inline (:func:`_flush`) — a burst is the batch, so
+    a coalescable group still becomes one multi-source block solve,
+    and there is no scheduler thread and no micro-batch window to wait
+    out: nobody but this loop could add to the batch meanwhile.
     A worker never owns a shared segment — teardown only closes its
     own mappings of the graph image and the reply arena, so a
     SIGKILLed worker cannot leak ``/dev/shm`` entries (satisfying the
@@ -350,7 +355,7 @@ def _serve_messages(
                 continue
             # Control messages order against queries: everything
             # submitted before them must resolve first.
-            _flush(worker_id, pending, arena, responses, plan)
+            _flush(worker_id, shard, pending, arena, responses, plan)
             pending = []
             if kind == "stop":
                 return
@@ -368,7 +373,7 @@ def _serve_messages(
                 responses.put(("attached", barrier_id))
             elif kind == "stats":
                 responses.put(("stats", message[1], shard.server.stats()))
-        _flush(worker_id, pending, arena, responses, plan)
+        _flush(worker_id, shard, pending, arena, responses, plan)
         # Time-based, not idle-based: a worker saturated with traffic
         # (or a parent polling stats) must still report its version
         # and cache freshness.
@@ -398,17 +403,21 @@ _NO_VECTOR = np.empty(0)
 
 def _flush(
     worker_id: int,
+    shard: _Shard,
     pending: list[tuple[int, int | None, Future]],
     arena: ReplyArena,
     responses: Any,
     plan: WorkerFaultPlan,
 ) -> None:
-    """Resolve a burst of submitted futures back to the dispatcher.
+    """Solve a burst of submitted requests; reply to the dispatcher.
 
-    The only writer of this shard's reply slots, one reply at a time
-    in submission order — which is what lets the dispatcher reuse a
-    slot as soon as it has copied a reply out of it.
+    Dispatches the burst in this thread, then writes the replies: the
+    only writer of this shard's reply slots, one reply at a time in
+    submission order — which is what lets the dispatcher reuse a slot
+    as soon as it has copied a reply out of it.
     """
+    if pending:
+        shard.server.scheduler.run_pending()
     for req_id, slot, future in pending:
         try:
             served: ServedResult = future.result()
@@ -612,10 +621,11 @@ class ShardedDispatcher:
     alpha, seed, dead_end_policy, backend:
         Per-worker engine construction (identical in every shard —
         answers must not depend on placement).
-    cache_capacity, cache_ttl, window, max_batch:
+    cache_capacity, cache_ttl, max_batch:
         Per-worker :class:`EngineServer` knobs.  ``max_batch``, the
-        deepest burst a worker drains at once, is also how many reply
-        slots its arena gets (fewer when they would exceed 32 MiB).
+        deepest burst a worker drains — and dispatches — at once, is
+        also how many reply slots its arena gets (fewer when they
+        would exceed 32 MiB).
     start_method:
         ``multiprocessing`` start method; default ``"fork"`` where
         available (inherits the warmed import state), else the
@@ -667,7 +677,6 @@ class ShardedDispatcher:
         backend: str | None = None,
         cache_capacity: int = 4096,
         cache_ttl: float | None = None,
-        window: float = 0.002,
         max_batch: int = 64,
         start_method: str | None = None,
         restart_policy: RestartPolicy | None = None,
@@ -738,7 +747,6 @@ class ShardedDispatcher:
             dead_end_policy=dead_end_policy,
             cache_capacity=cache_capacity,
             cache_ttl=cache_ttl,
-            window=window,
             max_batch=max_batch,
             backend=backend,
         )
@@ -1138,9 +1146,11 @@ class ShardedDispatcher:
             # fsync-before-ack: durable before any shard can serve it.
             self._durability.flush()
         # Nothing replays the in-memory journal (the WAL is its
-        # durable form): reclaim it, or it grows for life.
+        # durable form), and the exported snapshot is the next base:
+        # reclaim both, or journal and overlay grow for life and every
+        # barrier re-merges all updates since boot.
         graph.trim_journal(version)
-        image = SharedGraphImage.export_graph(graph.snapshot())
+        image = SharedGraphImage.export_graph(graph.compact())
         with self._rwlock.write():
             with self._mutex:
                 retired, self._image = self._image, image

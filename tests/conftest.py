@@ -82,6 +82,21 @@ def small_random_graphs():
     return graphs
 
 
+@pytest.fixture
+def register_spec():
+    """``register_solver`` for one test.  The registry is process-global
+    and registration has no inverse, so the three tables are restored
+    afterwards and a throwaway spec cannot leak into the next test."""
+    from repro.api import registry
+
+    tables = (registry._REGISTRY, registry._ALIASES, registry._DISPLAY_NAMES)
+    saved = [table.copy() for table in tables]
+    yield registry.register_solver
+    for table, snapshot in zip(tables, saved):
+        table.clear()
+        table.update(snapshot)
+
+
 def _shm_files() -> set[str]:
     """Names of the shared-memory segments in ``/dev/shm`` that this
     process created (the pid is in the name; another test run on the

@@ -65,9 +65,7 @@ class TestEngineBatchBlock:
         results = engine.batch_query(SOURCES, "powerpush", **PARAMS)
         assert engine.block_batches == 1
         assert all(result.batch_size == len(SOURCES) for result in results)
-        loop = engine.batch_query(
-            SOURCES, "powerpush", block=False, **PARAMS
-        )
+        loop = [engine.query(s, "powerpush", **PARAMS) for s in SOURCES]
         assert engine.block_batches == 1  # the loop did not batch
         for a, b in zip(results, loop):
             assert np.array_equal(a.estimate, b.estimate)
@@ -84,35 +82,23 @@ class TestEngineBatchBlock:
         assert engine.block_batches == 0
         assert results[0].batch_size == 1
 
-    def test_block_true_insists(self, engine):
-        engine.batch_query([0, 1], "powerpush", block=True, **PARAMS)
-        assert engine.block_batches == 1
-        with pytest.raises(ParameterError):
-            engine.batch_query([0, 1], "powitr", block=True, **PARAMS)
-        with pytest.raises(ParameterError):
-            engine.batch_query(
-                [0, 1], "powerpush", block=True, mode="faithful", **PARAMS
-            )
-        with pytest.raises(ParameterError):
-            engine.batch_query([0, 1], "incremental", block=True)
-
-    def test_montecarlo_override_is_size_independent(self, engine):
-        """block=True/False behave the same for any MC batch shape."""
+    def test_seeded_montecarlo_batch_matches_sequential_queries(
+        self, engine
+    ):
+        """A seeded batch is not block-batchable (one stream per
+        source): it loops, whatever its size."""
         for sources in ([4], [4, 5, 6]):
-            with pytest.raises(ParameterError):
-                engine.batch_query(
-                    sources, "montecarlo", block=True, num_walks=50, seed=1
-                )
-        looped = engine.batch_query(
-            [4, 5], "montecarlo", block=False, num_walks=50, seed=1
-        )
-        auto = engine.batch_query(
-            [4, 5], "montecarlo", num_walks=50, seed=1
-        )
-        # Seeded answers are a pure function of (seed, source), so the
-        # forced loop and the vectorised batch agree byte-for-byte.
-        for a, b in zip(looped, auto):
-            assert np.array_equal(a.estimate, b.estimate)
+            batch = engine.batch_query(
+                sources, "montecarlo", num_walks=50, seed=1
+            )
+            looped = [
+                engine.query(s, "montecarlo", num_walks=50, seed=1)
+                for s in sources
+            ]
+            # Seeded answers are a pure function of (seed, source).
+            for a, b in zip(batch, looped):
+                assert np.array_equal(a.estimate, b.estimate)
+        assert engine.block_batches == 0
 
     def test_block_matches_sequential_queries(self, engine):
         results = engine.batch_query(SOURCES, "powerpush", **PARAMS)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.api import PPREngine, get_solver, per_source_rng, solver_names
+from repro.api import (
+    ArtefactSpec,
+    PPREngine,
+    SolverSpec,
+    get_solver,
+    per_source_rng,
+    solver_names,
+)
 from repro.baselines.fora import fora
 from repro.baselines.resacc import resacc
 from repro.bepi.blockelim import build_bepi_index
@@ -16,6 +23,7 @@ from repro.core.sim_fwdpush import simultaneous_forward_push
 from repro.core.speedppr import speed_ppr
 from repro.errors import ParameterError, UnknownMethodError
 from repro.graph.build import paper_example_graph
+from repro.graph.dynamic import DynamicGraph
 from repro.montecarlo.mc import monte_carlo_ppr
 
 
@@ -97,12 +105,16 @@ class TestQueryParity:
         )
         np.testing.assert_array_equal(mine.estimate, ref.estimate)
 
-    def test_every_registered_method_is_queryable(self, engine):
+    def test_every_registered_method_is_queryable(self, graph, engine):
         for name in solver_names():
-            kind = get_solver(name).kind
+            spec = get_solver(name)
             params = (
-                {"l1_threshold": 1e-6} if kind == "exact" else {"epsilon": 0.5}
+                {"l1_threshold": 1e-6}
+                if spec.kind == "exact"
+                else {"epsilon": 0.5}
             )
+            if spec.tracked:  # a tracked source lives on an evolving graph
+                engine = PPREngine(DynamicGraph(graph), alpha=0.2, seed=3)
             result = engine.query(1, method=name, **params)
             assert result.source == 1
             assert result.estimate.shape == (engine.graph.num_nodes,)
@@ -220,17 +232,17 @@ class TestBatchQuery:
     def test_montecarlo_batch_preserves_total_walk_steps(
         self, engine, monkeypatch
     ):
-        import repro.api.engine as engine_module
+        import repro.montecarlo.mc as mc_module
 
         observed = {}
-        real = engine_module.simulate_walk_stops
+        real = mc_module.simulate_walk_stops
 
         def spy(*args, **kwargs):
             stops, steps = real(*args, **kwargs)
             observed["steps"] = steps
             return stops, steps
 
-        monkeypatch.setattr(engine_module, "simulate_walk_stops", spy)
+        monkeypatch.setattr(mc_module, "simulate_walk_stops", spy)
         # Unseeded: the cross-source grouped simulation, whose batch
         # totals are apportioned evenly across sources.
         results = engine.batch_query(
@@ -454,21 +466,23 @@ class TestEngineBehaviour:
     def test_batch_montecarlo_chunks_large_batches(
         self, engine, monkeypatch
     ):
-        import repro.api.engine as engine_module
+        import repro.montecarlo.mc as mc_module
 
         calls = []
-        real = engine_module.simulate_walk_stops
+        real = mc_module.simulate_walk_stops
 
         def spy(graph, starts, **kwargs):
             calls.append(starts.shape[0])
             return real(graph, starts, **kwargs)
 
-        monkeypatch.setattr(engine_module, "simulate_walk_stops", spy)
-        monkeypatch.setattr(engine_module, "_BATCH_WALK_BUDGET", 250)
+        monkeypatch.setattr(mc_module, "simulate_walk_stops", spy)
+        monkeypatch.setattr(mc_module, "_BATCH_WALK_BUDGET", 250)
         sources = [0, 1, 2, 3, 4]
+        # Unseeded: the cross-source simulation (a seeded batch loops).
         results = engine.batch_query(
-            sources, method="montecarlo", num_walks=100, seed=1
+            sources, method="montecarlo", num_walks=100
         )
+        assert engine.block_batches == 1
         assert len(calls) > 1  # split into groups
         assert max(calls) <= 250
         assert [r.source for r in results] == sources
@@ -482,3 +496,138 @@ class TestEngineBehaviour:
         engine = PPREngine(graph, seed=0, walk_index=index)
         engine.query(0, method="speedppr", epsilon=0.5)
         assert engine.index_builds["walk"] == 0
+
+
+class TestEngineNamesNoMethod:
+    """The engine serves what a spec *declares*, whatever its name: a
+    solver registered by the test gets its artefact cached, injected
+    and invalidated, and its own block rule honoured, with no edit
+    under ``src/``."""
+
+    @staticmethod
+    def toy_spec(seen, builds, **declared):
+        def fn(graph, source, *, alpha=0.2, l1_threshold=1e-8,
+               walk_index=None, mode="auto", max_iterations=None):
+            seen.append(walk_index)
+            return power_push(
+                graph, source, alpha=alpha, l1_threshold=l1_threshold
+            )
+
+        def build(graph, params, *, alpha, rng):
+            builds.append(graph.num_edges)
+            return ("toy-table", len(builds))
+
+        return SolverSpec(
+            name="toy",
+            aliases=("toy-solver",),
+            kind="exact",
+            summary="throwaway",
+            params=(
+                "alpha", "l1_threshold", "walk_index", "mode",
+                "max_iterations",
+            ),
+            fn=fn,
+            artefact=ArtefactSpec(
+                kind="toy",
+                param="walk_index",
+                build=build,
+                key=lambda graph, params: ("n", graph.num_nodes),
+            ),
+            **declared,
+        )
+
+    def test_declared_artefact_is_built_once_injected_and_invalidated(
+        self, register_spec, graph
+    ):
+        seen, builds = [], []
+        engine = PPREngine(DynamicGraph(graph), alpha=0.2, seed=3)
+        register_spec(self.toy_spec(seen, builds))  # after construction
+        engine.query(0, "toy")
+        engine.query(1, "toy-solver", l1_threshold=1e-6)
+        engine.batch_query([2, 3], "toy")
+        # One build across queries and sources, injected under the
+        # declared parameter name — its own kind, not a FORA+ index.
+        assert builds == [graph.num_edges]
+        assert seen == [("toy-table", 1)] * 4
+        assert engine.index_builds["toy"] == 1
+        assert engine.index_builds["fora"] == engine.index_builds["walk"] == 0
+        # A request that overrides alpha is not served from the cache.
+        engine.query(0, "toy", alpha=0.5)
+        assert seen[-1] is None and len(builds) == 1
+        # One rebuild per graph version.
+        engine.apply_updates([("+", 0, 4)])
+        engine.query(0, "toy")
+        engine.query(1, "toy")
+        assert builds == [graph.num_edges, graph.num_edges + 1]
+        assert seen[-1] == ("toy-table", 2)
+        assert engine.index_builds["toy"] == 2
+        assert engine.index_invalidations["toy"] == 1
+
+    def test_declared_artefact_rebuilt_after_replace_graph(
+        self, register_spec, graph
+    ):
+        seen, builds = [], []
+        register_spec(self.toy_spec(seen, builds))
+        engine = PPREngine(graph, alpha=0.2, seed=3)
+        engine.query(0, "toy")
+        moved = DynamicGraph(graph)
+        moved.apply_updates([("+", 0, 4)])
+        engine.replace_graph(moved.snapshot(), 1)
+        assert engine.index_invalidations["toy"] == 1
+        engine.query(0, "toy")
+        engine.query(1, "toy")
+        assert engine.index_builds["toy"] == 2
+        assert seen[-1] == ("toy-table", 2)
+
+    def test_block_path_follows_the_specs_own_rule(
+        self, register_spec, graph
+    ):
+        calls = []
+
+        def block_fn(graph, sources, *, alpha=0.2, l1_threshold=1e-8,
+                     walk_index=None, mode="auto", max_iterations=None):
+            calls.append(list(sources))
+            return [
+                power_push(graph, s, alpha=alpha, l1_threshold=l1_threshold)
+                for s in sources
+            ]
+
+        seen = []
+        register_spec(
+            self.toy_spec(
+                seen,
+                [],
+                block_fn=block_fn,
+                # Not PowerPush's rule: faithful mode rides the block
+                # path, a capped request does not.
+                block_rule=lambda graph, params: (
+                    params.get("max_iterations") is None
+                ),
+            )
+        )
+        engine = PPREngine(graph, alpha=0.2, seed=3)
+        block = engine.batch_query([0, 1, 2], "toy", mode="faithful")
+        assert calls == [[0, 1, 2]] and seen == []
+        assert engine.block_batches == 1
+        looped = engine.batch_query([0, 1, 2], "toy", max_iterations=5)
+        engine.batch_query([3], "toy")
+        assert calls == [[0, 1, 2]] and len(seen) == 4
+        assert engine.block_batches == 1  # only the block solve counts
+        assert engine.stats.queries == 7
+        for a, b in zip(block, looped):
+            np.testing.assert_array_equal(a.estimate, b.estimate)
+
+    def test_incremental_is_served_and_refused_like_any_method(self, graph):
+        from repro.serving import EngineServer, ShardedDispatcher
+
+        with EngineServer(DynamicGraph(graph), alpha=0.2, seed=3) as server:
+            served = server.query(1, "Incremental-PPR", timeout=30)
+            assert served.result.method == "IncrementalPPR"
+            assert server.engine.tracked_sources == (1,)
+        # A shard serves an immutable image: the same refusal a static
+        # engine gives, forwarded through the process boundary.
+        with pytest.raises(ParameterError, match="DynamicGraph"):
+            PPREngine(graph).query(1, "incremental")
+        with ShardedDispatcher(graph, workers=2, alpha=0.2, seed=3) as shards:
+            with pytest.raises(ParameterError, match="DynamicGraph"):
+                shards.query(1, "tracked", timeout=30)

@@ -14,7 +14,7 @@ from repro.api import (
     solver_names,
     solver_specs,
 )
-from repro.api.registry import PARAMS
+from repro.api.registry import BEPI_INDEX, FORA_INDEX, PARAMS, WALK_INDEX
 from repro.core.power_iteration import power_iteration
 from repro.core.powerpush import power_push
 from repro.errors import ParameterError, ReproError
@@ -25,6 +25,7 @@ ALL_METHODS = (
     "fifo-fwdpush",
     "fora",
     "fwdpush-scheduled",
+    "incremental",
     "montecarlo",
     "powerpush",
     "powitr",
@@ -78,6 +79,21 @@ class TestResolution:
         _, implied = resolve_method("fora")
         assert implied == {}
 
+    @pytest.mark.parametrize(
+        "spelling", ["incremental", "tracked", "Incremental-PPR"]
+    )
+    def test_incremental_is_an_ordinary_registration(self, spelling):
+        spec, implied = resolve_method(spelling)
+        assert spec is get_solver(spelling)
+        assert spec.name == "incremental" and implied == {}
+        assert spec.params == ("l1_threshold", "trace")
+        listed = solver_names(include_aliases=True)
+        assert {"incremental", "tracked", "incremental-ppr"} <= set(listed)
+
+    def test_incremental_without_an_engine_is_a_typed_refusal(self):
+        with pytest.raises(ParameterError, match="PPREngine"):
+            solve(paper_example_graph(), 0, "incremental")
+
     def test_unknown_method_lists_valid_names(self):
         with pytest.raises(UnknownMethodError) as excinfo:
             get_solver("pagerank-turbo")
@@ -104,16 +120,26 @@ class TestSpecs:
             "fwdpush-scheduled",
             "simfwdpush",
             "bepi",
+            "incremental",
         }
         assert approx == {"speedppr", "fora", "resacc", "montecarlo"}
 
-    def test_capability_flags(self):
-        assert get_solver("bepi").needs_precomputation
-        assert get_solver("speedppr").needs_walk_index
-        assert get_solver("speedppr").index_by_default
+    def test_capability_flags(self, paper_graph):
+        assert get_solver("bepi").artefact is BEPI_INDEX
+        assert get_solver("speedppr").artefact is WALK_INDEX
+        # SpeedPPR's eps-independent index is wanted by default, FORA's
+        # per-budget one only on request (and ResAcc shares it).
+        assert WALK_INDEX.wanted(paper_graph, {})
+        assert not WALK_INDEX.wanted(paper_graph, {"use_index": False})
+        assert get_solver("fora").artefact is FORA_INDEX
+        assert get_solver("resacc").artefact is FORA_INDEX
+        assert not FORA_INDEX.wanted(paper_graph, {})
+        assert FORA_INDEX.wanted(paper_graph, {"use_index": True})
         assert get_solver("speedppr").needs_rng
         assert not get_solver("powerpush").needs_rng
-        assert not get_solver("fora").index_by_default
+        assert get_solver("powerpush").artefact is None
+        assert get_solver("incremental").tracked
+        assert not get_solver("powerpush").tracked
 
     def test_params_are_subset_of_unified_schema(self):
         for spec in solver_specs():

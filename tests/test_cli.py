@@ -42,9 +42,9 @@ class TestCommands:
             assert f"{spec.name} [{spec.kind}]" in out
             for alias in spec.aliases:
                 assert alias in out
-        # capability flags and the engine-level incremental method
-        assert "walk-index" in out and "precomputation" in out
-        assert "incremental [engine]" in out
+        # declared capabilities; incremental is a block of the same loop
+        assert "artefact:walk" in out and "artefact:bepi" in out
+        assert "incremental [exact]" in out and "tracked" in out
 
     def test_query_incremental_method(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

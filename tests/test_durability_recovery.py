@@ -225,15 +225,18 @@ class TestCheckpointTriggers:
         assert manager2.replayed_records == 0
         manager2.close()
 
-    def test_compact_emits_covering_checkpoint(self, tmp_path):
+    def test_compact_writes_no_checkpoint_and_recovers(self, tmp_path):
         base = _graph()
         updates = _updates(base, 6)
         manager, graph = open_durable_graph(tmp_path, base)
         graph.apply_updates(updates[:4])
         manager.flush()
         graph.compact()
-        assert manager.store.latest().version == 4
-        # Post-compact updates replay on top of the compacted state.
+        # A rebase is an in-memory matter: the bootstrap checkpoint and
+        # the logical WAL records still describe the graph.
+        assert manager.store.latest().version == 0
+        assert manager.stats()["last_checkpoint_version"] == 0
+        # Post-compact updates replay on top of the same history.
         graph.apply_updates(updates[4:])
         manager.flush()
         manager.close()

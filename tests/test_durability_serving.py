@@ -308,6 +308,14 @@ class TestShardedDurability:
                 scratch.apply_updates([update])
                 assert dispatcher.apply_updates([update]) == count
                 assert mirror.journal_floor == dispatcher.graph_version
+                # The exported snapshot became the base: no overlay to
+                # re-merge at the next barrier, and no checkpoint but
+                # the ``checkpoint_every`` ones.
+                assert mirror.pending_updates == 0
+                assert (
+                    dispatcher.durability.stats()["last_checkpoint_version"]
+                    == count - count % 200
+                )
                 assert len(shm_files()) == segments
                 if count == 250:
                     early = sizes(dispatcher)

@@ -52,7 +52,11 @@ class TestRoundTrip:
         # Loading again (or after having built) must not duplicate the
         # in-memory FORA entries.
         assert restarted.load_indexes(tmp_path) == 1  # walk re-adopted only
-        assert len(restarted._fora_indexes) == 2
+        resaved = json.loads(
+            restarted.save_indexes(tmp_path / "again").read_text()
+        )
+        kinds = sorted(entry["kind"] for entry in resaved["indexes"])
+        assert kinds == ["fora", "fora", "walk"]
 
     def test_loaded_indexes_answer_identically(
         self, graph, warm_engine, tmp_path

@@ -103,6 +103,84 @@ def one_source_per_shard(disp, graph):
     ]
 
 
+class TestWorkerLoop:
+    """The shard's receive loop, driven in-process over plain queues."""
+
+    def test_burst_is_dispatched_inline_as_one_coalesced_batch(self, base):
+        """A worker is the only submitter to its scheduler, so nobody
+        could join a batch during a micro-batch window: the loop
+        dispatches its drained burst itself — no scheduler thread, no
+        wait — and a coalescable group is still one engine call."""
+        import queue
+
+        from repro.serving.faults import WorkerFaultPlan
+        from repro.serving.sharded import (
+            WorkerConfig,
+            _serve_messages,
+            _Shard,
+        )
+        from repro.serving.shm import ReplyArena
+
+        threads_seen = set()
+
+        class Replies(queue.Queue):
+            def put(self, item, *args, **kwargs):
+                threads_seen.update(t.name for t in threading.enumerate())
+                super().put(item, *args, **kwargs)
+
+        requests, responses = queue.Queue(), Replies()
+        sources = [3, 9, 27, 9]  # three misses and one duplicate
+        shard = _Shard(WorkerConfig(alpha=0.2, seed=7))
+        with SharedGraphImage.export_graph(base) as image, ReplyArena.create(
+            base.num_nodes, max_slots=2, max_bytes=1 << 20
+        ) as arena:
+            requests.put(("attach", 0, image.handle, 0))
+            for req_id, source in enumerate(sources, start=1):
+                slot = req_id - 1 if req_id <= arena.slots else None
+                requests.put(
+                    ("query", req_id, source, "powerpush", dict(PARAMS),
+                     False, None, slot)
+                )
+            requests.put(("stats", 99))
+            requests.put(("stop",))
+            try:
+                _serve_messages(
+                    0, shard, arena, requests, responses, 64,
+                    WorkerFaultPlan(()),
+                )
+                replies = {}
+                while not responses.empty():
+                    message = responses.get_nowait()
+                    replies.setdefault(message[0], []).append(message)
+                assert [m[1] for m in replies["attached"]] == [0]
+                engine = PPREngine(base, alpha=0.2, seed=7)
+                answered = {}
+                for kind, req_id, served in (
+                    replies["slot-result"] + replies["result"]
+                ):
+                    result = served.result
+                    if kind == "slot-result":
+                        estimate, residue = arena.load(req_id - 1, req_id)
+                    else:
+                        estimate, residue = result.estimate, result.residue
+                    answered[req_id] = (estimate.tobytes(), residue.tobytes())
+                    assert served.batch_size == 4  # one coalesced group
+                assert len(replies["slot-result"]) == arena.slots == 2
+                for req_id, source in enumerate(sources, start=1):
+                    expected = engine.query(source, "powerpush", **PARAMS)
+                    assert answered[req_id] == (
+                        expected.estimate.tobytes(),
+                        expected.residue.tobytes(),
+                    )
+                (stats,) = replies["stats"]
+                assert stats[2]["scheduler"]["engine_calls"] == 1
+                assert stats[2]["scheduler"]["engine_sources"] == 3
+                assert shard.server.engine.block_batches == 1
+                assert "repro-query-scheduler" not in threads_seen
+            finally:
+                shard.close()
+
+
 class TestByteIdentity:
     def test_matches_serial_engine_and_thread_server(self, base, dispatcher):
         rng = np.random.default_rng(5)

@@ -121,19 +121,15 @@ class TestExportAttach:
             for ours, theirs in zip(g.pt_csr_arrays(), base.pt_csr_arrays()):
                 np.testing.assert_array_equal(ours, theirs)
 
-    def test_engine_from_shared_graph_handle(self, base):
+    def test_engine_over_attached_image(self, base):
+        """What a shard does: attach by handle, serve the aliased CSR."""
         with SharedGraphImage.export_graph(base) as image:
-            engine = PPREngine.from_shared_graph(
-                image.handle, alpha=0.2, seed=7
-            )
-            try:
+            with SharedGraphImage.attach(image.handle) as attached:
+                engine = PPREngine(attached.graph(), alpha=0.2, seed=7)
                 ref = PPREngine(base, alpha=0.2, seed=7)
                 a = ref.query(5, "powerpush", **PARAMS)
                 b = engine.query(5, "powerpush", **PARAMS)
                 assert a.estimate.tobytes() == b.estimate.tobytes()
-                assert engine.shared_image is not None
-            finally:
-                engine.shared_image.close()
 
     def test_handle_is_picklable(self, base):
         import pickle
