@@ -86,8 +86,12 @@ class KernelBackend:
 
     def async_sweep(
         self, state: PushState, *, workspace: Workspace | None = None
-    ) -> None:
-        """Push every residue holder once, chunk by chunk, freshest residues."""
+    ) -> np.ndarray:
+        """Push every residue holder once, chunk by chunk, freshest residues.
+
+        Returns the sweep's reserve gain (``alpha`` times what each node
+        pushed), scratch valid until the next sweep.
+        """
         raise NotImplementedError
 
     def sweep_active(
@@ -130,8 +134,11 @@ class KernelBackend:
         rows: np.ndarray,
         *,
         workspace: Workspace | None = None,
-    ) -> None:
-        """One asynchronous chunked sweep for every row in ``rows``."""
+    ) -> np.ndarray:
+        """One asynchronous chunked sweep for every row in ``rows``.
+
+        Returns the ``(len(rows), n)`` reserve gains, aligned with ``rows``.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -433,7 +433,7 @@ class NumbaBackend(KernelBackend):
 
     def async_sweep(
         self, state: PushState, *, workspace: Workspace | None = None
-    ) -> None:
+    ) -> np.ndarray:
         from repro.core.kernels import _settle_async_sweep
 
         graph = state.graph
@@ -446,7 +446,7 @@ class NumbaBackend(KernelBackend):
             pushed,
             state.alpha,
         )
-        _settle_async_sweep(state, pushed)
+        return _settle_async_sweep(state, pushed)
 
     def sweep_active(
         self,
@@ -581,13 +581,13 @@ class NumbaBackend(KernelBackend):
         rows: np.ndarray,
         *,
         workspace: Workspace | None = None,
-    ) -> None:
+    ) -> np.ndarray | None:
         from repro.core.kernels import _settle_block_async_sweep
 
         graph = state.graph
         num_rows = rows.shape[0]
         if num_rows == 0:
-            return
+            return None
         n = graph.num_nodes
         pushed = _scratch(
             workspace, "nb_block_sweep_pushed", num_rows * n
@@ -601,7 +601,7 @@ class NumbaBackend(KernelBackend):
             pushed,
             state.alpha,
         )
-        _settle_block_async_sweep(state, rows, pushed)
+        return _settle_block_async_sweep(state, rows, pushed)
 
     @staticmethod
     def _route_block_dead_mass(

@@ -48,10 +48,10 @@ class NumpyBackend(KernelBackend):
 
     def async_sweep(
         self, state: PushState, *, workspace: Workspace | None = None
-    ) -> None:
+    ) -> np.ndarray:
         from repro.core import kernels
 
-        kernels.async_sweep(state, workspace=workspace)
+        return kernels.async_sweep(state, workspace=workspace)
 
     def sweep_active(
         self,
@@ -102,7 +102,7 @@ class NumpyBackend(KernelBackend):
         rows: np.ndarray,
         *,
         workspace: Workspace | None = None,
-    ) -> None:
+    ) -> np.ndarray | None:
         from repro.core import kernels
 
-        kernels.block_async_sweep(state, rows, workspace=workspace)
+        return kernels.block_async_sweep(state, rows, workspace=workspace)

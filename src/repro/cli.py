@@ -825,6 +825,20 @@ def _print_query_result(args: argparse.Namespace, graph, result) -> int:
         f"m={graph.num_edges}), source={args.source}: "
         f"{result.seconds:.4f}s"
     )
+    counters = result.counters
+    if counters.pushes:
+        work = [
+            f"{counters.residue_updates} residue updates",
+            f"{counters.pushes} pushes",
+        ]
+        work += [
+            f"{counters.extras[key]} {key}"
+            for key in ("epochs", "extrapolations")
+            if key in counters.extras
+        ]
+        if result.residue is not None:
+            work.append(f"final r_sum={result.r_sum:.3e}")
+        print("  work: " + ", ".join(work))
     for rank, (node, score) in enumerate(result.top_k(args.top), start=1):
         print(f"  #{rank:<3d} node {node:<8d} ppr={score:.6e}")
     return 0

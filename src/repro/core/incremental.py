@@ -50,6 +50,7 @@ import numpy as np
 from repro.core.kernels import (
     DENSE_SWEEP_FRACTION,
     async_propagate,
+    extrapolate_window,
     frontier_edge_targets,
 )
 from repro.core.powerpush import PowerPushConfig, power_push
@@ -259,11 +260,16 @@ class IncrementalPPR:
         """Signed sweep-pushes until ``sum(|r|) <= l1_threshold``.
 
         Reuses PowerPush's dynamic-threshold idea: epoch targets shrink
-        geometrically from the *current* perturbation mass down to the
-        contract, so early sweeps only touch nodes carrying real excess
-        and residues accumulate before being pushed.  The total cost is
-        therefore governed by ``log(perturbation / l1_threshold)``
-        rather than the from-scratch ``log(1 / l1_threshold)``.
+        geometrically — by PowerPush's own per-epoch factor
+        ``l1_threshold ** (1 / epoch_num)`` — from the *current*
+        perturbation mass down to the contract, so early sweeps only
+        touch nodes carrying real excess and residues accumulate before
+        being pushed.  The total cost is therefore governed by
+        ``log(perturbation / l1_threshold)`` rather than the
+        from-scratch ``log(1 / l1_threshold)``.  An epoch that ends on a
+        whole sweep is extrapolated
+        (:func:`~repro.core.kernels.extrapolate_window`, which keeps
+        every residue's sign and only ever lowers ``sum(|r|)``).
         """
         m = snapshot.num_edges
         if m == 0:
@@ -274,13 +280,16 @@ class IncrementalPPR:
         n = snapshot.num_nodes
         degree = snapshot.out_degree.astype(np.float64)
         epochs = (self._config or PowerPushConfig()).epoch_num
-        targets = [
-            bound ** (1.0 - i / epochs) * self.l1_threshold ** (i / epochs)
-            for i in range(1, epochs + 1)
-        ]
+        shrink = self.l1_threshold ** (1.0 / epochs)
+        targets = []
+        target = bound
+        while target > self.l1_threshold:
+            target = max(target * shrink, self.l1_threshold)
+            targets.append(target)
         sweeps = 0
         for target in targets:
             threshold = degree * (target / m)
+            settled = None
             while float(np.abs(self._r).sum()) > target:
                 active = np.abs(self._r) > threshold
                 num_active = int(np.count_nonzero(active))
@@ -291,29 +300,31 @@ class IncrementalPPR:
                 # Same frontier-vs-scan switch as the push kernels: a
                 # narrow frontier pays only its own degrees via gather/
                 # scatter, a wide one pays one asynchronous scan of the
-                # edge array, in which only nodes still above their
-                # threshold when their chunk is reached push.
+                # edge array that pushes every residue holder — whole
+                # sweeps are what an epoch end can extrapolate.
                 if num_active <= DENSE_SWEEP_FRACTION * n:
                     self._frontier_sweep(
                         snapshot, np.flatnonzero(active), counters
                     )
+                    settled = None
                 else:
-                    pushed = self._workspace.buffer("sweep_pushed", n)
+                    r_before = self._workspace.buffer("sweep_r_before", n)
+                    r_before[:] = self._r
+                    settled = self._workspace.buffer("sweep_pushed", n)
                     async_propagate(
                         snapshot,
                         self._r,
-                        pushed,
+                        settled,
                         self.alpha,
-                        threshold_vec=threshold,
                         workspace=self._workspace,
                     )
-                    holders = pushed != 0.0
+                    holders = settled != 0.0
                     counters.count_bulk_pushes(
                         int(np.count_nonzero(holders)),
                         int(np.dot(snapshot.out_degree, holders)),
                     )
-                    pushed *= self.alpha
-                    self._p += pushed
+                    settled *= self.alpha
+                    self._p += settled
                 counters.iterations += 1
                 sweeps += 1
                 if sweeps > _MAX_SWEEPS:
@@ -327,6 +338,12 @@ class IncrementalPPR:
                         counters.residue_updates,
                         float(np.abs(self._r).sum()),
                     )
+            if (
+                settled is not None
+                and self.error_bound > self.l1_threshold
+                and extrapolate_window(self._p, self._r, settled, r_before)
+            ):
+                counters.bump("extrapolations")
 
     def _frontier_sweep(
         self,

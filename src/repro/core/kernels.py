@@ -13,15 +13,20 @@ Every push-family algorithm in the paper reduces to three bulk moves:
   scatter); and
 * an **asynchronous sweep** — push every node holding residue, chunk
   of the node range by chunk, each chunk seeing what the chunks before
-  it pushed (the scan phase of PowerPush, FIFO-FwdPush and the
-  refinement loop; cost model below).
+  it pushed (the scan phase of PowerPush, and the dense side of
+  FIFO-FwdPush and the refinement loop; cost model below).
 
 The switch between the local and the global moves is exactly the
 paper's "global sequential scan vs. local random access" trade-off
 (Section 5): for small frontiers the gather/scatter wins; once the
 frontier covers a sizeable fraction of the graph the contiguous scan
 is faster.  :func:`sweep_active` chooses automatically using the same
-kind of threshold PowerPush uses.
+kind of threshold PowerPush's queue-to-scan switch uses.
+
+A fourth move touches no edge: :func:`extrapolate_window` repeats a
+window of pushes already made ``k`` more times in ``O(n)``, by the
+linearity of the push invariant.  PowerPush applies it to the last
+sweep of every scan epoch.
 
 Within one kernel call — within one chunk, for the asynchronous sweep —
 pushes are *simultaneous*: contributions are computed from the residues
@@ -88,10 +93,10 @@ constants, not the asymptotics:
   active in no row contribute exact ``+0.0`` terms, which keeps every
   row bitwise-identical to an independent single-source push while the
   index arithmetic is shared.
-* the global/local switch is applied *per row* by the solver
-  (:func:`~repro.core.powerpush.power_push_block`): hot rows (wide
-  frontiers) join the asynchronous scan while cold rows (narrow
-  frontiers) join the union gather — the paper's density trade-off,
+* the queue-to-scan switch is applied *per row* by the solver
+  (:func:`~repro.core.powerpush.power_push_block`): rows still in
+  their queue phase join the union gather while rows that went on to
+  scan join the asynchronous sweep — the paper's density trade-off,
   decided independently for every source in the block.
 
 Scratch buffers: the frontier kernels accept an optional
@@ -166,6 +171,7 @@ __all__ = [
     "global_sweep",
     "frontier_push",
     "async_propagate",
+    "extrapolate_window",
     "async_sweep",
     "sweep_active",
     "block_global_sweep",
@@ -361,8 +367,9 @@ def sweep_active(
 
     Chooses between the local gather/scatter path and the global path
     depending on the frontier size (more than ``DENSE_SWEEP_FRACTION``
-    of the nodes active means global) — the vectorised analog of
-    PowerPush's queue-vs-sequential-scan switch.  The global path is
+    of the nodes active means global), anew on every call — the loop of
+    FIFO-FwdPush and of :func:`~repro.core.refinement.refine_to_r_max`,
+    which push until no node is active.  The global path is
     one :func:`async_sweep`, which pushes *every* residue-holding node
     (not only the active ones): the scan walks the whole edge array
     either way, and masking would add several ``O(n)`` passes to it.
@@ -405,7 +412,6 @@ def async_propagate(
     pushed: np.ndarray,
     alpha: float,
     *,
-    threshold_vec: np.ndarray | None = None,
     workspace: Workspace | None = None,
 ) -> None:
     """One chunked asynchronous sweep over raw residue arrays.
@@ -423,9 +429,7 @@ def async_propagate(
     ``(n,)`` — or ``(n, R)`` for ``R`` independent residue vectors
     stored column-wise, whose columns then go through the same
     operations in the same order as ``R`` separate calls.  Residues may
-    be negative (:mod:`repro.core.incremental`).  With ``threshold_vec``
-    (1-D arrays only) only nodes whose live ``|residue|`` exceeds their
-    threshold push; the rest keep their residue and record 0.
+    be negative (:mod:`repro.core.incremental`).
     """
     if not (residue.flags.c_contiguous and pushed.flags.c_contiguous):
         raise ParameterError(
@@ -436,10 +440,6 @@ def async_propagate(
     single = residue.ndim == 1
     vecs = 1 if single else residue.shape[1]
     degree = plan.degree if single else plan.degree[:, None]
-    if threshold_vec is not None and not single:
-        raise ParameterError(
-            "async_propagate applies threshold_vec to one residue vector only"
-        )
     flat = residue.reshape(-1)
     scale = 1.0 - alpha
     for c in range(len(plan.bounds) - 1):
@@ -450,13 +450,8 @@ def async_propagate(
         shares = _scratch(
             workspace, "sweep_shares", (hi - lo) * vecs, np.float64
         ).reshape(live.shape)
-        if threshold_vec is None:
-            snapshot[...] = live
-            live[...] = 0.0
-        else:
-            np.abs(live, out=shares)
-            np.multiply(live, shares > threshold_vec[lo:hi], out=snapshot)
-            live -= snapshot
+        snapshot[...] = live
+        live[...] = 0.0
         np.multiply(snapshot, scale, out=shares)
         shares /= degree[lo:hi]
         indptr, indices, ones = plan.columns(c)
@@ -469,12 +464,63 @@ def async_propagate(
             )
 
 
+def extrapolate_window(
+    reserve: np.ndarray,
+    residue: np.ndarray,
+    settled: np.ndarray,
+    r_before: np.ndarray,
+) -> bool:
+    """Repeat a window of pushes ``k`` more times without touching an edge.
+
+    The window — any sequence of pushes, dead-end routing included —
+    moved ``settled`` into ``reserve`` and took the residues from
+    ``r_before`` to ``residue``.  The push invariant is linear, so with
+    ``fall = r_before - residue`` the pair ``(reserve + k * settled,
+    residue - k * fall)`` satisfies it for every ``k``.  Applied here
+    with the largest ``k`` that carries no residue across zero:
+    ``min(residue / fall)`` over the entries that moved towards zero,
+    stepped one float towards zero so that ``|k * fall| <= |residue|``
+    holds exactly there.  Non-negative residues therefore stay
+    non-negative, and signed ones (:mod:`repro.core.incremental`) keep
+    their signs, which makes the change in ``sum(|residue|)`` linear in
+    ``k``; the window is applied only when that sum falls — always, for
+    non-negative residues, whose sum falls by ``k * sum(settled)``.
+    When each sweep repeats the one before scaled by ``gamma``, ``k`` is
+    ``gamma / (1 - gamma)`` — the whole geometric tail; when some entry
+    reached zero in the window it is 0 and nothing happens.
+
+    All four are float64 of shape ``(n,)``; ``settled`` and ``r_before``
+    are consumed.  Elementwise operations, one ``min`` and one sign-only
+    test, so strided views get the same bits.  Returns whether the
+    window was applied; the caller refreshes its ``r_sum``.
+    """
+    fall = np.subtract(r_before, residue, out=r_before)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = residue / fall
+    # Towards zero: same signs, or a residue at zero that moved (k = 0).
+    # Entries that did not move give inf or nan and never bind.
+    k = ratio[ratio >= 0.0].min(initial=np.inf)
+    if k == np.inf:
+        return False
+    k = np.nextafter(k, 0.0)
+    # No sign changes, so sum(|residue|) moves by -k * sum(sign * fall).
+    # A product and a sum, not np.dot: BLAS can take milliseconds to
+    # wake its threads for a vector this size.
+    if not (k > 0.0 and (np.sign(residue) * fall).sum() > 0.0):
+        return False
+    fall *= k
+    residue -= fall
+    settled *= k
+    reserve += settled
+    return True
+
+
 def async_sweep(
     state: PushState,
     *,
     workspace: Workspace | None = None,
     backend: "KernelBackend | None" = None,
-) -> None:
+) -> np.ndarray:
     """Push every residue-holding node once, with the freshest residues.
 
     The scan-phase sweep of PowerPush (Algorithm 3): unlike
@@ -483,23 +529,27 @@ def async_sweep(
     synchronous ones.  Billed like ``global_sweep(count_all_edges=
     False)``: one push per node that held residue when its chunk was
     reached, one residue update per out-edge of those nodes.
+
+    Returns what the sweep settled into the reserve (``alpha`` times
+    what each node pushed) — scratch, valid until the next sweep
+    through the same workspace; :func:`extrapolate_window` consumes it.
     """
     if backend is not None:
-        backend.async_sweep(state, workspace=workspace)
-        return
+        return backend.async_sweep(state, workspace=workspace)
     pushed = _scratch(
         workspace, "sweep_pushed", state.graph.num_nodes, np.float64
     )
     async_propagate(
         state.graph, state.residue, pushed, state.alpha, workspace=workspace
     )
-    _settle_async_sweep(state, pushed)
+    return _settle_async_sweep(state, pushed)
 
 
-def _settle_async_sweep(state: PushState, pushed: np.ndarray) -> None:
+def _settle_async_sweep(state: PushState, pushed: np.ndarray) -> np.ndarray:
     """Bill, route dead-end mass and settle reserves after a propagation.
 
-    Shared by every backend's :func:`async_sweep`; consumes ``pushed``.
+    Shared by every backend's :func:`async_sweep`; scales ``pushed`` by
+    ``alpha`` in place and returns it (the sweep's reserve gain).
     """
     graph = state.graph
     holders = pushed != 0.0
@@ -515,6 +565,7 @@ def _settle_async_sweep(state: PushState, pushed: np.ndarray) -> None:
     pushed *= state.alpha
     state.reserve += pushed
     state.refresh_r_sum()
+    return pushed
 
 
 def _apply_dead_end_mass(state: PushState, dead_mass: float) -> None:
@@ -716,7 +767,7 @@ def block_async_sweep(
     *,
     workspace: Workspace | None = None,
     backend: "KernelBackend | None" = None,
-) -> None:
+) -> np.ndarray | None:
     """One :func:`async_sweep` for every row in ``rows`` at once.
 
     The rows' residues are laid out column-wise for the sweep, so each
@@ -724,12 +775,14 @@ def block_async_sweep(
     shares; every row goes through :func:`async_propagate`'s operations
     in the order its own single-source sweep applies them, which keeps
     it bitwise-identical to that sweep.
+
+    Returns the ``(len(rows), n)`` reserve gains, row ``i`` being what
+    :func:`async_sweep` returns for ``rows[i]`` (``None`` for no rows).
     """
     if rows.shape[0] == 0:
-        return
+        return None
     if backend is not None:
-        backend.block_async_sweep(state, rows, workspace=workspace)
-        return
+        return backend.block_async_sweep(state, rows, workspace=workspace)
     n = state.graph.num_nodes
     num_rows = rows.shape[0]
     whole_block = _is_identity(rows, state.num_rows)
@@ -743,16 +796,16 @@ def block_async_sweep(
         state.residue[:] = live.T
     else:
         state.residue[rows] = live.T
-    _settle_block_async_sweep(state, rows, pushed.T)
+    return _settle_block_async_sweep(state, rows, pushed.T)
 
 
 def _settle_block_async_sweep(
     state: BlockPushState, rows: np.ndarray, pushed: np.ndarray
-) -> None:
+) -> np.ndarray:
     """Block form of :func:`_settle_async_sweep`; ``pushed`` is ``(R, n)``.
 
-    Shared by every backend's :func:`block_async_sweep`; consumes
-    ``pushed``.
+    Shared by every backend's :func:`block_async_sweep`; scales
+    ``pushed`` by ``alpha`` in place and returns it.
     """
     whole_block = _is_identity(rows, state.num_rows)
     holders = pushed != 0.0
@@ -768,6 +821,7 @@ def _settle_block_async_sweep(
     else:
         state.reserve[rows] += pushed
     _finish_block_sweep(state, rows, whole_block, dead_masses)
+    return pushed
 
 
 def block_frontier_push(

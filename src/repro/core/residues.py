@@ -285,6 +285,7 @@ class BlockPushState:
         "residue_updates",
         "queue_appends",
         "epochs",
+        "extrapolations",
         "_r_sum",
         "_effective_out_degree",
     )
@@ -317,6 +318,7 @@ class BlockPushState:
         self.residue_updates = np.zeros(num_rows, dtype=np.int64)
         self.queue_appends = np.zeros(num_rows, dtype=np.int64)
         self.epochs = np.zeros(num_rows, dtype=np.int64)
+        self.extrapolations = np.zeros(num_rows, dtype=np.int64)
         self._r_sum = np.ones(num_rows, dtype=np.float64)
         self._effective_out_degree: np.ndarray | None = None
 
@@ -390,17 +392,18 @@ class BlockPushState:
     def row_counters(self, row: int) -> PushCounters:
         """One row's instrumentation as a :class:`PushCounters`.
 
-        ``epochs`` appears in ``extras`` only once the row entered the
-        scan phase, matching when the single-source loop first bumps
-        it.
+        ``epochs`` and ``extrapolations`` appear in ``extras`` only once
+        non-zero, matching when the single-source loop first bumps them.
         """
         counters = PushCounters(
             pushes=int(self.pushes[row]),
             residue_updates=int(self.residue_updates[row]),
             queue_appends=int(self.queue_appends[row]),
         )
-        if self.epochs[row]:
-            counters.extras["epochs"] = int(self.epochs[row])
+        for key in ("epochs", "extrapolations"):
+            count = int(getattr(self, key)[row])
+            if count:
+                counters.extras[key] = count
         return counters
 
     def mass_total(self, row: int) -> float:

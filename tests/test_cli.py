@@ -136,6 +136,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "#1" in out
 
+    def test_query_prints_the_work_done(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
+        assert main(["query", "dblp-s", "--source", "1", "--top", "1"]) == 0
+        out = capsys.readouterr().out
+        (work,) = [line for line in out.splitlines() if "work:" in line]
+        for part in (
+            " residue updates, ",
+            " pushes, ",
+            " 8 epochs, ",
+            " extrapolations, ",
+            "final r_sum=",
+        ):
+            assert part in work, work
+        # a solver that pushes nothing has no work to report
+        assert main(["query", "dblp-s", "--method", "mc", "--top", "1"]) == 0
+        assert "work:" not in capsys.readouterr().out
+
     def test_query_unknown_method_exits_2_listing_names(
         self, capsys, monkeypatch, tmp_path
     ):

@@ -205,7 +205,7 @@ class TestOneSweep:
 
 
 class TestSignedAndThresholded:
-    """``async_propagate`` as IncrementalPPR uses it."""
+    """``async_propagate`` as IncrementalPPR uses it: on signed residues."""
 
     def _invariant_holds(self, graph, start, reserve, residue):
         n = graph.num_nodes
@@ -222,40 +222,17 @@ class TestSignedAndThresholded:
         start = rng.normal(size=graph.num_nodes)
         residue, reserve = start.copy(), np.zeros(graph.num_nodes)
         pushed = np.empty_like(residue)
-        for threshold in (None, np.full(graph.num_nodes, 0.5)):
-            async_propagate(
-                graph, residue, pushed, ALPHA, threshold_vec=threshold
-            )
+        for _ in range(2):
+            async_propagate(graph, residue, pushed, ALPHA)
             reserve += ALPHA * pushed
             assert self._invariant_holds(graph, start, reserve, residue)
-        assert (pushed == 0.0).any() and (pushed != 0.0).any()
-        assert (np.abs(pushed[pushed != 0.0]) > 0.5).all()
-
-    def test_nothing_above_threshold_moves_nothing(self, medium_graph):
-        graph = apply_dead_end_rule(medium_graph, "self-loop")
-        residue = np.random.default_rng(6).normal(size=graph.num_nodes)
-        before = residue.copy()
-        pushed = np.empty_like(residue)
-        async_propagate(
-            graph, residue, pushed, ALPHA,
-            threshold_vec=np.full(graph.num_nodes, 100.0),
-        )
-        assert np.array_equal(residue, before)
-        assert not pushed.any()
+        assert (pushed < 0.0).any() and (pushed > 0.0).any()
 
     def test_rejects_non_contiguous_arrays(self, medium_graph):
         n = medium_graph.num_nodes
         strided = np.zeros((n, 2))[:, 0]
         with pytest.raises(ParameterError, match="contiguous"):
             async_propagate(medium_graph, strided, np.empty(n), ALPHA)
-
-    def test_rejects_threshold_on_column_wise_residues(self, medium_graph):
-        n = medium_graph.num_nodes
-        with pytest.raises(ParameterError, match="threshold_vec"):
-            async_propagate(
-                medium_graph, np.zeros((n, 2)), np.empty((n, 2)), ALPHA,
-                threshold_vec=np.zeros(n),
-            )
 
 
 def _spread_states(graph, sources, policy="redirect-to-source", pushes=2):

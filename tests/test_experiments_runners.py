@@ -121,8 +121,9 @@ class TestFig6:
 
 class TestFig6PaperShape:
     """Figure 6's ordering in numbers: with asynchronous scan sweeps
-    PowerPush reaches lambda in roughly half PowItr's residue updates
-    (0.55-0.57x here; the synchronous sweeps it replaced gave 0.95x)."""
+    extrapolated at every epoch end, PowerPush reaches lambda in about a
+    quarter of PowItr's residue updates (0.29x and 0.23x here; the sweeps
+    alone gave 0.55-0.57x, the synchronous ones before them 0.95x)."""
 
     @staticmethod
     def _graphs():
@@ -147,7 +148,7 @@ class TestFig6PaperShape:
             reach = result.updates_to_reach(
                 name, workspace.config.l1_threshold(graph)
             )
-            assert reach["PowerPush"] < 0.7 * reach["PowItr"], (name, reach)
+            assert reach["PowerPush"] < 0.35 * reach["PowItr"], (name, reach)
             assert reach["FIFO-FwdPush"] < reach["PowItr"], (name, reach)
 
 

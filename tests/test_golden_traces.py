@@ -79,8 +79,11 @@ def compute_vector(graph, method: str, source: int) -> np.ndarray:
     return solve(graph, source, method, **CASES[method]).estimate
 
 
-#: The solvers built on the scan-phase sweep (``sweep_active``): the
-#: ones a change to that kernel is allowed to move.
+#: The solvers whose vectors moved when the sweep went asynchronous.
+#: ``fifo-fwdpush`` and ``fora`` call ``sweep_active`` and move with that
+#: kernel; ``powerpush`` and ``speedppr`` run PowerPush's scan phase
+#: (``async_sweep`` plus the epoch-end extrapolation) and move with
+#: either.
 SWEEP_SOLVERS = frozenset({"powerpush", "fifo-fwdpush", "speedppr", "fora"})
 
 #: Digest of every other solver's committed vectors (sorted by key),

@@ -87,7 +87,11 @@ class TestRandomizedEquivalence:
         """Acceptance: same certified result, measurably fewer updates.
 
         Both cost counters come from ConvergenceTrace recordings, the
-        same instrumentation Figure 6 uses.
+        same instrumentation Figure 6 uses.  Measured: 198 783 residue
+        updates for the refresh against 275 316 from scratch (0.72x),
+        both sides extrapolating their epoch ends; without that on
+        either side it was 488 887 against 753 696, and with it from
+        scratch only the refresh would lose, 488 887 against 275 316.
         """
         dyn = make_dynamic(11, 16_000, seed=3)
         rng = np.random.default_rng(99)
