@@ -1,9 +1,10 @@
 """Determinism rules: RNG discipline, bitwise-safe gathers, scratch use.
 
 These rules guard the reproducibility contracts the solver stack is
-built on: answers are a pure function of ``(seed, source)``, block rows
-are bitwise-identical to independent solves, and hot-path kernels do
-not churn the allocator.  See CONTRIBUTING.md for the invariant table.
+built on: answers are a pure function of ``(seed, source)``, rows of a
+``(B, n)`` matrix reduce to the bits of the 1-D vectors they stand
+for, and hot-path kernels do not churn the allocator.  See
+CONTRIBUTING.md for the invariant table.
 """
 
 from __future__ import annotations
@@ -154,10 +155,12 @@ class ColumnFancyGatherRule(Rule):
         "np.take(arr, idx, axis=1)"
     )
     invariant = (
-        "Block rows are bitwise-identical to independent solves only "
-        "when row-wise reductions run over C-contiguous gathers: a "
-        "[:, idx] fancy index yields a transposed buffer whose strided "
-        "rows reduce sequentially instead of pairwise."
+        "A row of a (B, n) matrix reduces to the bits of the same 1-D "
+        "vector only over a C-contiguous gather: a [:, idx] fancy index "
+        "yields a transposed buffer whose strided rows reduce "
+        "sequentially instead of pairwise.  The ladder's "
+        "block_global_sweep is the one such reduction left; the rule "
+        "goes when it does."
     )
 
     _PACKAGES = ("repro.core", "repro.backends")
@@ -186,8 +189,8 @@ class ColumnFancyGatherRule(Rule):
                 node,
                 "[:, idx] column fancy-gather returns a transposed "
                 "(F-ordered) buffer whose row reductions are not "
-                "pairwise; use np.take(arr, idx, axis=1) to keep block "
-                "rows bitwise-identical to independent solves",
+                "pairwise; use np.take(arr, idx, axis=1) to keep each "
+                "row's sum bitwise the 1-D vector's",
             )
 
 

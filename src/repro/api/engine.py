@@ -272,8 +272,7 @@ class PPREngine:
         self.index_invalidations: dict[str, int] = Counter(self.index_builds)
         self._trackers: dict[int, IncrementalPPR] = {}
         self.stats = EngineStats()
-        #: batches answered by a multi-source block solve (tests and
-        #: the serving layer assert coalesced windows land here)
+        #: batches answered by one ``block_fn`` call instead of a loop
         self.block_batches = 0
         self._query_counter = 0
         #: serialises every mutation of engine state (artefact cache,
@@ -610,12 +609,11 @@ class PPREngine:
         sources[i]``).  Any required artefact is built once and shared.
         Two or more sources of a method that registered a block adapter
         are answered by **one block solve** whenever the method's own
-        rule admits the request: PowerPush's block kernel — a single
-        adjacency scan amortised over the whole batch, every row
-        element-wise identical to its independent solve — and plain
-        Monte-Carlo's cross-source walk simulation.  Everything else
-        (faithful or traced PowerPush, seeded Monte-Carlo, every other
-        method) loops.
+        rule admits the request — plain Monte-Carlo's cross-source walk
+        simulation is the built-in one.  Everything else loops, one
+        independent solve per source: PowerPush (a loop is its fastest
+        measured batch; README, "Why PowerPush has no block path"),
+        seeded Monte-Carlo, every other method.
 
         A single ``seed`` must not replay the same walk stream for
         every source, so seeded batches give each source the stream

@@ -51,7 +51,7 @@ from repro.bepi.solver import bepi_query
 from repro.core.fifo_fwdpush import fifo_forward_push, r_max_for_l1_threshold
 from repro.core.fwdpush import forward_push
 from repro.core.power_iteration import power_iteration
-from repro.core.powerpush import power_push, power_push_block
+from repro.core.powerpush import power_push
 from repro.core.sim_fwdpush import simultaneous_forward_push
 from repro.core.speedppr import speed_ppr
 from repro.core.result import PPRResult
@@ -243,11 +243,11 @@ class SolverSpec:
     block_fn:
         Optional multi-source adapter
         ``block_fn(graph, sources, **params) -> list[PPRResult]`` that
-        answers a whole batch in one block solve (one adjacency scan,
-        or one walk simulation, amortised over all sources).
-        Deterministic solvers that register one promise the block
-        answers are element-wise identical to per-source ``fn`` calls;
-        :meth:`solve_block` falls back to a per-source loop when absent.
+        answers a whole batch in one block solve (one walk simulation
+        amortised over all sources).  Deterministic solvers that
+        register one promise the block answers are element-wise
+        identical to per-source ``fn`` calls; :meth:`solve_block`
+        falls back to a per-source loop when absent.
     block_rule:
         ``block_rule(graph, params) -> bool``: which requests may ride
         ``block_fn`` (default: all).  The engine's ``batch_query``
@@ -522,10 +522,11 @@ def solve_block(
 ) -> list[PPRResult]:
     """One-shot multi-source dispatch (see :meth:`SolverSpec.solve_block`).
 
-    Methods with a registered block adapter (PowerPush's block kernel,
-    Monte-Carlo's cross-source walk simulation) answer the whole batch
-    in one block solve; the rest loop.  Engine users get this
-    automatically through
+    Methods with a registered block adapter (Monte-Carlo's
+    cross-source walk simulation) answer the whole batch in one block
+    solve; the rest — PowerPush included, for which the loop is the
+    fastest measured path — loop.  Engine users get this automatically
+    through
     :meth:`~repro.api.engine.PPREngine.batch_query`.
     """
     spec, implied = resolve_method(method)
@@ -734,15 +735,6 @@ def _with_optional_index(
     return adapter
 
 
-def _powerpush_batchable(graph: DiGraph, params: Mapping[str, Any]) -> bool:
-    """The block kernels are the vectorised implementation and carry no
-    per-solve trace state: faithful-mode and traced requests loop."""
-    return (
-        params.get("mode", "auto") in ("auto", "vectorized")
-        and params.get("trace") is None
-    )
-
-
 def _montecarlo_batchable(graph: DiGraph, params: Mapping[str, Any]) -> bool:
     """One simulation shares one stream and has no single redirect
     source: a seeded batch (a stream per source), a caller's own
@@ -752,29 +744,6 @@ def _montecarlo_batchable(graph: DiGraph, params: Mapping[str, Any]) -> bool:
         and params.get("rng") is None
         and not graph.has_dead_ends
     )
-
-
-def _solve_powerpush_block(
-    graph: DiGraph,
-    sources,
-    *,
-    mode: str = "auto",
-    trace=None,
-    **params,
-) -> list[PPRResult]:
-    """Block adapter for PowerPush: unified schema -> block signature.
-
-    Callers wanting the faithful mode or a trace fall back to
-    per-source solves (the engine's ``batch_query`` does this
-    automatically, from the same rule).
-    """
-    if not _powerpush_batchable(graph, {"mode": mode, "trace": trace}):
-        raise ParameterError(
-            f"power_push_block is vectorised-only and records no "
-            f"convergence traces; mode {mode!r} / a traced request is not "
-            f"batchable (run per-source solves instead)"
-        )
-    return power_push_block(graph, sources, **params)
 
 
 def _solve_bepi(
@@ -855,8 +824,6 @@ def _register_builtin_solvers() -> None:
             summary="PowerPush (Algorithm 3): power iteration with forward push",
             params=(*_EXACT_COMMON, *_BACKEND_PARAM, "config", "mode"),
             fn=power_push,
-            block_fn=_solve_powerpush_block,
-            block_rule=_powerpush_batchable,
         )
     )
     register_solver(

@@ -3,8 +3,8 @@
 Every vectorised solver in :mod:`repro.core` runs its inner loops
 through one :class:`~repro.backends.base.KernelBackend` — the kernel
 contract (:func:`global_sweep`, :func:`frontier_push`,
-:func:`sweep_active`, their ``block_*`` variants) that used to be
-hard-coded as the NumPy bodies of :mod:`repro.core.kernels`.  Two
+:func:`async_sweep`, :func:`sweep_active`) that used to be hard-coded
+as the NumPy bodies of :mod:`repro.core.kernels`.  Two
 backends ship built in:
 
 ``numpy``
@@ -12,9 +12,8 @@ backends ship built in:
     byte-identical to selecting nothing — golden traces are pinned to
     this path.
 ``numba``
-    ``@njit(cache=True)`` compiled loops over the CSR arrays (with
-    ``prange`` over the block kernels' row dimension).  Requires the
-    optional extra ``pip install repro-ppr[numba]``; when numba is not
+    ``@njit(cache=True)`` compiled loops over the CSR arrays.  Requires
+    the optional extra ``pip install repro-ppr[numba]``; when numba is not
     importable the registry *falls back* to ``numpy`` with a one-time
     :class:`RuntimeWarning` instead of failing.
 

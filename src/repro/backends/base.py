@@ -9,10 +9,7 @@ that used to be hard-coded as the NumPy bodies of
   / :meth:`KernelBackend.async_sweep` / :meth:`KernelBackend.sweep_active`
   — the single-source kernels that
   :func:`~repro.core.powerpush.power_push`, FIFO-FwdPush, SimFwdPush and
-  the refinement loop are built from, and
-* their ``block_*`` variants operating on a
-  :class:`~repro.core.residues.BlockPushState` — the multi-source layer
-  behind :func:`~repro.core.powerpush.power_push_block`.
+  the refinement loop are built from.
 
 Backends mutate the passed state exactly like the reference kernels:
 reserve/residue updated in place, counters billed, ``r_sum`` kept
@@ -45,7 +42,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     # Keeping repro.core out of the backends' import graph means the
     # solvers can import repro.backends at module level without cycles.
-    from repro.core.residues import BlockPushState, PushState
+    from repro.core.residues import PushState
     from repro.core.workspace import Workspace
 
 __all__ = ["KernelBackend"]
@@ -67,7 +64,6 @@ class KernelBackend:
     name: str = ""
     compiled: bool = False
 
-    # -- single-source kernels -----------------------------------------
     def global_sweep(
         self, state: PushState, *, count_all_edges: bool = True
     ) -> None:
@@ -103,42 +99,6 @@ class KernelBackend:
         workspace: Workspace | None = None,
     ) -> int:
         """Push all active nodes once; return how many were pushed."""
-        raise NotImplementedError
-
-    # -- block (multi-source) kernels ----------------------------------
-    def block_global_sweep(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        *,
-        count_all_edges: bool = False,
-        workspace: Workspace | None = None,
-    ) -> None:
-        """One Power-Iteration step for every row in ``rows`` at once."""
-        raise NotImplementedError
-
-    def block_frontier_push(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        masks: np.ndarray,
-        *,
-        workspace: Workspace | None = None,
-    ) -> None:
-        """Push each row's own frontier in one shared pass."""
-        raise NotImplementedError
-
-    def block_async_sweep(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        *,
-        workspace: Workspace | None = None,
-    ) -> np.ndarray:
-        """One asynchronous chunked sweep for every row in ``rows``.
-
-        Returns the ``(len(rows), n)`` reserve gains, aligned with ``rows``.
-        """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

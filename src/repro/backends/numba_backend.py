@@ -25,13 +25,12 @@ serves the NumPy reference instead (with a one-time warning) —
 ``numba`` is an optional extra (``pip install repro-ppr[numba]``),
 never a hard dependency.
 
-Determinism: the compiled loops are deterministic (the ``prange``
-parallelism is over *independent rows* of a block state; each row's
-arithmetic is a fixed sequential order), but they accumulate sums
-sequentially where NumPy reduces pairwise, so answers agree with the
-reference to ~1e-12 L1 rather than bitwise.  The dead-end policy
-routing and operation billing reuse the reference helpers in
-:mod:`repro.core.kernels`, so those side channels cannot drift.
+Determinism: the compiled loops are deterministic (single-threaded, a
+fixed sequential order), but they accumulate sums sequentially where
+NumPy reduces pairwise, so answers agree with the reference to ~1e-12
+L1 rather than bitwise.  The dead-end policy routing and operation
+billing reuse the reference helpers in :mod:`repro.core.kernels`, so
+those side channels cannot drift.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.backends.base import KernelBackend
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from numpy.typing import DTypeLike
 
-    from repro.core.residues import BlockPushState, PushState
+    from repro.core.residues import PushState
     from repro.core.workspace import Workspace
 
 __all__ = ["NUMBA_AVAILABLE", "numba_available", "NumbaBackend"]
@@ -93,7 +92,7 @@ def _build_kernels() -> SimpleNamespace:
     ``cache=True`` persists the compiled artefacts so the JIT cost is
     paid once per machine, not once per process.
     """
-    from numba import njit, prange
+    from numba import njit
 
     @njit(cache=True)
     def frontier_push_loop(
@@ -206,22 +205,6 @@ def _build_kernels() -> SimpleNamespace:
                     for e in range(begin, end):
                         residue[indices[e]] += share
 
-    @njit(cache=True, parallel=True)
-    def block_async_sweep_loop(
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        bounds: np.ndarray,
-        residue: np.ndarray,
-        rows: np.ndarray,
-        pushed: np.ndarray,
-        alpha: float,
-    ) -> None:
-        """:func:`async_sweep_loop` per row, rows in parallel (``prange``)."""
-        for k in prange(rows.shape[0]):
-            async_sweep_loop(
-                indptr, indices, bounds, residue[rows[k]], pushed[k], alpha
-            )
-
     @njit(cache=True)
     def collect_active_loop(
         residue: np.ndarray,
@@ -236,120 +219,11 @@ def _build_kernels() -> SimpleNamespace:
                 count += 1
         return count
 
-    @njit(cache=True, parallel=True)
-    def block_global_sweep_loop(
-        pt_indptr: np.ndarray,
-        pt_indices: np.ndarray,
-        pt_data: np.ndarray,
-        residue: np.ndarray,
-        reserve: np.ndarray,
-        rows: np.ndarray,
-        out: np.ndarray,
-        alpha: float,
-        count_holders: bool,
-        out_degree: np.ndarray,
-        dead: np.ndarray,
-        dead_masses: np.ndarray,
-        holders: np.ndarray,
-        holder_degrees: np.ndarray,
-    ) -> None:
-        """Per-row Power-Iteration steps, rows in parallel (``prange``).
-
-        Rows never exchange mass, so parallelising the row dimension
-        is race-free and each row's arithmetic stays a fixed
-        sequential order (deterministic regardless of thread count).
-        """
-        n = residue.shape[1]
-        scale = 1.0 - alpha
-        for k in prange(rows.shape[0]):
-            i = rows[k]
-            dm = 0.0
-            for j in range(dead.shape[0]):
-                dm += residue[i, dead[j]]
-            dead_masses[k] = scale * dm
-            h = 0
-            hd = 0
-            if count_holders:
-                for v in range(n):
-                    if residue[i, v] > 0.0:
-                        h += 1
-                        hd += out_degree[v]
-            holders[k] = h
-            holder_degrees[k] = hd
-            for v in range(n):
-                acc = 0.0
-                for e in range(pt_indptr[v], pt_indptr[v + 1]):
-                    acc += pt_data[e] * residue[i, pt_indices[e]]
-                out[k, v] = scale * acc
-                reserve[i, v] += alpha * residue[i, v]
-            # Safe to write back inside the same iteration: only row k
-            # ever reads residue[i, :].
-            for v in range(n):
-                residue[i, v] = out[k, v]
-
-    @njit(cache=True, parallel=True)
-    def block_frontier_push_loop(
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        residue: np.ndarray,
-        reserve: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        segments: np.ndarray,
-        r_old: np.ndarray,
-        alpha: float,
-        pushed_masses: np.ndarray,
-        dead_masses: np.ndarray,
-        update_counts: np.ndarray,
-    ) -> None:
-        """Per-row simultaneous frontier pushes, rows in parallel.
-
-        ``cols[segments[k]:segments[k+1]]`` lists row ``k``'s active
-        nodes (ascending), so the work is proportional to the frontier
-        sizes — no O(n) column scan per row.  ``update_counts`` matches
-        the reference billing (edge targets plus one per dead-end
-        push).
-        """
-        scale = 1.0 - alpha
-        for k in prange(rows.shape[0]):
-            i = rows[k]
-            begin_k = segments[k]
-            end_k = segments[k + 1]
-            pushed = 0.0
-            for idx in range(begin_k, end_k):
-                v = cols[idx]
-                r = residue[i, v]
-                r_old[idx] = r
-                reserve[i, v] += alpha * r
-                residue[i, v] = 0.0
-                pushed += r
-            dead_mass = 0.0
-            updates = 0
-            for idx in range(begin_k, end_k):
-                v = cols[idx]
-                begin = indptr[v]
-                end = indptr[v + 1]
-                degree = end - begin
-                if degree > 0:
-                    share = scale * r_old[idx] / degree
-                    for e in range(begin, end):
-                        residue[i, indices[e]] += share
-                    updates += degree
-                else:
-                    dead_mass += scale * r_old[idx]
-                    updates += 1
-            pushed_masses[k] = pushed
-            dead_masses[k] = dead_mass
-            update_counts[k] = updates
-
     return SimpleNamespace(
         frontier_push=frontier_push_loop,
         global_sweep=global_sweep_loop,
         async_sweep=async_sweep_loop,
-        block_async_sweep=block_async_sweep_loop,
         collect_active=collect_active_loop,
-        block_global_sweep=block_global_sweep_loop,
-        block_frontier_push=block_frontier_push_loop,
     )
 
 
@@ -369,7 +243,6 @@ class NumbaBackend(KernelBackend):
     def __init__(self) -> None:
         self._kernels = _compiled_kernels()
 
-    # -- single-source kernels -----------------------------------------
     def global_sweep(
         self, state: PushState, *, count_all_edges: bool = True
     ) -> None:
@@ -474,145 +347,3 @@ class NumbaBackend(KernelBackend):
         else:
             self.async_sweep(state, workspace=workspace)
         return count
-
-    # -- block (multi-source) kernels ----------------------------------
-    def block_global_sweep(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        *,
-        count_all_edges: bool = False,
-        workspace: Workspace | None = None,
-    ) -> None:
-        graph = state.graph
-        num_rows = rows.shape[0]
-        if num_rows == 0:
-            return
-        pt_indptr, pt_indices, pt_data = graph.pt_csr_arrays()
-        n = graph.num_nodes
-        out = _scratch(workspace, "nb_block_sweep_out", num_rows * n).reshape(
-            num_rows, n
-        )
-        # The jitted loop writes every row's slot, so empty scratch is
-        # safe — no zero-fill needed.
-        dead_masses = _scratch(workspace, "nb_block_dead_masses", num_rows)
-        holders = _scratch(workspace, "nb_block_holders", num_rows, np.int64)
-        holder_degrees = _scratch(
-            workspace, "nb_block_holder_degrees", num_rows, np.int64
-        )
-        self._kernels.block_global_sweep(
-            pt_indptr,
-            pt_indices,
-            pt_data,
-            state.residue,
-            state.reserve,
-            np.ascontiguousarray(rows, dtype=np.int64),
-            out,
-            state.alpha,
-            not count_all_edges,
-            graph.out_degree,
-            graph.dead_ends,
-            dead_masses,
-            holders,
-            holder_degrees,
-        )
-        if count_all_edges:
-            state.count_bulk_pushes(rows, graph.num_nodes, graph.num_edges)
-        else:
-            state.count_bulk_pushes(rows, holders, holder_degrees)
-        self._route_block_dead_mass(state, rows, dead_masses)
-        state.r_sum[rows] = state.residue[rows].sum(axis=1)
-
-    def block_frontier_push(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        masks: np.ndarray,
-        *,
-        workspace: Workspace | None = None,
-    ) -> None:
-        graph = state.graph
-        num_rows = rows.shape[0]
-        if num_rows == 0:
-            return
-        # Row-major nonzero: per row, active columns ascending — the
-        # exact node order the single-source loop pushes in.  Flattened
-        # (cols, segments) keeps the compiled work proportional to the
-        # frontier sizes instead of O(rows x n) mask scans.
-        frontier_sizes = np.count_nonzero(masks, axis=1)
-        total = int(frontier_sizes.sum())
-        if total == 0:
-            return
-        _, cols = np.nonzero(masks)
-        segments = _scratch(
-            workspace, "nb_block_segments", num_rows + 1, np.int64
-        )
-        segments[0] = 0
-        np.cumsum(frontier_sizes, out=segments[1:])
-        r_old = _scratch(workspace, "nb_block_r_pushed", total)
-        # Fully written by the jitted loop (one slot per prange row), so
-        # empty scratch is safe.
-        pushed_masses = _scratch(workspace, "nb_block_pushed_masses", num_rows)
-        dead_masses = _scratch(workspace, "nb_block_dead_masses", num_rows)
-        update_counts = _scratch(
-            workspace, "nb_block_update_counts", num_rows, np.int64
-        )
-        self._kernels.block_frontier_push(
-            graph.out_indptr,
-            graph.out_indices,
-            state.residue,
-            state.reserve,
-            np.ascontiguousarray(rows, dtype=np.int64),
-            np.ascontiguousarray(cols, dtype=np.int64),
-            segments,
-            r_old,
-            state.alpha,
-            pushed_masses,
-            dead_masses,
-            update_counts,
-        )
-        state.count_bulk_pushes(rows, frontier_sizes, update_counts)
-        self._route_block_dead_mass(state, rows, dead_masses)
-        state.note_r_sum_deltas(rows, -state.alpha * pushed_masses)
-
-    def block_async_sweep(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        *,
-        workspace: Workspace | None = None,
-    ) -> np.ndarray | None:
-        from repro.core.kernels import _settle_block_async_sweep
-
-        graph = state.graph
-        num_rows = rows.shape[0]
-        if num_rows == 0:
-            return None
-        n = graph.num_nodes
-        pushed = _scratch(
-            workspace, "nb_block_sweep_pushed", num_rows * n
-        ).reshape(num_rows, n)
-        self._kernels.block_async_sweep(
-            graph.out_indptr,
-            graph.out_indices,
-            np.asarray(graph.sweep_plan().bounds, dtype=np.int64),
-            state.residue,
-            np.ascontiguousarray(rows, dtype=np.int64),
-            pushed,
-            state.alpha,
-        )
-        return _settle_block_async_sweep(state, rows, pushed)
-
-    @staticmethod
-    def _route_block_dead_mass(
-        state: BlockPushState, rows: np.ndarray, dead_masses: np.ndarray
-    ) -> None:
-        """Apply per-row dead-end masses via the reference policy code."""
-        from repro.core.kernels import _apply_block_dead_end_mass
-
-        if not np.any(dead_masses != 0.0):
-            return
-        for position in range(rows.shape[0]):
-            _apply_block_dead_end_mass(
-                state, int(rows[position]), float(dead_masses[position])
-            )

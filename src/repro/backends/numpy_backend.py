@@ -16,7 +16,7 @@ import numpy as np
 from repro.backends.base import KernelBackend
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.core.residues import BlockPushState, PushState
+    from repro.core.residues import PushState
     from repro.core.workspace import Workspace
 
 __all__ = ["NumpyBackend"]
@@ -69,40 +69,3 @@ class NumpyBackend(KernelBackend):
             threshold_vec=threshold_vec,
             workspace=workspace,
         )
-
-    def block_global_sweep(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        *,
-        count_all_edges: bool = False,
-        workspace: Workspace | None = None,
-    ) -> None:
-        from repro.core import kernels
-
-        kernels.block_global_sweep(
-            state, rows, count_all_edges=count_all_edges, workspace=workspace
-        )
-
-    def block_frontier_push(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        masks: np.ndarray,
-        *,
-        workspace: Workspace | None = None,
-    ) -> None:
-        from repro.core import kernels
-
-        kernels.block_frontier_push(state, rows, masks, workspace=workspace)
-
-    def block_async_sweep(
-        self,
-        state: BlockPushState,
-        rows: np.ndarray,
-        *,
-        workspace: Workspace | None = None,
-    ) -> np.ndarray | None:
-        from repro.core import kernels
-
-        return kernels.block_async_sweep(state, rows, workspace=workspace)

@@ -13,19 +13,13 @@ from repro.core.backward_push import backward_push
 from repro.core.fifo_fwdpush import fifo_forward_push, r_max_for_l1_threshold
 from repro.core.fwdpush import forward_push
 from repro.core.incremental import IncrementalPPR
-from repro.core.kernels import (
-    block_frontier_push,
-    block_global_sweep,
-    frontier_push,
-    global_sweep,
-    sweep_active,
-)
+from repro.core.kernels import frontier_push, global_sweep, sweep_active
 from repro.core.mc_phase import monte_carlo_refine, required_walks
 from repro.core.pagerank import pagerank, preference_pagerank
 from repro.core.power_iteration import power_iteration
 from repro.core.powerpush import PowerPushConfig, power_push, power_push_block
 from repro.core.refinement import refine_to_r_max
-from repro.core.residues import BlockPushState, DeadEndPolicy, PushState
+from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.workspace import Workspace
 from repro.core.result import PPRResult
 from repro.core.sim_fwdpush import simultaneous_forward_push
@@ -46,10 +40,7 @@ __all__ = [
     "power_push",
     "power_push_block",
     "PowerPushConfig",
-    "BlockPushState",
     "Workspace",
-    "block_global_sweep",
-    "block_frontier_push",
     "IncrementalPPR",
     "refine_to_r_max",
     "speed_ppr",

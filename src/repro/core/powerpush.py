@@ -59,17 +59,9 @@ import time
 from collections import deque
 from typing import Literal
 
-import numpy as np
-
 from repro.backends import KernelBackend, active_backend
-from repro.core.kernels import (
-    async_sweep,
-    block_async_sweep,
-    block_frontier_push,
-    extrapolate_window,
-    frontier_push,
-)
-from repro.core.residues import BlockPushState, DeadEndPolicy, PushState
+from repro.core.kernels import async_sweep, extrapolate_window, frontier_push
+from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
 from repro.core.validation import (
     check_alpha,
@@ -334,230 +326,15 @@ def _run_vectorized(
                     )
 
 
-# ----------------------------------------------------------------------
-# Block (multi-source) driver
-# ----------------------------------------------------------------------
-#: Row phases of the block schedule (mirrors _run_vectorized's control
-#: flow: FIFO-frontier queue phase, dynamic-threshold scan epochs, done).
-_QUEUE, _SCAN, _DONE = 0, 1, 2
+def power_push_block(graph: DiGraph, sources, **params) -> list[PPRResult]:
+    """One :func:`power_push` per source, in order.
 
-
-def power_push_block(
-    graph: DiGraph,
-    sources,
-    *,
-    alpha: float = 0.2,
-    l1_threshold: float = 1e-8,
-    config: PowerPushConfig | None = None,
-    dead_end_policy: DeadEndPolicy = "redirect-to-source",
-    max_work_factor: float = 64.0,
-    workspace: Workspace | None = None,
-    backend: str | KernelBackend | None = None,
-) -> list[PPRResult]:
-    """Answer many high-precision SSPPR queries in one block solve.
-
-    Runs the vectorised PowerPush schedule over a
-    :class:`~repro.core.residues.BlockPushState` holding all sources'
-    residue rows: per round, every unfinished row evaluates its own
-    phase (queue / scan epoch) against its own ``r_sum`` and frontier,
-    then all queue-phase rows share one union gather/scatter and all
-    scan-phase rows share one block asynchronous sweep (one scan of
-    the edge array for all of them), each row extrapolating at its own
-    epoch ends.
-    Finished rows retire from the active block, so a batch of mixed
-    difficulty never pays for its slowest member on every round.
-
-    Each row's float-operation sequence is *identical* to an
-    independent :func:`power_push` run with the same parameters, so
-    ``results[i].estimate`` and ``.residue`` are bitwise-equal to the
-    single-source answers — the property the serving layer's
-    byte-identity contract relies on (and the equivalence/golden tests
-    pin down).  Traces are not supported on the block path; per-row
-    :class:`~repro.instrumentation.counters.PushCounters` are.
-
-    Returns one :class:`PPRResult` per source, in order; wall time is
-    apportioned evenly across rows and ``batch_size`` records the
-    block width.
+    PowerPush has no multi-source kernel: a per-source loop is the
+    fastest measured way to answer a batch (README, "Why PowerPush has
+    no block path").  The name survives only because the frozen
+    ``benchmarks/e2e/layers.py`` imports it.
     """
-    check_alpha(alpha)
-    check_l1_threshold(l1_threshold)
-    kernel_backend = active_backend(backend)
-    sources = [check_source(graph, int(s)) for s in sources]
-    if not sources:
-        return []
-    if config is None:
-        config = PowerPushConfig()
-    if graph.num_edges == 0:
-        # Only teleport mass exists; the per-source special case is
-        # already O(1), so delegate instead of duplicating it.
-        return [
-            power_push(
-                graph,
-                source,
-                alpha=alpha,
-                l1_threshold=l1_threshold,
-                config=config,
-                dead_end_policy=dead_end_policy,
-                max_work_factor=max_work_factor,
-            )
-            for source in sources
-        ]
-
-    started = time.perf_counter()
-    state = BlockPushState(
-        graph, sources, alpha, dead_end_policy=dead_end_policy
-    )
-    if workspace is None:
-        workspace = Workspace()
-    _run_block(
-        state,
-        l1_threshold,
-        config,
-        max_work_factor,
-        workspace,
-        backend=kernel_backend,
-    )
-
-    elapsed = time.perf_counter() - started
-    num_rows = state.num_rows
-    share = elapsed / num_rows
-    results = []
-    for row in range(num_rows):
-        state.refresh_r_sum(row)
-        results.append(
-            PPRResult(
-                estimate=state.reserve[row].copy(),
-                residue=state.residue[row].copy(),
-                source=int(state.sources[row]),
-                alpha=alpha,
-                counters=state.row_counters(row),
-                seconds=share,
-                method="PowerPush",
-                batch_size=num_rows,
-            )
-        )
-    return results
-
-
-def _run_block(
-    state: BlockPushState,
-    l1_threshold: float,
-    config: PowerPushConfig,
-    max_work_factor: float,
-    workspace: Workspace,
-    backend: KernelBackend | None = None,
-) -> None:
-    """Round-based block schedule; see :func:`power_push_block`.
-
-    Every round each live row settles its push-free transitions (queue
-    exit, epoch advances) and then pushes once: queue rows their own
-    frontier through one shared gather/scatter, scan rows everything
-    through one shared sweep.  A row whose sweep ended its epoch then
-    extrapolates on its own.  Because rows never exchange mass, running
-    their individual op sequences in lockstep rounds leaves each row's
-    arithmetic exactly as in its independent run.
-    """
-    graph = state.graph
-    n, m = graph.num_nodes, graph.num_edges
-    scan_threshold = config.scan_threshold(n)
-    epoch_num = config.epoch_num
-    budget = _push_budget(state.alpha, l1_threshold, m, max_work_factor)
-    queue_threshold_vec = state.effective_out_degree.astype(np.float64) * (
-        l1_threshold / m
-    )
-    targets = np.asarray(
-        [
-            _epoch_target(l1_threshold, epoch, epoch_num)
-            for epoch in range(1, epoch_num + 1)
-        ]
-    )
-
-    phase = np.full(state.num_rows, _QUEUE, dtype=np.int8)
-    #: 1-based index into ``targets`` once a row scans
-    epoch = np.zeros(state.num_rows, dtype=np.int64)
-
-    def enter_scan(row: int) -> None:
-        """Queue exit: refresh, then scan from epoch 1 or retire."""
-        if state.refresh_r_sum(row) > l1_threshold:
-            phase[row] = _SCAN
-            epoch[row] = 1
-            state.epochs[row] += 1
-            advance_epochs(row)
-        else:
-            phase[row] = _DONE
-
-    def advance_epochs(row: int) -> None:
-        """Skip epochs whose target is already met (each still bumps)."""
-        while state.r_sum[row] <= targets[epoch[row] - 1]:
-            if epoch[row] == epoch_num:
-                phase[row] = _DONE
-                return
-            epoch[row] += 1
-            state.epochs[row] += 1
-
-    def check_budget(rows: np.ndarray) -> None:
-        over = rows[state.residue_updates[rows] > budget]
-        if over.shape[0]:
-            row = int(over[0])
-            raise ConvergenceError(
-                f"PowerPush exceeded its work budget ({budget} residue "
-                f"updates) on source {int(state.sources[row])}; "
-                f"r_sum={state.refresh_r_sum(row):.3e}"
-            )
-
-    while True:
-        # Queue rows: one broadcast compare against the shared threshold
-        # vector; a row pushes its frontier or leaves the phase for good.
-        queue_rows = np.flatnonzero(phase == _QUEUE)
-        if queue_rows.shape[0]:
-            masks = state.active_masks(queue_rows, queue_threshold_vec)
-            num_active = np.count_nonzero(masks, axis=1)
-            stays = (
-                (state.r_sum[queue_rows] > l1_threshold)
-                & (num_active > 0)
-                & (num_active <= scan_threshold)
-            )
-            for row in queue_rows[~stays]:
-                enter_scan(int(row))
-            queue_rows = queue_rows[stays]
-            if queue_rows.shape[0]:
-                block_frontier_push(
-                    state, queue_rows, masks[stays],
-                    workspace=workspace, backend=backend,
-                )
-                state.queue_appends[queue_rows] += num_active[stays]
-                check_budget(queue_rows)
-
-        # Scan rows (those that just left the queue included) are all
-        # above their epoch's target, so all of them sweep.
-        scan_rows = np.flatnonzero(phase == _SCAN)
-        if scan_rows.shape[0]:
-            r_before = workspace.buffer2d(
-                "scan_r_before", scan_rows.shape[0], n
-            )
-            # mode="clip" writes straight into ``out``; the default
-            # mode buffers the whole result first.
-            np.take(
-                state.residue, scan_rows, axis=0, out=r_before, mode="clip"
-            )
-            settled = block_async_sweep(
-                state, scan_rows, workspace=workspace, backend=backend
-            )
-            check_budget(scan_rows)
-            ended = state.r_sum[scan_rows] <= targets[epoch[scan_rows] - 1]
-            for position in np.flatnonzero(ended):
-                row = int(scan_rows[position])
-                if state.r_sum[row] > l1_threshold and extrapolate_window(
-                    state.reserve[row],
-                    state.residue[row],
-                    settled[position],
-                    r_before[position],
-                ):
-                    state.extrapolations[row] += 1
-                    state.refresh_r_sum(row)
-                advance_epochs(row)
-        elif not queue_rows.shape[0]:
-            return
+    return [power_push(graph, int(source), **params) for source in sources]
 
 
 def _epoch_target(l1_threshold: float, epoch: int, epoch_num: int) -> float:

@@ -37,7 +37,6 @@ from repro.instrumentation.counters import PushCounters
 __all__ = [
     "DeadEndPolicy",
     "PushState",
-    "BlockPushState",
     "effective_out_degree",
 ]
 
@@ -57,9 +56,7 @@ def effective_out_degree(graph: DiGraph, dead_end_policy: str) -> np.ndarray:
     source, so a dead end's conceptual out-degree is 1 (or ``n`` under
     the uniform-teleport policy).  Using the conceptual degree in the
     activity test ``r > d_v * r_max`` is what makes push algorithms
-    terminate on graphs with dead ends.  Shared by :class:`PushState`
-    and :class:`BlockPushState` so the two activity tests can never
-    drift apart.
+    terminate on graphs with dead ends.
     """
     degree = graph.out_degree
     if graph.has_dead_ends:
@@ -254,24 +251,14 @@ class PushState:
             )
 
 
+# Harness-only: benchmarks/e2e/layers.py is the sole caller.
 class BlockPushState:
-    """Reserve/residue state for ``B`` simultaneous SSPPR queries.
+    """``(B, n)`` reserve/residue rows for ``B`` sources of one graph.
 
-    The multi-source generalisation of :class:`PushState`: ``reserve``
-    and ``residue`` are ``(B, n)`` matrices (row ``i`` is source
-    ``sources[i]``'s vectors), ``r_sum`` is a length-``B`` array, and
-    instrumentation is kept as per-row *counter arrays* (billing is
-    integer arithmetic, so it vectorises exactly; ``row_counters``
-    materialises a :class:`PushCounters` per row on demand).  Rows are
-    fully independent — the block kernels in :mod:`repro.core.kernels`
-    are written so each row's float-operation sequence is *identical*
-    to what the single-source kernels would perform, which is what
-    lets :func:`repro.core.powerpush.power_push_block` promise bitwise
-    equality with per-source solves.
-
-    All rows share one graph, alpha, and dead-end policy (that is what
-    makes the adjacency work shareable); heterogeneous queries belong
-    in separate blocks.
+    What :func:`repro.core.kernels.block_global_sweep` needs and no
+    more: row ``i`` is source ``sources[i]``'s :class:`PushState`
+    vectors, ``r_sum`` and the two billing counters are length-``B``
+    arrays.
     """
 
     __slots__ = (
@@ -283,11 +270,7 @@ class BlockPushState:
         "residue",
         "pushes",
         "residue_updates",
-        "queue_appends",
-        "epochs",
-        "extrapolations",
-        "_r_sum",
-        "_effective_out_degree",
+        "r_sum",
     )
 
     def __init__(
@@ -316,96 +299,11 @@ class BlockPushState:
         self.residue[np.arange(num_rows), self.sources] = 1.0
         self.pushes = np.zeros(num_rows, dtype=np.int64)
         self.residue_updates = np.zeros(num_rows, dtype=np.int64)
-        self.queue_appends = np.zeros(num_rows, dtype=np.int64)
-        self.epochs = np.zeros(num_rows, dtype=np.int64)
-        self.extrapolations = np.zeros(num_rows, dtype=np.int64)
-        self._r_sum = np.ones(num_rows, dtype=np.float64)
-        self._effective_out_degree: np.ndarray | None = None
-
-    @property
-    def num_rows(self) -> int:
-        """Number of simultaneous sources ``B``."""
-        return self.sources.shape[0]
-
-    @property
-    def r_sum(self) -> np.ndarray:
-        """Per-row residue mass (the incremental l1-error bounds)."""
-        return self._r_sum
-
-    def refresh_r_sum(self, row: int) -> float:
-        """Recompute one row's ``r_sum`` exactly from its residue row.
-
-        Summed per row (a contiguous length-``n`` view) so the pairwise
-        reduction matches :meth:`PushState.refresh_r_sum` bitwise.
-        """
-        self._r_sum[row] = float(self.residue[row].sum())
-        return self._r_sum[row]
-
-    def note_r_sum_delta(self, row: int, delta: float) -> None:
-        """Adjust one row's cached ``r_sum`` (vectorised kernels)."""
-        self._r_sum[row] += delta
-
-    def note_r_sum_deltas(self, rows: np.ndarray, deltas: np.ndarray) -> None:
-        """Adjust many rows' cached ``r_sum`` in one scatter.
-
-        ``rows`` must be distinct (the block kernels' contract); used
-        by compiled backends whose per-row masses arrive as an array.
-        """
-        self._r_sum[rows] += deltas
-
-    @property
-    def effective_out_degree(self) -> np.ndarray:
-        """Shared conceptual out-degrees (see :func:`effective_out_degree`)."""
-        if self._effective_out_degree is None:
-            self._effective_out_degree = effective_out_degree(
-                self.graph, self.dead_end_policy
-            )
-        return self._effective_out_degree
-
-    def active_masks(
-        self, rows: np.ndarray, threshold_vec: np.ndarray
-    ) -> np.ndarray:
-        """Per-row activity masks of ``rows`` against one threshold vector.
-
-        One broadcast compare over the ``(len(rows), n)`` sub-block —
-        elementwise, hence bitwise-identical to the per-source
-        ``residue > threshold_vec`` test.
-        """
-        if rows.shape[0] == self.num_rows and bool(
-            (rows == np.arange(self.num_rows)).all()
-        ):
-            return self.residue > threshold_vec
-        return self.residue[rows] > threshold_vec[None, :]
+        self.r_sum = np.ones(num_rows, dtype=np.float64)
 
     def count_bulk_pushes(
         self, rows: np.ndarray, num_nodes, num_updates
     ) -> None:
-        """Bill a vectorised push round to each row in ``rows``.
-
-        ``num_nodes``/``num_updates`` are scalars or per-row arrays;
-        integer arithmetic, so exactly what per-row
-        :meth:`PushCounters.count_bulk_pushes` calls would record.
-        """
+        """Bill a sweep to each row in ``rows`` (scalars or per-row arrays)."""
         self.pushes[rows] += num_nodes
         self.residue_updates[rows] += num_updates
-
-    def row_counters(self, row: int) -> PushCounters:
-        """One row's instrumentation as a :class:`PushCounters`.
-
-        ``epochs`` and ``extrapolations`` appear in ``extras`` only once
-        non-zero, matching when the single-source loop first bumps them.
-        """
-        counters = PushCounters(
-            pushes=int(self.pushes[row]),
-            residue_updates=int(self.residue_updates[row]),
-            queue_appends=int(self.queue_appends[row]),
-        )
-        for key in ("epochs", "extrapolations"):
-            count = int(getattr(self, key)[row])
-            if count:
-                counters.extras[key] = count
-        return counters
-
-    def mass_total(self, row: int) -> float:
-        """``sum(reserve) + sum(residue)`` of one row (invariant check)."""
-        return float(self.reserve[row].sum() + self.residue[row].sum())

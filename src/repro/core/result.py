@@ -33,17 +33,11 @@ class PPRResult:
     trace:
         Optional convergence trace (Figures 5-6) if one was requested.
     seconds:
-        Wall-clock time of the algorithm body.  Results produced by a
-        block solve report their even share of the batch's wall time
-        (the vectorised kernels have no per-source measurement).
+        Wall-clock time of the algorithm body.  Monte-Carlo's
+        cross-source walk simulation, the one solve shared by several
+        sources, reports each source an even share of its wall time.
     method:
         Name of the algorithm that produced the result.
-    batch_size:
-        How many sources were co-solved in the block that produced
-        this result (1 for an independent single-source solve).  The
-        answer itself is independent of the batch — block rows are
-        bitwise-identical to single-source runs — so this is
-        provenance for benchmarks and serving stats, not a parameter.
     """
 
     estimate: np.ndarray
@@ -54,7 +48,6 @@ class PPRResult:
     trace: ConvergenceTrace | None = None
     seconds: float = 0.0
     method: str = ""
-    batch_size: int = 1
 
     @property
     def r_sum(self) -> float:

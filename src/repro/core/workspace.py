@@ -2,18 +2,17 @@
 
 The vectorised kernels allocate several frontier-sized temporaries per
 call (gather positions, gathered targets, scatter indexes).  In a query
-loop — and especially inside the block solver, which pushes every round
-of every epoch through the same kernels — those allocations dominate
-the Python-side overhead and churn the allocator.  A :class:`Workspace`
-is a tiny keyed buffer pool: kernels request a named buffer of a given
-size and dtype, and the pool hands back a prefix view of a cached
-array, growing it geometrically when the request outgrows the cache.
+loop those allocations dominate the Python-side overhead and churn the
+allocator.  A :class:`Workspace` is a tiny keyed buffer pool: kernels
+request a named buffer of a given size and dtype, and the pool hands
+back a prefix view of a cached array, growing it geometrically when the
+request outgrows the cache.
 
 The pool is deliberately *not* thread-safe and buffers are *not*
 stable across requests: a buffer returned for key ``k`` is only valid
 until the next request for ``k``.  Callers therefore create one
 workspace per solve (or per solver thread) and thread it through the
-kernel calls — see :func:`repro.core.powerpush.power_push_block`.
+kernel calls — see :func:`repro.core.powerpush.power_push`.
 
 ``requests``/``allocations`` counters make reuse observable: the
 kernel tests assert that a second solve through the same workspace
@@ -61,17 +60,6 @@ class Workspace:
         self._buffers[key] = fresh
         self.allocations += 1
         return fresh[:size]
-
-    def buffer2d(
-        self, key: str, rows: int, cols: int, dtype=np.float64
-    ) -> np.ndarray:
-        """A ``(rows, cols)`` scratch matrix backed by the 1-D pool.
-
-        Same contract as :meth:`buffer` (a reshaped prefix view,
-        invalidated by the next request for ``key``); the kernels'
-        block paths use it for their row-major staging matrices.
-        """
-        return self.buffer(key, rows * cols, dtype).reshape(rows, cols)
 
     @property
     def reused(self) -> int:

@@ -4,15 +4,11 @@ For every dataset, answer the same random queries with the four
 high-precision competitors (PowerPush, BePI, FIFO-FwdPush, PowItr) at
 ``lambda = min(1e-8, 1/m)`` and report the average wall-clock time plus
 the paper's ``c.cx`` annotation (each competitor's time as a multiple
-of PowerPush's).  A fifth row, **PowerPush-Block**, answers the whole
-source set in one multi-source block solve (element-wise identical
-answers) — the sweep's own workload batched, isolating what the block
-kernels buy on top of the paper's winner.
+of PowerPush's).
 
 Expected shape (paper): PowerPush smallest everywhere except possibly
 the smallest dataset where BePI's precomputation lets it tie; BePI's
-query time *excludes* its construction time, as in the paper;
-PowerPush-Block under PowerPush by roughly the batching factor.
+query time *excludes* its construction time, as in the paper.
 """
 
 from __future__ import annotations
@@ -26,9 +22,8 @@ from repro.experiments.workspace import Workspace
 
 __all__ = ["Fig4Result", "run_fig4", "HP_METHODS"]
 
-#: display labels; all but the block row resolve directly as registry
-#: method names (PowerPush-Block is PowerPush through batch_query)
-HP_METHODS = ("PowerPush", "BePI", "FIFO-FwdPush", "PowItr", "PowerPush-Block")
+#: display labels; each resolves directly as a registry method name
+HP_METHODS = ("PowerPush", "BePI", "FIFO-FwdPush", "PowItr")
 
 
 @dataclass
@@ -84,17 +79,9 @@ def run_fig4(workspace: Workspace | None = None) -> Fig4Result:
         totals = {method: 0.0 for method in HP_METHODS}
         for source in sources.tolist():
             for method in HP_METHODS:
-                if method == "PowerPush-Block":
-                    continue  # measured once per dataset, below
                 started = time.perf_counter()
                 engine.query(source, method=method, l1_threshold=l1_threshold)
                 totals[method] += time.perf_counter() - started
-        # The block row: all sources in one multi-source solve.
-        started = time.perf_counter()
-        engine.batch_query(
-            sources.tolist(), "powerpush", l1_threshold=l1_threshold
-        )
-        totals["PowerPush-Block"] = time.perf_counter() - started
 
         result.seconds[name] = {
             method: total / len(sources) for method, total in totals.items()

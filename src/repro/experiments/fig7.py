@@ -10,19 +10,11 @@ for all larger eps values, reproducing the paper's protocol (and the
 eps-dependence weakness it highlights).  SpeedPPR-Index uses the one
 eps-independent index.
 
-Beyond the paper's competitors, the sweep also measures
-**PowerPush-Block**: the same high-precision contract answered for the
-*whole source set at once* by the multi-source block solver
-(one ``engine.batch_query`` per eps point, reported as per-query
-time).  Its answers are element-wise identical to PowerPush's, so the
-row isolates exactly what batching the sweep's sources buys.
-
 Expected shape (paper): SpeedPPR-Index fastest across the board;
 index-free SpeedPPR between FORA and FORA-Index, approaching
 FORA-Index at small eps; every approximate method's time grows as eps
 shrinks while PowerPush stays flat and becomes competitive at small
-eps on some datasets.  PowerPush-Block sits below PowerPush by roughly
-the batching factor.
+eps on some datasets.
 """
 
 from __future__ import annotations
@@ -44,7 +36,6 @@ APPROX_METHODS = (
     "FORA-Index",
     "ResAcc",
     "PowerPush",
-    "PowerPush-Block",
 )
 
 
@@ -127,15 +118,6 @@ def run_fig7(workspace: Workspace | None = None) -> Fig7Result:
                     started = time.perf_counter()
                     engine.query(source, method=method, **params)
                     totals[label] += time.perf_counter() - started
-            # The whole source set in one block solve — the multi-source
-            # sweep itself is the workload the block kernels batch.
-            started = time.perf_counter()
-            engine.batch_query(
-                sources.tolist(),
-                "powerpush",
-                l1_threshold=config.l1_threshold(graph),
-            )
-            totals["PowerPush-Block"] = time.perf_counter() - started
             for method in APPROX_METHODS:
                 by_method[method].append(totals[method] / len(sources))
         result.seconds[name] = by_method

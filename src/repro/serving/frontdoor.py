@@ -29,7 +29,7 @@ scheduling" item asks for, built on stdlib ``asyncio`` only:
   EWMA over inter-arrival gaps sizes the window so a batch can fill
   (``target_batch`` arrivals' worth), clamped to ``[window_min,
   window_max]`` — low traffic stops paying the fixed-window latency
-  tax, bursts still coalesce into block solves.
+  tax, bursts still coalesce into shared dispatches.
 
 Degradation never changes *what* a served answer is, only *whether and
 how* a request is served: every answer — full fidelity or degraded —

@@ -9,12 +9,11 @@ collects everything that arrives within a **micro-batch window**,
 groups compatible requests — same canonical method, same merged
 parameters — and answers each group with one
 :meth:`~repro.api.engine.PPREngine.batch_query` call.  A coalesced
-window is therefore a genuinely multi-source solve, not a loop: the
-engine hands PowerPush windows to the block kernel layer (one
-adjacency scan amortised over every source in the window, answers
-element-wise identical to per-source solves) and Monte-Carlo windows
-to the vectorised multi-source walk simulation, while all windows
-share index injection and parameter resolution.
+window shares index injection, parameter resolution and the dispatch
+itself; whether it is also one multi-source solve is the method's own
+declaration — plain Monte-Carlo windows are one vectorised walk
+simulation, PowerPush windows are one solve per distinct source (the
+fastest measured path; README, "Why PowerPush has no block path").
 
 Identical requests coalesce harder: two submits for the same
 ``(source, method, params)`` resolve from a *single* solve (opt out

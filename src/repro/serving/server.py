@@ -14,12 +14,11 @@ that composes the three serving mechanisms into one consistency story:
   memoised results.
 * **Batching**: cache misses flow into the
   :class:`~repro.serving.scheduler.QueryScheduler`'s micro-batch
-  window and are answered by coalesced ``batch_query`` calls — for
-  PowerPush windows that is one multi-source block solve (see
-  :func:`repro.core.powerpush.power_push_block`), not a per-source
-  loop; the executor re-checks the cache at dispatch time, so a burst
-  of identical requests costs one solve even when it straddles
-  batches.
+  window and are answered by coalesced ``batch_query`` calls — one
+  solve per distinct source for PowerPush, one shared walk simulation
+  for plain Monte-Carlo; the executor re-checks the cache at dispatch
+  time, so a burst of identical requests costs one solve even when it
+  straddles batches.
 
 Every future resolves to a
 :class:`~repro.serving.scheduler.ServedResult` carrying the answer,

@@ -273,9 +273,10 @@ def _worker_main(
     The request queue is drained in bursts: everything immediately
     available is submitted to the local server, whose scheduler the
     loop then drains inline (:func:`_flush`) — a burst is the batch, so
-    a coalescable group still becomes one multi-source block solve,
-    and there is no scheduler thread and no micro-batch window to wait
-    out: nobody but this loop could add to the batch meanwhile.
+    a coalescable group still becomes one ``batch_query`` call with its
+    duplicates solved once, and there is no scheduler thread and no
+    micro-batch window to wait out: nobody but this loop could add to
+    the batch meanwhile.
     A worker never owns a shared segment — teardown only closes its
     own mappings of the graph image and the reply arena, so a
     SIGKILLed worker cannot leak ``/dev/shm`` entries (satisfying the

@@ -1,10 +1,9 @@
-"""Block dispatch through the registry, the engine, and the scheduler.
+"""Batch dispatch through the registry, the engine, and the scheduler.
 
-The serving contract: ``batch_query`` auto-selects the block solver
-for >= 2 high-precision PowerPush sources, a coalesced scheduler
-window therefore runs as one block solve, and every answer stays
-byte-identical to the per-source path no matter which layer batched
-it.
+The serving contract: a >= 2-source PowerPush ``batch_query`` — hence a
+coalesced scheduler window — is a per-source loop (PowerPush registers
+no block adapter; ``engine.block_batches`` stays 0), and every answer
+is byte-identical to ``engine.query`` no matter which layer batched it.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import numpy as np
 import pytest
 
 from repro.api import PPREngine, get_solver, solve, solve_block
-from repro.errors import ParameterError
-from repro.instrumentation.tracing import ConvergenceTrace
 from repro.serving.scheduler import QueryScheduler
 
 SOURCES = [0, 7, 77, 123]
@@ -26,10 +23,19 @@ def engine(medium_graph):
     return PPREngine(medium_graph, alpha=0.2, seed=3)
 
 
+def assert_same_answer(a, b):
+    """Estimate, residue and counters, byte for byte."""
+    assert a.estimate.tobytes() == b.estimate.tobytes()
+    assert a.residue.tobytes() == b.residue.tobytes()
+    assert a.counters.as_dict() == b.counters.as_dict()
+
+
 class TestRegistryBlock:
     def test_powerpush_supports_block(self):
-        assert get_solver("powerpush").supports_block
+        """It does not; plain Monte-Carlo is the one built-in that does."""
+        assert not get_solver("powerpush").supports_block
         assert not get_solver("powitr").supports_block
+        assert get_solver("montecarlo").supports_block
 
     def test_solve_block_matches_solve(self, medium_graph):
         block = solve_block(medium_graph, SOURCES, "powerpush", **PARAMS)
@@ -42,34 +48,25 @@ class TestRegistryBlock:
         block = solve_block(medium_graph, [1, 2], "powitr", **PARAMS)
         single = solve(medium_graph, 1, "powitr", **PARAMS)
         assert np.array_equal(block[0].estimate, single.estimate)
-        assert block[0].batch_size == 1  # looped, not block-solved
-
-    def test_block_adapter_rejects_faithful_mode_and_traces(
-        self, medium_graph
-    ):
-        spec = get_solver("powerpush")
-        with pytest.raises(ParameterError):
-            spec.solve_block(medium_graph, [0, 1], mode="faithful", **PARAMS)
-        with pytest.raises(ParameterError):
-            spec.solve_block(
-                medium_graph, [0, 1], trace=ConvergenceTrace(), **PARAMS
-            )
 
     def test_alias_resolves_to_block_path(self, medium_graph):
+        """An alias reaches the same per-source loop as the name."""
         block = solve_block(medium_graph, [0, 1], "pp", **PARAMS)
-        assert block[0].batch_size == 2
+        named = solve_block(medium_graph, [0, 1], "powerpush", **PARAMS)
+        for a, b in zip(block, named):
+            assert_same_answer(a, b)
 
 
 class TestEngineBatchBlock:
     def test_auto_selected_for_multi_source_powerpush(self, engine):
+        """What is selected is the loop: no block solve, same bytes."""
         results = engine.batch_query(SOURCES, "powerpush", **PARAMS)
-        assert engine.block_batches == 1
-        assert all(result.batch_size == len(SOURCES) for result in results)
-        loop = [engine.query(s, "powerpush", **PARAMS) for s in SOURCES]
-        assert engine.block_batches == 1  # the loop did not batch
-        for a, b in zip(results, loop):
-            assert np.array_equal(a.estimate, b.estimate)
-            assert np.array_equal(a.residue, b.residue)
+        assert engine.block_batches == 0
+        for source, result in zip(SOURCES, results):
+            assert result.source == source
+            assert_same_answer(
+                result, engine.query(source, "powerpush", **PARAMS)
+            )
 
     def test_single_source_loops(self, engine):
         engine.batch_query([5], "powerpush", **PARAMS)
@@ -80,7 +77,10 @@ class TestEngineBatchBlock:
             [0, 1], "powerpush", mode="faithful", l1_threshold=1e-5
         )
         assert engine.block_batches == 0
-        assert results[0].batch_size == 1
+        assert_same_answer(
+            results[0],
+            engine.query(0, "powerpush", mode="faithful", l1_threshold=1e-5),
+        )
 
     def test_seeded_montecarlo_batch_matches_sequential_queries(
         self, engine
@@ -129,7 +129,8 @@ class TestEngineBatchBlock:
 
 class TestSchedulerBlockDispatch:
     def test_coalesced_window_runs_as_one_block_solve(self, engine):
-        """A micro-batch window of powerpush requests is one block solve."""
+        """A micro-batch window of powerpush requests is one engine call
+        that loops: no block solve, answers byte-equal to ``query``."""
         scheduler = QueryScheduler(engine, start=False)
         futures = [
             scheduler.submit(source, "powerpush", dict(PARAMS))
@@ -137,13 +138,14 @@ class TestSchedulerBlockDispatch:
         ]
         answered = scheduler.run_pending()
         assert answered == len(SOURCES)
-        assert engine.block_batches == 1
+        assert engine.block_batches == 0
         assert scheduler.stats.engine_calls == 1
         for source, future in zip(SOURCES, futures):
             served = future.result(timeout=5)
             assert served.batch_size == len(SOURCES)
-            single = engine.query(source, "powerpush", **PARAMS)
-            assert np.array_equal(served.result.estimate, single.estimate)
+            assert_same_answer(
+                served.result, engine.query(source, "powerpush", **PARAMS)
+            )
         scheduler.close()
 
     def test_mixed_methods_split_windows(self, engine):
@@ -152,5 +154,6 @@ class TestSchedulerBlockDispatch:
         scheduler.submit(1, "powerpush", dict(PARAMS))
         scheduler.submit(2, "powitr", dict(PARAMS))
         scheduler.run_pending()
-        assert engine.block_batches == 1  # only the powerpush pair
+        assert scheduler.stats.engine_calls == 2  # the pair, then powitr
+        assert engine.block_batches == 0
         scheduler.close()

@@ -36,7 +36,7 @@ from repro.backends import (
 )
 from repro.core import kernels
 from repro.core.powerpush import power_push, power_push_block
-from repro.core.residues import BlockPushState, PushState
+from repro.core.residues import PushState
 from repro.core.workspace import Workspace
 from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
@@ -286,31 +286,6 @@ class TestEmptyFrontierFastPath:
         assert workspace.requests == 0
         assert state.counters.pushes == graph.dead_ends.shape[0]
 
-    def test_block_frontier_push_empty_rows(self):
-        graph = _graph()
-        state = BlockPushState(graph, [0, 1])
-        workspace = Workspace()
-        kernels.block_frontier_push(
-            state,
-            np.empty(0, dtype=np.int64),
-            np.zeros((0, graph.num_nodes), dtype=bool),
-            workspace=workspace,
-        )
-        assert workspace.requests == 0
-
-    def test_block_frontier_push_all_false_masks(self):
-        graph = _graph()
-        state = BlockPushState(graph, [0, 1])
-        workspace = Workspace()
-        kernels.block_frontier_push(
-            state,
-            np.arange(2),
-            np.zeros((2, graph.num_nodes), dtype=bool),
-            workspace=workspace,
-        )
-        assert workspace.requests == 0
-        np.testing.assert_array_equal(state.pushes, [0, 0])
-
 
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba not installed (optional extra)"
@@ -321,12 +296,11 @@ EQUIV_TOL = 1e-12
 
 
 def _assert_async_sweeps_agree(backend):
-    """``async_sweep``/``block_async_sweep`` on ``backend`` vs the reference.
+    """``async_sweep`` on ``backend`` vs the reference.
 
     Same chunk schedule, so residues, reserves and billing must agree
     after every sweep — on graphs whose plans have empty and edgeless
-    chunks, with dead ends under both dynamic policies, and for whole,
-    subset and permuted block rows.
+    chunks, with dead ends under both dynamic policies.
     """
     graphs = [
         rmat_digraph(6, 400, rng=np.random.default_rng(3)),
@@ -350,20 +324,6 @@ def _assert_async_sweeps_agree(backend):
                     assert float(np.abs(ours - ref).sum()) <= EQUIV_TOL
                 assert abs(compiled.r_sum - reference.r_sum) <= EQUIV_TOL
                 assert compiled.counters.as_dict() == reference.counters.as_dict()
-    graph = graphs[0]
-    for rows in ([0, 1, 2], [1], [2, 0, 1]):
-        rows = np.asarray(rows)
-        reference = BlockPushState(graph, [0, 1, 5])
-        compiled = BlockPushState(graph, [0, 1, 5])
-        for _ in range(3):
-            kernels.block_async_sweep(reference, rows)
-            kernels.block_async_sweep(compiled, rows, backend=backend)
-        assert float(np.abs(compiled.residue - reference.residue).sum()) <= EQUIV_TOL
-        assert float(np.abs(compiled.reserve - reference.reserve).sum()) <= EQUIV_TOL
-        np.testing.assert_array_equal(compiled.pushes, reference.pushes)
-        np.testing.assert_array_equal(
-            compiled.residue_updates, reference.residue_updates
-        )
 
 
 @needs_numba
@@ -431,20 +391,6 @@ class TestNumbaEquivalence:
 
     def test_async_sweeps_match(self):
         _assert_async_sweeps_agree(get_backend("numba"))
-
-    def test_workspace_reuse_stays_flat(self):
-        graph = rmat_digraph(8, 2000, rng=np.random.default_rng(5))
-        workspace = Workspace()
-        power_push_block(
-            graph, [0, 1, 2, 3], backend="numba", workspace=workspace
-        )
-        first = workspace.allocations
-        power_push_block(
-            graph, [4, 5, 6, 7], backend="numba", workspace=workspace
-        )
-        # A second same-shaped solve through the same pool must reuse
-        # every buffer (geometric growth may add a few on the first).
-        assert workspace.allocations == first
 
 
 def _load_numba_backend_with_stub():

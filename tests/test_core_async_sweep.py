@@ -1,9 +1,8 @@
-"""The chunked asynchronous sweep (``async_sweep`` and its block form).
+"""The chunked asynchronous sweep (``async_sweep``).
 
 What must hold whatever the chunk boundaries are: one sweep conserves
 ``sum(reserve) + sum(residue)``, keeps the push invariant (checked
-against ``exact_ppr_dense``), bills what it pushed, and the block
-kernel's rows are bitwise the single-source kernel's.  The graphs are
+against ``exact_ppr_dense``) and bills what it pushed.  The graphs are
 picked for where the chunk plan is awkward: fewer nodes than chunks, a
 hub heavier than one chunk's edge share, chunks without a single edge.
 """
@@ -18,11 +17,10 @@ from hypothesis import strategies as st
 from repro.core.kernels import (
     async_propagate,
     async_sweep,
-    block_async_sweep,
     frontier_push,
     sweep_active,
 )
-from repro.core.residues import BlockPushState, PushState
+from repro.core.residues import PushState
 from repro.core.workspace import Workspace
 from repro.errors import ParameterError
 from repro.graph.build import cycle_graph, from_edges, star_graph
@@ -233,84 +231,6 @@ class TestSignedAndThresholded:
         strided = np.zeros((n, 2))[:, 0]
         with pytest.raises(ParameterError, match="contiguous"):
             async_propagate(medium_graph, strided, np.empty(n), ALPHA)
-
-
-def _spread_states(graph, sources, policy="redirect-to-source", pushes=2):
-    """A block and its per-source twins, a few frontier pushes in."""
-    block = BlockPushState(graph, sources, ALPHA, dead_end_policy=policy)
-    states = [
-        PushState(graph, s, ALPHA, dead_end_policy=policy) for s in sources
-    ]
-    for state in states:
-        for _ in range(pushes):
-            frontier_push(state, np.flatnonzero(state.residue > 0.0))
-    for row, state in enumerate(states):
-        block.reserve[row] = state.reserve
-        block.residue[row] = state.residue
-        block.r_sum[row] = state.r_sum
-        block.pushes[row] = state.counters.pushes
-        block.residue_updates[row] = state.counters.residue_updates
-    return block, states
-
-
-class TestBlockRowsAreSingleSweeps:
-    @pytest.mark.parametrize(
-        "rows",
-        [[0, 1, 2, 3], [2], [1, 3], [3, 0, 2, 1], [2, 0]],
-        ids=["whole", "one", "subset", "permuted", "permuted-subset"],
-    )
-    @pytest.mark.parametrize("policy", ["redirect-to-source", "uniform-teleport"])
-    def test_bitwise_on_row_selections(self, medium_graph, rows, policy):
-        graph = medium_graph
-        if policy == "uniform-teleport":
-            # medium_graph has no dead end of its own; cut some rows off.
-            keep = graph.edge_sources % 7 != 0
-            graph = from_edges(
-                list(zip(graph.edge_sources[keep].tolist(),
-                         graph.out_indices[keep].tolist())),
-                num_nodes=graph.num_nodes,
-            )
-            assert graph.has_dead_ends
-        sources = [0, 5, 17, 123]
-        block, states = _spread_states(graph, sources, policy)
-        untouched = {
-            row: (block.reserve[row].copy(), block.residue[row].copy())
-            for row in range(4)
-            if row not in rows
-        }
-        workspace = Workspace()
-        for _ in range(3):
-            block_async_sweep(block, np.asarray(rows), workspace=workspace)
-            for row in rows:
-                async_sweep(states[row])
-        for row in rows:
-            assert np.array_equal(block.reserve[row], states[row].reserve)
-            assert np.array_equal(block.residue[row], states[row].residue)
-            assert block.r_sum[row] == states[row].r_sum
-            assert block.pushes[row] == states[row].counters.pushes
-            assert (
-                block.residue_updates[row]
-                == states[row].counters.residue_updates
-            )
-        for row, (reserve, residue) in untouched.items():
-            assert np.array_equal(block.reserve[row], reserve)
-            assert np.array_equal(block.residue[row], residue)
-
-    def test_corner_graphs_bitwise(self):
-        for graph in CORNER_GRAPHS.values():
-            sources = list(range(min(graph.num_nodes, 3)))
-            block, states = _spread_states(graph, sources, pushes=1)
-            block_async_sweep(block, np.arange(len(sources)))
-            for row, state in enumerate(states):
-                async_sweep(state)
-                assert np.array_equal(block.residue[row], state.residue)
-                assert np.array_equal(block.reserve[row], state.reserve)
-
-    def test_empty_rows_is_a_no_op(self, medium_graph):
-        block = BlockPushState(medium_graph, [0, 1], ALPHA)
-        workspace = Workspace()
-        block_async_sweep(block, np.empty(0, dtype=np.int64), workspace=workspace)
-        assert workspace.requests == 0
 
 
 class TestGraphsThatDidNotComeFromABuilder:

@@ -1,14 +1,12 @@
-"""Block (multi-source) kernels and solver vs their per-source twins.
+"""What is left of the multi-source layer vs its per-source twins.
 
-The block layer's contract is strict: every row of a
-:func:`~repro.core.powerpush.power_push_block` solve must be
+Every row of a :func:`~repro.core.powerpush.power_push_block` call —
+a per-source loop since PowerPush lost its block path — must be
 **element-wise identical** (``np.array_equal``, not allclose) to an
 independent :func:`~repro.core.powerpush.power_push` run with the same
-parameters — that is what lets the engine and the serving scheduler
-batch opportunistically without changing a single answer.  The tests
-here pin that down directly on the kernels, on the driver across
-graphs/policies/thresholds/configs, and property-based on random
-graphs via hypothesis.
+parameters, across graphs/policies/thresholds/configs and
+property-based on random graphs via hypothesis; so must every row of
+the harness-only ``block_global_sweep`` be to ``global_sweep``.
 """
 
 from __future__ import annotations
@@ -18,12 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import (
-    block_frontier_push,
-    block_global_sweep,
-    frontier_push,
-    global_sweep,
-)
+from repro.core.kernels import block_global_sweep, global_sweep
 from repro.core.powerpush import PowerPushConfig, power_push, power_push_block
 from repro.core.residues import BlockPushState, PushState
 from repro.core.workspace import Workspace
@@ -65,7 +58,6 @@ class TestBlockPushState:
         assert state.residue.shape == (2, paper_graph.num_nodes)
         assert state.residue[0, 0] == 1.0 and state.residue[1, 3] == 1.0
         assert np.array_equal(state.r_sum, np.ones(2))
-        assert state.mass_total(0) == pytest.approx(1.0)
 
     def test_rejects_bad_inputs(self, paper_graph):
         with pytest.raises(ParameterError):
@@ -76,12 +68,6 @@ class TestBlockPushState:
 
         with pytest.raises(NodeNotFoundError):
             BlockPushState(paper_graph, [paper_graph.num_nodes])
-
-    def test_row_counters_epochs_only_when_scanned(self, paper_graph):
-        state = BlockPushState(paper_graph, [0])
-        assert "epochs" not in state.row_counters(0).extras
-        state.epochs[0] = 3
-        assert state.row_counters(0).extras["epochs"] == 3
 
 
 class TestBlockKernels:
@@ -95,7 +81,8 @@ class TestBlockKernels:
                 global_sweep(state, count_all_edges=True)
         block_rows_equal_states(block, states)
         for row, state in enumerate(states):
-            assert block.row_counters(row).as_dict() == state.counters.as_dict()
+            assert block.pushes[row] == state.counters.pushes
+            assert block.residue_updates[row] == state.counters.residue_updates
 
     def test_block_global_sweep_row_subset(self, paper_graph):
         block = BlockPushState(paper_graph, [0, 1, 2])
@@ -121,44 +108,6 @@ class TestBlockKernels:
                 for state in states:
                     global_sweep(state, count_all_edges=False)
             block_rows_equal_states(block, states)
-
-    def test_block_frontier_push_distinct_frontiers(self, paper_graph):
-        n = paper_graph.num_nodes
-        sources = [0, 2]
-        block = BlockPushState(paper_graph, sources)
-        states = [PushState(paper_graph, s) for s in sources]
-        # Give every node some residue so arbitrary frontiers are live.
-        fill = np.linspace(0.01, 0.05, n)
-        for row, state in enumerate(states):
-            block.residue[row] += fill * (row + 1)
-            block.refresh_r_sum(row)
-            state.residue += fill * (row + 1)
-            state.refresh_r_sum()
-        masks = np.zeros((2, n), dtype=bool)
-        masks[0, [0, 3]] = True
-        masks[1, [1, 3, 4]] = True
-        block_frontier_push(block, np.arange(2), masks, workspace=Workspace())
-        frontier_push(states[0], np.asarray([0, 3]))
-        frontier_push(states[1], np.asarray([1, 3, 4]))
-        block_rows_equal_states(block, states)
-        for row, state in enumerate(states):
-            assert block.row_counters(row).as_dict() == state.counters.as_dict()
-
-    def test_union_gather_does_not_push_inactive_rows(self, paper_graph):
-        """A node active only in row 0 must stay untouched in row 1."""
-        n = paper_graph.num_nodes
-        block = BlockPushState(paper_graph, [0, 1])
-        block.residue[:] = 0.1
-        block.refresh_r_sum(0), block.refresh_r_sum(1)
-        masks = np.zeros((2, n), dtype=bool)
-        masks[0, 0] = True
-        masks[1, 1] = True
-        before = block.residue[1, 0]
-        block_frontier_push(block, np.arange(2), masks)
-        # Row 1 never pushed node 0: its residue there only grows by
-        # whatever node 1's push deposited, never gets zeroed.
-        assert block.residue[1, 0] >= before
-        assert block.reserve[1, 0] == 0.0
 
 
 GRAPH_CASES = [
@@ -213,14 +162,6 @@ class TestPowerPushBlockEquivalence:
     def test_empty_sources(self, paper_graph):
         assert power_push_block(paper_graph, []) == []
 
-    def test_workspace_reused_across_solves(self, medium_graph):
-        ws = Workspace()
-        power_push_block(medium_graph, [0, 1], l1_threshold=1e-6, workspace=ws)
-        allocations = ws.allocations
-        power_push_block(medium_graph, [0, 1], l1_threshold=1e-6, workspace=ws)
-        assert ws.allocations == allocations  # second solve: all reused
-        assert ws.reused > 0
-
     def test_budget_exceeded_raises_like_per_source(self, medium_graph):
         with pytest.raises(ConvergenceError):
             power_push(medium_graph, 0, l1_threshold=1e-8, max_work_factor=1e-3)
@@ -234,7 +175,6 @@ class TestPowerPushBlockEquivalence:
         for result, source in zip(results, [5, 6]):
             assert result.method == "PowerPush"
             assert result.source == source
-            assert result.batch_size == 2
             assert result.r_sum <= 1e-6
             assert result.seconds > 0
 

@@ -5,8 +5,8 @@ without touching an edge.  What must hold: the push invariant is the
 same before and after (checked against ``exact_ppr_dense``), no residue
 crosses zero, a window that cannot be repeated is left alone, PowerPush
 answers keep every contract on adversarial graphs and parameter
-corners, never cost more residue updates than without it, and block
-rows stay bitwise the single-source solves.
+corners, never cost more residue updates than without it, and a
+``power_push_block`` batch stays bitwise the single-source solves.
 """
 
 from __future__ import annotations
@@ -24,14 +24,9 @@ from test_core_async_sweep import (
     prepared,
 )
 
-from repro.core.kernels import (
-    async_sweep,
-    block_async_sweep,
-    extrapolate_window,
-)
+from repro.core.kernels import async_sweep, extrapolate_window
 from repro.core.powerpush import power_push, power_push_block
-from repro.core.residues import BlockPushState, PushState
-from repro.core.workspace import Workspace
+from repro.core.residues import PushState
 from repro.generators.rmat import rmat_digraph
 from repro.graph.build import cycle_graph, from_edges, star_graph
 from repro.metrics.ground_truth import exact_ppr_dense
@@ -332,42 +327,6 @@ class TestBlockRows:
         assert "epochs" not in singles[0].counters.extras
         assert singles[1].counters.extras["extrapolations"] == 1
 
-    @pytest.mark.parametrize("rows", [[0, 1, 2, 3], [2], [3, 0], [1, 3, 2]])
-    def test_window_of_any_row_selection(self, medium_graph, rows):
-        """``block_async_sweep`` returns its windows aligned with ``rows``
-        (whole block, subset, permuted), and a row view extrapolates to
-        the bits of the single-source state."""
-        sources = [0, 7, 77, 299]
-        block = BlockPushState(medium_graph, sources, ALPHA)
-        states = [PushState(medium_graph, s, ALPHA) for s in sources]
-        rows = np.asarray(rows)
-        workspace = Workspace()
-        for _ in range(5):
-            r_before = block.residue[rows].copy()
-            settled = block_async_sweep(block, rows, workspace=workspace)
-            singles = []
-            for row in rows:
-                before = states[row].residue.copy()
-                singles.append((async_sweep(states[row]), before))
-        for position, row in enumerate(rows):
-            single_settled, single_before = singles[position]
-            assert np.array_equal(settled[position], single_settled)
-            applied = extrapolate_window(
-                block.reserve[row],
-                block.residue[row],
-                settled[position],
-                r_before[position],
-            )
-            assert applied and extrapolate_window(
-                states[row].reserve,
-                states[row].residue,
-                single_settled,
-                single_before,
-            )
-            assert np.array_equal(block.reserve[row], states[row].reserve)
-            assert np.array_equal(block.residue[row], states[row].residue)
-            assert block.refresh_r_sum(row) == states[row].refresh_r_sum()
-
     def test_through_the_numba_stub_backend(self):
         backend = _load_numba_backend_with_stub()
         for graph, sources in (
@@ -380,15 +339,6 @@ class TestBlockRows:
             assert any(
                 s.counters.extras.get("extrapolations") for s in singles
             )
-
-    def test_second_solve_allocates_nothing(self, medium_graph):
-        workspace = Workspace()
-        params = {"l1_threshold": 1e-7, "workspace": workspace}
-        first = power_push_block(medium_graph, [0, 7, 77], **params)
-        assert all(r.counters.extras["extrapolations"] for r in first)
-        allocations = workspace.allocations
-        power_push_block(medium_graph, [0, 7, 77], **params)
-        assert workspace.allocations == allocations
 
 
 def test_a_solve_that_ends_in_the_queue_phase_has_no_window(medium_graph):

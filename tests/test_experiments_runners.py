@@ -85,7 +85,6 @@ class TestFig4:
             "BePI",
             "FIFO-FwdPush",
             "PowItr",
-            "PowerPush-Block",
         }
         assert all(v > 0 for v in by_method.values())
         assert "1.0x" in result.render()  # PowerPush's own ratio

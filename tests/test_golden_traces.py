@@ -173,10 +173,8 @@ class TestFixtures:
 def test_block_path_reproduces_golden_powerpush_bytes():
     """power_push_block rows == the committed powerpush vectors, exactly.
 
-    The block solver promises bitwise equality with per-source solves,
-    so against the golden fixture the tolerance is zero: any kernel
-    change that re-orders a float op in the block path fails here even
-    if the per-source path still matches.
+    The name is a per-source loop now (the benchmark ladder still calls
+    it), so against the golden fixture the tolerance stays zero.
     """
     from repro.core.powerpush import power_push_block
 
@@ -194,7 +192,7 @@ def test_block_path_reproduces_golden_powerpush_bytes():
 
 
 def test_engine_batch_block_reproduces_golden_bytes():
-    """The engine's auto-selected block batch matches the fixture too."""
+    """An engine batch — a per-source loop — matches the fixture too."""
     from repro.api import PPREngine
 
     graph = load_golden_graph()
@@ -202,7 +200,7 @@ def test_engine_batch_block_reproduces_golden_bytes():
     results = engine.batch_query(
         list(SOURCES), "powerpush", **CASES["powerpush"]
     )
-    assert engine.block_batches == 1
+    assert engine.block_batches == 0
     with np.load(VECTORS_FILE) as archive:
         for source, result in zip(SOURCES, results):
             assert np.array_equal(

@@ -246,10 +246,10 @@ class TestEngineReorder:
         graph, plain, reordered = self._engines("degree")
         a = plain.batch_query([2, 9, 33, 41], "powerpush")
         b = reordered.batch_query([2, 9, 33, 41], "powerpush")
-        assert reordered.block_batches == 1
+        assert reordered.block_batches == 0
         for x, y in zip(a, b):
             assert x.source == y.source
-            # Block rows are the single-source answers, already in
+            # Batch members are the single-source answers, already in
             # original ids; against the plain engine only 2*lambda holds.
             single = reordered.query(y.source, "powerpush")
             np.testing.assert_array_equal(y.estimate, single.estimate)

@@ -110,7 +110,8 @@ class TestWorkerLoop:
         """A worker is the only submitter to its scheduler, so nobody
         could join a batch during a micro-batch window: the loop
         dispatches its drained burst itself — no scheduler thread, no
-        wait — and a coalescable group is still one engine call."""
+        wait — and a coalescable group is still one engine call, which
+        for PowerPush loops: no block solve, ``engine.query``'s bytes."""
         import queue
 
         from repro.serving.faults import WorkerFaultPlan
@@ -163,7 +164,11 @@ class TestWorkerLoop:
                         estimate, residue = arena.load(req_id - 1, req_id)
                     else:
                         estimate, residue = result.estimate, result.residue
-                    answered[req_id] = (estimate.tobytes(), residue.tobytes())
+                    answered[req_id] = (
+                        estimate.tobytes(),
+                        residue.tobytes(),
+                        result.counters.as_dict(),
+                    )
                     assert served.batch_size == 4  # one coalesced group
                 assert len(replies["slot-result"]) == arena.slots == 2
                 for req_id, source in enumerate(sources, start=1):
@@ -171,11 +176,12 @@ class TestWorkerLoop:
                     assert answered[req_id] == (
                         expected.estimate.tobytes(),
                         expected.residue.tobytes(),
+                        expected.counters.as_dict(),
                     )
                 (stats,) = replies["stats"]
                 assert stats[2]["scheduler"]["engine_calls"] == 1
                 assert stats[2]["scheduler"]["engine_sources"] == 3
-                assert shard.server.engine.block_batches == 1
+                assert shard.server.engine.block_batches == 0
                 assert "repro-query-scheduler" not in threads_seen
             finally:
                 shard.close()
