@@ -142,7 +142,7 @@ class BackendParityRule(Rule):
                 continue
             positional, kwonly, _, _ = _signature_tuple(node)
             if not positional or positional[0] != "state":
-                # Helpers like frontier_edge_targets operate below the
+                # Helpers like gather_ranges operate below the
                 # backend dispatch layer; only state-first kernels are
                 # public dispatch points.
                 continue

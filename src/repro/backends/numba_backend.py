@@ -1,14 +1,16 @@
 """Numba-JIT compiled push kernels (the accelerated backend).
 
-The reference kernels are NumPy-vectorised: a frontier push is a
-multi-range gather, a ``repeat`` of shares, and a ``bincount`` scatter
-— each an ``O(total)`` pass that materialises (or borrows from the
-workspace) a frontier-sized temporary, plus per-call dispatch
-overhead.  The same recurrence as one compiled loop over the CSR
-arrays touches every edge exactly once, keeps the share arithmetic in
-registers, and needs a single scratch vector for the entry residues —
-"Accelerating Personalized PageRank Vector Computation" (PAPERS.md)
-reports order-of-magnitude wins from exactly this transformation.
+The reference frontier push is two compiled passes with frontier-sized
+NumPy staging between them: scipy's ``csr_row_index`` gathers the
+frontier's adjacency ranges into one compact array
+(``kernels.gather_ranges``) and ``csc_matvec`` adds the shares into the
+live residue in place (``kernels.scatter_add``) — ``O(frontier + its
+edges)``, nothing sized by the graph.  The same recurrence as one
+compiled loop over the CSR arrays touches every edge exactly once
+instead of twice, keeps the share arithmetic in registers, needs a
+single scratch vector for the entry residues and pays no per-call
+NumPy dispatch — the transformation "Accelerating Personalized
+PageRank Vector Computation" (PAPERS.md) reports its wins from.
 The asynchronous scan sweep is compiled with the reference's chunk
 schedule (``graph.sweep_plan()``): asynchronous between chunks,
 simultaneous within one, so both backends push the same residues and

@@ -51,7 +51,7 @@ from repro.core.kernels import (
     DENSE_SWEEP_FRACTION,
     async_propagate,
     extrapolate_window,
-    frontier_edge_targets,
+    frontier_propagate,
 )
 from repro.core.powerpush import PowerPushConfig, power_push
 from repro.core.result import PPRResult
@@ -114,7 +114,7 @@ class IncrementalPPR:
         self.source = int(source)
         self._require_no_dead_ends(snapshot)
         self._needs_rebuild = False
-        # Scan-sweep scratch, requested only once a refresh goes dense.
+        # Sweep scratch, frontier-sized until a refresh goes dense.
         self._workspace = Workspace()
         self.total_counters = PushCounters()
         self._version = graph.version
@@ -353,25 +353,18 @@ class IncrementalPPR:
     ) -> None:
         """Signed gather/scatter push of exactly ``nodes``.
 
-        The sign-tolerant analog of
-        :func:`repro.core.kernels.frontier_push`: costs
+        :func:`repro.core.kernels.frontier_propagate` (sign-agnostic)
+        under this pair's own settle and billing: costs
         ``O(sum of frontier degrees)`` instead of a full mat-vec, so a
         refresh after a small perturbation is cheap in wall-clock, not
         just in counters.  Dead-end-free graphs only (enforced by
         :meth:`refresh`), so every pushed node has neighbours.
         """
-        r_pushed = self._r[nodes].copy()
-        self._p[nodes] += self.alpha * r_pushed
-        self._r[nodes] = 0.0
-        targets, counts = frontier_edge_targets(snapshot, nodes)
-        if targets.shape[0]:
-            shares = (1.0 - self.alpha) * r_pushed / counts
-            self._r += np.bincount(
-                targets,
-                weights=np.repeat(shares, counts),
-                minlength=snapshot.num_nodes,
-            )
-        counters.count_bulk_pushes(nodes.shape[0], int(targets.shape[0]))
+        pushed, _, num_edges = frontier_propagate(
+            snapshot, self._r, nodes, self.alpha, workspace=self._workspace
+        )
+        self._p[nodes] += self.alpha * pushed
+        counters.count_bulk_pushes(nodes.shape[0], num_edges)
 
     @staticmethod
     def _require_no_dead_ends(snapshot: DiGraph) -> None:

@@ -8,9 +8,10 @@ Every push-family algorithm in the paper reduces to three bulk moves:
   ``P^T``).  PowItr and SimFwdPush, synchronous by definition, are
   built on it;
 * a **frontier push** — push only a given set of nodes, simultaneously;
-  this costs ``O(sum of frontier degrees)`` (implemented as a gather
-  of the frontier's adjacency ranges followed by one ``bincount``
-  scatter); and
+  this costs ``O(frontier + sum of frontier degrees)`` and nothing
+  sized by the graph (implemented as one compiled gather of the
+  frontier's adjacency ranges, :func:`gather_ranges`, followed by one
+  compiled in-place scatter, :func:`scatter_add` — below); and
 * an **asynchronous sweep** — push every node holding residue, chunk
   of the node range by chunk, each chunk seeing what the chunks before
   it pushed (the scan phase of PowerPush, and the dense side of
@@ -40,13 +41,14 @@ contiguous node ranges of roughly equal edge count, cached on the
 graph.  Per chunk it makes a handful of chunk-local ``O(chunk nodes)``
 passes (copy the residues out, zero them, scale, divide by the degree)
 and one scatter over the chunk's out-edges; per sweep, one ``O(n)``
-settle (billing, reserves, ``r_sum``).  The scatter is scipy's
-``csc_matvec`` run on the *forward* CSR — the chunk's rows of
-``out_indptr``/``out_indices`` read as the columns of a sparse matrix
-with all-one weights — which adds each share into the live residue
-vector in place.  So a sweep reads neither ``P^T`` nor any per-edge
-weight array (the transposed matrix's ``data`` is 8 bytes per edge the
-mat-vec has to stream), and costs about the mat-vec's time per edge
+settle (billing, reserves, ``r_sum``).  The scatter is
+:func:`scatter_add` — scipy's ``csc_matvec`` run on the *forward* CSR,
+the chunk's rows of ``out_indptr``/``out_indices`` read as the columns
+of a sparse matrix with all-one weights — which adds each share into
+the live residue vector in place.  So a sweep reads neither ``P^T``
+nor any per-edge weight array (the transposed matrix's ``data`` is 8
+bytes per edge the mat-vec has to stream), and costs about the
+mat-vec's time per edge
 (``kernels.global_sweep_ns_per_edge`` beside
 ``powerpush.ns_per_residue_update`` in a ``benchmarks/e2e`` traced
 run) while needing little more than half as many sweeps to reach the
@@ -66,6 +68,24 @@ residues are fresh when, hence which of the valid answers (all within
 BePI read it) but is no longer part of the shared-memory image: a
 shard that needs it builds it lazily.
 
+The gather/scatter pair under every local push
+----------------------------------------------
+:func:`gather_ranges` copies arbitrary ranges of an index array —
+whole adjacency lists, or prefixes — into one compact array in a
+single pass of scipy's ``csr_row_index``, and :func:`scatter_add` adds
+one value per range into a vector at every index of the range, in
+place, in a single pass of the ``csc_matvec`` the sweep scatters with.
+:func:`frontier_propagate` (under :func:`frontier_push` and
+``IncrementalPPR``'s signed frontier sweep) and the walk-index read of
+:func:`~repro.core.mc_phase.monte_carlo_refine` are built on the pair,
+so a local push touches each frontier edge twice (copy, add), stages
+only pointers and fences per frontier node, and has no ``O(n)`` term —
+the cost the paper's analysis of the local side assumes (measured
+times: README, "Kernel backends"; limits: :func:`gather_ranges`).  A
+target accumulates its shares on top of its residue one add at a time,
+``r + c_1 + c_2 + ...``, in an order fixed by the frontier and the CSR,
+as for the sweep.
+
 Scratch buffers: the frontier kernels accept an optional
 :class:`~repro.core.workspace.Workspace`; callers that push in a loop
 (the solvers) thread one through so the frontier-sized temporaries are
@@ -84,13 +104,12 @@ bodies in this module, so golden traces stay byte-identical.  A
 compiled backend (``numba``) replaces the *constant-factor* terms of
 the cost model above, not its asymptotics:
 
-* the frontier push's three ``O(total)`` staging passes (position
-  cumsum, target gather, share ``repeat``) and the ``O(n)``
-  ``bincount`` scatter collapse into **one** loop over the frontier's
-  CSR ranges — each edge is touched exactly once and the share stays
-  in a register, so a sparse late-epoch frontier costs
-  ``O(sum of frontier degrees)`` with no ``O(n)``-sized scatter term
-  and no per-call NumPy dispatch overhead;
+* the frontier push's two compiled passes (range gather, in-place
+  scatter) and the frontier-sized NumPy staging between them collapse
+  into **one** loop over the frontier's CSR ranges — each edge is
+  touched exactly once and the share stays in a register; the
+  reference path already has no ``O(n)``-sized term, so what is left
+  to remove is the second pass and the per-call NumPy dispatch;
 * the global sweep's scipy mat-vec dispatch and the separate ``O(n)``
   reserve/billing passes fuse into one loop over ``P^T``;
 * the asynchronous sweep's per-chunk NumPy passes and scipy dispatch
@@ -113,11 +132,26 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
-
 from repro.core.residues import BlockPushState, PushState
 from repro.core.workspace import Workspace
-from repro.errors import ParameterError
+from repro.errors import GraphConstructionError, ParameterError
+
+# The one import site of the two private scipy entry points the push
+# kernels are built on; tests/test_core_gather_scatter.py pins their
+# behaviour at the dtypes used here.
+try:
+    from scipy.sparse._sparsetools import (
+        csc_matvec as _csc_matvec,
+        csr_row_index as _csr_row_index,
+    )
+except ImportError as exc:  # pragma: no cover - depends on the scipy build
+    import scipy
+
+    raise ImportError(
+        f"repro's push kernels are built on csr_row_index and csc_matvec of "
+        f"the private module scipy.sparse._sparsetools, and the installed "
+        f"scipy {scipy.__version__} does not provide them"
+    ) from exc
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     # Runtime import would be circular: repro.backends pulls in
@@ -126,9 +160,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.backends.base import KernelBackend
 
 __all__ = [
-    "frontier_edge_targets",
+    "gather_ranges",
+    "scatter_add",
     "global_sweep",
     "frontier_push",
+    "frontier_propagate",
     "async_propagate",
     "extrapolate_window",
     "async_sweep",
@@ -140,74 +176,177 @@ __all__ = [
 # scan_threshold = n/4 default.
 DENSE_SWEEP_FRACTION = 0.25
 
-# Shared zero-length results for the empty-frontier fast paths: late
-# epochs probe exhausted/dead frontiers often, and those probes should
-# allocate nothing at all (see the regression tests).
-_EMPTY_INT32 = np.empty(0, dtype=np.int32)
-_EMPTY_INT32.flags.writeable = False
-_EMPTY_INT64 = np.empty(0, dtype=np.int64)
-_EMPTY_INT64.flags.writeable = False
+# What int32 fences and pointers can address (a name so the guard's
+# test can lower it).
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-def frontier_edge_targets(
-    graph, nodes: np.ndarray, *, workspace: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the out-adjacency lists of ``nodes``.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
-    Returns ``(targets, counts)`` where ``targets`` is the concatenation
-    of each node's out-neighbour list (in node order) and ``counts``
-    holds each node's out-degree.  This is the vectorised "multi-range
-    gather" that replaces the per-node random access of the scalar push
-    loop.
 
-    The gather positions are built by an in-place boundary-delta cumsum
-    (first element of each range, ``+1`` within a range) instead of the
-    old ``np.repeat`` + ``np.arange`` construction, which materialised
-    three extra ``O(total)`` temporaries on every call.  With a
-    ``workspace`` the position and target arrays are pooled scratch
-    buffers — the returned ``targets`` is then only valid until the
-    next workspace request, so consume it before pushing again.
+class _GrownConstant:
+    """A process-wide read-only constant array, served by prefix.
+
+    Grown geometrically *by replacement*: a caller keeps the array it
+    was handed, so solves running on other threads are never left with
+    a resized buffer, and every graph version shares one copy.
     """
-    if nodes.shape[0] == 0:
-        # Fast path: no nodes means no gather — return shared empties
-        # without touching the workspace or allocating.
-        return _EMPTY_INT32, _EMPTY_INT64
-    indptr = graph.out_indptr
-    starts = indptr[nodes]
-    counts = (indptr[nodes + 1] - starts).astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY_INT32, counts
 
-    if workspace is not None:
-        positions = workspace.buffer("gather_positions", total, np.int64)
-    else:
-        positions = np.empty(total, dtype=np.int64)
-    live = counts > 0
-    starts_live = starts[live]
-    # Fully written below ([0] then the cumsum), so empty scratch is safe.
-    offsets_live = _scratch(
-        workspace, "gather_offsets", starts_live.shape[0], np.int64
+    __slots__ = ("_make", "_array")
+
+    def __init__(self, make) -> None:
+        self._make = make
+        self._array = make(0)
+
+    def __call__(self, size: int) -> np.ndarray:
+        array = self._array
+        if array.shape[0] < size:
+            array = _read_only(self._make(max(size, 2 * array.shape[0])))
+            self._array = array
+        return array[:size]
+
+
+#: ``(pointers, gathered)`` of an empty gather, per supported dtype.
+_NO_RANGES = {
+    np.dtype(dtype): (
+        _read_only(np.zeros(1, dtype=dtype)),
+        _read_only(np.empty(0, dtype=dtype)),
     )
-    offsets_live[0] = 0
-    np.cumsum(counts[live][:-1], out=offsets_live[1:])
-    # positions = cumsum of [start_0, 1, 1, ..., jump_1, 1, 1, ...]
-    # where jump_k re-bases the running value onto range k's start.
-    positions[:] = 1
-    positions[0] = starts_live[0]
-    if starts_live.shape[0] > 1:
-        range_ends = starts_live[:-1] + np.diff(offsets_live)
-        positions[offsets_live[1:]] = starts_live[1:] - range_ends + 1
-    np.cumsum(positions, out=positions)
+    for dtype in (np.int32, np.int64)
+}
 
-    if workspace is not None:
-        targets = workspace.buffer(
-            "gather_targets", total, graph.out_indices.dtype
+#: All-one edge weights of the scatter (``1.0 * share`` is exact); as
+#: long as the widest single scatter so far, 8 bytes per target.
+_ONES = _GrownConstant(lambda size: np.ones(size, dtype=np.float64))
+#: The data array ``csr_row_index`` insists on copying: a byte per entry.
+_ZERO_TAGS = _GrownConstant(lambda size: np.zeros(size, dtype=np.int8))
+#: Rows ``0, 2, 4, ...`` of the interleaved fence array.
+_EVEN_ROWS = _GrownConstant(
+    lambda size: np.arange(0, 2 * size, 2, dtype=np.int32)
+)
+
+
+def gather_ranges(
+    indices: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    *,
+    workspace: Workspace | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``indices[starts[j] : starts[j] + counts[j]]`` over ``j``.
+
+    Returns ``(pointers, gathered)``: range ``j`` of the input sits at
+    ``gathered[pointers[j] : pointers[j + 1]]``, in input order — the
+    layout :func:`scatter_add` consumes.  With ``indices`` a CSR
+    adjacency array, ``starts = indptr[nodes]`` and ``counts`` the
+    degrees this is the multi-range gather of a frontier's out-edges;
+    shorter ``counts`` read prefixes (the walk-index read).
+
+    One compiled pass: scipy's ``csr_row_index`` copies row ``i`` of a
+    CSR matrix, ``Aj[Ap[i] : Ap[i + 1]]``, for a list of rows, so it is
+    handed the interleaved fences ``[start_0, end_0, start_1, end_1,
+    ...]`` as ``Ap`` and the even rows ``0, 2, 4, ...``.  It copies a
+    data array alongside: a process-wide all-zero ``int8`` array (a
+    byte per entry of the longest ``indices`` seen) into ``int8``
+    scratch.
+
+    ``indices`` is C-contiguous ``int32`` or ``int64`` (read-only and
+    shared-memory arrays are fine) and fixes the dtype of the fences,
+    of ``pointers`` and of ``gathered``; an ``int32`` array — or a
+    gather — of more than 2**31 - 1 entries raises
+    :class:`~repro.errors.GraphConstructionError`, as the sweep plan
+    does.  ``starts`` and ``counts`` are any integer dtype, ``counts``
+    non-negative, every range inside ``indices``.  With a ``workspace``
+    both results are pooled scratch, valid until the next gather
+    through it.
+    """
+    dtype = indices.dtype
+    if dtype not in _NO_RANGES or not indices.flags.c_contiguous:
+        raise ParameterError(
+            f"gather_ranges reads C-contiguous int32 or int64 indices, "
+            f"got {dtype}"
         )
-        np.take(graph.out_indices, positions, out=targets)
-    else:
-        targets = graph.out_indices[positions]
-    return targets, counts
+    num = starts.shape[0]
+    if num == 0:
+        # Nothing to gather: no scratch requested, no kernel called.
+        return _NO_RANGES[dtype]
+    total = int(counts.sum())
+    if dtype == np.int32 and max(total, indices.shape[0]) > _INT32_MAX:
+        raise GraphConstructionError(
+            f"gathering {total} of {indices.shape[0]} entries is more than "
+            f"the int32 fences of the gather kernel can address"
+        )
+    pointers = _scratch(workspace, "gather_pointers", num + 1, dtype)
+    pointers[0] = 0
+    np.cumsum(counts, out=pointers[1:])
+    fences = _scratch(workspace, "gather_fences", 2 * num, dtype)
+    fences[0::2] = starts
+    np.add(starts, counts, out=fences[1::2], casting="same_kind")
+    gathered = _scratch(workspace, "gather_targets", total, dtype)
+    tags = _scratch(workspace, "gather_tags", total, np.int8)
+    _csr_row_index(
+        num,
+        _EVEN_ROWS(num),
+        fences,
+        indices,
+        _ZERO_TAGS(indices.shape[0]),
+        gathered,
+        tags,
+    )
+    return pointers, gathered
+
+
+def scatter_add(
+    out: np.ndarray,
+    pointers: np.ndarray,
+    targets: np.ndarray,
+    values: np.ndarray,
+    *,
+    workspace: Workspace | None = None,
+) -> None:
+    """``out[t] += values[j]`` for every ``t`` in range ``j`` of ``targets``.
+
+    Range ``j`` is ``targets[pointers[j] : pointers[j + 1]]`` — what
+    :func:`gather_ranges` returns, or a CSR ``indptr``/``indices`` pair.
+    In place, duplicates accumulate, and each entry of ``out`` receives
+    its additions one IEEE add at a time in ``targets`` order; values
+    of either sign.  This is scipy's ``csc_matvec`` reading the ranges
+    as the columns of an all-one sparse matrix, so nothing sized by
+    ``out`` is allocated.
+
+    ``out`` and ``values`` are C-contiguous float64 (anything else
+    would make scipy add into a converted copy and drop the result);
+    ``pointers`` are converted to the dtype of ``targets`` through the
+    workspace when they differ.
+    """
+    if not (
+        out.flags.c_contiguous
+        and out.flags.writeable
+        and out.dtype == np.float64
+        and values.flags.c_contiguous
+        and values.dtype == np.float64
+    ):
+        raise ParameterError(
+            "scatter_add adds in place and needs C-contiguous float64 "
+            "arrays (a writable one to add into)"
+        )
+    if pointers.dtype != targets.dtype:
+        cast = _scratch(
+            workspace, "scatter_pointers", pointers.shape[0], targets.dtype
+        )
+        cast[:] = pointers
+        pointers = cast
+    _csc_matvec(
+        out.shape[0],
+        values.shape[0],
+        pointers,
+        targets,
+        _ONES(targets.shape[0]),
+        values,
+        out,
+    )
 
 
 def global_sweep(
@@ -283,32 +422,65 @@ def frontier_push(
     if backend is not None:
         backend.frontier_push(state, nodes, workspace=workspace)
         return
-    graph = state.graph
     alpha = state.alpha
-    r_pushed = state.residue[nodes].copy()
-    pushed_mass = float(r_pushed.sum())
-
-    state.reserve[nodes] += alpha * r_pushed
-    state.residue[nodes] = 0.0
-
-    targets, counts = frontier_edge_targets(graph, nodes, workspace=workspace)
-    live = counts > 0
-    if targets.shape[0]:
-        shares = _scratch(workspace, "frontier_shares", nodes.shape[0], np.float64)
-        shares[:] = 0.0
-        shares[live] = (1.0 - alpha) * r_pushed[live] / counts[live]
-        contributions = np.repeat(shares, counts)
-        state.residue += np.bincount(
-            targets, weights=contributions, minlength=graph.num_nodes
-        )
-
-    dead_mass = (1.0 - alpha) * float(r_pushed[~live].sum())
-    num_dead = int((~live).sum())
-    state.counters.count_bulk_pushes(
-        nodes.shape[0], int(targets.shape[0]) + num_dead
+    pushed, counts, num_edges = frontier_propagate(
+        state.graph, state.residue, nodes, alpha, workspace=workspace
     )
+    state.reserve[nodes] += alpha * pushed
+
+    dead = counts == 0
+    num_dead = int(np.count_nonzero(dead))
+    dead_mass = (1.0 - alpha) * float(pushed[dead].sum()) if num_dead else 0.0
+    state.counters.count_bulk_pushes(nodes.shape[0], num_edges + num_dead)
     _apply_dead_end_mass(state, dead_mass)
-    state.note_r_sum_delta(-alpha * pushed_mass)
+    state.note_r_sum_delta(-alpha * float(pushed.sum()))
+
+
+def frontier_propagate(
+    graph,
+    residue: np.ndarray,
+    nodes: np.ndarray,
+    alpha: float,
+    *,
+    workspace: Workspace | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One simultaneous push of ``nodes`` over a raw residue array.
+
+    The local counterpart of :func:`async_propagate`: take the residues
+    of ``nodes`` off ``residue`` — first, so a self-loop re-deposits —
+    and add ``(1 - alpha) * r / out_degree``, computed from the residues
+    at entry, to every out-neighbour in place: one :func:`gather_ranges`
+    over the nodes' adjacency lists and one :func:`scatter_add`, so the
+    call costs ``O(len(nodes) + their edges)`` and allocates nothing
+    sized by the graph.  Returns ``(pushed, counts, num_edges)`` — what
+    each node pushed, its out-degree, and the edges travelled; settling
+    ``alpha * pushed`` into a reserve, billing, and the mass of nodes
+    with no out-edge (``counts == 0``) are the caller's.
+
+    ``nodes`` are distinct ids of any integer dtype; ``residue`` is
+    C-contiguous float64 and may be negative
+    (:mod:`repro.core.incremental`).  When no node has an out-edge no
+    workspace buffer is requested.
+    """
+    indptr = graph.out_indptr
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    pushed = residue[nodes]
+    residue[nodes] = 0.0
+    num_edges = int(counts.sum())
+    if num_edges:
+        pointers, targets = gather_ranges(
+            graph.out_indices, starts, counts, workspace=workspace
+        )
+        shares = _scratch(
+            workspace, "frontier_shares", nodes.shape[0], np.float64
+        )
+        np.multiply(pushed, 1.0 - alpha, out=shares)
+        # A node without out-edges owns an empty range: its share is
+        # never read, it only must not divide by zero.
+        shares /= np.maximum(counts, 1)
+        scatter_add(residue, pointers, targets, shares, workspace=workspace)
+    return pushed, counts, num_edges
 
 
 def sweep_active(
@@ -351,12 +523,13 @@ def sweep_active(
         active = state.active_mask(r_max)
     else:
         active = state.residue > threshold_vec
-    num_active = int(np.count_nonzero(active))
+    frontier = np.flatnonzero(active)
+    num_active = frontier.shape[0]
     if num_active == 0:
         return 0
 
     if num_active <= DENSE_SWEEP_FRACTION * graph.num_nodes:
-        frontier_push(state, np.flatnonzero(active), workspace=workspace)
+        frontier_push(state, frontier, workspace=workspace)
     else:
         async_sweep(state, workspace=workspace)
     return num_active
@@ -389,7 +562,6 @@ def async_propagate(
             "async_propagate scatters in place and needs C-contiguous arrays"
         )
     plan = graph.sweep_plan()
-    n = graph.num_nodes
     scale = 1.0 - alpha
     for c in range(len(plan.bounds) - 1):
         lo, hi = plan.bounds[c], plan.bounds[c + 1]
@@ -401,8 +573,8 @@ def async_propagate(
         live[...] = 0.0
         np.multiply(snapshot, scale, out=shares)
         shares /= plan.degree[lo:hi]
-        indptr, indices, ones = plan.columns(c)
-        _csc_matvec(n, hi - lo, indptr, indices, ones, shares, residue)
+        pointers, targets = plan.columns(c)
+        scatter_add(residue, pointers, targets, shares, workspace=workspace)
 
 
 def extrapolate_window(
@@ -440,7 +612,7 @@ def extrapolate_window(
         ratio = residue / fall
     # Towards zero: same signs, or a residue at zero that moved (k = 0).
     # Entries that did not move give inf or nan and never bind.
-    k = ratio[ratio >= 0.0].min(initial=np.inf)
+    k = ratio.min(where=ratio >= 0.0, initial=np.inf)
     if k == np.inf:
         return False
     k = np.nextafter(k, 0.0)

@@ -20,6 +20,7 @@ from typing import Literal
 
 import numpy as np
 
+from repro.core.kernels import gather_ranges, scatter_add
 from repro.errors import IndexMismatchError, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.instrumentation.counters import PushCounters
@@ -88,9 +89,8 @@ def monte_carlo_refine(
     walks_needed = required_walks(residue[nodes], num_walks_w)
 
     if walk_index is not None:
-        available = (
-            walk_index.indptr[nodes + 1] - walk_index.indptr[nodes]
-        ).astype(np.int64)
+        first = walk_index.indptr[nodes]
+        available = walk_index.indptr[nodes + 1] - first
         short = walks_needed > available
         if np.any(short):
             if on_insufficient == "error":
@@ -105,40 +105,23 @@ def monte_carlo_refine(
             walks_needed = np.minimum(walks_needed, available)
             if counters is not None:
                 counters.bump("index_capped_nodes", int(short.sum()))
-        stops = _gather_index_stops(walk_index, nodes, walks_needed)
+        # Each node's first W_v pre-computed stops: a prefix gather.
+        pointers, stops = gather_ranges(walk_index.stops, first, walks_needed)
         steps = 0
     else:
+        pointers = np.zeros(nodes.shape[0] + 1, dtype=np.int64)
+        np.cumsum(walks_needed, out=pointers[1:])
         starts = np.repeat(nodes, walks_needed)
         assert rng is not None
         stops, steps = simulate_walk_stops(
             graph, starts, alpha=alpha, source=source, rng=rng
         )
 
-    total_walks = int(walks_needed.sum())
-    if total_walks:
-        live = walks_needed > 0
-        weights = np.zeros(nodes.shape[0], dtype=np.float64)
-        weights[live] = residue[nodes[live]] / walks_needed[live]
-        per_walk_weight = np.repeat(weights, walks_needed)
-        estimate += np.bincount(
-            stops, weights=per_walk_weight, minlength=graph.num_nodes
-        )
+    # Every walk from v adds r(s, v) / W_v where it stopped (Eq. 13); a
+    # node capped to zero walks owns an empty range and adds nothing.
+    weights = residue[nodes] / np.maximum(walks_needed, 1)
+    scatter_add(estimate, pointers, stops, weights)
     if counters is not None:
-        counters.random_walks += total_walks
+        counters.random_walks += int(pointers[-1])
         counters.walk_steps += steps
     return estimate
-
-
-def _gather_index_stops(
-    index: WalkIndex, nodes: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """Concatenate the first ``counts[i]`` pre-computed stops of each node."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = index.indptr[nodes]
-    offsets = np.empty(counts.shape[0], dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(counts[:-1], out=offsets[1:])
-    positions = np.repeat(starts - offsets, counts) + np.arange(total)
-    return index.stops[positions].astype(np.int64)

@@ -47,17 +47,17 @@ class SweepPlan:
     ``c`` covers nodes ``bounds[c]:bounds[c + 1]`` and — the forward
     CSR being node-ordered — edges
     ``edge_bounds[c]:edge_bounds[c + 1]``.  :meth:`columns` hands the
-    chunk to scipy's CSC scatter kernels as a matrix whose columns are
-    the chunk's nodes: the row pointers re-based to the chunk's first
-    edge in the index dtype scipy requires (``int32``, that of
-    ``out_indices``), the matching ``out_indices`` slice, and all-one
-    edge weights, so the only per-edge array read is the adjacency
-    itself.  ``degree`` is the float out-degree with dead ends at 1 so
-    shares divide without a zero (a dead end has no edge to carry its
-    share anywhere; its mass follows the dead-end policy).
+    chunk to :func:`repro.core.kernels.scatter_add` as ranges of
+    targets, one per node of the chunk: the row pointers re-based to
+    the chunk's first edge in the index dtype scipy requires
+    (``int32``, that of ``out_indices``) and the matching
+    ``out_indices`` slice, so the only per-edge array read is the
+    adjacency itself.  ``degree`` is the float out-degree with dead
+    ends at 1 so shares divide without a zero (a dead end has no edge
+    to carry its share anywhere; its mass follows the dead-end policy).
 
-    Memory: ``n + SWEEP_CHUNKS`` int32, ``n`` float64 and one
-    float64 per edge of the largest chunk.
+    Memory: ``n + SWEEP_CHUNKS`` int32 and ``n`` float64; the scatter's
+    all-one edge weights are process-wide, not per plan.
     """
 
     __slots__ = (
@@ -66,7 +66,6 @@ class SweepPlan:
         "degree",
         "_indptr",
         "_indices",
-        "_ones",
     )
 
     def __init__(self, graph: "DiGraph") -> None:
@@ -89,19 +88,17 @@ class SweepPlan:
             rebased[lo + c : hi + c + 1] = indptr[lo : hi + 1] - indptr[lo]
         self._indptr = rebased
         self._indices = graph.out_indices
-        self._ones = np.ones(widest, dtype=np.float64)
         self.degree = np.maximum(graph.out_degree, 1).astype(np.float64)
-        for array in (self._indptr, self._ones, self.degree):
+        for array in (self._indptr, self.degree):
             array.flags.writeable = False
 
-    def columns(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, indices, data)`` of chunk ``c`` as CSC columns."""
+    def columns(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(pointers, targets)`` of chunk ``c``, one range per node."""
         lo, hi = self.bounds[c], self.bounds[c + 1]
         first, last = self.edge_bounds[c], self.edge_bounds[c + 1]
         return (
             self._indptr[lo + c : hi + c + 1],
             self._indices[first:last],
-            self._ones[: last - first],
         )
 
 

@@ -261,13 +261,14 @@ class TestEmptyFrontierFastPath:
         assert workspace.requests == 0
         assert state.r_sum == 1.0
 
-    def test_frontier_edge_targets_empty_nodes(self):
+    def test_gather_ranges_empty_nodes(self):
         graph = _graph()
         workspace = Workspace()
-        targets, counts = kernels.frontier_edge_targets(
-            graph, np.empty(0, dtype=np.int64), workspace=workspace
+        nodes = np.empty(0, dtype=np.int64)
+        pointers, targets = kernels.gather_ranges(
+            graph.out_indices, nodes, nodes, workspace=workspace
         )
-        assert targets.shape[0] == 0 and counts.shape[0] == 0
+        assert targets.shape[0] == 0 and pointers.tolist() == [0]
         assert workspace.requests == 0
 
     def test_frontier_push_all_dead_frontier(self):

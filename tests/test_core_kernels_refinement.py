@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import (
-    frontier_edge_targets,
     frontier_push,
+    gather_ranges,
     global_sweep,
     sweep_active,
 )
@@ -15,26 +15,32 @@ from repro.errors import ConvergenceError, ParameterError
 from repro.graph.build import from_edges
 
 
+def _edge_targets(graph, nodes):
+    """The out-adjacency lists of ``nodes`` through ``gather_ranges``."""
+    starts = graph.out_indptr[nodes]
+    counts = graph.out_indptr[nodes + 1] - starts
+    return gather_ranges(graph.out_indices, starts, counts)
+
+
 class TestFrontierEdgeTargets:
+    """A frontier's edge targets, read with ``gather_ranges``."""
+
     def test_concatenates_in_node_order(self, paper_graph):
-        targets, counts = frontier_edge_targets(
-            paper_graph, np.array([0, 2])
-        )
+        pointers, targets = _edge_targets(paper_graph, np.array([0, 2]))
         assert targets.tolist() == [1, 2, 1, 3]
-        assert counts.tolist() == [2, 2]
+        assert pointers.tolist() == [0, 2, 4]
 
     def test_empty_frontier(self, paper_graph):
-        targets, counts = frontier_edge_targets(
+        pointers, targets = _edge_targets(
             paper_graph, np.array([], dtype=np.int64)
         )
         assert targets.shape[0] == 0
+        assert pointers.tolist() == [0]
 
     def test_dead_end_nodes_contribute_nothing(self, dead_end_graph):
-        targets, counts = frontier_edge_targets(
-            dead_end_graph, np.array([1, 2])
-        )
+        pointers, targets = _edge_targets(dead_end_graph, np.array([1, 2]))
         assert targets.shape[0] == 0
-        assert counts.tolist() == [0, 0]
+        assert pointers.tolist() == [0, 0, 0]
 
 
 class TestGlobalSweep:
