@@ -38,10 +38,11 @@ def sharded_tour(graph: DynamicGraph, workers: int) -> None:
 
     The dispatcher exports the graph's CSR arrays into one
     shared-memory segment, forks ``workers`` processes that each map
-    it zero-copy, and routes every query by consistent hashing on the
-    source id — so repeats of a hot source always land on the shard
-    whose cache already holds the answer.  Updates broadcast to every
-    shard as a versioned barrier.  None of this machinery may change
+    it zero-copy, and routes every miss by consistent hashing on the
+    source id.  The cluster's one result cache is the dispatcher's: a
+    repeat of a solved source is answered there and reaches no shard.
+    Updates broadcast to every shard as a versioned barrier (and drop
+    the cached answers of the old version).  None of this machinery may change
     an answer: ``per_source_rng(seed, source)`` makes each result a
     pure function of ``(seed, source)``, so we check byte-identity
     against a single-process engine below.
@@ -66,20 +67,20 @@ def sharded_tour(graph: DynamicGraph, workers: int) -> None:
             )
         repeat = dispatcher.query(0, "powerpush", l1_threshold=1e-7)
         print(
-            f"repeat of source 0: cache_hit={repeat.cache_hit} on "
-            f"shard {repeat.worker} (cache affinity)"
+            f"repeat of source 0: cache_hit={repeat.cache_hit}, "
+            f"shard {repeat.worker} (answered by the dispatcher)"
         )
         update = sample_edge_update(graph, np.random.default_rng(SEED + 2))
         version = dispatcher.apply_updates([update])
         print(f"update barrier: every shard now at version {version}")
         stats = dispatcher.stats()
         per_worker = ", ".join(
-            f"w{wid}={w['cache']['hit_rate']:.0%}"
+            f"w{wid}={w['engine_queries']}"
             for wid, w in sorted(stats["per_worker"].items())
         )
         print(
-            f"aggregate hit rate {stats['cache']['hit_rate']:.0%} "
-            f"(per shard: {per_worker})"
+            f"hit rate {stats['cache']['hit_rate']:.0%} "
+            f"(solves per shard: {per_worker})"
         )
 
 

@@ -95,15 +95,21 @@ class LockDisciplineRule(Rule):
     id = "lock-discipline"
     summary = (
         "no blocking calls or process construction while holding the "
-        "writer lock; no bare or swallowed excepts in the serving layer"
+        "writer lock; no future settled under self._mutex; no bare or "
+        "swallowed excepts in the serving layer"
     )
     invariant = (
         "The writer side of the RWLock is held only for pointer swaps: "
         "sleeping, untimed future/event waits, engine solves, or "
         "forking a worker process/pool under it convoy every reader "
         "(and a fork taken while the lock is held duplicates the held "
-        "lock into the child).  Exceptions around future resolution "
-        "are either re-raised or routed to the future, never dropped."
+        "lock into the child).  A future is settled only after "
+        "self._mutex is released: set_result/set_exception run the "
+        "client's done-callbacks on the settling thread, and one that "
+        "calls back into the object (route(), stats()) would wait on "
+        "the non-reentrant mutex its own caller holds.  Exceptions "
+        "around future resolution are either re-raised or routed to "
+        "the future, never dropped."
     )
 
     _SERVING_PACKAGE = "repro.serving"
@@ -115,6 +121,9 @@ class LockDisciplineRule(Rule):
     _PROCESS_CTORS = frozenset(
         {"Process", "Pool", "ProcessPoolExecutor", "fork"}
     )
+    #: Calls that settle a future, i.e. run its done-callbacks.
+    _SETTLE_ATTRS = frozenset({"set_result", "set_exception"})
+    _SETTLE_HELPERS = frozenset({"self._resolve", "self._fail"})
 
     def check_file(self, file: SourceFile) -> Iterable[Finding]:
         if not file.in_package(self._SERVING_PACKAGE):
@@ -123,6 +132,7 @@ class LockDisciplineRule(Rule):
         for node in ast.walk(file.tree):
             if isinstance(node, ast.With):
                 yield from self._check_write_region(file, node)
+                yield from self._check_mutex_region(file, node)
             elif isinstance(node, ast.ExceptHandler):
                 yield from self._check_handler(file, node)
 
@@ -175,6 +185,34 @@ class LockDisciplineRule(Rule):
             if not has_timeout:
                 return f"untimed .{attr}()"
         return None
+
+    # -- futures settled under the mutex -------------------------------
+    def _check_mutex_region(
+        self, file: SourceFile, node: ast.With
+    ) -> Iterable[Finding]:
+        if not any(
+            dotted_name(item.context_expr) == "self._mutex"
+            for item in node.items
+        ):
+            return
+        for stmt in node.body:
+            for sub in ast.walk(stmt):
+                if not isinstance(sub, ast.Call):
+                    continue
+                name = dotted_name(sub.func)
+                if name in self._SETTLE_HELPERS or (
+                    isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in self._SETTLE_ATTRS
+                ):
+                    yield self.finding(
+                        file,
+                        sub,
+                        f"{name or sub.func.attr}() inside `with "
+                        f"self._mutex:` settles a future with the mutex "
+                        f"held; its done-callbacks run right here and "
+                        f"deadlock if they re-enter — collect what to "
+                        f"settle, release, then settle",
+                    )
 
     # -- exception hygiene ---------------------------------------------
     def _check_handler(

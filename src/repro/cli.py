@@ -669,7 +669,6 @@ def _print_server_stats(server) -> None:
         for worker_id, worker in sorted(stats["per_worker"].items()):
             print(
                 f"  shard {worker_id}: requests={worker['requests']} "
-                f"hit_rate={worker['cache'].get('hit_rate', 0.0):.2%} "
                 f"batching={worker['scheduler']['batching_factor']:.2f}"
             )
 

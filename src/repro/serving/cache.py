@@ -37,6 +37,7 @@ from repro.errors import ParameterError
 __all__ = [
     "CacheStats",
     "ResultCache",
+    "freeze_result",
     "make_cache_key",
     "resolve_request",
 ]
@@ -97,6 +98,19 @@ def make_cache_key(
     the canonicalisation rules.
     """
     return resolve_request(source, method, params)[2]
+
+
+def freeze_result(result: PPRResult) -> None:
+    """Make ``result``'s vectors read-only (idempotent).
+
+    For an answer that is about to be shared — every hit returns the
+    one stored object — so an in-place mutation by any consumer would
+    silently corrupt all future answers; freezing turns that bug into
+    an immediate ``ValueError`` at the mutation site.
+    """
+    result.estimate.setflags(write=False)
+    if result.residue is not None:
+        result.residue.setflags(write=False)
 
 
 @dataclass
@@ -219,15 +233,10 @@ class ResultCache:
     def put(self, key: tuple, result: PPRResult, version: int) -> None:
         """Fill ``key`` with ``result`` computed at graph ``version``.
 
-        The entry's arrays are frozen (``writeable=False``): every hit
-        shares the one stored object, so an in-place mutation by any
-        consumer would silently corrupt all future answers — freezing
-        turns that bug into an immediate ``ValueError`` at the mutation
-        site.
+        The entry's arrays are frozen (:func:`freeze_result`): every
+        hit shares the one stored object.
         """
-        result.estimate.setflags(write=False)
-        if result.residue is not None:
-            result.residue.setflags(write=False)
+        freeze_result(result)
         expires_at = None if self.ttl is None else self._clock() + self.ttl
         with self._mutex:
             self._entries[key] = _Entry(result, int(version), expires_at)

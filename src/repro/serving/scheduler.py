@@ -76,7 +76,8 @@ class ServedResult:
     worker:
         Shard id of the worker process that served the answer under a
         :class:`~repro.serving.sharded.ShardedDispatcher`; ``None``
-        when served in-process (thread mode).
+        when served in-process (thread mode, or the dispatcher's own
+        cache: no shard served a hit).
     deadline:
         The ``time.monotonic()`` deadline the request carried, or
         ``None`` for best-effort requests.  Carried through so callers

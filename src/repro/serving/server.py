@@ -194,17 +194,6 @@ class EngineServer:
     def graph_version(self) -> int:
         return self._engine.graph_version
 
-    @property
-    def cache_size(self) -> int:
-        """Live result-cache entries (0 when caching is disabled).
-
-        A freshly constructed server always starts at 0 — the sharded
-        supervisor's heartbeats report this so a respawned worker can
-        be *asserted* to have dropped its predecessor's memoised
-        results rather than trusted to.
-        """
-        return len(self._cache) if self._cache is not None else 0
-
     # -- read path -------------------------------------------------------
     def submit(
         self,

@@ -6,20 +6,35 @@ still contends on the GIL, so an 8-thread server gets one core's worth
 of numpy.  This module is the process-parallel tier the AccPPR harness
 (PAPERS.md; SNIPPETS.md §3) motivates — a ``multiprocessing`` pool
 driving per-source solves over one pre-built CSR — with the serving
-semantics of PR 3 kept intact *per worker*:
+semantics of PR 3 kept intact, the solving in the shards and the
+remembering in the parent:
 
 * the graph's hot arrays live once in a
   :class:`~repro.serving.shm.SharedGraphImage`; every worker process
-  maps the same physical pages zero-copy and runs a full
-  :class:`EngineServer` (request coalescing + version-stamped
+  maps the same physical pages zero-copy and runs a cache-less
+  :class:`EngineServer` (request coalescing, no
   :class:`~repro.serving.cache.ResultCache`) over them — without the
   scheduler thread and its micro-batch window: a worker's receive loop
-  is the only submitter, so it dispatches each drained burst inline;
-* the :class:`ShardedDispatcher` in the parent routes each request by
-  **consistent hashing on the source id**, so repeat queries for a hot
-  source always land on the same worker — its cache keeps hitting and
-  its bursts stay coherent — and removing a crashed worker
-  re-routes only that worker's arc of the ring;
+  is the only submitter, so it dispatches each drained burst inline.
+  A shard only solves;
+* the cluster's one version-stamped
+  :class:`~repro.serving.cache.ResultCache` lives in the
+  :class:`ShardedDispatcher`, the one place every request passes and
+  whose ``_version`` is authoritative.  ``submit`` looks the request
+  up inside the read section it takes anyway and answers a hit with a
+  completed future — no message, no reply slot, no shard; the
+  collector's copy-out of a miss's answer is the cache fill.  A hit is
+  version-safe because ``_version`` only moves under the write side of
+  ``_rwlock`` (with the invalidation next to it): the version a reader
+  compares stamps against cannot change under it, and a fill is only
+  accepted at the version that is current when it arrives.  Beside the
+  cache sits a **single-flight table**: a cacheable request whose key
+  is already on its way to a shard at the current version attaches to
+  that flight instead of being sent, so a duplicate costs nothing even
+  when it arrives after the burst solving it was drained;
+* the dispatcher routes each miss by **consistent hashing on the
+  source id**, so a shard's bursts stay coherent and removing a
+  crashed worker re-routes only that worker's arc of the ring;
 * the parent is the **only writer**: the dispatcher holds the one
   :class:`~repro.graph.dynamic.DynamicGraph` of the cluster (WAL
   hooked to it when durable).  ``apply_updates`` applies the batch
@@ -109,7 +124,7 @@ from repro.errors import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
-from repro.serving.cache import resolve_request
+from repro.serving.cache import ResultCache, freeze_result, resolve_request
 from repro.serving.faults import FaultInjector, FaultSpec, WorkerFaultPlan
 from repro.serving.locks import RWLock
 from repro.serving.scheduler import ServedResult
@@ -154,8 +169,6 @@ class WorkerConfig:
     alpha: float = 0.2
     seed: int = 0
     dead_end_policy: str = "redirect-to-source"
-    cache_capacity: int = 4096
-    cache_ttl: float | None = None
     max_batch: int = 64
     backend: str | None = None
     #: Worker-side fault schedule (chaos runs only; empty in production).
@@ -202,8 +215,8 @@ class _Shard:
                     dead_end_policy=config.dead_end_policy,
                     backend=config.backend,
                 ),
-                cache_capacity=config.cache_capacity,
-                cache_ttl=config.cache_ttl,
+                # The cluster's one result cache is the dispatcher's.
+                cache_capacity=0,
                 max_batch=config.max_batch,
                 # No scheduler thread, no window: the worker loop is the
                 # only submitter, so it dispatches its burst itself.
@@ -216,15 +229,10 @@ class _Shard:
         return retired is not None
 
     def heartbeat(self, responses: Any) -> None:
-        """One unsolicited version/cache report (none before boot)."""
+        """One unsolicited version report (none before boot)."""
         if self._image is not None:
             responses.put(
-                (
-                    "heartbeat",
-                    self.server.graph_version,
-                    self.server.cache_size,
-                    time.monotonic(),
-                )
+                ("heartbeat", self.server.graph_version, time.monotonic())
             )
 
     def close(self) -> None:
@@ -263,12 +271,12 @@ def _worker_main(
     * ``("stop",)`` -> clean exit.
 
     The worker also emits unsolicited
-    ``("heartbeat", graph_version, cache_size, monotonic_ts)``
-    messages — ahead of every hand-over ack and then every
-    ``_HEARTBEAT_INTERVAL`` seconds, busy or idle — which the
-    dispatcher uses for health visibility and for asserting that a
-    respawned worker starts at the current graph version with an empty
-    result cache (stale memoised answers must not survive a respawn).
+    ``("heartbeat", graph_version, monotonic_ts)`` messages — ahead of
+    every hand-over ack and then every ``_HEARTBEAT_INTERVAL`` seconds,
+    busy or idle — which the dispatcher uses for health visibility and
+    for asserting that a respawned worker starts at the current graph
+    version (it memoises nothing, so there is nothing stale to carry
+    across a respawn).
 
     The request queue is drained in bursts: everything immediately
     available is submitted to the local server, whose scheduler the
@@ -376,8 +384,7 @@ def _serve_messages(
                 responses.put(("stats", message[1], shard.server.stats()))
         _flush(worker_id, shard, pending, arena, responses, plan)
         # Time-based, not idle-based: a worker saturated with traffic
-        # (or a parent polling stats) must still report its version
-        # and cache freshness.
+        # (or a parent polling stats) must still report its version.
         now = time.monotonic()
         if now - last_beat >= _HEARTBEAT_INTERVAL:
             shard.heartbeat(responses)
@@ -448,8 +455,7 @@ class _HashRing:
 
     Each worker contributes ``_VNODES`` points; a source routes to the
     first point clockwise from its own hash.  Removing a worker moves
-    only the sources on its arcs — every other source keeps its worker
-    (and therefore its warm cache).
+    only the sources on its arcs — every other source keeps its worker.
     """
 
     def __init__(self) -> None:
@@ -516,12 +522,20 @@ class _HashRing:
 class _PendingRequest:
     """What the dispatcher must remember to reroute or fail a request."""
 
-    future: Future
+    #: Everyone the outcome goes to: the caller this was sent for, then
+    #: each caller that joined its flight.  Every one holds a future of
+    #: their own, so a cancel drops one caller and never the flight.
+    waiters: list[Future]
     source: int
     method: str
     params: dict[str, Any]
     fresh: bool
     deadline: float | None = None
+    #: ``(cache key, version at enqueue)`` of a cacheable read: where
+    #: its answer is cached and, while ``_flights`` maps it to this
+    #: request, what a duplicate finds to join.  ``None`` for
+    #: ``fresh=True``, uncacheable parameters and stats probes.
+    flight: tuple[tuple, int] | None = None
     #: Re-submissions so far (reroutes + timeout retries); bounded by
     #: the dispatcher's :class:`RetryPolicy`.
     attempts: int = 0
@@ -577,10 +591,9 @@ class _WorkerState:
     removed: bool = False
     #: ``time.monotonic()`` when the collector declared this shard dead.
     died_at: float = 0.0
-    #: Latest unsolicited heartbeat: (monotonic ts, version, cache size).
+    #: Latest unsolicited heartbeat: (monotonic ts, version).
     last_heartbeat: float = 0.0
     reported_version: int = -1
-    reported_cache_size: int = -1
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
 
 
@@ -622,9 +635,15 @@ class ShardedDispatcher:
     alpha, seed, dead_end_policy, backend:
         Per-worker engine construction (identical in every shard —
         answers must not depend on placement).
-    cache_capacity, cache_ttl, max_batch:
-        Per-worker :class:`EngineServer` knobs.  ``max_batch``, the
-        deepest burst a worker drains — and dispatches — at once, is
+    cache_capacity, cache_ttl:
+        Size (entries) and time-to-live of the cluster's one
+        :class:`~repro.serving.cache.ResultCache`, held here in the
+        dispatcher — cluster-wide, not per worker: every answer is
+        cached once, whichever shard solved it, and survives that
+        shard's death.  ``cache_capacity=0`` disables result caching
+        (duplicates in flight still share one solve).
+    max_batch:
+        The deepest burst a worker drains — and dispatches — at once;
         also how many reply slots its arena gets (fewer when they
         would exceed 32 MiB).
     start_method:
@@ -690,6 +709,13 @@ class ShardedDispatcher:
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
+        #: the cluster's one result cache (None: caching disabled);
+        #: looked up and filled under ``_mutex``, next to ``_flights``
+        self._cache = (
+            ResultCache(cache_capacity, ttl=cache_ttl)
+            if cache_capacity
+            else None
+        )
         if wal_dir is not None:
             if isinstance(graph_or_image, SharedGraphImage):
                 raise ParameterError(
@@ -746,8 +772,6 @@ class ShardedDispatcher:
             alpha=alpha,
             seed=seed,
             dead_end_policy=dead_end_policy,
-            cache_capacity=cache_capacity,
-            cache_ttl=cache_ttl,
             max_batch=max_batch,
             backend=backend,
         )
@@ -789,6 +813,10 @@ class ShardedDispatcher:
         self._rerouted = 0
         self._worker_failures = 0
         self._barriers: dict[int, _Barrier] = {}
+        #: single-flight table: ``request.flight`` -> the cacheable read
+        #: on its way to a shard that duplicates may join; an entry
+        #: goes, under ``_mutex``, where its request is settled
+        self._flights: dict[tuple[tuple, int], _PendingRequest] = {}
         #: worker_id -> its reply arena and free list; created before
         #: the first fork, unlinked in close(), never by a worker
         self._reply_slots: dict[int, _ReplySlots] = {}
@@ -947,7 +975,23 @@ class ShardedDispatcher:
         deadline: float | None = None,
         **params: Any,
     ) -> Future:
-        """Enqueue one query on its shard; future of :class:`ServedResult`.
+        """Answer one query from the cache, a flight or a shard.
+
+        Returns a future of :class:`ServedResult`.  An answer cached at
+        the current graph version comes back as a completed future
+        (``cache_hit=True``, ``batch_size=1``, ``worker=None`` — no
+        shard served it); a request whose key is already in flight at
+        this version joins that flight and receives exactly what its
+        leader does (result or exception; the version a retried leader
+        was finally answered at) — unless it could outlive the flight:
+        it joins only a flight whose deadline is ``None`` or not
+        earlier than its own.  Everything else — a miss, ``fresh=True``
+        (which bypasses cache, flight and the shard's coalescing) — is
+        enqueued on its shard.  Every caller gets a future of its own:
+        cancelling it drops that caller, never the solve others wait
+        on.  Every answer's ``estimate`` / ``residue`` are **read-only**
+        arrays: cached answers and joined flights hand one object to
+        many callers, so a write raises instead of corrupting theirs.
 
         Validates the method and parameter schema here, so typos raise
         at the call site, not inside a worker.  Parameters must be
@@ -962,7 +1006,17 @@ class ShardedDispatcher:
             raise DeadlineExceeded(
                 f"deadline passed before submit of source {source}"
             )
-        canonical, merged, key = resolve_request(source, method, params)
+        canonical, merged, key = resolve_request(
+            source,
+            method,
+            params,
+            # As in EngineServer.submit: spelling out the cluster's
+            # alpha keys (and flies) identically to omitting it.
+            defaults={
+                "alpha": self._config.alpha,
+                "dead_end_policy": self._config.dead_end_policy,
+            },
+        )
         if key is None and params:
             raise ParameterError(
                 "sharded serving requires scalar parameters; live "
@@ -973,33 +1027,87 @@ class ShardedDispatcher:
             raise NodeNotFoundError(
                 f"source {source} is outside [0, {self._num_nodes})"
             )
+        if fresh:
+            key = None
+        future: Future = Future()
+        hit = message = None
+        # The read section pins ``_version``: stamps are compared with,
+        # and a miss is enqueued at, the version current throughout.
         with self._rwlock.read():
             with self._mutex:
                 if self._closed:
                     raise RuntimeError("dispatcher is closed")
-                state = self._route_healthy(source)
                 self._submitted += 1
                 submit_count = self._submitted
-                # ``merged``, not the caller's raw params: the worker
-                # is sent the canonical method name, so the overrides
-                # an alias implies (``fora+`` => ``use_index=True``)
-                # must travel with it.
-                pending = _PendingRequest(
-                    future=Future(),
-                    source=source,
-                    method=canonical,
-                    params=merged,
-                    fresh=fresh,
-                    deadline=deadline,
-                )
-                message = self._enqueue(state, pending)
-            # Enqueued under the read lock: a writer that acquires
-            # after us sees this request ahead of its hand-over message
-            # in the worker's FIFO, so it is answered pre-update.
-            state.requests.put(message)
+                version = self._version
+                if key is not None and self._cache is not None:
+                    hit = self._cache.get(key, version)
+                if hit is None and not self._join_flight(
+                    key, version, deadline, future
+                ):
+                    state = self._route_healthy(source)
+                    # ``merged``, not the caller's raw params: the
+                    # worker is sent the canonical method name, so the
+                    # overrides an alias implies (``fora+`` =>
+                    # ``use_index=True``) must travel with it.
+                    pending = _PendingRequest(
+                        waiters=[future],
+                        source=source,
+                        method=canonical,
+                        params=merged,
+                        fresh=fresh,
+                        deadline=deadline,
+                        flight=None if key is None else (key, version),
+                    )
+                    if pending.flight is not None:
+                        # (an unjoinable flight for this key stays the
+                        # registered one; this request flies alone)
+                        self._flights.setdefault(pending.flight, pending)
+                    message = self._enqueue(state, pending)
+            if message is not None:
+                # Enqueued under the read lock: a writer that acquires
+                # after us sees this request ahead of its hand-over
+                # message in the worker's FIFO, so it is answered
+                # pre-update.
+                state.requests.put(message)
         if self._faults is not None:
             self._inject_parent_faults(submit_count)
-        return pending.future
+        if hit is not None:
+            future.set_result(
+                ServedResult(
+                    result=hit,
+                    version=version,
+                    cache_hit=True,
+                    batch_size=1,
+                    deadline=deadline,
+                )
+            )
+        return future
+
+    def _join_flight(
+        self,
+        key: tuple | None,
+        version: int,
+        deadline: float | None,
+        future: Future,
+    ) -> bool:
+        """Attach ``future`` to the flight of ``key`` at ``version``.
+
+        Called under ``_mutex``.  ``False`` when there is none, or when
+        the flight could end before this request has to: the shard
+        fails a flight at dispatch once its *leader's* deadline has
+        passed, so only a flight without a deadline, or with one not
+        earlier than ``deadline``, may carry this caller.
+        """
+        flight = self._flights.get((key, version))
+        if flight is None:
+            return False
+        if flight.deadline is not None and (
+            deadline is None or flight.deadline < deadline
+        ):
+            return False
+        flight.waiters.append(future)
+        return True
 
     def _enqueue(self, state: _WorkerState, request: _PendingRequest) -> tuple:
         """Register ``request`` as pending on ``state``; its query message.
@@ -1157,6 +1265,10 @@ class ShardedDispatcher:
                 retired, self._image = self._image, image
                 self._version = version
                 states = list(self._states.values())
+            if self._cache is not None:
+                # No reader is in its read section, and a late fill at
+                # the old version is refused: nothing pre-update stays.
+                self._cache.invalidate(version)
             try:
                 self._hand_over(states)
             finally:
@@ -1245,19 +1357,18 @@ class ShardedDispatcher:
                     state.breaker.record_success()
                     state.replies.replies_inline += 1
                 if pending is not None:
-                    self._resolve(pending.future, served)
+                    self._resolve(pending, served)
             elif kind == "error":
                 _, req_id, exc = message
                 with self._mutex:
                     pending = self._pop_pending(state, req_id)
                 if pending is not None:
-                    self._fail(pending.future, exc)
+                    self._fail(pending, exc)
             elif kind == "heartbeat":
-                _, version, cache_size, ts = message
+                _, version, ts = message
                 with self._mutex:
                     state.last_heartbeat = float(ts)
                     state.reported_version = int(version)
-                    state.reported_cache_size = int(cache_size)
             elif kind == "attached":
                 with self._mutex:
                     barrier = self._barriers.get(message[1])
@@ -1269,7 +1380,9 @@ class ShardedDispatcher:
                 with self._mutex:
                     pending = state.pending.pop(req_id, None)
                 if pending is not None:
-                    self._resolve(pending.future, stats)
+                    (probe,) = pending.waiters
+                    if probe.set_running_or_notify_cancel():
+                        probe.set_result(stats)
 
     @staticmethod
     def _pop_pending(
@@ -1322,28 +1435,55 @@ class ShardedDispatcher:
             )
             return
         estimate, residue = vectors
-        self._resolve(
-            request.future,
-            replace(
-                header,
-                result=replace(
-                    header.result, estimate=estimate, residue=residue
-                ),
-            ),
-        )
+        # (this copy-out is also the cache fill: ``_resolve``)
+        result = replace(header.result, estimate=estimate, residue=residue)
+        self._resolve(request, replace(header, result=result))
 
-    @staticmethod
-    def _resolve(future: Future, value: Any) -> None:
-        if future.set_running_or_notify_cancel():
-            future.set_result(value)
+    def _land(
+        self, request: _PendingRequest, answer: ServedResult | None = None
+    ) -> list[Future]:
+        """End ``request``'s flight; return everyone waiting on it.
 
-    @staticmethod
-    def _fail(future: Future, exc: BaseException) -> None:
-        try:
+        Takes ``_mutex``, so ``_resolve`` / ``_fail`` are never called
+        with it held — futures are settled outside it (their
+        done-callbacks are the client's code).  Nobody can join the
+        request afterwards; an ``answer`` enters the cache in the same
+        critical section, so a duplicate arriving now finds the flight
+        or the entry, never neither — unless the graph has moved on
+        since the answer was computed, when it is only delivered.
+        """
+        with self._mutex:
+            flight = request.flight
+            if flight is not None:
+                if self._flights.get(flight) is request:
+                    del self._flights[flight]
+                if (
+                    answer is not None
+                    and self._cache is not None
+                    and answer.version == self._version
+                ):
+                    self._cache.put(flight[0], answer.result, answer.version)
+        return request.waiters
+
+    def _resolve(self, request: _PendingRequest, served: ServedResult) -> None:
+        """Answer ``request`` and its followers with ``served``.
+
+        What the callers get is what later hits get — one object for
+        all of them — so its vectors are read-only from here on.
+        """
+        freeze_result(served.result)
+        for future in self._land(request, served):
             if future.set_running_or_notify_cancel():
-                future.set_exception(exc)
-        except Exception:  # repro: allow[lock-discipline] -- best-effort error delivery: a racing cancel already settled the future, the client has its outcome
-            pass
+                future.set_result(served)
+
+    def _fail(self, request: _PendingRequest, exc: BaseException) -> None:
+        """Fail ``request`` and its followers with ``exc``."""
+        for future in self._land(request):
+            try:
+                if future.set_running_or_notify_cancel():
+                    future.set_exception(exc)
+            except Exception:  # repro: allow[lock-discipline] -- best-effort error delivery: a racing cancel already settled the future, the client has its outcome
+                pass
 
     def _on_worker_death(self, state: _WorkerState) -> None:
         """A shard died: shrink the ring, retry its pending requests.
@@ -1384,7 +1524,7 @@ class ShardedDispatcher:
         if stopping:
             for request in orphaned:
                 self._fail(
-                    request.future,
+                    request,
                     RuntimeError("dispatcher closed during dispatch"),
                 )
             return
@@ -1394,7 +1534,7 @@ class ShardedDispatcher:
                 # Control probes (stats) are not reroutable queries;
                 # their caller tolerates a shard dropping out.
                 self._fail(
-                    request.future,
+                    request,
                     WorkerUnavailableError(
                         f"worker {state.worker_id} died before "
                         f"answering a {request.method} probe"
@@ -1424,7 +1564,7 @@ class ShardedDispatcher:
         if delay is None:
             if request.deadline is not None and now >= request.deadline:
                 self._fail(
-                    request.future,
+                    request,
                     DeadlineExceeded(
                         f"source {request.source}: deadline passed "
                         f"after {attempt} attempt(s) ({reason})"
@@ -1432,7 +1572,7 @@ class ShardedDispatcher:
                 )
             else:
                 self._fail(
-                    request.future,
+                    request,
                     WorkerUnavailableError(
                         f"source {request.source}: retry budget "
                         f"exhausted after {attempt} attempt(s) ({reason})"
@@ -1455,7 +1595,7 @@ class ShardedDispatcher:
             # The backoff was paced to end before the deadline, but the
             # supervisor tick that fires it can run late.
             self._fail(
-                request.future,
+                request,
                 DeadlineExceeded(
                     f"source {request.source}: deadline passed while "
                     f"waiting to be retried"
@@ -1463,13 +1603,11 @@ class ShardedDispatcher:
             )
             return
         with self._mutex:
-            if self._closed:
-                self._fail(
-                    request.future, RuntimeError("dispatcher is closed")
-                )
-                return
+            closed = self._closed
             try:
-                target = self._route_healthy(request.source)
+                target = (
+                    None if closed else self._route_healthy(request.source)
+                )
             except RuntimeError:
                 target = None
             if target is not None:
@@ -1479,6 +1617,9 @@ class ShardedDispatcher:
             respawn_pending = bool(self._respawn_due) or bool(
                 self._respawning
             )
+        if closed:
+            self._fail(request, RuntimeError("dispatcher is closed"))
+            return
         if target is None:
             if respawn_pending:
                 # Nobody is live right now but a respawn is in
@@ -1489,7 +1630,7 @@ class ShardedDispatcher:
                 )
             else:
                 self._fail(
-                    request.future,
+                    request,
                     WorkerUnavailableError(
                         f"no live workers remain for source "
                         f"{request.source}"
@@ -1673,8 +1814,10 @@ class ShardedDispatcher:
         """Aggregate dispatcher + per-worker serving statistics.
 
         Shape-compatible with :meth:`EngineServer.stats` where it
-        matters (top-level ``"cache"`` with ``hit_rate``,
-        ``"scheduler"`` with ``batching_factor``), with per-worker
+        matters (top-level ``"cache"`` — the dispatcher's own cache,
+        the only one in the cluster — with ``hit_rate``,
+        ``"scheduler"`` with ``batching_factor`` summed over the
+        shards), with per-worker
         breakdowns under ``"per_worker"`` and dispatcher counters
         (``rerouted``, ``worker_failures``) alongside.  ``replies_slot``
         / ``replies_inline`` count the answers that came back through a
@@ -1695,7 +1838,7 @@ class ShardedDispatcher:
                     self._next_id += 1
                     future: Future = Future()
                     state.pending[req_id] = _PendingRequest(
-                        future=future,
+                        waiters=[future],
                         source=-1,
                         method="stats",
                         params={},
@@ -1719,15 +1862,6 @@ class ShardedDispatcher:
                 )
             except Exception:  # repro: allow[lock-discipline] -- a shard that died or timed out mid-stats simply drops out of the aggregate; its failure is already counted in worker_failures
                 continue
-        cache_totals = {
-            "hits": 0.0,
-            "misses": 0.0,
-            "insertions": 0.0,
-            "evictions": 0.0,
-            "expirations": 0.0,
-            "stale_drops": 0.0,
-            "invalidations": 0.0,
-        }
         sched_totals = {
             "submitted": 0.0,
             "answered": 0.0,
@@ -1740,8 +1874,6 @@ class ShardedDispatcher:
             "max_group": 0.0,
         }
         for stats in per_worker.values():
-            for name in cache_totals:
-                cache_totals[name] += float(stats["cache"].get(name, 0.0))
             sched = stats["scheduler"]
             for name in sched_totals:
                 if name == "max_group":
@@ -1750,9 +1882,6 @@ class ShardedDispatcher:
                     )
                 else:
                     sched_totals[name] += float(sched.get(name, 0.0))
-        lookups = cache_totals["hits"] + cache_totals["misses"]
-        cache: dict[str, float] = dict(cache_totals)
-        cache["hit_rate"] = cache_totals["hits"] / lookups if lookups else 0.0
         scheduler: dict[str, float] = dict(sched_totals)
         scheduler["batching_factor"] = (
             sched_totals["answered"] / sched_totals["engine_calls"]
@@ -1796,7 +1925,6 @@ class ShardedDispatcher:
                         else None
                     ),
                     "graph_version": state.reported_version,
-                    "cache_size": state.reported_cache_size,
                 }
                 for state in self._states.values()
                 if state.alive
@@ -1817,7 +1945,11 @@ class ShardedDispatcher:
                 "worker_failures": self._worker_failures,
                 **reply_totals,
                 "per_worker_replies": replies,
-                "cache": cache,
+                "cache": (
+                    self._cache.stats.as_dict()
+                    if self._cache is not None
+                    else {}
+                ),
                 "scheduler": scheduler,
                 "per_worker": per_worker,
                 "supervisor": supervisor,
@@ -1856,7 +1988,7 @@ class ShardedDispatcher:
             self._supervisor = None
         for request in waiting_retries:
             self._fail(
-                request.future, RuntimeError("dispatcher is closed")
+                request, RuntimeError("dispatcher is closed")
             )
         deadline = time.monotonic() + 5.0
         for state in states:
@@ -1872,7 +2004,7 @@ class ShardedDispatcher:
                 state.alive = False
         for request in leftovers:
             self._fail(
-                request.future, RuntimeError("dispatcher is closed")
+                request, RuntimeError("dispatcher is closed")
             )
         for replies in self._reply_slots.values():
             replies.arena.cleanup()

@@ -673,6 +673,52 @@ class TestLockDiscipline:
         )
         assert findings == []
 
+    def test_flags_futures_settled_under_the_mutex(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/serving/srv.py": """\
+                class Dispatcher:
+                    def bad(self, request, future, value, exc):
+                        with self._mutex:
+                            if self._closed:
+                                self._fail(request, exc)
+                                return
+                            self._resolve(request, value)
+                            future.set_result(value)
+                            request.future.set_exception(exc)
+                """
+            },
+            select=["lock-discipline"],
+        )
+        assert len(findings) == 4
+        assert all("self._mutex" in f.message for f in findings)
+        flagged = " ".join(f.message for f in findings)
+        for call in ("self._fail()", "self._resolve()", "set_result", "set_exception"):
+            assert call in flagged
+
+    def test_clean_futures_settled_after_release(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/serving/srv.py": """\
+                class Dispatcher:
+                    def ok(self, request, future, value, exc):
+                        with self._mutex:
+                            closed = self._closed
+                            pending = self._pending.pop(request, None)
+                        if closed:
+                            self._fail(request, exc)
+                            return
+                        self._resolve(request, value)
+                        with self._rwlock.read():
+                            future.set_result(value)
+                """
+            },
+            select=["lock-discipline"],
+        )
+        assert findings == []
+
 
 # ---------------------------------------------------------------------------
 # shm-discipline

@@ -202,7 +202,7 @@ class TestWriterPath:
         with pytest.raises(GraphConstructionError):
             server.apply_updates([valid, existing])
         assert server.graph_version == 1
-        assert server.cache_size == 0
+        assert len(server.cache) == 0
         assert server.cache.stats.invalidations == 1
 
     def test_replace_graph_swaps_snapshot_version_and_cache(self):
@@ -211,9 +211,9 @@ class TestWriterPath:
         dyn.apply_updates([sample_edge_update(dyn, np.random.default_rng(3))])
         with EngineServer(base, alpha=0.2, seed=7) as server:
             served = server.query(2, "speedppr", epsilon=0.5, seed=3)
-            assert served.version == 0 and server.cache_size == 1
+            assert served.version == 0 and len(server.cache) == 1
             server.replace_graph(dyn.snapshot(), 1)
-            assert server.graph_version == 1 and server.cache_size == 0
+            assert server.graph_version == 1 and len(server.cache) == 0
             assert server.engine.index_invalidations["walk"] == 1
             expected = PPREngine(dyn, alpha=0.2, seed=7).query(
                 2, "speedppr", epsilon=0.5, seed=3

@@ -8,10 +8,13 @@ detected, its pending requests rerouted, and teardown leaves zero
 ``/dev/shm`` segments behind.
 """
 
+import contextlib
 import os
 import signal
+import sys
 import threading
 import time
+from concurrent.futures import CancelledError, Future
 
 import numpy as np
 import pytest
@@ -101,6 +104,26 @@ def one_source_per_shard(disp, graph):
         next(s for s in range(graph.num_nodes) if disp.route(s) == worker)
         for worker in range(disp.configured_workers)
     ]
+
+
+def engine_queries(disp):
+    """Solves the shards have run, all of them together."""
+    return sum(
+        worker["engine_queries"]
+        for worker in disp.stats()["per_worker"].values()
+    )
+
+
+@contextlib.contextmanager
+def stopped(disp, worker):
+    """SIGSTOP ``worker`` for the block: what is sent to it stays in
+    flight until the block ends."""
+    pid = disp._states[worker].process.pid
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        yield disp._states[worker]
+    finally:
+        os.kill(pid, signal.SIGCONT)
 
 
 class TestWorkerLoop:
@@ -205,7 +228,10 @@ class TestByteIdentity:
                     sharded.result.estimate.tobytes()
                     == threaded.result.estimate.tobytes()
                 )
-                assert sharded.worker == dispatcher.route(source)
+                # (the trace repeats a source: a hit has no shard)
+                assert sharded.worker == (
+                    None if sharded.cache_hit else dispatcher.route(source)
+                )
                 assert threaded.worker is None
 
     def test_batch_matches_serial(self, base, dispatcher):
@@ -261,7 +287,9 @@ class TestReplyEncodings:
                 )
             stats = disp.stats()
             counters = reply_counters(stats)
-            assert counters["replies_slot"] == len(trace)
+            # A source the trace repeats is answered by the dispatcher.
+            assert counters["replies_slot"] == len(set(trace))
+            assert stats["cache"]["hits"] == len(trace) - len(set(trace))
             assert counters["replies_inline"] == 0
             assert counters["reply_slots_total"] > 0
             assert counters["reply_slots_free"] == counters["reply_slots_total"]
@@ -330,25 +358,44 @@ class TestReplyEncodings:
     def test_returned_arrays_are_private(self, base, dispatcher):
         engine = PPREngine(base, alpha=0.2, seed=7)
         expected = engine.query(6, "powerpush", **PARAMS)
-        first = dispatcher.query(6, "powerpush", **PARAMS)
+        first = dispatcher.query(6, "powerpush", fresh=True, **PARAMS)
         kept = first.result.estimate.tobytes()
         # Slots are reused LIFO: the next replies land where the first
         # one did.  What the caller holds must not move.
-        again = dispatcher.query(6, "powerpush", **PARAMS)
+        again = dispatcher.query(6, "powerpush", fresh=True, **PARAMS)
         for other in (7, 8, 9):
-            dispatcher.query(other, "powerpush", **PARAMS)
+            dispatcher.query(other, "powerpush", fresh=True, **PARAMS)
         assert first.result.estimate.tobytes() == kept
-        for vector in (first.result.estimate, first.result.residue):
-            assert vector.flags.writeable
         assert not np.shares_memory(
             first.result.estimate, again.result.estimate
         )
-        # ...and scribbling on it reaches neither the shard's cache nor
-        # a later reply.
-        first.result.estimate[:] = -1.0
-        first.result.residue[:] = -1.0
         assert_same_bytes(again, expected)
-        assert_same_bytes(dispatcher.query(6, "powerpush", **PARAMS), expected)
+
+    def test_every_answer_refuses_writes(self, base, dispatcher):
+        # A cached answer and a joined flight hand one object to many
+        # callers; scribbling on it must fail at the scribbler, not
+        # corrupt what the others — and every later hit — read.
+        params = {"l1_threshold": 2e-6}  # this test's own cache entries
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        miss = dispatcher.query(6, "powerpush", **params)
+        hit = dispatcher.query(6, "powerpush", **params)
+        fresh = dispatcher.query(6, "powerpush", fresh=True, **params)
+        inline = dispatcher.query(6, "montecarlo", num_walks=500, seed=3)
+        assert (miss.cache_hit, hit.cache_hit, fresh.cache_hit) == (
+            False, True, False
+        )
+        assert hit.result is miss.result
+        for served in (miss, hit, fresh, inline):
+            for vector in (served.result.estimate, served.result.residue):
+                if vector is None:
+                    continue
+                assert not vector.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    vector[:] = -1.0
+        assert_same_bytes(
+            dispatcher.query(6, "powerpush", **params),
+            engine.query(6, "powerpush", **params),
+        )
 
     def test_contended_slots_never_cross_answers(self, base):
         # More client threads than cores over two slots per shard: slots
@@ -370,8 +417,13 @@ class TestReplyEncodings:
                 try:
                     for i in range(rounds):
                         source = sources[(offset + i) % len(sources)]
+                        # fresh: every one of them reaches a shard
                         served = disp.query(
-                            source, "powerpush", timeout=60, **PARAMS
+                            source,
+                            "powerpush",
+                            fresh=True,
+                            timeout=60,
+                            **PARAMS,
                         )
                         assert_same_bytes(served, expected[source])
                 except BaseException as exc:  # noqa: BLE001 - surfaced below
@@ -420,22 +472,29 @@ class TestRoutingAndStats:
     def test_open_breaker_sends_traffic_clockwise_and_counts_it(self, base):
         with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
             source = next(s for s in range(base.num_nodes) if disp.route(s) == 0)
-            assert disp.query(source, "powerpush", **PARAMS).worker == 0
+            # fresh: a repeated read is a routing probe only past the cache
+            probe = {"fresh": True, **PARAMS}
+            assert disp.query(source, "powerpush", **probe).worker == 0
             assert disp.stats()["supervisor"]["breaker_skips"] == 0
             disp._states[0].breaker.trip(time.monotonic())
-            assert disp.query(source, "powerpush", **PARAMS).worker == 1
+            assert disp.query(source, "powerpush", **probe).worker == 1
             assert disp.stats()["supervisor"]["breaker_skips"] == 1
             # With every breaker open the primary is asked anyway.
             disp._states[1].breaker.trip(time.monotonic())
-            assert disp.query(source, "powerpush", **PARAMS).worker == 0
+            assert disp.query(source, "powerpush", **probe).worker == 0
             assert disp.stats()["supervisor"]["breaker_skips"] == 1
 
     def test_repeat_query_hits_same_workers_cache(self, dispatcher):
-        source = 9
-        first = dispatcher.query(source, "powerpush", **PARAMS)
-        second = dispatcher.query(source, "powerpush", **PARAMS)
-        assert first.worker == second.worker == dispatcher.route(source)
-        assert second.cache_hit
+        # (the name is history: the cache a repeat hits is the
+        # dispatcher's, and no worker sees the second read)
+        source, params = 9, {"l1_threshold": 3e-6}  # this test's own entry
+        first = dispatcher.query(source, "powerpush", **params)
+        second = dispatcher.query(source, "powerpush", **params)
+        assert first.worker == dispatcher.route(source)
+        assert not first.cache_hit
+        assert second.worker is None
+        assert second.cache_hit and second.batch_size == 1
+        assert second.version == first.version
         assert second.result.estimate.tobytes() == first.result.estimate.tobytes()
 
     def test_stats_aggregate_and_per_worker(self, dispatcher):
@@ -479,6 +538,314 @@ class TestRoutingAndStats:
             dispatcher.query(0, "powerpush", l1_threshold=[1e-6])
         with pytest.raises(UnknownMethodError):
             dispatcher.query(0, "no-such-method")
+
+
+class TestParentCacheAndFlights:
+    """The cluster's one result cache and its single-flight table live
+    in the dispatcher: a hit never reaches a shard, a duplicate of a
+    request in flight is not sent."""
+
+    def test_concurrent_duplicates_share_one_solve(self, base):
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            with stopped(disp, disp.route(5)) as state:
+                futures = [
+                    disp.submit(5, "powerpush", **PARAMS) for _ in range(8)
+                ]
+                assert len(state.pending) == 1
+                assert len(set(map(id, futures))) == 8
+            answers = [future.result(timeout=60) for future in futures]
+            assert engine_queries(disp) == 1
+            for served in answers:
+                assert served is answers[0]
+                assert not served.cache_hit
+                assert_same_bytes(
+                    served, engine.query(5, "powerpush", **PARAMS)
+                )
+            assert disp._flights == {}
+            assert disp.stats()["cache"]["insertions"] == 1
+
+    def test_spelled_out_defaults_share_the_entry_and_the_flight(self, base):
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            with stopped(disp, disp.route(5)) as state:
+                futures = [
+                    disp.submit(5, "powerpush", **PARAMS),
+                    disp.submit(5, "powerpush", alpha=0.2, **PARAMS),
+                    disp.submit(
+                        5,
+                        "powerpush",
+                        dead_end_policy="redirect-to-source",
+                        **PARAMS,
+                    ),
+                ]
+                assert len(state.pending) == 1
+            first = futures[0].result(timeout=60)
+            assert all(f.result(timeout=60) is first for f in futures)
+            second = disp.query(5, "powerpush", alpha=0.2, **PARAMS)
+            assert second.cache_hit
+            assert_same_bytes(second, first.result)
+            assert engine_queries(disp) == 1
+            # A different alpha is a different question.
+            assert not disp.query(5, "powerpush", alpha=0.3, **PARAMS).cache_hit
+
+    def test_cancelling_one_caller_leaves_the_flight_to_the_others(self, base):
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            with stopped(disp, disp.route(5)):
+                leader, follower, last = (
+                    disp.submit(5, "powerpush", **PARAMS) for _ in range(3)
+                )
+                # Neither the first caller nor a follower owns the flight.
+                assert leader.cancel() and follower.cancel()
+            served = last.result(timeout=60)
+            assert_same_bytes(served, engine.query(5, "powerpush", **PARAMS))
+            for future in (leader, follower):
+                with pytest.raises(CancelledError):
+                    future.result(timeout=0)
+            # The solve they walked away from still fills the cache.
+            assert disp.query(5, "powerpush", **PARAMS).cache_hit
+            assert engine_queries(disp) == 1
+
+    def test_an_error_reply_fails_every_follower(self, base):
+        # Passes the dispatcher's schema check, fails in the solver.
+        bad = {"l1_threshold": -1.0}
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            with stopped(disp, disp.route(5)) as state:
+                futures = [disp.submit(5, "powerpush", **bad) for _ in range(3)]
+                assert len(state.pending) == 1
+            errors = [future.exception(timeout=60) for future in futures]
+            assert isinstance(errors[0], ParameterError)
+            assert "l1_threshold" in str(errors[0])
+            assert errors[1] is errors[0] and errors[2] is errors[0]
+            assert disp._flights == {}
+            # Nothing of it is remembered: asking again asks the shard.
+            with pytest.raises(ParameterError, match="l1_threshold"):
+                disp.query(5, "powerpush", **bad)
+            assert disp.stats()["cache"]["insertions"] == 0
+
+    def test_fresh_bypasses_cache_and_flight(self, base):
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            disp.query(5, "powerpush", **PARAMS)
+            with stopped(disp, disp.route(5)) as state:
+                futures = [
+                    disp.submit(5, "powerpush", fresh=True, **PARAMS)
+                    for _ in range(2)
+                ]
+                assert len(state.pending) == 2 and disp._flights == {}
+            for future in futures:
+                served = future.result(timeout=60)
+                assert not served.cache_hit
+                assert served.worker == disp.route(5)
+                assert_same_bytes(
+                    served, engine.query(5, "powerpush", **PARAMS)
+                )
+            assert engine_queries(disp) == 3
+            cache = disp.stats()["cache"]
+            assert cache["insertions"] == 1  # the warm-up's; fresh fills nothing
+            assert cache["hits"] == 0 and cache["misses"] == 1
+
+    def test_only_a_flight_that_lasts_long_enough_is_joined(self, base):
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
+            now = time.monotonic()
+            with stopped(disp, disp.route(5)) as state:
+                submit = lambda deadline: disp.submit(
+                    5, "powerpush", deadline=deadline, **PARAMS
+                )
+                leader = submit(now + 60)
+                sooner = submit(now + 30)
+                assert len(state.pending) == 1  # joined
+                same = submit(now + 60)
+                assert len(state.pending) == 1  # joined
+                # The shard fails a flight once its leader's deadline
+                # has passed; these two could still be waiting then.
+                later = submit(now + 90)
+                assert len(state.pending) == 2
+                unbounded = submit(None)
+                assert len(state.pending) == 3
+                assert list(disp._flights.values()) == [
+                    state.pending[min(state.pending)]
+                ]
+            first = leader.result(timeout=60)
+            assert sooner.result(timeout=60) is first
+            assert same.result(timeout=60) is first
+            for future in (leader, later, unbounded):
+                assert_same_bytes(
+                    future.result(timeout=60),
+                    engine.query(5, "powerpush", **PARAMS),
+                )
+            assert later.result(timeout=60) is not first
+            assert unbounded.result(timeout=60) is not first
+            assert disp._flights == {}
+
+    def test_an_update_between_two_reads_makes_the_second_a_miss(self, base):
+        updates = pick_updates(base)
+        reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, alpha=0.2, seed=7
+        ) as disp:
+            before = disp.query(1, "powerpush", **PARAMS)
+            assert_same_bytes(before, reference.query(1, "powerpush", **PARAMS))
+            assert disp.query(1, "powerpush", **PARAMS).cache_hit
+            version = disp.apply_updates(updates)
+            reference.apply_updates(updates)
+            after = disp.query(1, "powerpush", **PARAMS)
+            assert not after.cache_hit
+            assert (before.version, after.version) == (0, version)
+            assert_same_bytes(after, reference.query(1, "powerpush", **PARAMS))
+            assert after.result.estimate.tobytes() != before.result.estimate.tobytes()
+            again = disp.query(1, "powerpush", **PARAMS)
+            assert again.cache_hit and again.version == version
+            assert again.result is after.result
+            cache = disp.stats()["cache"]
+            assert cache["invalidations"] == 1
+            assert cache["stale_drops"] == 0
+
+    def test_an_answer_that_outlived_its_version_is_delivered_not_cached(
+        self, base
+    ):
+        # Sent at version 0, answered at version 0, but by then the
+        # cluster is being moved to version 2: the reader gets the
+        # pre-update answer it asked for, the cache does not.
+        updates = pick_updates(base)
+        pre = PPREngine(base, alpha=0.2, seed=7)
+        with ShardedDispatcher(
+            DynamicGraph(base), workers=2, alpha=0.2, seed=7
+        ) as disp:
+            with stopped(disp, disp.route(1)):
+                early = disp.submit(1, "powerpush", **PARAMS)
+                writer = threading.Thread(
+                    target=disp.apply_updates, args=(updates,), daemon=True
+                )
+                writer.start()
+                deadline = time.monotonic() + 30
+                while disp.graph_version == 0:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            served = early.result(timeout=60)
+            writer.join(timeout=60)
+            assert not writer.is_alive()
+            assert served.version == 0
+            assert_same_bytes(served, pre.query(1, "powerpush", **PARAMS))
+            cache = disp.stats()["cache"]
+            assert cache["insertions"] == 0 and cache["stale_drops"] == 0
+            after = disp.query(1, "powerpush", **PARAMS)
+            assert not after.cache_hit and after.version == len(updates)
+
+    def test_contended_duplicates_are_solved_once_per_version(self, base):
+        # More client threads than cores asking for four sources while a
+        # writer moves the version under them: cache lookup, flight
+        # join, fill and invalidation all race.  A duplicate that found
+        # neither the flight nor the entry would be a second solve of
+        # one (source, version); a fill at the wrong version, a wrong
+        # byte.
+        sources = (1, 2, 7, 19)
+        updates = pick_updates(base)
+        reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
+        expected = {}
+        for version in range(len(updates) + 1):
+            if version:
+                reference.apply_updates(updates[version - 1:version])
+            for source in sources:
+                expected[source, version] = reference.query(
+                    source, "powerpush", **PARAMS
+                )
+        clients, rounds = 8, 40
+        answers: list = []
+        failures: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedDispatcher(
+                DynamicGraph(base), workers=2, alpha=0.2, seed=7
+            ) as disp:
+
+                def client(offset: int) -> None:
+                    try:
+                        for i in range(rounds):
+                            source = sources[(offset + i) % len(sources)]
+                            served = disp.query(
+                                source, "powerpush", timeout=60, **PARAMS
+                            )
+                            answers.append((source, served))
+                    except BaseException as exc:  # noqa: BLE001 - surfaced below
+                        failures.append(exc)
+
+                def writer() -> None:
+                    try:
+                        for update in updates:
+                            time.sleep(0.02)
+                            disp.apply_updates([update])
+                    except BaseException as exc:  # noqa: BLE001 - surfaced below
+                        failures.append(exc)
+
+                threads = [
+                    threading.Thread(target=client, args=(k,), daemon=True)
+                    for k in range(clients)
+                ] + [threading.Thread(target=writer, daemon=True)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                assert not failures, failures[0]
+                assert len(answers) == clients * rounds
+                for source, served in answers:
+                    assert_same_bytes(served, expected[source, served.version])
+                solved = {(source, served.version) for source, served in answers}
+                assert engine_queries(disp) == len(solved)
+                assert disp._flights == {}
+                assert disp.graph_version == len(updates)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cache_capacity_zero_keeps_the_flights(self, base):
+        with ShardedDispatcher(
+            base, workers=2, alpha=0.2, seed=7, cache_capacity=0
+        ) as disp:
+            with stopped(disp, disp.route(5)) as state:
+                futures = [
+                    disp.submit(5, "powerpush", **PARAMS) for _ in range(3)
+                ]
+                assert len(state.pending) == 1
+            first = futures[0].result(timeout=60)
+            assert all(f.result(timeout=60) is first for f in futures)
+            assert not disp.query(5, "powerpush", **PARAMS).cache_hit
+            stats = disp.stats()
+            assert stats["cache"] == {}
+            assert engine_queries(disp) == 2
+
+    def test_resubmit_on_a_closed_dispatcher_settles_outside_the_mutex(
+        self, base
+    ):
+        # Regression: ``_resubmit`` failed the future with ``_mutex``
+        # held, so a done-callback that re-entered the dispatcher
+        # (asyncio.wrap_future's does, via the loop; this one calls
+        # route()) waited on the lock its own thread was holding.
+        from repro.serving.sharded import _PendingRequest
+
+        disp = ShardedDispatcher(base, workers=2, alpha=0.2, seed=7)
+        future: Future = Future()
+        routed = []
+        future.add_done_callback(lambda _: routed.append(disp.route(0)))
+        request = _PendingRequest(
+            waiters=[future],
+            source=0,
+            method="powerpush",
+            params=dict(PARAMS),
+            fresh=False,
+        )
+        disp.close()
+        thread = threading.Thread(
+            target=disp._resubmit, args=(request,), daemon=True
+        )
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "done-callback deadlocked on _mutex"
+        assert routed == [disp.route(0)]
+        with pytest.raises(RuntimeError, match="closed"):
+            future.result(timeout=0)
 
 
 class TestUpdates:
@@ -829,9 +1196,11 @@ class TestCrashRecovery:
             os.kill(disp._states[victim].process.pid, signal.SIGKILL)
 
             # Every future must resolve — rerouted to the survivor, not
-            # hung on the corpse.
+            # hung on the corpse (fresh: past the cache, which holds
+            # all of these and would ask no shard at all).
             futures = [
-                disp.submit(s, "powerpush", **PARAMS) for s in sources
+                disp.submit(s, "powerpush", fresh=True, **PARAMS)
+                for s in sources
             ]
             engine = PPREngine(base, alpha=0.2, seed=7)
             for source, future in zip(sources, futures):

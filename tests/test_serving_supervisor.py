@@ -87,6 +87,36 @@ def wait_heartbeat(disp, worker_id, version, timeout=10.0):
     )
 
 
+def first_sources_per_shard(disp, graph, count=3):
+    """``count`` sources routed to each shard, one list per worker id."""
+    return [
+        [s for s in range(graph.num_nodes) if disp.route(s) == worker][:count]
+        for worker in range(disp.configured_workers)
+    ]
+
+
+def shard_requests(disp):
+    """Requests each live shard has been sent, by worker id."""
+    return {
+        int(worker): stats["requests"]
+        for worker, stats in disp.stats()["per_worker"].items()
+    }
+
+
+def assert_repeat_reads_never_reach_a_shard(disp, reference, sources, version):
+    """Reading ``sources`` again is answered by the dispatcher's cache —
+    whichever shard solved them, however often it died since."""
+    before = shard_requests(disp)
+    for source in sources:
+        again = disp.query(source, "powerpush", **PARAMS)
+        expected = reference.query(source, "powerpush", **PARAMS)
+        assert again.cache_hit and again.worker is None
+        assert again.version == version
+        assert again.result.estimate.tobytes() == expected.estimate.tobytes()
+        assert again.result.residue.tobytes() == expected.residue.tobytes()
+    assert shard_requests(disp) == before
+
+
 class TestRestartPolicy:
     def test_delays_are_seed_deterministic_and_jittered(self):
         policy = RestartPolicy(seed=3)
@@ -237,11 +267,7 @@ class TestRespawnEndToEnd:
 
             state = wait_respawn(disp, victim)
             assert state.generation == 1
-            # The respawn starts a *fresh* EngineServer: no inherited
-            # ResultCache (satellite: a respawn must never serve a
-            # stale memo from its previous life).
-            beat = wait_heartbeat(disp, victim, version=0)
-            assert beat["cache_size"] == 0
+            wait_heartbeat(disp, victim, version=0)
 
             stats = disp.stats()
             supervisor = stats["supervisor"]
@@ -253,10 +279,19 @@ class TestRespawnEndToEnd:
             assert recovery["last"] is not None and recovery["last"] > 0.0
             assert recovery["max"] >= recovery["last"]
 
+            # What the victim had solved did not die with it: the
+            # cluster's one cache is the dispatcher's, so the respawn —
+            # which memoises nothing — is not even asked.
             engine = PPREngine(base, alpha=0.2, seed=7)
+            assert_repeat_reads_never_reach_a_shard(disp, engine, sources, 0)
+            assert shard_requests(disp)[victim] == 0
+            # ...and asked, it solves the same bytes.
             for source in sources:
-                served = disp.query(source, "powerpush", **PARAMS)
+                served = disp.query(
+                    source, "powerpush", fresh=True, **PARAMS
+                )
                 expected = engine.query(source, "powerpush", **PARAMS)
+                assert served.worker == disp.route(source)
                 assert (
                     served.result.estimate.tobytes()
                     == expected.estimate.tobytes()
@@ -302,11 +337,39 @@ class TestRespawnEndToEnd:
             state = wait_respawn(disp, victim)
             assert state.replies.arena is arena
             before = disp.stats()["per_worker_replies"][str(victim)]
-            served = disp.query(sources[0], "powerpush", **PARAMS)
+            # (fresh: the answer is cached by now, and a hit has no shard)
+            served = disp.query(sources[0], "powerpush", fresh=True, **PARAMS)
             assert served.worker == victim
             after = disp.stats()["per_worker_replies"][str(victim)]
             assert after["replies_slot"] == before["replies_slot"] + 1
             assert after["reply_slots_free"] == after["reply_slots_total"]
+
+    def test_a_flight_outlives_the_shard_it_was_sent_to(self, base):
+        with ShardedDispatcher(
+            base, workers=2, alpha=0.2, seed=7, max_restarts=0
+        ) as disp:
+            victim = disp.route(5)
+            pid = disp._states[victim].process.pid
+            os.kill(pid, signal.SIGSTOP)
+            futures = [disp.submit(5, "powerpush", **PARAMS) for _ in range(3)]
+            os.kill(pid, signal.SIGKILL)
+            # One retry carries all three callers to the survivor, and
+            # each receives what the retried leader did.
+            answers = [future.result(timeout=60) for future in futures]
+            assert all(served is answers[0] for served in answers)
+            assert answers[0].worker == 1 - victim
+            expected = PPREngine(base, alpha=0.2, seed=7).query(
+                5, "powerpush", **PARAMS
+            )
+            assert (
+                answers[0].result.estimate.tobytes()
+                == expected.estimate.tobytes()
+            )
+            stats = disp.stats()
+            assert stats["supervisor"]["retries"] == 1
+            assert stats["rerouted"] == 1
+            assert disp._flights == {}
+            assert disp.query(5, "powerpush", **PARAMS).cache_hit
 
     def test_budget_exhaustion_degrades_without_hung_futures(self, base):
         policy = RestartPolicy(max_restarts=1, **FAST_RESTARTS)
@@ -333,9 +396,11 @@ class TestRespawnEndToEnd:
             assert supervisor["degraded_capacity"] is True
 
             # Degraded, not dead: every future still resolves on the
-            # survivor, byte-identical.
+            # survivor, byte-identical (fresh: past the cache, which
+            # would answer all of these without any shard).
             futures = [
-                disp.submit(s, "powerpush", **PARAMS) for s in sources
+                disp.submit(s, "powerpush", fresh=True, **PARAMS)
+                for s in sources
             ]
             engine = PPREngine(base, alpha=0.2, seed=7)
             for source, future in zip(sources, futures):
@@ -370,19 +435,22 @@ class TestRespawnEndToEnd:
             assert version == len(updates)
 
             wait_respawn(disp, victim)
-            beat = wait_heartbeat(disp, victim, version=version)
-            assert beat["cache_size"] == 0
+            wait_heartbeat(disp, victim, version=version)
 
             reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
             reference.apply_updates(updates)
             for source in (0, 1, 2, 7, 19):
                 served = disp.query(source, "powerpush", **PARAMS)
                 expected = reference.query(source, "powerpush", **PARAMS)
-                assert served.version == version
+                # Nothing warmed before the update answers after it.
+                assert served.version == version and not served.cache_hit
                 assert (
                     served.result.estimate.tobytes()
                     == expected.estimate.tobytes()
                 )
+            assert_repeat_reads_never_reach_a_shard(
+                disp, reference, (0, 1, 2, 7, 19), version
+            )
             assert disp.num_workers == 2
 
     def test_crash_mid_update_barrier_settles_and_heals(
@@ -413,8 +481,7 @@ class TestRespawnEndToEnd:
             assert version == len(updates)
 
             wait_respawn(disp, victim)
-            beat = wait_heartbeat(disp, victim, version=version)
-            assert beat["cache_size"] == 0
+            wait_heartbeat(disp, victim, version=version)
             supervisor = disp.stats()["supervisor"]
             assert supervisor["respawns"] == 1
             assert supervisor["removed"] == []
@@ -423,10 +490,7 @@ class TestRespawnEndToEnd:
 
             reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
             reference.apply_updates(updates)
-            sources = [
-                [s for s in range(base.num_nodes) if disp.route(s) == w][:3]
-                for w in (victim, 1)
-            ]
+            sources = first_sources_per_shard(disp, base)
             for source in sources[0] + sources[1]:
                 served = disp.query(source, "powerpush", **PARAMS)
                 expected = reference.query(source, "powerpush", **PARAMS)
@@ -436,6 +500,9 @@ class TestRespawnEndToEnd:
                     served.result.estimate.tobytes()
                     == expected.estimate.tobytes()
                 )
+            assert_repeat_reads_never_reach_a_shard(
+                disp, reference, sources[0] + sources[1], version
+            )
 
 
 class TestRespawnAcrossGenerations:
@@ -444,9 +511,8 @@ class TestRespawnAcrossGenerations:
 
     @staticmethod
     def assert_both_shards_match(disp, base, reference, version):
-        for worker in range(disp.configured_workers):
-            routed = [s for s in range(base.num_nodes) if disp.route(s) == worker]
-            for source in routed[:3]:
+        for worker, routed in enumerate(first_sources_per_shard(disp, base)):
+            for source in routed:
                 served = disp.query(source, "powerpush", **PARAMS)
                 expected = reference.query(source, "powerpush", **PARAMS)
                 assert served.version == version
@@ -515,8 +581,7 @@ class TestRespawnAcrossGenerations:
             assert old not in shm_files()
 
             state = wait_respawn(disp, 0)
-            beat = wait_heartbeat(disp, 0, version=version)
-            assert beat["cache_size"] == 0
+            wait_heartbeat(disp, 0, version=version)
             assert mapped_segments(state.process.pid) == {
                 disp.image.segment_name,
                 state.replies.arena.segment_name,
@@ -525,6 +590,15 @@ class TestRespawnAcrossGenerations:
             reference = PPREngine(DynamicGraph(base), alpha=0.2, seed=7)
             reference.apply_updates(updates)
             self.assert_both_shards_match(disp, base, reference, version)
+            # What was warmed at version 0 is gone; what the respawn
+            # and the survivor just solved is held once, in the parent.
+            assert disp.stats()["cache"]["invalidations"] == 8
+            assert_repeat_reads_never_reach_a_shard(
+                disp,
+                reference,
+                sum(first_sources_per_shard(disp, base), []),
+                version,
+            )
 
     def test_forty_updates_and_a_kill_match_a_cold_engine(self, base):
         """Recovery does not depend on the update history: the respawn
