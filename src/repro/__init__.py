@@ -59,12 +59,6 @@ from repro.api import (
     register_solver,
     solver_names,
 )
-from repro.backends import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
 from repro.baselines import fora, resacc
 from repro.bepi import BePIIndex, bepi_query, build_bepi_index
 from repro.core import (
@@ -178,11 +172,6 @@ __all__ = [
     "compute_stats",
     "ReorderResult",
     "reorder_for_locality",
-    # kernel backends
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "resolve_backend",
     # generators
     "barabasi_albert_digraph",
     "chung_lu_digraph",

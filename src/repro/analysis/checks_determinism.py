@@ -163,10 +163,8 @@ class ColumnFancyGatherRule(Rule):
         "goes when it does."
     )
 
-    _PACKAGES = ("repro.core", "repro.backends")
-
     def check_file(self, file: SourceFile) -> Iterable[Finding]:
-        if not file.in_package(*self._PACKAGES):
+        if not file.in_package("repro.core"):
             return
         assert file.tree is not None
         for node in ast.walk(file.tree):
@@ -312,10 +310,7 @@ class WorkspaceDisciplineRule(Rule):
     )
 
     def check_file(self, file: SourceFile) -> Iterable[Finding]:
-        if not (
-            file.module == "repro.core.kernels"
-            or file.in_package("repro.backends")
-        ):
+        if file.module != "repro.core.kernels":
             return
         assert file.tree is not None
         for fn in walk_functions(file.tree):

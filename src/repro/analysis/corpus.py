@@ -3,7 +3,7 @@
 The analyzer parses each file a single time into a :class:`SourceFile`
 (AST + suppression comments + inferred module name) and hands the whole
 :class:`Corpus` to every rule.  Per-file rules walk one tree at a time;
-project rules (backend parity, registry/signature sync) cross-reference
+project rules (registry/signature sync) cross-reference
 several modules, which is why the corpus indexes files by module name.
 
 Module names are inferred from the path: everything from the last

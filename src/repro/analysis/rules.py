@@ -2,19 +2,19 @@
 
 A rule is a subclass of :class:`Rule` registered with
 :func:`register_rule`.  Each one encodes a project invariant the
-language cannot express — determinism, backend parity, lock discipline
-— and reports violations as :class:`~repro.analysis.findings.Finding`
-objects.  Two scopes exist:
+language cannot express — determinism, lock discipline — and reports
+violations as :class:`~repro.analysis.findings.Finding` objects.  Two
+scopes exist:
 
 ``file``
     :meth:`Rule.check_file` is called once per parsed source file;
     the rule walks that file's AST in isolation.
 ``project``
     :meth:`Rule.check_project` is called once with the whole corpus;
-    the rule cross-references modules (e.g. the numpy backend against
-    the numba backend).  When the corpus lacks the modules a project
+    the rule cross-references modules (e.g. the solver registry against
+    the solvers it wraps).  When the corpus lacks the modules a project
     rule anchors on, the rule reports nothing — linting a lone file
-    must not fabricate parity violations.
+    must not fabricate violations.
 
 Third-party rules plug in through :func:`register_rule` exactly like
 the built-ins in the ``checks_*`` modules; duplicate ids raise.

@@ -241,7 +241,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="repro-analysis",
         description=(
             "Project-invariant static checker for the repro PPR stack "
-            "(determinism, backend parity, lock discipline)."
+            "(determinism, lock discipline)."
         ),
     )
     add_lint_arguments(parser)

@@ -89,7 +89,6 @@ from repro.api.registry import (
     per_source_rng,
     resolve_method,
 )
-from repro.backends import KernelBackend, resolve_backend
 from repro.bepi.blockelim import BePIIndex
 from repro.core.incremental import IncrementalPPR
 from repro.core.result import PPRResult
@@ -187,16 +186,6 @@ class PPREngine:
         Default dead-end rule for solvers that accept one.
     walk_index, bepi_index:
         Optionally adopt pre-built indexes instead of building lazily.
-    backend:
-        Kernel backend injected into every query of a backend-capable
-        method (PowerPush and friends): a registered name
-        (``"numpy"``/``"numba"``) or a
-        :class:`~repro.backends.KernelBackend` instance.  ``None``
-        leaves the choice to each solver's own resolution (the
-        ``REPRO_PPR_BACKEND`` environment variable, defaulting to the
-        NumPy reference) — so explicit-constructor > env var > default.
-        Resolution happens here, so an unknown name fails fast and a
-        missing ``numba`` warns once at engine construction.
     reorder:
         Cache-aware node reordering: ``"degree"`` or ``"slashburn"``
         (see :func:`repro.graph.transforms.reorder_for_locality`), or
@@ -227,7 +216,6 @@ class PPREngine:
         dead_end_policy: str = "redirect-to-source",
         walk_index: WalkIndex | None = None,
         bepi_index: BePIIndex | None = None,
-        backend: str | KernelBackend | None = None,
         reorder: str | ReorderResult | None = None,
     ) -> None:
         self._reorder: ReorderResult | None = None
@@ -243,10 +231,6 @@ class PPREngine:
             else:
                 self._reorder = reorder_for_locality(graph, strategy=reorder)
             graph = self._reorder.graph
-        #: resolved kernel backend, or None to defer to the env default
-        self.backend: KernelBackend | None = (
-            resolve_backend(backend) if backend is not None else None
-        )
         if isinstance(graph, DynamicGraph):
             self._dynamic: DynamicGraph | None = graph
             self._static_graph: DiGraph | None = None
@@ -640,10 +624,9 @@ class PPREngine:
         accepts: Callable[[str], bool] = lambda name: True,
     ) -> None:
         """Fill the engine-level defaults a request left open."""
-        for name in ("alpha", "dead_end_policy", "backend"):
-            value = getattr(self, name)
-            if value is not None and accepts(name):
-                params.setdefault(name, value)
+        for name in ("alpha", "dead_end_policy"):
+            if accepts(name):
+                params.setdefault(name, getattr(self, name))
 
     def _resolve(
         self, method: str, params: Mapping[str, Any]

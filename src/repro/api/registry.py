@@ -146,10 +146,6 @@ PARAMS: dict[str, ParamSpec] = {
         ParamSpec("delta", "BePI's Schur-iteration convergence parameter"),
         ParamSpec("scheduler", "push order: fifo | lifo | max-residue"),
         ParamSpec("mode", "execution mode: faithful | frontier/vectorized | auto"),
-        ParamSpec(
-            "backend",
-            "kernel backend: numpy | numba (or a KernelBackend instance)",
-        ),
         ParamSpec("config", "PowerPushConfig tuning knobs"),
         ParamSpec("dead_end_policy", "dead-end handling rule"),
         ParamSpec("trace", "ConvergenceTrace to record into"),
@@ -655,11 +651,6 @@ BEPI_INDEX = ArtefactSpec(
 
 _EXACT_COMMON = ("alpha", "l1_threshold", "dead_end_policy", "trace")
 
-#: Methods whose vectorised inner loops run on a pluggable kernel
-#: backend accept ``backend`` (name, instance, or None for the
-#: REPRO_PPR_BACKEND/NumPy default).
-_BACKEND_PARAM = ("backend",)
-
 
 def _solve_forward_push(
     graph: DiGraph,
@@ -822,7 +813,7 @@ def _register_builtin_solvers() -> None:
             aliases=("pp", "algo3"),
             kind="exact",
             summary="PowerPush (Algorithm 3): power iteration with forward push",
-            params=(*_EXACT_COMMON, *_BACKEND_PARAM, "config", "mode"),
+            params=(*_EXACT_COMMON, "config", "mode"),
             fn=power_push,
         )
     )
@@ -832,7 +823,7 @@ def _register_builtin_solvers() -> None:
             aliases=("power-iteration", "powiter", "pi"),
             kind="exact",
             summary="Power Iteration: the global O(m log(1/lambda)) baseline",
-            params=(*_EXACT_COMMON, *_BACKEND_PARAM, "max_iterations"),
+            params=(*_EXACT_COMMON, "max_iterations"),
             fn=power_iteration,
         )
     )
@@ -842,7 +833,7 @@ def _register_builtin_solvers() -> None:
             aliases=("fwdpush", "forward-push", "fifo", "algo2"),
             kind="exact",
             summary="FIFO Forward Push (Algorithm 2): the analysed local method",
-            params=(*_EXACT_COMMON, *_BACKEND_PARAM, "r_max", "mode", "max_sweeps"),
+            params=(*_EXACT_COMMON, "r_max", "mode", "max_sweeps"),
             fn=fifo_forward_push,
         )
     )
@@ -862,7 +853,7 @@ def _register_builtin_solvers() -> None:
             aliases=("simultaneous-fwdpush", "sim"),
             kind="exact",
             summary="Simultaneous Forward Push: the PowItr-equivalent variant",
-            params=(*_EXACT_COMMON, *_BACKEND_PARAM, "max_iterations"),
+            params=(*_EXACT_COMMON, "max_iterations"),
             fn=_solve_sim_fwdpush,
         )
     )
@@ -891,7 +882,6 @@ def _register_builtin_solvers() -> None:
             summary="SpeedPPR (Algorithm 4): PowerPush phase + eps-independent index",
             params=(
                 *_APPROX_COMMON,
-                *_BACKEND_PARAM,
                 "walk_index",
                 "use_index",
                 "config",

@@ -39,8 +39,8 @@ compare with the serial one-query-at-a-time baseline::
 
     repro-ppr loadtest --requests 400 --concurrency 8 --out bench.json
 
-Run the project-invariant static checker (determinism, backend parity,
-lock discipline — the same gate CI runs; see CONTRIBUTING.md)::
+Run the project-invariant static checker (determinism, lock
+discipline — the same gate CI runs; see CONTRIBUTING.md)::
 
     repro-ppr lint src/repro
     repro-ppr lint --list-rules
@@ -106,15 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="seed for the stochastic methods (reproducible shell queries)",
-    )
-    query.add_argument(
-        "--backend",
-        default=None,
-        metavar="BACKEND",
-        help=(
-            "kernel backend (numpy | numba); default: the "
-            "REPRO_PPR_BACKEND environment variable, else numpy"
-        ),
     )
     query.add_argument(
         "--reorder",
@@ -378,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the project-invariant static checker "
-            "(determinism, backend parity, lock discipline)"
+            "(determinism, lock discipline)"
         ),
     )
     add_lint_arguments(lint)
@@ -413,8 +404,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_list() -> int:
-    from repro.backends import available_backends, registered_backends
-
     print("experiments:")
     for key, (description, _) in EXPERIMENTS.items():
         print(f"  {key}: {description}")
@@ -425,11 +414,6 @@ def _cmd_list() -> int:
     for spec in solver_specs():
         aliases = f" (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
         print(f"  {spec.name} [{spec.kind}]{aliases}: {spec.summary}")
-    print("backends:")
-    usable = set(available_backends())
-    for name in registered_backends():
-        status = "available" if name in usable else "not installed (falls back to numpy)"
-        print(f"  {name}: {status}")
     return 0
 
 
@@ -800,7 +784,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         graph,
         alpha=args.alpha,
         seed=args.seed,
-        backend=args.backend,
         reorder=args.reorder,
     )
     # Offer the full unified parameter set; the spec keeps what it knows.

@@ -26,7 +26,6 @@ from __future__ import annotations
 import time
 from typing import Literal
 
-from repro.backends import KernelBackend, active_backend
 from repro.core.fwdpush import forward_push
 from repro.core.kernels import sweep_active
 from repro.core.workspace import Workspace
@@ -66,7 +65,6 @@ def fifo_forward_push(
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     max_sweeps: int | None = None,
     trace: ConvergenceTrace | None = None,
-    backend: "str | KernelBackend | None" = None,
 ) -> PPRResult:
     """Run FIFO-FwdPush (Algorithm 2).
 
@@ -78,10 +76,6 @@ def fifo_forward_push(
     mode:
         ``"faithful"`` for the scalar queue loop, ``"frontier"`` for the
         vectorised iteration form, ``"auto"`` picks ``"frontier"``.
-    backend:
-        Kernel backend for the frontier mode (name, instance, or None
-        for the env-var/NumPy default); the faithful scalar loop
-        ignores it.
     """
     if (r_max is None) == (l1_threshold is None):
         raise ParameterError(
@@ -113,7 +107,6 @@ def fifo_forward_push(
 
     check_alpha(alpha)
     check_source(graph, source)
-    kernel_backend = active_backend(backend)
     workspace = Workspace()
     if max_sweeps is None:
         import math
@@ -138,7 +131,6 @@ def fifo_forward_push(
             r_max,
             threshold_vec=threshold_vec,
             workspace=workspace,
-            backend=kernel_backend,
         )
         if pushed == 0:
             break

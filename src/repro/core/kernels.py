@@ -81,7 +81,7 @@ place, in a single pass of the ``csc_matvec`` the sweep scatters with.
 so a local push touches each frontier edge twice (copy, add), stages
 only pointers and fences per frontier node, and has no ``O(n)`` term —
 the cost the paper's analysis of the local side assumes (measured
-times: README, "Kernel backends"; limits: :func:`gather_ranges`).  A
+times: README, "Kernels"; limits: :func:`gather_ranges`).  A
 target accumulates its shares on top of its residue one add at a time,
 ``r + c_1 + c_2 + ...``, in an order fixed by the frontier and the CSR,
 as for the sweep.
@@ -89,37 +89,10 @@ as for the sweep.
 Scratch buffers: the frontier kernels accept an optional
 :class:`~repro.core.workspace.Workspace`; callers that push in a loop
 (the solvers) thread one through so the frontier-sized temporaries are
-reused instead of reallocated every call.  This and the ``backend=``
-threading below are enforced mechanically: ``repro-ppr lint``
-(``repro.analysis``) checks ``workspace-discipline`` and
-``backend-parity`` on every CI run — see CONTRIBUTING.md for the
+reused instead of reallocated every call.  This is enforced
+mechanically: ``repro-ppr lint`` (``repro.analysis``) checks
+``workspace-discipline`` on every CI run — see CONTRIBUTING.md for the
 invariant -> rule table.
-
-Pluggable backends and what the compiled path removes
------------------------------------------------------
-Every kernel accepts an optional ``backend``
-(:class:`~repro.backends.KernelBackend`); ``None`` — the default, and
-what the ``numpy`` reference backend resolves to — runs the NumPy
-bodies in this module, so golden traces stay byte-identical.  A
-compiled backend (``numba``) replaces the *constant-factor* terms of
-the cost model above, not its asymptotics:
-
-* the frontier push's two compiled passes (range gather, in-place
-  scatter) and the frontier-sized NumPy staging between them collapse
-  into **one** loop over the frontier's CSR ranges — each edge is
-  touched exactly once and the share stays in a register; the
-  reference path already has no ``O(n)``-sized term, so what is left
-  to remove is the second pass and the per-call NumPy dispatch;
-* the global sweep's scipy mat-vec dispatch and the separate ``O(n)``
-  reserve/billing passes fuse into one loop over ``P^T``;
-* the asynchronous sweep's per-chunk NumPy passes and scipy dispatch
-  become one loop over the forward CSR with the reference's chunk
-  schedule, so both backends push the same residues.
-
-Empty frontiers are handled *before* backend dispatch: a push with no
-nodes returns immediately without requesting a single workspace
-buffer, so late epochs that probe an exhausted frontier cost nothing
-on any backend.
 
 PowerPush has no multi-source kernel: a batch is a per-source loop
 (README, "Why PowerPush has no block path").  :func:`block_global_sweep`
@@ -127,8 +100,6 @@ is what is left of one, kept for the benchmark ladder alone.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -152,12 +123,6 @@ except ImportError as exc:  # pragma: no cover - depends on the scipy build
         f"the private module scipy.sparse._sparsetools, and the installed "
         f"scipy {scipy.__version__} does not provide them"
     ) from exc
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    # Runtime import would be circular: repro.backends pulls in
-    # repro.core at its own import time.  Dispatch below only calls
-    # methods on the passed object, so the type is annotation-only.
-    from repro.backends.base import KernelBackend
 
 __all__ = [
     "gather_ranges",
@@ -353,7 +318,6 @@ def global_sweep(
     state: PushState,
     *,
     count_all_edges: bool = True,
-    backend: "KernelBackend | None" = None,
 ) -> None:
     """One simultaneous push of every node — a Power-Iteration step.
 
@@ -368,13 +332,7 @@ def global_sweep(
         updates — the global approach touches every edge.  When False
         (SimFwdPush semantics) only the out-degrees of nodes holding
         residue are billed.
-    backend:
-        Optional non-reference :class:`~repro.backends.KernelBackend`
-        to run the sweep on; ``None`` runs the NumPy body below.
     """
-    if backend is not None:
-        backend.global_sweep(state, count_all_edges=count_all_edges)
-        return
     graph = state.graph
     r = state.residue
     alpha = state.alpha
@@ -406,21 +364,16 @@ def frontier_push(
     nodes: np.ndarray,
     *,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> None:
     """Simultaneously push exactly ``nodes`` (gather/scatter path).
 
     Contributions are based on the residues at entry; the pushed nodes'
     residues are zeroed first so self-loop edges re-deposit correctly.
 
-    An empty ``nodes`` returns before dispatching to any backend and
-    before requesting any workspace buffer (the empty-frontier fast
-    path late epochs rely on).
+    An empty ``nodes`` returns before requesting any workspace buffer
+    (the empty-frontier fast path late epochs rely on).
     """
     if nodes.shape[0] == 0:
-        return
-    if backend is not None:
-        backend.frontier_push(state, nodes, workspace=workspace)
         return
     alpha = state.alpha
     pushed, counts, num_edges = frontier_propagate(
@@ -489,7 +442,6 @@ def sweep_active(
     *,
     threshold_vec: np.ndarray | None = None,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> int:
     """Push all currently-active nodes once; return how many were pushed.
 
@@ -511,13 +463,6 @@ def sweep_active(
         that sweep repeatedly at a fixed ``r_max`` (epoch loops) pass
         it to avoid recomputing the products every sweep.
     """
-    if backend is not None:
-        return backend.sweep_active(
-            state,
-            r_max,
-            threshold_vec=threshold_vec,
-            workspace=workspace,
-        )
     graph = state.graph
     if threshold_vec is None:
         active = state.active_mask(r_max)
@@ -632,7 +577,6 @@ def async_sweep(
     state: PushState,
     *,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> np.ndarray:
     """Push every residue-holding node once, with the freshest residues.
 
@@ -647,24 +591,11 @@ def async_sweep(
     what each node pushed) — scratch, valid until the next sweep
     through the same workspace; :func:`extrapolate_window` consumes it.
     """
-    if backend is not None:
-        return backend.async_sweep(state, workspace=workspace)
-    pushed = _scratch(
-        workspace, "sweep_pushed", state.graph.num_nodes, np.float64
-    )
-    async_propagate(
-        state.graph, state.residue, pushed, state.alpha, workspace=workspace
-    )
-    return _settle_async_sweep(state, pushed)
-
-
-def _settle_async_sweep(state: PushState, pushed: np.ndarray) -> np.ndarray:
-    """Bill, route dead-end mass and settle reserves after a propagation.
-
-    Shared by every backend's :func:`async_sweep`; scales ``pushed`` by
-    ``alpha`` in place and returns it (the sweep's reserve gain).
-    """
     graph = state.graph
+    pushed = _scratch(workspace, "sweep_pushed", graph.num_nodes, np.float64)
+    async_propagate(
+        graph, state.residue, pushed, state.alpha, workspace=workspace
+    )
     holders = pushed != 0.0
     state.counters.count_bulk_pushes(
         int(np.count_nonzero(holders)),

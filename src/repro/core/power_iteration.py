@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 
-from repro.backends import KernelBackend, active_backend
 from repro.core.kernels import global_sweep
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
@@ -41,7 +40,6 @@ def power_iteration(
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     max_iterations: int | None = None,
     trace: ConvergenceTrace | None = None,
-    backend: "str | KernelBackend | None" = None,
 ) -> PPRResult:
     """Answer a high-precision SSPPR query with Power Iteration.
 
@@ -68,7 +66,6 @@ def power_iteration(
     check_alpha(alpha)
     check_source(graph, source)
     check_l1_threshold(l1_threshold)
-    kernel_backend = active_backend(backend)
     if max_iterations is None:
         max_iterations = _analytic_iteration_bound(alpha, l1_threshold) + 8
 
@@ -87,7 +84,7 @@ def power_iteration(
                 f"PowItr exceeded {max_iterations} iterations "
                 f"(r_sum={state.r_sum:.3e}, lambda={l1_threshold:.3e})"
             )
-        global_sweep(state, count_all_edges=True, backend=kernel_backend)
+        global_sweep(state, count_all_edges=True)
         iterations += 1
         state.counters.iterations = iterations
         if trace is not None:

@@ -59,7 +59,6 @@ import time
 from collections import deque
 from typing import Literal
 
-from repro.backends import KernelBackend, active_backend
 from repro.core.kernels import async_sweep, extrapolate_window, frontier_push
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
@@ -125,7 +124,6 @@ def power_push(
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     trace: ConvergenceTrace | None = None,
     max_work_factor: float = 64.0,
-    backend: str | KernelBackend | None = None,
 ) -> PPRResult:
     """Answer a high-precision SSPPR query with PowerPush (Algorithm 3).
 
@@ -139,21 +137,14 @@ def power_push(
         constants (``epoch_num=8``, ``scan_threshold=n/4``).
     mode:
         ``"faithful"`` runs the scalar pseudo-code; ``"vectorized"``
-        (chosen by ``"auto"``) runs the push kernels on the selected
-        backend.
+        (chosen by ``"auto"``) runs the push kernels.
     max_work_factor:
         Safety multiplier on the theoretical sweep budget before a
         :class:`ConvergenceError` is raised.
-    backend:
-        Kernel backend name or instance for the vectorised mode
-        (``None`` consults ``REPRO_PPR_BACKEND``, defaulting to the
-        NumPy reference).  The faithful scalar mode always runs the
-        pseudo-code verbatim and ignores it.
     """
     check_alpha(alpha)
     check_source(graph, source)
     check_l1_threshold(l1_threshold)
-    kernel_backend = active_backend(backend)
     if config is None:
         config = PowerPushConfig()
     if mode == "auto":
@@ -181,14 +172,7 @@ def power_push(
     elif mode == "faithful":
         _run_faithful(state, l1_threshold, config, trace, max_work_factor)
     else:
-        _run_vectorized(
-            state,
-            l1_threshold,
-            config,
-            trace,
-            max_work_factor,
-            backend=kernel_backend,
-        )
+        _run_vectorized(state, l1_threshold, config, trace, max_work_factor)
 
     state.refresh_r_sum()
     if trace is not None:
@@ -271,7 +255,6 @@ def _run_vectorized(
     config: PowerPushConfig,
     trace: ConvergenceTrace | None,
     max_work_factor: float,
-    backend: KernelBackend | None = None,
 ) -> None:
     graph = state.graph
     n, m = graph.num_nodes, graph.num_edges
@@ -288,7 +271,7 @@ def _run_vectorized(
         frontier = state.active_nodes(r_max)
         if frontier.shape[0] == 0 or frontier.shape[0] > scan_threshold:
             break
-        frontier_push(state, frontier, workspace=workspace, backend=backend)
+        frontier_push(state, frontier, workspace=workspace)
         state.counters.queue_appends += frontier.shape[0]
         _check_budget(state, budget)
         if trace is not None:
@@ -303,9 +286,7 @@ def _run_vectorized(
             settled = None
             while state.r_sum > target:
                 r_before[:] = state.residue
-                settled = async_sweep(
-                    state, workspace=workspace, backend=backend
-                )
+                settled = async_sweep(state, workspace=workspace)
                 _check_budget(state, budget)
                 if trace is not None:
                     trace.maybe_record(

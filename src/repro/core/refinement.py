@@ -13,7 +13,6 @@ existing :class:`PushState`, using the auto-switching sweep kernel.
 
 from __future__ import annotations
 
-from repro.backends import KernelBackend, active_backend
 from repro.core.kernels import sweep_active
 from repro.core.residues import PushState
 from repro.core.workspace import Workspace
@@ -28,18 +27,14 @@ def refine_to_r_max(
     r_max: float,
     *,
     max_sweeps: int | None = None,
-    backend: "str | KernelBackend | None" = None,
 ) -> PushState:
     """Push until no node is active w.r.t. ``r_max``; return the state.
 
     The state is modified in place (and also returned for chaining).
-    The remaining sweeps run on the selected kernel ``backend`` (None
-    resolves the env-var/NumPy default).
     """
     check_r_max(r_max)
     if r_max == 0.0:
         raise ParameterError("r_max must be positive for refinement")
-    kernel_backend = active_backend(backend)
     workspace = Workspace()
     if max_sweeps is None:
         import math
@@ -60,7 +55,6 @@ def refine_to_r_max(
             r_max,
             threshold_vec=threshold_vec,
             workspace=workspace,
-            backend=kernel_backend,
         )
         if pushed == 0:
             break

@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from repro.backends import KernelBackend, active_backend
 from repro.core.kernels import frontier_push
 from repro.core.workspace import Workspace
 from repro.core.residues import DeadEndPolicy, PushState
@@ -45,7 +44,6 @@ def simultaneous_forward_push(
     max_iterations: int | None = None,
     trace: ConvergenceTrace | None = None,
     record_iterates: bool = False,
-    backend: "str | KernelBackend | None" = None,
 ) -> PPRResult | tuple[PPRResult, list[dict[str, np.ndarray]]]:
     """Run SimFwdPush until the exact l1-error drops below ``lambda``.
 
@@ -59,7 +57,6 @@ def simultaneous_forward_push(
     check_alpha(alpha)
     check_source(graph, source)
     check_l1_threshold(l1_threshold)
-    kernel_backend = active_backend(backend)
     workspace = Workspace()
     if max_iterations is None:
         import math
@@ -84,9 +81,7 @@ def simultaneous_forward_push(
                 f"(r_sum={state.r_sum:.3e}, lambda={l1_threshold:.3e})"
             )
         active = np.flatnonzero(state.residue > 0.0)
-        frontier_push(
-            state, active, workspace=workspace, backend=kernel_backend
-        )
+        frontier_push(state, active, workspace=workspace)
         state.refresh_r_sum()
         iterations += 1
         state.counters.iterations = iterations

@@ -414,17 +414,6 @@ class DiGraph:
             self._pt_matrix = self.to_scipy_csr(weighted=True).T.tocsr()
         return self._pt_matrix
 
-    def pt_csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Raw ``(indptr, indices, data)`` of the cached ``P^T`` CSR.
-
-        Compiled kernel backends (:mod:`repro.backends.numba_backend`)
-        loop over these arrays directly instead of going through the
-        scipy matrix object, so the accessor keeps scipy types out of
-        the backend layer while sharing the one cached transpose.
-        """
-        matrix = self.transition_matrix_transpose()
-        return matrix.indptr, matrix.indices, matrix.data
-
     def warm_push_caches(self) -> "DiGraph":
         """Materialise every cached artefact the push kernels read.
 
@@ -454,8 +443,8 @@ class DiGraph:
         would have cached a freshly computed (and byte-identical)
         array, so no attacher pays the ``O(m)`` rebuild or holds a
         private copy.  ``P^T`` is not shared this way: only PowItr,
-        SimFwdPush, BePI and the numba sweep read it, and each process
-        builds it lazily on first use.
+        SimFwdPush and BePI read it, and each process builds it lazily
+        on first use.
 
         The array is adopted as given (no copy); its shape is validated
         against the graph, and callers should pass a read-only view.

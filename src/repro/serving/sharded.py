@@ -170,7 +170,6 @@ class WorkerConfig:
     seed: int = 0
     dead_end_policy: str = "redirect-to-source"
     max_batch: int = 64
-    backend: str | None = None
     #: Worker-side fault schedule (chaos runs only; empty in production).
     faults: tuple[FaultSpec, ...] = ()
 
@@ -213,7 +212,6 @@ class _Shard:
                     alpha=config.alpha,
                     seed=config.seed,
                     dead_end_policy=config.dead_end_policy,
-                    backend=config.backend,
                 ),
                 # The cluster's one result cache is the dispatcher's.
                 cache_capacity=0,
@@ -632,7 +630,7 @@ class ShardedDispatcher:
         Whether the dispatcher keeps a :class:`DynamicGraph` of its
         own over that snapshot so :meth:`apply_updates` works.
         Default: inferred from the graph argument.
-    alpha, seed, dead_end_policy, backend:
+    alpha, seed, dead_end_policy:
         Per-worker engine construction (identical in every shard —
         answers must not depend on placement).
     cache_capacity, cache_ttl:
@@ -694,7 +692,6 @@ class ShardedDispatcher:
         alpha: float = 0.2,
         seed: int = 0,
         dead_end_policy: str = "redirect-to-source",
-        backend: str | None = None,
         cache_capacity: int = 4096,
         cache_ttl: float | None = None,
         max_batch: int = 64,
@@ -773,7 +770,6 @@ class ShardedDispatcher:
             seed=seed,
             dead_end_policy=dead_end_policy,
             max_batch=max_batch,
-            backend=backend,
         )
         if restart_policy is None:
             restart_policy = RestartPolicy(seed=seed)

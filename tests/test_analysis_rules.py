@@ -170,116 +170,6 @@ class TestColumnFancyGather:
 
 
 # ---------------------------------------------------------------------------
-# backend-parity
-# ---------------------------------------------------------------------------
-
-_REFERENCE_BACKEND = """\
-from repro.backends.base import KernelBackend
-
-class NumpyBackend(KernelBackend):
-    name = "numpy"
-
-    def global_sweep(self, state, *, count_all_edges=True, workspace=None):
-        pass
-
-    def frontier_push(self, state, nodes, *, workspace=None):
-        pass
-"""
-
-
-class TestBackendParity:
-    def test_clean_when_signatures_match(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "repro/backends/numpy_backend.py": _REFERENCE_BACKEND,
-                "repro/backends/numba_backend.py": """\
-                from repro.backends.base import KernelBackend
-
-                class NumbaBackend(KernelBackend):
-                    name = "numba"
-
-                    def global_sweep(self, state, *, count_all_edges=True, workspace=None):
-                        pass
-
-                    def frontier_push(self, state, nodes, *, workspace=None):
-                        pass
-                """,
-            },
-            select=["backend-parity"],
-        )
-        assert findings == []
-
-    def test_flags_missing_and_divergent_and_extra(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "repro/backends/numpy_backend.py": _REFERENCE_BACKEND,
-                "repro/backends/numba_backend.py": """\
-                from repro.backends.base import KernelBackend
-
-                class NumbaBackend(KernelBackend):
-                    name = "numba"
-
-                    def frontier_push(self, state, nodes, workspace=None):
-                        pass
-
-                    def bonus_kernel(self, state):
-                        pass
-                """,
-            },
-            select=["backend-parity"],
-        )
-        messages = " ".join(f.message for f in findings)
-        assert len(findings) == 3
-        assert "missing kernel global_sweep" in messages
-        assert "frontier_push() signature diverges" in messages
-        assert "bonus_kernel" in messages
-
-    def test_skips_when_compiled_backend_absent(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {"repro/backends/numpy_backend.py": _REFERENCE_BACKEND},
-            select=["backend-parity"],
-        )
-        assert findings == []
-
-    def test_flags_public_kernel_without_backend_param(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "repro/core/kernels.py": """\
-                __all__ = ["global_sweep", "helper"]
-
-                def global_sweep(state, *, count_all_edges=True):
-                    pass
-
-                def helper(graph, nodes):
-                    pass
-                """
-            },
-            select=["backend-parity"],
-        )
-        assert rules_of(findings) == ["backend-parity"]
-        assert "global_sweep" in findings[0].message
-
-    def test_clean_kernel_with_backend_param(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "repro/core/kernels.py": """\
-                __all__ = ["global_sweep"]
-
-                def global_sweep(state, *, count_all_edges=True, backend=None):
-                    pass
-                """
-            },
-            select=["backend-parity"],
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # registry-signature-sync
 # ---------------------------------------------------------------------------
 

@@ -214,6 +214,9 @@ class TestSolve:
             solve(graph, 0, method="powerpush", epsilon=0.5)
         assert "epsilon" in str(excinfo.value)
         assert "l1_threshold" in str(excinfo.value)
+        for name in solver_names():
+            with pytest.raises(ParameterError, match="backend"):
+                solve(graph, 0, method=name, backend="numpy")
 
     def test_solve_matches_direct_call(self):
         graph = paper_example_graph()

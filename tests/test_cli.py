@@ -21,6 +21,12 @@ class TestParser:
         assert args.method == "powerpush"
         assert args.source == 0
 
+    def test_query_parses_reorder(self):
+        args = build_parser().parse_args(
+            ["query", "dblp-s", "--reorder", "degree"]
+        )
+        assert args.reorder == "degree"
+
     def test_query_rejects_unknown_dataset(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "unknown-s"])

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from test_backends import _load_numba_backend_with_stub
 from test_core_async_sweep import (
     POLICIES,
     chain_graph,
@@ -326,19 +325,6 @@ class TestBlockRows:
         )
         assert "epochs" not in singles[0].counters.extras
         assert singles[1].counters.extras["extrapolations"] == 1
-
-    def test_through_the_numba_stub_backend(self):
-        backend = _load_numba_backend_with_stub()
-        for graph, sources in (
-            (rmat_digraph(7, 900, rng=np.random.default_rng(8)), [0, 3, 50]),
-            (star_graph(5, bidirectional=False), [0, 2]),
-        ):
-            singles = assert_rows_are_single_solves(
-                graph, sources, l1_threshold=1e-7, backend=backend
-            )
-            assert any(
-                s.counters.extras.get("extrapolations") for s in singles
-            )
 
 
 def test_a_solve_that_ends_in_the_queue_phase_has_no_window(medium_graph):

@@ -34,7 +34,7 @@ from repro.core.residues import PushState
 from repro.core.workspace import Workspace
 from repro.errors import GraphConstructionError, ParameterError
 from repro.generators.rmat import rmat_digraph
-from repro.graph.build import from_edges
+from repro.graph.build import from_edges, star_graph
 from repro.graph.dynamic import sample_edge_update
 from repro.serving.shm import SharedGraphImage
 
@@ -339,6 +339,50 @@ class TestFrontierPush:
         assert counts.tolist() == [2, 1] and num_edges == 3
         # 0 -> 1 twice (parallel), 2 -> 0.
         assert residue.tolist() == [0.8 * 0.125, 0.25 + 2 * (0.8 * -0.5 / 2), 0.0]
+
+
+def _graph(seed: int = 7, scale: int = 7, edges: int = 700):
+    return rmat_digraph(scale, edges, rng=np.random.default_rng(seed))
+
+
+class TestEmptyFrontierFastPath:
+    """Empty frontiers must not touch the workspace (satellite fix)."""
+
+    def test_frontier_push_empty_nodes(self):
+        graph = _graph()
+        state = PushState(graph, 0)
+        workspace = Workspace()
+        kernels.frontier_push(
+            state, np.empty(0, dtype=np.int64), workspace=workspace
+        )
+        assert workspace.requests == 0
+        assert state.r_sum == 1.0
+
+    def test_gather_ranges_empty_nodes(self):
+        graph = _graph()
+        workspace = Workspace()
+        nodes = np.empty(0, dtype=np.int64)
+        pointers, targets = kernels.gather_ranges(
+            graph.out_indices, nodes, nodes, workspace=workspace
+        )
+        assert targets.shape[0] == 0 and pointers.tolist() == [0]
+        assert workspace.requests == 0
+
+    def test_frontier_push_all_dead_frontier(self):
+        graph = star_graph(4, bidirectional=False)  # leaves are dead ends
+        state = PushState(graph, 0)
+        state.residue[:] = 0.25
+        state.refresh_r_sum()
+        workspace = Workspace()
+        # Pushing only dead ends gathers zero edges: no scatter, no
+        # workspace traffic, yet reserves/dead-mass still settle.
+        kernels.frontier_push(
+            state,
+            graph.dead_ends.astype(np.int64),
+            workspace=workspace,
+        )
+        assert workspace.requests == 0
+        assert state.counters.pushes == graph.dead_ends.shape[0]
 
 
 class TestIncrementalRefresh:

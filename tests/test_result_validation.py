@@ -123,6 +123,15 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_the_frozen_harness_can_stamp_its_kernel_name(self, monkeypatch):
+        # benchmarks/e2e/run.py's whole use of repro.backends; nothing
+        # in the environment selects kernels.
+        import repro.backends
+
+        monkeypatch.setenv("REPRO_PPR_BACKEND", "tpu")
+        assert repro.backends.resolve_backend(None).name == "numpy"
+        assert repro.backends.__all__ == ["resolve_backend"]
+
     def test_version(self):
         import repro
 
