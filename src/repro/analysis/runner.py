@@ -15,10 +15,10 @@ from typing import Iterable, Sequence, TextIO
 
 # Importing the check modules registers the built-in rules.
 from repro.analysis import (  # noqa: F401  (imported for registration)
-    checks_backends,
     checks_determinism,
     checks_durability,
     checks_imports,
+    checks_registry,
     checks_serving,
     reporters,
 )

@@ -5,8 +5,7 @@ Two layers:
 * :mod:`repro.api.registry` — every SSPPR algorithm registered behind
   one ``solve(graph, source, *, params) -> PPRResult`` protocol, with
   canonical names, aliases, kinds and the declarations (cacheable
-  artefact, block adapter and rule, tracked source) an engine serves
-  them by.
+  artefact, tracked source) an engine serves them by.
 * :mod:`repro.api.engine` — :class:`PPREngine`, the per-graph serving
   facade that caches the declared artefacts across queries and exposes
   ``query`` / ``batch_query`` / ``top_k`` plus aggregated
@@ -33,7 +32,6 @@ from repro.api.registry import (
     register_solver,
     resolve_method,
     solve,
-    solve_block,
     solver_names,
     solver_specs,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "solver_names",
     "solver_specs",
     "solve",
-    "solve_block",
     "build_speedppr_index",
     "build_fora_index",
     "UnknownMethodError",

@@ -12,16 +12,15 @@ needs it::
     >>> engine.query(0, method="speedppr", epsilon=0.3)   # builds index
     >>> engine.query(1, method="speedppr", epsilon=0.1)   # reuses it
 
-The engine names no method.  Every request — ``query``, each member or
-block of a ``batch_query``, a ``top_k`` with a method — runs one
-pipeline: resolve the name through the solver registry, fold the engine
-defaults in, claim a query number, bind the generator, inject what the
-resolved :class:`~repro.api.registry.SolverSpec` *declares* it can use
-(a cached artefact, the tracker of an incrementally maintained source),
-run the spec's adapter — or its block adapter, when the spec's own rule
-says the request may ride it — map node ids back, record stats.  A
-solver registered tomorrow is served with its artefact cached and
-invalidated like the built-in ones without an edit here.
+The engine names no method.  Every request — ``query``, each member of
+a ``batch_query``, a ``top_k`` with a method — runs one pipeline:
+resolve the name through the solver registry, fold the engine defaults
+in, claim a query number, bind the generator, inject what the resolved
+:class:`~repro.api.registry.SolverSpec` *declares* it can use (a cached
+artefact, the tracker of an incrementally maintained source), run the
+spec's adapter, map node ids back, record stats.  A solver registered
+tomorrow is served with its artefact cached and invalidated like the
+built-in ones without an edit here.
 ``index_builds`` counts how often each artefact kind was constructed,
 so tests (and operators) can assert reuse; ``engine.stats`` aggregates
 instrumentation across the engine's lifetime.
@@ -75,7 +74,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -256,7 +255,7 @@ class PPREngine:
         self.index_invalidations: dict[str, int] = Counter(self.index_builds)
         self._trackers: dict[int, IncrementalPPR] = {}
         self.stats = EngineStats()
-        #: batches answered by one ``block_fn`` call instead of a loop
+        #: always 0 (every batch loops); benchmarks/e2e/layers.py reads it
         self.block_batches = 0
         self._query_counter = 0
         #: serialises every mutation of engine state (artefact cache,
@@ -296,7 +295,8 @@ class PPREngine:
         materialised elsewhere (a sharded worker is handed each as a
         shared-memory image).  Artefacts built at another version are
         dropped now, so nothing keeps the replaced arrays alive; the
-        caller excludes concurrent queries (the server's write lock).
+        caller excludes concurrent queries (a shard attaches between
+        solves).
         """
         if self._static_graph is None or self._reorder is not None:
             raise ParameterError(
@@ -579,7 +579,7 @@ class PPREngine:
         first use.
         """
         spec, merged = self._resolve(method, params)
-        return self._solve(spec, merged, [int(source)])[0]
+        return self._solve(spec, merged, int(source))
 
     def batch_query(
         self,
@@ -590,14 +590,10 @@ class PPREngine:
         """Answer one query per source, in order, with shared state.
 
         Results align with ``sources`` (``results[i].source ==
-        sources[i]``).  Any required artefact is built once and shared.
-        Two or more sources of a method that registered a block adapter
-        are answered by **one block solve** whenever the method's own
-        rule admits the request — plain Monte-Carlo's cross-source walk
-        simulation is the built-in one.  Everything else loops, one
-        independent solve per source: PowerPush (a loop is its fastest
-        measured batch; README, "Why PowerPush has no block path"),
-        seeded Monte-Carlo, every other method.
+        sources[i]``).  Any required artefact is built once and shared;
+        each source is one independent solve, exactly what ``query``
+        runs (for PowerPush a loop is the fastest measured batch;
+        README, "Why PowerPush has no block path").
 
         A single ``seed`` must not replay the same walk stream for
         every source, so seeded batches give each source the stream
@@ -612,11 +608,8 @@ class PPREngine:
         seeded batch gets the same answer twice; vary the seed for
         independent samples.)
         """
-        sources = [int(s) for s in sources]
         spec, merged = self._resolve(method, params)
-        if len(sources) >= 2 and spec.batchable(self.graph, merged):
-            return self._solve(spec, merged, sources, block=True)
-        return [self._solve(spec, dict(merged), [s])[0] for s in sources]
+        return [self._solve(spec, dict(merged), int(s)) for s in sources]
 
     def _fold_defaults(
         self,
@@ -646,32 +639,29 @@ class PPREngine:
         self,
         spec: SolverSpec,
         merged: dict[str, Any],
-        sources: Sequence[int],
-        *,
-        block: bool = False,
-    ) -> list[PPRResult]:
+        source: int,
+    ) -> PPRResult:
         """The one request pipeline: one solve of a resolved request.
 
-        ``sources`` is the single source of a query, or the whole batch
-        of a block solve.  Only the counter claim, the cache sweep and
-        the stats record hold the lock; artefact injection (which may
-        trigger a build — double-checked, built unlocked) and the solve
-        run outside it, so concurrent readers genuinely overlap.  A
-        tracker refresh mutates the tracker's ``(p, r)`` pair and the
-        shared journal, so a tracked request holds the (re-entrant)
-        lock throughout.  The query number is claimed under the lock so
-        the per-query stream derived from it is stable; streams and
-        engine defaults key on the caller's source ids, only the solve
-        itself runs in internal ids.
+        Only the counter claim, the cache sweep and the stats record
+        hold the lock; artefact injection (which may trigger a build —
+        double-checked, built unlocked) and the solve run outside it,
+        so concurrent readers genuinely overlap.  A tracker refresh
+        mutates the tracker's ``(p, r)`` pair and the shared journal,
+        so a tracked request holds the (re-entrant) lock throughout.
+        The query number is claimed under the lock so the per-query
+        stream derived from it is stable; streams and engine defaults
+        key on the caller's source ids, only the solve itself runs in
+        internal ids.
         """
-        internal = [self._internal_source(s) for s in sources]
+        internal = self._internal_source(source)
         with self._lock if spec.tracked else nullcontext():
             if spec.tracked:
-                tracker = self._trackers.get(sources[0])
+                tracker = self._trackers.get(source)
                 if tracker is None:
                     # Tracked on first use; track() refuses a static graph.
                     tracker = self.track(
-                        sources[0],
+                        source,
                         l1_threshold=merged.get("l1_threshold", 1e-8),
                     )
                 merged["tracker"] = tracker
@@ -679,25 +669,17 @@ class PPREngine:
                 self._sync_caches()
                 self._query_counter += 1
                 counter = self._query_counter
-                if block:
-                    self.block_batches += 1
             spec.bind_rng(
                 merged,
-                None if block else sources[0],
+                source,
                 lambda: self.rng(_QUERY_SALT_BASE + counter),
             )
             self._inject(spec.artefact, merged)
-            if block:
-                results = spec.block_fn(self.graph, internal, **merged)
-            else:
-                results = [spec.fn(self.graph, internal[0], **merged)]
-            results = [
-                self._externalize_result(result, source)
-                for result, source in zip(results, sources)
-            ]
+            result = self._externalize_result(
+                spec.fn(self.graph, internal, **merged), source
+            )
             with self._lock:
-                for result in results:
-                    self.stats.record(result)
+                self.stats.record(result)
                 if spec.tracked:
                     # Every tracker at or past this version has replayed
                     # the prefix; reclaim it so journal memory tracks
@@ -708,7 +690,7 @@ class PPREngine:
                     self._dynamic.trim_journal(
                         min(t.version for t in self._trackers.values())
                     )
-        return results
+        return result
 
     def _inject(
         self, decl: ArtefactSpec | None, merged: dict[str, Any]
@@ -773,7 +755,7 @@ class PPREngine:
         # Monte-Carlo phase of approximate methods can overestimate
         # nodes, so their rankings are never certified.
         return self._rank_result(
-            self._solve(spec, merged, [int(source)])[0],
+            self._solve(spec, merged, int(source)),
             k,
             certifiable=spec.kind == "exact",
         )

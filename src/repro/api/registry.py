@@ -16,8 +16,7 @@ module that knows a method.  Every algorithm in the library registers a
   *declared* rather than known by name: the per-graph **artefact** to
   build once, cache and inject (:class:`ArtefactSpec` — which kind,
   under which parameter, how it is keyed and built, which built key
-  serves a request), the **block** adapter and the rule deciding which
-  requests may ride it, and whether the method refreshes a **tracked**
+  serves a request), and whether the method refreshes a **tracked**
   source's maintained pair.  The engine reads these declarations and
   contains no ``if method == …``.
 
@@ -62,7 +61,7 @@ from repro.montecarlo.chernoff import (
     default_failure_probability,
     default_mu,
 )
-from repro.montecarlo.mc import monte_carlo_ppr, monte_carlo_ppr_block
+from repro.montecarlo.mc import monte_carlo_ppr
 from repro.walks.index import (
     WalkIndex,
     build_walk_index,
@@ -83,7 +82,6 @@ __all__ = [
     "solver_specs",
     "declared_artefacts",
     "solve",
-    "solve_block",
     "build_speedppr_index",
     "build_fora_index",
     "WALK_INDEX",
@@ -236,18 +234,6 @@ class SolverSpec:
         solver's behalf (SpeedPPR's eps-independent walk index, FORA+'s
         per-budget indexes, BePI's factorisation), or ``None``.
         Registry-direct calls build it ad hoc in the adapter instead.
-    block_fn:
-        Optional multi-source adapter
-        ``block_fn(graph, sources, **params) -> list[PPRResult]`` that
-        answers a whole batch in one block solve (one walk simulation
-        amortised over all sources).  Deterministic solvers that
-        register one promise the block answers are element-wise
-        identical to per-source ``fn`` calls; :meth:`solve_block`
-        falls back to a per-source loop when absent.
-    block_rule:
-        ``block_rule(graph, params) -> bool``: which requests may ride
-        ``block_fn`` (default: all).  The engine's ``batch_query``
-        loops per source when it declines.
     tracked:
         The adapter refreshes the :class:`~repro.core.incremental.
         IncrementalPPR` an engine maintains for the source: the engine
@@ -263,12 +249,6 @@ class SolverSpec:
     fn: Callable[..., PPRResult] = field(repr=False, compare=False, default=None)
     needs_rng: bool = False
     artefact: ArtefactSpec | None = None
-    block_fn: Callable[..., list] | None = field(
-        repr=False, compare=False, default=None
-    )
-    block_rule: Callable[[DiGraph, Mapping[str, Any]], bool] | None = field(
-        repr=False, compare=False, default=None
-    )
     tracked: bool = False
 
     def __post_init__(self) -> None:
@@ -303,7 +283,7 @@ class SolverSpec:
     def bind_rng(
         self,
         params: dict[str, Any],
-        source: int | None,
+        source: int,
         unseeded: Callable[[], np.random.Generator] = np.random.default_rng,
     ) -> None:
         """Resolve ``seed`` / ``rng`` in place for one solve.
@@ -313,20 +293,12 @@ class SolverSpec:
         :func:`per_source_rng`, so registry-direct, engine and served
         answers match byte for byte; otherwise ``unseeded()`` supplies
         the stream (the engine passes its per-query derivation).
-        ``source=None`` binds a block solve, which has one stream for
-        the whole batch and therefore cannot be seeded per source.
         """
         seed = params.pop("seed", None)
         if not self.needs_rng or params.get("rng") is not None:
             return
         if seed is None:
             params["rng"] = unseeded()
-        elif source is None:
-            raise ParameterError(
-                f"a seeded {self.name!r} batch draws one stream per "
-                f"source and cannot share a block solve; solve per source "
-                f"(PPREngine.batch_query does)"
-            )
         else:
             params["rng"] = per_source_rng(seed, source)
 
@@ -351,45 +323,6 @@ class SolverSpec:
         self.validate_params(merged)
         self.bind_rng(merged, source)
         return self.fn(graph, source, **merged)
-
-    @property
-    def supports_block(self) -> bool:
-        """Whether a genuinely multi-source ``block_fn`` is registered."""
-        return self.block_fn is not None
-
-    def batchable(self, graph: DiGraph, params: Mapping[str, Any]) -> bool:
-        """Whether this request may ride the block path."""
-        return self.block_fn is not None and (
-            self.block_rule is None or self.block_rule(graph, params)
-        )
-
-    def solve_block(
-        self,
-        graph: DiGraph,
-        sources,
-        *,
-        params: Mapping[str, Any] | None = None,
-        **kwargs: Any,
-    ) -> list[PPRResult]:
-        """Answer one query per source, through the block path if any.
-
-        Results align with ``sources``.  With a registered ``block_fn``
-        the whole batch is one block solve (a request the block adapter
-        cannot take raises — callers that want the automatic fallback
-        use :meth:`PPREngine.batch_query`, which consults
-        :meth:`batchable`); otherwise each source is answered by an
-        independent :meth:`solve`.  For deterministic solvers the
-        answers are element-wise what per-source calls produce either
-        way.
-        """
-        merged: dict[str, Any] = dict(params or {})
-        merged.update(kwargs)
-        self.validate_params(merged)
-        sources = [int(s) for s in sources]
-        if self.block_fn is None:
-            return [self.solve(graph, s, params=merged) for s in sources]
-        self.bind_rng(merged, None)
-        return self.block_fn(graph, sources, **merged)
 
 
 # ---------------------------------------------------------------------------
@@ -508,26 +441,6 @@ def solve(
     spec, implied = resolve_method(method)
     implied.update(params)
     return spec.solve(graph, source, params=implied)
-
-
-def solve_block(
-    graph: DiGraph,
-    sources,
-    method: str = "powerpush",
-    **params: Any,
-) -> list[PPRResult]:
-    """One-shot multi-source dispatch (see :meth:`SolverSpec.solve_block`).
-
-    Methods with a registered block adapter (Monte-Carlo's
-    cross-source walk simulation) answer the whole batch in one block
-    solve; the rest — PowerPush included, for which the loop is the
-    fastest measured path — loop.  Engine users get this automatically
-    through
-    :meth:`~repro.api.engine.PPREngine.batch_query`.
-    """
-    spec, implied = resolve_method(method)
-    implied.update(params)
-    return spec.solve_block(graph, sources, params=implied)
 
 
 # ---------------------------------------------------------------------------
@@ -724,17 +637,6 @@ def _with_optional_index(
         return solver(graph, source, walk_index=walk_index, **params)
 
     return adapter
-
-
-def _montecarlo_batchable(graph: DiGraph, params: Mapping[str, Any]) -> bool:
-    """One simulation shares one stream and has no single redirect
-    source: a seeded batch (a stream per source), a caller's own
-    generator, and graphs with dead ends loop."""
-    return (
-        params.get("seed") is None
-        and params.get("rng") is None
-        and not graph.has_dead_ends
-    )
 
 
 def _solve_bepi(
@@ -936,8 +838,6 @@ def _register_builtin_solvers() -> None:
             params=("alpha", "epsilon", "mu", "p_fail", "num_walks", "seed", "rng"),
             fn=monte_carlo_ppr,
             needs_rng=True,
-            block_fn=monte_carlo_ppr_block,
-            block_rule=_montecarlo_batchable,
         )
     )
     register_solver(

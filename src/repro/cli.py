@@ -429,8 +429,6 @@ def _cmd_methods() -> int:
             flags.append("needs-rng")
         if spec.artefact is not None:
             flags.append(f"artefact:{spec.artefact.kind}")
-        if spec.supports_block:
-            flags.append("block")
         if spec.tracked:
             flags.append("tracked")
         print(f"  flags   : {', '.join(flags) if flags else '-'}")
@@ -653,7 +651,7 @@ def _print_server_stats(server) -> None:
         for worker_id, worker in sorted(stats["per_worker"].items()):
             print(
                 f"  shard {worker_id}: requests={worker['requests']} "
-                f"batching={worker['scheduler']['batching_factor']:.2f}"
+                f"engine_queries={worker['engine_queries']}"
             )
 
 

@@ -33,9 +33,7 @@ class PPRResult:
     trace:
         Optional convergence trace (Figures 5-6) if one was requested.
     seconds:
-        Wall-clock time of the algorithm body.  Monte-Carlo's
-        cross-source walk simulation, the one solve shared by several
-        sources, reports each source an even share of its wall time.
+        Wall-clock time of the algorithm body.
     method:
         Name of the algorithm that produced the result.
     """

@@ -5,12 +5,11 @@ from repro.montecarlo.chernoff import (
     default_failure_probability,
     default_mu,
 )
-from repro.montecarlo.mc import monte_carlo_ppr, monte_carlo_ppr_block
+from repro.montecarlo.mc import monte_carlo_ppr
 
 __all__ = [
     "chernoff_walk_count",
     "default_mu",
     "default_failure_probability",
     "monte_carlo_ppr",
-    "monte_carlo_ppr_block",
 ]

@@ -14,7 +14,6 @@ that FORA improves by a ``1/eps`` factor and SpeedPPR by a further
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 import numpy as np
 
@@ -30,10 +29,7 @@ from repro.montecarlo.chernoff import (
 )
 from repro.walks.engine import simulate_walk_stops
 
-__all__ = ["monte_carlo_ppr", "monte_carlo_ppr_block"]
-
-#: peak walks materialised at once by the multi-source simulation
-_BATCH_WALK_BUDGET = 1 << 24
+__all__ = ["monte_carlo_ppr"]
 
 
 def monte_carlo_ppr(
@@ -57,42 +53,8 @@ def monte_carlo_ppr(
     num_walks:
         Explicit override of ``W`` (used by tests and ablations).
     """
-    return monte_carlo_ppr_block(
-        graph,
-        [source],
-        alpha=alpha,
-        epsilon=epsilon,
-        mu=mu,
-        p_fail=p_fail,
-        num_walks=num_walks,
-        rng=rng,
-    )[0]
-
-
-def monte_carlo_ppr_block(
-    graph: DiGraph,
-    sources: Sequence[int],
-    *,
-    alpha: float = 0.2,
-    epsilon: float = 0.5,
-    mu: float | None = None,
-    p_fail: float | None = None,
-    num_walks: int | None = None,
-    rng: np.random.Generator,
-) -> list[PPRResult]:
-    """One query per source, all walks through one vectorised simulation.
-
-    Every source's ``W`` walks advance in lock-step from the one stream
-    ``rng`` — same contract and estimator as :func:`monte_carlo_ppr`,
-    which is the one-source case.  Two or more sources need a graph
-    without dead ends: their shared simulation has no single query
-    source to redirect to.
-    """
-    if not sources:
-        return []
     check_alpha(alpha)
-    for source in sources:
-        check_source(graph, source)
+    check_source(graph, source)
     if graph.num_nodes == 0:
         raise ParameterError("cannot query an empty graph")
     if num_walks is None:
@@ -103,46 +65,21 @@ def monte_carlo_ppr_block(
         num_walks = chernoff_walk_count(epsilon, mu, p_fail=p_fail)
     if num_walks <= 0:
         raise ParameterError(f"num_walks must be positive, got {num_walks}")
-    redirect = sources[0] if len(sources) == 1 else None
-
-    # Simulate in source groups and reduce each group's stops to
-    # per-source histograms immediately, so peak memory stays bounded
-    # by _BATCH_WALK_BUDGET walks (plus the n-length count vectors the
-    # caller gets anyway), not len(sources) * num_walks.
-    group_size = max(1, _BATCH_WALK_BUDGET // num_walks)
     started = time.perf_counter()
-    estimates: list[np.ndarray] = []
-    steps = 0
-    for begin in range(0, len(sources), group_size):
-        group = np.asarray(sources[begin : begin + group_size], dtype=np.int64)
-        stops, group_steps = simulate_walk_stops(
-            graph,
-            np.repeat(group, num_walks),
-            alpha=alpha,
-            source=redirect,
-            rng=rng,
-        )
-        steps += group_steps
-        for segment in stops.reshape(group.shape[0], num_walks):
-            counts = np.bincount(segment, minlength=graph.num_nodes)
-            estimates.append(counts.astype(np.float64) / num_walks)
-    # Wall time and walk steps are measured for the batch as a whole;
-    # apportion them evenly (steps keep an exact total by spreading the
-    # remainder) — the simulation has no per-source measurement.
-    share = (time.perf_counter() - started) / len(sources)
-    steps_base, steps_extra = divmod(steps, len(sources))
-    return [
-        PPRResult(
-            estimate=estimate,
-            residue=None,
-            source=int(source),
-            alpha=alpha,
-            counters=PushCounters(
-                random_walks=int(num_walks),
-                walk_steps=steps_base + (1 if position < steps_extra else 0),
-            ),
-            seconds=share,
-            method="MonteCarlo",
-        )
-        for position, (source, estimate) in enumerate(zip(sources, estimates))
-    ]
+    stops, steps = simulate_walk_stops(
+        graph,
+        np.full(num_walks, source, dtype=np.int64),
+        alpha=alpha,
+        source=source,
+        rng=rng,
+    )
+    counts = np.bincount(stops, minlength=graph.num_nodes)
+    return PPRResult(
+        estimate=counts.astype(np.float64) / num_walks,
+        residue=None,
+        source=int(source),
+        alpha=alpha,
+        counters=PushCounters(random_walks=int(num_walks), walk_steps=steps),
+        seconds=time.perf_counter() - started,
+        method="MonteCarlo",
+    )

@@ -19,7 +19,7 @@ this package makes it a *service*:
   traffic and the load/soak harness behind ``repro-ppr loadtest``.
 * :class:`~repro.serving.sharded.ShardedDispatcher` /
   :class:`~repro.serving.shm.SharedGraphImage` — the process-parallel
-  tier: N worker processes each run an :class:`EngineServer` over one
+  tier: N worker processes each hold one bare ``PPREngine`` over one
   zero-copy shared-memory graph image, fronted by consistent-hash
   routing on the source id (cache affinity) with ``apply_updates``
   broadcast as a versioned barrier.

@@ -162,8 +162,8 @@ class AsyncFrontDoor:
         tracks ``target_batch / arrival_rate`` (time for a batch's
         worth of arrivals), clamped to ``[window_min, window_max]``.
         Applied only when the backend exposes a scheduler (thread
-        mode); sharded workers have no window — each dispatches its
-        drained burst inline.
+        mode); sharded workers have no window and no scheduler — each
+        calls its engine once per request.
     ewma_alpha:
         Smoothing factor for the inter-arrival EWMA (0 < alpha <= 1).
     """

@@ -733,7 +733,7 @@ def run_loadtest(
     (answers stay byte-identical either way — placement never changes
     a seeded answer).  ``concurrency`` then counts the closed-loop
     client threads driving the dispatcher, and ``window`` is unused: a
-    shard has no micro-batch window, it dispatches each burst inline.
+    shard has no micro-batch window, it calls its engine per request.
 
     ``slo_ms``/``deadline_ms`` switch the served run to the SLO-aware
     async front door (open arrival, read-only workloads only): every

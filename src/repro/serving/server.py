@@ -15,10 +15,9 @@ that composes the three serving mechanisms into one consistency story:
 * **Batching**: cache misses flow into the
   :class:`~repro.serving.scheduler.QueryScheduler`'s micro-batch
   window and are answered by coalesced ``batch_query`` calls — one
-  solve per distinct source for PowerPush, one shared walk simulation
-  for plain Monte-Carlo; the executor re-checks the cache at dispatch
-  time, so a burst of identical requests costs one solve even when it
-  straddles batches.
+  solve per distinct source; the executor re-checks the cache at
+  dispatch time, so a burst of identical requests costs one solve even
+  when it straddles batches.
 
 Every future resolves to a
 :class:`~repro.serving.scheduler.ServedResult` carrying the answer,
@@ -312,19 +311,6 @@ class EngineServer:
             finally:
                 if self._cache is not None:
                     self._cache.invalidate(self._engine.graph_version)
-
-    def replace_graph(self, graph: DiGraph, version: int) -> None:
-        """Swap in ``graph`` as version ``version``, exclusively.
-
-        :meth:`apply_updates` for a server that is handed its versions
-        (a sharded worker re-attaching the next shared image): reads
-        in flight finish on the old snapshot, and afterwards nothing
-        in the server — cache included — references it.
-        """
-        with self._rwlock.write():
-            self._engine.replace_graph(graph, version)
-            if self._cache is not None:
-                self._cache.invalidate(version)
 
     # -- scheduler executor ---------------------------------------------
     def _execute_group(

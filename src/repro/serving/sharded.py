@@ -1,22 +1,20 @@
 """Multi-process sharded serving over one shared-memory graph image.
 
-The thread-based :class:`~repro.serving.server.EngineServer` coalesces
-and caches well, but every solve outside the compiled-kernel regions
-still contends on the GIL, so an 8-thread server gets one core's worth
-of numpy.  This module is the process-parallel tier the AccPPR harness
+The thread tier (:mod:`repro.serving.server`) coalesces and caches
+well, but every solve outside the compiled-kernel regions still
+contends on the GIL, so an 8-thread server gets one core's worth of
+numpy.  This module is the process-parallel tier the AccPPR harness
 (PAPERS.md; SNIPPETS.md §3) motivates — a ``multiprocessing`` pool
 driving per-source solves over one pre-built CSR — with the serving
-semantics of PR 3 kept intact, the solving in the shards and the
-remembering in the parent:
+semantics of the thread tier kept intact, the solving in the shards
+and the remembering in the parent:
 
 * the graph's hot arrays live once in a
   :class:`~repro.serving.shm.SharedGraphImage`; every worker process
-  maps the same physical pages zero-copy and runs a cache-less
-  :class:`EngineServer` (request coalescing, no
-  :class:`~repro.serving.cache.ResultCache`) over them — without the
-  scheduler thread and its micro-batch window: a worker's receive loop
-  is the only submitter, so it dispatches each drained burst inline.
-  A shard only solves;
+  maps the same physical pages zero-copy, holds one bare
+  :class:`~repro.api.engine.PPREngine` over them, and its receive loop
+  calls ``engine.query`` for each request in arrival order.  A shard
+  only solves;
 * the cluster's one version-stamped
   :class:`~repro.serving.cache.ResultCache` lives in the
   :class:`ShardedDispatcher`, the one place every request passes and
@@ -31,10 +29,10 @@ remembering in the parent:
   cache sits a **single-flight table**: a cacheable request whose key
   is already on its way to a shard at the current version attaches to
   that flight instead of being sent, so a duplicate costs nothing even
-  when it arrives after the burst solving it was drained;
+  when it arrives while its leader is being solved;
 * the dispatcher routes each miss by **consistent hashing on the
-  source id**, so a shard's bursts stay coherent and removing a
-  crashed worker re-routes only that worker's arc of the ring;
+  source id**, so a source keeps its shard and removing a crashed
+  worker re-routes only that worker's arc of the ring;
 * the parent is the **only writer**: the dispatcher holds the one
   :class:`~repro.graph.dynamic.DynamicGraph` of the cluster (WAL
   hooked to it when durable).  ``apply_updates`` applies the batch
@@ -42,11 +40,11 @@ remembering in the parent:
   as the next *generation* of the shared image — all before any reader
   is blocked — then takes the writer lock for the **hand-over**: every
   shard is told "attach this handle at version V", swaps the new
-  generation in under its server's write lock, unmaps the old one and
-  acks; when every live shard has acked or died the previous
-  generation is unlinked.  A shard never applies an update or holds a
-  private copy of the adjacency arrays, and no request is ever
-  answered from a pre-update vector.
+  generation in between two solves, unmaps the old one and acks;
+  when every live shard has acked or died the previous generation is
+  unlinked.  A shard never applies an update or holds a private copy
+  of the adjacency arrays, and no request is ever answered from a
+  pre-update vector.
 
 Because every seeded answer is a pure function of ``(seed, source)``
 (:func:`repro.api.engine.per_source_rng`), *where* a request runs
@@ -128,7 +126,6 @@ from repro.serving.cache import ResultCache, freeze_result, resolve_request
 from repro.serving.faults import FaultInjector, FaultSpec, WorkerFaultPlan
 from repro.serving.locks import RWLock
 from repro.serving.scheduler import ServedResult
-from repro.serving.server import EngineServer
 from repro.serving.shm import (
     ReplyArena,
     ReplyArenaHandle,
@@ -146,10 +143,10 @@ __all__ = ["ShardedDispatcher", "WorkerConfig"]
 _POLL = 0.05
 
 #: Byte cap of one shard's reply arena.  The arena has ``max_batch``
-#: slots (the deepest burst a worker drains at once) or as many as fit
-#: under this cap, whichever is fewer; deeper bursts overflow to inline
-#: replies.  Slots are reused LIFO and their pages touched on first
-#: use, so resident memory follows the in-flight depth, not the cap.
+#: slots or as many as fit under this cap, whichever is fewer; requests
+#: in flight beyond that get inline replies.  Slots are reused LIFO and
+#: their pages touched on first use, so resident memory follows the
+#: in-flight depth, not the cap.
 _ARENA_MAX_BYTES = 32 << 20
 
 #: Per-worker vnode count on the hash ring.  Enough that each worker's
@@ -164,12 +161,11 @@ _UPDATE_TIMEOUT = 30.0
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Picklable per-worker :class:`EngineServer` construction recipe."""
+    """Picklable per-worker :class:`PPREngine` construction recipe."""
 
     alpha: float = 0.2
     seed: int = 0
     dead_end_policy: str = "redirect-to-source"
-    max_batch: int = 64
     #: Worker-side fault schedule (chaos runs only; empty in production).
     faults: tuple[FaultSpec, ...] = ()
 
@@ -180,19 +176,23 @@ def _raise_exit(signum: int, frame: FrameType | None) -> None:
 
 
 class _Shard:
-    """Worker-side state: one server and the generation under it.
+    """Worker-side state: one engine and the generation under it.
 
-    The first hand-over builds the :class:`EngineServer`; every later
-    one swaps the graph under that same server.
+    The first hand-over builds the :class:`PPREngine`; every later one
+    swaps the graph under that same engine.  The receive loop is the
+    only caller, so nothing here locks.
     """
 
     #: unset before the first hand-over (the dispatcher routes nothing
     #: to a shard that has not acked it)
-    server: EngineServer
+    engine: PPREngine
 
     def __init__(self, config: WorkerConfig) -> None:
         self._config = config
         self._image: SharedGraphImage | None = None
+        self.requests = 0
+        self.failures = 0
+        self.expired = 0
 
     def attach(self, handle: SharedGraphHandle, version: int) -> bool:
         """Map the generation behind ``handle``; serve it as ``version``.
@@ -206,36 +206,69 @@ class _Shard:
         graph = image.graph()
         retired, self._image = self._image, image
         if retired is None:
-            self.server = EngineServer(
-                PPREngine(
-                    graph,
-                    alpha=config.alpha,
-                    seed=config.seed,
-                    dead_end_policy=config.dead_end_policy,
-                ),
-                # The cluster's one result cache is the dispatcher's.
-                cache_capacity=0,
-                max_batch=config.max_batch,
-                # No scheduler thread, no window: the worker loop is the
-                # only submitter, so it dispatches its burst itself.
-                start=False,
+            self.engine = PPREngine(
+                graph,
+                alpha=config.alpha,
+                seed=config.seed,
+                dead_end_policy=config.dead_end_policy,
             )
-        self.server.replace_graph(graph, version)
+        self.engine.replace_graph(graph, version)
         if retired is not None:
             # The swap left no view of its arrays, so this unmaps them.
             retired.close()
         return retired is not None
 
+    def solve(
+        self,
+        source: int,
+        method: str,
+        params: dict[str, Any],
+        deadline: float | None,
+    ) -> ServedResult:
+        """Answer one query, or raise what its caller is to be sent.
+
+        The dispatcher sends the canonical method with the cluster's
+        defaults folded in, so this is ``engine.query`` as asked; a
+        request whose deadline has passed is failed instead of solved.
+        """
+        self.requests += 1
+        if deadline is not None and time.monotonic() >= deadline:
+            self.expired += 1
+            raise DeadlineExceeded(
+                f"source {source}: deadline passed before a shard solved it"
+            )
+        try:
+            result = self.engine.query(source, method, **params)
+        except Exception:
+            self.failures += 1
+            raise
+        return ServedResult(
+            result=result,
+            version=self.engine.graph_version,
+            cache_hit=False,
+            batch_size=1,
+            deadline=deadline,
+        )
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "requests": self.requests,
+            "engine_queries": self.engine.stats.queries,
+            "graph_version": self.engine.graph_version,
+            "failures": self.failures,
+            "expired": self.expired,
+        }
+
     def heartbeat(self, responses: Any) -> None:
         """One unsolicited version report (none before boot)."""
         if self._image is not None:
             responses.put(
-                ("heartbeat", self.server.graph_version, time.monotonic())
+                ("heartbeat", self.engine.graph_version, time.monotonic())
             )
 
     def close(self) -> None:
+        """Unmap the graph image; safe before (or after a failed) attach."""
         if self._image is not None:
-            self.server.close()
             self._image.close()
 
 
@@ -255,16 +288,15 @@ def _worker_main(
       ``("attached", barrier_id)`` once this process serves the image
       behind ``handle`` as ``version`` and has unmapped the one before;
       always a worker's first message, then one per update
-    * ``("query", req_id, source, method, params, fresh, deadline,
-      slot)`` -> ``("slot-result", req_id, header)`` when the answer
-      was copied into reply slot ``slot`` (``header`` is the
-      :class:`ServedResult` with its two vectors stripped; the slot
-      header carries ``req_id``), ``("result", req_id, ServedResult)``
-      when it had to be pickled inline (``slot`` was ``None`` or the
-      answer does not fit a slot), or ``("error", req_id, exc)`` —
-      ``deadline`` is a ``time.monotonic()`` timestamp, meaningful
-      across the process boundary because ``CLOCK_MONOTONIC`` is
-      system-wide
+    * ``("query", req_id, source, method, params, deadline, slot)`` ->
+      ``("slot-result", req_id, header)`` when the answer was copied
+      into reply slot ``slot`` (``header`` is the :class:`ServedResult`
+      with its two vectors stripped; the slot header carries
+      ``req_id``), ``("result", req_id, ServedResult)`` when it had to
+      be pickled inline (``slot`` was ``None`` or the answer does not
+      fit a slot), or ``("error", req_id, exc)`` — ``deadline`` is a
+      ``time.monotonic()`` timestamp, meaningful across the process
+      boundary because ``CLOCK_MONOTONIC`` is system-wide
     * ``("stats", req_id)`` -> ``("stats", req_id, dict)``
     * ``("stop",)`` -> clean exit.
 
@@ -276,13 +308,11 @@ def _worker_main(
     version (it memoises nothing, so there is nothing stale to carry
     across a respawn).
 
-    The request queue is drained in bursts: everything immediately
-    available is submitted to the local server, whose scheduler the
-    loop then drains inline (:func:`_flush`) — a burst is the batch, so
-    a coalescable group still becomes one ``batch_query`` call with its
-    duplicates solved once, and there is no scheduler thread and no
-    micro-batch window to wait out: nobody but this loop could add to
-    the batch meanwhile.
+    The loop calls its engine directly, one message at a time in FIFO
+    order: the dispatcher has already answered cache hits and joined
+    duplicates to their flight, so a shard has nothing to coalesce —
+    the process pool of per-source solves over one shared CSR that
+    the AccPPR harness runs.
     A worker never owns a shared segment — teardown only closes its
     own mappings of the graph image and the reply arena, so a
     SIGKILLed worker cannot leak ``/dev/shm`` entries (satisfying the
@@ -300,7 +330,6 @@ def _worker_main(
             arena,
             requests,
             responses,
-            config.max_batch,
             WorkerFaultPlan(config.faults),
         )
     finally:
@@ -318,7 +347,6 @@ def _serve_messages(
     arena: ReplyArena,
     requests: Any,
     responses: Any,
-    max_burst: int,
     plan: WorkerFaultPlan,
 ) -> None:
     """The worker's receive loop; returns on ``("stop",)`` / orphaning."""
@@ -334,53 +362,32 @@ def _serve_messages(
             shard.heartbeat(responses)
             last_beat = time.monotonic()
             continue
-        burst = [message]
-        while len(burst) < max_burst:
+        kind = message[0]
+        if kind == "query":
+            _, req_id, source, method, params, deadline, slot = message
             try:
-                burst.append(requests.get_nowait())
-            except queue.Empty:
-                break
-        pending: list[tuple[int, int | None, Future]] = []
-        for message in burst:
-            kind = message[0]
-            if kind == "query":
-                _, req_id, source, method, params, fresh, deadline, slot = (
-                    message
-                )
-                try:
-                    future = shard.server.submit(
-                        source,
-                        method,
-                        fresh=fresh,
-                        deadline=deadline,
-                        **params,
-                    )
-                except Exception as exc:  # noqa: BLE001 - forwarded
-                    _put_reply(responses, plan, ("error", req_id, exc))
-                    continue
-                pending.append((req_id, slot, future))
-                continue
-            # Control messages order against queries: everything
-            # submitted before them must resolve first.
-            _flush(worker_id, shard, pending, arena, responses, plan)
-            pending = []
-            if kind == "stop":
-                return
-            if kind == "attach":
-                _, barrier_id, handle, version = message
-                # (fault ordinals count updates, not the boot hand-over)
-                update = shard.attach(handle, version)
-                if update and plan and plan.on_update_applied():
-                    # Scheduled chaos: die *after* attaching the new
-                    # generation, *before* acking — the worst spot.
-                    # ``os._exit`` skips ``finally``, like a SIGKILL.
-                    os._exit(17)
-                shard.heartbeat(responses)
-                last_beat = time.monotonic()
-                responses.put(("attached", barrier_id))
-            elif kind == "stats":
-                responses.put(("stats", message[1], shard.server.stats()))
-        _flush(worker_id, shard, pending, arena, responses, plan)
+                served = shard.solve(source, method, params, deadline)
+            except Exception as exc:  # noqa: BLE001 - forwarded
+                reply = ("error", req_id, exc)
+            else:
+                reply = _result_reply(worker_id, arena, req_id, slot, served)
+            _put_reply(responses, plan, reply)
+        elif kind == "stop":
+            return
+        elif kind == "attach":
+            _, barrier_id, handle, version = message
+            # (fault ordinals count updates, not the boot hand-over)
+            update = shard.attach(handle, version)
+            if update and plan and plan.on_update_applied():
+                # Scheduled chaos: die *after* attaching the new
+                # generation, *before* acking — the worst spot.
+                # ``os._exit`` skips ``finally``, like a SIGKILL.
+                os._exit(17)
+            shard.heartbeat(responses)
+            last_beat = time.monotonic()
+            responses.put(("attached", barrier_id))
+        elif kind == "stats":
+            responses.put(("stats", message[1], shard.stats()))
         # Time-based, not idle-based: a worker saturated with traffic
         # (or a parent polling stats) must still report its version.
         now = time.monotonic()
@@ -407,39 +414,30 @@ def _put_reply(
 _NO_VECTOR = np.empty(0)
 
 
-def _flush(
+def _result_reply(
     worker_id: int,
-    shard: _Shard,
-    pending: list[tuple[int, int | None, Future]],
     arena: ReplyArena,
-    responses: Any,
-    plan: WorkerFaultPlan,
-) -> None:
-    """Solve a burst of submitted requests; reply to the dispatcher.
+    req_id: int,
+    slot: int | None,
+    served: ServedResult,
+) -> tuple:
+    """The reply message carrying ``served``'s answer to the dispatcher.
 
-    Dispatches the burst in this thread, then writes the replies: the
-    only writer of this shard's reply slots, one reply at a time in
-    submission order — which is what lets the dispatcher reuse a slot
-    as soon as it has copied a reply out of it.
+    The vectors go into reply slot ``slot`` when it can take them, and
+    are pickled inline otherwise.  This loop is the only writer of the
+    shard's slots, one reply at a time in FIFO order — which is what
+    lets the dispatcher reuse a slot as soon as it has copied a reply
+    out of it.
     """
-    if pending:
-        shard.server.scheduler.run_pending()
-    for req_id, slot, future in pending:
-        try:
-            served: ServedResult = future.result()
-        except Exception as exc:  # noqa: BLE001 - forwarded
-            _put_reply(responses, plan, ("error", req_id, exc))
-            continue
-        result = served.result
-        if slot is not None and arena.store(
-            slot, req_id, result.estimate, result.residue
-        ):
-            kind = "slot-result"
-            result = replace(result, estimate=_NO_VECTOR, residue=None)
-        else:
-            kind = "result"
-        reply = replace(served, worker=worker_id, result=result)
-        _put_reply(responses, plan, (kind, req_id, reply))
+    result = served.result
+    if slot is not None and arena.store(
+        slot, req_id, result.estimate, result.residue
+    ):
+        kind = "slot-result"
+        result = replace(result, estimate=_NO_VECTOR, residue=None)
+    else:
+        kind = "result"
+    return kind, req_id, replace(served, worker=worker_id, result=result)
 
 
 def _ring_point(token: str) -> int:
@@ -527,6 +525,7 @@ class _PendingRequest:
     source: int
     method: str
     params: dict[str, Any]
+    #: ``submit(fresh=True)``: the caller bypassed cache and flights
     fresh: bool
     deadline: float | None = None
     #: ``(cache key, version at enqueue)`` of a cacheable read: where
@@ -641,9 +640,9 @@ class ShardedDispatcher:
         shard's death.  ``cache_capacity=0`` disables result caching
         (duplicates in flight still share one solve).
     max_batch:
-        The deepest burst a worker drains — and dispatches — at once;
-        also how many reply slots its arena gets (fewer when they
-        would exceed 32 MiB).
+        How many reply slots each shard's arena gets (>= 1; fewer
+        when they would exceed 32 MiB): the requests in flight to one
+        shard whose answers skip the pipe.
     start_method:
         ``multiprocessing`` start method; default ``"fork"`` where
         available (inherits the warmed import state), else the
@@ -677,7 +676,7 @@ class ShardedDispatcher:
         with ``wal_dir``: recovery must be free to export a different
         base).  See :mod:`repro.durability`.
 
-    The dispatcher mirrors :class:`EngineServer`'s surface —
+    The dispatcher mirrors the thread tier's surface —
     ``submit``/``query``/``batch``/``apply_updates``/``stats``/
     ``close`` and the context manager — so the loadtest harness and
     the CLI switch between thread mode and process mode with one flag.
@@ -706,6 +705,8 @@ class ShardedDispatcher:
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
+        if max_batch < 1:
+            raise ParameterError(f"max_batch must be >= 1, got {max_batch}")
         #: the cluster's one result cache (None: caching disabled);
         #: looked up and filled under ``_mutex``, next to ``_flights``
         self._cache = (
@@ -769,7 +770,6 @@ class ShardedDispatcher:
             alpha=alpha,
             seed=seed,
             dead_end_policy=dead_end_policy,
-            max_batch=max_batch,
         )
         if restart_policy is None:
             restart_policy = RestartPolicy(seed=seed)
@@ -982,8 +982,8 @@ class ShardedDispatcher:
         was finally answered at) — unless it could outlive the flight:
         it joins only a flight whose deadline is ``None`` or not
         earlier than its own.  Everything else — a miss, ``fresh=True``
-        (which bypasses cache, flight and the shard's coalescing) — is
-        enqueued on its shard.  Every caller gets a future of its own:
+        (which bypasses cache and flight) — is enqueued on its shard.
+        Every caller gets a future of its own:
         cancelling it drops that caller, never the solve others wait
         on.  Every answer's ``estimate`` / ``residue`` are **read-only**
         arrays: cached answers and joined flights hand one object to
@@ -994,8 +994,8 @@ class ShardedDispatcher:
         picklable scalars — live objects (``rng``, trace sinks,
         pre-built indexes) cannot cross the process boundary and are
         rejected up front.  ``deadline`` (a ``time.monotonic()``
-        timestamp) rides along to the shard, whose local scheduler
-        fails expired requests fast instead of solving them.
+        timestamp) rides along to the shard, which fails a request
+        whose deadline has passed instead of solving it.
         """
         source = int(source)
         if deadline is not None and time.monotonic() >= deadline:
@@ -1006,7 +1006,7 @@ class ShardedDispatcher:
             source,
             method,
             params,
-            # As in EngineServer.submit: spelling out the cluster's
+            # As in the thread tier: spelling out the cluster's
             # alpha keys (and flies) identically to omitting it.
             defaults={
                 "alpha": self._config.alpha,
@@ -1127,7 +1127,6 @@ class ShardedDispatcher:
             request.source,
             request.method,
             request.params,
-            request.fresh,
             request.deadline,
             request.slot,
         )
@@ -1809,12 +1808,16 @@ class ShardedDispatcher:
     def stats(self, timeout: float = 10.0) -> dict[str, Any]:
         """Aggregate dispatcher + per-worker serving statistics.
 
-        Shape-compatible with :meth:`EngineServer.stats` where it
-        matters (top-level ``"cache"`` — the dispatcher's own cache,
-        the only one in the cluster — with ``hit_rate``,
-        ``"scheduler"`` with ``batching_factor`` summed over the
-        shards), with per-worker
-        breakdowns under ``"per_worker"`` and dispatcher counters
+        Shape-compatible with the thread tier's ``stats()`` where it
+        matters: top-level ``"cache"`` — the dispatcher's own cache,
+        the only one in the cluster — with ``hit_rate``, and
+        ``"scheduler"`` with a thread-tier scheduler's keys, computed
+        from the shards' counters (a shard solves each request it is
+        sent on its own, so ``engine_calls`` is the shards'
+        ``engine_queries`` and ``batching_factor`` is 1.0 once any
+        ran).  Each shard's ``requests`` / ``engine_queries`` /
+        ``failures`` / ``expired`` / ``graph_version`` are under
+        ``"per_worker"``, dispatcher counters
         (``rerouted``, ``worker_failures``) alongside.  ``replies_slot``
         / ``replies_inline`` count the answers that came back through a
         reply slot / pickled through the pipe, ``reply_slots_free`` /
@@ -1858,32 +1861,23 @@ class ShardedDispatcher:
                 )
             except Exception:  # repro: allow[lock-discipline] -- a shard that died or timed out mid-stats simply drops out of the aggregate; its failure is already counted in worker_failures
                 continue
-        sched_totals = {
-            "submitted": 0.0,
-            "answered": 0.0,
+
+        def total(name: str) -> float:
+            return float(sum(stats[name] for stats in per_worker.values()))
+
+        solves = total("engine_queries")
+        scheduler = {
+            "submitted": total("requests"),
+            "answered": solves,
             "cache_answered": 0.0,
-            "batches": 0.0,
-            "engine_calls": 0.0,
-            "engine_sources": 0.0,
-            "failures": 0.0,
-            "expired": 0.0,
-            "max_group": 0.0,
+            "batches": solves,
+            "engine_calls": solves,
+            "engine_sources": solves,
+            "failures": total("failures"),
+            "expired": total("expired"),
+            "max_group": 1.0 if solves else 0.0,
+            "batching_factor": 1.0 if solves else 0.0,
         }
-        for stats in per_worker.values():
-            sched = stats["scheduler"]
-            for name in sched_totals:
-                if name == "max_group":
-                    sched_totals[name] = max(
-                        sched_totals[name], float(sched.get(name, 0.0))
-                    )
-                else:
-                    sched_totals[name] += float(sched.get(name, 0.0))
-        scheduler: dict[str, float] = dict(sched_totals)
-        scheduler["batching_factor"] = (
-            sched_totals["answered"] / sched_totals["engine_calls"]
-            if sched_totals["engine_calls"]
-            else 0.0
-        )
         now = time.monotonic()
         with self._mutex:
             supervisor = {

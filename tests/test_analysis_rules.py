@@ -228,30 +228,6 @@ class TestRegistrySignatureSync:
         assert "'l1_threshold'" in messages
         assert "'gamma'" in messages
 
-    def test_block_adapter_is_checked_like_fn(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "repro/api/registry.py": _registry("""\
-                def _solve(graph, source, *, alpha=0.2, l1_threshold=1e-8):
-                    pass
-
-                def _block(graph, sources, *, alpha=0.2):
-                    pass
-
-                register_solver(
-                    SolverSpec(
-                        name="x", params=_COMMON, fn=_solve, block_fn=_block
-                    )
-                )
-                """),
-            },
-            select=["registry-signature-sync"],
-        )
-        assert len(findings) == 1
-        assert "_block()" in findings[0].message
-        assert "'l1_threshold'" in findings[0].message
-
     def test_seed_requires_rng_parameter(self, tmp_path):
         findings = lint_tree(
             tmp_path,

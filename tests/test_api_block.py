@@ -1,9 +1,8 @@
-"""Batch dispatch through the registry, the engine, and the scheduler.
+"""Batch dispatch through the engine and the scheduler.
 
-The serving contract: a >= 2-source PowerPush ``batch_query`` — hence a
-coalesced scheduler window — is a per-source loop (PowerPush registers
-no block adapter; ``engine.block_batches`` stays 0), and every answer
-is byte-identical to ``engine.query`` no matter which layer batched it.
+The serving contract: a multi-source ``batch_query`` — hence a
+coalesced scheduler window — is a per-source loop, and every answer is
+byte-identical to ``engine.query`` no matter which layer batched it.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import PPREngine, get_solver, solve, solve_block
+from repro.api import PPREngine, solve
 from repro.serving.scheduler import QueryScheduler
 
 SOURCES = [0, 7, 77, 123]
@@ -30,38 +29,10 @@ def assert_same_answer(a, b):
     assert a.counters.as_dict() == b.counters.as_dict()
 
 
-class TestRegistryBlock:
-    def test_powerpush_supports_block(self):
-        """It does not; plain Monte-Carlo is the one built-in that does."""
-        assert not get_solver("powerpush").supports_block
-        assert not get_solver("powitr").supports_block
-        assert get_solver("montecarlo").supports_block
-
-    def test_solve_block_matches_solve(self, medium_graph):
-        block = solve_block(medium_graph, SOURCES, "powerpush", **PARAMS)
-        for source, row in zip(SOURCES, block):
-            single = solve(medium_graph, source, "powerpush", **PARAMS)
-            assert np.array_equal(single.estimate, row.estimate)
-            assert np.array_equal(single.residue, row.residue)
-
-    def test_solve_block_loops_methods_without_kernel(self, medium_graph):
-        block = solve_block(medium_graph, [1, 2], "powitr", **PARAMS)
-        single = solve(medium_graph, 1, "powitr", **PARAMS)
-        assert np.array_equal(block[0].estimate, single.estimate)
-
-    def test_alias_resolves_to_block_path(self, medium_graph):
-        """An alias reaches the same per-source loop as the name."""
-        block = solve_block(medium_graph, [0, 1], "pp", **PARAMS)
-        named = solve_block(medium_graph, [0, 1], "powerpush", **PARAMS)
-        for a, b in zip(block, named):
-            assert_same_answer(a, b)
-
-
 class TestEngineBatchBlock:
     def test_auto_selected_for_multi_source_powerpush(self, engine):
         """What is selected is the loop: no block solve, same bytes."""
         results = engine.batch_query(SOURCES, "powerpush", **PARAMS)
-        assert engine.block_batches == 0
         for source, result in zip(SOURCES, results):
             assert result.source == source
             assert_same_answer(
@@ -69,14 +40,13 @@ class TestEngineBatchBlock:
             )
 
     def test_single_source_loops(self, engine):
-        engine.batch_query([5], "powerpush", **PARAMS)
-        assert engine.block_batches == 0
+        (result,) = engine.batch_query([5], "powerpush", **PARAMS)
+        assert_same_answer(result, engine.query(5, "powerpush", **PARAMS))
 
     def test_faithful_mode_falls_back_to_loop(self, engine):
         results = engine.batch_query(
             [0, 1], "powerpush", mode="faithful", l1_threshold=1e-5
         )
-        assert engine.block_batches == 0
         assert_same_answer(
             results[0],
             engine.query(0, "powerpush", mode="faithful", l1_threshold=1e-5),
@@ -85,8 +55,8 @@ class TestEngineBatchBlock:
     def test_seeded_montecarlo_batch_matches_sequential_queries(
         self, engine
     ):
-        """A seeded batch is not block-batchable (one stream per
-        source): it loops, whatever its size."""
+        """A seeded batch draws one stream per source: it loops,
+        whatever its size."""
         for sources in ([4], [4, 5, 6]):
             batch = engine.batch_query(
                 sources, "montecarlo", num_walks=50, seed=1
@@ -98,7 +68,6 @@ class TestEngineBatchBlock:
             # Seeded answers are a pure function of (seed, source).
             for a, b in zip(batch, looped):
                 assert np.array_equal(a.estimate, b.estimate)
-        assert engine.block_batches == 0
 
     def test_block_matches_sequential_queries(self, engine):
         results = engine.batch_query(SOURCES, "powerpush", **PARAMS)
@@ -138,7 +107,6 @@ class TestSchedulerBlockDispatch:
         ]
         answered = scheduler.run_pending()
         assert answered == len(SOURCES)
-        assert engine.block_batches == 0
         assert scheduler.stats.engine_calls == 1
         for source, future in zip(SOURCES, futures):
             served = future.result(timeout=5)
@@ -155,5 +123,4 @@ class TestSchedulerBlockDispatch:
         scheduler.submit(2, "powitr", dict(PARAMS))
         scheduler.run_pending()
         assert scheduler.stats.engine_calls == 2  # the pair, then powitr
-        assert engine.block_batches == 0
         scheduler.close()

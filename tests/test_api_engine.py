@@ -23,7 +23,8 @@ from repro.core.sim_fwdpush import simultaneous_forward_push
 from repro.core.speedppr import speed_ppr
 from repro.errors import ParameterError, UnknownMethodError
 from repro.graph.build import paper_example_graph
-from repro.graph.dynamic import DynamicGraph
+from repro.generators.rmat import rmat_digraph
+from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.montecarlo.mc import monte_carlo_ppr
 
 
@@ -234,25 +235,21 @@ class TestBatchQuery:
     ):
         import repro.montecarlo.mc as mc_module
 
-        observed = {}
+        observed = []
         real = mc_module.simulate_walk_stops
 
         def spy(*args, **kwargs):
             stops, steps = real(*args, **kwargs)
-            observed["steps"] = steps
+            observed.append(steps)
             return stops, steps
 
         monkeypatch.setattr(mc_module, "simulate_walk_stops", spy)
-        # Unseeded: the cross-source grouped simulation, whose batch
-        # totals are apportioned evenly across sources.
+        # Unseeded too, each source is its own simulation and is
+        # charged exactly its own walk steps.
         results = engine.batch_query(
             [0, 1, 2], method="montecarlo", num_walks=100
         )
-        attributed = sum(r.counters.walk_steps for r in results)
-        assert attributed == observed["steps"]  # no remainder lost
-        assert max(r.counters.walk_steps for r in results) - min(
-            r.counters.walk_steps for r in results
-        ) <= 1
+        assert [r.counters.walk_steps for r in results] == observed
 
     def test_batch_shares_one_walk_index(self, engine):
         engine.batch_query([0, 1, 2], method="speedppr", epsilon=0.5)
@@ -463,32 +460,28 @@ class TestEngineBehaviour:
         with pytest.raises(ParameterError):
             engine.batch_query([0, 1], method="montecarlo", mu=0.0)
 
-    def test_batch_montecarlo_chunks_large_batches(
-        self, engine, monkeypatch
-    ):
-        import repro.montecarlo.mc as mc_module
-
-        calls = []
-        real = mc_module.simulate_walk_stops
-
-        def spy(graph, starts, **kwargs):
-            calls.append(starts.shape[0])
-            return real(graph, starts, **kwargs)
-
-        monkeypatch.setattr(mc_module, "simulate_walk_stops", spy)
-        monkeypatch.setattr(mc_module, "_BATCH_WALK_BUDGET", 250)
-        sources = [0, 1, 2, 3, 4]
-        # Unseeded: the cross-source simulation (a seeded batch loops).
-        results = engine.batch_query(
-            sources, method="montecarlo", num_walks=100
+    def test_replace_graph_swaps_snapshot_and_version(self):
+        """What a shard does at every hand-over: the next version's
+        graph is served — its seeded answers byte-identical to a fresh
+        engine's on it — and the walk index of the last one is gone."""
+        base = rmat_digraph(8, 1500, rng=np.random.default_rng(5))
+        dyn = DynamicGraph(base)
+        dyn.apply_updates([sample_edge_update(dyn, np.random.default_rng(3))])
+        engine = PPREngine(base, alpha=0.2, seed=7)
+        engine.query(2, "speedppr", epsilon=0.5, seed=3)
+        assert engine.graph_version == 0
+        engine.replace_graph(dyn.snapshot(), 1)
+        assert engine.graph_version == 1
+        assert engine.index_invalidations["walk"] == 1
+        expected = PPREngine(dyn, alpha=0.2, seed=7).query(
+            2, "speedppr", epsilon=0.5, seed=3
         )
-        assert engine.block_batches == 1
-        assert len(calls) > 1  # split into groups
-        assert max(calls) <= 250
-        assert [r.source for r in results] == sources
-        for result in results:
-            assert result.counters.random_walks == 100
-            assert result.estimate.sum() == pytest.approx(1.0)
+        served = engine.query(2, "speedppr", epsilon=0.5, seed=3)
+        assert served.estimate.tobytes() == expected.estimate.tobytes()
+        with pytest.raises(ParameterError, match="node set"):
+            engine.replace_graph(paper_example_graph(), 2)
+        with pytest.raises(ParameterError, match="apply_updates"):
+            PPREngine(dyn).replace_graph(base, 1)
 
     def test_adopted_prebuilt_index_is_not_rebuilt(self, graph):
         donor = PPREngine(graph, seed=0)
@@ -501,11 +494,10 @@ class TestEngineBehaviour:
 class TestEngineNamesNoMethod:
     """The engine serves what a spec *declares*, whatever its name: a
     solver registered by the test gets its artefact cached, injected
-    and invalidated, and its own block rule honoured, with no edit
-    under ``src/``."""
+    and invalidated with no edit under ``src/``."""
 
     @staticmethod
-    def toy_spec(seen, builds, **declared):
+    def toy_spec(seen, builds):
         def fn(graph, source, *, alpha=0.2, l1_threshold=1e-8,
                walk_index=None, mode="auto", max_iterations=None):
             seen.append(walk_index)
@@ -533,7 +525,6 @@ class TestEngineNamesNoMethod:
                 build=build,
                 key=lambda graph, params: ("n", graph.num_nodes),
             ),
-            **declared,
         )
 
     def test_declared_artefact_is_built_once_injected_and_invalidated(
@@ -578,44 +569,6 @@ class TestEngineNamesNoMethod:
         engine.query(1, "toy")
         assert engine.index_builds["toy"] == 2
         assert seen[-1] == ("toy-table", 2)
-
-    def test_block_path_follows_the_specs_own_rule(
-        self, register_spec, graph
-    ):
-        calls = []
-
-        def block_fn(graph, sources, *, alpha=0.2, l1_threshold=1e-8,
-                     walk_index=None, mode="auto", max_iterations=None):
-            calls.append(list(sources))
-            return [
-                power_push(graph, s, alpha=alpha, l1_threshold=l1_threshold)
-                for s in sources
-            ]
-
-        seen = []
-        register_spec(
-            self.toy_spec(
-                seen,
-                [],
-                block_fn=block_fn,
-                # Not PowerPush's rule: faithful mode rides the block
-                # path, a capped request does not.
-                block_rule=lambda graph, params: (
-                    params.get("max_iterations") is None
-                ),
-            )
-        )
-        engine = PPREngine(graph, alpha=0.2, seed=3)
-        block = engine.batch_query([0, 1, 2], "toy", mode="faithful")
-        assert calls == [[0, 1, 2]] and seen == []
-        assert engine.block_batches == 1
-        looped = engine.batch_query([0, 1, 2], "toy", max_iterations=5)
-        engine.batch_query([3], "toy")
-        assert calls == [[0, 1, 2]] and len(seen) == 4
-        assert engine.block_batches == 1  # only the block solve counts
-        assert engine.stats.queries == 7
-        for a, b in zip(block, looped):
-            np.testing.assert_array_equal(a.estimate, b.estimate)
 
     def test_incremental_is_served_and_refused_like_any_method(self, graph):
         from repro.serving import EngineServer, ShardedDispatcher

@@ -200,7 +200,6 @@ def test_engine_batch_block_reproduces_golden_bytes():
     results = engine.batch_query(
         list(SOURCES), "powerpush", **CASES["powerpush"]
     )
-    assert engine.block_batches == 0
     with np.load(VECTORS_FILE) as archive:
         for source, result in zip(SOURCES, results):
             assert np.array_equal(

@@ -246,7 +246,6 @@ class TestEngineReorder:
         graph, plain, reordered = self._engines("degree")
         a = plain.batch_query([2, 9, 33, 41], "powerpush")
         b = reordered.batch_query([2, 9, 33, 41], "powerpush")
-        assert reordered.block_batches == 0
         for x, y in zip(a, b):
             assert x.source == y.source
             # Batch members are the single-source answers, already in

@@ -205,28 +205,6 @@ class TestWriterPath:
         assert len(server.cache) == 0
         assert server.cache.stats.invalidations == 1
 
-    def test_replace_graph_swaps_snapshot_version_and_cache(self):
-        base = rmat_digraph(8, 1500, rng=np.random.default_rng(5))
-        dyn = DynamicGraph(base)
-        dyn.apply_updates([sample_edge_update(dyn, np.random.default_rng(3))])
-        with EngineServer(base, alpha=0.2, seed=7) as server:
-            served = server.query(2, "speedppr", epsilon=0.5, seed=3)
-            assert served.version == 0 and len(server.cache) == 1
-            server.replace_graph(dyn.snapshot(), 1)
-            assert server.graph_version == 1 and len(server.cache) == 0
-            assert server.engine.index_invalidations["walk"] == 1
-            expected = PPREngine(dyn, alpha=0.2, seed=7).query(
-                2, "speedppr", epsilon=0.5, seed=3
-            )
-            served = server.query(2, "speedppr", epsilon=0.5, seed=3)
-            assert served.version == 1 and not served.cache_hit
-            assert served.result.estimate.tobytes() == expected.estimate.tobytes()
-            with pytest.raises(ParameterError, match="node set"):
-                server.replace_graph(paper_example_graph(), 2)
-        with EngineServer(dyn, start=False) as dynamic_server:
-            with pytest.raises(ParameterError, match="apply_updates"):
-                dynamic_server.replace_graph(base, 1)
-
     def test_submit_after_close_raises_even_on_cache_hit(self, server):
         first = server.submit(0, "powerpush", l1_threshold=1e-7)
         drain(server)

@@ -129,14 +129,15 @@ def stopped(disp, worker):
 class TestWorkerLoop:
     """The shard's receive loop, driven in-process over plain queues."""
 
-    def test_burst_is_dispatched_inline_as_one_coalesced_batch(self, base):
-        """A worker is the only submitter to its scheduler, so nobody
-        could join a batch during a micro-batch window: the loop
-        dispatches its drained burst itself — no scheduler thread, no
-        wait — and a coalescable group is still one engine call, which
-        for PowerPush loops: no block solve, ``engine.query``'s bytes."""
+    def test_each_query_is_one_engine_query_in_fifo_order(self, base):
+        """A shard calls its engine directly: no scheduler, no thread,
+        no coalescing — a duplicate is a second solve (the dispatcher
+        catches cacheable ones before they are sent).  A request that
+        fails, or arrives past its deadline, is answered with its error
+        while the rest of the burst is served as usual."""
         import queue
 
+        from repro.errors import DeadlineExceeded
         from repro.serving.faults import WorkerFaultPlan
         from repro.serving.sharded import (
             WorkerConfig,
@@ -145,43 +146,59 @@ class TestWorkerLoop:
         )
         from repro.serving.shm import ReplyArena
 
-        threads_seen = set()
+        threads_before = set(threading.enumerate())
+        extra_threads = set()
 
         class Replies(queue.Queue):
             def put(self, item, *args, **kwargs):
-                threads_seen.update(t.name for t in threading.enumerate())
+                extra_threads.update(set(threading.enumerate()) - threads_before)
                 super().put(item, *args, **kwargs)
 
         requests, responses = queue.Queue(), Replies()
-        sources = [3, 9, 27, 9]  # three misses and one duplicate
+        # three misses, an out-of-range source, a duplicate, an expired one
+        burst = [
+            (3, None),
+            (9, None),
+            (base.num_nodes, None),
+            (27, None),
+            (9, None),
+            (5, time.monotonic() - 1.0),
+        ]
+        good = {1: 3, 2: 9, 4: 27, 5: 9}
         shard = _Shard(WorkerConfig(alpha=0.2, seed=7))
         with SharedGraphImage.export_graph(base) as image, ReplyArena.create(
             base.num_nodes, max_slots=2, max_bytes=1 << 20
         ) as arena:
             requests.put(("attach", 0, image.handle, 0))
-            for req_id, source in enumerate(sources, start=1):
+            for req_id, (source, deadline) in enumerate(burst, start=1):
                 slot = req_id - 1 if req_id <= arena.slots else None
                 requests.put(
                     ("query", req_id, source, "powerpush", dict(PARAMS),
-                     False, None, slot)
+                     deadline, slot)
                 )
             requests.put(("stats", 99))
             requests.put(("stop",))
             try:
                 _serve_messages(
-                    0, shard, arena, requests, responses, 64,
-                    WorkerFaultPlan(()),
+                    0, shard, arena, requests, responses, WorkerFaultPlan(())
                 )
-                replies = {}
+                replies = []
                 while not responses.empty():
-                    message = responses.get_nowait()
-                    replies.setdefault(message[0], []).append(message)
-                assert [m[1] for m in replies["attached"]] == [0]
+                    replies.append(responses.get_nowait())
+                kinds = [m[0] for m in replies if m[0] != "heartbeat"]
+                assert kinds == [
+                    "attached", "slot-result", "slot-result", "error",
+                    "result", "result", "error", "stats",
+                ]
                 engine = PPREngine(base, alpha=0.2, seed=7)
-                answered = {}
-                for kind, req_id, served in (
-                    replies["slot-result"] + replies["result"]
-                ):
+                errors, answered = {}, {}
+                for message in replies:
+                    kind, req_id = message[0], message[1]
+                    if kind == "error":
+                        errors[req_id] = message[2]
+                    if kind not in ("slot-result", "result"):
+                        continue
+                    served = message[2]
                     result = served.result
                     if kind == "slot-result":
                         estimate, residue = arena.load(req_id - 1, req_id)
@@ -192,22 +209,33 @@ class TestWorkerLoop:
                         residue.tobytes(),
                         result.counters.as_dict(),
                     )
-                    assert served.batch_size == 4  # one coalesced group
-                assert len(replies["slot-result"]) == arena.slots == 2
-                for req_id, source in enumerate(sources, start=1):
+                    assert served.batch_size == 1 and served.worker == 0
+                    assert served.version == 0 and not served.cache_hit
+                for req_id, source in good.items():
                     expected = engine.query(source, "powerpush", **PARAMS)
                     assert answered[req_id] == (
                         expected.estimate.tobytes(),
                         expected.residue.tobytes(),
                         expected.counters.as_dict(),
                     )
-                (stats,) = replies["stats"]
-                assert stats[2]["scheduler"]["engine_calls"] == 1
-                assert stats[2]["scheduler"]["engine_sources"] == 3
-                assert shard.server.engine.block_batches == 0
-                assert "repro-query-scheduler" not in threads_seen
+                assert isinstance(errors[3], NodeNotFoundError)
+                assert isinstance(errors[6], DeadlineExceeded)
+                (stats,) = [m[2] for m in replies if m[0] == "stats"]
+                assert stats == {
+                    "requests": len(burst),
+                    "engine_queries": len(good),
+                    "graph_version": 0,
+                    "failures": 1,
+                    "expired": 1,
+                }
+                assert not extra_threads
             finally:
                 shard.close()
+
+    def test_close_before_the_first_attach_is_a_no_op(self):
+        from repro.serving.sharded import WorkerConfig, _Shard
+
+        _Shard(WorkerConfig()).close()
 
 
 class TestByteIdentity:
@@ -538,6 +566,12 @@ class TestRoutingAndStats:
             dispatcher.query(0, "powerpush", l1_threshold=[1e-6])
         with pytest.raises(UnknownMethodError):
             dispatcher.query(0, "no-such-method")
+
+    def test_bad_max_batch_is_refused_before_any_shard_starts(self, base):
+        before = our_shm_files()
+        with pytest.raises(ParameterError, match="max_batch"):
+            ShardedDispatcher(base, workers=1, max_batch=0)
+        assert our_shm_files() == before
 
 
 class TestParentCacheAndFlights:
