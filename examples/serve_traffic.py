@@ -1,9 +1,11 @@
-"""Serve concurrent PPR traffic: scheduler, cache, and live updates.
+"""Serve concurrent PPR traffic: cache, flights, and live updates.
 
-Walkthrough of :class:`repro.serving.EngineServer` — the thread-safe
-front door the README "Serving" section describes:
+Walkthrough of :class:`repro.serving.EngineServer` — the thread tier
+the README "Serving" section describes; the sharded tier answers
+through the same cache + single-flight module:
 
-1. a burst of concurrent queries coalesces into batched solves,
+1. a burst of concurrent queries: a duplicate of a source being solved
+   joins that solve (a flight) instead of solving it again,
 2. repeated sources answer from the versioned result cache,
 3. an edge update invalidates the cache exactly at the version bump,
 4. a small Zipfian loadtest compares served vs serial throughput,
@@ -100,17 +102,17 @@ def main() -> None:
     )
     print(f"serving {graph!r}")
 
-    with EngineServer(graph, alpha=0.2, seed=SEED, window=0.002) as server:
-        # -- 1. a concurrent burst: futures in, coalesced solves out --
+    with EngineServer(graph, alpha=0.2, seed=SEED) as server:
+        # -- 1. a concurrent burst: futures in, one solve per source --
         hot = [0, 1, 2, 0, 1, 0, 3, 0]  # skewed, like real traffic
         futures = [
             server.submit(s, "powerpush", l1_threshold=1e-7) for s in hot
         ]
-        answers = [future.result() for future in futures]
-        batched = max(a.batch_size for a in answers)
+        for future in futures:
+            future.result()
         print(
             f"burst of {len(hot)} requests over {len(set(hot))} sources "
-            f"answered; largest coalesced batch: {batched}"
+            f"answered with {server.engine.stats.queries} solves"
         )
 
         # -- 2. the cache serves the repeats ---------------------------
@@ -132,7 +134,8 @@ def main() -> None:
         print(
             f"server counters: {stats['requests']} requests, "
             f"cache invalidations {stats['cache']['invalidations']}, "
-            f"batching factor {stats['scheduler']['batching_factor']:.2f}"
+            f"flights led {stats['flights']['led']}, "
+            f"joined {stats['flights']['joined']}"
         )
 
     # -- 4. a measured Zipfian loadtest against the serial baseline ----

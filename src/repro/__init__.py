@@ -115,7 +115,6 @@ from repro.serving import (
     EngineServer,
     FaultInjector,
     FaultSpec,
-    QueryScheduler,
     RestartPolicy,
     ResultCache,
     RetryPolicy,
@@ -150,7 +149,6 @@ __all__ = [
     "EngineServer",
     "FaultInjector",
     "FaultSpec",
-    "QueryScheduler",
     "RestartPolicy",
     "ResultCache",
     "RetryPolicy",

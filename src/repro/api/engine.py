@@ -62,8 +62,8 @@ serialise against everything.  Mixing queries with ``apply_updates``
 from different threads additionally needs the *graph* transition
 serialised against in-flight reads; use
 :class:`repro.serving.EngineServer`, which wraps the engine in a
-readers-writer lock (plus a versioned result cache and a micro-batching
-scheduler), instead of hand-rolling that.
+readers-writer lock (plus a versioned result cache and single-flight
+table), instead of hand-rolling that.
 """
 
 from __future__ import annotations

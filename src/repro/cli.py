@@ -28,9 +28,10 @@ solves while edge updates stream in::
     repro-ppr update-bench --batches 4 --batch-size 25
 
 Serve queries interactively through the concurrent serving layer
-(micro-batching scheduler + versioned result cache), one request per
-stdin line — ``SOURCE [METHOD] [key=value ...]``, ``+ U V`` / ``- U V``
-for edge updates, ``stats`` for counters::
+(versioned result cache + single-flight table, shared by the thread
+and the sharded tier), one request per stdin line — ``SOURCE [METHOD]
+[key=value ...]``, ``+ U V`` / ``- U V`` for edge updates, ``stats``
+for counters::
 
     echo "7 powerpush l1_threshold=1e-7" | repro-ppr serve dblp-s
 
@@ -153,16 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--alpha", type=float, default=0.2)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
-        "--window",
-        type=float,
-        default=0.002,
-        help=(
-            "micro-batch window in seconds (thread mode; a shard "
-            "process dispatches each drained burst inline)"
-        ),
-    )
-    serve.add_argument("--max-batch", type=int, default=64)
-    serve.add_argument(
         "--cache-capacity",
         type=int,
         default=4096,
@@ -194,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-request budget; expired requests fail fast with "
-        "DeadlineExceeded instead of occupying a batch slot",
+        "DeadlineExceeded instead of being solved",
     )
     serve.add_argument(
         "--degrade-l1",
@@ -261,13 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate", type=float, default=500.0, help="open-loop arrivals/second"
     )
     loadtest.add_argument("--concurrency", type=int, default=8)
-    loadtest.add_argument(
-        "--window",
-        type=float,
-        default=0.002,
-        help="micro-batch window in seconds (thread mode only)",
-    )
-    loadtest.add_argument("--max-batch", type=int, default=64)
     loadtest.add_argument("--cache-capacity", type=int, default=4096)
     loadtest.add_argument("--method", default="powerpush")
     loadtest.add_argument("--alpha", type=float, default=0.2)
@@ -474,7 +458,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Interactive/pipe server: one request per stdin line.
 
     ``SOURCE [METHOD] [key=value ...]`` answers a query through the
-    scheduler + cache; ``+ U V`` / ``- U V`` applies an edge update
+    cache + flights; ``+ U V`` / ``- U V`` applies an edge update
     (dataset graphs are wrapped in a DynamicGraph so the writer path
     works); ``stats`` prints the serving counters; ``quit`` or EOF
     stops.
@@ -498,7 +482,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             alpha=args.alpha,
             seed=args.seed,
-            max_batch=args.max_batch,
             cache_capacity=args.cache_capacity,
             cache_ttl=args.cache_ttl,
             max_restarts=args.max_restarts,
@@ -510,8 +493,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             dynamic,
             alpha=args.alpha,
             seed=args.seed,
-            window=args.window,
-            max_batch=args.max_batch,
             cache_capacity=args.cache_capacity,
             cache_ttl=args.cache_ttl,
             **durable_kwargs,
@@ -596,9 +577,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         )
                     else:
                         served = server.query(source, method, **params)
-                    origin = "cache" if served.cache_hit else (
-                        f"batch of {served.batch_size}"
-                    )
+                    origin = "cache" if served.cache_hit else "solved"
                     if served.degraded:
                         origin += ", degraded"
                     if served.worker is not None:
@@ -621,21 +600,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _print_server_stats(server) -> None:
     stats = server.stats()
-    scheduler = stats["scheduler"]
+    flights = stats["flights"]
     cache = stats["cache"]
-    hit_rate = stats.get(
-        "hit_rate_at_submit", cache.get("hit_rate", 0.0) if cache else 0.0
-    )
     print(
         f"requests={stats['requests']} "
         f"graph_version={stats['graph_version']} "
-        f"hit_rate={hit_rate:.2%}"
+        f"hit_rate={cache.get('hit_rate', 0.0) if cache else 0.0:.2%}"
     )
-    print(
-        f"scheduler: batches={scheduler['batches']} "
-        f"engine_calls={scheduler['engine_calls']} "
-        f"batching_factor={scheduler['batching_factor']:.2f}"
-    )
+    print(f"flights: led={flights['led']} joined={flights['joined']}")
     if cache:
         print(
             f"cache: hits={cache['hits']} misses={cache['misses']} "
@@ -721,8 +693,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         seed=args.seed,
         concurrency=args.concurrency,
-        window=args.window,
-        max_batch=args.max_batch,
         cache_capacity=args.cache_capacity,
         workers=args.workers,
         slo_ms=args.slo_ms,

@@ -49,10 +49,9 @@ class DeadlineExceeded(ReproError, TimeoutError):
     """A request's deadline passed before an answer could be produced.
 
     Raised by the serving layer: at submit time when the budget is
-    already spent, at dispatch time when a queued request expired
-    inside the micro-batch window (it is failed fast instead of
-    occupying a batch slot), and by the async front door when the
-    solve outlives the remaining budget.  Inherits from
+    already spent, when a tier reaches a request whose deadline passed
+    while it waited (it is failed instead of solved), and by the async
+    front door when the solve outlives the remaining budget.  Inherits from
     :class:`TimeoutError` so generic timeout handlers keep working.
     """
 

@@ -1,14 +1,15 @@
-"""Concurrent PPR serving: scheduler + versioned cache + server + load.
+"""Concurrent PPR serving: versioned cache + flights + two tiers + load.
 
 The per-query machinery (:mod:`repro.api`) answers one query well;
 this package makes it a *service*:
 
-* :class:`~repro.serving.server.EngineServer` — the thread-safe front
-  door: futures in, :class:`~repro.serving.scheduler.ServedResult`
-  out, graph updates serialised against in-flight reads.
-* :class:`~repro.serving.scheduler.QueryScheduler` — micro-batch
-  window that coalesces compatible concurrent requests into one
-  ``batch_query``.
+* :class:`~repro.serving.server.EngineServer` — the thread tier:
+  futures in, :class:`~repro.serving.flights.ServedResult` out, misses
+  solved one at a time by one worker thread, graph updates serialised
+  against in-flight reads.
+* :class:`~repro.serving.flights.FlightTable` — the one cache +
+  single-flight module both tiers answer through: a repeat is a cache
+  hit, a duplicate of a request being solved joins that solve.
 * :class:`~repro.serving.cache.ResultCache` — LRU + TTL memoisation of
   full answers, stamped with the graph version exactly like the
   engine's index caches.
@@ -24,9 +25,8 @@ this package makes it a *service*:
   routing on the source id (cache affinity) with ``apply_updates``
   broadcast as a versioned barrier.
 * :class:`~repro.serving.frontdoor.AsyncFrontDoor` — the asyncio
-  admission tier over either backend: per-request deadlines, SLO-aware
-  shedding/degradation, and an arrival-rate-adaptive micro-batch
-  window.
+  admission tier over either backend: per-request deadlines and
+  SLO-aware shedding/degradation.
 * :mod:`~repro.serving.supervisor` /
   :mod:`~repro.serving.faults` — the self-healing tier: restart
   policies (jittered backoff + budget), per-shard circuit breakers,
@@ -47,6 +47,7 @@ from repro.serving.cache import (
     resolve_request,
 )
 from repro.serving.faults import FaultInjector, FaultSpec
+from repro.serving.flights import ServedResult
 from repro.serving.frontdoor import AsyncFrontDoor, FrontDoorStats
 from repro.serving.loadtest import (
     LoadtestReport,
@@ -54,7 +55,6 @@ from repro.serving.loadtest import (
     run_loadtest,
 )
 from repro.serving.locks import RWLock
-from repro.serving.scheduler import QueryScheduler, SchedulerStats, ServedResult
 from repro.serving.server import EngineServer
 from repro.serving.sharded import ShardedDispatcher, WorkerConfig
 from repro.serving.shm import SharedGraphHandle, SharedGraphImage
@@ -70,8 +70,6 @@ __all__ = [
     "RestartPolicy",
     "RetryPolicy",
     "EngineServer",
-    "QueryScheduler",
-    "SchedulerStats",
     "ServedResult",
     "ResultCache",
     "CacheStats",

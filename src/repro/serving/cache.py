@@ -192,39 +192,28 @@ class ResultCache:
         with self._mutex:
             return len(self._entries)
 
-    def get(
-        self, key: tuple, version: int, *, count_miss: bool = True
-    ) -> PPRResult | None:
+    def get(self, key: tuple, version: int) -> PPRResult | None:
         """The cached result for ``key`` at ``version``, or ``None``.
 
         A hit refreshes the entry's LRU position.  An entry stamped
         with a different graph version, or one past its TTL, is
         dropped and reported as a miss — the caller recomputes and
         re-fills at the current version.
-
-        ``count_miss=False`` records a miss outcome silently (hits are
-        always counted): a caller probing the same request twice — the
-        server checks at submit and again at dispatch — passes it on
-        the first probe so each request contributes at most one miss
-        to ``stats`` and ``hit_rate`` stays honest.
         """
         with self._mutex:
             entry = self._entries.get(key)
             if entry is None:
-                if count_miss:
-                    self.stats.misses += 1
+                self.stats.misses += 1
                 return None
             if entry.version != version:
                 del self._entries[key]
                 self.stats.stale_drops += 1
-                if count_miss:
-                    self.stats.misses += 1
+                self.stats.misses += 1
                 return None
             if entry.expires_at is not None and self._clock() >= entry.expires_at:
                 del self._entries[key]
                 self.stats.expirations += 1
-                if count_miss:
-                    self.stats.misses += 1
+                self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1

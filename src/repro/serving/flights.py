@@ -1,0 +1,220 @@
+"""The result cache and the single-flight table both serving tiers share.
+
+:class:`~repro.serving.server.EngineServer` (threads) and
+:class:`~repro.serving.sharded.ShardedDispatcher` (processes) differ
+only in *where* a miss is solved — the server's one worker thread, or
+a shard process.  Everything a caller can observe about duplicates and
+repeats is decided here, by one :class:`FlightTable` per tier, asked
+under the tier's own mutex at the graph version its read section pins:
+
+* **hit** — the answer is in the version-stamped
+  :class:`~repro.serving.cache.ResultCache` at this version: the
+  caller's future is settled at once;
+* **join** — the same request is already being solved at this version
+  (a *flight*): the caller's future rides along and gets exactly what
+  the flight's leader gets, answer or exception.  Only a flight whose
+  deadline is ``None`` or not earlier than the caller's may carry it —
+  a tier drops a flight whose leader's deadline has passed;
+* **lead** — otherwise the request becomes a new flight, which the tier
+  solves and then *lands* here: the flight ends, and its answer enters
+  the cache only if the graph is still at the version it was computed
+  at, so a duplicate arriving meanwhile finds the flight or the entry,
+  never neither, and never a pre-update vector.
+
+A request without a cache key — ``fresh=True``, or parameters that are
+live objects — never hits, never joins and is never joined.  Every
+caller holds a future of its own, so a cancel drops one caller and
+never the solve others wait on.  Apart from a hit (whose future no one
+else holds yet), futures are settled by :func:`settle` / :func:`fail`
+after the owner's mutex is released: their done-callbacks are the
+caller's code.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import Future
+from dataclasses import dataclass
+from typing import Any
+
+from repro.core.result import PPRResult
+from repro.errors import ParameterError
+from repro.serving.cache import ResultCache, freeze_result
+
+__all__ = ["Flight", "FlightTable", "ServedResult", "fail", "settle"]
+
+
+@dataclass(frozen=True)
+class ServedResult:
+    """One answered request, annotated with its serving provenance.
+
+    Attributes
+    ----------
+    result:
+        The :class:`~repro.core.result.PPRResult` itself.
+    version:
+        Graph version the answer was computed at.
+    cache_hit:
+        Whether the answer came from the result cache.
+    worker:
+        Shard id of the worker process that served the answer under a
+        :class:`~repro.serving.sharded.ShardedDispatcher`; ``None``
+        when served in-process (thread mode, or the dispatcher's own
+        cache: no shard served a hit).
+    deadline:
+        The ``time.monotonic()`` deadline of the request that was
+        solved — for a caller that joined a flight, its leader's, which
+        is never earlier than the caller's own — or ``None`` for
+        best-effort requests.  Carried through so callers (and the
+        async front door) can see the budget an answer was produced
+        under.
+    degraded:
+        Whether admission control served this answer from the degraded
+        tier (a cheaper registered solver or a version-valid cached
+        lower-precision answer) instead of the requested fidelity.
+    """
+
+    result: PPRResult
+    version: int
+    cache_hit: bool
+    worker: int | None = None
+    deadline: float | None = None
+    degraded: bool = False
+
+
+@dataclass(eq=False)
+class Flight:
+    """One request on its way to be solved, and everyone waiting on it."""
+
+    #: the caller this was sent for, then each caller that joined
+    waiters: list[Future]
+    source: int
+    #: canonical method name, with the parameters it implies in ``params``
+    method: str
+    params: dict[str, Any]
+    deadline: float | None = None
+    #: ``(cache key, version at submit)`` of a cacheable read: where its
+    #: answer is cached and, while it is open, what a duplicate joins
+    key: tuple[tuple, int] | None = None
+
+
+class FlightTable:
+    """One tier's result cache and its open flights.
+
+    Not thread-safe on purpose: every method runs under the owning
+    tier's mutex, next to whatever else that mutex guards.
+    ``cache_capacity=0`` disables the cache; flights stay.
+    """
+
+    def __init__(self, cache_capacity: int, cache_ttl: float | None) -> None:
+        if cache_capacity < 0:
+            raise ParameterError(
+                f"cache_capacity must be >= 0, got {cache_capacity}"
+            )
+        self.cache = (
+            ResultCache(cache_capacity, ttl=cache_ttl)
+            if cache_capacity
+            else None
+        )
+        self._open: dict[tuple[tuple, int], Flight] = {}
+        self.led = 0
+        self.joined = 0
+
+    def __len__(self) -> int:
+        """Flights open to joiners."""
+        return len(self._open)
+
+    def admit(
+        self,
+        key: tuple | None,
+        version: int,
+        future: Future,
+        deadline: float | None,
+    ) -> bool:
+        """Answer ``future`` from the cache, or attach it to a flight.
+
+        ``False`` when neither can take it: the caller then leads a
+        flight of its own (:meth:`lead`).
+        """
+        if key is None:
+            return False
+        if self.cache is not None:
+            hit = self.cache.get(key, version)
+            if hit is not None:
+                future.set_result(
+                    ServedResult(
+                        result=hit,
+                        version=version,
+                        cache_hit=True,
+                        deadline=deadline,
+                    )
+                )
+                return True
+        flight = self._open.get((key, version))
+        if flight is None or (
+            flight.deadline is not None
+            and (deadline is None or flight.deadline < deadline)
+        ):
+            return False
+        flight.waiters.append(future)
+        self.joined += 1
+        return True
+
+    def lead(self, flight: Flight, key: tuple | None, version: int) -> None:
+        """Count ``flight`` and, when it has a key, open it to joiners.
+
+        A flight already open for the key stays the one joined (this
+        one could not be carried by it, so it flies alone).
+        """
+        self.led += 1
+        if key is not None:
+            flight.key = (key, version)
+            self._open.setdefault(flight.key, flight)
+
+    def land(
+        self,
+        flight: Flight,
+        answer: ServedResult | None = None,
+        current: int | None = None,
+    ) -> list[Future]:
+        """End ``flight``; return everyone waiting on it.
+
+        ``answer`` enters the cache when it was computed at the
+        ``current`` graph version; an answer that outlived its version
+        is only delivered.
+        """
+        key = flight.key
+        if key is not None:
+            if self._open.get(key) is flight:
+                del self._open[key]
+            if (
+                answer is not None
+                and self.cache is not None
+                and answer.version == current
+            ):
+                self.cache.put(key[0], answer.result, answer.version)
+        return flight.waiters
+
+    def stats(self) -> dict[str, int]:
+        return {"led": self.led, "joined": self.joined}
+
+
+def settle(waiters: list[Future], served: ServedResult) -> None:
+    """Deliver ``served`` to every waiter that has not cancelled.
+
+    They all get one object — the one later hits get — so its vectors
+    are read-only from here on.
+    """
+    freeze_result(served.result)
+    for future in waiters:
+        if future.set_running_or_notify_cancel():
+            future.set_result(served)
+
+
+def fail(waiters: list[Future], exc: BaseException) -> None:
+    """Deliver ``exc`` to every waiter that has not cancelled."""
+    for future in waiters:
+        try:
+            if future.set_running_or_notify_cancel():
+                future.set_exception(exc)
+        except Exception:  # repro: allow[lock-discipline] -- best-effort error delivery: a racing cancel already settled the future, the client has its outcome
+            pass

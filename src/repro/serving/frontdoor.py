@@ -1,11 +1,10 @@
 """Async SLO-aware front door over the thread/process serving tiers.
 
-The serving stack so far is concurrent but *thread-shaped*: every
-``EngineServer.query`` parks a client thread on a future, the
-micro-batch window is a fixed timer, and nothing in the path knows a
-request has a deadline or that the system is overloaded.  This module
-is the admission tier the ROADMAP's "Async front door with SLO-aware
-scheduling" item asks for, built on stdlib ``asyncio`` only:
+Both serving tiers are concurrent but *thread-shaped*: every
+``query`` parks a client thread on a future, and nothing in the tiers
+themselves judges whether the system is overloaded.  This module is
+the admission tier in front of either, built on stdlib ``asyncio``
+only:
 
 * :meth:`AsyncFrontDoor.submit` is a coroutine: it enqueues through
   the wrapped :class:`~repro.serving.server.EngineServer` (or
@@ -13,9 +12,9 @@ scheduling" item asks for, built on stdlib ``asyncio`` only:
   future without holding a thread** — ten thousand in-flight requests
   cost one event loop, not ten thousand parked stacks.
 * Every request carries a **deadline**.  A spent budget fails fast
-  with :class:`~repro.errors.DeadlineExceeded` — at admission, at
-  micro-batch dispatch (the scheduler drops expired requests instead
-  of giving them a batch slot), or while awaiting the solve.
+  with :class:`~repro.errors.DeadlineExceeded` — at admission, when
+  the backend reaches a request whose deadline has passed (it is
+  failed instead of solved), or while awaiting the solve.
 * **Admission control** watches the p99 of recently completed
   full-fidelity requests.  When that prediction blows the SLO the
   front door *degrades* — re-issues the request against a cheaper
@@ -25,11 +24,6 @@ scheduling" item asks for, built on stdlib ``asyncio`` only:
   :class:`~repro.errors.ServerOverloadedError`.  Shedding protects
   the answered requests' tail: an open-loop overload run keeps
   bounded p99 for everything it admits.
-* The **micro-batch window adapts** to the observed arrival rate: an
-  EWMA over inter-arrival gaps sizes the window so a batch can fill
-  (``target_batch`` arrivals' worth), clamped to ``[window_min,
-  window_max]`` — low traffic stops paying the fixed-window latency
-  tax, bursts still coalesce into shared dispatches.
 
 Degradation never changes *what* a served answer is, only *whether and
 how* a request is served: every answer — full fidelity or degraded —
@@ -71,7 +65,7 @@ from repro.errors import (
     ParameterError,
     ServerOverloadedError,
 )
-from repro.serving.scheduler import ServedResult
+from repro.serving.flights import ServedResult
 from repro.serving.server import EngineServer
 from repro.serving.sharded import ShardedDispatcher
 
@@ -107,9 +101,6 @@ class FrontDoorStats:
     deadline_rejected: int = 0
     deadline_expired: int = 0
     probes: int = 0
-    window_updates: int = 0
-    #: EWMA arrival rate (requests/second) the adaptive window tracks.
-    arrival_rate_hz: float = 0.0
     #: Latest p99 prediction (milliseconds); 0.0 until enough samples.
     predicted_p99_ms: float = 0.0
 
@@ -123,8 +114,6 @@ class FrontDoorStats:
             "deadline_rejected": self.deadline_rejected,
             "deadline_expired": self.deadline_expired,
             "probes": self.probes,
-            "window_updates": self.window_updates,
-            "arrival_rate_hz": self.arrival_rate_hz,
             "predicted_p99_ms": self.predicted_p99_ms,
         }
 
@@ -157,15 +146,6 @@ class AsyncFrontDoor:
     max_inflight:
         Hard bound on concurrently admitted requests; beyond it every
         arrival is shed.  ``None`` disables the bound.
-    window_min, window_max, target_batch:
-        Adaptive micro-batch window clamp and fill target: the window
-        tracks ``target_batch / arrival_rate`` (time for a batch's
-        worth of arrivals), clamped to ``[window_min, window_max]``.
-        Applied only when the backend exposes a scheduler (thread
-        mode); sharded workers have no window and no scheduler — each
-        calls its engine once per request.
-    ewma_alpha:
-        Smoothing factor for the inter-arrival EWMA (0 < alpha <= 1).
     """
 
     def __init__(
@@ -177,10 +157,6 @@ class AsyncFrontDoor:
         degrade_method: str | None = None,
         degrade_params: dict[str, Any] | None = None,
         max_inflight: int | None = None,
-        window_min: float = 0.0005,
-        window_max: float = 0.02,
-        target_batch: int = 16,
-        ewma_alpha: float = 0.1,
     ) -> None:
         if slo_ms is not None and slo_ms <= 0:
             raise ParameterError(f"slo_ms must be positive, got {slo_ms}")
@@ -192,19 +168,6 @@ class AsyncFrontDoor:
             raise ParameterError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ParameterError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}"
-            )
-        if not 0.0 <= window_min <= window_max:
-            raise ParameterError(
-                f"need 0 <= window_min <= window_max, got "
-                f"[{window_min}, {window_max}]"
-            )
-        if target_batch < 1:
-            raise ParameterError(
-                f"target_batch must be >= 1, got {target_batch}"
-            )
         self._backend = backend
         self._slo_ms = slo_ms
         self._deadline_ms = deadline_ms
@@ -213,19 +176,13 @@ class AsyncFrontDoor:
             dict(degrade_params) if degrade_params is not None else None
         )
         self._max_inflight = max_inflight
-        self._window_min = float(window_min)
-        self._window_max = float(window_max)
-        self._target_batch = int(target_batch)
-        self._ewma_alpha = float(ewma_alpha)
-        #: guards counters, the latency window, and the arrival EWMA —
-        #: submit() runs on the event loop but completions land from
-        #: scheduler worker threads via the wrapped futures
+        #: guards counters and the latency window — submit() runs on
+        #: the event loop but completions land from backend threads
+        #: via the wrapped futures
         self._mutex = threading.Lock()
         self.stats = FrontDoorStats()
         self._inflight = 0
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
-        self._gap_ewma: float | None = None
-        self._last_arrival: float | None = None
         self._degrade_decisions = 0
         #: version-valid degraded answers, keyed by source — the
         #: "cached lower-precision answer" tier (entries stamped with
@@ -268,11 +225,10 @@ class AsyncFrontDoor:
         the sync path for the degraded request.
         """
         now = time.monotonic()
-        self._note_arrival(now)
         budget_ms = deadline_ms if deadline_ms is not None else self._deadline_ms
         deadline = None if budget_ms is None else now + budget_ms / 1e3
-        # Fresh clock read: the arrival bookkeeping above took a lock,
-        # so a sub-resolution budget is already spent by now.
+        # Fresh clock read: a budget below the clock's resolution is
+        # already spent by now.
         if deadline is not None and time.monotonic() >= deadline:
             with self._mutex:
                 self.stats.deadline_rejected += 1
@@ -304,8 +260,8 @@ class AsyncFrontDoor:
             )
         except DeadlineExceeded:
             # Covers every expiry past admission: backend fail-fast at
-            # enqueue, scheduler fail-fast at dispatch, and the await
-            # outliving the remaining budget.
+            # enqueue, at solve time, and the await outliving the
+            # remaining budget.
             with self._mutex:
                 self.stats.deadline_expired += 1
             raise
@@ -401,12 +357,10 @@ class AsyncFrontDoor:
         return self._backend.stats()
 
     def snapshot(self) -> dict[str, Any]:
-        """Front-door counters plus the current adaptive window."""
+        """Front-door counters and the requests in flight."""
         with self._mutex:
             doc = self.stats.as_dict()
             doc["inflight"] = self._inflight
-        scheduler = getattr(self._backend, "scheduler", None)
-        doc["window"] = scheduler.window if scheduler is not None else None
         return doc
 
     # -- admission control ----------------------------------------------
@@ -460,37 +414,6 @@ class AsyncFrontDoor:
         with self._mutex:
             self.stats.degraded_cache_hits += 1
         return cached
-
-    # -- adaptive window -------------------------------------------------
-    def _note_arrival(self, now: float) -> None:
-        with self._mutex:
-            if self._last_arrival is not None:
-                gap = max(1e-6, now - self._last_arrival)
-                if self._gap_ewma is None:
-                    self._gap_ewma = gap
-                else:
-                    self._gap_ewma += self._ewma_alpha * (
-                        gap - self._gap_ewma
-                    )
-                self.stats.arrival_rate_hz = 1.0 / self._gap_ewma
-            self._last_arrival = now
-            gap_ewma = self._gap_ewma
-            count = self.stats.submitted
-        # Re-size the scheduler window from the arrival EWMA every few
-        # arrivals (thread mode only; sharded workers keep their own).
-        if gap_ewma is None or count % 8:
-            return
-        scheduler = getattr(self._backend, "scheduler", None)
-        if scheduler is None:
-            return
-        window = min(
-            self._window_max,
-            max(self._window_min, self._target_batch * gap_ewma),
-        )
-        if abs(window - scheduler.window) / max(window, 1e-9) > 0.1:
-            scheduler.set_window(window)
-            with self._mutex:
-                self.stats.window_updates += 1
 
     def _note_completion(self, latency: float, *, degraded: bool) -> None:
         with self._mutex:

@@ -1,18 +1,17 @@
 """Load/soak harness: a workload vs the server and a serial baseline.
 
-Answers the serving layer's headline question with numbers: *what does
-the scheduler + cache buy over answering one query at a time?*  One
-call to :func:`run_loadtest`
+Answers the serving layer's headline question with numbers: *what do
+the result cache and the single-flight table buy over answering one
+query at a time?*  One call to :func:`run_loadtest`
 
 1. replays a :class:`~repro.serving.workload.Workload` against a fresh
    :class:`~repro.serving.server.EngineServer` (closed-loop worker
    pool or open-loop paced submission),
 2. replays the identical sequence against a bare engine, one blocking
-   ``query`` at a time, no cache, no batching,
+   ``query`` at a time, no cache, no flights,
 3. cross-checks the answers (byte-identical for deterministic methods
    on read-only workloads) and emits a :class:`LoadtestReport` with
-   throughput, p50/p99 latency, cache hit rate, batching factor, and
-   the speedup.
+   throughput, p50/p99 latency, cache hit rate and the speedup.
 
 Both runs build their graph from the same factory and draw edge
 updates from the same stream, so a read/write soak mutates the two
@@ -59,8 +58,8 @@ from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.serving.faults import WORKER_KINDS, FaultInjector, FaultSpec
 from repro.serving.frontdoor import AsyncFrontDoor
+from repro.serving.flights import ServedResult
 from repro.serving.server import EngineServer
-from repro.serving.scheduler import ServedResult
 from repro.serving.sharded import ShardedDispatcher
 from repro.serving.workload import Operation, Workload
 
@@ -157,7 +156,6 @@ class LoadtestReport:
     served: LoadtestStats
     serial: LoadtestStats
     cache_hit_rate: float
-    batching_factor: float
     identical: bool | None
     server_stats: dict[str, Any] = field(default_factory=dict)
     #: shard processes the served run used (0 = in-process thread mode)
@@ -184,7 +182,6 @@ class LoadtestReport:
             "serial": self.serial.as_dict(),
             "speedup": self.speedup,
             "cache_hit_rate": self.cache_hit_rate,
-            "batching_factor": self.batching_factor,
             "identical": self.identical,
             "server_stats": self.server_stats,
         }
@@ -221,8 +218,7 @@ class LoadtestReport:
             f"p50 {self.serial.p50_ms:7.2f} ms   "
             f"p99 {self.serial.p99_ms:7.2f} ms   (1 thread, no cache)",
             f"  speedup: {self.speedup:.2f}x   cache hit rate "
-            f"{self.cache_hit_rate:.2%}   batching factor "
-            f"{self.batching_factor:.2f}",
+            f"{self.cache_hit_rate:.2%}",
             f"  answers byte-identical to serial: {identical}",
         ]
         if self.served.slo_ms is not None:
@@ -424,8 +420,6 @@ def _run_served(
     alpha: float,
     seed: int,
     concurrency: int,
-    window: float,
-    max_batch: int,
     cache_capacity: int,
     cache_ttl: float | None,
     collect: bool,
@@ -468,7 +462,6 @@ def _run_served(
             workers=workers,
             alpha=alpha,
             seed=seed,
-            max_batch=max_batch,
             cache_capacity=cache_capacity,
             cache_ttl=cache_ttl,
             max_restarts=max_restarts,
@@ -480,8 +473,6 @@ def _run_served(
             make_graph(),
             alpha=alpha,
             seed=seed,
-            window=window,
-            max_batch=max_batch,
             cache_capacity=cache_capacity,
             cache_ttl=cache_ttl,
         )
@@ -704,8 +695,6 @@ def run_loadtest(
     alpha: float = 0.2,
     seed: int = 0,
     concurrency: int = 8,
-    window: float = 0.002,
-    max_batch: int = 64,
     cache_capacity: int = 4096,
     cache_ttl: float | None = None,
     compare: bool = True,
@@ -732,8 +721,7 @@ def run_loadtest(
     many worker processes mapping one shared-memory graph image
     (answers stay byte-identical either way — placement never changes
     a seeded answer).  ``concurrency`` then counts the closed-loop
-    client threads driving the dispatcher, and ``window`` is unused: a
-    shard has no micro-batch window, it calls its engine per request.
+    client threads driving the dispatcher.
 
     ``slo_ms``/``deadline_ms`` switch the served run to the SLO-aware
     async front door (open arrival, read-only workloads only): every
@@ -809,8 +797,6 @@ def run_loadtest(
         alpha=alpha,
         seed=seed,
         concurrency=concurrency,
-        window=window,
-        max_batch=max_batch,
         cache_capacity=cache_capacity,
         cache_ttl=cache_ttl,
         collect=comparable,
@@ -883,7 +869,6 @@ def run_loadtest(
         served=served_metrics,
         serial=serial_metrics,
         cache_hit_rate=float(stats["cache"].get("hit_rate", 0.0)),
-        batching_factor=float(stats["scheduler"]["batching_factor"]),
         identical=identical,
         server_stats=stats,
         workers=workers,

@@ -1,7 +1,7 @@
 """Readers-writer lock: many concurrent queries, exclusive graph updates.
 
 The serving layer's consistency story rests on one primitive: every
-read of engine state (cache lookup, version stamp, ``batch_query``)
+read of engine state (cache lookup, version stamp, ``query``)
 happens under a *shared* lock, and every graph transition
 (``apply_updates`` + cache invalidation) under an *exclusive* one.  A
 result computed under the read lock is therefore always computed at a
@@ -10,8 +10,8 @@ reads the stress tests hunt for are impossible by construction.
 
 The lock prefers writers: a waiting writer blocks *new* readers, so a
 steady query stream cannot starve updates (readers already inside
-finish first, then the writer runs).  It is not re-entrant — neither
-the scheduler nor the server nests acquisitions.
+finish first, then the writer runs).  It is not re-entrant — no
+serving tier nests acquisitions.
 """
 
 from __future__ import annotations

@@ -1,28 +1,28 @@
-"""The serving front door: engine + scheduler + cache + update path.
+"""The thread serving tier: one engine, one solver thread, one flight table.
 
-:class:`EngineServer` is what "serving heavy traffic" means in this
-repo: a thread-safe facade over one :class:`~repro.api.engine.PPREngine`
-that composes the three serving mechanisms into one consistency story:
+:class:`EngineServer` is a thread-safe facade over one
+:class:`~repro.api.engine.PPREngine`, answering through the same
+cache + single-flight module as the sharded tier
+(:mod:`repro.serving.flights`):
 
-* **Reads** (``submit``/``query``) run under the *shared* side of a
-  :class:`~repro.serving.locks.RWLock`: cache lookup, version stamp,
-  and the batched solve all happen at one graph version.
+* **Reads** (``submit``/``query``) take the *shared* side of a
+  :class:`~repro.serving.locks.RWLock` to look the request up: a hit
+  at the current graph version is answered at once, a duplicate of a
+  request already being solved joins that flight, and anything else
+  leads a flight that the server's one worker thread solves — in the
+  order they were led, each with one ``engine.query`` under the shared
+  lock, stamped with the version it was solved at.  A flight whose
+  deadline has passed by then is failed with
+  :class:`~repro.errors.DeadlineExceeded` instead of solved.
 * **Writes** (``apply_updates``) take the *exclusive* side: the graph
   version bumps and the result cache is invalidated while no read is
   in flight, so no request is ever answered from a pre-update vector —
   the same guarantee the engine gives its index caches, extended to
   memoised results.
-* **Batching**: cache misses flow into the
-  :class:`~repro.serving.scheduler.QueryScheduler`'s micro-batch
-  window and are answered by coalesced ``batch_query`` calls — one
-  solve per distinct source; the executor re-checks the cache at
-  dispatch time, so a burst of identical requests costs one solve even
-  when it straddles batches.
 
-Every future resolves to a
-:class:`~repro.serving.scheduler.ServedResult` carrying the answer,
-the graph version it was computed at, whether it was a cache hit, and
-how many requests its dispatch coalesced.
+Every future resolves to a :class:`~repro.serving.flights.ServedResult`
+carrying the answer, the graph version it was computed at and whether
+it was a cache hit.
 
 >>> server = EngineServer(graph, alpha=0.2, seed=7)
 >>> with server:
@@ -35,24 +35,24 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable
 
 from repro.api.engine import PPREngine
-from repro.core.result import PPRResult
+from repro.core.validation import check_source
 from repro.errors import DeadlineExceeded, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.serving.cache import ResultCache, resolve_request
+from repro.serving.flights import Flight, FlightTable, ServedResult, fail, settle
 from repro.serving.locks import RWLock
-from repro.serving.scheduler import QueryScheduler, ServedResult
 
 __all__ = ["EngineServer"]
 
 
 class EngineServer:
-    """Thread-safe batched/cached query serving over one engine.
+    """Thread-safe cached query serving over one engine.
 
     Parameters
     ----------
@@ -65,13 +65,7 @@ class EngineServer:
         passed).
     cache_capacity, cache_ttl:
         Result-cache sizing; ``cache_capacity=0`` disables result
-        caching entirely (every request goes through the scheduler).
-    window, max_batch:
-        Micro-batch window (seconds) and per-dispatch request cap for
-        the scheduler.
-    start:
-        ``False`` defers the scheduler worker; tests drive dispatch
-        deterministically via ``server.scheduler.run_pending()``.
+        caching (identical requests in flight still share one solve).
     wal_dir, wal_fsync, checkpoint_every:
         ``wal_dir`` makes the server durable: updates are logged to a
         write-ahead log (fsynced before the version ack unless
@@ -96,9 +90,6 @@ class EngineServer:
         seed: int = 0,
         cache_capacity: int = 4096,
         cache_ttl: float | None = None,
-        window: float = 0.002,
-        max_batch: int = 64,
-        start: bool = True,
         wal_dir: str | Path | None = None,
         wal_fsync: bool = True,
         checkpoint_every: int | None = None,
@@ -148,28 +139,16 @@ class EngineServer:
             )
         if self._durability is not None:
             self._engine.attach_durability(self._durability)
-        if cache_capacity < 0:
-            raise ParameterError(
-                f"cache_capacity must be >= 0, got {cache_capacity}"
-            )
+        self._flight_table = FlightTable(cache_capacity, cache_ttl)
         self._rwlock = RWLock()
-        self._cache = (
-            ResultCache(cache_capacity, ttl=cache_ttl)
-            if cache_capacity
-            else None
-        )
-        self._scheduler = QueryScheduler(
-            self._engine,
-            window=window,
-            max_batch=max_batch,
-            executor=self._execute_group,
-            start=start,
-        )
+        #: guards the flight table, the counter and ``_closed``
+        self._mutex = threading.Lock()
         self._submitted = 0
-        self._cache_hits_at_submit = 0
-        #: guards the two submit-path counters (read-modify-write from
-        #: many client threads; everything else has its own mutex)
-        self._counter_mutex = threading.Lock()
+        self._closed = False
+        #: the one solver thread, fed in the order flights are led
+        self._worker = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-engine-server"
+        )
 
     # -- components ------------------------------------------------------
     @property
@@ -178,11 +157,7 @@ class EngineServer:
 
     @property
     def cache(self) -> ResultCache | None:
-        return self._cache
-
-    @property
-    def scheduler(self) -> QueryScheduler:
-        return self._scheduler
+        return self._flight_table.cache
 
     @property
     def durability(self) -> Any | None:
@@ -203,25 +178,22 @@ class EngineServer:
         deadline: float | None = None,
         **params: Any,
     ) -> Future:
-        """Enqueue one query; returns a future of :class:`ServedResult`.
+        """Answer one query from the cache, a flight or the worker.
 
-        The fast path answers from the result cache without touching
-        the scheduler; misses join the current micro-batch.  Identical
-        concurrent requests share one solve (keyed on the canonical
-        request signature — this holds even with the cache disabled).
-        ``fresh=True`` bypasses cache and coalescing for this request —
-        use it to draw independent samples from unseeded stochastic
-        methods, whose answers are otherwise memoised by request
-        signature.  ``deadline`` is a ``time.monotonic()`` timestamp:
-        an already-expired request raises
+        Returns a future of :class:`ServedResult`.  Identical requests
+        (keyed on the canonical request signature) share one solve
+        while it is in flight, and later ones are answered from the
+        cache.  ``fresh=True`` bypasses both for this request — use it
+        to draw independent samples from unseeded stochastic methods,
+        whose answers are otherwise memoised by request signature.
+        ``deadline`` is a ``time.monotonic()`` timestamp: an
+        already-expired request raises
         :class:`~repro.errors.DeadlineExceeded` here, and one that
-        expires in the micro-batch queue is failed fast at dispatch
-        instead of occupying a batch slot.
+        expires before the worker reaches it is failed with it then.
+        The method, its parameters and the source are validated here,
+        so typos raise at the call site, not in the worker.
         """
-        if self._scheduler.closed:
-            # Checked up front so a cache hit cannot mask use-after-
-            # close (misses would raise from the scheduler anyway).
-            raise RuntimeError("server is closed")
+        source = int(source)
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded(
                 f"deadline passed before submit of source {source}"
@@ -232,44 +204,58 @@ class EngineServer:
             params,
             # Folding the engine defaults in makes canonicalisation
             # complete: spelling out alpha=engine.alpha keys (and
-            # coalesces) identically to omitting it.
+            # flies) identically to omitting it.
             defaults={
                 "alpha": self._engine.alpha,
                 "dead_end_policy": self._engine.dead_end_policy,
             },
         )
+        check_source(self._engine.graph, source)
         if fresh:
             key = None
-        with self._counter_mutex:
-            self._submitted += 1
-        if key is not None and self._cache is not None:
-            with self._rwlock.read():
+        future: Future = Future()
+        # The read section pins the version a hit is checked against.
+        with self._rwlock.read():
+            with self._mutex:
+                if self._closed:
+                    raise RuntimeError("server is closed")
+                self._submitted += 1
                 version = self._engine.graph_version
-                # Miss counting is deferred to the dispatch-time
-                # re-check so each request contributes one outcome.
-                hit = self._cache.get(key, version, count_miss=False)
-                if hit is not None:
-                    with self._counter_mutex:
-                        self._cache_hits_at_submit += 1
-                    future: Future = Future()
-                    future.set_result(
-                        ServedResult(
-                            result=hit,
-                            version=version,
-                            cache_hit=True,
-                            batch_size=1,
-                            deadline=deadline,
-                        )
+                if not self._flight_table.admit(key, version, future, deadline):
+                    flight = Flight([future], source, canonical, merged, deadline)
+                    self._flight_table.lead(flight, key, version)
+                    # Queued under the mutex: close() cannot slip in
+                    # between leading a flight and handing it over.
+                    self._worker.submit(self._solve, flight)
+        return future
+
+    def _solve(self, flight: Flight) -> None:
+        """The worker: solve one flight, land it, settle its waiters."""
+        try:
+            if flight.deadline is not None and time.monotonic() >= flight.deadline:
+                raise DeadlineExceeded(
+                    f"source {flight.source}: deadline passed before the "
+                    f"server solved it"
+                )
+            with self._rwlock.read():
+                served = ServedResult(
+                    result=self._engine.query(
+                        flight.source, flight.method, **flight.params
+                    ),
+                    version=self._engine.graph_version,
+                    cache_hit=False,
+                    deadline=flight.deadline,
+                )
+                with self._mutex:
+                    waiters = self._flight_table.land(
+                        flight, served, self._engine.graph_version
                     )
-                    return future
-        return self._scheduler.submit(
-            source,
-            canonical,
-            fresh=fresh,
-            deadline=deadline,
-            cache_key=key,
-            _resolved=(canonical, merged),
-        )
+        except Exception as exc:  # noqa: BLE001 - forwarded to the callers
+            with self._mutex:
+                waiters = self._flight_table.land(flight)
+            fail(waiters, exc)
+            return
+        settle(waiters, served)
 
     def query(
         self,
@@ -309,86 +295,33 @@ class EngineServer:
             try:
                 return self._engine.apply_updates(updates)
             finally:
-                if self._cache is not None:
-                    self._cache.invalidate(self._engine.graph_version)
-
-    # -- scheduler executor ---------------------------------------------
-    def _execute_group(
-        self,
-        method: str,
-        params: dict,
-        sources: list,
-        keys: list,
-    ) -> tuple[Sequence[PPRResult], int, Sequence[bool]]:
-        """Answer one coalesced group under the shared lock.
-
-        Re-checks the cache at dispatch time (a request may have been
-        filled by an earlier batch while this one queued), solves the
-        remaining sources with one ``batch_query``, and fills the cache
-        at the version the whole group was computed at.  Returns the
-        per-position cache-hit flags so the scheduler reports honest
-        provenance (a memoised answer is not a batch solve).
-        """
-        with self._rwlock.read():
-            version = self._engine.graph_version
-            results: list[PPRResult | None] = [None] * len(sources)
-            hits = [False] * len(sources)
-            missing_positions: list[int] = []
-            if self._cache is not None:
-                for position, key in enumerate(keys):
-                    if key is None:
-                        missing_positions.append(position)
-                        continue
-                    hit = self._cache.get(key, version)
-                    if hit is not None:
-                        results[position] = hit
-                        hits[position] = True
-                    else:
-                        missing_positions.append(position)
-            else:
-                missing_positions = list(range(len(sources)))
-            if missing_positions:
-                solved = self._engine.batch_query(
-                    [sources[p] for p in missing_positions],
-                    method,
-                    **params,
-                )
-                for position, result in zip(missing_positions, solved):
-                    results[position] = result
-                    key = keys[position]
-                    if key is not None and self._cache is not None:
-                        self._cache.put(key, result, version)
-            return results, version, hits  # type: ignore[return-value]
+                if self.cache is not None:
+                    self.cache.invalidate(self._engine.graph_version)
 
     # -- stats and lifecycle ---------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """One nested dict with server, scheduler, cache, engine stats."""
-        cache_stats: Mapping[str, float] = (
-            self._cache.stats.as_dict() if self._cache is not None else {}
-        )
-        scheduler_stats = self._scheduler.stats.as_dict()
-        with self._counter_mutex:
+        """Server, flight, cache and engine counters in one dict."""
+        with self._mutex:
             submitted = self._submitted
-            submit_hits = self._cache_hits_at_submit
+            flights = self._flight_table.stats()
         return {
             "requests": submitted,
-            "cache_hits_at_submit": submit_hits,
-            "hit_rate_at_submit": (
-                submit_hits / submitted if submitted else 0.0
-            ),
             "graph_version": self._engine.graph_version,
-            "scheduler": scheduler_stats,
-            "cache": dict(cache_stats),
+            "flights": flights,
+            "cache": (
+                self.cache.stats.as_dict() if self.cache is not None else {}
+            ),
             "engine_queries": self._engine.stats.queries,
         }
 
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has run (submissions are rejected)."""
-        return self._scheduler.closed
+        with self._mutex:
+            return self._closed
 
     def close(self) -> None:
-        """Drain and stop the scheduler; the engine stays usable.
+        """Solve what was submitted, stop the worker; the engine stays usable.
 
         Idempotent: repeated calls (explicit ``close`` plus context-
         manager exit plus a ``finally`` in a teardown path) are no-ops
@@ -398,10 +331,18 @@ class EngineServer:
         by whoever exported/attached it (see
         :mod:`repro.serving.sharded` for the split of ``unlink`` in
         the parent vs ``close`` in every worker).  An attached
-        durability manager is flushed and closed after the scheduler
+        durability manager is flushed and closed after the worker
         drains, so a graceful shutdown leaves no pending WAL buffer.
+
+        The worker is not a daemon thread: a server that is never
+        closed still solves its whole queue at interpreter exit before
+        the process ends.
         """
-        self._scheduler.close()
+        with self._mutex:
+            if self._closed:
+                return
+            self._closed = True
+        self._worker.shutdown(wait=True)
         if self._durability is not None:
             self._durability.close()
 
@@ -413,12 +354,12 @@ class EngineServer:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = (
-            f"cache={len(self._cache)}/{self._cache.capacity}"
-            if self._cache is not None
+            f"cache={len(self.cache)}/{self.cache.capacity}"
+            if self.cache is not None
             else "cache=off"
         )
         return (
             f"EngineServer(n={self._engine.graph.num_nodes}, "
             f"version={self._engine.graph_version}, {cache}, "
-            f"pending={self._scheduler.pending})"
+            f"flights={len(self._flight_table)})"
         )

@@ -1,10 +1,10 @@
 """Multi-process sharded serving over one shared-memory graph image.
 
-The thread tier (:mod:`repro.serving.server`) coalesces and caches
-well, but every solve outside the compiled-kernel regions still
-contends on the GIL, so an 8-thread server gets one core's worth of
-numpy.  This module is the process-parallel tier the AccPPR harness
-(PAPERS.md; SNIPPETS.md §3) motivates — a ``multiprocessing`` pool
+The thread tier (:mod:`repro.serving.server`) solves on one thread
+of one process, and a second thread would only contend on the GIL
+outside the compiled-kernel regions.  This module is the
+process-parallel tier the AccPPR harness (PAPERS.md; SNIPPETS.md §3)
+motivates — a ``multiprocessing`` pool
 driving per-source solves over one pre-built CSR — with the serving
 semantics of the thread tier kept intact, the solving in the shards
 and the remembering in the parent:
@@ -15,21 +15,21 @@ and the remembering in the parent:
   :class:`~repro.api.engine.PPREngine` over them, and its receive loop
   calls ``engine.query`` for each request in arrival order.  A shard
   only solves;
-* the cluster's one version-stamped
-  :class:`~repro.serving.cache.ResultCache` lives in the
+* the cluster's one version-stamped result cache and its
+  **single-flight table** — the :class:`~repro.serving.flights.
+  FlightTable` the thread tier answers through too — live in the
   :class:`ShardedDispatcher`, the one place every request passes and
   whose ``_version`` is authoritative.  ``submit`` looks the request
-  up inside the read section it takes anyway and answers a hit with a
-  completed future — no message, no reply slot, no shard; the
-  collector's copy-out of a miss's answer is the cache fill.  A hit is
-  version-safe because ``_version`` only moves under the write side of
-  ``_rwlock`` (with the invalidation next to it): the version a reader
-  compares stamps against cannot change under it, and a fill is only
-  accepted at the version that is current when it arrives.  Beside the
-  cache sits a **single-flight table**: a cacheable request whose key
-  is already on its way to a shard at the current version attaches to
-  that flight instead of being sent, so a duplicate costs nothing even
-  when it arrives while its leader is being solved;
+  up inside the read section it takes anyway: a hit is answered with
+  a completed future — no message, no reply slot, no shard — and a
+  duplicate of a request already on its way to a shard at the current
+  version joins that flight instead of being sent; the collector's
+  copy-out of a miss's answer lands the flight and is the cache fill.
+  A hit is version-safe because ``_version`` only moves under the
+  write side of ``_rwlock`` (with the invalidation next to it): the
+  version a reader compares stamps against cannot change under it, and
+  a fill is only accepted at the version that is current when it
+  arrives;
 * the dispatcher routes each miss by **consistent hashing on the
   source id**, so a source keeps its shard and removing a crashed
   worker re-routes only that worker's arc of the ring;
@@ -122,10 +122,10 @@ from repro.errors import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
-from repro.serving.cache import ResultCache, freeze_result, resolve_request
+from repro.serving.cache import resolve_request
 from repro.serving.faults import FaultInjector, FaultSpec, WorkerFaultPlan
+from repro.serving.flights import Flight, FlightTable, ServedResult, fail, settle
 from repro.serving.locks import RWLock
-from repro.serving.scheduler import ServedResult
 from repro.serving.shm import (
     ReplyArena,
     ReplyArenaHandle,
@@ -142,11 +142,12 @@ __all__ = ["ShardedDispatcher", "WorkerConfig"]
 #: noticed promptly and no future can hang forever.
 _POLL = 0.05
 
-#: Byte cap of one shard's reply arena.  The arena has ``max_batch``
-#: slots or as many as fit under this cap, whichever is fewer; requests
-#: in flight beyond that get inline replies.  Slots are reused LIFO and
-#: their pages touched on first use, so resident memory follows the
-#: in-flight depth, not the cap.
+#: Slots of one shard's reply arena, and its byte cap: the arena has
+#: ``_ARENA_SLOTS`` slots or as many as fit under the cap, whichever is
+#: fewer; requests in flight beyond that get inline replies.  Slots are
+#: reused LIFO and their pages touched on first use, so resident memory
+#: follows the in-flight depth, not the cap.
+_ARENA_SLOTS = 64
 _ARENA_MAX_BYTES = 32 << 20
 
 #: Per-worker vnode count on the hash ring.  Enough that each worker's
@@ -246,7 +247,6 @@ class _Shard:
             result=result,
             version=self.engine.graph_version,
             cache_hit=False,
-            batch_size=1,
             deadline=deadline,
         )
 
@@ -514,25 +514,11 @@ class _HashRing:
         return len(set(self._owners.values()))
 
 
-@dataclass
-class _PendingRequest:
-    """What the dispatcher must remember to reroute or fail a request."""
+@dataclass(eq=False)
+class _PendingRequest(Flight):
+    """A flight on its way to a shard (or a stats probe, ``source``
+    -1): what the dispatcher must remember to reroute or fail it."""
 
-    #: Everyone the outcome goes to: the caller this was sent for, then
-    #: each caller that joined its flight.  Every one holds a future of
-    #: their own, so a cancel drops one caller and never the flight.
-    waiters: list[Future]
-    source: int
-    method: str
-    params: dict[str, Any]
-    #: ``submit(fresh=True)``: the caller bypassed cache and flights
-    fresh: bool
-    deadline: float | None = None
-    #: ``(cache key, version at enqueue)`` of a cacheable read: where
-    #: its answer is cached and, while ``_flights`` maps it to this
-    #: request, what a duplicate finds to join.  ``None`` for
-    #: ``fresh=True``, uncacheable parameters and stats probes.
-    flight: tuple[tuple, int] | None = None
     #: Re-submissions so far (reroutes + timeout retries); bounded by
     #: the dispatcher's :class:`RetryPolicy`.
     attempts: int = 0
@@ -639,10 +625,6 @@ class ShardedDispatcher:
         cached once, whichever shard solved it, and survives that
         shard's death.  ``cache_capacity=0`` disables result caching
         (duplicates in flight still share one solve).
-    max_batch:
-        How many reply slots each shard's arena gets (>= 1; fewer
-        when they would exceed 32 MiB): the requests in flight to one
-        shard whose answers skip the pipe.
     start_method:
         ``multiprocessing`` start method; default ``"fork"`` where
         available (inherits the warmed import state), else the
@@ -693,7 +675,6 @@ class ShardedDispatcher:
         dead_end_policy: str = "redirect-to-source",
         cache_capacity: int = 4096,
         cache_ttl: float | None = None,
-        max_batch: int = 64,
         start_method: str | None = None,
         restart_policy: RestartPolicy | None = None,
         max_restarts: int | None = None,
@@ -705,15 +686,9 @@ class ShardedDispatcher:
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        if max_batch < 1:
-            raise ParameterError(f"max_batch must be >= 1, got {max_batch}")
-        #: the cluster's one result cache (None: caching disabled);
-        #: looked up and filled under ``_mutex``, next to ``_flights``
-        self._cache = (
-            ResultCache(cache_capacity, ttl=cache_ttl)
-            if cache_capacity
-            else None
-        )
+        #: the cluster's one result cache and its open flights; used
+        #: under ``_mutex``
+        self._flight_table = FlightTable(cache_capacity, cache_ttl)
         if wal_dir is not None:
             if isinstance(graph_or_image, SharedGraphImage):
                 raise ParameterError(
@@ -809,10 +784,6 @@ class ShardedDispatcher:
         self._rerouted = 0
         self._worker_failures = 0
         self._barriers: dict[int, _Barrier] = {}
-        #: single-flight table: ``request.flight`` -> the cacheable read
-        #: on its way to a shard that duplicates may join; an entry
-        #: goes, under ``_mutex``, where its request is settled
-        self._flights: dict[tuple[tuple, int], _PendingRequest] = {}
         #: worker_id -> its reply arena and free list; created before
         #: the first fork, unlinked in close(), never by a worker
         self._reply_slots: dict[int, _ReplySlots] = {}
@@ -840,7 +811,7 @@ class ShardedDispatcher:
             for worker_id in range(workers):
                 arena = ReplyArena.create(
                     self._num_nodes,
-                    max_slots=max_batch,
+                    max_slots=_ARENA_SLOTS,
                     max_bytes=_ARENA_MAX_BYTES,
                 )
                 self._reply_slots[worker_id] = _ReplySlots(
@@ -973,21 +944,20 @@ class ShardedDispatcher:
     ) -> Future:
         """Answer one query from the cache, a flight or a shard.
 
-        Returns a future of :class:`ServedResult`.  An answer cached at
-        the current graph version comes back as a completed future
-        (``cache_hit=True``, ``batch_size=1``, ``worker=None`` — no
+        Returns a future of :class:`ServedResult`.  The cache and the
+        flights are :mod:`repro.serving.flights`, as in the thread
+        tier: an answer cached at the current graph version comes back
+        as a completed future (``cache_hit=True``, ``worker=None`` — no
         shard served it); a request whose key is already in flight at
         this version joins that flight and receives exactly what its
         leader does (result or exception; the version a retried leader
-        was finally answered at) — unless it could outlive the flight:
-        it joins only a flight whose deadline is ``None`` or not
-        earlier than its own.  Everything else — a miss, ``fresh=True``
-        (which bypasses cache and flight) — is enqueued on its shard.
-        Every caller gets a future of its own:
-        cancelling it drops that caller, never the solve others wait
-        on.  Every answer's ``estimate`` / ``residue`` are **read-only**
-        arrays: cached answers and joined flights hand one object to
-        many callers, so a write raises instead of corrupting theirs.
+        was finally answered at), if the flight's deadline is ``None``
+        or not earlier than its own.  Everything else — a miss,
+        ``fresh=True`` (which bypasses cache and flight) — is enqueued
+        on its shard.  Every answer's ``estimate`` / ``residue`` are
+        **read-only** arrays: cached answers and joined flights hand
+        one object to many callers, so a write raises instead of
+        corrupting theirs.
 
         Validates the method and parameter schema here, so typos raise
         at the call site, not inside a worker.  Parameters must be
@@ -1026,7 +996,7 @@ class ShardedDispatcher:
         if fresh:
             key = None
         future: Future = Future()
-        hit = message = None
+        message = None
         # The read section pins ``_version``: stamps are compared with,
         # and a miss is enqueued at, the version current throughout.
         with self._rwlock.read():
@@ -1036,29 +1006,16 @@ class ShardedDispatcher:
                 self._submitted += 1
                 submit_count = self._submitted
                 version = self._version
-                if key is not None and self._cache is not None:
-                    hit = self._cache.get(key, version)
-                if hit is None and not self._join_flight(
-                    key, version, deadline, future
-                ):
+                if not self._flight_table.admit(key, version, future, deadline):
                     state = self._route_healthy(source)
                     # ``merged``, not the caller's raw params: the
                     # worker is sent the canonical method name, so the
                     # overrides an alias implies (``fora+`` =>
                     # ``use_index=True``) must travel with it.
                     pending = _PendingRequest(
-                        waiters=[future],
-                        source=source,
-                        method=canonical,
-                        params=merged,
-                        fresh=fresh,
-                        deadline=deadline,
-                        flight=None if key is None else (key, version),
+                        [future], source, canonical, merged, deadline
                     )
-                    if pending.flight is not None:
-                        # (an unjoinable flight for this key stays the
-                        # registered one; this request flies alone)
-                        self._flights.setdefault(pending.flight, pending)
+                    self._flight_table.lead(pending, key, version)
                     message = self._enqueue(state, pending)
             if message is not None:
                 # Enqueued under the read lock: a writer that acquires
@@ -1068,42 +1025,7 @@ class ShardedDispatcher:
                 state.requests.put(message)
         if self._faults is not None:
             self._inject_parent_faults(submit_count)
-        if hit is not None:
-            future.set_result(
-                ServedResult(
-                    result=hit,
-                    version=version,
-                    cache_hit=True,
-                    batch_size=1,
-                    deadline=deadline,
-                )
-            )
         return future
-
-    def _join_flight(
-        self,
-        key: tuple | None,
-        version: int,
-        deadline: float | None,
-        future: Future,
-    ) -> bool:
-        """Attach ``future`` to the flight of ``key`` at ``version``.
-
-        Called under ``_mutex``.  ``False`` when there is none, or when
-        the flight could end before this request has to: the shard
-        fails a flight at dispatch once its *leader's* deadline has
-        passed, so only a flight without a deadline, or with one not
-        earlier than ``deadline``, may carry this caller.
-        """
-        flight = self._flights.get((key, version))
-        if flight is None:
-            return False
-        if flight.deadline is not None and (
-            deadline is None or flight.deadline < deadline
-        ):
-            return False
-        flight.waiters.append(future)
-        return True
 
     def _enqueue(self, state: _WorkerState, request: _PendingRequest) -> tuple:
         """Register ``request`` as pending on ``state``; its query message.
@@ -1260,10 +1182,11 @@ class ShardedDispatcher:
                 retired, self._image = self._image, image
                 self._version = version
                 states = list(self._states.values())
-            if self._cache is not None:
+            cache = self._flight_table.cache
+            if cache is not None:
                 # No reader is in its read section, and a late fill at
                 # the old version is refused: nothing pre-update stays.
-                self._cache.invalidate(version)
+                cache.invalidate(version)
             try:
                 self._hand_over(states)
             finally:
@@ -1434,51 +1357,21 @@ class ShardedDispatcher:
         result = replace(header.result, estimate=estimate, residue=residue)
         self._resolve(request, replace(header, result=result))
 
-    def _land(
-        self, request: _PendingRequest, answer: ServedResult | None = None
-    ) -> list[Future]:
-        """End ``request``'s flight; return everyone waiting on it.
+    def _resolve(self, request: _PendingRequest, served: ServedResult) -> None:
+        """Land ``request``'s flight with ``served``; answer its waiters.
 
-        Takes ``_mutex``, so ``_resolve`` / ``_fail`` are never called
-        with it held — futures are settled outside it (their
-        done-callbacks are the client's code).  Nobody can join the
-        request afterwards; an ``answer`` enters the cache in the same
-        critical section, so a duplicate arriving now finds the flight
-        or the entry, never neither — unless the graph has moved on
-        since the answer was computed, when it is only delivered.
+        Takes ``_mutex`` to land, never holds it to settle; the answer
+        is cached only if ``_version`` has not moved since.
         """
         with self._mutex:
-            flight = request.flight
-            if flight is not None:
-                if self._flights.get(flight) is request:
-                    del self._flights[flight]
-                if (
-                    answer is not None
-                    and self._cache is not None
-                    and answer.version == self._version
-                ):
-                    self._cache.put(flight[0], answer.result, answer.version)
-        return request.waiters
-
-    def _resolve(self, request: _PendingRequest, served: ServedResult) -> None:
-        """Answer ``request`` and its followers with ``served``.
-
-        What the callers get is what later hits get — one object for
-        all of them — so its vectors are read-only from here on.
-        """
-        freeze_result(served.result)
-        for future in self._land(request, served):
-            if future.set_running_or_notify_cancel():
-                future.set_result(served)
+            waiters = self._flight_table.land(request, served, self._version)
+        settle(waiters, served)
 
     def _fail(self, request: _PendingRequest, exc: BaseException) -> None:
-        """Fail ``request`` and its followers with ``exc``."""
-        for future in self._land(request):
-            try:
-                if future.set_running_or_notify_cancel():
-                    future.set_exception(exc)
-            except Exception:  # repro: allow[lock-discipline] -- best-effort error delivery: a racing cancel already settled the future, the client has its outcome
-                pass
+        """Land ``request``'s flight with ``exc`` for all its waiters."""
+        with self._mutex:
+            waiters = self._flight_table.land(request)
+        fail(waiters, exc)
 
     def _on_worker_death(self, state: _WorkerState) -> None:
         """A shard died: shrink the ring, retry its pending requests.
@@ -1811,9 +1704,9 @@ class ShardedDispatcher:
         Shape-compatible with the thread tier's ``stats()`` where it
         matters: top-level ``"cache"`` — the dispatcher's own cache,
         the only one in the cluster — with ``hit_rate``, and
-        ``"scheduler"`` with a thread-tier scheduler's keys, computed
-        from the shards' counters (a shard solves each request it is
-        sent on its own, so ``engine_calls`` is the shards'
+        ``"flights"`` (``led`` / ``joined``).  ``"scheduler"`` is
+        computed from the shards' counters (a shard solves each request
+        it is sent on its own, so ``engine_calls`` is the shards'
         ``engine_queries`` and ``batching_factor`` is 1.0 once any
         ran).  Each shard's ``requests`` / ``engine_queries`` /
         ``failures`` / ``expired`` / ``graph_version`` are under
@@ -1837,11 +1730,7 @@ class ShardedDispatcher:
                     self._next_id += 1
                     future: Future = Future()
                     state.pending[req_id] = _PendingRequest(
-                        waiters=[future],
-                        source=-1,
-                        method="stats",
-                        params={},
-                        fresh=False,
+                        [future], -1, "stats", {}
                     )
                     futures[state.worker_id] = future
                     probes.append((state, req_id))
@@ -1935,9 +1824,10 @@ class ShardedDispatcher:
                 "worker_failures": self._worker_failures,
                 **reply_totals,
                 "per_worker_replies": replies,
+                "flights": self._flight_table.stats(),
                 "cache": (
-                    self._cache.stats.as_dict()
-                    if self._cache is not None
+                    self._flight_table.cache.stats.as_dict()
+                    if self._flight_table.cache is not None
                     else {}
                 ),
                 "scheduler": scheduler,

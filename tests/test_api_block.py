@@ -1,8 +1,7 @@
-"""Batch dispatch through the engine and the scheduler.
+"""Batch dispatch through the engine.
 
-The serving contract: a multi-source ``batch_query`` — hence a
-coalesced scheduler window — is a per-source loop, and every answer is
-byte-identical to ``engine.query`` no matter which layer batched it.
+The contract: a multi-source ``batch_query`` is a per-source loop, and
+every answer is byte-identical to ``engine.query``.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.api import PPREngine, solve
-from repro.serving.scheduler import QueryScheduler
 
 SOURCES = [0, 7, 77, 123]
 PARAMS = {"l1_threshold": 1e-7}
@@ -94,33 +92,3 @@ class TestEngineBatchBlock:
         engine.batch_query(SOURCES, "powerpush", **PARAMS)
         assert engine.stats.queries == len(SOURCES)
         assert "PowerPush" in engine.stats.by_method
-
-
-class TestSchedulerBlockDispatch:
-    def test_coalesced_window_runs_as_one_block_solve(self, engine):
-        """A micro-batch window of powerpush requests is one engine call
-        that loops: no block solve, answers byte-equal to ``query``."""
-        scheduler = QueryScheduler(engine, start=False)
-        futures = [
-            scheduler.submit(source, "powerpush", dict(PARAMS))
-            for source in SOURCES
-        ]
-        answered = scheduler.run_pending()
-        assert answered == len(SOURCES)
-        assert scheduler.stats.engine_calls == 1
-        for source, future in zip(SOURCES, futures):
-            served = future.result(timeout=5)
-            assert served.batch_size == len(SOURCES)
-            assert_same_answer(
-                served.result, engine.query(source, "powerpush", **PARAMS)
-            )
-        scheduler.close()
-
-    def test_mixed_methods_split_windows(self, engine):
-        scheduler = QueryScheduler(engine, start=False)
-        scheduler.submit(0, "powerpush", dict(PARAMS))
-        scheduler.submit(1, "powerpush", dict(PARAMS))
-        scheduler.submit(2, "powitr", dict(PARAMS))
-        scheduler.run_pending()
-        assert scheduler.stats.engine_calls == 2  # the pair, then powitr
-        scheduler.close()

@@ -236,7 +236,6 @@ class TestCommands:
 class TestServingCommands:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "dblp-s"])
-        assert args.window == 0.002
         assert args.cache_capacity == 4096
         assert args.cache_ttl is None
 
@@ -300,7 +299,7 @@ class TestServingCommands:
                 "quit\n"
             ),
         )
-        assert main(["serve", "dblp-s", "--window", "0.001"]) == 0
+        assert main(["serve", "dblp-s"]) == 0
         out = capsys.readouterr().out
         assert "serving dblp-s" in out
         assert out.count("PowerPush source=1") == 2

@@ -4,8 +4,7 @@ Contracts under test: answers through the front door are byte-identical
 to the sync path (degraded answers to the sync answer of the *degraded*
 request); deadlines fail fast with a typed error at every stage;
 admission control sheds at the in-flight bound and degrades when the
-p99 prediction blows the SLO (with periodic full-fidelity probes); the
-micro-batch window adapts to the arrival rate.
+p99 prediction blows the SLO (with periodic full-fidelity probes).
 """
 
 import asyncio
@@ -26,7 +25,7 @@ from repro.errors import (
 from repro.graph.build import paper_example_graph
 from repro.graph.dynamic import DynamicGraph
 from repro.serving import AsyncFrontDoor, EngineServer
-from repro.serving.scheduler import ServedResult
+from repro.serving.flights import ServedResult
 
 
 def run(coro):
@@ -35,7 +34,7 @@ def run(coro):
 
 @pytest.fixture
 def server():
-    with EngineServer(paper_example_graph(), seed=3, window=0.001) as srv:
+    with EngineServer(paper_example_graph(), seed=3) as srv:
         yield srv
 
 
@@ -64,7 +63,7 @@ class SlowBackend:
                 future.set_result(
                     ServedResult(
                         result=dummy, version=0, cache_hit=False,
-                        batch_size=1, deadline=deadline,
+                        deadline=deadline,
                     )
                 )
 
@@ -83,12 +82,6 @@ class TestValidation:
             AsyncFrontDoor(server, deadline_ms=-1.0)
         with pytest.raises(ParameterError):
             AsyncFrontDoor(server, max_inflight=0)
-        with pytest.raises(ParameterError):
-            AsyncFrontDoor(server, ewma_alpha=0.0)
-        with pytest.raises(ParameterError):
-            AsyncFrontDoor(server, window_min=0.5, window_max=0.1)
-        with pytest.raises(ParameterError):
-            AsyncFrontDoor(server, target_batch=0)
 
 
 class TestByteIdentity:
@@ -216,7 +209,7 @@ class TestDegradation:
 
     def test_update_invalidates_degraded_cache(self):
         with EngineServer(
-            DynamicGraph(paper_example_graph()), seed=3, window=0.001
+            DynamicGraph(paper_example_graph()), seed=3
         ) as server:
             self._check_update_invalidation(server)
 
@@ -251,8 +244,7 @@ class TestDegradation:
             method="dummy",
         )
         entry = ServedResult(
-            result=dummy, version=0, cache_hit=False, batch_size=1,
-            degraded=True,
+            result=dummy, version=0, cache_hit=False, degraded=True,
         )
         door._degraded_cache[3] = entry
 
@@ -292,25 +284,11 @@ class TestDegradation:
         assert door.stats.shed == 1
 
 
-class TestAdaptiveWindow:
-    def test_window_tracks_arrival_rate(self, server):
-        door = AsyncFrontDoor(
-            server, window_min=0.0001, window_max=0.05, target_batch=8
-        )
-
-        async def drive():
-            for s in range(24):
-                await door.submit(s % 5, "powerpush", l1_threshold=1e-8)
-
-        run(drive())
-        assert door.stats.window_updates >= 1
-        assert 0.0001 <= server.scheduler.window <= 0.05
-
-    def test_snapshot_reports_counters_and_window(self, server):
+class TestSnapshot:
+    def test_snapshot_reports_counters(self, server):
         door = AsyncFrontDoor(server)
         run(door.submit(0, "powerpush", l1_threshold=1e-8))
         snap = door.snapshot()
         assert snap["completed"] == 1
         assert snap["inflight"] == 0
-        assert snap["window"] == server.scheduler.window
         assert door.server_stats()["requests"] >= 1

@@ -1,11 +1,15 @@
-"""Tests for the micro-batching scheduler (:mod:`repro.serving.scheduler`).
+"""How the thread tier schedules solves (:class:`EngineServer`).
 
-Two contracts under test: coalescing never changes an answer (batch
-answers are elementwise-equal to sequential ``engine.query`` answers,
-including stochastic methods under a fixed seed), and compatible
-requests genuinely share engine calls.
+One worker thread solves the flights :mod:`repro.serving.flights`
+leads, one ``engine.query`` each, in the order they were led.  Two
+contracts under test: serving never changes an answer (every answer
+equals a sequential ``engine.query``, stochastic methods under a fixed
+seed included), and identical requests in flight share one solve
+while everything else gets its own.  Flight semantics shared with the
+sharded tier are in ``test_serving_flights.py``.
 """
 
+import contextlib
 import threading
 import time
 
@@ -18,7 +22,7 @@ from repro.api import PPREngine
 from repro.api.engine import per_source_rng
 from repro.errors import DeadlineExceeded, ParameterError, UnknownMethodError
 from repro.graph.build import paper_example_graph
-from repro.serving.scheduler import QueryScheduler
+from repro.serving import EngineServer
 
 
 @pytest.fixture
@@ -27,128 +31,116 @@ def engine():
 
 
 @pytest.fixture
-def manual(engine):
-    """A scheduler driven deterministically (no worker thread)."""
-    scheduler = QueryScheduler(engine, window=0.0, start=False)
-    yield scheduler
-    scheduler.close()
+def server(engine):
+    with EngineServer(engine) as srv:
+        yield srv
+
+
+@contextlib.contextmanager
+def held(server):
+    """Block the server's worker inside ``engine.query`` for the block,
+    so what is submitted meanwhile finds its predecessors in flight."""
+    release = threading.Event()
+    solve = server.engine.query
+
+    def query(*args, **kwargs):
+        release.wait(30)
+        return solve(*args, **kwargs)
+
+    server.engine.query = query
+    try:
+        yield
+    finally:
+        release.set()
 
 
 class TestSubmitValidation:
-    def test_unknown_method_raises_at_submit(self, manual):
+    def test_unknown_method_raises_at_submit(self, server):
         with pytest.raises(UnknownMethodError):
-            manual.submit(0, "no-such-method")
+            server.submit(0, "no-such-method")
 
-    def test_unknown_param_raises_at_submit(self, manual):
+    def test_unknown_param_raises_at_submit(self, server):
         with pytest.raises(ParameterError, match="does not accept"):
-            manual.submit(0, "powerpush", {"num_walk": 3})
+            server.submit(0, "powerpush", num_walk=3)
 
-    def test_bad_source_raises_at_submit(self, manual):
+    def test_bad_source_raises_at_submit(self, server):
         with pytest.raises(Exception):
-            manual.submit(99, "powerpush")
+            server.submit(99, "powerpush")
 
-    def test_incremental_params_validated(self, manual):
+    def test_incremental_params_validated(self, server):
         with pytest.raises(ParameterError, match="incremental"):
-            manual.submit(0, "incremental", {"epsilon": 0.5})
+            server.submit(0, "incremental", epsilon=0.5)
 
-    def test_bad_construction_params(self, engine):
+    def test_bad_construction_params(self):
         with pytest.raises(ParameterError):
-            QueryScheduler(engine, window=-1, start=False)
+            EngineServer(paper_example_graph(), cache_capacity=-1)
         with pytest.raises(ParameterError):
-            QueryScheduler(engine, max_batch=0, start=False)
+            EngineServer(paper_example_graph(), cache_ttl=0)
 
 
 class TestCoalescing:
-    def test_identical_requests_share_one_solve(self, engine, manual):
-        futures = [
-            manual.submit(0, "powerpush", {"l1_threshold": 1e-8})
-            for _ in range(5)
-        ]
-        manual.run_pending()
-        results = [f.result(0) for f in futures]
-        assert manual.stats.engine_calls == 1
-        assert manual.stats.engine_sources == 1  # deduped to one slot
+    def test_identical_requests_share_one_solve(self, engine, server):
+        with held(server):
+            futures = [
+                server.submit(0, "powerpush", l1_threshold=1e-8)
+                for _ in range(5)
+            ]
+        results = [f.result(5) for f in futures]
         assert engine.stats.queries == 1
-        assert all(r.batch_size == 5 for r in results)
+        assert server.stats()["flights"] == {"led": 1, "joined": 4}
         for served in results[1:]:
             assert served.result is results[0].result
 
-    def test_compatible_sources_batch_together(self, manual):
-        futures = [
-            manual.submit(s, "powerpush", {"l1_threshold": 1e-8})
-            for s in (0, 1, 2)
-        ]
-        manual.run_pending()
-        [f.result(0) for f in futures]
-        assert manual.stats.engine_calls == 1
-        assert manual.stats.engine_sources == 3
-        assert manual.stats.batching_factor == pytest.approx(3.0)
-
-    def test_incompatible_params_split_groups(self, manual):
-        a = manual.submit(0, "powerpush", {"l1_threshold": 1e-8})
-        b = manual.submit(0, "powerpush", {"l1_threshold": 1e-6})
-        c = manual.submit(0, "powitr", {"l1_threshold": 1e-8})
-        manual.run_pending()
+    def test_incompatible_params_split_groups(self, engine, server):
+        with held(server):
+            a = server.submit(0, "powerpush", l1_threshold=1e-8)
+            b = server.submit(0, "powerpush", l1_threshold=1e-6)
+            c = server.submit(0, "powitr", l1_threshold=1e-8)
         for future in (a, b, c):
-            future.result(0)
-        assert manual.stats.engine_calls == 3
+            future.result(5)
+        assert engine.stats.queries == 3
+        assert server.stats()["flights"] == {"led": 3, "joined": 0}
 
-    def test_aliases_coalesce_with_canonical_spelling(self, manual):
-        a = manual.submit(0, "powerpush", {"l1_threshold": 1e-8})
-        b = manual.submit(0, "PP", {"l1_threshold": 1e-8})
-        manual.run_pending()
-        assert a.result(0).result is b.result(0).result
-        assert manual.stats.engine_calls == 1
+    def test_aliases_coalesce_with_canonical_spelling(self, engine, server):
+        with held(server):
+            a = server.submit(0, "powerpush", l1_threshold=1e-8)
+            b = server.submit(0, "PP", l1_threshold=1e-8)
+        assert a.result(5).result is b.result(5).result
+        assert engine.stats.queries == 1
 
-    def test_fresh_requests_are_not_deduped(self, engine, manual):
-        a = manual.submit(0, "montecarlo", {"num_walks": 300}, fresh=True)
-        b = manual.submit(0, "montecarlo", {"num_walks": 300}, fresh=True)
-        manual.run_pending()
-        # both answered by one engine call, but as separate samples
-        assert manual.stats.engine_calls == 1
-        assert manual.stats.engine_sources == 2
+    def test_fresh_requests_are_not_deduped(self, engine, server):
+        with held(server):
+            a = server.submit(0, "montecarlo", fresh=True, num_walks=300)
+            b = server.submit(0, "montecarlo", fresh=True, num_walks=300)
+        # two solves, two independent samples
         assert not np.array_equal(
-            a.result(0).result.estimate, b.result(0).result.estimate
+            a.result(5).result.estimate, b.result(5).result.estimate
         )
-
-    def test_max_batch_caps_a_dispatch_round(self, engine):
-        scheduler = QueryScheduler(
-            engine, window=0.0, max_batch=2, start=False
-        )
-        futures = [
-            scheduler.submit(s, "powerpush", {"l1_threshold": 1e-8})
-            for s in (0, 1, 2)
-        ]
-        scheduler.run_pending()
-        [f.result(0) for f in futures]
-        assert scheduler.stats.batches == 2
-        scheduler.close()
+        assert engine.stats.queries == 2
 
 
 class TestEquivalence:
-    """Coalesced answers == sequential query answers (satellite)."""
+    """Served answers == sequential query answers."""
 
-    def test_deterministic_batch_matches_sequential(self, engine, manual):
+    def test_deterministic_batch_matches_sequential(self, server):
         futures = [
-            manual.submit(s, "powerpush", {"l1_threshold": 1e-8})
+            server.submit(s, "powerpush", l1_threshold=1e-8)
             for s in (0, 1, 2, 3, 4)
         ]
-        manual.run_pending()
         reference = PPREngine(paper_example_graph(), alpha=0.2, seed=3)
         for source, future in enumerate(futures):
             expected = reference.query(
                 source, "powerpush", l1_threshold=1e-8
             )
             np.testing.assert_array_equal(
-                future.result(0).result.estimate, expected.estimate
+                future.result(5).result.estimate, expected.estimate
             )
 
-    def test_seeded_stochastic_batch_matches_sequential(self, manual):
+    def test_seeded_stochastic_batch_matches_sequential(self, server):
         futures = [
-            manual.submit(s, "montecarlo", {"num_walks": 200, "seed": 11})
+            server.submit(s, "montecarlo", num_walks=200, seed=11)
             for s in (2, 0, 4)
         ]
-        manual.run_pending()
         reference = PPREngine(paper_example_graph(), alpha=0.2, seed=99)
         for future, source in zip(futures, (2, 0, 4)):
             expected = reference.query(
@@ -158,64 +150,59 @@ class TestEquivalence:
                 rng=per_source_rng(11, source),
             )
             np.testing.assert_array_equal(
-                future.result(0).result.estimate, expected.estimate
+                future.result(5).result.estimate, expected.estimate
             )
 
 
 class TestFailureIsolation:
-    def test_solve_failure_reaches_the_future_not_the_worker(self, manual):
+    def test_solve_failure_reaches_the_future_not_the_worker(self, server):
         # num_walks=-5 passes name validation but fails in the solver.
-        future = manual.submit(0, "montecarlo", {"num_walks": -5})
-        good = manual.submit(1, "powerpush", {"l1_threshold": 1e-8})
-        manual.run_pending()
+        future = server.submit(0, "montecarlo", num_walks=-5)
+        good = server.submit(1, "powerpush", l1_threshold=1e-8)
         with pytest.raises(ParameterError):
-            future.result(0)
-        assert good.result(0).result.method == "PowerPush"
-        assert manual.stats.failures == 1
+            future.result(5)
+        assert good.result(5).result.method == "PowerPush"
 
-    def test_cancelled_future_does_not_kill_the_worker(self, engine):
-        # A client cancelling its queued future must not take down the
-        # dispatch machinery for everyone else.
-        with QueryScheduler(engine, window=0.05) as scheduler:
-            doomed = scheduler.submit(0, "powerpush", {"l1_threshold": 1e-8})
+    def test_cancelled_future_does_not_kill_the_worker(self, server):
+        # A client cancelling its future must not take down the worker
+        # for everyone else.
+        with held(server):
+            doomed = server.submit(0, "powerpush", l1_threshold=1e-8)
             assert doomed.cancel()
-            survivor = scheduler.submit(
-                1, "powerpush", {"l1_threshold": 1e-8}
-            )
-            assert survivor.result(5.0).result.method == "PowerPush"
-            # ...and the scheduler still serves after the cancellation
-            later = scheduler.submit(2, "powerpush", {"l1_threshold": 1e-8})
-            assert later.result(5.0).result.source == 2
+            survivor = server.submit(1, "powerpush", l1_threshold=1e-8)
+        assert survivor.result(5).result.method == "PowerPush"
+        # ...and the server still serves after the cancellation
+        later = server.submit(2, "powerpush", l1_threshold=1e-8)
+        assert later.result(5).result.source == 2
 
     def test_submit_after_close_raises(self, engine):
-        scheduler = QueryScheduler(engine, window=0.0, start=False)
-        scheduler.close()
+        server = EngineServer(engine)
+        server.close()
         with pytest.raises(RuntimeError, match="closed"):
-            scheduler.submit(0, "powerpush")
+            server.submit(0, "powerpush")
 
 
 class TestThreadedWorker:
-    def test_concurrent_submitters_all_resolve(self, engine):
-        with QueryScheduler(engine, window=0.001) as scheduler:
-            results = {}
-            mutex = threading.Lock()
+    def test_concurrent_submitters_all_resolve(self, server):
+        results = {}
+        mutex = threading.Lock()
 
-            def client(worker_id: int) -> None:
-                futures = [
-                    scheduler.submit(s, "powerpush", {"l1_threshold": 1e-8})
-                    for s in (0, 1, 2, 3)
-                ]
-                answers = [f.result(5.0) for f in futures]
-                with mutex:
-                    results[worker_id] = answers
-
-            threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(6)
+        def client(worker_id: int) -> None:
+            futures = [
+                server.submit(s, "powerpush", l1_threshold=1e-8)
+                for s in (0, 1, 2, 3)
             ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            answers = [f.result(5.0) for f in futures]
+            with mutex:
+                results[worker_id] = answers
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(6)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         assert len(results) == 6
         baseline = results[0]
         for answers in results.values():
@@ -223,119 +210,79 @@ class TestThreadedWorker:
                 np.testing.assert_array_equal(
                     mine.result.estimate, reference.result.estimate
                 )
-        assert scheduler.stats.answered == 24
+        assert server.stats()["requests"] == 24
+        assert server.engine.stats.queries == 4
 
-    def test_close_drains_pending_futures(self, engine):
-        scheduler = QueryScheduler(engine, window=0.05)
-        futures = [
-            scheduler.submit(s, "powerpush", {"l1_threshold": 1e-8})
-            for s in (0, 1)
-        ]
-        scheduler.close()  # must not abandon queued requests
+    def test_close_drains_pending_futures(self, engine, wait_for):
+        server = EngineServer(engine)
+        with held(server):
+            futures = [
+                server.submit(s, "powerpush", l1_threshold=1e-8)
+                for s in (0, 1)
+            ]
+            closer = threading.Thread(target=server.close)
+            closer.start()  # must not abandon queued requests
+            wait_for(lambda: server.closed, "close to begin")
+        closer.join(30)
+        assert not closer.is_alive()
         for future in futures:
             assert future.result(0).result.method == "PowerPush"
 
 
-class TestWindowWakeups:
-    """The window wait is interruptible — close, a full backlog, or a
-    queued deadline all wake it (regression: it used to be a fixed
-    ``time.sleep`` that served every wakeup a full window late)."""
-
-    def test_close_interrupts_a_long_window(self, engine):
-        scheduler = QueryScheduler(engine, window=30.0)
-        future = scheduler.submit(0, "powerpush", {"l1_threshold": 1e-8})
-        began = time.monotonic()
-        scheduler.close()  # wakes the worker; drains before returning
-        assert future.result(0).result.method == "PowerPush"
-        assert time.monotonic() - began < 10.0
-
-    def test_full_backlog_dispatches_before_the_window(self, engine):
-        scheduler = QueryScheduler(engine, window=30.0, max_batch=2)
-        futures = [
-            scheduler.submit(s, "powerpush", {"l1_threshold": 1e-8})
-            for s in (0, 1)
-        ]
-        # A whole dispatch round is queued: waiting longer could add no
-        # company, so both answers arrive long before the 30s window.
-        for future in futures:
-            assert future.result(10.0).result.method == "PowerPush"
-        scheduler.close()
-
-    def test_queued_deadline_wakes_the_window(self, engine):
-        scheduler = QueryScheduler(engine, window=30.0)
-        deadline = time.monotonic() + 0.1
-        future = scheduler.submit(
-            0, "powerpush", {"l1_threshold": 1e-8}, deadline=deadline
-        )
-        with pytest.raises(DeadlineExceeded):
-            future.result(10.0)  # fails ~0.1s in, not a window later
-        assert scheduler.stats.expired == 1
-        scheduler.close()
-
-    def test_shrinking_the_window_applies_mid_wait(self, engine):
-        scheduler = QueryScheduler(engine, window=30.0)
-        future = scheduler.submit(0, "powerpush", {"l1_threshold": 1e-8})
-        scheduler.set_window(0.0)  # worker re-reads the window when woken
-        assert future.result(10.0).result.method == "PowerPush"
-        assert scheduler.window == 0.0
-        scheduler.close()
-
-
 class TestDeadlines:
-    def test_already_expired_submit_raises(self, manual):
+    def test_already_expired_submit_raises(self, server):
         with pytest.raises(DeadlineExceeded, match="before submit"):
-            manual.submit(
+            server.submit(
                 0,
                 "powerpush",
-                {"l1_threshold": 1e-8},
                 deadline=time.monotonic() - 1.0,
+                l1_threshold=1e-8,
             )
-        assert manual.stats.submitted == 0
+        assert server.stats()["requests"] == 0
 
     def test_expired_in_queue_fails_fast_without_engine_call(
-        self, engine, manual
+        self, engine, server
     ):
-        deadline = time.monotonic() + 0.01
-        doomed = manual.submit(
-            0, "powerpush", {"l1_threshold": 1e-8}, deadline=deadline
-        )
-        live = manual.submit(1, "powerpush", {"l1_threshold": 1e-8})
-        time.sleep(0.02)
-        manual.run_pending()
-        with pytest.raises(DeadlineExceeded, match="while queued"):
-            doomed.result(0)
-        # The expired request never reached the engine or a batch slot;
-        # its live groupmate was answered normally.
-        assert live.result(0).result.method == "PowerPush"
+        with held(server):
+            live = server.submit(1, "powerpush", l1_threshold=1e-8)
+            doomed = server.submit(
+                0,
+                "powerpush",
+                deadline=time.monotonic() + 0.01,
+                l1_threshold=1e-8,
+            )
+            time.sleep(0.02)
+        with pytest.raises(DeadlineExceeded, match="deadline passed"):
+            doomed.result(5)
+        # The expired request never reached the engine; the one ahead
+        # of it was answered normally.
+        assert live.result(5).result.method == "PowerPush"
         assert engine.stats.queries == 1
-        assert manual.stats.expired == 1
 
-    def test_deadline_stamped_on_served_result(self, manual):
+    def test_deadline_stamped_on_served_result(self, engine, server):
         deadline = time.monotonic() + 60.0
-        stamped = manual.submit(
-            0, "powerpush", {"l1_threshold": 1e-8}, deadline=deadline
+        with held(server):
+            stamped = server.submit(
+                0, "powerpush", deadline=deadline, l1_threshold=1e-8
+            )
+            # joins: the flight outlasts its own, sooner deadline
+            joiner = server.submit(
+                0, "powerpush", deadline=deadline - 30, l1_threshold=1e-8
+            )
+            # flies alone: the flight could be dropped before it
+            plain = server.submit(0, "powerpush", l1_threshold=1e-8)
+        assert stamped.result(5).deadline == deadline
+        assert joiner.result(5) is stamped.result(5)
+        assert plain.result(5).deadline is None
+        np.testing.assert_array_equal(
+            plain.result(5).result.estimate,
+            stamped.result(5).result.estimate,
         )
-        plain = manual.submit(0, "powerpush", {"l1_threshold": 1e-8})
-        manual.run_pending()
-        assert stamped.result(0).deadline == deadline
-        assert plain.result(0).deadline is None
-        # Stamping wraps the shared answer without copying it: both
-        # futures still resolve to one PPRResult object.
-        assert stamped.result(0).result is plain.result(0).result
-        assert manual.stats.engine_calls == 1
-
-    def test_set_window_validates(self, engine):
-        scheduler = QueryScheduler(engine, window=0.002, start=False)
-        assert scheduler.window == 0.002
-        scheduler.set_window(0.01)
-        assert scheduler.window == 0.01
-        with pytest.raises(ParameterError):
-            scheduler.set_window(-0.001)
-        scheduler.close()
+        assert engine.stats.queries == 2
 
 
 # ---------------------------------------------------------------------------
-# Randomized interleavings (satellite: property tests)
+# Randomized interleavings (property tests)
 # ---------------------------------------------------------------------------
 
 _requests = st.lists(
@@ -343,7 +290,7 @@ _requests = st.lists(
         st.integers(0, 4),  # source
         st.sampled_from(["powerpush", "montecarlo"]),
         st.integers(0, 2),  # seed choice for stochastic
-        st.booleans(),  # dispatch between submissions?
+        st.booleans(),  # wait for the answer before the next submission?
     ),
     min_size=1,
     max_size=12,
@@ -355,21 +302,18 @@ class TestRandomizedSubmissions:
     @given(requests=_requests)
     def test_any_interleaving_matches_sequential_answers(self, requests):
         graph = paper_example_graph()
-        engine = PPREngine(graph, alpha=0.2, seed=3)
         reference = PPREngine(graph, alpha=0.2, seed=77)
-        scheduler = QueryScheduler(engine, window=0.0, start=False)
         futures = []
-        for source, method, seed, dispatch_now in requests:
-            if method == "powerpush":
-                params = {"l1_threshold": 1e-7}
-            else:
-                params = {"num_walks": 60, "seed": seed}
-            futures.append((source, method, seed, scheduler.submit(
-                source, method, params
-            )))
-            if dispatch_now:
-                scheduler.run_pending()
-        scheduler.run_pending()
+        with EngineServer(graph, alpha=0.2, seed=3) as server:
+            for source, method, seed, wait in requests:
+                if method == "powerpush":
+                    params = {"l1_threshold": 1e-7}
+                else:
+                    params = {"num_walks": 60, "seed": seed}
+                future = server.submit(source, method, **params)
+                futures.append((source, method, seed, future))
+                if wait:
+                    future.result(5)
         for source, method, seed, future in futures:
             served = future.result(0)
             if method == "powerpush":
@@ -386,4 +330,3 @@ class TestRandomizedSubmissions:
             np.testing.assert_array_equal(
                 served.result.estimate, expected.estimate
             )
-        scheduler.close()

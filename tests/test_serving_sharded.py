@@ -209,7 +209,7 @@ class TestWorkerLoop:
                         residue.tobytes(),
                         result.counters.as_dict(),
                     )
-                    assert served.batch_size == 1 and served.worker == 0
+                    assert served.worker == 0
                     assert served.version == 0 and not served.cache_hit
                 for req_id, source in good.items():
                     expected = engine.query(source, "powerpush", **PARAMS)
@@ -326,14 +326,17 @@ class TestReplyEncodings:
             for name, total in counters.items():
                 assert sum(w[name] for w in per_worker.values()) == total
 
-    def test_burst_deeper_than_the_arena_overflows_inline(self, base):
-        # max_batch=2 gives each shard two slots; 24 requests at once
-        # find them taken and must come back inline.
+    def test_burst_deeper_than_the_arena_overflows_inline(
+        self, base, monkeypatch
+    ):
+        # Two slots per shard; 24 requests at once find them taken and
+        # must come back inline.
+        from repro.serving import sharded
+
+        monkeypatch.setattr(sharded, "_ARENA_SLOTS", 2)
         sources = list(range(24))
         engine = PPREngine(base, alpha=0.2, seed=7)
-        with ShardedDispatcher(
-            base, workers=2, alpha=0.2, seed=7, max_batch=2
-        ) as disp:
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
             futures = [disp.submit(s, "powerpush", **PARAMS) for s in sources]
             for source, future in zip(sources, futures):
                 assert_same_bytes(
@@ -425,11 +428,14 @@ class TestReplyEncodings:
             engine.query(6, "powerpush", **params),
         )
 
-    def test_contended_slots_never_cross_answers(self, base):
+    def test_contended_slots_never_cross_answers(self, base, monkeypatch):
         # More client threads than cores over two slots per shard: slots
         # are taken, overflowed and reused as fast as the collectors
         # free them.  An answer read from a slot another request was
         # writing would differ from the serial bytes.
+        from repro.serving import sharded
+
+        monkeypatch.setattr(sharded, "_ARENA_SLOTS", 2)
         sources = list(range(12))
         engine = PPREngine(base, alpha=0.2, seed=7)
         expected = {
@@ -437,9 +443,7 @@ class TestReplyEncodings:
         }
         clients, rounds = 8, 40
         failures: list[BaseException] = []
-        with ShardedDispatcher(
-            base, workers=2, alpha=0.2, seed=7, max_batch=2
-        ) as disp:
+        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
 
             def client(offset: int) -> None:
                 try:
@@ -521,7 +525,7 @@ class TestRoutingAndStats:
         assert first.worker == dispatcher.route(source)
         assert not first.cache_hit
         assert second.worker is None
-        assert second.cache_hit and second.batch_size == 1
+        assert second.cache_hit
         assert second.version == first.version
         assert second.result.estimate.tobytes() == first.result.estimate.tobytes()
 
@@ -567,12 +571,6 @@ class TestRoutingAndStats:
         with pytest.raises(UnknownMethodError):
             dispatcher.query(0, "no-such-method")
 
-    def test_bad_max_batch_is_refused_before_any_shard_starts(self, base):
-        before = our_shm_files()
-        with pytest.raises(ParameterError, match="max_batch"):
-            ShardedDispatcher(base, workers=1, max_batch=0)
-        assert our_shm_files() == before
-
 
 class TestParentCacheAndFlights:
     """The cluster's one result cache and its single-flight table live
@@ -596,7 +594,7 @@ class TestParentCacheAndFlights:
                 assert_same_bytes(
                     served, engine.query(5, "powerpush", **PARAMS)
                 )
-            assert disp._flights == {}
+            assert not disp._flight_table
             assert disp.stats()["cache"]["insertions"] == 1
 
     def test_spelled_out_defaults_share_the_entry_and_the_flight(self, base):
@@ -651,7 +649,7 @@ class TestParentCacheAndFlights:
             assert isinstance(errors[0], ParameterError)
             assert "l1_threshold" in str(errors[0])
             assert errors[1] is errors[0] and errors[2] is errors[0]
-            assert disp._flights == {}
+            assert not disp._flight_table
             # Nothing of it is remembered: asking again asks the shard.
             with pytest.raises(ParameterError, match="l1_threshold"):
                 disp.query(5, "powerpush", **bad)
@@ -666,7 +664,7 @@ class TestParentCacheAndFlights:
                     disp.submit(5, "powerpush", fresh=True, **PARAMS)
                     for _ in range(2)
                 ]
-                assert len(state.pending) == 2 and disp._flights == {}
+                assert len(state.pending) == 2 and not disp._flight_table
             for future in futures:
                 served = future.result(timeout=60)
                 assert not served.cache_hit
@@ -698,7 +696,7 @@ class TestParentCacheAndFlights:
                 assert len(state.pending) == 2
                 unbounded = submit(None)
                 assert len(state.pending) == 3
-                assert list(disp._flights.values()) == [
+                assert list(disp._flight_table._open.values()) == [
                     state.pending[min(state.pending)]
                 ]
             first = leader.result(timeout=60)
@@ -711,7 +709,7 @@ class TestParentCacheAndFlights:
                 )
             assert later.result(timeout=60) is not first
             assert unbounded.result(timeout=60) is not first
-            assert disp._flights == {}
+            assert not disp._flight_table
 
     def test_an_update_between_two_reads_makes_the_second_a_miss(self, base):
         updates = pick_updates(base)
@@ -829,7 +827,7 @@ class TestParentCacheAndFlights:
                     assert_same_bytes(served, expected[source, served.version])
                 solved = {(source, served.version) for source, served in answers}
                 assert engine_queries(disp) == len(solved)
-                assert disp._flights == {}
+                assert not disp._flight_table
                 assert disp.graph_version == len(updates)
         finally:
             sys.setswitchinterval(interval)
@@ -868,7 +866,6 @@ class TestParentCacheAndFlights:
             source=0,
             method="powerpush",
             params=dict(PARAMS),
-            fresh=False,
         )
         disp.close()
         thread = threading.Thread(

@@ -58,7 +58,7 @@ def test_readers_never_see_stale_answers_under_writer_pressure():
     errors: list[BaseException] = []
     stop_writer = threading.Event()
 
-    with EngineServer(dyn, alpha=0.2, seed=7, window=0.001) as server:
+    with EngineServer(dyn, alpha=0.2, seed=7) as server:
 
         def writer() -> None:
             rng = np.random.default_rng(99)
@@ -130,7 +130,7 @@ def test_readers_never_see_stale_answers_under_writer_pressure():
 
     # The run must actually have exercised the machinery it stresses.
     assert update_log, "writer thread applied no updates"
-    assert stats["cache"]["hits"] + stats["cache_hits_at_submit"] > 0
+    assert stats["cache"]["hits"] > 0
     assert stats["cache"]["invalidations"] > 0
 
 
@@ -146,7 +146,7 @@ def test_stale_walk_index_never_serves_a_seeded_speedppr_query():
     records_mutex = threading.Lock()
     errors: list[BaseException] = []
 
-    with EngineServer(dyn, alpha=0.2, seed=7, window=0.001) as server:
+    with EngineServer(dyn, alpha=0.2, seed=7) as server:
 
         def writer() -> None:
             rng = np.random.default_rng(5)

@@ -368,7 +368,7 @@ class TestRespawnEndToEnd:
             stats = disp.stats()
             assert stats["supervisor"]["retries"] == 1
             assert stats["rerouted"] == 1
-            assert disp._flights == {}
+            assert not disp._flight_table
             assert disp.query(5, "powerpush", **PARAMS).cache_hit
 
     def test_budget_exhaustion_degrades_without_hung_futures(self, base):

@@ -122,7 +122,6 @@ class TestRunLoadtest:
             method="powerpush",
             params={"l1_threshold": 1e-6},
             concurrency=3,
-            window=0.001,
             seed=5,
         )
         assert report.identical is True
@@ -132,7 +131,10 @@ class TestRunLoadtest:
         assert report.speedup > 0
         # 60 Zipfian reads over 12 hot sources must hit the cache
         assert 0.0 < report.cache_hit_rate <= 1.0
-        assert report.batching_factor >= 1.0
+        # every read is a hit, joins a flight or leads one
+        stats = report.server_stats
+        flights = stats["flights"]
+        assert stats["cache"]["hits"] + flights["led"] + flights["joined"] == 60
         payload = report.to_dict()
         assert payload["identical"] is True
         assert payload["served"]["p99_ms"] >= payload["served"]["p50_ms"]
@@ -152,7 +154,6 @@ class TestRunLoadtest:
             method="powerpush",
             params={"l1_threshold": 1e-6},
             concurrency=1,
-            window=0.001,
             seed=6,
         )
         assert report.identical is True
@@ -172,7 +173,6 @@ class TestRunLoadtest:
             method="powerpush",
             params={"l1_threshold": 1e-6},
             concurrency=3,
-            window=0.001,
             seed=7,
         )
         # writes make byte-comparison meaningless, reported as None
@@ -203,7 +203,6 @@ class TestRunLoadtest:
             method="powerpush",
             params={"l1_threshold": 1e-6},
             concurrency=4,
-            window=0.001,
             seed=11,
         )
         served_graph, serial_graph = graphs
@@ -258,7 +257,6 @@ class TestRunLoadtest:
             method="powerpush",
             params={"l1_threshold": 1e-7},
             concurrency=1,
-            window=0.001,
             seed=12,
             slo_ms=50.0,
             deadline_ms=150.0,
@@ -327,7 +325,6 @@ class TestRunLoadtest:
             method="powerpush",
             params={"l1_threshold": 1e-6},
             concurrency=4,
-            window=0.001,
             seed=16,
             workers=2,
         )
@@ -358,7 +355,6 @@ class TestRunLoadtest:
             method="powerpush",
             params={"l1_threshold": 1e-6},
             concurrency=4,
-            window=0.001,
             seed=17,
             workers=2,
             chaos=chaos,
