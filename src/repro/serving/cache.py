@@ -18,8 +18,9 @@ generator, a trace sink) are declared uncacheable
 
 The cache is thread-safe on its own, but version consistency across
 *concurrent* readers and writers needs lookups and fills to happen
-under :class:`~repro.serving.locks.RWLock` read sections —
-:class:`~repro.serving.server.EngineServer` wires that.
+under :class:`~repro.serving.locks.RWLock` read sections — both
+serving tiers wire that, through one
+:class:`~repro.serving.flights.FlightTable` each.
 """
 
 from __future__ import annotations
@@ -66,13 +67,14 @@ def resolve_request(
     :class:`~repro.errors.ParameterError` for parameters outside the
     schema, so typos surface at submit time, not deep in a worker
     thread.  The serving layer calls this exactly once per request;
-    key, grouping, and dispatch all reuse the result.
+    the cache key, the flight it joins or leads, and the solve all
+    reuse the result.
 
     ``defaults`` are engine-level fallbacks (the server passes its
     engine's ``alpha``/``dead_end_policy``): each one the solver
     accepts is folded in via ``setdefault``, so a request that spells
     out a default explicitly gets the same key — and therefore the
-    same cache entry and batch slot — as one that omits it.
+    same cache entry and flight — as one that omits it.
     """
     spec, merged = resolve_method(method)
     merged.update(params)

@@ -21,10 +21,10 @@ and the remembering in the parent:
   :class:`ShardedDispatcher`, the one place every request passes and
   whose ``_version`` is authoritative.  ``submit`` looks the request
   up inside the read section it takes anyway: a hit is answered with
-  a completed future — no message, no reply slot, no shard — and a
-  duplicate of a request already on its way to a shard at the current
-  version joins that flight instead of being sent; the collector's
-  copy-out of a miss's answer lands the flight and is the cache fill.
+  a completed future — no message, no shard — and a duplicate of a
+  request already on its way to a shard at the current version joins
+  that flight instead of being sent; the collector's receipt of a
+  miss's answer lands the flight and is the cache fill.
   A hit is version-safe because ``_version`` only moves under the
   write side of ``_rwlock`` (with the invalidation next to it): the
   version a reader compares stamps against cannot change under it, and
@@ -57,23 +57,12 @@ picklable tuples over per-worker ``multiprocessing`` queues; per-worker
 FIFO ordering is what makes the update barrier correct (queries
 enqueued before the barrier are answered at the old version, the
 barrier message follows them, and new queries wait on the writer
-lock).  An *answer* is dense — ``estimate`` and ``residue`` for all n
-nodes — so it does not go through the pipe: each shard has a
-parent-owned :class:`~repro.serving.shm.ReplyArena` of fixed-size
-slots, the reply buffer is caller-provided (``submit`` takes a free
-slot and names it in the query message), the worker copies the two
-vectors into that slot and queues only a header (the
-:class:`ServedResult` with its arrays stripped), and the collector
-copies them out into private arrays before the slot returns to a LIFO
-free list.  A slot belongs to exactly one pending request from submit
-until copy-out (or until its worker is declared dead); the worker
-writes replies from one thread in FIFO order, so no reader sees a
-half-written or reused slot, and a slot whose tag is not the expected
-request id (before or after the copy-out) is treated as a lost reply
-and retried.  Replies that
-cannot use a slot — none free, an answer that is not two float64
-vectors of length n, errors, stats, hand-over acks, heartbeats — are
-pickled inline as before; the choice is made per reply.
+lock).  Replies come back the same way: an answer — the
+:class:`ServedResult` with its dense ``estimate`` and ``residue`` — is
+pickled through the shard's response queue like errors, stats,
+hand-over acks and heartbeats.  Only misses reach a shard, so the
+pipe carries one reply per solve, and a solve costs far more than
+pickling its two vectors.
 
 Self-healing (PR 9): the dispatcher runs a supervisor thread that
 notices worker death (``process.is_alive()``, surfaced promptly by the
@@ -103,15 +92,12 @@ import queue
 import signal
 import threading
 import time
-from collections import Counter
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from types import FrameType
 from typing import Any, Iterable
-
-import numpy as np
 
 from repro.api.engine import PPREngine
 from repro.errors import (
@@ -127,8 +113,6 @@ from repro.serving.faults import FaultInjector, FaultSpec, WorkerFaultPlan
 from repro.serving.flights import Flight, FlightTable, ServedResult, fail, settle
 from repro.serving.locks import RWLock
 from repro.serving.shm import (
-    ReplyArena,
-    ReplyArenaHandle,
     SharedGraphHandle,
     SharedGraphImage,
     close_inherited_segments,
@@ -141,14 +125,6 @@ __all__ = ["ShardedDispatcher", "WorkerConfig"]
 #: dispatcher is a timed wait at this granularity so worker death is
 #: noticed promptly and no future can hang forever.
 _POLL = 0.05
-
-#: Slots of one shard's reply arena, and its byte cap: the arena has
-#: ``_ARENA_SLOTS`` slots or as many as fit under the cap, whichever is
-#: fewer; requests in flight beyond that get inline replies.  Slots are
-#: reused LIFO and their pages touched on first use, so resident memory
-#: follows the in-flight depth, not the cap.
-_ARENA_SLOTS = 64
-_ARENA_MAX_BYTES = 32 << 20
 
 #: Per-worker vnode count on the hash ring.  Enough that each worker's
 #: share of sources stays within a few percent of uniform and a removed
@@ -274,7 +250,6 @@ class _Shard:
 
 def _worker_main(
     worker_id: int,
-    arena_handle: ReplyArenaHandle,
     config: WorkerConfig,
     requests: Any,
     responses: Any,
@@ -288,15 +263,11 @@ def _worker_main(
       ``("attached", barrier_id)`` once this process serves the image
       behind ``handle`` as ``version`` and has unmapped the one before;
       always a worker's first message, then one per update
-    * ``("query", req_id, source, method, params, deadline, slot)`` ->
-      ``("slot-result", req_id, header)`` when the answer was copied
-      into reply slot ``slot`` (``header`` is the :class:`ServedResult`
-      with its two vectors stripped; the slot header carries
-      ``req_id``), ``("result", req_id, ServedResult)`` when it had to
-      be pickled inline (``slot`` was ``None`` or the answer does not
-      fit a slot), or ``("error", req_id, exc)`` — ``deadline`` is a
-      ``time.monotonic()`` timestamp, meaningful across the process
-      boundary because ``CLOCK_MONOTONIC`` is system-wide
+    * ``("query", req_id, source, method, params, deadline)`` ->
+      ``("result", req_id, ServedResult)`` or ``("error", req_id,
+      exc)`` — ``deadline`` is a ``time.monotonic()`` timestamp,
+      meaningful across the process boundary because
+      ``CLOCK_MONOTONIC`` is system-wide
     * ``("stats", req_id)`` -> ``("stats", req_id, dict)``
     * ``("stop",)`` -> clean exit.
 
@@ -314,27 +285,24 @@ def _worker_main(
     the process pool of per-source solves over one shared CSR that
     the AccPPR harness runs.
     A worker never owns a shared segment — teardown only closes its
-    own mappings of the graph image and the reply arena, so a
-    SIGKILLed worker cannot leak ``/dev/shm`` entries (satisfying the
-    ``shm-discipline`` contract from the child side) — and keeps no
-    mapping a fork handed it, which would pin a retired generation.
+    own mapping of the graph image, so a SIGKILLed worker cannot leak
+    ``/dev/shm`` entries (satisfying the ``shm-discipline`` contract
+    from the child side) — and keeps no mapping a fork handed it,
+    which would pin a retired generation.
     """
     signal.signal(signal.SIGTERM, _raise_exit)
     close_inherited_segments()
-    arena = ReplyArena.attach(arena_handle)
     shard = _Shard(config)
     try:
         _serve_messages(
             worker_id,
             shard,
-            arena,
             requests,
             responses,
             WorkerFaultPlan(config.faults),
         )
     finally:
         shard.close()
-        arena.close()
 
 
 #: Seconds between unsolicited worker heartbeats, busy or idle.
@@ -344,7 +312,6 @@ _HEARTBEAT_INTERVAL = 1.0
 def _serve_messages(
     worker_id: int,
     shard: _Shard,
-    arena: ReplyArena,
     requests: Any,
     responses: Any,
     plan: WorkerFaultPlan,
@@ -364,13 +331,13 @@ def _serve_messages(
             continue
         kind = message[0]
         if kind == "query":
-            _, req_id, source, method, params, deadline, slot = message
+            _, req_id, source, method, params, deadline = message
             try:
                 served = shard.solve(source, method, params, deadline)
             except Exception as exc:  # noqa: BLE001 - forwarded
                 reply = ("error", req_id, exc)
             else:
-                reply = _result_reply(worker_id, arena, req_id, slot, served)
+                reply = ("result", req_id, replace(served, worker=worker_id))
             _put_reply(responses, plan, reply)
         elif kind == "stop":
             return
@@ -408,36 +375,6 @@ def _put_reply(
                 return
             time.sleep(seconds)
     responses.put(message)
-
-
-#: Stands in for ``estimate`` in the header of a slot reply.
-_NO_VECTOR = np.empty(0)
-
-
-def _result_reply(
-    worker_id: int,
-    arena: ReplyArena,
-    req_id: int,
-    slot: int | None,
-    served: ServedResult,
-) -> tuple:
-    """The reply message carrying ``served``'s answer to the dispatcher.
-
-    The vectors go into reply slot ``slot`` when it can take them, and
-    are pickled inline otherwise.  This loop is the only writer of the
-    shard's slots, one reply at a time in FIFO order — which is what
-    lets the dispatcher reuse a slot as soon as it has copied a reply
-    out of it.
-    """
-    result = served.result
-    if slot is not None and arena.store(
-        slot, req_id, result.estimate, result.residue
-    ):
-        kind = "slot-result"
-        result = replace(result, estimate=_NO_VECTOR, residue=None)
-    else:
-        kind = "result"
-    return kind, req_id, replace(served, worker=worker_id, result=result)
 
 
 def _ring_point(token: str) -> int:
@@ -524,34 +461,6 @@ class _PendingRequest(Flight):
     attempts: int = 0
     #: ``time.monotonic()`` of the latest enqueue, for timeout scans.
     enqueued_at: float = 0.0
-    #: Reply slot held on the current target shard (``None``: the
-    #: arena was exhausted and the reply will arrive inline).
-    slot: int | None = None
-
-
-@dataclass
-class _ReplySlots:
-    """Parent-side ownership of one shard's reply arena.
-
-    Lives as long as the worker *id*, not one incarnation of it: a
-    respawned worker attaches the same arena.  ``free`` is a LIFO (the
-    slot released last has the warmest pages) and, like the counters,
-    is only touched under the dispatcher mutex.
-    """
-
-    arena: ReplyArena
-    free: list[int]
-    #: Replies read out of a slot / unpickled from the pipe.
-    replies_slot: int = 0
-    replies_inline: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "replies_slot": self.replies_slot,
-            "replies_inline": self.replies_inline,
-            "reply_slots_free": len(self.free),
-            "reply_slots_total": self.arena.slots,
-        }
 
 
 @dataclass
@@ -562,7 +471,6 @@ class _WorkerState:
     process: Any
     requests: Any
     responses: Any
-    replies: _ReplySlots
     collector: threading.Thread | None = None
     pending: dict[int, _PendingRequest] = field(default_factory=dict)
     alive: bool = True
@@ -784,9 +692,6 @@ class ShardedDispatcher:
         self._rerouted = 0
         self._worker_failures = 0
         self._barriers: dict[int, _Barrier] = {}
-        #: worker_id -> its reply arena and free list; created before
-        #: the first fork, unlinked in close(), never by a worker
-        self._reply_slots: dict[int, _ReplySlots] = {}
         #: worker_id -> monotonic time its next respawn attempt is due
         self._respawn_due: dict[int, float] = {}
         #: worker_ids with a respawn currently in flight (spawned
@@ -809,14 +714,6 @@ class ShardedDispatcher:
         self._context = get_context(start_method)
         try:
             for worker_id in range(workers):
-                arena = ReplyArena.create(
-                    self._num_nodes,
-                    max_slots=_ARENA_SLOTS,
-                    max_bytes=_ARENA_MAX_BYTES,
-                )
-                self._reply_slots[worker_id] = _ReplySlots(
-                    arena, free=list(range(arena.slots))
-                )
                 state = self._spawn_state(worker_id)
                 self._states[worker_id] = state
                 self._ring.add(worker_id)
@@ -850,16 +747,9 @@ class ShardedDispatcher:
                 config = replace(config, faults=worker_faults)
         req_q = self._context.Queue()
         resp_q = self._context.Queue()
-        replies = self._reply_slots[worker_id]
         process = self._context.Process(
             target=_worker_main,
-            args=(
-                worker_id,
-                replies.arena.handle,
-                config,
-                req_q,
-                resp_q,
-            ),
+            args=(worker_id, config, req_q, resp_q),
             name=f"repro-shard-{worker_id}.{generation}",
             daemon=True,
         )
@@ -869,7 +759,6 @@ class ShardedDispatcher:
             process=process,
             requests=req_q,
             responses=resp_q,
-            replies=replies,
             generation=generation,
             restarts=restarts,
         )
@@ -1030,17 +919,10 @@ class ShardedDispatcher:
     def _enqueue(self, state: _WorkerState, request: _PendingRequest) -> tuple:
         """Register ``request`` as pending on ``state``; its query message.
 
-        Called under ``_mutex``.  Takes the reply slot the answer
-        should come back through — from here until the collector has
-        copied the reply out (or the request is timed out, or the
-        worker declared dead) the slot belongs to this request alone.
-        With the arena exhausted the request carries no slot and its
-        reply arrives inline.
+        Called under ``_mutex``.
         """
         req_id = self._next_id
         self._next_id += 1
-        free = state.replies.free
-        request.slot = free.pop() if free else None
         request.enqueued_at = time.monotonic()
         state.pending[req_id] = request
         return (
@@ -1050,7 +932,6 @@ class ShardedDispatcher:
             request.method,
             request.params,
             request.deadline,
-            request.slot,
         )
 
     def _route_healthy(self, source: int) -> _WorkerState:
@@ -1266,20 +1147,17 @@ class ShardedDispatcher:
                     self._on_worker_death(state)
                 return
             kind = message[0]
-            if kind == "slot-result":
-                self._on_slot_result(state, message[1], message[2])
-            elif kind == "result":
+            if kind == "result":
                 _, req_id, served = message
                 with self._mutex:
-                    pending = self._pop_pending(state, req_id)
+                    pending = state.pending.pop(req_id, None)
                     state.breaker.record_success()
-                    state.replies.replies_inline += 1
                 if pending is not None:
                     self._resolve(pending, served)
             elif kind == "error":
                 _, req_id, exc = message
                 with self._mutex:
-                    pending = self._pop_pending(state, req_id)
+                    pending = state.pending.pop(req_id, None)
                 if pending is not None:
                     self._fail(pending, exc)
             elif kind == "heartbeat":
@@ -1301,61 +1179,6 @@ class ShardedDispatcher:
                     (probe,) = pending.waiters
                     if probe.set_running_or_notify_cancel():
                         probe.set_result(stats)
-
-    @staticmethod
-    def _pop_pending(
-        state: _WorkerState, req_id: int
-    ) -> _PendingRequest | None:
-        """Take ``req_id`` off ``state`` and free its reply slot.
-
-        Called under ``_mutex`` by whoever settles the request's stay
-        on this shard without reading its slot: an inline or error
-        reply, a timeout.  ``None`` when someone else already did (a
-        late reply to a request that was timed out and retried).
-        """
-        request = state.pending.pop(req_id, None)
-        if request is not None and request.slot is not None:
-            state.replies.free.append(request.slot)
-            request.slot = None
-        return request
-
-    def _on_slot_result(
-        self, state: _WorkerState, req_id: int, header: ServedResult
-    ) -> None:
-        """Rebuild a reply whose vectors came back through a slot.
-
-        The request leaves ``pending`` first, so nobody else can free
-        the slot while it is read; it returns to the free list only
-        after the copy-out.  A late reply to a request that was
-        already timed out finds no pending entry and must not touch
-        the slot — it may belong to a newer request by now.
-        """
-        with self._mutex:
-            request = state.pending.pop(req_id, None)
-            state.breaker.record_success()
-        if request is None:
-            return
-        slot = request.slot
-        assert slot is not None, "slot reply for a request sent without one"
-        vectors = state.replies.arena.load(slot, req_id)
-        with self._mutex:
-            state.replies.free.append(slot)
-            request.slot = None
-            if vectors is not None:
-                state.replies.replies_slot += 1
-        if vectors is None:
-            self._retry_request(
-                request,
-                reason=(
-                    f"reply slot {slot} of worker {state.worker_id} "
-                    f"does not carry request {req_id}"
-                ),
-            )
-            return
-        estimate, residue = vectors
-        # (this copy-out is also the cache fill: ``_resolve``)
-        result = replace(header.result, estimate=estimate, residue=residue)
-        self._resolve(request, replace(header, result=result))
 
     def _resolve(self, request: _PendingRequest, served: ServedResult) -> None:
         """Land ``request``'s flight with ``served``; answer its waiters.
@@ -1402,10 +1225,7 @@ class ShardedDispatcher:
             self._worker_failures += 1
             self._ring.remove(state.worker_id)
             orphaned = list(state.pending.values())
-            for req_id in list(state.pending):
-                # The dead worker writes no more: every slot it held
-                # goes back for its next incarnation to use.
-                self._pop_pending(state, req_id)
+            state.pending.clear()
             stopping = self._stopping
             if not stopping:
                 self._spend_restart(state, now)
@@ -1571,8 +1391,7 @@ class ShardedDispatcher:
                             > self._request_timeout
                         ]
                         for req_id in expired:
-                            request = self._pop_pending(state, req_id)
-                            assert request is not None
+                            request = state.pending.pop(req_id)
                             timed_out.append((state, request))
                             state.breaker.record_failure(now)
                             self._request_timeouts += 1
@@ -1711,11 +1530,7 @@ class ShardedDispatcher:
         ran).  Each shard's ``requests`` / ``engine_queries`` /
         ``failures`` / ``expired`` / ``graph_version`` are under
         ``"per_worker"``, dispatcher counters
-        (``rerouted``, ``worker_failures``) alongside.  ``replies_slot``
-        / ``replies_inline`` count the answers that came back through a
-        reply slot / pickled through the pipe, ``reply_slots_free`` /
-        ``reply_slots_total`` the arena occupancy — summed here, per
-        worker id under ``"per_worker_replies"``.
+        (``rerouted``, ``worker_failures``) alongside.
         """
         futures: dict[int, Future] = {}
         probes: list[tuple[_WorkerState, int]] = []
@@ -1808,13 +1623,6 @@ class ShardedDispatcher:
                 for state in self._states.values()
                 if state.alive
             }
-            replies = {
-                str(worker_id): slots.snapshot()
-                for worker_id, slots in self._reply_slots.items()
-            }
-            reply_totals: Counter[str] = Counter()
-            for snapshot in replies.values():
-                reply_totals.update(snapshot)
             return {
                 "requests": self._submitted,
                 "graph_version": self._version,
@@ -1822,8 +1630,6 @@ class ShardedDispatcher:
                 "configured_workers": self._workers,
                 "rerouted": self._rerouted,
                 "worker_failures": self._worker_failures,
-                **reply_totals,
-                "per_worker_replies": replies,
                 "flights": self._flight_table.stats(),
                 "cache": (
                     self._flight_table.cache.stats.as_dict()
@@ -1842,12 +1648,10 @@ class ShardedDispatcher:
 
         Every shard — a respawn caught in flight included — is stopped
         under one shared deadline (:meth:`_stop_state`).  Leftover
-        futures fail rather than hang.  The reply arenas are unlinked here, by
-        the parent that created them, once no worker can write to them
-        any more; the graph image's current generation (earlier ones
-        went when they were replaced) is closed and — unless it is the
-        caller's own — unlinked exactly once, so a completed run leaves
-        nothing in ``/dev/shm``.
+        futures fail rather than hang.  The graph image's current
+        generation (earlier ones went when they were replaced) is closed
+        and — unless it is the caller's own — unlinked exactly once, so
+        a completed run leaves nothing in ``/dev/shm``.
         """
         with self._mutex:
             if self._closed:
@@ -1886,8 +1690,6 @@ class ShardedDispatcher:
             self._fail(
                 request, RuntimeError("dispatcher is closed")
             )
-        for replies in self._reply_slots.values():
-            replies.arena.cleanup()
         # (an apply_updates caught mid-flight saw ``_stopping`` and is
         # done: whatever it published last is current)
         with self._write_mutex:

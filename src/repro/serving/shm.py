@@ -1,8 +1,8 @@
-"""Shared-memory segments for sharded serving: graph images and reply arenas.
+"""Shared-memory graph images for sharded serving.
 
 The sharded serving tier (:mod:`repro.serving.sharded`) runs one
-:class:`~repro.serving.server.EngineServer` per *process* so numpy
-solves stop contending on the GIL.  Replicating a multi-GB CSR per
+:class:`~repro.api.engine.PPREngine` per *process* so numpy solves
+stop contending on the GIL.  Replicating a multi-GB CSR per
 worker would defeat the point, so the arrays every shard reads — the
 out-CSR (``indptr``/``indices``) and the flattened ``edge_sources``
 gather index — are placed once in a single
@@ -19,21 +19,19 @@ An image is immutable, so an evolving graph is a sequence of them:
 each version is a fresh segment (a *generation*), exported once by the
 parent and attached by every shard in place of the one before, which
 the parent then unlinks — one exists at a time, and a shard maps one.
-
-Answers travel the other way through a :class:`ReplyArena`: a
-parent-owned segment of fixed-size slots, one arena per shard, that a
-worker fills with an answer's two dense vectors so only a small header
-has to be pickled through the response pipe.
+Answers travel the other way pickled through each shard's response
+pipe: only cache misses reach a shard, so the pipe carries one reply
+per solve.
 
 Lifecycle discipline (enforced by the ``shm-discipline`` lint rule and
-implemented once, in :class:`SharedSegment`, for both kinds):
+implemented in :class:`SharedGraphImage`):
 
 * the **owner** (the process that created the segment) must
-  :meth:`~SharedSegment.unlink` it **exactly once** — ``unlink`` is
+  :meth:`~SharedGraphImage.unlink` it **exactly once** — ``unlink`` is
   idempotent, guarded by the owning pid so a forked child that
   inherited the object can never unlink the parent's segment;
 * **every** process that mapped the segment calls
-  :meth:`~SharedSegment.close` (idempotent, best-effort: outstanding
+  :meth:`~SharedGraphImage.close` (idempotent, best-effort: outstanding
   numpy views make the unmap fail benignly and the OS reclaims the
   mapping at process exit);
 * an :mod:`atexit` fallback cleans owned segments even when the owner
@@ -56,10 +54,9 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
-import struct
 from dataclasses import dataclass
 from multiprocessing import parent_process, shared_memory
-from typing import Mapping, TypeVar
+from typing import Mapping
 
 import numpy as np
 
@@ -68,17 +65,12 @@ from repro.graph.digraph import DiGraph
 
 __all__ = [
     "ArraySpec",
-    "ReplyArena",
-    "ReplyArenaHandle",
     "SharedGraphHandle",
     "SharedGraphImage",
-    "SharedSegment",
     "SEGMENT_PREFIX",
     "close_inherited_segments",
     "live_segments",
 ]
-
-_S = TypeVar("_S", bound="SharedSegment")
 
 #: Prefix of every segment this module creates; the serving benchmark
 #: scans ``/dev/shm`` for it to assert nothing leaked.  Kept short:
@@ -127,15 +119,6 @@ class SharedGraphHandle:
     arrays: Mapping[str, ArraySpec]
 
 
-@dataclass(frozen=True)
-class ReplyArenaHandle:
-    """Picklable descriptor a worker needs to attach its reply arena."""
-
-    segment: str
-    num_nodes: int
-    slots: int
-
-
 def _segment_name() -> str:
     """A short, unique POSIX shm name (pid + random token)."""
     return f"{SEGMENT_PREFIX}_{os.getpid():x}_{secrets.token_hex(3)}"
@@ -173,7 +156,7 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 #: Segments with cleanup still pending, keyed by id — the atexit hook
 #: walks this so an owner that never called unlink (crash path, test
 #: abort) still removes its segments from /dev/shm.
-_LIVE_SEGMENTS: dict[int, "SharedSegment"] = {}
+_LIVE_SEGMENTS: dict[int, "SharedGraphImage"] = {}
 _ATEXIT_INSTALLED = False
 
 
@@ -182,7 +165,7 @@ def _cleanup_at_exit() -> None:
         segment.cleanup()
 
 
-def _register_live(segment: "SharedSegment") -> None:
+def _register_live(segment: "SharedGraphImage") -> None:
     global _ATEXIT_INSTALLED
     _LIVE_SEGMENTS[id(segment)] = segment
     if not _ATEXIT_INSTALLED:
@@ -206,22 +189,28 @@ def close_inherited_segments() -> None:
     _LIVE_SEGMENTS.clear()
 
 
-class SharedSegment:
-    """One mapped shared-memory segment and its teardown discipline.
+class SharedGraphImage:
+    """One graph's hot arrays in a shared-memory segment.
 
-    The base of :class:`SharedGraphImage` and :class:`ReplyArena`:
-    owner-only, exactly-once, pid-guarded :meth:`unlink`; idempotent
-    :meth:`close`; :meth:`cleanup` as the one-call teardown; the
-    context manager; and registration with the atexit fallback that
-    :func:`live_segments` reports.  Subclasses add a layout and
-    construct through their own ``create``/``attach`` classmethods.
+    Construct through :meth:`export_graph` (owner side) or
+    :meth:`attach` (worker side); the constructor itself is internal.
+    Owns the segment's teardown discipline: owner-only, exactly-once,
+    pid-guarded :meth:`unlink`; idempotent :meth:`close`;
+    :meth:`cleanup` as the one-call teardown; the context manager; and
+    registration with the atexit fallback that :func:`live_segments`
+    reports.
     """
 
     def __init__(
-        self, segment: shared_memory.SharedMemory, *, owner: bool
+        self,
+        segment: shared_memory.SharedMemory,
+        handle: SharedGraphHandle,
+        *,
+        owner: bool,
     ) -> None:
         self._segment: shared_memory.SharedMemory | None = segment
         self._name = segment.name
+        self._handle = handle
         self._owner = owner
         #: pid that may unlink: a forked child inherits this object but
         #: must never destroy the parent's segment.
@@ -229,17 +218,69 @@ class SharedSegment:
         self._unlinked = False
         _register_live(self)
 
-    @staticmethod
-    def _create(size: int) -> shared_memory.SharedMemory:
-        """A fresh, uniquely named segment of at least ``size`` bytes.
+    # -- construction ----------------------------------------------------
+    @classmethod
+    def export_graph(cls, graph: DiGraph) -> "SharedGraphImage":
+        """Copy ``graph``'s hot arrays into a fresh shared segment.
 
-        The caller wraps it in a subclass instance owning it (whose
-        :meth:`unlink` removes it) and unlinks it itself when building
-        that instance fails.
+        Materialises ``edge_sources`` first so attachers inherit it
+        instead of rebuilding.  The calling process owns the segment
+        and must :meth:`unlink` it exactly once when every worker is
+        done (or rely on the atexit fallback).
         """
-        return shared_memory.SharedMemory(
-            name=_segment_name(), create=True, size=max(size, 1)
+        # The arrays one image carries, in layout order.
+        arrays: dict[str, np.ndarray] = {
+            "out_indptr": graph.out_indptr,
+            "out_indices": graph.out_indices,
+            "edge_sources": graph.edge_sources,
+        }
+        specs: dict[str, ArraySpec] = {}
+        total = 0
+        for field, array in arrays.items():
+            offset = _aligned(total)
+            specs[field] = ArraySpec(
+                offset=offset,
+                dtype=str(array.dtype),
+                shape=tuple(array.shape),
+            )
+            total = offset + array.nbytes
+        segment = shared_memory.SharedMemory(
+            name=_segment_name(), create=True, size=max(total, 1)
         )
+        try:
+            for field, spec in specs.items():
+                view: np.ndarray = np.ndarray(
+                    spec.shape,
+                    dtype=spec.dtype,
+                    buffer=segment.buf,
+                    offset=spec.offset,
+                )
+                view[...] = arrays[field]
+                del view  # keep no exported pointers into the buffer
+            handle = SharedGraphHandle(
+                segment=segment.name,
+                graph_name=graph.name,
+                num_nodes=graph.num_nodes,
+                num_edges=graph.num_edges,
+                arrays=specs,
+            )
+        except BaseException:
+            # A half-built image must not leak its segment.
+            try:
+                segment.close()
+            finally:
+                segment.unlink()
+            raise
+        return cls(segment, handle, owner=True)
+
+    @classmethod
+    def attach(cls, handle: SharedGraphHandle) -> "SharedGraphImage":
+        """Map an exported image in this process (zero-copy, untracked).
+
+        The attachment never owns the segment: :meth:`unlink` refuses,
+        and process exit releases only this mapping.
+        """
+        return cls(_attach_untracked(handle.segment), handle, owner=False)
 
     # -- accessors -------------------------------------------------------
     @property
@@ -261,6 +302,40 @@ class SharedSegment:
                 f"shared segment {self.segment_name!r} is closed"
             )
         return self._segment.buf
+
+    @property
+    def handle(self) -> SharedGraphHandle:
+        """The picklable descriptor workers attach through."""
+        return self._handle
+
+    def _array(self, field: str) -> np.ndarray:
+        spec = self._handle.arrays[field]
+        view: np.ndarray = np.ndarray(
+            spec.shape,
+            dtype=spec.dtype,
+            buffer=self._buffer(),
+            offset=spec.offset,
+        )
+        view.flags.writeable = False
+        return view
+
+    def graph(self) -> DiGraph:
+        """The shared graph as a :class:`DiGraph` over zero-copy views.
+
+        The returned graph's CSR arrays and ``edge_sources`` alias the
+        shared segment — construction is O(1) in the graph size.  Keep
+        the image open for as long as the graph (or any engine built
+        on it) is in use.
+        """
+        graph = DiGraph(
+            self._array("out_indptr"),
+            self._array("out_indices"),
+            name=self._handle.graph_name,
+            validate=False,
+        )
+        return graph.adopt_push_caches(
+            edge_sources=self._array("edge_sources")
+        )
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
@@ -323,126 +398,11 @@ class SharedSegment:
             if self._owner and os.getpid() == self._owner_pid:
                 self.unlink()
 
-    def __enter__(self: _S) -> _S:
+    def __enter__(self) -> "SharedGraphImage":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.cleanup()
-
-
-class SharedGraphImage(SharedSegment):
-    """One graph's hot arrays in a shared-memory segment.
-
-    Construct through :meth:`export_graph` (owner side) or
-    :meth:`attach` (worker side); the constructor itself is internal.
-    """
-
-    def __init__(
-        self,
-        segment: shared_memory.SharedMemory,
-        handle: SharedGraphHandle,
-        *,
-        owner: bool,
-    ) -> None:
-        super().__init__(segment, owner=owner)
-        self._handle = handle
-
-    # -- construction ----------------------------------------------------
-    @classmethod
-    def export_graph(cls, graph: DiGraph) -> "SharedGraphImage":
-        """Copy ``graph``'s hot arrays into a fresh shared segment.
-
-        Materialises ``edge_sources`` first so attachers inherit it
-        instead of rebuilding.  The calling process owns the segment
-        and must :meth:`unlink` it exactly once when every worker is
-        done (or rely on the atexit fallback).
-        """
-        # The arrays one image carries, in layout order.
-        arrays: dict[str, np.ndarray] = {
-            "out_indptr": graph.out_indptr,
-            "out_indices": graph.out_indices,
-            "edge_sources": graph.edge_sources,
-        }
-        specs: dict[str, ArraySpec] = {}
-        total = 0
-        for field, array in arrays.items():
-            offset = _aligned(total)
-            specs[field] = ArraySpec(
-                offset=offset,
-                dtype=str(array.dtype),
-                shape=tuple(array.shape),
-            )
-            total = offset + array.nbytes
-        segment = cls._create(total)
-        try:
-            for field, spec in specs.items():
-                view: np.ndarray = np.ndarray(
-                    spec.shape,
-                    dtype=spec.dtype,
-                    buffer=segment.buf,
-                    offset=spec.offset,
-                )
-                view[...] = arrays[field]
-                del view  # keep no exported pointers into the buffer
-            handle = SharedGraphHandle(
-                segment=segment.name,
-                graph_name=graph.name,
-                num_nodes=graph.num_nodes,
-                num_edges=graph.num_edges,
-                arrays=specs,
-            )
-        except BaseException:
-            # A half-built image must not leak its segment.
-            try:
-                segment.close()
-            finally:
-                segment.unlink()
-            raise
-        return cls(segment, handle, owner=True)
-
-    @classmethod
-    def attach(cls, handle: SharedGraphHandle) -> "SharedGraphImage":
-        """Map an exported image in this process (zero-copy, untracked).
-
-        The attachment never owns the segment: :meth:`unlink` refuses,
-        and process exit releases only this mapping.
-        """
-        return cls(_attach_untracked(handle.segment), handle, owner=False)
-
-    # -- accessors -------------------------------------------------------
-    @property
-    def handle(self) -> SharedGraphHandle:
-        """The picklable descriptor workers attach through."""
-        return self._handle
-
-    def _array(self, field: str) -> np.ndarray:
-        spec = self._handle.arrays[field]
-        view: np.ndarray = np.ndarray(
-            spec.shape,
-            dtype=spec.dtype,
-            buffer=self._buffer(),
-            offset=spec.offset,
-        )
-        view.flags.writeable = False
-        return view
-
-    def graph(self) -> DiGraph:
-        """The shared graph as a :class:`DiGraph` over zero-copy views.
-
-        The returned graph's CSR arrays and ``edge_sources`` alias the
-        shared segment — construction is O(1) in the graph size.  Keep
-        the image open for as long as the graph (or any engine built
-        on it) is in use.
-        """
-        graph = DiGraph(
-            self._array("out_indptr"),
-            self._array("out_indices"),
-            name=self._handle.graph_name,
-            validate=False,
-        )
-        return graph.adopt_push_caches(
-            edge_sources=self._array("edge_sources")
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else "open"
@@ -451,154 +411,4 @@ class SharedGraphImage(SharedSegment):
             f"SharedGraphImage({self.segment_name!r}, "
             f"n={self._handle.num_nodes}, m={self._handle.num_edges}, "
             f"{role}, {state})"
-        )
-
-
-#: The slot header: the id of the request whose answer the slot holds.
-_TAG = struct.Struct("q")
-#: Tag of a slot that is being written (request ids are never negative).
-_NO_TAG = -1
-
-
-def _slot_bytes(num_nodes: int) -> int:
-    """Header plus two float64 vectors, rounded up to ``_ALIGN``."""
-    vectors = 2 * num_nodes * np.dtype(np.float64).itemsize
-    return _aligned(_ALIGN + vectors)
-
-
-class ReplyArena(SharedSegment):
-    """Fixed-size answer slots one shard writes and the parent reads.
-
-    A slot holds one answer's two dense vectors — ``estimate`` then
-    ``residue``, ``num_nodes`` float64 each — behind an ``_ALIGN``-byte
-    header carrying the id of the request the answer belongs to.  The
-    arena only lays the memory out and moves bytes; *which* slot a
-    request may use is the dispatcher's business (a slot belongs to
-    exactly one pending request from submit until copy-out), so
-    nothing here locks.
-
-    Construct through :meth:`create` (parent, owner) or :meth:`attach`
-    (worker); a worker never owns an arena, so a SIGKILLed worker
-    cannot leak one.
-    """
-
-    def __init__(
-        self,
-        segment: shared_memory.SharedMemory,
-        handle: ReplyArenaHandle,
-        *,
-        owner: bool,
-    ) -> None:
-        super().__init__(segment, owner=owner)
-        self._handle = handle
-        self._slot_bytes = _slot_bytes(handle.num_nodes)
-
-    # -- construction ----------------------------------------------------
-    @classmethod
-    def create(
-        cls, num_nodes: int, *, max_slots: int, max_bytes: int
-    ) -> "ReplyArena":
-        """A fresh arena of as many slots as fit in ``max_bytes``.
-
-        At most ``max_slots``; none when a single answer is larger
-        than ``max_bytes`` (every reply then travels inline).  Pages
-        are touched only when a slot is first written, so an unused
-        slot costs address space, not memory.
-        """
-        slot_bytes = _slot_bytes(num_nodes)
-        slots = max(0, min(max_slots, max_bytes // slot_bytes))
-        segment = cls._create(slots * slot_bytes)
-        handle = ReplyArenaHandle(
-            segment=segment.name, num_nodes=num_nodes, slots=slots
-        )
-        return cls(segment, handle, owner=True)
-
-    @classmethod
-    def attach(cls, handle: ReplyArenaHandle) -> "ReplyArena":
-        """Map a created arena in this process (untracked, never owned)."""
-        return cls(_attach_untracked(handle.segment), handle, owner=False)
-
-    # -- accessors -------------------------------------------------------
-    @property
-    def handle(self) -> ReplyArenaHandle:
-        """The picklable descriptor the worker attaches through."""
-        return self._handle
-
-    @property
-    def slots(self) -> int:
-        return self._handle.slots
-
-    def _offset(self, slot: int) -> int:
-        if not 0 <= slot < self._handle.slots:
-            raise ParameterError(
-                f"reply slot {slot} is outside [0, {self._handle.slots})"
-            )
-        return slot * self._slot_bytes
-
-    def _vectors(self, offset: int) -> np.ndarray:
-        """The ``(2, num_nodes)`` payload of the slot at ``offset``, in place."""
-        return np.ndarray(
-            (2, self._handle.num_nodes),
-            dtype=np.float64,
-            buffer=self._buffer(),
-            offset=offset + _ALIGN,
-        )
-
-    # -- the two copies --------------------------------------------------
-    def store(
-        self,
-        slot: int,
-        tag: int,
-        estimate: np.ndarray,
-        residue: np.ndarray | None,
-    ) -> bool:
-        """Worker side: copy an answer into ``slot`` and tag it.
-
-        Returns ``False`` — writing nothing — when the answer is not
-        two float64 vectors of length ``num_nodes`` (Monte-Carlo
-        answers carry no residue), so the caller can fall back to
-        pickling it.  The tag is cleared first and set last, so a
-        reader that finds it before and after its copy (:meth:`load`)
-        copied complete vectors of that request.
-        """
-        shape = (self._handle.num_nodes,)
-        if residue is None or not all(
-            vector.dtype == np.float64 and vector.shape == shape
-            for vector in (estimate, residue)
-        ):
-            return False
-        offset = self._offset(slot)
-        buffer = self._buffer()
-        _TAG.pack_into(buffer, offset, _NO_TAG)
-        vectors = self._vectors(offset)
-        vectors[0] = estimate
-        vectors[1] = residue
-        _TAG.pack_into(buffer, offset, tag)
-        return True
-
-    def load(
-        self, slot: int, tag: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Parent side: private copies of ``slot``'s vectors.
-
-        ``None`` when the slot is not tagged ``tag`` — before or after
-        the copy — so it does not hold, or stopped holding, the answer
-        the caller was told it holds.
-        """
-        offset = self._offset(slot)
-        buffer = self._buffer()
-        if _TAG.unpack_from(buffer, offset)[0] != tag:
-            return None
-        vectors = self._vectors(offset)
-        estimate, residue = vectors[0].copy(), vectors[1].copy()
-        if _TAG.unpack_from(buffer, offset)[0] != tag:
-            return None
-        return estimate, residue
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self.closed else "open"
-        role = "owner" if self._owner else "attached"
-        return (
-            f"ReplyArena({self.segment_name!r}, slots={self.slots}, "
-            f"n={self._handle.num_nodes}, {role}, {state})"
         )

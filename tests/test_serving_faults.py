@@ -5,7 +5,7 @@ processes: spec validation, seed-deterministic schedule generation,
 fire-once parent dispatch, and the worker-local trigger ordinals.  One
 end-to-end test drives a real :class:`ShardedDispatcher` through a
 dropped and a late reply to show the request-timeout + bounded-retry
-path recovers the answer byte-identically and strands no reply slot.
+path recovers the answer byte-identically and strands no request.
 """
 
 import numpy as np
@@ -184,12 +184,8 @@ class TestLostReplyEndToEnd:
             }
             stats = disp.stats()
             assert stats["supervisor"]["retries"] >= 1
-            # The timed-out request gave its reply slot back, and the
-            # late or missing reply did not take another one with it.
-            assert stats["reply_slots_free"] == stats["reply_slots_total"]
-            assert stats["replies_slot"] + stats["replies_inline"] == len(
-                sources
-            )
+            # The late or missing reply left nothing pending behind it.
+            assert not any(state.pending for state in disp._states.values())
         engine = PPREngine(graph, alpha=0.2, seed=7)
         for s in sources:
             expected = engine.query(s, "powerpush", **PARAMS)

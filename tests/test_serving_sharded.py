@@ -69,18 +69,6 @@ def assert_same_bytes(served, expected):
         assert served.result.residue.tobytes() == expected.residue.tobytes()
 
 
-def reply_counters(stats):
-    return {
-        name: stats[name]
-        for name in (
-            "replies_slot",
-            "replies_inline",
-            "reply_slots_free",
-            "reply_slots_total",
-        )
-    }
-
-
 def pick_updates(graph):
     """Two deterministic edge inserts that are legal on ``graph``."""
     updates = []
@@ -144,7 +132,6 @@ class TestWorkerLoop:
             _serve_messages,
             _Shard,
         )
-        from repro.serving.shm import ReplyArena
 
         threads_before = set(threading.enumerate())
         extra_threads = set()
@@ -166,28 +153,25 @@ class TestWorkerLoop:
         ]
         good = {1: 3, 2: 9, 4: 27, 5: 9}
         shard = _Shard(WorkerConfig(alpha=0.2, seed=7))
-        with SharedGraphImage.export_graph(base) as image, ReplyArena.create(
-            base.num_nodes, max_slots=2, max_bytes=1 << 20
-        ) as arena:
+        with SharedGraphImage.export_graph(base) as image:
             requests.put(("attach", 0, image.handle, 0))
             for req_id, (source, deadline) in enumerate(burst, start=1):
-                slot = req_id - 1 if req_id <= arena.slots else None
                 requests.put(
                     ("query", req_id, source, "powerpush", dict(PARAMS),
-                     deadline, slot)
+                     deadline)
                 )
             requests.put(("stats", 99))
             requests.put(("stop",))
             try:
                 _serve_messages(
-                    0, shard, arena, requests, responses, WorkerFaultPlan(())
+                    0, shard, requests, responses, WorkerFaultPlan(())
                 )
                 replies = []
                 while not responses.empty():
                     replies.append(responses.get_nowait())
                 kinds = [m[0] for m in replies if m[0] != "heartbeat"]
                 assert kinds == [
-                    "attached", "slot-result", "slot-result", "error",
+                    "attached", "result", "result", "error",
                     "result", "result", "error", "stats",
                 ]
                 engine = PPREngine(base, alpha=0.2, seed=7)
@@ -196,17 +180,13 @@ class TestWorkerLoop:
                     kind, req_id = message[0], message[1]
                     if kind == "error":
                         errors[req_id] = message[2]
-                    if kind not in ("slot-result", "result"):
+                    if kind != "result":
                         continue
                     served = message[2]
                     result = served.result
-                    if kind == "slot-result":
-                        estimate, residue = arena.load(req_id - 1, req_id)
-                    else:
-                        estimate, residue = result.estimate, result.residue
                     answered[req_id] = (
-                        estimate.tobytes(),
-                        residue.tobytes(),
+                        result.estimate.tobytes(),
+                        result.residue.tobytes(),
                         result.counters.as_dict(),
                     )
                     assert served.worker == 0
@@ -300,10 +280,10 @@ class TestByteIdentity:
 
 
 class TestReplyEncodings:
-    """Answers come back through a reply slot when one can be used and
-    pickled inline when not; neither may change a byte."""
+    """Every answer comes back pickled through its shard's response
+    queue; that may not change a byte."""
 
-    def test_golden_trace_through_slots(self, base):
+    def test_golden_trace_through_the_pipe(self, base):
         rng = np.random.default_rng(5)
         trace = [int(s) for s in rng.integers(0, base.num_nodes, size=24)]
         engine = PPREngine(base, alpha=0.2, seed=7)
@@ -314,85 +294,26 @@ class TestReplyEncodings:
                     served, engine.query(source, "powerpush", **PARAMS)
                 )
             stats = disp.stats()
-            counters = reply_counters(stats)
             # A source the trace repeats is answered by the dispatcher.
-            assert counters["replies_slot"] == len(set(trace))
+            assert engine_queries(disp) == len(set(trace))
             assert stats["cache"]["hits"] == len(trace) - len(set(trace))
-            assert counters["replies_inline"] == 0
-            assert counters["reply_slots_total"] > 0
-            assert counters["reply_slots_free"] == counters["reply_slots_total"]
-            per_worker = stats["per_worker_replies"]
-            assert set(per_worker) == {"0", "1"}
-            for name, total in counters.items():
-                assert sum(w[name] for w in per_worker.values()) == total
-
-    def test_burst_deeper_than_the_arena_overflows_inline(
-        self, base, monkeypatch
-    ):
-        # Two slots per shard; 24 requests at once find them taken and
-        # must come back inline.
-        from repro.serving import sharded
-
-        monkeypatch.setattr(sharded, "_ARENA_SLOTS", 2)
-        sources = list(range(24))
-        engine = PPREngine(base, alpha=0.2, seed=7)
-        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
-            futures = [disp.submit(s, "powerpush", **PARAMS) for s in sources]
-            for source, future in zip(sources, futures):
-                assert_same_bytes(
-                    future.result(timeout=60),
-                    engine.query(source, "powerpush", **PARAMS),
-                )
-            counters = reply_counters(disp.stats())
-            assert counters["reply_slots_total"] == 4
-            assert counters["replies_slot"] >= 4
-            assert counters["replies_inline"] >= 1
-            assert (
-                counters["replies_slot"] + counters["replies_inline"]
-                == len(sources)
-            )
-            assert counters["reply_slots_free"] == 4
-
-    def test_answer_larger_than_the_arena_cap_travels_inline(
-        self, base, monkeypatch
-    ):
-        from repro.serving import sharded
-
-        monkeypatch.setattr(sharded, "_ARENA_MAX_BYTES", 1024)
-        engine = PPREngine(base, alpha=0.2, seed=7)
-        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
-            assert_same_bytes(
-                disp.query(5, "powerpush", **PARAMS),
-                engine.query(5, "powerpush", **PARAMS),
-            )
-            counters = reply_counters(disp.stats())
-        assert counters == {
-            "replies_slot": 0,
-            "replies_inline": 1,
-            "reply_slots_free": 0,
-            "reply_slots_total": 0,
-        }
 
     def test_answer_without_residue_travels_inline(self, base, dispatcher):
-        before = reply_counters(dispatcher.stats())
+        before = engine_queries(dispatcher)
         engine = PPREngine(base, alpha=0.2, seed=7)
         served = dispatcher.query(4, "montecarlo", num_walks=2000, seed=3)
         expected = engine.query(4, "montecarlo", num_walks=2000, seed=3)
         assert expected.residue is None
         assert_same_bytes(served, expected)
-        after = reply_counters(dispatcher.stats())
-        assert after["replies_inline"] == before["replies_inline"] + 1
-        assert after["replies_slot"] == before["replies_slot"]
-        # The slot the request held was released unused.
-        assert after["reply_slots_free"] == after["reply_slots_total"]
+        assert engine_queries(dispatcher) == before + 1
 
     def test_returned_arrays_are_private(self, base, dispatcher):
         engine = PPREngine(base, alpha=0.2, seed=7)
         expected = engine.query(6, "powerpush", **PARAMS)
         first = dispatcher.query(6, "powerpush", fresh=True, **PARAMS)
         kept = first.result.estimate.tobytes()
-        # Slots are reused LIFO: the next replies land where the first
-        # one did.  What the caller holds must not move.
+        # Later replies of the same shard must not move what the
+        # caller holds.
         again = dispatcher.query(6, "powerpush", fresh=True, **PARAMS)
         for other in (7, 8, 9):
             dispatcher.query(other, "powerpush", fresh=True, **PARAMS)
@@ -428,58 +349,7 @@ class TestReplyEncodings:
             engine.query(6, "powerpush", **params),
         )
 
-    def test_contended_slots_never_cross_answers(self, base, monkeypatch):
-        # More client threads than cores over two slots per shard: slots
-        # are taken, overflowed and reused as fast as the collectors
-        # free them.  An answer read from a slot another request was
-        # writing would differ from the serial bytes.
-        from repro.serving import sharded
-
-        monkeypatch.setattr(sharded, "_ARENA_SLOTS", 2)
-        sources = list(range(12))
-        engine = PPREngine(base, alpha=0.2, seed=7)
-        expected = {
-            s: engine.query(s, "powerpush", **PARAMS) for s in sources
-        }
-        clients, rounds = 8, 40
-        failures: list[BaseException] = []
-        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
-
-            def client(offset: int) -> None:
-                try:
-                    for i in range(rounds):
-                        source = sources[(offset + i) % len(sources)]
-                        # fresh: every one of them reaches a shard
-                        served = disp.query(
-                            source,
-                            "powerpush",
-                            fresh=True,
-                            timeout=60,
-                            **PARAMS,
-                        )
-                        assert_same_bytes(served, expected[source])
-                except BaseException as exc:  # noqa: BLE001 - surfaced below
-                    failures.append(exc)
-
-            threads = [
-                threading.Thread(target=client, args=(k,), daemon=True)
-                for k in range(clients)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
-            assert not failures, failures[0]
-            counters = reply_counters(disp.stats())
-        assert (
-            counters["replies_slot"] + counters["replies_inline"]
-            == clients * rounds
-        )
-        assert counters["replies_slot"] > 0 and counters["replies_inline"] > 0
-        assert counters["reply_slots_free"] == counters["reply_slots_total"]
-
-    def test_spawned_workers_attach_the_arena_by_name(self, base):
+    def test_spawned_workers_reply_through_the_pipe(self, base):
         engine = PPREngine(base, alpha=0.2, seed=7)
         with ShardedDispatcher(
             base, workers=2, alpha=0.2, seed=7, start_method="spawn"
@@ -489,9 +359,7 @@ class TestReplyEncodings:
                     disp.query(source, "powerpush", timeout=120, **PARAMS),
                     engine.query(source, "powerpush", **PARAMS),
                 )
-            counters = reply_counters(disp.stats())
-            assert counters["replies_slot"] == 4
-            assert counters["replies_inline"] == 0
+            assert engine_queries(disp) == 4
 
 
 class TestRoutingAndStats:
@@ -1128,13 +996,9 @@ class TestGenerations:
                 update = sample_edge_update(scratch, rng)
                 scratch.apply_updates([update])
                 disp.apply_updates([update])
-                arenas = {
-                    slots.arena.segment_name
-                    for slots in disp._reply_slots.values()
-                }
-                # One image and one reply arena per shard, nothing else.
+                # One image, nothing else.
                 ours = our_shm_files() - before
-                assert ours == arenas | {disp.image.segment_name}
+                assert ours == {disp.image.segment_name}
                 assert set(live_segments()) - live_before == ours
                 seen.add(disp.image.segment_name)
             assert len(seen) == 50
@@ -1142,10 +1006,8 @@ class TestGenerations:
         assert our_shm_files() == before
         assert set(live_segments()) == live_before
 
-    def test_a_shard_maps_one_generation_and_its_arena(
-        self, base, mapped_segments
-    ):
-        # SharedSegment.close() swallows BufferError: a view left on an
+    def test_a_shard_maps_one_generation(self, base, mapped_segments):
+        # SharedGraphImage.close() swallows BufferError: a view left on an
         # old generation would keep it mapped, one more per update, and
         # nothing else would notice.  Nor may a forked shard keep what
         # its parent had mapped.
@@ -1159,10 +1021,9 @@ class TestGenerations:
                 scratch.apply_updates([update])
                 disp.apply_updates([update])
                 disp.query(update[1], "powerpush", **PARAMS)
-            for worker, state in disp._states.items():
+            for state in disp._states.values():
                 assert mapped_segments(state.process.pid) == {
-                    disp.image.segment_name,
-                    disp._reply_slots[worker].arena.segment_name,
+                    disp.image.segment_name
                 }
 
     def test_failed_export_leaves_the_old_version_served(
@@ -1258,8 +1119,8 @@ class TestTeardown:
     def test_close_idempotent_and_zero_leaked_segments(self, base):
         before, live_before = our_shm_files(), live_segments()
         disp = ShardedDispatcher(base, workers=2, alpha=0.2, seed=7)
-        # The graph image and one reply arena per shard.
-        assert len(our_shm_files() - before) == 3
+        # The graph image, and nothing per shard.
+        assert len(our_shm_files() - before) == 1
         assert our_shm_files() - before == set(live_segments()) - set(live_before)
         disp.query(0, "powerpush", **PARAMS)
         disp.close()

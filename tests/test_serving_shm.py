@@ -1,13 +1,10 @@
-"""Tests for :mod:`repro.serving.shm` — shared-memory graph images and
-reply arenas.
+"""Tests for :mod:`repro.serving.shm` — shared-memory graph images.
 
 The contract: one process exports a graph's CSR arrays into a single
 shared-memory segment, any number of processes attach zero-copy views,
 and exactly one process — the exporter — unlinks the segment exactly
 once.  ``close`` is idempotent everywhere; nothing is left in
-``/dev/shm`` after cleanup.  A reply arena is a second kind of segment
-under the same lifecycle: slots a worker stores answers into and the
-parent loads private copies from.
+``/dev/shm`` after cleanup.
 """
 
 import os
@@ -22,7 +19,6 @@ from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
 from repro.serving.shm import (
     SEGMENT_PREFIX,
-    ReplyArena,
     SharedGraphImage,
     live_segments,
 )
@@ -57,20 +53,13 @@ SEGMENT_KINDS = {
         SharedGraphImage,
         lambda image: image.graph(),
     ),
-    "arena": (
-        lambda base: ReplyArena.create(
-            base.num_nodes, max_slots=2, max_bytes=1 << 20
-        ),
-        ReplyArena,
-        lambda arena: arena.load(0, 0),
-    ),
 }
 
 
 @pytest.fixture(params=sorted(SEGMENT_KINDS))
 def make_segment(request, base):
-    """Both segment kinds share one lifecycle: ``create()`` an owned
-    one, ``attach(owned)`` a second mapping of it, ``use`` either."""
+    """A segment's lifecycle: ``create()`` an owned one,
+    ``attach(owned)`` a second mapping of it, ``use`` either."""
     create, cls, use = SEGMENT_KINDS[request.param]
     return SimpleNamespace(
         create=lambda: create(base),
@@ -202,74 +191,3 @@ class TestOwnershipAndTeardown:
             assert segment_exists(name)
         assert not segment_exists(name)
         assert owned.closed
-
-
-class TestReplyArena:
-    N = 100
-
-    @pytest.fixture
-    def arena(self):
-        with ReplyArena.create(self.N, max_slots=3, max_bytes=1 << 20) as arena:
-            yield arena
-
-    def vectors(self, seed):
-        rng = np.random.default_rng(seed)
-        return rng.random(self.N), rng.random(self.N)
-
-    def test_slot_count_follows_both_caps(self):
-        slot = 64 + 2 * 8 * self.N  # header + two float64 vectors
-        for max_slots, max_bytes, expected in (
-            (3, 1 << 20, 3),  # max_slots binds
-            (64, 5 * slot + 7, 5),  # the byte cap binds
-            (64, slot - 1, 0),  # one answer is larger than the cap
-        ):
-            with ReplyArena.create(
-                self.N, max_slots=max_slots, max_bytes=max_bytes
-            ) as arena:
-                assert arena.slots == arena.handle.slots == expected
-
-    def test_round_trip_between_two_mappings_gives_private_copies(self, arena):
-        worker_side = ReplyArena.attach(arena.handle)
-        try:
-            estimate, residue = self.vectors(1)
-            assert worker_side.store(2, 41, estimate, residue)
-            loaded = arena.load(2, 41)
-            assert loaded is not None
-            for got, sent in zip(loaded, (estimate, residue)):
-                assert got.tobytes() == sent.tobytes()
-                assert got.flags.writeable and got.flags.owndata
-            # A later answer in the same slot leaves the copies alone.
-            assert worker_side.store(2, 42, *self.vectors(2))
-            assert loaded[0].tobytes() == estimate.tobytes()
-            assert loaded[1].tobytes() == residue.tobytes()
-        finally:
-            worker_side.close()
-
-    def test_load_refuses_a_slot_tagged_for_another_request(self, arena):
-        assert arena.load(0, 7) is None  # never written
-        assert arena.store(0, 7, *self.vectors(3))
-        assert arena.load(0, 8) is None
-        assert arena.load(1, 7) is None
-        assert arena.load(0, 7) is not None
-
-    def test_store_refuses_answers_that_do_not_fit_a_slot(self, arena):
-        estimate, residue = self.vectors(4)
-        assert arena.store(1, 5, estimate, residue)
-        for bad_estimate, bad_residue in (
-            (estimate, None),  # Monte-Carlo: no residue
-            (estimate.astype(np.float32), residue),
-            (estimate[:-1], residue[:-1]),
-            (estimate, np.stack([residue, residue])),
-        ):
-            assert not arena.store(1, 6, bad_estimate, bad_residue)
-        # A refused store wrote nothing: request 5's answer is intact.
-        loaded = arena.load(1, 5)
-        assert loaded is not None
-        assert loaded[0].tobytes() == estimate.tobytes()
-
-    def test_slot_index_is_checked(self, arena):
-        for slot in (-1, arena.slots):
-            with pytest.raises(ParameterError, match="outside"):
-                arena.store(slot, 1, *self.vectors(5))
-            with pytest.raises(ParameterError, match="outside"):
-                arena.load(slot, 1)
