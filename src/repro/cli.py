@@ -27,16 +27,18 @@ solves while edge updates stream in::
 
     repro-ppr update-bench --batches 4 --batch-size 25
 
-Serve queries interactively through the concurrent serving layer
-(versioned result cache + single-flight table, shared by the thread
-and the sharded tier), one request per stdin line — ``SOURCE [METHOD]
+Serve queries interactively through the async front door over the
+concurrent serving layer (versioned result cache + single-flight
+table, shared by the thread and the sharded tier), one request per
+stdin line — ``SOURCE [METHOD]
 [key=value ...]``, ``+ U V`` / ``- U V`` for edge updates, ``stats``
 for counters::
 
     echo "7 powerpush l1_threshold=1e-7" | repro-ppr serve dblp-s
 
-Load-test that serving layer against a synthetic Zipfian workload and
-compare with the serial one-query-at-a-time baseline::
+Load-test that serving layer, through the same front door, against a
+synthetic Zipfian workload and compare with the serial
+one-query-at-a-time baseline::
 
     repro-ppr loadtest --requests 400 --concurrency 8 --out bench.json
 
@@ -151,14 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve queries from stdin through the concurrent serving layer",
     )
     serve.add_argument("dataset", choices=dataset_names())
-    serve.add_argument("--alpha", type=float, default=0.2)
+    _add_serving_arguments(serve)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=4096,
-        help="result-cache entries (0 disables result caching)",
-    )
     serve.add_argument(
         "--cache-ttl",
         type=float,
@@ -166,41 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache TTL in seconds (default: no expiry)",
     )
     serve.add_argument("--top", type=int, default=5)
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard serving across N worker processes mapping one "
-        "shared-memory graph image (0 = in-process thread mode)",
-    )
-    serve.add_argument(
-        "--slo-ms",
-        type=float,
-        default=None,
-        help="serve through the async front door with this latency SLO: "
-        "overload degrades to --degrade-l1 or sheds",
-    )
-    serve.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-request budget; expired requests fail fast with "
-        "DeadlineExceeded instead of being solved",
-    )
-    serve.add_argument(
-        "--degrade-l1",
-        type=float,
-        default=1e-4,
-        help="l1_threshold of the degraded tier the front door falls "
-        "back to when predicted p99 blows --slo-ms",
-    )
-    serve.add_argument(
-        "--max-restarts",
-        type=int,
-        default=None,
-        help="per-shard respawn budget after crashes (sharded mode; "
-        "0 disables supervision, default: dispatcher's policy)",
-    )
     serve.add_argument(
         "--wal-dir",
         type=Path,
@@ -252,9 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate", type=float, default=500.0, help="open-loop arrivals/second"
     )
     loadtest.add_argument("--concurrency", type=int, default=8)
-    loadtest.add_argument("--cache-capacity", type=int, default=4096)
+    _add_serving_arguments(loadtest)
     loadtest.add_argument("--method", default="powerpush")
-    loadtest.add_argument("--alpha", type=float, default=0.2)
     loadtest.add_argument("--l1-threshold", type=float, default=1e-7)
     loadtest.add_argument("--epsilon", type=float, default=0.5)
     loadtest.add_argument("--seed", type=int, default=2021)
@@ -262,37 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, help="also write the metrics JSON here"
     )
     loadtest.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="serve through N shard processes over a shared-memory "
-        "graph image instead of the thread-based server",
-    )
-    loadtest.add_argument(
-        "--slo-ms",
-        type=float,
-        default=None,
-        help="drive through the SLO-aware async front door (open "
-        "arrival only); reports goodput under this SLO",
-    )
-    loadtest.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-request budget for the front-door drive",
-    )
-    loadtest.add_argument(
         "--max-inflight",
         type=int,
         default=None,
         help="admission bound: arrivals beyond this many in-flight "
         "requests are shed",
-    )
-    loadtest.add_argument(
-        "--degrade-l1",
-        type=float,
-        default=1e-4,
-        help="l1_threshold of the degraded tier under overload",
     )
     loadtest.add_argument(
         "--chaos",
@@ -333,13 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-schedule seed (defaults to --seed)",
     )
     loadtest.add_argument(
-        "--max-restarts",
-        type=int,
-        default=None,
-        help="per-shard respawn budget after crashes (0 disables "
-        "supervision, default: dispatcher's policy)",
-    )
-    loadtest.add_argument(
         "--request-timeout",
         type=float,
         default=None,
@@ -358,6 +285,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_lint_arguments(lint)
     return parser
+
+
+def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags ``serve`` and ``loadtest`` share: the serving tier and
+    the front door in front of it."""
+    parser.add_argument("--alpha", type=float, default=0.2)
+    parser.add_argument(
+        "--cache-capacity",
+        type=int,
+        default=4096,
+        help="result-cache entries (0 disables result caching)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="serve through N shard processes mapping one shared-memory "
+        "graph image (0 = the in-process thread tier)",
+    )
+    parser.add_argument(
+        "--slo-ms",
+        type=float,
+        default=None,
+        help="latency SLO of the async front door: overload degrades to "
+        "--degrade-l1 or sheds (loadtest: open arrival only; reports "
+        "goodput under this SLO)",
+    )
+    parser.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help="per-request budget; expired requests fail fast with "
+        "DeadlineExceeded instead of being solved",
+    )
+    parser.add_argument(
+        "--degrade-l1",
+        type=float,
+        default=1e-4,
+        help="l1_threshold of the degraded tier the front door falls "
+        "back to when predicted p99 blows --slo-ms",
+    )
+    parser.add_argument(
+        "--max-restarts",
+        type=int,
+        default=None,
+        help="per-shard respawn budget after crashes (sharded mode; "
+        "0 disables supervision, default: dispatcher's policy)",
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -457,11 +432,13 @@ def _parse_request_value(text: str):
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Interactive/pipe server: one request per stdin line.
 
-    ``SOURCE [METHOD] [key=value ...]`` answers a query through the
-    cache + flights; ``+ U V`` / ``- U V`` applies an edge update
-    (dataset graphs are wrapped in a DynamicGraph so the writer path
-    works); ``stats`` prints the serving counters; ``quit`` or EOF
-    stops.
+    Every request goes through an :class:`AsyncFrontDoor` over the
+    chosen tier — SLO-aware with ``--slo-ms`` / ``--deadline-ms``,
+    otherwise it only admits.  ``SOURCE [METHOD] [key=value ...]``
+    answers a query through the cache + flights; ``+ U V`` / ``- U V``
+    applies an edge update (dataset graphs are wrapped in a
+    DynamicGraph so the writer path works); ``stats`` prints the
+    serving and front-door counters; ``quit`` or EOF stops.
     """
     import asyncio
 
@@ -507,14 +484,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"recovered durable state at version {recovered} "
                 f"from {args.wal_dir}"
             )
-    door: AsyncFrontDoor | None = None
+    door = AsyncFrontDoor(
+        server,
+        slo_ms=args.slo_ms,
+        deadline_ms=args.deadline_ms,
+        degrade_params={"l1_threshold": args.degrade_l1},
+    )
     if args.slo_ms is not None or args.deadline_ms is not None:
-        door = AsyncFrontDoor(
-            server,
-            slo_ms=args.slo_ms,
-            deadline_ms=args.deadline_ms,
-            degrade_params={"l1_threshold": args.degrade_l1},
-        )
         mode += (
             f", async front door (slo={args.slo_ms}ms, "
             f"deadline={args.deadline_ms}ms)"
@@ -534,20 +510,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 break
             try:
                 if head == "stats":
-                    _print_server_stats(server)
-                    if door is not None:
-                        snap = door.snapshot()
-                        print(
-                            f"frontdoor: completed={snap['completed']} "
-                            f"degraded={snap['degraded']} "
-                            f"shed={snap['shed']} "
-                            f"deadline_expired={snap['deadline_expired']}"
-                        )
+                    _print_stats(door)
                 elif head in ("+", "-"):
                     if len(tokens) != 3:
                         raise ReproError(f"usage: {head} U V")
-                    version = server.apply_updates(
-                        [(head, int(tokens[1]), int(tokens[2]))]
+                    version = asyncio.run(
+                        door.apply_updates(
+                            [(head, int(tokens[1]), int(tokens[2]))]
+                        )
                     )
                     print(f"ok: graph now at version {version}")
                 else:
@@ -571,12 +541,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                             token.split("=", 1) for token in rest
                         )
                     }
-                    if door is not None:
-                        served = asyncio.run(
-                            door.submit(source, method, **params)
-                        )
-                    else:
-                        served = server.query(source, method, **params)
+                    served = asyncio.run(
+                        door.submit(source, method, **params)
+                    )
                     origin = "cache" if served.cache_hit else "solved"
                     if served.degraded:
                         origin += ", degraded"
@@ -598,8 +565,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_server_stats(server) -> None:
-    stats = server.stats()
+def _print_stats(door) -> None:
+    stats = door.backend.stats()
     flights = stats["flights"]
     cache = stats["cache"]
     print(
@@ -625,6 +592,13 @@ def _print_server_stats(server) -> None:
                 f"  shard {worker_id}: requests={worker['requests']} "
                 f"engine_queries={worker['engine_queries']}"
             )
+    snap = door.snapshot()
+    print(
+        f"frontdoor: completed={snap['completed']} "
+        f"degraded={snap['degraded']} "
+        f"shed={snap['shed']} "
+        f"deadline_expired={snap['deadline_expired']}"
+    )
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:

@@ -26,7 +26,8 @@ this package makes it a *service*:
   broadcast as a versioned barrier.
 * :class:`~repro.serving.frontdoor.AsyncFrontDoor` — the asyncio
   admission tier over either backend: per-request deadlines and
-  SLO-aware shedding/degradation.
+  SLO-aware shedding/degradation; the one client path ``repro-ppr
+  serve`` and every loadtest drive take.
 * :mod:`~repro.serving.supervisor` /
   :mod:`~repro.serving.faults` — the self-healing tier: restart
   policies (jittered backoff + budget), per-shard circuit breakers,

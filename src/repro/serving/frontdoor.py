@@ -17,13 +17,17 @@ only:
   failed instead of solved), or while awaiting the solve.
 * **Admission control** watches the p99 of recently completed
   full-fidelity requests.  When that prediction blows the SLO the
-  front door *degrades* — re-issues the request against a cheaper
-  registered solver (e.g. a looser ``l1_threshold``), or serves a
-  version-valid cached answer from that degraded tier — and when even
-  that cannot help (or the in-flight bound is hit) it *sheds* with
+  front door *degrades* — re-issues the request with cheaper
+  parameters (e.g. a looser ``l1_threshold``) — and when even that
+  cannot help (or the in-flight bound is hit) it *sheds* with
   :class:`~repro.errors.ServerOverloadedError`.  Shedding protects
   the answered requests' tail: an open-loop overload run keeps
-  bounded p99 for everything it admits.
+  bounded p99 for everything it admits.  With no SLO, no default
+  deadline and no in-flight bound the door only admits.
+
+The door stores no answers of its own: a degraded request is an
+ordinary request to the backend, so the backend's version-stamped
+result cache keys it on its full signature like any other.
 
 Degradation never changes *what* a served answer is, only *whether and
 how* a request is served: every answer — full fidelity or degraded —
@@ -96,7 +100,6 @@ class FrontDoorStats:
     submitted: int = 0
     completed: int = 0
     degraded: int = 0
-    degraded_cache_hits: int = 0
     shed: int = 0
     deadline_rejected: int = 0
     deadline_expired: int = 0
@@ -109,7 +112,6 @@ class FrontDoorStats:
             "submitted": self.submitted,
             "completed": self.completed,
             "degraded": self.degraded,
-            "degraded_cache_hits": self.degraded_cache_hits,
             "shed": self.shed,
             "deadline_rejected": self.deadline_rejected,
             "deadline_expired": self.deadline_expired,
@@ -136,13 +138,11 @@ class AsyncFrontDoor:
         Default per-request budget; individual submits may override.
         ``None`` means best-effort (no deadline) unless the submit
         provides one.
-    degrade_method, degrade_params:
-        The cheaper registered solver admission control falls back to
-        when predicted p99 blows the SLO.  Defaults: the request's own
-        method with ``degrade_params`` replacing the caller's
-        parameters (the classic use is a looser ``l1_threshold``).
-        ``None`` for ``degrade_params`` disables the degraded tier —
-        overload then sheds outright.
+    degrade_params:
+        The parameters that replace the caller's when predicted p99
+        blows the SLO (the classic use is a looser ``l1_threshold``);
+        the method stays the request's own.  ``None`` disables the
+        degraded tier — overload then sheds outright.
     max_inflight:
         Hard bound on concurrently admitted requests; beyond it every
         arrival is shed.  ``None`` disables the bound.
@@ -154,7 +154,6 @@ class AsyncFrontDoor:
         *,
         slo_ms: float | None = None,
         deadline_ms: float | None = None,
-        degrade_method: str | None = None,
         degrade_params: dict[str, Any] | None = None,
         max_inflight: int | None = None,
     ) -> None:
@@ -171,7 +170,6 @@ class AsyncFrontDoor:
         self._backend = backend
         self._slo_ms = slo_ms
         self._deadline_ms = deadline_ms
-        self._degrade_method = degrade_method
         self._degrade_params = (
             dict(degrade_params) if degrade_params is not None else None
         )
@@ -184,10 +182,6 @@ class AsyncFrontDoor:
         self._inflight = 0
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._degrade_decisions = 0
-        #: version-valid degraded answers, keyed by source — the
-        #: "cached lower-precision answer" tier (entries stamped with
-        #: the version they were computed at; checked on reuse)
-        self._degraded_cache: dict[int, ServedResult] = {}
 
     # -- properties ------------------------------------------------------
     @property
@@ -219,10 +213,10 @@ class AsyncFrontDoor:
         Raises :class:`~repro.errors.DeadlineExceeded` when the budget
         is spent (before or during the solve) and
         :class:`~repro.errors.ServerOverloadedError` when the request
-        is shed.  A served answer may be *degraded* (cheaper solver /
-        cached lower-precision answer) — check
-        :attr:`ServedResult.degraded`; it is still byte-identical to
-        the sync path for the degraded request.
+        is shed.  A served answer may be *degraded* (solved with
+        ``degrade_params``) — check :attr:`ServedResult.degraded`; it
+        is still byte-identical to the sync path for the degraded
+        request.
         """
         now = time.monotonic()
         budget_ms = deadline_ms if deadline_ms is not None else self._deadline_ms
@@ -235,7 +229,7 @@ class AsyncFrontDoor:
             raise DeadlineExceeded(
                 f"request for source {source} arrived with no budget left"
             )
-        decision = self._admit(source)
+        decision = self._admit()
         if decision == "shed":
             raise ServerOverloadedError(
                 f"shed request for source {source}: predicted p99 "
@@ -243,10 +237,6 @@ class AsyncFrontDoor:
                 f"{self._slo_ms}ms with no degraded tier left"
             )
         if decision == "degrade":
-            cached = self._degraded_hit(source)
-            if cached is not None:
-                return replace(cached, deadline=deadline)
-            method = self._degrade_method or method
             params = dict(self._degrade_params or {})
         with self._mutex:
             self._inflight += 1
@@ -273,27 +263,7 @@ class AsyncFrontDoor:
         self._note_completion(latency, degraded=degraded)
         if degraded:
             served = replace(served, degraded=True)
-            with self._mutex:
-                self._degraded_cache[int(source)] = served
         return served
-
-    async def query(
-        self,
-        source: int,
-        method: str = "powerpush",
-        *,
-        deadline_ms: float | None = None,
-        fresh: bool = False,
-        **params: Any,
-    ) -> ServedResult:
-        """Alias of :meth:`submit` mirroring the sync servers' surface."""
-        return await self.submit(
-            source,
-            method,
-            deadline_ms=deadline_ms,
-            fresh=fresh,
-            **params,
-        )
 
     async def _await_backend(
         self,
@@ -341,20 +311,11 @@ class AsyncFrontDoor:
 
         Runs in the executor — the writer lock waits for in-flight
         reads, and the event loop must stay responsive meanwhile.
-        Degraded cached answers are version-stamped, so the version
-        bump invalidates them on next reuse.
         """
         loop = asyncio.get_running_loop()
-        version = await loop.run_in_executor(
+        return await loop.run_in_executor(
             None, self._backend.apply_updates, list(updates)
         )
-        with self._mutex:
-            self._degraded_cache.clear()
-        return version
-
-    def server_stats(self) -> dict[str, Any]:
-        """The wrapped backend's stats dict (synchronous passthrough)."""
-        return self._backend.stats()
 
     def snapshot(self) -> dict[str, Any]:
         """Front-door counters and the requests in flight."""
@@ -364,7 +325,7 @@ class AsyncFrontDoor:
         return doc
 
     # -- admission control ----------------------------------------------
-    def _admit(self, source: int) -> str:
+    def _admit(self) -> str:
         """``"full"`` | ``"degrade"`` | ``"shed"`` for one arrival."""
         with self._mutex:
             self.stats.submitted += 1
@@ -384,7 +345,7 @@ class AsyncFrontDoor:
             # a periodic probe back to full fidelity so the predictor
             # keeps seeing the tier it predicts; shed outright when
             # there is nothing to degrade to.
-            if self._degrade_params is None and self._degrade_method is None:
+            if self._degrade_params is None:
                 self.stats.shed += 1
                 return "shed"
             self._degrade_decisions += 1
@@ -400,20 +361,6 @@ class AsyncFrontDoor:
         return float(
             np.percentile(np.asarray(self._latencies), 99) * 1e3
         )
-
-    def _degraded_hit(self, source: int) -> ServedResult | None:
-        """A version-valid degraded answer for ``source``, or ``None``."""
-        with self._mutex:
-            cached = self._degraded_cache.get(int(source))
-        if cached is None:
-            return None
-        if cached.version != self._backend.graph_version:
-            with self._mutex:
-                self._degraded_cache.pop(int(source), None)
-            return None
-        with self._mutex:
-            self.stats.degraded_cache_hits += 1
-        return cached
 
     def _note_completion(self, latency: float, *, degraded: bool) -> None:
         with self._mutex:

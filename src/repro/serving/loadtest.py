@@ -4,9 +4,14 @@ Answers the serving layer's headline question with numbers: *what do
 the result cache and the single-flight table buy over answering one
 query at a time?*  One call to :func:`run_loadtest`
 
-1. replays a :class:`~repro.serving.workload.Workload` against a fresh
-   :class:`~repro.serving.server.EngineServer` (closed-loop worker
-   pool or open-loop paced submission),
+1. replays a :class:`~repro.serving.workload.Workload` through an
+   :class:`~repro.serving.frontdoor.AsyncFrontDoor` over a fresh
+   :class:`~repro.serving.server.EngineServer` (or, with ``workers``,
+   a :class:`~repro.serving.sharded.ShardedDispatcher`) — the one
+   client path every driver uses: ``concurrency`` asyncio clients
+   draining a shared cursor (closed loop) or one task per query paced
+   at the workload's arrival times (open loop), with edge updates
+   through ``door.apply_updates``,
 2. replays the identical sequence against a bare engine, one blocking
    ``query`` at a time, no cache, no flights,
 3. cross-checks the answers (byte-identical for deterministic methods
@@ -15,19 +20,20 @@ query at a time?*  One call to :func:`run_loadtest`
 
 Both runs build their graph from the same factory and draw edge
 updates from the same stream, so a read/write soak mutates the two
-graphs identically: an update is sampled and applied at the moment its
-operation is claimed (before the claim cursor advances), which pins
-the sampling state, the RNG draw order, and the apply order to the
-workload's operation order in both runs.
+graphs identically: updates are sampled and applied one at a time in
+operation order (closed loop: while the claiming client holds the
+cursor; open loop: by one writer task), which pins the sampling state,
+the RNG draw order, and the apply order to the workload's operation
+order in both runs.
+
+Every query lands in exactly one bucket — ``completed`` (full or
+degraded), ``shed``, ``deadline_expired``, or ``failed`` — so no
+request can silently vanish.  Throughput counts only completions.
 
 **Overload experiments.**  With ``slo_ms``/``deadline_ms`` set (open
-arrival only), the served run is driven through the
-:class:`~repro.serving.frontdoor.AsyncFrontDoor`: requests carry
-deadlines, admission control sheds or degrades under pressure, and the
-report accounts for every single request — ``completed`` (full or
-degraded), ``shed``, ``deadline_expired``, or ``failed`` — instead of
-silently dropping the ones that never resolved.  Throughput counts
-only completions; *goodput* counts only completions inside the SLO.
+arrival only) the door is SLO-aware: requests carry deadlines and
+admission control sheds or degrades under pressure; *goodput* counts
+only completions inside the SLO.  Without them the door only admits.
 Every served answer, degraded ones included, is still verified
 byte-identical to a serial engine solving the same (possibly degraded)
 request — overload changes whether and how a request is served, never
@@ -37,8 +43,6 @@ what a served answer is.
 from __future__ import annotations
 
 import asyncio
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +62,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.serving.faults import WORKER_KINDS, FaultInjector, FaultSpec
 from repro.serving.frontdoor import AsyncFrontDoor
-from repro.serving.flights import ServedResult
 from repro.serving.server import EngineServer
 from repro.serving.sharded import ShardedDispatcher
 from repro.serving.workload import Operation, Workload
@@ -160,7 +163,7 @@ class LoadtestReport:
     server_stats: dict[str, Any] = field(default_factory=dict)
     #: shard processes the served run used (0 = in-process thread mode)
     workers: int = 0
-    #: front-door admission counters when the run was SLO-aware
+    #: the front door's admission counters (``snapshot()``)
     frontdoor: dict[str, Any] = field(default_factory=dict)
     #: fault schedule + recovery accounting when the run was a chaos run
     chaos: dict[str, Any] = field(default_factory=dict)
@@ -184,9 +187,8 @@ class LoadtestReport:
             "cache_hit_rate": self.cache_hit_rate,
             "identical": self.identical,
             "server_stats": self.server_stats,
+            "frontdoor": self.frontdoor,
         }
-        if self.frontdoor:
-            doc["frontdoor"] = self.frontdoor
         if self.chaos:
             doc["chaos"] = self.chaos
         return doc
@@ -206,7 +208,7 @@ class LoadtestReport:
         mode = (
             f"{self.workers} shard processes"
             if self.workers
-            else f"{self.concurrency} threads"
+            else f"{self.concurrency} clients"
         )
         lines = [
             f"loadtest [{self.method}] {self.workload}",
@@ -308,79 +310,6 @@ def _run_serial(
     )
 
 
-def _drive_frontdoor(
-    server: EngineServer | ShardedDispatcher,
-    operations: list[Operation],
-    method: str,
-    params: Mapping[str, Any],
-    *,
-    slo_ms: float | None,
-    deadline_ms: float | None,
-    degrade_method: str | None,
-    degrade_params: Mapping[str, Any] | None,
-    max_inflight: int | None,
-    collect: bool,
-    latencies: list[float | None],
-    estimates: dict[int, np.ndarray],
-    degraded_estimates: dict[int, tuple[int, np.ndarray]],
-    counts: dict[str, int],
-    errors: list[BaseException],
-) -> AsyncFrontDoor:
-    """Open-loop SLO-aware drive through the async front door.
-
-    Requests are paced with ``asyncio.sleep`` at the workload's
-    arrival times and awaited as tasks — overload never blocks the
-    arrival process, which is the whole point of the open loop.  Every
-    request resolves into exactly one outcome bucket, so the caller
-    can assert nothing hung.
-    """
-    door = AsyncFrontDoor(
-        server,
-        slo_ms=slo_ms,
-        deadline_ms=deadline_ms,
-        degrade_method=degrade_method,
-        degrade_params=dict(degrade_params) if degrade_params else None,
-        max_inflight=max_inflight,
-    )
-
-    async def _one(op: Operation) -> None:
-        begin = time.perf_counter()
-        try:
-            served = await door.submit(op.source, method, **dict(params))
-        except DeadlineExceeded:
-            counts["deadline_expired"] += 1
-        except ServerOverloadedError:
-            counts["shed"] += 1
-        except BaseException as exc:  # noqa: BLE001 - accounted + reported
-            counts["failed"] += 1
-            errors.append(exc)
-        else:
-            latencies[op.index] = time.perf_counter() - begin
-            if served.degraded:
-                counts["degraded"] += 1
-                if collect:
-                    degraded_estimates[op.index] = (
-                        op.source,
-                        served.result.estimate,
-                    )
-            elif collect:
-                estimates[op.index] = served.result.estimate
-
-    async def _drive() -> None:
-        started = time.perf_counter()
-        tasks: list[asyncio.Task] = []
-        for op in operations:
-            delay = started + op.at - time.perf_counter()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            tasks.append(asyncio.ensure_future(_one(op)))
-        if tasks:
-            await asyncio.gather(*tasks)
-
-    asyncio.run(_drive())
-    return door
-
-
 def _await_recovery(
     server: ShardedDispatcher,
     chaos: FaultInjector,
@@ -411,6 +340,117 @@ def _await_recovery(
         time.sleep(0.05)
 
 
+@dataclass
+class _Tally:
+    """Where each query of one served replay ended up.
+
+    Every query lands in exactly one bucket: a latency (completed, and
+    then ``degraded`` or not), ``shed``, ``deadline_expired`` or
+    ``failed`` — the last also keeps the error.
+    """
+
+    latencies: list[float | None]
+    collect: bool
+    estimates: dict[int, np.ndarray] = field(default_factory=dict)
+    #: degraded answers by operation index, with their source
+    degraded_estimates: dict[int, tuple[int, np.ndarray]] = field(
+        default_factory=dict
+    )
+    counts: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(
+            ("degraded", "shed", "deadline_expired", "failed"), 0
+        )
+    )
+    errors: list[Exception] = field(default_factory=list)
+
+
+async def _drive(
+    door: AsyncFrontDoor,
+    workload: Workload,
+    method: str,
+    params: Mapping[str, Any],
+    *,
+    concurrency: int,
+    sample_update: Callable[[], tuple[str, int, int]],
+    tally: _Tally,
+) -> None:
+    """Replay ``workload`` through ``door``, closed or open loop.
+
+    Updates are sampled and applied one at a time in operation order,
+    so the served graph takes the serial baseline's update stream.
+    """
+
+    async def update() -> None:
+        await door.apply_updates([sample_update()])
+
+    async def query(op: Operation) -> None:
+        begin = time.perf_counter()
+        try:
+            served = await door.submit(op.source, method, **params)
+        except DeadlineExceeded:
+            tally.counts["deadline_expired"] += 1
+        except ServerOverloadedError:
+            tally.counts["shed"] += 1
+        except Exception as exc:  # noqa: BLE001 - accounted + reported
+            tally.counts["failed"] += 1
+            tally.errors.append(exc)
+        else:
+            tally.latencies[op.index] = time.perf_counter() - begin
+            estimate = served.result.estimate
+            if served.degraded:
+                tally.counts["degraded"] += 1
+                if tally.collect:
+                    tally.degraded_estimates[op.index] = (op.source, estimate)
+            elif tally.collect:
+                tally.estimates[op.index] = estimate
+
+    if workload.arrival == "open":
+        # Open loop: one task per query at the workload's Poisson
+        # arrival times, never waiting for completions.  Updates go to
+        # one writer task (FIFO, so the stream keeps its order): if the
+        # pacing loop awaited the exclusive write path itself, arrivals
+        # scheduled during the wait would bunch up.
+        writes: asyncio.Queue[bool] = asyncio.Queue()
+
+        async def writer() -> None:
+            while await writes.get():
+                await update()
+
+        tasks = [asyncio.ensure_future(writer())]
+        started = time.perf_counter()
+        for op in workload.operations:
+            delay = started + op.at - time.perf_counter()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            if op.kind == "update":
+                writes.put_nowait(True)
+            else:
+                tasks.append(asyncio.ensure_future(query(op)))
+        writes.put_nowait(False)
+        await asyncio.gather(*tasks)
+        return
+
+    # Closed loop: `concurrency` clients drain a shared cursor.
+    cursor = iter(workload.operations)
+    claim = asyncio.Lock()
+
+    async def client() -> None:
+        while True:
+            async with claim:
+                op = next(cursor, None)
+                if op is not None and op.kind == "update":
+                    # Sampled and applied before the cursor moves past
+                    # it: the update stream (state seen at sampling,
+                    # RNG draws, apply order) is the serial baseline's.
+                    await update()
+            if op is None:
+                return
+            if op.kind == "query":
+                await query(op)
+
+    await asyncio.gather(*(client() for _ in range(concurrency)))
+
+
 def _run_served(
     make_graph: Callable[[], DiGraph | DynamicGraph],
     workload: Workload,
@@ -421,12 +461,10 @@ def _run_served(
     seed: int,
     concurrency: int,
     cache_capacity: int,
-    cache_ttl: float | None,
     collect: bool,
     workers: int = 0,
     slo_ms: float | None = None,
     deadline_ms: float | None = None,
-    degrade_method: str | None = None,
     degrade_params: Mapping[str, Any] | None = None,
     max_inflight: int | None = None,
     chaos: FaultInjector | None = None,
@@ -438,10 +476,10 @@ def _run_served(
     dict[int, tuple[int, np.ndarray]],
     dict[str, Any],
 ]:
-    """Replay the workload against an :class:`EngineServer` — or, with
-    ``workers >= 1``, a :class:`ShardedDispatcher` over that many
-    worker processes sharing one shared-memory graph image."""
-    slo_aware = slo_ms is not None or deadline_ms is not None
+    """Replay the workload through an :class:`AsyncFrontDoor` over an
+    :class:`EngineServer` — or, with ``workers >= 1``, a
+    :class:`ShardedDispatcher` over that many worker processes sharing
+    one shared-memory graph image."""
     server: EngineServer | ShardedDispatcher
     mirror: DynamicGraph | None = None
     if workers:
@@ -463,7 +501,6 @@ def _run_served(
             alpha=alpha,
             seed=seed,
             cache_capacity=cache_capacity,
-            cache_ttl=cache_ttl,
             max_restarts=max_restarts,
             request_timeout=request_timeout,
             fault_injector=chaos,
@@ -474,190 +511,52 @@ def _run_served(
             alpha=alpha,
             seed=seed,
             cache_capacity=cache_capacity,
-            cache_ttl=cache_ttl,
         )
         _require_dynamic(server.engine, workload)
     update_rng = workload.update_rng()
-    operations = workload.operations
-    latencies: list[float | None] = [None] * len(operations)
-    estimates: dict[int, np.ndarray] = {}
-    degraded_estimates: dict[int, tuple[int, np.ndarray]] = {}
-    estimates_mutex = threading.Lock()
-    errors: list[BaseException] = []
-    counts = {"degraded": 0, "shed": 0, "deadline_expired": 0, "failed": 0}
-    frontdoor_snapshot: dict[str, Any] = {}
 
-    def _apply_one_update() -> None:
-        if mirror is not None:
-            update = sample_edge_update(mirror, update_rng)
-            mirror.apply_updates([update])
-        else:
+    def sample_update() -> tuple[str, int, int]:
+        if mirror is None:
             assert isinstance(server, EngineServer)
-            update = sample_edge_update(
-                server.engine.dynamic_graph, update_rng
-            )
-        server.apply_updates([update])
+            return sample_edge_update(server.engine.dynamic_graph, update_rng)
+        update = sample_edge_update(mirror, update_rng)
+        mirror.apply_updates([update])
+        return update
 
-    def _answer(op: Operation, served: ServedResult) -> None:
-        if collect:
-            with estimates_mutex:
-                estimates[op.index] = served.result.estimate
-
+    door = AsyncFrontDoor(
+        server,
+        slo_ms=slo_ms,
+        deadline_ms=deadline_ms,
+        degrade_params=dict(degrade_params) if degrade_params else None,
+        max_inflight=max_inflight,
+    )
+    tally = _Tally([None] * len(workload.operations), collect)
     with server:
         started = time.perf_counter()
-        if slo_aware:
-            # SLO-aware open loop: paced async submission through the
-            # front door, with deadlines, shedding, and degradation.
-            door = _drive_frontdoor(
-                server,
-                operations,
+        asyncio.run(
+            _drive(
+                door,
+                workload,
                 method,
                 params,
-                slo_ms=slo_ms,
-                deadline_ms=deadline_ms,
-                degrade_method=degrade_method,
-                degrade_params=degrade_params,
-                max_inflight=max_inflight,
-                collect=collect,
-                latencies=latencies,
-                estimates=estimates,
-                degraded_estimates=degraded_estimates,
-                counts=counts,
-                errors=errors,
+                concurrency=concurrency,
+                sample_update=sample_update,
+                tally=tally,
             )
-            frontdoor_snapshot = door.snapshot()
-        elif workload.arrival == "open":
-            # Open loop: one pacing thread submits at the workload's
-            # Poisson arrival times and never waits for completions.
-            # Updates go through a dedicated writer thread (FIFO, so
-            # the stream still matches the serial baseline's order) —
-            # if the pacing thread blocked on the exclusive write lock
-            # itself, arrivals scheduled during the wait would bunch up
-            # and the Poisson process the mode exists to provide would
-            # be distorted.
-            update_queue: "queue.Queue[object]" = queue.Queue()
-            _STOP = object()
-
-            def _updater() -> None:
-                try:
-                    while True:
-                        item = update_queue.get()
-                        if item is _STOP:
-                            return
-                        _apply_one_update()
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    errors.append(exc)
-
-            updater = threading.Thread(target=_updater, name="lt-updater")
-            updater.start()
-            futures: list[tuple[Any, Any]] = []
-
-            def _record_on_done(
-                op: Operation, begin: float
-            ) -> Callable[[Any], None]:
-                # Completion time is stamped by the resolving thread —
-                # charging collection-loop time would inflate the tail
-                # of every request that finished during pacing.  Failed
-                # futures get no latency sample; the collection loop
-                # below surfaces (and accounts) their exception.
-                def _done(future: Any) -> None:
-                    if future.exception() is None:
-                        latencies[op.index] = time.perf_counter() - begin
-
-                return _done
-
-            for op in operations:
-                delay = started + op.at - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                if op.kind == "update":
-                    update_queue.put(op)
-                    continue
-                # Clock starts before submit: time spent blocked inside
-                # it (read lock queued behind a writer) is queueing
-                # delay the open-loop tail must include.
-                begin = time.perf_counter()
-                future = server.submit(op.source, method, **dict(params))
-                future.add_done_callback(_record_on_done(op, begin))
-                futures.append((op, future))
-            update_queue.put(_STOP)
-            for op, future in futures:
-                try:
-                    _answer(op, future.result())
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    counts["failed"] += 1
-                    errors.append(exc)
-            updater.join()
-        else:
-            # Closed loop: `concurrency` workers drain a shared cursor.
-            cursor = {"next": 0}
-            cursor_mutex = threading.Lock()
-
-            def _worker() -> None:
-                try:
-                    while True:
-                        with cursor_mutex:
-                            position = cursor["next"]
-                            if position >= len(operations):
-                                return
-                            cursor["next"] = position + 1
-                            op = operations[position]
-                            if op.kind == "update":
-                                # Sampled and applied before the cursor
-                                # advances past it, so the update
-                                # stream (state seen at sampling, RNG
-                                # draws, apply order) is identical to
-                                # the serial baseline's.
-                                _apply_one_update()
-                        if op.kind == "update":
-                            continue
-                        begin = time.perf_counter()
-                        try:
-                            served = server.query(
-                                op.source, method, **dict(params)
-                            )
-                        except BaseException as exc:  # noqa: BLE001
-                            if chaos is None:
-                                raise
-                            # Chaos runs account failures instead of
-                            # aborting the worker: the gate downstream
-                            # asserts failed == 0, so a lost request is
-                            # still a run failure — just a diagnosed
-                            # one, with every other fate known.
-                            with estimates_mutex:
-                                counts["failed"] += 1
-                            errors.append(exc)
-                            continue
-                        latencies[op.index] = time.perf_counter() - begin
-                        _answer(op, served)
-                except BaseException as exc:  # noqa: BLE001 - re-raised
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=_worker, name=f"loadtest-{i}")
-                for i in range(concurrency)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        )
         wall = time.perf_counter() - started
         if chaos is not None and isinstance(server, ShardedDispatcher):
             _await_recovery(server, chaos)
-        stats = server.stats()
-    if frontdoor_snapshot:
-        stats = dict(stats)
-        stats["frontdoor"] = frontdoor_snapshot
-    if errors and not slo_aware:
-        # Outside the SLO-aware drive there is no expected failure
-        # mode: any exception is an infrastructure bug — surface it.
-        # A chaos run accounts per-query failures in the report
-        # instead (its gate asserts failed == 0 anyway), but errors
-        # beyond the accounted ones (an update barrier collapsing, a
-        # pacing thread dying) are still infrastructure bugs.
-        if chaos is None or len(errors) > counts["failed"]:
-            raise errors[0]
-    completed_latencies = [lat for lat in latencies if lat is not None]
+        stats = dict(server.stats())
+    stats["frontdoor"] = door.snapshot()
+    slo_aware = slo_ms is not None or deadline_ms is not None
+    if tally.errors and not slo_aware and chaos is None:
+        # Outside an SLO-aware or chaos run no query is expected to
+        # fail: the error is an infrastructure bug — surface it.  The
+        # other two account it instead (their gates assert
+        # failed == 0 anyway).
+        raise tally.errors[0]
+    completed_latencies = [lat for lat in tally.latencies if lat is not None]
     completed = len(completed_latencies)
     p50, p99 = _percentiles(completed_latencies)
     within = (
@@ -665,6 +564,7 @@ def _run_served(
         if slo_ms is not None
         else completed
     )
+    counts = tally.counts
     return (
         LoadtestStats(
             wall_seconds=wall,
@@ -680,8 +580,8 @@ def _run_served(
             slo_ms=slo_ms,
             within_slo=within,
         ),
-        estimates,
-        degraded_estimates,
+        tally.estimates,
+        tally.degraded_estimates,
         stats,
     )
 
@@ -696,12 +596,9 @@ def run_loadtest(
     seed: int = 0,
     concurrency: int = 8,
     cache_capacity: int = 4096,
-    cache_ttl: float | None = None,
-    compare: bool = True,
     workers: int = 0,
     slo_ms: float | None = None,
     deadline_ms: float | None = None,
-    degrade_method: str | None = None,
     degrade_params: Mapping[str, Any] | None = None,
     max_inflight: int | None = None,
     chaos: FaultInjector | Iterable[FaultSpec] | None = None,
@@ -720,13 +617,11 @@ def run_loadtest(
     :class:`EngineServer` to a :class:`ShardedDispatcher` over that
     many worker processes mapping one shared-memory graph image
     (answers stay byte-identical either way — placement never changes
-    a seeded answer).  ``concurrency`` then counts the closed-loop
-    client threads driving the dispatcher.
+    a seeded answer).  ``concurrency`` counts the closed-loop clients.
 
-    ``slo_ms``/``deadline_ms`` switch the served run to the SLO-aware
-    async front door (open arrival, read-only workloads only): every
-    request carries a deadline, overload sheds or degrades (to
-    ``degrade_method``/``degrade_params`` when given), and the report
+    ``slo_ms``/``deadline_ms`` make the front door SLO-aware (open
+    arrival only): every request carries a deadline, overload sheds or
+    degrades (to ``degrade_params`` when given), and the report
     accounts every request's fate plus goodput-under-SLO.  Served
     full-fidelity answers are verified against the serial baseline as
     usual; served *degraded* answers are verified against a serial
@@ -757,15 +652,8 @@ def run_loadtest(
             "(arrival='open'): a closed loop self-throttles, so there "
             "is no overload to control admission for"
         )
-    if slo_aware and workload.num_updates:
-        raise ParameterError(
-            "slo_ms/deadline_ms require a read-only workload; drive "
-            "write traffic through AsyncFrontDoor.apply_updates directly"
-        )
-    if (degrade_method or degrade_params) and not slo_aware:
-        raise ParameterError(
-            "degrade_method/degrade_params only apply with slo_ms set"
-        )
+    if degrade_params and not slo_aware:
+        raise ParameterError("degrade_params only apply with slo_ms set")
     injector: FaultInjector | None = None
     if chaos is not None:
         injector = (
@@ -783,12 +671,7 @@ def run_loadtest(
         )
     params = dict(params or {})
     spec, _ = resolve_method(method)
-    comparable = (
-        compare and not spec.needs_rng and workload.num_updates == 0
-    )
-    if comparable and degrade_method is not None:
-        degrade_spec, _ = resolve_method(degrade_method)
-        comparable = not degrade_spec.needs_rng
+    comparable = not spec.needs_rng and workload.num_updates == 0
     served_metrics, served_estimates, degraded_estimates, stats = _run_served(
         make_graph,
         workload,
@@ -798,12 +681,10 @@ def run_loadtest(
         seed=seed,
         concurrency=concurrency,
         cache_capacity=cache_capacity,
-        cache_ttl=cache_ttl,
         collect=comparable,
         workers=workers,
         slo_ms=slo_ms,
         deadline_ms=deadline_ms,
-        degrade_method=degrade_method,
         degrade_params=degrade_params,
         max_inflight=max_inflight,
         chaos=injector,
@@ -832,13 +713,11 @@ def run_loadtest(
             # Degraded answers are the sync answer to the *degraded*
             # request: replay those requests on a fresh serial engine.
             engine = PPREngine(make_graph(), alpha=alpha, seed=seed)
-            check_method = degrade_method or spec.name
-            check_params = dict(degrade_params or {})
             identical = all(
                 np.array_equal(
                     estimate,
                     engine.query(
-                        source, check_method, **check_params
+                        source, method, **dict(degrade_params or {})
                     ).estimate,
                 )
                 for source, estimate in degraded_estimates.values()
@@ -872,6 +751,6 @@ def run_loadtest(
         identical=identical,
         server_stats=stats,
         workers=workers,
-        frontdoor=dict(stats.get("frontdoor", {})),
+        frontdoor=dict(stats["frontdoor"]),
         chaos=chaos_doc,
     )

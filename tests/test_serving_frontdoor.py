@@ -43,7 +43,6 @@ class SlowBackend:
 
     def __init__(self, delay: float) -> None:
         self.delay = delay
-        self.graph_version = 0
 
     def submit(
         self, source, method="powerpush", *, fresh=False, deadline=None,
@@ -106,14 +105,6 @@ class TestByteIdentity:
                 served.result.estimate, expected.estimate
             )
             assert served.degraded is False
-
-    def test_query_is_an_alias_of_submit(self, server):
-        door = AsyncFrontDoor(server)
-        a = run(door.query(0, "powerpush", l1_threshold=1e-8))
-        b = run(door.submit(0, "powerpush", l1_threshold=1e-8))
-        np.testing.assert_array_equal(
-            a.result.estimate, b.result.estimate
-        )
 
 
 class TestDeadlines:
@@ -198,64 +189,68 @@ class TestDegradation:
             served.result.estimate, expected.estimate
         )
 
-    def test_degraded_cache_serves_version_valid_repeats(self, server):
+    def test_degraded_answer_is_keyed_on_its_method(self, server):
+        # Two degraded requests for one source but different methods
+        # must not share an answer: the backend cache keys the degraded
+        # request on its full signature, not on the source alone.
+        door = _overloaded_door(server)
+
+        async def drive():
+            first = await door.submit(3, "powerpush", l1_threshold=1e-8)
+            second = await door.submit(3, "fifo-fwdpush", l1_threshold=1e-8)
+            return first, second
+
+        first, second = run(drive())
+        assert first.degraded is True and second.degraded is True
+        assert second.result.method == "FIFO-FwdPush"
+        expected = PPREngine(paper_example_graph(), seed=3).query(
+            3, "fifo-fwdpush", l1_threshold=1e-3
+        )
+        assert second.result.estimate.tobytes() == expected.estimate.tobytes()
+
+    def test_degraded_repeat_is_a_backend_cache_hit(self, server):
         door = _overloaded_door(server)
         first = run(door.submit(3, "powerpush", l1_threshold=1e-8))
+        hits = server.stats()["cache"]["hits"]
         again = run(door.submit(3, "powerpush", l1_threshold=1e-8))
-        assert door.stats.degraded_cache_hits == 1
+        assert first.degraded is True and again.degraded is True
+        assert first.cache_hit is False
+        assert again.cache_hit is True
+        assert server.stats()["cache"]["hits"] == hits + 1
         np.testing.assert_array_equal(
             first.result.estimate, again.result.estimate
         )
 
-    def test_update_invalidates_degraded_cache(self):
+    def test_degraded_fresh_repeat_is_solved_again(self, server):
+        door = _overloaded_door(server)
+        run(door.submit(3, "powerpush", l1_threshold=1e-8))
+        solves = server.engine.stats.queries
+        again = run(
+            door.submit(3, "powerpush", fresh=True, l1_threshold=1e-8)
+        )
+        assert again.degraded is True
+        assert again.cache_hit is False
+        assert server.engine.stats.queries == solves + 1
+
+    def test_update_invalidates_a_degraded_answer(self):
         with EngineServer(
             DynamicGraph(paper_example_graph()), seed=3
         ) as server:
-            self._check_update_invalidation(server)
+            door = _overloaded_door(server)
+            first = run(door.submit(3, "powerpush", l1_threshold=1e-8))
 
-    @staticmethod
-    def _check_update_invalidation(server):
-        door = _overloaded_door(server)
-        first = run(door.submit(3, "powerpush", l1_threshold=1e-8))
+            async def bump_and_resubmit():
+                version = await door.apply_updates([("+", 0, 4)])
+                served = await door.submit(
+                    3, "powerpush", l1_threshold=1e-8
+                )
+                return version, served
 
-        async def bump_and_resubmit():
-            version = await door.apply_updates([("+", 0, 4)])
-            served = await door.submit(3, "powerpush", l1_threshold=1e-8)
-            return version, served
-
-        version, served = run(bump_and_resubmit())
+            version, served = run(bump_and_resubmit())
         # Recomputed at the new version, not served from the old one.
+        assert served.degraded is True
         assert served.version == version > first.version
-        assert door.stats.degraded_cache_hits == 0
-
-    def test_degraded_cache_survives_respawn_only_on_version_match(self):
-        # A respawned backend re-attaches at the journal-replayed
-        # version.  If that matches the entry's stamp the cached
-        # degraded answer is still valid; if the backend came back at
-        # a newer version (updates landed while it was down), the
-        # entry must be evicted, never served.
-        backend = SlowBackend(0.0)
-        door = AsyncFrontDoor(backend)
-        dummy = PPRResult(
-            estimate=np.zeros(4),
-            residue=None,
-            source=3,
-            alpha=0.2,
-            method="dummy",
-        )
-        entry = ServedResult(
-            result=dummy, version=0, cache_hit=False, degraded=True,
-        )
-        door._degraded_cache[3] = entry
-
-        assert backend.graph_version == 0
-        assert door._degraded_hit(3) is entry
-        assert door.stats.degraded_cache_hits == 1
-
-        backend.graph_version = 1  # respawn landed on a newer version
-        assert door._degraded_hit(3) is None
-        assert 3 not in door._degraded_cache  # evicted, not retried
-        assert door.stats.degraded_cache_hits == 1
+        assert served.cache_hit is False
 
     def test_periodic_probe_keeps_the_predictor_live(self, server):
         door = _overloaded_door(server)
@@ -291,4 +286,4 @@ class TestSnapshot:
         snap = door.snapshot()
         assert snap["completed"] == 1
         assert snap["inflight"] == 0
-        assert door.server_stats()["requests"] >= 1
+        assert door.backend.stats()["requests"] >= 1

@@ -288,16 +288,46 @@ class TestRunLoadtest:
         with pytest.raises(ParameterError, match="open-loop"):
             run_loadtest(make_static, workload, slo_ms=50.0)
 
-    def test_slo_requires_read_only(self):
+    def test_slo_soak_with_writes_accounts_every_request(self):
+        """Writes take the same front-door path as reads: an open-loop
+        SLO-aware soak loses no request and its served graph ends equal
+        to the serial one, edge for edge."""
         workload = WorkloadGenerator(
             make_dynamic().num_nodes,
-            read_fraction=0.5,
+            num_sources=10,
+            read_fraction=0.8,
             arrival="open",
-            arrival_rate=500.0,
+            arrival_rate=2000.0,
             seed=14,
-        ).generate(30)
-        with pytest.raises(ParameterError, match="read-only"):
-            run_loadtest(make_dynamic, workload, slo_ms=50.0)
+        ).generate(60)
+        assert workload.num_updates > 0
+        graphs = []
+
+        def tracked_make_dynamic():
+            graph = make_dynamic()
+            graphs.append(graph)
+            return graph
+
+        report = run_loadtest(
+            tracked_make_dynamic,
+            workload,
+            method="powerpush",
+            params={"l1_threshold": 1e-6},
+            seed=14,
+            slo_ms=50.0,
+            deadline_ms=10_000.0,
+            degrade_params={"l1_threshold": 1e-3},
+        )
+        served = report.served
+        assert served.accounted == served.queries == workload.num_queries
+        assert served.failed == 0
+        assert report.server_stats["graph_version"] == workload.num_updates
+        served_graph, serial_graph = graphs
+        assert served_graph.version == serial_graph.version > 0
+        a_sources, a_targets = served_graph.snapshot().edge_array()
+        b_sources, b_targets = serial_graph.snapshot().edge_array()
+        np.testing.assert_array_equal(a_sources, b_sources)
+        np.testing.assert_array_equal(a_targets, b_targets)
 
     def test_degrade_params_require_slo(self):
         workload = WorkloadGenerator(
