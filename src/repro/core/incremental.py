@@ -47,12 +47,7 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import (
-    DENSE_SWEEP_FRACTION,
-    async_propagate,
-    extrapolate_window,
-    frontier_propagate,
-)
+from repro.core.kernels import extrapolate_window, settle_sweep
 from repro.core.powerpush import PowerPushConfig, power_push
 from repro.core.result import PPRResult
 from repro.core.validation import check_alpha, check_l1_threshold, check_source
@@ -114,7 +109,7 @@ class IncrementalPPR:
         self.source = int(source)
         self._require_no_dead_ends(snapshot)
         self._needs_rebuild = False
-        # Sweep scratch, frontier-sized until a refresh goes dense.
+        # Sweep scratch (two n-vectors), reused by every refresh.
         self._workspace = Workspace()
         self.total_counters = PushCounters()
         self._version = graph.version
@@ -257,17 +252,21 @@ class IncrementalPPR:
         counters: PushCounters,
         trace: ConvergenceTrace | None,
     ) -> None:
-        """Signed sweep-pushes until ``sum(|r|) <= l1_threshold``.
+        """Signed whole sweeps until ``sum(|r|) <= l1_threshold``.
 
         Reuses PowerPush's dynamic-threshold idea: epoch targets shrink
         geometrically — by PowerPush's own per-epoch factor
         ``l1_threshold ** (1 / epoch_num)`` — from the *current*
-        perturbation mass down to the contract, so early sweeps only
-        touch nodes carrying real excess and residues accumulate before
-        being pushed.  The total cost is therefore governed by
-        ``log(perturbation / l1_threshold)`` rather than the
-        from-scratch ``log(1 / l1_threshold)``.  An epoch that ends on a
-        whole sweep is extrapolated
+        perturbation mass down to the contract.  The total cost is
+        therefore governed by ``log(perturbation / l1_threshold)``
+        rather than the from-scratch ``log(1 / l1_threshold)``.  Every
+        push is a whole asynchronous sweep
+        (:func:`~repro.core.kernels.settle_sweep`, signed), as in
+        PowerPush's scan phase: after a certification nearly every node
+        holds a little residue, so re-certifying sweeps the graph
+        anyway, and a node-granular sweep does more per edge than a
+        frontier push.  Every epoch that swept ends in an
+        extrapolation of its last sweep
         (:func:`~repro.core.kernels.extrapolate_window`, which keeps
         every residue's sign and only ever lowers ``sum(|r|)``).
         """
@@ -278,7 +277,6 @@ class IncrementalPPR:
         if bound <= self.l1_threshold:
             return
         n = snapshot.num_nodes
-        degree = snapshot.out_degree.astype(np.float64)
         epochs = (self._config or PowerPushConfig()).epoch_num
         shrink = self.l1_threshold ** (1.0 / epochs)
         targets = []
@@ -286,46 +284,20 @@ class IncrementalPPR:
         while target > self.l1_threshold:
             target = max(target * shrink, self.l1_threshold)
             targets.append(target)
+        r_before = self._workspace.buffer("sweep_r_before", n)
+        settled = self._workspace.buffer("sweep_settled", n)
         sweeps = 0
         for target in targets:
-            threshold = degree * (target / m)
-            settled = None
+            swept = False
             while float(np.abs(self._r).sum()) > target:
-                active = np.abs(self._r) > threshold
-                num_active = int(np.count_nonzero(active))
-                if num_active == 0:
-                    # All below the per-node thresholds, which already
-                    # implies sum(|r|) <= sum(d_v * target / m) = target.
-                    break
-                # Same frontier-vs-scan switch as the push kernels: a
-                # narrow frontier pays only its own degrees via gather/
-                # scatter, a wide one pays one asynchronous scan of the
-                # edge array that pushes every residue holder — whole
-                # sweeps are what an epoch end can extrapolate.
-                if num_active <= DENSE_SWEEP_FRACTION * n:
-                    self._frontier_sweep(
-                        snapshot, np.flatnonzero(active), counters
-                    )
-                    settled = None
-                else:
-                    r_before = self._workspace.buffer("sweep_r_before", n)
-                    r_before[:] = self._r
-                    settled = self._workspace.buffer("sweep_pushed", n)
-                    async_propagate(
-                        snapshot,
-                        self._r,
-                        settled,
-                        self.alpha,
-                        workspace=self._workspace,
-                    )
-                    holders = settled != 0.0
-                    counters.count_bulk_pushes(
-                        int(np.count_nonzero(holders)),
-                        int(np.dot(snapshot.out_degree, holders)),
-                    )
-                    settled *= self.alpha
-                    self._p += settled
+                r_before[:] = self._r
+                # Dead-end-free, so no dead-end mass comes back.
+                pushes, updates, _ = settle_sweep(
+                    snapshot, self._r, self._p, settled, self.alpha
+                )
+                counters.count_bulk_pushes(pushes, updates)
                 counters.iterations += 1
+                swept = True
                 sweeps += 1
                 if sweeps > _MAX_SWEEPS:
                     raise ConvergenceError(
@@ -339,32 +311,11 @@ class IncrementalPPR:
                         float(np.abs(self._r).sum()),
                     )
             if (
-                settled is not None
+                swept
                 and self.error_bound > self.l1_threshold
                 and extrapolate_window(self._p, self._r, settled, r_before)
             ):
                 counters.bump("extrapolations")
-
-    def _frontier_sweep(
-        self,
-        snapshot: DiGraph,
-        nodes: np.ndarray,
-        counters: PushCounters,
-    ) -> None:
-        """Signed gather/scatter push of exactly ``nodes``.
-
-        :func:`repro.core.kernels.frontier_propagate` (sign-agnostic)
-        under this pair's own settle and billing: costs
-        ``O(sum of frontier degrees)`` instead of a full mat-vec, so a
-        refresh after a small perturbation is cheap in wall-clock, not
-        just in counters.  Dead-end-free graphs only (enforced by
-        :meth:`refresh`), so every pushed node has neighbours.
-        """
-        pushed, _, num_edges = frontier_propagate(
-            snapshot, self._r, nodes, self.alpha, workspace=self._workspace
-        )
-        self._p[nodes] += self.alpha * pushed
-        counters.count_bulk_pushes(nodes.shape[0], num_edges)
 
     @staticmethod
     def _require_no_dead_ends(snapshot: DiGraph) -> None:

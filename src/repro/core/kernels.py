@@ -1,4 +1,4 @@
-"""Vectorised push kernels shared by the algorithm implementations.
+"""Push kernels shared by the algorithm implementations.
 
 Every push-family algorithm in the paper reduces to three bulk moves:
 
@@ -12,10 +12,10 @@ Every push-family algorithm in the paper reduces to three bulk moves:
   sized by the graph (implemented as one compiled gather of the
   frontier's adjacency ranges, :func:`gather_ranges`, followed by one
   compiled in-place scatter, :func:`scatter_add` — below); and
-* an **asynchronous sweep** — push every node holding residue, chunk
-  of the node range by chunk, each chunk seeing what the chunks before
-  it pushed (the scan phase of PowerPush, and the dense side of
-  FIFO-FwdPush and the refinement loop; cost model below).
+* an **asynchronous sweep** — push every node holding residue, node by
+  node in ascending id, each push reading the residues the pushes
+  before it left (the scan of PowerPush's Algorithm 3, and the dense
+  side of FIFO-FwdPush and the refinement loop; cost model below).
 
 The switch between the local and the global moves is exactly the
 paper's "global sequential scan vs. local random access" trade-off
@@ -29,40 +29,45 @@ window of pushes already made ``k`` more times in ``O(n)``, by the
 linearity of the push invariant.  PowerPush applies it to the last
 sweep of every scan epoch.
 
-Within one kernel call — within one chunk, for the asynchronous sweep —
-pushes are *simultaneous*: contributions are computed from the residues
-at entry.  The kernels mutate the :class:`PushState` in place and keep
-its incremental ``r_sum`` and counters up to date.
+Within a global sweep or a frontier push, pushes are *simultaneous*:
+contributions are computed from the residues at entry.  The kernels
+mutate the :class:`PushState` in place and keep its incremental
+``r_sum`` and counters up to date.
 
 The asynchronous sweep and its cost model
 -----------------------------------------
-:func:`async_sweep` follows ``graph.sweep_plan()``: ``SWEEP_CHUNKS``
-contiguous node ranges of roughly equal edge count, cached on the
-graph.  Per chunk it makes a handful of chunk-local ``O(chunk nodes)``
-passes (copy the residues out, zero them, scale, divide by the degree)
-and one scatter over the chunk's out-edges; per sweep, one ``O(n)``
-settle (billing, reserves, ``r_sum``).  The scatter is
-:func:`scatter_add` — scipy's ``csc_matvec`` run on the *forward* CSR,
-the chunk's rows of ``out_indptr``/``out_indices`` read as the columns
-of a sparse matrix with all-one weights — which adds each share into
-the live residue vector in place.  So a sweep reads neither ``P^T``
-nor any per-edge weight array (the transposed matrix's ``data`` is 8
-bytes per edge the mat-vec has to stream), and costs about the
-mat-vec's time per edge
+:func:`async_sweep` (over a :class:`PushState`) and :func:`settle_sweep`
+(over raw arrays) run one C loop, and :func:`extrapolate_window`
+another: ``_kernels.c``, compiled with the ``cc`` on ``PATH`` on the
+first import of this module into
+``__pycache__/_kernels-<key>.so`` — the key hashes the source, the
+flags and the machine, so a warm import starts no process — and
+called through :mod:`ctypes`.  There is no other implementation and
+nothing to select; a missing or failing compiler is a
+:class:`~repro.errors.KernelBuildError` (an ``ImportError``) at import.
+The sweep is one pass over the node ids with the settle step fused in:
+per node holding residue, its residue, reserve and settled entries,
+and one add per out-edge into the live residue vector, reading only
+``out_indptr`` / ``out_indices`` — no ``P^T``, no per-edge weight.
+Per sweep the Python side adds one ``O(n)`` sum for ``r_sum``.  Per
+edge the sweep costs less than the global sweep's mat-vec
 (``kernels.global_sweep_ns_per_edge`` beside
-``powerpush.ns_per_residue_update`` in a ``benchmarks/e2e`` traced
-run) while needing little more than half as many sweeps to reach the
-same ``r_sum``.
+``powerpush.ns_per_residue_update`` in a traced ``benchmarks/e2e``
+run), and because every push sees every earlier push of the same
+sweep, a query needs fewer sweeps than with any coarser freshness.
 
-Summation order, and why results are bitwise-stable: the scatter walks
-a chunk's nodes in ascending id and each node's edges in CSR order, so
-a target accumulates its shares in ascending-source order, one IEEE add
-at a time, chunks in ascending order — a fixed sequence that depends on
-the graph alone, not on the workspace or the thread running it.  The
-all-one weight makes ``weight * share`` exact.  What *does* depend on
-node order is the answer itself: relabelling the graph changes which
-residues are fresh when, hence which of the valid answers (all within
-``r_sum`` of the exact vector) comes out.
+Summation order, and why results are bitwise-stable: nodes in
+ascending id and each node's edges in CSR order, so a target
+accumulates its shares one IEEE add at a time in a sequence that
+depends on the graph alone, not on the workspace or the thread running
+it.  The C source is compiled with ``-ffp-contract=off`` (no fused
+multiply-add), so every product and sum rounds on its own and the
+loops give the bits of the same loops written in Python, on every
+architecture; ``tests/test_core_async_sweep.py`` checks both against
+such references.  What *does* depend on node order is the answer
+itself: relabelling the graph changes which residues are fresh when,
+hence which of the valid answers (all within ``r_sum`` of the exact
+vector) comes out.
 
 ``P^T`` is still built by ``warm_push_caches`` (PowItr, SimFwdPush and
 BePI read it) but is no longer part of the shared-memory image: a
@@ -74,17 +79,16 @@ The gather/scatter pair under every local push
 whole adjacency lists, or prefixes — into one compact array in a
 single pass of scipy's ``csr_row_index``, and :func:`scatter_add` adds
 one value per range into a vector at every index of the range, in
-place, in a single pass of the ``csc_matvec`` the sweep scatters with.
-:func:`frontier_propagate` (under :func:`frontier_push` and
-``IncrementalPPR``'s signed frontier sweep) and the walk-index read of
+place, in a single pass of scipy's ``csc_matvec``.
+:func:`frontier_propagate` (under :func:`frontier_push`) and the
+walk-index read of
 :func:`~repro.core.mc_phase.monte_carlo_refine` are built on the pair,
 so a local push touches each frontier edge twice (copy, add), stages
 only pointers and fences per frontier node, and has no ``O(n)`` term —
 the cost the paper's analysis of the local side assumes (measured
 times: README, "Kernels"; limits: :func:`gather_ranges`).  A
 target accumulates its shares on top of its residue one add at a time,
-``r + c_1 + c_2 + ...``, in an order fixed by the frontier and the CSR,
-as for the sweep.
+``r + c_1 + c_2 + ...``, in an order fixed by the frontier and the CSR.
 
 Scratch buffers: the frontier kernels accept an optional
 :class:`~repro.core.workspace.Workspace`; callers that push in a loop
@@ -101,11 +105,19 @@ is what is left of one, kept for the benchmark ladder alone.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from repro.core.residues import BlockPushState, PushState
 from repro.core.workspace import Workspace
-from repro.errors import GraphConstructionError, ParameterError
+from repro.errors import GraphConstructionError, KernelBuildError, ParameterError
 
 # The one import site of the two private scipy entry points the push
 # kernels are built on; tests/test_core_gather_scatter.py pins their
@@ -130,14 +142,102 @@ __all__ = [
     "global_sweep",
     "frontier_push",
     "frontier_propagate",
-    "async_propagate",
+    "settle_sweep",
     "extrapolate_window",
     "async_sweep",
     "sweep_active",
 ]
 
+_SOURCE = Path(__file__).with_name("_kernels.c")
+# No -march=native (it measured slower), and no fused multiply-add, so
+# the loops round like the same loops written in Python.
+_CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _build(cache_dir: Path) -> ctypes.CDLL:
+    """Load ``_kernels.c`` compiled into ``cache_dir``, compiling it if absent.
+
+    The library's name hashes the source, the flags and the machine, so
+    an edited source or another architecture gets a fresh build and a
+    warm load starts no process.  A build writes a private temporary
+    file and renames it into place, so a process racing this one loads
+    either no file or a complete one.
+    """
+    key = hashlib.sha256(
+        b"\0".join(
+            [_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+             platform.machine().encode()]
+        )
+    ).hexdigest()[:16]
+    library = cache_dir / f"_kernels-{key}.so"
+    if not library.exists():
+        try:
+            _compile(library)
+        except OSError as exc:
+            raise KernelBuildError(
+                f"repro's push kernels are C, compiled on first import with "
+                f"the C compiler `cc`, and building {library} failed: {exc}"
+            ) from exc
+    lib = ctypes.CDLL(str(library))
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    lib.repro_async_sweep.restype = ctypes.c_double
+    lib.repro_async_sweep.argtypes = [
+        count, pointer, pointer, ctypes.c_double,
+        pointer, pointer, pointer, ctypes.POINTER(count),
+    ]
+    lib.repro_extrapolate_window.restype = ctypes.c_int
+    lib.repro_extrapolate_window.argtypes = [count] + [pointer] * 4
+    return lib
+
+
+def _compile(library: Path) -> None:
+    library.parent.mkdir(parents=True, exist_ok=True)
+    fd, partial = tempfile.mkstemp(
+        prefix="_kernels-", suffix=".partial", dir=library.parent
+    )
+    os.close(fd)
+    try:
+        built = subprocess.run(
+            ["cc", *_CFLAGS, "-o", partial, str(_SOURCE)],
+            capture_output=True,
+            text=True,
+        )
+        if built.returncode:
+            raise KernelBuildError(
+                f"`cc` could not compile {_SOURCE} "
+                f"(exit {built.returncode}):\n{built.stderr}"
+            )
+        os.replace(partial, library)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+_LIB = _build(Path(__file__).with_name("__pycache__"))
+
+
+def _address(array: np.ndarray, size: int, name: str) -> int:
+    """The data pointer of a float64 ``(size,)`` array the C loops write.
+
+    Checked here because a C loop handed anything else corrupts memory
+    instead of raising.
+    """
+    if not (
+        isinstance(array, np.ndarray)
+        and array.dtype == np.float64
+        and array.shape == (size,)
+        and array.flags.c_contiguous
+        and array.flags.writeable
+    ):
+        raise ParameterError(
+            f"{name} must be a writable C-contiguous float64 array of shape "
+            f"({size},)"
+        )
+    return array.ctypes.data
+
+
 # Fraction of all nodes above which `sweep_active` abandons the
-# gather/scatter path for the contiguous mat-vec.  Mirrors PowerPush's
+# gather/scatter path for the asynchronous scan.  Mirrors PowerPush's
 # scan_threshold = n/4 default.
 DENSE_SWEEP_FRACTION = 0.25
 
@@ -221,8 +321,8 @@ def gather_ranges(
     shared-memory arrays are fine) and fixes the dtype of the fences,
     of ``pointers`` and of ``gathered``; an ``int32`` array — or a
     gather — of more than 2**31 - 1 entries raises
-    :class:`~repro.errors.GraphConstructionError`, as the sweep plan
-    does.  ``starts`` and ``counts`` are any integer dtype, ``counts``
+    :class:`~repro.errors.GraphConstructionError`.  ``starts`` and
+    ``counts`` are any integer dtype, ``counts``
     non-negative, every range inside ``indices``.  With a ``workspace``
     both results are pooled scratch, valid until the next gather
     through it.
@@ -399,7 +499,7 @@ def frontier_propagate(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """One simultaneous push of ``nodes`` over a raw residue array.
 
-    The local counterpart of :func:`async_propagate`: take the residues
+    The local counterpart of :func:`settle_sweep`: take the residues
     of ``nodes`` off ``residue`` — first, so a self-loop re-deposits —
     and add ``(1 - alpha) * r / out_degree``, computed from the residues
     at entry, to every out-neighbour in place: one :func:`gather_ranges`
@@ -411,9 +511,8 @@ def frontier_propagate(
     with no out-edge (``counts == 0``) are the caller's.
 
     ``nodes`` are distinct ids of any integer dtype; ``residue`` is
-    C-contiguous float64 and may be negative
-    (:mod:`repro.core.incremental`).  When no node has an out-edge no
-    workspace buffer is requested.
+    C-contiguous float64 and may be negative.  When no node has an
+    out-edge no workspace buffer is requested.
     """
     indptr = graph.out_indptr
     starts = indptr[nodes]
@@ -451,8 +550,7 @@ def sweep_active(
     FIFO-FwdPush and of :func:`~repro.core.refinement.refine_to_r_max`,
     which push until no node is active.  The global path is
     one :func:`async_sweep`, which pushes *every* residue-holding node
-    (not only the active ones): the scan walks the whole edge array
-    either way, and masking would add several ``O(n)`` passes to it.
+    (not only the active ones), as PowerPush's scan does.
     Pushing an inactive node is always legal (it only converts more
     residue), so the l1-error guarantee is unaffected.
 
@@ -480,46 +578,45 @@ def sweep_active(
     return num_active
 
 
-def async_propagate(
+def settle_sweep(
     graph,
     residue: np.ndarray,
-    pushed: np.ndarray,
+    reserve: np.ndarray,
+    settled: np.ndarray,
     alpha: float,
-    *,
-    workspace: Workspace | None = None,
-) -> None:
-    """One chunked asynchronous sweep over raw residue arrays.
+) -> tuple[int, int, float]:
+    """One asynchronous sweep over raw arrays, the settle step fused in.
 
-    For each chunk of ``graph.sweep_plan()`` in node-id order: record
-    the chunk's current residues into ``pushed``, take them off
-    ``residue``, and scatter ``(1 - alpha) * pushed / out_degree`` along
-    the chunk's out-edges straight into the live ``residue`` — so a
-    later chunk pushes mass that reached it during this very sweep.
-    Afterwards ``pushed[v]`` is what node ``v`` pushed; settling
-    ``alpha * pushed`` into a reserve, billing, and the mass dead ends
-    pushed (which has no edge to travel on) are the caller's.
+    For each node ``v`` in ascending id whose residue ``r`` is not zero
+    (either sign: :mod:`repro.core.incremental` pushes negative mass):
+    zero ``residue[v]`` first, so a self-loop re-deposits; settle
+    ``settled[v] = alpha * r`` into ``reserve[v]``; and add
+    ``(1 - alpha) * r / out_degree`` to every out-neighbour in the live
+    ``residue`` — so a node pushes mass that reached it earlier in this
+    very sweep.  ``settled[v]`` is 0 for a node that held nothing.
 
-    ``residue`` and ``pushed`` are C-contiguous float64 of shape
-    ``(n,)``.  Residues may be negative (:mod:`repro.core.incremental`).
+    Returns ``(pushes, residue_updates, dead_mass)``: the nodes pushed,
+    the sum of their out-degrees, and ``(1 - alpha) * r`` summed over the
+    pushed nodes without an out-edge, which has no edge to travel on and
+    is the caller's to route.
+
+    ``residue``, ``reserve`` and ``settled`` are writable C-contiguous
+    float64 arrays of shape ``(n,)``; anything else raises
+    :class:`~repro.errors.ParameterError` before the C loop runs.
     """
-    if not (residue.flags.c_contiguous and pushed.flags.c_contiguous):
-        raise ParameterError(
-            "async_propagate scatters in place and needs C-contiguous arrays"
-        )
-    plan = graph.sweep_plan()
-    scale = 1.0 - alpha
-    for c in range(len(plan.bounds) - 1):
-        lo, hi = plan.bounds[c], plan.bounds[c + 1]
-        if lo == hi:
-            continue
-        live, snapshot = residue[lo:hi], pushed[lo:hi]
-        shares = _scratch(workspace, "sweep_shares", hi - lo, np.float64)
-        snapshot[...] = live
-        live[...] = 0.0
-        np.multiply(snapshot, scale, out=shares)
-        shares /= plan.degree[lo:hi]
-        pointers, targets = plan.columns(c)
-        scatter_add(residue, pointers, targets, shares, workspace=workspace)
+    n = graph.num_nodes
+    counts = (ctypes.c_int64 * 2)()
+    dead_mass = _LIB.repro_async_sweep(
+        n,
+        graph.out_indptr.ctypes.data,
+        graph.out_indices.ctypes.data,
+        alpha,
+        _address(residue, n, "residue"),
+        _address(reserve, n, "reserve"),
+        _address(settled, n, "settled"),
+        counts,
+    )
+    return counts[0], counts[1], dead_mass
 
 
 def extrapolate_window(
@@ -547,30 +644,33 @@ def extrapolate_window(
     ``gamma / (1 - gamma)`` — the whole geometric tail; when some entry
     reached zero in the window it is 0 and nothing happens.
 
-    All four are float64 of shape ``(n,)``; ``settled`` and ``r_before``
-    are consumed.  Elementwise operations, one ``min`` and one sign-only
-    test, so strided views get the same bits.  Returns whether the
-    window was applied; the caller refreshes its ``r_sum``.
+    Two passes of a C loop: the first finds ``k`` and the sign of the
+    change in ``sum(|residue|)``, the second applies the window.
+    ``reserve`` and ``residue`` are written and must be writable
+    C-contiguous float64 arrays of shape ``(n,)``; ``settled`` and
+    ``r_before`` are only read and may be strided views (they are then
+    copied).  Returns whether the window was applied; the caller
+    refreshes its ``r_sum``.
     """
-    fall = np.subtract(r_before, residue, out=r_before)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = residue / fall
-    # Towards zero: same signs, or a residue at zero that moved (k = 0).
-    # Entries that did not move give inf or nan and never bind.
-    k = ratio.min(where=ratio >= 0.0, initial=np.inf)
-    if k == np.inf:
-        return False
-    k = np.nextafter(k, 0.0)
-    # No sign changes, so sum(|residue|) moves by -k * sum(sign * fall).
-    # A product and a sum, not np.dot: BLAS can take milliseconds to
-    # wake its threads for a vector this size.
-    if not (k > 0.0 and (np.sign(residue) * fall).sum() > 0.0):
-        return False
-    fall *= k
-    residue -= fall
-    settled *= k
-    reserve += settled
-    return True
+    n = len(residue)
+    out_reserve = _address(reserve, n, "reserve")
+    out_residue = _address(residue, n, "residue")
+    inputs = []
+    for name, array in (("settled", settled), ("r_before", r_before)):
+        if array.dtype != np.float64 or array.shape != (n,):
+            raise ParameterError(
+                f"{name} must be a float64 array of shape ({n},)"
+            )
+        inputs.append(np.ascontiguousarray(array))
+    return bool(
+        _LIB.repro_extrapolate_window(
+            n,
+            out_reserve,
+            out_residue,
+            inputs[0].ctypes.data,
+            inputs[1].ctypes.data,
+        )
+    )
 
 
 def async_sweep(
@@ -582,34 +682,25 @@ def async_sweep(
 
     The scan-phase sweep of PowerPush (Algorithm 3): unlike
     :func:`global_sweep` it is *asynchronous* — see
-    :func:`async_propagate` — so one sweep does the work of nearly two
+    :func:`settle_sweep` — so one sweep does the work of nearly two
     synchronous ones.  Billed like ``global_sweep(count_all_edges=
-    False)``: one push per node that held residue when its chunk was
-    reached, one residue update per out-edge of those nodes.
+    False)``: one push per node that held residue when the sweep
+    reached it, one residue update per out-edge of those nodes.
 
     Returns what the sweep settled into the reserve (``alpha`` times
     what each node pushed) — scratch, valid until the next sweep
-    through the same workspace; :func:`extrapolate_window` consumes it.
+    through the same workspace; :func:`extrapolate_window` reads it.
     """
-    graph = state.graph
-    pushed = _scratch(workspace, "sweep_pushed", graph.num_nodes, np.float64)
-    async_propagate(
-        graph, state.residue, pushed, state.alpha, workspace=workspace
+    settled = _scratch(
+        workspace, "sweep_settled", state.graph.num_nodes, np.float64
     )
-    holders = pushed != 0.0
-    state.counters.count_bulk_pushes(
-        int(np.count_nonzero(holders)),
-        int(np.dot(graph.out_degree, holders)),
+    pushes, updates, dead_mass = settle_sweep(
+        state.graph, state.residue, state.reserve, settled, state.alpha
     )
-    dead = graph.dead_ends
-    if dead.shape[0]:
-        _apply_dead_end_mass(
-            state, (1.0 - state.alpha) * float(pushed[dead].sum())
-        )
-    pushed *= state.alpha
-    state.reserve += pushed
+    state.counters.count_bulk_pushes(pushes, updates)
+    _apply_dead_end_mass(state, dead_mass)
     state.refresh_r_sum()
-    return pushed
+    return settled
 
 
 def _apply_dead_end_mass(state: PushState, dead_mass: float) -> None:

@@ -19,15 +19,13 @@ scans once the frontier is wide).  Three ingredients (Section 5):
 
 Like the other algorithms, PowerPush has a *faithful* scalar mode
 matching Algorithm 3 line for line, and a *vectorised* mode with the
-same queue phase and epoch structure whose scan pass is a chunked
-asynchronous sweep (:func:`repro.core.kernels.async_sweep`): the node
-range is walked in a fixed number of contiguous chunks, each chunk's
-pushes are simultaneous, and every chunk pushes the residues as the
-chunks before it left them.  That is ingredient 1 at chunk rather than
-node granularity — a push uses mass that arrived earlier in the same
-pass — and it is what brings a query from 0.92x of PowItr's residue
-updates (synchronous sweeps; ``lj-s`` x10, lambda = 1e-8) down to
-0.52x, the "roughly half" of the paper's Figure 6.
+same queue phase and epoch structure whose scan pass is one compiled
+asynchronous sweep (:func:`repro.core.kernels.async_sweep`): nodes in
+ascending id, each push reading the residues every earlier push of
+the same pass left — ingredient 1 at node granularity, as in
+Algorithm 3.  Sweeps alone take a ``lj-s`` x10 query at lambda = 1e-8
+from 0.92x of PowItr's residue updates (synchronous sweeps) to about
+0.48x, the "roughly half" of the paper's Figure 6.
 The scalar mode pushes only active nodes in a scan; a vectorised sweep
 pushes every node holding residue, which is always legal and saves the
 masking passes.  The vectorised scan phase is whole sweeps only — once
@@ -49,7 +47,7 @@ The vectorised mode adds a fourth ingredient the paper does not have:
    ``gamma / (1 - gamma)`` in the geometric regime (95-99 % of the
    residue goes, and the next epochs' targets are already met) and 0
    while some residue still falls to zero within a sweep (nothing
-   happens).  ``lj-s`` x10: 43 M residue updates a query down to 22 M.
+   happens).  ``lj-s`` x10: 39 M residue updates a query down to 22 M.
    ``mode="faithful"`` is the paper verbatim, without it.
 """
 

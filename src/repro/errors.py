@@ -41,6 +41,17 @@ class IndexMismatchError(ReproError):
     """A precomputed index does not match the graph or query parameters."""
 
 
+class KernelBuildError(ReproError, ImportError):
+    """The C push kernels could not be compiled or loaded at import.
+
+    Raised by the first import of :mod:`repro.core.kernels` when the C
+    compiler ``cc`` is not on ``PATH`` or rejects the source; the message
+    carries the compiler's error output.  Inherits from
+    :class:`ImportError` because the library cannot be imported without
+    them.
+    """
+
+
 class ConvergenceError(ReproError):
     """An iterative solver exhausted its iteration budget before converging."""
 

@@ -29,78 +29,6 @@ from repro.errors import GraphConstructionError, NodeNotFoundError
 
 __all__ = ["DiGraph"]
 
-#: Chunks one asynchronous sweep cuts the node range into.  Picked by
-#: measurement on the e2e benchmark's ``lj-s`` x10 graph: residue
-#: updates to lambda = 1e-8 keep falling with more chunks (46.6 M at 4,
-#: 43.0 M at 8, 38.7 M at 16 per query, against 75.5 M synchronous)
-#: but past 8 the per-chunk NumPy dispatch costs more wall-clock than
-#: the saved sweeps return.
-SWEEP_CHUNKS = 8
-
-
-class SweepPlan:
-    """Chunk schedule of the asynchronous sweep kernels (read-only).
-
-    The node range is cut into :data:`SWEEP_CHUNKS` contiguous chunks
-    of roughly equal edge count (a hub heavier than one share gets a
-    chunk to itself; chunks may be empty when ``n`` is small).  Chunk
-    ``c`` covers nodes ``bounds[c]:bounds[c + 1]`` and — the forward
-    CSR being node-ordered — edges
-    ``edge_bounds[c]:edge_bounds[c + 1]``.  :meth:`columns` hands the
-    chunk to :func:`repro.core.kernels.scatter_add` as ranges of
-    targets, one per node of the chunk: the row pointers re-based to
-    the chunk's first edge in the index dtype scipy requires
-    (``int32``, that of ``out_indices``) and the matching
-    ``out_indices`` slice, so the only per-edge array read is the
-    adjacency itself.  ``degree`` is the float out-degree with dead
-    ends at 1 so shares divide without a zero (a dead end has no edge
-    to carry its share anywhere; its mass follows the dead-end policy).
-
-    Memory: ``n + SWEEP_CHUNKS`` int32 and ``n`` float64; the scatter's
-    all-one edge weights are process-wide, not per plan.
-    """
-
-    __slots__ = (
-        "bounds",
-        "edge_bounds",
-        "degree",
-        "_indptr",
-        "_indices",
-    )
-
-    def __init__(self, graph: "DiGraph") -> None:
-        indptr, n, m = graph.out_indptr, graph.num_nodes, graph.num_edges
-        cuts = np.searchsorted(
-            indptr, np.arange(1, SWEEP_CHUNKS) * (m / SWEEP_CHUNKS)
-        )
-        self.bounds = [0, *(int(cut) for cut in cuts), n]
-        self.edge_bounds = [int(indptr[b]) for b in self.bounds]
-        widest = int(np.diff(self.edge_bounds).max())
-        if widest > np.iinfo(np.int32).max:
-            raise GraphConstructionError(
-                f"a sweep chunk holds {widest} edges, more than the int32 "
-                f"row pointers of the scatter kernel can address"
-            )
-        # Chunk c's pointers sit at [bounds[c] + c, bounds[c + 1] + c].
-        rebased = np.empty(n + SWEEP_CHUNKS, dtype=np.int32)
-        for c in range(SWEEP_CHUNKS):
-            lo, hi = self.bounds[c], self.bounds[c + 1]
-            rebased[lo + c : hi + c + 1] = indptr[lo : hi + 1] - indptr[lo]
-        self._indptr = rebased
-        self._indices = graph.out_indices
-        self.degree = np.maximum(graph.out_degree, 1).astype(np.float64)
-        for array in (self._indptr, self.degree):
-            array.flags.writeable = False
-
-    def columns(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(pointers, targets)`` of chunk ``c``, one range per node."""
-        lo, hi = self.bounds[c], self.bounds[c + 1]
-        first, last = self.edge_bounds[c], self.edge_bounds[c + 1]
-        return (
-            self._indptr[lo + c : hi + c + 1],
-            self._indices[first:last],
-        )
-
 
 class DiGraph:
     """An immutable directed graph in CSR form.
@@ -140,7 +68,6 @@ class DiGraph:
         "_dead_ends",
         "_pt_matrix",
         "_edge_sources",
-        "_sweep_plan",
         "_canonical_order",
     )
 
@@ -172,7 +99,6 @@ class DiGraph:
         self._dead_ends: np.ndarray | None = None
         self._pt_matrix = None
         self._edge_sources: np.ndarray | None = None
-        self._sweep_plan: SweepPlan | None = None
         self._canonical_order: bool | None = None
 
     # ------------------------------------------------------------------
@@ -341,18 +267,6 @@ class DiGraph:
             self._edge_sources = sources
         return self._edge_sources
 
-    def sweep_plan(self) -> SweepPlan:
-        """Cached chunk schedule of the asynchronous sweep kernels.
-
-        ``O(n)`` to build, so a new
-        :class:`~repro.graph.dynamic.DynamicGraph` version pays far
-        less for it than for its ``P^T``; cached on the graph object,
-        so it lives exactly as long as the arrays it slices.
-        """
-        if self._sweep_plan is None:
-            self._sweep_plan = SweepPlan(self)
-        return self._sweep_plan
-
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(sources, targets)`` arrays of all edges."""
         return self.edge_sources.copy(), self._out_indices.copy()
@@ -418,8 +332,8 @@ class DiGraph:
         """Materialise every cached artefact the push kernels read.
 
         Touches the degree/dead-end arrays, the flattened
-        :attr:`edge_sources` gather index, the asynchronous-sweep
-        chunk plan, and the transposed transition matrix (still built
+        :attr:`edge_sources` gather index, and the transposed
+        transition matrix (still built
         eagerly although the PowerPush family no longer reads it:
         PowItr, SimFwdPush and BePI do), so a serving engine (or a
         benchmark that wants construction out of its timed region)
@@ -429,7 +343,6 @@ class DiGraph:
         self.out_degree
         self.dead_ends
         self.edge_sources
-        self.sweep_plan()
         self.transition_matrix_transpose()
         return self
 

@@ -1,10 +1,14 @@
-"""The chunked asynchronous sweep (``async_sweep``).
+"""The asynchronous sweep and the epoch-end extrapolation, in C.
 
-What must hold whatever the chunk boundaries are: one sweep conserves
+``settle_sweep`` / ``async_sweep`` and ``extrapolate_window`` are loops
+in ``repro/core/_kernels.c``.  The references below say what they
+compute, and the C must give their bits: a pure-Python loop over the
+node ids for the sweep, and the NumPy body the extrapolation had before
+it moved to C.  What must hold besides: one sweep conserves
 ``sum(reserve) + sum(residue)``, keeps the push invariant (checked
-against ``exact_ppr_dense``) and bills what it pushed.  The graphs are
-picked for where the chunk plan is awkward: fewer nodes than chunks, a
-hub heavier than one chunk's edge share, chunks without a single edge.
+against ``exact_ppr_dense``) and bills what it pushed; mass that
+reaches a later node is pushed in the same sweep; and an array the C
+cannot take safely is refused before a pointer is passed.
 """
 
 from __future__ import annotations
@@ -15,16 +19,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import (
-    async_propagate,
     async_sweep,
+    extrapolate_window,
     frontier_push,
+    settle_sweep,
     sweep_active,
 )
 from repro.core.residues import PushState
 from repro.core.workspace import Workspace
 from repro.errors import ParameterError
 from repro.graph.build import cycle_graph, from_edges, star_graph
-from repro.graph.digraph import SWEEP_CHUNKS
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.transforms import apply_dead_end_rule
 from repro.metrics.ground_truth import exact_ppr_dense
@@ -60,6 +64,92 @@ def prepared(graph, policy):
     if policy == "self-loop":
         return apply_dead_end_rule(graph, "self-loop")
     return graph
+
+
+def random_graph(n, edge_seed, density):
+    rng = np.random.default_rng(edge_seed)
+    count = int(density * n)
+    edges = list(
+        zip(rng.integers(0, n, count).tolist(), rng.integers(0, n, count).tolist())
+    )
+    graph = from_edges(edges, num_nodes=n, dedup=False, drop_self_loops=False)
+    return graph, int(rng.integers(0, n))
+
+
+# ---------------------------------------------------------------------------
+# The references the C loops are checked against
+# ---------------------------------------------------------------------------
+def reference_sweep(graph, residue, reserve, settled, alpha):
+    """Algorithm 3's scan as a plain loop: what ``settle_sweep`` computes.
+
+    Python floats are IEEE doubles and every operation rounds on its
+    own, as in the C compiled without fused multiply-add.
+    """
+    indptr, indices = graph.out_indptr.tolist(), graph.out_indices.tolist()
+    r, p = residue.tolist(), reserve.tolist()
+    s = [0.0] * len(r)
+    pushes = edges = 0
+    dead_mass = 0.0
+    for v in range(len(r)):
+        mass = r[v]
+        if mass == 0.0:
+            continue
+        r[v] = 0.0
+        s[v] = alpha * mass
+        p[v] += s[v]
+        lo, hi = indptr[v], indptr[v + 1]
+        pushes += 1
+        if lo == hi:
+            dead_mass += (1.0 - alpha) * mass
+            continue
+        edges += hi - lo
+        share = ((1.0 - alpha) * mass) / (hi - lo)
+        for e in range(lo, hi):
+            r[indices[e]] += share
+    residue[:], reserve[:], settled[:] = r, p, s
+    return pushes, edges, dead_mass
+
+
+def reference_extrapolate_window(reserve, residue, settled, r_before):
+    """The NumPy body ``extrapolate_window`` had before it moved to C."""
+    fall = np.subtract(r_before, residue)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = residue / fall
+    k = ratio.min(where=ratio >= 0.0, initial=np.inf)
+    if k == np.inf:
+        return False
+    k = np.nextafter(k, 0.0)
+    if not (k > 0.0 and (np.sign(residue) * fall).sum() > 0.0):
+        return False
+    fall *= k
+    residue -= fall
+    reserve += settled * k
+    return True
+
+
+def assert_sweep_matches_reference(graph, residue, reserve):
+    """Run C and reference on copies of the same arrays; same bits."""
+    n = graph.num_nodes
+    c_arrays = (residue.copy(), reserve.copy(), np.full(n, np.nan))
+    py_arrays = (residue.copy(), reserve.copy(), np.full(n, np.nan))
+    got = settle_sweep(graph, *c_arrays, ALPHA)
+    expected = reference_sweep(graph, *py_arrays, ALPHA)
+    assert got == expected
+    for c, py in zip(c_arrays, py_arrays):
+        assert c.tobytes() == py.tobytes()
+    return c_arrays
+
+
+def assert_extrapolation_matches_reference(reserve, residue, settled, r_before):
+    c = (reserve.copy(), residue.copy())
+    py = (reserve.copy(), residue.copy())
+    applied = extrapolate_window(*c, settled, r_before)
+    assert applied == reference_extrapolate_window(
+        *py, settled.copy(), r_before.copy()
+    )
+    for got, expected in zip(c, py):
+        assert got.tobytes() == expected.tobytes()
+    return applied, c
 
 
 def invariant_gap(state: PushState) -> float:
@@ -99,9 +189,11 @@ def check_one_sweep(graph, source, policy, warmup_pushes):
     state = PushState(graph, source, ALPHA, dead_end_policy=policy)
     for _ in range(warmup_pushes):
         frontier_push(state, np.flatnonzero(state.residue > 0.0))
+    assert_sweep_matches_reference(graph, state.residue, state.reserve)
     holders = state.residue > 0.0
+    r_before = state.residue.copy()
     before = state.counters.as_dict()
-    async_sweep(state)
+    settled = async_sweep(state).copy()
     state.check_invariants(atol=1e-12)
     assert state.r_sum == float(state.residue.sum())
     assert invariant_gap(state) < 1e-12
@@ -111,6 +203,11 @@ def check_one_sweep(graph, source, policy, warmup_pushes):
     updates = state.counters.residue_updates - before["residue_updates"]
     assert int(holders.sum()) <= pushes <= graph.num_nodes
     assert int(graph.out_degree[holders].sum()) <= updates <= graph.num_edges
+    assert pushes == int(np.count_nonzero(settled))
+    # The sweep is a window extrapolate_window can repeat.
+    assert_extrapolation_matches_reference(
+        state.reserve, state.residue, settled, r_before
+    )
 
 
 class TestOneSweep:
@@ -121,29 +218,6 @@ class TestOneSweep:
         for source in (0, graph.num_nodes - 1):
             for warmup in (0, 2):
                 check_one_sweep(graph, source, policy, warmup)
-
-    def test_plan_shapes_of_the_corner_graphs(self):
-        """The corners are corners: empty chunks, edgeless chunks, a fat hub."""
-        small = CORNER_GRAPHS["three-nodes"].sweep_plan()
-        assert small.bounds[0] == 0 and small.bounds[-1] == 3
-        assert sum(lo == hi for lo, hi in zip(small.bounds, small.bounds[1:])) >= 5
-
-        star = CORNER_GRAPHS["star-out"]
-        plan = star.sweep_plan()
-        edgeless = [
-            c
-            for c in range(SWEEP_CHUNKS)
-            if plan.bounds[c] < plan.bounds[c + 1]
-            and plan.edge_bounds[c] == plan.edge_bounds[c + 1]
-        ]
-        assert edgeless, "the leaves should form a chunk with nodes but no edge"
-
-        hub = CORNER_GRAPHS["star-both"]
-        share = hub.num_edges / SWEEP_CHUNKS
-        assert hub.out_degree[0] > share
-        widths = np.diff(hub.sweep_plan().edge_bounds)
-        assert widths.max() >= hub.out_degree[0]
-        assert widths.sum() == hub.num_edges
 
     @settings(
         max_examples=60,
@@ -158,28 +232,27 @@ class TestOneSweep:
         warmup=st.integers(0, 3),
     )
     def test_random_graphs(self, n, edge_seed, density, policy, warmup):
-        rng = np.random.default_rng(edge_seed)
-        count = int(density * n)
-        edges = list(
-            zip(rng.integers(0, n, count).tolist(), rng.integers(0, n, count).tolist())
-        )
-        graph = from_edges(
-            edges, num_nodes=n, dedup=False, drop_self_loops=False
-        )
-        check_one_sweep(graph, int(rng.integers(0, n)), policy, warmup)
+        graph, source = random_graph(n, edge_seed, density)
+        check_one_sweep(graph, source, policy, warmup)
 
-    def test_later_chunks_push_mass_that_arrived_in_this_sweep(self):
-        """What "asynchronous" buys: mass that crosses a chunk boundary is
-        pushed again in the same sweep."""
+    def test_mass_reaching_a_later_node_is_pushed_in_this_sweep(self):
+        """What "asynchronous" buys, node by node: down a chain one sweep
+        carries the source's mass to the end; mass that reaches an
+        earlier node waits for the next sweep."""
         graph = chain_graph(64)
-        boundary = graph.sweep_plan().bounds[1]
-        assert 0 < boundary < 63
-        state = PushState(graph, boundary - 1, ALPHA)
+        state = PushState(graph, 0, ALPHA)
         async_sweep(state)
         # Synchronously only the source would have settled anything.
-        settled = np.flatnonzero(state.reserve > 0.0)
-        assert settled.tolist() == [boundary - 1, boundary]
-        assert state.counters.pushes == 2
+        assert (state.reserve > 0.0).all()
+        assert state.counters.pushes == 64
+        # The dead end's mass went back to the source, already passed.
+        assert np.flatnonzero(state.residue).tolist() == [0]
+
+        ring = PushState(cycle_graph(3), 2, ALPHA)
+        async_sweep(ring)
+        assert np.flatnonzero(ring.reserve).tolist() == [2]
+        assert ring.residue.tolist() == [1.0 - ALPHA, 0.0, 0.0]
+        assert ring.counters.pushes == 1
 
     def test_sweep_active_takes_the_async_path_when_dense(self, medium_graph):
         a = PushState(medium_graph, 0, ALPHA)
@@ -203,7 +276,7 @@ class TestOneSweep:
 
 
 class TestSignedAndThresholded:
-    """``async_propagate`` as IncrementalPPR uses it: on signed residues."""
+    """Both loops as IncrementalPPR uses them: on signed residues."""
 
     def _invariant_holds(self, graph, start, reserve, residue):
         n = graph.num_nodes
@@ -219,18 +292,75 @@ class TestSignedAndThresholded:
         rng = np.random.default_rng(5)
         start = rng.normal(size=graph.num_nodes)
         residue, reserve = start.copy(), np.zeros(graph.num_nodes)
-        pushed = np.empty_like(residue)
         for _ in range(2):
-            async_propagate(graph, residue, pushed, ALPHA)
-            reserve += ALPHA * pushed
+            residue, reserve, settled = assert_sweep_matches_reference(
+                graph, residue, reserve
+            )
             assert self._invariant_holds(graph, start, reserve, residue)
-        assert (pushed < 0.0).any() and (pushed > 0.0).any()
+        assert (settled < 0.0).any() and (settled > 0.0).any()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(1, 12),
+        edge_seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 3.0),
+        sweeps=st.integers(1, 4),
+    )
+    def test_signed_windows_match_and_keep_every_sign(
+        self, n, edge_seed, density, sweeps
+    ):
+        graph, _ = random_graph(n, edge_seed, density)
+        rng = np.random.default_rng(edge_seed)
+        residue, reserve = rng.normal(size=n), np.zeros(n)
+        for _ in range(sweeps):
+            r_before = residue.copy()
+            residue, reserve, settled = assert_sweep_matches_reference(
+                graph, residue, reserve
+            )
+        applied, (_, extrapolated) = assert_extrapolation_matches_reference(
+            reserve, residue, settled, r_before
+        )
+        assert (np.sign(extrapolated) * np.sign(residue) >= 0.0).all()
+        if applied:
+            assert np.abs(extrapolated).sum() <= np.abs(residue).sum()
 
     def test_rejects_non_contiguous_arrays(self, medium_graph):
+        """A bad pointer would corrupt memory: each array the C loops
+        read or write is checked first, and nothing is touched."""
         n = medium_graph.num_nodes
-        strided = np.zeros((n, 2))[:, 0]
-        with pytest.raises(ParameterError, match="contiguous"):
-            async_propagate(medium_graph, strided, np.empty(n), ALPHA)
+        read_only = np.zeros(n)
+        read_only.flags.writeable = False
+        bad = {
+            "float32": np.zeros(n, dtype=np.float32),
+            "non-contiguous": np.zeros((n, 2))[:, 0],
+            "read-only": read_only,
+            "wrong length": np.zeros(n - 1),
+        }
+        for label, array in bad.items():
+            for slot in range(3):
+                arrays = [np.full(n, 0.5) for _ in range(3)]
+                arrays[slot] = array
+                with pytest.raises(ParameterError, match="float64"):
+                    settle_sweep(medium_graph, *arrays, ALPHA)
+                assert all(
+                    (a == 0.5).all() for i, a in enumerate(arrays) if i != slot
+                ), label
+            for slot in range(2):
+                arrays = [np.full(n, 0.5), np.full(n, 0.25)]
+                arrays[slot] = array
+                with pytest.raises(ParameterError, match="float64"):
+                    extrapolate_window(*arrays, np.ones(n), np.ones(n))
+        # What the extrapolation only reads may be a strided view, not
+        # another dtype or length.
+        for array in (bad["float32"], bad["wrong length"]):
+            with pytest.raises(ParameterError, match="float64"):
+                extrapolate_window(np.zeros(n), np.ones(n), array, np.ones(n))
+            with pytest.raises(ParameterError, match="float64"):
+                extrapolate_window(np.zeros(n), np.ones(n), np.ones(n), array)
 
 
 class TestGraphsThatDidNotComeFromABuilder:
@@ -271,5 +401,3 @@ class TestGraphsThatDidNotComeFromABuilder:
         got, expected = self._sweeps(snapshot), self._sweeps(rebuilt)
         assert np.array_equal(got.residue, expected.residue)
         assert np.array_equal(got.reserve, expected.reserve)
-        assert snapshot.sweep_plan() is snapshot.sweep_plan()
-        assert snapshot.sweep_plan() is not medium_graph.sweep_plan()

@@ -7,7 +7,7 @@ shared-memory index arrays, either index dtype), through a workspace or
 without one; ``frontier_push`` built on it is a *simultaneous* push —
 equal to scalar pushes made on the residues at entry — under every
 dead-end policy and across self-loops, and requests no buffer sized by
-the graph; the int32 limit raises the sweep plan's typed error; and the
+the graph; the int32 limit raises a typed error; and the
 two private scipy entry points behave as the kernels assume at exactly
 the dtypes they are called with.
 """
@@ -20,10 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_core_async_sweep import CORNER_GRAPHS, POLICIES, prepared
-from test_incremental import LAMBDA, make_dynamic, scratch_solve
 
 from repro.core import kernels
-from repro.core.incremental import IncrementalPPR
 from repro.core.kernels import (
     frontier_propagate,
     frontier_push,
@@ -35,7 +33,6 @@ from repro.core.workspace import Workspace
 from repro.errors import GraphConstructionError, ParameterError
 from repro.generators.rmat import rmat_digraph
 from repro.graph.build import from_edges, star_graph
-from repro.graph.dynamic import sample_edge_update
 from repro.serving.shm import SharedGraphImage
 
 ALPHA = 0.2
@@ -222,7 +219,7 @@ class TestGatherScatterPair:
         with pytest.raises(ParameterError, match="in place"):
             scatter_add(np.zeros(6), pointers, targets, np.ones(1, dtype=np.int64))
 
-    def test_int32_guard_raises_the_sweep_plans_error(self, monkeypatch):
+    def test_int32_guard_raises_a_typed_error(self, monkeypatch):
         indices = np.arange(20, dtype=np.int32)
         starts, counts = np.array([0, 5]), np.array([3, 3])
         gather_ranges(indices, starts, counts)
@@ -383,21 +380,6 @@ class TestEmptyFrontierFastPath:
         )
         assert workspace.requests == 0
         assert state.counters.pushes == graph.dead_ends.shape[0]
-
-
-class TestIncrementalRefresh:
-    def test_frontier_sweeps_keep_the_refresh_within_its_bound(self):
-        dyn = make_dynamic(9, 3000, seed=11)
-        rng = np.random.default_rng(5)
-        tracker = IncrementalPPR(dyn, 0, alpha=ALPHA, l1_threshold=LAMBDA)
-        dyn.apply_updates([sample_edge_update(dyn, rng) for _ in range(3)])
-        result = tracker.refresh()
-        # The repair really took the gather/scatter route.
-        assert "gather_targets" in tracker._workspace._buffers
-        scratch = scratch_solve(dyn, 0)
-        gap = float(np.abs(result.estimate - scratch.estimate).sum())
-        assert tracker.error_bound <= LAMBDA
-        assert gap <= tracker.error_bound + scratch.r_sum + 1e-14
 
 
 # ----------------------------------------------------------------------
