@@ -2,8 +2,7 @@
 
 An AST-based checker for the invariants this codebase is built on but
 Python cannot express: (seed, source) determinism, registry/signature
-sync, version-stamped memoisation, writer lock discipline, and
-workspace-pooled scratch in kernels.
+sync, version-stamped memoisation, and writer lock discipline.
 
 Run it as ``repro-ppr lint`` or ``python -m repro.analysis``.  Rules
 plug in through :func:`repro.analysis.rules.register_rule`; see

@@ -1,9 +1,9 @@
-"""Determinism rules: RNG discipline, bitwise-safe gathers, scratch use.
+"""Determinism rules: RNG discipline, bitwise-safe gathers, pure defaults.
 
 These rules guard the reproducibility contracts the solver stack is
 built on: answers are a pure function of ``(seed, source)``, rows of a
 ``(B, n)`` matrix reduce to the bits of the 1-D vectors they stand
-for, and hot-path kernels do not churn the allocator.  See
+for, and no default argument freezes shared or ambient state.  See
 CONTRIBUTING.md for the invariant table.
 """
 
@@ -280,105 +280,3 @@ class MutableDefaultRule(Rule):
                     f"object is shared across every call; default to "
                     f"None and construct inside the body",
                 )
-
-
-@register_rule
-class WorkspaceDisciplineRule(Rule):
-    id = "workspace-discipline"
-    summary = (
-        "kernel hot paths allocate scratch via Workspace, not raw "
-        "np.empty/np.zeros"
-    )
-    invariant = (
-        "Kernels that accept a workspace= parameter serve every "
-        "temporary from it, so allocation counts stay flat across a "
-        "solve; raw allocations are confined to the sanctioned "
-        "workspace-is-None fallback branch or a _scratch helper."
-    )
-
-    _ALLOCATORS = frozenset(
-        {
-            "np.empty",
-            "np.zeros",
-            "np.ones",
-            "np.full",
-            "numpy.empty",
-            "numpy.zeros",
-            "numpy.ones",
-            "numpy.full",
-        }
-    )
-
-    def check_file(self, file: SourceFile) -> Iterable[Finding]:
-        if file.module != "repro.core.kernels":
-            return
-        assert file.tree is not None
-        for fn in walk_functions(file.tree):
-            if fn.name.startswith("_scratch"):
-                # The sanctioned pooled-or-fresh helper is exactly the
-                # place the raw fallback allocation lives.
-                continue
-            arg_names = {
-                arg.arg
-                for arg in (
-                    *fn.args.posonlyargs,
-                    *fn.args.args,
-                    *fn.args.kwonlyargs,
-                )
-            }
-            if "workspace" not in arg_names:
-                continue
-            exempt = self._fallback_nodes(fn)
-            for node in ast.walk(fn):
-                if id(node) in exempt or not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func)
-                if name in self._ALLOCATORS:
-                    yield self.finding(
-                        file,
-                        node,
-                        f"raw {name}(...) in kernel {fn.name}() that "
-                        f"accepts workspace=; request a pooled buffer "
-                        f"(workspace.buffer / _scratch) so hot-loop "
-                        f"allocation counts stay flat",
-                    )
-
-    @staticmethod
-    def _fallback_nodes(
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> set[int]:
-        """ids of nodes inside sanctioned ``workspace is None`` branches."""
-        exempt: set[int] = set()
-
-        def test_is(node: ast.expr, negated: bool) -> bool:
-            if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-                return False
-            left, (op,), (right,) = node.left, node.ops, node.comparators
-            names = {
-                n.id for n in (left, right) if isinstance(n, ast.Name)
-            }
-            if "workspace" not in names:
-                return False
-            is_none = any(
-                isinstance(n, ast.Constant) and n.value is None
-                for n in (left, right)
-            )
-            if not is_none:
-                return False
-            if negated:
-                return isinstance(op, ast.IsNot)
-            return isinstance(op, ast.Is)
-
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.If):
-                continue
-            if test_is(node.test, negated=False):  # if workspace is None
-                branch: list[ast.stmt] = node.body
-            elif test_is(node.test, negated=True):  # if workspace is not None
-                branch = node.orelse
-            else:
-                continue
-            for stmt in branch:
-                for sub in ast.walk(stmt):
-                    exempt.add(id(sub))
-        return exempt

@@ -20,7 +20,6 @@ from repro.core.power_iteration import power_iteration
 from repro.core.powerpush import PowerPushConfig, power_push, power_push_block
 from repro.core.refinement import refine_to_r_max
 from repro.core.residues import DeadEndPolicy, PushState
-from repro.core.workspace import Workspace
 from repro.core.result import PPRResult
 from repro.core.sim_fwdpush import simultaneous_forward_push
 from repro.core.speedppr import speed_ppr
@@ -40,7 +39,6 @@ __all__ = [
     "power_push",
     "power_push_block",
     "PowerPushConfig",
-    "Workspace",
     "IncrementalPPR",
     "refine_to_r_max",
     "speed_ppr",

@@ -1,11 +1,15 @@
 /*
- * The two loops of PowerPush's scan phase (paper Algorithm 3), in C99.
+ * The three loops under repro's push kernels, in C99: the scan phase's
+ * asynchronous sweep and epoch-end extrapolation (paper Algorithm 3),
+ * and the range scatter under every local push.
  *
  * Built and loaded by repro/core/kernels.py on first import, with
  * -ffp-contract=off: every multiply and add below rounds on its own, so
  * the results are those of the same loop written in Python, bit for
  * bit, on every architecture.  Callers check dtypes, contiguity,
- * lengths and writability; nothing here does.
+ * lengths and writability, and that every target index is inside the
+ * vector it adds into; only repro_scatter_ranges checks anything here
+ * (that its ranges lie inside the targets array).
  */
 #include <math.h>
 #include <stdint.h>
@@ -64,6 +68,40 @@ double repro_async_sweep(
     counts[0] = pushes;
     counts[1] = edges;
     return dead_mass;
+}
+
+/*
+ * The local push's one move: for j = 0 .. num - 1 in order, and each e
+ * of [starts[j], starts[j] + counts[j]) in order,
+ *
+ *   out[targets[e]] += values[j].
+ *
+ * Duplicate targets accumulate, one add at a time in that order.
+ * Returns 1, having written nothing, when some range has a negative
+ * start or count or reaches past targets[size - 1]; 0 otherwise.
+ */
+int repro_scatter_ranges(
+    int64_t num,
+    const int64_t *starts,
+    const int64_t *counts,
+    int64_t size,
+    const int32_t *targets,
+    const double *values,
+    double *out)
+{
+    for (int64_t j = 0; j < num; ++j) {
+        if (starts[j] < 0 || counts[j] < 0 || starts[j] > size - counts[j]) {
+            return 1;
+        }
+    }
+    for (int64_t j = 0; j < num; ++j) {
+        const double value = values[j];
+        const int32_t *range = targets + starts[j];
+        for (int64_t e = 0; e < counts[j]; ++e) {
+            out[range[e]] += value;
+        }
+    }
+    return 0;
 }
 
 /* The largest double below a positive finite x. */

@@ -14,7 +14,7 @@ the paper's open question.  Two execution modes are provided:
     ``j+1`` simultaneously pushes the active set ``S(j)``, exactly the
     iteration structure Section 4.2 defines for its analysis.  Each
     sweep costs ``O(sum of frontier degrees)`` through the
-    gather/scatter kernel, so the total work tracks the paper's
+    range-scatter kernel, so the total work tracks the paper's
     ``T(j+1)`` quantity (Eq. 11).
 
 Both modes stop when no node is active w.r.t. ``r_max``, i.e. the
@@ -28,7 +28,6 @@ from typing import Literal
 
 from repro.core.fwdpush import forward_push
 from repro.core.kernels import sweep_active
-from repro.core.workspace import Workspace
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
 from repro.core.validation import (
@@ -107,7 +106,6 @@ def fifo_forward_push(
 
     check_alpha(alpha)
     check_source(graph, source)
-    workspace = Workspace()
     if max_sweeps is None:
         import math
 
@@ -126,12 +124,7 @@ def fifo_forward_push(
     threshold_vec = state.threshold_vector(r_max)
     sweeps = 0
     while True:
-        pushed = sweep_active(
-            state,
-            r_max,
-            threshold_vec=threshold_vec,
-            workspace=workspace,
-        )
+        pushed = sweep_active(state, r_max, threshold_vec=threshold_vec)
         if pushed == 0:
             break
         sweeps += 1

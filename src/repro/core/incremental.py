@@ -51,7 +51,6 @@ from repro.core.kernels import extrapolate_window, settle_sweep
 from repro.core.powerpush import PowerPushConfig, power_push
 from repro.core.result import PPRResult
 from repro.core.validation import check_alpha, check_l1_threshold, check_source
-from repro.core.workspace import Workspace
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
@@ -109,8 +108,6 @@ class IncrementalPPR:
         self.source = int(source)
         self._require_no_dead_ends(snapshot)
         self._needs_rebuild = False
-        # Sweep scratch (two n-vectors), reused by every refresh.
-        self._workspace = Workspace()
         self.total_counters = PushCounters()
         self._version = graph.version
         self._solve_from_scratch(snapshot, self.total_counters)
@@ -284,8 +281,8 @@ class IncrementalPPR:
         while target > self.l1_threshold:
             target = max(target * shrink, self.l1_threshold)
             targets.append(target)
-        r_before = self._workspace.buffer("sweep_r_before", n)
-        settled = self._workspace.buffer("sweep_settled", n)
+        r_before = np.empty(n)
+        settled = np.empty(n)
         sweeps = 0
         for target in targets:
             swept = False

@@ -9,9 +9,8 @@ Every push-family algorithm in the paper reduces to three bulk moves:
   built on it;
 * a **frontier push** — push only a given set of nodes, simultaneously;
   this costs ``O(frontier + sum of frontier degrees)`` and nothing
-  sized by the graph (implemented as one compiled gather of the
-  frontier's adjacency ranges, :func:`gather_ranges`, followed by one
-  compiled in-place scatter, :func:`scatter_add` — below); and
+  sized by the graph (implemented as one C loop over the frontier's
+  adjacency ranges, :func:`scatter_ranges` — below); and
 * an **asynchronous sweep** — push every node holding residue, node by
   node in ascending id, each push reading the residues the pushes
   before it left (the scan of PowerPush's Algorithm 3, and the dense
@@ -19,7 +18,7 @@ Every push-family algorithm in the paper reduces to three bulk moves:
 
 The switch between the local and the global moves is exactly the
 paper's "global sequential scan vs. local random access" trade-off
-(Section 5): for small frontiers the gather/scatter wins; once the
+(Section 5): for small frontiers the range scatter wins; once the
 frontier covers a sizeable fraction of the graph the contiguous scan
 is faster.  :func:`sweep_active` chooses automatically using the same
 kind of threshold PowerPush's queue-to-scan switch uses.
@@ -37,9 +36,9 @@ mutate the :class:`PushState` in place and keep its incremental
 The asynchronous sweep and its cost model
 -----------------------------------------
 :func:`async_sweep` (over a :class:`PushState`) and :func:`settle_sweep`
-(over raw arrays) run one C loop, and :func:`extrapolate_window`
-another: ``_kernels.c``, compiled with the ``cc`` on ``PATH`` on the
-first import of this module into
+(over raw arrays) run one C loop, :func:`extrapolate_window` a second
+and :func:`scatter_ranges` a third: ``_kernels.c``, compiled with the
+``cc`` on ``PATH`` on the first import of this module into
 ``__pycache__/_kernels-<key>.so`` — the key hashes the source, the
 flags and the machine, so a warm import starts no process — and
 called through :mod:`ctypes`.  There is no other implementation and
@@ -59,12 +58,13 @@ sweep, a query needs fewer sweeps than with any coarser freshness.
 Summation order, and why results are bitwise-stable: nodes in
 ascending id and each node's edges in CSR order, so a target
 accumulates its shares one IEEE add at a time in a sequence that
-depends on the graph alone, not on the workspace or the thread running
-it.  The C source is compiled with ``-ffp-contract=off`` (no fused
-multiply-add), so every product and sum rounds on its own and the
-loops give the bits of the same loops written in Python, on every
-architecture; ``tests/test_core_async_sweep.py`` checks both against
-such references.  What *does* depend on node order is the answer
+depends on the graph alone, not on the thread running it.  The C
+source is compiled with ``-ffp-contract=off`` (no fused multiply-add),
+so every product and sum rounds on its own and the loops give the bits
+of the same loops written in Python, on every architecture;
+``tests/test_core_async_sweep.py`` and
+``tests/test_core_gather_scatter.py`` check them against such
+references.  What *does* depend on node order is the answer
 itself: relabelling the graph changes which residues are fresh when,
 hence which of the valid answers (all within ``r_sum`` of the exact
 vector) comes out.
@@ -73,30 +73,25 @@ vector) comes out.
 BePI read it) but is no longer part of the shared-memory image: a
 shard that needs it builds it lazily.
 
-The gather/scatter pair under every local push
-----------------------------------------------
-:func:`gather_ranges` copies arbitrary ranges of an index array —
-whole adjacency lists, or prefixes — into one compact array in a
-single pass of scipy's ``csr_row_index``, and :func:`scatter_add` adds
-one value per range into a vector at every index of the range, in
-place, in a single pass of scipy's ``csc_matvec``.
-:func:`frontier_propagate` (under :func:`frontier_push`) and the
-walk-index read of
-:func:`~repro.core.mc_phase.monte_carlo_refine` are built on the pair,
-so a local push touches each frontier edge twice (copy, add), stages
-only pointers and fences per frontier node, and has no ``O(n)`` term —
+The range scatter under every local push
+----------------------------------------
+:func:`scatter_ranges` adds one value per range of an ``int32`` index
+array into a vector at every index of the range, in place, in one C
+loop: ranges in the order given, each range's entries in array order,
+so a target accumulates its shares on top of what it held one add at a
+time, ``r + c_1 + c_2 + ...``, in an order fixed by the frontier and
+the CSR.  :func:`frontier_propagate` (under :func:`frontier_push`)
+hands it the frontier's adjacency ranges, ``indptr[nodes]`` and the
+out-degrees, and the walk-index read of
+:func:`~repro.core.mc_phase.monte_carlo_refine` the first ``W_v``
+stops of every node, so a local push touches each frontier edge once,
+stages only one share per frontier node, and has no ``O(n)`` term —
 the cost the paper's analysis of the local side assumes (measured
-times: README, "Kernels"; limits: :func:`gather_ranges`).  A
-target accumulates its shares on top of its residue one add at a time,
-``r + c_1 + c_2 + ...``, in an order fixed by the frontier and the CSR.
-
-Scratch buffers: the frontier kernels accept an optional
-:class:`~repro.core.workspace.Workspace`; callers that push in a loop
-(the solvers) thread one through so the frontier-sized temporaries are
-reused instead of reallocated every call.  This is enforced
-mechanically: ``repro-ppr lint`` (``repro.analysis``) checks
-``workspace-discipline`` on every CI run — see CONTRIBUTING.md for the
-invariant -> rule table.
+times: README, "Kernels").  The wrapper checks that every range lies
+inside the index array; that every index lies inside the vector is the
+caller's precondition, which a checked CSR
+(:class:`~repro.graph.digraph.DiGraph`) and a checked
+:class:`~repro.walks.index.WalkIndex` meet by construction.
 
 PowerPush has no multi-source kernel: a batch is a per-source loop
 (README, "Why PowerPush has no block path").  :func:`block_global_sweep`
@@ -116,29 +111,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.residues import BlockPushState, PushState
-from repro.core.workspace import Workspace
-from repro.errors import GraphConstructionError, KernelBuildError, ParameterError
-
-# The one import site of the two private scipy entry points the push
-# kernels are built on; tests/test_core_gather_scatter.py pins their
-# behaviour at the dtypes used here.
-try:
-    from scipy.sparse._sparsetools import (
-        csc_matvec as _csc_matvec,
-        csr_row_index as _csr_row_index,
-    )
-except ImportError as exc:  # pragma: no cover - depends on the scipy build
-    import scipy
-
-    raise ImportError(
-        f"repro's push kernels are built on csr_row_index and csc_matvec of "
-        f"the private module scipy.sparse._sparsetools, and the installed "
-        f"scipy {scipy.__version__} does not provide them"
-    ) from exc
+from repro.errors import KernelBuildError, ParameterError
 
 __all__ = [
-    "gather_ranges",
-    "scatter_add",
+    "scatter_ranges",
     "global_sweep",
     "frontier_push",
     "frontier_propagate",
@@ -187,6 +163,10 @@ def _build(cache_dir: Path) -> ctypes.CDLL:
     ]
     lib.repro_extrapolate_window.restype = ctypes.c_int
     lib.repro_extrapolate_window.argtypes = [count] + [pointer] * 4
+    lib.repro_scatter_ranges.restype = ctypes.c_int
+    lib.repro_scatter_ranges.argtypes = [
+        count, pointer, pointer, count, pointer, pointer, pointer,
+    ]
     return lib
 
 
@@ -237,181 +217,63 @@ def _address(array: np.ndarray, size: int, name: str) -> int:
 
 
 # Fraction of all nodes above which `sweep_active` abandons the
-# gather/scatter path for the asynchronous scan.  Mirrors PowerPush's
+# range scatter for the asynchronous scan.  Mirrors PowerPush's
 # scan_threshold = n/4 default.
 DENSE_SWEEP_FRACTION = 0.25
 
-# What int32 fences and pointers can address (a name so the guard's
-# test can lower it).
-_INT32_MAX = int(np.iinfo(np.int32).max)
 
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-class _GrownConstant:
-    """A process-wide read-only constant array, served by prefix.
-
-    Grown geometrically *by replacement*: a caller keeps the array it
-    was handed, so solves running on other threads are never left with
-    a resized buffer, and every graph version shares one copy.
-    """
-
-    __slots__ = ("_make", "_array")
-
-    def __init__(self, make) -> None:
-        self._make = make
-        self._array = make(0)
-
-    def __call__(self, size: int) -> np.ndarray:
-        array = self._array
-        if array.shape[0] < size:
-            array = _read_only(self._make(max(size, 2 * array.shape[0])))
-            self._array = array
-        return array[:size]
-
-
-#: ``(pointers, gathered)`` of an empty gather, per supported dtype.
-_NO_RANGES = {
-    np.dtype(dtype): (
-        _read_only(np.zeros(1, dtype=dtype)),
-        _read_only(np.empty(0, dtype=dtype)),
-    )
-    for dtype in (np.int32, np.int64)
-}
-
-#: All-one edge weights of the scatter (``1.0 * share`` is exact); as
-#: long as the widest single scatter so far, 8 bytes per target.
-_ONES = _GrownConstant(lambda size: np.ones(size, dtype=np.float64))
-#: The data array ``csr_row_index`` insists on copying: a byte per entry.
-_ZERO_TAGS = _GrownConstant(lambda size: np.zeros(size, dtype=np.int8))
-#: Rows ``0, 2, 4, ...`` of the interleaved fence array.
-_EVEN_ROWS = _GrownConstant(
-    lambda size: np.arange(0, 2 * size, 2, dtype=np.int32)
-)
-
-
-def gather_ranges(
-    indices: np.ndarray,
+def scatter_ranges(
+    out: np.ndarray,
+    targets: np.ndarray,
     starts: np.ndarray,
     counts: np.ndarray,
-    *,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``indices[starts[j] : starts[j] + counts[j]]`` over ``j``.
-
-    Returns ``(pointers, gathered)``: range ``j`` of the input sits at
-    ``gathered[pointers[j] : pointers[j + 1]]``, in input order — the
-    layout :func:`scatter_add` consumes.  With ``indices`` a CSR
-    adjacency array, ``starts = indptr[nodes]`` and ``counts`` the
-    degrees this is the multi-range gather of a frontier's out-edges;
-    shorter ``counts`` read prefixes (the walk-index read).
-
-    One compiled pass: scipy's ``csr_row_index`` copies row ``i`` of a
-    CSR matrix, ``Aj[Ap[i] : Ap[i + 1]]``, for a list of rows, so it is
-    handed the interleaved fences ``[start_0, end_0, start_1, end_1,
-    ...]`` as ``Ap`` and the even rows ``0, 2, 4, ...``.  It copies a
-    data array alongside: a process-wide all-zero ``int8`` array (a
-    byte per entry of the longest ``indices`` seen) into ``int8``
-    scratch.
-
-    ``indices`` is C-contiguous ``int32`` or ``int64`` (read-only and
-    shared-memory arrays are fine) and fixes the dtype of the fences,
-    of ``pointers`` and of ``gathered``; an ``int32`` array — or a
-    gather — of more than 2**31 - 1 entries raises
-    :class:`~repro.errors.GraphConstructionError`.  ``starts`` and
-    ``counts`` are any integer dtype, ``counts``
-    non-negative, every range inside ``indices``.  With a ``workspace``
-    both results are pooled scratch, valid until the next gather
-    through it.
-    """
-    dtype = indices.dtype
-    if dtype not in _NO_RANGES or not indices.flags.c_contiguous:
-        raise ParameterError(
-            f"gather_ranges reads C-contiguous int32 or int64 indices, "
-            f"got {dtype}"
-        )
-    num = starts.shape[0]
-    if num == 0:
-        # Nothing to gather: no scratch requested, no kernel called.
-        return _NO_RANGES[dtype]
-    total = int(counts.sum())
-    if dtype == np.int32 and max(total, indices.shape[0]) > _INT32_MAX:
-        raise GraphConstructionError(
-            f"gathering {total} of {indices.shape[0]} entries is more than "
-            f"the int32 fences of the gather kernel can address"
-        )
-    pointers = _scratch(workspace, "gather_pointers", num + 1, dtype)
-    pointers[0] = 0
-    np.cumsum(counts, out=pointers[1:])
-    fences = _scratch(workspace, "gather_fences", 2 * num, dtype)
-    fences[0::2] = starts
-    np.add(starts, counts, out=fences[1::2], casting="same_kind")
-    gathered = _scratch(workspace, "gather_targets", total, dtype)
-    tags = _scratch(workspace, "gather_tags", total, np.int8)
-    _csr_row_index(
-        num,
-        _EVEN_ROWS(num),
-        fences,
-        indices,
-        _ZERO_TAGS(indices.shape[0]),
-        gathered,
-        tags,
-    )
-    return pointers, gathered
-
-
-def scatter_add(
-    out: np.ndarray,
-    pointers: np.ndarray,
-    targets: np.ndarray,
     values: np.ndarray,
-    *,
-    workspace: Workspace | None = None,
 ) -> None:
     """``out[t] += values[j]`` for every ``t`` in range ``j`` of ``targets``.
 
-    Range ``j`` is ``targets[pointers[j] : pointers[j + 1]]`` — what
-    :func:`gather_ranges` returns, or a CSR ``indptr``/``indices`` pair.
-    In place, duplicates accumulate, and each entry of ``out`` receives
-    its additions one IEEE add at a time in ``targets`` order; values
-    of either sign.  This is scipy's ``csc_matvec`` reading the ranges
-    as the columns of an all-one sparse matrix, so nothing sized by
-    ``out`` is allocated.
+    Range ``j`` is ``targets[starts[j] : starts[j] + counts[j]]``: with
+    ``targets`` a CSR adjacency array, ``starts = indptr[nodes]`` and
+    ``counts`` the out-degrees it is a frontier's out-edges; shorter
+    ``counts`` read prefixes (the walk-index read).  In place, ranges in
+    order and each range in array order, duplicates accumulating one
+    IEEE add at a time; values of either sign.  Nothing is allocated
+    but copies of ``starts`` / ``counts`` that are not ``int64`` and of
+    ``values`` that are not float64.
 
-    ``out`` and ``values`` are C-contiguous float64 (anything else
-    would make scipy add into a converted copy and drop the result);
-    ``pointers`` are converted to the dtype of ``targets`` through the
-    workspace when they differ.
+    ``targets`` is a C-contiguous ``int32`` array (read-only and
+    shared-memory arrays are fine) whose entries index ``out``, a
+    writable C-contiguous float64 vector; ``values`` holds one float64
+    per range.  A range with a negative start or count, or reaching
+    past the end of ``targets``, raises
+    :class:`~repro.errors.ParameterError` before anything is added.
     """
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    num = starts.shape[0]
     if not (
-        out.flags.c_contiguous
-        and out.flags.writeable
-        and out.dtype == np.float64
-        and values.flags.c_contiguous
-        and values.dtype == np.float64
+        isinstance(targets, np.ndarray)
+        and targets.dtype == np.int32
+        and targets.ndim == 1
+        and targets.flags.c_contiguous
+    ):
+        raise ParameterError("targets must be a C-contiguous int32 vector")
+    if starts.shape != (num,) or counts.shape != (num,) or values.shape != (num,):
+        raise ParameterError(
+            "starts, counts and values must be vectors of one entry per range"
+        )
+    if _LIB.repro_scatter_ranges(
+        num,
+        starts.ctypes.data,
+        counts.ctypes.data,
+        targets.shape[0],
+        targets.ctypes.data,
+        values.ctypes.data,
+        _address(out, np.size(out), "out"),
     ):
         raise ParameterError(
-            "scatter_add adds in place and needs C-contiguous float64 "
-            "arrays (a writable one to add into)"
+            f"a range reaches outside the {targets.shape[0]} targets"
         )
-    if pointers.dtype != targets.dtype:
-        cast = _scratch(
-            workspace, "scatter_pointers", pointers.shape[0], targets.dtype
-        )
-        cast[:] = pointers
-        pointers = cast
-    _csc_matvec(
-        out.shape[0],
-        values.shape[0],
-        pointers,
-        targets,
-        _ONES(targets.shape[0]),
-        values,
-        out,
-    )
 
 
 def global_sweep(
@@ -459,25 +321,21 @@ def global_sweep(
     state.refresh_r_sum()
 
 
-def frontier_push(
-    state: PushState,
-    nodes: np.ndarray,
-    *,
-    workspace: Workspace | None = None,
-) -> None:
-    """Simultaneously push exactly ``nodes`` (gather/scatter path).
+def frontier_push(state: PushState, nodes: np.ndarray) -> None:
+    """Simultaneously push exactly ``nodes`` (the range-scatter path).
 
     Contributions are based on the residues at entry; the pushed nodes'
     residues are zeroed first so self-loop edges re-deposit correctly.
 
-    An empty ``nodes`` returns before requesting any workspace buffer
-    (the empty-frontier fast path late epochs rely on).
+    An empty ``nodes`` returns at once (the empty-frontier fast path
+    late epochs rely on); an id outside ``[0, n)`` raises
+    :class:`~repro.errors.ParameterError` with the state untouched.
     """
     if nodes.shape[0] == 0:
         return
     alpha = state.alpha
     pushed, counts, num_edges = frontier_propagate(
-        state.graph, state.residue, nodes, alpha, workspace=workspace
+        state.graph, state.residue, nodes, alpha
     )
     state.reserve[nodes] += alpha * pushed
 
@@ -494,26 +352,32 @@ def frontier_propagate(
     residue: np.ndarray,
     nodes: np.ndarray,
     alpha: float,
-    *,
-    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """One simultaneous push of ``nodes`` over a raw residue array.
 
     The local counterpart of :func:`settle_sweep`: take the residues
     of ``nodes`` off ``residue`` — first, so a self-loop re-deposits —
     and add ``(1 - alpha) * r / out_degree``, computed from the residues
-    at entry, to every out-neighbour in place: one :func:`gather_ranges`
-    over the nodes' adjacency lists and one :func:`scatter_add`, so the
-    call costs ``O(len(nodes) + their edges)`` and allocates nothing
-    sized by the graph.  Returns ``(pushed, counts, num_edges)`` — what
-    each node pushed, its out-degree, and the edges travelled; settling
+    at entry, to every out-neighbour in place: one :func:`scatter_ranges`
+    over the nodes' adjacency lists, so the call costs
+    ``O(len(nodes) + their edges)`` and allocates nothing sized by the
+    graph.  Returns ``(pushed, counts, num_edges)`` — what each node
+    pushed, its out-degree, and the edges travelled; settling
     ``alpha * pushed`` into a reserve, billing, and the mass of nodes
     with no out-edge (``counts == 0``) are the caller's.
 
-    ``nodes`` are distinct ids of any integer dtype; ``residue`` is
-    C-contiguous float64 and may be negative.  When no node has an
-    out-edge no workspace buffer is requested.
+    ``nodes`` are distinct ids in ``[0, n)`` of any integer dtype, and
+    ``residue`` is a writable C-contiguous float64 array of shape
+    ``(n,)`` that may hold negative entries; anything else raises
+    :class:`~repro.errors.ParameterError` before ``residue`` is touched.
+    When no node has an out-edge nothing is scattered.
     """
+    n = graph.num_nodes
+    # The scatter adds at every out-neighbour id, so residue must span
+    # all n of them.
+    _address(residue, n, "residue")
+    if nodes.shape[0] and (nodes.min() < 0 or nodes.max() >= n):
+        raise ParameterError(f"frontier nodes must be ids in [0, {n})")
     indptr = graph.out_indptr
     starts = indptr[nodes]
     counts = indptr[nodes + 1] - starts
@@ -521,17 +385,11 @@ def frontier_propagate(
     residue[nodes] = 0.0
     num_edges = int(counts.sum())
     if num_edges:
-        pointers, targets = gather_ranges(
-            graph.out_indices, starts, counts, workspace=workspace
-        )
-        shares = _scratch(
-            workspace, "frontier_shares", nodes.shape[0], np.float64
-        )
-        np.multiply(pushed, 1.0 - alpha, out=shares)
+        shares = pushed * (1.0 - alpha)
         # A node without out-edges owns an empty range: its share is
         # never read, it only must not divide by zero.
         shares /= np.maximum(counts, 1)
-        scatter_add(residue, pointers, targets, shares, workspace=workspace)
+        scatter_ranges(residue, graph.out_indices, starts, counts, shares)
     return pushed, counts, num_edges
 
 
@@ -540,11 +398,10 @@ def sweep_active(
     r_max: float,
     *,
     threshold_vec: np.ndarray | None = None,
-    workspace: Workspace | None = None,
 ) -> int:
     """Push all currently-active nodes once; return how many were pushed.
 
-    Chooses between the local gather/scatter path and the global path
+    Chooses between the local range-scatter path and the global path
     depending on the frontier size (more than ``DENSE_SWEEP_FRACTION``
     of the nodes active means global), anew on every call — the loop of
     FIFO-FwdPush and of :func:`~repro.core.refinement.refine_to_r_max`,
@@ -572,9 +429,9 @@ def sweep_active(
         return 0
 
     if num_active <= DENSE_SWEEP_FRACTION * graph.num_nodes:
-        frontier_push(state, frontier, workspace=workspace)
+        frontier_push(state, frontier)
     else:
-        async_sweep(state, workspace=workspace)
+        async_sweep(state)
     return num_active
 
 
@@ -673,11 +530,7 @@ def extrapolate_window(
     )
 
 
-def async_sweep(
-    state: PushState,
-    *,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
+def async_sweep(state: PushState) -> np.ndarray:
     """Push every residue-holding node once, with the freshest residues.
 
     The scan-phase sweep of PowerPush (Algorithm 3): unlike
@@ -688,12 +541,10 @@ def async_sweep(
     reached it, one residue update per out-edge of those nodes.
 
     Returns what the sweep settled into the reserve (``alpha`` times
-    what each node pushed) — scratch, valid until the next sweep
-    through the same workspace; :func:`extrapolate_window` reads it.
+    what each node pushed), a fresh ``(n,)`` array;
+    :func:`extrapolate_window` reads it.
     """
-    settled = _scratch(
-        workspace, "sweep_settled", state.graph.num_nodes, np.float64
-    )
+    settled = np.empty(state.graph.num_nodes)
     pushes, updates, dead_mass = settle_sweep(
         state.graph, state.residue, state.reserve, settled, state.alpha
     )
@@ -715,15 +566,6 @@ def _apply_dead_end_mass(state: PushState, dead_mass: float) -> None:
         raise AssertionError(
             "structural self-loop graphs cannot emit dead-end mass"
         )
-
-
-def _scratch(
-    workspace: Workspace | None, key: str, size: int, dtype
-) -> np.ndarray:
-    """A pooled buffer when a workspace is threaded, else a fresh one."""
-    if workspace is not None:
-        return workspace.buffer(key, size, dtype)
-    return np.empty(size, dtype=dtype)
 
 
 # Harness-only: benchmarks/e2e/layers.py is the sole caller.

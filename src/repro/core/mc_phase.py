@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.kernels import gather_ranges, scatter_add
+from repro.core.kernels import scatter_ranges
 from repro.errors import IndexMismatchError, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.instrumentation.counters import PushCounters
@@ -57,7 +57,8 @@ def monte_carlo_refine(
     Parameters
     ----------
     reserve, residue:
-        The push phase's output; neither array is modified.
+        The push phase's output, two ``(n,)`` arrays; neither is
+        modified.
     num_walks_w:
         The Chernoff budget ``W`` (Eq. 12).
     rng:
@@ -74,6 +75,12 @@ def monte_carlo_refine(
     """
     if walk_index is None and rng is None:
         raise ParameterError("live Monte-Carlo phase requires an rng")
+    n = graph.num_nodes
+    if reserve.shape != (n,) or residue.shape != (n,):
+        raise ParameterError(
+            f"reserve and residue must have shape ({n},), got "
+            f"{reserve.shape} and {residue.shape}"
+        )
     if walk_index is not None:
         walk_index.check_graph(graph)
         if abs(walk_index.alpha - alpha) > 1e-12:
@@ -105,23 +112,26 @@ def monte_carlo_refine(
             walks_needed = np.minimum(walks_needed, available)
             if counters is not None:
                 counters.bump("index_capped_nodes", int(short.sum()))
-        # Each node's first W_v pre-computed stops: a prefix gather.
-        pointers, stops = gather_ranges(walk_index.stops, first, walks_needed)
+        # Node v reads its first W_v pre-computed stops.
+        stops = walk_index.stops
         steps = 0
     else:
-        pointers = np.zeros(nodes.shape[0] + 1, dtype=np.int64)
-        np.cumsum(walks_needed, out=pointers[1:])
-        starts = np.repeat(nodes, walks_needed)
         assert rng is not None
         stops, steps = simulate_walk_stops(
-            graph, starts, alpha=alpha, source=source, rng=rng
+            graph,
+            np.repeat(nodes, walks_needed),
+            alpha=alpha,
+            source=source,
+            rng=rng,
         )
+        stops = stops.astype(np.int32)
+        first = np.cumsum(walks_needed) - walks_needed
 
     # Every walk from v adds r(s, v) / W_v where it stopped (Eq. 13); a
     # node capped to zero walks owns an empty range and adds nothing.
     weights = residue[nodes] / np.maximum(walks_needed, 1)
-    scatter_add(estimate, pointers, stops, weights)
+    scatter_ranges(estimate, stops, first, walks_needed, weights)
     if counters is not None:
-        counters.random_walks += int(pointers[-1])
+        counters.random_walks += int(walks_needed.sum())
         counters.walk_steps += steps
     return estimate

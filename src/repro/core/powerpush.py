@@ -57,6 +57,8 @@ import time
 from collections import deque
 from typing import Literal
 
+import numpy as np
+
 from repro.core.kernels import async_sweep, extrapolate_window, frontier_push
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
@@ -65,7 +67,6 @@ from repro.core.validation import (
     check_l1_threshold,
     check_source,
 )
-from repro.core.workspace import Workspace
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.instrumentation.tracing import ConvergenceTrace
@@ -259,7 +260,6 @@ def _run_vectorized(
     r_max = l1_threshold / m
     scan_threshold = config.scan_threshold(n)
     budget = _push_budget(state.alpha, l1_threshold, m, max_work_factor)
-    workspace = Workspace()
 
     # --- Queue phase: batched FIFO frontiers --------------------------
     # Each batch simultaneously pushes the current active set, which is
@@ -269,7 +269,7 @@ def _run_vectorized(
         frontier = state.active_nodes(r_max)
         if frontier.shape[0] == 0 or frontier.shape[0] > scan_threshold:
             break
-        frontier_push(state, frontier, workspace=workspace)
+        frontier_push(state, frontier)
         state.counters.queue_appends += frontier.shape[0]
         _check_budget(state, budget)
         if trace is not None:
@@ -277,14 +277,14 @@ def _run_vectorized(
 
     # --- Scan phase: whole sweeps, extrapolated at every epoch end ----
     if state.refresh_r_sum() > l1_threshold:
-        r_before = workspace.buffer("scan_r_before", n)
+        r_before = np.empty(n)
         for epoch in range(1, config.epoch_num + 1):
             state.counters.bump("epochs")
             target = _epoch_target(l1_threshold, epoch, config.epoch_num)
             settled = None
             while state.r_sum > target:
                 r_before[:] = state.residue
-                settled = async_sweep(state, workspace=workspace)
+                settled = async_sweep(state)
                 _check_budget(state, budget)
                 if trace is not None:
                     trace.maybe_record(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.core.kernels import sweep_active
 from repro.core.residues import PushState
-from repro.core.workspace import Workspace
 from repro.core.validation import check_r_max
 from repro.errors import ConvergenceError, ParameterError
 
@@ -35,7 +34,6 @@ def refine_to_r_max(
     check_r_max(r_max)
     if r_max == 0.0:
         raise ParameterError("r_max must be positive for refinement")
-    workspace = Workspace()
     if max_sweeps is None:
         import math
 
@@ -50,12 +48,7 @@ def refine_to_r_max(
     threshold_vec = state.threshold_vector(r_max)
     sweeps = 0
     while True:
-        pushed = sweep_active(
-            state,
-            r_max,
-            threshold_vec=threshold_vec,
-            workspace=workspace,
-        )
+        pushed = sweep_active(state, r_max, threshold_vec=threshold_vec)
         if pushed == 0:
             break
         sweeps += 1

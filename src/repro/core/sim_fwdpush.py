@@ -11,7 +11,7 @@ equivalence connection to Power Iteration (Lemma 4.1):
 Lemma 4.1: after each iteration the residue vector equals PowItr's
 ``gamma_s(j)`` and the reserve vector equals ``pi_s(j)``, exactly.  Our
 test-suite verifies this as a literal array comparison — and the check
-is meaningful because this module pushes through the gather/scatter
+is meaningful because this module pushes through the C range-scatter
 frontier kernel while PowItr uses the sparse mat-vec, i.e. two
 independent numeric paths.
 """
@@ -23,7 +23,6 @@ import time
 import numpy as np
 
 from repro.core.kernels import frontier_push
-from repro.core.workspace import Workspace
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
 from repro.core.validation import check_alpha, check_l1_threshold, check_source
@@ -57,7 +56,6 @@ def simultaneous_forward_push(
     check_alpha(alpha)
     check_source(graph, source)
     check_l1_threshold(l1_threshold)
-    workspace = Workspace()
     if max_iterations is None:
         import math
 
@@ -81,7 +79,7 @@ def simultaneous_forward_push(
                 f"(r_sum={state.r_sum:.3e}, lambda={l1_threshold:.3e})"
             )
         active = np.flatnonzero(state.residue > 0.0)
-        frontier_push(state, active, workspace=workspace)
+        frontier_push(state, active)
         state.refresh_r_sum()
         iterations += 1
         state.counters.iterations = iterations

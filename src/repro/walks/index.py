@@ -51,7 +51,12 @@ class WalkIndex:
     """Pre-computed walk stops for every node.
 
     ``stops[indptr[v]:indptr[v+1]]`` are the stop nodes of the
-    pre-computed walks from ``v``.
+    pre-computed walks from ``v``.  Construction checks the layout the
+    Monte-Carlo phase's C scatter relies on and raises
+    :class:`~repro.errors.IndexBuildError` otherwise: ``indptr`` is
+    ``int64`` of length ``graph_num_nodes + 1``, starts at 0, never
+    decreases and ends at ``len(stops)``; ``stops`` is a C-contiguous
+    ``int32`` vector of node ids in ``[0, graph_num_nodes)``.
     """
 
     indptr: np.ndarray
@@ -61,6 +66,31 @@ class WalkIndex:
     construction_seconds: float
     graph_num_nodes: int
     graph_num_edges: int
+
+    def __post_init__(self) -> None:
+        n = self.graph_num_nodes
+        indptr, stops = self.indptr, self.stops
+        if not (
+            isinstance(indptr, np.ndarray)
+            and indptr.dtype == np.int64
+            and indptr.shape == (n + 1,)
+            and isinstance(stops, np.ndarray)
+            and stops.dtype == np.int32
+            and stops.ndim == 1
+            and stops.flags.c_contiguous
+        ):
+            raise IndexBuildError(
+                f"a walk index of {n} nodes needs an int64 indptr of length "
+                f"{n + 1} and a C-contiguous int32 stops vector"
+            )
+        if indptr[0] != 0 or indptr[-1] != stops.shape[0] or np.any(
+            np.diff(indptr) < 0
+        ):
+            raise IndexBuildError(
+                f"walk index indptr must rise from 0 to {stops.shape[0]}"
+            )
+        if stops.shape[0] and (stops.min() < 0 or stops.max() >= n):
+            raise IndexBuildError(f"walk index stops must be ids in [0, {n})")
 
     @property
     def num_walks(self) -> int:

@@ -80,7 +80,6 @@ def test_lint_list_rules(capsys):
         "registry-signature-sync",
         "version-stamp",
         "lock-discipline",
-        "workspace-discipline",
         "no-mutable-default",
         "no-column-fancy-gather",
         "suppression-hygiene",

@@ -19,7 +19,6 @@ EXPECTED_RULES = {
     "registry-signature-sync",
     "version-stamp",
     "lock-discipline",
-    "workspace-discipline",
     "no-mutable-default",
     "unused-import",
     "suppression-hygiene",

@@ -696,70 +696,6 @@ class TestShmDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# workspace-discipline
-# ---------------------------------------------------------------------------
-
-class TestWorkspaceDiscipline:
-    def test_flags_raw_allocation_with_workspace_param(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "repro/core/kernels.py": """\
-                import numpy as np
-
-                def frontier_push(state, nodes, *, workspace=None):
-                    shares = np.zeros(nodes.shape[0], dtype=np.float64)
-                    return shares
-                """
-            },
-            select=["workspace-discipline"],
-        )
-        assert rules_of(findings) == ["workspace-discipline"]
-        assert findings[0].line == 4
-
-    def test_clean_fallback_branch_and_scratch_helper(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "repro/core/kernels.py": """\
-                import numpy as np
-
-                def _scratch(workspace, key, size, dtype):
-                    if workspace is not None:
-                        return workspace.buffer(key, size, dtype)
-                    return np.empty(size, dtype=dtype)
-
-                def frontier_push(state, nodes, *, workspace=None):
-                    if workspace is not None:
-                        positions = workspace.buffer("p", 4, np.int64)
-                    else:
-                        positions = np.empty(4, dtype=np.int64)
-                    shares = _scratch(workspace, "s", 4, np.float64)
-                    return positions, shares
-                """
-            },
-            select=["workspace-discipline"],
-        )
-        assert findings == []
-
-    def test_function_without_workspace_param_exempt(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "repro/core/kernels.py": """\
-                import numpy as np
-
-                def global_sweep(state):
-                    out = np.empty(4, dtype=np.float64)
-                    return out
-                """
-            },
-            select=["workspace-discipline"],
-        )
-        assert findings == []
-
-
-# ---------------------------------------------------------------------------
 # unused-import
 # ---------------------------------------------------------------------------
 
@@ -803,7 +739,7 @@ class TestUnusedImport:
 
                 if TYPE_CHECKING:
                     from repro.backends.base import KernelBackend
-                    from repro.core.workspace import Workspace
+                    from repro.core.residues import PushState
 
                 try:
                     from scipy.sparse import csr_matrix as _csr
@@ -813,7 +749,7 @@ class TestUnusedImport:
                 __all__ = ["exported_helper", "run"]
 
                 def run(items: Iterable[int], backend: "KernelBackend | None"):
-                    scratch: "Workspace" = None
+                    scratch: "PushState" = None
                     shape: Shape = None
                     return _csr, scratch, shape
                 """

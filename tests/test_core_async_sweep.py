@@ -26,7 +26,6 @@ from repro.core.kernels import (
     sweep_active,
 )
 from repro.core.residues import PushState
-from repro.core.workspace import Workspace
 from repro.errors import ParameterError
 from repro.graph.build import cycle_graph, from_edges, star_graph
 from repro.graph.dynamic import DynamicGraph
@@ -264,15 +263,6 @@ class TestOneSweep:
         assert np.array_equal(a.residue, b.residue)
         assert np.array_equal(a.reserve, b.reserve)
         assert a.counters.as_dict() == b.counters.as_dict()
-
-    def test_workspace_allocations_stay_flat(self, medium_graph):
-        state = PushState(medium_graph, 0, ALPHA)
-        workspace = Workspace()
-        async_sweep(state, workspace=workspace)
-        first = workspace.allocations
-        for _ in range(5):
-            async_sweep(state, workspace=workspace)
-        assert workspace.allocations == first
 
 
 class TestSignedAndThresholded:

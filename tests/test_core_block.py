@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core.kernels import block_global_sweep, global_sweep
 from repro.core.powerpush import PowerPushConfig, power_push, power_push_block
 from repro.core.residues import BlockPushState, PushState
-from repro.core.workspace import Workspace
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.build import from_edges
 
@@ -30,26 +29,6 @@ def block_rows_equal_states(block, states):
         assert np.array_equal(block.reserve[row], state.reserve), row
         assert np.array_equal(block.residue[row], state.residue), row
         assert block.r_sum[row] == state.r_sum, row
-
-
-class TestWorkspace:
-    def test_buffers_are_reused_and_grow(self):
-        ws = Workspace()
-        first = ws.buffer("a", 10, np.int64)
-        assert first.shape == (10,) and ws.allocations == 1
-        again = ws.buffer("a", 6, np.int64)
-        assert again.base is first.base and ws.allocations == 1
-        grown = ws.buffer("a", 11, np.int64)
-        assert grown.shape == (11,) and ws.allocations == 2
-        # Geometric growth: the new capacity covers well beyond 11.
-        assert ws.buffer("a", 20, np.int64).base is grown.base
-        assert ws.reused == ws.requests - ws.allocations
-
-    def test_dtype_change_reallocates(self):
-        ws = Workspace()
-        ws.buffer("a", 8, np.int64)
-        ws.buffer("a", 8, np.float64)
-        assert ws.allocations == 2
 
 
 class TestBlockPushState:

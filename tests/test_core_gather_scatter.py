@@ -1,18 +1,20 @@
-"""``gather_ranges`` + ``scatter_add``: the compiled pair under every local push.
+"""``scatter_ranges``: the C range scatter under every local push.
 
-What must hold: the pair does what a plain Python loop over the ranges
-does, for every shape of input the callers produce (whole adjacency
-lists, prefixes, empty ranges anywhere, duplicate targets, read-only and
-shared-memory index arrays, either index dtype), through a workspace or
-without one; ``frontier_push`` built on it is a *simultaneous* push —
-equal to scalar pushes made on the residues at entry — under every
-dead-end policy and across self-loops, and requests no buffer sized by
-the graph; the int32 limit raises a typed error; and the
-two private scipy entry points behave as the kernels assume at exactly
-the dtypes they are called with.
+What must hold: the loop in ``repro/core/_kernels.c`` gives the bits of
+a plain Python loop over the ranges, for every shape of input the
+callers produce (whole adjacency lists, walk-index prefixes, empty
+ranges anywhere, duplicate targets, read-only and shared-memory target
+arrays, starts and counts of either integer dtype), and refuses a range
+outside its targets before adding anything; ``frontier_push`` built on
+it is a *simultaneous* push — equal to scalar pushes made on the
+residues at entry — under every dead-end policy and across self-loops,
+allocates nothing sized by the graph, and refuses node ids outside
+``[0, n)`` with the state untouched.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,15 +24,9 @@ from hypothesis import strategies as st
 from test_core_async_sweep import CORNER_GRAPHS, POLICIES, prepared
 
 from repro.core import kernels
-from repro.core.kernels import (
-    frontier_propagate,
-    frontier_push,
-    gather_ranges,
-    scatter_add,
-)
+from repro.core.kernels import frontier_propagate, frontier_push, scatter_ranges
 from repro.core.residues import PushState
-from repro.core.workspace import Workspace
-from repro.errors import GraphConstructionError, ParameterError
+from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
 from repro.graph.build import from_edges, star_graph
 from repro.serving.shm import SharedGraphImage
@@ -39,53 +35,39 @@ ALPHA = 0.2
 
 
 # ----------------------------------------------------------------------
-# The plain loops the pair must agree with
+# The plain loop the C must agree with
 # ----------------------------------------------------------------------
-def loop_gather(indices, starts, counts):
-    pointers, gathered = [0], []
-    for start, count in zip(starts.tolist(), counts.tolist()):
-        gathered.extend(indices[start : start + count].tolist())
-        pointers.append(len(gathered))
-    return pointers, gathered
+def reference_scatter(out, targets, starts, counts, values):
+    """What ``scatter_ranges`` computes, one Python float add at a time."""
+    result = out.tolist()
+    targets = targets.tolist()
+    for start, count, value in zip(
+        starts.tolist(), counts.tolist(), values.tolist()
+    ):
+        for t in targets[start : start + count]:
+            result[t] += value
+    return np.array(result)
 
 
-def loop_scatter(out, pointers, targets, values):
-    out = out.copy()
-    for j, value in enumerate(values.tolist()):
-        for t in targets[pointers[j] : pointers[j + 1]]:
-            out[t] += value
-    return out
-
-
-def check_pair(indices, starts, counts, size, workspace=None):
-    """Gather then scatter, each against its loop; returns the pointers."""
-    pointers, gathered = gather_ranges(
-        indices, starts, counts, workspace=workspace
-    )
-    want_pointers, want_gathered = loop_gather(indices, starts, counts)
-    assert pointers.tolist() == want_pointers
-    assert gathered.tolist() == want_gathered
-    assert pointers.dtype == gathered.dtype == indices.dtype
-
+def check_scatter(targets, starts, counts, size):
+    """The C scatter against the reference, to the last bit."""
     values = np.linspace(-1.0, 2.0, starts.shape[0])
     base = np.linspace(0.5, 1.5, size)
     out = base.copy()
-    scatter_add(out, pointers, gathered, values, workspace=workspace)
-    want = loop_scatter(base, want_pointers, want_gathered, values)
-    # Same additions in the same order: equal to the last bit.
+    scatter_ranges(out, targets, starts, counts, values)
+    want = reference_scatter(base, targets, starts, counts, values)
     assert out.tobytes() == want.tobytes()
-    return pointers
+    return out
 
 
 @st.composite
 def ranges_of_an_index_array(draw):
-    """``(indices, starts, counts, size)``: arbitrary in-bounds ranges."""
+    """``(targets, starts, counts, size)``: arbitrary in-bounds ranges."""
     size = draw(st.integers(1, 12))
     length = draw(st.integers(0, 40))
-    dtype = draw(st.sampled_from([np.int32, np.int64]))
-    indices = np.asarray(
+    targets = np.asarray(
         draw(st.lists(st.integers(0, size - 1), min_size=length, max_size=length)),
-        dtype=dtype,
+        dtype=np.int32,
     )
     num = draw(st.integers(0, 10))
     starts, counts = [], []
@@ -95,7 +77,7 @@ def ranges_of_an_index_array(draw):
         counts.append(draw(st.integers(0, length - start)))
     id_dtype = draw(st.sampled_from([np.int32, np.int64]))
     return (
-        indices,
+        targets,
         np.asarray(starts, dtype=id_dtype),
         np.asarray(counts, dtype=id_dtype),
         size,
@@ -103,11 +85,14 @@ def ranges_of_an_index_array(draw):
 
 
 class TestGatherScatterPair:
+    """``scatter_ranges`` — gather and scatter in one C pass — against the loop."""
+
     @settings(max_examples=200, deadline=None)
     @given(ranges_of_an_index_array(), st.booleans())
-    def test_matches_a_plain_loop(self, case, pooled):
-        indices, starts, counts, size = case
-        check_pair(indices, starts, counts, size, Workspace() if pooled else None)
+    def test_matches_a_plain_loop(self, case, read_only):
+        targets, starts, counts, size = case
+        targets.flags.writeable = not read_only
+        check_scatter(targets, starts, counts, size)
 
     @pytest.mark.parametrize(
         "counts",
@@ -115,54 +100,52 @@ class TestGatherScatterPair:
         ids=["first", "middle", "last", "all", "both-ends"],
     )
     def test_zero_length_ranges(self, counts):
-        indices = np.arange(10, dtype=np.int32)[::-1].copy()
+        targets = np.arange(10, dtype=np.int32)[::-1].copy()
         starts = np.array([1, 4, 7])
-        check_pair(indices, starts, np.array(counts), 10)
+        check_scatter(targets, starts, np.array(counts), 10)
 
     def test_empty_input(self):
-        workspace = Workspace()
         nothing = np.empty(0, dtype=np.int64)
-        for dtype in (np.int32, np.int64):
-            indices = np.arange(5, dtype=dtype)
-            pointers = check_pair(indices, nothing, nothing, 5, workspace)
-            assert pointers.tolist() == [0]
-            assert not pointers.flags.writeable
-        assert workspace.requests == 0
+        targets = np.arange(5, dtype=np.int32)
+        out = check_scatter(targets, nothing, nothing, 5)
+        assert out.tolist() == np.linspace(0.5, 1.5, 5).tolist()
 
     def test_prefixes_shorter_than_the_row(self):
         # Rows of 4: read the first 1, 3, 0 and 4 entries of each.
-        indices = np.arange(16, dtype=np.int32) % 7
-        starts = np.array([0, 4, 8, 12])
-        pointers, gathered = gather_ranges(
-            indices, starts, np.array([1, 3, 0, 4])
+        targets = np.arange(16, dtype=np.int32) % 7
+        out = np.zeros(7)
+        scatter_ranges(
+            out,
+            targets,
+            np.array([0, 4, 8, 12]),
+            np.array([1, 3, 0, 4]),
+            np.array([1.0, 10.0, 100.0, 1000.0]),
         )
-        assert gathered.tolist() == [0, 4, 5, 6, 5, 6, 0, 1]
-        assert pointers.tolist() == [0, 1, 4, 4, 8]
+        # Targets read: [0], [4, 5, 6], [], [5, 6, 0, 1].
+        assert out.tolist() == [1001.0, 1000.0, 0.0, 0.0, 10.0, 1010.0, 1010.0]
 
     def test_duplicate_targets_accumulate(self):
         # Parallel edges: target 1 three times in one range, once in the next.
         out = np.zeros(3)
-        scatter_add(
+        scatter_ranges(
             out,
-            np.array([0, 3, 5], dtype=np.int32),
             np.array([1, 1, 1, 1, 2], dtype=np.int32),
+            np.array([0, 3]),
+            np.array([3, 2]),
             np.array([0.25, 1.0]),
         )
         assert out.tolist() == [0.0, 1.75, 1.0]
 
-    def test_pointers_of_another_dtype_are_converted(self):
-        # cumsum pointers are int64 whatever the targets are.
+    def test_starts_and_counts_of_another_dtype_are_converted(self):
         out = np.zeros(4)
-        workspace = Workspace()
-        scatter_add(
+        scatter_ranges(
             out,
-            np.array([0, 1, 3], dtype=np.int64),
             np.array([3, 0, 0], dtype=np.int32),
+            np.array([0, 1], dtype=np.int32),
+            np.array([1, 2], dtype=np.uint8),
             np.array([1.0, 2.0]),
-            workspace=workspace,
         )
         assert out.tolist() == [4.0, 0.0, 0.0, 1.0]
-        assert workspace.requests == 1
 
     def test_read_only_and_shared_memory_indices(self):
         graph = rmat_digraph(7, 600, rng=np.random.default_rng(4))
@@ -170,84 +153,53 @@ class TestGatherScatterPair:
         starts = graph.out_indptr[nodes]
         counts = graph.out_indptr[nodes + 1] - starts
         assert not graph.out_indices.flags.writeable
-        want = check_pair(graph.out_indices, starts, counts, graph.num_nodes)
+        want = check_scatter(graph.out_indices, starts, counts, graph.num_nodes)
         with SharedGraphImage.export_graph(graph) as image:
             attached = SharedGraphImage.attach(image.handle)
             try:
                 shared = attached.graph().out_indices
                 assert not shared.flags.writeable and not shared.flags.owndata
-                got = check_pair(shared, starts, counts, graph.num_nodes)
-                assert got.tolist() == want.tolist()
+                got = check_scatter(shared, starts, counts, graph.num_nodes)
+                assert got.tobytes() == want.tobytes()
                 del shared
             finally:
                 attached.close()
 
-    def test_second_call_through_a_workspace_allocates_nothing(self):
-        graph = rmat_digraph(7, 600, rng=np.random.default_rng(4))
-        workspace = Workspace()
-        out = np.zeros(graph.num_nodes)
-        for nodes in (np.arange(0, 40, 2), np.arange(1, 30, 3)):
-            starts = graph.out_indptr[nodes]
-            counts = graph.out_indptr[nodes + 1] - starts
-            before = workspace.allocations
-            pointers, targets = gather_ranges(
-                graph.out_indices, starts, counts, workspace=workspace
-            )
-            scatter_add(
-                out, pointers, targets, np.ones(nodes.shape[0]),
-                workspace=workspace,
-            )
-        # The first round filled the pool; the (smaller) second reused it.
-        assert before == 4 and workspace.allocations == before
-        assert workspace.requests == 8
-
-    def test_rejects_what_scipy_would_silently_convert(self):
-        indices = np.arange(6, dtype=np.int32)
+    def test_rejects_what_the_c_loop_cannot_read(self):
+        targets = np.arange(6, dtype=np.int32)
         one = np.array([1])
-        with pytest.raises(ParameterError, match="int32 or int64"):
-            gather_ranges(indices.astype(np.int16), one, one)
-        with pytest.raises(ParameterError, match="C-contiguous"):
-            gather_ranges(indices[::2], one, one)
-        pointers, targets = gather_ranges(indices, one, one)
-        for out in (
-            np.zeros(6, dtype=np.float32),
-            np.zeros(12)[::2],
-            kernels._ONES(6),  # read-only
-        ):
-            with pytest.raises(ParameterError, match="in place"):
-                scatter_add(out, pointers, targets, np.ones(1))
-        with pytest.raises(ParameterError, match="in place"):
-            scatter_add(np.zeros(6), pointers, targets, np.ones(1, dtype=np.int64))
+        for bad in (targets.astype(np.int64), targets[::2], targets.reshape(2, 3)):
+            with pytest.raises(ParameterError, match="int32 vector"):
+                scatter_ranges(np.zeros(6), bad, one, one, np.ones(1))
+        read_only = np.zeros(6)
+        read_only.flags.writeable = False
+        for out in (np.zeros(6, dtype=np.float32), np.zeros(12)[::2], read_only):
+            with pytest.raises(ParameterError, match="writable C-contiguous"):
+                scatter_ranges(out, targets, one, one, np.ones(1))
+        with pytest.raises(ParameterError, match="one entry per range"):
+            scatter_ranges(np.zeros(6), targets, one, one, np.ones(2))
 
-    def test_int32_guard_raises_a_typed_error(self, monkeypatch):
-        indices = np.arange(20, dtype=np.int32)
-        starts, counts = np.array([0, 5]), np.array([3, 3])
-        gather_ranges(indices, starts, counts)
-        monkeypatch.setattr(kernels, "_INT32_MAX", 19)
-        with pytest.raises(GraphConstructionError, match="int32 fences"):
-            gather_ranges(indices, starts, counts)
-        # ... by the gathered total as well as by the array's length,
-        gather_ranges(indices[:19], starts, counts)
-        with pytest.raises(GraphConstructionError, match="int32 fences"):
-            gather_ranges(indices[:19], np.zeros(4, int), np.full(4, 5))
-        # ... and only for int32: int64 fences address anything.
-        gather_ranges(indices.astype(np.int64), starts, counts)
-
-    def test_constants_grow_by_replacement(self):
-        held = kernels._ONES(3)
-        backing = held.base
-        grown = kernels._ONES(backing.shape[0] + 1)
-        assert grown.base is not backing and grown.base.shape[0] >= 2 * backing.shape[0]
-        # The array handed out earlier is untouched and still read-only.
-        assert held.base is backing and held.tolist() == [1.0, 1.0, 1.0]
-        assert not held.flags.writeable and not grown.flags.writeable
-        assert kernels._ONES(2).base is grown.base
-        assert kernels._EVEN_ROWS(4).tolist() == [0, 2, 4, 6]
-        assert not kernels._ZERO_TAGS(5).any()
+    @pytest.mark.parametrize(
+        "start, count",
+        [(-1, 1), (0, -1), (6, 1), (4, 3), (2**62, 2**62), (0, 2**63 - 1)],
+    )
+    def test_a_range_outside_the_targets_adds_nothing(self, start, count):
+        targets = np.arange(6, dtype=np.int32)
+        out = np.zeros(6)
+        with pytest.raises(ParameterError, match="outside the 6 targets"):
+            # The good first range is not added either.
+            scatter_ranges(
+                out,
+                targets,
+                np.array([0, start]),
+                np.array([2, count]),
+                np.ones(2),
+            )
+        assert not out.any()
 
 
 # ----------------------------------------------------------------------
-# frontier_push on the pair
+# frontier_push on the C scatter
 # ----------------------------------------------------------------------
 def scalar_pushes_on_entry_residues(state, nodes):
     """What a simultaneous push must equal: ``PushState.push`` per node,
@@ -286,7 +238,7 @@ class TestFrontierPush:
             if nodes.shape[0] == 0:
                 nodes = np.array([n - 1], dtype=id_dtype)
 
-            frontier_push(vector, nodes, workspace=Workspace())
+            frontier_push(vector, nodes)
             scalar_pushes_on_entry_residues(scalar, nodes)
 
             np.testing.assert_allclose(vector.residue, scalar.residue, rtol=0, atol=1e-15)
@@ -320,10 +272,15 @@ class TestFrontierPush:
         state.refresh_r_sum()
         nodes = np.flatnonzero(graph.out_degree > 0)[:50]
         edges = int(graph.out_degree[nodes].sum())
-        workspace = Workspace()
-        frontier_push(state, nodes, workspace=workspace)
-        longest = max(buf.shape[0] for buf in workspace._buffers.values())
-        assert 0 < longest <= edges + nodes.shape[0] + 1 < graph.num_nodes
+        tracemalloc.start()
+        try:
+            frontier_push(state, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A few frontier-sized temporaries, nothing of n float64 entries.
+        peak_entries = peak // 8
+        assert 0 < peak_entries <= edges + nodes.shape[0] + 1 < graph.num_nodes
         assert state.counters.residue_updates == edges
 
     def test_propagate_takes_signed_residues(self):
@@ -343,72 +300,76 @@ def _graph(seed: int = 7, scale: int = 7, edges: int = 700):
 
 
 class TestEmptyFrontierFastPath:
-    """Empty frontiers must not touch the workspace (satellite fix)."""
+    """Empty frontiers and edgeless frontiers never reach the C loop."""
 
-    def test_frontier_push_empty_nodes(self):
+    @pytest.fixture
+    def no_scatter(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scatter_ranges was called")
+
+        monkeypatch.setattr(kernels, "scatter_ranges", refuse)
+
+    def test_frontier_push_empty_nodes(self, no_scatter):
         graph = _graph()
         state = PushState(graph, 0)
-        workspace = Workspace()
-        kernels.frontier_push(
-            state, np.empty(0, dtype=np.int64), workspace=workspace
-        )
-        assert workspace.requests == 0
+        kernels.frontier_push(state, np.empty(0, dtype=np.int64))
         assert state.r_sum == 1.0
+        assert state.counters.pushes == 0
 
-    def test_gather_ranges_empty_nodes(self):
+    def test_scatter_ranges_empty_ranges(self):
         graph = _graph()
-        workspace = Workspace()
+        out = np.ones(graph.num_nodes)
         nodes = np.empty(0, dtype=np.int64)
-        pointers, targets = kernels.gather_ranges(
-            graph.out_indices, nodes, nodes, workspace=workspace
+        kernels.scatter_ranges(
+            out, graph.out_indices, nodes, nodes, np.empty(0)
         )
-        assert targets.shape[0] == 0 and pointers.tolist() == [0]
-        assert workspace.requests == 0
+        assert (out == 1.0).all()
 
-    def test_frontier_push_all_dead_frontier(self):
+    def test_frontier_push_all_dead_frontier(self, no_scatter):
         graph = star_graph(4, bidirectional=False)  # leaves are dead ends
         state = PushState(graph, 0)
         state.residue[:] = 0.25
         state.refresh_r_sum()
-        workspace = Workspace()
-        # Pushing only dead ends gathers zero edges: no scatter, no
-        # workspace traffic, yet reserves/dead-mass still settle.
-        kernels.frontier_push(
-            state,
-            graph.dead_ends.astype(np.int64),
-            workspace=workspace,
-        )
-        assert workspace.requests == 0
+        # Pushing only dead ends scatters zero edges: no C call, yet
+        # reserves/dead-mass still settle.
+        kernels.frontier_push(state, graph.dead_ends.astype(np.int64))
         assert state.counters.pushes == graph.dead_ends.shape[0]
 
 
-# ----------------------------------------------------------------------
-# The private scipy entry points, at exactly the dtypes used
-# ----------------------------------------------------------------------
-class TestScipyPin:
-    """A scipy upgrade is the only thing that can break the pair silently."""
+class TestFrontierIdsOutOfRange:
+    """A bad id is refused before the state is touched."""
 
-    # 0 -> 1, 2; 1 -> 2; 2 -> 0; 3 -> 0, 1, 2
-    INDPTR = np.array([0, 2, 3, 4, 7], dtype=np.int32)
-    INDICES = np.array([1, 2, 2, 0, 0, 1, 2], dtype=np.int32)
-
-    def test_csr_row_index_copies_the_fenced_ranges(self):
-        # Node 3's first two edges, nothing of node 1, all of node 0.
-        fences = np.array([4, 6, 2, 2, 0, 2], dtype=np.int32)
-        rows = np.array([0, 2, 4], dtype=np.int32)
-        tags_in = np.zeros(7, dtype=np.int8)
-        gathered = np.full(4, -1, dtype=np.int32)
-        tags_out = np.full(4, 7, dtype=np.int8)
-        kernels._csr_row_index(
-            3, rows, fences, self.INDICES, tags_in, gathered, tags_out
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_frontier_push_leaves_the_state_unchanged(self, bad, dtype):
+        graph = _graph()
+        n = graph.num_nodes
+        state = PushState(graph, 0)
+        state.residue[:] = 1.0 / n
+        state.refresh_r_sum()
+        residue, reserve, r_sum = (
+            state.residue.copy(), state.reserve.copy(), state.r_sum
         )
-        assert gathered.tolist() == [0, 1, 1, 2]
-        assert tags_out.tolist() == [0, 0, 0, 0]
+        nodes = np.array([1, n if bad == "n" else bad], dtype=dtype)
+        with pytest.raises(ParameterError, match=r"ids in \[0, "):
+            frontier_push(state, nodes)
+        assert state.residue.tobytes() == residue.tobytes()
+        assert state.reserve.tobytes() == reserve.tobytes()
+        assert state.r_sum == r_sum and state.counters.pushes == 0
 
-    def test_csc_matvec_adds_in_place(self):
-        out = np.array([10.0, 20.0, 30.0, 40.0])
-        shares = np.array([1.0, 2.0, 4.0, 8.0])
-        kernels._csc_matvec(
-            4, 4, self.INDPTR, self.INDICES, np.ones(7), shares, out
-        )
-        assert out.tolist() == [10.0 + 4 + 8, 20.0 + 1 + 8, 30.0 + 1 + 2 + 8, 40.0]
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_frontier_propagate_leaves_the_residue_unchanged(self, bad):
+        graph = _graph()
+        n = graph.num_nodes
+        residue = np.linspace(0.0, 1.0, n)
+        before = residue.copy()
+        nodes = np.array([n if bad == "n" else bad])
+        with pytest.raises(ParameterError, match=r"ids in \[0, "):
+            frontier_propagate(graph, residue, nodes, ALPHA)
+        assert residue.tobytes() == before.tobytes()
+
+    def test_frontier_propagate_refuses_a_residue_of_another_length(self):
+        graph = _graph()
+        residue = np.zeros(graph.num_nodes - 1)
+        with pytest.raises(ParameterError, match="residue"):
+            frontier_propagate(graph, residue, np.array([0]), ALPHA)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import (
-    frontier_push,
-    gather_ranges,
-    global_sweep,
-    sweep_active,
-)
+from repro.core.kernels import frontier_push, global_sweep, sweep_active
 from repro.core.refinement import refine_to_r_max
 from repro.core.residues import PushState
 from repro.errors import ConvergenceError, ParameterError
@@ -16,14 +11,15 @@ from repro.graph.build import from_edges
 
 
 def _edge_targets(graph, nodes):
-    """The out-adjacency lists of ``nodes`` through ``gather_ranges``."""
-    starts = graph.out_indptr[nodes]
-    counts = graph.out_indptr[nodes + 1] - starts
-    return gather_ranges(graph.out_indices, starts, counts)
+    """``(pointers, targets)``: the out-adjacency lists of ``nodes``, concatenated."""
+    indptr, indices = graph.out_indptr, graph.out_indices
+    rows = [indices[indptr[v] : indptr[v + 1]] for v in nodes.tolist()]
+    pointers = np.cumsum([0] + [row.shape[0] for row in rows])
+    return pointers, np.concatenate([indices[:0], *rows])
 
 
 class TestFrontierEdgeTargets:
-    """A frontier's edge targets, read with ``gather_ranges``."""
+    """A frontier's edge targets, read by plain CSR slicing."""
 
     def test_concatenates_in_node_order(self, paper_graph):
         pointers, targets = _edge_targets(paper_graph, np.array([0, 2]))

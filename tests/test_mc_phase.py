@@ -91,6 +91,19 @@ class TestRefinement:
                 paper_graph, 0, 0.2, np.zeros(5), np.ones(5) / 5, 100
             )
 
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_vectors_of_another_length_rejected(self, paper_graph, rng, length):
+        # The walks stop at ids up to n - 1, so a shorter estimate would
+        # be written past its end.
+        for reserve, residue in (
+            (np.zeros(length), np.ones(5) / 5),
+            (np.zeros(5), np.ones(length) / length),
+        ):
+            with pytest.raises(ParameterError, match=r"shape \(5,\)"):
+                monte_carlo_refine(
+                    paper_graph, 0, 0.2, reserve, residue, 100, rng=rng
+                )
+
     def test_counters_updated(self, paper_graph, rng):
         state = self._half_pushed_state(paper_graph)
         monte_carlo_refine(

@@ -13,6 +13,7 @@ from repro.graph.build import cycle_graph, from_edges
 from repro.metrics.ground_truth import exact_ppr_dense
 from repro.walks.engine import simulate_walk_stops, single_walk, walk_stop_counts
 from repro.walks.index import (
+    WalkIndex,
     build_walk_index,
     fora_plus_walk_counts,
     speedppr_walk_counts,
@@ -176,6 +177,38 @@ class TestWalkIndex:
                 paper_graph, -np.ones(5, dtype=np.int64), rng=rng
             )
 
+    @pytest.mark.parametrize(
+        "indptr, stops",
+        [
+            ([0, 1, 2, 3, 4], [0, 1, 2, 50_000_000]),
+            ([0, 1, 2, 3, 4], [0, 1, -1, 3]),
+            ([0, 1, 2, 3, 4], np.arange(4, dtype=np.int64)),
+            ([0, 1, 2, 3, 4], np.arange(8, dtype=np.int32)[::2]),
+            (np.array([0, 1, 2, 3, 4], dtype=np.int32), [0, 1, 2, 3]),
+            ([0, 1, 2, 4], [0, 1, 2, 3]),
+            ([1, 1, 2, 3, 4], [0, 1, 2, 3]),
+            ([0, 2, 1, 3, 4], [0, 1, 2, 3]),
+            ([0, 1, 2, 3, 3], [0, 1, 2, 3]),
+            ([0, 1, 2, 3, 5], [0, 1, 2, 3]),
+        ],
+        ids=[
+            "stop-past-n", "negative-stop", "int64-stops", "strided-stops",
+            "int32-indptr", "short-indptr", "indptr-from-1", "falling-indptr",
+            "indptr-short-of-stops", "indptr-past-stops",
+        ],
+    )
+    def test_layout_checked_on_construction(self, indptr, stops):
+        with pytest.raises(IndexBuildError):
+            WalkIndex(
+                indptr=np.asarray(indptr, dtype=getattr(indptr, "dtype", np.int64)),
+                stops=np.asarray(stops, dtype=getattr(stops, "dtype", np.int32)),
+                alpha=0.2,
+                policy="custom",
+                construction_seconds=0.0,
+                graph_num_nodes=4,
+                graph_num_edges=4,
+            )
+
     def test_size_bytes_positive_and_consistent(self, paper_graph, rng):
         index = build_walk_index(
             paper_graph, speedppr_walk_counts(paper_graph), rng=rng
@@ -204,4 +237,21 @@ class TestWalkIndexStorage:
         path = tmp_path / "bad.npz"
         path.write_bytes(b"nope")
         with pytest.raises(IndexBuildError):
+            load_walk_index(path)
+
+    def test_load_out_of_range_stop_raises(self, tmp_path):
+        # A file no build would write: one stop far outside cycle_graph(4).
+        graph = cycle_graph(4)
+        path = tmp_path / "crafted.npz"
+        np.savez_compressed(
+            path,
+            indptr=np.arange(5, dtype=np.int64),
+            stops=np.array([0, 1, 2, 50_000_000], dtype=np.int32),
+            alpha=np.array(0.2),
+            policy=np.array("speedppr"),
+            construction_seconds=np.array(0.0),
+            graph_num_nodes=np.array(graph.num_nodes),
+            graph_num_edges=np.array(graph.num_edges),
+        )
+        with pytest.raises(IndexBuildError, match=r"ids in \[0, 4\)"):
             load_walk_index(path)
