@@ -1,7 +1,8 @@
 /*
  * The three loops under repro's push kernels, in C99: the scan phase's
- * asynchronous sweep and epoch-end extrapolation (paper Algorithm 3),
- * and the range scatter under every local push.
+ * asynchronous sweep (also, active-only, SpeedPPR's refinement) and
+ * epoch-end extrapolation (paper Algorithm 3), and the range scatter
+ * under every local push.
  *
  * Built and loaded by repro/core/kernels.py on first import, with
  * -ffp-contract=off: every multiply and add below rounds on its own, so
@@ -19,12 +20,14 @@
  * One asynchronous sweep: push every node holding residue, in ascending
  * id, each push reading the residues as the pushes before it left them.
  *
- * A node v with r = residue[v] != 0 (either sign) takes its residue off
+ * With threshold NULL a node v is pushed when r = residue[v] != 0
+ * (either sign); otherwise only when r > threshold[v] (the active-only
+ * scan, "push r > d_v * r_max").  A pushed node takes its residue off
  * first, so a self-loop re-deposits; settles settled[v] = alpha * r into
  * reserve[v]; and adds (1 - alpha) * r / deg to each out-neighbour in
  * CSR order.  A node without out-edges adds (1 - alpha) * r to the
  * returned dead-end mass instead, which the caller routes by policy.
- * settled[v] is 0 for every node that held nothing.
+ * settled[v] is 0 for every node not pushed.
  *
  * counts[0] receives the nodes pushed, counts[1] the sum of their
  * out-degrees.
@@ -37,6 +40,7 @@ double repro_async_sweep(
     double *residue,
     double *reserve,
     double *settled,
+    const double *threshold,
     int64_t *counts)
 {
     const double scale = 1.0 - alpha;
@@ -45,7 +49,7 @@ double repro_async_sweep(
     int64_t edges = 0;
     for (int64_t v = 0; v < n; ++v) {
         const double r = residue[v];
-        if (r == 0.0) {
+        if (threshold == NULL ? r == 0.0 : !(r > threshold[v])) {
             settled[v] = 0.0;
             continue;
         }

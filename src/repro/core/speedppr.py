@@ -98,6 +98,23 @@ def speed_ppr(
         result.method = "SpeedPPR[mc-shortcut]"
         return result
 
+    if graph.num_edges == 0:
+        # Every node is a dead end, so the policy alone fixes the walk
+        # and PowerPush answers exactly, leaving no residue for walks
+        # (lambda = m / W would be 0).
+        result = power_push(
+            graph,
+            source,
+            alpha=alpha,
+            l1_threshold=1.0,
+            config=config,
+            dead_end_policy=dead_end_policy,
+        )
+        result.method = (
+            "SpeedPPR-Index" if walk_index is not None else "SpeedPPR"
+        )
+        return result
+
     started = time.perf_counter()
     # Phase 1: PowerPush to lambda = m / W, then refine so that no node
     # is active w.r.t. r_max = 1 / W  (Algorithm 4, Lines 2-3).

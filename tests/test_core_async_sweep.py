@@ -3,8 +3,8 @@
 ``settle_sweep`` / ``async_sweep`` and ``extrapolate_window`` are loops
 in ``repro/core/_kernels.c``.  The references below say what they
 compute, and the C must give their bits: a pure-Python loop over the
-node ids for the sweep, and the NumPy body the extrapolation had before
-it moved to C.  What must hold besides: one sweep conserves
+node ids for the sweep (with and without the active-only threshold),
+and the NumPy body the extrapolation had before it moved to C.  What must hold besides: one sweep conserves
 ``sum(reserve) + sum(residue)``, keeps the push invariant (checked
 against ``exact_ppr_dense``) and bills what it pushed; mass that
 reaches a later node is pushed in the same sweep; and an array the C
@@ -78,20 +78,23 @@ def random_graph(n, edge_seed, density):
 # ---------------------------------------------------------------------------
 # The references the C loops are checked against
 # ---------------------------------------------------------------------------
-def reference_sweep(graph, residue, reserve, settled, alpha):
+def reference_sweep(graph, residue, reserve, settled, alpha, threshold=None):
     """Algorithm 3's scan as a plain loop: what ``settle_sweep`` computes.
 
-    Python floats are IEEE doubles and every operation rounds on its
-    own, as in the C compiled without fused multiply-add.
+    Without ``threshold`` every node holding residue is pushed; with it,
+    only a node whose residue exceeds ``threshold[v]`` when the loop
+    reaches it.  Python floats are IEEE doubles and every operation
+    rounds on its own, as in the C compiled without fused multiply-add.
     """
     indptr, indices = graph.out_indptr.tolist(), graph.out_indices.tolist()
     r, p = residue.tolist(), reserve.tolist()
+    t = None if threshold is None else threshold.tolist()
     s = [0.0] * len(r)
     pushes = edges = 0
     dead_mass = 0.0
     for v in range(len(r)):
         mass = r[v]
-        if mass == 0.0:
+        if mass == 0.0 if t is None else not mass > t[v]:
             continue
         r[v] = 0.0
         s[v] = alpha * mass
@@ -126,13 +129,13 @@ def reference_extrapolate_window(reserve, residue, settled, r_before):
     return True
 
 
-def assert_sweep_matches_reference(graph, residue, reserve):
+def assert_sweep_matches_reference(graph, residue, reserve, threshold=None):
     """Run C and reference on copies of the same arrays; same bits."""
     n = graph.num_nodes
     c_arrays = (residue.copy(), reserve.copy(), np.full(n, np.nan))
     py_arrays = (residue.copy(), reserve.copy(), np.full(n, np.nan))
-    got = settle_sweep(graph, *c_arrays, ALPHA)
-    expected = reference_sweep(graph, *py_arrays, ALPHA)
+    got = settle_sweep(graph, *c_arrays, ALPHA, threshold=threshold)
+    expected = reference_sweep(graph, *py_arrays, ALPHA, threshold)
     assert got == expected
     for c, py in zip(c_arrays, py_arrays):
         assert c.tobytes() == py.tobytes()
@@ -351,6 +354,113 @@ class TestSignedAndThresholded:
                 extrapolate_window(np.zeros(n), np.ones(n), array, np.ones(n))
             with pytest.raises(ParameterError, match="float64"):
                 extrapolate_window(np.zeros(n), np.ones(n), np.ones(n), array)
+
+
+def check_active_only_sweep(graph, source, policy, warmup_pushes, r_max):
+    """One thresholded sweep, as the refinement runs it, against the
+    reference; every node active at entry is pushed, and mass is kept."""
+    graph = prepared(graph, policy)
+    state = PushState(graph, source, ALPHA, dead_end_policy=policy)
+    for _ in range(warmup_pushes):
+        frontier_push(state, np.flatnonzero(state.residue > 0.0))
+    threshold = state.threshold_vector(r_max)
+    active = state.residue > threshold
+    mass = state.mass_total()
+    residue, reserve, settled = assert_sweep_matches_reference(
+        graph, state.residue, state.reserve, threshold
+    )
+    # Residues only grow until the loop reaches a node, so a node active
+    # at entry is still active there; a node never active pushes nothing.
+    assert (settled[active] > 0.0).all()
+    assert (settled[settled != 0.0] > 0.0).all()
+    pushed = settled != 0.0
+    dead = pushed & (graph.out_degree == 0)
+    dead_mass = (1.0 - ALPHA) * float((settled[dead] / ALPHA).sum())
+    assert reserve.sum() + residue.sum() + dead_mass == pytest.approx(
+        mass, abs=1e-12
+    )
+
+
+class TestActiveOnlySweep:
+    """``settle_sweep(..., threshold=t)`` pushes only ``r > t[v]``."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", sorted(CORNER_GRAPHS))
+    def test_corner_graphs(self, name, policy):
+        graph = CORNER_GRAPHS[name]
+        for source in (0, graph.num_nodes - 1):
+            for warmup in (0, 2):
+                for r_max in (0.0, 1e-3, 0.05, 0.3):
+                    check_active_only_sweep(graph, source, policy, warmup, r_max)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(1, 12),
+        edge_seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 3.0),
+        policy=st.sampled_from(POLICIES),
+        warmup=st.integers(0, 3),
+        r_max=st.floats(0.0, 0.3),
+    )
+    def test_random_graphs(self, n, edge_seed, density, policy, warmup, r_max):
+        graph, source = random_graph(n, edge_seed, density)
+        check_active_only_sweep(graph, source, policy, warmup, r_max)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n=st.integers(1, 12),
+        edge_seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 3.0),
+    )
+    def test_signed_residues_and_thresholds(self, n, edge_seed, density):
+        """The comparison alone decides, for any signs: a negative
+        threshold pushes a node holding nothing, which moves no bit."""
+        graph, _ = random_graph(n, edge_seed, density)
+        rng = np.random.default_rng(edge_seed)
+        residue = np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n))
+        assert_sweep_matches_reference(
+            graph, residue, np.zeros(n), rng.normal(scale=0.5, size=n)
+        )
+
+    def test_zero_threshold_is_the_full_sweep_on_non_negative_residues(
+        self, medium_graph
+    ):
+        n = medium_graph.num_nodes
+        residue = np.random.default_rng(3).random(n)
+        residue[::3] = 0.0
+        full = assert_sweep_matches_reference(medium_graph, residue, np.zeros(n))
+        zero = assert_sweep_matches_reference(
+            medium_graph, residue, np.zeros(n), np.zeros(n)
+        )
+        for a, b in zip(full, zero):
+            assert a.tobytes() == b.tobytes()
+
+    def test_threshold_checked_and_read_only_accepted(self, medium_graph):
+        n = medium_graph.num_nodes
+        read_only = np.full(n, 1e-3)
+        read_only.flags.writeable = False
+        assert_sweep_matches_reference(
+            medium_graph, np.full(n, 2e-3), np.zeros(n), read_only
+        )
+        bad = {
+            "float32": np.zeros(n, dtype=np.float32),
+            "non-contiguous": np.zeros((n, 2))[:, 0],
+            "wrong length": np.zeros(n - 1),
+            "a list": [0.0] * n,
+        }
+        for label, threshold in bad.items():
+            arrays = [np.full(n, 0.5) for _ in range(3)]
+            with pytest.raises(ParameterError, match="threshold"):
+                settle_sweep(medium_graph, *arrays, ALPHA, threshold=threshold)
+            assert all((a == 0.5).all() for a in arrays), label
 
 
 class TestGraphsThatDidNotComeFromABuilder:

@@ -36,7 +36,8 @@ indices = np.array([1, 2, 0], dtype=np.int32)
 residue, reserve, settled = np.array([1.0, 0, 0]), np.zeros(3), np.zeros(3)
 counts = (ctypes.c_int64 * 2)()
 lib.repro_async_sweep(3, indptr.ctypes.data, indices.ctypes.data, 0.2,
-    residue.ctypes.data, reserve.ctypes.data, settled.ctypes.data, counts)
+    residue.ctypes.data, reserve.ctypes.data, settled.ctypes.data, None,
+    counts)
 print(json.dumps([residue.tolist(), reserve.tolist(), list(counts)]))
 """
 

@@ -8,6 +8,13 @@ from repro.core.refinement import refine_to_r_max
 from repro.core.residues import PushState
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.build import from_edges
+from test_core_async_sweep import (
+    ALPHA,
+    CORNER_GRAPHS,
+    POLICIES,
+    invariant_gap,
+    prepared,
+)
 
 
 def _edge_targets(graph, nodes):
@@ -177,3 +184,30 @@ class TestRefinement:
         state = PushState(medium_graph, 2)
         refine_to_r_max(state, 1e-5)
         assert state.mass_total() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestRefinementOnCornerGraphs:
+    """Dead ends, self-loops and parallel edges, under every policy."""
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", sorted(CORNER_GRAPHS))
+    def test_terminal_condition_and_invariant(self, name, policy):
+        graph = prepared(CORNER_GRAPHS[name], policy)
+        for source in (0, graph.num_nodes - 1):
+            for r_max in (1e-2, 1e-4, 1e-7):
+                state = PushState(graph, source, ALPHA, dead_end_policy=policy)
+                refine_to_r_max(state, r_max)
+                threshold = state.effective_out_degree * r_max
+                assert not (state.residue > threshold).any()
+                assert (state.residue >= 0.0).all()
+                assert state.mass_total() == pytest.approx(1.0, abs=1e-12)
+                assert state.r_sum == float(state.residue.sum())
+                assert invariant_gap(state) < 1e-12
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", sorted(CORNER_GRAPHS))
+    def test_sweep_cap_raises(self, name, policy):
+        graph = prepared(CORNER_GRAPHS[name], policy)
+        state = PushState(graph, 0, ALPHA, dead_end_policy=policy)
+        with pytest.raises(ConvergenceError):
+            refine_to_r_max(state, 1e-12, max_sweeps=1)

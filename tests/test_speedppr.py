@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api.engine import PPREngine
 from repro.core.speedppr import speed_ppr
 from repro.errors import ParameterError
+from repro.graph.build import from_edges
 from repro.metrics.errors import max_relative_error, relative_error_violations
 from repro.metrics.ground_truth import ground_truth_ppr
 from repro.montecarlo.chernoff import chernoff_walk_count
@@ -167,3 +169,26 @@ class TestShortcutAndValidation:
             allow_monte_carlo_shortcut=False,
         )
         assert result.method == "SpeedPPR"
+
+
+class TestEdgelessGraph:
+    """m = 0 makes lambda = m / W zero; the policy alone fixes the answer."""
+
+    @pytest.mark.parametrize(
+        "policy, expected",
+        [
+            ("redirect-to-source", [0.0, 1.0, 0.0, 0.0, 0.0]),
+            ("uniform-teleport", [0.16, 0.36, 0.16, 0.16, 0.16]),
+        ],
+    )
+    def test_answers_like_powerpush(self, policy, expected):
+        engine = PPREngine(
+            from_edges([], num_nodes=5), alpha=0.2, dead_end_policy=policy
+        )
+        result = engine.query(1, "speedppr", seed=3)
+        np.testing.assert_allclose(result.estimate, expected, atol=1e-15)
+        assert result.method == "SpeedPPR"
+        assert not result.residue.any()
+        assert result.estimate.tobytes() == (
+            engine.query(1, "powerpush").estimate.tobytes()
+        )
