@@ -781,12 +781,11 @@ def _register_builtin_solvers() -> None:
             name="speedppr",
             aliases=("algo4",),
             kind="approx",
-            summary="SpeedPPR (Algorithm 4): PowerPush phase + eps-independent index",
+            summary="SpeedPPR (Algorithm 4): push to r <= d_v/W, then walks (live or eps-independent index)",
             params=(
                 *_APPROX_COMMON,
                 "walk_index",
                 "use_index",
-                "config",
                 "allow_monte_carlo_shortcut",
             ),
             fn=_with_optional_index(speed_ppr, WALK_INDEX),
@@ -835,7 +834,16 @@ def _register_builtin_solvers() -> None:
             aliases=("mc",),
             kind="approx",
             summary="Plain Monte-Carlo: W alpha-walks from the source",
-            params=("alpha", "epsilon", "mu", "p_fail", "num_walks", "seed", "rng"),
+            params=(
+                "alpha",
+                "epsilon",
+                "mu",
+                "p_fail",
+                "num_walks",
+                "seed",
+                "rng",
+                "dead_end_policy",
+            ),
             fn=monte_carlo_ppr,
             needs_rng=True,
         )

@@ -93,7 +93,12 @@ def fora(
         and rng is not None
     ):
         result = monte_carlo_ppr(
-            graph, source, alpha=alpha, num_walks=num_walks_w, rng=rng
+            graph,
+            source,
+            alpha=alpha,
+            num_walks=num_walks_w,
+            dead_end_policy=dead_end_policy,
+            rng=rng,
         )
         result.method = "FORA[mc-shortcut]"
         return result
@@ -119,6 +124,7 @@ def fora(
         walk_index=walk_index,
         counters=push_result.counters,
         on_insufficient="error",
+        dead_end_policy=dead_end_policy,
     )
     return PPRResult(
         estimate=estimate,

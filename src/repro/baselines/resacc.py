@@ -124,6 +124,7 @@ def resacc(
         walk_index=walk_index,
         counters=state.counters,
         on_insufficient="cap",
+        dead_end_policy=dead_end_policy,
     )
     estimate *= scale
     state.counters.bump("resacc_sweeps", sweeps)

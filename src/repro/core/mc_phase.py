@@ -21,6 +21,7 @@ from typing import Literal
 import numpy as np
 
 from repro.core.kernels import scatter_ranges
+from repro.core.residues import DeadEndPolicy
 from repro.errors import IndexMismatchError, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.instrumentation.counters import PushCounters
@@ -51,6 +52,7 @@ def monte_carlo_refine(
     walk_index: WalkIndex | None = None,
     counters: PushCounters | None = None,
     on_insufficient: OnInsufficient = "error",
+    dead_end_policy: DeadEndPolicy = "redirect-to-source",
 ) -> np.ndarray:
     """Run the Eq. 13-14 refinement and return the final estimate.
 
@@ -72,6 +74,10 @@ def monte_carlo_refine(
         :class:`IndexMismatchError`; ``"cap"`` silently uses ``K_v``
         walks (statistically safe — the estimator stays unbiased with
         any positive walk count — at slightly higher variance).
+    dead_end_policy:
+        Where a live walk goes from a dead end; pass the push phase's
+        policy so that walks and residues agree (an index is built on
+        a dead-end-free graph, so it never applies there).
     """
     if walk_index is None and rng is None:
         raise ParameterError("live Monte-Carlo phase requires an rng")
@@ -122,6 +128,7 @@ def monte_carlo_refine(
             np.repeat(nodes, walks_needed),
             alpha=alpha,
             source=source,
+            dead_end_policy=dead_end_policy,
             rng=rng,
         )
         stops = stops.astype(np.int32)

@@ -8,6 +8,14 @@ walks per node.  Lemma 4.5 shows that finishing the remaining pushes
 from a state with ``r_sum <= lambda`` costs only ``O(m)`` extra time,
 in any push order.
 
+The same loop, started from ``e_s``, is all of SpeedPPR-Index's push
+phase: by the FwdPush bound (Lemma 4.4) it reaches ``r <= d_v * r_max``
+in ``O(m log(1/(m r_max)))``, Theorem 6.1's phase-1 bound, without
+PowerPush (see :mod:`repro.core.speedppr` for why only the indexed
+path skips it).  The sweep budget below is computed from the current
+mass for that reason: about 750 passes from ``e_s`` at ``W`` ~ 1e7,
+of which about 21 are used.
+
 :func:`refine_to_r_max` performs exactly those remaining pushes on an
 existing :class:`PushState` in the cheapest order measured, Algorithm
 3's active-only scan: passes of the C sweep

@@ -37,6 +37,7 @@ from repro.instrumentation.counters import PushCounters
 __all__ = [
     "DeadEndPolicy",
     "PushState",
+    "check_dead_end_policy",
     "effective_out_degree",
 ]
 
@@ -47,6 +48,15 @@ _VALID_POLICIES: tuple[str, ...] = (
     "self-loop",
     "uniform-teleport",
 )
+
+
+def check_dead_end_policy(dead_end_policy: str) -> None:
+    """Raise :class:`ParameterError` unless the policy is a known one."""
+    if dead_end_policy not in _VALID_POLICIES:
+        raise ParameterError(
+            f"unknown dead-end policy {dead_end_policy!r}; "
+            f"expected one of {_VALID_POLICIES}"
+        )
 
 
 def effective_out_degree(graph: DiGraph, dead_end_policy: str) -> np.ndarray:
@@ -107,11 +117,7 @@ class PushState:
         dead_end_policy: DeadEndPolicy = "redirect-to-source",
         counters: PushCounters | None = None,
     ) -> None:
-        if dead_end_policy not in _VALID_POLICIES:
-            raise ParameterError(
-                f"unknown dead-end policy {dead_end_policy!r}; "
-                f"expected one of {_VALID_POLICIES}"
-            )
+        check_dead_end_policy(dead_end_policy)
         self.graph = graph
         self.source = check_source(graph, source)
         self.alpha = check_alpha(alpha)
@@ -281,11 +287,7 @@ class BlockPushState:
         *,
         dead_end_policy: DeadEndPolicy = "redirect-to-source",
     ) -> None:
-        if dead_end_policy not in _VALID_POLICIES:
-            raise ParameterError(
-                f"unknown dead-end policy {dead_end_policy!r}; "
-                f"expected one of {_VALID_POLICIES}"
-            )
+        check_dead_end_policy(dead_end_policy)
         sources = [check_source(graph, int(s)) for s in sources]
         if not sources:
             raise ParameterError("BlockPushState needs at least one source")

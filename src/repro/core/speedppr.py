@@ -1,17 +1,33 @@
 """SpeedPPR — the paper's approximate SSPPR algorithm (Algorithm 4).
 
 SpeedPPR keeps FORA's two-phase framework but replaces the first phase
-with PowerPush plus the ``O(m)`` post-refinement, pushed all the way to
-``r_max = 1/W``.  Consequences (Theorem 6.1 and Section 6.2):
+with a push all the way to ``r_max = 1/W``: no node is left with
+``r(s,v) > d_v / W``.  Consequences (Theorem 6.1 and Section 6.2):
 
 * the first phase costs ``O(m log(W/m))`` instead of FORA's
   ``O(1/r_max) = O(sqrt(m W))``, giving overall
   ``O(n log n log(1/eps))`` on scale-free graphs — beating the
   ``O(n log n / eps)`` state of the art;
-* after refinement ``r(s,v) <= d_v / W``, so each node needs at most
+* after the push ``r(s,v) <= d_v / W``, so each node needs at most
   ``W_v = ceil(r(s,v) * W) <= d_v`` walks — at most ``m`` in total —
   which is why the SpeedPPR index (``K_v = d_v`` pre-computed walks)
   is bounded by the graph size and *independent of eps*.
+
+How the first phase gets there depends on what a walk costs.  Live
+(Lines 2-3): PowerPush to ``lambda = m/W``, then the ``O(m)``
+post-refinement (:func:`~repro.core.refinement.refine_to_r_max`); the
+global sweeps leave the least residue, and a live walk (~200 ns)
+costs as much as ~50 residue updates.  With a walk index: the post-refinement
+alone from ``e_s`` — Algorithm 3's active-only scan, which reaches the
+same state in ``O(m log(W/m))`` by the FwdPush bound (Lemma 4.4/4.5).
+An index walk is a ~10 ns read, so the residue the scan leaves is
+nearly free, while PowerPush's full sweeps push every residue holder.
+At ``eps = 0.5`` (median of 20 sources, shared 2-vCPU VM) the scan
+alone took an indexed query from 12.1 to 9.6 ms on ``pokec-s`` x10
+(4.25 M -> 1.66 M residue updates, 204 k -> 342 k walks) and from 13.6
+to 12.3 ms on ``webst-s`` x20 (3.29 M -> 3.79 M, 227 k -> 214 k), but
+a live query from 47.7 to 71.7 and from 54.1 to 62.7 ms, so the live
+path keeps PowerPush.
 
 When ``m >= W`` the Monte-Carlo method alone is already cheaper
 (Section 6's standing assumption is ``m < W``); like the paper, we
@@ -25,7 +41,7 @@ import time
 import numpy as np
 
 from repro.core.mc_phase import monte_carlo_refine
-from repro.core.powerpush import PowerPushConfig, power_push
+from repro.core.powerpush import power_push
 from repro.core.refinement import refine_to_r_max
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
@@ -57,7 +73,6 @@ def speed_ppr(
     p_fail: float | None = None,
     rng: np.random.Generator | None = None,
     walk_index: WalkIndex | None = None,
-    config: PowerPushConfig | None = None,
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     allow_monte_carlo_shortcut: bool = True,
 ) -> PPRResult:
@@ -93,7 +108,12 @@ def speed_ppr(
         and rng is not None
     ):
         result = monte_carlo_ppr(
-            graph, source, alpha=alpha, num_walks=num_walks_w, rng=rng
+            graph,
+            source,
+            alpha=alpha,
+            num_walks=num_walks_w,
+            dead_end_policy=dead_end_policy,
+            rng=rng,
         )
         result.method = "SpeedPPR[mc-shortcut]"
         return result
@@ -107,7 +127,6 @@ def speed_ppr(
             source,
             alpha=alpha,
             l1_threshold=1.0,
-            config=config,
             dead_end_policy=dead_end_policy,
         )
         result.method = (
@@ -116,21 +135,29 @@ def speed_ppr(
         return result
 
     started = time.perf_counter()
-    # Phase 1: PowerPush to lambda = m / W, then refine so that no node
-    # is active w.r.t. r_max = 1 / W  (Algorithm 4, Lines 2-3).
-    l1_threshold = min(graph.num_edges / num_walks_w, 1.0)
-    push_result = power_push(
-        graph,
-        source,
-        alpha=alpha,
-        l1_threshold=l1_threshold,
-        config=config,
-        dead_end_policy=dead_end_policy,
-    )
-    state = _state_from_result(graph, source, alpha, dead_end_policy, push_result)
+    if walk_index is None:
+        # Phase 1, live: PowerPush to lambda = m / W, then refine so
+        # that no node is active w.r.t. r_max = 1 / W (Algorithm 4,
+        # Lines 2-3).  PowerPush leaves the least residue to walk off,
+        # and live walks are the dear part of a query.
+        push_result = power_push(
+            graph,
+            source,
+            alpha=alpha,
+            l1_threshold=min(graph.num_edges / num_walks_w, 1.0),
+            dead_end_policy=dead_end_policy,
+        )
+        state = _state_from_result(
+            graph, source, alpha, dead_end_policy, push_result
+        )
+    else:
+        # Phase 1, indexed: the active-only scan alone from e_s reaches
+        # the same r <= d_v / W (see the module docstring); index walks
+        # are reads, so the residue it leaves costs next to nothing.
+        state = PushState(graph, source, alpha, dead_end_policy=dead_end_policy)
     refine_to_r_max(state, 1.0 / num_walks_w)
 
-    # Phase 2: Eq. 13-14 Monte-Carlo refinement.  After refinement
+    # Phase 2: Eq. 13-14 Monte-Carlo refinement.  After phase 1
     # W_v <= d_v, so an index with K_v = d_v always suffices (tiny
     # float slop at the boundary is capped, keeping unbiasedness).
     estimate = monte_carlo_refine(
@@ -144,6 +171,7 @@ def speed_ppr(
         walk_index=walk_index,
         counters=state.counters,
         on_insufficient="cap",
+        dead_end_policy=dead_end_policy,
     )
     return PPRResult(
         estimate=estimate,

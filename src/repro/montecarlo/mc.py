@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 
+from repro.core.residues import DeadEndPolicy
 from repro.core.result import PPRResult
 from repro.core.validation import check_alpha, check_source
 from repro.errors import ParameterError
@@ -41,6 +42,7 @@ def monte_carlo_ppr(
     mu: float | None = None,
     p_fail: float | None = None,
     num_walks: int | None = None,
+    dead_end_policy: DeadEndPolicy = "redirect-to-source",
     rng: np.random.Generator,
 ) -> PPRResult:
     """Answer an approximate SSPPR query with plain Monte-Carlo.
@@ -52,6 +54,9 @@ def monte_carlo_ppr(
         ``1/n`` as in the paper.  Ignored when ``num_walks`` is given.
     num_walks:
         Explicit override of ``W`` (used by tests and ablations).
+    dead_end_policy:
+        Where a walk goes from a dead end (see
+        :func:`~repro.walks.engine.simulate_walk_stops`).
     """
     check_alpha(alpha)
     check_source(graph, source)
@@ -71,6 +76,7 @@ def monte_carlo_ppr(
         np.full(num_walks, source, dtype=np.int64),
         alpha=alpha,
         source=source,
+        dead_end_policy=dead_end_policy,
         rng=rng,
     )
     counts = np.bincount(stops, minlength=graph.num_nodes)

@@ -2,10 +2,13 @@
 
 An *alpha-random walk* (paper Section 2) stops at the current node with
 probability ``alpha`` and otherwise moves to a uniformly random
-out-neighbour; from a dead end it jumps back to the *query source*
-``s`` (the paper's conceptual dead-end edge points at the source, not
-at the walk's own start — this matters for the walks FORA/SpeedPPR
-launch from intermediate nodes).
+out-neighbour.  From a dead end it follows the dead-end policy that
+:class:`~repro.core.residues.PushState` applies to residue mass: under
+``redirect-to-source`` it jumps back to the *query source* ``s`` (the
+paper's conceptual dead-end edge points at the source, not at the
+walk's own start — this matters for the walks FORA/SpeedPPR launch
+from intermediate nodes); under ``uniform-teleport`` it jumps to a
+uniformly random node of ``[0, n)``.
 
 The engine advances *all* walks in lock-step with NumPy: one vectorised
 step handles the stop draws, the dead-end redirects and the neighbour
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.residues import DeadEndPolicy, check_dead_end_policy
 from repro.core.validation import check_alpha, check_source
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.digraph import DiGraph
@@ -36,6 +40,7 @@ def simulate_walk_stops(
     *,
     alpha: float = 0.2,
     source: int | None = None,
+    dead_end_policy: DeadEndPolicy = "redirect-to-source",
     rng: np.random.Generator,
     batch_size: int = 1 << 20,
 ) -> tuple[np.ndarray, int]:
@@ -48,7 +53,12 @@ def simulate_walk_stops(
     source:
         The query source used as the dead-end redirect target.  Dead
         ends raise :class:`ParameterError` when it is omitted and the
-        graph has any.
+        graph has any (under ``redirect-to-source``).
+    dead_end_policy:
+        Where a walk goes from a dead end: the query ``source``
+        (``redirect-to-source``) or a uniform node of ``[0, n)``
+        (``uniform-teleport``).  ``self-loop`` needs structural
+        self-loops, as in :class:`~repro.core.residues.PushState`.
     batch_size:
         Walks are processed in chunks of this size to bound memory.
 
@@ -60,13 +70,20 @@ def simulate_walk_stops(
         instrumentation counters).
     """
     check_alpha(alpha)
+    check_dead_end_policy(dead_end_policy)
     starts = np.ascontiguousarray(starts, dtype=np.int64)
     if starts.size and (starts.min() < 0 or starts.max() >= graph.num_nodes):
         raise ParameterError("walk start outside [0, n)")
-    if graph.has_dead_ends and source is None:
-        raise ParameterError(
-            "graph has dead ends: pass the query source for the redirect"
-        )
+    if graph.has_dead_ends:
+        if dead_end_policy == "self-loop":
+            raise ParameterError(
+                "self-loop dead-end policy requires structural self-loops; "
+                "apply repro.graph.apply_dead_end_rule(graph, 'self-loop') first"
+            )
+        if dead_end_policy == "redirect-to-source" and source is None:
+            raise ParameterError(
+                "graph has dead ends: pass the query source for the redirect"
+            )
     if source is not None:
         check_source(graph, source)
 
@@ -75,7 +92,7 @@ def simulate_walk_stops(
     for begin in range(0, starts.shape[0], batch_size):
         chunk = starts[begin : begin + batch_size]
         stops[begin : begin + chunk.shape[0]], steps = _simulate_batch(
-            graph, chunk, alpha, source, rng
+            graph, chunk, alpha, source, dead_end_policy, rng
         )
         total_steps += steps
     return stops, total_steps
@@ -86,6 +103,7 @@ def _simulate_batch(
     starts: np.ndarray,
     alpha: float,
     source: int | None,
+    dead_end_policy: DeadEndPolicy,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
     indptr = graph.out_indptr
@@ -109,17 +127,23 @@ def _simulate_batch(
             return stops, total_steps
 
         # Move the survivors one step.  The conceptual dead-end edge
-        # points at the query source, so a move from a dead end *is*
-        # the jump to the source (one step, not jump-then-step).
+        # points at the policy's target, so a move from a dead end *is*
+        # the jump (one step, not jump-then-step).
         current = position[alive]
         deg = degree[current]
         movers = deg > 0
         if not np.all(movers):
-            if source is None:
+            stuck = alive[~movers]
+            if dead_end_policy == "uniform-teleport":
+                position[stuck] = rng.integers(
+                    0, graph.num_nodes, size=stuck.shape[0]
+                )
+            elif source is None:
                 raise ParameterError(
                     "walk reached a dead end but no redirect source given"
                 )
-            position[alive[~movers]] = source
+            else:
+                position[stuck] = source
         live = alive[movers]
         live_current = current[movers]
         live_deg = deg[movers]
@@ -139,6 +163,7 @@ def walk_stop_counts(
     *,
     alpha: float = 0.2,
     source: int | None = None,
+    dead_end_policy: DeadEndPolicy = "redirect-to-source",
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
     """Histogram of stop nodes over ``num_walks`` walks from ``start``.
@@ -151,7 +176,12 @@ def walk_stop_counts(
         raise ParameterError(f"num_walks must be >= 0, got {num_walks}")
     starts = np.full(num_walks, start, dtype=np.int64)
     stops, steps = simulate_walk_stops(
-        graph, starts, alpha=alpha, source=source if source is not None else start, rng=rng
+        graph,
+        starts,
+        alpha=alpha,
+        source=source if source is not None else start,
+        dead_end_policy=dead_end_policy,
+        rng=rng,
     )
     counts = np.bincount(stops, minlength=graph.num_nodes).astype(np.float64)
     return counts, steps
@@ -163,6 +193,7 @@ def single_walk(
     *,
     alpha: float = 0.2,
     source: int | None = None,
+    dead_end_policy: DeadEndPolicy = "redirect-to-source",
     rng: np.random.Generator,
 ) -> int:
     """Scalar reference walk (used to validate the vectorised engine)."""
@@ -175,7 +206,10 @@ def single_walk(
             return v
         neighbors = graph.out_neighbors(v)
         if neighbors.shape[0] == 0:
-            v = redirect
+            if dead_end_policy == "uniform-teleport":
+                v = int(rng.integers(0, graph.num_nodes))
+            else:
+                v = redirect
             continue
         v = int(neighbors[rng.integers(0, neighbors.shape[0])])
     raise ConvergenceError(f"single walk exceeded {_MAX_STEPS} steps")

@@ -83,7 +83,9 @@ def compute_vector(graph, method: str, source: int) -> np.ndarray:
 #: ``fifo-fwdpush`` and ``fora`` call ``sweep_active`` and move with that
 #: kernel; ``powerpush`` and ``speedppr`` run PowerPush's scan phase
 #: (``async_sweep`` plus the epoch-end extrapolation) and move with
-#: either.
+#: either.  The ``speedppr`` golden is the live path (no walk index):
+#: SpeedPPR-Index skips PowerPush and is pinned in
+#: ``tests/test_speedppr.py::TestIndexVariant`` instead.
 SWEEP_SOLVERS = frozenset({"powerpush", "fifo-fwdpush", "speedppr", "fora"})
 
 #: Digest of every other solver's committed vectors (sorted by key),

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.api.engine import PPREngine
 from repro.errors import ParameterError
+from repro.graph.build import from_edges
 from repro.metrics.errors import max_relative_error
 from repro.metrics.ground_truth import exact_ppr_dense
 from repro.montecarlo.chernoff import (
@@ -106,3 +108,57 @@ class TestMonteCarlo:
     def test_method_name(self, paper_graph, rng):
         result = monte_carlo_ppr(paper_graph, 0, num_walks=10, rng=rng)
         assert result.method == "MonteCarlo"
+
+
+@pytest.fixture(scope="module")
+def teleport_graph(medium_graph):
+    """``medium_graph`` with the out-edges of every id = 0 mod 10 removed."""
+    edges = [
+        (u, int(v))
+        for u in range(medium_graph.num_nodes)
+        if u % 10
+        for v in medium_graph.out_neighbors(u)
+    ]
+    return from_edges(edges, num_nodes=medium_graph.num_nodes)
+
+
+class TestUniformTeleportWalks:
+    """Walks jump where ``uniform-teleport`` spreads dead-end mass."""
+
+    @pytest.mark.parametrize("method", ["montecarlo", "resacc", "fora"])
+    def test_walk_methods_meet_the_contract(self, teleport_graph, method):
+        engine = PPREngine(
+            teleport_graph, dead_end_policy="uniform-teleport", seed=3
+        )
+        mu = 1.0 / teleport_graph.num_nodes
+        for source in (0, 5, 8, 10):
+            truth = exact_ppr_dense(
+                teleport_graph, source, dead_end_policy="uniform-teleport"
+            )
+            result = engine.query(source, method, epsilon=0.1)
+            assert max_relative_error(result.estimate, truth, mu=mu) <= 0.1
+
+    def test_monte_carlo_takes_the_policy(self, teleport_graph):
+        truth = exact_ppr_dense(
+            teleport_graph, 5, dead_end_policy="uniform-teleport"
+        )
+        result = monte_carlo_ppr(
+            teleport_graph,
+            5,
+            epsilon=0.1,
+            dead_end_policy="uniform-teleport",
+            rng=np.random.default_rng(3),
+        )
+        mu = 1.0 / teleport_graph.num_nodes
+        assert max_relative_error(result.estimate, truth, mu=mu) <= 0.1
+
+    def test_fora_on_an_edgeless_graph(self):
+        # Every walk teleports uniformly: pi = 0.2 e_s + 0.16 everywhere.
+        engine = PPREngine(
+            from_edges([], num_nodes=5),
+            dead_end_policy="uniform-teleport",
+            seed=3,
+        )
+        result = engine.query(1, "fora")
+        truth = np.array([0.16, 0.36, 0.16, 0.16, 0.16])
+        assert max_relative_error(result.estimate, truth, mu=0.2) <= 0.5

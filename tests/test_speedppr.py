@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.api.engine import PPREngine
+from repro.core.mc_phase import monte_carlo_refine
+from repro.core.refinement import refine_to_r_max
+from repro.core.residues import PushState
 from repro.core.speedppr import speed_ppr
 from repro.errors import ParameterError
 from repro.graph.build import from_edges
@@ -141,6 +144,50 @@ class TestIndexVariant:
                 max_relative_error(result.estimate, truth, mu=mu)
                 <= epsilon * 1.5  # slack for the one-sided seed
             )
+
+    def test_index_path_is_the_active_only_scan_from_e_s(
+        self, medium_graph, rng
+    ):
+        # With an index, phase 1 is refine_to_r_max(1/W) from e_s alone:
+        # no PowerPush epochs, then the index walk phase as usual.
+        index = build_walk_index(
+            medium_graph, speedppr_walk_counts(medium_graph), rng=rng
+        )
+        n = medium_graph.num_nodes
+        w = chernoff_walk_count(0.4, 1.0 / n, p_fail=1.0 / n)
+        result = speed_ppr(
+            medium_graph,
+            4,
+            epsilon=0.4,
+            walk_index=index,
+            allow_monte_carlo_shortcut=False,
+        )
+        state = PushState(medium_graph, 4, 0.2)
+        refine_to_r_max(state, 1.0 / w)
+        expected = monte_carlo_refine(
+            medium_graph,
+            4,
+            0.2,
+            state.reserve,
+            state.residue,
+            w,
+            walk_index=index,
+            counters=state.counters,
+            on_insufficient="cap",
+        )
+        assert result.estimate.tobytes() == expected.tobytes()
+        assert result.residue.tobytes() == state.residue.tobytes()
+        assert result.counters.as_dict() == state.counters.as_dict()
+        assert "epochs" not in result.counters.extras
+        assert np.all(result.residue <= medium_graph.out_degree / w)
+        live = speed_ppr(
+            medium_graph,
+            4,
+            epsilon=0.4,
+            rng=np.random.default_rng(1),
+            allow_monte_carlo_shortcut=False,
+        )
+        assert "epochs" in live.counters.extras
 
 
 class TestShortcutAndValidation:

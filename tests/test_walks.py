@@ -1,5 +1,7 @@
 """Unit tests for the random-walk engine and walk indexes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,91 @@ class TestEngineDistribution:
             paper_graph, 1, 40_000, source=1, rng=rng
         )
         np.testing.assert_allclose(counts / 40_000, truth, atol=0.01)
+
+
+class TestDeadEndPolicies:
+    """A walk at a dead end goes where PushState sends the mass."""
+
+    def test_redirect_stream_is_pinned(self, dead_end_graph):
+        # The redirect draws nothing extra: these bytes predate the
+        # policy argument, and every golden walk vector rests on them.
+        starts = np.arange(5).repeat(200)
+        default, steps = simulate_walk_stops(
+            dead_end_graph, starts, source=0, rng=np.random.default_rng(2024)
+        )
+        explicit, _ = simulate_walk_stops(
+            dead_end_graph,
+            starts,
+            source=0,
+            dead_end_policy="redirect-to-source",
+            rng=np.random.default_rng(2024),
+        )
+        assert default.tobytes() == explicit.tobytes()
+        assert steps == 3977
+        assert hashlib.sha256(default.tobytes()).hexdigest() == (
+            "e4e6ca7a832913ad3e8469953e4853bc73e28430bff775ee191c4fee7b0997cf"
+        )
+
+    def test_uniform_teleport_distribution(self, dead_end_graph, rng):
+        truth = exact_ppr_dense(
+            dead_end_graph, 0, dead_end_policy="uniform-teleport"
+        )
+        counts, _ = walk_stop_counts(
+            dead_end_graph,
+            0,
+            40_000,
+            dead_end_policy="uniform-teleport",
+            rng=rng,
+        )
+        np.testing.assert_allclose(counts / 40_000, truth, atol=0.01)
+
+    def test_uniform_teleport_matches_scalar_reference(self, dead_end_graph):
+        rng = np.random.default_rng(5)
+        scalar_counts = np.zeros(5)
+        for _ in range(6000):
+            stop = single_walk(
+                dead_end_graph, 2, dead_end_policy="uniform-teleport", rng=rng
+            )
+            scalar_counts[stop] += 1
+        vector_counts, _ = walk_stop_counts(
+            dead_end_graph,
+            2,
+            6000,
+            dead_end_policy="uniform-teleport",
+            rng=np.random.default_rng(6),
+        )
+        np.testing.assert_allclose(
+            scalar_counts / 6000, vector_counts / 6000, atol=0.03
+        )
+
+    def test_uniform_teleport_needs_no_source(self, dead_end_graph, rng):
+        stops, _ = simulate_walk_stops(
+            dead_end_graph,
+            np.full(2000, 1),
+            dead_end_policy="uniform-teleport",
+            rng=rng,
+        )
+        # From a leaf, a walk that moves lands anywhere, not at node 1.
+        assert np.count_nonzero(stops != 1) > 1000
+
+    def test_unknown_policy_rejected(self, paper_graph, rng):
+        with pytest.raises(ParameterError, match="unknown dead-end policy"):
+            simulate_walk_stops(
+                paper_graph,
+                np.array([0]),
+                dead_end_policy="teleport-home",
+                rng=rng,
+            )
+
+    def test_self_loop_needs_structural_loops(self, dead_end_graph, rng):
+        with pytest.raises(ParameterError, match="self-loop"):
+            simulate_walk_stops(
+                dead_end_graph,
+                np.array([0]),
+                source=0,
+                dead_end_policy="self-loop",
+                rng=rng,
+            )
 
 
 class TestWalkIndex:
