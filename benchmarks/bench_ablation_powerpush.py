@@ -27,7 +27,6 @@ _VARIANTS = {
 def test_powerpush_variant(benchmark, workspace, variant):
     dataset = workspace.config.datasets[0]
     graph = workspace.graph(dataset)
-    graph.transition_matrix_transpose()
     source = int(query_sources(graph, 1, workspace.config.seed)[0])
     l1_threshold = workspace.config.l1_threshold(graph)
     config = _VARIANTS[variant]

@@ -50,7 +50,6 @@ def pytest_generate_tests(metafunc):
 def test_hp_query(benchmark, workspace, dataset, algorithm):
     """One high-precision query, timed by pytest-benchmark."""
     graph = workspace.graph(dataset)
-    graph.transition_matrix_transpose()  # warm the shared cache
     if algorithm == "BePI":
         workspace.bepi_index(dataset)  # exclude construction, as paper
     source = int(query_sources(graph, 1, workspace.config.seed)[0])

@@ -53,7 +53,6 @@ def _approx_query(workspace, dataset, method, epsilon, source, salt):
 def test_approx_query(benchmark, workspace, method, epsilon):
     dataset = workspace.config.datasets[0]
     graph = workspace.graph(dataset)
-    graph.transition_matrix_transpose()
     if method.endswith("Index"):
         _approx_query(workspace, dataset, method, epsilon, 0, 0)  # warm index
     source = int(query_sources(graph, 1, workspace.config.seed)[0])

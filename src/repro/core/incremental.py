@@ -151,8 +151,7 @@ class IncrementalPPR:
         the signed ``r_sum``.
 
         Wall-clock note: a refresh at a new graph version materialises
-        the CSR snapshot (and its cached ``P^T``) if nothing else has
-        yet — an ``O(m)``-ish cost that any query on the new version
+        the CSR snapshot if nothing else has yet — an ``O(m)``-ish cost that any query on the new version
         pays once and every consumer of the same version then shares.
         The *solve* cost on top is what the counters measure, and it
         scales with the perturbation.

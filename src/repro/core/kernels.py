@@ -4,9 +4,10 @@ Every push-family algorithm in the paper reduces to three bulk moves:
 
 * a **global sweep** — push *every* node simultaneously; this is one
   Power-Iteration step and costs ``O(m)`` regardless of how much
-  residue exists (implemented as one sparse mat-vec with the cached
-  ``P^T``).  PowItr and SimFwdPush, synchronous by definition, are
-  built on it;
+  residue exists (implemented as one :func:`scatter_ranges` over every
+  node's adjacency range, reading only ``out_indptr`` /
+  ``out_indices``).  PowItr, synchronous by definition, is built on
+  it, and so is :func:`~repro.core.pagerank.preference_pagerank`;
 * a **frontier push** — push only a given set of nodes, simultaneously;
   this costs ``O(frontier + sum of frontier degrees)`` and nothing
   sized by the graph (implemented as one C loop over the frontier's
@@ -55,12 +56,12 @@ The sweep is one pass over the node ids with the settle step fused in:
 per node holding residue, its residue, reserve and settled entries,
 and one add per out-edge into the live residue vector, reading only
 ``out_indptr`` / ``out_indices`` — no ``P^T``, no per-edge weight.
-Per sweep the Python side adds one ``O(n)`` sum for ``r_sum``.  Per
-edge the sweep costs less than the global sweep's mat-vec
-(``kernels.global_sweep_ns_per_edge`` beside
-``powerpush.ns_per_residue_update`` in a traced ``benchmarks/e2e``
-run), and because every push sees every earlier push of the same
-sweep, a query needs fewer sweeps than with any coarser freshness.
+Per sweep the Python side adds one ``O(n)`` sum for ``r_sum``.  A
+traced ``benchmarks/e2e`` run prints its cost per edge
+(``powerpush.ns_per_residue_update``) beside the global sweep's
+(``kernels.global_sweep_ns_per_edge``); because every push sees every
+earlier push of the same sweep, a query needs fewer sweeps than with
+any coarser freshness.
 
 Summation order, and why results are bitwise-stable: nodes in
 ascending id and each node's edges in CSR order, so a target
@@ -76,9 +77,15 @@ itself: relabelling the graph changes which residues are fresh when,
 hence which of the valid answers (all within ``r_sum`` of the exact
 vector) comes out.
 
-``P^T`` is still built by ``warm_push_caches`` (PowItr, SimFwdPush and
-BePI read it) but is no longer part of the shared-memory image: a
-shard that needs it builds it lazily.
+No push reads ``P^T``: every kernel here reads the out-CSR alone.  The
+global sweep scatters ``(1 / d_u) * x_u`` — the product ``P^T``'s
+mat-vec forms, not the division ``x_u / d_u``, which rounds
+differently — along ``u``'s range for every ``u`` in ascending id,
+which is the order in which the mat-vec sums row ``v`` of ``P^T``, so
+it returns that mat-vec's bytes (``tests/test_core_global_sweep.py``
+checks them against scipy).  Only BePI, BEAR and the harness-only
+:func:`block_global_sweep` read ``P^T``, which the graph builds for
+them lazily, on first use.
 
 The range scatter under every local push
 ----------------------------------------
@@ -290,9 +297,9 @@ def global_sweep(
 ) -> None:
     """One simultaneous push of every node — a Power-Iteration step.
 
-    ``pi_hat += alpha * r`` and ``r <- (1 - alpha) * r P`` via the
-    cached transposed transition matrix; dead-end mass follows the
-    state's policy.
+    ``pi_hat += alpha * r`` and ``r <- (1 - alpha) * r P`` by one
+    range scatter over the out-CSR (:func:`_transition`); dead-end
+    mass follows the state's policy.
 
     Parameters
     ----------
@@ -307,7 +314,7 @@ def global_sweep(
     alpha = state.alpha
 
     state.reserve += alpha * r
-    moved = graph.transition_matrix_transpose().dot((1.0 - alpha) * r)
+    moved = _transition(graph, (1.0 - alpha) * r)
 
     dead = graph.dead_ends
     dead_mass = 0.0
@@ -326,6 +333,18 @@ def global_sweep(
     state.residue = moved
     _apply_dead_end_mass(state, dead_mass)
     state.refresh_r_sum()
+
+
+def _transition(graph, x: np.ndarray) -> np.ndarray:
+    """``x P`` as a fresh array, in the bytes of ``P^T.dot(x)`` (module
+    docstring); what dead ends hold goes nowhere, for the caller to route."""
+    degree = graph.out_degree
+    # A dead end owns an empty range: its value is never read, it only
+    # must not divide by zero.
+    shares = x * (1.0 / np.maximum(degree, 1))
+    moved = np.zeros(graph.num_nodes)
+    scatter_ranges(moved, graph.out_indices, graph.out_indptr[:-1], degree, shares)
+    return moved
 
 
 def frontier_push(state: PushState, nodes: np.ndarray) -> None:
@@ -601,9 +620,10 @@ def block_global_sweep(
 
     ``P^T @ R^T`` scans the CSR arrays once for all rows and accumulates
     each output column over the same nonzeros in the same order as the
-    mat-vec; the dead-end sums run over a C-contiguous ``np.take``
-    gather (pairwise per row, like the 1-D sum), so every row ends
-    bitwise where its own :func:`global_sweep` would.
+    mat-vec whose bytes :func:`global_sweep` returns; the dead-end sums
+    run over a C-contiguous ``np.take`` gather (pairwise per row, like
+    the 1-D sum), so every row ends bitwise where its own
+    :func:`global_sweep` would.
     """
     graph, alpha = state.graph, state.alpha
     r_block = state.residue[rows]

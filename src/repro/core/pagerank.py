@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from repro.core.kernels import _transition
 from repro.core.result import PPRResult
 from repro.core.validation import check_alpha, check_l1_threshold
 from repro.errors import ConvergenceError, ParameterError
@@ -97,9 +98,6 @@ def preference_pagerank(
     reserve = np.zeros(graph.num_nodes)
     residue = preference.copy()
     r_sum = 1.0
-    transition_t = (
-        graph.transition_matrix_transpose() if graph.num_edges else None
-    )
     dead = graph.dead_ends
 
     iterations = 0
@@ -112,11 +110,7 @@ def preference_pagerank(
         dead_mass = (
             (1.0 - alpha) * float(residue[dead].sum()) if dead.shape[0] else 0.0
         )
-        if transition_t is not None:
-            residue = transition_t.dot((1.0 - alpha) * residue)
-        else:
-            residue = np.zeros_like(residue)
-            dead_mass = (1.0 - alpha) * r_sum
+        residue = _transition(graph, (1.0 - alpha) * residue)
         if dead_mass:
             residue = residue + dead_mass * preference
         r_sum = float(residue.sum())

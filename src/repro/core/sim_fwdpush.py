@@ -10,10 +10,13 @@ equivalence connection to Power Iteration (Lemma 4.1):
 
 Lemma 4.1: after each iteration the residue vector equals PowItr's
 ``gamma_s(j)`` and the reserve vector equals ``pi_s(j)``, exactly.  Our
-test-suite verifies this as a literal array comparison — and the check
-is meaningful because this module pushes through the C range-scatter
-frontier kernel while PowItr uses the sparse mat-vec, i.e. two
-independent numeric paths.
+test-suite checks this against PowItr's iterates and a dense reference,
+to rounding.  Both solvers push through the C range scatter, but the
+check still compares two numeric paths: this module's frontier push
+divides each share (``x_u / d_u``), while PowItr's global sweep
+multiplies by ``1 / d_u`` and is pinned bit for bit to scipy's sparse
+``P^T`` mat-vec (``tests/test_core_global_sweep.py``), which no solver
+calls.
 """
 
 from __future__ import annotations

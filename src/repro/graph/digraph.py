@@ -67,7 +67,6 @@ class DiGraph:
         "_in_indices",
         "_dead_ends",
         "_pt_matrix",
-        "_edge_sources",
         "_canonical_order",
     )
 
@@ -98,7 +97,6 @@ class DiGraph:
         self._in_indices: np.ndarray | None = None
         self._dead_ends: np.ndarray | None = None
         self._pt_matrix = None
-        self._edge_sources: np.ndarray | None = None
         self._canonical_order: bool | None = None
 
     # ------------------------------------------------------------------
@@ -248,28 +246,10 @@ class DiGraph:
             for pos in range(indptr[u], indptr[u + 1]):
                 yield u, int(indices[pos])
 
-    @property
-    def edge_sources(self) -> np.ndarray:
-        """Source node of every edge in CSR order (length ``m``, read-only).
-
-        The flattened "which row does this edge belong to" gather
-        index: ``edge_sources[e]`` is the node whose adjacency list
-        contains position ``e`` of :attr:`out_indices`.  Cached because
-        every consumer of edge-level views (``edge_array``, the in-CSR
-        build, per-edge scatters) used to rebuild this ``O(m)`` repeat
-        on each call.
-        """
-        if self._edge_sources is None:
-            sources = np.repeat(
-                np.arange(self._n, dtype=np.int32), np.diff(self._out_indptr)
-            )
-            sources.flags.writeable = False
-            self._edge_sources = sources
-        return self._edge_sources
-
     def edge_array(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(sources, targets)`` arrays of all edges."""
-        return self.edge_sources.copy(), self._out_indices.copy()
+        """Return ``(sources, targets)`` arrays of all edges, ``int32``."""
+        sources = np.repeat(np.arange(self._n, dtype=np.int32), self.out_degree)
+        return sources, self._out_indices.copy()
 
     # ------------------------------------------------------------------
     # Conversions
@@ -317,58 +297,28 @@ class DiGraph:
         )
 
     def transition_matrix_transpose(self):
-        """Cached ``P^T`` as a scipy CSR matrix.
+        """Cached ``P^T`` as a scipy CSR matrix, built on first use.
 
-        ``(P^T @ r)[v] = sum_{u -> v} r[u] / d_u`` is the one-step
-        forward propagation used by the vectorised Power-Iteration and
-        sweep kernels.  Dead-end rows of ``P`` are zero; their mass must
-        be handled by the caller's dead-end policy.
+        ``(P^T @ r)[v] = sum_{u -> v} r[u] / d_u``.  No push reads it
+        (:mod:`repro.core.kernels` reads the out-CSR alone); BePI and
+        BEAR assemble their linear systems from it.  At 12 bytes per
+        edge it is the largest structure a graph can cache.  Dead-end
+        rows of ``P`` are zero; their mass must be handled by the
+        caller's dead-end policy.
         """
         if self._pt_matrix is None:
             self._pt_matrix = self.to_scipy_csr(weighted=True).T.tocsr()
         return self._pt_matrix
 
     def warm_push_caches(self) -> "DiGraph":
-        """Materialise every cached artefact the push kernels read.
+        """Materialise the degree and dead-end arrays the push kernels read.
 
-        Touches the degree/dead-end arrays, the flattened
-        :attr:`edge_sources` gather index, and the transposed
-        transition matrix (still built
-        eagerly although the PowerPush family no longer reads it:
-        PowItr, SimFwdPush and BePI do), so a serving engine (or a
-        benchmark that wants construction out of its timed region)
-        pays them once up front instead of lazily inside the first
-        query.  Returns ``self`` for chaining.
+        The benchmark harness (``benchmarks/e2e``) calls it to keep their
+        ``O(n)`` construction out of its timed region.  Returns ``self``
+        for chaining.
         """
         self.out_degree
         self.dead_ends
-        self.edge_sources
-        self.transition_matrix_transpose()
-        return self
-
-    def adopt_push_caches(self, *, edge_sources: np.ndarray) -> "DiGraph":
-        """Install a pre-built :attr:`edge_sources` instead of computing it.
-
-        The shared-memory serving path (:mod:`repro.serving.shm`)
-        exports one process's flattened gather index and re-attaches
-        it in worker processes as a zero-copy view over the shared
-        segment.  This installs that view where the lazy property
-        would have cached a freshly computed (and byte-identical)
-        array, so no attacher pays the ``O(m)`` rebuild or holds a
-        private copy.  ``P^T`` is not shared this way: only PowItr,
-        SimFwdPush and BePI read it, and each process builds it lazily
-        on first use.
-
-        The array is adopted as given (no copy); its shape is validated
-        against the graph, and callers should pass a read-only view.
-        Returns ``self`` for chaining.
-        """
-        if edge_sources.shape != (self._m,):
-            raise GraphConstructionError(
-                f"edge_sources has shape {edge_sources.shape}, "
-                f"expected ({self._m},)"
-            )
-        self._edge_sources = edge_sources
         return self
 
     # ------------------------------------------------------------------
@@ -409,12 +359,11 @@ class DiGraph:
         in_degree = np.bincount(self._out_indices, minlength=self._n)
         in_indptr = np.zeros(self._n + 1, dtype=np.int64)
         np.cumsum(in_degree, out=in_indptr[1:])
-        in_indices = np.empty(self._m, dtype=np.int32)
         # Stable sort by target groups each node's in-neighbours in
-        # source order; the cached edge_sources array supplies the
-        # per-edge row labels without another O(m) repeat.
+        # source order.
         order = np.argsort(self._out_indices, kind="stable")
-        in_indices[:] = self.edge_sources[order]
+        sources = np.repeat(np.arange(self._n, dtype=np.int32), self.out_degree)
+        in_indices = sources[order]
         in_indptr.flags.writeable = False
         in_indices.flags.writeable = False
         self._in_indptr = in_indptr

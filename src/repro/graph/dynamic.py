@@ -46,8 +46,9 @@ in at its one position gives byte for byte what
 :func:`~repro.graph.build.from_edge_arrays` returns for the new set.
 Every deduplicating builder and every merged snapshot is canonical by
 construction; a base of unknown origin (loaded, shared-memory attached,
-hand-assembled) is scanned once.  Only a base that fails the scan —
-unsorted rows or parallel edges, which :class:`DiGraph` permits — is
+hand-assembled) is scanned once, at construction.  A base holding a
+parallel edge, which :class:`DiGraph` permits, is refused there: the
+overlay counts each edge once.  Only a base with unsorted rows is
 rebuilt by sorting all ``m + k`` edges, ``O((m + k) log (m + k))``.
 """
 
@@ -66,6 +67,13 @@ __all__ = ["DynamicGraph", "EdgeUpdate", "sample_edge_update"]
 #: Accepted spellings for the two update operations.
 _INSERT_OPS = frozenset({"+", "insert", "add"})
 _DELETE_OPS = frozenset({"-", "delete", "remove"})
+
+
+def _edge_keys(graph: DiGraph) -> np.ndarray:
+    """Every edge ``(u, v)`` of ``graph`` as the key ``u * n + v``, in CSR order."""
+    n = graph.num_nodes
+    rows = np.arange(n, dtype=np.int64) * n
+    return np.repeat(rows, graph.out_degree) + graph.out_indices
 
 
 class EdgeUpdate(NamedTuple):
@@ -90,7 +98,9 @@ class DynamicGraph:
     ----------
     base:
         The immutable starting snapshot.  The node set is frozen at
-        ``base.num_nodes``.
+        ``base.num_nodes``.  A base holding a parallel edge raises
+        :class:`~repro.errors.GraphConstructionError`, as inserting one
+        does.
     name:
         Human-readable name; defaults to the base graph's name.
     """
@@ -120,6 +130,15 @@ class DynamicGraph:
             raise ParameterError(
                 f"initial_version must be >= 0, got {initial_version}"
             )
+        if not base.has_canonical_order:
+            keys = np.sort(_edge_keys(base))
+            repeated = keys[1:][keys[1:] == keys[:-1]]
+            if repeated.shape[0]:
+                u, v = divmod(int(repeated[0]), base.num_nodes)
+                raise GraphConstructionError(
+                    f"base graph holds edge ({u}, {v}) more than once "
+                    "(parallel edges are not supported)"
+                )
         self._base = base
         self._name = base.name if name is None else name
         #: nonzero when restoring durable state: the base snapshot then
@@ -409,7 +428,7 @@ class DynamicGraph:
         n = base.num_nodes
         indices = base.out_indices
         degree = base.out_degree
-        keys = base.edge_sources.astype(np.int64) * n + indices
+        keys = _edge_keys(base)
         if deleted.shape[0]:
             deleted_at = np.sort(np.searchsorted(keys, deleted))
             indices = np.delete(indices, deleted_at)
@@ -438,11 +457,11 @@ class DynamicGraph:
         self, deleted: np.ndarray, inserted: np.ndarray
     ) -> DiGraph:
         """Rebuild by sorting all edges: the path for a base whose rows
-        are unsorted or hold parallel edges, where positions are not
-        unique and a merge would not reproduce the builder's order."""
+        are unsorted, where a merge would not reproduce the builder's
+        order."""
         base = self._base
         n = base.num_nodes
-        keys = base.edge_sources.astype(np.int64) * n + base.out_indices
+        keys = _edge_keys(base)
         keys = np.concatenate([keys[~np.isin(keys, deleted)], inserted])
         return from_edge_arrays(
             keys // n,

@@ -168,9 +168,9 @@ def reorder_for_locality(
         Nodes sorted by descending total (in + out) degree, ties by
         node id.  Scale-free graphs concentrate most edges on few
         hubs; giving those hubs the smallest ids packs the hot rows of
-        ``out_indices`` (and of the cached ``P^T``) into a contiguous
-        prefix, so frontier gathers and sweeps touch far fewer cache
-        lines.  Cheap (one sort) and usually most of the win.
+        ``out_indices`` into a contiguous prefix, so frontier gathers
+        and sweeps touch far fewer cache lines.  Cheap (one sort) and
+        usually most of the win.
     ``"slashburn"``
         The hub-and-spoke ordering of :func:`repro.bepi.slashburn`:
         spoke communities become contiguous id ranges (their

@@ -3,17 +3,14 @@
 The sharded serving tier (:mod:`repro.serving.sharded`) runs one
 :class:`~repro.api.engine.PPREngine` per *process* so numpy solves
 stop contending on the GIL.  Replicating a multi-GB CSR per
-worker would defeat the point, so the arrays every shard reads — the
-out-CSR (``indptr``/``indices``) and the flattened ``edge_sources``
-gather index — are placed once in a single
-:mod:`multiprocessing.shared_memory` segment and every worker maps the
-same physical pages read-only.  :meth:`SharedGraphImage.graph`
+worker would defeat the point, so the arrays every push reads — the
+out-CSR, ``out_indptr`` / ``out_indices`` — are placed once in a
+single :mod:`multiprocessing.shared_memory` segment and every worker
+maps the same physical pages read-only.  :meth:`SharedGraphImage.graph`
 reconstructs a :class:`~repro.graph.digraph.DiGraph` over those
-zero-copy views, with ``edge_sources`` pre-attached via
-:meth:`~repro.graph.digraph.DiGraph.adopt_push_caches`.  ``P^T`` is
-not in the image: no PowerPush-family solver reads it, it would be
-more than half the segment, and the solvers that do (PowItr, BePI)
-build it lazily, per process, on first use.
+zero-copy views.  Nothing else is in the image: what a few solvers
+derive from the out-CSR (backward push's in-CSR, BePI's ``P^T``) each
+process builds lazily, on first use.
 
 An image is immutable, so an evolving graph is a sequence of them:
 each version is a fresh segment (a *generation*), exported once by the
@@ -190,7 +187,7 @@ def close_inherited_segments() -> None:
 
 
 class SharedGraphImage:
-    """One graph's hot arrays in a shared-memory segment.
+    """One graph's out-CSR in a shared-memory segment.
 
     Construct through :meth:`export_graph` (owner side) or
     :meth:`attach` (worker side); the constructor itself is internal.
@@ -221,18 +218,16 @@ class SharedGraphImage:
     # -- construction ----------------------------------------------------
     @classmethod
     def export_graph(cls, graph: DiGraph) -> "SharedGraphImage":
-        """Copy ``graph``'s hot arrays into a fresh shared segment.
+        """Copy ``graph``'s out-CSR into a fresh shared segment.
 
-        Materialises ``edge_sources`` first so attachers inherit it
-        instead of rebuilding.  The calling process owns the segment
-        and must :meth:`unlink` it exactly once when every worker is
-        done (or rely on the atexit fallback).
+        The calling process owns the segment and must :meth:`unlink` it
+        exactly once when every worker is done (or rely on the atexit
+        fallback).
         """
         # The arrays one image carries, in layout order.
         arrays: dict[str, np.ndarray] = {
             "out_indptr": graph.out_indptr,
             "out_indices": graph.out_indices,
-            "edge_sources": graph.edge_sources,
         }
         specs: dict[str, ArraySpec] = {}
         total = 0
@@ -322,19 +317,15 @@ class SharedGraphImage:
     def graph(self) -> DiGraph:
         """The shared graph as a :class:`DiGraph` over zero-copy views.
 
-        The returned graph's CSR arrays and ``edge_sources`` alias the
-        shared segment — construction is O(1) in the graph size.  Keep
-        the image open for as long as the graph (or any engine built
-        on it) is in use.
+        The returned graph's CSR arrays alias the shared segment —
+        construction is O(1) in the graph size.  Keep the image open for
+        as long as the graph (or any engine built on it) is in use.
         """
-        graph = DiGraph(
+        return DiGraph(
             self._array("out_indptr"),
             self._array("out_indices"),
             name=self._handle.graph_name,
             validate=False,
-        )
-        return graph.adopt_push_caches(
-            edge_sources=self._array("edge_sources")
         )
 
     # -- lifecycle -------------------------------------------------------

@@ -330,19 +330,35 @@ class TestSnapshotIsRebuild:
         replay_and_check(base, [(1, 2), (2, 1)])
 
     @pytest.mark.parametrize(
-        "indices",
-        [
-            pytest.param([2, 1, 3, 0, 1], id="unsorted row"),
-            pytest.param([1, 1, 2, 0, 1], id="parallel edge"),
-        ],
+        "indices", [pytest.param([2, 1, 3, 0, 1], id="unsorted row")]
     )
     def test_non_canonical_base_falls_back_and_still_matches(self, indices):
         # Hand-assembled: rows 0 -> indices[:3], 1 -> [3:4], 2 -> [4:5].
         base = DiGraph(np.array([0, 3, 4, 5, 5]), np.array(indices))
         assert not base.has_canonical_order
         # The first snapshot sorts everything, so the compacted base is
-        # canonical unless it still holds the parallel edge.
+        # canonical.
         replay_and_check(base, [(3, 0), (1, 0), "compact", (0, 3), (3, 1)])
+
+    @pytest.mark.parametrize(
+        "base",
+        [
+            pytest.param(
+                DiGraph(np.array([0, 3, 4, 5, 5]), np.array([1, 1, 2, 0, 1])),
+                id="hand-assembled",
+            ),
+            pytest.param(
+                from_edges([(0, 1), (0, 1), (0, 2), (1, 2), (2, 0)], dedup=False),
+                id="builder without dedup",
+            ),
+        ],
+    )
+    def test_parallel_edge_base_is_refused(self, base):
+        # The overlay counts an edge once, so a base holding one twice
+        # would report other counts than its snapshot: refused at
+        # construction, as inserting a parallel edge is.
+        with pytest.raises(GraphConstructionError, match=r"\(0, 1\) more than once"):
+            DynamicGraph(base)
 
     def test_canonical_order_scan(self):
         def scanned(indptr, indices):

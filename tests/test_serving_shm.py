@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import PPREngine
+from repro.core.backward_push import backward_push
 from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
 from repro.serving.shm import (
@@ -89,20 +90,18 @@ class TestExportAttach:
                 attached.close()
 
     def test_image_carries_only_what_shards_read(self, base):
-        """Forward CSR and ``edge_sources`` are aliased from the
-        segment; ``P^T`` is not exported — the attached graph builds an
-        equal one lazily when a solver asks for it."""
+        """The forward CSR is aliased from the segment, and nothing
+        else is exported: ``P^T`` and the in-CSR an attached graph
+        builds lazily, equal to the exporter's, when a solver asks."""
         with SharedGraphImage.export_graph(base) as image:
-            assert list(image.handle.arrays) == [
-                "out_indptr",
-                "out_indices",
-                "edge_sources",
-            ]
+            assert list(image.handle.arrays) == ["out_indptr", "out_indices"]
+            assert sum(spec.nbytes for spec in image.handle.arrays.values()) == (
+                base.out_indptr.nbytes + base.out_indices.nbytes
+            )
             g = image.graph()
             for shared, private in (
                 (g.out_indptr, base.out_indptr),
                 (g.out_indices, base.out_indices),
-                (g.edge_sources, base.edge_sources),
             ):
                 assert not shared.flags.owndata
                 assert not shared.flags.writeable
@@ -113,6 +112,20 @@ class TestExportAttach:
                 np.testing.assert_array_equal(
                     getattr(ours, part), getattr(theirs, part)
                 )
+
+    def test_attached_image_serves_backward_push_and_edge_array(self, base):
+        """The readers of per-edge row labels build them on demand."""
+        with SharedGraphImage.export_graph(base) as image:
+            with SharedGraphImage.attach(image.handle) as attached:
+                g = attached.graph()
+                for ours, theirs in zip(g.edge_array(), base.edge_array()):
+                    assert ours.dtype == theirs.dtype == np.int32
+                    assert ours.tobytes() == theirs.tobytes()
+                for target in (0, 9):
+                    a = backward_push(base, target, r_max=1e-5)
+                    b = backward_push(g, target, r_max=1e-5)
+                    assert a.estimate.tobytes() == b.estimate.tobytes()
+                del g  # drop the views that pin the mapping
 
     def test_engine_over_attached_image(self, base):
         """What a shard does: attach by handle, serve the aliased CSR."""
