@@ -597,7 +597,8 @@ def _print_stats(door) -> None:
         f"frontdoor: completed={snap['completed']} "
         f"degraded={snap['degraded']} "
         f"shed={snap['shed']} "
-        f"deadline_expired={snap['deadline_expired']}"
+        f"deadline_expired={snap['deadline_expired']} "
+        f"writer_waits={snap['writer_waits']}"
     )
 
 

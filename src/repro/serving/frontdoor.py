@@ -10,7 +10,11 @@ only:
   the wrapped :class:`~repro.serving.server.EngineServer` (or
   :class:`~repro.serving.sharded.ShardedDispatcher`) and **awaits the
   future without holding a thread** — ten thousand in-flight requests
-  cost one event loop, not ten thousand parked stacks.
+  cost one event loop, not ten thousand parked stacks.  The enqueue
+  runs on the loop (``try_submit`` never waits on the backend's read
+  lock), so a cache hit is answered without leaving it; only a
+  request that meets a writer on that lock is handed to the default
+  executor to wait there.
 * Every request carries a **deadline**.  A spent budget fails fast
   with :class:`~repro.errors.DeadlineExceeded` — at admission, when
   the backend reaches a request whose deadline has passed (it is
@@ -104,6 +108,9 @@ class FrontDoorStats:
     deadline_rejected: int = 0
     deadline_expired: int = 0
     probes: int = 0
+    #: submits that met a writer on the backend's lock and took the
+    #: executor instead of enqueueing on the loop
+    writer_waits: int = 0
     #: Latest p99 prediction (milliseconds); 0.0 until enough samples.
     predicted_p99_ms: float = 0.0
 
@@ -116,6 +123,7 @@ class FrontDoorStats:
             "deadline_rejected": self.deadline_rejected,
             "deadline_expired": self.deadline_expired,
             "probes": self.probes,
+            "writer_waits": self.writer_waits,
             "predicted_p99_ms": self.predicted_p99_ms,
         }
 
@@ -276,21 +284,35 @@ class AsyncFrontDoor:
     ) -> ServedResult:
         """Enqueue on the backend and await the answer, thread-free.
 
-        The enqueue itself runs in the default executor: it is cheap,
-        but it can briefly block on the backend's read lock behind a
-        writer, and the event loop must never wait on a lock.  The
-        solve is awaited via ``wrap_future`` — no thread parks on it.
+        The enqueue runs on the loop through ``backend.try_submit``,
+        which never waits on the backend's read lock.  Only when a
+        writer holds or awaits that lock does it return ``None``; then
+        the blocking ``submit`` runs in the default executor, so the
+        loop never waits on a lock, and the answer is post-update as
+        the lock guarantees (counted in ``stats.writer_waits``).  A
+        cache hit comes back as a done future and completes without
+        suspending: its ``result(timeout=0)`` cannot block.  A joined
+        flight or a miss is awaited via ``wrap_future`` — no thread
+        parks on it.
         """
         loop = asyncio.get_running_loop()
-        enqueue = functools.partial(
-            self._backend.submit,
-            source,
-            method,
-            fresh=fresh,
-            deadline=deadline,
-            **params,
+        future = self._backend.try_submit(
+            source, method, fresh=fresh, deadline=deadline, **params
         )
-        future = await loop.run_in_executor(None, enqueue)
+        if future is None:
+            with self._mutex:
+                self.stats.writer_waits += 1
+            enqueue = functools.partial(
+                self._backend.submit,
+                source,
+                method,
+                fresh=fresh,
+                deadline=deadline,
+                **params,
+            )
+            future = await loop.run_in_executor(None, enqueue)
+        if future.done():
+            return future.result(timeout=0)
         wrapped = asyncio.wrap_future(future, loop=loop)
         if deadline is None:
             return await wrapped

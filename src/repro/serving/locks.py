@@ -46,6 +46,19 @@ class RWLock:
                 self._cond.wait()
             self._active_readers += 1
 
+    def try_acquire_read(self) -> bool:
+        """Take the shared side only if no writer holds or awaits it.
+
+        Never waits: ``False`` when a writer is active or queued (the
+        same writer preference :meth:`acquire_read` keeps), ``True``
+        otherwise — and then the caller owes one :meth:`release_read`.
+        """
+        with self._cond:
+            if self._writer_active or self._writers_waiting:
+                return False
+            self._active_readers += 1
+            return True
+
     def release_read(self) -> None:
         with self._cond:
             if self._active_readers <= 0:

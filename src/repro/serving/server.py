@@ -14,6 +14,8 @@ cache + single-flight module as the sharded tier
   lock, stamped with the version it was solved at.  A flight whose
   deadline has passed by then is failed with
   :class:`~repro.errors.DeadlineExceeded` instead of solved.
+  ``try_submit`` is the same read, but returns ``None`` instead of
+  waiting when a writer holds or awaits the lock.
 * **Writes** (``apply_updates``) take the *exclusive* side: the graph
   version bumps and the result cache is invalidated while no read is
   in flight, so no request is ever answered from a pre-update vector —
@@ -193,6 +195,43 @@ class EngineServer:
         The method, its parameters and the source are validated here,
         so typos raise at the call site, not in the worker.
         """
+        future = self._admit(
+            source, method, params, fresh=fresh, deadline=deadline, wait=True
+        )
+        assert future is not None  # a waiting admit always takes the lock
+        return future
+
+    def try_submit(
+        self,
+        source: int,
+        method: str = "powerpush",
+        *,
+        fresh: bool = False,
+        deadline: float | None = None,
+        **params: Any,
+    ) -> Future | None:
+        """:meth:`submit` that never waits on the read lock.
+
+        ``None`` when a writer holds the lock or waits for it — nothing
+        was admitted, and :meth:`submit` (which waits) is the retry.
+        Otherwise the same future :meth:`submit` returns; a cache hit
+        comes back already done.
+        """
+        return self._admit(
+            source, method, params, fresh=fresh, deadline=deadline, wait=False
+        )
+
+    def _admit(
+        self,
+        source: int,
+        method: str,
+        params: dict[str, Any],
+        *,
+        fresh: bool,
+        deadline: float | None,
+        wait: bool,
+    ) -> Future | None:
+        """The one admit body behind :meth:`submit` and :meth:`try_submit`."""
         source = int(source)
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded(
@@ -215,7 +254,11 @@ class EngineServer:
             key = None
         future: Future = Future()
         # The read section pins the version a hit is checked against.
-        with self._rwlock.read():
+        if not self._rwlock.try_acquire_read():
+            if not wait:
+                return None
+            self._rwlock.acquire_read()
+        try:
             with self._mutex:
                 if self._closed:
                     raise RuntimeError("server is closed")
@@ -227,6 +270,8 @@ class EngineServer:
                     # Queued under the mutex: close() cannot slip in
                     # between leading a flight and handing it over.
                     self._worker.submit(self._solve, flight)
+        finally:
+            self._rwlock.release_read()
         return future
 
     def _solve(self, flight: Flight) -> None:

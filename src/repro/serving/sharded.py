@@ -856,6 +856,43 @@ class ShardedDispatcher:
         timestamp) rides along to the shard, which fails a request
         whose deadline has passed instead of solving it.
         """
+        future = self._admit(
+            source, method, params, fresh=fresh, deadline=deadline, wait=True
+        )
+        assert future is not None  # a waiting admit always takes the lock
+        return future
+
+    def try_submit(
+        self,
+        source: int,
+        method: str = "powerpush",
+        *,
+        fresh: bool = False,
+        deadline: float | None = None,
+        **params: Any,
+    ) -> Future | None:
+        """:meth:`submit` that never waits on the read lock.
+
+        ``None`` when an update holds the lock or waits for it (its
+        hand-over) — nothing was admitted, and :meth:`submit` (which
+        waits) is the retry.  Otherwise the same future :meth:`submit`
+        returns; a cache hit comes back already done.
+        """
+        return self._admit(
+            source, method, params, fresh=fresh, deadline=deadline, wait=False
+        )
+
+    def _admit(
+        self,
+        source: int,
+        method: str,
+        params: dict[str, Any],
+        *,
+        fresh: bool,
+        deadline: float | None,
+        wait: bool,
+    ) -> Future | None:
+        """The one admit body behind :meth:`submit` and :meth:`try_submit`."""
         source = int(source)
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded(
@@ -888,7 +925,11 @@ class ShardedDispatcher:
         message = None
         # The read section pins ``_version``: stamps are compared with,
         # and a miss is enqueued at, the version current throughout.
-        with self._rwlock.read():
+        if not self._rwlock.try_acquire_read():
+            if not wait:
+                return None
+            self._rwlock.acquire_read()
+        try:
             with self._mutex:
                 if self._closed:
                     raise RuntimeError("dispatcher is closed")
@@ -912,6 +953,8 @@ class ShardedDispatcher:
                 # message in the worker's FIFO, so it is answered
                 # pre-update.
                 state.requests.put(message)
+        finally:
+            self._rwlock.release_read()
         if self._faults is not None:
             self._inject_parent_faults(submit_count)
         return future

@@ -304,6 +304,7 @@ class TestServingCommands:
         assert "serving dblp-s" in out
         assert out.count("PowerPush source=1") == 2
         assert "cache" in out and "hit_rate" in out
+        assert "writer_waits=0" in out  # no update met a read
         assert "error:" in out  # the bogus line is reported, not fatal
 
     def test_serve_rejects_unparseable_request_tokens(

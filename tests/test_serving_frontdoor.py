@@ -10,7 +10,7 @@ p99 prediction blows the SLO (with periodic full-fidelity probes).
 import asyncio
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from repro.errors import (
 )
 from repro.graph.build import paper_example_graph
 from repro.graph.dynamic import DynamicGraph
-from repro.serving import AsyncFrontDoor, EngineServer
+from repro.serving import AsyncFrontDoor, EngineServer, ShardedDispatcher
 from repro.serving.flights import ServedResult
 
 
@@ -68,6 +68,9 @@ class SlowBackend:
 
         threading.Timer(self.delay, fire).start()
         return future
+
+    def try_submit(self, *args, **kwargs) -> Future:
+        return self.submit(*args, **kwargs)
 
     def stats(self):
         return {}
@@ -287,3 +290,111 @@ class TestSnapshot:
         assert snap["completed"] == 1
         assert snap["inflight"] == 0
         assert door.backend.stats()["requests"] >= 1
+
+
+class CountingExecutor(ThreadPoolExecutor):
+    """A default executor that counts the jobs the loop hands it."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.calls = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.calls += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture(params=["thread", "sharded"])
+def tier(request):
+    """Each serving tier over one small dynamic graph."""
+    graph = DynamicGraph(paper_example_graph())
+    if request.param == "thread":
+        backend = EngineServer(graph, seed=3)
+    else:
+        backend = ShardedDispatcher(graph, workers=1, seed=3)
+    with backend:
+        yield backend
+
+
+def _stall_next_update(monkeypatch, backend, writer_in, release):
+    """Make the backend's next ``apply_updates`` wait on ``release``
+    while it holds ``_rwlock.write()``."""
+    if isinstance(backend, EngineServer):
+        owner, name = backend.engine, "apply_updates"
+    else:
+        owner, name = backend, "_hand_over"  # the sharded write section
+    inner = getattr(owner, name)
+
+    def stalled(*args, **kwargs):
+        writer_in.set()
+        release.wait(10.0)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, stalled)
+
+
+class TestRouting:
+    def test_hit_and_miss_stay_on_the_loop(self, tier):
+        door = AsyncFrontDoor(tier)
+        executor = CountingExecutor()
+
+        async def drive():
+            asyncio.get_running_loop().set_default_executor(executor)
+            miss = await door.submit(0, "powerpush", l1_threshold=1e-8)
+            hit = await door.submit(0, "powerpush", l1_threshold=1e-8)
+            return miss, hit
+
+        miss, hit = run(drive())
+        assert (miss.cache_hit, hit.cache_hit) == (False, True)
+        assert executor.calls == 0
+        assert door.snapshot()["writer_waits"] == 0
+
+    def test_submit_behind_a_writer_takes_the_executor(
+        self, tier, monkeypatch
+    ):
+        door = AsyncFrontDoor(tier)
+        first = run(door.submit(0, "powerpush", l1_threshold=1e-8))
+        writer_in, release = threading.Event(), threading.Event()
+        _stall_next_update(monkeypatch, tier, writer_in, release)
+        writer = threading.Thread(
+            target=tier.apply_updates, args=([("+", 0, 4)],)
+        )
+        executor = CountingExecutor()
+        ticks = 0
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                ticks += 1
+                await asyncio.sleep(0.001)
+
+        async def drive():
+            asyncio.get_running_loop().set_default_executor(executor)
+            writer.start()
+            while not writer_in.is_set():
+                await asyncio.sleep(0.001)
+            assert tier._rwlock._writer_active
+            ticking = asyncio.ensure_future(ticker())
+            request = asyncio.ensure_future(
+                door.submit(0, "powerpush", l1_threshold=1e-8)
+            )
+            await asyncio.sleep(0.1)
+            # the request waits on the lock in the executor, and the
+            # loop keeps running meanwhile
+            assert not request.done()
+            assert executor.calls == 1
+            ticked = ticks
+            release.set()
+            served = await request
+            ticking.cancel()
+            return served, ticked
+
+        served, ticked = run(drive())
+        writer.join(10.0)
+        assert not writer.is_alive()
+        assert ticked >= 3  # a loop blocked on the lock would tick once
+        assert executor.calls == 1
+        assert door.snapshot()["writer_waits"] == 1
+        # answered at the post-update version, not from the old cache
+        assert served.version == first.version + 1 == tier.graph_version
+        assert served.cache_hit is False

@@ -103,3 +103,65 @@ class TestRWLock:
             lock.release_read()
         with pytest.raises(RuntimeError):
             lock.release_write()
+
+
+class TestTryAcquireRead:
+    def test_false_while_a_writer_is_active(self):
+        lock = RWLock()
+        lock.acquire_write()
+        try:
+            assert lock.try_acquire_read() is False
+        finally:
+            lock.release_write()
+        # the failed try took nothing: the reader count is still zero
+        with pytest.raises(RuntimeError):
+            lock.release_read()
+
+    def test_false_while_a_writer_waits_behind_readers(self):
+        lock = RWLock()
+        lock.acquire_read()
+        writer_done = threading.Event()
+
+        def writer():
+            with lock.write():
+                writer_done.set()
+
+        w = threading.Thread(target=writer)
+        w.start()
+        deadline = time.monotonic() + 5.0
+        while not lock._writers_waiting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert lock._writers_waiting == 1
+        # writer preference: a queued writer refuses new readers too
+        assert lock.try_acquire_read() is False
+        assert not writer_done.is_set()
+        lock.release_read()
+        assert writer_done.wait(5.0)
+        w.join(5.0)
+        assert not w.is_alive()
+        assert lock.try_acquire_read() is True
+        lock.release_read()
+
+    def test_each_success_pairs_with_one_release(self):
+        lock = RWLock()
+        assert lock.try_acquire_read() is True
+        assert lock.try_acquire_read() is True  # readers share
+        lock.release_read()
+        # one reader still inside: a writer cannot get in yet
+        writer_in = threading.Event()
+
+        def writer():
+            with lock.write():
+                writer_in.set()
+
+        w = threading.Thread(target=writer)
+        w.start()
+        assert not writer_in.wait(0.05)
+        lock.release_read()
+        assert writer_in.wait(5.0)
+        w.join(5.0)
+        assert not w.is_alive()
+        with pytest.raises(RuntimeError):
+            lock.release_read()
+        with pytest.raises(RuntimeError):
+            lock.release_write()

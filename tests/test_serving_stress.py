@@ -16,6 +16,8 @@ answered from a stale-version cache or index**.  Checked two ways:
   survive this.
 """
 
+import asyncio
+import sys
 import threading
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.api import PPREngine
 from repro.core.powerpush import power_push
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
-from repro.serving import EngineServer
+from repro.serving import AsyncFrontDoor, EngineServer, ShardedDispatcher
 
 BASE_SEED = 17
 L1 = 1e-6
@@ -207,3 +209,110 @@ def test_stale_walk_index_never_serves_a_seeded_speedppr_query():
                 f"stale index answer for source {source} at version {version}"
             ),
         )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("tier", ["thread", "sharded"])
+def test_door_hits_never_see_stale_answers_under_writer_pressure(tier):
+    """Many coroutines on one loop read Zipf-hot sources through the
+    front door — hits answered on the loop, misses and reads that meet
+    a writer off it — while a thread applies single-edge updates.  No
+    answer may carry a version older than one already acknowledged
+    when its submit began, and answers replay byte for byte."""
+    base = make_base()
+    mirror = DynamicGraph(base)
+    update_log: list[tuple[int, tuple[str, int, int]]] = []
+    #: the latest version an ``apply_updates`` call has returned
+    acked = 0
+    records = []
+    errors: list[BaseException] = []
+    stop_writer = threading.Event()
+    hot = np.random.default_rng(BASE_SEED).choice(
+        base.num_nodes, size=12, replace=False
+    )
+    weights = 1.0 / np.arange(1, hot.size + 1) ** 1.2
+    weights /= weights.sum()
+
+    if tier == "thread":
+        backend = EngineServer(DynamicGraph(base), alpha=0.2, seed=7)
+    else:
+        backend = ShardedDispatcher(
+            DynamicGraph(base), workers=2, alpha=0.2, seed=7
+        )
+
+    def writer() -> None:
+        nonlocal acked
+        rng = np.random.default_rng(99)
+        try:
+            for _ in range(40):
+                if stop_writer.wait(0.002):
+                    return
+                update = sample_edge_update(mirror, rng)
+                mirror.apply_updates([update])
+                version = backend.apply_updates([update])
+                update_log.append((version, update))
+                acked = version
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    async def reader(door: AsyncFrontDoor, worker_id: int) -> None:
+        rng = np.random.default_rng(1000 + worker_id)
+        for source in rng.choice(hot, size=40, p=weights):
+            floor = acked
+            served = await door.submit(
+                int(source), "powerpush", l1_threshold=L1
+            )
+            records.append((int(source), floor, served))
+
+    async def drive(door: AsyncFrontDoor) -> None:
+        await asyncio.gather(*(reader(door, w) for w in range(32)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with backend:
+            door = AsyncFrontDoor(backend)
+            thread = threading.Thread(target=writer)
+            thread.start()
+            try:
+                asyncio.run(drive(door))
+            finally:
+                stop_writer.set()
+                thread.join(30.0)
+            assert not thread.is_alive()
+            snapshot = door.snapshot()
+    finally:
+        sys.setswitchinterval(switch)
+
+    assert not errors, errors
+    assert len(records) == 32 * 40
+    assert update_log, "writer thread applied no updates"
+    # both door paths ran: hits on the loop, reads behind a writer off it
+    assert any(served.cache_hit for _, _, served in records)
+    assert snapshot["writer_waits"] >= 1
+    assert snapshot["completed"] == len(records)
+
+    # -- no answer older than a version acknowledged before its submit
+    for source, floor, served in records:
+        assert served.version >= floor, (
+            f"source {source}: served version {served.version} after "
+            f"version {floor} was acknowledged"
+        )
+
+    # -- a sample replays byte for byte on a serial engine
+    pick = np.random.default_rng(3).choice(len(records), 48, replace=False)
+    engines: dict[int, PPREngine] = {}
+    for index in sorted(pick):
+        source, _, served = records[index]
+        version = served.version
+        if version not in engines:
+            engines[version] = PPREngine(
+                rebuild_at(base, update_log, version), alpha=0.2, seed=7
+            )
+        expected = engines[version].query(
+            source, "powerpush", l1_threshold=L1
+        )
+        assert served.result.estimate.tobytes() == expected.estimate.tobytes(), (
+            f"stale answer for source {source} at version {version}"
+        )
+        assert served.result.residue.tobytes() == expected.residue.tobytes()

@@ -135,6 +135,8 @@ class TestRunLoadtest:
         stats = report.server_stats
         flights = stats["flights"]
         assert stats["cache"]["hits"] + flights["led"] + flights["joined"] == 60
+        # no writer: every read was enqueued on the loop
+        assert report.frontdoor["writer_waits"] == 0
         payload = report.to_dict()
         assert payload["identical"] is True
         assert payload["served"]["p99_ms"] >= payload["served"]["p50_ms"]
