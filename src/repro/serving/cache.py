@@ -48,6 +48,15 @@ __all__ = [
 #: uncacheable — sharing such objects across requests would be wrong.
 _HASHABLE_SCALARS = (int, float, str, bool, type(None))
 
+#: Request shapes :func:`resolve_request` remembers.  A shape is the
+#: request without its source; a full memo starts over.
+_RESOLVE_MEMO_SIZE = 1024
+
+#: shape -> (canonical name, merged parameters, sorted items or None).
+#: Registration only ever adds a name, so an entry never goes stale.
+_resolve_memo: dict[tuple, tuple[str, dict[str, Any], tuple | None]] = {}
+_resolve_memo_lock = threading.Lock()
+
 
 def resolve_request(
     source: int,
@@ -75,19 +84,62 @@ def resolve_request(
     accepts is folded in via ``setdefault``, so a request that spells
     out a default explicitly gets the same key — and therefore the
     same cache entry and flight — as one that omits it.
+
+    Memoised per request shape: the method spelling plus each
+    parameter's and each default's ``(name, type, value)``, so ``1``,
+    ``1.0`` and ``True`` never share an entry.  A shape with a value
+    that is not a scalar (a live ``rng``) is resolved afresh every
+    time, and an error is never remembered.  Every call returns a
+    ``merged`` of its own: the engine mutates it for tracked methods.
     """
+    if defaults is None:
+        defaults = {}
+    shape = _request_shape(method, params, defaults)
+    entry = None if shape is None else _resolve_memo.get(shape)
+    if entry is None:
+        entry = _resolve_shape(method, params, defaults)
+        if shape is not None:
+            with _resolve_memo_lock:
+                if len(_resolve_memo) >= _RESOLVE_MEMO_SIZE:
+                    _resolve_memo.clear()
+                _resolve_memo[shape] = entry
+    canonical, merged, items = entry
+    key = None if items is None else (canonical, int(source), items)
+    return canonical, dict(merged), key
+
+
+def _request_shape(
+    method: str, params: Mapping[str, Any], defaults: Mapping[str, Any]
+) -> tuple | None:
+    """The memo key of a request, or ``None`` when it has none."""
+    if not isinstance(method, str):
+        return None
+    shape: list[Any] = [method]
+    for mapping in (params, defaults):
+        for name, value in mapping.items():
+            if not isinstance(value, _HASHABLE_SCALARS):
+                return None
+            shape.append((name, type(value), value))
+        # Ends the parameters: a default is not a parameter.
+        shape.append(None)
+    return tuple(shape)
+
+
+def _resolve_shape(
+    method: str, params: Mapping[str, Any], defaults: Mapping[str, Any]
+) -> tuple[str, dict[str, Any], tuple | None]:
+    """:func:`resolve_request` without the memo and the source:
+    ``(canonical, merged, sorted items or None when uncacheable)``."""
     spec, merged = resolve_method(method)
     merged.update(params)
     spec.validate_params(merged)
-    for name, value in (defaults or {}).items():
+    for name, value in defaults.items():
         if spec.accepts(name):
             merged.setdefault(name, value)
-    canonical = spec.name
     for value in merged.values():
         if not isinstance(value, _HASHABLE_SCALARS):
-            return canonical, merged, None
-    key = (canonical, int(source), tuple(sorted(merged.items())))
-    return canonical, merged, key
+            return spec.name, merged, None
+    return spec.name, merged, tuple(sorted(merged.items()))
 
 
 def make_cache_key(

@@ -9,7 +9,8 @@ under the tier's own mutex at the graph version its read section pins:
 
 * **hit** — the answer is in the version-stamped
   :class:`~repro.serving.cache.ResultCache` at this version: the
-  caller's future is settled at once;
+  caller gets the :class:`ServedResult` itself, and no future is
+  built;
 * **join** — the same request is already being solved at this version
   (a *flight*): the caller's future rides along and gets exactly what
   the flight's leader gets, answer or exception.  Only a flight whose
@@ -23,11 +24,10 @@ under the tier's own mutex at the graph version its read section pins:
 
 A request without a cache key — ``fresh=True``, or parameters that are
 live objects — never hits, never joins and is never joined.  Every
-caller holds a future of its own, so a cancel drops one caller and
-never the solve others wait on.  Apart from a hit (whose future no one
-else holds yet), futures are settled by :func:`settle` / :func:`fail`
-after the owner's mutex is released: their done-callbacks are the
-caller's code.
+caller that joins or leads holds a future of its own, so a cancel
+drops one caller and never the solve others wait on.  Futures are
+settled by :func:`settle` / :func:`fail` after the owner's mutex is
+released: their done-callbacks are the caller's code.
 """
 
 from __future__ import annotations
@@ -40,7 +40,14 @@ from repro.core.result import PPRResult
 from repro.errors import ParameterError
 from repro.serving.cache import ResultCache, freeze_result
 
-__all__ = ["Flight", "FlightTable", "ServedResult", "fail", "settle"]
+__all__ = [
+    "Flight",
+    "FlightTable",
+    "ServedResult",
+    "as_future",
+    "fail",
+    "settle",
+]
 
 
 @dataclass(frozen=True)
@@ -123,32 +130,37 @@ class FlightTable:
         """Flights open to joiners."""
         return len(self._open)
 
-    def admit(
+    def hit(
+        self, key: tuple | None, version: int, deadline: float | None
+    ) -> ServedResult | None:
+        """The cached answer at ``version``, or ``None``.
+
+        The one cache lookup a request makes; on ``None`` the caller
+        joins a flight (:meth:`join`) or leads one (:meth:`lead`).
+        """
+        if key is None or self.cache is None:
+            return None
+        result = self.cache.get(key, version)
+        if result is None:
+            return None
+        return ServedResult(
+            result=result, version=version, cache_hit=True, deadline=deadline
+        )
+
+    def join(
         self,
         key: tuple | None,
         version: int,
         future: Future,
         deadline: float | None,
     ) -> bool:
-        """Answer ``future`` from the cache, or attach it to a flight.
+        """Attach ``future`` to the open flight for ``key`` at ``version``.
 
-        ``False`` when neither can take it: the caller then leads a
-        flight of its own (:meth:`lead`).
+        ``False`` when there is none that can carry it: the caller then
+        leads a flight of its own (:meth:`lead`).
         """
         if key is None:
             return False
-        if self.cache is not None:
-            hit = self.cache.get(key, version)
-            if hit is not None:
-                future.set_result(
-                    ServedResult(
-                        result=hit,
-                        version=version,
-                        cache_hit=True,
-                        deadline=deadline,
-                    )
-                )
-                return True
         flight = self._open.get((key, version))
         if flight is None or (
             flight.deadline is not None
@@ -196,6 +208,15 @@ class FlightTable:
 
     def stats(self) -> dict[str, int]:
         return {"led": self.led, "joined": self.joined}
+
+
+def as_future(answer: ServedResult | Future) -> Future:
+    """``answer`` as a future: a hit comes back in a done one."""
+    if isinstance(answer, Future):
+        return answer
+    future: Future = Future()
+    future.set_result(answer)
+    return future
 
 
 def settle(waiters: list[Future], served: ServedResult) -> None:

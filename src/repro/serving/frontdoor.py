@@ -290,15 +290,18 @@ class AsyncFrontDoor:
         the blocking ``submit`` runs in the default executor, so the
         loop never waits on a lock, and the answer is post-update as
         the lock guarantees (counted in ``stats.writer_waits``).  A
-        cache hit comes back as a done future and completes without
-        suspending: its ``result(timeout=0)`` cannot block.  A joined
-        flight or a miss is awaited via ``wrap_future`` — no thread
-        parks on it.
+        cache hit comes back as the :class:`ServedResult` itself and is
+        returned as it comes, without suspending.  A joined flight or a
+        miss comes back as a future, awaited via ``wrap_future`` — no
+        thread parks on it.
         """
         loop = asyncio.get_running_loop()
-        future = self._backend.try_submit(
+        answer = self._backend.try_submit(
             source, method, fresh=fresh, deadline=deadline, **params
         )
+        if isinstance(answer, ServedResult):
+            return answer
+        future = answer
         if future is None:
             with self._mutex:
                 self.stats.writer_waits += 1
@@ -311,8 +314,6 @@ class AsyncFrontDoor:
                 **params,
             )
             future = await loop.run_in_executor(None, enqueue)
-        if future.done():
-            return future.result(timeout=0)
         wrapped = asyncio.wrap_future(future, loop=loop)
         if deadline is None:
             return await wrapped

@@ -32,7 +32,11 @@ class RWLock:
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        #: the read side takes this plain lock directly (no
+        #: ``Condition`` method call per request); waits go through
+        #: ``_cond``, which is built over it
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._active_readers = 0
         self._writer_active = False
         self._writers_waiting = 0
@@ -53,18 +57,19 @@ class RWLock:
         same writer preference :meth:`acquire_read` keeps), ``True``
         otherwise — and then the caller owes one :meth:`release_read`.
         """
-        with self._cond:
+        with self._mutex:
             if self._writer_active or self._writers_waiting:
                 return False
             self._active_readers += 1
             return True
 
     def release_read(self) -> None:
-        with self._cond:
+        with self._mutex:
             if self._active_readers <= 0:
                 raise RuntimeError("release_read without a matching acquire")
             self._active_readers -= 1
-            if self._active_readers == 0:
+            # Only writers wait for the reader count to reach zero.
+            if self._active_readers == 0 and self._writers_waiting:
                 self._cond.notify_all()
 
     @contextmanager

@@ -42,12 +42,18 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.api.engine import PPREngine
-from repro.core.validation import check_source
-from repro.errors import DeadlineExceeded, ParameterError
+from repro.errors import DeadlineExceeded, NodeNotFoundError, ParameterError
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.serving.cache import ResultCache, resolve_request
-from repro.serving.flights import Flight, FlightTable, ServedResult, fail, settle
+from repro.serving.flights import (
+    Flight,
+    FlightTable,
+    ServedResult,
+    as_future,
+    fail,
+    settle,
+)
 from repro.serving.locks import RWLock
 
 __all__ = ["EngineServer"]
@@ -141,6 +147,17 @@ class EngineServer:
             )
         if self._durability is not None:
             self._engine.attach_durability(self._durability)
+        #: the engine refuses a resize, so a source is checked against
+        #: this count — not the graph, whose snapshot takes the engine
+        #: lock (and is rebuilt on the first read after an update)
+        self._num_nodes = self._engine.graph.num_nodes
+        # Folding the engine defaults in makes canonicalisation
+        # complete: spelling out alpha=engine.alpha keys (and flies)
+        # identically to omitting it.
+        self._defaults = {
+            "alpha": self._engine.alpha,
+            "dead_end_policy": self._engine.dead_end_policy,
+        }
         self._flight_table = FlightTable(cache_capacity, cache_ttl)
         self._rwlock = RWLock()
         #: guards the flight table, the counter and ``_closed``
@@ -195,11 +212,11 @@ class EngineServer:
         The method, its parameters and the source are validated here,
         so typos raise at the call site, not in the worker.
         """
-        future = self._admit(
+        answer = self._admit(
             source, method, params, fresh=fresh, deadline=deadline, wait=True
         )
-        assert future is not None  # a waiting admit always takes the lock
-        return future
+        assert answer is not None  # a waiting admit always takes the lock
+        return as_future(answer)
 
     def try_submit(
         self,
@@ -209,13 +226,13 @@ class EngineServer:
         fresh: bool = False,
         deadline: float | None = None,
         **params: Any,
-    ) -> Future | None:
+    ) -> ServedResult | Future | None:
         """:meth:`submit` that never waits on the read lock.
 
         ``None`` when a writer holds the lock or waits for it — nothing
         was admitted, and :meth:`submit` (which waits) is the retry.
-        Otherwise the same future :meth:`submit` returns; a cache hit
-        comes back already done.
+        A cache hit is the :class:`ServedResult` itself, with no future
+        built; a join or a miss is the future :meth:`submit` returns.
         """
         return self._admit(
             source, method, params, fresh=fresh, deadline=deadline, wait=False
@@ -230,7 +247,7 @@ class EngineServer:
         fresh: bool,
         deadline: float | None,
         wait: bool,
-    ) -> Future | None:
+    ) -> ServedResult | Future | None:
         """The one admit body behind :meth:`submit` and :meth:`try_submit`."""
         source = int(source)
         if deadline is not None and time.monotonic() >= deadline:
@@ -238,21 +255,14 @@ class EngineServer:
                 f"deadline passed before submit of source {source}"
             )
         canonical, merged, key = resolve_request(
-            source,
-            method,
-            params,
-            # Folding the engine defaults in makes canonicalisation
-            # complete: spelling out alpha=engine.alpha keys (and
-            # flies) identically to omitting it.
-            defaults={
-                "alpha": self._engine.alpha,
-                "dead_end_policy": self._engine.dead_end_policy,
-            },
+            source, method, params, defaults=self._defaults
         )
-        check_source(self._engine.graph, source)
+        if not 0 <= source < self._num_nodes:
+            raise NodeNotFoundError(
+                f"source {source} outside [0, {self._num_nodes})"
+            )
         if fresh:
             key = None
-        future: Future = Future()
         # The read section pins the version a hit is checked against.
         if not self._rwlock.try_acquire_read():
             if not wait:
@@ -264,15 +274,26 @@ class EngineServer:
                     raise RuntimeError("server is closed")
                 self._submitted += 1
                 version = self._engine.graph_version
-                if not self._flight_table.admit(key, version, future, deadline):
-                    flight = Flight([future], source, canonical, merged, deadline)
-                    self._flight_table.lead(flight, key, version)
-                    # Queued under the mutex: close() cannot slip in
-                    # between leading a flight and handing it over.
-                    self._worker.submit(self._solve, flight)
+                answer: ServedResult | Future | None = self._flight_table.hit(
+                    key, version, deadline
+                )
+                if answer is None:
+                    future: Future = Future()
+                    if not self._flight_table.join(
+                        key, version, future, deadline
+                    ):
+                        flight = Flight(
+                            [future], source, canonical, merged, deadline
+                        )
+                        self._flight_table.lead(flight, key, version)
+                        # Queued under the mutex: close() cannot slip
+                        # in between leading a flight and handing it
+                        # over.
+                        self._worker.submit(self._solve, flight)
+                    answer = future
         finally:
             self._rwlock.release_read()
-        return future
+        return answer
 
     def _solve(self, flight: Flight) -> None:
         """The worker: solve one flight, land it, settle its waiters."""

@@ -21,7 +21,8 @@ and the remembering in the parent:
   :class:`ShardedDispatcher`, the one place every request passes and
   whose ``_version`` is authoritative.  ``submit`` looks the request
   up inside the read section it takes anyway: a hit is answered with
-  a completed future — no message, no shard — and a duplicate of a
+  the cached answer itself — no future, no message, no shard (public
+  ``submit`` wraps it in a done future) — and a duplicate of a
   request already on its way to a shard at the current version joins
   that flight instead of being sent; the collector's receipt of a
   miss's answer lands the flight and is the cache fill.
@@ -110,7 +111,14 @@ from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.serving.cache import resolve_request
 from repro.serving.faults import FaultInjector, FaultSpec, WorkerFaultPlan
-from repro.serving.flights import Flight, FlightTable, ServedResult, fail, settle
+from repro.serving.flights import (
+    Flight,
+    FlightTable,
+    ServedResult,
+    as_future,
+    fail,
+    settle,
+)
 from repro.serving.locks import RWLock
 from repro.serving.shm import (
     SharedGraphHandle,
@@ -654,6 +662,9 @@ class ShardedDispatcher:
             seed=seed,
             dead_end_policy=dead_end_policy,
         )
+        # As in the thread tier: spelling out the cluster's alpha keys
+        # (and flies) identically to omitting it.
+        self._defaults = {"alpha": alpha, "dead_end_policy": dead_end_policy}
         if restart_policy is None:
             restart_policy = RestartPolicy(seed=seed)
         if max_restarts is not None:
@@ -856,11 +867,11 @@ class ShardedDispatcher:
         timestamp) rides along to the shard, which fails a request
         whose deadline has passed instead of solving it.
         """
-        future = self._admit(
+        answer = self._admit(
             source, method, params, fresh=fresh, deadline=deadline, wait=True
         )
-        assert future is not None  # a waiting admit always takes the lock
-        return future
+        assert answer is not None  # a waiting admit always takes the lock
+        return as_future(answer)
 
     def try_submit(
         self,
@@ -870,13 +881,14 @@ class ShardedDispatcher:
         fresh: bool = False,
         deadline: float | None = None,
         **params: Any,
-    ) -> Future | None:
+    ) -> ServedResult | Future | None:
         """:meth:`submit` that never waits on the read lock.
 
         ``None`` when an update holds the lock or waits for it (its
         hand-over) — nothing was admitted, and :meth:`submit` (which
-        waits) is the retry.  Otherwise the same future :meth:`submit`
-        returns; a cache hit comes back already done.
+        waits) is the retry.  A cache hit is the :class:`ServedResult`
+        itself (``worker=None``), with no future built; a join or a
+        miss is the future :meth:`submit` returns.
         """
         return self._admit(
             source, method, params, fresh=fresh, deadline=deadline, wait=False
@@ -891,7 +903,7 @@ class ShardedDispatcher:
         fresh: bool,
         deadline: float | None,
         wait: bool,
-    ) -> Future | None:
+    ) -> ServedResult | Future | None:
         """The one admit body behind :meth:`submit` and :meth:`try_submit`."""
         source = int(source)
         if deadline is not None and time.monotonic() >= deadline:
@@ -899,15 +911,7 @@ class ShardedDispatcher:
                 f"deadline passed before submit of source {source}"
             )
         canonical, merged, key = resolve_request(
-            source,
-            method,
-            params,
-            # As in the thread tier: spelling out the cluster's
-            # alpha keys (and flies) identically to omitting it.
-            defaults={
-                "alpha": self._config.alpha,
-                "dead_end_policy": self._config.dead_end_policy,
-            },
+            source, method, params, defaults=self._defaults
         )
         if key is None and params:
             raise ParameterError(
@@ -921,7 +925,6 @@ class ShardedDispatcher:
             )
         if fresh:
             key = None
-        future: Future = Future()
         message = None
         # The read section pins ``_version``: stamps are compared with,
         # and a miss is enqueued at, the version current throughout.
@@ -936,17 +939,25 @@ class ShardedDispatcher:
                 self._submitted += 1
                 submit_count = self._submitted
                 version = self._version
-                if not self._flight_table.admit(key, version, future, deadline):
-                    state = self._route_healthy(source)
-                    # ``merged``, not the caller's raw params: the
-                    # worker is sent the canonical method name, so the
-                    # overrides an alias implies (``fora+`` =>
-                    # ``use_index=True``) must travel with it.
-                    pending = _PendingRequest(
-                        [future], source, canonical, merged, deadline
-                    )
-                    self._flight_table.lead(pending, key, version)
-                    message = self._enqueue(state, pending)
+                answer: ServedResult | Future | None = self._flight_table.hit(
+                    key, version, deadline
+                )
+                if answer is None:
+                    future: Future = Future()
+                    if not self._flight_table.join(
+                        key, version, future, deadline
+                    ):
+                        state = self._route_healthy(source)
+                        # ``merged``, not the caller's raw params: the
+                        # worker is sent the canonical method name, so
+                        # the overrides an alias implies (``fora+`` =>
+                        # ``use_index=True``) must travel with it.
+                        pending = _PendingRequest(
+                            [future], source, canonical, merged, deadline
+                        )
+                        self._flight_table.lead(pending, key, version)
+                        message = self._enqueue(state, pending)
+                    answer = future
             if message is not None:
                 # Enqueued under the read lock: a writer that acquires
                 # after us sees this request ahead of its hand-over
@@ -957,7 +968,7 @@ class ShardedDispatcher:
             self._rwlock.release_read()
         if self._faults is not None:
             self._inject_parent_faults(submit_count)
-        return future
+        return answer
 
     def _enqueue(self, state: _WorkerState, request: _PendingRequest) -> tuple:
         """Register ``request`` as pending on ``state``; its query message.

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.result import PPRResult
 from repro.errors import ParameterError, UnknownMethodError
-from repro.serving.cache import ResultCache, make_cache_key
+from repro.serving import cache as cache_module
+from repro.serving.cache import ResultCache, make_cache_key, resolve_request
 
 
 def result_for(source: int, version: int) -> PPRResult:
@@ -67,6 +68,87 @@ class TestMakeCacheKey:
     def test_unknown_method_raises(self):
         with pytest.raises(UnknownMethodError):
             make_cache_key(0, "no-such-method", {})
+
+
+#: the defaults a serving tier passes: built once, at construction
+DEFAULTS = {"alpha": 0.2, "dead_end_policy": "redirect-to-source"}
+
+
+class TestResolveMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        cache_module._resolve_memo.clear()
+        yield
+        cache_module._resolve_memo.clear()
+
+    @pytest.mark.parametrize(
+        "method, params, same_as",
+        [
+            ("PP", {"l1_threshold": 1e-8}, ("powerpush", {"l1_threshold": 1e-8})),
+            (
+                "fora+",
+                {"epsilon": 0.5},
+                ("fora", {"epsilon": 0.5, "use_index": True}),
+            ),
+            (
+                "powerpush",
+                {"l1_threshold": 1e-8, "alpha": 0.2},
+                ("powerpush", {"alpha": 0.2, "l1_threshold": 1e-8}),
+            ),
+            (
+                "powerpush",
+                {"alpha": 0.2, "dead_end_policy": "redirect-to-source"},
+                ("powerpush", {}),
+            ),
+        ],
+    )
+    def test_spellings_resolve_as_without_the_memo(self, method, params, same_as):
+        for spelling, given in ((method, params), same_as):
+            canonical, merged, items = cache_module._resolve_shape(
+                spelling, given, DEFAULTS
+            )
+            unmemoised = (canonical, merged, (canonical, 4, items))
+            for _ in range(2):  # cold, then from the memo
+                assert resolve_request(4, spelling, given, defaults=DEFAULTS) == (
+                    unmemoised
+                )
+        first = resolve_request(4, method, params, defaults=DEFAULTS)
+        assert first == resolve_request(4, *same_as, defaults=DEFAULTS)
+
+    def test_int_float_and_bool_do_not_share_an_entry(self):
+        for value in (1.0, 1, True, 1.0):
+            _, merged, key = resolve_request(0, "powerpush", {"l1_threshold": value})
+            assert type(merged["l1_threshold"]) is type(value)
+            assert type(dict(key[2])["l1_threshold"]) is type(value)
+
+    def test_errors_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(UnknownMethodError):
+                resolve_request(0, "no-such-method", {}, defaults=DEFAULTS)
+            with pytest.raises(ParameterError):
+                resolve_request(0, "powerpush", {"epsilon": 0.5}, defaults=DEFAULTS)
+        assert not cache_module._resolve_memo
+
+    def test_a_live_rng_is_resolved_afresh_and_uncacheable(self):
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            _, merged, key = resolve_request(0, "montecarlo", {"rng": rng})
+            assert key is None and merged["rng"] is rng
+        assert not cache_module._resolve_memo
+
+    def test_memo_stays_within_its_bound(self):
+        for k in range(10_000):
+            resolve_request(0, "fora", {"epsilon": 0.1 + k * 1e-5})
+            assert len(cache_module._resolve_memo) <= cache_module._RESOLVE_MEMO_SIZE
+        assert cache_module._resolve_memo
+
+    def test_each_caller_gets_its_own_merged(self):
+        _, merged, _ = resolve_request(0, "powerpush", {"l1_threshold": 1e-8})
+        merged["l1_threshold"] = 0.5
+        merged["rng"] = np.random.default_rng(0)
+        _, again, key = resolve_request(0, "powerpush", {"l1_threshold": 1e-8})
+        assert again == {"l1_threshold": 1e-8}
+        assert key == ("powerpush", 0, (("l1_threshold", 1e-8),))
 
 
 class TestResultCacheBasics:

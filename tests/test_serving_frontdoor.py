@@ -8,6 +8,7 @@ p99 prediction blows the SLO (with periodic full-fidelity probes).
 """
 
 import asyncio
+import sys
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -398,3 +399,58 @@ class TestRouting:
         # answered at the post-update version, not from the old cache
         assert served.version == first.version + 1 == tier.graph_version
         assert served.cache_hit is False
+
+
+class TestHitPath:
+    """A hit is one cache lookup: no future, one counted hit."""
+
+    def test_door_hits_build_no_future(self, tier, monkeypatch):
+        door = AsyncFrontDoor(tier)
+        run(door.submit(0, "powerpush", l1_threshold=1e-8))
+        module = sys.modules[type(tier).__module__]
+        built = []
+
+        class CountingFuture(Future):
+            def __init__(self) -> None:
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(module, "Future", CountingFuture)
+
+        async def drive():
+            return [
+                await door.submit(0, "powerpush", l1_threshold=1e-8)
+                for _ in range(100)
+            ]
+
+        answers = run(drive())
+        assert all(served.cache_hit for served in answers)
+        assert len(built) == 0
+
+    def test_cache_counts_each_request_once(self, tier):
+        door = AsyncFrontDoor(tier)
+
+        async def drive():
+            for source in range(5):  # five misses
+                await door.submit(source, "powerpush", l1_threshold=1e-8)
+            for _ in range(2):  # ten hits
+                for source in range(5):
+                    await door.submit(source, "powerpush", l1_threshold=1e-8)
+            # no key, so no lookup
+            await door.submit(0, "powerpush", fresh=True, l1_threshold=1e-8)
+
+        run(drive())
+        cache = tier.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (10, 5)
+
+    def test_submit_wraps_a_hit_in_a_done_future(self, tier):
+        miss = tier.query(0, "powerpush", l1_threshold=1e-8)
+        future = tier.submit(0, "powerpush", l1_threshold=1e-8)
+        assert isinstance(future, Future) and future.done()
+        served = future.result(timeout=0)
+        assert served.cache_hit is True and served.worker is None
+        assert served.result is miss.result
+        # try_submit hands the hit over as it is
+        direct = tier.try_submit(0, "powerpush", l1_threshold=1e-8)
+        assert isinstance(direct, ServedResult) and direct.cache_hit
+        assert direct.result is miss.result

@@ -105,6 +105,37 @@ class TestRWLock:
             lock.release_write()
 
 
+    def test_last_reader_wakes_only_a_waiting_writer(self, monkeypatch):
+        lock = RWLock()
+        notified = []
+        notify_all = lock._cond.notify_all
+
+        def counted():
+            notified.append(lock._writers_waiting)
+            notify_all()
+
+        monkeypatch.setattr(lock._cond, "notify_all", counted)
+        for _ in range(3):
+            with lock.read():
+                pass
+        assert notified == []  # no writer waited: nothing to wake
+        lock.acquire_read()
+        writer_in = threading.Event()
+
+        def writer():
+            with lock.write():
+                writer_in.set()
+
+        w = threading.Thread(target=writer)
+        w.start()
+        while not lock._writers_waiting:
+            time.sleep(0.001)
+        lock.release_read()
+        assert writer_in.wait(5.0)
+        w.join(5.0)
+        assert notified[0] == 1  # the release woke the waiting writer
+
+
 class TestTryAcquireRead:
     def test_false_while_a_writer_is_active(self):
         lock = RWLock()

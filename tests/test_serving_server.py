@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from repro.api import PPREngine
-from repro.errors import GraphConstructionError, ParameterError
+from repro.errors import (
+    GraphConstructionError,
+    NodeNotFoundError,
+    ParameterError,
+)
 from repro.generators.rmat import rmat_digraph
 from repro.graph.build import paper_example_graph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
@@ -181,6 +185,30 @@ class TestWriterPath:
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
             server.submit(0, "powerpush", l1_threshold=1e-7)
+
+    def test_submit_after_an_update_builds_no_snapshot(
+        self, server, dyn, monkeypatch
+    ):
+        """A source is checked against the node count, not the graph:
+        the first request after an update does not build the snapshot
+        on the caller's thread (under the door: the event loop)."""
+        server.query(0, "powerpush", l1_threshold=1e-7)
+        server.apply_updates([sample_edge_update(dyn, np.random.default_rng(5))])
+        caller = threading.current_thread()
+        calls = []
+        snapshot = DynamicGraph.snapshot
+
+        def counted(graph):
+            if threading.current_thread() is caller:
+                calls.append(graph)
+            return snapshot(graph)
+
+        monkeypatch.setattr(DynamicGraph, "snapshot", counted)
+        future = server.try_submit(0, "powerpush", l1_threshold=1e-7)
+        assert calls == []
+        assert future.result(timeout=30).version == 1
+        with pytest.raises(NodeNotFoundError):
+            server.try_submit(dyn.num_nodes, "powerpush")
 
     def test_static_graph_update_raises(self):
         with EngineServer(paper_example_graph()) as server:
