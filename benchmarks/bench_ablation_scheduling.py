@@ -1,8 +1,10 @@
 """Benchmark A2 — ablation of FwdPush scheduling orders.
 
 Compares FIFO (the analysed Algorithm 2 order), LIFO, and greedy
-max-residue on the faithful scalar Forward Push, counting pushes and
-residue updates to termination.  Theorem 4.3's message is that the
+max-residue on Algorithm 1's scalar loop,
+:func:`repro.core.fwdpush.forward_push` (a plain function, not a
+registered solver), counting pushes and residue updates to
+termination.  Theorem 4.3's message is that the
 FIFO order achieves the O(m log(1/lambda)) bound; this ablation shows
 it is also (near-)best in practice among simple orders.
 """

@@ -17,8 +17,10 @@ baseline/substrate its evaluation depends on:
   random-walk engine (:mod:`repro.walks`), metrics
   (:mod:`repro.metrics`) and the experiment harness
   (:mod:`repro.experiments`).
-* **Unified query API** (:mod:`repro.api`): every algorithm sits
-  behind one solver registry, and a stateful :class:`PPREngine` serves
+* **Unified query API** (:mod:`repro.api`): every measured algorithm
+  sits behind one solver registry (:func:`forward_push` and
+  :func:`simultaneous_forward_push` serve an ablation and a proof, and
+  are plain functions), and a stateful :class:`PPREngine` serves
   queries against a graph while caching the expensive per-graph
   indexes (SpeedPPR's eps-independent walk index, BePI's block
   elimination) across queries.

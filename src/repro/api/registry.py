@@ -47,11 +47,9 @@ from repro.baselines.fora import fora
 from repro.baselines.resacc import resacc
 from repro.bepi.blockelim import build_bepi_index
 from repro.bepi.solver import bepi_query
-from repro.core.fifo_fwdpush import fifo_forward_push, r_max_for_l1_threshold
-from repro.core.fwdpush import forward_push
+from repro.core.fifo_fwdpush import fifo_forward_push
 from repro.core.power_iteration import power_iteration
 from repro.core.powerpush import power_push
-from repro.core.sim_fwdpush import simultaneous_forward_push
 from repro.core.speedppr import speed_ppr
 from repro.core.result import PPRResult
 from repro.errors import ParameterError, UnknownMethodError
@@ -142,16 +140,12 @@ PARAMS: dict[str, ParamSpec] = {
         ParamSpec("use_index", "build/use a walk index when none is supplied"),
         ParamSpec("bepi_index", "pre-computed BePIIndex"),
         ParamSpec("delta", "BePI's Schur-iteration convergence parameter"),
-        ParamSpec("scheduler", "push order: fifo | lifo | max-residue"),
-        ParamSpec("mode", "execution mode: faithful | frontier/vectorized | auto"),
         ParamSpec("config", "PowerPushConfig tuning knobs"),
         ParamSpec("dead_end_policy", "dead-end handling rule"),
         ParamSpec("trace", "ConvergenceTrace to record into"),
         ParamSpec("max_iterations", "safety cap on iterations"),
         ParamSpec("max_sweeps", "safety cap on vectorised sweeps"),
-        ParamSpec("max_pushes", "safety cap on scalar pushes"),
         ParamSpec("max_inner_iterations", "cap on BePI's Schur iterations"),
-        ParamSpec("push_mode", "FwdPush phase mode inside FORA"),
         ParamSpec("allow_monte_carlo_shortcut", "paper's m >= W fallback"),
     )
 }
@@ -565,43 +559,6 @@ BEPI_INDEX = ArtefactSpec(
 _EXACT_COMMON = ("alpha", "l1_threshold", "dead_end_policy", "trace")
 
 
-def _solve_forward_push(
-    graph: DiGraph,
-    source: int,
-    *,
-    alpha: float = 0.2,
-    r_max: float | None = None,
-    l1_threshold: float | None = None,
-    scheduler: str = "fifo",
-    dead_end_policy: str = "redirect-to-source",
-    max_pushes: int | None = None,
-    trace=None,
-) -> PPRResult:
-    """Scalar Algorithm 1; ``l1_threshold`` maps to ``r_max = lambda/m``."""
-    if r_max is None:
-        if l1_threshold is None:
-            raise ParameterError("fwdpush-scheduled needs r_max or l1_threshold")
-        r_max = r_max_for_l1_threshold(graph, l1_threshold)
-    elif l1_threshold is not None:
-        raise ParameterError("pass exactly one of r_max / l1_threshold")
-    return forward_push(
-        graph,
-        source,
-        alpha=alpha,
-        r_max=r_max,
-        scheduler=scheduler,
-        dead_end_policy=dead_end_policy,
-        max_pushes=max_pushes,
-        trace=trace,
-    )
-
-
-def _solve_sim_fwdpush(graph: DiGraph, source: int, **params) -> PPRResult:
-    result = simultaneous_forward_push(graph, source, **params)
-    assert isinstance(result, PPRResult)  # record_iterates not in schema
-    return result
-
-
 def _with_optional_index(
     solver: Callable[..., PPRResult],
     artefact: ArtefactSpec,
@@ -715,7 +672,7 @@ def _register_builtin_solvers() -> None:
             aliases=("pp", "algo3"),
             kind="exact",
             summary="PowerPush (Algorithm 3): power iteration with forward push",
-            params=(*_EXACT_COMMON, "config", "mode"),
+            params=(*_EXACT_COMMON, "config"),
             fn=power_push,
         )
     )
@@ -735,28 +692,8 @@ def _register_builtin_solvers() -> None:
             aliases=("fwdpush", "forward-push", "fifo", "algo2"),
             kind="exact",
             summary="FIFO Forward Push (Algorithm 2): the analysed local method",
-            params=(*_EXACT_COMMON, "r_max", "mode", "max_sweeps"),
+            params=(*_EXACT_COMMON, "r_max", "max_sweeps"),
             fn=fifo_forward_push,
-        )
-    )
-    register_solver(
-        SolverSpec(
-            name="fwdpush-scheduled",
-            aliases=("scalar-fwdpush", "algo1"),
-            kind="exact",
-            summary="Scalar Forward Push (Algorithm 1) with pluggable scheduling",
-            params=(*_EXACT_COMMON, "r_max", "scheduler", "max_pushes"),
-            fn=_solve_forward_push,
-        )
-    )
-    register_solver(
-        SolverSpec(
-            name="simfwdpush",
-            aliases=("simultaneous-fwdpush", "sim"),
-            kind="exact",
-            summary="Simultaneous Forward Push: the PowItr-equivalent variant",
-            params=(*_EXACT_COMMON, "max_iterations"),
-            fn=_solve_sim_fwdpush,
         )
     )
     register_solver(
@@ -804,7 +741,6 @@ def _register_builtin_solvers() -> None:
                 *_APPROX_COMMON,
                 "walk_index",
                 "use_index",
-                "push_mode",
                 "allow_monte_carlo_shortcut",
             ),
             fn=_with_optional_index(fora, FORA_INDEX),

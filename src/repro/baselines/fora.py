@@ -60,7 +60,6 @@ def fora(
     rng: np.random.Generator | None = None,
     walk_index: WalkIndex | None = None,
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
-    push_mode: str = "auto",
     allow_monte_carlo_shortcut: bool = True,
 ) -> PPRResult:
     """Answer an approximate SSPPR query with FORA (or FORA+).
@@ -73,9 +72,6 @@ def fora(
         (i.e. for an ``epsilon`` no larger than this query's);
         otherwise an :class:`~repro.errors.IndexMismatchError` is
         raised, reproducing the eps-dependence the paper criticises.
-    push_mode:
-        Execution mode of the FwdPush phase (see
-        :func:`~repro.core.fifo_fwdpush.fifo_forward_push`).
     """
     check_alpha(alpha)
     check_source(graph, source)
@@ -109,7 +105,6 @@ def fora(
         source,
         alpha=alpha,
         r_max=fora_r_max(graph, num_walks_w),
-        mode=push_mode,
         dead_end_policy=dead_end_policy,
     )
     assert push_result.residue is not None

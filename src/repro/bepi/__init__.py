@@ -7,7 +7,6 @@ block-diagonal ``H11``, and an iterative solve on the hub Schur
 complement — reimplemented openly.  See DESIGN.md, "Substitutions".
 """
 
-from repro.bepi.bear import BEARIndex, bear_query, build_bear_index
 from repro.bepi.blockelim import BePIIndex, build_bepi_index
 from repro.bepi.slashburn import SlashBurnResult, slashburn
 from repro.bepi.solver import bepi_query
@@ -18,7 +17,4 @@ __all__ = [
     "BePIIndex",
     "build_bepi_index",
     "bepi_query",
-    "BEARIndex",
-    "build_bear_index",
-    "bear_query",
 ]

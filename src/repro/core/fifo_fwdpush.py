@@ -2,31 +2,23 @@
 
 This is the "common implementation" whose running time Section 4.2
 bounds by ``O(m log(1/lambda))`` (Theorem 4.3) — the positive answer to
-the paper's open question.  Two execution modes are provided:
+the paper's open question.  It runs in the per-iteration form of that
+analysis: iteration ``j+1`` simultaneously pushes the active set
+``S(j)``, exactly the iteration structure Section 4.2 defines.  Each
+sweep costs ``O(sum of frontier degrees)`` through the range-scatter
+kernel, so the total work tracks the paper's ``T(j+1)`` quantity
+(Eq. 11).  The scalar queue loop of Algorithm 2 verbatim is
+:func:`repro.core.fwdpush.forward_push` with ``scheduler="fifo"``.
 
-``"faithful"``
-    The scalar queue loop of Algorithm 2 verbatim (delegates to
-    :func:`repro.core.fwdpush.forward_push` with the FIFO scheduler).
-    Used by correctness tests and small graphs.
-
-``"frontier"``
-    The vectorised per-iteration form used for benchmarking: iteration
-    ``j+1`` simultaneously pushes the active set ``S(j)``, exactly the
-    iteration structure Section 4.2 defines for its analysis.  Each
-    sweep costs ``O(sum of frontier degrees)`` through the
-    range-scatter kernel, so the total work tracks the paper's
-    ``T(j+1)`` quantity (Eq. 11).
-
-Both modes stop when no node is active w.r.t. ``r_max``, i.e. the
-guaranteed l1-error is ``m * r_max`` (Eq. 7).
+It stops when no node is active w.r.t. ``r_max``, i.e. the guaranteed
+l1-error is ``m * r_max`` (Eq. 7).
 """
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Literal
 
-from repro.core.fwdpush import forward_push
 from repro.core.kernels import sweep_active
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
@@ -41,8 +33,6 @@ from repro.graph.digraph import DiGraph
 from repro.instrumentation.tracing import ConvergenceTrace
 
 __all__ = ["fifo_forward_push", "r_max_for_l1_threshold"]
-
-Mode = Literal["faithful", "frontier", "auto"]
 
 
 def r_max_for_l1_threshold(graph: DiGraph, l1_threshold: float) -> float:
@@ -60,7 +50,6 @@ def fifo_forward_push(
     alpha: float = 0.2,
     r_max: float | None = None,
     l1_threshold: float | None = None,
-    mode: Mode = "auto",
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     max_sweeps: int | None = None,
     trace: ConvergenceTrace | None = None,
@@ -69,12 +58,6 @@ def fifo_forward_push(
 
     Exactly one of ``r_max`` / ``l1_threshold`` must be given; the
     latter sets ``r_max = l1_threshold / m``.
-
-    Parameters
-    ----------
-    mode:
-        ``"faithful"`` for the scalar queue loop, ``"frontier"`` for the
-        vectorised iteration form, ``"auto"`` picks ``"frontier"``.
     """
     if (r_max is None) == (l1_threshold is None):
         raise ParameterError(
@@ -87,28 +70,9 @@ def fifo_forward_push(
     if r_max == 0.0:
         raise ParameterError("r_max must be positive for FIFO-FwdPush")
 
-    if mode == "auto":
-        mode = "frontier"
-    if mode == "faithful":
-        result = forward_push(
-            graph,
-            source,
-            alpha=alpha,
-            r_max=r_max,
-            scheduler="fifo",
-            dead_end_policy=dead_end_policy,
-            trace=trace,
-        )
-        result.method = "FIFO-FwdPush[faithful]"
-        return result
-    if mode != "frontier":
-        raise ParameterError(f"unknown mode {mode!r}")
-
     check_alpha(alpha)
     check_source(graph, source)
     if max_sweeps is None:
-        import math
-
         # Lemma 4.4/4.5: O(log(1/(m r_max))/alpha + 1/alpha) sweeps
         # suffice; each sweep removes an alpha-fraction of removable
         # mass in the worst case.  Pad generously.

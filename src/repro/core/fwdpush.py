@@ -13,10 +13,10 @@ A2) can compare them:
 * ``"max-residue"`` — greedy largest-residue-first via a lazy max-heap.
 
 This is the *faithful scalar* implementation: one Python-level push per
-node, matching the pseudo-code line for line.  It is intended for
-correctness tests, teaching, and small graphs; the benchmarks use the
-vectorised modes in :mod:`repro.core.fifo_fwdpush` and
-:mod:`repro.core.powerpush`.
+node, matching the pseudo-code line for line.  It is not a registered
+solver: ablation A2 calls it directly, and the tests use it as the
+Algorithm 2 reference.  The registered FIFO-FwdPush is
+:func:`repro.core.fifo_fwdpush.fifo_forward_push`.
 """
 
 from __future__ import annotations

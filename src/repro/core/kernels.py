@@ -83,7 +83,7 @@ mat-vec forms, not the division ``x_u / d_u``, which rounds
 differently — along ``u``'s range for every ``u`` in ascending id,
 which is the order in which the mat-vec sums row ``v`` of ``P^T``, so
 it returns that mat-vec's bytes (``tests/test_core_global_sweep.py``
-checks them against scipy).  Only BePI, BEAR and the harness-only
+checks them against scipy).  Only BePI and the harness-only
 :func:`block_global_sweep` read ``P^T``, which the graph builds for
 them lazily, on first use.
 

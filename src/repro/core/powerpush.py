@@ -17,23 +17,24 @@ scans once the frontier is wide).  Three ingredients (Section 5):
    pushes all have high unit-cost benefit, letting residues accumulate
    before being pushed and cutting the total number of residue updates.
 
-Like the other algorithms, PowerPush has a *faithful* scalar mode
-matching Algorithm 3 line for line, and a *vectorised* mode with the
-same queue phase and epoch structure whose scan pass is one compiled
-asynchronous sweep (:func:`repro.core.kernels.async_sweep`): nodes in
-ascending id, each push reading the residues every earlier push of
-the same pass left — ingredient 1 at node granularity, as in
+PowerPush has one execution path.  Its queue phase pushes the whole
+active set per round (:func:`repro.core.kernels.frontier_push`), the
+S(j) iteration structure of Section 4.2, and its scan pass is one
+compiled asynchronous sweep (:func:`repro.core.kernels.async_sweep`):
+nodes in ascending id, each push reading the residues every earlier
+push of the same pass left — ingredient 1 at node granularity, as in
 Algorithm 3.  Sweeps alone take a ``lj-s`` x10 query at lambda = 1e-8
 from 0.92x of PowItr's residue updates (synchronous sweeps) to about
 0.48x, the "roughly half" of the paper's Figure 6.
-The scalar mode pushes only active nodes in a scan; a vectorised sweep
-pushes every node holding residue, which is always legal and saves the
-masking passes.  The vectorised scan phase is whole sweeps only — once
-a query scans it never goes back to a frontier push — and it sweeps
-until ``r_sum`` itself meets the epoch's target: with dead ends "no
-node is active" does not imply that.
+Algorithm 3's scan pushes only active nodes; a sweep pushes every node
+holding residue, which is always legal and saves the masking passes.
+The scan phase is whole sweeps only — once a query scans it never goes
+back to a frontier push — and it sweeps until ``r_sum`` itself meets
+the epoch's target: with dead ends "no node is active" does not imply
+that.  Algorithm 3's scalar loop, line for line, is the test reference
+``reference_power_push`` in ``tests/test_core_powerpush.py``.
 
-The vectorised mode adds a fourth ingredient the paper does not have:
+PowerPush adds a fourth ingredient the paper does not have:
 
 4. **Epoch-end extrapolation** — a few sweeps into the scan phase each
    sweep repeats the previous one scaled by a constant ``gamma`` (0.68
@@ -48,14 +49,14 @@ The vectorised mode adds a fourth ingredient the paper does not have:
    residue goes, and the next epochs' targets are already met) and 0
    while some residue still falls to zero within a sweep (nothing
    happens).  ``lj-s`` x10: 39 M residue updates a query down to 22 M.
-   ``mode="faithful"`` is the paper verbatim, without it.
+   The scalar test reference is the paper verbatim, without it.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from collections import deque
-from typing import Literal
 
 import numpy as np
 
@@ -72,8 +73,6 @@ from repro.graph.digraph import DiGraph
 from repro.instrumentation.tracing import ConvergenceTrace
 
 __all__ = ["power_push", "power_push_block", "PowerPushConfig"]
-
-Mode = Literal["faithful", "vectorized", "auto"]
 
 
 class PowerPushConfig:
@@ -97,12 +96,21 @@ class PowerPushConfig:
         epoch_num: int = 8,
         scan_threshold_fraction: float = 0.25,
     ) -> None:
-        if epoch_num < 1:
-            raise ParameterError(f"epoch_num must be >= 1, got {epoch_num}")
-        if scan_threshold_fraction < 0:
+        if (
+            not isinstance(epoch_num, numbers.Integral)
+            or isinstance(epoch_num, bool)
+            or epoch_num < 1
+        ):
             raise ParameterError(
-                "scan_threshold_fraction must be >= 0, got "
-                f"{scan_threshold_fraction}"
+                f"epoch_num must be an integer >= 1, got {epoch_num!r}"
+            )
+        if (
+            not isinstance(scan_threshold_fraction, numbers.Real)
+            or not scan_threshold_fraction >= 0
+        ):
+            raise ParameterError(
+                "scan_threshold_fraction must be a number >= 0, got "
+                f"{scan_threshold_fraction!r}"
             )
         self.epoch_num = int(epoch_num)
         self.scan_threshold_fraction = float(scan_threshold_fraction)
@@ -119,7 +127,6 @@ def power_push(
     alpha: float = 0.2,
     l1_threshold: float = 1e-8,
     config: PowerPushConfig | None = None,
-    mode: Mode = "auto",
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     trace: ConvergenceTrace | None = None,
     max_work_factor: float = 64.0,
@@ -134,9 +141,6 @@ def power_push(
     config:
         Epoch count and scan threshold; defaults to the paper's
         constants (``epoch_num=8``, ``scan_threshold=n/4``).
-    mode:
-        ``"faithful"`` runs the scalar pseudo-code; ``"vectorized"``
-        (chosen by ``"auto"``) runs the push kernels.
     max_work_factor:
         Safety multiplier on the theoretical sweep budget before a
         :class:`ConvergenceError` is raised.
@@ -146,10 +150,10 @@ def power_push(
     check_l1_threshold(l1_threshold)
     if config is None:
         config = PowerPushConfig()
-    if mode == "auto":
-        mode = "vectorized"
-    if mode not in ("faithful", "vectorized"):
-        raise ParameterError(f"unknown mode {mode!r}")
+    elif not isinstance(config, PowerPushConfig):
+        raise ParameterError(
+            f"config must be a PowerPushConfig, got {type(config).__name__}"
+        )
 
     started = time.perf_counter()
     state = PushState(graph, source, alpha, dead_end_policy=dead_end_policy)
@@ -168,10 +172,8 @@ def power_push(
         else:
             state.reserve[source] = 1.0
         state.refresh_r_sum()
-    elif mode == "faithful":
-        _run_faithful(state, l1_threshold, config, trace, max_work_factor)
     else:
-        _run_vectorized(state, l1_threshold, config, trace, max_work_factor)
+        _run(state, l1_threshold, config, trace, max_work_factor)
 
     state.refresh_r_sum()
     if trace is not None:
@@ -188,67 +190,7 @@ def power_push(
     )
 
 
-# ----------------------------------------------------------------------
-# Faithful scalar implementation (Algorithm 3 verbatim)
-# ----------------------------------------------------------------------
-def _run_faithful(
-    state: PushState,
-    l1_threshold: float,
-    config: PowerPushConfig,
-    trace: ConvergenceTrace | None,
-    max_work_factor: float,
-) -> None:
-    graph = state.graph
-    n, m = graph.num_nodes, graph.num_edges
-    r_max = l1_threshold / m
-    scan_threshold = config.scan_threshold(n)
-    budget = _push_budget(state.alpha, l1_threshold, m, max_work_factor)
-
-    # --- Queue phase (Lines 4-13) -------------------------------------
-    queue: deque[int] = deque()
-    in_queue = bytearray(n)
-    if state.is_active(state.source, r_max):
-        queue.append(state.source)
-        in_queue[state.source] = 1
-        state.counters.queue_appends += 1
-    while queue and len(queue) <= scan_threshold and state.r_sum > l1_threshold:
-        v = queue.popleft()
-        in_queue[v] = 0
-        state.push(v)
-        _check_budget(state, budget)
-        for u in graph.out_neighbors(v):
-            if not in_queue[u] and state.is_active(u, r_max):
-                queue.append(int(u))
-                in_queue[u] = 1
-                state.counters.queue_appends += 1
-        if trace is not None:
-            trace.maybe_record(state.counters.residue_updates, state.r_sum)
-
-    # --- Sequential-scan phase with dynamic thresholds (Lines 14-24) --
-    if state.refresh_r_sum() > l1_threshold:
-        for epoch in range(1, config.epoch_num + 1):
-            state.counters.bump("epochs")
-            epoch_r_max = l1_threshold ** (epoch / config.epoch_num) / m
-            while state.r_sum > m * epoch_r_max:
-                progressed = False
-                for v in range(n):
-                    if state.is_active(v, epoch_r_max):
-                        state.push(v)
-                        progressed = True
-                        _check_budget(state, budget)
-                state.refresh_r_sum()
-                if trace is not None:
-                    trace.maybe_record(
-                        state.counters.residue_updates, state.r_sum
-                    )
-                if not progressed:
-                    break
-
-
-# ----------------------------------------------------------------------
-# Vectorised implementation
-# ----------------------------------------------------------------------
-def _run_vectorized(
+def _run(
     state: PushState,
     l1_threshold: float,
     config: PowerPushConfig,
@@ -325,8 +267,6 @@ def _push_budget(
     alpha: float, l1_threshold: float, m: int, max_work_factor: float
 ) -> int:
     """Residue-update budget from the O(m log(1/lambda)) bound."""
-    import math
-
     log_term = math.log(max(1.0 / l1_threshold, 2.0))
     return int(max_work_factor * (m * (log_term + 1.0) / alpha + m)) + 1024
 

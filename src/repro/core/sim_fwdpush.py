@@ -17,6 +17,9 @@ divides each share (``x_u / d_u``), while PowItr's global sweep
 multiplies by ``1 / d_u`` and is pinned bit for bit to scipy's sparse
 ``P^T`` mat-vec (``tests/test_core_global_sweep.py``), which no solver
 calls.
+
+SimFwdPush is a proof device, not a method the paper measures, so it
+is a plain function and not a registered solver.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ The paper motivates PowerPush's two design choices qualitatively
   n/4 = paper default, inf = never scan i.e. pure frontier pushes) and
   report time and residue updates to reach lambda.
 * **A2 — FwdPush scheduling**: FIFO vs LIFO vs greedy max-residue on
-  the faithful scalar implementation; reports pushes and residue
-  updates to termination (the claim behind Theorem 4.3 is that FIFO's
-  iteration structure is what yields the log(1/lambda) dependence).
+  Algorithm 1's scalar loop, :func:`~repro.core.fwdpush.forward_push`,
+  called directly (it is not a registered solver); reports pushes and
+  residue updates to termination (the claim behind Theorem 4.3 is that
+  FIFO's iteration structure is what yields the log(1/lambda)
+  dependence).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.core.fwdpush import forward_push
 from repro.core.powerpush import PowerPushConfig
 from repro.experiments.config import query_sources
 from repro.experiments.report import format_seconds, format_table
@@ -152,7 +155,6 @@ def run_scheduling_ablation(
     result = SchedulingAblationResult()
     for name in config.datasets:
         graph = workspace.graph(name)
-        engine = workspace.engine(name)
         r_max = r_max_scale / max(graph.num_edges, 1)
         sources = query_sources(
             graph, min(config.num_sources, 2), config.seed
@@ -163,9 +165,10 @@ def run_scheduling_ablation(
             total_pushes = 0
             total_updates = 0
             for source in sources.tolist():
-                answer = engine.query(
+                answer = forward_push(
+                    graph,
                     source,
-                    method="fwdpush-scheduled",
+                    alpha=config.alpha,
                     r_max=r_max,
                     scheduler=scheduler,
                 )

@@ -43,8 +43,10 @@ class Workspace:
     def engine(self, name: str) -> PPREngine:
         """The query engine for dataset ``name`` (one per process).
 
-        All experiments answer queries through this engine, so its
-        index caches and instrumentation aggregate across experiments.
+        Every experiment but ablation A2, which calls Algorithm 1's
+        scalar loop directly, answers its queries through this engine,
+        so its index caches and instrumentation aggregate across
+        experiments.
         """
         if name not in self._engines:
             self._engines[name] = PPREngine(

@@ -300,8 +300,8 @@ class DiGraph:
         """Cached ``P^T`` as a scipy CSR matrix, built on first use.
 
         ``(P^T @ r)[v] = sum_{u -> v} r[u] / d_u``.  No push reads it
-        (:mod:`repro.core.kernels` reads the out-CSR alone); BePI and
-        BEAR assemble their linear systems from it.  At 12 bytes per
+        (:mod:`repro.core.kernels` reads the out-CSR alone); BePI
+        assembles its linear system from it.  At 12 bytes per
         edge it is the largest structure a graph can cache.  Dead-end
         rows of ``P`` are zero; their mass must be handled by the
         caller's dead-end policy.

@@ -1,6 +1,6 @@
 """Random-walk engine and pre-computed walk indexes."""
 
-from repro.walks.engine import simulate_walk_stops, single_walk, walk_stop_counts
+from repro.walks.engine import simulate_walk_stops, single_walk
 from repro.walks.index import (
     WalkIndex,
     build_walk_index,
@@ -11,7 +11,6 @@ from repro.walks.storage import load_walk_index, save_walk_index, stored_size_by
 
 __all__ = [
     "simulate_walk_stops",
-    "walk_stop_counts",
     "single_walk",
     "WalkIndex",
     "build_walk_index",

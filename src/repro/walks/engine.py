@@ -29,7 +29,7 @@ from repro.core.validation import check_alpha, check_source
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.digraph import DiGraph
 
-__all__ = ["simulate_walk_stops", "walk_stop_counts", "single_walk"]
+__all__ = ["simulate_walk_stops", "single_walk"]
 
 _MAX_STEPS = 100_000
 
@@ -154,37 +154,6 @@ def _simulate_batch(
     raise ConvergenceError(
         f"random walks exceeded {_MAX_STEPS} steps; alpha={alpha} too small?"
     )
-
-
-def walk_stop_counts(
-    graph: DiGraph,
-    start: int,
-    num_walks: int,
-    *,
-    alpha: float = 0.2,
-    source: int | None = None,
-    dead_end_policy: DeadEndPolicy = "redirect-to-source",
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int]:
-    """Histogram of stop nodes over ``num_walks`` walks from ``start``.
-
-    Returns ``(counts, steps)`` where ``counts`` has length ``n`` and
-    sums to ``num_walks``.  ``counts / num_walks`` is the Monte-Carlo
-    estimate of ``pi_start`` (up to the dead-end policy).
-    """
-    if num_walks < 0:
-        raise ParameterError(f"num_walks must be >= 0, got {num_walks}")
-    starts = np.full(num_walks, start, dtype=np.int64)
-    stops, steps = simulate_walk_stops(
-        graph,
-        starts,
-        alpha=alpha,
-        source=source if source is not None else start,
-        dead_end_policy=dead_end_policy,
-        rng=rng,
-    )
-    counts = np.bincount(stops, minlength=graph.num_nodes).astype(np.float64)
-    return counts, steps
 
 
 def single_walk(

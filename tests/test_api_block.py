@@ -41,15 +41,6 @@ class TestEngineBatchBlock:
         (result,) = engine.batch_query([5], "powerpush", **PARAMS)
         assert_same_answer(result, engine.query(5, "powerpush", **PARAMS))
 
-    def test_faithful_mode_falls_back_to_loop(self, engine):
-        results = engine.batch_query(
-            [0, 1], "powerpush", mode="faithful", l1_threshold=1e-5
-        )
-        assert_same_answer(
-            results[0],
-            engine.query(0, "powerpush", mode="faithful", l1_threshold=1e-5),
-        )
-
     def test_seeded_montecarlo_batch_matches_sequential_queries(
         self, engine
     ):

@@ -16,10 +16,8 @@ from repro.baselines.resacc import resacc
 from repro.bepi.blockelim import build_bepi_index
 from repro.bepi.solver import bepi_query
 from repro.core.fifo_fwdpush import fifo_forward_push
-from repro.core.fwdpush import forward_push
 from repro.core.power_iteration import power_iteration
 from repro.core.powerpush import power_push
-from repro.core.sim_fwdpush import simultaneous_forward_push
 from repro.core.speedppr import speed_ppr
 from repro.errors import ParameterError, UnknownMethodError
 from repro.graph.build import paper_example_graph
@@ -62,18 +60,6 @@ class TestQueryParity:
     def test_fifo_fwdpush(self, graph, engine):
         mine = engine.query(0, method="fwdpush", l1_threshold=1e-8)
         ref = fifo_forward_push(graph, 0, l1_threshold=1e-8)
-        np.testing.assert_array_equal(mine.estimate, ref.estimate)
-
-    def test_fwdpush_scheduled(self, graph, engine):
-        mine = engine.query(
-            0, method="fwdpush-scheduled", r_max=1e-4, scheduler="max-residue"
-        )
-        ref = forward_push(graph, 0, r_max=1e-4, scheduler="max-residue")
-        np.testing.assert_array_equal(mine.estimate, ref.estimate)
-
-    def test_simfwdpush(self, graph, engine):
-        mine = engine.query(0, method="simfwdpush", l1_threshold=1e-8)
-        ref = simultaneous_forward_push(graph, 0, l1_threshold=1e-8)
         np.testing.assert_array_equal(mine.estimate, ref.estimate)
 
     def test_bepi(self, graph, engine):
@@ -499,7 +485,7 @@ class TestEngineNamesNoMethod:
     @staticmethod
     def toy_spec(seen, builds):
         def fn(graph, source, *, alpha=0.2, l1_threshold=1e-8,
-               walk_index=None, mode="auto", max_iterations=None):
+               walk_index=None, r_max=None, max_iterations=None):
             seen.append(walk_index)
             return power_push(
                 graph, source, alpha=alpha, l1_threshold=l1_threshold
@@ -515,7 +501,7 @@ class TestEngineNamesNoMethod:
             kind="exact",
             summary="throwaway",
             params=(
-                "alpha", "l1_threshold", "walk_index", "mode",
+                "alpha", "l1_threshold", "walk_index", "r_max",
                 "max_iterations",
             ),
             fn=fn,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    PPREngine,
     SolverSpec,
     UnknownMethodError,
     canonical_method_name,
@@ -19,20 +20,38 @@ from repro.core.power_iteration import power_iteration
 from repro.core.powerpush import power_push
 from repro.errors import ParameterError, ReproError
 from repro.graph.build import paper_example_graph
+from repro.serving.cache import resolve_request
 
 ALL_METHODS = (
     "bepi",
     "fifo-fwdpush",
     "fora",
-    "fwdpush-scheduled",
     "incremental",
     "montecarlo",
     "powerpush",
     "powitr",
     "resacc",
-    "simfwdpush",
     "speedppr",
 )
+
+#: Spellings of the two unregistered solvers (SimFwdPush and Algorithm
+#: 1's scheduled loop are plain functions in repro.core).
+REMOVED_SPELLINGS = (
+    "simfwdpush",
+    "simultaneous-fwdpush",
+    "sim",
+    "fwdpush-scheduled",
+    "scalar-fwdpush",
+    "algo1",
+)
+
+#: Parameters that left the unified schema with them.
+REMOVED_PARAMS = {
+    "mode": "faithful",
+    "push_mode": "faithful",
+    "scheduler": "lifo",
+    "max_pushes": 10,
+}
 
 
 class TestResolution:
@@ -51,8 +70,6 @@ class TestResolution:
             ("fwdpush", "fifo-fwdpush"),
             ("FIFO FwdPush", "fifo-fwdpush"),
             ("algo2", "fifo-fwdpush"),
-            ("algo1", "fwdpush-scheduled"),
-            ("simfwdpush", "simfwdpush"),
             ("speedppr", "speedppr"),
             ("speed_ppr", "speedppr"),
             ("SpeedPPR-Index", "speedppr"),
@@ -101,12 +118,25 @@ class TestResolution:
         assert "pagerank-turbo" in message
         for name in ("powerpush", "fwdpush", "speedppr", "montecarlo"):
             assert name in message
+        for spelling in REMOVED_SPELLINGS:
+            with pytest.raises(UnknownMethodError, match=spelling):
+                get_solver(spelling)
+            assert spelling not in solver_names(include_aliases=True)
 
     def test_unknown_method_is_a_repro_error(self):
         with pytest.raises(ReproError):
             get_solver("nope")
         with pytest.raises(KeyError):
             get_solver("nope")
+        graph = paper_example_graph()
+        engine = PPREngine(graph)
+        for spelling in REMOVED_SPELLINGS:
+            with pytest.raises(UnknownMethodError):
+                solve(graph, 0, spelling, l1_threshold=1e-6)
+            with pytest.raises(UnknownMethodError):
+                engine.query(0, spelling, l1_threshold=1e-6)
+            with pytest.raises(UnknownMethodError):
+                resolve_request(0, spelling, {"l1_threshold": 1e-6})
 
 
 class TestSpecs:
@@ -117,8 +147,6 @@ class TestSpecs:
             "powerpush",
             "powitr",
             "fifo-fwdpush",
-            "fwdpush-scheduled",
-            "simfwdpush",
             "bepi",
             "incremental",
         }
@@ -217,6 +245,18 @@ class TestSolve:
         for name in solver_names():
             with pytest.raises(ParameterError, match="backend"):
                 solve(graph, 0, method=name, backend="numpy")
+        # The execution-mode and scalar-loop knobs are gone from every
+        # solver and every front door.
+        engine = PPREngine(graph)
+        for name in solver_names():
+            for param, value in REMOVED_PARAMS.items():
+                with pytest.raises(ParameterError, match=param):
+                    solve(graph, 0, method=name, **{param: value})
+                with pytest.raises(ParameterError, match=param):
+                    engine.query(0, name, **{param: value})
+                with pytest.raises(ParameterError, match=param):
+                    resolve_request(0, name, {param: value})
+        assert not set(REMOVED_PARAMS) & set(PARAMS)
 
     def test_solve_matches_direct_call(self):
         graph = paper_example_graph()
@@ -255,23 +295,6 @@ class TestSolve:
         )
         # kwargs win over the mapping
         assert result.r_sum <= 1e-9
-
-    def test_scheduled_fwdpush_accepts_l1_threshold(self):
-        graph = paper_example_graph()
-        result = solve(
-            graph, 0, method="fwdpush-scheduled", l1_threshold=1e-6,
-            scheduler="lifo",
-        )
-        assert result.method == "FwdPush[lifo]"
-        assert result.r_sum <= 1e-6
-
-    def test_scheduled_fwdpush_rejects_both_thresholds(self):
-        graph = paper_example_graph()
-        with pytest.raises(ParameterError):
-            solve(
-                graph, 0, method="fwdpush-scheduled",
-                l1_threshold=1e-6, r_max=1e-3,
-            )
 
     def test_bepi_via_registry_builds_index_ad_hoc(self):
         graph = paper_example_graph()

@@ -106,8 +106,6 @@ class TestCommands:
             "powerpush",
             "powitr",
             "fifo-fwdpush",
-            "fwdpush-scheduled",
-            "simfwdpush",
             "bepi",
             "speedppr",
             "fora",

@@ -112,12 +112,13 @@ class TestFifoForwardPush:
         )
 
     def test_faithful_and_frontier_agree(self, medium_graph):
-        faithful = fifo_forward_push(
-            medium_graph, 3, l1_threshold=1e-6, mode="faithful"
+        faithful = forward_push(
+            medium_graph,
+            3,
+            r_max=r_max_for_l1_threshold(medium_graph, 1e-6),
+            scheduler="fifo",
         )
-        frontier = fifo_forward_push(
-            medium_graph, 3, l1_threshold=1e-6, mode="frontier"
-        )
+        frontier = fifo_forward_push(medium_graph, 3, l1_threshold=1e-6)
         truth_gap = np.abs(faithful.estimate - frontier.estimate).sum()
         # Different push orders give different (but both valid) results
         # within the combined error budget.
@@ -135,10 +136,9 @@ class TestFifoForwardPush:
         )
 
     def test_unknown_mode_rejected(self, paper_graph):
-        with pytest.raises(ParameterError):
-            fifo_forward_push(
-                paper_graph, 0, r_max=0.01, mode="warp"  # type: ignore[arg-type]
-            )
+        # One path: there is no ``mode`` to choose.
+        with pytest.raises(TypeError):
+            fifo_forward_push(paper_graph, 0, r_max=0.01, mode="frontier")
 
     def test_trace_reaches_threshold(self, medium_graph):
         trace = ConvergenceTrace(stride=0)

@@ -169,7 +169,7 @@ def test_no_solver_but_bepi_builds_the_transition_matrix(monkeypatch):
     answered = set()
     with np.load(VECTORS_FILE) as archive:
         for spec in solver_specs():
-            if spec.tracked or spec.name in ("bepi", "bear"):
+            if spec.tracked or spec.name == "bepi":
                 continue
             for source in SOURCES:
                 np.testing.assert_allclose(

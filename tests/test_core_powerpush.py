@@ -1,9 +1,26 @@
-"""Unit tests for PowerPush (Algorithm 3)."""
+"""Unit tests for PowerPush (Algorithm 3).
+
+``reference_power_push`` below is Algorithm 3 line for line: a scalar
+FIFO queue, then active-only scans under the dynamic thresholds, with
+no epoch-end extrapolation.  ``power_push`` is checked against it and
+against the exact vector; the Section 5 epoch claim is checked on it,
+where accumulate-then-push is what the paper describes.
+"""
+
+from collections import deque
 
 import numpy as np
 import pytest
 
-from repro.core.powerpush import PowerPushConfig, power_push
+from repro.api import PPREngine, solve
+from repro.core.powerpush import (
+    PowerPushConfig,
+    _check_budget,
+    _push_budget,
+    power_push,
+)
+from repro.core.residues import PushState
+from repro.core.result import PPRResult
 from repro.errors import ParameterError
 from repro.graph.build import cycle_graph, empty_graph, from_edges
 from repro.instrumentation.tracing import ConvergenceTrace
@@ -11,29 +28,90 @@ from repro.metrics.errors import l1_error
 from repro.metrics.ground_truth import exact_ppr_dense
 
 
+def reference_power_push(
+    graph,
+    source,
+    *,
+    alpha=0.2,
+    l1_threshold=1e-8,
+    config=None,
+    dead_end_policy="redirect-to-source",
+    max_work_factor=64.0,
+):
+    """Algorithm 3 verbatim, one Python-level push at a time."""
+    config = config or PowerPushConfig()
+    state = PushState(graph, source, alpha, dead_end_policy=dead_end_policy)
+    n, m = graph.num_nodes, graph.num_edges
+    r_max = l1_threshold / m
+    scan_threshold = config.scan_threshold(n)
+    budget = _push_budget(alpha, l1_threshold, m, max_work_factor)
+
+    # --- Queue phase (Lines 4-13) -------------------------------------
+    queue = deque()
+    in_queue = bytearray(n)
+    if state.is_active(source, r_max):
+        queue.append(source)
+        in_queue[source] = 1
+        state.counters.queue_appends += 1
+    while queue and len(queue) <= scan_threshold and state.r_sum > l1_threshold:
+        v = queue.popleft()
+        in_queue[v] = 0
+        state.push(v)
+        _check_budget(state, budget)
+        for u in graph.out_neighbors(v):
+            if not in_queue[u] and state.is_active(u, r_max):
+                queue.append(int(u))
+                in_queue[u] = 1
+                state.counters.queue_appends += 1
+
+    # --- Sequential-scan phase with dynamic thresholds (Lines 14-24) --
+    if state.refresh_r_sum() > l1_threshold:
+        for epoch in range(1, config.epoch_num + 1):
+            state.counters.bump("epochs")
+            epoch_r_max = l1_threshold ** (epoch / config.epoch_num) / m
+            while state.r_sum > m * epoch_r_max:
+                progressed = False
+                for v in range(n):
+                    if state.is_active(v, epoch_r_max):
+                        state.push(v)
+                        progressed = True
+                        _check_budget(state, budget)
+                state.refresh_r_sum()
+                if not progressed:
+                    break
+
+    state.refresh_r_sum()
+    return PPRResult(
+        estimate=state.reserve,
+        residue=state.residue,
+        source=source,
+        alpha=alpha,
+        counters=state.counters,
+        method="PowerPush[reference]",
+    )
+
+
+#: The two implementations the bound tests run, under their old ids.
+IMPLEMENTATIONS = pytest.mark.parametrize(
+    "run", [reference_power_push, power_push], ids=["faithful", "vectorized"]
+)
+
+
 class TestCorrectness:
-    @pytest.mark.parametrize("mode", ["faithful", "vectorized"])
-    def test_error_bound_met(self, paper_graph, mode):
+    @IMPLEMENTATIONS
+    def test_error_bound_met(self, paper_graph, run):
         truth = exact_ppr_dense(paper_graph, 0)
-        result = power_push(
-            paper_graph, 0, l1_threshold=1e-9, mode=mode
-        )
+        result = run(paper_graph, 0, l1_threshold=1e-9)
         assert l1_error(result.estimate, truth) <= 1e-9
 
-    @pytest.mark.parametrize("mode", ["faithful", "vectorized"])
-    def test_r_sum_below_lambda(self, paper_graph, mode):
-        result = power_push(
-            paper_graph, 0, l1_threshold=1e-7, mode=mode
-        )
+    @IMPLEMENTATIONS
+    def test_r_sum_below_lambda(self, paper_graph, run):
+        result = run(paper_graph, 0, l1_threshold=1e-7)
         assert result.r_sum <= 1e-7
 
     def test_modes_agree(self, medium_graph):
-        faithful = power_push(
-            medium_graph, 9, l1_threshold=1e-7, mode="faithful"
-        )
-        vectorized = power_push(
-            medium_graph, 9, l1_threshold=1e-7, mode="vectorized"
-        )
+        faithful = reference_power_push(medium_graph, 9, l1_threshold=1e-7)
+        vectorized = power_push(medium_graph, 9, l1_threshold=1e-7)
         assert (
             np.abs(faithful.estimate - vectorized.estimate).sum() <= 2e-7
         )
@@ -67,9 +145,32 @@ class TestConfig:
         with pytest.raises(ParameterError):
             PowerPushConfig(epoch_num=0)
 
+    @pytest.mark.parametrize("epoch_num", [2.7, True, "3", None])
+    def test_rejects_non_integral_epochs(self, epoch_num):
+        with pytest.raises(ParameterError, match="epoch_num"):
+            PowerPushConfig(epoch_num=epoch_num)
+
     def test_rejects_negative_scan_fraction(self):
         with pytest.raises(ParameterError):
             PowerPushConfig(scan_threshold_fraction=-0.5)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), "0.25", None])
+    def test_rejects_nan_or_non_numeric_scan_fraction(self, fraction):
+        # NaN passed a ``< 0`` check and made PowerPush queue-only.
+        with pytest.raises(ParameterError, match="scan_threshold_fraction"):
+            PowerPushConfig(scan_threshold_fraction=fraction)
+
+    def test_accepts_numpy_integer_epochs(self):
+        assert PowerPushConfig(epoch_num=np.int64(3)).epoch_num == 3
+
+    @pytest.mark.parametrize("config", [{"epoch_num": 2}, 8, "paper"])
+    def test_config_must_be_a_powerpush_config(self, paper_graph, config):
+        with pytest.raises(ParameterError, match="PowerPushConfig"):
+            power_push(paper_graph, 0, config=config)
+        with pytest.raises(ParameterError, match="PowerPushConfig"):
+            solve(paper_graph, 0, "powerpush", config=config)
+        with pytest.raises(ParameterError, match="PowerPushConfig"):
+            PPREngine(paper_graph).query(0, "powerpush", config=config)
 
     def test_scan_threshold_scales_with_n(self):
         config = PowerPushConfig(scan_threshold_fraction=0.25)
@@ -92,8 +193,9 @@ class TestConfig:
         assert l1_error(result.estimate, truth) <= 1e-8
 
     def test_unknown_mode_rejected(self, paper_graph):
-        with pytest.raises(ParameterError):
-            power_push(paper_graph, 0, mode="quantum")  # type: ignore[arg-type]
+        # One path: there is no ``mode`` to choose.
+        with pytest.raises(TypeError):
+            power_push(paper_graph, 0, mode="vectorized")
 
 
 class TestEfficiencyProperties:
@@ -114,18 +216,16 @@ class TestEfficiencyProperties:
         # The Section-5 dynamic-threshold claim, on the asynchronous
         # scalar scan where accumulate-then-push pays off: 8 epochs
         # need substantially fewer residue updates than 1.
-        with_epochs = power_push(
+        with_epochs = reference_power_push(
             medium_graph,
             0,
             l1_threshold=1e-8,
-            mode="faithful",
             config=PowerPushConfig(epoch_num=8),
         )
-        without_epochs = power_push(
+        without_epochs = reference_power_push(
             medium_graph,
             0,
             l1_threshold=1e-8,
-            mode="faithful",
             config=PowerPushConfig(epoch_num=1),
         )
         assert (

@@ -9,12 +9,13 @@ the regression net for the benchmark harness.
 import numpy as np
 import pytest
 
+from repro.core.fwdpush import forward_push
 from repro.errors import ParameterError
 from repro.experiments.ablations import (
     run_powerpush_ablation,
     run_scheduling_ablation,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, query_sources
 from repro.experiments.dynamic import run_dynamic_updates
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
@@ -187,6 +188,27 @@ class TestAblations:
         assert set(pushes) == {"fifo", "lifo", "max-residue"}
         assert all(v > 0 for v in pushes.values())
         assert "fifo" in result.render()
+        # A2 is Algorithm 1's scalar loop, called directly.
+        config = tiny_workspace.config
+        graph = tiny_workspace.graph("dblp-s")
+        sources = query_sources(graph, 2, config.seed).tolist()
+        for scheduler in pushes:
+            answers = [
+                forward_push(
+                    graph,
+                    source,
+                    alpha=config.alpha,
+                    r_max=1e-1 / graph.num_edges,
+                    scheduler=scheduler,
+                )
+                for source in sources
+            ]
+            assert pushes[scheduler] == np.mean(
+                [a.counters.pushes for a in answers]
+            )
+            assert result.updates["dblp-s"][scheduler] == np.mean(
+                [a.counters.residue_updates for a in answers]
+            )
 
 
 class TestDynamicUpdates:

@@ -22,6 +22,7 @@ from repro.core.speedppr import speed_ppr
 from repro.metrics.errors import l1_error, max_relative_error
 from repro.metrics.ground_truth import exact_ppr_dense, ground_truth_ppr
 from repro.montecarlo.mc import monte_carlo_ppr
+from test_core_powerpush import reference_power_push
 
 
 LAMBDA = 1e-9
@@ -35,14 +36,14 @@ def _hp_answers(graph, source):
             graph, source, l1_threshold=LAMBDA
         ),
         "PowerPush": power_push(graph, source, l1_threshold=LAMBDA),
-        "PowerPush-faithful": power_push(
-            graph, source, l1_threshold=LAMBDA, mode="faithful"
+        "PowerPush-faithful": reference_power_push(
+            graph, source, l1_threshold=LAMBDA
         ),
         "FIFO-frontier": fifo_forward_push(
             graph, source, l1_threshold=LAMBDA
         ),
-        "FIFO-faithful": fifo_forward_push(
-            graph, source, l1_threshold=LAMBDA, mode="faithful"
+        "FIFO-faithful": forward_push(
+            graph, source, r_max=LAMBDA / graph.num_edges, scheduler="fifo"
         ),
     }
     return answers

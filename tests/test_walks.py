@@ -13,7 +13,7 @@ from repro.errors import (
 )
 from repro.graph.build import cycle_graph, from_edges
 from repro.metrics.ground_truth import exact_ppr_dense
-from repro.walks.engine import simulate_walk_stops, single_walk, walk_stop_counts
+from repro.walks.engine import simulate_walk_stops, single_walk
 from repro.walks.index import (
     WalkIndex,
     build_walk_index,
@@ -92,9 +92,11 @@ class TestEngineDistribution:
 
     def test_matches_exact_ppr(self, paper_graph, rng):
         truth = exact_ppr_dense(paper_graph, 0)
-        counts, _ = walk_stop_counts(
-            paper_graph, 0, 60_000, alpha=0.2, rng=rng
+        stops, _ = simulate_walk_stops(
+            paper_graph, np.zeros(60_000, dtype=np.int64), alpha=0.2,
+            source=0, rng=rng,
         )
+        counts = np.bincount(stops, minlength=paper_graph.num_nodes)
         empirical = counts / counts.sum()
         np.testing.assert_allclose(empirical, truth, atol=0.01)
 
@@ -104,26 +106,30 @@ class TestEngineDistribution:
         scalar_counts = np.zeros(5)
         for _ in range(6000):
             scalar_counts[single_walk(paper_graph, 0, rng=rng)] += 1
-        vector_counts, _ = walk_stop_counts(
-            paper_graph, 0, 6000, rng=np.random.default_rng(100)
+        stops, _ = simulate_walk_stops(
+            paper_graph, np.zeros(6000, dtype=np.int64), source=0,
+            rng=np.random.default_rng(100),
         )
+        vector_counts = np.bincount(stops, minlength=paper_graph.num_nodes)
         np.testing.assert_allclose(
             scalar_counts / 6000, vector_counts / 6000, atol=0.03
         )
 
     def test_dead_end_redirect_distribution(self, dead_end_graph, rng):
         truth = exact_ppr_dense(dead_end_graph, 0)
-        counts, _ = walk_stop_counts(
-            dead_end_graph, 0, 40_000, source=0, rng=rng
+        stops, _ = simulate_walk_stops(
+            dead_end_graph, np.zeros(40_000, dtype=np.int64), source=0, rng=rng
         )
+        counts = np.bincount(stops, minlength=dead_end_graph.num_nodes)
         np.testing.assert_allclose(counts / 40_000, truth, atol=0.01)
 
     def test_walks_from_non_source_node(self, paper_graph, rng):
         # Walks from v2 sample pi_{v2}.
         truth = exact_ppr_dense(paper_graph, 1)
-        counts, _ = walk_stop_counts(
-            paper_graph, 1, 40_000, source=1, rng=rng
+        stops, _ = simulate_walk_stops(
+            paper_graph, np.ones(40_000, dtype=np.int64), source=1, rng=rng
         )
+        counts = np.bincount(stops, minlength=paper_graph.num_nodes)
         np.testing.assert_allclose(counts / 40_000, truth, atol=0.01)
 
 
@@ -154,13 +160,14 @@ class TestDeadEndPolicies:
         truth = exact_ppr_dense(
             dead_end_graph, 0, dead_end_policy="uniform-teleport"
         )
-        counts, _ = walk_stop_counts(
+        stops, _ = simulate_walk_stops(
             dead_end_graph,
-            0,
-            40_000,
+            np.zeros(40_000, dtype=np.int64),
+            source=0,
             dead_end_policy="uniform-teleport",
             rng=rng,
         )
+        counts = np.bincount(stops, minlength=dead_end_graph.num_nodes)
         np.testing.assert_allclose(counts / 40_000, truth, atol=0.01)
 
     def test_uniform_teleport_matches_scalar_reference(self, dead_end_graph):
@@ -171,13 +178,14 @@ class TestDeadEndPolicies:
                 dead_end_graph, 2, dead_end_policy="uniform-teleport", rng=rng
             )
             scalar_counts[stop] += 1
-        vector_counts, _ = walk_stop_counts(
+        stops, _ = simulate_walk_stops(
             dead_end_graph,
-            2,
-            6000,
+            np.full(6000, 2, dtype=np.int64),
+            source=2,
             dead_end_policy="uniform-teleport",
             rng=np.random.default_rng(6),
         )
+        vector_counts = np.bincount(stops, minlength=dead_end_graph.num_nodes)
         np.testing.assert_allclose(
             scalar_counts / 6000, vector_counts / 6000, atol=0.03
         )
