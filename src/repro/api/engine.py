@@ -447,13 +447,13 @@ class PPREngine:
         return self._reorder
 
     def _internal_source(self, source: int) -> int:
-        """Map a caller-facing source id into the served graph."""
-        source = int(source)
+        """Map a checked caller-facing source id into the served graph.
+
+        Node counts agree, so the id the caller's entry point checked
+        against the served snapshot is valid in both labellings.
+        """
         if self._reorder is None:
             return source
-        # Node counts agree, so validating against the served snapshot
-        # validates the caller's id too.
-        check_source(self.graph, source)
         return self._reorder.to_internal(source)
 
     def _externalize_result(self, result: PPRResult, source: int) -> PPRResult:
@@ -579,7 +579,7 @@ class PPREngine:
         first use.
         """
         spec, merged = self._resolve(method, params)
-        return self._solve(spec, merged, int(source))
+        return self._solve(spec, merged, check_source(self.graph, source))
 
     def batch_query(
         self,
@@ -609,7 +609,10 @@ class PPREngine:
         independent samples.)
         """
         spec, merged = self._resolve(method, params)
-        return [self._solve(spec, dict(merged), int(s)) for s in sources]
+        return [
+            self._solve(spec, dict(merged), check_source(self.graph, s))
+            for s in sources
+        ]
 
     def _fold_defaults(
         self,
@@ -729,6 +732,7 @@ class PPREngine:
         """
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
+        source = check_source(self.graph, source)
         if method is None:
             self._fold_defaults(params)
             answer = top_k_ppr(
@@ -755,7 +759,7 @@ class PPREngine:
         # Monte-Carlo phase of approximate methods can overestimate
         # nodes, so their rankings are never certified.
         return self._rank_result(
-            self._solve(spec, merged, int(source)),
+            self._solve(spec, merged, source),
             k,
             certifiable=spec.kind == "exact",
         )

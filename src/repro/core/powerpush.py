@@ -146,7 +146,7 @@ def power_push(
         :class:`ConvergenceError` is raised.
     """
     check_alpha(alpha)
-    check_source(graph, source)
+    source = check_source(graph, source)
     check_l1_threshold(l1_threshold)
     if config is None:
         config = PowerPushConfig()

@@ -7,11 +7,14 @@ parameter is documented in exactly one place.
 
 from __future__ import annotations
 
+import numbers
+
 from repro.errors import NodeNotFoundError, ParameterError
 from repro.graph.digraph import DiGraph
 
 __all__ = [
     "check_alpha",
+    "check_node_id",
     "check_source",
     "check_l1_threshold",
     "check_r_max",
@@ -34,18 +37,24 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def check_node_id(node: int, num_nodes: int) -> int:
+    """``node`` as an ``int`` id in ``[0, num_nodes)``.
+
+    Only integers are ids — numpy integers included, ``bool`` not: a
+    float, a bool or a numeric string is refused, never truncated.
+    """
+    if type(node) is not int:
+        if isinstance(node, bool) or not isinstance(node, numbers.Integral):
+            raise ParameterError(f"source must be an integer, got {node!r}")
+        node = int(node)
+    if not 0 <= node < num_nodes:
+        raise NodeNotFoundError(f"source {node} outside [0, {num_nodes})")
+    return node
+
+
 def check_source(graph: DiGraph, source: int) -> int:
     """Source node must be a valid id of ``graph``."""
-    if not isinstance(source, (int,)) or isinstance(source, bool):
-        try:
-            source = int(source)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"source must be an integer, got {source!r}") from exc
-    if not 0 <= source < graph.num_nodes:
-        raise NodeNotFoundError(
-            f"source {source} outside [0, {graph.num_nodes})"
-        )
-    return int(source)
+    return check_node_id(source, graph.num_nodes)
 
 
 def check_l1_threshold(l1_threshold: float) -> float:

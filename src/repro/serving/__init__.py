@@ -7,9 +7,10 @@ this package makes it a *service*:
   futures in, :class:`~repro.serving.flights.ServedResult` out, misses
   solved one at a time by one worker thread, graph updates serialised
   against in-flight reads.
-* :class:`~repro.serving.flights.FlightTable` — the one cache +
-  single-flight module both tiers answer through: a repeat is a cache
-  hit, a duplicate of a request being solved joins that solve.
+* :class:`~repro.serving.flights.ServingTier` — the read side both
+  tiers share (``submit`` / ``try_submit`` and the one admit body),
+  over a :class:`~repro.serving.flights.FlightTable`: a repeat is a
+  cache hit, a duplicate of a request being solved joins that solve.
 * :class:`~repro.serving.cache.ResultCache` — LRU + TTL memoisation of
   full answers, stamped with the graph version exactly like the
   engine's index caches.

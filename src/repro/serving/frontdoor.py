@@ -60,11 +60,13 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import math
+import numbers
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -73,13 +75,9 @@ from repro.errors import (
     ParameterError,
     ServerOverloadedError,
 )
-from repro.serving.flights import ServedResult
-from repro.serving.server import EngineServer
-from repro.serving.sharded import ShardedDispatcher
+from repro.serving.flights import ServedResult, ServingTier
 
 __all__ = ["AsyncFrontDoor", "FrontDoorStats"]
-
-Backend = Union[EngineServer, ShardedDispatcher]
 
 #: Completed-latency window the p99 predictor looks at.  Small enough
 #: to react within ~a hundred requests of a load shift, large enough
@@ -134,10 +132,13 @@ class AsyncFrontDoor:
     Parameters
     ----------
     backend:
-        The :class:`EngineServer` or :class:`ShardedDispatcher` that
-        actually answers queries.  The front door never closes it —
-        lifecycles stay with whoever constructed the backend (use both
-        as context managers, innermost first).
+        The serving tier that actually answers queries — an
+        :class:`~repro.serving.server.EngineServer` or a
+        :class:`~repro.serving.sharded.ShardedDispatcher`, or anything
+        with their ``try_submit`` / ``submit`` / ``apply_updates``.
+        The front door never closes it — lifecycles stay with whoever
+        constructed the backend (use both as context managers,
+        innermost first).
     slo_ms:
         Service-level objective on end-to-end latency, milliseconds.
         ``None`` disables admission control (requests are only subject
@@ -158,22 +159,24 @@ class AsyncFrontDoor:
 
     def __init__(
         self,
-        backend: Backend,
+        backend: ServingTier,
         *,
         slo_ms: float | None = None,
         deadline_ms: float | None = None,
         degrade_params: dict[str, Any] | None = None,
         max_inflight: int | None = None,
     ) -> None:
-        if slo_ms is not None and slo_ms <= 0:
-            raise ParameterError(f"slo_ms must be positive, got {slo_ms}")
-        if deadline_ms is not None and deadline_ms <= 0:
+        # ``not x > 0``: a NaN budget is refused, not compared false
+        for name, budget in (("slo_ms", slo_ms), ("deadline_ms", deadline_ms)):
+            if budget is not None and not budget > 0:
+                raise ParameterError(f"{name} must be positive, got {budget}")
+        if max_inflight is not None and (
+            isinstance(max_inflight, bool)
+            or not isinstance(max_inflight, numbers.Integral)
+            or max_inflight < 1
+        ):
             raise ParameterError(
-                f"deadline_ms must be positive, got {deadline_ms}"
-            )
-        if max_inflight is not None and max_inflight < 1:
-            raise ParameterError(
-                f"max_inflight must be >= 1, got {max_inflight}"
+                f"max_inflight must be an integer >= 1, got {max_inflight!r}"
             )
         self._backend = backend
         self._slo_ms = slo_ms
@@ -193,7 +196,7 @@ class AsyncFrontDoor:
 
     # -- properties ------------------------------------------------------
     @property
-    def backend(self) -> Backend:
+    def backend(self) -> ServingTier:
         return self._backend
 
     @property
@@ -226,6 +229,9 @@ class AsyncFrontDoor:
         is still byte-identical to the sync path for the degraded
         request.
         """
+        if deadline_ms is not None and math.isnan(deadline_ms):
+            # (a spent budget, <= 0, is a DeadlineExceeded below)
+            raise ParameterError("deadline_ms must be a number, got nan")
         now = time.monotonic()
         budget_ms = deadline_ms if deadline_ms is not None else self._deadline_ms
         deadline = None if budget_ms is None else now + budget_ms / 1e3

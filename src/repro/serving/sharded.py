@@ -1,13 +1,14 @@
 """Multi-process sharded serving over one shared-memory graph image.
 
-The thread tier (:mod:`repro.serving.server`) solves on one thread
-of one process, and a second thread would only contend on the GIL
-outside the compiled-kernel regions.  This module is the
-process-parallel tier the AccPPR harness (PAPERS.md; SNIPPETS.md §3)
-motivates — a ``multiprocessing`` pool
-driving per-source solves over one pre-built CSR — with the serving
-semantics of the thread tier kept intact, the solving in the shards
-and the remembering in the parent:
+The process-parallel tier the AccPPR harness (PAPERS.md; SNIPPETS.md
+§3) motivates — a ``multiprocessing`` pool driving per-source solves
+over one pre-built CSR.  Its read side (``submit``, cache, flights) is
+:class:`~repro.serving.flights.ServingTier`, as in the thread tier;
+the thread tier solves on one thread, and whether threads would scale
+as far as processes — the C kernels release the GIL, and the global
+sweep is most of a high-precision solve — is unmeasured (ROADMAP item
+2).  What this tier owns is the solving in the shards and the
+remembering in the parent:
 
 * the graph's hot arrays live once in a
   :class:`~repro.serving.shm.SharedGraphImage`; every worker process
@@ -15,22 +16,16 @@ and the remembering in the parent:
   :class:`~repro.api.engine.PPREngine` over them, and its receive loop
   calls ``engine.query`` for each request in arrival order.  A shard
   only solves;
-* the cluster's one version-stamped result cache and its
-  **single-flight table** — the :class:`~repro.serving.flights.
-  FlightTable` the thread tier answers through too — live in the
-  :class:`ShardedDispatcher`, the one place every request passes and
-  whose ``_version`` is authoritative.  ``submit`` looks the request
-  up inside the read section it takes anyway: a hit is answered with
-  the cached answer itself — no future, no message, no shard (public
-  ``submit`` wraps it in a done future) — and a duplicate of a
-  request already on its way to a shard at the current version joins
-  that flight instead of being sent; the collector's receipt of a
-  miss's answer lands the flight and is the cache fill.
-  A hit is version-safe because ``_version`` only moves under the
-  write side of ``_rwlock`` (with the invalidation next to it): the
-  version a reader compares stamps against cannot change under it, and
-  a fill is only accepted at the version that is current when it
-  arrives;
+* **where its version lives** — in the dispatcher's ``_version``,
+  which only moves under the write side of ``_rwlock`` (with the cache
+  invalidation next to it), so the version a hit is checked against
+  cannot change under a reader, and a fill is only accepted at the
+  version that is current when it arrives;
+* **what a led flight does** — it is routed and registered as pending
+  on its shard under the mutex, and its message is put on the shard's
+  queue after the mutex is released, still under the read lock; the
+  collector's receipt of the answer lands the flight and is the cache
+  fill;
 * the dispatcher routes each miss by **consistent hashing on the
   source id**, so a source keeps its shard and removing a crashed
   worker re-routes only that worker's arc of the ring;
@@ -95,31 +90,22 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
+from functools import partial
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from types import FrameType
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, cast
 
 from repro.api.engine import PPREngine
 from repro.errors import (
     DeadlineExceeded,
-    NodeNotFoundError,
     ParameterError,
     WorkerUnavailableError,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
-from repro.serving.cache import resolve_request
 from repro.serving.faults import FaultInjector, FaultSpec, WorkerFaultPlan
-from repro.serving.flights import (
-    Flight,
-    FlightTable,
-    ServedResult,
-    as_future,
-    fail,
-    settle,
-)
-from repro.serving.locks import RWLock
+from repro.serving.flights import Flight, ServedResult, ServingTier, settle
 from repro.serving.shm import (
     SharedGraphHandle,
     SharedGraphImage,
@@ -512,7 +498,7 @@ class _Barrier:
             self.done.set()
 
 
-class ShardedDispatcher:
+class ShardedDispatcher(ServingTier):
     """Route queries to N worker processes sharing one graph image.
 
     Parameters
@@ -574,11 +560,16 @@ class ShardedDispatcher:
         with ``wal_dir``: recovery must be free to export a different
         base).  See :mod:`repro.durability`.
 
-    The dispatcher mirrors the thread tier's surface —
-    ``submit``/``query``/``batch``/``apply_updates``/``stats``/
-    ``close`` and the context manager — so the loadtest harness and
-    the CLI switch between thread mode and process mode with one flag.
+    The read side — ``submit``/``try_submit``/``query``/``batch`` and
+    the context manager — is :class:`ServingTier`'s, as in the thread
+    tier, so the loadtest harness and the CLI switch between thread
+    mode and process mode with one flag.  Parameters must be picklable
+    scalars: live objects (``rng``, trace sinks, pre-built indexes)
+    cannot cross the process boundary and are rejected at submit.
     """
+
+    _Flight = _PendingRequest
+    _SCALAR_PARAMS_ONLY = True
 
     def __init__(
         self,
@@ -602,9 +593,8 @@ class ShardedDispatcher:
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        #: the cluster's one result cache and its open flights; used
-        #: under ``_mutex``
-        self._flight_table = FlightTable(cache_capacity, cache_ttl)
+        # The cluster's one result cache and its open flights.
+        super().__init__(cache_capacity, cache_ttl)
         if wal_dir is not None:
             if isinstance(graph_or_image, SharedGraphImage):
                 raise ParameterError(
@@ -634,7 +624,6 @@ class ShardedDispatcher:
         #: the cluster's one writable graph (None: static); every
         #: version the shards serve is a snapshot of it
         self._graph: DynamicGraph | None = None
-        self._durability = None
         if dynamic:
             self._graph = DynamicGraph(base)
             if wal_dir is not None:
@@ -681,25 +670,23 @@ class ShardedDispatcher:
             float(request_timeout) if request_timeout is not None else None
         )
         self._faults = fault_injector
+        if fault_injector is not None:
+            self._after_admit = self._inject_parent_faults
         #: writers only — ``apply_updates`` from apply to retire, a
         #: respawn while its shard attaches — so no generation is
         #: retired under a shard attaching it, and an update's slow
         #: half (fsync, merge, export) blocks no reader
         self._write_mutex = threading.Lock()
-        self._rwlock = RWLock()
-        #: guards ring/worker-state/counter mutations (never held while
-        #: blocking; collector threads take it too)
-        self._mutex = threading.Lock()
+        # ``_mutex`` also guards ring/worker-state/counter mutations
+        # (never held while blocking; collector threads take it too).
         self._ring = _HashRing()
         self._states: dict[int, _WorkerState] = {}
         self._workers = workers
         self._next_id = 0
-        self._closed = False
         self._stopping = False
         #: version of ``_image``: what every answer is stamped with
         self._version = self._graph.version if self._graph is not None else 0
         self._recovered_version = self._version
-        self._submitted = 0
         self._rerouted = 0
         self._worker_failures = 0
         self._barriers: dict[int, _Barrier] = {}
@@ -801,25 +788,9 @@ class ShardedDispatcher:
         return self._workers
 
     @property
-    def graph_version(self) -> int:
-        """Version of the generation the shards serve (0 initially)."""
-        with self._mutex:
-            return self._version
-
-    @property
-    def closed(self) -> bool:
-        with self._mutex:
-            return self._closed
-
-    @property
     def image(self) -> SharedGraphImage:
         """The image generation the shards serve from right now."""
         return self._image
-
-    @property
-    def durability(self) -> Any | None:
-        """The parent-side DurabilityManager, or None when volatile."""
-        return self._durability
 
     @property
     def recovered_version(self) -> int:
@@ -832,143 +803,21 @@ class ShardedDispatcher:
         with self._mutex:
             return self._ring.route(int(source))
 
-    # -- read path -------------------------------------------------------
-    def submit(
-        self,
-        source: int,
-        method: str = "powerpush",
-        *,
-        fresh: bool = False,
-        deadline: float | None = None,
-        **params: Any,
-    ) -> Future:
-        """Answer one query from the cache, a flight or a shard.
+    # -- where reads are answered and misses solved ----------------------
+    def _read_version(self) -> int:
+        return self._version
 
-        Returns a future of :class:`ServedResult`.  The cache and the
-        flights are :mod:`repro.serving.flights`, as in the thread
-        tier: an answer cached at the current graph version comes back
-        as a completed future (``cache_hit=True``, ``worker=None`` — no
-        shard served it); a request whose key is already in flight at
-        this version joins that flight and receives exactly what its
-        leader does (result or exception; the version a retried leader
-        was finally answered at), if the flight's deadline is ``None``
-        or not earlier than its own.  Everything else — a miss,
-        ``fresh=True`` (which bypasses cache and flight) — is enqueued
-        on its shard.  Every answer's ``estimate`` / ``residue`` are
-        **read-only** arrays: cached answers and joined flights hand
-        one object to many callers, so a write raises instead of
-        corrupting theirs.
+    def _send(self, flight: Flight) -> Callable[[], object]:
+        """Route ``flight`` and register it as pending on its shard.
 
-        Validates the method and parameter schema here, so typos raise
-        at the call site, not inside a worker.  Parameters must be
-        picklable scalars — live objects (``rng``, trace sinks,
-        pre-built indexes) cannot cross the process boundary and are
-        rejected up front.  ``deadline`` (a ``time.monotonic()``
-        timestamp) rides along to the shard, which fails a request
-        whose deadline has passed instead of solving it.
+        Its message is put after ``_mutex`` is released, still under
+        the read lock: a writer that acquires after us sees this
+        request ahead of its hand-over message in the worker's FIFO, so
+        it is answered pre-update.
         """
-        answer = self._admit(
-            source, method, params, fresh=fresh, deadline=deadline, wait=True
-        )
-        assert answer is not None  # a waiting admit always takes the lock
-        return as_future(answer)
-
-    def try_submit(
-        self,
-        source: int,
-        method: str = "powerpush",
-        *,
-        fresh: bool = False,
-        deadline: float | None = None,
-        **params: Any,
-    ) -> ServedResult | Future | None:
-        """:meth:`submit` that never waits on the read lock.
-
-        ``None`` when an update holds the lock or waits for it (its
-        hand-over) — nothing was admitted, and :meth:`submit` (which
-        waits) is the retry.  A cache hit is the :class:`ServedResult`
-        itself (``worker=None``), with no future built; a join or a
-        miss is the future :meth:`submit` returns.
-        """
-        return self._admit(
-            source, method, params, fresh=fresh, deadline=deadline, wait=False
-        )
-
-    def _admit(
-        self,
-        source: int,
-        method: str,
-        params: dict[str, Any],
-        *,
-        fresh: bool,
-        deadline: float | None,
-        wait: bool,
-    ) -> ServedResult | Future | None:
-        """The one admit body behind :meth:`submit` and :meth:`try_submit`."""
-        source = int(source)
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceeded(
-                f"deadline passed before submit of source {source}"
-            )
-        canonical, merged, key = resolve_request(
-            source, method, params, defaults=self._defaults
-        )
-        if key is None and params:
-            raise ParameterError(
-                "sharded serving requires scalar parameters; live "
-                "objects (rng, trace, indexes) cannot cross the "
-                "process boundary"
-            )
-        if not 0 <= source < self._num_nodes:
-            raise NodeNotFoundError(
-                f"source {source} is outside [0, {self._num_nodes})"
-            )
-        if fresh:
-            key = None
-        message = None
-        # The read section pins ``_version``: stamps are compared with,
-        # and a miss is enqueued at, the version current throughout.
-        if not self._rwlock.try_acquire_read():
-            if not wait:
-                return None
-            self._rwlock.acquire_read()
-        try:
-            with self._mutex:
-                if self._closed:
-                    raise RuntimeError("dispatcher is closed")
-                self._submitted += 1
-                submit_count = self._submitted
-                version = self._version
-                answer: ServedResult | Future | None = self._flight_table.hit(
-                    key, version, deadline
-                )
-                if answer is None:
-                    future: Future = Future()
-                    if not self._flight_table.join(
-                        key, version, future, deadline
-                    ):
-                        state = self._route_healthy(source)
-                        # ``merged``, not the caller's raw params: the
-                        # worker is sent the canonical method name, so
-                        # the overrides an alias implies (``fora+`` =>
-                        # ``use_index=True``) must travel with it.
-                        pending = _PendingRequest(
-                            [future], source, canonical, merged, deadline
-                        )
-                        self._flight_table.lead(pending, key, version)
-                        message = self._enqueue(state, pending)
-                    answer = future
-            if message is not None:
-                # Enqueued under the read lock: a writer that acquires
-                # after us sees this request ahead of its hand-over
-                # message in the worker's FIFO, so it is answered
-                # pre-update.
-                state.requests.put(message)
-        finally:
-            self._rwlock.release_read()
-        if self._faults is not None:
-            self._inject_parent_faults(submit_count)
-        return answer
+        state = self._route_healthy(flight.source)
+        message = self._enqueue(state, cast(_PendingRequest, flight))
+        return partial(state.requests.put, message)
 
     def _enqueue(self, state: _WorkerState, request: _PendingRequest) -> tuple:
         """Register ``request`` as pending on ``state``; its query message.
@@ -1033,30 +882,6 @@ class ShardedDispatcher:
             except ProcessLookupError:
                 pass
 
-    def query(
-        self,
-        source: int,
-        method: str = "powerpush",
-        *,
-        fresh: bool = False,
-        timeout: float | None = None,
-        **params: Any,
-    ) -> ServedResult:
-        """Blocking convenience: ``submit(...).result(timeout)``."""
-        return self.submit(source, method, fresh=fresh, **params).result(
-            timeout
-        )
-
-    def batch(
-        self,
-        sources: Iterable[int],
-        method: str = "powerpush",
-        **params: Any,
-    ) -> list[ServedResult]:
-        """Submit many queries and wait for all, in source order."""
-        futures = [self.submit(s, method, **params) for s in sources]
-        return [f.result() for f in futures]
-
     # -- write path ------------------------------------------------------
     def apply_updates(self, updates: Iterable[tuple[str, int, int]]) -> int:
         """Apply edge updates and move every shard to the new version.
@@ -1117,11 +942,10 @@ class ShardedDispatcher:
                 retired, self._image = self._image, image
                 self._version = version
                 states = list(self._states.values())
-            cache = self._flight_table.cache
-            if cache is not None:
+            if self.cache is not None:
                 # No reader is in its read section, and a late fill at
                 # the old version is refused: nothing pre-update stays.
-                cache.invalidate(version)
+                self.cache.invalidate(version)
             try:
                 self._hand_over(states)
             finally:
@@ -1243,12 +1067,6 @@ class ShardedDispatcher:
         with self._mutex:
             waiters = self._flight_table.land(request, served, self._version)
         settle(waiters, served)
-
-    def _fail(self, request: _PendingRequest, exc: BaseException) -> None:
-        """Land ``request``'s flight with ``exc`` for all its waiters."""
-        with self._mutex:
-            waiters = self._flight_table.land(request)
-        fail(waiters, exc)
 
     def _on_worker_death(self, state: _WorkerState) -> None:
         """A shard died: shrink the ring, retry its pending requests.
@@ -1678,18 +1496,11 @@ class ShardedDispatcher:
                 if state.alive
             }
             return {
-                "requests": self._submitted,
-                "graph_version": self._version,
+                **self._stats_head(),
                 "workers": len(per_worker),
                 "configured_workers": self._workers,
                 "rerouted": self._rerouted,
                 "worker_failures": self._worker_failures,
-                "flights": self._flight_table.stats(),
-                "cache": (
-                    self._flight_table.cache.stats.as_dict()
-                    if self._flight_table.cache is not None
-                    else {}
-                ),
                 "scheduler": scheduler,
                 "per_worker": per_worker,
                 "supervisor": supervisor,
@@ -1750,12 +1561,6 @@ class ShardedDispatcher:
             self._image.cleanup()
             if self._durability is not None:
                 self._durability.close()
-
-    def __enter__(self) -> "ShardedDispatcher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -120,6 +120,21 @@ class TestEngineServerDurability:
         with pytest.raises(ParameterError, match="wal_dir"):
             EngineServer(engine, wal_dir=tmp_path / "s")
 
+    def test_rejected_construction_writes_no_durable_state(self, tmp_path):
+        """Arguments are checked before the directory is touched, so a
+        rejected server cannot seed it for the next one."""
+        wal_dir = tmp_path / "state"
+        wal_dir.mkdir()
+        rejected, accepted = _base(seed=5), _base(seed=9, edges=900)
+        assert rejected.num_edges != accepted.num_edges
+        with pytest.raises(ParameterError, match="cache_capacity"):
+            EngineServer(
+                DynamicGraph(rejected), wal_dir=wal_dir, cache_capacity=-1
+            )
+        assert list(wal_dir.iterdir()) == []
+        with EngineServer(DynamicGraph(accepted), wal_dir=wal_dir) as server:
+            assert server.engine.graph.num_edges == accepted.num_edges
+
     def test_wal_dir_and_durability_are_exclusive(self, tmp_path):
         from repro.durability import open_durable_graph
 

@@ -1,10 +1,13 @@
 """Unit tests for PPRResult and the shared validation helpers."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.api.engine import PPREngine
+from repro.core.powerpush import power_push
 from repro.core.result import PPRResult
 from repro.core.validation import (
     check_alpha,
@@ -76,6 +79,17 @@ class TestValidationHelpers:
             check_source(graph, -1)
         with pytest.raises(ParameterError):
             check_source(graph, "zero")
+        # only integers are ids: none is truncated, at any entry point
+        engine = PPREngine(graph)
+        for solve in (
+            partial(check_source, graph),
+            partial(power_push, graph),
+            engine.query,
+        ):
+            for bad in (2.7, np.float64(4.5), True, "3"):
+                with pytest.raises(ParameterError, match="integer"):
+                    solve(bad)
+        assert type(power_push(graph, np.int64(2)).source) is int
 
     def test_l1_threshold_domain(self):
         assert check_l1_threshold(1.0) == 1.0

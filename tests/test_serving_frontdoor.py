@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.graph.build import paper_example_graph
 from repro.graph.dynamic import DynamicGraph
 from repro.serving import AsyncFrontDoor, EngineServer, ShardedDispatcher
-from repro.serving.flights import ServedResult
+from repro.serving.flights import ServedResult, ServingTier
 
 
 def run(coro):
@@ -85,6 +85,18 @@ class TestValidation:
             AsyncFrontDoor(server, deadline_ms=-1.0)
         with pytest.raises(ParameterError):
             AsyncFrontDoor(server, max_inflight=0)
+        nan = float("nan")
+        for options in (
+            {"slo_ms": nan},
+            {"deadline_ms": nan},
+            {"max_inflight": 2.5},
+            {"max_inflight": True},
+        ):
+            with pytest.raises(ParameterError):
+                AsyncFrontDoor(server, **options)
+        door = AsyncFrontDoor(server)
+        with pytest.raises(ParameterError):
+            run(door.submit(0, deadline_ms=nan))
 
 
 class TestByteIdentity:
@@ -407,7 +419,8 @@ class TestHitPath:
     def test_door_hits_build_no_future(self, tier, monkeypatch):
         door = AsyncFrontDoor(tier)
         run(door.submit(0, "powerpush", l1_threshold=1e-8))
-        module = sys.modules[type(tier).__module__]
+        # the module whose admit body builds every future a tier hands out
+        module = sys.modules[ServingTier.__module__]
         built = []
 
         class CountingFuture(Future):
@@ -426,6 +439,9 @@ class TestHitPath:
         answers = run(drive())
         assert all(served.cache_hit for served in answers)
         assert len(built) == 0
+        # the patch is watching: a miss builds its one future
+        run(door.submit(1, "powerpush", l1_threshold=1e-8))
+        assert len(built) == 1
 
     def test_cache_counts_each_request_once(self, tier):
         door = AsyncFrontDoor(tier)
@@ -454,3 +470,21 @@ class TestHitPath:
         direct = tier.try_submit(0, "powerpush", l1_threshold=1e-8)
         assert isinstance(direct, ServedResult) and direct.cache_hit
         assert direct.result is miss.result
+
+
+class TestReadSide:
+    """What both tiers' one admit body refuses."""
+
+    def test_submit_after_close_raises_even_on_cache_hit(self, tier):
+        tier.query(0, "powerpush", l1_threshold=1e-8)  # entry is now cached
+        tier.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            tier.submit(0, "powerpush", l1_threshold=1e-8)
+        with pytest.raises(RuntimeError, match="closed"):
+            tier.try_submit(0, "powerpush", l1_threshold=1e-8)
+
+    def test_a_source_must_be_an_integer(self, tier):
+        assert tier.query(np.int64(2), "powerpush").result.source == 2
+        for source in (2.7, np.float64(4.5), True, "3"):
+            with pytest.raises(ParameterError, match="integer"):
+                tier.submit(source, "powerpush")

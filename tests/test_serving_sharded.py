@@ -1135,9 +1135,3 @@ class TestTeardown:
             disp.query(0, "powerpush", **PARAMS)
         assert our_shm_files() == before
         assert live_segments() == live_before
-
-    def test_submit_after_close_raises(self, base):
-        disp = ShardedDispatcher(base, workers=2, alpha=0.2, seed=7)
-        disp.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            disp.submit(0, "powerpush", **PARAMS)
