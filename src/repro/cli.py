@@ -155,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("dataset", choices=dataset_names())
     _add_serving_arguments(serve)
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        help="result-cache TTL in seconds (default: no expiry)",
-    )
     serve.add_argument("--top", type=int, default=5)
     serve.add_argument(
         "--wal-dir",
@@ -324,7 +318,8 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=1e-4,
         help="l1_threshold of the degraded tier the front door falls "
-        "back to when predicted p99 blows --slo-ms",
+        "back to when predicted p99 blows --slo-ms (a method without "
+        "l1_threshold is shed instead)",
     )
     parser.add_argument(
         "--max-restarts",
@@ -460,7 +455,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             alpha=args.alpha,
             seed=args.seed,
             cache_capacity=args.cache_capacity,
-            cache_ttl=args.cache_ttl,
             max_restarts=args.max_restarts,
             **durable_kwargs,
         )
@@ -471,7 +465,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             alpha=args.alpha,
             seed=args.seed,
             cache_capacity=args.cache_capacity,
-            cache_ttl=args.cache_ttl,
             **durable_kwargs,
         )
         mode = "in-process threads"
@@ -598,6 +591,7 @@ def _print_stats(door) -> None:
         f"degraded={snap['degraded']} "
         f"shed={snap['shed']} "
         f"deadline_expired={snap['deadline_expired']} "
+        f"failed={snap['failed']} "
         f"writer_waits={snap['writer_waits']}"
     )
 
@@ -675,8 +669,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight,
         degrade_params=(
             {"l1_threshold": args.degrade_l1}
-            if (args.slo_ms is not None or args.deadline_ms is not None)
-            and spec.accepts("l1_threshold")
+            if args.slo_ms is not None or args.deadline_ms is not None
             else None
         ),
         chaos=chaos,

@@ -11,14 +11,16 @@ this package makes it a *service*:
   tiers share (``submit`` / ``try_submit`` and the one admit body),
   over a :class:`~repro.serving.flights.FlightTable`: a repeat is a
   cache hit, a duplicate of a request being solved joins that solve.
-* :class:`~repro.serving.cache.ResultCache` — LRU + TTL memoisation of
-  full answers, stamped with the graph version exactly like the
-  engine's index caches.
+* :class:`~repro.serving.cache.ResultCache` — LRU memoisation of full
+  answers, stamped with the graph version exactly like the engine's
+  index caches.
 * :class:`~repro.serving.locks.RWLock` — the readers-writer primitive
   the consistency guarantee rests on.
-* :class:`~repro.serving.workload.WorkloadGenerator` /
+* :class:`~repro.serving.loadtest.WorkloadGenerator` /
   :func:`~repro.serving.loadtest.run_loadtest` — synthetic Zipfian
-  traffic and the load/soak harness behind ``repro-ppr loadtest``.
+  traffic and the load/soak harness behind ``repro-ppr loadtest``,
+  which drives the front door and reads each request's fate from the
+  door's counters.
 * :class:`~repro.serving.sharded.ShardedDispatcher` /
   :class:`~repro.serving.shm.SharedGraphImage` — the process-parallel
   tier: N worker processes each hold one bare ``PPREngine`` over one
@@ -28,7 +30,9 @@ this package makes it a *service*:
 * :class:`~repro.serving.frontdoor.AsyncFrontDoor` — the asyncio
   admission tier over either backend: per-request deadlines and
   SLO-aware shedding/degradation; the one client path ``repro-ppr
-  serve`` and every loadtest drive take.
+  serve`` and every loadtest drive take, and the one place a
+  request's fate (completed, shed, deadline rejected or expired,
+  failed) is counted.
 * :mod:`~repro.serving.supervisor` /
   :mod:`~repro.serving.faults` — the self-healing tier: restart
   policies (jittered backoff + budget), per-shard circuit breakers,
@@ -54,6 +58,9 @@ from repro.serving.frontdoor import AsyncFrontDoor, FrontDoorStats
 from repro.serving.loadtest import (
     LoadtestReport,
     LoadtestStats,
+    Operation,
+    Workload,
+    WorkloadGenerator,
     run_loadtest,
 )
 from repro.serving.locks import RWLock
@@ -61,7 +68,6 @@ from repro.serving.server import EngineServer
 from repro.serving.sharded import ShardedDispatcher, WorkerConfig
 from repro.serving.shm import SharedGraphHandle, SharedGraphImage
 from repro.serving.supervisor import CircuitBreaker, RestartPolicy, RetryPolicy
-from repro.serving.workload import Operation, Workload, WorkloadGenerator
 
 __all__ = [
     "AsyncFrontDoor",

@@ -2,13 +2,15 @@
 
 Zipfian query traffic answers the same hot sources over and over; the
 cheapest query is the one never recomputed.  :class:`ResultCache`
-memoises full query results under an LRU + TTL policy, with every
-entry **stamped with the graph version it was computed at** — exactly
-the staleness discipline :class:`~repro.api.engine.PPREngine` applies
-to its walk/BePI/FORA indexes.  A lookup must present the current
-version; an entry stamped otherwise is dropped on sight (counted in
+memoises full query results in an LRU, with every entry **stamped with
+the graph version it was computed at** — exactly the staleness
+discipline :class:`~repro.api.engine.PPREngine` applies to its
+walk/BePI/FORA indexes.  A lookup must present the current version; an
+entry stamped otherwise is dropped on sight (counted in
 ``stats.stale_drops``), so after ``apply_updates`` no request can be
-answered from a pre-update vector.
+answered from a pre-update vector.  An entry leaves only that way or
+by LRU eviction: the answer to a request at a given version never
+changes, so there is nothing for a time-to-live to expire.
 
 Keys canonicalise the request through the solver registry —
 ``fora+`` and ``fora`` + ``use_index=True`` share an entry, parameter
@@ -26,10 +28,9 @@ serving tiers wire that, through one
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from dataclasses import asdict, dataclass
+from typing import Any, Mapping
 
 from repro.api.registry import resolve_method
 from repro.core.result import PPRResult
@@ -175,7 +176,6 @@ class CacheStats:
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
-    expirations: int = 0
     stale_drops: int = 0
     invalidations: int = 0
 
@@ -189,55 +189,29 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "stale_drops": self.stale_drops,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 @dataclass
 class _Entry:
     result: PPRResult
     version: int
-    expires_at: float | None
 
 
 class ResultCache:
-    """Thread-safe LRU + TTL cache of version-stamped query results.
+    """Thread-safe LRU cache of version-stamped query results.
 
     Parameters
     ----------
     capacity:
         Maximum entries; the least-recently-used entry is evicted when
         a fill would exceed it.
-    ttl:
-        Optional time-to-live in seconds.  ``None`` disables expiry —
-        version stamps already bound staleness on evolving graphs, so
-        TTL mainly serves static graphs whose *popularity* drifts.
-    clock:
-        Injectable monotonic clock (tests pin it to step manually).
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        *,
-        ttl: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ParameterError(f"cache capacity must be >= 1, got {capacity}")
-        if ttl is not None and ttl <= 0:
-            raise ParameterError(f"cache ttl must be positive, got {ttl}")
         self.capacity = int(capacity)
-        self.ttl = ttl
-        self._clock = clock
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._mutex = threading.Lock()
         self.stats = CacheStats()
@@ -250,9 +224,9 @@ class ResultCache:
         """The cached result for ``key`` at ``version``, or ``None``.
 
         A hit refreshes the entry's LRU position.  An entry stamped
-        with a different graph version, or one past its TTL, is
-        dropped and reported as a miss — the caller recomputes and
-        re-fills at the current version.
+        with a different graph version is dropped and reported as a
+        miss — the caller recomputes and re-fills at the current
+        version.
         """
         with self._mutex:
             entry = self._entries.get(key)
@@ -262,11 +236,6 @@ class ResultCache:
             if entry.version != version:
                 del self._entries[key]
                 self.stats.stale_drops += 1
-                self.stats.misses += 1
-                return None
-            if entry.expires_at is not None and self._clock() >= entry.expires_at:
-                del self._entries[key]
-                self.stats.expirations += 1
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -280,9 +249,8 @@ class ResultCache:
         hit shares the one stored object.
         """
         freeze_result(result)
-        expires_at = None if self.ttl is None else self._clock() + self.ttl
         with self._mutex:
-            self._entries[key] = _Entry(result, int(version), expires_at)
+            self._entries[key] = _Entry(result, int(version))
             self._entries.move_to_end(key)
             self.stats.insertions += 1
             while len(self._entries) > self.capacity:
@@ -322,5 +290,5 @@ class ResultCache:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ResultCache(size={len(self)}/{self.capacity}, "
-            f"ttl={self.ttl}, hit_rate={self.stats.hit_rate:.2f})"
+            f"hit_rate={self.stats.hit_rate:.2f})"
         )

@@ -90,8 +90,8 @@ class ServedResult:
         under.
     degraded:
         Whether admission control served this answer from the degraded
-        tier (a cheaper registered solver or a version-valid cached
-        lower-precision answer) instead of the requested fidelity.
+        tier — the request with the front door's ``degrade_params``
+        merged over its own — instead of the requested fidelity.
     """
 
     result: PPRResult
@@ -126,16 +126,12 @@ class FlightTable:
     ``cache_capacity=0`` disables the cache; flights stay.
     """
 
-    def __init__(self, cache_capacity: int, cache_ttl: float | None) -> None:
+    def __init__(self, cache_capacity: int) -> None:
         if cache_capacity < 0:
             raise ParameterError(
                 f"cache_capacity must be >= 0, got {cache_capacity}"
             )
-        self.cache = (
-            ResultCache(cache_capacity, ttl=cache_ttl)
-            if cache_capacity
-            else None
-        )
+        self.cache = ResultCache(cache_capacity) if cache_capacity else None
         self._open: dict[tuple[tuple, int], Flight] = {}
         self.led = 0
         self.joined = 0
@@ -250,10 +246,10 @@ class ServingTier(ABC):
     _num_nodes: int
     _defaults: dict[str, Any]
 
-    def __init__(self, cache_capacity: int, cache_ttl: float | None) -> None:
+    def __init__(self, cache_capacity: int) -> None:
         # First, so a rejected size rejects the tier before it
         # touches anything (a WAL directory among them).
-        self._flight_table = FlightTable(cache_capacity, cache_ttl)
+        self._flight_table = FlightTable(cache_capacity)
         self._rwlock = RWLock()
         #: guards the flight table, ``_submitted``, ``_closed`` and
         #: whatever else the tier puts under it

@@ -21,13 +21,23 @@ only:
   failed instead of solved), or while awaiting the solve.
 * **Admission control** watches the p99 of recently completed
   full-fidelity requests.  When that prediction blows the SLO the
-  front door *degrades* — re-issues the request with cheaper
-  parameters (e.g. a looser ``l1_threshold``) — and when even that
-  cannot help (or the in-flight bound is hit) it *sheds* with
+  front door *degrades* — re-issues the request with the degrade
+  parameters (e.g. a looser ``l1_threshold``) merged over its own —
+  and when that cannot help (the method does not take every degrade
+  parameter, or the in-flight bound is hit) it *sheds* with
   :class:`~repro.errors.ServerOverloadedError`.  Shedding protects
   the answered requests' tail: an open-loop overload run keeps
   bounded p99 for everything it admits.  With no SLO, no default
   deadline and no in-flight bound the door only admits.
+* **Every request is counted once.**  Each ``submit`` past its
+  argument checks adds one to ``submitted`` and then exactly one to
+  ``completed``, ``shed``, ``deadline_rejected`` (no budget left on
+  arrival), ``deadline_expired`` (budget spent after admission) or
+  ``failed`` (any other exception, cancellation included), so
+  ``submitted`` is always their sum once nothing is in flight.
+  ``degraded`` counts the completions that were degraded.  The door
+  is the one place a request's fate is recorded; a load driver reads
+  :meth:`AsyncFrontDoor.snapshot` instead of keeping its own tally.
 
 The door stores no answers of its own: a degraded request is an
 ordinary request to the backend, so the backend's version-stamped
@@ -65,15 +75,17 @@ import numbers
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
 
+from repro.api.registry import get_solver
 from repro.errors import (
     DeadlineExceeded,
     ParameterError,
     ServerOverloadedError,
+    UnknownMethodError,
 )
 from repro.serving.flights import ServedResult, ServingTier
 
@@ -97,7 +109,8 @@ _PROBE_EVERY = 16
 
 @dataclass
 class FrontDoorStats:
-    """Counters over one front-door lifetime (guarded by its mutex)."""
+    """Counters over one front-door lifetime (guarded by its mutex);
+    ``submitted`` is partitioned as the module docstring says."""
 
     submitted: int = 0
     completed: int = 0
@@ -105,6 +118,7 @@ class FrontDoorStats:
     shed: int = 0
     deadline_rejected: int = 0
     deadline_expired: int = 0
+    failed: int = 0
     probes: int = 0
     #: submits that met a writer on the backend's lock and took the
     #: executor instead of enqueueing on the loop
@@ -113,17 +127,7 @@ class FrontDoorStats:
     predicted_p99_ms: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "deadline_rejected": self.deadline_rejected,
-            "deadline_expired": self.deadline_expired,
-            "probes": self.probes,
-            "writer_waits": self.writer_waits,
-            "predicted_p99_ms": self.predicted_p99_ms,
-        }
+        return asdict(self)
 
 
 class AsyncFrontDoor:
@@ -148,10 +152,12 @@ class AsyncFrontDoor:
         ``None`` means best-effort (no deadline) unless the submit
         provides one.
     degrade_params:
-        The parameters that replace the caller's when predicted p99
+        The parameters merged over the caller's when predicted p99
         blows the SLO (the classic use is a looser ``l1_threshold``);
-        the method stays the request's own.  ``None`` disables the
-        degraded tier — overload then sheds outright.
+        the method and every other parameter stay the request's own.
+        A method that does not accept every degrade parameter has no
+        degraded tier, and neither does any method when this is
+        ``None``: overload then sheds it outright.
     max_inflight:
         Hard bound on concurrently admitted requests; beyond it every
         arrival is shed.  ``None`` disables the bound.
@@ -225,9 +231,9 @@ class AsyncFrontDoor:
         is spent (before or during the solve) and
         :class:`~repro.errors.ServerOverloadedError` when the request
         is shed.  A served answer may be *degraded* (solved with
-        ``degrade_params``) — check :attr:`ServedResult.degraded`; it
-        is still byte-identical to the sync path for the degraded
-        request.
+        ``degrade_params`` merged over ``params``) — check
+        :attr:`ServedResult.degraded`; it is still byte-identical to
+        the sync path for the degraded request.
         """
         if deadline_ms is not None and math.isnan(deadline_ms):
             # (a spent budget, <= 0, is a DeadlineExceeded below)
@@ -235,25 +241,21 @@ class AsyncFrontDoor:
         now = time.monotonic()
         budget_ms = deadline_ms if deadline_ms is not None else self._deadline_ms
         deadline = None if budget_ms is None else now + budget_ms / 1e3
-        # Fresh clock read: a budget below the clock's resolution is
-        # already spent by now.
-        if deadline is not None and time.monotonic() >= deadline:
-            with self._mutex:
-                self.stats.deadline_rejected += 1
+        decision = self._admit(deadline, self._degradable(method))
+        if decision == "late":
             raise DeadlineExceeded(
                 f"request for source {source} arrived with no budget left"
             )
-        decision = self._admit()
         if decision == "shed":
             raise ServerOverloadedError(
                 f"shed request for source {source}: predicted p99 "
                 f"{self.stats.predicted_p99_ms:.1f}ms vs SLO "
                 f"{self._slo_ms}ms with no degraded tier left"
             )
-        if decision == "degrade":
-            params = dict(self._degrade_params or {})
-        with self._mutex:
-            self._inflight += 1
+        degraded = decision == "degrade"
+        if degraded:
+            params = {**params, **(self._degrade_params or {})}
+        outcome = "failed"
         try:
             served = await self._await_backend(
                 source,
@@ -262,19 +264,15 @@ class AsyncFrontDoor:
                 fresh=fresh,
                 deadline=deadline,
             )
+            outcome = "completed"
         except DeadlineExceeded:
             # Covers every expiry past admission: backend fail-fast at
             # enqueue, at solve time, and the await outliving the
             # remaining budget.
-            with self._mutex:
-                self.stats.deadline_expired += 1
+            outcome = "deadline_expired"
             raise
         finally:
-            with self._mutex:
-                self._inflight -= 1
-        latency = time.monotonic() - now
-        degraded = decision == "degrade"
-        self._note_completion(latency, degraded=degraded)
+            self._settle(outcome, time.monotonic() - now, degraded)
         if degraded:
             served = replace(served, degraded=True)
         return served
@@ -354,35 +352,54 @@ class AsyncFrontDoor:
         return doc
 
     # -- admission control ----------------------------------------------
-    def _admit(self) -> str:
-        """``"full"`` | ``"degrade"`` | ``"shed"`` for one arrival."""
+    def _degradable(self, method: str) -> bool:
+        """Whether the door can degrade ``method``: it takes every
+        degrade parameter (an unknown method has nothing to degrade to)."""
+        if self._slo_ms is None or self._degrade_params is None:
+            return False
+        try:
+            spec = get_solver(method)
+        except UnknownMethodError:
+            return False
+        return all(map(spec.accepts, self._degrade_params))
+
+    def _admit(self, deadline: float | None, degradable: bool) -> str:
+        """``"late"`` | ``"shed"`` | ``"full"`` | ``"degrade"`` for one
+        arrival, counted; the last two are in flight until
+        :meth:`_settle`."""
         with self._mutex:
             self.stats.submitted += 1
+            # Fresh clock read: a budget below the clock's resolution is
+            # already spent by now.
+            if deadline is not None and time.monotonic() >= deadline:
+                self.stats.deadline_rejected += 1
+                return "late"
+            decision = "full"
             if (
                 self._max_inflight is not None
                 and self._inflight >= self._max_inflight
             ):
+                decision = "shed"
+            elif self._slo_ms is not None:
+                predicted = self._predicted_p99_ms_locked()
+                self.stats.predicted_p99_ms = predicted
+                # Overloaded: degrade when a cheaper tier exists, sending
+                # a periodic probe through at full fidelity so the
+                # predictor keeps seeing the tier it predicts; shed
+                # outright when there is nothing to degrade to.
+                if predicted > self._slo_ms and not degradable:
+                    decision = "shed"
+                elif predicted > self._slo_ms:
+                    self._degrade_decisions += 1
+                    if self._degrade_decisions % _PROBE_EVERY:
+                        decision = "degrade"
+                    else:
+                        self.stats.probes += 1
+            if decision == "shed":
                 self.stats.shed += 1
-                return "shed"
-            if self._slo_ms is None:
-                return "full"
-            predicted = self._predicted_p99_ms_locked()
-            self.stats.predicted_p99_ms = predicted
-            if predicted <= self._slo_ms:
-                return "full"
-            # Overloaded.  Degrade when a cheaper tier exists, shedding
-            # a periodic probe back to full fidelity so the predictor
-            # keeps seeing the tier it predicts; shed outright when
-            # there is nothing to degrade to.
-            if self._degrade_params is None:
-                self.stats.shed += 1
-                return "shed"
-            self._degrade_decisions += 1
-            if self._degrade_decisions % _PROBE_EVERY == 0:
-                self.stats.probes += 1
-                return "full"
-            self.stats.degraded += 1
-            return "degrade"
+            else:
+                self._inflight += 1
+            return decision
 
     def _predicted_p99_ms_locked(self) -> float:
         if len(self._latencies) < _MIN_SAMPLES:
@@ -391,14 +408,24 @@ class AsyncFrontDoor:
             np.percentile(np.asarray(self._latencies), 99) * 1e3
         )
 
-    def _note_completion(self, latency: float, *, degraded: bool) -> None:
+    def _settle(self, outcome: str, latency: float, degraded: bool) -> None:
+        """Count how an admitted request ended: ``"completed"``,
+        ``"deadline_expired"`` or ``"failed"``."""
         with self._mutex:
-            self.stats.completed += 1
-            if not degraded:
-                # Only full-fidelity completions feed the predictor:
-                # degraded latencies would mask the overload that
-                # forced the degradation in the first place.
-                self._latencies.append(latency)
+            self._inflight -= 1
+            if outcome == "completed":
+                self.stats.completed += 1
+                if degraded:
+                    self.stats.degraded += 1
+                else:
+                    # Only full-fidelity completions feed the
+                    # predictor: degraded latencies would mask the
+                    # overload that forced the degradation.
+                    self._latencies.append(latency)
+            elif outcome == "deadline_expired":
+                self.stats.deadline_expired += 1
+            else:
+                self.stats.failed += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

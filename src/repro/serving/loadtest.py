@@ -1,10 +1,21 @@
-"""Load/soak harness: a workload vs the server and a serial baseline.
+"""Load/soak harness: synthetic workloads vs the server and a serial baseline.
 
 Answers the serving layer's headline question with numbers: *what do
 the result cache and the single-flight table buy over answering one
-query at a time?*  One call to :func:`run_loadtest`
+query at a time?*
 
-1. replays a :class:`~repro.serving.workload.Workload` through an
+:class:`WorkloadGenerator` emits a replayable :class:`Workload` shaped
+like real query traffic, deterministically from a seed: sources follow
+a Zipf law over a hot set (``p(rank) ∝ rank^-s``), a read/write mix
+interleaves edge updates (only their positions and RNG are fixed — a
+valid edit depends on the live graph, so it is sampled at apply time),
+and arrival is *closed-loop* (next request on completion) or
+*open-loop* (Poisson arrivals at a target rate, independent of service
+time — the honest way to measure tail latency).
+
+One call to :func:`run_loadtest`
+
+1. replays the workload through an
    :class:`~repro.serving.frontdoor.AsyncFrontDoor` over a fresh
    :class:`~repro.serving.server.EngineServer` (or, with ``workers``,
    a :class:`~repro.serving.sharded.ShardedDispatcher`) — the one
@@ -14,21 +25,23 @@ query at a time?*  One call to :func:`run_loadtest`
    through ``door.apply_updates``,
 2. replays the identical sequence against a bare engine, one blocking
    ``query`` at a time, no cache, no flights,
-3. cross-checks the answers (byte-identical for deterministic methods
-   on read-only workloads) and emits a :class:`LoadtestReport` with
-   throughput, p50/p99 latency, cache hit rate and the speedup.
+3. cross-checks the answers (estimate and residue, byte for byte, for
+   deterministic or seeded requests on read-only workloads) and emits
+   a :class:`LoadtestReport` with throughput, p50/p99 latency, cache
+   hit rate and the speedup.
 
 Both runs build their graph from the same factory and draw edge
 updates from the same stream, so a read/write soak mutates the two
-graphs identically: updates are sampled and applied one at a time in
-operation order (closed loop: while the claiming client holds the
-cursor; open loop: by one writer task), which pins the sampling state,
-the RNG draw order, and the apply order to the workload's operation
-order in both runs.
+graphs identically: each update is sampled from the graph the run's
+updates go to (the engine's, or the tier's ``dynamic_graph``) and
+applied before the next is sampled, in operation order (closed loop:
+while the claiming client holds the cursor; open loop: by one writer
+task).
 
-Every query lands in exactly one bucket — ``completed`` (full or
-degraded), ``shed``, ``deadline_expired``, or ``failed`` — so no
-request can silently vanish.  Throughput counts only completions.
+The driver owns the workload and the clock, nothing else: what became
+of each request — completed (full or degraded), shed, deadline expired
+or failed — is the front door's count, read from ``door.snapshot()``.
+Throughput counts only completions.
 
 **Overload experiments.**  With ``slo_ms``/``deadline_ms`` set (open
 arrival only) the door is SLO-aware: requests carry deadlines and
@@ -46,12 +59,13 @@ import asyncio
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.api.engine import PPREngine
 from repro.api.registry import resolve_method
+from repro.core.result import PPRResult
 from repro.durability.atomic import atomic_write_json
 from repro.errors import (
     DeadlineExceeded,
@@ -61,12 +75,188 @@ from repro.errors import (
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.serving.faults import WORKER_KINDS, FaultInjector, FaultSpec
+from repro.serving.flights import ServedResult
 from repro.serving.frontdoor import AsyncFrontDoor
 from repro.serving.server import EngineServer
 from repro.serving.sharded import ShardedDispatcher
-from repro.serving.workload import Operation, Workload
 
-__all__ = ["LoadtestReport", "LoadtestStats", "run_loadtest"]
+__all__ = [
+    "LoadtestReport",
+    "LoadtestStats",
+    "Operation",
+    "Workload",
+    "WorkloadGenerator",
+    "run_loadtest",
+]
+
+#: Salt mixed into the workload seed for the lazy update-sampling RNG,
+#: so query-source and edge-update streams never correlate.
+UPDATE_RNG_SALT = 0x5EED_CAFE
+
+
+@dataclass(frozen=True)
+class Operation:
+    """One workload step: a query against a source, or an edge update.
+
+    ``at`` is the arrival offset in seconds from workload start for
+    open-loop runs (0.0 everywhere in closed-loop workloads, where
+    arrival is completion-driven).  Updates carry ``source == -1``;
+    the concrete edge edit is sampled at apply time from the
+    workload's update RNG.
+    """
+
+    index: int
+    kind: str  # "query" | "update"
+    source: int
+    at: float
+
+
+@dataclass(frozen=True)
+class Workload:
+    """A replayable operation sequence plus the knobs that shaped it."""
+
+    operations: tuple[Operation, ...]
+    num_sources: int
+    zipf_exponent: float
+    read_fraction: float
+    arrival: str
+    arrival_rate: float
+    seed: int
+
+    @property
+    def num_queries(self) -> int:
+        return sum(1 for op in self.operations if op.kind == "query")
+
+    @property
+    def num_updates(self) -> int:
+        return len(self.operations) - self.num_queries
+
+    @property
+    def distinct_sources(self) -> int:
+        return len({op.source for op in self.operations if op.kind == "query"})
+
+    def queries(self) -> Iterator[Operation]:
+        return (op for op in self.operations if op.kind == "query")
+
+    def update_rng(self) -> np.random.Generator:
+        """The generator a harness must sample edge updates from.
+
+        Both the served run and the serial baseline draw from an
+        identically-seeded stream and apply updates in operation
+        order, so the two runs mutate their graphs identically.
+        """
+        return np.random.default_rng(self.seed + UPDATE_RNG_SALT)
+
+    def describe(self) -> str:
+        return (
+            f"{len(self.operations)} ops ({self.num_queries} queries / "
+            f"{self.num_updates} updates), zipf s={self.zipf_exponent} "
+            f"over {self.num_sources} hot sources, {self.arrival}-loop"
+            + (
+                f" @ {self.arrival_rate:.0f} req/s"
+                if self.arrival == "open"
+                else ""
+            )
+        )
+
+
+class WorkloadGenerator:
+    """Deterministic generator of serving workloads for one graph size.
+
+    Parameters
+    ----------
+    num_nodes:
+        Node-id space queries draw sources from.
+    num_sources:
+        Size of the Zipfian hot set (distinct query sources).
+    zipf_exponent:
+        Skew ``s`` of ``p(rank) ∝ rank^-s``; larger = hotter head.
+        ``0`` degenerates to uniform over the hot set.
+    read_fraction:
+        Probability an operation is a query (1.0 = read-only).
+    arrival:
+        ``"closed"`` (completion-driven) or ``"open"`` (Poisson
+        timestamps at ``arrival_rate`` requests/second).
+    seed:
+        Everything — hot-set choice, source draws, mix, arrivals, and
+        the update-sampling stream — derives from this.
+    """
+
+    def __init__(
+        self,
+        num_nodes: int,
+        *,
+        num_sources: int = 64,
+        zipf_exponent: float = 1.1,
+        read_fraction: float = 1.0,
+        arrival: str = "closed",
+        arrival_rate: float = 500.0,
+        seed: int = 0,
+    ) -> None:
+        if num_nodes < 1:
+            raise ParameterError(f"num_nodes must be >= 1, got {num_nodes}")
+        if not 1 <= num_sources <= num_nodes:
+            raise ParameterError(
+                f"num_sources must be in [1, {num_nodes}], got {num_sources}"
+            )
+        if zipf_exponent < 0:
+            raise ParameterError(
+                f"zipf_exponent must be >= 0, got {zipf_exponent}"
+            )
+        if not 0.0 <= read_fraction <= 1.0:
+            raise ParameterError(
+                f"read_fraction must be in [0, 1], got {read_fraction}"
+            )
+        if arrival not in ("closed", "open"):
+            raise ParameterError(
+                f"arrival must be 'closed' or 'open', got {arrival!r}"
+            )
+        if arrival_rate <= 0:
+            raise ParameterError(
+                f"arrival_rate must be positive, got {arrival_rate}"
+            )
+        self.num_nodes = int(num_nodes)
+        self.num_sources = int(num_sources)
+        self.zipf_exponent = float(zipf_exponent)
+        self.read_fraction = float(read_fraction)
+        self.arrival = arrival
+        self.arrival_rate = float(arrival_rate)
+        self.seed = int(seed)
+
+    def generate(self, num_ops: int) -> Workload:
+        """Materialise ``num_ops`` operations (deterministic per seed)."""
+        if num_ops < 1:
+            raise ParameterError(f"num_ops must be >= 1, got {num_ops}")
+        rng = np.random.default_rng(self.seed)
+        hot = rng.choice(self.num_nodes, size=self.num_sources, replace=False)
+        ranks = np.arange(1, self.num_sources + 1, dtype=np.float64)
+        weights = ranks ** (-self.zipf_exponent)
+        weights /= weights.sum()
+        sources = rng.choice(hot, size=num_ops, p=weights)
+        is_query = rng.random(num_ops) < self.read_fraction
+        if self.arrival == "open":
+            gaps = rng.exponential(1.0 / self.arrival_rate, size=num_ops)
+            arrivals = np.cumsum(gaps)
+        else:
+            arrivals = np.zeros(num_ops)
+        operations = tuple(
+            Operation(
+                index=i,
+                kind="query" if is_query[i] else "update",
+                source=int(sources[i]) if is_query[i] else -1,
+                at=float(arrivals[i]),
+            )
+            for i in range(num_ops)
+        )
+        return Workload(
+            operations=operations,
+            num_sources=self.num_sources,
+            zipf_exponent=self.zipf_exponent,
+            read_fraction=self.read_fraction,
+            arrival=self.arrival,
+            arrival_rate=self.arrival_rate,
+            seed=self.seed,
+        )
 
 
 @dataclass
@@ -160,12 +350,14 @@ class LoadtestReport:
     serial: LoadtestStats
     cache_hit_rate: float
     identical: bool | None
+    #: the serving tier's ``stats()`` (``supervisor`` among them on a
+    #: sharded run)
     server_stats: dict[str, Any] = field(default_factory=dict)
     #: shard processes the served run used (0 = in-process thread mode)
     workers: int = 0
-    #: the front door's admission counters (``snapshot()``)
+    #: the front door's counters (``snapshot()``)
     frontdoor: dict[str, Any] = field(default_factory=dict)
-    #: fault schedule + recovery accounting when the run was a chaos run
+    #: the fault schedule and what of it fired, on a chaos run
     chaos: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -201,7 +393,7 @@ class LoadtestReport:
 
     def render(self) -> str:
         identical = (
-            "n/a (stochastic method or write traffic)"
+            "n/a (unseeded stochastic method or write traffic)"
             if self.identical is None
             else str(self.identical)
         )
@@ -234,7 +426,7 @@ class LoadtestReport:
                 f"failed {self.served.failed}",
             )
         if self.chaos:
-            supervisor = self.chaos.get("supervisor", {})
+            supervisor = self.server_stats.get("supervisor", {})
             recovery = supervisor.get("recovery_s", {}) or {}
             recovery_max = recovery.get("max")
             recovery_text = (
@@ -259,12 +451,28 @@ def _percentiles(latencies: list[float]) -> tuple[float, float]:
     return float(np.percentile(arr, 50)), float(np.percentile(arr, 99))
 
 
-def _require_dynamic(engine: PPREngine, workload: Workload) -> None:
-    if workload.num_updates and engine.dynamic_graph is None:
+def _answer_bytes(result: PPRResult) -> tuple[bytes, bytes | None]:
+    """What two answers must share to be the same answer."""
+    residue = None if result.residue is None else result.residue.tobytes()
+    return result.estimate.tobytes(), residue
+
+
+def _update_sampler(
+    graph: DynamicGraph | None, workload: Workload
+) -> Callable[[], tuple[str, int, int]]:
+    """Draws ``workload``'s next edge update from ``graph`` as it is."""
+    if workload.num_updates and graph is None:
         raise ParameterError(
             "workload contains edge updates; make_graph must return a "
             "DynamicGraph"
         )
+    rng = workload.update_rng()
+
+    def sample() -> tuple[str, int, int]:
+        assert graph is not None  # checked above: updates need a graph
+        return sample_edge_update(graph, rng)
+
+    return sample
 
 
 def _run_serial(
@@ -276,12 +484,11 @@ def _run_serial(
     alpha: float,
     seed: int,
     collect: bool,
-) -> tuple[LoadtestStats, dict[int, np.ndarray]]:
+) -> tuple[LoadtestStats, dict[int, PPRResult]]:
     """The baseline: one engine, one thread, one query at a time."""
     engine = PPREngine(make_graph(), alpha=alpha, seed=seed)
-    _require_dynamic(engine, workload)
-    update_rng = workload.update_rng()
-    estimates: dict[int, np.ndarray] = {}
+    sample_update = _update_sampler(engine.dynamic_graph, workload)
+    answers: dict[int, PPRResult] = {}
     latencies: list[float] = []
     started = time.perf_counter()
     for op in workload.operations:
@@ -290,10 +497,9 @@ def _run_serial(
             result = engine.query(op.source, method, **dict(params))
             latencies.append(time.perf_counter() - begin)
             if collect:
-                estimates[op.index] = result.estimate
+                answers[op.index] = result
         else:
-            update = sample_edge_update(engine.dynamic_graph, update_rng)
-            engine.apply_updates([update])
+            engine.apply_updates([sample_update()])
     wall = time.perf_counter() - started
     p50, p99 = _percentiles(latencies)
     return (
@@ -306,7 +512,7 @@ def _run_serial(
             completed=len(latencies),
             within_slo=len(latencies),
         ),
-        estimates,
+        answers,
     )
 
 
@@ -342,26 +548,18 @@ def _await_recovery(
 
 @dataclass
 class _Tally:
-    """Where each query of one served replay ended up.
+    """What the driver keeps of one served replay.
 
-    Every query lands in exactly one bucket: a latency (completed, and
-    then ``degraded`` or not), ``shed``, ``deadline_expired`` or
-    ``failed`` — the last also keeps the error.
+    Only what the front door cannot know: the latency of each
+    completion, the answers to cross-check, and the first unexpected
+    error.  Each request's fate is the door's count.
     """
 
-    latencies: list[float | None]
     collect: bool
-    estimates: dict[int, np.ndarray] = field(default_factory=dict)
-    #: degraded answers by operation index, with their source
-    degraded_estimates: dict[int, tuple[int, np.ndarray]] = field(
-        default_factory=dict
-    )
-    counts: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(
-            ("degraded", "shed", "deadline_expired", "failed"), 0
-        )
-    )
-    errors: list[Exception] = field(default_factory=list)
+    latencies: list[float] = field(default_factory=list)
+    #: answers by operation index (when ``collect``)
+    answers: dict[int, ServedResult] = field(default_factory=dict)
+    error: Exception | None = None
 
 
 async def _drive(
@@ -387,22 +585,15 @@ async def _drive(
         begin = time.perf_counter()
         try:
             served = await door.submit(op.source, method, **params)
-        except DeadlineExceeded:
-            tally.counts["deadline_expired"] += 1
-        except ServerOverloadedError:
-            tally.counts["shed"] += 1
-        except Exception as exc:  # noqa: BLE001 - accounted + reported
-            tally.counts["failed"] += 1
-            tally.errors.append(exc)
-        else:
-            tally.latencies[op.index] = time.perf_counter() - begin
-            estimate = served.result.estimate
-            if served.degraded:
-                tally.counts["degraded"] += 1
-                if tally.collect:
-                    tally.degraded_estimates[op.index] = (op.source, estimate)
-            elif tally.collect:
-                tally.estimates[op.index] = estimate
+        except (DeadlineExceeded, ServerOverloadedError):
+            return  # admission control at work
+        except Exception as exc:  # noqa: BLE001 - reported by the caller
+            if tally.error is None:
+                tally.error = exc
+            return
+        tally.latencies.append(time.perf_counter() - begin)
+        if tally.collect:
+            tally.answers[op.index] = served
 
     if workload.arrival == "open":
         # Open loop: one task per query at the workload's Poisson
@@ -472,31 +663,19 @@ def _run_served(
     request_timeout: float | None = None,
 ) -> tuple[
     LoadtestStats,
-    dict[int, np.ndarray],
-    dict[int, tuple[int, np.ndarray]],
+    dict[int, ServedResult],
+    dict[str, Any],
     dict[str, Any],
 ]:
     """Replay the workload through an :class:`AsyncFrontDoor` over an
     :class:`EngineServer` — or, with ``workers >= 1``, a
     :class:`ShardedDispatcher` over that many worker processes sharing
-    one shared-memory graph image."""
+    one shared-memory graph image; also returns the collected answers,
+    the tier's ``stats()`` and the door's ``snapshot()``."""
     server: EngineServer | ShardedDispatcher
-    mirror: DynamicGraph | None = None
     if workers:
-        graph = make_graph()
-        if isinstance(graph, DynamicGraph):
-            # The parent keeps a mirror of the logical graph so update
-            # sampling sees the same state the shards converge to; the
-            # sampled batch is applied to the mirror and broadcast to
-            # every shard, keeping all copies in lockstep.
-            mirror = graph
-        elif workload.num_updates:
-            raise ParameterError(
-                "workload contains edge updates; make_graph must "
-                "return a DynamicGraph"
-            )
         server = ShardedDispatcher(
-            graph,
+            make_graph(),
             workers=workers,
             alpha=alpha,
             seed=seed,
@@ -512,17 +691,6 @@ def _run_served(
             seed=seed,
             cache_capacity=cache_capacity,
         )
-        _require_dynamic(server.engine, workload)
-    update_rng = workload.update_rng()
-
-    def sample_update() -> tuple[str, int, int]:
-        if mirror is None:
-            assert isinstance(server, EngineServer)
-            return sample_edge_update(server.engine.dynamic_graph, update_rng)
-        update = sample_edge_update(mirror, update_rng)
-        mirror.apply_updates([update])
-        return update
-
     door = AsyncFrontDoor(
         server,
         slo_ms=slo_ms,
@@ -530,8 +698,9 @@ def _run_served(
         degrade_params=dict(degrade_params) if degrade_params else None,
         max_inflight=max_inflight,
     )
-    tally = _Tally([None] * len(workload.operations), collect)
+    tally = _Tally(collect)
     with server:
+        sample_update = _update_sampler(server.dynamic_graph, workload)
         started = time.perf_counter()
         asyncio.run(
             _drive(
@@ -548,23 +717,20 @@ def _run_served(
         if chaos is not None and isinstance(server, ShardedDispatcher):
             _await_recovery(server, chaos)
         stats = dict(server.stats())
-    stats["frontdoor"] = door.snapshot()
+    counts = door.snapshot()
     slo_aware = slo_ms is not None or deadline_ms is not None
-    if tally.errors and not slo_aware and chaos is None:
+    if tally.error is not None and not slo_aware and chaos is None:
         # Outside an SLO-aware or chaos run no query is expected to
         # fail: the error is an infrastructure bug — surface it.  The
-        # other two account it instead (their gates assert
+        # other two report it as ``failed`` (their gates assert
         # failed == 0 anyway).
-        raise tally.errors[0]
-    completed_latencies = [lat for lat in tally.latencies if lat is not None]
-    completed = len(completed_latencies)
-    p50, p99 = _percentiles(completed_latencies)
+        raise tally.error
+    p50, p99 = _percentiles(tally.latencies)
     within = (
-        sum(1 for lat in completed_latencies if lat * 1e3 <= slo_ms)
+        sum(1 for lat in tally.latencies if lat * 1e3 <= slo_ms)
         if slo_ms is not None
-        else completed
+        else len(tally.latencies)
     )
-    counts = tally.counts
     return (
         LoadtestStats(
             wall_seconds=wall,
@@ -572,17 +738,19 @@ def _run_served(
             updates=workload.num_updates,
             p50_ms=p50,
             p99_ms=p99,
-            completed=completed,
+            completed=len(tally.latencies),
             degraded=counts["degraded"],
             shed=counts["shed"],
-            deadline_expired=counts["deadline_expired"],
+            deadline_expired=(
+                counts["deadline_rejected"] + counts["deadline_expired"]
+            ),
             failed=counts["failed"],
             slo_ms=slo_ms,
             within_slo=within,
         ),
-        tally.estimates,
-        tally.degraded_estimates,
+        tally.answers,
         stats,
+        counts,
     )
 
 
@@ -609,9 +777,12 @@ def run_loadtest(
 
     ``make_graph`` is called twice (once per run) so the serial
     baseline's mutations never leak into the served run.  The
-    byte-identical cross-check runs only when it is meaningful: a
-    deterministic method on a read-only workload (stochastic methods
-    and write traffic legitimately diverge, reported as ``None``).
+    byte-identical cross-check of estimates and residues runs only
+    when it is meaningful: a read-only workload and a request whose
+    answer is a pure function of ``(seed, source)`` — a deterministic
+    method, or a stochastic one given ``seed``.  Unseeded stochastic
+    methods and write traffic legitimately diverge, reported as
+    ``None``.
 
     ``workers >= 1`` switches the served run from the thread-based
     :class:`EngineServer` to a :class:`ShardedDispatcher` over that
@@ -621,12 +792,13 @@ def run_loadtest(
 
     ``slo_ms``/``deadline_ms`` make the front door SLO-aware (open
     arrival only): every request carries a deadline, overload sheds or
-    degrades (to ``degrade_params`` when given), and the report
-    accounts every request's fate plus goodput-under-SLO.  Served
-    full-fidelity answers are verified against the serial baseline as
-    usual; served *degraded* answers are verified against a serial
-    engine solving the degraded request — byte-identity is a property
-    of every answer actually served, not only the lucky ones.
+    degrades (``degrade_params`` merged over ``params``, when given),
+    and the report accounts every request's fate plus
+    goodput-under-SLO.  Served full-fidelity answers are verified
+    against the serial baseline as usual; served *degraded* answers
+    are verified against a serial engine solving the degraded request
+    — byte-identity is a property of every answer actually served,
+    not only the lucky ones.
 
     ``chaos`` (a :class:`~repro.serving.faults.FaultInjector` or a
     plain list of :class:`~repro.serving.faults.FaultSpec`) arms
@@ -636,10 +808,10 @@ def run_loadtest(
     worker-local ordinals, and the supervisor + retry machinery is
     expected to recover every request.  Per-query failures are then
     *accounted* (``failed``) instead of aborting the replay, and the
-    report grows a ``chaos`` section with the schedule, what fired,
-    and the supervisor's recovery accounting.  ``max_restarts`` and
-    ``request_timeout`` pass through to the dispatcher's restart
-    budget and per-request hang detector.
+    report grows a ``chaos`` section with the schedule and what fired;
+    the supervisor's recovery accounting is in ``server_stats``.
+    ``max_restarts`` and ``request_timeout`` pass through to the
+    dispatcher's restart budget and per-request hang detector.
     """
     if concurrency < 1:
         raise ParameterError(f"concurrency must be >= 1, got {concurrency}")
@@ -671,8 +843,10 @@ def run_loadtest(
         )
     params = dict(params or {})
     spec, _ = resolve_method(method)
-    comparable = not spec.needs_rng and workload.num_updates == 0
-    served_metrics, served_estimates, degraded_estimates, stats = _run_served(
+    comparable = (
+        not spec.needs_rng or params.get("seed") is not None
+    ) and workload.num_updates == 0
+    served_metrics, served_answers, stats, counts = _run_served(
         make_graph,
         workload,
         method,
@@ -691,7 +865,7 @@ def run_loadtest(
         max_restarts=max_restarts,
         request_timeout=request_timeout,
     )
-    serial_metrics, serial_estimates = _run_serial(
+    serial_metrics, serial_answers = _run_serial(
         make_graph,
         workload,
         method,
@@ -706,21 +880,22 @@ def run_loadtest(
         # or expires some) — every one of them must match the sync
         # path bit for bit.
         identical = all(
-            np.array_equal(served_estimates[index], serial_estimates[index])
-            for index in served_estimates
+            _answer_bytes(served.result) == _answer_bytes(serial_answers[index])
+            for index, served in served_answers.items()
+            if not served.degraded
         )
-        if identical and degraded_estimates:
+        degraded = [s for s in served_answers.values() if s.degraded]
+        if identical and degraded:
             # Degraded answers are the sync answer to the *degraded*
             # request: replay those requests on a fresh serial engine.
             engine = PPREngine(make_graph(), alpha=alpha, seed=seed)
+            merged = {**params, **dict(degrade_params or {})}
             identical = all(
-                np.array_equal(
-                    estimate,
-                    engine.query(
-                        source, method, **dict(degrade_params or {})
-                    ).estimate,
+                _answer_bytes(served.result)
+                == _answer_bytes(
+                    engine.query(served.result.source, method, **merged)
                 )
-                for source, estimate in degraded_estimates.values()
+                for served in degraded
             )
     chaos_doc: dict[str, Any] = {}
     if injector is not None:
@@ -739,7 +914,6 @@ def run_loadtest(
                 {"kind": s.kind, "worker": s.worker, "at": s.at}
                 for s in fired
             ],
-            "supervisor": dict(stats.get("supervisor", {})),
         }
     return LoadtestReport(
         workload=workload.describe(),
@@ -751,6 +925,6 @@ def run_loadtest(
         identical=identical,
         server_stats=stats,
         workers=workers,
-        frontdoor=dict(stats["frontdoor"]),
+        frontdoor=counts,
         chaos=chaos_doc,
     )

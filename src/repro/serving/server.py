@@ -53,9 +53,9 @@ class EngineServer(ServingTier):
     alpha, seed:
         Engine construction parameters (ignored when an engine is
         passed).
-    cache_capacity, cache_ttl:
-        Result-cache sizing; ``cache_capacity=0`` disables result
-        caching (identical requests in flight still share one solve).
+    cache_capacity:
+        Result-cache entries; ``0`` disables result caching
+        (identical requests in flight still share one solve).
     wal_dir, wal_fsync, checkpoint_every:
         ``wal_dir`` makes the server durable: updates are logged to a
         write-ahead log (fsynced before the version ack unless
@@ -79,13 +79,12 @@ class EngineServer(ServingTier):
         alpha: float = 0.2,
         seed: int = 0,
         cache_capacity: int = 4096,
-        cache_ttl: float | None = None,
         wal_dir: str | Path | None = None,
         wal_fsync: bool = True,
         checkpoint_every: int | None = None,
         durability: Any | None = None,
     ) -> None:
-        super().__init__(cache_capacity, cache_ttl)
+        super().__init__(cache_capacity)
         if wal_dir is not None and durability is not None:
             raise ParameterError(
                 "pass wal_dir (server opens the durable state) or "
@@ -147,6 +146,11 @@ class EngineServer(ServingTier):
     @property
     def engine(self) -> PPREngine:
         return self._engine
+
+    @property
+    def dynamic_graph(self) -> DynamicGraph | None:
+        """The graph :meth:`apply_updates` changes (``None``: static)."""
+        return self._engine.dynamic_graph
 
     # -- where reads are answered and misses solved ----------------------
     def _read_version(self) -> int:

@@ -520,8 +520,8 @@ class ShardedDispatcher(ServingTier):
     alpha, seed, dead_end_policy:
         Per-worker engine construction (identical in every shard —
         answers must not depend on placement).
-    cache_capacity, cache_ttl:
-        Size (entries) and time-to-live of the cluster's one
+    cache_capacity:
+        Size (entries) of the cluster's one
         :class:`~repro.serving.cache.ResultCache`, held here in the
         dispatcher — cluster-wide, not per worker: every answer is
         cached once, whichever shard solved it, and survives that
@@ -581,7 +581,6 @@ class ShardedDispatcher(ServingTier):
         seed: int = 0,
         dead_end_policy: str = "redirect-to-source",
         cache_capacity: int = 4096,
-        cache_ttl: float | None = None,
         start_method: str | None = None,
         restart_policy: RestartPolicy | None = None,
         max_restarts: int | None = None,
@@ -594,7 +593,7 @@ class ShardedDispatcher(ServingTier):
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
         # The cluster's one result cache and its open flights.
-        super().__init__(cache_capacity, cache_ttl)
+        super().__init__(cache_capacity)
         if wal_dir is not None:
             if isinstance(graph_or_image, SharedGraphImage):
                 raise ParameterError(
@@ -786,6 +785,12 @@ class ShardedDispatcher(ServingTier):
         """Worker count the dispatcher was built with (the target the
         supervisor restores toward after crashes)."""
         return self._workers
+
+    @property
+    def dynamic_graph(self) -> DynamicGraph | None:
+        """The graph :meth:`apply_updates` changes (``None``: static);
+        every version the shards serve is a snapshot of it."""
+        return self._graph
 
     @property
     def image(self) -> SharedGraphImage:

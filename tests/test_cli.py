@@ -235,7 +235,14 @@ class TestServingCommands:
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "dblp-s"])
         assert args.cache_capacity == 4096
-        assert args.cache_ttl is None
+
+    def test_serve_cache_capacity_is_the_only_cache_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        out = capsys.readouterr().out
+        assert "--cache-capacity" in out
+        assert out.count("--cache-") == out.count("--cache-capacity")
+        assert "ttl" not in out
 
     def test_loadtest_parser_defaults(self):
         args = build_parser().parse_args(["loadtest"])

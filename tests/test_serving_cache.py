@@ -32,14 +32,6 @@ def result_for(source: int, version: int) -> PPRResult:
     )
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
 class TestMakeCacheKey:
     def test_canonicalises_aliases_and_param_order(self):
         a = make_cache_key(3, "powerpush", {"alpha": 0.2, "l1_threshold": 1e-8})
@@ -172,17 +164,6 @@ class TestResultCacheBasics:
         # the stale entry is gone for good, even for version 3 again
         assert cache.get(key, 3) is None
 
-    def test_ttl_expiry(self):
-        clock = FakeClock()
-        cache = ResultCache(8, ttl=10.0, clock=clock)
-        key = make_cache_key(0, "powerpush", {})
-        cache.put(key, result_for(0, 0), 0)
-        clock.now = 9.9
-        assert cache.get(key, 0) is not None
-        clock.now = 10.0
-        assert cache.get(key, 0) is None
-        assert cache.stats.expirations == 1
-
     def test_invalidate_with_version_drops_only_stale(self):
         cache = ResultCache(8)
         old = make_cache_key(0, "powerpush", {})
@@ -211,40 +192,48 @@ class TestResultCacheBasics:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             ResultCache(0)
-        with pytest.raises(ParameterError):
-            ResultCache(4, ttl=0.0)
+
+    @pytest.mark.parametrize("option", ["ttl", "clock"])
+    def test_has_no_time_to_live(self, option):
+        # Capacity is the cache's only setting: an answer at a given
+        # version never changes, so there is nothing to expire.
+        with pytest.raises(TypeError, match=option):
+            ResultCache(4, **{option: 5.0})
+
+    def test_an_entry_leaves_only_when_stale_or_evicted(self):
+        cache = ResultCache(2)
+        keys = [make_cache_key(s, "powerpush", {}) for s in range(4)]
+        cache.put(keys[0], result_for(0, 0), 0)
+        cache.put(keys[1], result_for(1, 0), 0)
+        for _ in range(1000):  # however often or late it is read
+            assert cache.get(keys[0], 0) is not None
+        cache.put(keys[2], result_for(2, 0), 0)  # evicts 1
+        assert cache.get(keys[1], 0) is None
+        assert cache.get(keys[2], 1) is None  # stale at version 1
+        cache.put(keys[3], result_for(3, 1), 1)
+        assert cache.invalidate(1) == 1  # 0 is stamped with version 0
+        assert len(cache) == 1
+        stats = cache.stats
+        assert (stats.evictions, stats.stale_drops, stats.invalidations) == (
+            1,
+            1,
+            1,
+        )
+        assert stats.insertions == (
+            len(cache)
+            + stats.evictions
+            + stats.stale_drops
+            + stats.invalidations
+        )
 
 
-class TestTTLVersionRaces:
-    """TTL expiry racing version invalidation (satellite: the two drop
-    paths share one mutex and one entry map; no interleaving of
-    concurrent get/put/invalidate/clock-advance may serve an entry
-    that is stale *or* expired, and no drop is double-counted)."""
+class TestVersionRaces:
+    """Fills and lookups racing version invalidation: no interleaving of
+    concurrent get/put/invalidate may serve an entry stamped with a
+    version other than the one the lookup presents."""
 
-    def test_simultaneously_stale_and_expired_drops_exactly_once(self):
-        clock = FakeClock()
-        cache = ResultCache(8, ttl=5.0, clock=clock)
-        key = make_cache_key(0, "powerpush", {})
-        cache.put(key, result_for(0, 0), 0)
-        clock.now = 50.0  # long expired...
-        assert cache.get(key, 1) is None  # ...and version-stale
-        assert cache.stats.stale_drops + cache.stats.expirations == 1
-        assert len(cache) == 0
-
-    def test_reput_after_expiry_serves_fresh_entry(self):
-        clock = FakeClock()
-        cache = ResultCache(8, ttl=5.0, clock=clock)
-        key = make_cache_key(0, "powerpush", {})
-        cache.put(key, result_for(0, 0), 0)
-        clock.now = 6.0
-        assert cache.get(key, 0) is None  # expired
-        cache.put(key, result_for(0, 0), 0)  # re-filled at the new time
-        assert cache.get(key, 0) is not None
-        assert cache.stats.expirations == 1
-
-    def test_concurrent_get_put_with_racing_expiry_and_invalidation(self):
-        clock = FakeClock()
-        cache = ResultCache(16, ttl=4.0, clock=clock)
+    def test_concurrent_get_put_with_racing_invalidation(self):
+        cache = ResultCache(16)
         keys = [make_cache_key(s, "powerpush", {}) for s in range(6)]
         version = [0]
         stop = threading.Event()
@@ -277,13 +266,11 @@ class TestTTLVersionRaces:
                 errors.append(exc)
 
         def churner() -> None:
-            # The writer path (bump + invalidate) racing the clock:
-            # entries die by staleness and by TTL in the same window.
+            # The writer path (bump + invalidate) racing the fills.
             try:
                 while not stop.is_set():
                     version[0] += 1
                     cache.invalidate(version[0])
-                    clock.now += 1.0
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -300,8 +287,8 @@ class TestTTLVersionRaces:
         stop_timer.cancel()
         assert not errors, errors[0]
         assert len(cache) <= 16
-        # Both drop paths were actually exercised by the race.
-        assert cache.stats.stale_drops + cache.stats.expirations > 0
+        # The stale-drop path was actually exercised by the race.
+        assert cache.stats.stale_drops > 0
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +302,6 @@ _actions = st.lists(
         st.tuples(st.just("get"), st.integers(0, 5)),
         st.tuples(st.just("bump"), st.just(0)),
         st.tuples(st.just("invalidate"), st.just(0)),
-        st.tuples(st.just("tick"), st.just(0)),
     ),
     min_size=1,
     max_size=60,
@@ -330,8 +316,7 @@ class TestRandomizedInterleavings:
     def test_version_consistency_under_any_interleaving(
         self, actions, capacity
     ):
-        clock = FakeClock()
-        cache = ResultCache(capacity, ttl=5.0, clock=clock)
+        cache = ResultCache(capacity)
         version = 0
         for op, source in actions:
             key = make_cache_key(source, "powerpush", {})
@@ -346,8 +331,6 @@ class TestRandomizedInterleavings:
                 version += 1
             elif op == "invalidate":
                 cache.invalidate(version)
-            elif op == "tick":
-                clock.now += 2.0
         # capacity is an invariant, not a hint
         assert len(cache) <= capacity
 

@@ -10,6 +10,7 @@ it.
 """
 
 import contextlib
+import inspect
 import os
 import signal
 import sys
@@ -25,6 +26,7 @@ from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph
 from repro.serving import EngineServer, ShardedDispatcher
+from repro.serving.flights import FlightTable
 
 PARAMS = {"l1_threshold": 1e-6}
 
@@ -228,13 +230,18 @@ def test_an_update_mid_flight_is_delivered_not_cached_stale(
 
 
 def test_cache_capacity_zero_still_dedupes(make_tier):
+    # Turning off memoisation must not turn off flights: a request
+    # identical to one being solved still costs no second solve.
     tier = make_tier(cache_capacity=0)
+    assert tier.server.cache is None
     with tier.held():
         futures = [
             tier.server.submit(5, "powerpush", **PARAMS) for _ in range(3)
         ]
+        assert tier.server._flight_table.stats() == {"led": 1, "joined": 2}
     first = futures[0].result(timeout=60)
     assert all(future.result(timeout=60) is first for future in futures)
+    assert tier.calls() == 1
     assert not tier.server.query(5, "powerpush", **PARAMS).cache_hit
     stats = tier.server.stats()
     assert stats["cache"] == {}
@@ -242,7 +249,18 @@ def test_cache_capacity_zero_still_dedupes(make_tier):
     assert tier.calls() == 2
 
 
-def test_fresh_bypasses_cache_and_flight(make_tier):
+@pytest.mark.parametrize("owner", [FlightTable, EngineServer, ShardedDispatcher])
+def test_cache_capacity_is_the_only_cache_setting(owner):
+    # An entry leaves when its version goes stale or LRU evicts it;
+    # there is no time-to-live to pass through.
+    names = inspect.signature(owner).parameters
+    assert [name for name in names if name.startswith("cache")] == [
+        "cache_capacity"
+    ]
+    assert not [name for name in names if "ttl" in name or "clock" in name]
+
+
+def test_fresh_bypasses_cache_and_flight(make_tier, base):
     tier = make_tier()
     warm = tier.server.query(5, "powerpush", **PARAMS)
     with tier.held():
@@ -250,15 +268,45 @@ def test_fresh_bypasses_cache_and_flight(make_tier):
             tier.server.submit(5, "powerpush", fresh=True, **PARAMS)
             for _ in range(2)
         ]
+        # each led a flight of its own, and neither is open to joiners
+        assert tier.server._flight_table.stats() == {"led": 3, "joined": 0}
+        assert not tier.server._flight_table
+    expected = PPREngine(base, alpha=0.2, seed=7).query(5, "powerpush", **PARAMS)
+    sharded = isinstance(tier.server, ShardedDispatcher)
+    worker = tier.server.route(5) if sharded else None
     for future in futures:
         served = future.result(timeout=60)
         assert not served.cache_hit and served.result is not warm.result
-        assert served.result.estimate.tobytes() == warm.result.estimate.tobytes()
+        assert served.worker == worker
+        assert_same_bytes(served, expected)
     assert tier.calls() == 3
     stats = tier.server.stats()
     assert stats["flights"] == {"led": 3, "joined": 0}
-    assert stats["cache"]["insertions"] == 1  # the warm-up's
-    assert stats["cache"]["hits"] == 0
+    assert stats["cache"]["insertions"] == 1  # the warm-up's; fresh fills nothing
+    assert stats["cache"]["hits"] == 0 and stats["cache"]["misses"] == 1
+
+
+def test_spelled_out_defaults_share_the_entry_and_the_flight(make_tier):
+    # alpha=0.2 and redirect-to-source are the tier's defaults:
+    # spelling them out must key (and fly) identically to omitting them.
+    tier = make_tier()
+    with tier.held():
+        futures = [
+            tier.server.submit(5, "powerpush", **PARAMS),
+            tier.server.submit(5, "powerpush", alpha=0.2, **PARAMS),
+            tier.server.submit(
+                5, "powerpush", dead_end_policy="redirect-to-source", **PARAMS
+            ),
+        ]
+        assert tier.server._flight_table.stats() == {"led": 1, "joined": 2}
+    first = futures[0].result(timeout=60)
+    assert all(future.result(timeout=60) is first for future in futures)
+    second = tier.server.query(5, "powerpush", alpha=0.2, **PARAMS)
+    assert second.cache_hit
+    assert_same_bytes(second, first.result)
+    assert tier.calls() == 1
+    # A different alpha is a different question.
+    assert not tier.server.query(5, "powerpush", alpha=0.3, **PARAMS).cache_hit
 
 
 def test_contended_reads_and_updates(make_tier, base):

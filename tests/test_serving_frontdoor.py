@@ -20,6 +20,7 @@ from repro.api import PPREngine
 from repro.core.result import PPRResult
 from repro.errors import (
     DeadlineExceeded,
+    NodeNotFoundError,
     ParameterError,
     ServerOverloadedError,
 )
@@ -204,6 +205,28 @@ class TestDegradation:
         np.testing.assert_array_equal(
             served.result.estimate, expected.estimate
         )
+
+    def test_a_degraded_request_keeps_its_own_parameters(self, server):
+        # Only the degrade keys are overridden: alpha=0.5 stays, so the
+        # answer is a less precise alpha=0.5 vector, not another one.
+        door = _overloaded_door(server)
+        served = run(
+            door.submit(3, "powerpush", alpha=0.5, l1_threshold=1e-8)
+        )
+        assert served.degraded is True
+        expected = PPREngine(paper_example_graph(), seed=3).query(
+            3, "powerpush", alpha=0.5, l1_threshold=1e-3
+        )
+        assert served.result.estimate.tobytes() == expected.estimate.tobytes()
+        assert served.result.residue.tobytes() == expected.residue.tobytes()
+
+    def test_a_method_without_the_degrade_keys_is_shed(self, server):
+        # SpeedPPR takes no l1_threshold: it has no cheaper tier.
+        door = _overloaded_door(server)
+        with pytest.raises(ServerOverloadedError):
+            run(door.submit(3, "speedppr", epsilon=0.5))
+        snap = door.snapshot()
+        assert (snap["shed"], snap["failed"], snap["degraded"]) == (1, 0, 0)
 
     def test_degraded_answer_is_keyed_on_its_method(self, server):
         # Two degraded requests for one source but different methods
@@ -488,3 +511,48 @@ class TestReadSide:
         for source in (2.7, np.float64(4.5), True, "3"):
             with pytest.raises(ParameterError, match="integer"):
                 tier.submit(source, "powerpush")
+
+
+class TestAccounting:
+    """The door counts every request's fate once, on both tiers."""
+
+    def test_every_submit_ends_in_exactly_one_counter(self, tier):
+        door = _overloaded_door(tier)  # 16 served requests
+        outcomes = []
+
+        async def submit(*args, **kwargs):
+            try:
+                served = await door.submit(*args, **kwargs)
+            except Exception as exc:  # noqa: BLE001 - recorded
+                outcomes.append(type(exc))
+            else:
+                outcomes.append(served.degraded)
+
+        async def drive():
+            await submit(3, "powerpush", l1_threshold=1e-8)  # degraded
+            await submit(3, "speedppr", epsilon=0.5)  # shed
+            await submit(3, "powerpush", deadline_ms=0.0)  # no budget
+            await submit(3, "powerpush", num_walk=3)  # unknown parameter
+            await submit(99, "powerpush")  # out-of-range source
+
+        run(drive())
+        assert outcomes == [
+            True,
+            ServerOverloadedError,
+            DeadlineExceeded,
+            ParameterError,
+            NodeNotFoundError,
+        ]
+        snap = door.snapshot()
+        assert snap["inflight"] == 0
+        assert snap["submitted"] == 21 == (
+            snap["completed"]
+            + snap["shed"]
+            + snap["deadline_rejected"]
+            + snap["deadline_expired"]
+            + snap["failed"]
+        )
+        assert (snap["completed"], snap["shed"], snap["failed"]) == (17, 1, 2)
+        assert snap["deadline_rejected"] == 1 and snap["deadline_expired"] == 0
+        # The two failures were degraded first; only completions count.
+        assert snap["degraded"] == 1 <= snap["completed"]

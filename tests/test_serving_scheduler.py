@@ -74,8 +74,6 @@ class TestSubmitValidation:
     def test_bad_construction_params(self):
         with pytest.raises(ParameterError):
             EngineServer(paper_example_graph(), cache_capacity=-1)
-        with pytest.raises(ParameterError):
-            EngineServer(paper_example_graph(), cache_ttl=0)
 
 
 class TestCoalescing:

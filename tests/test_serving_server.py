@@ -85,22 +85,6 @@ class TestCachedServing:
         assert stats["cache"]["hits"] == 1
         assert server.engine.stats.queries == 1
 
-    def test_explicit_engine_defaults_share_the_cache_entry(self, server):
-        # alpha=0.2 is the engine default: spelling it out must key
-        # (and fly) identically to omitting it.
-        server.query(0, "powerpush", l1_threshold=1e-7)
-        spelled = server.query(
-            0, "powerpush", l1_threshold=1e-7, alpha=0.2
-        )
-        assert spelled.cache_hit
-        assert server.engine.stats.queries == 1
-
-    def test_fresh_bypasses_cache(self, server):
-        server.query(0, "powerpush", l1_threshold=1e-7)
-        again = server.query(0, "powerpush", fresh=True, l1_threshold=1e-7)
-        assert not again.cache_hit
-        assert server.engine.stats.queries == 2
-
     def test_uncacheable_params_still_served(self, server):
         rng = np.random.default_rng(5)
         served = server.query(0, "montecarlo", num_walks=100, rng=rng)
@@ -115,25 +99,6 @@ class TestCachedServing:
             server.query(0, "powerpush", l1_threshold=1e-7)
             assert server.engine.stats.queries == 2
             assert server.stats()["cache"] == {}
-
-    def test_cache_disabled_still_coalesces_identical_requests(self, dyn):
-        # Turning off memoisation must not turn off flights: a request
-        # identical to one being solved still costs no second solve.
-        with EngineServer(dyn, seed=7, cache_capacity=0) as server:
-            release = threading.Event()
-            solve = server.engine.query
-
-            def held(*args, **kwargs):
-                release.wait(30)
-                return solve(*args, **kwargs)
-
-            server.engine.query = held
-            a = server.submit(0, "powerpush", l1_threshold=1e-7)
-            b = server.submit(0, "powerpush", l1_threshold=1e-7)
-            release.set()
-            assert a.result(5).result is b.result(5).result
-            assert server.stats()["flights"] == {"led": 1, "joined": 1}
-            assert server.engine.stats.queries == 1
 
     def test_cached_answers_are_frozen_against_mutation(self, server):
         served = server.query(0, "powerpush", l1_threshold=1e-7)

@@ -465,29 +465,6 @@ class TestParentCacheAndFlights:
             assert not disp._flight_table
             assert disp.stats()["cache"]["insertions"] == 1
 
-    def test_spelled_out_defaults_share_the_entry_and_the_flight(self, base):
-        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
-            with stopped(disp, disp.route(5)) as state:
-                futures = [
-                    disp.submit(5, "powerpush", **PARAMS),
-                    disp.submit(5, "powerpush", alpha=0.2, **PARAMS),
-                    disp.submit(
-                        5,
-                        "powerpush",
-                        dead_end_policy="redirect-to-source",
-                        **PARAMS,
-                    ),
-                ]
-                assert len(state.pending) == 1
-            first = futures[0].result(timeout=60)
-            assert all(f.result(timeout=60) is first for f in futures)
-            second = disp.query(5, "powerpush", alpha=0.2, **PARAMS)
-            assert second.cache_hit
-            assert_same_bytes(second, first.result)
-            assert engine_queries(disp) == 1
-            # A different alpha is a different question.
-            assert not disp.query(5, "powerpush", alpha=0.3, **PARAMS).cache_hit
-
     def test_cancelling_one_caller_leaves_the_flight_to_the_others(self, base):
         engine = PPREngine(base, alpha=0.2, seed=7)
         with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
@@ -522,28 +499,6 @@ class TestParentCacheAndFlights:
             with pytest.raises(ParameterError, match="l1_threshold"):
                 disp.query(5, "powerpush", **bad)
             assert disp.stats()["cache"]["insertions"] == 0
-
-    def test_fresh_bypasses_cache_and_flight(self, base):
-        engine = PPREngine(base, alpha=0.2, seed=7)
-        with ShardedDispatcher(base, workers=2, alpha=0.2, seed=7) as disp:
-            disp.query(5, "powerpush", **PARAMS)
-            with stopped(disp, disp.route(5)) as state:
-                futures = [
-                    disp.submit(5, "powerpush", fresh=True, **PARAMS)
-                    for _ in range(2)
-                ]
-                assert len(state.pending) == 2 and not disp._flight_table
-            for future in futures:
-                served = future.result(timeout=60)
-                assert not served.cache_hit
-                assert served.worker == disp.route(5)
-                assert_same_bytes(
-                    served, engine.query(5, "powerpush", **PARAMS)
-                )
-            assert engine_queries(disp) == 3
-            cache = disp.stats()["cache"]
-            assert cache["insertions"] == 1  # the warm-up's; fresh fills nothing
-            assert cache["hits"] == 0 and cache["misses"] == 1
 
     def test_only_a_flight_that_lasts_long_enough_is_joined(self, base):
         engine = PPREngine(base, alpha=0.2, seed=7)
@@ -699,22 +654,6 @@ class TestParentCacheAndFlights:
                 assert disp.graph_version == len(updates)
         finally:
             sys.setswitchinterval(interval)
-
-    def test_cache_capacity_zero_keeps_the_flights(self, base):
-        with ShardedDispatcher(
-            base, workers=2, alpha=0.2, seed=7, cache_capacity=0
-        ) as disp:
-            with stopped(disp, disp.route(5)) as state:
-                futures = [
-                    disp.submit(5, "powerpush", **PARAMS) for _ in range(3)
-                ]
-                assert len(state.pending) == 1
-            first = futures[0].result(timeout=60)
-            assert all(f.result(timeout=60) is first for f in futures)
-            assert not disp.query(5, "powerpush", **PARAMS).cache_hit
-            stats = disp.stats()
-            assert stats["cache"] == {}
-            assert engine_queries(disp) == 2
 
     def test_resubmit_on_a_closed_dispatcher_settles_outside_the_mutex(
         self, base

@@ -222,12 +222,30 @@ class TestRunLoadtest:
             make_static,
             workload,
             method="montecarlo",
-            params={"num_walks": 100, "seed": 3},
+            params={"num_walks": 100},
             concurrency=2,
             seed=8,
         )
         assert report.identical is None
         assert report.method == "montecarlo"
+
+    def test_seeded_stochastic_method_is_compared(self):
+        """A ``seed`` makes each answer a pure function of ``(seed,
+        source)``: served answers are checked against the serial ones,
+        estimate and residue alike."""
+        workload = WorkloadGenerator(
+            make_static().num_nodes, num_sources=6, seed=8
+        ).generate(20)
+        report = run_loadtest(
+            make_static,
+            workload,
+            method="speedppr",
+            params={"epsilon": 0.5, "seed": 11},
+            concurrency=2,
+            seed=8,
+        )
+        assert report.identical is True
+        assert report.method == "speedppr"
 
     def test_updates_require_dynamic_graph(self):
         workload = WorkloadGenerator(
@@ -406,7 +424,7 @@ class TestRunLoadtest:
             spec["kind"] == "kill" for spec in report.chaos["fired"]
         )
         assert kills_fired == 1
-        supervisor = report.chaos["supervisor"]
+        supervisor = report.server_stats["supervisor"]
         assert supervisor["respawns"] >= kills_fired
         assert supervisor["removed"] == []
         assert supervisor["degraded_capacity"] is False
