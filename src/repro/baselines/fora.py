@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from repro.core.fifo_fwdpush import fifo_forward_push
-from repro.core.mc_phase import monte_carlo_refine
+from repro.core.mc_phase import check_walk_source, monte_carlo_refine
 from repro.core.residues import DeadEndPolicy
 from repro.core.result import PPRResult
 from repro.core.validation import (
@@ -99,6 +99,7 @@ def fora(
         result.method = "FORA[mc-shortcut]"
         return result
 
+    check_walk_source(rng, walk_index)
     started = time.perf_counter()
     push_result = fifo_forward_push(
         graph,

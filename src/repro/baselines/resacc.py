@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from repro.core.kernels import frontier_push
-from repro.core.mc_phase import monte_carlo_refine
+from repro.core.mc_phase import check_walk_source, monte_carlo_refine
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
 from repro.core.validation import (
@@ -76,6 +76,7 @@ def resacc(
     if p_fail is None:
         p_fail = default_failure_probability(graph.num_nodes)
 
+    check_walk_source(rng, walk_index)
     num_walks_w = chernoff_walk_count(epsilon, mu, p_fail=p_fail)
     r_max = fora_r_max(graph, num_walks_w)
 

@@ -15,10 +15,11 @@ Every push-family algorithm in the paper reduces to three bulk moves:
 * an **asynchronous sweep** — push every node holding residue, node by
   node in ascending id, each push reading the residues the pushes
   before it left (the scan of PowerPush's Algorithm 3, and the dense
-  side of FIFO-FwdPush; cost model below).  Given a ``threshold`` it
-  pushes only the nodes with ``r > threshold[v]`` as it reaches them:
-  Algorithm 3's active-only scan, which is all of SpeedPPR's
-  post-refinement (:func:`~repro.core.refinement.refine_to_r_max`).
+  side of FIFO-FwdPush; cost model below).  Its active-only form,
+  :func:`refine_passes`, pushes only the nodes with ``r > threshold[v]``
+  as it reaches them, pass after pass until a pass pushes nothing:
+  all of SpeedPPR's post-refinement
+  (:func:`~repro.core.refinement.refine_to_r_max`).
 
 The switch between the local and the global moves is exactly the
 paper's "global sequential scan vs. local random access" trade-off
@@ -44,8 +45,9 @@ mutate the :class:`PushState` in place and keep its incremental
 The asynchronous sweep and its cost model
 -----------------------------------------
 :func:`async_sweep` (over a :class:`PushState`) and :func:`settle_sweep`
-(over raw arrays) run one C loop, :func:`extrapolate_window` a second
-and :func:`scatter_ranges` a third: ``_kernels.c``, compiled with the
+(over raw arrays) run one C loop, :func:`refine_passes` a second,
+:func:`extrapolate_window` a third, :func:`scatter_ranges` a fourth and
+:func:`index_read` a fifth: ``_kernels.c``, compiled with the
 ``cc`` on ``PATH`` on the first import of this module into
 ``__pycache__/_kernels-<key>.so`` — the key hashes the source, the
 flags and the machine, so a warm import starts no process — and
@@ -70,10 +72,10 @@ depends on the graph alone, not on the thread running it.  The C
 source is compiled with ``-ffp-contract=off`` (no fused multiply-add),
 so every product and sum rounds on its own and the loops give the bits
 of the same loops written in Python, on every architecture;
-``tests/test_core_async_sweep.py`` and
-``tests/test_core_gather_scatter.py`` check them against such
-references.  What *does* depend on node order is the answer
-itself: relabelling the graph changes which residues are fresh when,
+``tests/test_core_async_sweep.py``,
+``tests/test_core_gather_scatter.py`` and ``tests/test_mc_phase.py``
+check them against such references.  What *does* depend on node order
+is the answer itself: relabelling the graph changes which residues are fresh when,
 hence which of the valid answers (all within ``r_sum`` of the exact
 vector) comes out.
 
@@ -87,6 +89,20 @@ checks them against scipy).  Only BePI and the harness-only
 :func:`block_global_sweep` read ``P^T``, which the graph builds for
 them lazily, on first use.
 
+The refinement in one call
+--------------------------
+:func:`refine_passes` runs every pass of the refinement in one C call:
+the active-only scan, then the pass's dead-end mass routed by the
+state's policy as :func:`_apply_dead_end_mass` routes it, until a pass
+pushes nothing or the pass budget runs out.  No ``settled`` array is
+written, and Python bills the pushes once, so a query does not pay,
+per pass (20-25 a query from ``e_s`` on ``pokec-s`` x10 at ``epsilon =
+0.5``), a ctypes call, three array checks, a bill and an ``n``-long
+write that nothing reads; the bits are those of one call per pass.
+Variants measured slower than this plain scan: a dirty-node bitmap, a bitmap set when a node crosses
+its threshold, an 8-node skip-ahead block, and staged ``r_max`` (fewer
+updates, more passes).
+
 The range scatter under every local push
 ----------------------------------------
 :func:`scatter_ranges` adds one value per range of an ``int32`` index
@@ -96,16 +112,25 @@ so a target accumulates its shares on top of what it held one add at a
 time, ``r + c_1 + c_2 + ...``, in an order fixed by the frontier and
 the CSR.  :func:`frontier_propagate` (under :func:`frontier_push`)
 hands it the frontier's adjacency ranges, ``indptr[nodes]`` and the
-out-degrees, and the walk-index read of
-:func:`~repro.core.mc_phase.monte_carlo_refine` the first ``W_v``
-stops of every node, so a local push touches each frontier edge once,
-stages only one share per frontier node, and has no ``O(n)`` term —
-the cost the paper's analysis of the local side assumes (measured
-times: README, "Kernels").  The wrapper checks that every range lies
-inside the index array; that every index lies inside the vector is the
+out-degrees, and the live walk phase of
+:func:`~repro.core.mc_phase.monte_carlo_refine` each node's block of
+fresh stops, so a local push touches each frontier edge once, stages
+only one share per frontier node, and has no ``O(n)`` term — the cost
+the paper's analysis of the local side assumes (measured times:
+README, "Kernels").  The wrapper checks that every range lies inside
+the index array; that every index lies inside the vector is the
 caller's precondition, which a checked CSR
-(:class:`~repro.graph.digraph.DiGraph`) and a checked
-:class:`~repro.walks.index.WalkIndex` meet by construction.
+(:class:`~repro.graph.digraph.DiGraph`) meets by construction.
+
+:func:`index_read` is the same scatter for a walk index, with the
+ranges worked out in the loop: node ``v`` holding ``r > 0`` reads its
+first ``W_v = ceil(r * W)`` stops (at most ``K_v``), each adding
+``r / max(W_v, 1)`` — the bytes of ``required_walks`` plus one
+:func:`scatter_ranges`, without the dozen NumPy passes over the
+residue that built the ranges.  The loop checks each range it reads
+against the stops array, as :func:`scatter_ranges` does; that every
+stop lies inside ``[0, n)`` a checked
+:class:`~repro.walks.index.WalkIndex` meets by construction.
 
 PowerPush has no multi-source kernel: a batch is a per-source loop
 (README, "Why PowerPush has no block path").  :func:`block_global_sweep`
@@ -133,6 +158,8 @@ __all__ = [
     "frontier_push",
     "frontier_propagate",
     "settle_sweep",
+    "refine_passes",
+    "index_read",
     "extrapolate_window",
     "async_sweep",
     "sweep_active",
@@ -142,6 +169,8 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # No -march=native (it measured slower), and no fused multiply-add, so
 # the loops round like the same loops written in Python.
 _CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
+# After the source, so that the linker keeps libm (ceil).
+_LDLIBS = ("-lm",)
 
 
 def _build(cache_dir: Path) -> ctypes.CDLL:
@@ -155,7 +184,7 @@ def _build(cache_dir: Path) -> ctypes.CDLL:
     """
     key = hashlib.sha256(
         b"\0".join(
-            [_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+            [_SOURCE.read_bytes(), " ".join(_CFLAGS + _LDLIBS).encode(),
              platform.machine().encode()]
         )
     ).hexdigest()[:16]
@@ -173,7 +202,17 @@ def _build(cache_dir: Path) -> ctypes.CDLL:
     lib.repro_async_sweep.restype = ctypes.c_double
     lib.repro_async_sweep.argtypes = [
         count, pointer, pointer, ctypes.c_double,
-        pointer, pointer, pointer, pointer, ctypes.POINTER(count),
+        pointer, pointer, pointer, ctypes.POINTER(count),
+    ]
+    lib.repro_refine.restype = count
+    lib.repro_refine.argtypes = [
+        count, pointer, pointer, ctypes.c_double, pointer, pointer, pointer,
+        ctypes.c_int, count, count, ctypes.POINTER(count),
+    ]
+    lib.repro_index_read.restype = count
+    lib.repro_index_read.argtypes = [
+        count, pointer, count, pointer, ctypes.c_double, pointer,
+        ctypes.c_int, pointer, ctypes.POINTER(count),
     ]
     lib.repro_extrapolate_window.restype = ctypes.c_int
     lib.repro_extrapolate_window.argtypes = [count] + [pointer] * 4
@@ -192,7 +231,7 @@ def _compile(library: Path) -> None:
     os.close(fd)
     try:
         built = subprocess.run(
-            ["cc", *_CFLAGS, "-o", partial, str(_SOURCE)],
+            ["cc", *_CFLAGS, "-o", partial, str(_SOURCE), *_LDLIBS],
             capture_output=True,
             text=True,
         )
@@ -432,7 +471,7 @@ def sweep_active(
     of the nodes active means global), anew on every call — the loop of
     FIFO-FwdPush, which pushes until no node is active.
     (:func:`~repro.core.refinement.refine_to_r_max` runs the
-    active-only scan, :func:`settle_sweep` with a threshold, instead.)
+    active-only scan, :func:`refine_passes`, instead.)
     The global path is one :func:`async_sweep`, which pushes *every*
     residue-holding node (not only the active ones), as PowerPush's
     scan does.
@@ -469,15 +508,11 @@ def settle_sweep(
     reserve: np.ndarray,
     settled: np.ndarray,
     alpha: float,
-    *,
-    threshold: np.ndarray | None = None,
 ) -> tuple[int, int, float]:
     """One asynchronous sweep over raw arrays, the settle step fused in.
 
     For each node ``v`` in ascending id whose residue ``r`` is not zero
-    (either sign: :mod:`repro.core.incremental` pushes negative mass) —
-    or, given a ``threshold``, only where ``r > threshold[v]``: the
-    active-only scan of Algorithm 3, with ``threshold = d_v * r_max`` —
+    (either sign: :mod:`repro.core.incremental` pushes negative mass),
     zero ``residue[v]`` first, so a self-loop re-deposits; settle
     ``settled[v] = alpha * r`` into ``reserve[v]``; and add
     ``(1 - alpha) * r / out_degree`` to every out-neighbour in the live
@@ -490,21 +525,10 @@ def settle_sweep(
     is the caller's to route.
 
     ``residue``, ``reserve`` and ``settled`` are writable C-contiguous
-    float64 arrays of shape ``(n,)``; ``threshold`` is a C-contiguous
-    float64 array of shape ``(n,)`` that is only read (a read-only array
-    is fine).  Anything else raises :class:`~repro.errors.ParameterError`
-    before the C loop runs.
+    float64 arrays of shape ``(n,)``; anything else raises
+    :class:`~repro.errors.ParameterError` before the C loop runs.
     """
     n = graph.num_nodes
-    if threshold is not None and not (
-        isinstance(threshold, np.ndarray)
-        and threshold.dtype == np.float64
-        and threshold.shape == (n,)
-        and threshold.flags.c_contiguous
-    ):
-        raise ParameterError(
-            f"threshold must be a C-contiguous float64 array of shape ({n},)"
-        )
     counts = (ctypes.c_int64 * 2)()
     dead_mass = _LIB.repro_async_sweep(
         n,
@@ -514,10 +538,158 @@ def settle_sweep(
         _address(residue, n, "residue"),
         _address(reserve, n, "reserve"),
         _address(settled, n, "settled"),
-        None if threshold is None else threshold.ctypes.data,
         counts,
     )
     return counts[0], counts[1], dead_mass
+
+
+# repro_refine's policy codes, in the order of its enum.
+_DEAD_END_CODES = {"redirect-to-source": 0, "uniform-teleport": 1, "self-loop": 2}
+
+
+def refine_passes(
+    graph,
+    residue: np.ndarray,
+    reserve: np.ndarray,
+    alpha: float,
+    threshold: np.ndarray,
+    max_passes: int,
+    *,
+    source: int,
+    dead_end_policy: str,
+) -> tuple[int, int, int]:
+    """Passes of the active-only scan until one pushes nothing: one C call.
+
+    A pass pushes, in ascending id, each node ``v`` whose residue
+    exceeds ``threshold[v]`` when the pass reaches it (Algorithm 3's
+    active-only scan; ``threshold = d_v * r_max`` in
+    :func:`~repro.core.refinement.refine_to_r_max`), as
+    :func:`settle_sweep` pushes.  After a pass that pushed, the mass its
+    dead ends emitted is routed by ``dead_end_policy`` as
+    :func:`_apply_dead_end_mass` routes it, ``source`` being where
+    ``"redirect-to-source"`` sends it.  The loop stops at the first pass
+    that pushes nothing or once ``max_passes`` passes have pushed.
+
+    Returns ``(passes, pushes, residue_updates)``: the passes that
+    pushed (``max_passes`` when the budget ran out), and the nodes pushed
+    and the sum of their out-degrees over all of them.
+
+    ``residue`` and ``reserve`` are writable C-contiguous float64 arrays
+    of shape ``(n,)``; ``threshold`` is a C-contiguous float64 array of
+    shape ``(n,)`` that is only read (a read-only array is fine);
+    ``max_passes >= 1``; ``source`` is an id in ``[0, n)``.  Anything else
+    raises :class:`~repro.errors.ParameterError` before the C loop runs.
+    """
+    n = graph.num_nodes
+    if not (
+        isinstance(threshold, np.ndarray)
+        and threshold.dtype == np.float64
+        and threshold.shape == (n,)
+        and threshold.flags.c_contiguous
+    ):
+        raise ParameterError(
+            f"threshold must be a C-contiguous float64 array of shape ({n},)"
+        )
+    if dead_end_policy not in _DEAD_END_CODES:
+        raise ParameterError(f"unknown dead-end policy {dead_end_policy!r}")
+    if not 0 <= source < n:
+        raise ParameterError(f"source must be an id in [0, {n})")
+    if max_passes < 1:
+        raise ParameterError(f"max_passes must be at least 1, got {max_passes}")
+    counts = (ctypes.c_int64 * 2)()
+    passes = _LIB.repro_refine(
+        n,
+        graph.out_indptr.ctypes.data,
+        graph.out_indices.ctypes.data,
+        alpha,
+        _address(residue, n, "residue"),
+        _address(reserve, n, "reserve"),
+        threshold.ctypes.data,
+        _DEAD_END_CODES[dead_end_policy],
+        source,
+        max_passes,
+        counts,
+    )
+    if passes < 0:
+        raise AssertionError(
+            "structural self-loop graphs cannot emit dead-end mass"
+        )
+    return passes, counts[0], counts[1]
+
+
+def index_read(
+    out: np.ndarray,
+    residue: np.ndarray,
+    indptr: np.ndarray,
+    stops: np.ndarray,
+    num_walks_w: float,
+    *,
+    cap: bool,
+) -> tuple[int, int, int]:
+    """Eq. 13 from a walk index, in place: one C loop over the nodes.
+
+    For each ``v`` in ascending id with ``r = residue[v] > 0``, node
+    ``v`` is owed ``W_v = ceil(r * W)`` walks and the index holds
+    ``K_v = indptr[v + 1] - indptr[v]``.  Each of ``v``'s first ``W_v``
+    stops ``u`` gets ``out[u] += r / max(W_v, 1)``: the bytes of
+    :func:`~repro.core.mc_phase.required_walks` followed by one
+    :func:`scatter_ranges`.  A short node (``W_v > K_v``) reads its
+    ``K_v`` walks when ``cap``; otherwise the read stops there, ``out``
+    part-written.
+
+    Returns ``(walks, short_nodes, first_short)``: the walks read, the
+    short nodes met, and the first of them (``-1`` when none).
+
+    ``out`` is a writable C-contiguous float64 vector of shape ``(n,)``
+    and ``residue`` a C-contiguous float64 one; ``indptr`` (``int64``,
+    ``n + 1`` entries) and ``stops`` (C-contiguous ``int32`` ids in
+    ``[0, n)``) are a checked :class:`~repro.walks.index.WalkIndex`'s.
+    A wrong dtype, shape or layout raises
+    :class:`~repro.errors.ParameterError` before the C loop runs, and a
+    range to read that is not inside ``stops`` raises it from the loop,
+    ``out`` part-written.
+    """
+    n = np.size(out)
+    if not (
+        isinstance(residue, np.ndarray)
+        and residue.dtype == np.float64
+        and residue.shape == (n,)
+        and residue.flags.c_contiguous
+    ):
+        raise ParameterError(
+            f"residue must be a C-contiguous float64 array of shape ({n},)"
+        )
+    if not (
+        isinstance(indptr, np.ndarray)
+        and indptr.dtype == np.int64
+        and indptr.shape == (n + 1,)
+        and indptr.flags.c_contiguous
+        and isinstance(stops, np.ndarray)
+        and stops.dtype == np.int32
+        and stops.ndim == 1
+        and stops.flags.c_contiguous
+    ):
+        raise ParameterError(
+            f"a walk index of {n} nodes needs a C-contiguous int64 indptr of "
+            f"length {n + 1} and a C-contiguous int32 stops vector"
+        )
+    counts = (ctypes.c_int64 * 2)()
+    first_short = _LIB.repro_index_read(
+        n,
+        indptr.ctypes.data,
+        stops.shape[0],
+        stops.ctypes.data,
+        num_walks_w,
+        residue.ctypes.data,
+        cap,
+        _address(out, n, "out"),
+        counts,
+    )
+    if first_short == -2:
+        raise ParameterError(
+            f"a walk range reaches outside the {stops.shape[0]} stops"
+        )
+    return counts[0], counts[1], first_short
 
 
 def extrapolate_window(

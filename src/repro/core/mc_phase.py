@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.kernels import scatter_ranges
+from repro.core.kernels import index_read, scatter_ranges
 from repro.core.residues import DeadEndPolicy
 from repro.errors import IndexMismatchError, ParameterError
 from repro.graph.digraph import DiGraph
@@ -28,9 +28,21 @@ from repro.instrumentation.counters import PushCounters
 from repro.walks.engine import simulate_walk_stops
 from repro.walks.index import WalkIndex
 
-__all__ = ["monte_carlo_refine", "required_walks"]
+__all__ = ["check_walk_source", "monte_carlo_refine", "required_walks"]
 
 OnInsufficient = Literal["error", "cap"]
+
+
+def check_walk_source(
+    rng: np.random.Generator | None, walk_index: WalkIndex | None
+) -> None:
+    """Raise unless the walk phase has walks to read or an rng to run them.
+
+    Solvers call it before their push phase, which a missing walk source
+    would otherwise waste.
+    """
+    if walk_index is None and rng is None:
+        raise ParameterError("live Monte-Carlo phase requires an rng")
 
 
 def required_walks(residue: np.ndarray, num_walks_w: float) -> np.ndarray:
@@ -79,14 +91,15 @@ def monte_carlo_refine(
         policy so that walks and residues agree (an index is built on
         a dead-end-free graph, so it never applies there).
     """
-    if walk_index is None and rng is None:
-        raise ParameterError("live Monte-Carlo phase requires an rng")
+    check_walk_source(rng, walk_index)
     n = graph.num_nodes
     if reserve.shape != (n,) or residue.shape != (n,):
         raise ParameterError(
             f"reserve and residue must have shape ({n},), got "
             f"{reserve.shape} and {residue.shape}"
         )
+    if num_walks_w <= 0:
+        raise ParameterError(f"W must be positive, got {num_walks_w}")
     if walk_index is not None:
         walk_index.check_graph(graph)
         if abs(walk_index.alpha - alpha) > 1e-12:
@@ -95,50 +108,63 @@ def monte_carlo_refine(
             )
 
     estimate = reserve.astype(np.float64, copy=True)
+    if walk_index is not None:
+        return _read_index(
+            estimate, residue, num_walks_w, walk_index, counters, on_insufficient
+        )
     nodes = np.flatnonzero(residue > 0.0)
     if nodes.shape[0] == 0:
         return estimate
 
     walks_needed = required_walks(residue[nodes], num_walks_w)
-
-    if walk_index is not None:
-        first = walk_index.indptr[nodes]
-        available = walk_index.indptr[nodes + 1] - first
-        short = walks_needed > available
-        if np.any(short):
-            if on_insufficient == "error":
-                worst = nodes[short][0]
-                raise IndexMismatchError(
-                    f"node {int(worst)} needs "
-                    f"{int(walks_needed[short][0])} walks but the index "
-                    f"holds {int(available[short][0])} "
-                    f"(policy={walk_index.policy!r}); rebuild the index "
-                    "or pass on_insufficient='cap'"
-                )
-            walks_needed = np.minimum(walks_needed, available)
-            if counters is not None:
-                counters.bump("index_capped_nodes", int(short.sum()))
-        # Node v reads its first W_v pre-computed stops.
-        stops = walk_index.stops
-        steps = 0
-    else:
-        assert rng is not None
-        stops, steps = simulate_walk_stops(
-            graph,
-            np.repeat(nodes, walks_needed),
-            alpha=alpha,
-            source=source,
-            dead_end_policy=dead_end_policy,
-            rng=rng,
-        )
-        stops = stops.astype(np.int32)
-        first = np.cumsum(walks_needed) - walks_needed
-
-    # Every walk from v adds r(s, v) / W_v where it stopped (Eq. 13); a
-    # node capped to zero walks owns an empty range and adds nothing.
+    assert rng is not None
+    stops, steps = simulate_walk_stops(
+        graph,
+        np.repeat(nodes, walks_needed),
+        alpha=alpha,
+        source=source,
+        dead_end_policy=dead_end_policy,
+        rng=rng,
+    )
+    # Every walk from v adds r(s, v) / W_v where it stopped (Eq. 13).
     weights = residue[nodes] / np.maximum(walks_needed, 1)
-    scatter_ranges(estimate, stops, first, walks_needed, weights)
+    first = np.cumsum(walks_needed) - walks_needed
+    scatter_ranges(estimate, stops.astype(np.int32), first, walks_needed, weights)
     if counters is not None:
         counters.random_walks += int(walks_needed.sum())
         counters.walk_steps += steps
+    return estimate
+
+
+def _read_index(
+    estimate: np.ndarray,
+    residue: np.ndarray,
+    num_walks_w: float,
+    walk_index: WalkIndex,
+    counters: PushCounters | None,
+    on_insufficient: OnInsufficient,
+) -> np.ndarray:
+    """Eq. 13 from the index: node v reads its first W_v pre-computed
+    stops, in one C call (:func:`~repro.core.kernels.index_read`)."""
+    residue = np.ascontiguousarray(residue, dtype=np.float64)
+    walks, capped, worst = index_read(
+        estimate,
+        residue,
+        walk_index.indptr,
+        walk_index.stops,
+        num_walks_w,
+        cap=on_insufficient != "error",
+    )
+    if capped and on_insufficient == "error":
+        needed = required_walks(residue[worst : worst + 1], num_walks_w)[0]
+        raise IndexMismatchError(
+            f"node {worst} needs {int(needed)} walks but the index holds "
+            f"{walk_index.walks_available(worst)} "
+            f"(policy={walk_index.policy!r}); rebuild the index "
+            "or pass on_insufficient='cap'"
+        )
+    if counters is not None:
+        if capped:
+            counters.bump("index_capped_nodes", capped)
+        counters.random_walks += walks
     return estimate

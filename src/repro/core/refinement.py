@@ -18,23 +18,25 @@ of which about 21 are used.
 
 :func:`refine_to_r_max` performs exactly those remaining pushes on an
 existing :class:`PushState` in the cheapest order measured, Algorithm
-3's active-only scan: passes of the C sweep
-(:func:`~repro.core.kernels.settle_sweep` with ``threshold = d_v *
-r_max``), each pushing in ascending id only the nodes with ``r > d_v *
-r_max`` as it reaches them, until a pass pushes nothing.  A pass reads
-no mask and gathers no frontier.  On ``pokec-s`` x10 at SpeedPPR's
-``W`` ~ 1.0e7 (epsilon 0.5; median of 40 sources on a shared 2-vCPU VM)
-this took the refinement from ~30 rounds of the auto-switching sweep
-kernel, each an O(n) mask plus a simultaneous push of the active set
-(7.0-7.9 ms, 585 k residue updates a query), to ~15 passes (3.9 ms,
-469 k).
+3's active-only scan: passes that each push, in ascending id, only the
+nodes with ``r > d_v * r_max`` as they reach them, until a pass pushes
+nothing.  A pass reads no mask and gathers no frontier.  On ``pokec-s``
+x10 at SpeedPPR's ``W`` ~ 1.0e7 (epsilon 0.5; median of 40 sources on
+a shared 2-vCPU VM) this took the refinement from ~30 rounds of the
+auto-switching sweep kernel, each an O(n) mask plus a simultaneous push
+of the active set (7.0-7.9 ms, 585 k residue updates a query), to ~15
+passes (3.9 ms, 469 k).
+
+All the passes, and the dead-end routing between them, are one C call
+(:func:`~repro.core.kernels.refine_passes`) with the bytes of a loop of
+single passes; from ``e_s`` on ``pokec-s`` x10 at epsilon 0.5 (30
+sources, best of 5 each, one pinned CPU of a shared 2-vCPU VM) that
+took the refinement from 8.8-9.4 to 7.0-8.2 ms.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.kernels import _apply_dead_end_mass, settle_sweep
+from repro.core.kernels import refine_passes
 from repro.core.residues import PushState
 from repro.core.validation import check_r_max
 from repro.errors import ConvergenceError, ParameterError
@@ -68,27 +70,25 @@ def refine_to_r_max(
         excess = max(state.r_sum / max(r_max, 1e-300), 2.0)
         max_sweeps = int(8.0 * (math.log(excess) + 1.0) / state.alpha) + 64
 
-    threshold = state.threshold_vector(r_max)
-    settled = np.empty(state.graph.num_nodes)
-    sweeps = 0
-    while True:
-        pushes, updates, dead_mass = settle_sweep(
-            state.graph,
-            state.residue,
-            state.reserve,
-            settled,
-            state.alpha,
-            threshold=threshold,
+    # The first pass over budget still runs, billed and routed, before
+    # the raise: the state the raise leaves is that of max_sweeps + 1
+    # passes.
+    limit = max(max_sweeps, 0) + 1
+    passes, pushes, updates = refine_passes(
+        state.graph,
+        state.residue,
+        state.reserve,
+        state.alpha,
+        state.threshold_vector(r_max),
+        limit,
+        source=state.source,
+        dead_end_policy=state.dead_end_policy,
+    )
+    state.counters.count_bulk_pushes(pushes, updates)
+    if passes == limit:
+        raise ConvergenceError(
+            f"refinement exceeded {max_sweeps} sweeps "
+            f"(r_sum={state.refresh_r_sum():.3e}, r_max={r_max:.3e})"
         )
-        if pushes == 0:
-            break
-        state.counters.count_bulk_pushes(pushes, updates)
-        _apply_dead_end_mass(state, dead_mass)
-        sweeps += 1
-        if sweeps > max_sweeps:
-            raise ConvergenceError(
-                f"refinement exceeded {max_sweeps} sweeps "
-                f"(r_sum={state.refresh_r_sum():.3e}, r_max={r_max:.3e})"
-            )
     state.refresh_r_sum()
     return state

@@ -29,6 +29,14 @@ to 12.3 ms on ``webst-s`` x20 (3.29 M -> 3.79 M, 227 k -> 214 k), but
 a live query from 47.7 to 71.7 and from 54.1 to 62.7 ms, so the live
 path keeps PowerPush.
 
+An indexed query is then two C calls: the refinement's passes
+(:func:`~repro.core.kernels.refine_passes`) and the index read
+(:func:`~repro.core.kernels.index_read`), each one loop with the bytes
+of the per-pass calls and the NumPy read they replaced.  On ``pokec-s``
+x10 at ``eps = 0.5`` (30 sources, best of 5 each, one pinned CPU of a
+shared 2-vCPU VM) the refinement went from 8.8-9.4 to 7.0-8.2 ms and
+the read from 2.1-2.2 to 1.5-1.7 ms a query.
+
 When ``m >= W`` the Monte-Carlo method alone is already cheaper
 (Section 6's standing assumption is ``m < W``); like the paper, we
 switch to it in that regime.
@@ -40,7 +48,7 @@ import time
 
 import numpy as np
 
-from repro.core.mc_phase import monte_carlo_refine
+from repro.core.mc_phase import check_walk_source, monte_carlo_refine
 from repro.core.powerpush import power_push
 from repro.core.refinement import refine_to_r_max
 from repro.core.residues import DeadEndPolicy, PushState
@@ -134,6 +142,7 @@ def speed_ppr(
         )
         return result
 
+    check_walk_source(rng, walk_index)
     started = time.perf_counter()
     if walk_index is None:
         # Phase 1, live: PowerPush to lambda = m / W, then refine so

@@ -1,10 +1,13 @@
-"""The asynchronous sweep and the epoch-end extrapolation, in C.
+"""The asynchronous sweep, the refinement's scan and the epoch-end
+extrapolation, in C.
 
-``settle_sweep`` / ``async_sweep`` and ``extrapolate_window`` are loops
-in ``repro/core/_kernels.c``.  The references below say what they
-compute, and the C must give their bits: a pure-Python loop over the
-node ids for the sweep (with and without the active-only threshold),
-and the NumPy body the extrapolation had before it moved to C.  What must hold besides: one sweep conserves
+``settle_sweep`` / ``async_sweep``, ``refine_passes`` and
+``extrapolate_window`` are loops in ``repro/core/_kernels.c``.  The
+references below say what they compute, and the C must give their bits:
+a pure-Python loop over the node ids for the sweep, the same loop with
+the active-only threshold, pass after pass with dead-end routing in
+between, for the refinement, and the NumPy body the extrapolation had
+before it moved to C.  What must hold besides: one sweep conserves
 ``sum(reserve) + sum(residue)``, keeps the push invariant (checked
 against ``exact_ppr_dense``) and bills what it pushed; mass that
 reaches a later node is pushed in the same sweep; and an array the C
@@ -22,6 +25,7 @@ from repro.core.kernels import (
     async_sweep,
     extrapolate_window,
     frontier_push,
+    refine_passes,
     settle_sweep,
     sweep_active,
 )
@@ -83,7 +87,7 @@ def reference_sweep(graph, residue, reserve, settled, alpha, threshold=None):
 
     Without ``threshold`` every node holding residue is pushed; with it,
     only a node whose residue exceeds ``threshold[v]`` when the loop
-    reaches it.  Python floats are IEEE doubles and every operation
+    reaches it (one pass of ``refine_passes``).  Python floats are IEEE doubles and every operation
     rounds on its own, as in the C compiled without fused multiply-add.
     """
     indptr, indices = graph.out_indptr.tolist(), graph.out_indices.tolist()
@@ -112,6 +116,34 @@ def reference_sweep(graph, residue, reserve, settled, alpha, threshold=None):
     return pushes, edges, dead_mass
 
 
+def reference_refine(
+    graph, residue, reserve, threshold, max_passes, *, source, policy
+):
+    """Passes of the thresholded ``reference_sweep`` with the dead-end
+    routing of ``_apply_dead_end_mass`` in between: what
+    ``refine_passes`` computes.  Returns ``(passes, pushes, updates)``."""
+    n = graph.num_nodes
+    passes = pushes = updates = 0
+    while True:
+        pushed, edges, dead_mass = reference_sweep(
+            graph, residue, reserve, np.empty(n), ALPHA, threshold
+        )
+        if pushed == 0:
+            return passes, pushes, updates
+        pushes += pushed
+        updates += edges
+        if dead_mass != 0.0:
+            if policy == "redirect-to-source":
+                residue[source] += dead_mass
+            elif policy == "uniform-teleport":
+                residue += dead_mass / n
+            else:
+                raise AssertionError("self-loop graphs have no dead end")
+        passes += 1
+        if passes >= max_passes:
+            return passes, pushes, updates
+
+
 def reference_extrapolate_window(reserve, residue, settled, r_before):
     """The NumPy body ``extrapolate_window`` had before it moved to C."""
     fall = np.subtract(r_before, residue)
@@ -129,17 +161,44 @@ def reference_extrapolate_window(reserve, residue, settled, r_before):
     return True
 
 
-def assert_sweep_matches_reference(graph, residue, reserve, threshold=None):
+def assert_sweep_matches_reference(graph, residue, reserve):
     """Run C and reference on copies of the same arrays; same bits."""
     n = graph.num_nodes
     c_arrays = (residue.copy(), reserve.copy(), np.full(n, np.nan))
     py_arrays = (residue.copy(), reserve.copy(), np.full(n, np.nan))
-    got = settle_sweep(graph, *c_arrays, ALPHA, threshold=threshold)
-    expected = reference_sweep(graph, *py_arrays, ALPHA, threshold)
+    got = settle_sweep(graph, *c_arrays, ALPHA)
+    expected = reference_sweep(graph, *py_arrays, ALPHA)
     assert got == expected
     for c, py in zip(c_arrays, py_arrays):
         assert c.tobytes() == py.tobytes()
     return c_arrays
+
+
+def assert_scan_matches_reference(
+    graph,
+    residue,
+    reserve,
+    threshold,
+    max_passes=1,
+    *,
+    source=0,
+    policy="redirect-to-source",
+):
+    """``refine_passes`` and ``reference_refine`` on copies; same bits.
+    Returns the C's ``(passes, pushes, updates)``, residue and reserve."""
+    c_arrays = (residue.copy(), reserve.copy())
+    py_arrays = (residue.copy(), reserve.copy())
+    got = refine_passes(
+        graph, *c_arrays, ALPHA, threshold, max_passes,
+        source=source, dead_end_policy=policy,
+    )
+    expected = reference_refine(
+        graph, *py_arrays, threshold, max_passes, source=source, policy=policy
+    )
+    assert got == expected
+    for c, py in zip(c_arrays, py_arrays):
+        assert c.tobytes() == py.tobytes()
+    return (got, *c_arrays)
 
 
 def assert_extrapolation_matches_reference(reserve, residue, settled, r_before):
@@ -356,9 +415,10 @@ class TestSignedAndThresholded:
                 extrapolate_window(np.zeros(n), np.ones(n), np.ones(n), array)
 
 
-def check_active_only_sweep(graph, source, policy, warmup_pushes, r_max):
-    """One thresholded sweep, as the refinement runs it, against the
-    reference; every node active at entry is pushed, and mass is kept."""
+def check_active_only_scan(graph, source, policy, warmup_pushes, r_max):
+    """The refinement's scan, one pass and up to 40, against the
+    reference; every node active at entry is pushed in the first pass,
+    and mass is kept."""
     graph = prepared(graph, policy)
     state = PushState(graph, source, ALPHA, dead_end_policy=policy)
     for _ in range(warmup_pushes):
@@ -366,23 +426,30 @@ def check_active_only_sweep(graph, source, policy, warmup_pushes, r_max):
     threshold = state.threshold_vector(r_max)
     active = state.residue > threshold
     mass = state.mass_total()
-    residue, reserve, settled = assert_sweep_matches_reference(
-        graph, state.residue, state.reserve, threshold
+    (passes, pushes, _), residue, reserve = assert_scan_matches_reference(
+        graph, state.residue, state.reserve, threshold,
+        source=source, policy=policy,
     )
+    settled = np.empty(graph.num_nodes)
+    assert reference_sweep(
+        graph, state.residue.copy(), state.reserve.copy(), settled, ALPHA,
+        threshold,
+    )[0] == pushes
+    assert passes == int(pushes > 0)
     # Residues only grow until the loop reaches a node, so a node active
     # at entry is still active there; a node never active pushes nothing.
     assert (settled[active] > 0.0).all()
     assert (settled[settled != 0.0] > 0.0).all()
-    pushed = settled != 0.0
-    dead = pushed & (graph.out_degree == 0)
-    dead_mass = (1.0 - ALPHA) * float((settled[dead] / ALPHA).sum())
-    assert reserve.sum() + residue.sum() + dead_mass == pytest.approx(
-        mass, abs=1e-12
+    # The dead ends' mass is routed back into the residues.
+    assert reserve.sum() + residue.sum() == pytest.approx(mass, abs=1e-12)
+    assert_scan_matches_reference(
+        graph, state.residue, state.reserve, threshold, 40,
+        source=source, policy=policy,
     )
 
 
 class TestActiveOnlySweep:
-    """``settle_sweep(..., threshold=t)`` pushes only ``r > t[v]``."""
+    """``refine_passes(..., threshold=t)`` pushes only ``r > t[v]``."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("name", sorted(CORNER_GRAPHS))
@@ -391,7 +458,7 @@ class TestActiveOnlySweep:
         for source in (0, graph.num_nodes - 1):
             for warmup in (0, 2):
                 for r_max in (0.0, 1e-3, 0.05, 0.3):
-                    check_active_only_sweep(graph, source, policy, warmup, r_max)
+                    check_active_only_scan(graph, source, policy, warmup, r_max)
 
     @settings(
         max_examples=60,
@@ -408,7 +475,7 @@ class TestActiveOnlySweep:
     )
     def test_random_graphs(self, n, edge_seed, density, policy, warmup, r_max):
         graph, source = random_graph(n, edge_seed, density)
-        check_active_only_sweep(graph, source, policy, warmup, r_max)
+        check_active_only_scan(graph, source, policy, warmup, r_max)
 
     @settings(
         max_examples=60,
@@ -419,16 +486,21 @@ class TestActiveOnlySweep:
         n=st.integers(1, 12),
         edge_seed=st.integers(0, 2**32 - 1),
         density=st.floats(0.0, 3.0),
+        max_passes=st.integers(1, 4),
     )
-    def test_signed_residues_and_thresholds(self, n, edge_seed, density):
+    def test_signed_residues_and_thresholds(
+        self, n, edge_seed, density, max_passes
+    ):
         """The comparison alone decides, for any signs: a negative
         threshold pushes a node holding nothing, which moves no bit."""
-        graph, _ = random_graph(n, edge_seed, density)
+        graph, source = random_graph(n, edge_seed, density)
         rng = np.random.default_rng(edge_seed)
         residue = np.where(rng.random(n) < 0.3, 0.0, rng.normal(size=n))
-        assert_sweep_matches_reference(
-            graph, residue, np.zeros(n), rng.normal(scale=0.5, size=n)
-        )
+        for policy in ("redirect-to-source", "uniform-teleport"):
+            assert_scan_matches_reference(
+                graph, residue, np.zeros(n), rng.normal(scale=0.5, size=n),
+                max_passes, source=source, policy=policy,
+            )
 
     def test_zero_threshold_is_the_full_sweep_on_non_negative_residues(
         self, medium_graph
@@ -437,8 +509,12 @@ class TestActiveOnlySweep:
         residue = np.random.default_rng(3).random(n)
         residue[::3] = 0.0
         full = assert_sweep_matches_reference(medium_graph, residue, np.zeros(n))
-        zero = assert_sweep_matches_reference(
-            medium_graph, residue, np.zeros(n), np.zeros(n)
+        dead_mass = settle_sweep(
+            medium_graph, residue.copy(), np.zeros(n), np.empty(n), ALPHA
+        )[2]
+        full[0][5] += dead_mass
+        _, *zero = assert_scan_matches_reference(
+            medium_graph, residue, np.zeros(n), np.zeros(n), source=5
         )
         for a, b in zip(full, zero):
             assert a.tobytes() == b.tobytes()
@@ -447,7 +523,7 @@ class TestActiveOnlySweep:
         n = medium_graph.num_nodes
         read_only = np.full(n, 1e-3)
         read_only.flags.writeable = False
-        assert_sweep_matches_reference(
+        assert_scan_matches_reference(
             medium_graph, np.full(n, 2e-3), np.zeros(n), read_only
         )
         bad = {
@@ -456,11 +532,58 @@ class TestActiveOnlySweep:
             "wrong length": np.zeros(n - 1),
             "a list": [0.0] * n,
         }
-        for label, threshold in bad.items():
-            arrays = [np.full(n, 0.5) for _ in range(3)]
+        for label, array in bad.items():
+            arrays = [np.full(n, 0.5) for _ in range(2)]
             with pytest.raises(ParameterError, match="threshold"):
-                settle_sweep(medium_graph, *arrays, ALPHA, threshold=threshold)
+                refine_passes(
+                    medium_graph, *arrays, ALPHA, array, 1,
+                    source=0, dead_end_policy="redirect-to-source",
+                )
             assert all((a == 0.5).all() for a in arrays), label
+        # What the scan writes must also be writable.
+        bad["read-only"] = np.zeros(n)
+        bad["read-only"].flags.writeable = False
+        del bad["a list"]
+        for label, array in bad.items():
+            for slot in range(2):
+                arrays = [np.full(n, 0.5) for _ in range(2)]
+                arrays[slot] = array
+                with pytest.raises(ParameterError, match="float64"):
+                    refine_passes(
+                        medium_graph, *arrays, ALPHA, np.zeros(n), 1,
+                        source=0, dead_end_policy="redirect-to-source",
+                    )
+                assert (arrays[1 - slot] == 0.5).all(), label
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"max_passes": 0}, "max_passes"),
+            ({"source": -1}, "source"),
+            ({"source": 300}, "source"),
+            ({"dead_end_policy": "teleport"}, "policy"),
+        ],
+    )
+    def test_other_arguments_checked(self, medium_graph, change, match):
+        n = medium_graph.num_nodes
+        residue = np.full(n, 0.5)
+        kwargs = {
+            "max_passes": 1, "source": 0, "dead_end_policy": "uniform-teleport",
+            **change,
+        }
+        with pytest.raises(ParameterError, match=match):
+            refine_passes(
+                medium_graph, residue, np.zeros(n), ALPHA, np.zeros(n), **kwargs
+            )
+        assert (residue == 0.5).all()
+
+    def test_dead_end_mass_under_self_loop_is_an_error(self):
+        graph = chain_graph(3)
+        with pytest.raises(AssertionError, match="self-loop"):
+            refine_passes(
+                graph, np.array([0.0, 0.0, 1.0]), np.zeros(3), ALPHA,
+                np.zeros(3), 5, source=0, dead_end_policy="self-loop",
+            )
 
 
 class TestGraphsThatDidNotComeFromABuilder:

@@ -36,8 +36,7 @@ indices = np.array([1, 2, 0], dtype=np.int32)
 residue, reserve, settled = np.array([1.0, 0, 0]), np.zeros(3), np.zeros(3)
 counts = (ctypes.c_int64 * 2)()
 lib.repro_async_sweep(3, indptr.ctypes.data, indices.ctypes.data, 0.2,
-    residue.ctypes.data, reserve.ctypes.data, settled.ctypes.data, None,
-    counts)
+    residue.ctypes.data, reserve.ctypes.data, settled.ctypes.data, counts)
 print(json.dumps([residue.tolist(), reserve.tolist(), list(counts)]))
 """
 
@@ -51,6 +50,7 @@ def test_a_cold_build_creates_exactly_one_library(tmp_path):
     (name,) = libraries(tmp_path)
     assert name.startswith("_kernels-") and name.endswith(".so")
     assert lib.repro_async_sweep and lib.repro_extrapolate_window
+    assert lib.repro_refine and lib.repro_index_read
 
 
 def test_a_second_load_reuses_it_and_starts_no_process(tmp_path, monkeypatch):

@@ -1,9 +1,15 @@
-"""Unit tests for the vectorised kernels and the O(m) refinement step."""
+"""Unit tests for the vectorised kernels and the O(m) refinement step.
+
+``refine_to_r_max`` is one C call (``refine_passes``); its bytes are
+checked against passes of ``test_core_async_sweep.reference_sweep``
+with the dead-end routing in between (``reference_refine``).
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.kernels import frontier_push, global_sweep, sweep_active
+from repro.core.powerpush import power_push
 from repro.core.refinement import refine_to_r_max
 from repro.core.residues import PushState
 from repro.errors import ConvergenceError, ParameterError
@@ -14,6 +20,7 @@ from test_core_async_sweep import (
     POLICIES,
     invariant_gap,
     prepared,
+    reference_refine,
 )
 
 
@@ -211,3 +218,81 @@ class TestRefinementOnCornerGraphs:
         state = PushState(graph, 0, ALPHA, dead_end_policy=policy)
         with pytest.raises(ConvergenceError):
             refine_to_r_max(state, 1e-12, max_sweeps=1)
+
+
+def _start(graph, source, policy, start):
+    """A state to refine: ``e_s``, or what PowerPush leaves at l1 = 0.05."""
+    state = PushState(graph, source, ALPHA, dead_end_policy=policy)
+    if start == "powerpush":
+        pushed = power_push(
+            graph, source, alpha=ALPHA, l1_threshold=0.05,
+            dead_end_policy=policy,
+        )
+        state.counters = pushed.counters
+        state.reserve, state.residue = pushed.estimate, pushed.residue
+        state.refresh_r_sum()
+    return state
+
+
+class TestRefinementBytes:
+    """``refine_to_r_max`` gives the reference's bits, counts and raise."""
+
+    @pytest.mark.parametrize("start", ["e_s", "powerpush"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", sorted(CORNER_GRAPHS))
+    def test_against_reference_passes(self, name, policy, start):
+        graph = prepared(CORNER_GRAPHS[name], policy)
+        for source in (0, graph.num_nodes - 1):
+            for r_max in (1e-2, 1e-4, 1e-7):
+                state = _start(graph, source, policy, start)
+                residue, reserve = state.residue.copy(), state.reserve.copy()
+                before = state.counters.as_dict()
+                _, pushes, updates = reference_refine(
+                    graph, residue, reserve, state.threshold_vector(r_max),
+                    10**6, source=source, policy=policy,
+                )
+                refine_to_r_max(state, r_max)
+                assert state.residue.tobytes() == residue.tobytes()
+                assert state.reserve.tobytes() == reserve.tobytes()
+                assert state.counters.pushes - before["pushes"] == pushes
+                assert (
+                    state.counters.residue_updates - before["residue_updates"]
+                    == updates
+                )
+                assert state.r_sum == float(residue.sum())
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", ["chain", "star-both", "self-loops"])
+    def test_max_sweeps_raises_after_the_same_passes(self, name, policy):
+        """More than ``max_sweeps`` pushing passes raise, the last of them
+        run, billed and routed; a budget the scan fits in does not."""
+        graph = prepared(CORNER_GRAPHS[name], policy)
+        r_max = 1e-6
+        state = _start(graph, 0, policy, "e_s")
+        residue, reserve = state.residue.copy(), state.reserve.copy()
+        needed = reference_refine(
+            graph, residue, reserve, state.threshold_vector(r_max), 10**6,
+            source=0, policy=policy,
+        )[0]
+        assert needed > 2
+        for max_sweeps in (-1, 0, 1, needed - 1, needed, needed + 5):
+            state = _start(graph, 0, policy, "e_s")
+            residue, reserve = state.residue.copy(), state.reserve.copy()
+            passes, pushes, updates = reference_refine(
+                graph, residue, reserve, state.threshold_vector(r_max),
+                max(max_sweeps, 0) + 1, source=0, policy=policy,
+            )
+            if max_sweeps >= needed:
+                refine_to_r_max(state, r_max, max_sweeps=max_sweeps)
+                assert passes == needed
+            else:
+                with pytest.raises(
+                    ConvergenceError,
+                    match=rf"exceeded {max_sweeps} sweeps \(r_sum=",
+                ):
+                    refine_to_r_max(state, r_max, max_sweeps=max_sweeps)
+                assert passes == max(max_sweeps, 0) + 1
+            assert state.residue.tobytes() == residue.tobytes()
+            assert state.reserve.tobytes() == reserve.tobytes()
+            assert state.counters.pushes == pushes
+            assert state.counters.residue_updates == updates
