@@ -1,8 +1,8 @@
-"""Versioned result cache: ``(source, method, params) -> PPRResult``.
+"""Versioned result cache: ``(source, method, params) -> answer``.
 
 Zipfian query traffic answers the same hot sources over and over; the
 cheapest query is the one never recomputed.  :class:`ResultCache`
-memoises full query results in an LRU, with every entry **stamped with
+memoises full query answers in an LRU, with every entry **stamped with
 the graph version it was computed at** — exactly the staleness
 discipline :class:`~repro.api.engine.PPREngine` applies to its
 walk/BePI/FORA indexes.  A lookup must present the current version; an
@@ -12,11 +12,19 @@ answered from a pre-update vector.  An entry leaves only that way or
 by LRU eviction: the answer to a request at a given version never
 changes, so there is nothing for a time-to-live to expire.
 
+The cache stores one object per entry and every hit returns that very
+object, so it builds nothing per hit; the serving tiers store the
+frozen :class:`~repro.serving.flights.ServedResult` every deadline-less
+hit hands out, its arrays made read-only first (:func:`freeze_result`).
+
 Keys canonicalise the request through the solver registry —
 ``fora+`` and ``fora`` + ``use_index=True`` share an entry, parameter
-order never matters — and requests carrying live objects (a ``rng``
-generator, a trace sink) are declared uncacheable
-(:func:`make_cache_key` returns ``None``) rather than mis-shared.
+order never matters, a value is keyed with its type — and requests
+carrying live objects (a ``rng`` generator, a trace sink) are declared
+uncacheable (:func:`make_cache_key` returns ``None``) rather than
+mis-shared.  :func:`resolve_request` is the pure resolver behind the
+keys; a serving tier remembers its resolutions per request shape (a
+tier's defaults never change), so a hit resolves nothing.
 
 The cache is thread-safe on its own, but version consistency across
 *concurrent* readers and writers needs lookups and fills to happen
@@ -30,7 +38,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping
+from typing import Any, Generic, Mapping, TypeVar
 
 from repro.api.registry import resolve_method
 from repro.core.result import PPRResult
@@ -49,15 +57,6 @@ __all__ = [
 #: uncacheable — sharing such objects across requests would be wrong.
 _HASHABLE_SCALARS = (int, float, str, bool, type(None))
 
-#: Request shapes :func:`resolve_request` remembers.  A shape is the
-#: request without its source; a full memo starts over.
-_RESOLVE_MEMO_SIZE = 1024
-
-#: shape -> (canonical name, merged parameters, sorted items or None).
-#: Registration only ever adds a name, so an entry never goes stale.
-_resolve_memo: dict[tuple, tuple[str, dict[str, Any], tuple | None]] = {}
-_resolve_memo_lock = threading.Lock()
-
 
 def resolve_request(
     source: int,
@@ -66,7 +65,7 @@ def resolve_request(
     *,
     defaults: Mapping[str, Any] | None = None,
 ) -> tuple[str, dict[str, Any], tuple | None]:
-    """Resolve a request once for the serving hot path.
+    """Resolve a request: the pure, unmemoised resolver.
 
     Returns ``(canonical_method, merged_params, cache_key)`` where the
     canonical name and merged parameters have alias-implied overrides
@@ -76,61 +75,32 @@ def resolve_request(
     :class:`~repro.errors.UnknownMethodError` for unknown methods and
     :class:`~repro.errors.ParameterError` for parameters outside the
     schema, so typos surface at submit time, not deep in a worker
-    thread.  The serving layer calls this exactly once per request;
-    the cache key, the flight it joins or leads, and the solve all
-    reuse the result.
+    thread.
 
-    ``defaults`` are engine-level fallbacks (the server passes its
+    ``defaults`` are engine-level fallbacks (a serving tier passes its
     engine's ``alpha``/``dead_end_policy``): each one the solver
     accepts is folded in via ``setdefault``, so a request that spells
     out a default explicitly gets the same key — and therefore the
     same cache entry and flight — as one that omits it.
 
-    Memoised per request shape: the method spelling plus each
-    parameter's and each default's ``(name, type, value)``, so ``1``,
-    ``1.0`` and ``True`` never share an entry.  A shape with a value
-    that is not a scalar (a live ``rng``) is resolved afresh every
-    time, and an error is never remembered.  Every call returns a
-    ``merged`` of its own: the engine mutates it for tracked methods.
+    A serving tier does not call this per request: its defaults are
+    fixed when it is built, so it remembers :func:`_resolve_shape`'s
+    answer per request shape (see
+    :class:`~repro.serving.flights.ServingTier`).
     """
-    if defaults is None:
-        defaults = {}
-    shape = _request_shape(method, params, defaults)
-    entry = None if shape is None else _resolve_memo.get(shape)
-    if entry is None:
-        entry = _resolve_shape(method, params, defaults)
-        if shape is not None:
-            with _resolve_memo_lock:
-                if len(_resolve_memo) >= _RESOLVE_MEMO_SIZE:
-                    _resolve_memo.clear()
-                _resolve_memo[shape] = entry
-    canonical, merged, items = entry
+    canonical, merged, items = _resolve_shape(
+        method, params, {} if defaults is None else defaults
+    )
     key = None if items is None else (canonical, int(source), items)
-    return canonical, dict(merged), key
-
-
-def _request_shape(
-    method: str, params: Mapping[str, Any], defaults: Mapping[str, Any]
-) -> tuple | None:
-    """The memo key of a request, or ``None`` when it has none."""
-    if not isinstance(method, str):
-        return None
-    shape: list[Any] = [method]
-    for mapping in (params, defaults):
-        for name, value in mapping.items():
-            if not isinstance(value, _HASHABLE_SCALARS):
-                return None
-            shape.append((name, type(value), value))
-        # Ends the parameters: a default is not a parameter.
-        shape.append(None)
-    return tuple(shape)
+    return canonical, merged, key
 
 
 def _resolve_shape(
     method: str, params: Mapping[str, Any], defaults: Mapping[str, Any]
 ) -> tuple[str, dict[str, Any], tuple | None]:
-    """:func:`resolve_request` without the memo and the source:
-    ``(canonical, merged, sorted items or None when uncacheable)``."""
+    """:func:`resolve_request` without the source: ``(canonical,
+    merged, items or None when uncacheable)``, where ``items`` are
+    ``merged``'s ``(name, type, value)`` triples sorted by name."""
     spec, merged = resolve_method(method)
     merged.update(params)
     spec.validate_params(merged)
@@ -140,7 +110,9 @@ def _resolve_shape(
     for value in merged.values():
         if not isinstance(value, _HASHABLE_SCALARS):
             return spec.name, merged, None
-    return spec.name, merged, tuple(sorted(merged.items()))
+    return spec.name, merged, tuple(
+        sorted((name, type(value), value) for name, value in merged.items())
+    )
 
 
 def make_cache_key(
@@ -150,7 +122,10 @@ def make_cache_key(
 
     Two requests get the same key iff the engine would answer them
     identically (given equal seeds); see :func:`resolve_request` for
-    the canonicalisation rules.
+    the canonicalisation rules.  Each parameter is keyed with its type
+    as well as its value: ``1``, ``1.0`` and ``True`` compare equal,
+    but the engine may answer ``num_walks=200`` and refuse
+    ``num_walks=200.0``, so they never share an entry.
     """
     return resolve_request(source, method, params)[2]
 
@@ -192,14 +167,23 @@ class CacheStats:
         return {**asdict(self), "hit_rate": self.hit_rate}
 
 
+_Answer = TypeVar("_Answer")
+
+
 @dataclass
-class _Entry:
-    result: PPRResult
+class _Entry(Generic[_Answer]):
+    answer: _Answer
     version: int
 
 
-class ResultCache:
-    """Thread-safe LRU cache of version-stamped query results.
+class ResultCache(Generic[_Answer]):
+    """Thread-safe LRU cache of version-stamped query answers.
+
+    An answer is whatever is stored — a
+    :class:`~repro.core.result.PPRResult`, or the
+    :class:`~repro.serving.flights.ServedResult` a serving tier hands
+    out — and every hit returns that one object, so only an answer
+    that may be shared belongs here (see :func:`freeze_result`).
 
     Parameters
     ----------
@@ -212,7 +196,7 @@ class ResultCache:
         if capacity < 1:
             raise ParameterError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        self._entries: OrderedDict[tuple, _Entry[_Answer]] = OrderedDict()
         self._mutex = threading.Lock()
         self.stats = CacheStats()
 
@@ -220,8 +204,8 @@ class ResultCache:
         with self._mutex:
             return len(self._entries)
 
-    def get(self, key: tuple, version: int) -> PPRResult | None:
-        """The cached result for ``key`` at ``version``, or ``None``.
+    def get(self, key: tuple, version: int) -> _Answer | None:
+        """The cached answer for ``key`` at ``version``, or ``None``.
 
         A hit refreshes the entry's LRU position.  An entry stamped
         with a different graph version is dropped and reported as a
@@ -240,17 +224,16 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry.result
+            return entry.answer
 
-    def put(self, key: tuple, result: PPRResult, version: int) -> None:
-        """Fill ``key`` with ``result`` computed at graph ``version``.
+    def put(self, key: tuple, answer: _Answer, version: int) -> None:
+        """Fill ``key`` with ``answer`` computed at graph ``version``.
 
-        The entry's arrays are frozen (:func:`freeze_result`): every
-        hit shares the one stored object.
+        Every hit returns ``answer`` itself until a version bump or an
+        eviction drops it.
         """
-        freeze_result(result)
         with self._mutex:
-            self._entries[key] = _Entry(result, int(version))
+            self._entries[key] = _Entry(answer, int(version))
             self._entries.move_to_end(key)
             self.stats.insertions += 1
             while len(self._entries) > self.capacity:

@@ -18,8 +18,10 @@ mutex at the graph version its read section pins:
 
 * **hit** — the answer is in the version-stamped
   :class:`~repro.serving.cache.ResultCache` at this version: the
-  caller gets the :class:`ServedResult` itself, and no future is
-  built;
+  caller gets a :class:`ServedResult` and no future.  A landing flight
+  builds the entry's hit answer once, and every hit without a deadline
+  returns that one frozen object; a hit with a deadline gets its own,
+  carrying its deadline;
 * **join** — the same request is already being solved at this version
   (a *flight*): the caller's future rides along and gets exactly what
   the flight's leader gets, answer or exception.  Only a flight whose
@@ -32,8 +34,21 @@ mutex at the graph version its read section pins:
   never neither, and never a pre-update vector.
 
 A request without a cache key — ``fresh=True``, or parameters that are
-live objects — never hits, never joins and is never joined.  Every
-caller that joins or leads holds a future of its own, so a cancel
+live objects — never hits, never joins and is never joined.
+
+A tier resolves each request *shape* — the method spelling and each
+parameter's name, type and value, the source left out — through the
+solver registry once: its defaults are fixed when it is built, so the
+canonical method, the merged parameters and the key's items are a
+function of the shape, remembered in a bounded memo of the tier's own
+(registration only ever adds a name, so an entry never goes stale).
+``1``, ``1.0`` and ``True`` are different shapes (and keys); a shape
+holding a non-scalar (a live ``rng``) is never remembered, and neither
+is an error.  A hit or a join reads the memo and copies nothing; only a
+led flight takes a copy of the merged parameters, the one it carries to
+the solver.
+
+Every caller that joins or leads holds a future of its own, so a cancel
 drops one caller and never the solve others wait on.  Futures are
 settled by :func:`settle` / :func:`fail` after the owner's mutex is
 released: their done-callbacks are the caller's code.
@@ -51,7 +66,12 @@ from typing import Any, Callable, ClassVar, Iterable, TypeVar
 from repro.core.result import PPRResult
 from repro.core.validation import check_node_id
 from repro.errors import DeadlineExceeded, ParameterError
-from repro.serving.cache import ResultCache, freeze_result, resolve_request
+from repro.serving.cache import (
+    _HASHABLE_SCALARS,
+    ResultCache,
+    _resolve_shape,
+    freeze_result,
+)
 from repro.serving.locks import RWLock
 
 __all__ = [
@@ -62,6 +82,9 @@ __all__ = [
     "fail",
     "settle",
 ]
+
+#: Request shapes one tier remembers; a full memo starts over.
+_SHAPES_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -131,7 +154,10 @@ class FlightTable:
             raise ParameterError(
                 f"cache_capacity must be >= 0, got {cache_capacity}"
             )
-        self.cache = ResultCache(cache_capacity) if cache_capacity else None
+        #: each entry is the answer every deadline-less hit returns
+        self.cache: ResultCache[ServedResult] | None = (
+            ResultCache(cache_capacity) if cache_capacity else None
+        )
         self._open: dict[tuple[tuple, int], Flight] = {}
         self.led = 0
         self.joined = 0
@@ -147,14 +173,19 @@ class FlightTable:
 
         The one cache lookup a request makes; on ``None`` the caller
         joins a flight (:meth:`join`) or leads one (:meth:`lead`).
+        Without a deadline the answer is the entry's own object, built
+        when the entry was filled; with one it is a copy carrying it.
         """
         if key is None or self.cache is None:
             return None
-        result = self.cache.get(key, version)
-        if result is None:
-            return None
+        served = self.cache.get(key, version)
+        if served is None or deadline is None:
+            return served
         return ServedResult(
-            result=result, version=version, cache_hit=True, deadline=deadline
+            result=served.result,
+            version=served.version,
+            cache_hit=True,
+            deadline=deadline,
         )
 
     def join(
@@ -201,7 +232,8 @@ class FlightTable:
         """End ``flight``; return everyone waiting on it.
 
         ``answer`` enters the cache when it was computed at the
-        ``current`` graph version; an answer that outlived its version
+        ``current`` graph version, as the frozen hit answer every
+        deadline-less hit returns; an answer that outlived its version
         is only delivered.
         """
         key = flight.key
@@ -213,7 +245,12 @@ class FlightTable:
                 and self.cache is not None
                 and answer.version == current
             ):
-                self.cache.put(key[0], answer.result, answer.version)
+                freeze_result(answer.result)
+                self.cache.put(
+                    key[0],
+                    ServedResult(answer.result, answer.version, cache_hit=True),
+                    answer.version,
+                )
         return flight.waiters
 
     def stats(self) -> dict[str, int]:
@@ -229,8 +266,10 @@ class ServingTier(ABC):
     A subclass sets ``_num_nodes`` (what a source is checked against)
     and ``_defaults`` (the engine-level parameters folded into every
     request, so spelling out ``alpha=engine.alpha`` keys — and flies —
-    identically to omitting it), and says where its version lives
-    (:meth:`_read_version`) and what a led flight does (:meth:`_send`).
+    identically to omitting it; fixed once built, since the tier's
+    request-shape memo folds them in), and says where its version
+    lives (:meth:`_read_version`) and what a led flight does
+    (:meth:`_send`).
     """
 
     #: the flight class a led request is recorded as
@@ -256,6 +295,9 @@ class ServingTier(ABC):
         self._mutex = threading.Lock()
         self._submitted = 0
         self._closed = False
+        #: request shape -> (canonical method, merged parameters, key
+        #: items or ``None``); see :meth:`_resolved`
+        self._shapes: dict[tuple, tuple[str, dict[str, Any], tuple | None]] = {}
 
     @abstractmethod
     def _read_version(self) -> int:
@@ -378,17 +420,14 @@ class ServingTier(ABC):
             raise DeadlineExceeded(
                 f"deadline passed before submit of source {source}"
             )
-        canonical, merged, key = resolve_request(
-            source, method, params, defaults=self._defaults
-        )
-        if key is None and params and self._SCALAR_PARAMS_ONLY:
+        canonical, merged, items = self._resolved(method, params)
+        if items is None and params and self._SCALAR_PARAMS_ONLY:
             raise ParameterError(
                 f"{type(self).__name__} requires scalar parameters; live "
                 "objects (rng, trace, indexes) cannot cross the process "
                 "boundary"
             )
-        if fresh:
-            key = None
+        key = None if fresh or items is None else (canonical, source, items)
         post: Callable[[], object] | None = None
         # The read section pins the version a hit is checked against
         # and a miss is sent at.
@@ -414,9 +453,10 @@ class ServingTier(ABC):
                         # ``merged``, not the caller's raw params: the
                         # solver is sent the canonical method name, so
                         # the overrides an alias implies (``fora+`` =>
-                        # ``use_index=True``) must travel with it.
+                        # ``use_index=True``) must travel with it.  A
+                        # copy: the memo's is every later request's.
                         flight = self._Flight(
-                            [future], source, canonical, merged, deadline
+                            [future], source, canonical, dict(merged), deadline
                         )
                         post = self._send(flight)
                         self._flight_table.lead(flight, key, version)
@@ -428,6 +468,38 @@ class ServingTier(ABC):
         if self._after_admit is not None:
             self._after_admit(submitted)
         return answer
+
+    def _resolved(
+        self, method: str, params: dict[str, Any]
+    ) -> tuple[str, dict[str, Any], tuple | None]:
+        """``(canonical, merged, key items or None)`` for a request, as
+        :func:`~repro.serving.cache.resolve_request` resolves it under
+        the tier's defaults, from the memo when its shape was seen.
+
+        The shape is the method and each parameter's ``(name, type,
+        value)``: the tier's defaults are the same for every request,
+        so they are not part of it.  ``merged`` is shared with every
+        later request of the shape — read it, never write it.
+        """
+        shape: tuple | None = None
+        if isinstance(method, str):
+            parts: list[Any] = [method]
+            for name, value in params.items():
+                if not isinstance(value, _HASHABLE_SCALARS):
+                    break
+                parts.append((name, type(value), value))
+            else:
+                shape = tuple(parts)
+                resolved = self._shapes.get(shape)
+                if resolved is not None:
+                    return resolved
+        resolved = _resolve_shape(method, params, self._defaults)
+        if shape is not None:
+            with self._mutex:
+                if len(self._shapes) >= _SHAPES_MAX:
+                    self._shapes.clear()
+                self._shapes[shape] = resolved
+        return resolved
 
     def query(
         self,

@@ -12,15 +12,18 @@ only:
   future without holding a thread** — ten thousand in-flight requests
   cost one event loop, not ten thousand parked stacks.  The enqueue
   runs on the loop (``try_submit`` never waits on the backend's read
-  lock), so a cache hit is answered without leaving it; only a
-  request that meets a writer on that lock is handed to the default
-  executor to wait there.
+  lock).  A cache hit comes back as the answer itself, and ``submit``
+  returns it without awaiting anything: no second coroutine, no loop
+  lookup.  Only a join or a miss (a future) and a request that meets a
+  writer on that lock (handed to the default executor to wait there)
+  go on to be awaited.
 * Every request carries a **deadline**.  A spent budget fails fast
   with :class:`~repro.errors.DeadlineExceeded` — at admission, when
   the backend reaches a request whose deadline has passed (it is
   failed instead of solved), or while awaiting the solve.
 * **Admission control** watches the p99 of recently completed
-  full-fidelity requests.  When that prediction blows the SLO the
+  full-fidelity requests, recomputed only when a completion has
+  changed that window.  When that prediction blows the SLO the
   front door *degrades* — re-issues the request with the degrade
   parameters (e.g. a looser ``l1_threshold``) merged over its own —
   and when that cannot help (the method does not take every degrade
@@ -75,6 +78,7 @@ import numbers
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -198,7 +202,13 @@ class AsyncFrontDoor:
         self.stats = FrontDoorStats()
         self._inflight = 0
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
+        #: whether ``_latencies`` changed since ``predicted_p99_ms``
+        #: was computed from it
+        self._window_changed = False
         self._degrade_decisions = 0
+        #: method spelling -> whether it takes every degrade parameter
+        #: (a registered method stays registered)
+        self._degradable_methods: dict[str, bool] = {}
 
     # -- properties ------------------------------------------------------
     @property
@@ -257,13 +267,14 @@ class AsyncFrontDoor:
             params = {**params, **(self._degrade_params or {})}
         outcome = "failed"
         try:
-            served = await self._await_backend(
-                source,
-                method,
-                params,
-                fresh=fresh,
-                deadline=deadline,
+            served = self._backend.try_submit(
+                source, method, fresh=fresh, deadline=deadline, **params
             )
+            # A hit is the answer itself: nothing to await.
+            if not isinstance(served, ServedResult):
+                served = await self._await_backend(
+                    served, source, method, params, fresh=fresh, deadline=deadline
+                )
             outcome = "completed"
         except DeadlineExceeded:
             # Covers every expiry past admission: backend fail-fast at
@@ -279,6 +290,7 @@ class AsyncFrontDoor:
 
     async def _await_backend(
         self,
+        future: Future | None,
         source: int,
         method: str,
         params: dict[str, Any],
@@ -286,26 +298,18 @@ class AsyncFrontDoor:
         fresh: bool,
         deadline: float | None,
     ) -> ServedResult:
-        """Enqueue on the backend and await the answer, thread-free.
+        """Await what ``backend.try_submit`` returned other than a hit,
+        thread-free.
 
-        The enqueue runs on the loop through ``backend.try_submit``,
-        which never waits on the backend's read lock.  Only when a
-        writer holds or awaits that lock does it return ``None``; then
-        the blocking ``submit`` runs in the default executor, so the
-        loop never waits on a lock, and the answer is post-update as
-        the lock guarantees (counted in ``stats.writer_waits``).  A
-        cache hit comes back as the :class:`ServedResult` itself and is
-        returned as it comes, without suspending.  A joined flight or a
-        miss comes back as a future, awaited via ``wrap_future`` — no
-        thread parks on it.
+        ``try_submit`` never waits on the backend's read lock.  Only
+        when a writer holds or awaits that lock does it return ``None``;
+        then the blocking ``submit`` runs in the default executor, so
+        the loop never waits on a lock, and the answer is post-update
+        as the lock guarantees (counted in ``stats.writer_waits``).  A
+        joined flight or a miss is a future, awaited via
+        ``wrap_future`` — no thread parks on it.
         """
         loop = asyncio.get_running_loop()
-        answer = self._backend.try_submit(
-            source, method, fresh=fresh, deadline=deadline, **params
-        )
-        if isinstance(answer, ServedResult):
-            return answer
-        future = answer
         if future is None:
             with self._mutex:
                 self.stats.writer_waits += 1
@@ -357,11 +361,15 @@ class AsyncFrontDoor:
         degrade parameter (an unknown method has nothing to degrade to)."""
         if self._slo_ms is None or self._degrade_params is None:
             return False
-        try:
-            spec = get_solver(method)
-        except UnknownMethodError:
-            return False
-        return all(map(spec.accepts, self._degrade_params))
+        degradable = self._degradable_methods.get(method)
+        if degradable is None:
+            try:
+                spec = get_solver(method)
+            except UnknownMethodError:
+                return False  # not remembered: it may be registered later
+            degradable = all(map(spec.accepts, self._degrade_params))
+            self._degradable_methods[method] = degradable
+        return degradable
 
     def _admit(self, deadline: float | None, degradable: bool) -> str:
         """``"late"`` | ``"shed"`` | ``"full"`` | ``"degrade"`` for one
@@ -381,8 +389,10 @@ class AsyncFrontDoor:
             ):
                 decision = "shed"
             elif self._slo_ms is not None:
-                predicted = self._predicted_p99_ms_locked()
-                self.stats.predicted_p99_ms = predicted
+                if self._window_changed:
+                    self._window_changed = False
+                    self.stats.predicted_p99_ms = self._predicted_p99_ms_locked()
+                predicted = self.stats.predicted_p99_ms
                 # Overloaded: degrade when a cheaper tier exists, sending
                 # a periodic probe through at full fidelity so the
                 # predictor keeps seeing the tier it predicts; shed
@@ -422,6 +432,7 @@ class AsyncFrontDoor:
                     # predictor: degraded latencies would mask the
                     # overload that forced the degradation.
                     self._latencies.append(latency)
+                    self._window_changed = True
             elif outcome == "deadline_expired":
                 self.stats.deadline_expired += 1
             else:

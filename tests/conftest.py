@@ -95,11 +95,6 @@ def register_spec():
     for table, snapshot in zip(tables, saved):
         table.clear()
         table.update(snapshot)
-    # Registration only ever adds, so the serving layer's resolve memo
-    # keeps its entries; a restore removes names, and the memo with them.
-    from repro.serving import cache
-
-    cache._resolve_memo.clear()
 
 
 def _shm_files() -> set[str]:

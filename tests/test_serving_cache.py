@@ -67,11 +67,9 @@ DEFAULTS = {"alpha": 0.2, "dead_end_policy": "redirect-to-source"}
 
 
 class TestResolveMemo:
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        cache_module._resolve_memo.clear()
-        yield
-        cache_module._resolve_memo.clear()
+    """:func:`resolve_request` is the pure resolver each serving tier's
+    request-shape memo must agree with; the memo's own cases run
+    against both tiers in ``tests/test_serving_flights.py``."""
 
     @pytest.mark.parametrize(
         "method, params, same_as",
@@ -106,41 +104,6 @@ class TestResolveMemo:
                 )
         first = resolve_request(4, method, params, defaults=DEFAULTS)
         assert first == resolve_request(4, *same_as, defaults=DEFAULTS)
-
-    def test_int_float_and_bool_do_not_share_an_entry(self):
-        for value in (1.0, 1, True, 1.0):
-            _, merged, key = resolve_request(0, "powerpush", {"l1_threshold": value})
-            assert type(merged["l1_threshold"]) is type(value)
-            assert type(dict(key[2])["l1_threshold"]) is type(value)
-
-    def test_errors_raise_on_every_call(self):
-        for _ in range(2):
-            with pytest.raises(UnknownMethodError):
-                resolve_request(0, "no-such-method", {}, defaults=DEFAULTS)
-            with pytest.raises(ParameterError):
-                resolve_request(0, "powerpush", {"epsilon": 0.5}, defaults=DEFAULTS)
-        assert not cache_module._resolve_memo
-
-    def test_a_live_rng_is_resolved_afresh_and_uncacheable(self):
-        for seed in range(2):
-            rng = np.random.default_rng(seed)
-            _, merged, key = resolve_request(0, "montecarlo", {"rng": rng})
-            assert key is None and merged["rng"] is rng
-        assert not cache_module._resolve_memo
-
-    def test_memo_stays_within_its_bound(self):
-        for k in range(10_000):
-            resolve_request(0, "fora", {"epsilon": 0.1 + k * 1e-5})
-            assert len(cache_module._resolve_memo) <= cache_module._RESOLVE_MEMO_SIZE
-        assert cache_module._resolve_memo
-
-    def test_each_caller_gets_its_own_merged(self):
-        _, merged, _ = resolve_request(0, "powerpush", {"l1_threshold": 1e-8})
-        merged["l1_threshold"] = 0.5
-        merged["rng"] = np.random.default_rng(0)
-        _, again, key = resolve_request(0, "powerpush", {"l1_threshold": 1e-8})
-        assert again == {"l1_threshold": 1e-8}
-        assert key == ("powerpush", 0, (("l1_threshold", 1e-8),))
 
 
 class TestResultCacheBasics:

@@ -22,10 +22,11 @@ import numpy as np
 import pytest
 
 from repro.api import PPREngine
-from repro.errors import ParameterError
+from repro.errors import ParameterError, UnknownMethodError
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph
-from repro.serving import EngineServer, ShardedDispatcher
+from repro.serving import EngineServer, ShardedDispatcher, flights
+from repro.serving.cache import _resolve_shape
 from repro.serving.flights import FlightTable
 
 PARAMS = {"l1_threshold": 1e-6}
@@ -375,3 +376,160 @@ def test_contended_reads_and_updates(make_tier, base):
     assert tier.calls() == flights["led"]
     assert not tier.server._flight_table
     assert tier.server.graph_version == len(updates)
+
+
+# ---------------------------------------------------------------------------
+# Request shapes: resolved through the registry once per tier
+# ---------------------------------------------------------------------------
+
+#: the tier's defaults spelled out: what every resolution folds in
+DEFAULTS = {"alpha": 0.2, "dead_end_policy": "redirect-to-source"}
+
+
+def test_a_request_shape_is_resolved_once_per_tier(make_tier, monkeypatch):
+    calls = []
+
+    def counting(method, params, defaults):
+        calls.append(method)
+        return _resolve_shape(method, params, defaults)
+
+    monkeypatch.setattr(flights, "_resolve_shape", counting)
+    tier = make_tier()
+    answers = [tier.server.query(5, "powerpush", **PARAMS) for _ in range(50)]
+    assert all(served.cache_hit for served in answers[1:])
+    assert calls == ["powerpush"]
+    # the shape leaves the source out: another source resolves nothing
+    assert not tier.server.query(6, "powerpush", **PARAMS).cache_hit
+    assert calls == ["powerpush"]
+    # another spelling is another shape
+    tier.server.query(5, "PP", **PARAMS)
+    assert calls == ["powerpush", "PP"]
+    # and another tier keeps a memo of its own
+    make_tier().server.query(5, "powerpush", **PARAMS)
+    assert calls == ["powerpush", "PP", "powerpush"]
+
+
+def test_spellings_resolve_in_a_tier_as_without_the_memo(make_tier):
+    tier = make_tier().server
+    cases = [
+        ("PP", {"l1_threshold": 1e-8}, ("powerpush", {"l1_threshold": 1e-8})),
+        ("fora+", {"epsilon": 0.5}, ("fora", {"epsilon": 0.5, "use_index": True})),
+        (
+            "powerpush",
+            {"l1_threshold": 1e-8, "alpha": 0.2},
+            ("powerpush", {"alpha": 0.2, "l1_threshold": 1e-8}),
+        ),
+        (
+            "powerpush",
+            {"alpha": 0.2, "dead_end_policy": "redirect-to-source"},
+            ("powerpush", {}),
+        ),
+    ]
+    assert tier._defaults == DEFAULTS
+    for method, params, same_as in cases:
+        for spelling, given in ((method, params), same_as):
+            unmemoised = _resolve_shape(spelling, given, DEFAULTS)
+            for _ in range(2):  # cold, then from the memo
+                assert tier._resolved(spelling, given) == unmemoised
+        assert tier._resolved(method, params) == tier._resolved(*same_as)
+
+
+def test_int_float_and_bool_get_entries_of_their_own(make_tier):
+    tier = make_tier()
+    values = (1.0, 1, True, 1.0)
+    served = [
+        tier.server.query(5, "powerpush", l1_threshold=value) for value in values
+    ]
+    assert [answer.cache_hit for answer in served] == [False, False, False, True]
+    assert served[3].result is served[0].result
+    assert tier.server.stats()["cache"]["insertions"] == 3
+    assert tier.calls() == 3
+    for value in values:
+        _, merged, items = tier.server._resolved(
+            "powerpush", {"l1_threshold": value}
+        )
+        assert type(merged["l1_threshold"]) is type(value)
+        keyed = {name: (kind, given) for name, kind, given in items}
+        assert keyed["l1_threshold"] == (type(value), value)
+        assert type(keyed["l1_threshold"][1]) is type(value)
+    assert len(tier.server._shapes) == 3
+
+
+def test_a_value_of_another_type_is_another_request(make_tier, base):
+    # 200 and 200.0 compare equal, but the engine counts walks with the
+    # one and refuses the other: a cached answer must not cover both.
+    tier = make_tier().server
+    params = {"seed": 1, "num_walks": 200}
+    served = tier.query(5, "montecarlo", **params)
+    engine = PPREngine(base, alpha=0.2, seed=7)
+    expected = engine.query(5, "montecarlo", **params)
+    assert served.result.estimate.tobytes() == expected.estimate.tobytes()
+    with pytest.raises(TypeError) as serial:
+        engine.query(5, "montecarlo", seed=1, num_walks=200.0)
+    with pytest.raises(TypeError, match=str(serial.value)):
+        tier.query(5, "montecarlo", seed=1, num_walks=200.0)
+    assert tier.query(5, "montecarlo", **params).cache_hit
+
+
+def test_errors_raise_on_every_call_and_are_never_remembered(make_tier):
+    tier = make_tier().server
+    for _ in range(2):
+        with pytest.raises(UnknownMethodError):
+            tier.submit(5, "no-such-method")
+        with pytest.raises(ParameterError):
+            tier.submit(5, "powerpush", epsilon=0.5)
+    assert not tier._shapes
+    assert tier.stats()["requests"] == 0
+
+
+def test_a_live_rng_is_resolved_afresh_and_never_remembered(make_tier):
+    tier = make_tier().server
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        _, merged, items = tier._resolved("montecarlo", {"rng": rng})
+        assert items is None and merged["rng"] is rng
+        if isinstance(tier, ShardedDispatcher):
+            # a live object cannot reach a shard
+            with pytest.raises(ParameterError, match="scalar"):
+                tier.submit(5, "montecarlo", rng=rng, num_walks=200)
+        else:
+            served = tier.query(5, "montecarlo", rng=rng, num_walks=200)
+            assert not served.cache_hit
+    assert not tier._shapes
+    assert tier.stats()["cache"]["insertions"] == 0
+
+
+def test_the_shape_memo_stays_within_its_bound(make_tier):
+    tier = make_tier().server
+    for k in range(10_000):
+        tier._resolved("fora", {"epsilon": 0.1 + k * 1e-5})
+        assert len(tier._shapes) <= flights._SHAPES_MAX
+    assert tier._shapes
+
+
+def test_each_led_flight_gets_a_merged_of_its_own(make_tier, monkeypatch):
+    tier = make_tier().server
+    sent = []
+    send = tier._send
+
+    def recording(flight):
+        sent.append(flight)
+        return send(flight)
+
+    monkeypatch.setattr(tier, "_send", recording)
+    for _ in range(2):
+        tier.query(5, "powerpush", fresh=True, l1_threshold=1e-8)
+    first, second = (flight.params for flight in sent)
+    _, memo, _ = tier._resolved("powerpush", {"l1_threshold": 1e-8})
+    assert first == second == memo
+    assert first is not second
+    assert memo is not first and memo is not second
+    first["l1_threshold"] = 0.5
+    first["rng"] = np.random.default_rng(0)
+    _, again, items = tier._resolved("powerpush", {"l1_threshold": 1e-8})
+    assert again == {**DEFAULTS, "l1_threshold": 1e-8}
+    assert items == (
+        ("alpha", float, 0.2),
+        ("dead_end_policy", str, "redirect-to-source"),
+        ("l1_threshold", float, 1e-8),
+    )

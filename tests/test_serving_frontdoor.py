@@ -8,10 +8,14 @@ p99 prediction blows the SLO (with periodic full-fidelity probes).
 """
 
 import asyncio
+import contextlib
+import os
+import signal
 import sys
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.errors import (
 from repro.graph.build import paper_example_graph
 from repro.graph.dynamic import DynamicGraph
 from repro.serving import AsyncFrontDoor, EngineServer, ShardedDispatcher
+from repro.serving import frontdoor as frontdoor_module
 from repro.serving.flights import ServedResult, ServingTier
 
 
@@ -328,6 +333,56 @@ class TestSnapshot:
         assert door.backend.stats()["requests"] >= 1
 
 
+class TestPredictor:
+    def test_p99_is_computed_at_most_once_per_completion(
+        self, server, monkeypatch
+    ):
+        door = AsyncFrontDoor(
+            server, slo_ms=1000.0, degrade_params={"l1_threshold": 1e-3}
+        )
+        completed_at_call = []
+        percentile = np.percentile
+
+        def counting(*args, **kwargs):
+            # runs under the door's mutex, inside ``_admit``
+            completed_at_call.append(door.stats.completed)
+            return percentile(*args, **kwargs)
+
+        monkeypatch.setattr(np, "percentile", counting)
+        looked_up = []
+        get_solver = frontdoor_module.get_solver
+
+        def counting_lookup(method):
+            looked_up.append(method)
+            return get_solver(method)
+
+        monkeypatch.setattr(frontdoor_module, "get_solver", counting_lookup)
+
+        async def drive():
+            for _ in range(4):
+                await asyncio.gather(
+                    *(
+                        door.submit(
+                            s, "powerpush", fresh=True, l1_threshold=1e-7
+                        )
+                        for s in range(5)
+                        for _ in range(4)
+                    )
+                )
+
+        run(drive())
+        snap = door.snapshot()
+        assert snap["completed"] == 80 and snap["degraded"] == 0
+        assert snap["predicted_p99_ms"] > 0.0
+        # A wave's 20 admissions all precede its completions: the first
+        # wave has too few samples to predict from, each later one
+        # computes once from the window the wave before left.
+        assert completed_at_call == [20, 40, 60]
+        assert len(completed_at_call) <= snap["completed"]
+        # the registry is asked about a method once
+        assert looked_up == ["powerpush"]
+
+
 class CountingExecutor(ThreadPoolExecutor):
     """A default executor that counts the jobs the loop hands it."""
 
@@ -367,6 +422,32 @@ def _stall_next_update(monkeypatch, backend, writer_in, release):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, stalled)
+
+
+@contextlib.contextmanager
+def _held(monkeypatch, backend):
+    """Hold every solve the backend starts until the block exits: the
+    server's engine waits inside ``query``, the shard is SIGSTOPped."""
+    if isinstance(backend, EngineServer):
+        release = threading.Event()
+        solve = backend.engine.query
+
+        def waiting(*args, **kwargs):
+            release.wait(10.0)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(backend.engine, "query", waiting)
+        try:
+            yield
+        finally:
+            release.set()
+    else:
+        pid = backend._states[0].process.pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            yield
+        finally:
+            os.kill(pid, signal.SIGCONT)
 
 
 class TestRouting:
@@ -493,6 +574,141 @@ class TestHitPath:
         direct = tier.try_submit(0, "powerpush", l1_threshold=1e-8)
         assert isinstance(direct, ServedResult) and direct.cache_hit
         assert direct.result is miss.result
+
+
+    def test_door_hits_build_no_served_result(self, tier, monkeypatch):
+        door = AsyncFrontDoor(tier)
+        run(door.submit(0, "powerpush", l1_threshold=1e-8))
+        built = []
+
+        class CountingServedResult(ServedResult):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        # the module whose flight table builds every hit's answer
+        module = sys.modules[ServingTier.__module__]
+        monkeypatch.setattr(module, "ServedResult", CountingServedResult)
+
+        async def hits(count, **options):
+            return [
+                await door.submit(0, "powerpush", l1_threshold=1e-8, **options)
+                for _ in range(count)
+            ]
+
+        answers = run(hits(100))
+        assert answers[0].cache_hit and answers[0].deadline is None
+        assert all(served is answers[0] for served in answers)
+        assert built == []
+        # a deadline is the request's own: it gets an answer of its own
+        (timed,) = run(hits(1, deadline_ms=60_000.0))
+        assert built == [timed]
+        assert timed.cache_hit and timed.deadline is not None
+        assert timed.result is answers[0].result
+        assert timed.version == answers[0].version
+        # an update drops the entry and its answer together; the
+        # landing solve builds the next one
+        version = tier.apply_updates([("+", 0, 4)])
+        miss, *again = run(hits(3))
+        assert not miss.cache_hit and miss.version == version
+        assert built[1:] == [again[0]] and again[1] is again[0]
+        assert again[0].cache_hit and again[0].version == version
+        assert again[0] is not answers[0]
+        assert again[0].result is miss.result
+
+    def test_a_degraded_hit_is_a_copy_marked_degraded(self, tier):
+        door = _overloaded_door(tier)
+        first = run(door.submit(3, "powerpush", l1_threshold=1e-8))
+        again = run(door.submit(3, "powerpush", l1_threshold=1e-8))
+        shared = tier.try_submit(3, "powerpush", l1_threshold=1e-3)
+        assert isinstance(shared, ServedResult)
+        assert shared.cache_hit and not shared.degraded
+        assert first.degraded and not first.cache_hit
+        assert again.degraded and again.cache_hit
+        assert again == replace(shared, degraded=True)
+        assert again is not shared and again.result is shared.result
+
+    def test_a_hit_awaits_nothing(self, tier, monkeypatch):
+        door = AsyncFrontDoor(tier)
+        miss = run(door.submit(0, "powerpush", l1_threshold=1e-8))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hit went past try_submit")
+
+        monkeypatch.setattr(AsyncFrontDoor, "_await_backend", refuse)
+        monkeypatch.setattr(asyncio, "get_running_loop", refuse)
+        served = run(door.submit(0, "powerpush", l1_threshold=1e-8))
+        assert served.cache_hit and served.result is miss.result
+        snap = door.snapshot()
+        assert (snap["completed"], snap["failed"]) == (2, 0)
+
+    def test_a_join_a_miss_and_a_writer_wait_are_awaited(
+        self, tier, monkeypatch
+    ):
+        door = AsyncFrontDoor(tier)
+        awaited, loops = [], []
+        await_backend = AsyncFrontDoor._await_backend
+        get_running_loop = asyncio.get_running_loop
+
+        async def counting_await(self, answer, *args, **kwargs):
+            awaited.append(answer)
+            return await await_backend(self, answer, *args, **kwargs)
+
+        def counting_loop():
+            loops.append(1)
+            return get_running_loop()
+
+        monkeypatch.setattr(AsyncFrontDoor, "_await_backend", counting_await)
+        monkeypatch.setattr(asyncio, "get_running_loop", counting_loop)
+
+        miss = run(door.submit(0, "powerpush", l1_threshold=1e-8))
+        assert not miss.cache_hit
+        assert len(awaited) == 1 and isinstance(awaited[0], Future)
+
+        async def lead_and_join():
+            with _held(monkeypatch, tier):
+                submits = [
+                    asyncio.ensure_future(
+                        door.submit(1, "powerpush", l1_threshold=1e-8)
+                    )
+                    for _ in range(2)
+                ]
+                await asyncio.sleep(0.05)
+                assert not any(task.done() for task in submits)
+            return await asyncio.gather(*submits)
+
+        leader, joiner = run(lead_and_join())
+        assert joiner is leader and not leader.cache_hit
+        assert tier.stats()["flights"]["joined"] == 1
+        assert len(awaited) == 3 and all(
+            isinstance(answer, Future) for answer in awaited
+        )
+
+        writer_in, release = threading.Event(), threading.Event()
+        _stall_next_update(monkeypatch, tier, writer_in, release)
+        writer = threading.Thread(
+            target=tier.apply_updates, args=([("+", 0, 4)],)
+        )
+
+        async def behind_a_writer():
+            writer.start()
+            while not writer_in.is_set():
+                await asyncio.sleep(0.001)
+            request = asyncio.ensure_future(
+                door.submit(0, "powerpush", l1_threshold=1e-8)
+            )
+            await asyncio.sleep(0.05)
+            release.set()
+            return await request
+
+        served = run(behind_a_writer())
+        writer.join(10.0)
+        assert not writer.is_alive()
+        assert awaited[3:] == [None]
+        assert door.snapshot()["writer_waits"] == 1
+        assert served.version == tier.graph_version == miss.version + 1
+        # the one loop lookup is each awaited request's
+        assert len(loops) == len(awaited) == 4
 
 
 class TestReadSide:
