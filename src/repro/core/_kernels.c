@@ -1,16 +1,20 @@
 /*
- * The five loops under repro's push kernels, in C99: the scan phase's
- * asynchronous sweep and epoch-end extrapolation (paper Algorithm 3),
- * SpeedPPR's refinement (passes of the active-only scan), the range
- * scatter under every local push, and the walk-index read of Eq. 13.
+ * The loops under repro's push kernels, in C99: PowerPush (paper
+ * Algorithm 3) as two loops, its queue rounds and its scan epochs (the
+ * asynchronous sweep, the dead-end routing, the r_sum recount and the
+ * epoch-end extrapolation), which IncrementalPPR's certification also
+ * runs; SpeedPPR's refinement (passes of the active-only scan); the range
+ * scatter under every local push; and the walk-index read of Eq. 13.
  *
  * Built and loaded by repro/core/kernels.py on first import, with
  * -ffp-contract=off: every multiply and add below rounds on its own, so
  * the results are those of the same loop written in Python, bit for
- * bit, on every architecture.  Callers check dtypes, contiguity,
- * lengths and writability, and that every target index is inside the
- * vector it adds into; only repro_scatter_ranges checks anything here
- * (that its ranges lie inside the targets array).
+ * bit, on every architecture; the sums PowerPush takes of a whole
+ * vector are NumPy's pairwise summation, so they are the bits of
+ * ndarray.sum().  Callers check dtypes, contiguity, lengths and
+ * writability, and that every target index is inside the vector it adds
+ * into; only repro_scatter_ranges checks anything here (that its ranges
+ * lie inside the targets array).
  */
 #include <math.h>
 #include <stdint.h>
@@ -88,9 +92,29 @@ double repro_async_sweep(
     return dead_mass;
 }
 
-/* Where repro_refine sends dead-end mass; the order of _DEAD_END_CODES
- * in kernels.py. */
+/* Where dead-end mass goes; the order of _DEAD_END_CODES in kernels.py. */
 enum { REDIRECT_TO_SOURCE = 0, UNIFORM_TELEPORT = 1, SELF_LOOP = 2 };
+
+/*
+ * Route dead-end mass m != 0 where the policy sends it: residue[source]
+ * += m, or residue[i] += m / n for every i.  Under SELF_LOOP the graph
+ * has no dead end, so mass there is an error: returns -1, else 0.
+ */
+static int route_dead_mass(
+    int64_t n, double *residue, int policy, int64_t source, double dead_mass)
+{
+    if (policy == REDIRECT_TO_SOURCE) {
+        residue[source] += dead_mass;
+    } else if (policy == UNIFORM_TELEPORT) {
+        const double share = dead_mass / (double)n;
+        for (int64_t i = 0; i < n; ++i) {
+            residue[i] += share;
+        }
+    } else {
+        return -1;
+    }
+    return 0;
+}
 
 /*
  * SpeedPPR's refinement: passes of the active-only scan until a pass
@@ -139,17 +163,9 @@ int64_t repro_refine(
             return passes;
         }
         counts[0] += pushes;
-        if (dead_mass != 0.0) {
-            if (policy == REDIRECT_TO_SOURCE) {
-                residue[source] += dead_mass;
-            } else if (policy == UNIFORM_TELEPORT) {
-                const double share = dead_mass / (double)n;
-                for (int64_t i = 0; i < n; ++i) {
-                    residue[i] += share;
-                }
-            } else {
-                return -1;
-            }
+        if (dead_mass != 0.0
+            && route_dead_mass(n, residue, policy, source, dead_mass)) {
+            return -1;
         }
         if (++passes >= max_passes) {
             return passes;
@@ -263,14 +279,20 @@ static double step_towards_zero(double x)
 }
 
 /*
- * Repeat a window of pushes k more times (see extrapolate_window in
- * kernels.py for why this is valid).  With fall = r_before - residue:
+ * Repeat a window of pushes k more times (see repro.core.kernels,
+ * "The PowerPush loop", for why this is valid).  With fall = r_before -
+ * residue:
  *
  *   pass 1: k = the minimum of residue / fall over the entries that
  *           moved towards zero (the ratio is >= 0; inf and nan never
  *           bind), stepped one float towards zero, and the sign test
  *           sum(sign(residue) * fall) > 0;
  *   pass 2: residue -= k * fall, reserve += k * settled.
+ *
+ * Pass 1 has no branch: in the first epochs most entries are 0 / 0, and
+ * a branch on each entry mispredicts.  The sign test adds sign(r) * fall
+ * for every entry, a 0 where r is 0, which moves at most the sign of a
+ * zero sum, and the test reads either zero as not positive.
  *
  * Returns 1 when pass 2 ran, 0 when k is not positive or the sign test
  * fails (nothing is written).  settled and r_before are read only.
@@ -288,14 +310,9 @@ int repro_extrapolate_window(
         const double r = residue[i];
         const double fall = r_before[i] - r;
         const double ratio = r / fall;
-        if (ratio >= 0.0 && ratio < k) {
-            k = ratio;
-        }
-        if (r > 0.0) {
-            signed_fall += fall;
-        } else if (r < 0.0) {
-            signed_fall -= fall;
-        }
+        const double bound = ratio >= 0.0 ? ratio : INFINITY;
+        k = bound < k ? bound : k;
+        signed_fall += (double)((r > 0.0) - (r < 0.0)) * fall;
     }
     if (!(k > 0.0 && k < INFINITY)) {
         return 0;
@@ -310,4 +327,252 @@ int repro_extrapolate_window(
         reserve[i] += k * settled[i];
     }
     return 1;
+}
+
+/*
+ * NumPy's pairwise summation of a[0 .. n): what ndarray.sum() returns for
+ * a C-contiguous float64 vector, bit for bit.  Under 8 terms a plain
+ * loop; up to 128, eight running sums combined as a tree, then the tail;
+ * above, the two halves, split at a multiple of 8.  LOAD(x) is the term
+ * for entry x: x itself, or fabs(x) for the sum np.abs(a).sum().
+ */
+#define PAIRWISE_SUM(NAME, LOAD)                                           \
+    static double NAME(const double *a, int64_t n)                         \
+    {                                                                      \
+        if (n < 8) {                                                       \
+            double sum = 0.0;                                              \
+            for (int64_t i = 0; i < n; ++i) {                              \
+                sum += LOAD(a[i]);                                         \
+            }                                                              \
+            return sum;                                                    \
+        }                                                                  \
+        if (n <= 128) {                                                    \
+            double r[8];                                                   \
+            for (int j = 0; j < 8; ++j) {                                  \
+                r[j] = LOAD(a[j]);                                         \
+            }                                                              \
+            int64_t i = 8;                                                 \
+            for (; i < n - n % 8; i += 8) {                                \
+                for (int j = 0; j < 8; ++j) {                              \
+                    r[j] += LOAD(a[i + j]);                                \
+                }                                                          \
+            }                                                              \
+            double sum = ((r[0] + r[1]) + (r[2] + r[3]))                   \
+                         + ((r[4] + r[5]) + (r[6] + r[7]));                \
+            for (; i < n; ++i) {                                           \
+                sum += LOAD(a[i]);                                         \
+            }                                                              \
+            return sum;                                                    \
+        }                                                                  \
+        int64_t half = n / 2;                                              \
+        half -= half % 8;                                                  \
+        return NAME(a, half) + NAME(a + half, n - half);                   \
+    }
+
+#define IDENTITY(x) (x)
+PAIRWISE_SUM(pairwise_sum, IDENTITY)
+PAIRWISE_SUM(pairwise_abs_sum, fabs)
+
+/*
+ * ndarray.sum() of a[0 .. n), or np.abs(a).sum() when absolute is set:
+ * the reduction starts from +0.0, as NumPy's does.
+ */
+double repro_sum(const double *a, int64_t n, int absolute)
+{
+    return 0.0 + (absolute ? pairwise_abs_sum(a, n) : pairwise_sum(a, n));
+}
+
+/* What repro_queue_rounds and repro_scan_epochs return. */
+enum { LOOP_DONE = 0, LOOP_CAPPED = 1, LOOP_STEPPED = 2, LOOP_DEAD_END = -1 };
+
+/*
+ * PowerPush's queue phase: rounds of Section 4.2's S(j) structure, while
+ * *r_sum > l1_threshold.  A round pushes, simultaneously, the frontier:
+ * every node v, in ascending id, with residue[v] > d_v * r_max, a dead
+ * end's d_v being dead_degree (its conceptual out-degree).  The rounds
+ * stop at an empty frontier or at one above scan_threshold, before
+ * pushing it.  A round
+ *
+ *   - stages each frontier node's residue r into pushed[] and zeroes it,
+ *     all of them first, so a self-loop or a frontier neighbour
+ *     re-deposits;
+ *   - in frontier order, adds (1 - alpha) * r / d_v to each out-neighbour
+ *     in CSR order, and alpha * r to reserve[v];
+ *   - routes (1 - alpha) * (the sum of the dead ends' r) by policy;
+ *   - lowers *r_sum by alpha * (the sum of every r).
+ *
+ * Both sums are pairwise, in frontier order.  frontier[] and pushed[]
+ * hold n entries each.  counts[0] += the nodes pushed, counts[1] += the
+ * residue updates (an edge, or a dead end, one each).
+ *
+ * Returns LOOP_DONE; LOOP_CAPPED after the round that takes counts[1]
+ * above max_updates; LOOP_STEPPED after max_steps rounds (0: no limit);
+ * LOOP_DEAD_END on dead-end mass under SELF_LOOP.
+ */
+int repro_queue_rounds(
+    int64_t n,
+    const int64_t *indptr,
+    const int32_t *indices,
+    double alpha,
+    double *residue,
+    double *reserve,
+    int policy,
+    int64_t source,
+    double dead_degree,
+    double r_max,
+    double l1_threshold,
+    double scan_threshold,
+    int64_t max_updates,
+    int64_t max_steps,
+    int64_t *frontier,
+    double *pushed,
+    double *r_sum,
+    int64_t *counts)
+{
+    const double scale = 1.0 - alpha;
+    for (int64_t steps = 0; *r_sum > l1_threshold;) {
+        int64_t size = 0;
+        for (int64_t v = 0; v < n && (double)size <= scan_threshold; ++v) {
+            const int64_t degree = indptr[v + 1] - indptr[v];
+            const double d = degree ? (double)degree : dead_degree;
+            /* Without a branch: wide frontiers are unpredictable. */
+            frontier[size] = v;
+            size += residue[v] > d * r_max;
+        }
+        if (size == 0 || (double)size > scan_threshold) {
+            return LOOP_DONE;
+        }
+        for (int64_t j = 0; j < size; ++j) {
+            pushed[j] = residue[frontier[j]];
+            residue[frontier[j]] = 0.0;
+        }
+        int64_t edges = 0;
+        for (int64_t j = 0; j < size; ++j) {
+            const int64_t v = frontier[j];
+            const int64_t lo = indptr[v];
+            const int64_t hi = indptr[v + 1];
+            if (hi > lo) {
+                const double share = (pushed[j] * scale) / (double)(hi - lo);
+                for (int64_t e = lo; e < hi; ++e) {
+                    residue[indices[e]] += share;
+                }
+            }
+            reserve[v] += alpha * pushed[j];
+            edges += hi - lo;
+        }
+        const double pushed_sum = repro_sum(pushed, size, 0);
+        /* The dead ends' r, packed to the front of pushed[]. */
+        int64_t dead = 0;
+        for (int64_t j = 0; j < size; ++j) {
+            if (indptr[frontier[j] + 1] == indptr[frontier[j]]) {
+                pushed[dead++] = pushed[j];
+            }
+        }
+        const double dead_mass = dead ? scale * repro_sum(pushed, dead, 0) : 0.0;
+        counts[0] += size;
+        counts[1] += edges + dead;
+        if (dead_mass != 0.0
+            && route_dead_mass(n, residue, policy, source, dead_mass)) {
+            return LOOP_DEAD_END;
+        }
+        *r_sum += -alpha * pushed_sum;
+        if (counts[1] > max_updates) {
+            return LOOP_CAPPED;
+        }
+        if (++steps == max_steps) {
+            return LOOP_STEPPED;
+        }
+    }
+    return LOOP_DONE;
+}
+
+/*
+ * PowerPush's scan phase, from epoch progress[0]: epoch i sweeps while
+ * the residue's sum (of |r| when absolute is set), recounted pairwise
+ * after every sweep, exceeds targets[i].  A sweep copies residue into
+ * r_before, runs repro_async_sweep (which writes settled) and routes the
+ * dead-end mass by policy.  An epoch that swept ends, while the sum is
+ * still above l1_threshold, in repro_extrapolate_window over its last
+ * sweep, after which the sum is recounted.  progress[1] says whether
+ * the current epoch swept, so a call can resume where the last one
+ * returned; *measure receives the sum.  counts[0] += the nodes pushed,
+ * counts[1] += the residue updates, counts[2] += the sweeps, counts[3]
+ * += the windows extrapolated.
+ *
+ * Returns LOOP_DONE after the last epoch; LOOP_CAPPED after the sweep
+ * that takes counts[1] above max_updates or counts[2] above max_sweeps;
+ * LOOP_STEPPED after max_steps sweeps and extrapolations (0: no limit);
+ * LOOP_DEAD_END on dead-end mass under SELF_LOOP.
+ */
+int repro_scan_epochs(
+    int64_t n,
+    const int64_t *indptr,
+    const int32_t *indices,
+    double alpha,
+    double *residue,
+    double *reserve,
+    double *r_before,
+    double *settled,
+    int policy,
+    int64_t source,
+    int absolute,
+    int64_t num_epochs,
+    const double *targets,
+    double l1_threshold,
+    int64_t max_updates,
+    int64_t max_sweeps,
+    int64_t max_steps,
+    int64_t *progress,
+    double *measure,
+    int64_t *counts)
+{
+    int64_t epoch = progress[0];
+    int64_t swept = progress[1];
+    int64_t steps = 0;
+    int status = LOOP_DONE;
+    double sum = repro_sum(residue, n, absolute);
+    while (epoch < num_epochs) {
+        if (sum > targets[epoch]) {
+            int64_t sweep_counts[2];
+            memcpy(r_before, residue, (size_t)n * sizeof(double));
+            const double dead_mass = repro_async_sweep(
+                n, indptr, indices, alpha, residue, reserve, settled,
+                sweep_counts);
+            counts[0] += sweep_counts[0];
+            counts[1] += sweep_counts[1];
+            counts[2] += 1;
+            swept = 1;
+            if (dead_mass != 0.0
+                && route_dead_mass(n, residue, policy, source, dead_mass)) {
+                status = LOOP_DEAD_END;
+                break;
+            }
+            sum = repro_sum(residue, n, absolute);
+            if (counts[1] > max_updates || counts[2] > max_sweeps) {
+                status = LOOP_CAPPED;
+                break;
+            }
+            if (++steps == max_steps) {
+                status = LOOP_STEPPED;
+                break;
+            }
+            continue;
+        }
+        const int extrapolated = swept && sum > l1_threshold
+            && repro_extrapolate_window(n, reserve, residue, settled, r_before);
+        ++epoch;
+        swept = 0;
+        if (extrapolated) {
+            counts[3] += 1;
+            sum = repro_sum(residue, n, absolute);
+            if (++steps == max_steps) {
+                status = LOOP_STEPPED;
+                break;
+            }
+        }
+    }
+    progress[0] = epoch;
+    progress[1] = swept;
+    *measure = sum;
+    return status;
 }

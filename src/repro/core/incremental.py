@@ -47,7 +47,7 @@ import time
 
 import numpy as np
 
-from repro.core.kernels import extrapolate_window, settle_sweep
+from repro.core.kernels import scan_epochs
 from repro.core.powerpush import PowerPushConfig, power_push
 from repro.core.result import PPRResult
 from repro.core.validation import check_alpha, check_l1_threshold, check_source
@@ -255,24 +255,21 @@ class IncrementalPPR:
         ``l1_threshold ** (1 / epoch_num)`` — from the *current*
         perturbation mass down to the contract.  The total cost is
         therefore governed by ``log(perturbation / l1_threshold)``
-        rather than the from-scratch ``log(1 / l1_threshold)``.  Every
-        push is a whole asynchronous sweep
-        (:func:`~repro.core.kernels.settle_sweep`, signed), as in
-        PowerPush's scan phase: after a certification nearly every node
-        holds a little residue, so re-certifying sweeps the graph
+        rather than the from-scratch ``log(1 / l1_threshold)``.  The
+        epochs are PowerPush's scan phase
+        (:func:`~repro.core.kernels.scan_epochs`, one C call) on signed
+        residues and ``sum(|r|)``: after a certification nearly every
+        node holds a little residue, so re-certifying sweeps the graph
         anyway, and a node-granular sweep does more per edge than a
-        frontier push.  Every epoch that swept ends in an
-        extrapolation of its last sweep
-        (:func:`~repro.core.kernels.extrapolate_window`, which keeps
-        every residue's sign and only ever lowers ``sum(|r|)``).
+        frontier push.  Every epoch that swept ends in an extrapolation
+        of its last sweep, which keeps every residue's sign and only
+        ever lowers ``sum(|r|)``.
         """
-        m = snapshot.num_edges
-        if m == 0:
+        if snapshot.num_edges == 0:
             return
         bound = self.error_bound
         if bound <= self.l1_threshold:
             return
-        n = snapshot.num_nodes
         epochs = (self._config or PowerPushConfig()).epoch_num
         shrink = self.l1_threshold ** (1.0 / epochs)
         targets = []
@@ -280,38 +277,25 @@ class IncrementalPPR:
         while target > self.l1_threshold:
             target = max(target * shrink, self.l1_threshold)
             targets.append(target)
-        r_before = np.empty(n)
-        settled = np.empty(n)
-        sweeps = 0
-        for target in targets:
-            swept = False
-            while float(np.abs(self._r).sum()) > target:
-                r_before[:] = self._r
-                # Dead-end-free, so no dead-end mass comes back.
-                pushes, updates, _ = settle_sweep(
-                    snapshot, self._r, self._p, settled, self.alpha
-                )
-                counters.count_bulk_pushes(pushes, updates)
-                counters.iterations += 1
-                swept = True
-                sweeps += 1
-                if sweeps > _MAX_SWEEPS:
-                    raise ConvergenceError(
-                        f"incremental certification did not converge in "
-                        f"{_MAX_SWEEPS} sweeps "
-                        f"(|r| sum = {float(np.abs(self._r).sum()):.3e})"
-                    )
-                if trace is not None:
-                    trace.maybe_record(
-                        counters.residue_updates,
-                        float(np.abs(self._r).sum()),
-                    )
-            if (
-                swept
-                and self.error_bound > self.l1_threshold
-                and extrapolate_window(self._p, self._r, settled, r_before)
-            ):
-                counters.bump("extrapolations")
+        # Dead-end-free, so no dead-end mass comes back.
+        sweeps, bound, converged = scan_epochs(
+            snapshot,
+            self._r,
+            self._p,
+            self.alpha,
+            targets,
+            counters,
+            l1_threshold=self.l1_threshold,
+            signed=True,
+            max_sweeps=_MAX_SWEEPS,
+            trace=trace,
+        )
+        counters.iterations += sweeps
+        if not converged:
+            raise ConvergenceError(
+                f"incremental certification did not converge in "
+                f"{_MAX_SWEEPS} sweeps (|r| sum = {bound:.3e})"
+            )
 
     @staticmethod
     def _require_no_dead_ends(snapshot: DiGraph) -> None:

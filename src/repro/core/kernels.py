@@ -32,10 +32,10 @@ active nodes' edges and replaced rounds of :func:`sweep_active` there
 (on ``pokec-s`` x10 at ``W`` ~ 1e7: 7.0-7.9 -> 3.9 ms and 585 k ->
 469 k residue updates a query, ~30 rounds -> ~15 passes).
 
-A fourth move touches no edge: :func:`extrapolate_window` repeats a
-window of pushes already made ``k`` more times in ``O(n)``, by the
-linearity of the push invariant.  PowerPush applies it to the last
-sweep of every scan epoch.
+A fourth move touches no edge: the extrapolation repeats a window of
+pushes already made ``k`` more times in ``O(n)``, by the linearity of
+the push invariant.  PowerPush applies it to the last sweep of every
+scan epoch, inside :func:`scan_epochs` ("The PowerPush loop", below).
 
 Within a global sweep or a frontier push, pushes are *simultaneous*:
 contributions are computed from the residues at entry.  The kernels
@@ -45,9 +45,11 @@ mutate the :class:`PushState` in place and keep its incremental
 The asynchronous sweep and its cost model
 -----------------------------------------
 :func:`async_sweep` (over a :class:`PushState`) and :func:`settle_sweep`
-(over raw arrays) run one C loop, :func:`refine_passes` a second,
-:func:`extrapolate_window` a third, :func:`scatter_ranges` a fourth and
-:func:`index_read` a fifth: ``_kernels.c``, compiled with the
+(over raw arrays) run one C loop, :func:`queue_rounds` a second,
+:func:`scan_epochs` a third (the sweep, the ``r_sum`` recount and the
+extrapolation, in one call), :func:`refine_passes` a fourth,
+:func:`scatter_ranges` a fifth and :func:`index_read` a sixth:
+``_kernels.c``, compiled with the
 ``cc`` on ``PATH`` on the first import of this module into
 ``__pycache__/_kernels-<key>.so`` — the key hashes the source, the
 flags and the machine, so a warm import starts no process — and
@@ -57,8 +59,7 @@ nothing to select; a missing or failing compiler is a
 The sweep is one pass over the node ids with the settle step fused in:
 per node holding residue, its residue, reserve and settled entries,
 and one add per out-edge into the live residue vector, reading only
-``out_indptr`` / ``out_indices`` — no ``P^T``, no per-edge weight.
-Per sweep the Python side adds one ``O(n)`` sum for ``r_sum``.  A
+``out_indptr`` / ``out_indices`` — no ``P^T``, no per-edge weight.  A
 traced ``benchmarks/e2e`` run prints its cost per edge
 (``powerpush.ns_per_residue_update``) beside the global sweep's
 (``kernels.global_sweep_ns_per_edge``); because every push sees every
@@ -102,6 +103,48 @@ write that nothing reads; the bits are those of one call per pass.
 Variants measured slower than this plain scan: a dirty-node bitmap, a bitmap set when a node crosses
 its threshold, an 8-node skip-ahead block, and staged ``r_max`` (fewer
 updates, more passes).
+
+The PowerPush loop
+------------------
+A PowerPush query is one call of :func:`queue_rounds` and one of
+:func:`scan_epochs`; ``IncrementalPPR``'s re-certification is one call
+of the second, on signed residues and ``sum(|r|)``.  Python keeps what
+is set once per query: the epoch targets, the work budget, and the
+:class:`~repro.errors.ConvergenceError` when a loop reports a cap spent.
+The queue rounds are :func:`frontier_push` over
+``state.active_nodes(r_max)``, round after round, with the frontier
+found, staged and scattered in C (an ``O(n)`` test per round, no mask
+or id array built in Python).  The scan epochs copy the residue into a
+window buffer, sweep, route the dead-end mass by policy and recount the
+sum after every sweep; both loops take their sums of a vector — ``r_sum``
+after a sweep or an extrapolation, ``sum(pushed)`` and the dead ends'
+share of it in a round — as NumPy's pairwise summation, so each is the
+bits of ``ndarray.sum()`` (``tests/test_core_pairwise_sum.py``) and the
+loops return the bytes, counters and ``r_sum`` of the Python loop they
+replaced (``reference_run`` in ``tests/test_core_powerpush.py``,
+``reference_certify`` in ``tests/test_incremental.py``).  A traced
+solve asks each loop to return after every round, sweep and
+extrapolation, records a point, and resumes where it stopped: the same
+arithmetic, so the same bytes.
+
+The extrapolation: a window of pushes — any sequence, dead-end routing
+included — moved ``settled`` into ``reserve`` and took the residues
+from ``r_before`` to ``residue``.  The push invariant is linear, so
+with ``fall = r_before - residue`` the pair ``(reserve + k * settled,
+residue - k * fall)`` satisfies it for every ``k``.  It is applied
+with the largest ``k`` that carries no residue across zero:
+``min(residue / fall)`` over the entries that moved towards zero,
+stepped one float towards zero so that ``|k * fall| <= |residue|``
+holds exactly there.  Non-negative residues therefore stay
+non-negative, and signed ones (:mod:`repro.core.incremental`) keep
+their signs, which makes the change in ``sum(|residue|)`` linear in
+``k``; the window is applied only when that sum falls — always, for
+non-negative residues, whose sum falls by ``k * sum(settled)``.  When
+each sweep repeats the one before scaled by ``gamma``, ``k`` is ``gamma
+/ (1 - gamma)`` — the whole geometric tail; when some entry reached
+zero in the window it is 0 and nothing happens.  Its first pass, which
+finds ``k`` and the sign of the change, has no branch: in the first
+epochs most entries are 0 / 0.
 
 The range scatter under every local push
 ----------------------------------------
@@ -149,8 +192,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.residues import BlockPushState, PushState
+from repro.core.residues import BlockPushState, PushState, dead_end_degree
 from repro.errors import KernelBuildError, ParameterError
+from repro.instrumentation.counters import PushCounters
+from repro.instrumentation.tracing import ConvergenceTrace
 
 __all__ = [
     "scatter_ranges",
@@ -160,15 +205,22 @@ __all__ = [
     "settle_sweep",
     "refine_passes",
     "index_read",
-    "extrapolate_window",
+    "queue_rounds",
+    "scan_epochs",
     "async_sweep",
     "sweep_active",
 ]
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 # No -march=native (it measured slower), and no fused multiply-add, so
-# the loops round like the same loops written in Python.
-_CFLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off")
+# the loops round like the same loops written in Python.  Loops start
+# on 32-byte boundaries, so the sweep's 26-byte edge loop sits in one
+# fetch window wherever the code around it moves it: unaligned, adding
+# the PowerPush loops moved it to a place that measured 4-5 % slower.
+_CFLAGS = (
+    "-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off",
+    "-falign-loops=32",
+)
 # After the source, so that the linker keeps libm (ceil).
 _LDLIBS = ("-lm",)
 
@@ -216,6 +268,22 @@ def _build(cache_dir: Path) -> ctypes.CDLL:
     ]
     lib.repro_extrapolate_window.restype = ctypes.c_int
     lib.repro_extrapolate_window.argtypes = [count] + [pointer] * 4
+    lib.repro_sum.restype = ctypes.c_double
+    lib.repro_sum.argtypes = [pointer, count, ctypes.c_int]
+    lib.repro_queue_rounds.restype = ctypes.c_int
+    lib.repro_queue_rounds.argtypes = [
+        count, pointer, pointer, ctypes.c_double, pointer, pointer,
+        ctypes.c_int, count, ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double, count, count, pointer, pointer,
+        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(count),
+    ]
+    lib.repro_scan_epochs.restype = ctypes.c_int
+    lib.repro_scan_epochs.argtypes = [
+        count, pointer, pointer, ctypes.c_double, pointer, pointer, pointer,
+        pointer, ctypes.c_int, count, ctypes.c_int, count, pointer,
+        ctypes.c_double, count, count, count, ctypes.POINTER(count),
+        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(count),
+    ]
     lib.repro_scatter_ranges.restype = ctypes.c_int
     lib.repro_scatter_ranges.argtypes = [
         count, pointer, pointer, count, pointer, pointer, pointer,
@@ -692,73 +760,185 @@ def index_read(
     return counts[0], counts[1], first_short
 
 
-def extrapolate_window(
-    reserve: np.ndarray,
-    residue: np.ndarray,
-    settled: np.ndarray,
-    r_before: np.ndarray,
+# What repro_queue_rounds and repro_scan_epochs return, in the order of
+# their enum.
+_DONE, _CAPPED, _STEPPED, _DEAD_END = 0, 1, 2, -1
+
+# A cap no count reaches: the caps are compared in int64.
+_NO_CAP = 2**62
+
+
+def queue_rounds(
+    state: PushState,
+    r_max: float,
+    l1_threshold: float,
+    scan_threshold: float,
+    max_updates: int,
+    *,
+    trace: ConvergenceTrace | None = None,
 ) -> bool:
-    """Repeat a window of pushes ``k`` more times without touching an edge.
+    """PowerPush's queue phase over ``state``: one C call.
 
-    The window — any sequence of pushes, dead-end routing included —
-    moved ``settled`` into ``reserve`` and took the residues from
-    ``r_before`` to ``residue``.  The push invariant is linear, so with
-    ``fall = r_before - residue`` the pair ``(reserve + k * settled,
-    residue - k * fall)`` satisfies it for every ``k``.  Applied here
-    with the largest ``k`` that carries no residue across zero:
-    ``min(residue / fall)`` over the entries that moved towards zero,
-    stepped one float towards zero so that ``|k * fall| <= |residue|``
-    holds exactly there.  Non-negative residues therefore stay
-    non-negative, and signed ones (:mod:`repro.core.incremental`) keep
-    their signs, which makes the change in ``sum(|residue|)`` linear in
-    ``k``; the window is applied only when that sum falls — always, for
-    non-negative residues, whose sum falls by ``k * sum(settled)``.
-    When each sweep repeats the one before scaled by ``gamma``, ``k`` is
-    ``gamma / (1 - gamma)`` — the whole geometric tail; when some entry
-    reached zero in the window it is 0 and nothing happens.
+    While ``state.r_sum > l1_threshold``, one round pushes the frontier
+    simultaneously, as :func:`frontier_push` pushes
+    ``state.active_nodes(r_max)``: the residues at the round's start,
+    staged and zeroed first, then scattered in frontier order; the
+    reserve gets ``alpha * pushed``; the dead ends' mass,
+    ``(1 - alpha) * sum(pushed of dead ends)``, is routed by the state's
+    policy; and ``r_sum`` drops by ``alpha * sum(pushed)``.  The rounds
+    stop at an empty frontier or at one above ``scan_threshold``, before
+    pushing it.  ``state``'s counters are billed with the pushes, the
+    residue updates (a dead end counts one) and the queue appends (one
+    per pushed node).
 
-    Two passes of a C loop: the first finds ``k`` and the sign of the
-    change in ``sum(|residue|)``, the second applies the window.
-    ``reserve`` and ``residue`` are written and must be writable
-    C-contiguous float64 arrays of shape ``(n,)``; ``settled`` and
-    ``r_before`` are only read and may be strided views (they are then
-    copied).  Returns whether the window was applied; the caller
-    refreshes its ``r_sum``.
+    Returns False when a round took ``state.counters.residue_updates``
+    above ``max_updates``; the rounds stop there.  With ``trace``, the
+    loop returns to Python after every round to record
+    ``(residue_updates, r_sum)``, and computes the same bits.
     """
-    n = len(residue)
-    out_reserve = _address(reserve, n, "reserve")
-    out_residue = _address(residue, n, "residue")
-    inputs = []
-    for name, array in (("settled", settled), ("r_before", r_before)):
-        if array.dtype != np.float64 or array.shape != (n,):
-            raise ParameterError(
-                f"{name} must be a float64 array of shape ({n},)"
-            )
-        inputs.append(np.ascontiguousarray(array))
-    return bool(
-        _LIB.repro_extrapolate_window(
+    graph, counters = state.graph, state.counters
+    n = graph.num_nodes
+    residue = _address(state.residue, n, "residue")
+    reserve = _address(state.reserve, n, "reserve")
+    frontier = np.empty(n, dtype=np.int64)
+    pushed = np.empty(n)
+    r_sum = ctypes.c_double(state.r_sum)
+    status = _STEPPED
+    while status == _STEPPED:
+        counts = (ctypes.c_int64 * 2)()
+        status = _LIB.repro_queue_rounds(
             n,
-            out_reserve,
-            out_residue,
-            inputs[0].ctypes.data,
-            inputs[1].ctypes.data,
+            graph.out_indptr.ctypes.data,
+            graph.out_indices.ctypes.data,
+            state.alpha,
+            residue,
+            reserve,
+            _DEAD_END_CODES[state.dead_end_policy],
+            state.source,
+            dead_end_degree(graph, state.dead_end_policy),
+            r_max,
+            l1_threshold,
+            scan_threshold,
+            max_updates - counters.residue_updates,
+            0 if trace is None else 1,
+            frontier.ctypes.data,
+            pushed.ctypes.data,
+            r_sum,
+            counts,
         )
-    )
+        counters.count_bulk_pushes(counts[0], counts[1])
+        counters.queue_appends += counts[0]
+        state.r_sum = r_sum.value
+        if status == _DEAD_END:
+            raise AssertionError(
+                "structural self-loop graphs cannot emit dead-end mass"
+            )
+        if status == _STEPPED:
+            trace.maybe_record(counters.residue_updates, r_sum.value)
+    return status == _DONE
+
+
+def scan_epochs(
+    graph,
+    residue: np.ndarray,
+    reserve: np.ndarray,
+    alpha: float,
+    targets,
+    counters: PushCounters,
+    *,
+    l1_threshold: float,
+    signed: bool = False,
+    source: int = 0,
+    dead_end_policy: str = "redirect-to-source",
+    max_updates: int = _NO_CAP,
+    max_sweeps: int = _NO_CAP,
+    trace: ConvergenceTrace | None = None,
+) -> tuple[int, float, bool]:
+    """PowerPush's scan phase over raw arrays: one C call.
+
+    Epoch ``i`` sweeps (:func:`settle_sweep`, then the dead-end mass
+    routed by ``dead_end_policy`` as :func:`_apply_dead_end_mass` routes
+    it) while the residue's sum — of ``|residue|`` when ``signed`` —
+    exceeds ``targets[i]``; the sum is recounted after every sweep, in
+    the bits of ``residue.sum()`` (``np.abs(residue).sum()``).  An epoch
+    that swept ends, while the sum is still above ``l1_threshold``, in an
+    extrapolation of its last sweep (module docstring), after which the
+    sum is recounted.  ``counters`` is billed with the pushes, the
+    residue updates and the windows extrapolated (``extrapolations``).
+
+    Returns ``(sweeps, sum, within_caps)``: the sweeps run, the final
+    sum, and False when a sweep took ``counters.residue_updates`` above
+    ``max_updates`` or the sweeps above ``max_sweeps`` (the loop stops
+    there).  With ``trace``, the loop returns to Python after every sweep
+    and extrapolation to record ``(residue_updates, sum)``, and computes
+    the same bits.
+    """
+    n = graph.num_nodes
+    if dead_end_policy not in _DEAD_END_CODES:
+        raise ParameterError(f"unknown dead-end policy {dead_end_policy!r}")
+    if not 0 <= source < n:
+        raise ParameterError(f"source must be an id in [0, {n})")
+    out_residue = _address(residue, n, "residue")
+    out_reserve = _address(reserve, n, "reserve")
+    # The last sweep's window: the residue before it, and what it settled.
+    r_before, settled = np.empty(n), np.empty(n)
+    targets = np.ascontiguousarray(targets, dtype=np.float64)
+    # The epoch the loop is in, and whether that epoch swept.
+    progress = (ctypes.c_int64 * 2)()
+    measure = ctypes.c_double()
+    sweeps = 0
+    status = _STEPPED
+    while status == _STEPPED:
+        counts = (ctypes.c_int64 * 4)()
+        status = _LIB.repro_scan_epochs(
+            n,
+            graph.out_indptr.ctypes.data,
+            graph.out_indices.ctypes.data,
+            alpha,
+            out_residue,
+            out_reserve,
+            r_before.ctypes.data,
+            settled.ctypes.data,
+            _DEAD_END_CODES[dead_end_policy],
+            source,
+            signed,
+            targets.shape[0],
+            targets.ctypes.data,
+            l1_threshold,
+            max_updates - counters.residue_updates,
+            max_sweeps - sweeps,
+            0 if trace is None else 1,
+            progress,
+            measure,
+            counts,
+        )
+        counters.count_bulk_pushes(counts[0], counts[1])
+        sweeps += counts[2]
+        if counts[3]:
+            counters.bump("extrapolations", counts[3])
+        if status == _DEAD_END:
+            raise AssertionError(
+                "structural self-loop graphs cannot emit dead-end mass"
+            )
+        if status == _STEPPED:
+            trace.maybe_record(counters.residue_updates, measure.value)
+    return sweeps, measure.value, status == _DONE
 
 
 def async_sweep(state: PushState) -> np.ndarray:
     """Push every residue-holding node once, with the freshest residues.
 
-    The scan-phase sweep of PowerPush (Algorithm 3): unlike
-    :func:`global_sweep` it is *asynchronous* — see
-    :func:`settle_sweep` — so one sweep does the work of nearly two
-    synchronous ones.  Billed like ``global_sweep(count_all_edges=
-    False)``: one push per node that held residue when the sweep
-    reached it, one residue update per out-edge of those nodes.
+    The sweep of PowerPush's scan (Algorithm 3), here alone: the dense
+    side of :func:`sweep_active`.  Unlike :func:`global_sweep` it is
+    *asynchronous* — see :func:`settle_sweep` — so one sweep does the
+    work of nearly two synchronous ones.  Billed like
+    ``global_sweep(count_all_edges=False)``: one push per node that held
+    residue when the sweep reached it, one residue update per out-edge
+    of those nodes.
 
     Returns what the sweep settled into the reserve (``alpha`` times
-    what each node pushed), a fresh ``(n,)`` array;
-    :func:`extrapolate_window` reads it.
+    what each node pushed), a fresh ``(n,)`` array: the ``settled`` half
+    of a window :func:`scan_epochs` can extrapolate.
     """
     settled = np.empty(state.graph.num_nodes)
     pushes, updates, dead_mass = settle_sweep(

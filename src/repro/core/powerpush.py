@@ -17,22 +17,29 @@ scans once the frontier is wide).  Three ingredients (Section 5):
    pushes all have high unit-cost benefit, letting residues accumulate
    before being pushed and cutting the total number of residue updates.
 
-PowerPush has one execution path.  Its queue phase pushes the whole
-active set per round (:func:`repro.core.kernels.frontier_push`), the
-S(j) iteration structure of Section 4.2, and its scan pass is one
-compiled asynchronous sweep (:func:`repro.core.kernels.async_sweep`):
-nodes in ascending id, each push reading the residues every earlier
-push of the same pass left — ingredient 1 at node granularity, as in
-Algorithm 3.  Sweeps alone take a ``lj-s`` x10 query at lambda = 1e-8
-from 0.92x of PowItr's residue updates (synchronous sweeps) to about
-0.48x, the "roughly half" of the paper's Figure 6.
+PowerPush has one execution path, two C loops
+(:mod:`repro.core.kernels`) and one call to each per query.  Its queue
+phase, :func:`~repro.core.kernels.queue_rounds`, pushes the whole
+active set per round, the S(j) iteration structure of Section 4.2.  Its
+scan phase, :func:`~repro.core.kernels.scan_epochs`, runs every epoch:
+whole asynchronous sweeps, nodes in ascending id, each push reading the
+residues every earlier push of the same sweep left — ingredient 1 at
+node granularity, as in Algorithm 3 — with the dead-end mass routed and
+``r_sum`` recounted after each.  Sweeps alone take a ``lj-s`` x10 query
+at lambda = 1e-8 from 0.92x of PowItr's residue updates (synchronous
+sweeps) to about 0.48x, the "roughly half" of the paper's Figure 6.
 Algorithm 3's scan pushes only active nodes; a sweep pushes every node
 holding residue, which is always legal and saves the masking passes.
 The scan phase is whole sweeps only — once a query scans it never goes
 back to a frontier push — and it sweeps until ``r_sum`` itself meets
 the epoch's target: with dead ends "no node is active" does not imply
-that.  Algorithm 3's scalar loop, line for line, is the test reference
-``reference_power_push`` in ``tests/test_core_powerpush.py``.
+that.  Python computes the epoch targets and the work budget, raises
+:class:`~repro.errors.ConvergenceError` when a loop reports the budget
+spent, and, for a traced solve, lets each loop return after every round
+or sweep to record a point, with the same bits.  Algorithm 3's scalar
+loop, line for line, is the test reference ``reference_power_push`` in
+``tests/test_core_powerpush.py``; ``reference_run`` there is the Python
+loop the two C loops replaced.
 
 PowerPush adds a fourth ingredient the paper does not have:
 
@@ -41,10 +48,10 @@ PowerPush adds a fourth ingredient the paper does not have:
    on ``lj-s``), and the push invariant is linear, so that geometric
    tail can be summed instead of swept: when an epoch that swept ends
    above ``lambda``, its last sweep is applied
-   ``k = min(r / (r_before - r))`` more times in one ``O(n)`` step
-   (:func:`repro.core.kernels.extrapolate_window`), with no edge
-   touched.  ``k`` is the largest factor that keeps every residue
-   non-negative, so every contract below holds unchanged; it is
+   ``k = min(r / (r_before - r))`` more times in one ``O(n)`` step at
+   the end of the epoch, with no edge touched.  ``k`` is the largest
+   factor that keeps every residue non-negative, so every contract
+   below holds unchanged; it is
    ``gamma / (1 - gamma)`` in the geometric regime (95-99 % of the
    residue goes, and the next epochs' targets are already met) and 0
    while some residue still falls to zero within a sweep (nothing
@@ -58,9 +65,7 @@ import math
 import numbers
 import time
 
-import numpy as np
-
-from repro.core.kernels import async_sweep, extrapolate_window, frontier_push
+from repro.core.kernels import queue_rounds, scan_epochs
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
 from repro.core.validation import (
@@ -199,52 +204,39 @@ def _run(
 ) -> None:
     graph = state.graph
     n, m = graph.num_nodes, graph.num_edges
-    r_max = l1_threshold / m
-    scan_threshold = config.scan_threshold(n)
     budget = _push_budget(state.alpha, l1_threshold, m, max_work_factor)
 
-    # --- Queue phase: batched FIFO frontiers --------------------------
-    # Each batch simultaneously pushes the current active set, which is
-    # the S(j) iteration structure of Section 4.2; we stay in this
-    # phase while the frontier is small.
-    while state.r_sum > l1_threshold:
-        frontier = state.active_nodes(r_max)
-        if frontier.shape[0] == 0 or frontier.shape[0] > scan_threshold:
-            break
-        frontier_push(state, frontier)
-        state.counters.queue_appends += frontier.shape[0]
+    # Queue phase: rounds of the whole active set, the S(j) iteration
+    # structure of Section 4.2, while the frontier is small.  A loop
+    # stopped by the budget has billed past it, so _check_budget raises.
+    if not queue_rounds(
+        state, l1_threshold / m, l1_threshold, config.scan_threshold(n),
+        budget, trace=trace,
+    ):
         _check_budget(state, budget)
-        if trace is not None:
-            trace.maybe_record(state.counters.residue_updates, state.r_sum)
 
-    # --- Scan phase: whole sweeps, extrapolated at every epoch end ----
+    # Scan phase: whole sweeps, extrapolated at every epoch end.
     if state.refresh_r_sum() > l1_threshold:
-        r_before = np.empty(n)
-        for epoch in range(1, config.epoch_num + 1):
-            state.counters.bump("epochs")
-            target = _epoch_target(l1_threshold, epoch, config.epoch_num)
-            settled = None
-            while state.r_sum > target:
-                r_before[:] = state.residue
-                settled = async_sweep(state)
-                _check_budget(state, budget)
-                if trace is not None:
-                    trace.maybe_record(
-                        state.counters.residue_updates, state.r_sum
-                    )
-            if (
-                settled is not None
-                and state.r_sum > l1_threshold
-                and extrapolate_window(
-                    state.reserve, state.residue, settled, r_before
-                )
-            ):
-                state.counters.bump("extrapolations")
-                state.refresh_r_sum()
-                if trace is not None:
-                    trace.maybe_record(
-                        state.counters.residue_updates, state.r_sum
-                    )
+        state.counters.bump("epochs", config.epoch_num)
+        targets = [
+            _epoch_target(l1_threshold, epoch, config.epoch_num)
+            for epoch in range(1, config.epoch_num + 1)
+        ]
+        _, state.r_sum, within_budget = scan_epochs(
+            graph,
+            state.residue,
+            state.reserve,
+            state.alpha,
+            targets,
+            state.counters,
+            l1_threshold=l1_threshold,
+            source=state.source,
+            dead_end_policy=state.dead_end_policy,
+            max_updates=budget,
+            trace=trace,
+        )
+        if not within_budget:
+            _check_budget(state, budget)
 
 
 def power_push_block(graph: DiGraph, sources, **params) -> list[PPRResult]:

@@ -38,6 +38,7 @@ __all__ = [
     "DeadEndPolicy",
     "PushState",
     "check_dead_end_policy",
+    "dead_end_degree",
     "effective_out_degree",
 ]
 
@@ -71,12 +72,14 @@ def effective_out_degree(graph: DiGraph, dead_end_policy: str) -> np.ndarray:
     degree = graph.out_degree
     if graph.has_dead_ends:
         degree = degree.copy()
-        conceptual = (
-            graph.num_nodes if dead_end_policy == "uniform-teleport" else 1
-        )
-        degree[graph.dead_ends] = conceptual
+        degree[graph.dead_ends] = dead_end_degree(graph, dead_end_policy)
         degree.flags.writeable = False
     return degree
+
+
+def dead_end_degree(graph: DiGraph, dead_end_policy: str) -> int:
+    """A dead end's conceptual out-degree: ``n`` under uniform-teleport, else 1."""
+    return graph.num_nodes if dead_end_policy == "uniform-teleport" else 1
 
 
 class PushState:
@@ -140,6 +143,10 @@ class PushState:
         accumulated floating-point drift at iteration boundaries.
         """
         return self._r_sum
+
+    @r_sum.setter
+    def r_sum(self, value: float) -> None:
+        self._r_sum = value
 
     def refresh_r_sum(self) -> float:
         """Recompute ``r_sum`` exactly from the residue vector."""

@@ -23,7 +23,9 @@ only:
   failed instead of solved), or while awaiting the solve.
 * **Admission control** watches the p99 of recently completed
   full-fidelity requests, recomputed only when a completion has
-  changed that window.  When that prediction blows the SLO the
+  changed that window, from a copy of the window kept sorted: two
+  reads and NumPy's ``linear`` interpolation, the bits of
+  ``np.percentile(window, 99)``.  When that prediction blows the SLO the
   front door *degrades* — re-issues the request with the degrade
   parameters (e.g. a looser ``l1_threshold``) merged over its own —
   and when that cannot help (the method does not take every degrade
@@ -77,12 +79,11 @@ import math
 import numbers
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, replace
 from typing import Any
-
-import numpy as np
 
 from repro.api.registry import get_solver
 from repro.errors import (
@@ -202,6 +203,8 @@ class AsyncFrontDoor:
         self.stats = FrontDoorStats()
         self._inflight = 0
         self._latencies: deque[float] = deque(maxlen=_LATENCY_WINDOW)
+        #: the same latencies in ascending order
+        self._ordered_latencies: list[float] = []
         #: whether ``_latencies`` changed since ``predicted_p99_ms``
         #: was computed from it
         self._window_changed = False
@@ -414,9 +417,7 @@ class AsyncFrontDoor:
     def _predicted_p99_ms_locked(self) -> float:
         if len(self._latencies) < _MIN_SAMPLES:
             return 0.0
-        return float(
-            np.percentile(np.asarray(self._latencies), 99) * 1e3
-        )
+        return _p99(self._ordered_latencies) * 1e3
 
     def _settle(self, outcome: str, latency: float, degraded: bool) -> None:
         """Count how an admitted request ended: ``"completed"``,
@@ -427,11 +428,17 @@ class AsyncFrontDoor:
                 self.stats.completed += 1
                 if degraded:
                     self.stats.degraded += 1
-                else:
+                elif self._slo_ms is not None:
                     # Only full-fidelity completions feed the
                     # predictor: degraded latencies would mask the
-                    # overload that forced the degradation.
+                    # overload that forced the degradation.  Without
+                    # an SLO nothing reads it.
+                    if len(self._latencies) == _LATENCY_WINDOW:
+                        # The append below drops the oldest latency.
+                        ordered = self._ordered_latencies
+                        del ordered[bisect_left(ordered, self._latencies[0])]
                     self._latencies.append(latency)
+                    insort(self._ordered_latencies, latency)
                     self._window_changed = True
             elif outcome == "deadline_expired":
                 self.stats.deadline_expired += 1
@@ -444,3 +451,18 @@ class AsyncFrontDoor:
             f"deadline_ms={self._deadline_ms}, "
             f"inflight={self.inflight})"
         )
+
+
+def _p99(ordered: list[float]) -> float:
+    """``np.percentile(ordered, 99)`` of an ascending list of two or more
+    values, bit for bit: NumPy's default ``linear`` method reads the two
+    values around index ``(n - 1) * 0.99`` and interpolates from the
+    nearer one."""
+    index = (len(ordered) - 1) * 0.99
+    below = math.floor(index)
+    gamma = index - below
+    low, high = ordered[below], ordered[below + 1]
+    step = high - low
+    if gamma >= 0.5:
+        return high - step * (1 - gamma)
+    return low + step * gamma

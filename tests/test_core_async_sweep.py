@@ -1,11 +1,11 @@
 """The asynchronous sweep, the refinement's scan and the epoch-end
 extrapolation, in C.
 
-``settle_sweep`` / ``async_sweep``, ``refine_passes`` and
-``extrapolate_window`` are loops in ``repro/core/_kernels.c``.  The
-references below say what they compute, and the C must give their bits:
-a pure-Python loop over the node ids for the sweep, the same loop with
-the active-only threshold, pass after pass with dead-end routing in
+``settle_sweep`` / ``async_sweep``, ``refine_passes`` and the epoch-end
+extrapolation of ``scan_epochs`` are loops in ``repro/core/_kernels.c``.
+The references below say what they compute, and the C must give their
+bits: a pure-Python loop over the node ids for the sweep, the same loop
+with the active-only threshold, pass after pass with dead-end routing in
 between, for the refinement, and the NumPy body the extrapolation had
 before it moved to C.  What must hold besides: one sweep conserves
 ``sum(reserve) + sum(residue)``, keeps the push invariant (checked
@@ -22,16 +22,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import (
+    _LIB,
     async_sweep,
-    extrapolate_window,
     frontier_push,
     refine_passes,
+    scan_epochs,
     settle_sweep,
     sweep_active,
 )
 from repro.core.residues import PushState
 from repro.errors import ParameterError
 from repro.graph.build import cycle_graph, from_edges, star_graph
+from repro.instrumentation.counters import PushCounters
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.transforms import apply_dead_end_rule
 from repro.metrics.ground_truth import exact_ppr_dense
@@ -145,7 +147,7 @@ def reference_refine(
 
 
 def reference_extrapolate_window(reserve, residue, settled, r_before):
-    """The NumPy body ``extrapolate_window`` had before it moved to C."""
+    """The NumPy body the extrapolation had before it moved to C."""
     fall = np.subtract(r_before, residue)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = residue / fall
@@ -159,6 +161,20 @@ def reference_extrapolate_window(reserve, residue, settled, r_before):
     residue -= fall
     reserve += settled * k
     return True
+
+
+def extrapolate(reserve, residue, settled, r_before):
+    """The epoch-end extrapolation alone, in place: the C loop
+    ``scan_epochs`` runs at the end of an epoch that swept the window
+    ``(r_before, settled)``.  Returns whether the window was applied."""
+    for array in (reserve, residue, settled, r_before):
+        assert array.dtype == np.float64 and array.flags.c_contiguous
+    return bool(
+        _LIB.repro_extrapolate_window(
+            residue.shape[0], reserve.ctypes.data, residue.ctypes.data,
+            settled.ctypes.data, r_before.ctypes.data,
+        )
+    )
 
 
 def assert_sweep_matches_reference(graph, residue, reserve):
@@ -204,7 +220,7 @@ def assert_scan_matches_reference(
 def assert_extrapolation_matches_reference(reserve, residue, settled, r_before):
     c = (reserve.copy(), residue.copy())
     py = (reserve.copy(), residue.copy())
-    applied = extrapolate_window(*c, settled, r_before)
+    applied = extrapolate(*c, settled, r_before)
     assert applied == reference_extrapolate_window(
         *py, settled.copy(), r_before.copy()
     )
@@ -265,7 +281,7 @@ def check_one_sweep(graph, source, policy, warmup_pushes):
     assert int(holders.sum()) <= pushes <= graph.num_nodes
     assert int(graph.out_degree[holders].sum()) <= updates <= graph.num_edges
     assert pushes == int(np.count_nonzero(settled))
-    # The sweep is a window extrapolate_window can repeat.
+    # The sweep is a window the extrapolation can repeat.
     assert_extrapolation_matches_reference(
         state.reserve, state.residue, settled, r_before
     )
@@ -402,17 +418,14 @@ class TestSignedAndThresholded:
                     (a == 0.5).all() for i, a in enumerate(arrays) if i != slot
                 ), label
             for slot in range(2):
-                arrays = [np.full(n, 0.5), np.full(n, 0.25)]
+                arrays = [np.full(n, 0.5) for _ in range(2)]
                 arrays[slot] = array
                 with pytest.raises(ParameterError, match="float64"):
-                    extrapolate_window(*arrays, np.ones(n), np.ones(n))
-        # What the extrapolation only reads may be a strided view, not
-        # another dtype or length.
-        for array in (bad["float32"], bad["wrong length"]):
-            with pytest.raises(ParameterError, match="float64"):
-                extrapolate_window(np.zeros(n), np.ones(n), array, np.ones(n))
-            with pytest.raises(ParameterError, match="float64"):
-                extrapolate_window(np.zeros(n), np.ones(n), np.ones(n), array)
+                    scan_epochs(
+                        medium_graph, *arrays, ALPHA, [0.0], PushCounters(),
+                        l1_threshold=0.0,
+                    )
+                assert (arrays[1 - slot] == 0.5).all(), label
 
 
 def check_active_only_scan(graph, source, policy, warmup_pushes, r_max):

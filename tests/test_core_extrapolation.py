@@ -1,12 +1,14 @@
 """Epoch-end extrapolation: the array routine and the solvers built on it.
 
-``extrapolate_window`` repeats a window of pushes ``k`` more times
-without touching an edge.  What must hold: the push invariant is the
-same before and after (checked against ``exact_ppr_dense``), no residue
-crosses zero, a window that cannot be repeated is left alone, PowerPush
-answers keep every contract on adversarial graphs and parameter
-corners, never cost more residue updates than without it, and a
-``power_push_block`` batch stays bitwise the single-source solves.
+The extrapolation at the end of each scan epoch (``scan_epochs``, here
+run alone through ``test_core_async_sweep.extrapolate``) repeats a
+window of pushes ``k`` more times without touching an edge.  What must
+hold: the push invariant is the same before and after (checked against
+``exact_ppr_dense``), no residue crosses zero, a window that cannot be
+repeated is left alone, PowerPush answers keep every contract on
+adversarial graphs and parameter corners, never cost more residue
+updates than without it, and a ``power_push_block`` batch stays bitwise
+the single-source solves.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from hypothesis import strategies as st
 from test_core_async_sweep import (
     POLICIES,
     chain_graph,
+    extrapolate,
     invariant_gap,
     prepared,
 )
 
-from repro.core.kernels import async_sweep, extrapolate_window
+from repro.core.kernels import async_sweep
 from repro.core.powerpush import power_push, power_push_block
 from repro.core.residues import PushState
 from repro.generators.rmat import rmat_digraph
@@ -151,7 +154,7 @@ class TestExtrapolateWindow:
                 )
                 assert invariant_gap(state) < 1e-12
                 r_sum = state.r_sum
-                assert extrapolate_window(
+                assert extrapolate(
                     state.reserve, state.residue, settled, r_before
                 )
                 assert state.residue.min() >= 0.0
@@ -166,7 +169,7 @@ class TestExtrapolateWindow:
             state, settled, r_before = swept_state(medium_graph, source, 12)
             r_sum, fell = state.r_sum, float(r_before.sum()) - state.r_sum
             gamma = r_sum / (r_sum + fell)
-            assert extrapolate_window(
+            assert extrapolate(
                 state.reserve, state.residue, settled, r_before
             )
             assert state.refresh_r_sum() < 0.05 * r_sum
@@ -178,7 +181,7 @@ class TestExtrapolateWindow:
         residue = np.array([0.3, 0.2, 0.4])
         r_before = np.array([0.5, 0.3, 0.3])  # falls 0.2 and 0.1, rises 0.1
         settled = np.array([0.05, 0.02, 0.0])
-        assert extrapolate_window(reserve, residue, settled, r_before)
+        assert extrapolate(reserve, residue, settled, r_before)
         # k = min(0.3 / 0.2, 0.2 / 0.1) = 1.5: node 0 lands on zero
         assert residue[0] >= 0.0 and residue[0] < 1e-15
         np.testing.assert_allclose(residue[1:], [0.05, 0.55], atol=1e-15)
@@ -191,7 +194,7 @@ class TestExtrapolateWindow:
         state, settled, r_before = swept_state(medium_graph, last, 1)
         assert state.residue[last] == 0.0 and r_before[last] == 1.0
         reserve, residue = state.reserve.copy(), state.residue.copy()
-        assert not extrapolate_window(
+        assert not extrapolate(
             state.reserve, state.residue, settled, r_before
         )
         assert np.array_equal(state.reserve, reserve)
@@ -200,7 +203,7 @@ class TestExtrapolateWindow:
     def test_a_window_with_no_falling_entry_is_a_no_op(self):
         reserve, residue = np.full(4, 0.1), np.full(4, 0.15)
         for r_before in (residue.copy(), residue - 0.05, np.zeros(4)):
-            assert not extrapolate_window(
+            assert not extrapolate(
                 reserve, residue, np.full(4, 0.01), r_before
             )
             assert np.array_equal(reserve, np.full(4, 0.1))
@@ -213,7 +216,7 @@ class TestExtrapolateWindow:
         residue = np.array([0.4, -0.2, -0.3, 0.0])
         r_before = np.array([0.6, -0.3, -0.2, 0.0])
         before = np.abs(residue).sum()
-        assert extrapolate_window(
+        assert extrapolate(
             reserve, residue, np.array([0.02, -0.01, 0.0, 0.0]), r_before
         )
         # k = min(0.4 / 0.2, -0.2 / -0.1) = 2: both land on zero
@@ -222,25 +225,10 @@ class TestExtrapolateWindow:
         assert np.abs(residue).sum() < before
 
         growing = np.array([0.4, -0.5])
-        assert not extrapolate_window(
+        assert not extrapolate(
             np.zeros(2), growing, np.zeros(2), np.array([0.5, -0.1])
         )
         assert np.array_equal(growing, [0.4, -0.5])
-
-    def test_strided_views_get_the_same_bits(self, medium_graph):
-        state, settled, r_before = swept_state(medium_graph, 3, 6)
-        n = medium_graph.num_nodes
-        wide = np.zeros((n, 3))
-        wide[:, 1] = settled
-        reserve, residue = state.reserve.copy(), state.residue.copy()
-        assert extrapolate_window(
-            reserve, residue, wide[:, 1], r_before.copy()
-        )
-        assert extrapolate_window(
-            state.reserve, state.residue, settled, r_before
-        )
-        assert np.array_equal(reserve, state.reserve)
-        assert np.array_equal(residue, state.residue)
 
 
 # ---------------------------------------------------------------------------

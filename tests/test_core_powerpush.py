@@ -5,24 +5,39 @@ FIFO queue, then active-only scans under the dynamic thresholds, with
 no epoch-end extrapolation.  ``power_push`` is checked against it and
 against the exact vector; the Section 5 epoch claim is checked on it,
 where accumulate-then-push is what the paper describes.
+
+``reference_run`` is the loop ``power_push`` ran in Python before its
+queue rounds and scan epochs moved into ``_kernels.c``, on the
+pure-Python sweep and extrapolation references: the C must give its
+bytes, its counters and its ``r_sum``, traced or not.
 """
 
 from collections import deque
 
 import numpy as np
 import pytest
+from test_core_async_sweep import (
+    CORNER_GRAPHS,
+    POLICIES,
+    prepared,
+    reference_extrapolate_window,
+    reference_sweep,
+)
+from test_core_extrapolation import dead_end_fifth
 
 from repro.api import PPREngine, solve
+from repro.core.kernels import _apply_dead_end_mass, frontier_push
 from repro.core.powerpush import (
     PowerPushConfig,
     _check_budget,
+    _epoch_target,
     _push_budget,
     power_push,
 )
 from repro.core.residues import PushState
 from repro.core.result import PPRResult
-from repro.errors import ParameterError
-from repro.graph.build import cycle_graph, empty_graph, from_edges
+from repro.errors import ConvergenceError, ParameterError
+from repro.graph.build import empty_graph, from_edges
 from repro.instrumentation.tracing import ConvergenceTrace
 from repro.metrics.errors import l1_error
 from repro.metrics.ground_truth import exact_ppr_dense
@@ -89,6 +104,200 @@ def reference_power_push(
         counters=state.counters,
         method="PowerPush[reference]",
     )
+
+
+def reference_run(state, l1_threshold, config, trace, max_work_factor):
+    """PowerPush's ``_run`` as a Python loop: whole-frontier rounds, then
+    epochs of sweeps, each epoch that swept ending in an extrapolation."""
+    graph = state.graph
+    n, m = graph.num_nodes, graph.num_edges
+    r_max = l1_threshold / m
+    scan_threshold = config.scan_threshold(n)
+    budget = _push_budget(state.alpha, l1_threshold, m, max_work_factor)
+
+    while state.r_sum > l1_threshold:
+        frontier = state.active_nodes(r_max)
+        if frontier.shape[0] == 0 or frontier.shape[0] > scan_threshold:
+            break
+        frontier_push(state, frontier)
+        state.counters.queue_appends += frontier.shape[0]
+        _check_budget(state, budget)
+        if trace is not None:
+            trace.maybe_record(state.counters.residue_updates, state.r_sum)
+
+    if state.refresh_r_sum() > l1_threshold:
+        r_before = np.empty(n)
+        settled = np.empty(n)
+        for epoch in range(1, config.epoch_num + 1):
+            state.counters.bump("epochs")
+            target = _epoch_target(l1_threshold, epoch, config.epoch_num)
+            swept = False
+            while state.r_sum > target:
+                r_before[:] = state.residue
+                pushes, updates, dead_mass = reference_sweep(
+                    graph, state.residue, state.reserve, settled, state.alpha
+                )
+                state.counters.count_bulk_pushes(pushes, updates)
+                _apply_dead_end_mass(state, dead_mass)
+                state.refresh_r_sum()
+                swept = True
+                _check_budget(state, budget)
+                if trace is not None:
+                    trace.maybe_record(
+                        state.counters.residue_updates, state.r_sum
+                    )
+            if (
+                swept
+                and state.r_sum > l1_threshold
+                and reference_extrapolate_window(
+                    state.reserve, state.residue, settled, r_before
+                )
+            ):
+                state.counters.bump("extrapolations")
+                state.refresh_r_sum()
+                if trace is not None:
+                    trace.maybe_record(
+                        state.counters.residue_updates, state.r_sum
+                    )
+
+
+def reference_solve(
+    graph,
+    source,
+    *,
+    l1_threshold,
+    dead_end_policy="redirect-to-source",
+    config=None,
+    max_work_factor=64.0,
+):
+    """``power_push`` on ``reference_run`` (graphs with at least one edge)."""
+    state = PushState(graph, source, 0.2, dead_end_policy=dead_end_policy)
+    reference_run(
+        state, l1_threshold, config or PowerPushConfig(), None, max_work_factor
+    )
+    state.refresh_r_sum()
+    return state
+
+
+def assert_same_solve(result, state):
+    assert result.estimate.tobytes() == state.reserve.tobytes()
+    assert result.residue.tobytes() == state.residue.tobytes()
+    assert result.counters.as_dict() == state.counters.as_dict()
+    assert np.float64(result.r_sum).tobytes() == np.float64(state.r_sum).tobytes()
+
+
+class TestTheLoopInC:
+    """``power_push`` gives the bytes of the loop it ran in Python."""
+
+    @pytest.mark.parametrize("l1", [1e-4, 1e-8])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("name", sorted(CORNER_GRAPHS))
+    def test_corner_graphs(self, name, policy, l1):
+        graph = prepared(CORNER_GRAPHS[name], policy)
+        for source in (0, graph.num_nodes - 1):
+            result = power_push(
+                graph, source, l1_threshold=l1, dead_end_policy=policy
+            )
+            assert_same_solve(
+                result,
+                reference_solve(
+                    graph, source, l1_threshold=l1, dead_end_policy=policy
+                ),
+            )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PowerPushConfig(),
+            PowerPushConfig(epoch_num=1),
+            PowerPushConfig(epoch_num=3, scan_threshold_fraction=0.0),
+            PowerPushConfig(scan_threshold_fraction=float("inf")),
+        ],
+        ids=["paper", "one-epoch", "scan-only", "queue-only"],
+    )
+    @pytest.mark.parametrize("policy", ["redirect-to-source", "uniform-teleport"])
+    def test_configs_on_graphs_with_dead_ends(self, dead_end_graph, config, policy):
+        # The last graph's rounds push many dead ends at once, so their
+        # mass is a pairwise sum of unequal terms.
+        for graph in (dead_end_graph, from_edges(
+            [(0, 1), (1, 2), (2, 0), (2, 3), (3, 3), (4, 0)],
+            drop_self_loops=False,
+        ), dead_end_fifth()):
+            for source in range(0, graph.num_nodes, 7):
+                result = power_push(
+                    graph, source, l1_threshold=1e-9, config=config,
+                    dead_end_policy=policy,
+                )
+                assert_same_solve(
+                    result,
+                    reference_solve(
+                        graph, source, l1_threshold=1e-9, config=config,
+                        dead_end_policy=policy,
+                    ),
+                )
+
+    def test_a_scale_free_graph(self, medium_graph):
+        for source in (0, 7, 299):
+            result = power_push(medium_graph, source, l1_threshold=1e-8)
+            assert "extrapolations" in result.counters.extras
+            assert_same_solve(
+                result, reference_solve(medium_graph, source, l1_threshold=1e-8)
+            )
+
+    @pytest.mark.parametrize("policy", ["redirect-to-source", "uniform-teleport"])
+    def test_a_traced_solve_is_an_untraced_one(self, medium_graph, policy):
+        graph = from_edges(
+            [(u, v) for u, v in medium_graph.iter_edges() if u % 7],
+            num_nodes=medium_graph.num_nodes,
+        )
+        for source in (1, 50):
+            trace = ConvergenceTrace()
+            traced = power_push(
+                graph, source, l1_threshold=1e-8, dead_end_policy=policy,
+                trace=trace,
+            )
+            plain = power_push(
+                graph, source, l1_threshold=1e-8, dead_end_policy=policy
+            )
+            assert traced.estimate.tobytes() == plain.estimate.tobytes()
+            assert traced.residue.tobytes() == plain.residue.tobytes()
+            assert traced.counters.as_dict() == plain.counters.as_dict()
+            # One point per round, sweep and extrapolation, as the Python
+            # loop recorded them, with real time.
+            reference_trace = ConvergenceTrace()
+            state = PushState(graph, source, 0.2, dead_end_policy=policy)
+            reference_trace.record(0, state.r_sum)
+            reference_run(
+                state, 1e-8, PowerPushConfig(), reference_trace, 64.0
+            )
+            updates, r_sums = trace.series_vs_updates()
+            assert (updates[:-1], r_sums[:-1]) == (
+                reference_trace.series_vs_updates()
+            )
+            assert len(updates) > 10
+            seconds, _ = trace.series_vs_time()
+            assert seconds == sorted(seconds) and seconds[-1] > seconds[0]
+
+    @pytest.mark.parametrize("l1", [1e-4, 1e-8])
+    def test_an_exhausted_budget_raises(self, medium_graph, l1):
+        """A tiny work factor leaves the 1024-update floor: the queue
+        rounds or a sweep crosses it, and the solve raises."""
+        with pytest.raises(ConvergenceError, match="work budget"):
+            power_push(medium_graph, 0, l1_threshold=l1, max_work_factor=0.0)
+        with pytest.raises(ConvergenceError, match="work budget"):
+            reference_solve(medium_graph, 0, l1_threshold=l1, max_work_factor=0.0)
+
+    def test_the_queue_rounds_can_exhaust_it(self):
+        """A star whose hub pushes 2 000 edges in the first round, a
+        frontier of one node: the queue phase raises, as the Python loop
+        did."""
+        from repro.graph.build import star_graph
+
+        graph = star_graph(2_001)
+        with pytest.raises(ConvergenceError, match="work budget"):
+            power_push(graph, 0, l1_threshold=1e-8, max_work_factor=0.0)
+        with pytest.raises(ConvergenceError, match="work budget"):
+            reference_solve(graph, 0, l1_threshold=1e-8, max_work_factor=0.0)
 
 
 #: The two implementations the bound tests run, under their old ids.

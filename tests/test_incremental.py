@@ -5,14 +5,27 @@ updates, ``refresh()`` produces an estimate certified to the same
 ``l1_threshold`` as a from-scratch PowerPush on the compacted graph —
 so the two answers agree within the sum of the two certificates — and
 (for realistic perturbations) pays measurably fewer residue updates.
+
+``reference_certify`` is the loop ``IncrementalPPR`` ran in Python to
+re-certify, before it became ``scan_epochs`` in ``_kernels.c``, on the
+pure-Python sweep and extrapolation references: the C must give its
+bytes and its counters.
 """
 
 import numpy as np
 import pytest
+from test_core_async_sweep import (
+    CORNER_GRAPHS,
+    prepared,
+    reference_extrapolate_window,
+    reference_sweep,
+)
 
+import repro.core.incremental as incremental
 from repro.core.incremental import IncrementalPPR
-from repro.core.powerpush import power_push
-from repro.errors import ParameterError
+from repro.core.powerpush import PowerPushConfig, power_push
+from repro.errors import ConvergenceError, ParameterError
+from repro.instrumentation.counters import PushCounters
 from repro.generators.rmat import rmat_digraph
 from repro.graph.build import from_edges
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
@@ -209,3 +222,115 @@ class TestLifecycle:
         scratch = scratch_solve(dyn, 0)
         gap = float(np.abs(result.estimate - scratch.estimate).sum())
         assert gap <= tracker.error_bound + scratch.r_sum + 1e-14
+
+
+def reference_certify(snapshot, p, r, alpha, l1_threshold, counters):
+    """``IncrementalPPR._certify`` as a Python loop: signed sweeps under
+    geometrically shrinking targets of ``sum(|r|)``, each epoch that
+    swept ending in an extrapolation."""
+    n = snapshot.num_nodes
+    bound = float(np.abs(r).sum())
+    if bound <= l1_threshold:
+        return
+    shrink = l1_threshold ** (1.0 / PowerPushConfig().epoch_num)
+    targets = []
+    target = bound
+    while target > l1_threshold:
+        target = max(target * shrink, l1_threshold)
+        targets.append(target)
+    r_before = np.empty(n)
+    settled = np.empty(n)
+    for target in targets:
+        swept = False
+        while float(np.abs(r).sum()) > target:
+            r_before[:] = r
+            pushes, updates, _ = reference_sweep(snapshot, r, p, settled, alpha)
+            counters.count_bulk_pushes(pushes, updates)
+            counters.iterations += 1
+            swept = True
+        if (
+            swept
+            and float(np.abs(r).sum()) > l1_threshold
+            and reference_extrapolate_window(p, r, settled, r_before)
+        ):
+            counters.bump("extrapolations")
+
+
+def perturbed_tracker(graph, source, l1_threshold, seed):
+    """A certified tracker whose pair then took a signed perturbation,
+    as a journal replay leaves it."""
+    tracker = IncrementalPPR(
+        DynamicGraph(graph), source, alpha=ALPHA, l1_threshold=l1_threshold
+    )
+    rng = np.random.default_rng(seed)
+    n = graph.num_nodes
+    tracker._r += rng.normal(scale=1e-3, size=n) * (rng.random(n) < 0.5)
+    return tracker
+
+
+class TestTheCertificationInC:
+    """``_certify`` gives the bytes of the loop it ran in Python."""
+
+    def assert_same_certification(self, tracker, l1_threshold):
+        snapshot = tracker.graph.snapshot()
+        p, r = tracker._p.copy(), tracker._r.copy()
+        expected = PushCounters()
+        reference_certify(snapshot, p, r, ALPHA, l1_threshold, expected)
+        got = PushCounters()
+        tracker._certify(snapshot, got, None)
+        assert tracker._p.tobytes() == p.tobytes()
+        assert tracker._r.tobytes() == r.tobytes()
+        assert got.as_dict() == expected.as_dict()
+        assert tracker.error_bound <= l1_threshold
+        return got
+
+    @pytest.mark.parametrize("l1", [1e-4, 1e-8])
+    @pytest.mark.parametrize(
+        # A DynamicGraph holds no parallel edges.
+        "name", sorted(set(CORNER_GRAPHS) - {"parallel-edges"})
+    )
+    def test_corner_graphs(self, name, l1):
+        # The certification runs on dead-end-free graphs only, so every
+        # dead-end policy reaches it as the structural self-loop graph.
+        graph = prepared(CORNER_GRAPHS[name], "self-loop")
+        for source in (0, graph.num_nodes - 1):
+            for seed in range(3):
+                self.assert_same_certification(
+                    perturbed_tracker(graph, source, l1, seed), l1
+                )
+
+    def test_a_journal_replay(self):
+        dyn = make_dynamic(9, 3000, seed=11)
+        rng = np.random.default_rng(23)
+        tracker = IncrementalPPR(dyn, 0, alpha=ALPHA, l1_threshold=LAMBDA)
+        for _ in range(30):
+            dyn.apply_updates([sample_edge_update(dyn, rng)])
+        for update in dyn.updates_since(tracker.version):
+            tracker._apply_correction(update, PushCounters())
+        counters = self.assert_same_certification(tracker, LAMBDA)
+        assert counters.extras["extrapolations"] >= 1
+
+    def test_a_traced_refresh_is_an_untraced_one(self):
+        results = []
+        for trace in (None, ConvergenceTrace()):
+            dyn = make_dynamic(9, 3000, seed=11)
+            rng = np.random.default_rng(23)
+            tracker = IncrementalPPR(dyn, 0, alpha=ALPHA, l1_threshold=LAMBDA)
+            for _ in range(30):
+                dyn.apply_updates([sample_edge_update(dyn, rng)])
+            results.append(tracker.refresh(trace=trace))
+        plain, traced = results
+        assert traced.estimate.tobytes() == plain.estimate.tobytes()
+        assert traced.residue.tobytes() == plain.residue.tobytes()
+        assert traced.counters.as_dict() == plain.counters.as_dict()
+        updates, errors = traced.trace.series_vs_updates()
+        assert len(updates) > 3 and updates == sorted(updates)
+        assert errors[-1] <= LAMBDA
+
+    def test_the_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(incremental, "_MAX_SWEEPS", 2)
+        tracker = perturbed_tracker(
+            prepared(CORNER_GRAPHS["star-both"], "self-loop"), 0, LAMBDA, 0
+        )
+        with pytest.raises(ConvergenceError, match="2 sweeps"):
+            tracker._certify(tracker.graph.snapshot(), PushCounters(), None)

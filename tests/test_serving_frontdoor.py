@@ -341,14 +341,14 @@ class TestPredictor:
             server, slo_ms=1000.0, degrade_params={"l1_threshold": 1e-3}
         )
         completed_at_call = []
-        percentile = np.percentile
+        p99 = frontdoor_module._p99
 
-        def counting(*args, **kwargs):
+        def counting(ordered):
             # runs under the door's mutex, inside ``_admit``
             completed_at_call.append(door.stats.completed)
-            return percentile(*args, **kwargs)
+            return p99(ordered)
 
-        monkeypatch.setattr(np, "percentile", counting)
+        monkeypatch.setattr(frontdoor_module, "_p99", counting)
         looked_up = []
         get_solver = frontdoor_module.get_solver
 
@@ -381,6 +381,50 @@ class TestPredictor:
         assert len(completed_at_call) <= snap["completed"]
         # the registry is asked about a method once
         assert looked_up == ["powerpush"]
+
+
+    @pytest.mark.parametrize("size", [2, 3, 16, 17, 50, 100, 101, 127, 128])
+    def test_p99_is_numpys_percentile_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(50):
+            window = rng.lognormal(-5.0, 1.5, size)
+            window[rng.random(size) < 0.2] = window[0]  # ties
+            got = frontdoor_module._p99(sorted(window.tolist()))
+            expected = np.percentile(window, 99)
+            assert np.float64(got).tobytes() == expected.tobytes()
+
+    def test_the_sliding_window_predicts_what_np_percentile_did(self, server):
+        """Settle more latencies than the window holds, admitting after
+        each: the prediction has the bits the door used to compute from
+        ``np.percentile``, so every admission decides as it did."""
+        door = AsyncFrontDoor(server, slo_ms=5.0)
+        rng = np.random.default_rng(3)
+        for latency in rng.lognormal(-6.0, 1.0, 400).tolist():
+            assert door._admit(None, degradable=True) in ("full", "degrade")
+            door._settle("completed", latency, degraded=False)
+            window = np.asarray(door._latencies)
+            assert door._ordered_latencies == sorted(door._latencies)
+            predicted = door._predicted_p99_ms_locked()
+            if window.shape[0] >= 16:
+                expected = np.percentile(window, 99) * 1e3
+                assert np.float64(predicted).tobytes() == expected.tobytes()
+        assert len(door._latencies) == 128
+
+    def test_a_run_of_hits_calls_no_percentile(self, server, monkeypatch):
+        door = AsyncFrontDoor(server, slo_ms=1000.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.percentile called")
+
+        monkeypatch.setattr(np, "percentile", refuse)
+
+        async def hits():
+            for _ in range(200):
+                await door.submit(0, "powerpush", l1_threshold=1e-8)
+
+        run(hits())
+        assert door.stats.completed == 200
+        assert door.snapshot()["predicted_p99_ms"] > 0.0
 
 
 class CountingExecutor(ThreadPoolExecutor):
