@@ -13,6 +13,17 @@ correlations that make forward push's frontier explode after a few hops
 The generator guarantees no dead ends by construction when
 ``ensure_min_out_degree`` is set: after sampling, any node that ended up
 with out-degree zero receives one edge to a weight-proportional target.
+A floor above ``n - 1`` cannot be met without self-loops and is refused.
+
+Sampling is vectorised over each round's batch of endpoint pairs.  An
+edge is the ``int64`` key ``u * n + v``; the keys accepted so far are
+one sorted array.  A round draws both endpoint arrays by inverse-CDF
+search (queries in ascending order, indices scattered back), keeps, in
+sample order, the first occurrence of each key that is not a self-loop
+and not yet accepted (:func:`~repro.graph.build.first_occurrences` plus
+a binary search of the accepted keys), truncates at the number still
+needed, and merges the new keys into the sorted array.  The result is
+byte for byte that of a loop drawing pair by pair into a set of keys.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.graph.build import from_edge_arrays
+from repro.graph.build import first_occurrences, from_edge_arrays
 from repro.graph.digraph import DiGraph
 from repro.generators.powerlaw import sample_power_law_degrees, scale_degrees_to_total
 
@@ -68,10 +79,16 @@ def chung_lu_digraph(
     if out_weights.sum() <= 0 or in_weights.sum() <= 0:
         raise ParameterError("weights must not be all zero")
 
+    if ensure_min_out_degree > num_nodes - 1:
+        raise ParameterError(
+            f"ensure_min_out_degree={ensure_min_out_degree} cannot be met "
+            f"without self-loops on {num_nodes} node(s)"
+        )
+
     out_cdf = np.cumsum(out_weights) / out_weights.sum()
     in_cdf = np.cumsum(in_weights) / in_weights.sum()
 
-    seen: set[int] = set()
+    seen = np.empty(0, dtype=np.int64)
     sources_list: list[np.ndarray] = []
     targets_list: list[np.ndarray] = []
     needed = num_edges
@@ -79,9 +96,11 @@ def chung_lu_digraph(
         if needed <= 0:
             break
         batch = max(needed + needed // 4, 16)
-        src = np.searchsorted(out_cdf, rng.random(batch)).astype(np.int64)
-        dst = np.searchsorted(in_cdf, rng.random(batch)).astype(np.int64)
-        keep_src, keep_dst = _filter_new_edges(src, dst, num_nodes, seen, needed)
+        src = _inverse_cdf(out_cdf, rng.random(batch))
+        dst = _inverse_cdf(in_cdf, rng.random(batch))
+        keep_src, keep_dst, seen = _filter_new_edges(
+            src, dst, num_nodes, seen, needed
+        )
         sources_list.append(keep_src)
         targets_list.append(keep_dst)
         needed -= keep_src.shape[0]
@@ -144,31 +163,57 @@ def power_law_digraph(
     )
 
 
+def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, uniforms)``, searched in ascending order.
+
+    Ascending queries walk ``cdf`` front to back, so the binary searches
+    stay in cache; the order only has to be close to sorted, because
+    each index is exact whatever order it is searched in.  It comes from
+    one ``int64`` sort of the uniforms' leading bits with the draw
+    position in the low bits (sized to fit), which is cheaper than an
+    argsort; the indices are scattered back through it.
+    """
+    size = uniforms.shape[0]
+    position_bits = size.bit_length()
+    order = (uniforms * float(1 << (62 - position_bits))).astype(np.int64)
+    order <<= position_bits
+    order |= np.arange(size, dtype=np.int64)
+    order.sort()
+    order &= (1 << position_bits) - 1
+    indices = np.empty(size, dtype=np.int64)
+    indices[order] = np.searchsorted(cdf, uniforms[order])
+    return indices
+
+
 def _filter_new_edges(
     src: np.ndarray,
     dst: np.ndarray,
     num_nodes: int,
-    seen: set[int],
+    seen: np.ndarray,
     needed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keep at most ``needed`` non-loop edges not yet in ``seen``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keep, in sample order, the first ``needed`` non-loop edges whose
+    key ``u * n + v`` is neither in the sorted key array ``seen`` nor
+    repeats an earlier sample; return them and ``seen`` with their keys
+    merged in (still sorted).
+    """
     mask = src != dst
     src, dst = src[mask], dst[mask]
     keys = src * num_nodes + dst
-    keep_src: list[int] = []
-    keep_dst: list[int] = []
-    for s, d, key in zip(src.tolist(), dst.tolist(), keys.tolist()):
-        if key in seen:
-            continue
-        seen.add(key)
-        keep_src.append(s)
-        keep_dst.append(d)
-        if len(keep_src) >= needed:
-            break
-    return (
-        np.asarray(keep_src, dtype=np.int64),
-        np.asarray(keep_dst, dtype=np.int64),
-    )
+    first = first_occurrences(keys)
+    first = first[~_contains(seen, keys[first])][:needed]
+    # Merge, not re-sort: np.union1d would sort all of ``seen`` again.
+    new = np.sort(keys[first])
+    seen = np.insert(seen, np.searchsorted(seen, new), new)
+    return src[first], dst[first], seen
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` present in the ascending array ``sorted_keys``."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < sorted_keys.shape[0]
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return found
 
 
 def _patch_out_degrees(
@@ -178,34 +223,41 @@ def _patch_out_degrees(
     in_cdf: np.ndarray,
     *,
     min_degree: int,
-    seen: set[int],
+    seen: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Give every node at least ``min_degree`` out-edges."""
+    """Give every node at least ``min_degree`` out-edges.
+
+    A node's edges are the keys of ``seen`` in ``[node * n, node * n + n)``,
+    so each deficient node reads its own targets once and adds to them;
+    no other node's patch can touch them.
+    """
     out_deg = np.bincount(sources, minlength=num_nodes)
     deficient = np.flatnonzero(out_deg < min_degree)
+    row_starts = np.searchsorted(seen, deficient * num_nodes)
+    row_stops = np.searchsorted(seen, deficient * num_nodes + num_nodes)
     extra_src: list[int] = []
     extra_dst: list[int] = []
-    for node in deficient.tolist():
+    for node, start, stop in zip(
+        deficient.tolist(), row_starts.tolist(), row_stops.tolist()
+    ):
+        taken = set((seen[start:stop] - node * num_nodes).tolist())
         missing = min_degree - int(out_deg[node])
         attempts = 0
         while missing > 0 and attempts < 100:
             attempts += 1
             target = int(np.searchsorted(in_cdf, rng.random()))
-            if target == node:
+            if target == node or target in taken:
                 continue
-            key = node * num_nodes + target
-            if key in seen:
-                continue
-            seen.add(key)
+            taken.add(target)
             extra_src.append(node)
             extra_dst.append(target)
             missing -= 1
         # Deterministic fallback for pathological weight vectors.
         target = (node + 1) % num_nodes
         while missing > 0:
-            if target != node and (node * num_nodes + target) not in seen:
-                seen.add(node * num_nodes + target)
+            if target != node and target not in taken:
+                taken.add(target)
                 extra_src.append(node)
                 extra_dst.append(target)
                 missing -= 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.graph.build import from_edge_arrays
+from repro.graph.build import first_occurrences, from_edge_arrays
 from repro.graph.digraph import DiGraph
 
 __all__ = ["rmat_digraph"]
@@ -77,10 +77,8 @@ def rmat_digraph(
     mask = rows != cols
     rows, cols = rows[mask], cols[mask]
     keys = rows << scale | cols
-    _, unique_pos = np.unique(keys, return_index=True)
-    unique_pos.sort()
-    rows, cols = rows[unique_pos], cols[unique_pos]
-    rows, cols = rows[:num_edges], cols[:num_edges]
+    first = first_occurrences(keys)[:num_edges]
+    rows, cols = rows[first], cols[first]
 
     # Compact ids (R-MAT leaves many ids unused at low densities).
     node_ids = np.union1d(rows, cols)

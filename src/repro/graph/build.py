@@ -7,6 +7,14 @@ immutable graph.  :func:`from_adjacency` accepts a ready-made
 ``{node: [neighbors]}`` mapping, and :func:`empty_graph` /
 :func:`complete_graph` / :func:`cycle_graph` / :func:`star_graph` supply
 tiny canonical topologies used heavily by the test-suite.
+
+Every builder goes through :func:`from_edge_arrays`, which sorts one
+``int64`` key ``u * n + v`` per edge instead of a two-key lexicographic
+sort of the endpoint arrays: the key order is the CSR order (rows by
+source, each row by target), a parallel edge is a repeated key, and the
+endpoints come back as ``key // n`` and ``key - (key // n) * n``.
+:func:`first_occurrences` is the generators' duplicate filter: the
+position of each distinct key's first occurrence, in sample order.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from repro.graph.digraph import DiGraph
 __all__ = [
     "from_edges",
     "from_edge_arrays",
+    "first_occurrences",
     "from_adjacency",
     "empty_graph",
     "complete_graph",
@@ -107,20 +116,18 @@ def from_edge_arrays(
         keep = sources != targets
         sources, targets = sources[keep], targets[keep]
 
-    # Sort into CSR order: primary key source, secondary key target, so
-    # each adjacency list comes out sorted (binary-searchable).
-    order = np.lexsort((targets, sources))
-    sources, targets = sources[order], targets[order]
-
-    if dedup and sources.shape[0]:
-        keep = np.empty(sources.shape[0], dtype=bool)
+    # Sort into CSR order by the one key u * n + v (it fits in int64, as
+    # node ids fit in int32): primary order source, secondary target, so
+    # each adjacency list comes out sorted (binary-searchable), and a
+    # parallel edge is a repeated key.
+    keys = np.sort(sources * num_nodes + targets)
+    if dedup and keys.shape[0]:
+        keep = np.empty(keys.shape[0], dtype=bool)
         keep[0] = True
-        np.logical_or(
-            sources[1:] != sources[:-1],
-            targets[1:] != targets[:-1],
-            out=keep[1:],
-        )
-        sources, targets = sources[keep], targets[keep]
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    sources = keys // num_nodes
+    targets = keys - sources * num_nodes
 
     degree = np.bincount(sources, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -136,6 +143,29 @@ def from_edge_arrays(
         # Sorted and deduplicated: spare DynamicGraph the order scan.
         graph._canonical_order = True
     return graph
+
+
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct key.
+
+    ``keys[first_occurrences(keys)]`` is ``keys`` with every repeat of an
+    earlier key removed and the order kept.  An unstable argsort groups
+    equal keys, and the smallest position in each group is its first
+    occurrence, so the result is exact at every size without a stable
+    (slower) sort or a composite ``key * size + position`` key, which
+    could overflow ``int64``.
+    """
+    keys = np.asarray(keys)
+    if keys.shape[0] == 0:
+        return np.empty(0, dtype=np.intp)
+    order = np.argsort(keys)
+    grouped = keys[order]
+    starts = np.empty(grouped.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    first.sort()
+    return first
 
 
 def from_adjacency(

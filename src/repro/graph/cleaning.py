@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.build import from_edge_arrays
+from repro.graph.build import first_occurrences, from_edge_arrays
 from repro.graph.digraph import DiGraph
 
 __all__ = ["CleaningReport", "clean", "remove_isolated_nodes", "relabel_nodes"]
@@ -94,9 +94,9 @@ def clean(
     # Deduplicate.
     if sources.shape[0]:
         stacked = sources * (max(int(targets.max()), int(sources.max())) + 1) + targets
-        _, unique_pos = np.unique(stacked, return_index=True)
-        duplicates_removed = int(sources.shape[0] - unique_pos.shape[0])
-        sources, targets = sources[unique_pos], targets[unique_pos]
+        first = first_occurrences(stacked)
+        duplicates_removed = int(sources.shape[0] - first.shape[0])
+        sources, targets = sources[first], targets[first]
     else:
         duplicates_removed = 0
 

@@ -29,12 +29,14 @@ matching the cleaning conventions of :mod:`repro.graph.build`.
 Snapshot cost model
 -------------------
 With ``m`` base edges and an overlay of ``k`` edges, a new version's
-snapshot is a **merge**: ``O(k log m)`` to binary-search the overlay
-into the base plus ``O(m)`` of memcpy to copy the adjacency array
-around the deleted and inserted positions, and one ``O(n)`` cumsum for
-the row pointers.  Nothing is sorted over ``m``, and nothing is carried
-from one version to the next — it is always base + overlay, so a
-snapshot does not depend on which versions were materialised before.
+snapshot is a **merge**: ``O(k log d)`` to binary-search each overlay
+edge into its row of the base (``d`` the longest row; no array of
+all ``m`` edge keys is built) plus ``O(m)`` of memcpy to copy the
+adjacency array around the deleted and inserted positions, and one
+``O(n)`` cumsum for the row pointers.  Nothing is sorted over ``m``,
+and nothing is carried from one version to the next — it is always
+base + overlay, so a snapshot does not depend on which versions were
+materialised before.
 
 The merge equals a from-scratch build because of one contract,
 **canonical order**: edge keys ``u * n + v`` strictly increasing, i.e.
@@ -74,6 +76,32 @@ def _edge_keys(graph: DiGraph) -> np.ndarray:
     n = graph.num_nodes
     rows = np.arange(n, dtype=np.int64) * n
     return np.repeat(rows, graph.out_degree) + graph.out_indices
+
+
+def _row_positions(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    sources: np.ndarray,
+    targets: np.ndarray,
+) -> np.ndarray:
+    """Where each edge ``(sources[i], targets[i])`` sits, or would be
+    inserted, in a CSR whose rows are sorted: ``indptr[u]`` plus the
+    number of row ``u``'s entries below ``v``.
+
+    One binary search per edge, all run in lockstep over their own rows,
+    so the cost is ``O(k log d_max)`` for ``k`` edges and no array of
+    all ``m`` edge keys is built.
+    """
+    low = indptr[sources]
+    high = indptr[sources + 1]
+    open_ = np.flatnonzero(low < high)
+    while open_.shape[0]:
+        mid = (low[open_] + high[open_]) >> 1
+        below = indices[mid] < targets[open_]
+        low[open_[below]] = mid[below] + 1
+        high[open_[~below]] = mid[~below]
+        open_ = open_[low[open_] < high[open_]]
+    return low
 
 
 class EdgeUpdate(NamedTuple):
@@ -405,10 +433,10 @@ class DynamicGraph:
     def _overlay_keys(
         self, overlay: dict[int, set[int]], count: int
     ) -> np.ndarray:
-        """The overlay's edges as ``u * n + v`` keys (unordered)."""
+        """The overlay's edges as ``u * n + v`` keys, ascending."""
         n = self.num_nodes
         return np.fromiter(
-            (u * n + v for u, vs in overlay.items() for v in vs),
+            sorted(u * n + v for u, vs in overlay.items() for v in vs),
             dtype=np.int64,
             count=count,
         )
@@ -418,24 +446,25 @@ class DynamicGraph:
     ) -> DiGraph:
         """Splice the overlay into a canonical base: no sort over ``m``.
 
-        In canonical order the base's edge keys are strictly
-        increasing, so every overlay edge has exactly one position,
-        found by binary search; the adjacency array is then copied
-        with the deletes dropped and the inserts (sorted, so several
-        landing at one position stay in order) spliced in.
+        In canonical order every overlay edge ``(u, v)`` has exactly one
+        position, ``indptr[u]`` plus the number of ``u``'s base targets
+        below ``v``, found by a binary search of row ``u`` alone; the
+        adjacency array is then copied with the deletes dropped and the
+        inserts (ascending, so several landing at one position stay in
+        order) spliced in.
         """
         base = self._base
         n = base.num_nodes
-        indices = base.out_indices
+        indptr, indices = base.out_indptr, base.out_indices
         degree = base.out_degree
-        keys = _edge_keys(base)
         if deleted.shape[0]:
-            deleted_at = np.sort(np.searchsorted(keys, deleted))
+            deleted_at = _row_positions(indptr, indices, deleted // n, deleted % n)
             indices = np.delete(indices, deleted_at)
             degree = degree - np.bincount(deleted // n, minlength=n)
         if inserted.shape[0]:
-            inserted = np.sort(inserted)
-            inserted_at = np.searchsorted(keys, inserted)
+            inserted_at = _row_positions(
+                indptr, base.out_indices, inserted // n, inserted % n
+            )
             if deleted.shape[0]:
                 # np.insert positions refer to the array after deletion.
                 inserted_at -= np.searchsorted(deleted_at, inserted_at)

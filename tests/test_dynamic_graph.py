@@ -21,7 +21,13 @@ from repro.graph.build import (
     star_graph,
 )
 from repro.graph.digraph import DiGraph
-from repro.graph.dynamic import DynamicGraph, EdgeUpdate, sample_edge_update
+from repro.graph.dynamic import (
+    DynamicGraph,
+    EdgeUpdate,
+    _edge_keys,
+    _row_positions,
+    sample_edge_update,
+)
 from repro.serving.shm import SharedGraphImage
 
 
@@ -376,41 +382,81 @@ class TestSnapshotIsRebuild:
         assert not scanned([0, 3], [0, 0, 0])
 
 
+#: seeded corners of the per-row binary search on ``CORNER_EDGES``:
+#: rows 0 = (1, 4), 1 = (0), 2 = (5), 3 = (), 4 = (2), 5 = (0, 4).
+ROW_POSITION_CORNERS = {
+    "insert at a row's first position": [(4, 0), (2, 1), (4, 1), (1, 2)],
+    "insert at a row's last position": [(0, 5), (1, 5), (4, 5), (5, 3)],
+    "insert into an empty row": [(3, 4), (0, 1), (3, 0), (3, 5)],
+    "delete then reinsert the same edge": [(0, 1), (0, 1), (5, 4), (5, 4), (5, 0)],
+    "delete and insert at one position": [(0, 4), (0, 3), (0, 1), (0, 2)],
+}
+
+
+class TestRowPositions:
+    """The merge finds each overlay edge by a binary search of its row."""
+
+    @pytest.mark.parametrize("corner", sorted(ROW_POSITION_CORNERS))
+    def test_corners(self, corner):
+        base = from_edges(CORNER_EDGES, num_nodes=6, name="corner")
+        replay_and_check(base, ROW_POSITION_CORNERS[corner])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_a_search_of_all_edge_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        base = rmat_digraph(9, 4000, rng=rng)
+        n = base.num_nodes
+        sources = rng.integers(0, n, 500)
+        targets = rng.integers(0, n, 500)
+        # Every row's first and last neighbour, and every empty row.
+        first, last = base.out_indptr[:-1], base.out_indptr[1:] - 1
+        rows = np.flatnonzero(base.out_degree)
+        sources = np.concatenate([sources, rows, rows, np.arange(n)])
+        targets = np.concatenate(
+            [targets, base.out_indices[first[rows]], base.out_indices[last[rows]],
+             np.zeros(n, dtype=np.int64)]
+        )
+        want = np.searchsorted(_edge_keys(base), sources * n + targets)
+        got = _row_positions(base.out_indptr, base.out_indices, sources, targets)
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSnapshotCost:
     """Exact-count gates: which path ran, not how long it took."""
 
     @pytest.fixture
-    def no_lexsort(self, monkeypatch):
-        """A context in which any ``np.lexsort`` call fails the test."""
+    def no_sort(self, monkeypatch):
+        """A context in which any ``np.sort`` call (the builder's sort
+        over all ``m`` edge keys) fails the test."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("np.lexsort called")
+            raise AssertionError("np.sort called")
 
         @contextmanager
         def guard():
             with monkeypatch.context() as patch:
-                patch.setattr(np, "lexsort", refuse)
+                patch.setattr(np, "sort", refuse)
                 yield
 
         return guard
 
-    def test_canonical_base_never_sorts(self, paper_graph, no_lexsort):
+    def test_canonical_base_never_sorts(self, paper_graph, no_sort):
         dyn = DynamicGraph(paper_graph)
         dyn.apply_updates([("+", 0, 4), ("-", 1, 3), ("+", 4, 0)])
-        with no_lexsort():
+        with no_sort():
             assert dyn.snapshot().num_edges == 14
             compacted = dyn.compact()
             dyn.remove_edge(4, 0)
             assert dyn.snapshot().num_edges == 13
         assert compacted.has_canonical_order  # recorded by the merge
 
-    def test_unsorted_base_sorts(self, no_lexsort):
+    def test_unsorted_base_sorts(self, no_sort):
         dyn = DynamicGraph(DiGraph(np.array([0, 2, 3, 3]), np.array([2, 1, 0])))
         dyn.add_edge(2, 0)
-        with no_lexsort(), pytest.raises(AssertionError, match="lexsort"):
+        with no_sort(), pytest.raises(AssertionError, match="np.sort"):
             dyn.snapshot()
 
-    def test_shared_memory_base_merges_into_private_arrays(self, no_lexsort):
+    def test_shared_memory_base_merges_into_private_arrays(self, no_sort):
         rng = np.random.default_rng(3)
         base = rmat_digraph(7, 600, rng=rng, name="shm-merge")
         edges = Counter(base.iter_edges())
@@ -422,7 +468,7 @@ class TestSnapshotCost:
                 op, u, v = sample_edge_update(dyn, rng)
                 dyn.apply_updates([(op, u, v)])
                 edges[(u, v)] += 1 if op == "+" else -1
-            with no_lexsort():
+            with no_sort():
                 snap = dyn.snapshot()
             assert snap.out_indices.flags.owndata
             assert snap.out_indptr.flags.owndata

@@ -1,9 +1,19 @@
 """Unit tests for the synthetic graph generators."""
 
+import hashlib
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from test_graph_build import (
+    assert_same_csr,
+    reference_first_occurrences,
+    reference_from_edge_arrays,
+)
 
 from repro.errors import ParameterError
+from repro.generators import chung_lu as chung_lu_module
+from repro.generators import rmat as rmat_module
 from repro.generators.ba import barabasi_albert_digraph
 from repro.generators.chung_lu import chung_lu_digraph, power_law_digraph
 from repro.generators.datasets import (
@@ -18,7 +28,91 @@ from repro.generators.powerlaw import (
     scale_degrees_to_total,
 )
 from repro.generators.rmat import rmat_digraph
+from repro.graph import cleaning as cleaning_module
+from repro.graph import transforms as transforms_module
+from repro.graph.cleaning import clean
 from repro.graph.stats import compute_stats
+
+
+def reference_chung_lu(
+    out_weights,
+    in_weights,
+    num_edges,
+    *,
+    rng,
+    name="chung-lu",
+    ensure_min_out_degree=1,
+    max_resample_rounds=64,
+):
+    """The Chung–Lu sampler as a Python loop over a ``set`` of edge keys,
+    searching the uniforms as drawn: the vectorised sampler must return
+    exactly its graph (and leave ``rng`` in the same state).  Inputs are
+    assumed valid."""
+    out_weights = np.asarray(out_weights, dtype=np.float64)
+    in_weights = np.asarray(in_weights, dtype=np.float64)
+    num_nodes = out_weights.shape[0]
+    out_cdf = np.cumsum(out_weights) / out_weights.sum()
+    in_cdf = np.cumsum(in_weights) / in_weights.sum()
+    seen = set()
+    sources, targets = [], []
+    needed = num_edges
+    for _ in range(max_resample_rounds):
+        if needed <= 0:
+            break
+        batch = max(needed + needed // 4, 16)
+        src = np.searchsorted(out_cdf, rng.random(batch)).tolist()
+        dst = np.searchsorted(in_cdf, rng.random(batch)).tolist()
+        for s, d in zip(src, dst):
+            if s == d or s * num_nodes + d in seen:
+                continue
+            seen.add(s * num_nodes + d)
+            sources.append(s)
+            targets.append(d)
+            needed -= 1
+            if needed == 0:
+                break
+    out_deg = np.bincount(np.array(sources, dtype=np.int64), minlength=num_nodes)
+    for node in np.flatnonzero(out_deg < ensure_min_out_degree).tolist():
+        missing = ensure_min_out_degree - int(out_deg[node])
+        attempts = 0
+        while missing > 0 and attempts < 100:
+            attempts += 1
+            target = int(np.searchsorted(in_cdf, rng.random()))
+            if target == node or node * num_nodes + target in seen:
+                continue
+            seen.add(node * num_nodes + target)
+            sources.append(node)
+            targets.append(target)
+            missing -= 1
+        target = (node + 1) % num_nodes
+        while missing > 0:
+            if target != node and node * num_nodes + target not in seen:
+                seen.add(node * num_nodes + target)
+                sources.append(node)
+                targets.append(target)
+                missing -= 1
+            target = (target + 1) % num_nodes
+    return reference_from_edge_arrays(
+        np.array(sources, dtype=np.int64),
+        np.array(targets, dtype=np.int64),
+        num_nodes=num_nodes,
+        name=name,
+        dedup=True,
+        drop_self_loops=False,
+    )
+
+
+@contextmanager
+def reference_builders(monkeypatch):
+    """Route the generators and the cleaning pipeline through the
+    reference sampler, duplicate filter and CSR builder."""
+    with monkeypatch.context() as patch:
+        patch.setattr(chung_lu_module, "chung_lu_digraph", reference_chung_lu)
+        for module in (rmat_module, cleaning_module):
+            patch.setattr(module, "first_occurrences", reference_first_occurrences)
+        for module in (chung_lu_module, rmat_module, transforms_module, cleaning_module):
+            patch.setattr(module, "from_edge_arrays", reference_from_edge_arrays)
+        yield
 
 
 class TestPowerLawSampling:
@@ -108,6 +202,119 @@ class TestChungLu:
         b = power_law_digraph(50, 300, rng=np.random.default_rng(5))
         assert a == b
 
+    @pytest.mark.parametrize(
+        "num_nodes, ensure_min_out_degree", [(1, 1), (2, 2), (5, 5)]
+    )
+    def test_rejects_unreachable_out_degree_floor(
+        self, rng, num_nodes, ensure_min_out_degree
+    ):
+        # Without self-loops a node has at most n - 1 out-edges; the
+        # fallback would cycle through targets forever.
+        with pytest.raises(ParameterError, match="ensure_min_out_degree"):
+            chung_lu_digraph(
+                np.ones(num_nodes),
+                np.ones(num_nodes),
+                0,
+                rng=rng,
+                ensure_min_out_degree=ensure_min_out_degree,
+            )
+
+    def test_floor_of_n_minus_1_is_met(self, rng):
+        graph = chung_lu_digraph(
+            np.ones(4), np.ones(4), 0, rng=rng, ensure_min_out_degree=3
+        )
+        assert graph.out_degree.tolist() == [3, 3, 3, 3]
+
+
+#: adversarial weight vectors: (out_weights, in_weights, num_edges, floor)
+ADVERSARIAL_WEIGHTS = {
+    "all in-weight on one node": (np.ones(40), np.eye(1, 40, 7)[0], 300, 1),
+    "one dominant in-weight (many rounds)": (
+        np.ones(60),
+        np.r_[5000.0, np.ones(59)],
+        400,
+        1,
+    ),
+    "two nodes": (np.ones(2), np.ones(2), 5, 1),
+    "no edges": (np.ones(30), np.ones(30), 0, 1),
+    "zero weights on some nodes": (
+        np.r_[np.zeros(10), np.arange(1.0, 41.0)],
+        np.r_[np.arange(1.0, 41.0), np.zeros(10)],
+        250,
+        1,
+    ),
+    "floor of three": (np.r_[50.0, np.ones(19)], np.ones(20), 60, 3),
+    "no floor": (np.r_[np.zeros(5), np.ones(15)], np.ones(20), 45, 0),
+}
+
+
+class TestChungLuMatchesReference:
+    """The vectorised sampler returns the set-based loop's bytes."""
+
+    @pytest.mark.parametrize("case", sorted(ADVERSARIAL_WEIGHTS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adversarial_weights(self, case, seed):
+        out_w, in_w, num_edges, floor = ADVERSARIAL_WEIGHTS[case]
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = chung_lu_digraph(
+            out_w, in_w, num_edges, rng=got_rng, ensure_min_out_degree=floor
+        )
+        want = reference_chung_lu(
+            out_w, in_w, num_edges, rng=want_rng, ensure_min_out_degree=floor
+        )
+        assert_same_csr(got, want)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("scale", [0.5, 1, 3])
+    @pytest.mark.parametrize(
+        "name",
+        ["dblp-s", "webst-s", "pokec-s", "lj-s", "orkut-s", "twitter-s"],
+    )
+    def test_analogs(self, name, scale, monkeypatch):
+        got = generate_dataset(name, scale=scale)
+        with reference_builders(monkeypatch):
+            want = generate_dataset(name, scale=scale)
+        assert_same_csr(got, want)
+        assert got.name == want.name
+        assert got.undirected_origin == want.undirected_origin
+
+
+@pytest.mark.parametrize("num_random", [0, 1, 7000])
+def test_inverse_cdf_is_searchsorted(num_random):
+    # Zero weights repeat a CDF value, and uniforms equal to CDF values
+    # (0.0 included) sit exactly on the search's tie-break.
+    rng = np.random.default_rng(num_random)
+    weights = np.r_[0.0, rng.pareto(1.5, 300), 0.0, 0.0, 1.0]
+    cdf = np.cumsum(weights) / weights.sum()
+    uniforms = np.concatenate([rng.random(num_random), cdf[:-1], [0.0]])
+    rng.shuffle(uniforms)
+    np.testing.assert_array_equal(
+        chung_lu_module._inverse_cdf(cdf, uniforms), np.searchsorted(cdf, uniforms)
+    )
+    assert chung_lu_module._inverse_cdf(cdf, np.empty(0)).shape == (0,)
+
+
+#: ``sha256(out_indptr.tobytes() + out_indices.tobytes())[:16]`` of the
+#: analogs as the set-based sampler and the lexsort builder made them.
+PINNED_ANALOG_HASHES = {
+    ("lj-s", 10): "d1c6802fca3eb7fd",
+    ("pokec-s", 10): "a057adc8a8c6ec2a",
+    ("webst-s", 20): "1799e1978277a726",
+    ("orkut-s", 3): "223bbe131b134900",
+    ("dblp-s", 3): "81409bd5db0d6bd9",
+    ("twitter-s", 1): "bbce996638347a7b",
+}
+
+
+@pytest.mark.parametrize("name, scale", sorted(PINNED_ANALOG_HASHES))
+def test_pinned_analog_bytes(name, scale):
+    graph = generate_dataset(name, scale=scale)
+    digest = hashlib.sha256(
+        graph.out_indptr.tobytes() + graph.out_indices.tobytes()
+    ).hexdigest()[:16]
+    assert digest == PINNED_ANALOG_HASHES[(name, scale)]
+
 
 class TestBarabasiAlbert:
     def test_shape(self, rng):
@@ -159,6 +366,19 @@ class TestRMat:
         a = rmat_digraph(8, 800, rng=np.random.default_rng(3))
         b = rmat_digraph(8, 800, rng=np.random.default_rng(3))
         assert a == b
+
+
+def test_cleaning_matches_reference_dedup(monkeypatch):
+    """``clean`` keeps each duplicate's first occurrence; the graph and
+    the report are those of the ``np.unique`` filter it replaced."""
+    rng = np.random.default_rng(9)
+    sources = rng.integers(0, 5000, 20000) * 3
+    targets = rng.integers(0, 5000, 20000) * 3
+    got = clean(sources, targets, symmetrize=True)
+    with reference_builders(monkeypatch):
+        want = clean(sources, targets, symmetrize=True)
+    assert_same_csr(got[0], want[0])
+    assert got[1] == want[1]
 
 
 class TestDatasetRegistry:
