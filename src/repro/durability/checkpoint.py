@@ -63,8 +63,9 @@ def graph_fingerprint(graph: DiGraph) -> str:
     """
     digest = hashlib.sha256()
     digest.update(np.int64(graph.num_nodes).tobytes())
-    digest.update(np.ascontiguousarray(graph.out_indptr).tobytes())
-    digest.update(np.ascontiguousarray(graph.out_indices).tobytes())
+    # Hash the arrays' own buffers: ``tobytes()`` would copy each one.
+    digest.update(memoryview(np.ascontiguousarray(graph.out_indptr)))
+    digest.update(memoryview(np.ascontiguousarray(graph.out_indices)))
     return digest.hexdigest()
 
 

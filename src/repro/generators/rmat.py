@@ -9,7 +9,12 @@ densest, most skewed dataset in the paper's Table 1 — and is the
 standard synthetic stand-in for them (it is the Graph500 generator).
 
 Our implementation vectorises all ``scale`` bit-levels across the whole
-edge batch, then deduplicates and patches dead ends.
+edge batch, then deduplicates and patches dead ends.  Candidate ids stay
+``uint32`` until they are compacted: a presence mask over the
+``2**scale`` id space and its cumulative sum rank the ids that occur,
+in O(2^scale + m) time and 9 bytes per candidate id (one ``bool`` and
+one ``int64`` rank).  So that the id space cannot dwarf the graph,
+``2**scale`` may be at most ``8 * num_edges``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from repro.graph.build import first_occurrences, from_edge_arrays
 from repro.graph.digraph import DiGraph
 
 __all__ = ["rmat_digraph"]
+
+#: Largest ``2**scale / num_edges`` :func:`rmat_digraph` accepts; the id
+#: compaction allocates 9 bytes per candidate id.
+MAX_IDS_PER_EDGE = 8
 
 
 def rmat_digraph(
@@ -42,6 +51,7 @@ def rmat_digraph(
     scale:
         ``log2`` of the node-id space.  Isolated ids are compacted away,
         so the final node count is slightly below ``2**scale``.
+        ``2**scale`` must not exceed ``8 * num_edges``.
     a, b, c:
         Quadrant probabilities (``d = 1 - a - b - c``).  The defaults
         are the Graph500 parameters.
@@ -58,33 +68,47 @@ def rmat_digraph(
         )
     if num_edges < 1:
         raise ParameterError(f"num_edges must be >= 1, got {num_edges}")
+    if 2**scale > MAX_IDS_PER_EDGE * num_edges:
+        raise ParameterError(
+            f"2**scale = {2**scale} candidate ids exceed {MAX_IDS_PER_EDGE} "
+            f"per edge for num_edges={num_edges}; lower scale or raise num_edges"
+        )
 
     # Oversample to compensate for duplicates/self-loops, then trim.
     oversample = int(num_edges * 1.3) + 16
-    rows = np.zeros(oversample, dtype=np.int64)
-    cols = np.zeros(oversample, dtype=np.int64)
+    rows = np.zeros(oversample, dtype=np.uint32)
+    cols = np.zeros(oversample, dtype=np.uint32)
+    u = np.empty(oversample)
+    bit = np.empty(oversample, dtype=np.uint32)
     for level in range(scale):
         jitter = 1.0 + noise * (2.0 * rng.random(4) - 1.0)
         pa, pb, pc, pd = np.array([a, b, c, d]) * jitter
         total = pa + pb + pc + pd
         pa, pb, pc = pa / total, pb / total, pc / total
-        u = rng.random(oversample)
+        rng.random(out=u)
         right = u >= pa + pb  # quadrants c, d set the row bit
         down = (u >= pa) & (u < pa + pb) | (u >= pa + pb + pc)  # b, d set col bit
-        rows |= right.astype(np.int64) << level
-        cols |= down.astype(np.int64) << level
+        rows |= np.left_shift(right, level, out=bit, dtype=np.uint32)
+        cols |= np.left_shift(down, level, out=bit, dtype=np.uint32)
+    del u, bit
 
     mask = rows != cols
     rows, cols = rows[mask], cols[mask]
-    keys = rows << scale | cols
+    keys = rows.astype(np.int64) << scale | cols
     first = first_occurrences(keys)[:num_edges]
+    del keys
     rows, cols = rows[first], cols[first]
 
-    # Compact ids (R-MAT leaves many ids unused at low densities).
-    node_ids = np.union1d(rows, cols)
-    rows = np.searchsorted(node_ids, rows)
-    cols = np.searchsorted(node_ids, cols)
-    num_nodes = int(node_ids.shape[0])
+    # Compact ids (R-MAT leaves many ids unused at low densities): an
+    # id's new value is the number of present ids below it.
+    present = np.zeros(2**scale, dtype=bool)
+    present[rows] = True
+    present[cols] = True
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    num_nodes = int(rank[-1]) + 1
+    rows, cols = rank[rows], rank[cols]
+    del present, rank
 
     if ensure_no_dead_ends and num_nodes > 1:
         out_deg = np.bincount(rows, minlength=num_nodes)

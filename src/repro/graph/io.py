@@ -7,13 +7,16 @@ Two formats are supported:
   whitespace-separated, arbitrary node ids.  Reading runs the full
   cleaning pipeline of :mod:`repro.graph.cleaning` so the resulting
   graph matches the paper's preprocessing.
-* **Binary cache** (``.npz``): the CSR arrays verbatim, for fast reload
-  of generated benchmark datasets.
+* **Binary cache** (``.npz``): the CSR arrays verbatim, stored without
+  compression, for fast reload of generated benchmark datasets and
+  checkpoints.  Files whose members are deflated load the same way.
 """
 
 from __future__ import annotations
 
 import io as _io
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,25 @@ __all__ = [
     "write_edge_list",
     "save_npz",
     "load_npz",
+    "NPZ_READ_ERRORS",
 ]
+
+#: What ``np.load`` of a damaged or foreign ``.npz`` can raise: a missing
+#: member (``KeyError``), an unreadable, truncated or non-zip file
+#: (``OSError``, ``EOFError``, ``BadZipFile``), a bad array header
+#: (``ValueError``), a zip header naming an unsupported method, version
+#: or flag (``NotImplementedError``), and a corrupt deflated member
+#: (``zlib.error``).  A stored member with a flipped byte fails its
+#: CRC-32 (``BadZipFile``).
+NPZ_READ_ERRORS = (
+    KeyError,
+    OSError,
+    EOFError,
+    ValueError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
 
 
 def parse_edge_list(
@@ -101,8 +122,14 @@ def write_edge_list(graph: DiGraph, path: str | Path) -> None:
 
 
 def save_npz(graph: DiGraph, path: str | Path) -> None:
-    """Save the CSR arrays to a compressed ``.npz`` cache file."""
-    np.savez_compressed(
+    """Save the CSR arrays to an uncompressed ``.npz`` cache file.
+
+    The members are stored, not deflated: the file is about twice the
+    size of a compressed one, but it is written and read at disk speed
+    instead of zlib's, which matters for checkpoints taken under the
+    writer lock.
+    """
+    np.savez(
         Path(path),
         out_indptr=graph.out_indptr,
         out_indices=graph.out_indices,
@@ -112,7 +139,10 @@ def save_npz(graph: DiGraph, path: str | Path) -> None:
 
 
 def load_npz(path: str | Path) -> DiGraph:
-    """Load a graph previously written by :func:`save_npz`."""
+    """Load a graph written by :func:`save_npz`, stored or compressed.
+
+    Any damage to the file raises :class:`~repro.errors.GraphFormatError`.
+    """
     path = Path(path)
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -122,5 +152,5 @@ def load_npz(path: str | Path) -> DiGraph:
                 name=str(data["name"]),
                 undirected_origin=bool(data["undirected_origin"]),
             )
-    except (KeyError, OSError, ValueError) as exc:
+    except NPZ_READ_ERRORS as exc:
         raise GraphFormatError(f"cannot load graph cache {path}: {exc}") from exc

@@ -14,13 +14,18 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import IndexBuildError
+from repro.graph.io import NPZ_READ_ERRORS
 from repro.walks.index import WalkIndex
 
 __all__ = ["save_walk_index", "load_walk_index", "stored_size_bytes"]
 
 
 def save_walk_index(index: WalkIndex, path: str | Path) -> None:
-    """Write the index to ``path`` (``.npz``)."""
+    """Write the index to ``path`` (a compressed ``.npz``).
+
+    Unlike graph caches, the index stays compressed: Table 2 reports
+    its on-disk size (:func:`stored_size_bytes`).
+    """
     np.savez_compressed(
         Path(path),
         indptr=index.indptr,
@@ -34,7 +39,10 @@ def save_walk_index(index: WalkIndex, path: str | Path) -> None:
 
 
 def load_walk_index(path: str | Path) -> WalkIndex:
-    """Load an index written by :func:`save_walk_index`."""
+    """Load an index written by :func:`save_walk_index`, stored or compressed.
+
+    Any damage to the file raises :class:`~repro.errors.IndexBuildError`.
+    """
     path = Path(path)
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -47,7 +55,7 @@ def load_walk_index(path: str | Path) -> WalkIndex:
                 graph_num_nodes=int(data["graph_num_nodes"]),
                 graph_num_edges=int(data["graph_num_edges"]),
             )
-    except (KeyError, OSError, ValueError) as exc:
+    except NPZ_READ_ERRORS as exc:
         raise IndexBuildError(f"cannot load walk index {path}: {exc}") from exc
 
 

@@ -9,10 +9,15 @@ tail at every byte offset) recovers to the logged version.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_graph_io import compress_types, deflated_save_npz
 
 from repro.durability import (
     CheckpointStore,
@@ -24,6 +29,8 @@ from repro.durability import (
     torn_tail_sweep,
 )
 from repro.api.engine import PPREngine
+from repro.durability import checkpoint as checkpoint_module
+from repro.durability.checkpoint import sha256_file
 from repro.errors import (
     CheckpointError,
     GraphConstructionError,
@@ -31,7 +38,9 @@ from repro.errors import (
     RecoveryError,
 )
 from repro.generators.rmat import rmat_digraph
+from repro.graph.build import paper_example_graph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
+from repro.graph.io import load_npz, save_npz
 
 
 def _graph(seed=3, scale=6, edges=120):
@@ -113,6 +122,65 @@ class TestCheckpointStore:
         before = graph_fingerprint(graph.snapshot())
         graph.apply_updates(_updates(base, 1))
         assert graph_fingerprint(graph.snapshot()) != before
+
+    @pytest.mark.parametrize("which", ["paper", "rmat", "updated snapshot"])
+    def test_fingerprint_is_the_tobytes_formula(self, which):
+        if which == "paper":
+            graph = paper_example_graph()
+        elif which == "rmat":
+            graph = _graph(seed=5, scale=9, edges=3000)
+        else:
+            base = _graph()
+            dynamic = DynamicGraph(base)
+            dynamic.apply_updates(_updates(base, 7))
+            graph = dynamic.snapshot()
+        want = hashlib.sha256(
+            np.int64(graph.num_nodes).tobytes()
+            + graph.out_indptr.tobytes()
+            + graph.out_indices.tobytes()
+        ).hexdigest()
+        assert graph_fingerprint(graph) == want
+
+
+class TestCheckpointFormats:
+    """Checkpoints store ``graph.npz`` uncompressed; a checkpoint whose
+    ``graph.npz`` was written deflated still recovers byte for byte."""
+
+    @pytest.mark.parametrize(
+        "writer, compress_type",
+        [(save_npz, zipfile.ZIP_STORED), (deflated_save_npz, zipfile.ZIP_DEFLATED)],
+        ids=["stored", "deflated"],
+    )
+    def test_recover_reads_either_format(
+        self, writer, compress_type, tmp_path, monkeypatch
+    ):
+        base = _graph()
+        updates = _updates(base, 6)
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_module, "save_npz", writer)
+            manager, graph = open_durable_graph(tmp_path, base)
+            graph.apply_updates(updates[:4])
+            manager.checkpoint()
+            graph.apply_updates(updates[4:])
+            manager.close()
+
+        info = CheckpointStore(tmp_path / "checkpoints").latest()
+        assert info.version == 4
+        assert compress_types(info.graph_path) == {compress_type}
+        manifest = json.loads((info.path / "manifest.json").read_text())
+        assert manifest["checksums"]["graph.npz"] == sha256_file(info.graph_path)
+        assert manifest["graph"]["fingerprint"] == graph_fingerprint(
+            load_npz(info.graph_path)
+        )
+
+        manager2 = DurabilityManager(tmp_path)
+        recovered = manager2.recover()
+        reference = DynamicGraph(base)
+        reference.apply_updates(updates)
+        assert recovered.version == 6
+        assert manager2.replayed_records == 1
+        assert _same_csr(recovered, reference)
+        manager2.close()
 
 
 class TestManagerLifecycle:

@@ -5,14 +5,18 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_graph_build import (
     assert_same_csr,
     reference_first_occurrences,
     reference_from_edge_arrays,
 )
 
+from repro.cli import main
 from repro.errors import ParameterError
 from repro.generators import chung_lu as chung_lu_module
+from repro.generators import datasets as datasets_module
 from repro.generators import rmat as rmat_module
 from repro.generators.ba import barabasi_albert_digraph
 from repro.generators.chung_lu import chung_lu_digraph, power_law_digraph
@@ -102,12 +106,66 @@ def reference_chung_lu(
     )
 
 
+def reference_rmat(
+    scale,
+    num_edges,
+    *,
+    a=0.57,
+    b=0.19,
+    c=0.19,
+    rng,
+    name="rmat",
+    noise=0.1,
+    ensure_no_dead_ends=True,
+):
+    """R-MAT with ``int64`` ids built bit by bit and compacted by
+    ``np.union1d`` + ``np.searchsorted``: the ``uint32`` ids and the
+    presence-mask ranks of :func:`rmat_digraph` must return exactly its
+    graph (and leave ``rng`` in the same state).  Inputs are assumed
+    valid."""
+    d = 1.0 - a - b - c
+    oversample = int(num_edges * 1.3) + 16
+    rows = np.zeros(oversample, dtype=np.int64)
+    cols = np.zeros(oversample, dtype=np.int64)
+    for level in range(scale):
+        jitter = 1.0 + noise * (2.0 * rng.random(4) - 1.0)
+        pa, pb, pc, pd = np.array([a, b, c, d]) * jitter
+        total = pa + pb + pc + pd
+        pa, pb, pc = pa / total, pb / total, pc / total
+        u = rng.random(oversample)
+        right = u >= pa + pb
+        down = (u >= pa) & (u < pa + pb) | (u >= pa + pb + pc)
+        rows |= right.astype(np.int64) << level
+        cols |= down.astype(np.int64) << level
+    mask = rows != cols
+    rows, cols = rows[mask], cols[mask]
+    first = reference_first_occurrences(rows << scale | cols)[:num_edges]
+    rows, cols = rows[first], cols[first]
+    node_ids = np.union1d(rows, cols)
+    rows = np.searchsorted(node_ids, rows)
+    cols = np.searchsorted(node_ids, cols)
+    num_nodes = int(node_ids.shape[0])
+    if ensure_no_dead_ends and num_nodes > 1:
+        out_deg = np.bincount(rows, minlength=num_nodes)
+        dead = np.flatnonzero(out_deg == 0)
+        if dead.shape[0]:
+            extra_targets = cols[rng.integers(0, cols.shape[0], size=dead.shape[0])]
+            collide = extra_targets == dead
+            extra_targets[collide] = (dead[collide] + 1) % num_nodes
+            rows = np.concatenate([rows, dead])
+            cols = np.concatenate([cols, extra_targets])
+    return reference_from_edge_arrays(
+        rows, cols, num_nodes=num_nodes, name=name, dedup=True, drop_self_loops=True
+    )
+
+
 @contextmanager
 def reference_builders(monkeypatch):
     """Route the generators and the cleaning pipeline through the
     reference sampler, duplicate filter and CSR builder."""
     with monkeypatch.context() as patch:
         patch.setattr(chung_lu_module, "chung_lu_digraph", reference_chung_lu)
+        patch.setattr(datasets_module, "rmat_digraph", reference_rmat)
         for module in (rmat_module, cleaning_module):
             patch.setattr(module, "first_occurrences", reference_first_occurrences)
         for module in (chung_lu_module, rmat_module, transforms_module, cleaning_module):
@@ -366,6 +424,57 @@ class TestRMat:
         a = rmat_digraph(8, 800, rng=np.random.default_rng(3))
         b = rmat_digraph(8, 800, rng=np.random.default_rng(3))
         assert a == b
+
+
+class TestRMatMatchesReference:
+    """The ``uint32`` / presence-mask R-MAT returns the ``int64`` /
+    ``union1d`` construction's bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=st.integers(1, 14),
+        edges_per_id=st.floats(1 / 8, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+        ensure_no_dead_ends=st.booleans(),
+    )
+    def test_same_csr(self, scale, edges_per_id, seed, ensure_no_dead_ends):
+        num_edges = max(1, -(-(2**scale) // 8), int(edges_per_id * 2**scale))
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = rmat_digraph(
+            scale, num_edges, rng=got_rng, ensure_no_dead_ends=ensure_no_dead_ends
+        )
+        want = reference_rmat(
+            scale, num_edges, rng=want_rng, ensure_no_dead_ends=ensure_no_dead_ends
+        )
+        assert_same_csr(got, want)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("scale", [1, 3, 12])
+    def test_id_space_bound(self, scale):
+        # At most eight candidate ids per edge: the compaction's mask
+        # and ranks take 9 bytes per candidate id.
+        at_bound = -(-(2**scale) // 8)
+        got = rmat_digraph(scale, at_bound, rng=np.random.default_rng(1))
+        want = reference_rmat(scale, at_bound, rng=np.random.default_rng(1))
+        assert_same_csr(got, want)
+        if 2**scale > 8:
+            with pytest.raises(ParameterError, match="candidate ids"):
+                rmat_digraph(scale, at_bound - 1, rng=np.random.default_rng(1))
+
+    def test_loadtest_refuses_a_sparse_id_space(self, capsys):
+        assert main(["loadtest", "--scale", "30", "--edges", "100"]) == 2
+        assert "candidate ids" in capsys.readouterr().err
+
+    def test_loadtest_at_the_bound(self, capsys):
+        code = main(
+            [
+                "loadtest", "--scale", "9", "--edges", "64",
+                "--requests", "12", "--sources", "4", "--concurrency", "2",
+            ]
+        )
+        assert code == 0
+        assert "cache hit rate" in capsys.readouterr().out
 
 
 def test_cleaning_matches_reference_dedup(monkeypatch):
