@@ -4,7 +4,12 @@
  * asynchronous sweep, the dead-end routing, the r_sum recount and the
  * epoch-end extrapolation), which IncrementalPPR's certification also
  * runs; SpeedPPR's refinement (passes of the active-only scan); the range
- * scatter under every local push; and the walk-index read of Eq. 13.
+ * scatter under every local push; the walk-index read of Eq. 13; and the
+ * random-walk engine's two steps, halt and move.  The walk steps draw
+ * nothing: per step the caller draws, in this order, one uniform per live
+ * walk (halt), one jump per walk on a dead end under the uniform teleport,
+ * and one uniform per walk that can move (move), so the stops follow the
+ * seed and the generator's stream alone.
  *
  * Built and loaded by repro/core/kernels.py on first import, with
  * -ffp-contract=off: every multiply and add below rounds on its own, so
@@ -13,8 +18,9 @@
  * vector are NumPy's pairwise summation, so they are the bits of
  * ndarray.sum().  Callers check dtypes, contiguity, lengths and
  * writability, and that every target index is inside the vector it adds
- * into; only repro_scatter_ranges checks anything here (that its ranges
- * lie inside the targets array).
+ * into (for the walk steps: that every walk id indexes stops and every
+ * position is a node id); only repro_scatter_ranges checks anything here
+ * (that its ranges lie inside the targets array).
  */
 #include <math.h>
 #include <stdint.h>
@@ -575,4 +581,70 @@ int repro_scan_epochs(
     progress[1] = swept;
     *measure = sum;
     return status;
+}
+
+/*
+ * The walk engine's halt step over the live walks: walk walks[j], standing
+ * on node positions[j], halts when uniforms[j] < alpha, and
+ * stops[walks[j]] = positions[j] records where.  The survivors are
+ * compacted, in order, to the front of walks[] and positions[].
+ *
+ * Returns the survivors; *stuck receives how many of them stand on a
+ * dead end (indptr[v + 1] == indptr[v]).
+ */
+int64_t repro_walk_halt(
+    int64_t live,
+    int64_t *walks,
+    int64_t *positions,
+    const double *uniforms,
+    double alpha,
+    const int64_t *indptr,
+    int64_t *stops,
+    int64_t *stuck)
+{
+    int64_t kept = 0;
+    int64_t dead = 0;
+    for (int64_t j = 0; j < live; ++j) {
+        const int64_t v = positions[j];
+        if (uniforms[j] < alpha) {
+            stops[walks[j]] = v;
+            continue;
+        }
+        walks[kept] = walks[j];
+        positions[kept] = v;
+        ++kept;
+        dead += indptr[v + 1] == indptr[v];
+    }
+    *stuck = dead;
+    return kept;
+}
+
+/*
+ * The walk engine's move step over the live walks, in order: the k-th
+ * walk that stands on a node c with d_c = indptr[c + 1] - indptr[c] > 0
+ * moves to indices[indptr[c] + (int64)(uniforms[k] * (double)d_c)]; the
+ * t-th walk on a dead end moves to jumps[t] when jumps is given (the
+ * uniform teleport's draws), else to source.
+ */
+void repro_walk_move(
+    int64_t live,
+    int64_t *positions,
+    const int64_t *indptr,
+    const int32_t *indices,
+    const double *uniforms,
+    const int64_t *jumps,
+    int64_t source)
+{
+    int64_t k = 0;
+    int64_t t = 0;
+    for (int64_t j = 0; j < live; ++j) {
+        const int64_t c = positions[j];
+        const int64_t lo = indptr[c];
+        const int64_t degree = indptr[c + 1] - lo;
+        if (degree) {
+            positions[j] = indices[lo + (int64_t)(uniforms[k++] * (double)degree)];
+        } else {
+            positions[j] = jumps ? jumps[t++] : source;
+        }
+    }
 }

@@ -48,8 +48,9 @@ The asynchronous sweep and its cost model
 (over raw arrays) run one C loop, :func:`queue_rounds` a second,
 :func:`scan_epochs` a third (the sweep, the ``r_sum`` recount and the
 extrapolation, in one call), :func:`refine_passes` a fourth,
-:func:`scatter_ranges` a fifth and :func:`index_read` a sixth:
-``_kernels.c``, compiled with the
+:func:`scatter_ranges` a fifth, :func:`index_read` a sixth, and
+:func:`walk_halt` and :func:`walk_move` the random-walk engine's two
+steps (below): ``_kernels.c``, compiled with the
 ``cc`` on ``PATH`` on the first import of this module into
 ``__pycache__/_kernels-<key>.so`` — the key hashes the source, the
 flags and the machine, so a warm import starts no process — and
@@ -175,6 +176,30 @@ against the stops array, as :func:`scatter_ranges` does; that every
 stop lies inside ``[0, n)`` a checked
 :class:`~repro.walks.index.WalkIndex` meets by construction.
 
+The random-walk steps
+---------------------
+Every alpha-walk in the package — the walk index's build, SpeedPPR's
+and FORA's live walk phase, plain Monte-Carlo — is simulated by
+:func:`~repro.walks.engine.simulate_walk_stops`, a Python loop over
+steps that draws the step's uniforms with NumPy and hands them to two C
+loops.  The draw order is the contract that keeps every seeded answer
+the same: per step, ``rng.random(live)`` for the stops, then — only when
+some survivor stands on a dead end under ``uniform-teleport`` —
+``rng.integers(0, n, stuck)`` for its jumps, then ``rng.random(movers)``
+for the neighbour choices.  :func:`walk_halt` consumes the first draw:
+it records each halting walk's stop, compacts the survivors in order
+and counts those on a dead end.  :func:`walk_move` consumes the other
+two: the ``k``-th survivor that can move takes out-edge
+``int(u_k * d_c)`` of its node ``c`` (the product rounds as NumPy's
+does), and the ``t``-th on a dead end goes to the ``t``-th jump or to
+the query source.  These are the stops, the step count and the
+generator end state of the NumPy lock-step they replaced
+(``reference_simulate_batch`` in ``tests/test_walks.py``), which paid
+about ten fancy-indexing passes over the live walks a step; building
+the ``pokec-s`` x10 index (940 029 walks, a shared 2-vCPU VM) went from
+0.21-0.31 s to 0.07-0.12 s, of which drawing the uniforms alone is
+about 0.05 s.
+
 PowerPush has no multi-source kernel: a batch is a per-source loop
 (README, "Why PowerPush has no block path").  :func:`block_global_sweep`
 is what is left of one, kept for the benchmark ladder alone.
@@ -205,6 +230,8 @@ __all__ = [
     "settle_sweep",
     "refine_passes",
     "index_read",
+    "walk_halt",
+    "walk_move",
     "queue_rounds",
     "scan_epochs",
     "async_sweep",
@@ -287,6 +314,15 @@ def _build(cache_dir: Path) -> ctypes.CDLL:
     lib.repro_scatter_ranges.restype = ctypes.c_int
     lib.repro_scatter_ranges.argtypes = [
         count, pointer, pointer, count, pointer, pointer, pointer,
+    ]
+    lib.repro_walk_halt.restype = count
+    lib.repro_walk_halt.argtypes = [
+        count, pointer, pointer, pointer, ctypes.c_double, pointer, pointer,
+        ctypes.POINTER(count),
+    ]
+    lib.repro_walk_move.restype = None
+    lib.repro_walk_move.argtypes = [
+        count, pointer, pointer, pointer, pointer, pointer, count,
     ]
     return lib
 
@@ -758,6 +794,111 @@ def index_read(
             f"a walk range reaches outside the {stops.shape[0]} stops"
         )
     return counts[0], counts[1], first_short
+
+
+def _vector_address(
+    array: np.ndarray, dtype, size: int, name: str, *, writable: bool = False
+) -> int:
+    """The data pointer of a C-contiguous ``dtype`` vector of at least
+    ``size`` entries (and writable, when asked), checked as
+    :func:`_address` checks."""
+    if not (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.ndim == 1
+        and array.shape[0] >= size
+        and array.flags.c_contiguous
+        and (array.flags.writeable or not writable)
+    ):
+        raise ParameterError(
+            f"{name} must be a{' writable' if writable else ''} C-contiguous "
+            f"{np.dtype(dtype)} vector of at least {size} entries"
+        )
+    return array.ctypes.data
+
+
+def walk_halt(
+    graph,
+    walks: np.ndarray,
+    positions: np.ndarray,
+    uniforms: np.ndarray,
+    alpha: float,
+    stops: np.ndarray,
+) -> tuple[int, int]:
+    """The halt step of a walk engine step, in place: one C loop.
+
+    The live walks are the first ``len(uniforms)`` entries of ``walks``
+    (walk ids) and ``positions`` (the nodes they stand on).  Walk
+    ``walks[j]`` halts when ``uniforms[j] < alpha`` and ``stops[walks[j]]
+    = positions[j]`` records where; the survivors are compacted, in
+    order, to the front of ``walks`` and ``positions``.
+
+    Returns ``(survivors, stuck)``: how many walks live on, and how many
+    of those stand on a dead end — the size of the uniform teleport's
+    draw in :func:`walk_move`.
+
+    ``walks``, ``positions`` and ``stops`` are writable C-contiguous
+    ``int64`` vectors and ``uniforms`` a C-contiguous float64 one; a
+    wrong dtype, layout or length raises
+    :class:`~repro.errors.ParameterError` before the loop runs.  That
+    every walk id indexes ``stops`` and every position is a node id is
+    the caller's precondition.
+    """
+    live = np.size(uniforms)
+    stuck = ctypes.c_int64()
+    survivors = _LIB.repro_walk_halt(
+        live,
+        _vector_address(walks, np.int64, live, "walks", writable=True),
+        _vector_address(positions, np.int64, live, "positions", writable=True),
+        _vector_address(uniforms, np.float64, live, "uniforms"),
+        alpha,
+        graph.out_indptr.ctypes.data,
+        _vector_address(stops, np.int64, 0, "stops", writable=True),
+        stuck,
+    )
+    return survivors, stuck.value
+
+
+def walk_move(
+    graph,
+    positions: np.ndarray,
+    live: int,
+    stuck: int,
+    uniforms: np.ndarray,
+    jumps: np.ndarray | None,
+    source: int,
+) -> None:
+    """The move step of a walk engine step, in place: one C loop.
+
+    Over the ``live`` walks at the front of ``positions``, in order: the
+    ``k``-th walk standing on a node ``c`` with out-degree ``d_c > 0``
+    moves to ``out_indices[out_indptr[c] + int(uniforms[k] * d_c)]``, and
+    the ``t``-th walk on a dead end to ``jumps[t]`` (the uniform
+    teleport's draws) or, with ``jumps`` None, to ``source``.
+
+    ``live`` and ``stuck`` are what :func:`walk_halt` returned for these
+    positions; ``uniforms`` holds one float64 in ``[0, 1)`` per walk not
+    on a dead end, and ``jumps`` one ``int64`` node id per walk on one.
+    A wrong length, dtype or layout, or a ``source`` outside ``[0, n)``
+    that a dead-end walk would move to, raises
+    :class:`~repro.errors.ParameterError` before the loop runs.
+    """
+    if np.shape(uniforms) != (live - stuck,):
+        raise ParameterError(f"need {live - stuck} uniforms, one per mover")
+    if jumps is None:
+        if stuck and not 0 <= source < graph.num_nodes:
+            raise ParameterError(f"source must be an id in [0, {graph.num_nodes})")
+    elif np.shape(jumps) != (stuck,):
+        raise ParameterError(f"need {stuck} jumps, one per dead-end walk")
+    _LIB.repro_walk_move(
+        live,
+        _vector_address(positions, np.int64, live, "positions", writable=True),
+        graph.out_indptr.ctypes.data,
+        graph.out_indices.ctypes.data,
+        _vector_address(uniforms, np.float64, 0, "uniforms"),
+        None if jumps is None else _vector_address(jumps, np.int64, 0, "jumps"),
+        source,
+    )
 
 
 # What repro_queue_rounds and repro_scan_epochs return, in the order of

@@ -21,6 +21,7 @@ __all__ = [
     "check_epsilon",
     "check_mu",
     "check_failure_probability",
+    "check_positive_integer",
     "default_l1_threshold",
 ]
 
@@ -50,6 +51,18 @@ def check_node_id(node: int, num_nodes: int) -> int:
     if not 0 <= node < num_nodes:
         raise NodeNotFoundError(f"source {node} outside [0, {num_nodes})")
     return node
+
+
+def check_positive_integer(value: int, name: str) -> int:
+    """``value`` as an ``int`` of at least 1: numpy integers pass; a
+    float, a ``bool`` or anything else is refused, never truncated."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def check_source(graph: DiGraph, source: int) -> int:

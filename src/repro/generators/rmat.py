@@ -87,7 +87,11 @@ def rmat_digraph(
         pa, pb, pc = pa / total, pb / total, pc / total
         rng.random(out=u)
         right = u >= pa + pb  # quadrants c, d set the row bit
-        down = (u >= pa) & (u < pa + pb) | (u >= pa + pb + pc)  # b, d set col bit
+        # b, d set the col bit: u in [pa, pa + pb) or u >= pa + pb + pc,
+        # and the thresholds rise, so one xor of the three tests says it.
+        down = u >= pa
+        down ^= right
+        down ^= u >= pa + pb + pc
         rows |= np.left_shift(right, level, out=bit, dtype=np.uint32)
         cols |= np.left_shift(down, level, out=bit, dtype=np.uint32)
     del u, bit

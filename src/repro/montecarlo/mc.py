@@ -19,7 +19,11 @@ import numpy as np
 
 from repro.core.residues import DeadEndPolicy
 from repro.core.result import PPRResult
-from repro.core.validation import check_alpha, check_source
+from repro.core.validation import (
+    check_alpha,
+    check_positive_integer,
+    check_source,
+)
 from repro.errors import ParameterError
 from repro.graph.digraph import DiGraph
 from repro.instrumentation.counters import PushCounters
@@ -53,7 +57,8 @@ def monte_carlo_ppr(
         The approximation contract; ``mu`` and ``p_fail`` default to
         ``1/n`` as in the paper.  Ignored when ``num_walks`` is given.
     num_walks:
-        Explicit override of ``W`` (used by tests and ablations).
+        Explicit override of ``W`` (used by tests and ablations): a
+        positive integer; a float or a ``bool`` is refused.
     dead_end_policy:
         Where a walk goes from a dead end (see
         :func:`~repro.walks.engine.simulate_walk_stops`).
@@ -68,8 +73,7 @@ def monte_carlo_ppr(
         if p_fail is None:
             p_fail = default_failure_probability(graph.num_nodes)
         num_walks = chernoff_walk_count(epsilon, mu, p_fail=p_fail)
-    if num_walks <= 0:
-        raise ParameterError(f"num_walks must be positive, got {num_walks}")
+    num_walks = check_positive_integer(num_walks, "num_walks")
     started = time.perf_counter()
     stops, steps = simulate_walk_stops(
         graph,

@@ -10,11 +10,17 @@ walk's own start — this matters for the walks FORA/SpeedPPR launch
 from intermediate nodes); under ``uniform-teleport`` it jumps to a
 uniformly random node of ``[0, n)``.
 
-The engine advances *all* walks in lock-step with NumPy: one vectorised
-step handles the stop draws, the dead-end redirects and the neighbour
-sampling for every still-alive walk.  The expected walk length is
-``1/alpha``, so the expected cost is ``O(num_walks / alpha)`` with tiny
-constants.
+The engine advances *all* walks in lock-step, one step at a time: per
+step NumPy draws the uniforms and two C loops consume them
+(:func:`~repro.core.kernels.walk_halt` records the walks that stop and
+compacts the rest, :func:`~repro.core.kernels.walk_move` moves every
+survivor).  The draws are, in this order, ``rng.random(live)`` for the
+stops, ``rng.integers(0, n, stuck)`` for the survivors on a dead end
+under ``uniform-teleport`` (none under ``redirect-to-source``), and
+``rng.random(movers)`` for the neighbour choices; so the stops, the
+step count and the generator's end state depend on the seed and the
+batch split alone.  The expected walk length is ``1/alpha``, so the
+expected cost is ``O(num_walks / alpha)`` with tiny constants.
 
 A scalar reference implementation (:func:`single_walk`) backs the
 property tests that check the vectorised engine's distribution.
@@ -24,8 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import walk_halt, walk_move
 from repro.core.residues import DeadEndPolicy, check_dead_end_policy
-from repro.core.validation import check_alpha, check_source
+from repro.core.validation import (
+    check_alpha,
+    check_positive_integer,
+    check_source,
+)
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph.digraph import DiGraph
 
@@ -49,7 +60,8 @@ def simulate_walk_stops(
     Parameters
     ----------
     starts:
-        Start node of each walk (``int`` array, any length).
+        Start node of each walk: a vector of an integer dtype (not
+        ``bool``), any length.
     source:
         The query source used as the dead-end redirect target.  Dead
         ends raise :class:`ParameterError` when it is omitted and the
@@ -60,7 +72,8 @@ def simulate_walk_stops(
         (``uniform-teleport``).  ``self-loop`` needs structural
         self-loops, as in :class:`~repro.core.residues.PushState`.
     batch_size:
-        Walks are processed in chunks of this size to bound memory.
+        Walks are processed in chunks of this size to bound memory; an
+        integer of at least 1.
 
     Returns
     -------
@@ -71,6 +84,13 @@ def simulate_walk_stops(
     """
     check_alpha(alpha)
     check_dead_end_policy(dead_end_policy)
+    batch_size = check_positive_integer(batch_size, "batch_size")
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or (starts.size and starts.dtype.kind not in "iu"):
+        raise ParameterError(
+            f"walk starts must be a vector of integer node ids, got "
+            f"{starts.dtype} of shape {starts.shape}"
+        )
     starts = np.ascontiguousarray(starts, dtype=np.int64)
     if starts.size and (starts.min() < 0 or starts.max() >= graph.num_nodes):
         raise ParameterError("walk start outside [0, n)")
@@ -106,50 +126,41 @@ def _simulate_batch(
     dead_end_policy: DeadEndPolicy,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int]:
-    indptr = graph.out_indptr
-    indices = graph.out_indices
-    degree = graph.out_degree
-
-    position = starts.copy()
+    # The live walks' ids and the nodes they stand on, compacted in walk
+    # order by every halt step.
+    walks = np.arange(starts.shape[0], dtype=np.int64)
+    positions = starts.copy()
     stops = np.empty(starts.shape[0], dtype=np.int64)
-    alive = np.arange(starts.shape[0])
+    live = starts.shape[0]
     total_steps = 0
 
     for _ in range(_MAX_STEPS):
-        if alive.shape[0] == 0:
+        if live == 0:
             return stops, total_steps
-        # Stop draws for every alive walk.
-        halting = rng.random(alive.shape[0]) < alpha
-        stopped = alive[halting]
-        stops[stopped] = position[stopped]
-        alive = alive[~halting]
-        if alive.shape[0] == 0:
+        live, stuck = walk_halt(
+            graph, walks, positions, rng.random(live), alpha, stops
+        )
+        if live == 0:
             return stops, total_steps
 
-        # Move the survivors one step.  The conceptual dead-end edge
-        # points at the policy's target, so a move from a dead end *is*
-        # the jump (one step, not jump-then-step).
-        current = position[alive]
-        deg = degree[current]
-        movers = deg > 0
-        if not np.all(movers):
-            stuck = alive[~movers]
-            if dead_end_policy == "uniform-teleport":
-                position[stuck] = rng.integers(
-                    0, graph.num_nodes, size=stuck.shape[0]
-                )
-            elif source is None:
-                raise ParameterError(
-                    "walk reached a dead end but no redirect source given"
-                )
-            else:
-                position[stuck] = source
-        live = alive[movers]
-        live_current = current[movers]
-        live_deg = deg[movers]
-        offsets = (rng.random(live.shape[0]) * live_deg).astype(np.int64)
-        position[live] = indices[indptr[live_current] + offsets]
-        total_steps += alive.shape[0]
+        # The conceptual dead-end edge points at the policy's target, so
+        # a move from a dead end *is* the jump (one step, not
+        # jump-then-step).  Under redirect-to-source the target is the
+        # source, which simulate_walk_stops required of a graph with
+        # dead ends.
+        jumps = None
+        if stuck and dead_end_policy == "uniform-teleport":
+            jumps = rng.integers(0, graph.num_nodes, size=stuck)
+        walk_move(
+            graph,
+            positions,
+            live,
+            stuck,
+            rng.random(live - stuck),
+            jumps,
+            -1 if source is None else source,
+        )
+        total_steps += live
 
     raise ConvergenceError(
         f"random walks exceeded {_MAX_STEPS} steps; alpha={alpha} too small?"

@@ -152,13 +152,23 @@ def build_walk_index(
     policy: str = "custom",
     rng: np.random.Generator,
 ) -> WalkIndex:
-    """Pre-compute ``walk_counts[v]`` alpha-walks from every node ``v``."""
+    """Pre-compute ``walk_counts[v]`` alpha-walks from every node ``v``.
+
+    ``walk_counts`` holds one non-negative count per node, of an integer
+    dtype (not ``bool``); anything else raises
+    :class:`~repro.errors.IndexBuildError`.
+    """
     check_alpha(alpha)
-    walk_counts = np.asarray(walk_counts, dtype=np.int64)
-    if walk_counts.shape[0] != graph.num_nodes:
+    walk_counts = np.asarray(walk_counts)
+    if walk_counts.dtype.kind not in "iu":
         raise IndexBuildError(
-            f"walk_counts has length {walk_counts.shape[0]}, "
-            f"expected {graph.num_nodes}"
+            f"walk_counts must be integers, got dtype {walk_counts.dtype}"
+        )
+    walk_counts = walk_counts.astype(np.int64, copy=False)
+    if walk_counts.shape != (graph.num_nodes,):
+        raise IndexBuildError(
+            f"walk_counts has shape {walk_counts.shape}, "
+            f"expected ({graph.num_nodes},)"
         )
     if np.any(walk_counts < 0):
         raise IndexBuildError("walk_counts must be non-negative")

@@ -105,6 +105,23 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError):
             monte_carlo_ppr(paper_graph, 0, num_walks=0, rng=rng)
 
+    def test_rejects_fractional_num_walks(self, paper_graph, rng):
+        with pytest.raises(ParameterError, match="num_walks"):
+            monte_carlo_ppr(paper_graph, 0, num_walks=10.5, rng=rng)
+
+    def test_rejects_bool_num_walks(self, paper_graph, rng):
+        with pytest.raises(ParameterError, match="num_walks"):
+            monte_carlo_ppr(paper_graph, 0, num_walks=True, rng=rng)
+
+    def test_takes_numpy_integer_num_walks(self, paper_graph):
+        a = monte_carlo_ppr(
+            paper_graph, 0, num_walks=np.int64(50), rng=np.random.default_rng(3)
+        )
+        b = monte_carlo_ppr(
+            paper_graph, 0, num_walks=50, rng=np.random.default_rng(3)
+        )
+        assert a.estimate.tobytes() == b.estimate.tobytes()
+
     def test_method_name(self, paper_graph, rng):
         result = monte_carlo_ppr(paper_graph, 0, num_walks=10, rng=rng)
         assert result.method == "MonteCarlo"

@@ -464,9 +464,9 @@ def test_a_value_of_another_type_is_another_request(make_tier, base):
     engine = PPREngine(base, alpha=0.2, seed=7)
     expected = engine.query(5, "montecarlo", **params)
     assert served.result.estimate.tobytes() == expected.estimate.tobytes()
-    with pytest.raises(TypeError) as serial:
+    with pytest.raises(ParameterError) as serial:
         engine.query(5, "montecarlo", seed=1, num_walks=200.0)
-    with pytest.raises(TypeError, match=str(serial.value)):
+    with pytest.raises(ParameterError, match=str(serial.value)):
         tier.query(5, "montecarlo", seed=1, num_walks=200.0)
     assert tier.query(5, "montecarlo", **params).cache_hit
 

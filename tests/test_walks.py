@@ -1,10 +1,21 @@
-"""Unit tests for the random-walk engine and walk indexes."""
+"""Unit tests for the random-walk engine and walk indexes.
+
+The engine's steps are two C loops (``walk_halt`` / ``walk_move`` in
+``repro/core/_kernels.c``) fed by per-step NumPy draws.
+:func:`reference_simulate_batch` is the NumPy lock-step they replaced;
+the C steps must give its stops, its step count and its generator end
+state, bit for bit.
+"""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.kernels import walk_halt, walk_move
 from repro.errors import (
     ConvergenceError,
     IndexBuildError,
@@ -13,7 +24,7 @@ from repro.errors import (
 )
 from repro.graph.build import cycle_graph, from_edges
 from repro.metrics.ground_truth import exact_ppr_dense
-from repro.walks.engine import simulate_walk_stops, single_walk
+from repro.walks.engine import _MAX_STEPS, simulate_walk_stops, single_walk
 from repro.walks.index import (
     WalkIndex,
     build_walk_index,
@@ -21,6 +32,157 @@ from repro.walks.index import (
     speedppr_walk_counts,
 )
 from repro.walks.storage import load_walk_index, save_walk_index, stored_size_bytes
+
+
+def reference_simulate_batch(graph, starts, alpha, source, dead_end_policy, rng):
+    """The NumPy lock-step: what one batch of the engine computes.
+
+    Per step: ``rng.random(alive)`` for the stops, then
+    ``rng.integers(0, n, stuck)`` for the survivors on a dead end under
+    ``uniform-teleport``, then ``rng.random(movers)`` for the neighbour
+    choices.
+    """
+    indptr = graph.out_indptr
+    indices = graph.out_indices
+    degree = graph.out_degree
+
+    position = starts.copy()
+    stops = np.empty(starts.shape[0], dtype=np.int64)
+    alive = np.arange(starts.shape[0])
+    total_steps = 0
+
+    for _ in range(_MAX_STEPS):
+        if alive.shape[0] == 0:
+            return stops, total_steps
+        halting = rng.random(alive.shape[0]) < alpha
+        stopped = alive[halting]
+        stops[stopped] = position[stopped]
+        alive = alive[~halting]
+        if alive.shape[0] == 0:
+            return stops, total_steps
+
+        current = position[alive]
+        deg = degree[current]
+        movers = deg > 0
+        if not np.all(movers):
+            stuck = alive[~movers]
+            if dead_end_policy == "uniform-teleport":
+                position[stuck] = rng.integers(
+                    0, graph.num_nodes, size=stuck.shape[0]
+                )
+            else:
+                position[stuck] = source
+        live = alive[movers]
+        live_current = current[movers]
+        live_deg = deg[movers]
+        offsets = (rng.random(live.shape[0]) * live_deg).astype(np.int64)
+        position[live] = indices[indptr[live_current] + offsets]
+        total_steps += alive.shape[0]
+    raise ConvergenceError("reference walks did not stop")
+
+
+def reference_walk_stops(graph, starts, alpha, source, policy, rng, batch_size):
+    """``simulate_walk_stops`` over :func:`reference_simulate_batch`."""
+    starts = np.asarray(starts, dtype=np.int64)
+    stops = np.empty(starts.shape[0], dtype=np.int64)
+    total = 0
+    for begin in range(0, starts.shape[0], batch_size):
+        chunk = starts[begin : begin + batch_size]
+        stops[begin : begin + chunk.shape[0]], steps = reference_simulate_batch(
+            graph, chunk, alpha, source, policy, rng
+        )
+        total += steps
+    return stops, total
+
+
+@st.composite
+def walk_graphs(draw):
+    """Small CSR graphs with the corners the steps must handle: one
+    node, self-loops, parallel edges, one hub holding every edge, dead
+    ends."""
+    n = draw(st.integers(1, 9))
+    hub = draw(st.booleans())
+    targets = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(
+            st.tuples(st.just(0) if hub else targets, targets), max_size=4 * n
+        )
+    )
+    return from_edges(edges, num_nodes=n, dedup=False, drop_self_loops=False)
+
+
+class TestCStepsMatchReference:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        graph=walk_graphs(),
+        data=st.data(),
+        alpha=st.sampled_from([0.01, 0.2, 0.999]),
+        policy=st.sampled_from(["redirect-to-source", "uniform-teleport"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_numpy_lock_step(self, graph, data, alpha, policy, seed):
+        n = graph.num_nodes
+        starts = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=40)), dtype=np.int64
+        )
+        batch_size = data.draw(st.integers(1, starts.shape[0] + 2))
+        source = data.draw(st.integers(0, n - 1))
+        if policy == "uniform-teleport" and data.draw(st.booleans()):
+            source = None
+        expected_rng = np.random.default_rng(seed)
+        expected, expected_steps = reference_walk_stops(
+            graph, starts, alpha, source, policy, expected_rng, batch_size
+        )
+        rng = np.random.default_rng(seed)
+        stops, steps = simulate_walk_stops(
+            graph,
+            starts,
+            alpha=alpha,
+            source=source,
+            dead_end_policy=policy,
+            rng=rng,
+            batch_size=batch_size,
+        )
+        assert stops.tobytes() == expected.tobytes()
+        assert steps == expected_steps
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+    def test_steps_refuse_arrays_the_loops_cannot_take(self, paper_graph):
+        walks = np.arange(4, dtype=np.int64)
+        positions = np.zeros(4, dtype=np.int64)
+        stops = np.empty(4, dtype=np.int64)
+        with pytest.raises(ParameterError, match="positions"):
+            walk_halt(
+                paper_graph, walks, positions[:2], np.zeros(4), 0.2, stops
+            )
+        with pytest.raises(ParameterError, match="walks"):
+            walk_halt(
+                paper_graph, walks.astype(np.int32), positions, np.zeros(4),
+                0.2, stops,
+            )
+        with pytest.raises(ParameterError, match="uniforms"):
+            walk_halt(
+                paper_graph, walks, positions, np.zeros(4, dtype=np.float32),
+                0.2, stops,
+            )
+        with pytest.raises(ParameterError, match="uniforms"):
+            walk_move(paper_graph, positions, 4, 0, np.zeros(3), None, 0)
+        with pytest.raises(ParameterError, match="jumps"):
+            walk_move(
+                paper_graph, positions, 4, 1, np.zeros(3),
+                np.zeros(2, dtype=np.int64), 0,
+            )
+        with pytest.raises(ParameterError, match="jumps"):
+            walk_move(
+                paper_graph, positions, 4, 1, np.zeros(3),
+                np.zeros(1, dtype=np.int32), 0,
+            )
+        with pytest.raises(ParameterError, match="source"):
+            walk_move(paper_graph, positions, 4, 1, np.zeros(3), None, -1)
 
 
 class TestEngineBasics:
@@ -61,6 +223,38 @@ class TestEngineBasics:
             simulate_walk_stops(
                 paper_graph, np.array([99]), rng=rng
             )
+
+    @pytest.mark.parametrize("batch_size", [-1, 0, 2.5, True, "8"])
+    def test_rejects_bad_batch_size(self, paper_graph, batch_size):
+        # A negative size once walked nothing and returned uninitialised
+        # stops.
+        with pytest.raises(ParameterError, match="batch_size"):
+            simulate_walk_stops(
+                paper_graph,
+                np.arange(5),
+                batch_size=batch_size,
+                source=0,
+                rng=np.random.default_rng(0),
+            )
+
+    def test_takes_numpy_integer_batch_size(self, paper_graph):
+        a, _ = simulate_walk_stops(
+            paper_graph, np.arange(5), batch_size=np.int64(2),
+            rng=np.random.default_rng(0),
+        )
+        b, _ = simulate_walk_stops(
+            paper_graph, np.arange(5), batch_size=2, rng=np.random.default_rng(0)
+        )
+        assert a.tobytes() == b.tobytes()
+
+    def test_rejects_fractional_starts(self, paper_graph, rng):
+        # Once truncated: these walked from nodes 0 and 1.
+        with pytest.raises(ParameterError, match="integer"):
+            simulate_walk_stops(paper_graph, [0.5, 1.9], rng=rng)
+
+    def test_rejects_bool_starts(self, paper_graph, rng):
+        with pytest.raises(ParameterError, match="integer"):
+            simulate_walk_stops(paper_graph, np.array([True, False]), rng=rng)
 
     def test_dead_end_requires_source(self, dead_end_graph, rng):
         with pytest.raises(ParameterError):
@@ -271,6 +465,21 @@ class TestWalkIndex:
             build_walk_index(
                 paper_graph, -np.ones(5, dtype=np.int64), rng=rng
             )
+
+    def test_fractional_counts_rejected(self, paper_graph, rng):
+        # Once truncated: 1.7 walks a node built one.
+        with pytest.raises(IndexBuildError, match="integers"):
+            build_walk_index(paper_graph, np.full(5, 1.7), rng=rng)
+
+    def test_nan_counts_rejected_without_a_cast_warning(self, paper_graph, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IndexBuildError, match="integers"):
+                build_walk_index(paper_graph, np.full(5, np.nan), rng=rng)
+
+    def test_bool_counts_rejected(self, paper_graph, rng):
+        with pytest.raises(IndexBuildError, match="integers"):
+            build_walk_index(paper_graph, np.ones(5, dtype=bool), rng=rng)
 
     @pytest.mark.parametrize(
         "indptr, stops",
