@@ -3,27 +3,22 @@
 The Chung–Lu model draws each edge ``(u, v)`` independently with
 probability proportional to ``out_weight[u] * in_weight[v]``, which in
 expectation realises the prescribed out-/in-degree sequences.  Drawing
-all ``n^2`` Bernoulli trials is infeasible, so we use the standard
-"edge-skipping" equivalent: sample ``m`` endpoint pairs where sources
-are drawn proportional to out-weights and targets proportional to
+all ``n^2`` Bernoulli trials is infeasible, so the sampler draws endpoint
+pairs instead: sources proportional to out-weights, targets to
 in-weights.  For heavy-tailed weights this reproduces the degree
 correlations that make forward push's frontier explode after a few hops
 — the behaviour the paper's experiments exercise.
 
-The generator guarantees no dead ends by construction when
-``ensure_min_out_degree`` is set: after sampling, any node that ended up
-with out-degree zero receives one edge to a weight-proportional target.
-A floor above ``n - 1`` cannot be met without self-loops and is refused.
-
-Sampling is vectorised over each round's batch of endpoint pairs.  An
-edge is the ``int64`` key ``u * n + v``; the keys accepted so far are
-one sorted array.  A round draws both endpoint arrays by inverse-CDF
-search (queries in ascending order, indices scattered back), keeps, in
-sample order, the first occurrence of each key that is not a self-loop
-and not yet accepted (:func:`~repro.graph.build.first_occurrences` plus
-a binary search of the accepted keys), truncates at the number still
-needed, and merges the new keys into the sorted array.  The result is
-byte for byte that of a loop drawing pair by pair into a set of keys.
+An edge is the ``int64`` key ``u * n + v``, and the one edge store is
+the sorted array of the keys accepted so far.  A round draws 1.25 times
+the edges still needed, keeps, in sample order, the first occurrence of
+each key that is neither a self-loop nor accepted already, truncates at
+the number needed and merges the keys into the array.  Every node below
+``ensure_min_out_degree`` out-edges (its row's width in the array) then
+gets weight-proportional targets; a floor above ``n - 1`` cannot be met
+without self-loops and is refused.  The array is assembled into the CSR
+as it is, with no second sort.  The graph is byte for byte that of a
+loop drawing pair by pair into a set of keys.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.graph.build import first_occurrences, from_edge_arrays
+from repro.graph.build import first_occurrences, from_sorted_keys
 from repro.graph.digraph import DiGraph
 from repro.generators.powerlaw import sample_power_law_degrees, scale_degrees_to_total
 
@@ -89,44 +84,20 @@ def chung_lu_digraph(
     in_cdf = np.cumsum(in_weights) / in_weights.sum()
 
     seen = np.empty(0, dtype=np.int64)
-    sources_list: list[np.ndarray] = []
-    targets_list: list[np.ndarray] = []
     needed = num_edges
     for _ in range(max_resample_rounds):
         if needed <= 0:
             break
-        batch = max(needed + needed // 4, 16)
-        src = _inverse_cdf(out_cdf, rng.random(batch))
-        dst = _inverse_cdf(in_cdf, rng.random(batch))
-        keep_src, keep_dst, seen = _filter_new_edges(
-            src, dst, num_nodes, seen, needed
-        )
-        sources_list.append(keep_src)
-        targets_list.append(keep_dst)
-        needed -= keep_src.shape[0]
-
-    sources = np.concatenate(sources_list) if sources_list else np.empty(0, np.int64)
-    targets = np.concatenate(targets_list) if targets_list else np.empty(0, np.int64)
+        new = _new_keys(out_cdf, in_cdf, max(needed + needed // 4, 16), seen, needed, rng)
+        # Merge, not re-sort: np.union1d would sort all of ``seen`` again.
+        seen = np.insert(seen, np.searchsorted(seen, new), new)
+        needed -= new.shape[0]
 
     if ensure_min_out_degree > 0:
-        sources, targets = _patch_out_degrees(
-            sources,
-            targets,
-            num_nodes,
-            in_cdf,
-            min_degree=ensure_min_out_degree,
-            seen=seen,
-            rng=rng,
-        )
+        new = _patch_keys(seen, in_cdf, min_degree=ensure_min_out_degree, rng=rng)
+        seen = np.insert(seen, np.searchsorted(seen, new), new)
 
-    return from_edge_arrays(
-        sources,
-        targets,
-        num_nodes=num_nodes,
-        name=name,
-        dedup=True,
-        drop_self_loops=False,  # already filtered during sampling
-    )
+    return from_sorted_keys(seen, num_nodes=num_nodes, name=name)
 
 
 def power_law_digraph(
@@ -185,27 +156,30 @@ def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return indices
 
 
-def _filter_new_edges(
-    src: np.ndarray,
-    dst: np.ndarray,
-    num_nodes: int,
+def _new_keys(
+    out_cdf: np.ndarray,
+    in_cdf: np.ndarray,
+    batch: int,
     seen: np.ndarray,
     needed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep, in sample order, the first ``needed`` non-loop edges whose
-    key ``u * n + v`` is neither in the sorted key array ``seen`` nor
-    repeats an earlier sample; return them and ``seen`` with their keys
-    merged in (still sorted).
-    """
-    mask = src != dst
-    src, dst = src[mask], dst[mask]
-    keys = src * num_nodes + dst
-    first = first_occurrences(keys)
-    first = first[~_contains(seen, keys[first])][:needed]
-    # Merge, not re-sort: np.union1d would sort all of ``seen`` again.
-    new = np.sort(keys[first])
-    seen = np.insert(seen, np.searchsorted(seen, new), new)
-    return src[first], dst[first], seen
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw ``batch`` endpoint pairs (all sources, then all targets) and
+    return, sorted, the keys of the first ``needed`` of them in sample
+    order that are not self-loops, not in the sorted key array ``seen``
+    and not repeats of an earlier pair."""
+    num_nodes = out_cdf.shape[0]
+    keys = _inverse_cdf(out_cdf, rng.random(batch))
+    targets = _inverse_cdf(in_cdf, rng.random(batch))
+    loops = keys == targets
+    keys *= num_nodes
+    keys += targets
+    del targets
+    keys = keys[~loops]
+    keys = keys[first_occurrences(keys)]
+    keys = keys[~_contains(seen, keys)][:needed]
+    keys.sort()
+    return keys
 
 
 def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -216,33 +190,31 @@ def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return found
 
 
-def _patch_out_degrees(
-    sources: np.ndarray,
-    targets: np.ndarray,
-    num_nodes: int,
+def _patch_keys(
+    seen: np.ndarray,
     in_cdf: np.ndarray,
     *,
     min_degree: int,
-    seen: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Give every node at least ``min_degree`` out-edges.
+) -> np.ndarray:
+    """The sorted keys of the edges that give every node at least
+    ``min_degree`` out-edges.
 
     A node's edges are the keys of ``seen`` in ``[node * n, node * n + n)``,
-    so each deficient node reads its own targets once and adds to them;
-    no other node's patch can touch them.
+    so the row boundaries give every out-degree, and each deficient node
+    reads its own targets once and adds to them; no other node's patch
+    can touch them.
     """
-    out_deg = np.bincount(sources, minlength=num_nodes)
-    deficient = np.flatnonzero(out_deg < min_degree)
-    row_starts = np.searchsorted(seen, deficient * num_nodes)
-    row_stops = np.searchsorted(seen, deficient * num_nodes + num_nodes)
-    extra_src: list[int] = []
-    extra_dst: list[int] = []
+    num_nodes = in_cdf.shape[0]
+    bounds = np.searchsorted(seen, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
+    deficient = np.flatnonzero(np.diff(bounds) < min_degree)
+    extra: list[int] = []
     for node, start, stop in zip(
-        deficient.tolist(), row_starts.tolist(), row_stops.tolist()
+        deficient.tolist(), bounds[deficient].tolist(), bounds[deficient + 1].tolist()
     ):
-        taken = set((seen[start:stop] - node * num_nodes).tolist())
-        missing = min_degree - int(out_deg[node])
+        row = node * num_nodes
+        taken = set((seen[start:stop] - row).tolist())
+        missing = min_degree - (stop - start)
         attempts = 0
         while missing > 0 and attempts < 100:
             attempts += 1
@@ -250,21 +222,14 @@ def _patch_out_degrees(
             if target == node or target in taken:
                 continue
             taken.add(target)
-            extra_src.append(node)
-            extra_dst.append(target)
+            extra.append(row + target)
             missing -= 1
         # Deterministic fallback for pathological weight vectors.
         target = (node + 1) % num_nodes
         while missing > 0:
             if target != node and target not in taken:
                 taken.add(target)
-                extra_src.append(node)
-                extra_dst.append(target)
+                extra.append(row + target)
                 missing -= 1
             target = (target + 1) % num_nodes
-    if not extra_src:
-        return sources, targets
-    return (
-        np.concatenate([sources, np.asarray(extra_src, dtype=np.int64)]),
-        np.concatenate([targets, np.asarray(extra_dst, dtype=np.int64)]),
-    )
+    return np.sort(np.asarray(extra, dtype=np.int64))

@@ -11,8 +11,10 @@ tiny canonical topologies used heavily by the test-suite.
 Every builder goes through :func:`from_edge_arrays`, which sorts one
 ``int64`` key ``u * n + v`` per edge instead of a two-key lexicographic
 sort of the endpoint arrays: the key order is the CSR order (rows by
-source, each row by target), a parallel edge is a repeated key, and the
-endpoints come back as ``key // n`` and ``key - (key // n) * n``.
+source, each row by target), and a parallel edge is a repeated key.
+:func:`from_sorted_keys` assembles the CSR from the sorted keys (the
+endpoints come back as ``key // n`` and ``key - (key // n) * n``); the
+Chung–Lu sampler, whose keys are sorted already, calls it directly.
 :func:`first_occurrences` is the generators' duplicate filter: the
 position of each distinct key's first occurrence, in sample order.
 """
@@ -29,6 +31,7 @@ from repro.graph.digraph import DiGraph
 __all__ = [
     "from_edges",
     "from_edge_arrays",
+    "from_sorted_keys",
     "first_occurrences",
     "from_adjacency",
     "empty_graph",
@@ -126,8 +129,40 @@ def from_edge_arrays(
         keep[0] = True
         np.not_equal(keys[1:], keys[:-1], out=keep[1:])
         keys = keys[keep]
+    # Hand the endpoint arrays over rather than hold them: the tail frees
+    # each as its replacement is made, which decides how much heap glibc
+    # keeps (and a forked shard inherits).
+    endpoints = [sources, targets]
+    del sources, targets
+    return from_sorted_keys(
+        keys, num_nodes=num_nodes, name=name, distinct=dedup,
+        undirected_origin=undirected_origin, endpoints=endpoints,
+    )
+
+
+def from_sorted_keys(
+    keys: np.ndarray,
+    *,
+    num_nodes: int,
+    name: str = "",
+    distinct: bool = True,
+    undirected_origin: bool = False,
+    endpoints: list[np.ndarray | None] | None = None,
+) -> DiGraph:
+    """The graph whose edges are the ascending ``int64`` keys ``u * n + v``.
+
+    The tail of :func:`from_edge_arrays`, for callers that already hold
+    their edges as one sorted key array (the Chung–Lu sampler does).
+    ``distinct`` says the keys are strictly ascending, which records the
+    graph's canonical order.  ``endpoints`` holds the last references to
+    arrays the keys were made from; each is dropped once the array that
+    replaces it exists.
+    """
+    endpoints = endpoints or [None, None]
     sources = keys // num_nodes
+    endpoints[0] = None
     targets = keys - sources * num_nodes
+    endpoints[1] = None
 
     degree = np.bincount(sources, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -139,7 +174,7 @@ def from_edge_arrays(
         undirected_origin=undirected_origin,
         validate=False,
     )
-    if dedup:
+    if distinct:
         # Sorted and deduplicated: spare DynamicGraph the order scan.
         graph._canonical_order = True
     return graph

@@ -1,6 +1,7 @@
 """Unit tests for the synthetic graph generators."""
 
 import hashlib
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.generators.powerlaw import (
 from repro.generators.rmat import rmat_digraph
 from repro.graph import cleaning as cleaning_module
 from repro.graph import transforms as transforms_module
+from repro.graph.build import from_edge_arrays, from_sorted_keys
 from repro.graph.cleaning import clean
 from repro.graph.stats import compute_stats
 
@@ -168,7 +170,7 @@ def reference_builders(monkeypatch):
         patch.setattr(datasets_module, "rmat_digraph", reference_rmat)
         for module in (rmat_module, cleaning_module):
             patch.setattr(module, "first_occurrences", reference_first_occurrences)
-        for module in (chung_lu_module, rmat_module, transforms_module, cleaning_module):
+        for module in (rmat_module, transforms_module, cleaning_module):
             patch.setattr(module, "from_edge_arrays", reference_from_edge_arrays)
         yield
 
@@ -372,6 +374,77 @@ def test_pinned_analog_bytes(name, scale):
         graph.out_indptr.tobytes() + graph.out_indices.tobytes()
     ).hexdigest()[:16]
     assert digest == PINNED_ANALOG_HASHES[(name, scale)]
+
+
+def test_generation_peak_memory_per_edge():
+    """Chung–Lu keeps its edges as one sorted key array and assembles the
+    CSR from it: no endpoint lists, no second sort.  The traced peak was
+    111 bytes per edge with them."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        graph = generate_dataset("lj-s", scale=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / graph.num_edges <= 80
+
+
+def _rows_to_edges(rows):
+    sources = np.array([u for u, row in enumerate(rows) for _ in row], dtype=np.int64)
+    targets = np.array([v for row in rows for v in row], dtype=np.int64)
+    return sources, targets
+
+
+class TestFromSortedKeys:
+    """The CSR tail the Chung–Lu sampler calls with its key array is
+    :func:`from_edge_arrays`' own: same arrays, same canonical flag."""
+
+    @pytest.mark.parametrize(
+        "rows, dedup",
+        [
+            ([[], [], []], True),  # no keys
+            ([[], [], []], False),
+            ([[0]], True),  # one node, its self-loop the only key
+            ([[]], True),
+            ([[1, 1, 3], [], [0, 0], [3]], False),  # repeated keys
+        ],
+    )
+    def test_matches_from_edge_arrays(self, rows, dedup):
+        num_nodes = len(rows)
+        sources, targets = _rows_to_edges(rows)
+        keys = np.sort(sources * num_nodes + targets)
+        assert_same_csr(
+            from_sorted_keys(keys, num_nodes=num_nodes, distinct=dedup),
+            from_edge_arrays(
+                sources, targets, num_nodes=num_nodes, dedup=dedup, drop_self_loops=False
+            ),
+        )
+
+    def test_patch_in_the_middle_of_a_row(self, rng):
+        # Node 2 is one edge short of three; all in-weight is on node 3,
+        # so its patch edge (2, 3) lands between its edges to 0 and 4.
+        rows = [[1, 2, 3], [0, 2, 3], [0, 4], [0, 1, 2], [0, 1, 2]]
+        sources, targets = _rows_to_edges(rows)
+        seen = np.sort(sources * 5 + targets)
+        in_cdf = np.cumsum([0.0, 0.0, 0.0, 1.0, 0.0])
+        patch = chung_lu_module._patch_keys(seen, in_cdf, min_degree=3, rng=rng)
+        assert patch.tolist() == [2 * 5 + 3]
+        rows[2] = [0, 3, 4]
+        assert_same_csr(
+            from_sorted_keys(
+                np.insert(seen, np.searchsorted(seen, patch), patch), num_nodes=5
+            ),
+            from_edge_arrays(*_rows_to_edges(rows), num_nodes=5),
+        )
+
+    def test_endpoints_are_dropped(self):
+        keys = np.array([1, 2, 5], dtype=np.int64)
+        endpoints = [keys // 3, keys % 3]
+        graph = from_sorted_keys(keys, num_nodes=3, endpoints=endpoints)
+        assert endpoints == [None, None]
+        assert graph.out_indices.tolist() == [1, 2, 2]
 
 
 class TestBarabasiAlbert:

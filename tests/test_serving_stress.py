@@ -59,6 +59,12 @@ def test_readers_never_see_stale_answers_under_writer_pressure():
     records_mutex = threading.Lock()
     errors: list[BaseException] = []
     stop_writer = threading.Event()
+    # Started with the writer, the readers could finish all their
+    # (mostly cached) reads before its first update.  So they start once
+    # that update has landed, and the writer applies its second only
+    # after an answer is cached, which the second must then invalidate.
+    first_update = threading.Event()
+    first_answer = threading.Event()
 
     with EngineServer(dyn, alpha=0.2, seed=7) as server:
 
@@ -66,15 +72,20 @@ def test_readers_never_see_stale_answers_under_writer_pressure():
             rng = np.random.default_rng(99)
             try:
                 for _ in range(12):
-                    if stop_writer.wait(0.004):
+                    if stop_writer.wait(0.004) and len(update_log) > 1:
                         return
                     update = sample_edge_update(dyn, rng)
                     version = server.apply_updates([update])
                     update_log.append((version, update))
+                    first_update.set()
+                    first_answer.wait(30.0)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
+            finally:
+                first_update.set()
 
         def reader(worker_id: int) -> None:
+            first_update.wait(30.0)
             try:
                 for i in range(25):
                     source = (worker_id * 7 + i) % 10
@@ -88,8 +99,11 @@ def test_readers_never_see_stale_answers_under_writer_pressure():
                             (source, v_before, served.version, v_after,
                              served.result.estimate)
                         )
+                    first_answer.set()
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
+            finally:
+                first_answer.set()
 
         threads = [threading.Thread(target=writer)] + [
             threading.Thread(target=reader, args=(w,)) for w in range(4)

@@ -1,5 +1,7 @@
 """Tests for the workload generator and the load/soak harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,17 @@ class TestRunLoadtest:
             arrival_rate=4000.0,  # well past a tiny server's capacity
             seed=12,
         ).generate(60)
+        # Sixty distinct sources, so that no arrival is a cache hit and
+        # each costs a solve: drawn from 8 hot sources, all but 8 were
+        # hits, and the door was often never overloaded.
+        workload = replace(
+            workload,
+            operations=tuple(
+                replace(op, source=op.index) for op in workload.operations
+            ),
+            num_sources=60,
+        )
+        assert workload.distinct_sources == 60
         report = run_loadtest(
             make_static,
             workload,
