@@ -16,11 +16,14 @@
  * the results are those of the same loop written in Python, bit for
  * bit, on every architecture; the sums PowerPush takes of a whole
  * vector are NumPy's pairwise summation, so they are the bits of
- * ndarray.sum().  Callers check dtypes, contiguity, lengths and
- * writability, and that every target index is inside the vector it adds
- * into (for the walk steps: that every walk id indexes stops and every
- * position is a node id); only repro_scatter_ranges checks anything here
- * (that its ranges lie inside the targets array).
+ * ndarray.sum().  Every argument's type, dtype, length, contiguity and
+ * writability is stated once, in kernels.py's table _ENTRIES, and each
+ * call is checked against it before a loop runs; that every target index
+ * is inside the vector it adds into (for the walk steps: that every walk
+ * id indexes stops and every position is a node id) is the callers'
+ * precondition.  The loops check ranges only: repro_scatter_ranges (it
+ * returns 1) and repro_index_read (it returns -2), that each range they
+ * read lies inside targets or stops.
  */
 #include <math.h>
 #include <stdint.h>

@@ -54,9 +54,11 @@ steps (below): ``_kernels.c``, compiled with the
 ``cc`` on ``PATH`` on the first import of this module into
 ``__pycache__/_kernels-<key>.so`` — the key hashes the source, the
 flags and the machine, so a warm import starts no process — and
-called through :mod:`ctypes`.  There is no other implementation and
-nothing to select; a missing or failing compiler is a
-:class:`~repro.errors.KernelBuildError` (an ``ImportError``) at import.
+called through :mod:`ctypes` by one path, ``_call``, which first checks
+every scalar and array against the entry's row of the table ``_ENTRIES``.
+There is no other implementation and nothing to select; a missing or
+failing compiler is a :class:`~repro.errors.KernelBuildError` (an
+``ImportError``) at import.
 The sweep is one pass over the node ids with the settle step fused in:
 per node holding residue, its residue, reserve and settled entries,
 and one add per out-edge into the live residue vector, reading only
@@ -213,6 +215,8 @@ import os
 import platform
 import subprocess
 import tempfile
+from collections import namedtuple
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +256,107 @@ _CFLAGS = (
 _LDLIBS = ("-lm",)
 
 
+# A parameter of a C entry point, made by the constructor of its role,
+# and an entry point (``_ENTRIES``).
+_Param = namedtuple(
+    "_Param", "name dtype length nullable role", defaults=(None, None, False, "")
+)
+_id, _int, _real, _reads, _writes, _out = (
+    partial(_Param, role=role)
+    for role in ("id", "int", "real", "reads", "writes", "out")
+)
+_Entry = namedtuple("_Entry", "restype params fails", defaults=(None,))
+# A scalar role's C type, the Python and NumPy numbers it takes, and
+# their name.
+_INTEGERS = (int, np.integer)
+_SCALARS = {
+    "id": (ctypes.c_int64, _INTEGERS, "an integer"),
+    "int": (ctypes.c_int, _INTEGERS, "an integer or a bool"),
+    "real": (ctypes.c_double, (*_INTEGERS, float, np.floating), "a real number"),
+}
+
+# What repro_queue_rounds and repro_scan_epochs return, in the order of
+# their enum.
+_DONE, _CAPPED, _STEPPED, _DEAD_END = 0, 1, 2, -1
+_SELF_LOOP_MASS = "structural self-loop graphs cannot emit dead-end mass"
+_SELF_LOOP = {_DEAD_END: (AssertionError, _SELF_LOOP_MASS)}
+_I32, _I64, _F64 = np.dtype(np.int32), np.dtype(np.int64), np.dtype(np.float64)
+# The parameters every push loop opens with: the out-CSR and the state.
+_PUSH = (
+    _id("n"), _reads("indptr", _I64, "n + 1"), _reads("indices", _I32), _real("alpha"),
+    _writes("residue", _F64, "n"), _writes("reserve", _F64, "n"),
+)
+
+# The C entry points of _kernels.c, the one statement of what each takes:
+# the return type, every parameter in C order by its role, and the
+# statuses that are errors, each with its type and a message formatted
+# over the arguments by name.  The roles:
+#   _id      int64_t, an id or a count: an integer, not a bool;
+#   _int     int, a flag or a code: an integer or a bool;
+#   _real    double: a real number;
+#   _reads   const T *: an array the loop reads;
+#   _writes  T *: an array the loop writes, so it must be writable;
+#   _out     int64_t * / double *: a ctypes array of that many out-counts,
+#            made by the wrapper;
+# an array with its dtype and its length: exactly a parameter's value
+# ("n"), one more ("n + 1"), at least it (">= live") or any (none given).
+# `_build` declares every entry from it, and `_call` checks every scalar
+# and array against it before the loop runs and raises what a status says.
+_ENTRIES = {
+    "repro_async_sweep": _Entry(ctypes.c_double, (
+        *_PUSH, _writes("settled", _F64, "n"), _out("counts", ctypes.c_int64, 2),
+    )),
+    "repro_refine": _Entry(ctypes.c_int64, (
+        *_PUSH, _reads("threshold", _F64, "n"), _int("policy"), _id("source"),
+        _id("max_passes"), _out("counts", ctypes.c_int64, 2),
+    ), _SELF_LOOP),
+    "repro_scatter_ranges": _Entry(ctypes.c_int, (
+        _id("num"), _reads("starts", _I64, "num"), _reads("counts", _I64, "num"),
+        _id("size"), _reads("targets", _I32, "size"),
+        _reads("values", _F64, "num"), _writes("out", _F64),
+    ), {1: (ParameterError, "a range reaches outside the {size} targets")}),
+    "repro_index_read": _Entry(ctypes.c_int64, (
+        _id("n"), _reads("indptr", _I64, "n + 1"), _id("size"),
+        _reads("stops", _I32, "size"), _real("num_walks"),
+        _reads("residue", _F64, "n"), _int("cap"), _writes("out", _F64, "n"),
+        _out("counts", ctypes.c_int64, 2),
+    ), {-2: (ParameterError, "a walk range reaches outside the {size} stops")}),
+    "repro_extrapolate_window": _Entry(ctypes.c_int, (
+        _id("n"), _writes("reserve", _F64, "n"), _writes("residue", _F64, "n"),
+        _reads("settled", _F64, "n"), _reads("r_before", _F64, "n"),
+    )),
+    "repro_sum": _Entry(ctypes.c_double, (
+        _reads("a", _F64, "n"), _id("n"), _int("absolute"),
+    )),
+    "repro_queue_rounds": _Entry(ctypes.c_int, (
+        *_PUSH, _int("policy"), _id("source"), _real("dead_degree"),
+        _real("r_max"), _real("l1_threshold"), _real("scan_threshold"),
+        _id("max_updates"), _id("max_steps"), _writes("frontier", _I64, "n"),
+        _writes("pushed", _F64, "n"), _out("r_sum", ctypes.c_double, 1),
+        _out("counts", ctypes.c_int64, 2),
+    ), _SELF_LOOP),
+    "repro_scan_epochs": _Entry(ctypes.c_int, (
+        *_PUSH, _writes("r_before", _F64, "n"), _writes("settled", _F64, "n"),
+        _int("policy"), _id("source"), _int("absolute"), _id("num_epochs"),
+        _reads("targets", _F64, "num_epochs"), _real("l1_threshold"),
+        _id("max_updates"), _id("max_sweeps"), _id("max_steps"),
+        _out("progress", ctypes.c_int64, 2), _out("measure", ctypes.c_double, 1),
+        _out("counts", ctypes.c_int64, 4),
+    ), _SELF_LOOP),
+    "repro_walk_halt": _Entry(ctypes.c_int64, (
+        _id("live"), _writes("walks", _I64, ">= live"),
+        _writes("positions", _I64, ">= live"), _reads("uniforms", _F64, "live"),
+        _real("alpha"), _reads("indptr", _I64), _writes("stops", _I64),
+        _out("stuck", ctypes.c_int64, 1),
+    )),
+    "repro_walk_move": _Entry(None, (
+        _id("live"), _writes("positions", _I64, ">= live"), _reads("indptr", _I64),
+        _reads("indices", _I32), _reads("uniforms", _F64),
+        _reads("jumps", _I64, nullable=True), _id("source"),
+    )),
+}
+
+
 def _build(cache_dir: Path) -> ctypes.CDLL:
     """Load ``_kernels.c`` compiled into ``cache_dir``, compiling it if absent.
 
@@ -277,53 +382,15 @@ def _build(cache_dir: Path) -> ctypes.CDLL:
                 f"the C compiler `cc`, and building {library} failed: {exc}"
             ) from exc
     lib = ctypes.CDLL(str(library))
-    pointer, count = ctypes.c_void_p, ctypes.c_int64
-    lib.repro_async_sweep.restype = ctypes.c_double
-    lib.repro_async_sweep.argtypes = [
-        count, pointer, pointer, ctypes.c_double,
-        pointer, pointer, pointer, ctypes.POINTER(count),
-    ]
-    lib.repro_refine.restype = count
-    lib.repro_refine.argtypes = [
-        count, pointer, pointer, ctypes.c_double, pointer, pointer, pointer,
-        ctypes.c_int, count, count, ctypes.POINTER(count),
-    ]
-    lib.repro_index_read.restype = count
-    lib.repro_index_read.argtypes = [
-        count, pointer, count, pointer, ctypes.c_double, pointer,
-        ctypes.c_int, pointer, ctypes.POINTER(count),
-    ]
-    lib.repro_extrapolate_window.restype = ctypes.c_int
-    lib.repro_extrapolate_window.argtypes = [count] + [pointer] * 4
-    lib.repro_sum.restype = ctypes.c_double
-    lib.repro_sum.argtypes = [pointer, count, ctypes.c_int]
-    lib.repro_queue_rounds.restype = ctypes.c_int
-    lib.repro_queue_rounds.argtypes = [
-        count, pointer, pointer, ctypes.c_double, pointer, pointer,
-        ctypes.c_int, count, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, ctypes.c_double, count, count, pointer, pointer,
-        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(count),
-    ]
-    lib.repro_scan_epochs.restype = ctypes.c_int
-    lib.repro_scan_epochs.argtypes = [
-        count, pointer, pointer, ctypes.c_double, pointer, pointer, pointer,
-        pointer, ctypes.c_int, count, ctypes.c_int, count, pointer,
-        ctypes.c_double, count, count, count, ctypes.POINTER(count),
-        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(count),
-    ]
-    lib.repro_scatter_ranges.restype = ctypes.c_int
-    lib.repro_scatter_ranges.argtypes = [
-        count, pointer, pointer, count, pointer, pointer, pointer,
-    ]
-    lib.repro_walk_halt.restype = count
-    lib.repro_walk_halt.argtypes = [
-        count, pointer, pointer, pointer, ctypes.c_double, pointer, pointer,
-        ctypes.POINTER(count),
-    ]
-    lib.repro_walk_move.restype = None
-    lib.repro_walk_move.argtypes = [
-        count, pointer, pointer, pointer, pointer, pointer, count,
-    ]
+    for name, entry in _ENTRIES.items():
+        function = getattr(lib, name)
+        function.restype = entry.restype
+        function.argtypes = [
+            ctypes.POINTER(param.dtype) if param.role == "out"
+            else _SCALARS[param.role][0] if param.role in _SCALARS
+            else ctypes.c_void_p
+            for param in entry.params
+        ]
     return lib
 
 
@@ -353,24 +420,83 @@ def _compile(library: Path) -> None:
 _LIB = _build(Path(__file__).with_name("__pycache__"))
 
 
-def _address(array: np.ndarray, size: int, name: str) -> int:
-    """The data pointer of a float64 ``(size,)`` array the C loops write.
+def _call(name: str, *args):
+    """Run the C entry point ``name`` on ``args`` once they pass its row
+    of ``_ENTRIES``, and return its result unless it is an error status.
 
-    Checked here because a C loop handed anything else corrupts memory
-    instead of raising.
+    A C loop handed a wrong type or a short array corrupts memory instead
+    of raising, so every scalar and array is checked here first, scalars
+    before arrays (so an array's length is an integer), and nothing is
+    written when one fails.  An out-count is the wrapper's own, and ctypes
+    checks its type.
     """
+    params, fails = _ENTRIES[name].params, _ENTRIES[name].fails
+    values = {param.name: value for param, value in zip(params, args)}
+    for param, value in zip(params, args):
+        if param.role in _SCALARS and not (
+            isinstance(value, _SCALARS[param.role][1])
+            and (param.role != "id" or not isinstance(value, bool))
+        ):
+            raise ParameterError(
+                f"{param.name} must be {_SCALARS[param.role][2]}, got {value!r}"
+            )
+    status = getattr(_LIB, name)(*[
+        _pointer(value, param, values) if param.role in ("reads", "writes")
+        else value
+        for param, value in zip(params, args)
+    ])
+    if fails and status in fails:
+        error, message = fails[status]
+        raise error(message.format(**values))
+    return status
+
+
+def _size(param: _Param, values: dict) -> tuple[int | None, bool]:
+    """An array parameter's length over the arguments ``values`` by name,
+    and whether it is a minimum; None for any length."""
+    if param.length is None:
+        return None, False
+    name, _, extra = param.length.removeprefix(">= ").partition(" + ")
+    return values[name] + int(extra or 0), param.length.startswith(">=")
+
+
+def _pointer(value, param: _Param, values: dict) -> int | None:
+    """The data pointer of array argument ``value``, checked against ``param``."""
+    if value is None and param.nullable:
+        return None
+    size, at_least = _size(param, values)
+    _check_vector(
+        value, param.dtype, size, param.name, writes=param.role == "writes",
+        at_least=at_least,
+    )
+    return value.ctypes.data
+
+
+def _check_vector(
+    array, dtype, size: int | None, name: str, *, writes: bool,
+    at_least: bool = False,
+) -> None:
+    """Refuse anything but a C-contiguous ``dtype`` vector of ``size``
+    entries (at least, or any when None), writable when the loop ``writes``."""
     if not (
         isinstance(array, np.ndarray)
-        and array.dtype == np.float64
-        and array.shape == (size,)
+        and array.dtype == dtype
+        and array.ndim == 1
         and array.flags.c_contiguous
-        and array.flags.writeable
-    ):
-        raise ParameterError(
-            f"{name} must be a writable C-contiguous float64 array of shape "
-            f"({size},)"
+        and (array.flags.writeable or not writes)
+        and (
+            size is None
+            or array.shape[0] == size
+            or (at_least and array.shape[0] > size)
         )
-    return array.ctypes.data
+    ):
+        entries = "" if size is None else (
+            f" of {'at least ' if at_least else ''}{size} entries"
+        )
+        raise ParameterError(
+            f"{name} must be a{' writable' if writes else ''} C-contiguous "
+            f"{np.dtype(dtype)} vector{entries}"
+        )
 
 
 # Fraction of all nodes above which `sweep_active` abandons the
@@ -408,29 +534,14 @@ def scatter_ranges(
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     values = np.ascontiguousarray(values, dtype=np.float64)
     num = starts.shape[0]
-    if not (
-        isinstance(targets, np.ndarray)
-        and targets.dtype == np.int32
-        and targets.ndim == 1
-        and targets.flags.c_contiguous
-    ):
-        raise ParameterError("targets must be a C-contiguous int32 vector")
     if starts.shape != (num,) or counts.shape != (num,) or values.shape != (num,):
         raise ParameterError(
             "starts, counts and values must be vectors of one entry per range"
         )
-    if _LIB.repro_scatter_ranges(
-        num,
-        starts.ctypes.data,
-        counts.ctypes.data,
-        targets.shape[0],
-        targets.ctypes.data,
-        values.ctypes.data,
-        _address(out, np.size(out), "out"),
-    ):
-        raise ParameterError(
-            f"a range reaches outside the {targets.shape[0]} targets"
-        )
+    _call(
+        "repro_scatter_ranges", num, starts, counts, np.size(targets), targets,
+        values, out,
+    )
 
 
 def global_sweep(
@@ -544,7 +655,7 @@ def frontier_propagate(
     n = graph.num_nodes
     # The scatter adds at every out-neighbour id, so residue must span
     # all n of them.
-    _address(residue, n, "residue")
+    _check_vector(residue, np.float64, n, "residue", writes=True)
     if nodes.shape[0] and (nodes.min() < 0 or nodes.max() >= n):
         raise ParameterError(f"frontier nodes must be ids in [0, {n})")
     indptr = graph.out_indptr
@@ -634,21 +745,25 @@ def settle_sweep(
     """
     n = graph.num_nodes
     counts = (ctypes.c_int64 * 2)()
-    dead_mass = _LIB.repro_async_sweep(
-        n,
-        graph.out_indptr.ctypes.data,
-        graph.out_indices.ctypes.data,
-        alpha,
-        _address(residue, n, "residue"),
-        _address(reserve, n, "reserve"),
-        _address(settled, n, "settled"),
-        counts,
+    dead_mass = _call(
+        "repro_async_sweep", n, graph.out_indptr, graph.out_indices, alpha,
+        residue, reserve, settled, counts,
     )
     return counts[0], counts[1], dead_mass
 
 
-# repro_refine's policy codes, in the order of its enum.
+# The C loops' dead-end policy codes, in the order of their enum.
 _DEAD_END_CODES = {"redirect-to-source": 0, "uniform-teleport": 1, "self-loop": 2}
+
+
+def _dead_end_code(dead_end_policy: str, source, n: int) -> int:
+    """The C loops' code for ``dead_end_policy``, once ``source``, where
+    ``"redirect-to-source"`` sends dead-end mass, is an id in ``[0, n)``."""
+    if dead_end_policy not in _DEAD_END_CODES:
+        raise ParameterError(f"unknown dead-end policy {dead_end_policy!r}")
+    if not 0 <= source < n:
+        raise ParameterError(f"source must be an id in [0, {n})")
+    return _DEAD_END_CODES[dead_end_policy]
 
 
 def refine_passes(
@@ -685,39 +800,14 @@ def refine_passes(
     raises :class:`~repro.errors.ParameterError` before the C loop runs.
     """
     n = graph.num_nodes
-    if not (
-        isinstance(threshold, np.ndarray)
-        and threshold.dtype == np.float64
-        and threshold.shape == (n,)
-        and threshold.flags.c_contiguous
-    ):
-        raise ParameterError(
-            f"threshold must be a C-contiguous float64 array of shape ({n},)"
-        )
-    if dead_end_policy not in _DEAD_END_CODES:
-        raise ParameterError(f"unknown dead-end policy {dead_end_policy!r}")
-    if not 0 <= source < n:
-        raise ParameterError(f"source must be an id in [0, {n})")
+    policy = _dead_end_code(dead_end_policy, source, n)
     if max_passes < 1:
         raise ParameterError(f"max_passes must be at least 1, got {max_passes}")
     counts = (ctypes.c_int64 * 2)()
-    passes = _LIB.repro_refine(
-        n,
-        graph.out_indptr.ctypes.data,
-        graph.out_indices.ctypes.data,
-        alpha,
-        _address(residue, n, "residue"),
-        _address(reserve, n, "reserve"),
-        threshold.ctypes.data,
-        _DEAD_END_CODES[dead_end_policy],
-        source,
-        max_passes,
-        counts,
+    passes = _call(
+        "repro_refine", n, graph.out_indptr, graph.out_indices, alpha, residue,
+        reserve, threshold, policy, source, max_passes, counts,
     )
-    if passes < 0:
-        raise AssertionError(
-            "structural self-loop graphs cannot emit dead-end mass"
-        )
     return passes, counts[0], counts[1]
 
 
@@ -753,68 +843,12 @@ def index_read(
     range to read that is not inside ``stops`` raises it from the loop,
     ``out`` part-written.
     """
-    n = np.size(out)
-    if not (
-        isinstance(residue, np.ndarray)
-        and residue.dtype == np.float64
-        and residue.shape == (n,)
-        and residue.flags.c_contiguous
-    ):
-        raise ParameterError(
-            f"residue must be a C-contiguous float64 array of shape ({n},)"
-        )
-    if not (
-        isinstance(indptr, np.ndarray)
-        and indptr.dtype == np.int64
-        and indptr.shape == (n + 1,)
-        and indptr.flags.c_contiguous
-        and isinstance(stops, np.ndarray)
-        and stops.dtype == np.int32
-        and stops.ndim == 1
-        and stops.flags.c_contiguous
-    ):
-        raise ParameterError(
-            f"a walk index of {n} nodes needs a C-contiguous int64 indptr of "
-            f"length {n + 1} and a C-contiguous int32 stops vector"
-        )
     counts = (ctypes.c_int64 * 2)()
-    first_short = _LIB.repro_index_read(
-        n,
-        indptr.ctypes.data,
-        stops.shape[0],
-        stops.ctypes.data,
-        num_walks_w,
-        residue.ctypes.data,
-        cap,
-        _address(out, n, "out"),
-        counts,
+    first_short = _call(
+        "repro_index_read", np.size(out), indptr, np.size(stops), stops,
+        num_walks_w, residue, cap, out, counts,
     )
-    if first_short == -2:
-        raise ParameterError(
-            f"a walk range reaches outside the {stops.shape[0]} stops"
-        )
     return counts[0], counts[1], first_short
-
-
-def _vector_address(
-    array: np.ndarray, dtype, size: int, name: str, *, writable: bool = False
-) -> int:
-    """The data pointer of a C-contiguous ``dtype`` vector of at least
-    ``size`` entries (and writable, when asked), checked as
-    :func:`_address` checks."""
-    if not (
-        isinstance(array, np.ndarray)
-        and array.dtype == dtype
-        and array.ndim == 1
-        and array.shape[0] >= size
-        and array.flags.c_contiguous
-        and (array.flags.writeable or not writable)
-    ):
-        raise ParameterError(
-            f"{name} must be a{' writable' if writable else ''} C-contiguous "
-            f"{np.dtype(dtype)} vector of at least {size} entries"
-        )
-    return array.ctypes.data
 
 
 def walk_halt(
@@ -844,19 +878,12 @@ def walk_halt(
     every walk id indexes ``stops`` and every position is a node id is
     the caller's precondition.
     """
-    live = np.size(uniforms)
-    stuck = ctypes.c_int64()
-    survivors = _LIB.repro_walk_halt(
-        live,
-        _vector_address(walks, np.int64, live, "walks", writable=True),
-        _vector_address(positions, np.int64, live, "positions", writable=True),
-        _vector_address(uniforms, np.float64, live, "uniforms"),
-        alpha,
-        graph.out_indptr.ctypes.data,
-        _vector_address(stops, np.int64, 0, "stops", writable=True),
-        stuck,
+    stuck = (ctypes.c_int64 * 1)()
+    survivors = _call(
+        "repro_walk_halt", np.size(uniforms), walks, positions, uniforms, alpha,
+        graph.out_indptr, stops, stuck,
     )
-    return survivors, stuck.value
+    return survivors, stuck[0]
 
 
 def walk_move(
@@ -890,20 +917,11 @@ def walk_move(
             raise ParameterError(f"source must be an id in [0, {graph.num_nodes})")
     elif np.shape(jumps) != (stuck,):
         raise ParameterError(f"need {stuck} jumps, one per dead-end walk")
-    _LIB.repro_walk_move(
-        live,
-        _vector_address(positions, np.int64, live, "positions", writable=True),
-        graph.out_indptr.ctypes.data,
-        graph.out_indices.ctypes.data,
-        _vector_address(uniforms, np.float64, 0, "uniforms"),
-        None if jumps is None else _vector_address(jumps, np.int64, 0, "jumps"),
-        source,
+    _call(
+        "repro_walk_move", live, positions, graph.out_indptr, graph.out_indices,
+        uniforms, jumps, source,
     )
 
-
-# What repro_queue_rounds and repro_scan_epochs return, in the order of
-# their enum.
-_DONE, _CAPPED, _STEPPED, _DEAD_END = 0, 1, 2, -1
 
 # A cap no count reaches: the caps are compared in int64.
 _NO_CAP = 2**62
@@ -939,43 +957,25 @@ def queue_rounds(
     """
     graph, counters = state.graph, state.counters
     n = graph.num_nodes
-    residue = _address(state.residue, n, "residue")
-    reserve = _address(state.reserve, n, "reserve")
+    policy = _dead_end_code(state.dead_end_policy, state.source, n)
     frontier = np.empty(n, dtype=np.int64)
     pushed = np.empty(n)
-    r_sum = ctypes.c_double(state.r_sum)
+    r_sum = (ctypes.c_double * 1)(state.r_sum)
     status = _STEPPED
     while status == _STEPPED:
         counts = (ctypes.c_int64 * 2)()
-        status = _LIB.repro_queue_rounds(
-            n,
-            graph.out_indptr.ctypes.data,
-            graph.out_indices.ctypes.data,
-            state.alpha,
-            residue,
-            reserve,
-            _DEAD_END_CODES[state.dead_end_policy],
-            state.source,
-            dead_end_degree(graph, state.dead_end_policy),
-            r_max,
-            l1_threshold,
-            scan_threshold,
-            max_updates - counters.residue_updates,
-            0 if trace is None else 1,
-            frontier.ctypes.data,
-            pushed.ctypes.data,
-            r_sum,
-            counts,
+        status = _call(
+            "repro_queue_rounds", n, graph.out_indptr, graph.out_indices,
+            state.alpha, state.residue, state.reserve, policy, state.source,
+            dead_end_degree(graph, state.dead_end_policy), r_max, l1_threshold,
+            scan_threshold, max_updates - counters.residue_updates,
+            0 if trace is None else 1, frontier, pushed, r_sum, counts,
         )
         counters.count_bulk_pushes(counts[0], counts[1])
         counters.queue_appends += counts[0]
-        state.r_sum = r_sum.value
-        if status == _DEAD_END:
-            raise AssertionError(
-                "structural self-loop graphs cannot emit dead-end mass"
-            )
+        state.r_sum = r_sum[0]
         if status == _STEPPED:
-            trace.maybe_record(counters.residue_updates, r_sum.value)
+            trace.maybe_record(counters.residue_updates, r_sum[0])
     return status == _DONE
 
 
@@ -1015,55 +1015,31 @@ def scan_epochs(
     the same bits.
     """
     n = graph.num_nodes
-    if dead_end_policy not in _DEAD_END_CODES:
-        raise ParameterError(f"unknown dead-end policy {dead_end_policy!r}")
-    if not 0 <= source < n:
-        raise ParameterError(f"source must be an id in [0, {n})")
-    out_residue = _address(residue, n, "residue")
-    out_reserve = _address(reserve, n, "reserve")
+    policy = _dead_end_code(dead_end_policy, source, n)
     # The last sweep's window: the residue before it, and what it settled.
     r_before, settled = np.empty(n), np.empty(n)
     targets = np.ascontiguousarray(targets, dtype=np.float64)
     # The epoch the loop is in, and whether that epoch swept.
     progress = (ctypes.c_int64 * 2)()
-    measure = ctypes.c_double()
+    measure = (ctypes.c_double * 1)()
     sweeps = 0
     status = _STEPPED
     while status == _STEPPED:
         counts = (ctypes.c_int64 * 4)()
-        status = _LIB.repro_scan_epochs(
-            n,
-            graph.out_indptr.ctypes.data,
-            graph.out_indices.ctypes.data,
-            alpha,
-            out_residue,
-            out_reserve,
-            r_before.ctypes.data,
-            settled.ctypes.data,
-            _DEAD_END_CODES[dead_end_policy],
-            source,
-            signed,
-            targets.shape[0],
-            targets.ctypes.data,
-            l1_threshold,
-            max_updates - counters.residue_updates,
-            max_sweeps - sweeps,
-            0 if trace is None else 1,
-            progress,
-            measure,
-            counts,
+        status = _call(
+            "repro_scan_epochs", n, graph.out_indptr, graph.out_indices, alpha,
+            residue, reserve, r_before, settled, policy, source, signed,
+            targets.shape[0], targets, l1_threshold,
+            max_updates - counters.residue_updates, max_sweeps - sweeps,
+            0 if trace is None else 1, progress, measure, counts,
         )
         counters.count_bulk_pushes(counts[0], counts[1])
         sweeps += counts[2]
         if counts[3]:
             counters.bump("extrapolations", counts[3])
-        if status == _DEAD_END:
-            raise AssertionError(
-                "structural self-loop graphs cannot emit dead-end mass"
-            )
         if status == _STEPPED:
-            trace.maybe_record(counters.residue_updates, measure.value)
-    return sweeps, measure.value, status == _DONE
+            trace.maybe_record(counters.residue_updates, measure[0])
+    return sweeps, measure[0], status == _DONE
 
 
 def async_sweep(state: PushState) -> np.ndarray:
@@ -1100,9 +1076,7 @@ def _apply_dead_end_mass(state: PushState, dead_mass: float) -> None:
     elif state.dead_end_policy == "uniform-teleport":
         state.residue += dead_mass / state.graph.num_nodes
     else:  # self-loop handled structurally; mass cannot appear here
-        raise AssertionError(
-            "structural self-loop graphs cannot emit dead-end mass"
-        )
+        raise AssertionError(_SELF_LOOP_MASS)
 
 
 # Harness-only: benchmarks/e2e/layers.py is the sole caller.
@@ -1142,7 +1116,5 @@ def block_global_sweep(
             state.residue[rows] += (dead_masses / graph.num_nodes)[:, None]
         elif np.any(dead_masses != 0.0):
             # self-loop handled structurally; mass cannot appear here
-            raise AssertionError(
-                "structural self-loop graphs cannot emit dead-end mass"
-            )
+            raise AssertionError(_SELF_LOOP_MASS)
     state.r_sum[rows] = state.residue[rows].sum(axis=1)
