@@ -25,6 +25,13 @@ baseline/substrate its evaluation depends on:
   indexes (SpeedPPR's eps-independent walk index, BePI's block
   elimination) across queries.
 
+Only BePI needs scipy (its sparse LU and SlashBurn's connected
+components), and :meth:`DiGraph.to_scipy_csr` builds a scipy matrix on
+request; each loads scipy on first use.  ``import repro`` itself
+loads no scipy module: :class:`BePIIndex`, :func:`bepi_query` and
+:func:`build_bepi_index` are resolved from :mod:`repro.bepi` when first
+accessed.
+
 Quickstart
 ----------
 Construct one engine per graph, then query it by method name — any
@@ -62,7 +69,6 @@ from repro.api import (
     solver_names,
 )
 from repro.baselines import fora, resacc
-from repro.bepi import BePIIndex, bepi_query, build_bepi_index
 from repro.core import (
     DeadEndPolicy,
     PowerPushConfig,
@@ -219,3 +225,22 @@ __all__ = [
     "max_relative_error",
     "precision_at_k",
 ]
+
+#: Resolved on first access, so that ``import repro`` does not load
+#: scipy: :mod:`repro.bepi` is the only package that imports it at load
+#: time.
+_LAZY = frozenset({"bepi", "BePIIndex", "bepi_query", "build_bepi_index"})
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import repro.bepi
+
+    value = repro.bepi if name == "bepi" else getattr(repro.bepi, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted((globals().keys() - {"__getattr__", "__dir__", "_LAZY"}) | _LAZY)

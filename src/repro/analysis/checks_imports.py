@@ -1,4 +1,5 @@
-"""Import hygiene: names a module imports and never uses.
+"""Import hygiene: names a module imports and never uses, and scipy
+imported where only BePI should pay for it.
 
 CI's blocking ``ruff`` step reports these as F401, but ruff is not
 installed in every environment the code is edited in; this rule makes
@@ -9,6 +10,11 @@ an annotation (quoted annotations included), or by being re-exported
 through ``__all__``.  ``__init__.py`` files are skipped (their imports
 *are* the package's public surface), as are ``from __future__``
 imports and lines carrying ruff's own ``# noqa`` / ``# noqa: F401``.
+
+``lazy-scipy`` keeps ``import repro`` free of scipy: only
+:mod:`repro.bepi` (BePI and SlashBurn) imports it at module level.
+Everything else that needs scipy imports it inside the function that
+uses it, so a process that never runs BePI never loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Iterable, Iterator
 
 from repro.analysis.corpus import SourceFile
 from repro.analysis.findings import Finding
-from repro.analysis.rules import Rule, register_rule
+from repro.analysis.rules import Rule, dotted_name, register_rule
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 
@@ -122,3 +128,77 @@ class UnusedImportRule(Rule):
             return False
         codes = match.group("codes")
         return codes is None or "F401" in codes.upper()
+
+
+def _module_level_imports(
+    nodes: Iterable[ast.AST],
+) -> Iterator[ast.Import | ast.ImportFrom]:
+    """The imports under ``nodes`` that run when the module is imported.
+
+    Function bodies run later and ``if TYPE_CHECKING:`` bodies never;
+    class bodies and every other compound statement run at import time.
+    """
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        elif isinstance(node, ast.If) and dotted_name(node.test) in (
+            "TYPE_CHECKING",
+            "typing.TYPE_CHECKING",
+        ):
+            yield from _module_level_imports(node.orelse)
+        else:
+            yield from _module_level_imports(ast.iter_child_nodes(node))
+
+
+def _imported_modules(
+    node: ast.Import | ast.ImportFrom, file: SourceFile
+) -> Iterator[str]:
+    """Every module ``node`` may load, relative imports resolved."""
+    if isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names)
+        return
+    base = node.module or ""
+    if node.level:
+        package = file.module.split(".")
+        if file.path.name != "__init__.py":
+            package = package[:-1]
+        base = ".".join(filter(None, [*package[: len(package) - node.level + 1], base]))
+    yield base
+    # ``from repro import bepi`` loads the subpackage ``repro.bepi``.
+    yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def _loads_scipy(module: str) -> bool:
+    """Whether importing ``module`` loads scipy: scipy or :mod:`repro.bepi`."""
+    return any(
+        module == root or module.startswith(root + ".")
+        for root in ("scipy", "repro.bepi")
+    )
+
+
+@register_rule
+class LazyScipyRule(Rule):
+    id = "lazy-scipy"
+    summary = "scipy (and repro.bepi) imported at module level only in repro.bepi"
+    invariant = (
+        "Only BePI and SlashBurn need scipy, so only repro.bepi imports it "
+        "when loaded; any other module imports scipy or repro.bepi inside "
+        "the function that uses it, and `import repro` loads no scipy module."
+    )
+
+    def check_file(self, file: SourceFile) -> Iterable[Finding]:
+        if not (file.module + ".").startswith("repro.") or _loads_scipy(file.module):
+            return
+        assert file.tree is not None
+        for node in _module_level_imports(file.tree.body):
+            loaded = next(filter(_loads_scipy, _imported_modules(node, file)), None)
+            if loaded is not None:
+                yield self.finding(
+                    file,
+                    node,
+                    f"module-level import of {loaded!r} loads scipy whenever "
+                    f"{file.module} is imported; import it inside the "
+                    f"function that uses it",
+                )

@@ -74,7 +74,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -88,7 +88,6 @@ from repro.api.registry import (
     per_source_rng,
     resolve_method,
 )
-from repro.bepi.blockelim import BePIIndex
 from repro.core.incremental import IncrementalPPR
 from repro.core.result import PPRResult
 from repro.core.topk import TopKResult, top_k_ppr
@@ -102,6 +101,9 @@ from repro.graph.transforms import ReorderResult, reorder_for_locality
 from repro.instrumentation.counters import PushCounters
 from repro.walks.index import WalkIndex
 from repro.walks.storage import load_walk_index, save_walk_index
+
+if TYPE_CHECKING:  # scipy is loaded only when BePI runs
+    from repro.bepi.blockelim import BePIIndex
 
 __all__ = [
     "PPREngine",

@@ -45,8 +45,6 @@ import numpy as np
 
 from repro.baselines.fora import fora
 from repro.baselines.resacc import resacc
-from repro.bepi.blockelim import build_bepi_index
-from repro.bepi.solver import bepi_query
 from repro.core.fifo_fwdpush import fifo_forward_push
 from repro.core.power_iteration import power_iteration
 from repro.core.powerpush import power_push
@@ -541,15 +539,17 @@ FORA_INDEX = ArtefactSpec(
     stored=True,
 )
 
+
+def _build_bepi_index(graph: DiGraph, params, *, alpha: float, rng):
+    # Imported here: BePI is the only solver that needs scipy.
+    from repro.bepi.blockelim import build_bepi_index
+
+    return build_bepi_index(graph, alpha=alpha)
+
+
 #: BePI's factorisation holds live scipy solver objects: cached, never
 #: persisted.
-BEPI_INDEX = ArtefactSpec(
-    kind="bepi",
-    param="bepi_index",
-    build=lambda graph, params, *, alpha, rng: build_bepi_index(
-        graph, alpha=alpha
-    ),
-)
+BEPI_INDEX = ArtefactSpec(kind="bepi", param="bepi_index", build=_build_bepi_index)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +612,8 @@ def _solve_bepi(
     methods can be swapped freely (the paper notes BePI's Delta is
     *not* a true l1 bound — the harness measures that separately).
     """
+    from repro.bepi import bepi_query, build_bepi_index
+
     if l1_threshold is not None:
         delta = l1_threshold
     if bepi_index is None:

@@ -11,15 +11,19 @@ uses, and exactly how the paper re-uses indexes across queries.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.api.engine import PPREngine
-from repro.bepi.blockelim import BePIIndex
 from repro.experiments.config import ExperimentConfig
 from repro.generators.datasets import load_dataset
 from repro.graph.digraph import DiGraph
 from repro.metrics.ground_truth import ground_truth_ppr
 from repro.walks.index import WalkIndex
+
+if TYPE_CHECKING:  # scipy is loaded only when BePI runs
+    from repro.bepi.blockelim import BePIIndex
 
 __all__ = ["Workspace"]
 

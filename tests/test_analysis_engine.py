@@ -21,6 +21,7 @@ EXPECTED_RULES = {
     "lock-discipline",
     "no-mutable-default",
     "unused-import",
+    "lazy-scipy",
     "suppression-hygiene",
 }
 

@@ -793,6 +793,95 @@ class TestUnusedImport:
 
 
 # ---------------------------------------------------------------------------
+# lazy-scipy
+# ---------------------------------------------------------------------------
+
+class TestLazyScipy:
+    def test_flags_module_level_imports_only(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/graph/matrix.py": """\
+                from __future__ import annotations
+
+                from typing import TYPE_CHECKING
+
+                import scipy.sparse
+                from scipy.sparse.linalg import splu
+
+                if TYPE_CHECKING:
+                    from scipy.sparse import csr_matrix
+
+                try:
+                    import scipy as sp
+                except ImportError:
+                    sp = None
+
+                class Holder:
+                    from scipy import linalg
+
+                def to_csr(graph) -> csr_matrix:
+                    from scipy.sparse import csr_matrix
+
+                    return csr_matrix(graph), scipy.sparse, splu, sp
+                """
+            },
+            select=["lazy-scipy"],
+        )
+        assert [(f.line, f.message.split("'")[1]) for f in findings] == [
+            (5, "scipy.sparse"),
+            (6, "scipy.sparse.linalg"),
+            (12, "scipy"),
+            (17, "scipy"),
+        ]
+
+    def test_flags_module_level_imports_of_the_bepi_package(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/api/solvers.py": """\
+                from repro import bepi
+                from repro.bepi.solver import bepi_query
+                from ..bepi import slashburn
+                from ..baselines import fora
+
+                def solve(graph, source):
+                    from repro.bepi import build_bepi_index
+
+                    return build_bepi_index, bepi, bepi_query, slashburn, fora
+                """
+            },
+            select=["lazy-scipy"],
+        )
+        assert [(f.line, f.message.split("'")[1]) for f in findings] == [
+            (1, "repro.bepi"),
+            (2, "repro.bepi.solver"),
+            (3, "repro.bepi"),
+        ]
+
+    def test_the_bepi_package_and_foreign_trees_are_exempt(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro/bepi/__init__.py": """\
+                from repro.bepi.lu import factor
+                """,
+                "repro/bepi/lu.py": """\
+                from scipy.sparse.linalg import splu
+
+                def factor(matrix):
+                    return splu(matrix)
+                """,
+                "tools/plot.py": """\
+                import scipy.stats
+                """,
+            },
+            select=["lazy-scipy"],
+        )
+        assert findings == []
+
+
+# ---------------------------------------------------------------------------
 # no-mutable-default
 # ---------------------------------------------------------------------------
 
