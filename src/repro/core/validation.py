@@ -22,6 +22,7 @@ __all__ = [
     "check_mu",
     "check_failure_probability",
     "check_positive_integer",
+    "check_real",
     "default_l1_threshold",
 ]
 
@@ -63,6 +64,18 @@ def check_positive_integer(value: int, name: str) -> int:
     ):
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def check_real(value: float, name: str) -> float:
+    """``value`` as a ``float``: any real number but NaN; a ``bool``, a
+    numeric string or anything else is refused, never converted."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if value != value:
+        raise ParameterError(f"{name} must be a number, got nan")
+    return value
 
 
 def check_source(graph: DiGraph, source: int) -> int:

@@ -8,14 +8,15 @@ this package makes it a *service*:
   solved one at a time by one worker thread, graph updates serialised
   against in-flight reads.
 * :class:`~repro.serving.flights.ServingTier` — the read side both
-  tiers share (``submit`` / ``try_submit`` and the one admit body),
+  tiers share (``hit`` / ``submit`` / ``try_submit`` and the one
+  admit body),
   over a :class:`~repro.serving.flights.FlightTable`: a repeat is a
   cache hit, a duplicate of a request being solved joins that solve.
 * :class:`~repro.serving.cache.ResultCache` — LRU memoisation of full
   answers, stamped with the graph version exactly like the engine's
   index caches.
 * :class:`~repro.serving.locks.RWLock` — the readers-writer primitive
-  the consistency guarantee rests on.
+  the consistency guarantee rests on, built on its tier's mutex.
 * :class:`~repro.serving.loadtest.WorkloadGenerator` /
   :func:`~repro.serving.loadtest.run_loadtest` — synthetic Zipfian
   traffic and the load/soak harness behind ``repro-ppr loadtest``,

@@ -28,8 +28,8 @@ tier's defaults never change), so a hit resolves nothing.
 
 The cache is thread-safe on its own, but version consistency across
 *concurrent* readers and writers needs lookups and fills to happen
-under :class:`~repro.serving.locks.RWLock` read sections — both
-serving tiers wire that, through one
+where no writer of the :class:`~repro.serving.locks.RWLock` can move
+the version — both serving tiers wire that, through one
 :class:`~repro.serving.flights.FlightTable` each.
 """
 
@@ -204,23 +204,26 @@ class ResultCache(Generic[_Answer]):
         with self._mutex:
             return len(self._entries)
 
-    def get(self, key: tuple, version: int) -> _Answer | None:
+    def get(
+        self, key: tuple, version: int, *, count_miss: bool = True
+    ) -> _Answer | None:
         """The cached answer for ``key`` at ``version``, or ``None``.
 
         A hit refreshes the entry's LRU position.  An entry stamped
         with a different graph version is dropped and reported as a
         miss — the caller recomputes and re-fills at the current
-        version.
+        version.  ``count_miss=False`` leaves a miss uncounted, for a
+        caller whose miss is counted by a lookup that follows.
         """
         with self._mutex:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
+                self.stats.misses += count_miss
                 return None
             if entry.version != version:
                 del self._entries[key]
                 self.stats.stale_drops += 1
-                self.stats.misses += 1
+                self.stats.misses += count_miss
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1

@@ -13,15 +13,20 @@ version lives (:meth:`ServingTier._read_version`) and what a led flight
 does (:meth:`ServingTier._send`).
 
 Everything a caller can observe about duplicates and repeats is
-decided by one :class:`FlightTable` per tier, asked under the tier's
-mutex at the graph version its read section pins:
+decided by one :class:`FlightTable` per tier, asked in one section of
+the tier's mutex.  The tier's :class:`~repro.serving.locks.RWLock` is
+built on that mutex, so the section first sees that no writer holds or
+awaits the lock (or waits until none does): the graph version cannot
+move while the section runs, and no writer can start before it ends.
 
 * **hit** — the answer is in the version-stamped
   :class:`~repro.serving.cache.ResultCache` at this version: the
-  caller gets a :class:`ServedResult` and no future.  A landing flight
-  builds the entry's hit answer once, and every hit without a deadline
-  returns that one frozen object; a hit with a deadline gets its own,
-  carrying its deadline;
+  caller gets a :class:`ServedResult` and no future, and takes no read
+  share.  A landing flight builds the entry's hit answer once, and
+  every hit without a deadline returns that one frozen object; a hit
+  with a deadline gets its own, carrying its deadline.
+  :meth:`ServingTier.hit` is this case alone, for a caller (the async
+  front door) that answers a hit before it admits anything;
 * **join** — the same request is already being solved at this version
   (a *flight*): the caller's future rides along and gets exactly what
   the flight's leader gets, answer or exception.  Only a flight whose
@@ -64,7 +69,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterable, TypeVar
 
 from repro.core.result import PPRResult
-from repro.core.validation import check_node_id
+from repro.core.validation import check_node_id, check_real
 from repro.errors import DeadlineExceeded, ParameterError
 from repro.serving.cache import (
     _HASHABLE_SCALARS,
@@ -167,18 +172,24 @@ class FlightTable:
         return len(self._open)
 
     def hit(
-        self, key: tuple | None, version: int, deadline: float | None
+        self,
+        key: tuple | None,
+        version: int,
+        deadline: float | None,
+        count_miss: bool = True,
     ) -> ServedResult | None:
         """The cached answer at ``version``, or ``None``.
 
-        The one cache lookup a request makes; on ``None`` the caller
-        joins a flight (:meth:`join`) or leads one (:meth:`lead`).
-        Without a deadline the answer is the entry's own object, built
-        when the entry was filled; with one it is a copy carrying it.
+        The one counted cache lookup a request makes; on ``None`` the
+        caller joins a flight (:meth:`join`) or leads one
+        (:meth:`lead`).  ``count_miss=False`` is a look ahead of that
+        one, which counts only a hit.  Without a deadline the answer is
+        the entry's own object, built when the entry was filled; with
+        one it is a copy carrying it.
         """
         if key is None or self.cache is None:
             return None
-        served = self.cache.get(key, version)
+        served = self.cache.get(key, version, count_miss=count_miss)
         if served is None or deadline is None:
             return served
         return ServedResult(
@@ -289,10 +300,10 @@ class ServingTier(ABC):
         # First, so a rejected size rejects the tier before it
         # touches anything (a WAL directory among them).
         self._flight_table = FlightTable(cache_capacity)
-        self._rwlock = RWLock()
-        #: guards the flight table, ``_submitted``, ``_closed`` and
-        #: whatever else the tier puts under it
+        #: guards the flight table, ``_submitted``, ``_closed``, the
+        #: readers-writer state and whatever else the tier puts under it
         self._mutex = threading.Lock()
+        self._rwlock = RWLock(self._mutex)
         self._submitted = 0
         self._closed = False
         #: request shape -> (canonical method, merged parameters, key
@@ -310,7 +321,8 @@ class ServingTier(ABC):
 
         Runs before the flight is opened to joiners, so raising leaves
         no trace.  What it returns is called once the mutex is
-        released, still inside the read section.
+        released, under a read share taken in the same section: a
+        writer that comes later waits until the call has returned.
         """
 
     @abstractmethod
@@ -370,8 +382,10 @@ class ServingTier(ABC):
 
         The source, the method and its parameters are validated here,
         so typos raise at the call site, not where the miss is solved.
-        ``deadline`` is a ``time.monotonic()`` timestamp: an
-        already-expired request raises
+        ``deadline`` is a ``time.monotonic()`` timestamp (anything but a
+        real number, NaN included, is a
+        :class:`~repro.errors.ParameterError`): an already-expired
+        request raises
         :class:`~repro.errors.DeadlineExceeded` here, and one that
         expires before its solve starts is failed with it then.
         """
@@ -393,7 +407,7 @@ class ServingTier(ABC):
         deadline: float | None = None,
         **params: Any,
     ) -> ServedResult | Future | None:
-        """:meth:`submit` that never waits on the read lock.
+        """:meth:`submit` that never waits for a writer.
 
         ``None`` when a writer holds the lock or waits for it — nothing
         was admitted, and :meth:`submit` (which waits) is the retry.
@@ -403,6 +417,71 @@ class ServingTier(ABC):
         return self._admit(
             source, method, params, fresh=fresh, deadline=deadline, wait=False
         )
+
+    def hit(
+        self,
+        source: int,
+        method: str = "powerpush",
+        *,
+        deadline: float | None = None,
+        **params: Any,
+    ) -> ServedResult | None:
+        """The cached answer to this request, or ``None``; never waits.
+
+        What :meth:`try_submit` returns for a hit, and only that: the
+        answer when the request has a key, its entry is at the current
+        graph version and no writer holds or awaits the lock, all seen
+        in one section of the tier's mutex.  A hit is admitted as
+        :meth:`submit` admits it (counted, with the same checks and
+        errors).  ``None`` admits nothing, and counts no cache miss:
+        the submit that follows looks the request up again, and counts
+        it then.  A hit behind a writer is ``None`` here, and the
+        submit waits for the update and answers after it; so is any
+        request to a closed tier, whose submit raises.
+        """
+        source, _, _, key = self._request(source, method, params, False, deadline)
+        if key is None:
+            return None
+        with self._mutex:
+            if self._closed or self._rwlock.writer_ahead():
+                return None
+            answer = self._flight_table.hit(
+                key, self._read_version(), deadline, count_miss=False
+            )
+            if answer is None:
+                return None
+            self._submitted += 1
+            submitted = self._submitted
+        if self._after_admit is not None:
+            self._after_admit(submitted)
+        return answer
+
+    def _request(
+        self,
+        source: int,
+        method: str,
+        params: dict[str, Any],
+        fresh: bool,
+        deadline: float | None,
+    ) -> tuple[int, str, dict[str, Any], tuple | None]:
+        """``(source, canonical, merged, key or None)`` for a request
+        that passes every check a submit makes before it is counted."""
+        source = check_node_id(source, self._num_nodes)
+        if deadline is not None:
+            deadline = check_real(deadline, "deadline")
+            if time.monotonic() >= deadline:
+                raise DeadlineExceeded(
+                    f"deadline passed before submit of source {source}"
+                )
+        canonical, merged, items = self._resolved(method, params)
+        if items is None and params and self._SCALAR_PARAMS_ONLY:
+            raise ParameterError(
+                f"{type(self).__name__} requires scalar parameters; live "
+                "objects (rng, trace, indexes) cannot cross the process "
+                "boundary"
+            )
+        key = None if fresh or items is None else (canonical, source, items)
+        return source, canonical, merged, key
 
     def _admit(
         self,
@@ -415,56 +494,49 @@ class ServingTier(ABC):
         wait: bool,
     ) -> ServedResult | Future | None:
         """The one admit body behind :meth:`submit` and :meth:`try_submit`."""
-        source = check_node_id(source, self._num_nodes)
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceeded(
-                f"deadline passed before submit of source {source}"
-            )
-        canonical, merged, items = self._resolved(method, params)
-        if items is None and params and self._SCALAR_PARAMS_ONLY:
-            raise ParameterError(
-                f"{type(self).__name__} requires scalar parameters; live "
-                "objects (rng, trace, indexes) cannot cross the process "
-                "boundary"
-            )
-        key = None if fresh or items is None else (canonical, source, items)
+        source, canonical, merged, key = self._request(
+            source, method, params, fresh, deadline
+        )
         post: Callable[[], object] | None = None
-        # The read section pins the version a hit is checked against
-        # and a miss is sent at.
-        if not self._rwlock.try_acquire_read():
-            if not wait:
-                return None
-            self._rwlock.acquire_read()
-        try:
-            with self._mutex:
-                if self._closed:
-                    raise RuntimeError(f"{type(self).__name__} is closed")
-                self._submitted += 1
-                submitted = self._submitted
-                version = self._read_version()
-                answer: ServedResult | Future | None = self._flight_table.hit(
-                    key, version, deadline
-                )
-                if answer is None:
-                    future: Future = Future()
-                    if not self._flight_table.join(
-                        key, version, future, deadline
-                    ):
-                        # ``merged``, not the caller's raw params: the
-                        # solver is sent the canonical method name, so
-                        # the overrides an alias implies (``fora+`` =>
-                        # ``use_index=True``) must travel with it.  A
-                        # copy: the memo's is every later request's.
-                        flight = self._Flight(
-                            [future], source, canonical, dict(merged), deadline
-                        )
-                        post = self._send(flight)
-                        self._flight_table.lead(flight, key, version)
-                    answer = future
-            if post is not None:
+        with self._mutex:
+            # No writer holds or awaits the lock from here to the end
+            # of the section, so the version a hit is checked against
+            # and a miss is sent at cannot move.
+            if self._rwlock.writer_ahead():
+                if not wait:
+                    return None
+                self._rwlock.wait_for_writers()
+            if self._closed:
+                raise RuntimeError(f"{type(self).__name__} is closed")
+            self._submitted += 1
+            submitted = self._submitted
+            version = self._read_version()
+            answer: ServedResult | Future | None = self._flight_table.hit(
+                key, version, deadline
+            )
+            if answer is None:
+                future: Future = Future()
+                if not self._flight_table.join(
+                    key, version, future, deadline
+                ):
+                    # ``merged``, not the caller's raw params: the
+                    # solver is sent the canonical method name, so
+                    # the overrides an alias implies (``fora+`` =>
+                    # ``use_index=True``) must travel with it.  A
+                    # copy: the memo's is every later request's.
+                    flight = self._Flight(
+                        [future], source, canonical, dict(merged), deadline
+                    )
+                    post = self._send(flight)
+                    self._flight_table.lead(flight, key, version)
+                    if post is not None:
+                        self._rwlock.acquire_read_locked()
+                answer = future
+        if post is not None:
+            try:
                 post()
-        finally:
-            self._rwlock.release_read()
+            finally:
+                self._rwlock.release_read()
         if self._after_admit is not None:
             self._after_admit(submitted)
         return answer

@@ -11,12 +11,13 @@ only:
   :class:`~repro.serving.sharded.ShardedDispatcher`) and **awaits the
   future without holding a thread** — ten thousand in-flight requests
   cost one event loop, not ten thousand parked stacks.  The enqueue
-  runs on the loop (``try_submit`` never waits on the backend's read
-  lock).  A cache hit comes back as the answer itself, and ``submit``
-  returns it without awaiting anything: no second coroutine, no loop
-  lookup.  Only a join or a miss (a future) and a request that meets a
-  writer on that lock (handed to the default executor to wait there)
-  go on to be awaited.
+  runs on the loop (``hit`` and ``try_submit`` never wait for a
+  writer).  A cache hit is asked for first and comes back as the
+  answer itself, counted in one section of the door's mutex and
+  returned without awaiting anything: no admission, no second
+  coroutine, no loop lookup.  Only a join or a miss (a future) and a
+  request that meets a writer on the backend's lock (handed to the
+  default executor to wait there) go on to be awaited.
 * Every request carries a **deadline**.  A spent budget fails fast
   with :class:`~repro.errors.DeadlineExceeded` — at admission, when
   the backend reaches a request whose deadline has passed (it is
@@ -33,13 +34,17 @@ only:
   :class:`~repro.errors.ServerOverloadedError`.  Shedding protects
   the answered requests' tail: an open-loop overload run keeps
   bounded p99 for everything it admits.  With no SLO, no default
-  deadline and no in-flight bound the door only admits.
+  deadline and no in-flight bound the door only admits.  A cache hit
+  is never shed or degraded: it takes no solver capacity, which is
+  what admission protects, and its full-fidelity latency feeds the
+  predictor like any other.
 * **Every request is counted once.**  Each ``submit`` past its
   argument checks adds one to ``submitted`` and then exactly one to
   ``completed``, ``shed``, ``deadline_rejected`` (no budget left on
   arrival), ``deadline_expired`` (budget spent after admission) or
   ``failed`` (any other exception, cancellation included), so
-  ``submitted`` is always their sum once nothing is in flight.
+  ``submitted`` is always their sum once nothing is in flight (a
+  cache hit adds to ``submitted`` and ``completed`` together).
   ``degraded`` counts the completions that were degraded.  The door
   is the one place a request's fate is recorded; a load driver reads
   :meth:`AsyncFrontDoor.snapshot` instead of keeping its own tally.
@@ -81,11 +86,13 @@ import threading
 import time
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Mapping
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 from repro.api.registry import get_solver
+from repro.core.validation import check_real
 from repro.errors import (
     DeadlineExceeded,
     ParameterError,
@@ -144,7 +151,8 @@ class AsyncFrontDoor:
         The serving tier that actually answers queries — an
         :class:`~repro.serving.server.EngineServer` or a
         :class:`~repro.serving.sharded.ShardedDispatcher`, or anything
-        with their ``try_submit`` / ``submit`` / ``apply_updates``.
+        with their ``hit`` / ``try_submit`` / ``submit`` /
+        ``apply_updates``.
         The front door never closes it — lifecycles stay with whoever
         constructed the backend (use both as context managers,
         innermost first).
@@ -177,10 +185,17 @@ class AsyncFrontDoor:
         degrade_params: dict[str, Any] | None = None,
         max_inflight: int | None = None,
     ) -> None:
-        # ``not x > 0``: a NaN budget is refused, not compared false
         for name, budget in (("slo_ms", slo_ms), ("deadline_ms", deadline_ms)):
-            if budget is not None and not budget > 0:
+            if budget is not None and not check_real(budget, name) > 0:
                 raise ParameterError(f"{name} must be positive, got {budget}")
+        if degrade_params is not None and (
+            not isinstance(degrade_params, Mapping)
+            or not all(isinstance(name, str) for name in degrade_params)
+        ):
+            raise ParameterError(
+                "degrade_params must map parameter names to values, got "
+                f"{degrade_params!r}"
+            )
         if max_inflight is not None and (
             isinstance(max_inflight, bool)
             or not isinstance(max_inflight, numbers.Integral)
@@ -238,7 +253,15 @@ class AsyncFrontDoor:
         fresh: bool = False,
         **params: Any,
     ) -> ServedResult:
-        """Answer one query under admission control; awaitable.
+        """Answer one query: a cache hit at once, anything else under
+        admission control; awaitable.
+
+        A spent budget is rejected first.  Then the backend is asked
+        for a cached answer (:meth:`ServingTier.hit`, never for
+        ``fresh=True``): a hit is served as it is, never shed and never
+        degraded — admission control protects solver capacity, a hit
+        uses none, and a cached full-fidelity answer beats a degraded
+        re-solve.  Only a join or a miss goes through admission.
 
         Raises :class:`~repro.errors.DeadlineExceeded` when the budget
         is spent (before or during the solve) and
@@ -248,17 +271,45 @@ class AsyncFrontDoor:
         :attr:`ServedResult.degraded`; it is still byte-identical to
         the sync path for the degraded request.
         """
-        if deadline_ms is not None and math.isnan(deadline_ms):
+        budget_ms = self._deadline_ms
+        if deadline_ms is not None:
             # (a spent budget, <= 0, is a DeadlineExceeded below)
-            raise ParameterError("deadline_ms must be a number, got nan")
-        now = time.monotonic()
-        budget_ms = deadline_ms if deadline_ms is not None else self._deadline_ms
-        deadline = None if budget_ms is None else now + budget_ms / 1e3
-        decision = self._admit(deadline, self._degradable(method))
-        if decision == "late":
-            raise DeadlineExceeded(
-                f"request for source {source} arrived with no budget left"
-            )
+            budget_ms = check_real(deadline_ms, "deadline_ms")
+        now: float | None = None
+        deadline: float | None = None
+        if budget_ms is not None or self._slo_ms is not None:
+            now = time.monotonic()
+            if budget_ms is not None:
+                deadline = now + budget_ms / 1e3
+                # Fresh clock read: a budget below the clock's
+                # resolution is already spent by now.
+                if time.monotonic() >= deadline:
+                    self._count_unadmitted(late=True)
+                    raise DeadlineExceeded(
+                        f"request for source {source} arrived with no "
+                        "budget left"
+                    )
+        if not fresh:
+            try:
+                hit = self._backend.hit(
+                    source, method, deadline=deadline, **params
+                )
+            except DeadlineExceeded:
+                self._count_unadmitted(late=True)
+                raise
+            except BaseException:
+                self._count_unadmitted(late=False)
+                raise
+            if hit is not None:
+                with self._mutex:
+                    self.stats.submitted += 1
+                    self.stats.completed += 1
+                    if now is not None and self._slo_ms is not None:
+                        self._record_latency_locked(time.monotonic() - now)
+                        # No admission follows to predict from it.
+                        self._refresh_prediction_locked()
+                return hit
+        decision = self._admit(self._degradable(method))
         if decision == "shed":
             raise ServerOverloadedError(
                 f"shed request for source {source}: predicted p99 "
@@ -286,7 +337,11 @@ class AsyncFrontDoor:
             outcome = "deadline_expired"
             raise
         finally:
-            self._settle(outcome, time.monotonic() - now, degraded)
+            self._settle(
+                outcome,
+                None if now is None else time.monotonic() - now,
+                degraded,
+            )
         if degraded:
             served = replace(served, degraded=True)
         return served
@@ -304,8 +359,8 @@ class AsyncFrontDoor:
         """Await what ``backend.try_submit`` returned other than a hit,
         thread-free.
 
-        ``try_submit`` never waits on the backend's read lock.  Only
-        when a writer holds or awaits that lock does it return ``None``;
+        ``try_submit`` never waits for a writer.  Only when a writer
+        holds or awaits the backend's lock does it return ``None``;
         then the blocking ``submit`` runs in the default executor, so
         the loop never waits on a lock, and the answer is post-update
         as the lock guarantees (counted in ``stats.writer_waits``).  A
@@ -374,17 +429,22 @@ class AsyncFrontDoor:
             self._degradable_methods[method] = degradable
         return degradable
 
-    def _admit(self, deadline: float | None, degradable: bool) -> str:
-        """``"late"`` | ``"shed"`` | ``"full"`` | ``"degrade"`` for one
-        arrival, counted; the last two are in flight until
+    def _count_unadmitted(self, late: bool) -> None:
+        """Count an arrival that ended before admission: with no budget
+        left (``late``), or failed by the backend's checks."""
+        with self._mutex:
+            self.stats.submitted += 1
+            if late:
+                self.stats.deadline_rejected += 1
+            else:
+                self.stats.failed += 1
+
+    def _admit(self, degradable: bool) -> str:
+        """``"shed"`` | ``"full"`` | ``"degrade"`` for one arrival that
+        was not a hit, counted; the last two are in flight until
         :meth:`_settle`."""
         with self._mutex:
             self.stats.submitted += 1
-            # Fresh clock read: a budget below the clock's resolution is
-            # already spent by now.
-            if deadline is not None and time.monotonic() >= deadline:
-                self.stats.deadline_rejected += 1
-                return "late"
             decision = "full"
             if (
                 self._max_inflight is not None
@@ -392,9 +452,7 @@ class AsyncFrontDoor:
             ):
                 decision = "shed"
             elif self._slo_ms is not None:
-                if self._window_changed:
-                    self._window_changed = False
-                    self.stats.predicted_p99_ms = self._predicted_p99_ms_locked()
+                self._refresh_prediction_locked()
                 predicted = self.stats.predicted_p99_ms
                 # Overloaded: degrade when a cheaper tier exists, sending
                 # a periodic probe through at full fidelity so the
@@ -414,14 +472,33 @@ class AsyncFrontDoor:
                 self._inflight += 1
             return decision
 
+    def _record_latency_locked(self, latency: float) -> None:
+        """Add a full-fidelity completion's latency to the window."""
+        if len(self._latencies) == _LATENCY_WINDOW:
+            # The append below drops the oldest latency.
+            ordered = self._ordered_latencies
+            del ordered[bisect_left(ordered, self._latencies[0])]
+        self._latencies.append(latency)
+        insort(self._ordered_latencies, latency)
+        self._window_changed = True
+
+    def _refresh_prediction_locked(self) -> None:
+        """Recompute ``predicted_p99_ms`` if the window changed."""
+        if self._window_changed:
+            self._window_changed = False
+            self.stats.predicted_p99_ms = self._predicted_p99_ms_locked()
+
     def _predicted_p99_ms_locked(self) -> float:
         if len(self._latencies) < _MIN_SAMPLES:
             return 0.0
         return _p99(self._ordered_latencies) * 1e3
 
-    def _settle(self, outcome: str, latency: float, degraded: bool) -> None:
+    def _settle(
+        self, outcome: str, latency: float | None, degraded: bool
+    ) -> None:
         """Count how an admitted request ended: ``"completed"``,
-        ``"deadline_expired"`` or ``"failed"``."""
+        ``"deadline_expired"`` or ``"failed"``; ``latency`` is ``None``
+        only without an SLO."""
         with self._mutex:
             self._inflight -= 1
             if outcome == "completed":
@@ -433,13 +510,8 @@ class AsyncFrontDoor:
                     # predictor: degraded latencies would mask the
                     # overload that forced the degradation.  Without
                     # an SLO nothing reads it.
-                    if len(self._latencies) == _LATENCY_WINDOW:
-                        # The append below drops the oldest latency.
-                        ordered = self._ordered_latencies
-                        del ordered[bisect_left(ordered, self._latencies[0])]
-                    self._latencies.append(latency)
-                    insort(self._ordered_latencies, latency)
-                    self._window_changed = True
+                    assert latency is not None
+                    self._record_latency_locked(latency)
             elif outcome == "deadline_expired":
                 self.stats.deadline_expired += 1
             else:

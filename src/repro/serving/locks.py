@@ -12,6 +12,13 @@ The lock prefers writers: a waiting writer blocks *new* readers, so a
 steady query stream cannot starve updates (readers already inside
 finish first, then the writer runs).  It is not re-entrant — no
 serving tier nests acquisitions.
+
+Its state lives under one plain lock, its own or one its owner passes
+in.  A serving tier builds it on the tier's mutex, so the mutex's
+holder reads that state in the section it holds anyway: one section
+finds no writer ahead and answers a cache hit, which then needs no
+read share at all — while no writer is active the version cannot move,
+and none can become active before the mutex is released.
 """
 
 from __future__ import annotations
@@ -29,42 +36,50 @@ class RWLock:
     Any number of readers may hold the lock at once; a writer holds it
     exclusively.  Use the :meth:`read` / :meth:`write` context managers
     rather than the raw acquire/release pairs.
+
+    Parameters
+    ----------
+    lock:
+        The plain lock the state lives under; a new one when ``None``.
+        Its holder may call :meth:`writer_ahead`,
+        :meth:`wait_for_writers` and :meth:`acquire_read_locked`;
+        every other method takes it, so must not be called under it.
     """
 
-    def __init__(self) -> None:
-        #: the read side takes this plain lock directly (no
-        #: ``Condition`` method call per request); waits go through
-        #: ``_cond``, which is built over it
-        self._mutex = threading.Lock()
-        self._cond = threading.Condition(self._mutex)
+    def __init__(self, lock: threading.Lock | None = None) -> None:
+        self._cond = threading.Condition(
+            threading.Lock() if lock is None else lock
+        )
         self._active_readers = 0
         self._writer_active = False
         self._writers_waiting = 0
 
+    # -- for the holder of the underlying lock --------------------------
+    def writer_ahead(self) -> bool:
+        """Whether a writer holds the lock or waits for it, so a new
+        reader would wait."""
+        return self._writer_active or self._writers_waiting > 0
+
+    def wait_for_writers(self) -> None:
+        """Wait, releasing the underlying lock meanwhile, until
+        :meth:`writer_ahead` is ``False``."""
+        # Writer preference: queue behind waiting writers too, not
+        # just the active one.
+        while self._writer_active or self._writers_waiting:
+            self._cond.wait()
+
+    def acquire_read_locked(self) -> None:
+        """:meth:`acquire_read` for the holder of the underlying lock."""
+        self.wait_for_writers()
+        self._active_readers += 1
+
     # -- shared (read) side ---------------------------------------------
     def acquire_read(self) -> None:
         with self._cond:
-            # Writer preference: queue behind waiting writers too, not
-            # just the active one.
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._active_readers += 1
-
-    def try_acquire_read(self) -> bool:
-        """Take the shared side only if no writer holds or awaits it.
-
-        Never waits: ``False`` when a writer is active or queued (the
-        same writer preference :meth:`acquire_read` keeps), ``True``
-        otherwise — and then the caller owes one :meth:`release_read`.
-        """
-        with self._mutex:
-            if self._writer_active or self._writers_waiting:
-                return False
-            self._active_readers += 1
-            return True
+            self.acquire_read_locked()
 
     def release_read(self) -> None:
-        with self._mutex:
+        with self._cond:
             if self._active_readers <= 0:
                 raise RuntimeError("release_read without a matching acquire")
             self._active_readers -= 1

@@ -23,7 +23,8 @@ remembering in the parent:
   version that is current when it arrives;
 * **what a led flight does** — it is routed and registered as pending
   on its shard under the mutex, and its message is put on the shard's
-  queue after the mutex is released, still under the read lock; the
+  queue after the mutex is released, under a read share taken in the
+  same section; the
   collector's receipt of the answer lands the flight and is the cache
   fill;
 * the dispatcher routes each miss by **consistent hashing on the
@@ -815,10 +816,10 @@ class ShardedDispatcher(ServingTier):
     def _send(self, flight: Flight) -> Callable[[], object]:
         """Route ``flight`` and register it as pending on its shard.
 
-        Its message is put after ``_mutex`` is released, still under
-        the read lock: a writer that acquires after us sees this
-        request ahead of its hand-over message in the worker's FIFO, so
-        it is answered pre-update.
+        Its message is put after ``_mutex`` is released, under the
+        read share taken in its section: a writer that acquires after
+        us sees this request ahead of its hand-over message in the
+        worker's FIFO, so it is answered pre-update.
         """
         state = self._route_healthy(flight.source)
         message = self._enqueue(state, cast(_PendingRequest, flight))

@@ -76,6 +76,9 @@ class SlowBackend:
         threading.Timer(self.delay, fire).start()
         return future
 
+    def hit(self, *args, **kwargs) -> None:
+        return None  # nothing is cached: every request is solved
+
     def try_submit(self, *args, **kwargs) -> Future:
         return self.submit(*args, **kwargs)
 
@@ -103,6 +106,36 @@ class TestValidation:
         door = AsyncFrontDoor(server)
         with pytest.raises(ParameterError):
             run(door.submit(0, deadline_ms=nan))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda server, door: AsyncFrontDoor(server, deadline_ms="x"),
+            lambda server, door: AsyncFrontDoor(server, slo_ms="x"),
+            lambda server, door: AsyncFrontDoor(server, degrade_params="x"),
+            lambda server, door: run(door.submit(0, deadline_ms="x")),
+            lambda server, door: server.submit(0, deadline="x"),
+            lambda server, door: server.submit(0, deadline=float("nan")),
+        ],
+        ids=[
+            "door-deadline_ms",
+            "door-slo_ms",
+            "door-degrade_params",
+            "submit-deadline_ms",
+            "tier-deadline",
+            "tier-nan-deadline",
+        ],
+    )
+    def test_time_parameters_raise_parameter_error_uncounted(
+        self, server, call
+    ):
+        door = AsyncFrontDoor(server)
+        with pytest.raises(ParameterError):
+            call(server, door)
+        assert door.snapshot()["submitted"] == 0
+        stats = server.stats()
+        assert (stats["requests"], stats["engine_queries"]) == (0, 0)
+        assert stats["flights"] == {"led": 0, "joined": 0}
 
 
 class TestByteIdentity:
@@ -400,7 +433,7 @@ class TestPredictor:
         door = AsyncFrontDoor(server, slo_ms=5.0)
         rng = np.random.default_rng(3)
         for latency in rng.lognormal(-6.0, 1.0, 400).tolist():
-            assert door._admit(None, degradable=True) in ("full", "degrade")
+            assert door._admit(degradable=True) in ("full", "degrade")
             door._settle("completed", latency, degraded=False)
             window = np.asarray(door._latencies)
             assert door._ordered_latencies == sorted(door._latencies)
@@ -753,6 +786,89 @@ class TestHitPath:
         assert served.version == tier.graph_version == miss.version + 1
         # the one loop lookup is each awaited request's
         assert len(loops) == len(awaited) == 4
+
+
+class TestHitBeforeAdmission:
+    """The door answers a hit before admission, one lock deep."""
+
+    def test_a_door_hit_takes_no_read_share(self, tier, monkeypatch):
+        door = AsyncFrontDoor(tier)
+        miss = run(door.submit(0, "powerpush", l1_threshold=1e-8))
+        lock = tier._rwlock
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hit called the readers-writer lock")
+
+        for name in dir(lock):
+            if "acquire" in name:
+                monkeypatch.setattr(lock, name, refuse)
+        hits = [
+            run(door.submit(0, "powerpush", l1_threshold=1e-8))
+            for _ in range(3)
+        ]
+        assert all(h.cache_hit and h.result is miss.result for h in hits)
+        assert door.snapshot()["completed"] == 4
+
+    def test_a_hit_counts_once_without_admission(self, tier, monkeypatch):
+        door = AsyncFrontDoor(tier, slo_ms=1000.0)
+        run(door.submit(0, "powerpush", l1_threshold=1e-8))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hit went through admission")
+
+        monkeypatch.setattr(door, "_admit", refuse)
+        monkeypatch.setattr(door, "_settle", refuse)
+        for _ in range(5):
+            served = run(door.submit(0, "powerpush", l1_threshold=1e-8))
+            assert served.cache_hit
+        snap = door.snapshot()
+        assert snap["inflight"] == 0
+        assert snap["submitted"] == 6 == snap["completed"] == (
+            snap["completed"]
+            + snap["shed"]
+            + snap["deadline_rejected"]
+            + snap["deadline_expired"]
+            + snap["failed"]
+        )
+        # each hit fed the window and left a prediction
+        assert len(door._latencies) == 6
+        assert snap["predicted_p99_ms"] == 0.0  # < 16 samples: no vote
+
+    def test_an_overloaded_door_serves_a_cached_answer_undegraded(
+        self, tier
+    ):
+        cached = tier.query(3, "powerpush", l1_threshold=1e-8)
+        door = _overloaded_door(tier)
+        served = run(door.submit(3, "powerpush", l1_threshold=1e-8))
+        assert served.cache_hit and not served.degraded
+        assert served.result is cached.result
+        # an uncached source still degrades
+        other = run(door.submit(4, "powerpush", l1_threshold=1e-8))
+        assert other.degraded and not other.cache_hit
+        snap = door.snapshot()
+        assert (snap["degraded"], snap["shed"]) == (1, 0)
+
+    def test_a_full_door_still_serves_a_hit(self, tier, monkeypatch):
+        cached = tier.query(0, "powerpush", l1_threshold=1e-8)
+        door = AsyncFrontDoor(tier, max_inflight=1)
+
+        async def drive():
+            with _held(monkeypatch, tier):
+                miss = asyncio.ensure_future(
+                    door.submit(1, "powerpush", l1_threshold=1e-8)
+                )
+                await asyncio.sleep(0.05)
+                assert door.inflight == 1
+                with pytest.raises(ServerOverloadedError):
+                    await door.submit(2, "powerpush", l1_threshold=1e-8)
+                hit = await door.submit(0, "powerpush", l1_threshold=1e-8)
+            return hit, await miss
+
+        hit, miss = run(drive())
+        assert hit.cache_hit and hit.result is cached.result
+        assert not miss.cache_hit
+        snap = door.snapshot()
+        assert (snap["completed"], snap["shed"], snap["inflight"]) == (2, 1, 0)
 
 
 class TestReadSide:

@@ -136,20 +136,48 @@ class TestRWLock:
         assert notified[0] == 1  # the release woke the waiting writer
 
 
-class TestTryAcquireRead:
-    def test_false_while_a_writer_is_active(self):
-        lock = RWLock()
+class TestOnTheOwnersLock:
+    """An RWLock built on a lock its owner holds: the owner reads and
+    takes the read side inside a section of its own."""
+
+    def test_the_state_lives_under_the_given_lock(self):
+        mutex = threading.Lock()
+        lock = RWLock(mutex)
+        entered = threading.Event()
+
+        def reader():
+            with lock.read():
+                entered.set()
+
+        with mutex:
+            r = threading.Thread(target=reader)
+            r.start()
+            # the reader needs the owner's lock to count itself in
+            assert not entered.wait(0.05)
+        assert entered.wait(5.0)
+        r.join(5.0)
+        assert not r.is_alive()
+
+    def test_writer_ahead_while_a_writer_is_active(self):
+        mutex = threading.Lock()
+        lock = RWLock(mutex)
+        with mutex:
+            assert lock.writer_ahead() is False
         lock.acquire_write()
         try:
-            assert lock.try_acquire_read() is False
+            with mutex:
+                assert lock.writer_ahead() is True
         finally:
             lock.release_write()
-        # the failed try took nothing: the reader count is still zero
+        with mutex:
+            assert lock.writer_ahead() is False
+        # asking took nothing: the reader count is still zero
         with pytest.raises(RuntimeError):
             lock.release_read()
 
-    def test_false_while_a_writer_waits_behind_readers(self):
-        lock = RWLock()
+    def test_writer_ahead_while_a_writer_waits_behind_readers(self):
+        mutex = threading.Lock()
+        lock = RWLock(mutex)
         lock.acquire_read()
         writer_done = threading.Event()
 
@@ -163,22 +191,41 @@ class TestTryAcquireRead:
         while not lock._writers_waiting and time.monotonic() < deadline:
             time.sleep(0.001)
         assert lock._writers_waiting == 1
-        # writer preference: a queued writer refuses new readers too
-        assert lock.try_acquire_read() is False
+        # writer preference: a queued writer is ahead of new readers too
+        with mutex:
+            assert lock.writer_ahead() is True
         assert not writer_done.is_set()
         lock.release_read()
         assert writer_done.wait(5.0)
         w.join(5.0)
         assert not w.is_alive()
-        assert lock.try_acquire_read() is True
-        lock.release_read()
+        with mutex:
+            assert lock.writer_ahead() is False
 
-    def test_each_success_pairs_with_one_release(self):
-        lock = RWLock()
-        assert lock.try_acquire_read() is True
-        assert lock.try_acquire_read() is True  # readers share
-        lock.release_read()
-        # one reader still inside: a writer cannot get in yet
+    def test_the_owner_waits_out_a_writer_in_its_own_section(self):
+        mutex = threading.Lock()
+        lock = RWLock(mutex)
+        lock.acquire_write()
+        waited = threading.Event()
+
+        def owner():
+            with mutex:
+                lock.wait_for_writers()
+                assert not lock.writer_ahead()
+                lock.acquire_read_locked()  # no writer ahead: no wait
+                waited.set()
+
+        o = threading.Thread(target=owner)
+        o.start()
+        # the waiting owner released the mutex: others still get it
+        assert not waited.wait(0.05)
+        with mutex:
+            assert lock.writer_ahead()
+        lock.release_write()
+        assert waited.wait(5.0)
+        o.join(5.0)
+        assert not o.is_alive()
+        # the share taken in the owner's section pairs with one release
         writer_in = threading.Event()
 
         def writer():
@@ -194,5 +241,3 @@ class TestTryAcquireRead:
         assert not w.is_alive()
         with pytest.raises(RuntimeError):
             lock.release_read()
-        with pytest.raises(RuntimeError):
-            lock.release_write()

@@ -330,3 +330,108 @@ def test_door_hits_never_see_stale_answers_under_writer_pressure(tier):
             f"stale answer for source {source} at version {version}"
         )
         assert served.result.residue.tobytes() == expected.residue.tobytes()
+
+
+@pytest.mark.slow
+def test_door_hits_from_many_threads_bracket_the_version():
+    """Several threads, each with an event loop of its own, read hot
+    sources through one front door over one server — most reads are
+    hits answered in one section of the tier's mutex — while a thread
+    applies single-edge updates.  Every answer's version lies between
+    the ``graph_version`` read before and after its request, and the
+    door's counters partition every submit."""
+    base = make_base()
+    mirror = DynamicGraph(base)
+    hot = np.random.default_rng(BASE_SEED).choice(
+        base.num_nodes, size=8, replace=False
+    )
+    weights = 1.0 / np.arange(1, hot.size + 1) ** 1.2
+    weights /= weights.sum()
+    records = []
+    records_mutex = threading.Lock()
+    errors: list[BaseException] = []
+    updates: list[int] = []
+    stop_writer = threading.Event()
+    first_update = threading.Event()
+    readers, reads = 4, 150
+
+    with EngineServer(DynamicGraph(base), alpha=0.2, seed=7) as server:
+        for source in hot:
+            server.query(int(source), "powerpush", l1_threshold=L1)
+        door = AsyncFrontDoor(server)
+
+        def writer() -> None:
+            rng = np.random.default_rng(99)
+            try:
+                while len(updates) < 200:
+                    update = sample_edge_update(mirror, rng)
+                    mirror.apply_updates([update])
+                    updates.append(server.apply_updates([update]))
+                    first_update.set()
+                    if stop_writer.wait(0.002):
+                        return
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+            finally:
+                first_update.set()
+
+        async def client(worker_id: int) -> None:
+            rng = np.random.default_rng(2000 + worker_id)
+            for source in rng.choice(hot, size=reads, p=weights):
+                before = server.graph_version
+                served = await door.submit(
+                    int(source), "powerpush", l1_threshold=L1
+                )
+                after = server.graph_version
+                with records_mutex:
+                    records.append((int(source), before, served, after))
+
+        def reader(worker_id: int) -> None:
+            first_update.wait(30.0)
+            try:
+                asyncio.run(client(worker_id))
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread = threading.Thread(target=writer)
+            thread.start()
+            threads = [
+                threading.Thread(target=reader, args=(w,))
+                for w in range(readers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            stop_writer.set()
+            thread.join(30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not thread.is_alive()
+        assert not any(t.is_alive() for t in threads)
+        snap = door.snapshot()
+        stats = server.stats()
+
+    assert not errors, errors
+    assert len(records) == readers * reads
+    for source, before, served, after in records:
+        assert before <= served.version <= after, (
+            f"source {source}: served version {served.version} outside "
+            f"[{before}, {after}]"
+        )
+    assert snap["inflight"] == 0
+    assert snap["submitted"] == len(records) == (
+        snap["completed"]
+        + snap["shed"]
+        + snap["deadline_rejected"]
+        + snap["deadline_expired"]
+        + snap["failed"]
+    )
+    assert snap["completed"] == len(records)
+    # The run exercised what it stresses: hits, and updates among them.
+    assert sum(served.cache_hit for _, _, served, _ in records) > 0
+    assert len(updates) > 1
+    assert stats["cache"]["invalidations"] > 0
