@@ -65,7 +65,7 @@ class RWLock:
         :meth:`writer_ahead` is ``False``."""
         # Writer preference: queue behind waiting writers too, not
         # just the active one.
-        while self._writer_active or self._writers_waiting:
+        while self.writer_ahead():
             self._cond.wait()
 
     def acquire_read_locked(self) -> None:
