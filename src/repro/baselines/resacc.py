@@ -22,6 +22,7 @@ by the vectorised frontier sweeps.)
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.core.result import PPRResult
 from repro.core.validation import (
     check_alpha,
     check_epsilon,
+    check_integer,
     check_mu,
     check_source,
 )
@@ -79,6 +81,9 @@ def resacc(
     check_walk_source(rng, walk_index)
     num_walks_w = chernoff_walk_count(epsilon, mu, p_fail=p_fail)
     r_max = fora_r_max(graph, num_walks_w)
+    if max_sweeps is None:
+        max_sweeps = int(16.0 * (math.log(1.0 / min(r_max, 0.5)) + 1.0) / alpha) + 64
+    check_integer(max_sweeps, "max_sweeps")
 
     started = time.perf_counter()
     state = PushState(graph, source, alpha, dead_end_policy=dead_end_policy)
@@ -86,11 +91,6 @@ def resacc(
     # Initial push of the source, then sweeps that exclude the source so
     # its returned residue accumulates instead of being replayed.
     frontier_push(state, np.asarray([source], dtype=np.int64))
-    if max_sweeps is None:
-        import math
-
-        max_sweeps = int(16.0 * (math.log(1.0 / min(r_max, 0.5)) + 1.0) / alpha) + 64
-
     sweeps = 0
     while True:
         active = state.active_mask(r_max)

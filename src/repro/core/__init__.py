@@ -13,7 +13,7 @@ from repro.core.backward_push import backward_push
 from repro.core.fifo_fwdpush import fifo_forward_push, r_max_for_l1_threshold
 from repro.core.fwdpush import forward_push
 from repro.core.incremental import IncrementalPPR
-from repro.core.kernels import frontier_push, global_sweep, sweep_active
+from repro.core.kernels import frontier_push, global_sweep
 from repro.core.mc_phase import monte_carlo_refine, required_walks
 from repro.core.pagerank import pagerank, preference_pagerank
 from repro.core.power_iteration import power_iteration
@@ -50,6 +50,5 @@ __all__ = [
     "required_walks",
     "global_sweep",
     "frontier_push",
-    "sweep_active",
     "default_l1_threshold",
 ]

@@ -3,7 +3,8 @@
  * Algorithm 3) as two loops, its queue rounds and its scan epochs (the
  * asynchronous sweep, the dead-end routing, the r_sum recount and the
  * epoch-end extrapolation), which IncrementalPPR's certification also
- * runs; SpeedPPR's refinement (passes of the active-only scan); the range
+ * runs, and FIFO-FwdPush (Algorithm 2) as the same queue rounds with
+ * single sweeps in between; SpeedPPR's refinement (passes of the active-only scan); the range
  * scatter under every local push; the walk-index read of Eq. 13; and the
  * random-walk engine's two steps, halt and move.  The walk steps draw
  * nothing: per step the caller draws, in this order, one uniform per live
@@ -395,12 +396,12 @@ double repro_sum(const double *a, int64_t n, int absolute)
 enum { LOOP_DONE = 0, LOOP_CAPPED = 1, LOOP_STEPPED = 2, LOOP_DEAD_END = -1 };
 
 /*
- * PowerPush's queue phase: rounds of Section 4.2's S(j) structure, while
- * *r_sum > l1_threshold.  A round pushes, simultaneously, the frontier:
- * every node v, in ascending id, with residue[v] > d_v * r_max, a dead
- * end's d_v being dead_degree (its conceptual out-degree).  The rounds
- * stop at an empty frontier or at one above scan_threshold, before
- * pushing it.  A round
+ * The queue rounds of PowerPush and of FIFO-FwdPush: rounds of Section
+ * 4.2's S(j) structure, while *r_sum > l1_threshold.  A round pushes,
+ * simultaneously, the frontier: every node v, in ascending id, with
+ * residue[v] > d_v * r_max, a dead end's d_v being dead_degree (its
+ * conceptual out-degree).  The rounds stop at an empty frontier or at
+ * one above scan_threshold, before pushing it.  A round
  *
  *   - stages each frontier node's residue r into pushed[] and zeroes it,
  *     all of them first, so a self-loop or a frontier neighbour
@@ -412,11 +413,13 @@ enum { LOOP_DONE = 0, LOOP_CAPPED = 1, LOOP_STEPPED = 2, LOOP_DEAD_END = -1 };
  *
  * Both sums are pairwise, in frontier order.  frontier[] and pushed[]
  * hold n entries each.  counts[0] += the nodes pushed, counts[1] += the
- * residue updates (an edge, or a dead end, one each).
+ * residue updates (an edge, or a dead end, one each), counts[2] += the
+ * rounds.
  *
  * Returns LOOP_DONE; LOOP_CAPPED after the round that takes counts[1]
- * above max_updates; LOOP_STEPPED after max_steps rounds (0: no limit);
- * LOOP_DEAD_END on dead-end mass under SELF_LOOP.
+ * above max_updates or counts[2] above max_rounds; LOOP_STEPPED after
+ * max_steps rounds (0: no limit); LOOP_DEAD_END on dead-end mass under
+ * SELF_LOOP.
  */
 int repro_queue_rounds(
     int64_t n,
@@ -432,6 +435,7 @@ int repro_queue_rounds(
     double l1_threshold,
     double scan_threshold,
     int64_t max_updates,
+    int64_t max_rounds,
     int64_t max_steps,
     int64_t *frontier,
     double *pushed,
@@ -480,12 +484,13 @@ int repro_queue_rounds(
         const double dead_mass = dead ? scale * repro_sum(pushed, dead, 0) : 0.0;
         counts[0] += size;
         counts[1] += edges + dead;
+        counts[2] += 1;
         if (dead_mass != 0.0
             && route_dead_mass(n, residue, policy, source, dead_mass)) {
             return LOOP_DEAD_END;
         }
         *r_sum += -alpha * pushed_sum;
-        if (counts[1] > max_updates) {
+        if (counts[1] > max_updates || counts[2] > max_rounds) {
             return LOOP_CAPPED;
         }
         if (++steps == max_steps) {

@@ -4,10 +4,15 @@ This is the "common implementation" whose running time Section 4.2
 bounds by ``O(m log(1/lambda))`` (Theorem 4.3) — the positive answer to
 the paper's open question.  It runs in the per-iteration form of that
 analysis: iteration ``j+1`` simultaneously pushes the active set
-``S(j)``, exactly the iteration structure Section 4.2 defines.  Each
-sweep costs ``O(sum of frontier degrees)`` through the range-scatter
-kernel, so the total work tracks the paper's ``T(j+1)`` quantity
-(Eq. 11).  The scalar queue loop of Algorithm 2 verbatim is
+``S(j)``, exactly the iteration structure Section 4.2 defines, and
+exactly PowerPush's queue rounds (:func:`~repro.core.kernels.queue_rounds`),
+which it runs in C at ``O(sum of frontier degrees)`` per round plus an
+``O(n)`` frontier test, so the work tracks the paper's ``T(j+1)``
+quantity (Eq. 11).  At PowerPush's queue-to-scan switch (a frontier of
+more than ``n / 4`` nodes) an iteration is one asynchronous sweep of
+every node holding residue instead
+(:func:`~repro.core.kernels.async_sweep`), after which the rounds
+resume.  The scalar queue loop of Algorithm 2 verbatim is
 :func:`repro.core.fwdpush.forward_push` with ``scheduler="fifo"``.
 
 It stops when no node is active w.r.t. ``r_max``, i.e. the guaranteed
@@ -19,11 +24,15 @@ from __future__ import annotations
 import math
 import time
 
-from repro.core.kernels import sweep_active
+import numpy as np
+
+from repro.core.kernels import _NO_CAP, async_sweep, queue_rounds
+from repro.core.powerpush import PowerPushConfig
 from repro.core.residues import DeadEndPolicy, PushState
 from repro.core.result import PPRResult
 from repro.core.validation import (
     check_alpha,
+    check_integer,
     check_l1_threshold,
     check_r_max,
     check_source,
@@ -57,7 +66,10 @@ def fifo_forward_push(
     """Run FIFO-FwdPush (Algorithm 2).
 
     Exactly one of ``r_max`` / ``l1_threshold`` must be given; the
-    latter sets ``r_max = l1_threshold / m``.
+    latter sets ``r_max = l1_threshold / m``.  More than ``max_sweeps``
+    iterations (rounds and sweeps) raise
+    :class:`~repro.errors.ConvergenceError`, the last of them run: any
+    integer ``<= 0`` raises after the first.
     """
     if (r_max is None) == (l1_threshold is None):
         raise ParameterError(
@@ -78,6 +90,9 @@ def fifo_forward_push(
         # mass in the worst case.  Pad generously.
         lam = max(r_max * max(graph.num_edges, 1), 1e-300)
         max_sweeps = int(8.0 * (math.log(max(1.0 / lam, 2.0)) + 1.0) / alpha) + 64
+    # Every cap <= 0 raises after the first iteration, and the C loop
+    # counts in int64: past it there is no cap.
+    cap = min(max(check_integer(max_sweeps, "max_sweeps"), 0), _NO_CAP)
 
     started = time.perf_counter()
     state = PushState(graph, source, alpha, dead_end_policy=dead_end_policy)
@@ -85,21 +100,35 @@ def fifo_forward_push(
         trace.restart_clock()
         trace.record(0, state.r_sum)
 
-    threshold_vec = state.threshold_vector(r_max)
+    threshold = state.threshold_vector(r_max)
+    switch = PowerPushConfig().scan_threshold(graph.num_nodes)
     sweeps = 0
-    while True:
-        pushed = sweep_active(state, r_max, threshold_vec=threshold_vec)
-        if pushed == 0:
+    while sweeps <= cap:
+        # Counted here, so that a wide frontier goes straight to the
+        # sweep: a call of the rounds that would push nothing costs a
+        # scan and two n-long scratch arrays.
+        active = np.count_nonzero(state.residue > threshold)
+        if active == 0:
             break
-        sweeps += 1
-        state.counters.iterations = sweeps
-        if sweeps > max_sweeps:
-            raise ConvergenceError(
-                f"FIFO-FwdPush exceeded {max_sweeps} sweeps "
-                f"(r_sum={state.refresh_r_sum():.3e}, r_max={r_max:.3e})"
+        if active <= switch:
+            # Rounds until no node is active or the frontier is wide; no
+            # r_sum target stops them.
+            rounds, _ = queue_rounds(
+                state, r_max, -math.inf, switch, max_rounds=cap - sweeps,
+                trace=trace,
             )
-        if trace is not None:
-            trace.maybe_record(state.counters.residue_updates, state.r_sum)
+            sweeps += rounds
+        else:
+            async_sweep(state)
+            sweeps += 1
+            if trace is not None and sweeps <= cap:
+                trace.maybe_record(state.counters.residue_updates, state.r_sum)
+    state.counters.iterations = sweeps
+    if sweeps > cap:
+        raise ConvergenceError(
+            f"FIFO-FwdPush exceeded {max_sweeps} sweeps "
+            f"(r_sum={state.refresh_r_sum():.3e}, r_max={r_max:.3e})"
+        )
 
     state.refresh_r_sum()
     if trace is not None:

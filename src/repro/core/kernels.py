@@ -14,23 +14,26 @@ Every push-family algorithm in the paper reduces to three bulk moves:
   adjacency ranges, :func:`scatter_ranges` — below); and
 * an **asynchronous sweep** — push every node holding residue, node by
   node in ascending id, each push reading the residues the pushes
-  before it left (the scan of PowerPush's Algorithm 3, and the dense
-  side of FIFO-FwdPush; cost model below).  Its active-only form,
-  :func:`refine_passes`, pushes only the nodes with ``r > threshold[v]``
-  as it reaches them, pass after pass until a pass pushes nothing:
-  all of SpeedPPR's post-refinement
+  before it left (the scan of PowerPush's Algorithm 3, and
+  FIFO-FwdPush's step once its frontier is wide; cost model below).
+  Its active-only form, :func:`refine_passes`, pushes only the nodes
+  with ``r > threshold[v]`` as it reaches them, pass after pass until
+  a pass pushes nothing: all of SpeedPPR's post-refinement
   (:func:`~repro.core.refinement.refine_to_r_max`).
 
 The switch between the local and the global moves is exactly the
 paper's "global sequential scan vs. local random access" trade-off
 (Section 5): for small frontiers the range scatter wins; once the
 frontier covers a sizeable fraction of the graph the contiguous scan
-is faster.  :func:`sweep_active` chooses automatically using the same
-kind of threshold PowerPush's queue-to-scan switch uses.  The
-refinement needs no switch: its active-only scan touches only the
-active nodes' edges and replaced rounds of :func:`sweep_active` there
-(on ``pokec-s`` x10 at ``W`` ~ 1e7: 7.0-7.9 -> 3.9 ms and 585 k ->
-469 k residue updates a query, ~30 rounds -> ~15 passes).
+is faster.  There is one switch, PowerPush's: :func:`queue_rounds`
+stops before a frontier wider than ``scan_threshold`` (``n / 4`` by
+default), where PowerPush goes on to its scan epochs and FIFO-FwdPush,
+which holds its frontier to the same threshold, to one
+:func:`async_sweep` before it resumes the rounds.  The refinement
+needs no switch: its active-only scan touches only the active nodes'
+edges and replaced rounds of the frontier push there (on ``pokec-s``
+x10 at ``W`` ~ 1e7: 7.0-7.9 -> 3.9 ms and 585 k -> 469 k residue
+updates a query, ~30 rounds -> ~15 passes).
 
 A fourth move touches no edge: the extrapolation repeats a window of
 pushes already made ``k`` more times in ``O(n)``, by the linearity of
@@ -44,8 +47,7 @@ mutate the :class:`PushState` in place and keep its incremental
 
 The asynchronous sweep and its cost model
 -----------------------------------------
-:func:`async_sweep` (over a :class:`PushState`) and :func:`settle_sweep`
-(over raw arrays) run one C loop, :func:`queue_rounds` a second,
+:func:`async_sweep` runs one C loop, :func:`queue_rounds` a second,
 :func:`scan_epochs` a third (the sweep, the ``r_sum`` recount and the
 extrapolation, in one call), :func:`refine_passes` a fourth,
 :func:`scatter_ranges` a fifth, :func:`index_read` a sixth, and
@@ -111,9 +113,12 @@ The PowerPush loop
 ------------------
 A PowerPush query is one call of :func:`queue_rounds` and one of
 :func:`scan_epochs`; ``IncrementalPPR``'s re-certification is one call
-of the second, on signed residues and ``sum(|r|)``.  Python keeps what
-is set once per query: the epoch targets, the work budget, and the
-:class:`~repro.errors.ConvergenceError` when a loop reports a cap spent.
+of the second, on signed residues and ``sum(|r|)``; a FIFO-FwdPush
+query alternates calls of the first (with no ``r_sum`` target) with
+single :func:`async_sweep` calls until no node is active.  Python
+keeps what is set once per query: the epoch targets, the work budget,
+and the :class:`~repro.errors.ConvergenceError` when a loop reports a
+cap spent.
 The queue rounds are :func:`frontier_push` over
 ``state.active_nodes(r_max)``, round after round, with the frontier
 found, staged and scattered in C (an ``O(n)`` test per round, no mask
@@ -156,10 +161,9 @@ array into a vector at every index of the range, in place, in one C
 loop: ranges in the order given, each range's entries in array order,
 so a target accumulates its shares on top of what it held one add at a
 time, ``r + c_1 + c_2 + ...``, in an order fixed by the frontier and
-the CSR.  :func:`frontier_propagate` (under :func:`frontier_push`)
-hands it the frontier's adjacency ranges, ``indptr[nodes]`` and the
-out-degrees, and the live walk phase of
-:func:`~repro.core.mc_phase.monte_carlo_refine` each node's block of
+the CSR.  :func:`frontier_push` hands it the frontier's adjacency
+ranges, ``indptr[nodes]`` and the out-degrees, and the live walk phase
+of :func:`~repro.core.mc_phase.monte_carlo_refine` each node's block of
 fresh stops, so a local push touches each frontier edge once, stages
 only one share per frontier node, and has no ``O(n)`` term — the cost
 the paper's analysis of the local side assumes (measured times:
@@ -230,8 +234,6 @@ __all__ = [
     "scatter_ranges",
     "global_sweep",
     "frontier_push",
-    "frontier_propagate",
-    "settle_sweep",
     "refine_passes",
     "index_read",
     "walk_halt",
@@ -239,7 +241,6 @@ __all__ = [
     "queue_rounds",
     "scan_epochs",
     "async_sweep",
-    "sweep_active",
 ]
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
@@ -331,9 +332,9 @@ _ENTRIES = {
     "repro_queue_rounds": _Entry(ctypes.c_int, (
         *_PUSH, _int("policy"), _id("source"), _real("dead_degree"),
         _real("r_max"), _real("l1_threshold"), _real("scan_threshold"),
-        _id("max_updates"), _id("max_steps"), _writes("frontier", _I64, "n"),
-        _writes("pushed", _F64, "n"), _out("r_sum", ctypes.c_double, 1),
-        _out("counts", ctypes.c_int64, 2),
+        _id("max_updates"), _id("max_rounds"), _id("max_steps"),
+        _writes("frontier", _I64, "n"), _writes("pushed", _F64, "n"),
+        _out("r_sum", ctypes.c_double, 1), _out("counts", ctypes.c_int64, 3),
     ), _SELF_LOOP),
     "repro_scan_epochs": _Entry(ctypes.c_int, (
         *_PUSH, _writes("r_before", _F64, "n"), _writes("settled", _F64, "n"),
@@ -499,12 +500,6 @@ def _check_vector(
         )
 
 
-# Fraction of all nodes above which `sweep_active` abandons the
-# range scatter for the asynchronous scan.  Mirrors PowerPush's
-# scan_threshold = n/4 default.
-DENSE_SWEEP_FRACTION = 0.25
-
-
 def scatter_ranges(
     out: np.ndarray,
     targets: np.ndarray,
@@ -604,59 +599,29 @@ def _transition(graph, x: np.ndarray) -> np.ndarray:
 def frontier_push(state: PushState, nodes: np.ndarray) -> None:
     """Simultaneously push exactly ``nodes`` (the range-scatter path).
 
-    Contributions are based on the residues at entry; the pushed nodes'
-    residues are zeroed first so self-loop edges re-deposit correctly.
+    Take the residues of ``nodes`` off — first, so a self-loop
+    re-deposits — and add ``(1 - alpha) * r / out_degree``, computed from
+    the residues at entry, to every out-neighbour: one
+    :func:`scatter_ranges` over the nodes' adjacency lists, so the call
+    costs ``O(len(nodes) + their edges)`` and allocates nothing sized by
+    the graph.  The reserve gets ``alpha * r``, the mass of nodes
+    without an out-edge is routed by the state's policy, and ``r_sum``
+    drops by ``alpha * sum(r)``.  Residues may be negative.
 
-    An empty ``nodes`` returns at once (the empty-frontier fast path
-    late epochs rely on); an id outside ``[0, n)`` raises
+    ``nodes`` are distinct ids of any integer dtype.  An empty ``nodes``
+    returns at once (the empty-frontier fast path late epochs rely on);
+    an id outside ``[0, n)``, or a residue that is not a writable
+    C-contiguous float64 vector of ``n`` entries, raises
     :class:`~repro.errors.ParameterError` with the state untouched.
     """
     if nodes.shape[0] == 0:
         return
-    alpha = state.alpha
-    pushed, counts, num_edges = frontier_propagate(
-        state.graph, state.residue, nodes, alpha
-    )
-    state.reserve[nodes] += alpha * pushed
-
-    dead = counts == 0
-    num_dead = int(np.count_nonzero(dead))
-    dead_mass = (1.0 - alpha) * float(pushed[dead].sum()) if num_dead else 0.0
-    state.counters.count_bulk_pushes(nodes.shape[0], num_edges + num_dead)
-    _apply_dead_end_mass(state, dead_mass)
-    state.note_r_sum_delta(-alpha * float(pushed.sum()))
-
-
-def frontier_propagate(
-    graph,
-    residue: np.ndarray,
-    nodes: np.ndarray,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One simultaneous push of ``nodes`` over a raw residue array.
-
-    The local counterpart of :func:`settle_sweep`: take the residues
-    of ``nodes`` off ``residue`` — first, so a self-loop re-deposits —
-    and add ``(1 - alpha) * r / out_degree``, computed from the residues
-    at entry, to every out-neighbour in place: one :func:`scatter_ranges`
-    over the nodes' adjacency lists, so the call costs
-    ``O(len(nodes) + their edges)`` and allocates nothing sized by the
-    graph.  Returns ``(pushed, counts, num_edges)`` — what each node
-    pushed, its out-degree, and the edges travelled; settling
-    ``alpha * pushed`` into a reserve, billing, and the mass of nodes
-    with no out-edge (``counts == 0``) are the caller's.
-
-    ``nodes`` are distinct ids in ``[0, n)`` of any integer dtype, and
-    ``residue`` is a writable C-contiguous float64 array of shape
-    ``(n,)`` that may hold negative entries; anything else raises
-    :class:`~repro.errors.ParameterError` before ``residue`` is touched.
-    When no node has an out-edge nothing is scattered.
-    """
+    graph, residue, alpha = state.graph, state.residue, state.alpha
     n = graph.num_nodes
     # The scatter adds at every out-neighbour id, so residue must span
     # all n of them.
     _check_vector(residue, np.float64, n, "residue", writes=True)
-    if nodes.shape[0] and (nodes.min() < 0 or nodes.max() >= n):
+    if nodes.min() < 0 or nodes.max() >= n:
         raise ParameterError(f"frontier nodes must be ids in [0, {n})")
     indptr = graph.out_indptr
     starts = indptr[nodes]
@@ -670,86 +635,14 @@ def frontier_propagate(
         # never read, it only must not divide by zero.
         shares /= np.maximum(counts, 1)
         scatter_ranges(residue, graph.out_indices, starts, counts, shares)
-    return pushed, counts, num_edges
+    state.reserve[nodes] += alpha * pushed
 
-
-def sweep_active(
-    state: PushState,
-    r_max: float,
-    *,
-    threshold_vec: np.ndarray | None = None,
-) -> int:
-    """Push all currently-active nodes once; return how many were pushed.
-
-    Chooses between the local range-scatter path and the global path
-    depending on the frontier size (more than ``DENSE_SWEEP_FRACTION``
-    of the nodes active means global), anew on every call — the loop of
-    FIFO-FwdPush, which pushes until no node is active.
-    (:func:`~repro.core.refinement.refine_to_r_max` runs the
-    active-only scan, :func:`refine_passes`, instead.)
-    The global path is one :func:`async_sweep`, which pushes *every*
-    residue-holding node (not only the active ones), as PowerPush's
-    scan does.
-    Pushing an inactive node is always legal (it only converts more
-    residue), so the l1-error guarantee is unaffected.
-
-    Parameters
-    ----------
-    threshold_vec:
-        Optional precomputed ``out_degree * r_max`` array.  Callers
-        that sweep repeatedly at a fixed ``r_max`` (epoch loops) pass
-        it to avoid recomputing the products every sweep.
-    """
-    graph = state.graph
-    if threshold_vec is None:
-        active = state.active_mask(r_max)
-    else:
-        active = state.residue > threshold_vec
-    frontier = np.flatnonzero(active)
-    num_active = frontier.shape[0]
-    if num_active == 0:
-        return 0
-
-    if num_active <= DENSE_SWEEP_FRACTION * graph.num_nodes:
-        frontier_push(state, frontier)
-    else:
-        async_sweep(state)
-    return num_active
-
-
-def settle_sweep(
-    graph,
-    residue: np.ndarray,
-    reserve: np.ndarray,
-    settled: np.ndarray,
-    alpha: float,
-) -> tuple[int, int, float]:
-    """One asynchronous sweep over raw arrays, the settle step fused in.
-
-    For each node ``v`` in ascending id whose residue ``r`` is not zero
-    (either sign: :mod:`repro.core.incremental` pushes negative mass),
-    zero ``residue[v]`` first, so a self-loop re-deposits; settle
-    ``settled[v] = alpha * r`` into ``reserve[v]``; and add
-    ``(1 - alpha) * r / out_degree`` to every out-neighbour in the live
-    ``residue`` — so a node pushes mass that reached it earlier in this
-    very sweep.  ``settled[v]`` is 0 for a node not pushed.
-
-    Returns ``(pushes, residue_updates, dead_mass)``: the nodes pushed,
-    the sum of their out-degrees, and ``(1 - alpha) * r`` summed over the
-    pushed nodes without an out-edge, which has no edge to travel on and
-    is the caller's to route.
-
-    ``residue``, ``reserve`` and ``settled`` are writable C-contiguous
-    float64 arrays of shape ``(n,)``; anything else raises
-    :class:`~repro.errors.ParameterError` before the C loop runs.
-    """
-    n = graph.num_nodes
-    counts = (ctypes.c_int64 * 2)()
-    dead_mass = _call(
-        "repro_async_sweep", n, graph.out_indptr, graph.out_indices, alpha,
-        residue, reserve, settled, counts,
-    )
-    return counts[0], counts[1], dead_mass
+    dead = counts == 0
+    num_dead = int(np.count_nonzero(dead))
+    dead_mass = (1.0 - alpha) * float(pushed[dead].sum()) if num_dead else 0.0
+    state.counters.count_bulk_pushes(nodes.shape[0], num_edges + num_dead)
+    _apply_dead_end_mass(state, dead_mass)
+    state.note_r_sum_delta(-alpha * float(pushed.sum()))
 
 
 # The C loops' dead-end policy codes, in the order of their enum.
@@ -783,7 +676,7 @@ def refine_passes(
     exceeds ``threshold[v]`` when the pass reaches it (Algorithm 3's
     active-only scan; ``threshold = d_v * r_max`` in
     :func:`~repro.core.refinement.refine_to_r_max`), as
-    :func:`settle_sweep` pushes.  After a pass that pushed, the mass its
+    :func:`async_sweep` pushes.  After a pass that pushed, the mass its
     dead ends emitted is routed by ``dead_end_policy`` as
     :func:`_apply_dead_end_mass` routes it, ``source`` being where
     ``"redirect-to-source"`` sends it.  The loop stops at the first pass
@@ -932,27 +825,29 @@ def queue_rounds(
     r_max: float,
     l1_threshold: float,
     scan_threshold: float,
-    max_updates: int,
+    max_updates: int = _NO_CAP,
     *,
+    max_rounds: int = _NO_CAP,
     trace: ConvergenceTrace | None = None,
-) -> bool:
-    """PowerPush's queue phase over ``state``: one C call.
+) -> tuple[int, bool]:
+    """Rounds of the whole active set over ``state``: one C call.
 
-    While ``state.r_sum > l1_threshold``, one round pushes the frontier
-    simultaneously, as :func:`frontier_push` pushes
+    PowerPush's queue phase, and FIFO-FwdPush's rounds between its
+    sweeps.  While ``state.r_sum > l1_threshold``, one round pushes the
+    frontier simultaneously, as :func:`frontier_push` pushes
     ``state.active_nodes(r_max)``: the residues at the round's start,
     staged and zeroed first, then scattered in frontier order; the
     reserve gets ``alpha * pushed``; the dead ends' mass,
     ``(1 - alpha) * sum(pushed of dead ends)``, is routed by the state's
     policy; and ``r_sum`` drops by ``alpha * sum(pushed)``.  The rounds
     stop at an empty frontier or at one above ``scan_threshold``, before
-    pushing it.  ``state``'s counters are billed with the pushes, the
-    residue updates (a dead end counts one) and the queue appends (one
-    per pushed node).
+    pushing it.  ``state``'s counters are billed with the pushes and the
+    residue updates (a dead end counts one).
 
-    Returns False when a round took ``state.counters.residue_updates``
-    above ``max_updates``; the rounds stop there.  With ``trace``, the
-    loop returns to Python after every round to record
+    Returns ``(rounds, within_caps)``: the rounds run, and False when a
+    round took ``state.counters.residue_updates`` above ``max_updates``
+    or the rounds above ``max_rounds`` (the rounds stop there).  With
+    ``trace``, the loop returns to Python after every round to record
     ``(residue_updates, r_sum)``, and computes the same bits.
     """
     graph, counters = state.graph, state.counters
@@ -961,22 +856,24 @@ def queue_rounds(
     frontier = np.empty(n, dtype=np.int64)
     pushed = np.empty(n)
     r_sum = (ctypes.c_double * 1)(state.r_sum)
+    rounds = 0
     status = _STEPPED
     while status == _STEPPED:
-        counts = (ctypes.c_int64 * 2)()
+        counts = (ctypes.c_int64 * 3)()
         status = _call(
             "repro_queue_rounds", n, graph.out_indptr, graph.out_indices,
             state.alpha, state.residue, state.reserve, policy, state.source,
             dead_end_degree(graph, state.dead_end_policy), r_max, l1_threshold,
             scan_threshold, max_updates - counters.residue_updates,
-            0 if trace is None else 1, frontier, pushed, r_sum, counts,
+            max_rounds - rounds, 0 if trace is None else 1, frontier, pushed,
+            r_sum, counts,
         )
         counters.count_bulk_pushes(counts[0], counts[1])
-        counters.queue_appends += counts[0]
+        rounds += counts[2]
         state.r_sum = r_sum[0]
         if status == _STEPPED:
             trace.maybe_record(counters.residue_updates, r_sum[0])
-    return status == _DONE
+    return rounds, status == _DONE
 
 
 def scan_epochs(
@@ -997,7 +894,7 @@ def scan_epochs(
 ) -> tuple[int, float, bool]:
     """PowerPush's scan phase over raw arrays: one C call.
 
-    Epoch ``i`` sweeps (:func:`settle_sweep`, then the dead-end mass
+    Epoch ``i`` sweeps (:func:`async_sweep`'s loop, then the dead-end mass
     routed by ``dead_end_policy`` as :func:`_apply_dead_end_mass` routes
     it) while the residue's sum — of ``|residue|`` when ``signed`` —
     exceeds ``targets[i]``; the sum is recounted after every sweep, in
@@ -1045,23 +942,36 @@ def scan_epochs(
 def async_sweep(state: PushState) -> np.ndarray:
     """Push every residue-holding node once, with the freshest residues.
 
-    The sweep of PowerPush's scan (Algorithm 3), here alone: the dense
-    side of :func:`sweep_active`.  Unlike :func:`global_sweep` it is
-    *asynchronous* — see :func:`settle_sweep` — so one sweep does the
-    work of nearly two synchronous ones.  Billed like
+    The sweep of PowerPush's scan (Algorithm 3), here alone: FIFO-FwdPush
+    runs it once its frontier is wide.  For each node ``v`` in ascending
+    id whose residue ``r`` is not zero (either sign), zero
+    ``residue[v]`` first, so a self-loop re-deposits; settle ``alpha *
+    r`` into ``reserve[v]``; and add ``(1 - alpha) * r / out_degree`` to
+    every out-neighbour in the live residue — so a node pushes mass that
+    reached it earlier in this very sweep, and one sweep does the work
+    of nearly two synchronous ones (:func:`global_sweep`).  The dead
+    ends' ``(1 - alpha) * r`` is routed by the state's policy and
+    ``r_sum`` recounted.  Billed like
     ``global_sweep(count_all_edges=False)``: one push per node that held
     residue when the sweep reached it, one residue update per out-edge
     of those nodes.
 
     Returns what the sweep settled into the reserve (``alpha`` times
-    what each node pushed), a fresh ``(n,)`` array: the ``settled`` half
-    of a window :func:`scan_epochs` can extrapolate.
+    what each node pushed, 0 for a node not pushed), a fresh ``(n,)``
+    array: the ``settled`` half of a window :func:`scan_epochs` can
+    extrapolate.  A residue or reserve that is not a writable
+    C-contiguous float64 vector of ``n`` entries raises
+    :class:`~repro.errors.ParameterError` before the C loop runs.
     """
-    settled = np.empty(state.graph.num_nodes)
-    pushes, updates, dead_mass = settle_sweep(
-        state.graph, state.residue, state.reserve, settled, state.alpha
+    graph = state.graph
+    settled = np.empty(graph.num_nodes)
+    counts = (ctypes.c_int64 * 2)()
+    dead_mass = _call(
+        "repro_async_sweep", graph.num_nodes, graph.out_indptr,
+        graph.out_indices, state.alpha, state.residue, state.reserve, settled,
+        counts,
     )
-    state.counters.count_bulk_pushes(pushes, updates)
+    state.counters.count_bulk_pushes(counts[0], counts[1])
     _apply_dead_end_mass(state, dead_mass)
     state.refresh_r_sum()
     return settled

@@ -207,12 +207,16 @@ def _run(
     budget = _push_budget(state.alpha, l1_threshold, m, max_work_factor)
 
     # Queue phase: rounds of the whole active set, the S(j) iteration
-    # structure of Section 4.2, while the frontier is small.  A loop
-    # stopped by the budget has billed past it, so _check_budget raises.
-    if not queue_rounds(
+    # structure of Section 4.2, while the frontier is small; every node
+    # a round pushes was appended to the queue.  A loop stopped by the
+    # budget has billed past it, so _check_budget raises.
+    pushes = state.counters.pushes
+    _, within_budget = queue_rounds(
         state, l1_threshold / m, l1_threshold, config.scan_threshold(n),
         budget, trace=trace,
-    ):
+    )
+    state.counters.queue_appends += state.counters.pushes - pushes
+    if not within_budget:
         _check_budget(state, budget)
 
     # Scan phase: whole sweeps, extrapolated at every epoch end.

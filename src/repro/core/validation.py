@@ -21,6 +21,7 @@ __all__ = [
     "check_epsilon",
     "check_mu",
     "check_failure_probability",
+    "check_integer",
     "check_positive_integer",
     "check_real",
     "default_l1_threshold",
@@ -52,6 +53,15 @@ def check_node_id(node: int, num_nodes: int) -> int:
     if not 0 <= node < num_nodes:
         raise NodeNotFoundError(f"source {node} outside [0, {num_nodes})")
     return node
+
+
+def check_integer(value: int, name: str) -> int:
+    """``value`` as an ``int`` of any sign: numpy integers pass; a float
+    (NaN included), a ``bool`` or anything else is refused, never
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_positive_integer(value: int, name: str) -> int:

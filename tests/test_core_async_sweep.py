@@ -1,8 +1,9 @@
 """The asynchronous sweep, the refinement's scan and the epoch-end
 extrapolation, in C.
 
-``settle_sweep`` / ``async_sweep``, ``refine_passes`` and the epoch-end
-extrapolation of ``scan_epochs`` are loops in ``repro/core/_kernels.c``.
+``async_sweep`` (and its C loop on raw arrays, ``settle`` below),
+``refine_passes`` and the epoch-end extrapolation of ``scan_epochs`` are
+loops in ``repro/core/_kernels.c``.
 The references below say what they compute, and the C must give their
 bits: a pure-Python loop over the node ids for the sweep, the same loop
 with the active-only threshold, pass after pass with dead-end routing in
@@ -16,6 +17,8 @@ cannot take safely is refused before a pointer is passed.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,12 +26,12 @@ from hypothesis import strategies as st
 
 from repro.core.kernels import (
     _LIB,
+    _call,
     async_sweep,
     frontier_push,
+    queue_rounds,
     refine_passes,
     scan_epochs,
-    settle_sweep,
-    sweep_active,
 )
 from repro.core.residues import PushState
 from repro.errors import ParameterError
@@ -84,8 +87,20 @@ def random_graph(n, edge_seed, density):
 # ---------------------------------------------------------------------------
 # The references the C loops are checked against
 # ---------------------------------------------------------------------------
+def settle(graph, residue, reserve, settled, alpha):
+    """``async_sweep``'s C loop over raw arrays, which may hold either
+    sign: ``(pushes, residue_updates, dead_mass)``, the dead-end mass
+    left unrouted."""
+    counts = (ctypes.c_int64 * 2)()
+    dead_mass = _call(
+        "repro_async_sweep", graph.num_nodes, graph.out_indptr,
+        graph.out_indices, alpha, residue, reserve, settled, counts,
+    )
+    return counts[0], counts[1], dead_mass
+
+
 def reference_sweep(graph, residue, reserve, settled, alpha, threshold=None):
-    """Algorithm 3's scan as a plain loop: what ``settle_sweep`` computes.
+    """Algorithm 3's scan as a plain loop: what ``settle`` computes.
 
     Without ``threshold`` every node holding residue is pushed; with it,
     only a node whose residue exceeds ``threshold[v]`` when the loop
@@ -182,7 +197,7 @@ def assert_sweep_matches_reference(graph, residue, reserve):
     n = graph.num_nodes
     c_arrays = (residue.copy(), reserve.copy(), np.full(n, np.nan))
     py_arrays = (residue.copy(), reserve.copy(), np.full(n, np.nan))
-    got = settle_sweep(graph, *c_arrays, ALPHA)
+    got = settle(graph, *c_arrays, ALPHA)
     expected = reference_sweep(graph, *py_arrays, ALPHA)
     assert got == expected
     for c, py in zip(c_arrays, py_arrays):
@@ -331,16 +346,18 @@ class TestOneSweep:
         assert ring.residue.tolist() == [1.0 - ALPHA, 0.0, 0.0]
         assert ring.counters.pushes == 1
 
-    def test_sweep_active_takes_the_async_path_when_dense(self, medium_graph):
-        a = PushState(medium_graph, 0, ALPHA)
-        b = PushState(medium_graph, 0, ALPHA)
-        for state in (a, b):
-            state.residue[:] = 1.0 / medium_graph.num_nodes
-        assert sweep_active(a, 1e-9) == medium_graph.num_nodes
-        async_sweep(b)
-        assert np.array_equal(a.residue, b.residue)
-        assert np.array_equal(a.reserve, b.reserve)
-        assert a.counters.as_dict() == b.counters.as_dict()
+    def test_a_wide_frontier_is_left_to_the_sweep(self, medium_graph):
+        """FIFO-FwdPush's switch: the rounds stop before a frontier above
+        ``n / 4``, touching nothing, and the sweep pushes every node."""
+        n = medium_graph.num_nodes
+        state = PushState(medium_graph, 0, ALPHA)
+        state.residue[:] = 1.0 / n
+        before = state.residue.copy()
+        assert queue_rounds(state, 1e-9, -np.inf, 0.25 * n) == (0, True)
+        assert state.residue.tobytes() == before.tobytes()
+        assert state.counters.pushes == 0
+        async_sweep(state)
+        assert state.counters.pushes == n
 
 
 class TestSignedAndThresholded:
@@ -413,7 +430,7 @@ class TestSignedAndThresholded:
                 arrays = [np.full(n, 0.5) for _ in range(3)]
                 arrays[slot] = array
                 with pytest.raises(ParameterError, match="float64"):
-                    settle_sweep(medium_graph, *arrays, ALPHA)
+                    settle(medium_graph, *arrays, ALPHA)
                 assert all(
                     (a == 0.5).all() for i, a in enumerate(arrays) if i != slot
                 ), label
@@ -522,7 +539,7 @@ class TestActiveOnlySweep:
         residue = np.random.default_rng(3).random(n)
         residue[::3] = 0.0
         full = assert_sweep_matches_reference(medium_graph, residue, np.zeros(n))
-        dead_mass = settle_sweep(
+        dead_mass = settle(
             medium_graph, residue.copy(), np.zeros(n), np.empty(n), ALPHA
         )[2]
         full[0][5] += dead_mass

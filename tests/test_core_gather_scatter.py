@@ -8,8 +8,9 @@ arrays, starts and counts of either integer dtype), and refuses a range
 outside its targets before adding anything; ``frontier_push`` built on
 it is a *simultaneous* push — equal to scalar pushes made on the
 residues at entry — under every dead-end policy and across self-loops,
-allocates nothing sized by the graph, and refuses node ids outside
-``[0, n)`` with the state untouched.
+allocates nothing sized by the graph, takes residues of either sign,
+and refuses node ids outside ``[0, n)`` and a residue of another length
+with the state untouched.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from test_core_async_sweep import CORNER_GRAPHS, POLICIES, prepared
 
 from repro.core import kernels
-from repro.core.kernels import frontier_propagate, frontier_push, scatter_ranges
+from repro.core.kernels import frontier_push, scatter_ranges
 from repro.core.residues import PushState
 from repro.errors import ParameterError
 from repro.generators.rmat import rmat_digraph
@@ -283,16 +284,18 @@ class TestFrontierPush:
         assert 0 < peak_entries <= edges + nodes.shape[0] + 1 < graph.num_nodes
         assert state.counters.residue_updates == edges
 
-    def test_propagate_takes_signed_residues(self):
+    def test_takes_signed_residues(self):
         graph = CORNER_GRAPHS["parallel-edges"]
-        residue = np.array([-0.5, 0.25, 0.125])
-        pushed, counts, num_edges = frontier_propagate(
-            graph, residue, np.array([0, 2]), ALPHA
-        )
-        assert pushed.tolist() == [-0.5, 0.125]
-        assert counts.tolist() == [2, 1] and num_edges == 3
+        state = PushState(graph, 0, ALPHA)
+        state.residue[:] = [-0.5, 0.25, 0.125]
+        frontier_push(state, np.array([0, 2]))
+        assert state.reserve.tolist() == [ALPHA * -0.5, 0.0, ALPHA * 0.125]
+        assert state.counters.pushes == 2
+        assert state.counters.residue_updates == 3
         # 0 -> 1 twice (parallel), 2 -> 0.
-        assert residue.tolist() == [0.8 * 0.125, 0.25 + 2 * (0.8 * -0.5 / 2), 0.0]
+        assert state.residue.tolist() == [
+            0.8 * 0.125, 0.25 + 2 * (0.8 * -0.5 / 2), 0.0
+        ]
 
 
 def _graph(seed: int = 7, scale: int = 7, edges: int = 700):
@@ -350,26 +353,19 @@ class TestFrontierIdsOutOfRange:
         residue, reserve, r_sum = (
             state.residue.copy(), state.reserve.copy(), state.r_sum
         )
-        nodes = np.array([1, n if bad == "n" else bad], dtype=dtype)
-        with pytest.raises(ParameterError, match=r"ids in \[0, "):
-            frontier_push(state, nodes)
-        assert state.residue.tobytes() == residue.tobytes()
-        assert state.reserve.tobytes() == reserve.tobytes()
-        assert state.r_sum == r_sum and state.counters.pushes == 0
+        bad = n if bad == "n" else bad
+        for nodes in ([1, bad], [bad]):
+            with pytest.raises(ParameterError, match=r"ids in \[0, "):
+                frontier_push(state, np.array(nodes, dtype=dtype))
+            assert state.residue.tobytes() == residue.tobytes()
+            assert state.reserve.tobytes() == reserve.tobytes()
+            assert state.r_sum == r_sum and state.counters.pushes == 0
 
-    @pytest.mark.parametrize("bad", [-1, "n"])
-    def test_frontier_propagate_leaves_the_residue_unchanged(self, bad):
-        graph = _graph()
-        n = graph.num_nodes
-        residue = np.linspace(0.0, 1.0, n)
-        before = residue.copy()
-        nodes = np.array([n if bad == "n" else bad])
-        with pytest.raises(ParameterError, match=r"ids in \[0, "):
-            frontier_propagate(graph, residue, nodes, ALPHA)
-        assert residue.tobytes() == before.tobytes()
-
-    def test_frontier_propagate_refuses_a_residue_of_another_length(self):
-        graph = _graph()
-        residue = np.zeros(graph.num_nodes - 1)
+    def test_frontier_push_refuses_a_residue_of_another_length(self):
+        """The scatter adds at every out-neighbour id: a residue shorter
+        than ``n`` would be written past its end."""
+        state = PushState(_graph(), 0)
+        state.residue = np.zeros(state.graph.num_nodes - 1)
         with pytest.raises(ParameterError, match="residue"):
-            frontier_propagate(graph, residue, np.array([0]), ALPHA)
+            frontier_push(state, np.array([0]))
+        assert not state.reserve.any() and state.counters.pushes == 0

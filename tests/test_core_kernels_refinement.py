@@ -8,7 +8,7 @@ with the dead-end routing in between (``reference_refine``).
 import numpy as np
 import pytest
 
-from repro.core.kernels import frontier_push, global_sweep, sweep_active
+from repro.core.kernels import frontier_push, global_sweep, queue_rounds
 from repro.core.powerpush import power_push
 from repro.core.refinement import refine_to_r_max
 from repro.core.residues import PushState
@@ -140,26 +140,23 @@ class TestFrontierPush:
         assert state.residue[0] > 0
 
 
-class TestSweepActive:
+class TestQueueRounds:
+    """FIFO-FwdPush's rounds: no ``r_sum`` target, only the frontier."""
+
     def test_zero_when_nothing_active(self, paper_graph):
         state = PushState(paper_graph, 0)
         state.residue[:] = 0.0
         state.refresh_r_sum()
-        assert sweep_active(state, 0.01) == 0
+        assert queue_rounds(state, 0.01, -np.inf, 1.25) == (0, True)
+        assert state.counters.pushes == 0
 
     def test_pushes_active_count(self, paper_graph):
         state = PushState(paper_graph, 0)
-        assert sweep_active(state, 0.01) == 1  # only the source
-
-    def test_threshold_vector_path_matches(self, medium_graph):
-        r_max = 1e-4
-        a = PushState(medium_graph, 0)
-        b = PushState(medium_graph, 0)
-        threshold = medium_graph.out_degree.astype(float) * r_max
-        for _ in range(5):
-            sweep_active(a, r_max)
-            sweep_active(b, r_max, threshold_vec=threshold)
-        np.testing.assert_allclose(a.residue, b.residue, atol=1e-12)
+        # One round over the cap of none: it runs, then the loop stops.
+        assert queue_rounds(state, 0.01, -np.inf, 1.25, max_rounds=0) == (
+            1, False
+        )
+        assert state.counters.pushes == 1  # only the source
 
 
 class TestRefinement:

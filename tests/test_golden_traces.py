@@ -98,10 +98,11 @@ def compute_vector(graph, method: str, source: int) -> np.ndarray:
 
 
 #: The solvers whose vectors moved when the sweep went asynchronous.
-#: ``fifo-fwdpush`` and ``fora`` call ``sweep_active`` and move with that
-#: kernel; ``powerpush`` and ``speedppr`` run PowerPush's scan phase
-#: (``async_sweep`` plus the epoch-end extrapolation) and move with
-#: either.  The ``speedppr`` golden is the live path (no walk index):
+#: ``fifo-fwdpush`` and ``fora`` (through it) run PowerPush's queue
+#: rounds with one ``async_sweep`` at every queue-to-scan switch and move
+#: with that kernel; ``powerpush`` and ``speedppr`` run PowerPush's scan
+#: phase (``async_sweep``'s loop plus the epoch-end extrapolation) and
+#: move with either.  The ``speedppr`` golden is the live path (no walk index):
 #: SpeedPPR-Index skips PowerPush and is pinned in
 #: ``tests/test_speedppr.py::TestIndexVariant`` instead.
 SWEEP_SOLVERS = frozenset({"powerpush", "fifo-fwdpush", "speedppr", "fora"})
