@@ -10,7 +10,9 @@
  * nothing: per step the caller draws, in this order, one uniform per live
  * walk (halt), one jump per walk on a dead end under the uniform teleport,
  * and one uniform per walk that can move (move), so the stops follow the
- * seed and the generator's stream alone.
+ * seed and the generator's stream alone.  One loop is not a push: the
+ * Chung-Lu sampler's endpoint draw, np.searchsorted over a CDF started
+ * from a guide table, which also forms the edge keys of a batch of pairs.
  *
  * Built and loaded by repro/core/kernels.py on first import, with
  * -ffp-contract=off: every multiply and add below rounds on its own, so
@@ -21,10 +23,11 @@
  * writability is stated once, in kernels.py's table _ENTRIES, and each
  * call is checked against it before a loop runs; that every target index
  * is inside the vector it adds into (for the walk steps: that every walk
- * id indexes stops and every position is a node id) is the callers'
- * precondition.  The loops check ranges only: repro_scatter_ranges (it
- * returns 1) and repro_index_read (it returns -2), that each range they
- * read lies inside targets or stops.
+ * id indexes stops and every position is a node id; for the draw, that
+ * every guide entry is in [0, n]) is the callers' precondition.  The
+ * loops check ranges only: repro_scatter_ranges (it returns 1) and
+ * repro_index_read (it returns -2), that each range they read lies
+ * inside targets or stops.
  */
 #include <math.h>
 #include <stdint.h>
@@ -655,4 +658,57 @@ void repro_walk_move(
             positions[j] = jumps ? jumps[t++] : source;
         }
     }
+}
+
+/*
+ * The Chung-Lu sampler's endpoint draw: out[i] = the first j with
+ * cdf[j] >= uniforms[i] (n when there is none), which is
+ * np.searchsorted(cdf, uniforms[i]) on a non-decreasing cdf.  guide[b]
+ * is that index for b / n; a uniform u starts at guide[floor(u * n)]
+ * and steps back while cdf[j - 1] >= u (a product or a quotient that
+ * rounded across a bucket edge) and forward while cdf[j] < u, so the
+ * guide only sets where the search starts, and a search takes O(1)
+ * steps on average over uniforms drawn from the cdf itself.  A u below
+ * 0 starts in the first bucket, and a product that rounded up to n in
+ * the last.
+ *
+ * With sources given (drawn first, through the other cdf), out[k] =
+ * sources[i] * n + j_i instead, for the pairs (sources[i], j_i) that are
+ * not self-loops, compacted in order: the edge keys.  out may be sources
+ * itself, since k <= i.  Returns how many entries of out were written.
+ */
+int64_t repro_inverse_cdf(
+    int64_t n,
+    const double *cdf,
+    const int64_t *guide,
+    int64_t size,
+    const double *uniforms,
+    const int64_t *sources,
+    int64_t *out)
+{
+    const double last = n ? cdf[n - 1] : 0.0;
+    int64_t kept = 0;
+    for (int64_t i = 0; i < size; ++i) {
+        const double u = uniforms[i];
+        int64_t j = n;
+        if (n && u <= last) {
+            const double x = u * (double)n;
+            j = guide[x < 1.0 ? 0 : x < (double)n ? (int64_t)x : n - 1];
+            while (j > 0 && cdf[j - 1] >= u) {
+                --j;
+            }
+            while (cdf[j] < u) {
+                ++j;
+            }
+        }
+        if (!sources) {
+            out[i] = j;
+            continue;
+        }
+        const int64_t source = sources[i];
+        if (source != j) {
+            out[kept++] = source * n + j;
+        }
+    }
+    return sources ? kept : size;
 }

@@ -50,9 +50,10 @@ The asynchronous sweep and its cost model
 :func:`async_sweep` runs one C loop, :func:`queue_rounds` a second,
 :func:`scan_epochs` a third (the sweep, the ``r_sum`` recount and the
 extrapolation, in one call), :func:`refine_passes` a fourth,
-:func:`scatter_ranges` a fifth, :func:`index_read` a sixth, and
+:func:`scatter_ranges` a fifth, :func:`index_read` a sixth,
 :func:`walk_halt` and :func:`walk_move` the random-walk engine's two
-steps (below): ``_kernels.c``, compiled with the
+steps (below), and :func:`inverse_cdf` the Chung–Lu sampler's endpoint
+draw: ``_kernels.c``, compiled with the
 ``cc`` on ``PATH`` on the first import of this module into
 ``__pycache__/_kernels-<key>.so`` — the key hashes the source, the
 flags and the machine, so a warm import starts no process — and
@@ -241,6 +242,8 @@ __all__ = [
     "queue_rounds",
     "scan_epochs",
     "async_sweep",
+    "inverse_cdf_guide",
+    "inverse_cdf",
 ]
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
@@ -354,6 +357,11 @@ _ENTRIES = {
         _id("live"), _writes("positions", _I64, ">= live"), _reads("indptr", _I64),
         _reads("indices", _I32), _reads("uniforms", _F64),
         _reads("jumps", _I64, nullable=True), _id("source"),
+    )),
+    "repro_inverse_cdf": _Entry(ctypes.c_int64, (
+        _id("n"), _reads("cdf", _F64, "n"), _reads("guide", _I64, "n"),
+        _id("size"), _reads("uniforms", _F64, "size"),
+        _reads("sources", _I64, "size", nullable=True), _writes("out", _I64, "size"),
     )),
 }
 
@@ -975,6 +983,47 @@ def async_sweep(state: PushState) -> np.ndarray:
     _apply_dead_end_mass(state, dead_mass)
     state.refresh_r_sum()
     return settled
+
+
+def inverse_cdf_guide(cdf: np.ndarray) -> np.ndarray:
+    """The guide table :func:`inverse_cdf` starts its searches from:
+    ``guide[b] = np.searchsorted(cdf, b / n)`` for the ``n`` buckets of
+    ``[0, 1)``, an ``int64`` vector of ``n`` entries."""
+    n = np.shape(cdf)[0]
+    return np.searchsorted(cdf, np.arange(n) / n).astype(np.int64, copy=False)
+
+
+def inverse_cdf(
+    cdf: np.ndarray,
+    guide: np.ndarray,
+    uniforms: np.ndarray,
+    *,
+    sources: np.ndarray | None = None,
+) -> np.ndarray:
+    """``np.searchsorted(cdf, uniforms)`` on a non-decreasing ``cdf``, in
+    one C loop over the uniforms in draw order.
+
+    Each uniform ``u`` starts at ``guide[floor(u * n)]``
+    (:func:`inverse_cdf_guide`) and steps to the first index whose value
+    is ``>= u``; ``u`` above ``cdf[-1]`` gives ``n``, as the search does.
+    Drawn from the CDF itself, a uniform takes O(1) steps on average,
+    and ties (a zero weight repeats a value) resolve as the search's.
+
+    With ``sources`` (the indices of the draw before, through another
+    CDF), returns instead the edge keys ``sources[i] * n + index_i`` of
+    the pairs that are not self-loops, in draw order, written over
+    ``sources``.  Every array is a C-contiguous vector of its dtype —
+    ``cdf`` float64, ``guide`` ``int64`` of ``n`` entries with values in
+    ``[0, n]``, ``uniforms`` float64, ``sources`` a writable ``int64``
+    one per uniform — or :class:`~repro.errors.ParameterError` is raised
+    before the loop runs.
+    """
+    size = np.size(uniforms)
+    out = np.empty(size, dtype=np.int64) if sources is None else sources
+    kept = _call(
+        "repro_inverse_cdf", np.size(cdf), cdf, guide, size, uniforms, sources, out,
+    )
+    return out[:kept]
 
 
 def _apply_dead_end_mass(state: PushState, dead_mass: float) -> None:

@@ -13,7 +13,10 @@ An edge is the ``int64`` key ``u * n + v``, and the one edge store is
 the sorted array of the keys accepted so far.  A round draws 1.25 times
 the edges still needed, keeps, in sample order, the first occurrence of
 each key that is neither a self-loop nor accepted already, truncates at
-the number needed and merges the keys into the array.  Every node below
+the number needed and merges the keys into the array; the endpoints
+and their keys come from one C loop per side,
+:func:`~repro.core.kernels.inverse_cdf`, which searches each CDF from a
+guide table built once per graph.  Every node below
 ``ensure_min_out_degree`` out-edges (its row's width in the array) then
 gets weight-proportional targets; a floor above ``n - 1`` cannot be met
 without self-loops and is refused.  The array is assembled into the CSR
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import inverse_cdf, inverse_cdf_guide
 from repro.errors import ParameterError
 from repro.graph.build import first_occurrences, from_sorted_keys
 from repro.graph.digraph import DiGraph
@@ -83,12 +87,17 @@ def chung_lu_digraph(
     out_cdf = np.cumsum(out_weights) / out_weights.sum()
     in_cdf = np.cumsum(in_weights) / in_weights.sum()
 
+    out_guide = inverse_cdf_guide(out_cdf)
+    in_guide = inverse_cdf_guide(in_cdf)
     seen = np.empty(0, dtype=np.int64)
     needed = num_edges
     for _ in range(max_resample_rounds):
         if needed <= 0:
             break
-        new = _new_keys(out_cdf, in_cdf, max(needed + needed // 4, 16), seen, needed, rng)
+        new = _new_keys(
+            out_cdf, out_guide, in_cdf, in_guide, max(needed + needed // 4, 16),
+            seen, needed, rng,
+        )
         # Merge, not re-sort: np.union1d would sort all of ``seen`` again.
         seen = np.insert(seen, np.searchsorted(seen, new), new)
         needed -= new.shape[0]
@@ -134,31 +143,11 @@ def power_law_digraph(
     )
 
 
-def _inverse_cdf(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, uniforms)``, searched in ascending order.
-
-    Ascending queries walk ``cdf`` front to back, so the binary searches
-    stay in cache; the order only has to be close to sorted, because
-    each index is exact whatever order it is searched in.  It comes from
-    one ``int64`` sort of the uniforms' leading bits with the draw
-    position in the low bits (sized to fit), which is cheaper than an
-    argsort; the indices are scattered back through it.
-    """
-    size = uniforms.shape[0]
-    position_bits = size.bit_length()
-    order = (uniforms * float(1 << (62 - position_bits))).astype(np.int64)
-    order <<= position_bits
-    order |= np.arange(size, dtype=np.int64)
-    order.sort()
-    order &= (1 << position_bits) - 1
-    indices = np.empty(size, dtype=np.int64)
-    indices[order] = np.searchsorted(cdf, uniforms[order])
-    return indices
-
-
 def _new_keys(
     out_cdf: np.ndarray,
+    out_guide: np.ndarray,
     in_cdf: np.ndarray,
+    in_guide: np.ndarray,
     batch: int,
     seen: np.ndarray,
     needed: int,
@@ -168,14 +157,8 @@ def _new_keys(
     return, sorted, the keys of the first ``needed`` of them in sample
     order that are not self-loops, not in the sorted key array ``seen``
     and not repeats of an earlier pair."""
-    num_nodes = out_cdf.shape[0]
-    keys = _inverse_cdf(out_cdf, rng.random(batch))
-    targets = _inverse_cdf(in_cdf, rng.random(batch))
-    loops = keys == targets
-    keys *= num_nodes
-    keys += targets
-    del targets
-    keys = keys[~loops]
+    sources = inverse_cdf(out_cdf, out_guide, rng.random(batch))
+    keys = inverse_cdf(in_cdf, in_guide, rng.random(batch), sources=sources)
     keys = keys[first_occurrences(keys)]
     keys = keys[~_contains(seen, keys)][:needed]
     keys.sort()

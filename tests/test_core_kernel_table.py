@@ -48,7 +48,7 @@ def definitions() -> dict[str, tuple[str, list[str]]]:
 
 def test_every_exported_entry_has_exactly_one_row():
     assert sorted(definitions()) == sorted(kernels._ENTRIES)
-    assert len(kernels._ENTRIES) == 10
+    assert len(kernels._ENTRIES) == 11
 
 
 @pytest.mark.parametrize("name", sorted(kernels._ENTRIES))

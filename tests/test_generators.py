@@ -15,6 +15,8 @@ from test_graph_build import (
 )
 
 from repro.cli import main
+from repro.core import kernels
+from repro.core.kernels import inverse_cdf, inverse_cdf_guide
 from repro.errors import ParameterError
 from repro.generators import chung_lu as chung_lu_module
 from repro.generators import datasets as datasets_module
@@ -340,6 +342,25 @@ class TestChungLuMatchesReference:
         assert got.undirected_origin == want.undirected_origin
 
 
+def guided_search(cdf, uniforms):
+    return inverse_cdf(cdf, inverse_cdf_guide(cdf), np.asarray(uniforms, dtype=float))
+
+
+def assert_is_searchsorted(cdf, uniforms):
+    uniforms = np.asarray(uniforms, dtype=float)
+    np.testing.assert_array_equal(
+        guided_search(cdf, uniforms), np.searchsorted(cdf, uniforms)
+    )
+
+
+def boundaries(n):
+    """Every bucket boundary ``b / n`` and the floats either side of it."""
+    edges = np.arange(n + 1) / n
+    return np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    )
+
+
 @pytest.mark.parametrize("num_random", [0, 1, 7000])
 def test_inverse_cdf_is_searchsorted(num_random):
     # Zero weights repeat a CDF value, and uniforms equal to CDF values
@@ -349,10 +370,106 @@ def test_inverse_cdf_is_searchsorted(num_random):
     cdf = np.cumsum(weights) / weights.sum()
     uniforms = np.concatenate([rng.random(num_random), cdf[:-1], [0.0]])
     rng.shuffle(uniforms)
-    np.testing.assert_array_equal(
-        chung_lu_module._inverse_cdf(cdf, uniforms), np.searchsorted(cdf, uniforms)
+    assert_is_searchsorted(cdf, uniforms)
+    assert guided_search(cdf, np.empty(0)).shape == (0,)
+
+
+class TestInverseCdf:
+    """The guide-table search is ``np.searchsorted`` at its corners."""
+
+    def test_above_the_last_value_is_n(self):
+        rng = np.random.default_rng(3)
+        cdf = np.cumsum(rng.random(50)) / 60.0
+        assert cdf[-1] < 1.0
+        above = [np.nextafter(cdf[-1], 1.0), 0.9, np.nextafter(1.0, 0.0), 1.0, 7.0]
+        assert_is_searchsorted(cdf, np.r_[rng.random(500), cdf, above])
+        assert (guided_search(cdf, above) == cdf.shape[0]).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_bucket_boundary_and_its_neighbours(self, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.pareto(1.2, 97) * (rng.random(97) < 0.8)
+        weights[-1] = 1.0
+        cdf = np.cumsum(weights) / weights.sum()
+        assert_is_searchsorted(cdf, np.r_[boundaries(97), cdf, np.nextafter(cdf, 0)])
+
+    def test_a_cdf_on_the_boundaries(self):
+        # Every value equals some b / n, so bucket starts land on ties.
+        cdf = np.repeat(np.arange(1, 9) / 8, 2)
+        assert_is_searchsorted(cdf, np.r_[boundaries(16), boundaries(8)])
+
+    def test_one_entry(self):
+        for cdf in (np.ones(1), np.full(1, 0.5)):
+            assert_is_searchsorted(cdf, np.r_[boundaries(1), 0.25, 0.5, 0.75])
+
+    def test_a_long_run_of_zero_weights(self):
+        rng = np.random.default_rng(5)
+        weights = np.r_[1.0, np.zeros(20_000), 1.0, rng.random(30), np.zeros(500)]
+        cdf = np.cumsum(weights) / weights.sum()
+        n = cdf.shape[0]
+        assert_is_searchsorted(cdf, np.r_[rng.random(2000), boundaries(n), cdf])
+
+    def test_outside_the_unit_interval(self):
+        cdf = np.cumsum(np.r_[0.0, 1.0, 2.0, 0.0]) / 3.0
+        assert_is_searchsorted(cdf, [-np.inf, -1.0, -0.0, np.inf, np.nan])
+
+    def test_an_empty_batch(self):
+        cdf = np.cumsum(np.ones(5)) / 5.0
+        got = guided_search(cdf, np.empty(0))
+        assert got.dtype == np.int64 and got.shape == (0,)
+        assert inverse_cdf(
+            cdf, inverse_cdf_guide(cdf), np.empty(0),
+            sources=np.empty(0, dtype=np.int64),
+        ).shape == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.sampled_from([0.0, 0.0, 1.0, 2.5, 1e-9, 1e6]), min_size=1, max_size=40
+        ).filter(any),
+        extra=st.lists(st.floats(0.0, 1.0), max_size=30),
     )
-    assert chung_lu_module._inverse_cdf(cdf, np.empty(0)).shape == (0,)
+    def test_any_weights(self, weights, extra):
+        weights = np.asarray(weights)
+        cdf = np.cumsum(weights) / weights.sum()
+        assert_is_searchsorted(cdf, np.r_[extra, cdf, boundaries(cdf.shape[0])])
+
+    def test_with_sources_it_returns_the_keys_of_the_non_loops(self):
+        rng = np.random.default_rng(7)
+        weights = np.r_[rng.pareto(1.5, 40), 0.0, 50.0]
+        cdf = np.cumsum(weights) / weights.sum()
+        guide = inverse_cdf_guide(cdf)
+        n = cdf.shape[0]
+        sources = guided_search(cdf, rng.random(3000))
+        uniforms = rng.random(3000)
+        targets = np.searchsorted(cdf, uniforms)
+        want = (sources * n + targets)[sources != targets]
+        assert want.shape[0] < 3000
+        got = inverse_cdf(cdf, guide, uniforms, sources=sources)
+        np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(got, sources)
+
+    def test_refuses_what_the_loop_cannot_take(self):
+        cdf = np.cumsum(np.ones(6)) / 6.0
+        guide = inverse_cdf_guide(cdf)
+        uniforms = np.linspace(0.0, 1.0, 8)
+        sources = np.zeros(8, dtype=np.int64)
+        for label, args, name in [
+            ("wrong dtype", (cdf.astype(np.float32), guide, uniforms), "cdf"),
+            ("wrong dtype", (cdf, guide.astype(np.int32), uniforms), "guide"),
+            ("non-contiguous", (cdf, guide, np.repeat(uniforms, 2)[::2]), "uniforms"),
+            ("guide too short", (cdf, guide[:-1], uniforms), "guide"),
+            ("guide too long", (cdf, np.r_[guide, 0], uniforms), "guide"),
+        ]:
+            with pytest.raises(ParameterError, match=name):
+                inverse_cdf(*args)
+            out = np.full(8, -1, dtype=np.int64)
+            with pytest.raises(ParameterError, match=name):
+                kernels._call("repro_inverse_cdf", 6, *args[:2], 8, args[2], None, out)
+            assert (out == -1).all(), label
+        for bad in (sources[:-1], sources.astype(np.int32), np.repeat(sources, 2)[::2]):
+            with pytest.raises(ParameterError, match="sources"):
+                inverse_cdf(cdf, guide, uniforms, sources=bad)
 
 
 #: ``sha256(out_indptr.tobytes() + out_indices.tobytes())[:16]`` of the
@@ -379,7 +496,9 @@ def test_pinned_analog_bytes(name, scale):
 def test_generation_peak_memory_per_edge():
     """Chung–Lu keeps its edges as one sorted key array and assembles the
     CSR from it: no endpoint lists, no second sort.  The traced peak was
-    111 bytes per edge with them."""
+    111 bytes per edge with them, and 63 with the endpoints searched in
+    sorted order; drawn through the guide table it is 53, here with a
+    7-byte margin."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -388,7 +507,7 @@ def test_generation_peak_memory_per_edge():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (peak - before) / graph.num_edges <= 80
+    assert (peak - before) / graph.num_edges <= 60
 
 
 def _rows_to_edges(rows):
