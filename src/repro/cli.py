@@ -2,7 +2,8 @@
 
 Examples
 --------
-Run one experiment on the default bench configuration::
+Run one experiment on the default bench configuration (the report ends
+with a ``PASS``/``FAIL`` line per paper claim; a ``FAIL`` exits 1)::
 
     repro-ppr run F4
 
@@ -694,15 +695,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     workspace = Workspace(config)
     ids = list(EXPERIMENTS) if args.experiment.lower() == "all" else [args.experiment]
     chunks = []
+    passed = True
     for experiment_id in ids:
         result = run_experiment(experiment_id, workspace)
         chunks.append(result.render())
+        passed &= all(ok for _, ok in result.claims())
     report = "\n\n".join(chunks)
     print(report)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(report + "\n")
-    return 0
+    # A failed paper claim fails the run, after the whole report.
+    return 0 if passed else 1
 
 
 def _cmd_query(args: argparse.Namespace) -> int:

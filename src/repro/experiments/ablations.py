@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.core.fwdpush import forward_push
 from repro.core.powerpush import PowerPushConfig
 from repro.experiments.config import query_sources
-from repro.experiments.report import format_seconds, format_table
+from repro.experiments.report import Claim, format_claims, format_seconds, format_table
 from repro.experiments.workspace import Workspace
 
 __all__ = [
@@ -50,6 +50,9 @@ class PowerPushAblationResult:
 
     seconds: dict[str, dict[str, float]] = field(default_factory=dict)
     updates: dict[str, dict[str, float]] = field(default_factory=dict)
+    #: (dataset, variant) -> the largest ``r_sum`` over the sources
+    max_r_sum: dict[str, dict[str, float]] = field(default_factory=dict)
+    l1_thresholds: dict[str, float] = field(default_factory=dict)
 
     def rows(self) -> list[list[str]]:
         rows = []
@@ -65,12 +68,28 @@ class PowerPushAblationResult:
                 )
         return rows
 
+    def claims(self) -> list[Claim]:
+        claims: list[Claim] = []
+        paper, flat = POWERPUSH_VARIANTS[0][0], POWERPUSH_VARIANTS[1][0]
+        for dataset, updates in self.updates.items():
+            l1_threshold = self.l1_thresholds[dataset]
+            claims.append((f"{dataset}: {paper} needs at most 1.05x the updates of {flat} "
+                           f"({updates[paper]:.3e} vs {updates[flat]:.3e})",
+                           updates[paper] <= updates[flat] * 1.05))
+            claims += [
+                (f"{dataset} {label}: r_sum <= lambda (largest {r_sum:.2e}, "
+                 f"lambda {l1_threshold:.0e})", r_sum <= l1_threshold)
+                for label, r_sum in self.max_r_sum[dataset].items()
+            ]
+        return claims
+
     def render(self) -> str:
-        return format_table(
+        table = format_table(
             ["dataset", "variant", "avg time", "avg residue updates"],
             self.rows(),
             title="Ablation A1 — PowerPush design choices",
         )
+        return f"{table}\n\n{format_claims(self.claims())}"
 
 
 def run_powerpush_ablation(
@@ -87,6 +106,8 @@ def run_powerpush_ablation(
         sources = query_sources(graph, config.num_sources, config.seed)
         result.seconds[name] = {}
         result.updates[name] = {}
+        result.max_r_sum[name] = {}
+        result.l1_thresholds[name] = l1_threshold
         for label, epoch_num, scan_fraction in POWERPUSH_VARIANTS:
             pp_config = PowerPushConfig(
                 epoch_num=epoch_num,
@@ -94,6 +115,7 @@ def run_powerpush_ablation(
             )
             total_seconds = 0.0
             total_updates = 0
+            max_r_sum = 0.0
             for source in sources.tolist():
                 started = time.perf_counter()
                 answer = engine.query(
@@ -104,8 +126,10 @@ def run_powerpush_ablation(
                 )
                 total_seconds += time.perf_counter() - started
                 total_updates += answer.counters.residue_updates
+                max_r_sum = max(max_r_sum, answer.r_sum)
             result.seconds[name][label] = total_seconds / len(sources)
             result.updates[name][label] = total_updates / len(sources)
+            result.max_r_sum[name][label] = max_r_sum
     return result
 
 
@@ -130,12 +154,21 @@ class SchedulingAblationResult:
                 )
         return rows
 
+    def claims(self) -> list[Claim]:
+        return [
+            (f"{dataset}: FIFO needs at most 1.2x LIFO's residue updates "
+             f"({updates['fifo']:.3e} vs {updates['lifo']:.3e})",
+             updates["fifo"] <= updates["lifo"] * 1.2)
+            for dataset, updates in self.updates.items()
+        ]
+
     def render(self) -> str:
-        return format_table(
+        table = format_table(
             ["dataset", "scheduler", "avg pushes", "avg residue updates"],
             self.rows(),
             title="Ablation A2 — FwdPush scheduling orders (scalar loop)",
         )
+        return f"{table}\n\n{format_claims(self.claims())}"
 
 
 def run_scheduling_ablation(

@@ -1,11 +1,10 @@
-"""Experiment configuration, with environment overrides for CI scaling.
+"""Experiment configuration, with environment overrides for quick runs.
 
 The paper's full protocol (six datasets, 30 random sources, five eps
-values) runs in minutes at our default synthetic scales, but the
-benchmark suite must also stay quick under ``pytest --benchmark-only``.
-:func:`bench_config` therefore honours three environment variables:
+values; :func:`full_config`, ``repro-ppr run --full``) runs in minutes
+at our default synthetic scales.  ``repro-ppr run`` without ``--full``
+uses :func:`bench_config`, which honours two environment variables:
 
-* ``REPRO_BENCH_FULL=1``   — run the full protocol,
 * ``REPRO_BENCH_DATASETS`` — comma-separated dataset subset,
 * ``REPRO_BENCH_SOURCES``  — number of random query sources.
 """
@@ -13,7 +12,7 @@ benchmark suite must also stay quick under ``pytest --benchmark-only``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ class ExperimentConfig:
     epsilons: tuple[float, ...] = EPSILONS
     seed: int = 2021
     trace_stride_edges: int = 4  # paper: sample every 4*m edge pushes
-    extras: dict[str, object] = field(default_factory=dict)
 
     def l1_threshold(self, graph: DiGraph) -> float:
         """The paper's HP default ``lambda = min(1e-8, 1/m)``."""
@@ -53,14 +51,12 @@ def full_config() -> ExperimentConfig:
 
 
 def bench_config() -> ExperimentConfig:
-    """Configuration for ``pytest --benchmark-only`` runs.
+    """Configuration for ``repro-ppr run`` without ``--full``.
 
-    Defaults to a representative 3-dataset subset and 3 sources so the
-    whole benchmark suite finishes in a few minutes; see the module
+    Defaults to a representative 3-dataset subset and 3 sources so
+    ``repro-ppr run all`` finishes in about a minute; see the module
     docstring for the environment overrides.
     """
-    if os.environ.get("REPRO_BENCH_FULL", "") == "1":
-        return full_config()
     names = os.environ.get("REPRO_BENCH_DATASETS", "")
     if names:
         datasets = tuple(part.strip() for part in names.split(",") if part.strip())

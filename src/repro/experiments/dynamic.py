@@ -25,11 +25,16 @@ import numpy as np
 
 from repro.api.engine import PPREngine
 from repro.core.powerpush import power_push
+from repro.experiments.report import Claim, format_claims
 from repro.experiments.workspace import Workspace
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 
 __all__ = ["DynamicRow", "DynamicResult", "run_dynamic_updates", "run_dynamic"]
+
+#: Incremental refresh must need at most this fraction of the
+#: from-scratch residue updates, summed over all batches.
+MAX_UPDATE_RATIO = 0.85
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,22 @@ class DynamicResult:
             return float("nan")
         return self.total_incremental_updates / scratch
 
+    def claims(self) -> list[Claim]:
+        # Both routes certify l1_threshold, so the answers agree within
+        # the sum of the two certificates.
+        lam, rows = self.l1_threshold, self.rows
+        gap = max((row.l1_gap for row in rows), default=0.0)
+        bound = max((row.certified_bound for row in rows), default=0.0)
+        return [
+            (f"{len(rows)} update batches measured", bool(rows)),
+            (f"every batch: incremental and from-scratch answers within 2 lambda "
+             f"(largest l1 gap {gap:.2e})", all(r.l1_gap <= 2.0 * lam + 1e-12 for r in rows)),
+            (f"every batch: certified bound <= lambda (largest {bound:.2e})",
+             all(r.certified_bound <= lam + 1e-12 for r in rows)),
+            (f"incremental refresh at {self.overall_ratio:.3f}x the from-scratch residue "
+             f"updates (at most {MAX_UPDATE_RATIO})", self.overall_ratio <= MAX_UPDATE_RATIO),
+        ]
+
     def render(self) -> str:
         lines = [
             (
@@ -117,6 +138,7 @@ class DynamicResult:
             f"from-scratch {self.total_scratch_updates} residue updates "
             f"(ratio {self.overall_ratio:.3f})"
         )
+        lines += ["", format_claims(self.claims())]
         return "\n".join(lines)
 
 

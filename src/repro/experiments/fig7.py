@@ -23,7 +23,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.experiments.config import query_sources
-from repro.experiments.report import ascii_chart, format_seconds, format_table
+from repro.experiments.report import (
+    Claim, ascii_chart, format_claims, format_seconds, format_table,
+)
 from repro.experiments.table2 import FORA_INDEX_EPSILON
 from repro.experiments.workspace import Workspace
 
@@ -55,6 +57,29 @@ class Fig7Result:
             rows.append(row)
         return rows
 
+    def claims(self) -> list[Claim]:
+        claims: list[Claim] = []
+        eps = self.epsilons
+        small, large = eps.index(min(eps)), eps.index(max(eps))
+        for dataset, by_method in self.seconds.items():
+            index, speed, fora = (
+                by_method[m] for m in ("SpeedPPR-Index", "SpeedPPR", "FORA")
+            )
+            fastest = min(by_method[m][small] for m in ("SpeedPPR", "FORA", "FORA-Index", "ResAcc"))
+            speed_growth = speed[small] / max(speed[large], 1e-9)
+            fora_growth = fora[small] / max(fora[large], 1e-9)
+            claims += [
+                (f"{dataset}: SpeedPPR-Index within 1.25x of the fastest other sampling "
+                 f"method at eps={eps[small]} ({format_seconds(index[small])} vs "
+                 f"{format_seconds(fastest)})", index[small] <= fastest * 1.25),
+                (f"{dataset}: FORA slower at eps={eps[small]} than at eps={eps[large]} "
+                 f"({format_seconds(fora[small])} vs {format_seconds(fora[large])})",
+                 fora[small] > fora[large]),
+                (f"{dataset}: SpeedPPR's time grows no more than FORA's "
+                 f"({speed_growth:.2f}x vs {fora_growth:.2f}x)", speed_growth <= fora_growth),
+            ]
+        return claims
+
     def render(self) -> str:
         blocks = []
         for dataset in self.seconds:
@@ -81,6 +106,7 @@ class Fig7Result:
                     y_label="seconds",
                 )
             )
+        blocks.append(format_claims(self.claims()))
         return "\n\n".join(blocks)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.experiments.config import query_sources
-from repro.experiments.report import ascii_chart, format_table
+from repro.experiments.report import Claim, ascii_chart, format_claims, format_table
 from repro.experiments.table2 import FORA_INDEX_EPSILON
 from repro.experiments.workspace import Workspace
 from repro.metrics.errors import l1_error
@@ -51,6 +51,29 @@ class Fig8Result:
             )
         return rows
 
+    def claims(self) -> list[Claim]:
+        claims: list[Claim] = []
+        eps = self.epsilons
+        small, large = eps.index(min(eps)), eps.index(max(eps))
+        speed_best = 0
+        for dataset, by_method in self.errors.items():
+            claims += [
+                (f"{dataset} {method}: error at eps={eps[small]} within 1.25x of "
+                 f"eps={eps[large]}'s ({errors[small]:.3e} vs {errors[large]:.3e})",
+                 errors[small] <= errors[large] * 1.25)
+                for method, errors in by_method.items()
+            ]
+            speed, index = by_method["SpeedPPR"][small], by_method["SpeedPPR-Index"][small]
+            claims.append((f"{dataset}: SpeedPPR's error within 1.25x of SpeedPPR-Index's "
+                           f"at eps={eps[small]} ({speed:.3e} vs {index:.3e})",
+                           speed <= index * 1.25))
+            speed_best += speed <= 1.1 * min(by_method[m][small] for m in by_method)
+        need = max(1, len(self.errors) - 1)
+        return claims + [
+            (f"SpeedPPR within 1.1x of the best error at eps={eps[small]} on {speed_best} "
+             f"of {len(self.errors)} datasets (need {need})", speed_best >= need),
+        ]
+
     def render(self) -> str:
         blocks = []
         for dataset in self.errors:
@@ -77,6 +100,7 @@ class Fig8Result:
                     y_label="l1-error",
                 )
             )
+        blocks.append(format_claims(self.claims()))
         return "\n\n".join(blocks)
 
 

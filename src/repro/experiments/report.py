@@ -4,7 +4,9 @@ The benchmark harness prints every reproduced table/figure in a form
 directly comparable with the paper: tables mirror the paper's rows and
 columns; figures are rendered as log-scale ASCII charts plus the raw
 series, since the *shape* of the curves (straight lines in log-error,
-crossovers in the eps sweeps) is the reproduction target.
+crossovers in the eps sweeps) is the reproduction target.  Every report
+ends with one ``PASS``/``FAIL`` line per paper claim the result checks
+(:func:`format_claims`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+#: one paper claim a result checks: ``(text, passed)``
+Claim = tuple[str, bool]
+
 __all__ = [
+    "Claim",
+    "format_claims",
     "format_table",
     "format_ratio",
     "format_seconds",
@@ -44,6 +51,13 @@ def format_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def format_claims(claims: Sequence[Claim]) -> str:
+    """One ``PASS``/``FAIL`` line per claim, in order."""
+    return "\n".join(
+        f"{'PASS' if passed else 'FAIL'}  {text}" for text, passed in claims
+    )
 
 
 def format_ratio(value: float, base: float) -> str:

@@ -2,11 +2,14 @@
 
 Maps experiment ids (T1, T2, F4-F8, A1, A2 — the ids used in
 DESIGN.md's per-experiment index — plus DY, the dynamic-graph
-workload) to their runners, so the CLI and the benchmark suite share
-one entry point:
+workload) to their runners, behind ``repro-ppr run``:
 
 >>> from repro.experiments import run_experiment
 >>> text = run_experiment("T1").render()  # doctest: +SKIP
+
+Every result also checks the paper's claims on its own numbers:
+``claims()`` returns ``(text, passed)`` pairs, and ``render()`` ends
+with one ``PASS``/``FAIL`` line per claim.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
 from repro.experiments.fig8 import run_fig8
+from repro.experiments.report import Claim
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.workspace import Workspace
@@ -32,9 +36,11 @@ __all__ = ["EXPERIMENTS", "run_experiment", "experiment_ids"]
 
 
 class Renderable(Protocol):
-    """Every experiment result can render itself as plain text."""
+    """Every experiment result renders itself and checks its claims."""
 
     def render(self) -> str: ...
+
+    def claims(self) -> list[Claim]: ...
 
 
 EXPERIMENTS: dict[str, tuple[str, Callable[[Workspace], Renderable]]] = {

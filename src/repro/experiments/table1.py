@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.report import format_table
+from repro.experiments.report import Claim, format_claims, format_table
 from repro.experiments.workspace import Workspace
 from repro.generators.datasets import DATASETS
 from repro.graph.stats import GraphStats, compute_stats
@@ -42,8 +42,20 @@ class Table1Result:
             )
         return rows
 
+    def claims(self) -> list[Claim]:
+        claims: list[Claim] = []
+        for name, stat in self.stats.items():
+            paper, density = DATASETS[name].avg_degree, stat.average_degree
+            claims += [
+                (f"{name}: m/n {density:.2f} within 25% of the paper's {paper:.2f}",
+                 abs(density - paper) <= 0.25 * paper),
+                (f"{name}: {stat.num_nodes} nodes, {stat.dead_ends} dead ends",
+                 stat.num_nodes > 0 and stat.dead_ends == 0),
+            ]
+        return claims
+
     def render(self) -> str:
-        return format_table(
+        table = format_table(
             [
                 "dataset",
                 "paper",
@@ -58,6 +70,7 @@ class Table1Result:
             self.rows(),
             title="Table 1 — synthetic analog dataset statistics",
         )
+        return f"{table}\n\n{format_claims(self.claims())}"
 
 
 def run_table1(workspace: Workspace | None = None) -> Table1Result:

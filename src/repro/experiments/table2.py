@@ -14,9 +14,11 @@ far the slowest to build, especially on the dense Orkut analog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.experiments.report import format_bytes, format_seconds, format_table
+from repro.experiments.report import (
+    Claim, format_bytes, format_claims, format_seconds, format_table,
+)
 from repro.experiments.workspace import Workspace
 
 __all__ = ["IndexReport", "Table2Result", "run_table2"]
@@ -33,6 +35,7 @@ class IndexReport:
     method: str
     size_bytes: int
     construction_seconds: float
+    num_walks: int = 0  # walk indexes only
 
 
 @dataclass
@@ -40,6 +43,7 @@ class Table2Result:
     """All index reports, keyed by (dataset, method)."""
 
     reports: list[IndexReport]
+    num_edges: dict[str, int] = field(default_factory=dict)
 
     def get(self, dataset: str, method: str) -> IndexReport:
         for report in self.reports:
@@ -61,8 +65,28 @@ class Table2Result:
             rows.append(row)
         return rows
 
+    def claims(self) -> list[Claim]:
+        claims: list[Claim] = []
+        for dataset in sorted({r.dataset for r in self.reports}):
+            bepi, fora, speed = (self.get(dataset, m) for m in ("BePI", "FORA", "SpeedPPR"))
+            sizes = [format_bytes(r.size_bytes) for r in (bepi, fora, speed)]
+            builds = [format_seconds(r.construction_seconds) for r in (fora, speed)]
+            m = self.num_edges[dataset]
+            claims += [
+                (f"{dataset}: SpeedPPR index smaller than FORA+'s ({sizes[2]} < {sizes[1]})",
+                 speed.size_bytes < fora.size_bytes),
+                (f"{dataset}: SpeedPPR index holds at most m walks ({speed.num_walks} <= {m})",
+                 speed.num_walks <= m),
+                (f"{dataset}: BePI matrices larger than FORA+'s index ({sizes[0]} > {sizes[1]})",
+                 bepi.size_bytes > fora.size_bytes),
+                (f"{dataset}: SpeedPPR index built no slower than FORA+'s "
+                 f"({builds[1]} <= {builds[0]})",
+                 speed.construction_seconds <= fora.construction_seconds),
+            ]
+        return claims
+
     def render(self) -> str:
-        return format_table(
+        table = format_table(
             [
                 "dataset",
                 "BePI size",
@@ -78,38 +102,27 @@ class Table2Result:
                 f"(FORA+ index built at eps={FORA_INDEX_EPSILON})"
             ),
         )
+        return f"{table}\n\n{format_claims(self.claims())}"
 
 
 def run_table2(workspace: Workspace | None = None) -> Table2Result:
     """Build all three indexes on every configured dataset."""
     workspace = workspace or Workspace()
-    reports: list[IndexReport] = []
+    result = Table2Result(reports=[])
     for name in workspace.config.datasets:
-        bepi = workspace.bepi_index(name)
-        reports.append(
-            IndexReport(
-                dataset=name,
-                method="BePI",
-                size_bytes=bepi.size_bytes,
-                construction_seconds=bepi.construction_seconds,
+        result.num_edges[name] = workspace.graph(name).num_edges
+        for method, index in (
+            ("BePI", workspace.bepi_index(name)),
+            ("FORA", workspace.fora_index(name, FORA_INDEX_EPSILON, exact=True)),
+            ("SpeedPPR", workspace.speedppr_index(name)),
+        ):
+            result.reports.append(
+                IndexReport(
+                    dataset=name,
+                    method=method,
+                    size_bytes=index.size_bytes,
+                    construction_seconds=index.construction_seconds,
+                    num_walks=getattr(index, "num_walks", 0),
+                )
             )
-        )
-        fora_index = workspace.fora_index(name, FORA_INDEX_EPSILON, exact=True)
-        reports.append(
-            IndexReport(
-                dataset=name,
-                method="FORA",
-                size_bytes=fora_index.size_bytes,
-                construction_seconds=fora_index.construction_seconds,
-            )
-        )
-        speed_index = workspace.speedppr_index(name)
-        reports.append(
-            IndexReport(
-                dataset=name,
-                method="SpeedPPR",
-                size_bytes=speed_index.size_bytes,
-                construction_seconds=speed_index.construction_seconds,
-            )
-        )
-    return Table2Result(reports=reports)
+    return result

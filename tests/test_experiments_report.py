@@ -94,10 +94,6 @@ class TestConfig:
         assert config.datasets == ("dblp-s", "orkut-s")
         assert config.num_sources == 7
 
-    def test_bench_config_full_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        assert bench_config().num_sources == 30
-
     def test_bench_config_rejects_unknown_dataset(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_DATASETS", "nope-s")
         with pytest.raises(ParameterError):

@@ -2,30 +2,38 @@
 
 Each runner executes end-to-end on one very small dataset and the
 result objects are checked for the *shape properties* the paper
-reports (see DESIGN.md's expected-shapes list).  These tests double as
-the regression net for the benchmark harness.
+reports (see DESIGN.md's expected-shapes list), and for the verdicts
+their ``claims()`` give on their own numbers.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.core.fwdpush import forward_push
 from repro.errors import ParameterError
+from repro.experiments import fig5
 from repro.experiments.ablations import (
+    POWERPUSH_VARIANTS,
+    PowerPushAblationResult,
+    SchedulingAblationResult,
     run_powerpush_ablation,
     run_scheduling_ablation,
 )
 from repro.experiments.config import ExperimentConfig, query_sources
-from repro.experiments.dynamic import run_dynamic_updates
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.fig8 import run_fig8
+from repro.experiments.dynamic import DynamicResult, DynamicRow, run_dynamic_updates
+from repro.experiments.fig4 import Fig4Result, run_fig4
+from repro.experiments.fig5 import Fig5Result, run_fig5
+from repro.experiments.fig6 import Fig6Result, run_fig6
+from repro.experiments.fig7 import APPROX_METHODS, Fig7Result, run_fig7
+from repro.experiments.fig8 import ERROR_METHODS, Fig8Result, run_fig8
 from repro.experiments.runner import experiment_ids, run_experiment
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
+from repro.experiments.table1 import Table1Result, run_table1
+from repro.experiments.table2 import IndexReport, Table2Result, run_table2
 from repro.experiments.workspace import Workspace
+from repro.graph.stats import GraphStats
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +115,33 @@ class TestFig5:
         assert min(curves["PowerPush"][1]) <= 1e-7
         assert "Figure 5" in result.render()
 
+    def test_bepi_curve_solves_each_delta_once(self, tiny_workspace, monkeypatch):
+        engine, deltas = tiny_workspace.engine("dblp-s"), []
+        query = engine.query
+
+        def recording_query(source, **params):
+            deltas.append(params["delta"])
+            return query(source, **params)
+
+        monkeypatch.setattr(engine, "query", recording_query)
+        for l1_threshold in (1e-8, 5e-9, 1e-3):
+            deltas.clear()
+            fig5._bepi_curve(tiny_workspace, "dblp-s", 0, l1_threshold)
+            assert deltas[-1] == l1_threshold
+            assert all(a > b for a, b in zip(deltas, deltas[1:])), deltas
+
+    def test_reference_source_ignores_the_clock(self, tiny_workspace, monkeypatch):
+        config, graph = tiny_workspace.config, tiny_workspace.graph("dblp-s")
+        engine = tiny_workspace.engine("dblp-s")
+        sources = query_sources(graph, config.num_sources, config.seed).tolist()
+        answers = {s: engine.query(s, l1_threshold=config.l1_threshold(graph)) for s in sources}
+        ranked = sorted(sources, key=lambda s: (answers[s].counters.residue_updates, s))
+        # A clock under which the time order is the update order reversed.
+        ticks = iter(t for s in sources for t in (0.0, -ranked.index(s)))
+        monkeypatch.setattr(fig5, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        assert len(set(sources)) == 2
+        assert fig5.reference_source(tiny_workspace, "dblp-s") == ranked[1]
+
 
 class TestFig6:
     def test_updates_ordering(self, tiny_workspace):
@@ -139,7 +174,7 @@ class TestFig6PaperShape:
 
     def test_powerpush_under_0_7_of_powitr_and_fifo_below_powitr(self):
         for name, graph in self._graphs():
-            # One source, so fig5.reference_source has no timing to rank.
+            # One source: the reference source is the query set's only one.
             workspace = Workspace(
                 ExperimentConfig(datasets=(name,), num_sources=1, seed=7)
             )
@@ -221,6 +256,95 @@ class TestDynamicUpdates:
         assert all(row.snapshot_seconds > 0.0 for row in result.rows)
         header = result.render().splitlines()[3]
         assert header.split()[-2:] == ["snapshot", "ms"]
+
+
+def _broken_results():
+    """One hand-built result per experiment that breaks exactly one claim."""
+    d, lam, eps = "dblp-s", 1e-8, (0.5, 0.1)
+    line = ([0.1, 0.2, 0.3], [1e-2, 1e-5, 1e-8])
+    variants = [label for label, _, _ in POWERPUSH_VARIANTS]
+    paper, flat = variants[:2]
+    fast = {"SpeedPPR": [1e-3, 3e-3], "SpeedPPR-Index": [1e-4, 2e-4]}
+    return {
+        # m/n 9 is over 25% above DBLP's 6.62
+        "T1": Table1Result({d: GraphStats(d, 100, 900, 9.0, "undirected", 20, 20, 0, 0.3, 2.0)}),
+        # the SpeedPPR index holds more than m walks
+        "T2": Table2Result(
+            [IndexReport(d, "BePI", 1000, 1.0), IndexReport(d, "FORA", 100, 0.2),
+             IndexReport(d, "SpeedPPR", 10, 0.1, num_walks=901)],
+            num_edges={d: 900},
+        ),
+        # an answer above lambda
+        "F4": Fig4Result({d: {"PowerPush": 1e-3, "BePI": 2e-3, "FIFO-FwdPush": 3e-3,
+                              "PowItr": 4e-3}}, {d: lam}, {d: 2 * lam}),
+        # BePI's error grows as Delta shrinks
+        "F5": Fig5Result({d: {"PowerPush": line, "PowItr": line, "FIFO-FwdPush": line,
+                              "BePI": ([0.1, 0.2], [1e-3, 1e-2])}}, {d: 0}, {d: lam}),
+        # FIFO-FwdPush needs 1.5x PowItr's updates
+        "F6": Fig6Result({d: {"PowerPush": ([1e3], [lam]), "PowItr": ([2e3], [lam]),
+                              "FIFO-FwdPush": ([3e3], [lam])}}, {d: 0}, {d: lam}),
+        # SpeedPPR slows 3x from eps 0.5 to 0.1, FORA only 2x
+        "F7": Fig7Result(eps, {d: {m: fast.get(m, [2e-3, 4e-3]) for m in APPROX_METHODS}}),
+        # FORA's error grows as eps shrinks
+        "F8": Fig8Result(eps, {d: {m: [1e-2, 2e-2 if m == "FORA" else 1e-3]
+                                   for m in ERROR_METHODS}}),
+        # the paper's 8 epochs need twice the single epoch's updates
+        "A1": PowerPushAblationResult(
+            {d: dict.fromkeys(variants, 1e-3)},
+            {d: {**dict.fromkeys(variants, 1e5), paper: 2e5, flat: 1e5}},
+            {d: dict.fromkeys(variants, lam / 2)}, {d: lam},
+        ),
+        # FIFO needs 3x LIFO's updates
+        "A2": SchedulingAblationResult(
+            {d: {"fifo": 10, "lifo": 10, "max-residue": 10}},
+            {d: {"fifo": 3e5, "lifo": 1e5, "max-residue": 1e5}},
+        ),
+        # incremental refresh at 0.9x the from-scratch updates
+        "DY": DynamicResult(
+            "rmat-8", 256, 0, 0.2, lam, 5,
+            [DynamicRow(0, 5, 1500, 90, 100, 1e-3, 1e-3, 1e-4, lam / 10, lam / 2)],
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def tiny_results(tiny_workspace):
+    return {eid: run_experiment(eid, tiny_workspace) for eid in experiment_ids()}
+
+
+class TestClaims:
+    def test_every_experiment_checks_claims(self, tiny_results):
+        for eid, result in tiny_results.items():
+            claims = result.claims()
+            assert claims, eid
+            lines = result.render().splitlines()[-len(claims):]
+            assert lines == [
+                f"{'PASS' if ok else 'FAIL'}  {text}" for text, ok in claims
+            ], eid
+
+    def test_op_count_claims_pass(self, tiny_results):
+        """Op counts and sizes only: no gate on a wall-clock claim."""
+        gated = [
+            *tiny_results["T1"].claims(),
+            *(c for c in tiny_results["T2"].claims() if " built " not in c[0]),
+            *tiny_results["F6"].claims(),
+            *tiny_results["A1"].claims(),
+            *tiny_results["A2"].claims(),
+            *tiny_results["DY"].claims(),
+        ]
+        assert len(gated) == 18
+        assert [text for text, ok in gated if not ok] == []
+
+    @pytest.mark.parametrize("experiment_id", experiment_ids())
+    def test_a_broken_claim_fails_the_run(self, experiment_id, monkeypatch, capsys):
+        result = _broken_results()[experiment_id]
+        failed = [text for text, ok in result.claims() if not ok]
+        assert len(failed) == 1, failed
+        assert f"FAIL  {failed[0]}" in result.render().splitlines()
+        monkeypatch.setattr(cli, "run_experiment", lambda eid, ws: result)
+        assert cli.main(["run", experiment_id]) == 1
+        # the whole report is printed before the run fails
+        assert capsys.readouterr().out.strip() == result.render()
 
 
 class TestRunnerRegistry:
