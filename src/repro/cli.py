@@ -23,11 +23,6 @@ registered solver with its aliases; ``repro-ppr methods`` prints the
 full registry (kind, aliases, capability flags), so users can discover
 valid spellings without tripping ``UnknownMethodError``.
 
-Benchmark the dynamic-graph path — incremental refresh vs from-scratch
-solves while edge updates stream in::
-
-    repro-ppr update-bench --batches 4 --batch-size 25
-
 Serve queries interactively through the async front door over the
 concurrent serving layer (versioned result cache + single-flight
 table, shared by the thread and the sharded tier), one request per
@@ -60,7 +55,6 @@ from typing import Any
 from repro.api import PPREngine, resolve_method, solver_specs
 from repro.errors import ReproError
 from repro.experiments.config import bench_config, full_config
-from repro.experiments.dynamic import run_dynamic_updates
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.experiments.workspace import Workspace
 from repro.generators.datasets import dataset_names, load_dataset
@@ -124,30 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "methods",
         help="print the solver registry (kind, aliases, capability flags)",
     )
-
-    bench = sub.add_parser(
-        "update-bench",
-        help="benchmark incremental PPR maintenance under edge updates",
-    )
-    bench.add_argument(
-        "--scale", type=int, default=11, help="log2 of the R-MAT id space"
-    )
-    bench.add_argument(
-        "--edges", type=int, default=16_000, help="initial edge count"
-    )
-    bench.add_argument("--batches", type=int, default=4)
-    bench.add_argument(
-        "--batch-size", type=int, default=25, help="edge updates per batch"
-    )
-    bench.add_argument("--alpha", type=float, default=0.2)
-    bench.add_argument("--l1-threshold", type=float, default=1e-8)
-    bench.add_argument("--seed", type=int, default=2021)
-    bench.add_argument(
-        "--compact",
-        action="store_true",
-        help="compact the delta overlay after every batch",
-    )
-    bench.add_argument("--out", type=Path, help="also write the report here")
 
     serve = sub.add_parser(
         "serve",
@@ -344,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_run(args)
         if args.command == "query":
             return _cmd_query(args)
-        if args.command == "update-bench":
-            return _cmd_update_bench(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "loadtest":
@@ -388,25 +356,6 @@ def _cmd_methods() -> int:
             flags.append("tracked")
         print(f"  flags   : {', '.join(flags) if flags else '-'}")
         print(f"  params  : {', '.join(spec.params)}")
-    return 0
-
-
-def _cmd_update_bench(args: argparse.Namespace) -> int:
-    result = run_dynamic_updates(
-        scale=args.scale,
-        num_edges=args.edges,
-        num_batches=args.batches,
-        batch_size=args.batch_size,
-        alpha=args.alpha,
-        l1_threshold=args.l1_threshold,
-        seed=args.seed,
-        compact_every_batch=args.compact,
-    )
-    report = result.render()
-    print(report)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(report + "\n")
     return 0
 
 

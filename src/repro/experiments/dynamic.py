@@ -152,17 +152,13 @@ def run_dynamic_updates(
     l1_threshold: float = 1e-8,
     seed: int = 2021,
     source: int | None = None,
-    compact_every_batch: bool = False,
 ) -> DynamicResult:
     """Stream update batches into an engine and measure both refresh routes.
 
     All randomness (graph, update stream) derives from ``seed``; the
     update stream is the canonical
     :func:`~repro.graph.dynamic.sample_edge_update` workload, which
-    keeps the graph dead-end-free.  ``compact_every_batch=True``
-    additionally exercises :meth:`DynamicGraph.compact` between
-    batches (the logical graph, and thus every measurement, is
-    unchanged by compaction).
+    keeps the graph dead-end-free.
     """
     rng = np.random.default_rng(seed)
     base = rmat_digraph(scale, num_edges, rng=rng, name=f"rmat-{scale}")
@@ -208,8 +204,6 @@ def run_dynamic_updates(
                 certified_bound=tracker.error_bound,
             )
         )
-        if compact_every_batch:
-            dynamic.compact()
     return result
 
 

@@ -1,13 +1,10 @@
-"""Counters, convergence traces and timers (Figures 5-6 substrate)."""
+"""Counters and convergence traces (Figures 5-6 substrate)."""
 
 from repro.instrumentation.counters import PushCounters
-from repro.instrumentation.timers import Stopwatch, timed
 from repro.instrumentation.tracing import ConvergenceTrace, TracePoint
 
 __all__ = [
     "PushCounters",
     "ConvergenceTrace",
     "TracePoint",
-    "Stopwatch",
-    "timed",
 ]

@@ -13,6 +13,10 @@ from repro.metrics.ground_truth import ground_truth_ppr
 from repro.montecarlo.chernoff import chernoff_walk_count
 from repro.walks.index import build_walk_index, fora_plus_walk_counts
 
+# Dependency floor: FORA's live walks, drawn through Generator.random and
+# Generator.integers.
+pytestmark = pytest.mark.floor
+
 
 class TestForaRMax:
     def test_balancing_value(self, paper_graph):

@@ -73,28 +73,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "IncrementalPPR" in out and "#1" in out
 
-    def test_update_bench_smoke(self, capsys, tmp_path):
-        out_file = tmp_path / "dyn.txt"
-        code = main(
-            [
-                "update-bench",
-                "--scale",
-                "9",
-                "--edges",
-                "3000",
-                "--batches",
-                "1",
-                "--batch-size",
-                "10",
-                "--out",
-                str(out_file),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "incremental" in out and "ratio" in out
-        assert out_file.read_text().strip() in out
-
     def test_run_unknown_experiment_exits_2(self, capsys):
         assert main(["run", "F99"]) == 2
         assert "error" in capsys.readouterr().err

@@ -33,6 +33,9 @@ from repro.generators.rmat import rmat_digraph
 from repro.graph.build import cycle_graph, from_edges, star_graph
 from repro.metrics.ground_truth import exact_ppr_dense
 
+# Dependency floor: the epoch-end extrapolation against its array reference.
+pytestmark = pytest.mark.floor
+
 ALPHA = 0.2
 
 

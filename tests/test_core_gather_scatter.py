@@ -32,6 +32,10 @@ from repro.generators.rmat import rmat_digraph
 from repro.graph.build import from_edges, star_graph
 from repro.serving.shm import SharedGraphImage
 
+# Dependency floor: the C range scatter against its pure-Python loop, on inputs the
+# property test draws.
+pytestmark = pytest.mark.floor
+
 ALPHA = 0.2
 
 

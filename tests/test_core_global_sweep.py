@@ -36,6 +36,9 @@ from repro.graph.build import empty_graph
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import DynamicGraph
 
+# Dependency floor: the global sweep's bytes against scipy's sparse mat-vec.
+pytestmark = pytest.mark.floor
+
 ALPHA = 0.2
 
 GRAPHS = {

@@ -31,6 +31,10 @@ from repro.errors import ParameterError
 from repro.graph.build import cycle_graph
 from repro.instrumentation.counters import PushCounters
 
+# Dependency floor: every refusal of the kernel boundary, which checks numpy dtypes and
+# array flags.
+pytestmark = pytest.mark.floor
+
 ALPHA = 0.2
 GRAPH = cycle_graph(4)
 # Counts that make every entry's loop a valid no-op on zeroed arrays.

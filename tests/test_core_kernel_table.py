@@ -22,6 +22,10 @@ import pytest
 
 from repro.core import kernels
 
+# Dependency floor: the kernel boundary's table against the C, compared through numpy
+# dtypes.
+pytestmark = pytest.mark.floor
+
 SOURCE = kernels._SOURCE.read_text()
 # A definition at the start of a line (so no `static` helper, and no
 # function inside a macro): return type, name, parameters.

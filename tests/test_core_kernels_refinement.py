@@ -23,6 +23,9 @@ from test_core_async_sweep import (
     reference_refine,
 )
 
+# Dependency floor: the refinement's C entry point against its reference passes.
+pytestmark = pytest.mark.floor
+
 
 def _edge_targets(graph, nodes):
     """``(pointers, targets)``: the out-adjacency lists of ``nodes``, concatenated."""

@@ -18,6 +18,9 @@ import pytest
 
 from repro.core.kernels import _LIB
 
+# Dependency floor: the C pairwise sum against ndarray.sum(), bit for bit.
+pytestmark = pytest.mark.floor
+
 SIZES = [*range(301), 8191, 8192, 8193, 63_476, 100_003]
 
 

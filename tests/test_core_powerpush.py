@@ -42,6 +42,10 @@ from repro.instrumentation.tracing import ConvergenceTrace
 from repro.metrics.errors import l1_error
 from repro.metrics.ground_truth import exact_ppr_dense
 
+# Dependency floor: PowerPush's C queue rounds and scan epochs against the Python loop
+# they replaced.
+pytestmark = pytest.mark.floor
+
 
 def reference_power_push(
     graph,

@@ -42,6 +42,10 @@ from repro.graph.build import paper_example_graph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.graph.io import load_npz, save_npz
 
+# Dependency floor: checkpoints written with np.savez and read back with np.load,
+# damaged ones included.
+pytestmark = pytest.mark.floor
+
 
 def _graph(seed=3, scale=6, edges=120):
     return rmat_digraph(

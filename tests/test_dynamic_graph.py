@@ -30,6 +30,9 @@ from repro.graph.dynamic import (
 )
 from repro.serving.shm import SharedGraphImage
 
+# Dependency floor: the snapshot merge against np.searchsorted over all edge keys.
+pytestmark = pytest.mark.floor
+
 
 @pytest.fixture
 def dyn(paper_graph):

@@ -41,6 +41,10 @@ from repro.graph.build import from_edge_arrays, from_sorted_keys
 from repro.graph.cleaning import clean
 from repro.graph.stats import compute_stats
 
+# Dependency floor: the vectorised Chung-Lu sampler and R-MAT's uint32 ids and
+# presence-mask ranks against their sort / searchsorted / unique references.
+pytestmark = pytest.mark.floor
+
 
 def reference_chung_lu(
     out_weights,

@@ -37,6 +37,9 @@ from repro.core.fwdpush import forward_push
 from repro.core.sim_fwdpush import simultaneous_forward_push
 from repro.graph.build import from_edges
 
+# Dependency floor: every solver against the committed golden vectors.
+pytestmark = pytest.mark.floor
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 GRAPH_FILE = GOLDEN_DIR / "graph_edges.txt"
 VECTORS_FILE = GOLDEN_DIR / "golden_vectors.npz"

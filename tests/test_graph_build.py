@@ -17,6 +17,10 @@ from repro.graph.build import (
 )
 from repro.graph.digraph import DiGraph
 
+# Dependency floor: the one-key CSR sort and first_occurrences against np.lexsort and
+# np.unique.
+pytestmark = pytest.mark.floor
+
 
 def reference_from_edge_arrays(
     sources,

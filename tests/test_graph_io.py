@@ -24,6 +24,10 @@ from repro.graph.io import (
 from repro.walks.index import build_walk_index, speedppr_walk_counts
 from repro.walks.storage import load_walk_index, save_walk_index
 
+# Dependency floor: np.savez, np.load and zipfile pin the graph files: stored and
+# deflated caches load, and every damaged file raises a typed error.
+pytestmark = pytest.mark.floor
+
 
 def deflated_save_npz(graph, path):
     """``save_npz`` as graph caches and checkpoints were first written:

@@ -15,10 +15,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import repro
 import repro.bepi
 from repro.api import solver_names
+
+# Dependency floor: `import repro` and every solver but BePI load no scipy module, at
+# the oldest scipy too.
+pytestmark = pytest.mark.floor
 
 SRC = Path(repro.__file__).resolve().parents[1]
 

@@ -31,6 +31,10 @@ from repro.graph.build import from_edges
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 from repro.instrumentation.tracing import ConvergenceTrace
 
+# Dependency floor: the incremental certification's C loop against the Python loop it
+# replaced.
+pytestmark = pytest.mark.floor
+
 ALPHA = 0.2
 LAMBDA = 1e-8
 

@@ -15,6 +15,9 @@ from repro.errors import IndexMismatchError
 from repro.generators.rmat import rmat_digraph
 from repro.graph.dynamic import DynamicGraph, sample_edge_update
 
+# Dependency floor: walk indexes saved with np.savez and read back with np.load.
+pytestmark = pytest.mark.floor
+
 
 @pytest.fixture
 def graph():

@@ -1,11 +1,8 @@
-"""Unit tests for counters, traces and timers."""
+"""Unit tests for counters and traces."""
 
 import time
 
-import pytest
-
 from repro.instrumentation.counters import PushCounters
-from repro.instrumentation.timers import Stopwatch, timed
 from repro.instrumentation.tracing import ConvergenceTrace
 
 
@@ -89,22 +86,3 @@ class TestTrace:
         trace.record(0, 1.0)
         assert trace.points[0].seconds < 0.01
 
-
-class TestTimers:
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        with watch.lap("a"):
-            pass
-        with watch.lap("a"):
-            pass
-        with watch.lap("b"):
-            pass
-        assert set(watch.laps) == {"a", "b"}
-        assert watch.total == pytest.approx(
-            watch.laps["a"] + watch.laps["b"]
-        )
-
-    def test_timed(self):
-        with timed() as holder:
-            time.sleep(0.005)
-        assert holder[0] >= 0.004

@@ -24,6 +24,9 @@ from repro.metrics.errors import l1_error
 from repro.metrics.ground_truth import exact_ppr_dense
 from repro.walks.index import build_walk_index, speedppr_walk_counts
 
+# Dependency floor: the index read's C entry point against its NumPy formulation.
+pytestmark = pytest.mark.floor
+
 
 class TestRequiredWalks:
     def test_ceil_of_r_times_w(self):

@@ -17,6 +17,10 @@ from repro.montecarlo.chernoff import (
 )
 from repro.montecarlo.mc import monte_carlo_ppr
 
+# Dependency floor: Monte-Carlo's live walks, drawn through Generator.random and
+# Generator.integers.
+pytestmark = pytest.mark.floor
+
 
 class TestChernoff:
     def test_matches_equation_12(self):

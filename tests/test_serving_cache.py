@@ -18,6 +18,10 @@ from repro.errors import ParameterError, UnknownMethodError
 from repro.serving import cache as cache_module
 from repro.serving.cache import ResultCache, make_cache_key, resolve_request
 
+# Dependency floor: the versioned result cache whose answers the front door's hits
+# return.
+pytestmark = pytest.mark.floor
+
 
 def result_for(source: int, version: int) -> PPRResult:
     """A distinguishable dummy result (estimate encodes its version)."""

@@ -34,6 +34,9 @@ from repro.serving import AsyncFrontDoor, EngineServer, ShardedDispatcher
 from repro.serving import frontdoor as frontdoor_module
 from repro.serving.flights import ServedResult, ServingTier
 
+# Dependency floor: the front door's p99 predictor against np.percentile, bit for bit.
+pytestmark = pytest.mark.floor
+
 
 def run(coro):
     return asyncio.run(coro)

@@ -15,6 +15,10 @@ from repro.metrics.ground_truth import ground_truth_ppr
 from repro.montecarlo.chernoff import chernoff_walk_count
 from repro.walks.index import build_walk_index, speedppr_walk_counts
 
+# Dependency floor: SpeedPPR and SpeedPPR-Index, whose index variant is pinned byte for
+# byte against the live recipe.
+pytestmark = pytest.mark.floor
+
 
 class TestContract:
     def test_relative_error_contract(self, medium_graph, rng):

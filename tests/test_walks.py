@@ -33,6 +33,10 @@ from repro.walks.index import (
 )
 from repro.walks.storage import load_walk_index, save_walk_index, stored_size_bytes
 
+# Dependency floor: Generator.random and Generator.integers pin every walk: the C walk
+# steps against the NumPy lock-step, RNG end state included.
+pytestmark = pytest.mark.floor
+
 
 def reference_simulate_batch(graph, starts, alpha, source, dead_end_policy, rng):
     """The NumPy lock-step: what one batch of the engine computes.
